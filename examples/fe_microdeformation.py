@@ -41,8 +41,8 @@ def strain_system(sim: Simulation, axis: int, strain_step: float) -> None:
     sim.atoms.box = new_box
     sim.atoms.positions = positions
     sim.atoms.wrap()
-    sim.nlist = None  # geometry changed: force a rebuild
-    sim.calculator._cached_nlist_id = None  # and a fresh decomposition
+    # geometry changed: force a rebuild (and with it a fresh decomposition)
+    sim.nlist = None
 
 
 def main() -> None:

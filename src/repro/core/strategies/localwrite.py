@@ -45,6 +45,7 @@ from repro.potentials.eam import (
     scatter_force_half,
     scatter_rho_half,
 )
+from repro.utils.identity import IdentityKey
 
 
 class _LocalWriteTables:
@@ -123,7 +124,7 @@ class LocalWriteStrategy(ReductionStrategy):
         self.backend = backend or SerialBackend()
         self.axes = list(axes) if axes is not None else None
         self.adaptive = adaptive
-        self._cached_nlist_id: Optional[int] = None
+        self._cached_nlist = IdentityKey()
         self._tables: Optional[_LocalWriteTables] = None
         self._grid: Optional[SubdomainGrid] = None
 
@@ -134,7 +135,7 @@ class LocalWriteStrategy(ReductionStrategy):
         write their own atoms — but we reuse the SDC decomposition so the
         comparison is subdomain-for-subdomain fair.
         """
-        if self._cached_nlist_id == id(nlist) and self._tables is not None:
+        if self._cached_nlist.matches(nlist) and self._tables is not None:
             return
         reach = nlist.cutoff + nlist.skin
         if self.adaptive:
@@ -148,7 +149,7 @@ class LocalWriteStrategy(ReductionStrategy):
             grid, partition.subdomain_of_atom, nlist
         )
         self._grid = grid
-        self._cached_nlist_id = id(nlist)
+        self._cached_nlist.set(nlist)
 
     @property
     def grid(self) -> Optional[SubdomainGrid]:

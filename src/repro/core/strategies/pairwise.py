@@ -31,6 +31,7 @@ from repro.potentials.eam import (
     scatter_force_half,
 )
 from repro.utils.arrays import segment_sum
+from repro.utils.identity import IdentityKey
 
 
 def _pair_forces(
@@ -111,12 +112,12 @@ class SDCPairCalculator:
         self.backend = backend or SerialBackend()
         self.axes = list(axes) if axes is not None else None
         self.adaptive = adaptive
-        self._cached_nlist_id: Optional[int] = None
+        self._cached_nlist = IdentityKey()
         self._pairs = None
         self._schedule = None
 
     def _prepare(self, atoms: Atoms, nlist: NeighborList) -> None:
-        if self._cached_nlist_id == id(nlist) and self._pairs is not None:
+        if self._cached_nlist.matches(nlist) and self._pairs is not None:
             return
         reach = nlist.cutoff + nlist.skin
         if self.adaptive:
@@ -130,7 +131,7 @@ class SDCPairCalculator:
         partition = build_partition(nlist.reference_positions, grid)
         self._pairs = build_pair_partition(partition, nlist)
         self._schedule = build_schedule(coloring)
-        self._cached_nlist_id = id(nlist)
+        self._cached_nlist.set(nlist)
 
     def compute(
         self, potential: PairPotential, atoms: Atoms, nlist: NeighborList

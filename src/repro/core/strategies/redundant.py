@@ -36,6 +36,7 @@ from repro.potentials.eam import (
     scatter_force_owned,
     scatter_rho_owned,
 )
+from repro.utils.identity import IdentityKey
 
 
 class RedundantComputationStrategy(ReductionStrategy):
@@ -52,15 +53,15 @@ class RedundantComputationStrategy(ReductionStrategy):
             raise ValueError("n_threads must be >= 1")
         self.n_threads = n_threads
         self.backend = backend or SerialBackend()
-        self._full_cache_id: Optional[int] = None
+        self._full_source = IdentityKey()
         self._full: Optional[NeighborList] = None
 
     def _full_list(self, nlist: NeighborList) -> NeighborList:
         """Expand (and cache) the doubled neighbor list RC consumes."""
-        if self._full_cache_id == id(nlist) and self._full is not None:
+        if self._full_source.matches(nlist) and self._full is not None:
             return self._full
         self._full = full_from_half(nlist) if nlist.half else nlist
-        self._full_cache_id = id(nlist)
+        self._full_source.set(nlist)
         return self._full
 
     def compute(

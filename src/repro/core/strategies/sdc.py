@@ -42,6 +42,7 @@ from repro.potentials.eam import (
     scatter_force_half,
     scatter_rho_half,
 )
+from repro.utils.identity import IdentityKey
 
 
 def _count_health(name: str) -> None:
@@ -131,7 +132,7 @@ class SDCStrategy(ReductionStrategy):
         self.schedule_transform = schedule_transform
         self.grid_factory = grid_factory
         self.fused = fused
-        self._cached_nlist_id: Optional[int] = None
+        self._cached_nlist = IdentityKey()
         self._grid: Optional[SubdomainGrid] = None
         self._pairs: Optional[PairPartition] = None
         self._schedule: Optional[ColorSchedule] = None
@@ -145,7 +146,7 @@ class SDCStrategy(ReductionStrategy):
         Matches the paper: "steps 1 and 2 will be done when the neighbor
         list is created or updated".
         """
-        if self._cached_nlist_id == id(nlist) and self._pairs is not None:
+        if self._cached_nlist.matches(nlist) and self._pairs is not None:
             _count_health("sdc_decomp_cache_hit")
             return
         _count_health("sdc_decomp_cache_miss")
@@ -181,7 +182,7 @@ class SDCStrategy(ReductionStrategy):
         self._grid = grid
         self._pairs = pairs
         self._schedule = schedule
-        self._cached_nlist_id = id(nlist)
+        self._cached_nlist.set(nlist)
 
     @property
     def grid(self) -> Optional[SubdomainGrid]:

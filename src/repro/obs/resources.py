@@ -5,9 +5,10 @@ processes consumed doing it*.  A :class:`ResourceSampler` periodically
 reads ``/proc/<pid>/stat`` (CPU jiffies), ``/proc/<pid>/statm`` (resident
 pages) and ``/proc/<pid>/status`` (context-switch counts) for the parent
 process and — through the process backend's ``worker_pids()`` — every
-live pool worker, plus the ``/dev/shm`` arena footprint through
-``arena_bytes()``.  No psutil: the three proc files are parsed directly,
-and on platforms without ``/proc`` the sampler degrades to a no-op.
+live worker, plus the shared-arena footprint (an anonymous mapping; the
+counter keeps its historical ``shm-mb`` name) through ``arena_bytes()``.
+No psutil: the three proc files are parsed directly, and on platforms
+without ``/proc`` the sampler degrades to a no-op.
 
 Samples are recorded as zero-duration :class:`~repro.obs.tracer.Span`
 objects with ``category=CAT_COUNTER`` on the same ``perf_counter`` clock
@@ -132,7 +133,7 @@ class ResourceSampler:
         optional force calculator; when it exposes ``worker_pids()`` the
         sampler follows every live pool worker (re-polled per tick, so
         pool restarts swap tracks automatically), and ``arena_bytes()``
-        feeds the ``/dev/shm`` footprint counter.
+        feeds the shared-arena footprint counter (``shm-mb``).
     pid_provider / shm_provider:
         explicit callables overriding the calculator introspection —
         useful for tests and non-calculator consumers.

@@ -1,10 +1,8 @@
 """Real execution backends for strategy task closures."""
 
 from repro.parallel.backends.base import BackendError, ExecutionBackend
-from repro.parallel.backends.fork import ForkPhaseBackend
 from repro.parallel.backends.serial import SerialBackend
 from repro.parallel.backends.sharded import (
-    ShardedBackend,
     ShardedSDCCalculator,
     ShardGrid,
     build_halo,
@@ -15,10 +13,8 @@ from repro.parallel.backends.threads import ThreadBackend
 __all__ = [
     "BackendError",
     "ExecutionBackend",
-    "ForkPhaseBackend",
     "SerialBackend",
     "ShardGrid",
-    "ShardedBackend",
     "ShardedSDCCalculator",
     "ThreadBackend",
     "build_halo",

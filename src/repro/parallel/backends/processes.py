@@ -1,58 +1,45 @@
-"""Persistent process-parallel SDC: a reusable fork pool + shared arena.
+"""Persistent process-parallel SDC: forked workers over a shared arena.
 
 Python's GIL caps what :class:`~repro.parallel.backends.threads.ThreadBackend`
 can demonstrate; this module runs the SDC color phases across *processes*,
 the closest Python analog of the paper's OpenMP threads:
 
 * all exchanged arrays — positions, the pair partition's CSR, and the
-  reduction targets (rho, embedding derivatives, forces) — live in POSIX
-  shared memory, mapped by every worker;
+  reduction targets (rho, embedding derivatives, forces) — live in one
+  anonymous shared mapping, inherited by every worker;
 * within a color phase, workers scatter concurrently **without any
   locks** — legal for exactly the reason the paper gives: same-color
   subdomains have disjoint write sets (different array elements, no torn
   updates);
-* gathering the phase's futures is the implicit barrier between colors.
+* collecting the phase's replies is the implicit barrier between colors.
 
 The engine is *persistent*, honoring the paper's amortization argument
 ("steps 1 and 2 will be done when the neighbor list is created or
-updated", Section II.D) the same way the threaded path does:
+updated", Section II.D) the same way the threaded path does.  Workers,
+arena, respawn and retry are the shared core in
+:mod:`repro.parallel.backends.workers`; this calculator is its one-region
+configuration: ``n_workers`` workers over a single arena region, chunk
+``k`` of a color phase sent to worker ``k``.  What it adds on top:
 
-* the fork pool is created once per calculator and reused across
-  ``compute`` calls; it is only restarted lazily after a worker dies or
-  when a different potential object arrives (the potential is baked into
-  the workers at fork time);
-* the shared-memory arena is sized to the system and resized only when
-  the atom count or decomposition size changes; each step merely syncs
-  positions and zeroes the reduction arrays in place (the ``sync`` phase)
-  instead of re-forking state;
-* the decomposition (grid / pair partition / color schedule) is cached on
+* the decomposition (grid / pair partition / color schedule) cached on
   neighbor-list identity, mirroring ``SDCStrategy._prepare`` — so a
   steady-state step pays only kernel + barrier cost plus one positions
-  memcpy.
+  memcpy and the zero fills (the ``sync`` phase);
+* the color loop (density color by color, embedding in the parent, force
+  color by color) with barrier-slack profiling and worker-chunk spans;
+* optional write-set recording for the dynamic race detector.
 
-Epoch protocol: every task payload carries a small *spec* (epoch counter,
-segment names, shapes, box).  Workers cache their attached views keyed on
-the epoch and re-attach only when it changes, so decomposition rebuilds
-and arena resizes propagate to live workers without restarting the pool.
-
-Robustness: a worker killed mid-phase surfaces as
+Robustness: a worker killed or hung mid-phase surfaces as
 :class:`~repro.parallel.backends.base.BackendError` (never a hang, never
 partial scatters — the whole evaluation restarts from the ``sync`` zero
-fill), and ``compute`` transparently restarts the pool and retries once.
-Segment cleanup is guaranteed by ``close()``, a ``weakref.finalize``
-(which also fires at interpreter exit), and idempotent release — no
-``/dev/shm`` leaks survive exceptions, GC without ``close()``, or kills.
+fill), and ``compute`` transparently respawns the workers and retries
+once.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 import time
-import weakref
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from concurrent.futures import wait as futures_wait
-from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,298 +53,42 @@ from repro.core.partition import (
     build_partition,
 )
 from repro.core.schedule import ColorSchedule, build_schedule, static_assignment
+from repro.geometry.box import Box
 from repro.md.atoms import Atoms
 from repro.md.neighbor.verlet import NeighborList
-from repro.parallel.backends.base import BackendError
+from repro.parallel.backends.workers import (
+    DEFAULT_PHASE_TIMEOUT_S,
+    ChunkWorker,
+    SharedArena,
+    WorkerEngine,
+    WorkerTiming,
+    count_health,
+)
 from repro.potentials.base import EAMPotential
 from repro.potentials.eam import EAMComputation
-from repro.utils.profiler import (
-    NULL_PHASE,
-    PHASE_BARRIER,
-    PHASE_NEIGHBOR,
-    PHASE_SETUP,
-    PHASE_SYNC,
-    PhaseProfiler,
-)
-
-#: timing element of every worker result: where and when the chunk ran,
-#: in the *worker's* clock domain — the parent aligns it with
-#: :func:`repro.obs.tracer.align_worker_spans`
-WorkerTiming = Dict[str, float]
-
-#: seconds the startup rendezvous waits for all workers to fork before
-#: declaring the pool dead (generous — forking is milliseconds)
-_WARM_TIMEOUT_S = 60.0
+from repro.utils.identity import IdentityKey
+from repro.utils.profiler import PHASE_BARRIER, PHASE_NEIGHBOR, PHASE_SYNC
 
 
-def _record_health(event: str, severity: str = "info", **fields: object) -> None:
-    """Record an ``engine``-category health event (never raises)."""
-    try:
-        from repro.obs.recorder import record
-
-        record("engine", event, severity=severity, **fields)
-    except Exception:  # pragma: no cover - health plane must stay optional
-        pass
+def _same_box(a: Optional[Box], b: Box) -> bool:
+    return a is not None and np.array_equal(
+        a.lengths, b.lengths
+    ) and np.array_equal(a.periodic, b.periodic)
 
 
-def _count_health(name: str) -> None:
-    """Bump a named health counter (never raises)."""
-    try:
-        from repro.obs.recorder import count
-
-        count(name)
-    except Exception:  # pragma: no cover - health plane must stay optional
-        pass
-
-
-def _arena_layout(
-    n_atoms: int, n_pairs: int, n_subdomains: int
-) -> Dict[str, Tuple[Tuple[int, ...], np.dtype]]:
-    """Shape and dtype of every shared segment for a given system size.
-
-    ``pair_delta``/``pair_r`` cache the minimum-image geometry computed by
-    the density phase so the force phase (and the pair energy) reuse it
-    instead of recomputing — each pair slot belongs to exactly one
-    subdomain, so the writes are disjoint by construction.
-    """
-    f8, i8 = np.dtype(np.float64), np.dtype(np.int64)
-    return {
-        "positions": ((n_atoms, 3), f8),
-        "rho": ((n_atoms,), f8),
-        "fp": ((n_atoms,), f8),
-        "forces": ((n_atoms, 3), f8),
-        "pair_i": ((n_pairs,), i8),
-        "pair_j": ((n_pairs,), i8),
-        "pair_offsets": ((n_subdomains + 1,), i8),
-        "pair_delta": ((n_pairs, 3), f8),
-        "pair_r": ((n_pairs,), f8),
-    }
-
-
-# --- worker side ---------------------------------------------------------------
-
-#: per-*process* state of the owning pool's workers.  Each calculator owns
-#: its own pool, so this global is private to that calculator's workers —
-#: two live calculators can never clobber each other (their pools fork
-#: with different initargs).
-_WORKER: dict = {}
-
-
-def _init_worker(potential: EAMPotential, record: bool, barrier) -> None:
-    """Pool initializer: bake the fork-constant state into this process."""
-    _WORKER.clear()
-    _WORKER.update(
-        potential=potential,
-        record=record,
-        barrier=barrier,
-        epoch=None,
-        segments={},
-        arrays={},
-        box=None,
-        tier_name=None,
-        tier=None,
-    )
-
-
-def _worker_tier(name: str):
-    """Resolve (and cache) this worker's kernel tier from its task payload.
-
-    The parent ships the *resolved* tier name, so a worker never repeats
-    the ``auto`` probe or re-warns about an unavailable tier — forked
-    workers see the same installed packages as the parent anyway.
-    """
-    if _WORKER.get("tier_name") != name:
-        _WORKER["tier"] = kernels.get(name)
-        _WORKER["tier_name"] = name
-    return _WORKER["tier"]
-
-
-def _probe_worker_tier(timeout: float) -> Tuple[int, Optional[str], Optional[str]]:
-    """Diagnostic task: report this worker's resolved kernel-tier state.
-
-    Returns ``(pid, tier_name_from_payload, resolved_tier.name)``.  The
-    barrier rendezvous guarantees that ``n_workers`` concurrent probes
-    land on ``n_workers`` *distinct* workers, so the parent can assert
-    every worker (not just a lucky one) resolved the variant it shipped.
-    """
-    _WORKER["barrier"].wait(timeout=timeout)
-    tier = _WORKER.get("tier")
-    return (
-        os.getpid(),
-        _WORKER.get("tier_name"),
-        tier.name if tier is not None else None,
-    )
-
-
-def _warm_worker(timeout: float) -> int:
-    """Startup task: rendezvous so every pool slot forks a real worker.
-
-    Each warm task blocks on the fork-inherited barrier until all
-    ``n_workers`` processes are up — the executor spawns workers lazily,
-    and without the rendezvous one idle worker could swallow every warm
-    task, leaving the pool under-forked.
-    """
-    _WORKER["barrier"].wait(timeout=timeout)
-    return os.getpid()
-
-
-def _attach_epoch(spec: dict) -> None:
-    """(Re)attach this worker's shared-array views for the spec's epoch."""
-    if _WORKER.get("epoch") == spec["epoch"]:
-        return
-    for segment in _WORKER["segments"].values():
-        segment.close()
-    layout = _arena_layout(
-        spec["n_atoms"], spec["n_pairs"], spec["n_subdomains"]
-    )
-    segments: Dict[str, shared_memory.SharedMemory] = {}
-    arrays: Dict[str, np.ndarray] = {}
-    for key, (shape, dtype) in layout.items():
-        segment = shared_memory.SharedMemory(name=spec["names"][key])
-        segments[key] = segment
-        arrays[key] = np.ndarray(shape, dtype=dtype, buffer=segment.buf)
-    _WORKER["segments"] = segments
-    _WORKER["arrays"] = arrays
-    _WORKER["box"] = spec["box"]
-    _WORKER["epoch"] = spec["epoch"]
-
-
-def _worker_pairs_of(
-    subdomain: int,
-) -> Tuple[np.ndarray, np.ndarray, int, int]:
-    arrays = _WORKER["arrays"]
-    offsets = arrays["pair_offsets"]
-    lo, hi = int(offsets[subdomain]), int(offsets[subdomain + 1])
-    return arrays["pair_i"][lo:hi], arrays["pair_j"][lo:hi], lo, hi
-
-
-def _worker_shadow(array: np.ndarray, name: str):
-    """Wrap a worker's view of a shared array in a write recorder.
-
-    Returns ``(array_to_use, log)``; ``log`` is None when recording is
-    off.  The shadow writes through to the same shared memory — only the
-    index bookkeeping is worker-local.
-    """
-    if not _WORKER.get("record"):
-        return array, None
-    from repro.analysis.shadow import TaskWriteLog, wrap_array
-
-    log = TaskWriteLog()
-    return wrap_array(array, name, log), log
-
-
-def _worker_timing(start: float) -> WorkerTiming:
-    """Worker-clock provenance for one executed chunk."""
-    return {"pid": float(os.getpid()), "origin": start}
-
-
-def _run_chunk(
-    task: Tuple[dict, str, Sequence[int], str],
-) -> Tuple[float, Optional[List[int]], WorkerTiming, float]:
-    """Execute one chunk of same-color subdomains (density or force).
-
-    The density pass also publishes each pair's minimum-image geometry
-    into the arena (``pair_delta``/``pair_r``; each pair slot belongs to
-    exactly one subdomain, so the writes are disjoint) and returns the
-    chunk's pair-energy partial sum — the force pass and the parent then
-    reuse the geometry instead of recomputing it.
-    """
-    spec, kind, subdomains, tier_name = task
-    _attach_epoch(spec)
-    tier = _worker_tier(tier_name)
-    arrays = _WORKER["arrays"]
-    potential = _WORKER["potential"]
-    box = _WORKER["box"]
-    positions = arrays["positions"]
-    pair_energy = 0.0
-    start = time.perf_counter()
-    if kind == "density":
-        rho, log = _worker_shadow(arrays["rho"], "rho")
-        for s in subdomains:
-            i_idx, j_idx, lo, hi = _worker_pairs_of(int(s))
-            if len(i_idx) == 0:
-                continue
-            delta, r = tier.pair_geometry(positions, box, i_idx, j_idx)
-            arrays["pair_delta"][lo:hi] = delta
-            arrays["pair_r"][lo:hi] = r
-            pair_energy += float(np.sum(potential.pair_energy(r)))
-            phi = tier.density_pair_values(potential, r)
-            tier.scatter_rho_half(rho, i_idx, j_idx, phi)
-        writes = log.flat("rho").tolist() if log is not None else None
-    elif kind == "force":
-        fp = arrays["fp"]
-        forces, log = _worker_shadow(arrays["forces"], "forces")
-        for s in subdomains:
-            i_idx, j_idx, lo, hi = _worker_pairs_of(int(s))
-            if len(i_idx) == 0:
-                continue
-            # geometry cached by the density pass for these exact positions
-            delta = arrays["pair_delta"][lo:hi]
-            r = arrays["pair_r"][lo:hi]
-            coeff = tier.force_pair_coefficients(
-                potential, r, fp[i_idx], fp[j_idx], pair_ids=(i_idx, j_idx)
-            )
-            pair_forces = coeff[:, None] * delta
-            tier.scatter_force_half(forces, i_idx, j_idx, pair_forces)
-        writes = log.flat("forces").tolist() if log is not None else None
-    else:  # pragma: no cover - parent only submits the two kinds
-        raise ValueError(f"unknown chunk kind {kind!r}")
-    elapsed = time.perf_counter() - start
-    return elapsed, writes, _worker_timing(start), pair_energy
-
-
-# --- parent side ---------------------------------------------------------------
-
-
-class _Resources:
-    """Owns the pool and the shared segments; releasable exactly once-ish.
-
-    Kept separate from the calculator so a ``weakref.finalize`` on the
-    calculator can release everything without resurrecting it.  Release is
-    idempotent and the holder is refillable (a closed calculator revives
-    lazily on the next ``compute``).
-    """
-
-    def __init__(self) -> None:
-        self.segments: Dict[str, shared_memory.SharedMemory] = {}
-        self.executor: Optional[ProcessPoolExecutor] = None
-
-    def discard_executor(self, wait: bool = True) -> None:
-        executor, self.executor = self.executor, None
-        if executor is not None:
-            executor.shutdown(wait=wait, cancel_futures=True)
-
-    def discard_segments(self, keys: Optional[Sequence[str]] = None) -> None:
-        keys = list(self.segments) if keys is None else list(keys)
-        for key in keys:
-            segment = self.segments.pop(key, None)
-            if segment is None:
-                continue
-            segment.close()
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-
-    def release(self) -> None:
-        """Shut the pool down first, then unlink every segment."""
-        self.discard_executor(wait=True)
-        self.discard_segments()
-
-
-class ProcessSDCCalculator:
-    """SDC force computation on a persistent pool of forked workers.
+class ProcessSDCCalculator(WorkerEngine):
+    """SDC force computation on persistent forked workers.
 
     Satisfies the :class:`~repro.md.simulation.ForceCalculator` protocol.
     Requires a platform with the ``fork`` start method (Linux).
 
-    Lifecycle: the pool and the shared-memory arena are created lazily on
-    the first ``compute`` and reused across calls; ``close()`` (or the
+    Lifecycle: workers and the shared arena are created lazily on the
+    first ``compute`` and reused across calls; ``close()`` (or the
     context-manager exit) releases both.  A closed calculator revives on
-    the next ``compute``.  Worker death raises
+    the next ``compute``.  Worker death or a hung worker raises
     :class:`~repro.parallel.backends.base.BackendError` after one
-    transparent pool restart + retry (``restart_on_failure=False``
-    disables the retry).
+    transparent respawn + retry (``restart_on_failure=False`` disables
+    the retry).
     """
 
     name = "sdc-processes"
@@ -378,12 +109,11 @@ class ProcessSDCCalculator:
             raise ValueError("n_workers must be >= 1")
         if "fork" not in mp.get_all_start_methods():
             raise RuntimeError("ProcessSDCCalculator requires fork support")
+        super().__init__(
+            kernel_tier, DEFAULT_PHASE_TIMEOUT_S, restart_on_failure, inline=False
+        )
         self.dims = dims
         self.n_workers = n_workers
-        #: pinned kernel tier for the worker chunks; None follows the
-        #: parent's active tier at each compute (resolved eagerly so an
-        #: unknown spec or an unavailable-tier fallback surfaces here)
-        self._tier = kernels.get(kernel_tier) if kernel_tier is not None else None
         self.axes = list(axes) if axes is not None else None
         self.adaptive = adaptive
         #: when True, workers shadow their shared-array views and ship the
@@ -391,138 +121,61 @@ class ProcessSDCCalculator:
         #: ``(kind, per_chunk_write_sets)`` entry per color phase for the
         #: dynamic race detector (repro.analysis.racecheck)
         self.record_writes = record_writes
-        self.restart_on_failure = restart_on_failure
         self.last_write_record: List[Tuple[str, List[List[int]]]] = []
-        self._profiler: Optional[PhaseProfiler] = None
-        self._tracer = None
         self._trace_phase = 0
         # decomposition cache, keyed on neighbor-list identity (mirrors
         # SDCStrategy._prepare)
-        self._cached_nlist_id: Optional[int] = None
+        self._cached_nlist = IdentityKey()
         self._grid: Optional[SubdomainGrid] = None
         self._pairs: Optional[PairPartition] = None
         self._schedule: Optional[ColorSchedule] = None
-        # shared-memory arena + pool
-        self._resources = _Resources()
-        self._finalizer = weakref.finalize(self, self._resources.release)
+        # the box the current epoch was published with, and the parent's
+        # views of the arena region sliced to that epoch
+        self._box: Optional[Box] = None
         self._arrays: Dict[str, np.ndarray] = {}
-        self._shapes: Dict[str, Tuple[int, ...]] = {}
-        self._epoch = 0
-        self._spec: Optional[dict] = None
-        self._pool_potential: Optional[EAMPotential] = None
-        # lifecycle counters surfaced by health_snapshot()
-        self._n_pool_spawns = 0
-        self._n_restarts = 0
-        self._n_worker_deaths = 0
 
-    # --- lifecycle -------------------------------------------------------------
+    # --- engine hooks ----------------------------------------------------------
 
-    def close(self) -> None:
-        """Shut the pool down and unlink every shared segment (idempotent).
+    def _make_handlers(self, arena: SharedArena, potential, tier):
+        return [
+            ChunkWorker(arena, 0, potential, tier, self.record_writes)
+            for _ in range(self.n_workers)
+        ]
 
-        The calculator stays usable: the next ``compute`` re-creates the
-        pool and arena from scratch.
-        """
-        if self._resources.executor is not None or self._resources.segments:
-            _record_health(
-                "engine-close",
-                n_workers=self.n_workers,
-                shm_bytes_released=self.arena_bytes(),
-            )
-        self._resources.release()
+    def _region_sizes(self) -> List[Tuple[int, int, int]]:
+        pairs = self._pairs
+        return [
+            (pairs.partition.n_atoms, pairs.n_pairs, self._grid.n_subdomains)
+        ]
+
+    def _publish_epoch(self) -> None:
+        """Write the pair CSR into the arena; workers re-slice their views."""
+        (size,) = self._region_sizes()
+        self._arrays = self._live.arena.region(0, size)
+        self._arrays["pair_i"][:] = self._pairs.i_idx
+        self._arrays["pair_j"][:] = self._pairs.j_idx
+        self._arrays["pair_offsets"][:] = self._pairs.offsets
+        payload = {"size": size, "box": self._box, "order": (), "n_owned": 0}
+        self._live.group.run("epoch", [payload] * self.n_workers)
+
+    def _forget(self) -> None:
         self._arrays = {}
-        self._shapes = {}
-        self._spec = None
-        self._pool_potential = None
-        self._cached_nlist_id = None
+        self._box = None
+        self._cached_nlist.clear()
         self._pairs = None
         self._schedule = None
         self._grid = None
 
-    def __enter__(self) -> "ProcessSDCCalculator":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    @property
-    def kernel_tier(self) -> str:
-        """Resolved tier name the worker chunks run on this compute."""
-        tier = self._tier if self._tier is not None else kernels.active_tier()
-        return tier.name
-
-    def set_kernel_tier(self, tier) -> None:
-        """Pin the worker chunks' kernel tier (None reverts to the
-        parent's active tier at each compute).
-
-        Accepts anything :func:`repro.kernels.get` accepts — a variant
-        spec string such as ``"numba-parallel"``, a
-        :class:`~repro.kernels.KernelTierConfig`, or a live tier.  The
-        *resolved* variant name ships inside every task payload, so
-        forked workers rebuild exactly this variant instead of
-        inheriting whatever import-time flags the parent process had.
-        """
-        self._tier = kernels.get(tier) if tier is not None else None
-
-    def worker_kernel_tiers(self, timeout: float = 30.0) -> Dict[int, str]:
-        """Resolved tier name per live worker pid (diagnostic).
-
-        Submits one barrier-rendezvous probe per pool slot, so every
-        worker answers once.  Workers that have not yet run a chunk
-        report the empty string.  Requires a live pool (compute at least
-        once first).
-        """
-        executor = self._resources.executor
-        if executor is None:
-            raise RuntimeError("no live pool; call compute() first")
-        futures = [
-            executor.submit(_probe_worker_tier, timeout)
-            for _ in range(self.n_workers)
-        ]
-        out: Dict[int, str] = {}
-        for future in futures:
-            pid, _, resolved = future.result(timeout=timeout)
-            out[pid] = resolved or ""
-        return out
-
-    def worker_pids(self) -> List[int]:
-        """PIDs of the live pool workers (empty before the first compute)."""
-        executor = self._resources.executor
-        if executor is None:
-            return []
-        return list(getattr(executor, "_processes", {}))
-
-    def arena_bytes(self) -> int:
-        """Total bytes of live ``/dev/shm`` segments this engine owns."""
-        return sum(
-            segment.size for segment in self._resources.segments.values()
-        )
-
     def health_snapshot(self) -> Dict[str, object]:
         """Engine lifecycle state for :meth:`HealthMonitor.snapshot`."""
         return {
-            "engine": self.name,
-            "pool_live": self._resources.executor is not None,
+            **self._lifecycle_snapshot(),
+            "pool_live": self._live.group is not None,
             "n_workers": self.n_workers,
-            "worker_pids": self.worker_pids(),
-            "epoch": self._epoch,
-            "arena_segments": len(self._resources.segments),
-            "arena_bytes": self.arena_bytes(),
-            "n_pool_spawns": self._n_pool_spawns,
-            "n_restarts": self._n_restarts,
-            "n_worker_deaths": self._n_worker_deaths,
-            "kernel_tier": self.kernel_tier,
             "decomposition_cached": self._pairs is not None,
         }
 
     # --- observability ---------------------------------------------------------
-
-    def attach_profiler(self, profiler: PhaseProfiler) -> None:
-        """Record per-phase wall-clock (and barrier slack) into *profiler*."""
-        self._profiler = profiler
-
-    def detach_profiler(self) -> None:
-        self._profiler = None
 
     def attach_tracer(self, tracer) -> None:
         """Record timeline spans (incl. worker-side chunks) into *tracer*.
@@ -532,21 +185,8 @@ class ProcessSDCCalculator:
         (:func:`repro.obs.tracer.align_worker_spans`) and lays each worker
         out on a ``worker-<pid>`` track.
         """
-        self._tracer = tracer
+        super().attach_tracer(tracer)
         self._trace_phase = 0
-
-    def detach_tracer(self) -> None:
-        self._tracer = None
-
-    def _phase(self, name: str):
-        if self._profiler is None:
-            return NULL_PHASE
-        return self._profiler.phase(name)
-
-    def _span(self, name: str, **args):
-        if self._tracer is None:
-            return NULL_PHASE
-        return self._tracer.span(name, **args)
 
     def _trace_chunks(
         self,
@@ -610,12 +250,12 @@ class ProcessSDCCalculator:
 
         Matches the paper: "steps 1 and 2 will be done when the neighbor
         list is created or updated".  Returns True when a rebuild happened
-        (the caller must then republish the pair CSR to the arena).
+        (the pair CSR must then be republished to the arena).
         """
-        if self._cached_nlist_id == id(nlist) and self._pairs is not None:
-            _count_health("sdc_decomp_cache_hit")
+        if self._cached_nlist.matches(nlist) and self._pairs is not None:
+            count_health("sdc_decomp_cache_hit")
             return False
-        _count_health("sdc_decomp_cache_miss")
+        count_health("sdc_decomp_cache_miss")
         reach = nlist.cutoff + nlist.skin
         if self.adaptive:
             grid = decompose_balanced(
@@ -629,7 +269,7 @@ class ProcessSDCCalculator:
         self._pairs = build_pair_partition(partition, nlist)
         self._schedule = build_schedule(coloring)
         self._grid = grid
-        self._cached_nlist_id = id(nlist)
+        self._cached_nlist.set(nlist)
         return True
 
     @property
@@ -647,188 +287,25 @@ class ProcessSDCCalculator:
         """The cached color schedule (None before the first compute)."""
         return self._schedule
 
-    # kept as aliases for observability consumers (schedule metrics, tests)
-    @property
-    def last_pairs(self) -> Optional[PairPartition]:
-        return self._pairs
-
-    @property
-    def last_schedule(self) -> Optional[ColorSchedule]:
-        return self._schedule
-
-    # --- arena + pool management ----------------------------------------------
-
-    def _ensure_arena(self, atoms: Atoms, rebuilt: bool) -> None:
-        """Size the shared segments to the system; republish pairs on rebuild.
-
-        Segments are recreated (new names → epoch bump → workers
-        re-attach) only when a shape changed; a steady-state call is a
-        no-op.
-        """
-        assert self._pairs is not None
-        n = atoms.n_atoms
-        layout = _arena_layout(
-            n, self._pairs.n_pairs, self._grid.n_subdomains
-        )
-        resized = False
-        for key, (shape, dtype) in layout.items():
-            if self._shapes.get(key) == shape and key in self._resources.segments:
-                continue
-            self._resources.discard_segments([key])
-            nbytes = max(int(np.prod(shape)) * dtype.itemsize, 1)
-            segment = shared_memory.SharedMemory(create=True, size=nbytes)
-            self._resources.segments[key] = segment
-            self._arrays[key] = np.ndarray(shape, dtype=dtype, buffer=segment.buf)
-            self._shapes[key] = shape
-            resized = True
-        if rebuilt or resized:
-            self._arrays["pair_i"][:] = self._pairs.i_idx
-            self._arrays["pair_j"][:] = self._pairs.j_idx
-            self._arrays["pair_offsets"][:] = self._pairs.offsets
-        if resized or self._spec is None or not self._box_matches(atoms.box):
-            self._epoch += 1
-            self._spec = {
-                "epoch": self._epoch,
-                "n_atoms": n,
-                "n_pairs": self._pairs.n_pairs,
-                "n_subdomains": self._grid.n_subdomains,
-                "box": atoms.box,
-                "names": {
-                    key: segment.name
-                    for key, segment in self._resources.segments.items()
-                },
-            }
-            _record_health(
-                "arena-resize" if resized else "arena-respec",
-                epoch=self._epoch,
-                n_atoms=n,
-                n_pairs=self._pairs.n_pairs,
-                shm_bytes=self.arena_bytes(),
-            )
-
-    def _box_matches(self, box) -> bool:
-        cached = None if self._spec is None else self._spec["box"]
-        return cached is not None and np.array_equal(
-            cached.lengths, box.lengths
-        ) and np.array_equal(cached.periodic, box.periodic)
-
-    def _ensure_executor(self, potential: EAMPotential) -> None:
-        """Create (or lazily re-create) the fork pool, warm-forking workers.
-
-        The potential is fork-constant worker state; a different potential
-        object restarts the pool (rare — normally one potential per run).
-        """
-        if (
-            self._resources.executor is not None
-            and potential is not self._pool_potential
-        ):
-            self._resources.discard_executor()
-        if self._resources.executor is None:
-            started = time.perf_counter()
-            ctx = mp.get_context("fork")
-            barrier = ctx.Barrier(self.n_workers)
-            executor = ProcessPoolExecutor(
-                max_workers=self.n_workers,
-                mp_context=ctx,
-                initializer=_init_worker,
-                initargs=(potential, self.record_writes, barrier),
-            )
-            try:
-                # fork all workers now (setup cost) and liveness-check
-                # them; the rendezvous inside _warm_worker pins one warm
-                # task per worker process
-                futures = [
-                    executor.submit(_warm_worker, _WARM_TIMEOUT_S)
-                    for _ in range(self.n_workers)
-                ]
-                for future in futures:
-                    future.result()
-            except Exception as exc:
-                executor.shutdown(wait=False, cancel_futures=True)
-                _record_health(
-                    "pool-spawn-failed",
-                    severity="critical",
-                    n_workers=self.n_workers,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-                raise BackendError(
-                    "process pool died during startup"
-                ) from exc
-            self._resources.executor = executor
-            self._pool_potential = potential
-            self._n_pool_spawns += 1
-            _record_health(
-                "pool-spawn",
-                n_workers=self.n_workers,
-                spawn_seconds=time.perf_counter() - started,
-                spawn_count=self._n_pool_spawns,
-                pids=self.worker_pids(),
-            )
-
     # --- phase execution -------------------------------------------------------
 
     def _run_color_phase(
         self, kind: str, chunks: Sequence[Sequence[int]], label: str
     ) -> Tuple[List[Optional[List[int]]], float]:
-        """One color phase: submit chunks, barrier on the futures.
+        """One color phase: chunk ``k`` to worker ``k``, barrier on the replies.
 
         Returns the per-chunk write records (for the race detector) and
         the sum of the chunks' pair-energy partials (non-zero only for
         density phases).
 
-        A worker death mid-phase marks the pool broken; it is discarded
-        and :class:`BackendError` raised — the caller restarts the whole
-        evaluation (the zeroed arrays make that safe) or propagates.
+        A worker dying or hanging mid-phase raises :class:`BackendError`
+        after every other reply was collected — the engine core then
+        restarts the whole evaluation (the zeroed arrays make that safe)
+        or propagates.
         """
-        executor = self._resources.executor
-        assert executor is not None and self._spec is not None
-        tier_name = self.kernel_tier
         start = time.perf_counter()
-        try:
-            futures = [
-                executor.submit(
-                    _run_chunk, (self._spec, kind, chunk, tier_name)
-                )
-                for chunk in chunks
-            ]
-        except (BrokenExecutor, RuntimeError) as exc:
-            self._resources.discard_executor(wait=False)
-            self._n_worker_deaths += 1
-            _record_health(
-                "worker-death",
-                severity="warning",
-                phase=label,
-                where="submit",
-                error=f"{type(exc).__name__}: {exc}",
-            )
-            raise BackendError(
-                f"process pool broken submitting {label}"
-            ) from exc
-        futures_wait(futures)  # the implicit barrier: everything settles
+        results = self._live.group.run(kind, chunks)
         wall = time.perf_counter() - start
-        first_task_exc: Optional[BaseException] = None
-        results = []
-        for future in futures:
-            exc = future.exception()
-            if exc is None:
-                results.append(future.result())
-            elif isinstance(exc, BrokenExecutor):
-                self._resources.discard_executor(wait=False)
-                self._n_worker_deaths += 1
-                _record_health(
-                    "worker-death",
-                    severity="warning",
-                    phase=label,
-                    where="result",
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-                raise BackendError(
-                    f"process pool worker died during {label}"
-                ) from exc
-            elif first_task_exc is None:
-                first_task_exc = exc
-        if first_task_exc is not None:
-            raise first_task_exc
         if self._profiler is not None and results:
             longest = max(elapsed for elapsed, _, _, _ in results)
             self._profiler.add(PHASE_BARRIER, max(0.0, wall - longest))
@@ -907,13 +384,13 @@ class ProcessSDCCalculator:
             raise ValueError("SDC consumes half neighbor lists")
         with self._phase(PHASE_NEIGHBOR):
             with self._span("neighbor-rebuild"):
-                rebuilt = self._prepare(atoms, nlist)
-        with self._phase(PHASE_SETUP):
-            with self._span("setup", epoch=self._epoch):
-                self._ensure_arena(atoms, rebuilt)
-                self._ensure_executor(potential)
+                if self._prepare(atoms, nlist) or not _same_box(
+                    self._box, atoms.box
+                ):
+                    self._box = atoms.box
+                    self._new_epoch()
 
-        for attempt in (0, 1):
+        def once() -> Tuple[float, float]:
             # sync: in-place state refresh — the whole per-step setup cost
             # of the persistent engine
             with self._phase(PHASE_SYNC):
@@ -922,29 +399,9 @@ class ProcessSDCCalculator:
                     self._arrays["rho"][:] = 0.0
                     self._arrays["fp"][:] = 0.0
                     self._arrays["forces"][:] = 0.0
-            try:
-                embedding_energy, pair_energy = self._scatter_phases(potential)
-                break
-            except BackendError as exc:
-                if attempt or not self.restart_on_failure:
-                    _record_health(
-                        "engine-failed",
-                        severity="critical",
-                        error=str(exc),
-                        attempt=attempt,
-                    )
-                    raise
-                self._n_restarts += 1
-                _record_health(
-                    "pool-restart",
-                    severity="warning",
-                    restart_count=self._n_restarts,
-                    error=str(exc),
-                )
-                with self._phase(PHASE_SETUP):
-                    with self._span("setup", restart=True):
-                        self._ensure_executor(potential)
+            return self._scatter_phases(potential)
 
+        embedding_energy, pair_energy = self._evaluate(potential, once)
         result = EAMComputation(
             pair_energy=pair_energy,
             embedding_energy=embedding_energy,

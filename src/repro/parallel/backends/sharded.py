@@ -42,21 +42,19 @@ PAPERS.md):
    the new reference positions; atoms are re-homed and the migration
    count lands in the flight recorder.
 
-Execution engines:
+Execution engines.  Workers, arena, respawn and retry are the shared core
+in :mod:`repro.parallel.backends.workers`; this calculator is its
+many-region configuration — one arena region and one worker per shard:
 
-* ``engine="processes"`` — one persistent forked worker per shard, kept
-  warm between neighbor rebuilds (the epoch).  Dynamic state (positions,
-  rho, fp, forces) lives in an anonymous shared ``mmap`` arena created
-  before the fork, so parent-side exchange reductions and worker-side
-  scatters address the same pages; static state (pair CSR, schedule,
-  potential, kernel tier) is captured by the worker's program closures at
-  fork time.  This reuses the persistent-engine lifecycle of
-  :class:`~repro.parallel.backends.processes.ProcessSDCCalculator` —
-  warm-start rendezvous, epoch-stamped arena, ``BackendError`` plus one
-  transparent worker-group restart, ``weakref.finalize`` cleanup — with
-  one deliberate change: the arena is an *anonymous* shared mapping
-  inherited through fork, so there is no named ``/dev/shm`` segment that
-  could outlive a crashed run.
+* ``engine="processes"`` — one persistent forked worker per shard.  Each
+  region holds the shard's dynamic state (positions, rho, fp, forces),
+  its local pair CSR and the pair-geometry cache, so parent-side exchange
+  reductions and worker-side scatters address the same pages.  At a
+  neighbor rebuild the parent writes the new local CSR into the regions
+  and ships schedule order / extended box / owned count as the epoch
+  payload: workers survive Verlet rebuilds and are re-forked only through
+  the core's single spawn path (first compute, worker death, potential or
+  tier change, capacity overflow).
 * ``engine="inline"`` — the identical protocol executed in-process
   (deterministic reference for differential tests; the fallback on
   platforms without ``fork``).
@@ -74,11 +72,9 @@ are emitted at epoch changes.
 
 from __future__ import annotations
 
-import mmap
 import multiprocessing as mp
-import os
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -98,28 +94,22 @@ from repro.core.schedule import ColorSchedule, build_schedule
 from repro.geometry.box import Box
 from repro.md.atoms import Atoms
 from repro.md.neighbor.verlet import NeighborList, build_neighbor_list
-from repro.parallel.backends.base import BackendError
-from repro.parallel.backends.fork import (
+from repro.parallel.backends.workers import (
     DEFAULT_PHASE_TIMEOUT_S,
-    ForkPhaseBackend,
-    portable_exception,
+    ChunkWorker,
+    SharedArena,
+    WorkerEngine,
+    count_health,
+    record_health,
 )
 from repro.parallel.cluster import node_grid
 from repro.potentials.base import EAMPotential
-from repro.potentials.eam import (
-    EAMComputation,
-    density_pair_values,
-    force_pair_coefficients,
-    pair_geometry,
-    scatter_force_half,
-    scatter_rho_half,
-)
-from repro.utils.profiler import NULL_PHASE, PhaseProfiler
+from repro.potentials.eam import EAMComputation
+from repro.utils.identity import IdentityKey
 
 __all__ = [
     "HaloSpec",
     "ShardGrid",
-    "ShardedBackend",
     "ShardedSDCCalculator",
     "build_halo",
     "make_shard_grid",
@@ -128,26 +118,6 @@ __all__ = [
 #: per-ghost exchange traffic per force evaluation, in bytes: position
 #: push (24) + rho reduction (8) + fp refresh (8) + force reduction (24)
 GHOST_BYTES_PER_STEP = 64
-
-
-def _record_health(event: str, severity: str = "info", **fields) -> None:
-    """Flight-recorder event under the ``sharded`` category (never raises)."""
-    try:
-        from repro.obs.recorder import record
-
-        record("sharded", event, severity=severity, **fields)
-    except Exception:  # pragma: no cover - telemetry stays optional
-        pass
-
-
-def _count_health(name: str) -> None:
-    """Bump a named health counter (never raises)."""
-    try:
-        from repro.obs.recorder import count
-
-        count(name)
-    except Exception:  # pragma: no cover - telemetry stays optional
-        pass
 
 
 # ---------------------------------------------------------------------------
@@ -435,375 +405,18 @@ def _build_shard_plan(
 
 
 # ---------------------------------------------------------------------------
-# shared-memory arena (anonymous mapping, fork-inherited)
-# ---------------------------------------------------------------------------
-
-_ALIGN = 64
-
-_FIELDS = ("positions", "rho", "fp", "forces")
-
-
-def _field_shape(field: str, n_local: int) -> Tuple[int, ...]:
-    return (n_local, 3) if field in ("positions", "forces") else (n_local,)
-
-
-class _Arena:
-    """One anonymous shared mapping per epoch, viewed as NumPy arrays.
-
-    Forked shard workers inherit the mapping, so parent-side exchange
-    reductions and worker-side scatters address the same pages without a
-    named ``/dev/shm`` segment to unlink — the mapping cannot outlive its
-    processes, by construction.
-    """
-
-    def __init__(self, sizes: Sequence[int]) -> None:
-        offsets: List[Dict[str, int]] = []
-        total = 0
-        for n_local in sizes:
-            per_shard: Dict[str, int] = {}
-            for field in _FIELDS:
-                per_shard[field] = total
-                n_items = int(np.prod(_field_shape(field, n_local)))
-                total += ((n_items * 8 + _ALIGN - 1) // _ALIGN) * _ALIGN
-            offsets.append(per_shard)
-        self.nbytes = max(total, mmap.PAGESIZE)
-        self._mm = mmap.mmap(-1, self.nbytes)
-        self.views: List[Dict[str, np.ndarray]] = []
-        for n_local, per_shard in zip(sizes, offsets):
-            shard_views: Dict[str, np.ndarray] = {}
-            for field in _FIELDS:
-                shape = _field_shape(field, n_local)
-                shard_views[field] = np.frombuffer(
-                    self._mm,
-                    dtype=np.float64,
-                    count=int(np.prod(shape)),
-                    offset=per_shard[field],
-                ).reshape(shape)
-            self.views.append(shard_views)
-
-    def close(self) -> None:
-        """Drop the views and unmap (idempotent, best effort)."""
-        self.views = []
-        try:
-            self._mm.close()
-        except BufferError:  # pragma: no cover - an exported view survives
-            pass  # the mapping dies with the process regardless
-
-
-# ---------------------------------------------------------------------------
-# worker groups
-# ---------------------------------------------------------------------------
-
-ShardProgram = Dict[str, Callable[[], object]]
-
-
-def _shard_worker_main(conn, program: ShardProgram) -> None:
-    """Persistent shard worker: execute phase tokens until ``exit``.
-
-    The program's closures were captured before the fork, so they address
-    the arena pages directly; only the phase token and a tiny status
-    tuple cross the pipe.
-    """
-    try:
-        conn.send(("ready", os.getpid()))
-        while True:
-            try:
-                command = conn.recv()
-            except (EOFError, OSError):
-                break
-            if command == "exit":
-                break
-            task = program.get(command)
-            if task is None:
-                conn.send(("err", RuntimeError(f"unknown phase {command!r}")))
-                continue
-            try:
-                result = task()
-            except BaseException as exc:  # noqa: BLE001 - status channel
-                conn.send(("err", portable_exception(exc)))
-            else:
-                conn.send(("ok", result))
-    finally:
-        conn.close()
-
-
-class _ProcessGroup:
-    """One persistent forked worker per shard, fed phase tokens over pipes.
-
-    The warm-start rendezvous (each worker acknowledges ``ready`` before
-    the group is considered live) mirrors the persistent process engine's
-    pool warm-up, so the first force evaluation never races worker
-    startup.
-    """
-
-    def __init__(
-        self, programs: Sequence[ShardProgram], timeout_s: float
-    ) -> None:
-        self.timeout_s = timeout_s
-        ctx = mp.get_context("fork")
-        self._procs = []
-        self._conns = []
-        self.broken = False
-        for program in programs:
-            parent_conn, child_conn = ctx.Pipe(duplex=True)
-            process = ctx.Process(
-                target=_shard_worker_main,
-                args=(child_conn, program),
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
-            self._procs.append(process)
-            self._conns.append(parent_conn)
-        for shard, conn in enumerate(self._conns):
-            if not conn.poll(self.timeout_s):
-                self.stop()
-                raise BackendError(
-                    f"shard worker {shard} never reached the warm-start "
-                    f"rendezvous"
-                )
-            try:
-                status, _pid = conn.recv()
-            except (EOFError, OSError) as exc:
-                self.stop()
-                raise BackendError(
-                    f"shard worker {shard} died during startup"
-                ) from exc
-            if status != "ready":  # pragma: no cover - protocol guard
-                self.stop()
-                raise BackendError(
-                    f"shard worker {shard} sent {status!r} instead of ready"
-                )
-
-    @property
-    def pids(self) -> List[int]:
-        return [p.pid for p in self._procs if p.is_alive() and p.pid]
-
-    def run_phase(self, kind: str) -> List[object]:
-        """Dispatch one phase token to every worker; barrier on all.
-
-        Worker death raises :class:`BackendError` (and marks the group
-        broken); a task exception is re-raised after every worker
-        answered, so the phase barrier held either way.
-        """
-        if self.broken:
-            raise BackendError("shard worker group is broken")
-        for shard, conn in enumerate(self._conns):
-            try:
-                conn.send(kind)
-            except (BrokenPipeError, OSError) as exc:
-                self.broken = True
-                raise BackendError(
-                    f"shard worker {shard} is gone (send failed)"
-                ) from exc
-        results: List[object] = []
-        first_error: Optional[BaseException] = None
-        dead: List[int] = []
-        for shard, conn in enumerate(self._conns):
-            payload = None
-            try:
-                if conn.poll(self.timeout_s):
-                    payload = conn.recv()
-            except (EOFError, OSError):
-                payload = None
-            if payload is None:
-                dead.append(shard)
-                continue
-            status, value = payload
-            if status == "ok":
-                results.append(value)
-            else:
-                results.append(None)
-                if first_error is None:
-                    first_error = value
-        if dead:
-            self.broken = True
-            raise BackendError(
-                f"shard worker(s) {dead} died during phase {kind!r}"
-            )
-        if first_error is not None:
-            raise first_error
-        return results
-
-    def stop(self) -> None:
-        """Tear the group down (idempotent)."""
-        for conn in self._conns:
-            try:
-                conn.send("exit")
-            except Exception:
-                pass
-        for process in self._procs:
-            process.join(5.0)
-            if process.is_alive():  # pragma: no cover - watchdog path
-                process.terminate()
-                process.join(5.0)
-        for conn in self._conns:
-            try:
-                conn.close()
-            except Exception:
-                pass
-        self._procs = []
-        self._conns = []
-        self.broken = True
-
-
-class _InlineGroup:
-    """The same phase protocol executed in the calling process."""
-
-    broken = False
-
-    def __init__(self, programs: Sequence[ShardProgram]) -> None:
-        self._programs = list(programs)
-
-    @property
-    def pids(self) -> List[int]:
-        return []
-
-    def run_phase(self, kind: str) -> List[object]:
-        results: List[object] = []
-        first_error: Optional[BaseException] = None
-        for program in self._programs:
-            try:
-                results.append(program[kind]())
-            except BaseException as exc:  # noqa: BLE001 - barrier semantics
-                results.append(None)
-                if first_error is None:
-                    first_error = exc
-        if first_error is not None:
-            raise first_error
-        return results
-
-    def stop(self) -> None:
-        self._programs = []
-
-
-def _make_shard_program(
-    plan: _ShardPlan,
-    views: Dict[str, np.ndarray],
-    potential: EAMPotential,
-    tier,
-) -> ShardProgram:
-    """Phase closures of one shard, bound to its arena views.
-
-    Each scatter phase walks the intra-shard color schedule subdomain by
-    subdomain through the same kernel-tier primitives the single-box SDC
-    strategy dispatches — coloring and tier dispatch reused unchanged.
-    """
-    positions = views["positions"]
-    rho = views["rho"]
-    fp = views["fp"]
-    forces = views["forces"]
-    pairs = plan.pairs
-    schedule = plan.schedule
-    ext_box = plan.ext_box
-    n_owned = plan.n_owned
-
-    def density() -> float:
-        pair_energy = 0.0
-        for members in schedule.phases:
-            for sub in members:
-                i_idx, j_idx = pairs.pairs_of(int(sub))
-                if len(i_idx) == 0:
-                    continue
-                _, r = pair_geometry(
-                    positions, ext_box, i_idx, j_idx, tier=tier
-                )
-                phi = density_pair_values(potential, r, tier=tier)
-                scatter_rho_half(rho, i_idx, j_idx, phi, tier=tier)
-                pair_energy += float(np.sum(potential.pair_energy(r)))
-        return pair_energy
-
-    def embedding() -> float:
-        if n_owned == 0:
-            return 0.0
-        owned_rho = rho[:n_owned]
-        energy = float(np.sum(potential.embed(owned_rho)))
-        fp[:n_owned] = potential.embed_deriv(owned_rho)
-        return energy
-
-    def force() -> None:
-        for members in schedule.phases:
-            for sub in members:
-                i_idx, j_idx = pairs.pairs_of(int(sub))
-                if len(i_idx) == 0:
-                    continue
-                delta, r = pair_geometry(
-                    positions, ext_box, i_idx, j_idx, tier=tier
-                )
-                coeff = force_pair_coefficients(
-                    potential,
-                    r,
-                    fp[i_idx],
-                    fp[j_idx],
-                    pair_ids=(i_idx, j_idx),
-                    tier=tier,
-                )
-                scatter_force_half(
-                    forces, i_idx, j_idx, coeff[:, None] * delta, tier=tier
-                )
-        return None
-
-    return {"density": density, "embedding": embedding, "force": force}
-
-
-# ---------------------------------------------------------------------------
-# generic phase backend face
-# ---------------------------------------------------------------------------
-
-class ShardedBackend(ForkPhaseBackend):
-    """Phase-execution face of the sharded substrate.
-
-    An :class:`~repro.parallel.backends.base.ExecutionBackend` whose
-    phase closures run in forked per-shard worker groups: task ``k``
-    executes in the group of shard ``k % n_shards``.  This is the surface
-    the backend conformance suite exercises; the force engine
-    (:class:`ShardedSDCCalculator`) drives the same child protocol
-    through persistent per-shard workers instead of per-phase forks.
-    """
-
-    def __init__(
-        self,
-        n_shards: int = 2,
-        timeout_s: float = DEFAULT_PHASE_TIMEOUT_S,
-    ) -> None:
-        super().__init__(n_workers=n_shards, timeout_s=timeout_s)
-        self.n_shards = n_shards
-
-    def health_snapshot(self) -> dict:
-        snapshot = super().health_snapshot()
-        snapshot["n_shards"] = self.n_shards
-        return snapshot
-
-
-# ---------------------------------------------------------------------------
 # the force engine
 # ---------------------------------------------------------------------------
 
-class _EngineResources:
-    """Holder for fork-side state so ``weakref.finalize`` can release it."""
-
-    def __init__(self) -> None:
-        self.group = None
-        self.arena: Optional[_Arena] = None
-
-    def release(self) -> None:
-        if self.group is not None:
-            self.group.stop()
-            self.group = None
-        if self.arena is not None:
-            self.arena.close()
-            self.arena = None
-
-
-class ShardedSDCCalculator:
+class ShardedSDCCalculator(WorkerEngine):
     """Multi-shard EAM force engine with explicit halo exchange.
 
     Satisfies the :class:`~repro.md.simulation.ForceCalculator` protocol.
     See the module docstring for the exchange protocol; per-evaluation
     ordering is *sync → density → rho reduction → embedding → fp refresh
     → force → force reduction*, with atom migration re-homing ownership
-    at every neighbor-list rebuild (a new decomposition epoch: worker
-    group and arena are rebuilt, then stay warm until the next rebuild).
+    at every neighbor-list rebuild (a new decomposition epoch: the shard
+    plans are rebuilt and republished to the surviving workers).
 
     Parameters
     ----------
@@ -819,8 +432,8 @@ class ShardedSDCCalculator:
         differential reference, and the automatic fallback where
         ``fork`` is unavailable).
     kernel_tier:
-        pinned kernel tier for the shard programs (None follows the
-        active tier, re-resolved at every decomposition epoch).
+        pinned kernel tier for the shard workers (None follows the
+        active tier at each compute).
     timeout_s:
         per-phase barrier timeout before a worker is declared lost.
     """
@@ -843,7 +456,8 @@ class ShardedSDCCalculator:
         if engine not in ("processes", "inline"):
             raise ValueError(f"unknown engine {engine!r}")
         if engine == "processes" and "fork" not in mp.get_all_start_methods():
-            _record_health(
+            record_health(
+                "sharded",
                 "engine-fallback",
                 severity="warning",
                 wanted="processes",
@@ -851,109 +465,69 @@ class ShardedSDCCalculator:
                 reason="no fork support",
             )
             engine = "inline"
+        super().__init__(
+            kernel_tier, timeout_s, restart_on_failure, inline=engine == "inline"
+        )
         self.n_shards = n_shards
         self.dims = dims
         self.engine = engine
-        self.timeout_s = timeout_s
-        self.restart_on_failure = restart_on_failure
-        self._tier = (
-            kernels.get(kernel_tier) if kernel_tier is not None else None
-        )
-        self._profiler: Optional[PhaseProfiler] = None
-        self._tracer = None
-        # epoch state
-        self._cached_key: Optional[tuple] = None
+        # epoch state: the plans of the cached neighbor list and the
+        # parent's views of each shard's arena region
+        self._cached_nlist = IdentityKey()
         self._shard_grid: Optional[ShardGrid] = None
         self._plans: List[_ShardPlan] = []
-        self._programs: List[ShardProgram] = []
-        self._epoch = 0
+        self._views: List[Dict[str, np.ndarray]] = []
         # ownership cache + migration accounting (keyed on nlist identity)
-        self._ownership_key: Optional[int] = None
+        self._ownership_key = IdentityKey()
         self._ownership: Optional[Tuple[ShardGrid, np.ndarray]] = None
         self._prev_assignment: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        # lifecycle counters surfaced by health_snapshot()
-        self._n_epochs = 0
-        self._n_restarts = 0
-        self._n_worker_deaths = 0
         self._n_migrated_total = 0
         self._halo_bytes_total = 0
-        self._n_computes = 0
-        self._resources = _EngineResources()
-        import weakref
 
-        self._finalizer = weakref.finalize(self, self._resources.release)
+    # --- engine hooks ----------------------------------------------------------
 
-    # --- lifecycle -------------------------------------------------------------
+    def _make_handlers(self, arena: SharedArena, potential, tier):
+        return [
+            ChunkWorker(arena, shard, potential, tier)
+            for shard in range(len(self._plans))
+        ]
 
-    def close(self) -> None:
-        """Stop the worker group and unmap the arena (idempotent).
+    def _region_sizes(self) -> List[Tuple[int, int, int]]:
+        return [
+            (plan.n_local, plan.pairs.n_pairs, plan.grid.n_subdomains)
+            for plan in self._plans
+        ]
 
-        The calculator stays usable: the next ``compute`` rebuilds the
-        epoch from scratch.
-        """
-        if self._resources.group is not None:
-            _record_health(
-                "engine-close",
-                n_shards=self.n_shards,
-                epoch=self._epoch,
+    def _publish_epoch(self) -> None:
+        """Write every shard's local CSR into its region and ship the
+        epoch payload; the workers re-slice their views from it."""
+        arena = self._live.arena
+        self._views = []
+        payloads = []
+        for plan, size in zip(self._plans, self._region_sizes()):
+            views = arena.region(plan.shard, size)
+            views["pair_i"][:] = plan.pairs.i_idx
+            views["pair_j"][:] = plan.pairs.j_idx
+            views["pair_offsets"][:] = plan.pairs.offsets
+            self._views.append(views)
+            payloads.append(
+                {
+                    "size": size,
+                    "box": plan.ext_box,
+                    "order": np.concatenate(plan.schedule.phases).tolist(),
+                    "n_owned": plan.n_owned,
+                }
             )
-        self._resources.release()
-        self._cached_key = None
+        self._live.group.run("epoch", payloads)
+
+    def _forget(self) -> None:
+        self._cached_nlist.clear()
         self._plans = []
-        self._programs = []
-        self._ownership_key = None
+        self._views = []
+        self._ownership_key.clear()
         self._ownership = None
 
-    def __enter__(self) -> "ShardedSDCCalculator":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    # --- kernel tier -----------------------------------------------------------
-
-    @property
-    def kernel_tier(self) -> str:
-        """Resolved tier name the shard programs run on."""
-        tier = self._tier if self._tier is not None else kernels.active_tier()
-        return tier.name
-
-    def set_kernel_tier(self, tier) -> None:
-        """Pin the shard programs' kernel tier (None reverts to the
-        active tier, re-resolved at the next decomposition epoch)."""
-        self._tier = kernels.get(tier) if tier is not None else None
-        self._cached_key = None  # force a respawn with the new tier
-
     # --- observability ---------------------------------------------------------
-
-    def attach_profiler(self, profiler: PhaseProfiler) -> None:
-        """Record per-phase wall-clock into ``profiler``."""
-        self._profiler = profiler
-
-    def detach_profiler(self) -> None:
-        self._profiler = None
-
-    def attach_tracer(self, tracer) -> None:
-        """Record parent-side phase/exchange spans into ``tracer``."""
-        self._tracer = tracer
-
-    def detach_tracer(self) -> None:
-        self._tracer = None
-
-    def _phase(self, name: str):
-        if self._profiler is None:
-            return NULL_PHASE
-        return self._profiler.phase(name)
-
-    def _span(self, name: str, **args):
-        if self._tracer is None:
-            return NULL_PHASE
-        return self._tracer.span(name, **args)
-
-    def worker_pids(self) -> List[int]:
-        """PIDs of the live shard workers (empty for the inline engine)."""
-        group = self._resources.group
-        return list(group.pids) if group is not None else []
 
     def shard_schedule_items(
         self,
@@ -982,21 +556,16 @@ class ShardedSDCCalculator:
         """Engine lifecycle state for :meth:`HealthMonitor.snapshot`."""
         grid = self._shard_grid
         return {
-            "engine": self.name,
+            **self._lifecycle_snapshot(),
             "shard_engine": self.engine,
             "n_shards": self.n_shards,
             "shard_grid": list(grid.counts) if grid is not None else None,
-            "group_live": self._resources.group is not None,
-            "worker_pids": self.worker_pids(),
-            "epoch": self._epoch,
-            "n_epochs": self._n_epochs,
-            "n_restarts": self._n_restarts,
-            "n_worker_deaths": self._n_worker_deaths,
+            "group_live": self._live.group is not None,
+            "n_epochs": self._epoch,
             "n_migrated_total": self._n_migrated_total,
             "halo_bytes_total": self._halo_bytes_total,
             "n_ghosts": int(sum(p.n_ghosts for p in self._plans)),
-            "kernel_tier": self.kernel_tier,
-            "decomposition_cached": self._cached_key is not None,
+            "decomposition_cached": bool(self._plans),
         }
 
     # --- ownership and migration ------------------------------------------------
@@ -1014,7 +583,7 @@ class ShardedSDCCalculator:
         self, atoms: Atoms, nlist: NeighborList
     ) -> Tuple[ShardGrid, np.ndarray]:
         """Shard ownership for this neighbor list (cached, accounted once)."""
-        if self._ownership_key == id(nlist) and self._ownership is not None:
+        if self._ownership_key.matches(nlist) and self._ownership is not None:
             return self._ownership
         grid = make_shard_grid(atoms.box, self.n_shards)
         shard_of = grid.shard_of_positions(nlist.reference_positions)
@@ -1035,36 +604,29 @@ class ShardedSDCCalculator:
                     )
                 )
             self._n_migrated_total += n_migrated
-            _record_health(
+            record_health(
+                "sharded",
                 "migration",
                 epoch=self._epoch,
                 n_migrated=n_migrated,
                 n_atoms=len(ids),
                 n_shards=self.n_shards,
             )
-            _count_health("sharded_migration_events")
+            count_health("sharded_migration_events")
         self._prev_assignment = (ids.copy(), shard_of.copy())
-        self._ownership_key = id(nlist)
+        self._ownership_key.set(nlist)
         self._ownership = (grid, shard_of)
         return self._ownership
 
     # --- epoch build -------------------------------------------------------------
 
-    def _resolved_tier(self):
-        return self._tier if self._tier is not None else kernels.active_tier()
-
-    def _prepare(
-        self, potential: EAMPotential, atoms: Atoms, nlist: NeighborList
-    ) -> None:
-        """(Re)build shards, halo, arena and worker group when the
-        neighbor list (or the tier/potential binding) changed."""
-        tier = self._resolved_tier()
-        key = (id(nlist), id(potential), tier.name)
-        if self._cached_key == key and self._resources.group is not None:
-            _count_health("sharded_epoch_cache_hit")
+    def _prepare(self, atoms: Atoms, nlist: NeighborList) -> None:
+        """(Re)build shards, halo and per-shard plans when the neighbor
+        list changed — a new decomposition epoch."""
+        if self._cached_nlist.matches(nlist) and self._plans:
+            count_health("sharded_epoch_cache_hit")
             return
-        _count_health("sharded_epoch_cache_miss")
-        self._resources.release()
+        count_health("sharded_epoch_cache_miss")
         grid, shard_of = self._assign_ownership(atoms, nlist)
         halos = build_halo(
             nlist.reference_positions, grid, nlist.cutoff + nlist.skin
@@ -1082,21 +644,13 @@ class ShardedSDCCalculator:
             )
             for shard in range(grid.n_shards)
         ]
-        arena = _Arena([plan.n_local for plan in plans])
-        programs = [
-            _make_shard_program(plan, views, potential, tier)
-            for plan, views in zip(plans, arena.views)
-        ]
-        self._resources.arena = arena
-        self._spawn_group(programs)
         self._shard_grid = grid
         self._plans = plans
-        self._programs = programs
-        self._epoch += 1
-        self._n_epochs += 1
-        self._cached_key = key
+        self._cached_nlist.set(nlist)
+        self._new_epoch()
         n_ghosts = int(sum(plan.n_ghosts for plan in plans))
-        _record_health(
+        record_health(
+            "sharded",
             "shard-epoch",
             epoch=self._epoch,
             engine=self.engine,
@@ -1108,34 +662,16 @@ class ShardedSDCCalculator:
             mean_halo_fraction=float(
                 np.mean([plan.halo_fraction for plan in plans])
             ),
-            kernel_tier=tier.name,
+            kernel_tier=self.kernel_tier,
         )
-        _record_health(
+        record_health(
+            "sharded",
             "halo-refresh",
             epoch=self._epoch,
             n_ghosts=n_ghosts,
             bytes_per_step=GHOST_BYTES_PER_STEP * n_ghosts,
             n_shards=grid.n_shards,
         )
-
-    def _spawn_group(self, programs: List[ShardProgram]) -> None:
-        if self.engine == "processes":
-            self._resources.group = _ProcessGroup(programs, self.timeout_s)
-        else:
-            self._resources.group = _InlineGroup(programs)
-
-    def _respawn_group(self) -> None:
-        """Replace a broken worker group (the transparent restart)."""
-        self._n_restarts += 1
-        _record_health(
-            "group-restart",
-            severity="warning",
-            epoch=self._epoch,
-            n_restarts=self._n_restarts,
-        )
-        if self._resources.group is not None:
-            self._resources.group.stop()
-        self._spawn_group(self._programs)
 
     # --- the force evaluation -----------------------------------------------------
 
@@ -1152,25 +688,15 @@ class ShardedSDCCalculator:
             )
         with self._phase("neighbor-rebuild"):
             with self._span("neighbor-rebuild"):
-                self._prepare(potential, atoms, nlist)
-        attempts = 2 if self.restart_on_failure else 1
-        for attempt in range(attempts):
-            try:
-                return self._compute_once(atoms, nlist)
-            except BackendError:
-                self._n_worker_deaths += 1
-                _count_health("sharded_backend_errors")
-                if attempt + 1 >= attempts:
-                    raise
-                self._respawn_group()
-        raise AssertionError("unreachable")  # pragma: no cover
+                self._prepare(atoms, nlist)
+        return self._evaluate(
+            potential, lambda: self._compute_once(atoms, nlist)
+        )
 
     def _compute_once(
         self, atoms: Atoms, nlist: NeighborList
     ) -> EAMComputation:
-        group = self._resources.group
-        arena = self._resources.arena
-        assert group is not None and arena is not None
+        group = self._live.group
         box = atoms.box
         n = atoms.n_atoms
         reference = nlist.reference_positions
@@ -1182,7 +708,7 @@ class ShardedSDCCalculator:
         )
         n_ghosts = 0
         with self._span("halo-refresh"):
-            for plan, views in zip(self._plans, arena.views):
+            for plan, views in zip(self._plans, self._views):
                 views["positions"][:] = current[plan.src] + plan.shift
                 views["rho"][:] = 0.0
                 views["fp"][:] = 0.0
@@ -1191,39 +717,38 @@ class ShardedSDCCalculator:
 
         with self._phase("density"):
             with self._span("density", n_shards=len(self._plans)):
-                pair_parts = group.run_phase("density")
-        pair_energy = float(sum(p or 0.0 for p in pair_parts))
+                replies = group.run("density")
+        pair_energy = float(sum(partial for _, _, _, partial in replies))
 
         rho = np.zeros(n)
         with self._span("halo-exchange:rho", n_ghosts=n_ghosts):
-            for plan, views in zip(self._plans, arena.views):
+            for plan, views in zip(self._plans, self._views):
                 local_rho = views["rho"]
                 rho[plan.owned] += local_rho[: plan.n_owned]
                 np.add.at(
                     rho, plan.halo.source_ids, local_rho[plan.n_owned:]
                 )
-            for plan, views in zip(self._plans, arena.views):
+            for plan, views in zip(self._plans, self._views):
                 views["rho"][: plan.n_owned] = rho[plan.owned]
 
         with self._phase("embedding"):
             with self._span("embedding"):
-                emb_parts = group.run_phase("embedding")
-        embedding_energy = float(sum(e or 0.0 for e in emb_parts))
+                embedding_energy = float(sum(group.run("embedding")))
 
         fp = np.empty(n)
         with self._span("halo-exchange:fp", n_ghosts=n_ghosts):
-            for plan, views in zip(self._plans, arena.views):
+            for plan, views in zip(self._plans, self._views):
                 fp[plan.owned] = views["fp"][: plan.n_owned]
-            for plan, views in zip(self._plans, arena.views):
+            for plan, views in zip(self._plans, self._views):
                 views["fp"][plan.n_owned:] = fp[plan.halo.source_ids]
 
         with self._phase("force"):
             with self._span("force", n_shards=len(self._plans)):
-                group.run_phase("force")
+                group.run("force")
 
         forces = np.zeros((n, 3))
         with self._span("halo-exchange:force", n_ghosts=n_ghosts):
-            for plan, views in zip(self._plans, arena.views):
+            for plan, views in zip(self._plans, self._views):
                 local_forces = views["forces"]
                 forces[plan.owned] += local_forces[: plan.n_owned]
                 np.add.at(
@@ -1232,9 +757,8 @@ class ShardedSDCCalculator:
                     local_forces[plan.n_owned:],
                 )
 
-        self._n_computes += 1
         self._halo_bytes_total += GHOST_BYTES_PER_STEP * n_ghosts
-        _count_health("sharded_halo_refresh")
+        count_health("sharded_halo_refresh")
         atoms.rho[:] = rho
         atoms.fp[:] = fp
         atoms.forces[:] = forces

@@ -1,0 +1,790 @@
+"""The one forked-worker engine under both process calculators.
+
+The paper's substrate is a single thing — persistent workers over shared
+arrays, lock-free inside a color phase, a barrier between colors.  This
+module holds the only copy of each of its parts:
+
+* :class:`SharedArena` — one anonymous shared ``mmap`` carved into
+  *regions* of nine named, 64-byte-aligned fields (positions, the three
+  reduction targets, the pair CSR, and the pair-geometry cache the
+  density pass publishes for the force pass).  Every field is allocated
+  with :data:`ARENA_HEADROOM` spare capacity; only the first ``n`` rows
+  are ever viewed, so the spare pages are never touched and never become
+  resident.  The mapping is inherited through ``fork`` — there is no
+  named ``/dev/shm`` entry that could outlive a crashed run.
+* :class:`WorkerGroup` — persistent forked workers on duplex pipes: a
+  ready rendezvous, a ``(command, payload)`` loop, one reply per
+  addressed worker per command.  All replies are collected before
+  anything is raised (the phase barrier); a worker that died or missed
+  the per-command deadline raises :class:`BackendError`, a handler that
+  raised re-raises its own exception.  :class:`InlineGroup` is the same
+  protocol in the calling process (differential twin, no-fork fallback).
+* :class:`ChunkWorker` — the worker-side handler: re-slices its region
+  per epoch and runs the single chunk body (density publishes
+  ``pair_delta``/``pair_r``, force reuses them).
+* :class:`WorkerEngine` — the calculator-side lifecycle both
+  :class:`~repro.parallel.backends.processes.ProcessSDCCalculator` and
+  :class:`~repro.parallel.backends.sharded.ShardedSDCCalculator` inherit:
+  kernel-tier pinning, profiler/tracer attachment, and the spawn state
+  machine.
+
+Spawn state machine (``WorkerEngine._evaluate``).  Workers and arena are
+(re)created through exactly one path, taken when there is no live group
+(first compute, after ``close()``), the group is broken (worker death or
+timeout), the potential or the resolved kernel tier differs from what the
+workers were forked with (both are fork-constant worker state), or the
+epoch no longer fits the arena's capacity.  Otherwise workers survive:
+a new decomposition epoch only rewrites the CSR in place and ships a
+small *epoch payload* (sizes, box, subdomain order, owned count).  A
+:class:`BackendError` during an evaluation respawns the group and retries
+once from the zero fill; a second failure propagates.
+"""
+
+from __future__ import annotations
+
+import math
+import mmap
+import multiprocessing as mp
+import os
+import pickle
+import time
+import weakref
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro import kernels
+from repro.parallel.backends.base import BackendError
+from repro.potentials.base import EAMPotential
+from repro.utils.profiler import NULL_PHASE, PHASE_SETUP, PhaseProfiler
+
+#: generous per-command barrier timeout; a phase exceeding it is treated
+#: as a lost worker group (BackendError), not silently waited on forever
+DEFAULT_PHASE_TIMEOUT_S = 120.0
+
+#: capacity allocated per arena field, as a multiple of the rows first
+#: requested.  Pair counts and per-shard atom counts drift by about a
+#: percent between Verlet rebuilds, so a quarter of spare capacity lets
+#: workers survive every epoch of a run; the spare pages stay untouched
+ARENA_HEADROOM = 1.25
+
+_ALIGN = 64
+
+#: ``(n_atoms, n_pairs, n_subdomains)`` of one arena region
+RegionSize = Tuple[int, int, int]
+
+#: handler of one worker: ``handler(command, payload) -> reply value``
+Handler = Callable[[str, object], object]
+
+#: timing element of every chunk reply: where and when the chunk ran, in
+#: the *worker's* clock domain — the parent aligns it with
+#: :func:`repro.obs.tracer.align_worker_spans`
+WorkerTiming = Dict[str, float]
+
+
+def record_health(
+    category: str, event: str, severity: str = "info", **fields: object
+) -> None:
+    """Flight-recorder event (imported lazily: ``repro.obs`` sits above
+    this package in the import order)."""
+    from repro.obs.recorder import record
+
+    record(category, event, severity=severity, **fields)
+
+
+def count_health(name: str) -> None:
+    """Bump a named health counter."""
+    from repro.obs.recorder import count
+
+    count(name)
+
+
+def portable_exception(exc: BaseException) -> BaseException:
+    """An exception object that survives a pickle round-trip.
+
+    Returns ``exc`` itself when it pickles cleanly; otherwise a
+    ``RuntimeError`` carrying the original type name and message, so the
+    parent still gets *an* exception describing the failure.
+    """
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+
+
+# ---------------------------------------------------------------------------
+# shared arena
+# ---------------------------------------------------------------------------
+
+
+def _region_fields(
+    size: RegionSize,
+) -> Dict[str, Tuple[Tuple[int, ...], np.dtype]]:
+    """Shape and dtype of every field of one region.
+
+    ``pair_delta``/``pair_r`` cache the minimum-image geometry computed by
+    the density pass so the force pass (and the pair energy) reuse it
+    instead of recomputing — each pair slot belongs to exactly one
+    subdomain, so the writes are disjoint by construction.
+    """
+    n_atoms, n_pairs, n_subdomains = size
+    f8, i8 = np.dtype(np.float64), np.dtype(np.int64)
+    return {
+        "positions": ((n_atoms, 3), f8),
+        "rho": ((n_atoms,), f8),
+        "fp": ((n_atoms,), f8),
+        "forces": ((n_atoms, 3), f8),
+        "pair_i": ((n_pairs,), i8),
+        "pair_j": ((n_pairs,), i8),
+        "pair_offsets": ((n_subdomains + 1,), i8),
+        "pair_delta": ((n_pairs, 3), f8),
+        "pair_r": ((n_pairs,), f8),
+    }
+
+
+class SharedArena:
+    """One anonymous shared mapping holding a region per entry of ``sizes``.
+
+    Created before the fork and inherited by every worker, so parent-side
+    sync/exchange and worker-side scatters address the same pages.  The
+    mapping is released when its last view is dropped; it cannot outlive
+    its processes.
+    """
+
+    def __init__(self, sizes: Sequence[RegionSize]) -> None:
+        #: per region: field -> (byte offset, capacity in items)
+        self._slots: List[Dict[str, Tuple[int, int]]] = []
+        total = 0
+        for size in sizes:
+            slots: Dict[str, Tuple[int, int]] = {}
+            for field, (shape, dtype) in _region_fields(size).items():
+                capacity = math.ceil(math.prod(shape) * ARENA_HEADROOM)
+                slots[field] = (total, capacity)
+                total += -(-capacity * dtype.itemsize // _ALIGN) * _ALIGN
+            self._slots.append(slots)
+        self.nbytes = max(total, mmap.PAGESIZE)
+        self._mm = mmap.mmap(-1, self.nbytes)
+
+    def fits(self, sizes: Sequence[RegionSize]) -> bool:
+        """Whether every region of ``sizes`` is within allocated capacity."""
+        return len(sizes) == len(self._slots) and all(
+            math.prod(shape) <= slots[field][1]
+            for size, slots in zip(sizes, self._slots)
+            for field, (shape, _) in _region_fields(size).items()
+        )
+
+    def region(self, index: int, size: RegionSize) -> Dict[str, np.ndarray]:
+        """Views of region ``index`` sliced to ``size`` (re-slice per epoch)."""
+        views: Dict[str, np.ndarray] = {}
+        for field, (shape, dtype) in _region_fields(size).items():
+            offset, capacity = self._slots[index][field]
+            count = math.prod(shape)
+            if count > capacity:
+                raise ValueError(
+                    f"region {index} field {field!r} needs {count} items, "
+                    f"capacity is {capacity}"
+                )
+            views[field] = np.frombuffer(
+                self._mm, dtype=dtype, count=count, offset=offset
+            ).reshape(shape)
+        return views
+
+
+# ---------------------------------------------------------------------------
+# worker groups
+# ---------------------------------------------------------------------------
+
+
+def _call(handler: Handler, command: str, payload: object) -> Tuple[str, object]:
+    """Run one command; the reply is ``("ok", value)`` or ``("err", exc)``."""
+    try:
+        return "ok", handler(command, payload)
+    except Exception as exc:  # status channel: re-raised by the caller
+        return "err", exc
+
+
+def _settle(replies: Sequence[Tuple[str, object]]) -> List[object]:
+    """Values of a fully collected phase; re-raise its first task error."""
+    for status, value in replies:
+        if status != "ok":
+            raise value
+    return [value for _, value in replies]
+
+
+def _addressed(
+    payloads: Optional[Sequence[object]], n_workers: int
+) -> Sequence[object]:
+    """One payload per addressed worker: worker ``k`` gets ``payloads[k]``.
+
+    ``payloads`` may be shorter than the group (only the first
+    ``len(payloads)`` workers are addressed); None addresses every worker
+    with a None payload.
+    """
+    if payloads is None:
+        return [None] * n_workers
+    if len(payloads) > n_workers:
+        raise ValueError(f"{len(payloads)} payloads for {n_workers} workers")
+    return payloads
+
+
+def _worker_main(conn, handler: Handler) -> None:
+    """Persistent worker: answer ``(command, payload)`` until told to exit.
+
+    The handler was captured before the fork, so it addresses the arena
+    pages directly; only the command, its small payload and the reply
+    cross the pipe.
+    """
+    try:
+        conn.send(("ok", os.getpid()))
+        while True:
+            try:
+                command, payload = conn.recv()
+            except (EOFError, OSError):
+                break
+            if command is None:
+                break
+            status, value = _call(handler, command, payload)
+            if status == "err":
+                value = portable_exception(value)
+            conn.send((status, value))
+    finally:
+        conn.close()
+
+
+class WorkerGroup:
+    """One persistent forked worker per handler, driven over duplex pipes.
+
+    The ready rendezvous (every worker answers before the group counts as
+    live) means the first command never races worker startup.  Requires
+    the ``fork`` start method.
+    """
+
+    def __init__(self, handlers: Sequence[Handler], timeout_s: float) -> None:
+        if timeout_s <= 0:
+            raise ValueError(f"timeout_s must be positive, got {timeout_s}")
+        if "fork" not in mp.get_all_start_methods():
+            raise RuntimeError("WorkerGroup requires fork support")
+        self.timeout_s = timeout_s
+        self.broken = False
+        self._workers = []
+        ctx = mp.get_context("fork")
+        for handler in handlers:
+            parent_conn, child_conn = ctx.Pipe(duplex=True)
+            process = ctx.Process(
+                target=_worker_main, args=(child_conn, handler), daemon=True
+            )
+            process.start()
+            # closed before the next fork, so no sibling inherits it and
+            # a dead worker's pipe reads EOF immediately
+            child_conn.close()
+            self._workers.append((process, parent_conn))
+        try:
+            self._collect("startup", self._workers)
+        except BackendError:
+            self.stop()
+            raise
+
+    @property
+    def pids(self) -> List[int]:
+        return [process.pid for process, _ in self._workers]
+
+    def run(
+        self, command: str, payloads: Optional[Sequence[object]] = None
+    ) -> List[object]:
+        """Send ``(command, payloads[k])`` to worker ``k``; barrier on all
+        addressed workers (see :func:`_addressed`)."""
+        if self.broken:
+            raise BackendError("worker group is stopped or broken")
+        payloads = _addressed(payloads, len(self._workers))
+        targets = self._workers[: len(payloads)]
+        for (_, conn), payload in zip(targets, payloads):
+            try:
+                conn.send((command, payload))
+            except OSError:
+                pass  # a dead worker is reported by the collection below
+        return self._collect(command, targets)
+
+    def _collect(self, command: str, targets) -> List[object]:
+        """One reply per target, all collected before anything is raised."""
+        deadline = time.monotonic() + self.timeout_s
+        replies = []
+        lost: List[int] = []
+        for index, (_, conn) in enumerate(targets):
+            try:
+                if conn.poll(max(0.0, deadline - time.monotonic())):
+                    replies.append(conn.recv())
+                    continue
+            except (EOFError, OSError):
+                pass
+            lost.append(index)
+        if lost:
+            self.broken = True
+            raise BackendError(
+                f"worker(s) {lost} died or timed out during {command!r}"
+            )
+        return _settle(replies)
+
+    def stop(self) -> None:
+        """Tear the group down (idempotent); later commands are rejected.
+
+        A healthy group is asked to exit; a broken one (a worker may be
+        hung mid-scatter) is killed outright, so no straggler can write
+        into the arena after this returns.
+        """
+        workers, self._workers = self._workers, []
+        polite, self.broken = not self.broken, True
+        if polite:
+            for _, conn in workers:
+                try:
+                    conn.send((None, None))
+                except OSError:
+                    pass
+        for process, conn in workers:
+            if polite:
+                process.join(5.0)
+            if process.is_alive():
+                process.kill()
+            process.join()
+            conn.close()
+
+
+class InlineGroup:
+    """The same command protocol executed in the calling process."""
+
+    pids: Sequence[int] = ()
+
+    def __init__(self, handlers: Sequence[Handler]) -> None:
+        self._handlers = list(handlers)
+        self.broken = False
+
+    def run(
+        self, command: str, payloads: Optional[Sequence[object]] = None
+    ) -> List[object]:
+        if self.broken:
+            raise BackendError("worker group is stopped or broken")
+        payloads = _addressed(payloads, len(self._handlers))
+        return _settle(
+            [
+                _call(handler, command, payload)
+                for handler, payload in zip(self._handlers, payloads)
+            ]
+        )
+
+    def stop(self) -> None:
+        self._handlers = []
+        self.broken = True
+
+
+# ---------------------------------------------------------------------------
+# the worker-side chunk body
+# ---------------------------------------------------------------------------
+
+
+class ChunkWorker:
+    """Command handler of one worker, bound to one arena region.
+
+    Potential, kernel tier and the write-recording flag are fork-constant;
+    everything that changes with a decomposition epoch arrives in the
+    ``epoch`` payload and the region's views are re-sliced from it.
+    """
+
+    def __init__(
+        self,
+        arena: SharedArena,
+        region: int,
+        potential: EAMPotential,
+        tier: "kernels.KernelTier",
+        record_writes: bool = False,
+    ) -> None:
+        self.arena = arena
+        self.region = region
+        self.potential = potential
+        self.tier = tier
+        self.record_writes = record_writes
+        self.views: Dict[str, np.ndarray] = {}
+        self.box = None
+        self.order: Sequence[int] = ()
+        self.n_owned = 0
+
+    def __call__(self, command: str, payload: object) -> object:
+        return getattr(self, "do_" + command)(payload)
+
+    def do_epoch(self, payload: dict) -> None:
+        """Adopt a new decomposition epoch (the CSR is already in place)."""
+        self.views = self.arena.region(self.region, payload["size"])
+        self.box = payload["box"]
+        self.order = payload["order"]
+        self.n_owned = payload["n_owned"]
+
+    def do_tier(self, _payload: object) -> Tuple[int, str]:
+        return os.getpid(), self.tier.name
+
+    def do_density(self, subdomains: Optional[Sequence[int]]):
+        return self._scatter("density", subdomains)
+
+    def do_force(self, subdomains: Optional[Sequence[int]]):
+        return self._scatter("force", subdomains)
+
+    def do_embedding(self, _payload: object) -> float:
+        """Embed the region's *owned* atoms (energy counted once)."""
+        n_owned = self.n_owned
+        if n_owned == 0:
+            return 0.0
+        owned_rho = self.views["rho"][:n_owned]
+        self.views["fp"][:n_owned] = self.potential.embed_deriv(owned_rho)
+        return float(np.sum(self.potential.embed(owned_rho)))
+
+    def _scatter(
+        self, kind: str, subdomains: Optional[Sequence[int]]
+    ) -> Tuple[float, Optional[List[int]], WorkerTiming, float]:
+        """Execute one chunk of same-color subdomains (density or force).
+
+        ``subdomains`` None walks the epoch's whole subdomain order (a
+        shard worker owns its region alone, so color order is a formality
+        there).  The density pass publishes each pair's minimum-image
+        geometry into the region and returns the chunk's pair-energy
+        partial sum — the force pass and the parent then reuse the
+        geometry instead of recomputing it.
+        """
+        views, potential, tier = self.views, self.potential, self.tier
+        if subdomains is None:
+            subdomains = self.order
+        name = "rho" if kind == "density" else "forces"
+        target, log = views[name], None
+        if self.record_writes:
+            # the shadow writes through to the same shared memory — only
+            # the index bookkeeping is worker-local
+            from repro.analysis.shadow import TaskWriteLog, wrap_array
+
+            log = TaskWriteLog()
+            target = wrap_array(target, name, log)
+        offsets, fp = views["pair_offsets"], views["fp"]
+        pair_energy = 0.0
+        start = time.perf_counter()
+        for s in subdomains:
+            lo, hi = int(offsets[s]), int(offsets[s + 1])
+            if lo == hi:
+                continue
+            i_idx, j_idx = views["pair_i"][lo:hi], views["pair_j"][lo:hi]
+            if kind == "density":
+                delta, r = tier.pair_geometry(
+                    views["positions"], self.box, i_idx, j_idx
+                )
+                views["pair_delta"][lo:hi] = delta
+                views["pair_r"][lo:hi] = r
+                pair_energy += float(np.sum(potential.pair_energy(r)))
+                phi = tier.density_pair_values(potential, r)
+                tier.scatter_rho_half(target, i_idx, j_idx, phi)
+            else:
+                # geometry cached by the density pass for these positions
+                coeff = tier.force_pair_coefficients(
+                    potential,
+                    views["pair_r"][lo:hi],
+                    fp[i_idx],
+                    fp[j_idx],
+                    pair_ids=(i_idx, j_idx),
+                )
+                tier.scatter_force_half(
+                    target, i_idx, j_idx,
+                    coeff[:, None] * views["pair_delta"][lo:hi],
+                )
+        elapsed = time.perf_counter() - start
+        writes = log.flat(name).tolist() if log is not None else None
+        timing = {"pid": float(os.getpid()), "origin": start}
+        return elapsed, writes, timing, pair_energy
+
+
+# ---------------------------------------------------------------------------
+# calculator-side lifecycle
+# ---------------------------------------------------------------------------
+
+
+class _Live:
+    """Holder of the fork-side state, so ``weakref.finalize`` can release
+    it without resurrecting the calculator."""
+
+    def __init__(self) -> None:
+        self.group = None
+        self.arena: Optional[SharedArena] = None
+
+    def release(self) -> None:
+        """Stop the workers first, then drop the mapping (idempotent)."""
+        group, self.group, self.arena = self.group, None, None
+        if group is not None:
+            group.stop()
+
+
+class WorkerEngine:
+    """Lifecycle shared by the process calculators (see module docstring).
+
+    Subclasses supply :meth:`_region_sizes` (the arena regions the
+    current epoch needs), :meth:`_make_handlers` (one handler per worker,
+    bound to the fresh arena), :meth:`_publish_epoch` (write the epoch's
+    static state into the arena and send the ``epoch`` command) and
+    :meth:`_forget` (drop caches on ``close``); they call
+    :meth:`_new_epoch` when their decomposition changed and run every
+    evaluation through :meth:`_evaluate`.
+    """
+
+    name = "engine"
+
+    def __init__(
+        self,
+        kernel_tier: "kernels.TierSpec",
+        timeout_s: float,
+        restart_on_failure: bool,
+        inline: bool,
+    ) -> None:
+        #: pinned kernel tier for the worker chunks; None follows the
+        #: parent's active tier at each compute (resolved eagerly so an
+        #: unknown spec or an unavailable-tier fallback surfaces here)
+        self._tier = kernels.get(kernel_tier) if kernel_tier is not None else None
+        self.timeout_s = timeout_s
+        self.restart_on_failure = restart_on_failure
+        self._inline = inline
+        self._profiler: Optional[PhaseProfiler] = None
+        self._tracer = None
+        self._live = _Live()
+        self._finalizer = weakref.finalize(self, self._live.release)
+        # fork-constant worker state of the live group
+        self._potential: Optional[EAMPotential] = None
+        self._spawned_tier: Optional[str] = None
+        self._epoch = 0
+        self._epoch_published = False
+        # lifecycle counters surfaced by health_snapshot()
+        self._n_pool_spawns = 0
+        self._n_restarts = 0
+        self._n_worker_deaths = 0
+
+    # --- subclass hooks --------------------------------------------------------
+
+    def _region_sizes(self) -> List[RegionSize]:
+        raise NotImplementedError
+
+    def _make_handlers(
+        self, arena: SharedArena, potential: EAMPotential, tier
+    ) -> List[Handler]:
+        raise NotImplementedError
+
+    def _publish_epoch(self) -> None:
+        raise NotImplementedError
+
+    def _forget(self) -> None:
+        raise NotImplementedError
+
+    # --- lifecycle -------------------------------------------------------------
+
+    def close(self) -> None:
+        """Stop the workers and drop the arena (idempotent).
+
+        The calculator stays usable: the next ``compute`` re-creates both
+        from scratch.
+        """
+        if self._live.group is not None:
+            record_health(
+                "engine",
+                "engine-close",
+                engine=self.name,
+                epoch=self._epoch,
+                arena_bytes_released=self.arena_bytes(),
+            )
+        self._live.release()
+        self._potential = None
+        self._epoch_published = False
+        self._forget()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
+
+    def worker_pids(self) -> List[int]:
+        """PIDs of the live workers (empty before the first compute, after
+        ``close()``, and for an in-process group)."""
+        group = self._live.group
+        return list(group.pids) if group is not None else []
+
+    def arena_bytes(self) -> int:
+        """Mapped bytes of the live arena, headroom included (0 without one)."""
+        arena = self._live.arena
+        return arena.nbytes if arena is not None else 0
+
+    def worker_kernel_tiers(self) -> Dict[int, str]:
+        """Resolved tier name per live worker pid (diagnostic)."""
+        group = self._live.group
+        if group is None:
+            raise RuntimeError("no live workers; call compute() first")
+        return dict(group.run("tier"))
+
+    def _lifecycle_snapshot(self) -> Dict[str, object]:
+        """The engine-level part of ``health_snapshot()``."""
+        return {
+            "engine": self.name,
+            "worker_pids": self.worker_pids(),
+            "epoch": self._epoch,
+            "arena_bytes": self.arena_bytes(),
+            "n_pool_spawns": self._n_pool_spawns,
+            "n_restarts": self._n_restarts,
+            "n_worker_deaths": self._n_worker_deaths,
+            "kernel_tier": self.kernel_tier,
+        }
+
+    # --- kernel tier -----------------------------------------------------------
+
+    def _resolved_tier(self):
+        return self._tier if self._tier is not None else kernels.active_tier()
+
+    @property
+    def kernel_tier(self) -> str:
+        """Resolved tier name the worker chunks run on this compute."""
+        return self._resolved_tier().name
+
+    def set_kernel_tier(self, tier) -> None:
+        """Pin the worker chunks' kernel tier (None reverts to the
+        parent's active tier at each compute).
+
+        Accepts anything :func:`repro.kernels.get` accepts — a variant
+        spec string such as ``"numba-parallel"``, a
+        :class:`~repro.kernels.KernelTierConfig`, or a live tier.  The
+        tier is fork-constant worker state: the next compute re-forks the
+        workers with exactly this variant instead of whatever import-time
+        flags the parent process had.
+        """
+        self._tier = kernels.get(tier) if tier is not None else None
+
+    # --- observability ---------------------------------------------------------
+
+    def attach_profiler(self, profiler: PhaseProfiler) -> None:
+        """Record per-phase wall-clock (and barrier slack) into *profiler*."""
+        self._profiler = profiler
+
+    def detach_profiler(self) -> None:
+        self._profiler = None
+
+    def attach_tracer(self, tracer) -> None:
+        """Record timeline spans into *tracer*."""
+        self._tracer = tracer
+
+    def detach_tracer(self) -> None:
+        self._tracer = None
+
+    def _phase(self, name: str):
+        if self._profiler is None:
+            return NULL_PHASE
+        return self._profiler.phase(name)
+
+    def _span(self, name: str, **args):
+        if self._tracer is None:
+            return NULL_PHASE
+        return self._tracer.span(name, **args)
+
+    # --- spawn state machine ---------------------------------------------------
+
+    def _new_epoch(self) -> None:
+        """The subclass rebuilt its decomposition: republish before use."""
+        self._epoch += 1
+        self._epoch_published = False
+
+    def _ensure_workers(self, potential: EAMPotential) -> None:
+        """The one spawn path: fork workers over a fresh arena when the
+        live ones cannot serve this evaluation, else keep them."""
+        live, tier = self._live, self._resolved_tier()
+        if (
+            live.group is not None
+            and not live.group.broken
+            and potential is self._potential
+            and tier.name == self._spawned_tier
+            # region sizes only change with the epoch
+            and (
+                self._epoch_published
+                or live.arena.fits(self._region_sizes())
+            )
+        ):
+            return
+        sizes = self._region_sizes()
+        live.release()
+        self._epoch_published = False
+        started = time.perf_counter()
+        arena = SharedArena(sizes)
+        handlers = self._make_handlers(arena, potential, tier)
+        try:
+            live.group = (
+                InlineGroup(handlers)
+                if self._inline
+                else WorkerGroup(handlers, self.timeout_s)
+            )
+        except BackendError as exc:
+            record_health(
+                "engine",
+                "pool-spawn-failed",
+                severity="critical",
+                engine=self.name,
+                error=str(exc),
+            )
+            raise
+        live.arena = arena
+        self._potential = potential
+        self._spawned_tier = tier.name
+        self._n_pool_spawns += 1
+        record_health(
+            "engine",
+            "pool-spawn",
+            engine=self.name,
+            n_workers=len(handlers),
+            spawn_seconds=time.perf_counter() - started,
+            spawn_count=self._n_pool_spawns,
+            pids=self.worker_pids(),
+            arena_bytes=arena.nbytes,
+            kernel_tier=tier.name,
+        )
+
+    def _evaluate(self, potential: EAMPotential, once: Callable[[], object]):
+        """Run ``once()`` on live, epoch-current workers.
+
+        A :class:`BackendError` (worker death or timeout — never partial
+        results: ``once`` restarts from its zero fill) respawns the group
+        and retries once; a second one, or any with
+        ``restart_on_failure=False``, propagates and leaves the broken
+        group to be replaced by the next compute.
+        """
+        attempts = 2 if self.restart_on_failure else 1
+        for attempt in range(attempts):
+            try:
+                with self._phase(PHASE_SETUP):
+                    with self._span("setup", epoch=self._epoch):
+                        self._ensure_workers(potential)
+                        if not self._epoch_published:
+                            self._publish_epoch()
+                            self._epoch_published = True
+                return once()
+            except BackendError as exc:
+                self._n_worker_deaths += 1
+                record_health(
+                    "engine",
+                    "worker-death",
+                    severity="warning",
+                    engine=self.name,
+                    error=str(exc),
+                )
+                if attempt + 1 == attempts:
+                    record_health(
+                        "engine",
+                        "engine-failed",
+                        severity="critical",
+                        engine=self.name,
+                        error=str(exc),
+                        attempt=attempt,
+                    )
+                    raise
+                self._n_restarts += 1
+                record_health(
+                    "engine",
+                    "pool-restart",
+                    severity="warning",
+                    engine=self.name,
+                    restart_count=self._n_restarts,
+                    error=str(exc),
+                )
+        raise AssertionError("unreachable")  # pragma: no cover

@@ -1,8 +1,13 @@
 """Backend conformance suite: the shared ExecutionBackend contract.
 
-One parametrized suite, four substrates — serial, threads, per-phase
-forked groups, and the sharded engine's phase face.  Every future backend
-earns the same coverage by adding one row to ``BACKEND_FACTORIES``:
+One parametrized suite over every substrate — serial, threads, and the
+worker groups of the process engine core
+(:mod:`repro.parallel.backends.workers`) in the three shapes the
+calculators drive them: forked with a payload per worker (``processes``:
+chunk ``k`` to worker ``k``), forked with a broadcast command
+(``sharded``: one worker per shard) and in-process (``inline``).  Every
+future substrate earns the same coverage by adding one row to
+``BACKEND_FACTORIES``:
 
 * ``run_phase`` barrier semantics (every closure settled at return),
 * task-exception propagation vs :class:`BackendError` for worker death,
@@ -11,9 +16,14 @@ earns the same coverage by adding one row to ``BACKEND_FACTORIES``:
 * ``close()`` idempotence and rejection of phases after close,
 * no ``/dev/shm`` residue.
 
-Process-backed backends execute closures in forked children, so the
-suite's counters live in an anonymous shared ``mmap`` — writes through
-plain process-private arrays would be invisible to the parent.
+Forked groups execute closures in child processes, so the suite's
+counters live in an anonymous shared ``mmap`` — writes through plain
+process-private arrays would be invisible to the parent.
+
+``TestWorkerGroupLifecycle`` adds what only a persistent group has:
+workers surviving across commands, ``stop()`` idempotence and rejection
+of later commands, and a hung (not dead) worker surfacing as
+:class:`BackendError` within the group's timeout.
 """
 
 from __future__ import annotations
@@ -21,27 +31,106 @@ from __future__ import annotations
 import mmap
 import multiprocessing as mp
 import os
+import signal
+import time
 
 import numpy as np
 import pytest
 
 from repro.parallel.backends import (
     BackendError,
-    ForkPhaseBackend,
+    ExecutionBackend,
     SerialBackend,
-    ShardedBackend,
     ThreadBackend,
+)
+from repro.parallel.backends.workers import (
+    InlineGroup,
+    WorkerGroup,
+    portable_exception,
 )
 
 HAS_FORK = "fork" in mp.get_all_start_methods()
 
 needs_fork = pytest.mark.skipif(HAS_FORK is False, reason="requires fork")
 
+
+
+class GroupPhases(ExecutionBackend):
+    """The closure-phase contract driven through a worker group.
+
+    A group's handlers are fixed when it is spawned (a forked worker
+    inherits them), so every phase spawns a group over that phase's
+    closures, runs one command on it and stops it.  Task ``k`` runs on
+    worker ``k % 2``.  Observer task hooks are replayed on the caller
+    after the barrier — a forked worker cannot call back into the
+    parent's observer.
+    """
+
+    N_WORKERS = 2
+
+    def __init__(self, make_group, broadcast: bool) -> None:
+        self._make_group = make_group
+        self._broadcast = broadcast
+        self._closed = False
+
+    def _run_tasks(self, tasks) -> dict:
+        """``{task index: exception}`` after every task settled."""
+        n = min(self.N_WORKERS, len(tasks))
+        shares = [list(range(k, len(tasks), n)) for k in range(n)]
+
+        def handler_for(own):
+            def handler(_command, indices):
+                errors = {}
+                for index in own if indices is None else indices:
+                    try:
+                        tasks[index]()
+                    except Exception as exc:
+                        errors[index] = portable_exception(exc)
+                return errors
+
+            return handler
+
+        group = self._make_group([handler_for(own) for own in shares])
+        try:
+            replies = group.run("phase", None if self._broadcast else shares)
+        finally:
+            group.stop()
+        return {k: exc for reply in replies for k, exc in reply.items()}
+
+    def run_phase(self, closures) -> None:
+        if self._closed:
+            raise RuntimeError("backend already closed")
+        tasks = list(closures)
+        observer, phase = self._observer, self._phase_counter
+        if observer is not None:
+            self._phase_counter += 1
+            observer.on_phase_begin(phase, len(tasks))
+        try:
+            errors = self._run_tasks(tasks) if tasks else {}
+            if observer is not None:
+                for index in range(len(tasks)):
+                    observer.on_task_begin(phase, index)
+                    observer.on_task_end(phase, index)
+            if errors:
+                raise errors[min(errors)]
+        finally:
+            if observer is not None:
+                observer.on_phase_end(phase)
+
+    def close(self) -> None:
+        self._closed = True
+
+
+def forked_group(handlers):
+    return WorkerGroup(handlers, timeout_s=60.0)
+
+
 BACKEND_FACTORIES = {
     "serial": lambda: SerialBackend(),
     "threads": lambda: ThreadBackend(2),
-    "processes": lambda: ForkPhaseBackend(n_workers=2, timeout_s=60.0),
-    "sharded": lambda: ShardedBackend(n_shards=2, timeout_s=60.0),
+    "processes": lambda: GroupPhases(forked_group, broadcast=False),
+    "sharded": lambda: GroupPhases(forked_group, broadcast=True),
+    "inline": lambda: GroupPhases(InlineGroup, broadcast=True),
 }
 
 #: backends whose closures run in forked children (side effects need
@@ -206,7 +295,7 @@ class TestBackendContract:
 @pytest.mark.parametrize("key", [pytest.param(k, marks=needs_fork) for k in FORKED])
 class TestForkedBackendDeath:
     """Worker death is a substrate failure: BackendError, not the task's
-    exception — and the backend is immediately usable again."""
+    exception — and a respawned group serves the next phase."""
 
     def test_worker_death_raises_backend_error(self, key):
         backend = BACKEND_FACTORIES[key]()
@@ -219,3 +308,68 @@ class TestForkedBackendDeath:
             assert slots[0] == 5.0
         finally:
             backend.close()
+
+
+def _echo(command, payload):
+    if command == "boom":
+        raise ValueError("handler boom")
+    return os.getpid(), payload
+
+
+GROUP_FACTORIES = {
+    "forked": pytest.param(
+        lambda: WorkerGroup([_echo, _echo], timeout_s=60.0), marks=needs_fork
+    ),
+    "inline": lambda: InlineGroup([_echo, _echo]),
+}
+
+
+@pytest.fixture(params=list(GROUP_FACTORIES.values()), ids=list(GROUP_FACTORIES))
+def group(request):
+    instance = request.param()
+    yield instance
+    instance.stop()
+
+
+class TestWorkerGroupLifecycle:
+    def test_workers_persist_across_commands(self, group):
+        first = group.run("echo", ["a", "b"])
+        second = group.run("echo")
+        assert [payload for _, payload in first] == ["a", "b"]
+        assert [pid for pid, _ in first] == [pid for pid, _ in second]
+        if group.pids:
+            assert [pid for pid, _ in first] == list(group.pids)
+
+    def test_fewer_payloads_address_fewer_workers(self, group):
+        assert len(group.run("echo", ["only"])) == 1
+
+    def test_handler_exception_keeps_the_group_usable(self, group):
+        with pytest.raises(ValueError, match="handler boom"):
+            group.run("boom")
+        assert len(group.run("echo")) == 2
+
+    def test_stop_is_idempotent_and_rejects_later_commands(self, group):
+        group.stop()
+        group.stop()
+        assert list(group.pids) == []
+        with pytest.raises(BackendError):
+            group.run("echo")
+
+    @needs_fork
+    @pytest.mark.linux
+    def test_hung_worker_is_a_backend_error_not_a_hang(self):
+        """A SIGSTOPped worker never answers: the per-command timeout
+        turns that into BackendError, and stop() still reaps it."""
+        group = WorkerGroup([_echo, _echo], timeout_s=0.5)
+        pids = list(group.pids)
+        try:
+            os.kill(pids[0], signal.SIGSTOP)
+            started = time.monotonic()
+            with pytest.raises(BackendError):
+                group.run("echo")
+            assert time.monotonic() - started < 10.0
+            with pytest.raises(BackendError):
+                group.run("echo")  # broken until respawned
+        finally:
+            group.stop()
+        assert not [pid for pid in pids if os.path.exists(f"/proc/{pid}")]

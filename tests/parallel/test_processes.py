@@ -1,4 +1,4 @@
-"""Process-parallel SDC (fork + shared memory): the persistent engine."""
+"""Process-parallel SDC (forked workers + shared arena): the persistent engine."""
 
 import gc
 import multiprocessing as mp
@@ -117,17 +117,74 @@ class TestPersistence:
     def test_arena_segments_reused_across_computes(
         self, potential, sdc_atoms, sdc_nlist
     ):
+        """Steady-state steps reuse the arena and the published epoch."""
         with ProcessSDCCalculator(dims=2, n_workers=2) as calc:
             calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
-            names = {
-                k: s.name for k, s in calc._resources.segments.items()
-            }
-            epoch = calc._epoch
+            before = calc.health_snapshot()
+            assert before["arena_bytes"] == calc.arena_bytes() > 0
             calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
-            assert {
-                k: s.name for k, s in calc._resources.segments.items()
-            } == names
-            assert calc._epoch == epoch
+            after = calc.health_snapshot()
+            for key in ("epoch", "arena_bytes", "n_pool_spawns", "worker_pids"):
+                assert after[key] == before[key], key
+            assert after["n_pool_spawns"] == 1
+
+    @pytest.mark.parametrize("engine", ["processes", "sharded"])
+    def test_workers_survive_verlet_rebuilds(self, potential, engine):
+        """A neighbor rebuild is a new epoch on the same workers: the CSR
+        is rewritten in place, nothing is re-forked."""
+        from repro.harness.cases import Case
+        from repro.parallel.backends.sharded import ShardedSDCCalculator
+
+        calc = (
+            ProcessSDCCalculator(dims=2, n_workers=2)
+            if engine == "processes"
+            else ShardedSDCCalculator(n_shards=2)
+        )
+        atoms = Case(key="rb", label="rb", n_cells=6).build(
+            perturbation=0.03, temperature=60.0, seed=2
+        )
+        with Simulation(atoms, potential, calculator=calc, skin=0.05) as sim:
+            sim.compute_forces()
+            pids = calc.worker_pids()
+            assert len(pids) == 2
+            report = sim.run(20)
+            assert report.n_neighbor_rebuilds >= 2
+            snapshot = calc.health_snapshot()
+            assert calc.worker_pids() == pids
+            assert snapshot["n_pool_spawns"] == 1
+            assert snapshot["epoch"] >= 1 + report.n_neighbor_rebuilds
+        assert calc.worker_pids() == []
+
+    def test_capacity_overflow_respawns_over_a_larger_arena(
+        self, potential, sdc_atoms, sdc_nlist, reference_result
+    ):
+        """An epoch within the arena's fixed headroom keeps the mapping; one
+        beyond it goes through the spawn path (the only way to grow)."""
+        from repro.harness.cases import Case
+        from repro.md import build_neighbor_list
+        from repro.parallel.backends.workers import ARENA_HEADROOM, SharedArena
+
+        arena = SharedArena([(100, 700, 4)])
+        assert arena.fits([(100, 700, 4)])
+        assert arena.fits([(int(100 * ARENA_HEADROOM), 700, 4)])
+        assert not arena.fits([(100, int(700 * ARENA_HEADROOM) + 1, 4)])
+        assert arena.region(0, (90, 650, 4))["positions"].shape == (90, 3)
+        with pytest.raises(ValueError, match="capacity"):
+            arena.region(0, (200, 700, 4))
+
+        small = Case(key="ov", label="ov", n_cells=6).build(seed=5)
+        small_nlist = build_neighbor_list(
+            small.positions, small.box, cutoff=potential.cutoff, half=True
+        )
+        with ProcessSDCCalculator(dims=2, n_workers=2) as calc:
+            calc.compute(potential, small, small_nlist)
+            small_bytes = calc.arena_bytes()
+            result = calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
+            assert np.allclose(
+                result.forces, reference_result.forces, atol=1e-12
+            )
+            assert calc.health_snapshot()["n_pool_spawns"] == 2
+            assert calc.arena_bytes() > small_bytes
 
     def test_interleaved_calculators_do_not_clobber(self, potential):
         """Regression for the old `_FORK_STATE` module global: two live
@@ -194,7 +251,7 @@ class TestPersistence:
             sim.run(2)
             assert len(calc.worker_pids()) == 2
         assert calc.worker_pids() == []
-        assert not calc._resources.segments
+        assert calc.arena_bytes() == 0
 
 
 class TestDecompositionCache:
@@ -261,12 +318,13 @@ def _shm_entries():
 
 
 def _leaked(before):
-    """Shared-memory entries created and not cleaned since ``before``."""
-    return {
-        name
-        for name in _shm_entries() - before
-        if name.startswith("psm_")
-    }
+    """``/dev/shm`` entries created since ``before``: the arena is an
+    anonymous mapping, so the engine must never create any."""
+    return _shm_entries() - before
+
+
+def _alive(pids):
+    return [pid for pid in pids if os.path.exists(f"/proc/{pid}")]
 
 
 @pytest.mark.linux
@@ -275,7 +333,7 @@ class TestSharedMemoryHygiene:
         before = _shm_entries()
         with ProcessSDCCalculator(dims=2, n_workers=2) as calc:
             calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
-            assert calc._resources.segments  # the arena did exist
+            assert calc.arena_bytes() > 0  # the arena did exist
         assert _leaked(before) == set()
 
     def test_no_leak_after_exception_in_compute(
@@ -304,12 +362,14 @@ class TestSharedMemoryHygiene:
         before = _shm_entries()
         calc = ProcessSDCCalculator(dims=2, n_workers=2)
         calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
-        del calc  # no close(): the weakref finalizer must fire
-        # transient references (executor manager threads winding down,
-        # frames in flight) can delay collection by a beat — retry the
-        # collect briefly rather than flake on GC scheduling
+        pids = calc.worker_pids()
+        del calc  # no close(): the weakref finalizer must stop the workers
+        # transient references (frames in flight) can delay collection by
+        # a beat — retry the collect briefly rather than flake on GC
+        # scheduling
         deadline = time.monotonic() + 10.0
-        while _leaked(before) and time.monotonic() < deadline:
+        while _alive(pids) and time.monotonic() < deadline:
             gc.collect()
             time.sleep(0.05)
+        assert not _alive(pids)
         assert _leaked(before) == set()

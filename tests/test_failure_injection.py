@@ -189,6 +189,38 @@ class TestWorkerKill:
             )
 
 
+@pytest.mark.linux
+class TestWorkerHang:
+    """A hung (not dead) worker never answers; the engine core's
+    per-phase timeout must turn that into the same respawn-and-retry as a
+    death instead of blocking ``compute`` forever."""
+
+    def test_stopped_shard_worker_is_replaced(
+        self, potential, sdc_atoms, sdc_nlist, reference_result
+    ):
+        import multiprocessing as mp
+        import os
+        import signal
+
+        if "fork" not in mp.get_all_start_methods():
+            pytest.skip("requires fork")
+        from repro.parallel.backends.sharded import ShardedSDCCalculator
+
+        with ShardedSDCCalculator(n_shards=2, timeout_s=1.0) as calc:
+            calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
+            victim = calc.worker_pids()[0]
+            os.kill(victim, signal.SIGSTOP)
+            result = calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
+            assert np.allclose(
+                result.forces, reference_result.forces, atol=1e-10
+            )
+            snapshot = calc.health_snapshot()
+            assert snapshot["n_restarts"] == 1
+            assert snapshot["n_pool_spawns"] == 2
+            assert victim not in calc.worker_pids()
+            assert not os.path.exists(f"/proc/{victim}")
+
+
 class TestMalformedStructures:
     def test_neighbor_list_with_corrupt_csr_rejected(self):
         with pytest.raises(ValueError):
