@@ -33,6 +33,15 @@ class NumpyKernelTier(KernelTier):
     name = "numpy"
     compiled = False
 
+    def __init__(self) -> None:
+        # Each force evaluation allocates and frees ~10 MB of pair-sized
+        # temporaries.  glibc hands freed blocks above its mmap/trim
+        # thresholds back to the kernel, so every step would fault those pages
+        # in again (+20 % per evaluation); the thresholds only grow when a
+        # larger mmapped block is freed.  Free one just under glibc's 32 MiB
+        # cap, once (never touched; a no-op on other allocators).
+        np.empty((32 << 20) - (64 << 10), dtype=np.uint8)
+
     # --- pair-slice primitives ----------------------------------------------
 
     def pair_geometry(self, positions, box, i_idx, j_idx):

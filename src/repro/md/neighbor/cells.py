@@ -10,14 +10,19 @@ unions of cells, and the data-reordering optimization sorts atoms by cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from repro.geometry.box import Box
+from repro.utils.validation import check_finite
 
 #: relative tolerance for snapping ``box.length / min_cell_size`` to an
 #: integer before flooring (guards against losing a cell to FP noise)
 CELL_COUNT_RTOL = 1e-9
+
+#: the lexicographically positive half of the 27-cell stencil
+FORWARD_OFFSETS = tuple(o for o in product((-1, 0, 1), repeat=3) if o > (0, 0, 0))
 
 
 def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -104,38 +109,60 @@ class CellList:
         _, ncy, ncz = self.n_cells
         return (coords[..., 0] * ncy + coords[..., 1]) * ncz + coords[..., 2]
 
-    def neighbor_cell_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """All distinct (cell, neighbor-cell) pairs of the 27-stencil.
+    def check_bins(self, wrapped: np.ndarray, box: Box, min_cell_size: float) -> None:
+        """Raise ``ValueError`` unless this grid bins ``wrapped`` in ``box``
+        with every split axis cut into cells of edge >= ``min_cell_size``."""
+        if self.n_atoms != len(wrapped):
+            raise ValueError(
+                f"cells= bins {self.n_atoms} atoms but positions has {len(wrapped)}"
+            )
+        if not (
+            np.array_equal(self.box.lengths, box.lengths)
+            and np.array_equal(self.box.periodic, box.periodic)
+        ):
+            raise ValueError("cells= was built for a different box")
+        split = np.array(self.n_cells) > 1
+        if np.any(self.cell_size[split] < min_cell_size * (1.0 - CELL_COUNT_RTOL)):
+            raise ValueError(
+                f"cells= cell size {self.cell_size} is below cutoff+skin="
+                f"{min_cell_size:.3f}"
+            )
+        ids = flat_cell_ids(wrapped, self.cell_size, self.n_cells)
+        if not np.array_equal(self.cell_of_atom, ids):
+            raise ValueError("cells= does not bin these positions")
 
-        Offsets that wrap onto the same cell (small periodic grids) are
-        deduplicated, so each geometric cell pair is emitted exactly once.
-        Non-periodic axes clip out-of-range neighbors instead of wrapping.
+    def forward_stencil(self):
+        """Yield ``(src, dst, shift)`` for each of the 13 forward offsets.
+
+        ``dst[k]`` is the cell at ``coords(src[k]) + offset``, wrapped on
+        periodic axes; ``shift[k]`` is the lattice translation ``±L`` its
+        atoms carry as seen from ``src[k]`` (zero unless the step wrapped).
+        Steps off an open axis are clipped.  Together with each cell's own
+        interior the 13 offsets visit every unordered (cell pair, image)
+        of the 27-stencil exactly once, so nothing needs deduplicating —
+        a periodic axis with one or two cells just yields the same cell
+        pair again under a different, non-zero shift.
         """
-        ncx, ncy, ncz = self.n_cells
-        nc = np.array([ncx, ncy, ncz], dtype=np.int64)
+        n_cells = np.array(self.n_cells, dtype=np.int64)
         all_ids = np.arange(self.n_total_cells, dtype=np.int64)
-        coords = self.cell_coords(all_ids)  # (C, 3)
-        offs = np.stack(
-            np.meshgrid([-1, 0, 1], [-1, 0, 1], [-1, 0, 1], indexing="ij"), axis=-1
-        ).reshape(-1, 3)
-        src_all = []
-        dst_all = []
-        for off in offs:
-            target = coords + off
-            valid = np.ones(len(coords), dtype=bool)
-            for axis in range(3):
-                if self.box.periodic[axis]:
-                    target[:, axis] %= nc[axis]
-                else:
-                    valid &= (target[:, axis] >= 0) & (target[:, axis] < nc[axis])
-            src_all.append(all_ids[valid])
-            dst_all.append(self.flat_ids(target[valid]))
-        src = np.concatenate(src_all)
-        dst = np.concatenate(dst_all)
-        # dedup (src, dst) pairs that coincide after wrapping
-        key = src * self.n_total_cells + dst
-        _, unique_idx = np.unique(key, return_index=True)
-        return src[unique_idx], dst[unique_idx]
+        coords = self.cell_coords(all_ids)
+        for offset in FORWARD_OFFSETS:
+            target = coords + offset
+            image = target // n_cells  # -1, 0 or +1 box lengths
+            valid = np.all((image == 0) | self.box.periodic, axis=1)
+            dst = self.flat_ids(target - image * n_cells)
+            yield all_ids[valid], dst[valid], (image * self.box.lengths)[valid]
+
+
+def flat_cell_ids(
+    wrapped: np.ndarray, cell_size: np.ndarray, n_cells: tuple[int, int, int]
+) -> np.ndarray:
+    """Flat cell id of each wrapped position on an ``n_cells`` grid."""
+    # clip guards against pos == L after rounding and bins atoms beyond an
+    # open face into the boundary cell
+    coords = np.floor(wrapped / cell_size).astype(np.int64)
+    np.clip(coords, 0, np.array(n_cells) - 1, out=coords)
+    return np.ravel_multi_index(tuple(coords.T), n_cells)
 
 
 def build_cell_list(
@@ -143,12 +170,13 @@ def build_cell_list(
 ) -> CellList:
     """Bin wrapped ``positions`` into cells of edge >= ``min_cell_size``.
 
-    Along any axis shorter than ``min_cell_size`` a single cell is used
-    (the 27-stencil then degenerates gracefully thanks to pair dedup).
+    Along any axis shorter than ``min_cell_size`` a single cell is used.
+    A NaN/inf position raises ``ValueError`` naming its (atom, axis) index.
     """
     if min_cell_size <= 0:
         raise ValueError(f"min_cell_size must be positive, got {min_cell_size}")
-    positions = box.wrap(np.asarray(positions, dtype=np.float64))
+    positions = np.asarray(positions, dtype=np.float64)
+    positions = box.wrap(check_finite(positions, "positions"))
     # snap the cells-per-axis ratio to the nearest integer when it lands
     # within a relative tolerance below it: a box of length 3*h - epsilon
     # must still get 3 cells, not lose one to FP noise in the division
@@ -160,21 +188,16 @@ def build_cell_list(
         nearest,
         np.floor(ratio),
     )
-    n_cells = np.maximum(1, snapped.astype(np.int64))
+    n_cells = tuple(int(v) for v in np.maximum(1, snapped))
     cell_size = box.lengths / n_cells
-    # integer cell coordinates; clip guards against pos == L after rounding
-    coords = np.floor(positions / cell_size).astype(np.int64)
-    coords = np.minimum(coords, n_cells - 1)
-    coords = np.maximum(coords, 0)
-    ncx, ncy, ncz = (int(v) for v in n_cells)
-    cell_of_atom = (coords[:, 0] * ncy + coords[:, 1]) * ncz + coords[:, 2]
+    cell_of_atom = flat_cell_ids(positions, cell_size, n_cells)
     order = np.argsort(cell_of_atom, kind="stable")
-    counts = np.bincount(cell_of_atom, minlength=ncx * ncy * ncz)
+    counts = np.bincount(cell_of_atom, minlength=int(np.prod(n_cells)))
     starts = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=starts[1:])
     return CellList(
         box=box,
-        n_cells=(ncx, ncy, ncz),
+        n_cells=n_cells,
         cell_size=cell_size,
         cell_of_atom=cell_of_atom,
         order=np.ascontiguousarray(order, dtype=np.int64),

@@ -11,14 +11,15 @@ Computation (RC) baseline strategy consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.geometry.box import Box
 from repro.md.neighbor.cells import CellList, build_cell_list, concat_ranges
-from repro.utils.arrays import CSR
+from repro.utils.arrays import CSR, invert_permutation
+from repro.utils.validation import check_finite
 
 
 @dataclass(frozen=True)
@@ -75,54 +76,76 @@ class NeighborList:
 
     def max_displacement(self, positions: np.ndarray) -> float:
         """Largest minimum-image displacement since the list was built."""
-        delta = self.box.minimum_image(
-            self.box.wrap(positions) - self.reference_positions
-        )
+        # the fold maps every lattice image of a difference to the same
+        # value, so wrapping ``positions`` first would change nothing
+        delta = self.box.minimum_image(positions - self.reference_positions)
         if len(delta) == 0:
             return 0.0
-        return float(np.sqrt(np.max(np.sum(delta * delta, axis=1))))
+        return float(np.sqrt(np.max(np.einsum("ij,ij->i", delta, delta))))
 
     def needs_rebuild(self, positions: np.ndarray) -> bool:
-        """Standard Verlet criterion: any atom moved more than ``skin/2``."""
-        return self.max_displacement(positions) > self.skin / 2.0
+        """Standard Verlet criterion: any atom moved more than ``skin/2`` —
+        or is NaN/inf, which the rebuild then rejects by atom index."""
+        return not self.max_displacement(positions) <= self.skin / 2.0
 
 
-def _candidate_pairs(cells: CellList) -> Tuple[np.ndarray, np.ndarray]:
-    """All candidate atom pairs from the deduplicated 27-cell stencil.
+def _half_pairs(
+    positions: np.ndarray, cells: CellList, reach: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every pair within ``reach`` once, oriented ``i < j``, unsorted.
 
-    Returns directed candidates (both (i, j) and (j, i) appear; self pairs
-    are kept and filtered by the caller together with the distance cut).
+    One candidate block per forward stencil offset plus one for the cell
+    interiors, so temporaries stay at ~1/14 of the candidate set.  Each
+    block tests a single explicit image of the neighbour cell; because
+    ``reach < L/2`` admits at most one image per pair, no geometric pair
+    is kept twice and nothing is deduplicated or masked afterwards.
     """
-    src_cells, dst_cells = cells.neighbor_cell_pairs()
-    counts = cells.counts()
-    # for every (cell, neighbor-cell) pair: block of counts[src] * counts[dst]
-    block = counts[src_cells] * counts[dst_cells]
-    keep = block > 0
-    src_cells, dst_cells = src_cells[keep], dst_cells[keep]
-    # i side: atoms of src cell, each repeated by occupancy of dst cell
-    i_ranges = concat_ranges(cells.starts[src_cells], counts[src_cells])
-    i_atoms = cells.order[i_ranges]
-    i_rep = np.repeat(counts[dst_cells], counts[src_cells])
-    i_idx = np.repeat(i_atoms, i_rep)
-    # j side: for each atom of the src cell, the whole dst cell
-    j_starts = np.repeat(cells.starts[dst_cells], counts[src_cells])
-    j_ranges = concat_ranges(j_starts, i_rep)
-    j_idx = cells.order[j_ranges]
-    return i_idx, j_idx
+    order, starts, counts = cells.order, cells.starts, cells.counts()
+    soa = np.ascontiguousarray(positions[order].T)  # (3, n) in cell order
+    firsts, seconds = [], []
+
+    def scan(i_slots, j_starts, reps, shifts):
+        """``i_slots[k]`` against the ``reps[k]`` slots from ``j_starts[k]``
+        on, whose atoms are seen at ``soa[:, j] + shifts[k]``."""
+        j_slots = concat_ranges(j_starts, reps)
+        r2 = np.zeros(len(j_slots))
+        for axis in range(3):
+            # the image shift goes on the short i side, before the repeat
+            delta = soa[axis][j_slots]
+            delta -= np.repeat(soa[axis][i_slots] - shifts[:, axis], reps)
+            delta *= delta
+            r2 += delta
+        keep = r2 <= reach * reach
+        firsts.append(np.repeat(i_slots, reps)[keep])
+        seconds.append(j_slots[keep])
+
+    # cell interiors: each slot against the later slots of its own cell
+    slots = np.arange(len(order), dtype=np.int64)
+    ends = np.repeat(starts[1:], counts)
+    scan(slots, slots + 1, ends - slots - 1, np.zeros((len(slots), 3)))
+    for src, dst, shift in cells.forward_stencil():
+        scan(
+            concat_ranges(starts[src], counts[src]),
+            np.repeat(starts[dst], counts[src]),
+            np.repeat(counts[dst], counts[src]),
+            np.repeat(shift, counts[src], axis=0),
+        )
+    first, second = order[np.concatenate(firsts)], order[np.concatenate(seconds)]
+    return np.minimum(first, second), np.maximum(first, second)
 
 
 def _pairs_to_csr(
     i_idx: np.ndarray, j_idx: np.ndarray, n_atoms: int
 ) -> CSR:
     """Sort directed pairs by (i, j) and pack them into CSR rows."""
-    if len(i_idx):
-        order = np.lexsort((j_idx, i_idx))
-        i_idx = i_idx[order]
-        j_idx = j_idx[order]
+    stride = max(n_atoms, 1)
+    key = i_idx * stride + j_idx  # one int64 key orders by (i, j)
+    key.sort()
+    i_idx, j_idx = np.divmod(key, stride)
     lengths = np.bincount(i_idx, minlength=n_atoms)
     offsets = np.zeros(n_atoms + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
-    return CSR(offsets=offsets, values=j_idx.astype(np.int64, copy=False))
+    return CSR(offsets=offsets, values=j_idx)
 
 
 def build_neighbor_list(
@@ -138,7 +161,8 @@ def build_neighbor_list(
     Parameters
     ----------
     positions:
-        ``(n, 3)`` coordinates (wrapped internally).
+        ``(n, 3)`` coordinates (wrapped internally); a NaN/inf coordinate
+        raises ``ValueError`` naming the first such (atom, axis) index.
     cutoff:
         interaction cutoff r_c.
     skin:
@@ -146,8 +170,10 @@ def build_neighbor_list(
     half:
         store each pair once (``i < j``) or both directions.
     cells:
-        an existing :class:`CellList` built with cell size >=
-        ``cutoff + skin`` to reuse; built fresh when omitted.
+        an existing :class:`CellList` to reuse; built fresh when omitted.
+        It must bin exactly these positions in this box, with cells no
+        smaller than ``cutoff + skin`` along every axis it splits
+        (coarser is fine) — anything else raises ``ValueError``.
     """
     if cutoff <= 0:
         raise ValueError(f"cutoff must be positive, got {cutoff}")
@@ -159,27 +185,21 @@ def build_neighbor_list(
             f"cutoff+skin={reach:.3f} exceeds the minimum-image limit "
             f"{box.max_cutoff():.3f} for this box"
         )
-    positions = box.wrap(np.asarray(positions, dtype=np.float64))
-    n_atoms = len(positions)
+    positions = np.asarray(positions, dtype=np.float64)
+    positions = box.wrap(check_finite(positions, "positions"))
     if cells is None:
         cells = build_cell_list(positions, box, reach)
-    i_idx, j_idx = _candidate_pairs(cells)
-    if len(i_idx):
-        mask = i_idx != j_idx
-        if half:
-            mask &= i_idx < j_idx
-        i_idx, j_idx = i_idx[mask], j_idx[mask]
-        delta = box.minimum_image(positions[i_idx] - positions[j_idx])
-        r2 = np.sum(delta * delta, axis=1)
-        keep = r2 <= reach * reach
-        i_idx, j_idx = i_idx[keep], j_idx[keep]
-    csr = _pairs_to_csr(i_idx, j_idx, n_atoms)
+    else:
+        cells.check_bins(positions, box, reach)
+    i_idx, j_idx = _half_pairs(positions, cells, reach)
+    if not half:
+        i_idx, j_idx = np.concatenate([i_idx, j_idx]), np.concatenate([j_idx, i_idx])
     return NeighborList(
-        csr=csr,
+        csr=_pairs_to_csr(i_idx, j_idx, len(positions)),
         cutoff=cutoff,
         skin=skin,
         half=half,
-        reference_positions=positions.copy(),
+        reference_positions=positions,
         box=box,
     )
 
@@ -207,17 +227,19 @@ def build_reordered_neighbor_list(
     * ``inverse`` — maps old indices to new (``inverse[perm[k]] == k``),
       the output map: ``result_old = result_new[inverse]``.
     """
-    from repro.utils.arrays import invert_permutation
-
-    positions = box.wrap(np.asarray(positions, dtype=np.float64))
-    reach = cutoff + skin
-    cells = build_cell_list(positions, box, reach)
+    positions = np.asarray(positions, dtype=np.float64)
+    cells = build_cell_list(positions, box, cutoff + skin)
     perm = cells.order.copy()
-    inverse = invert_permutation(perm)
-    nlist = build_neighbor_list(
-        positions[perm], box, cutoff, skin=skin, half=half
+    # the same binning, renumbered: atoms now sit in cell order already
+    sorted_cells = replace(
+        cells,
+        cell_of_atom=cells.cell_of_atom[perm],
+        order=np.arange(len(perm), dtype=np.int64),
     )
-    return nlist, perm, inverse
+    nlist = build_neighbor_list(
+        positions[perm], box, cutoff, skin=skin, half=half, cells=sorted_cells
+    )
+    return nlist, perm, invert_permutation(perm)
 
 
 def brute_force_neighbor_list(

@@ -46,8 +46,12 @@ def check_shape(array: np.ndarray, shape: Sequence[Any], name: str) -> np.ndarra
 
 
 def check_finite(array: np.ndarray, name: str) -> np.ndarray:
-    """Validate that every element of ``array`` is finite."""
-    if not np.all(np.isfinite(array)):
-        bad = int(np.count_nonzero(~np.isfinite(array)))
-        raise ValueError(f"{name} contains {bad} non-finite element(s)")
+    """Validate that every element of ``array`` is finite (names the first not)."""
+    bad = ~np.isfinite(array)
+    if bad.any():
+        first = tuple(int(k) for k in np.argwhere(bad)[0])
+        raise ValueError(
+            f"{name} contains {int(bad.sum())} non-finite element(s), "
+            f"first at index {first}"
+        )
     return array

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.box import Box
-from repro.md.neighbor.cells import CellList, build_cell_list, concat_ranges
+from repro.md.neighbor.cells import (
+    FORWARD_OFFSETS,
+    CellList,
+    build_cell_list,
+    concat_ranges,
+)
 
 
 class TestConcatRanges:
@@ -141,35 +146,72 @@ class TestCellCountSnap:
         assert np.all(cl.cell_size >= 0.7 * (1 - 1e-8))
 
 
+def stencil_rows(cl):
+    """Flatten ``forward_stencil`` into ``(src, dst, image)`` tuples."""
+    rows = []
+    for src, dst, shift in cl.forward_stencil():
+        images = np.rint(shift / cl.box.lengths).astype(int)
+        rows += zip(src.tolist(), dst.tolist(), map(tuple, images.tolist()))
+    return rows
+
+
 class TestNeighborCellPairs:
+    """The forward half stencil that feeds the pair generator."""
+
     def test_counts_in_big_grid(self, cells):
         cl, _, _ = cells
-        src, dst = cl.neighbor_cell_pairs()
-        # 4x4x4 periodic: each cell sees the full 27-stencil uniquely
-        assert len(src) == 64 * 27
+        rows = stencil_rows(cl)
+        # 4x4x4 periodic: 13 forward neighbours per cell, all distinct cells,
+        # and with the 64 cell interiors that is each unordered pair of
+        # stencil-adjacent cells once: (27 * 64 - 64) / 2
+        assert len(rows) == 13 * 64
+        unordered = {(min(s, d), max(s, d)) for s, d, _ in rows}
+        assert len(unordered) == len(rows) == (27 * 64 - 64) // 2
+        # a shift appears exactly where the step left the box
+        coords = cl.cell_coords(np.arange(64))
+        for (s, d, image), offset in zip(rows, np.repeat(FORWARD_OFFSETS, 64, axis=0)):
+            assert tuple((coords[s] + offset) // 4) == image
+            assert tuple((coords[s] + offset) % 4) == tuple(coords[d])
 
     def test_deduplicated_on_tiny_grid(self):
         box = Box((5.0, 5.0, 5.0))
         cl = build_cell_list(np.zeros((1, 3)), box, min_cell_size=2.5)
-        src, dst = cl.neighbor_cell_pairs()
-        # 2x2x2 periodic grid: +1 and -1 wrap to the same cell, so each
-        # cell sees every cell exactly once (8 pairs per cell)
-        assert len(src) == 8 * 8
-        keys = set(zip(src.tolist(), dst.tolist()))
-        assert len(keys) == len(src)
+        rows = stencil_rows(cl)
+        # 2x2x2 periodic grid: +1 and -1 reach the same cell through
+        # different images, so no (cell pair, image) may come up twice in
+        # either orientation, and with the mirrored rows the 26 non-zero
+        # image steps of every cell are all there
+        assert len(rows) == 13 * 8
+        mirrored = [(d, s, tuple(-i for i in im)) for s, d, im in rows]
+        assert len(set(rows + mirrored)) == 26 * 8
 
     def test_single_cell_grid_self_pair(self):
-        box = Box((2.0, 2.0, 2.0))
-        cl = build_cell_list(np.zeros((1, 3)), box, min_cell_size=3.0)
-        src, dst = cl.neighbor_cell_pairs()
-        assert src.tolist() == [0]
-        assert dst.tolist() == [0]
+        positions = np.zeros((1, 3))
+        open_box = Box((2.0, 2.0, 2.0), periodic=(False, False, False))
+        assert stencil_rows(build_cell_list(positions, open_box, 3.0)) == []
+        # one periodic cell is its own neighbour through 13 distinct
+        # non-zero images (the other 13 are their mirrors)
+        rows = stencil_rows(build_cell_list(positions, Box((2.0, 2.0, 2.0)), 3.0))
+        assert [(s, d) for s, d, _ in rows] == [(0, 0)] * 13
+        assert [im for _, _, im in rows] == list(FORWARD_OFFSETS)
 
     def test_open_boundary_clips(self):
         box = Box((9.0, 9.0, 9.0), periodic=(False, False, False))
         cl = build_cell_list(np.zeros((1, 3)), box, min_cell_size=3.0)
-        src, dst = cl.neighbor_cell_pairs()
-        # corner cells only see 8 neighbors (incl. self), center sees 27
-        counts = np.bincount(src, minlength=27)
-        assert counts.min() == 8
-        assert counts.max() == 27
+        rows = stencil_rows(cl)
+        assert all(image == (0, 0, 0) for _, _, image in rows)
+        # forward + backward neighbours per cell: a corner cell has 7,
+        # the centre cell all 26
+        degree = np.bincount([s for s, _, _ in rows] + [d for _, d, _ in rows])
+        assert degree.min() == 7
+        assert degree.max() == 26
+        assert len(rows) == degree.sum() // 2 == 158
+
+
+class TestNonFinitePositions:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_named_atom_error(self, bad):
+        positions = np.full((5, 3), 1.0)
+        positions[3, 1] = bad
+        with pytest.raises(ValueError, match=r"first at index \(3, 1\)"):
+            build_cell_list(positions, Box((9.0, 9.0, 9.0)), min_cell_size=3.0)

@@ -57,6 +57,19 @@ class TestNeighborManagement:
         with pytest.raises(ValueError):
             Simulation(atoms, fe_potential(), rebuild_every=0)
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_position_stops_the_run(self, sim, bad):
+        """A poisoned atom must end the run with its name, not a wrong list.
+
+        On the parent commit ``nan > skin/2`` was False, so the stale list
+        was kept forever and the run finished all three steps.
+        """
+        sim.run(1)
+        sim.atoms.positions[17, 2] = bad
+        with pytest.raises(ValueError, match=r"first at index \(17, 2\)"):
+            sim.run(3)
+
 
 class TestRun:
     def test_report_counts(self, sim):

@@ -150,6 +150,37 @@ class TestRebuildCriterion:
         moved[0, 0] += box.lengths[0]  # full period = no real motion
         assert nlist.max_displacement(moved) == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "periodic",
+        [(True, True, True), (True, False, True), (False, False, True), (False,) * 3],
+    )
+    def test_displacement_equals_wrap_then_fold(self, periodic):
+        """The single-fold check returns what wrap + subtract + fold did."""
+        rng = default_rng(3)
+        box = Box((9.0, 11.0, 13.0), periodic=periodic)
+        built_from = rng.uniform(0.0, 1.0, size=(200, 3)) * box.lengths
+        nlist = build_neighbor_list(built_from, box, cutoff=2.0, skin=0.4)
+        # thermal-size motion, then whole box lengths added so the positions
+        # are unwrapped by up to three periods (an open axis keeps them)
+        moved = built_from + rng.normal(0.0, 0.1, size=built_from.shape)
+        moved[:, np.array(periodic)] += (
+            rng.integers(-3, 4, size=(200, sum(periodic)))
+            * box.lengths[np.array(periodic)]
+        )
+        moved[0] = built_from[0] + box.lengths / 2.0  # the fold's tie
+        delta = box.minimum_image(box.wrap(moved) - nlist.reference_positions)
+        expected = float(np.sqrt(np.max(np.sum(delta * delta, axis=1))))
+        assert nlist.max_displacement(moved) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_position_asks_for_rebuild(self, perfect_system, bad):
+        positions, box = perfect_system
+        nlist = build_neighbor_list(positions, box, cutoff=3.6, skin=0.4)
+        moved = positions.copy()
+        moved[7, 1] = bad
+        assert nlist.needs_rebuild(moved)
+
 
 @given(st.integers(0, 10**6), st.floats(2.0, 3.5))
 @settings(max_examples=15, deadline=None)

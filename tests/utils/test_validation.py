@@ -55,5 +55,5 @@ def test_check_finite_accepts_finite():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_check_finite_rejects(bad):
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match=r"1 non-finite .* first at index \(1,\)"):
         check_finite(np.array([1.0, bad]), "arr")
