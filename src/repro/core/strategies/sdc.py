@@ -26,6 +26,7 @@ from repro.core.partition import (
 )
 from repro.core.schedule import ColorSchedule, build_schedule
 from repro.core.strategies.base import ReductionStrategy, atom_chunks
+from repro.kernels.base import check_pair_separation
 from repro.md.atoms import Atoms
 from repro.md.neighbor.verlet import NeighborList
 from repro.parallel.backends.base import ExecutionBackend
@@ -223,16 +224,23 @@ class SDCStrategy(ReductionStrategy):
 
         # phase 1: densities, color by color
         rho = self._array("rho", n)
-        # fused drivers return per-color pair-energy partials, saving the
-        # separate full-pair-list energy pass at the end
-        color_energy = np.zeros(max(len(schedule.phases), 1))
+        # one geometry pass per evaluation: each density task keeps its
+        # subdomain's (delta, r) and pair-energy partial in its own slot, and
+        # the same subdomain's force task reads them back after the density
+        # region's last barrier (fused drivers return one partial per color)
+        n_subdomains = len(pairs.offsets) - 1
+        geometry: list = [None] * n_subdomains
+        energy = np.zeros(len(schedule.phases) if fused else n_subdomains)
 
         def density_task(subdomain: int):
             def run() -> None:
                 i_idx, j_idx = pairs.pairs_of(subdomain)
                 if len(i_idx) == 0:
                     return
-                _, r = pair_geometry(positions, box, i_idx, j_idx, tier=tier)
+                delta, r = pair_geometry(positions, box, i_idx, j_idx, tier=tier)
+                check_pair_separation(r, (i_idx, j_idx))
+                geometry[subdomain] = delta, r
+                energy[subdomain] = float(np.sum(potential.pair_energy(r)))
                 phi = density_pair_values(potential, r, tier=tier)
                 scatter_rho_half(rho, i_idx, j_idx, phi, tier=tier)
 
@@ -240,7 +248,7 @@ class SDCStrategy(ReductionStrategy):
 
         def fused_density_task(color: int, members: np.ndarray):
             def run() -> None:
-                color_energy[color] = tier.sdc_density_color_phase(
+                energy[color] = tier.sdc_density_color_phase(
                     potential,
                     positions,
                     box,
@@ -298,7 +306,7 @@ class SDCStrategy(ReductionStrategy):
                 i_idx, j_idx = pairs.pairs_of(subdomain)
                 if len(i_idx) == 0:
                     return
-                delta, r = pair_geometry(positions, box, i_idx, j_idx, tier=tier)
+                delta, r = geometry[subdomain]
                 coeff = force_pair_coefficients(
                     potential,
                     r,
@@ -343,14 +351,9 @@ class SDCStrategy(ReductionStrategy):
                             [force_task(int(s)) for s in members]
                         )
 
-        if fused:
-            # the fused density drivers already summed phi-pair energies
-            # color by color over the full (half) pair partition
-            pair_energy = float(np.sum(color_energy))
-        else:
-            pair_energy = self._total_pair_energy(potential, atoms, nlist)
         return self._finalize(
-            potential, atoms, nlist, rho, fp, forces, embedding_energy, pair_energy
+            potential, atoms, nlist, rho, fp, forces, embedding_energy,
+            float(np.sum(energy)),
         )
 
     def _use_fused(self, tier, potential: EAMPotential) -> bool:

@@ -4,7 +4,8 @@ A *kernel tier* is one implementation of the EAM hot-path primitives: the
 pair-slice building blocks (:meth:`KernelTier.pair_geometry`,
 :meth:`KernelTier.density_pair_values`, the four scatters,
 :meth:`KernelTier.force_pair_coefficients`) plus the two fused per-phase
-drivers the serial path and the bench harness call.  The NumPy tier is the
+drivers the bench harness calls and the whole-evaluation entry point
+(:meth:`KernelTier.evaluate`) of the serial path.  The NumPy tier is the
 reference; compiled tiers (Numba today) must reproduce it to floating-point
 noise on every entry point — asserted by ``tests/kernels/``.
 
@@ -32,6 +33,8 @@ from abc import ABC, abstractmethod
 from typing import ClassVar, Optional, Tuple
 
 import numpy as np
+
+from repro.utils.profiler import NULL_PHASE
 
 #: pairs closer than this (Å) are treated as overlapping atoms — any
 #: spline/derivative evaluation there is extrapolated garbage and the
@@ -145,6 +148,15 @@ def overlap_error(
         f"(< {min_separation:g} Å); the EAM force coefficient diverges "
         "as 1/r — fix the initial configuration or the timestep"
     )
+
+
+def check_pair_separation(
+    r: np.ndarray, pair_ids=None, min_separation: float = MIN_PAIR_SEPARATION
+) -> None:
+    """Raise :func:`overlap_error` naming the slice's closest pair when it
+    is nearer than ``min_separation``."""
+    if len(r) and float(np.min(r)) < min_separation:
+        raise overlap_error(r, int(np.argmin(r)), pair_ids, min_separation)
 
 
 class KernelTier(ABC):
@@ -277,6 +289,28 @@ class KernelTier(ABC):
         counter=None,
     ) -> np.ndarray:
         """Phase 3: forces from the cached embedding derivatives."""
+
+    def evaluate(
+        self, potential, positions, box, nlist, counter=None, profiler=None
+    ) -> Tuple[np.ndarray, float, float, np.ndarray, np.ndarray]:
+        """One whole evaluation, density → embedding → force, each phase
+        timed under its canonical name when ``profiler`` is given:
+        ``(rho, pair_energy, embedding_energy, fp, forces)``.  A tier whose
+        force pass can reuse the density pass's pair geometry overrides it.
+        """
+        from repro.potentials.eam import eam_embedding_phase  # imports us
+
+        with profiler.phase("density") if profiler else NULL_PHASE:
+            rho, pair_energy = self.density_and_pair_energy_phase(
+                potential, positions, box, nlist, counter
+            )
+        with profiler.phase("embedding") if profiler else NULL_PHASE:
+            embedding_energy, fp = eam_embedding_phase(potential, rho, counter)
+        with profiler.phase("force") if profiler else NULL_PHASE:
+            forces = self.force_phase(
+                potential, positions, box, nlist, fp, counter
+            )
+        return rho, pair_energy, embedding_energy, fp, forces
 
     # --- fused SDC color-phase drivers ----------------------------------------
 

@@ -21,10 +21,11 @@ from repro.kernels.base import (
     MIN_PAIR_SEPARATION,
     KernelTier,
     check_owned_accumulator,
+    check_pair_separation,
     check_scatter_indices,
-    overlap_error,
 )
 from repro.utils.arrays import segment_sum
+from repro.utils.profiler import NULL_PHASE
 
 
 class NumpyKernelTier(KernelTier):
@@ -45,9 +46,27 @@ class NumpyKernelTier(KernelTier):
     # --- pair-slice primitives ----------------------------------------------
 
     def pair_geometry(self, positions, box, i_idx, j_idx):
-        delta = box.minimum_image(positions[i_idx] - positions[j_idx])
-        r = np.sqrt(np.sum(delta * delta, axis=1))
-        return delta, r
+        # component-major: after the row gathers (cost follows the slice, not
+        # the atom count) every axis is one contiguous row through
+        # ``Box.minimum_image``'s floor-based fold and the x, y, z
+        # accumulation of r^2; callers see (P, 3) as a transposed view
+        delta = np.take(positions, i_idx, axis=0)
+        delta -= np.take(positions, j_idx, axis=0)
+        delta = np.ascontiguousarray(delta.T, dtype=np.float64)
+        r = np.zeros(delta.shape[1])
+        scratch = np.empty_like(r)
+        for axis in range(3):
+            row = delta[axis]
+            if box.periodic[axis]:
+                length = box.lengths[axis]
+                np.divide(row, length, out=scratch)
+                scratch += 0.5
+                np.floor(scratch, out=scratch)
+                scratch *= length
+                row -= scratch
+            np.multiply(row, row, out=scratch)
+            r += scratch
+        return delta.T, np.sqrt(r, out=r)
 
     def density_pair_values(self, potential, r):
         return potential.density(r)
@@ -74,9 +93,7 @@ class NumpyKernelTier(KernelTier):
         pair_ids: Optional[Tuple[np.ndarray, np.ndarray]] = None,
         min_separation: float = MIN_PAIR_SEPARATION,
     ):
-        if len(r) and float(np.min(r)) < min_separation:
-            k = int(np.argmin(r))
-            raise overlap_error(r, k, pair_ids, min_separation)
+        check_pair_separation(r, pair_ids, min_separation)
         vp = potential.pair_energy_deriv(r)
         dp = potential.density_deriv(r)
         return -(vp + (fp_i + fp_j) * dp) / r
@@ -106,50 +123,85 @@ class NumpyKernelTier(KernelTier):
         counter=None,
         want_pair_energy: bool = True,
     ):
-        n = len(positions)
-        rho = np.zeros(n)
         i_idx, j_idx = nlist.pair_arrays()
-        if len(i_idx) == 0:
-            return rho, 0.0
         _, r = self.pair_geometry(positions, box, i_idx, j_idx)
-        phi = self.density_pair_values(potential, r)
-        if nlist.half:
-            rho += np.bincount(i_idx, weights=phi, minlength=n)
-            rho += np.bincount(j_idx, weights=phi, minlength=n)
-        else:
-            rho += np.bincount(i_idx, weights=phi, minlength=n)
-        pair_energy = 0.0
-        if want_pair_energy:
-            v = potential.pair_energy(r)
-            pair_energy = float(np.sum(v)) * (1.0 if nlist.half else 0.5)
-        if counter is not None:
-            counter.add("density_pairs", len(i_idx))
-            counter.add("rho_updates", (2 if nlist.half else 1) * len(i_idx))
-        return rho, pair_energy
+        return self._density(
+            potential, len(positions), nlist.half, i_idx, j_idx, r,
+            counter, want_pair_energy,
+        )
 
     def force_phase(
         self, potential, positions, box, nlist, fp, counter=None
     ):
-        n = len(positions)
-        forces = np.zeros((n, 3))
         i_idx, j_idx = nlist.pair_arrays()
+        delta, r = self.pair_geometry(positions, box, i_idx, j_idx)
+        return self._force(
+            potential, len(positions), nlist.half, i_idx, j_idx, delta, r,
+            fp, counter,
+        )
+
+    def evaluate(
+        self, potential, positions, box, nlist, counter=None, profiler=None
+    ):
+        from repro.potentials.eam import eam_embedding_phase  # imports us
+
+        n = len(positions)
+        # one geometry pass serves both pair phases (charged to density, as
+        # in the process engine); an overlap stops here, before any scatter
+        with profiler.phase("density") if profiler else NULL_PHASE:
+            i_idx, j_idx = nlist.pair_arrays()
+            delta, r = self.pair_geometry(positions, box, i_idx, j_idx)
+            check_pair_separation(r, (i_idx, j_idx))
+            rho, pair_energy = self._density(
+                potential, n, nlist.half, i_idx, j_idx, r, counter, True
+            )
+        with profiler.phase("embedding") if profiler else NULL_PHASE:
+            embedding_energy, fp = eam_embedding_phase(potential, rho, counter)
+        with profiler.phase("force") if profiler else NULL_PHASE:
+            forces = self._force(
+                potential, n, nlist.half, i_idx, j_idx, delta, r, fp, counter
+            )
+        return rho, pair_energy, embedding_energy, fp, forces
+
+    def _density(
+        self, potential, n, half, i_idx, j_idx, r, counter, want_pair_energy
+    ):
+        """Phase 1 over a whole pair list whose distances are ``r``."""
+        rho = np.zeros(n)
+        if len(i_idx) == 0:
+            return rho, 0.0
+        phi = self.density_pair_values(potential, r)
+        rho += np.bincount(i_idx, weights=phi, minlength=n)
+        if half:
+            rho += np.bincount(j_idx, weights=phi, minlength=n)
+        pair_energy = 0.0
+        if want_pair_energy:
+            v = potential.pair_energy(r)
+            pair_energy = float(np.sum(v)) * (1.0 if half else 0.5)
+        if counter is not None:
+            counter.add("density_pairs", len(i_idx))
+            counter.add("rho_updates", (2 if half else 1) * len(i_idx))
+        return rho, pair_energy
+
+    def _force(
+        self, potential, n, half, i_idx, j_idx, delta, r, fp, counter
+    ):
+        """Phase 3 over a whole pair list with geometry ``(delta, r)``."""
+        forces = np.zeros((n, 3))
         if len(i_idx) == 0:
             return forces
-        delta, r = self.pair_geometry(positions, box, i_idx, j_idx)
         coeff = self.force_pair_coefficients(
             potential, r, fp[i_idx], fp[j_idx], pair_ids=(i_idx, j_idx)
         )
         pair_forces = coeff[:, None] * delta
-        if nlist.half:
-            forces += segment_sum(pair_forces, i_idx, n)
+        # full list: both directions are present, each directed pair
+        # writes its whole contribution into the owning row only
+        forces += segment_sum(pair_forces, i_idx, n)
+        if half:
             forces -= segment_sum(pair_forces, j_idx, n)
-        else:
-            # full list: both directions are present, each directed pair
-            # writes its whole contribution into the owning row only
-            forces += segment_sum(pair_forces, i_idx, n)
         if counter is not None:
             counter.add("force_pairs", len(i_idx))
             counter.add(
-                "force_updates", (2 if nlist.half else 1) * len(i_idx) * 3
+                "force_updates", (2 if half else 1) * len(i_idx) * 3
             )
         return forces

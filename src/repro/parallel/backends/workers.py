@@ -54,6 +54,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import kernels
+from repro.kernels.base import check_pair_separation
 from repro.parallel.backends.base import BackendError
 from repro.potentials.base import EAMPotential
 from repro.utils.profiler import NULL_PHASE, PHASE_SETUP, PhaseProfiler
@@ -471,6 +472,7 @@ class ChunkWorker:
                 delta, r = tier.pair_geometry(
                     views["positions"], self.box, i_idx, j_idx
                 )
+                check_pair_separation(r, (i_idx, j_idx))
                 views["pair_delta"][lo:hi] = delta
                 views["pair_r"][lo:hi] = r
                 pair_energy += float(np.sum(potential.pair_energy(r)))

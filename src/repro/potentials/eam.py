@@ -37,7 +37,7 @@ from repro.kernels.base import MIN_PAIR_SEPARATION
 from repro.md.atoms import Atoms
 from repro.md.neighbor.verlet import NeighborList
 from repro.potentials.base import EAMPotential
-from repro.utils.profiler import NULL_PHASE, PhaseProfiler
+from repro.utils.profiler import PhaseProfiler
 from repro.utils.timers import Counter
 
 __all__ = [
@@ -331,23 +331,16 @@ def compute_eam_forces_serial(
 
     This is the reference every parallel strategy must reproduce; it is
     also the timing baseline of the paper ("runtimes of serial programs on
-    one core").  The pair energy is evaluated inside phase 1 (fused with
-    the density pass, reusing the pair distances) rather than in a third
-    sweep over the pair list.  When ``profiler`` is given, each phase's
-    wall-clock is recorded under its canonical name.
+    one core").  The three phases are composed by the tier
+    (:meth:`~repro.kernels.KernelTier.evaluate`): the pair energy is
+    evaluated inside phase 1, and the NumPy tier also hands phase 1's pair
+    geometry to phase 3 instead of sweeping the pair list again.  When
+    ``profiler`` is given, each phase's wall-clock is recorded under its
+    canonical name.
     """
-    positions = atoms.positions
-    box = atoms.box
-    with profiler.phase("density") if profiler else NULL_PHASE:
-        rho, pair_energy = eam_density_and_pair_energy_phase(
-            potential, positions, box, nlist, counter, tier=tier
-        )
-    with profiler.phase("embedding") if profiler else NULL_PHASE:
-        emb_energy, fp = eam_embedding_phase(potential, rho, counter)
-    with profiler.phase("force") if profiler else NULL_PHASE:
-        forces = eam_force_phase(
-            potential, positions, box, nlist, fp, counter, tier=tier
-        )
+    rho, pair_energy, emb_energy, fp, forces = _tier(
+        tier, "evaluate"
+    ).evaluate(potential, atoms.positions, atoms.box, nlist, counter, profiler)
     atoms.rho[:] = rho
     atoms.fp[:] = fp
     atoms.forces[:] = forces

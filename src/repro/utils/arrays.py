@@ -112,12 +112,20 @@ def segment_sum(values: np.ndarray, segment_ids: np.ndarray, n_segments: int) ->
     """Scatter-add ``values`` into ``n_segments`` bins keyed by ``segment_ids``.
 
     This is the irregular reduction at the heart of the paper: ``rho[j] +=``
-    and ``force[j] -=`` over a neighbor list.  ``np.add.at`` is used: on
-    NumPy >= 2 its indexed-add fast path beats ``np.bincount`` for these
-    integer-keyed streams (measured ~1.5x on million-atom workloads; older
-    NumPy releases preferred bincount).
+    and ``force[j] -=`` over a neighbor list.  1-D values go through
+    ``np.add.at`` and 2-D ``(n, k)`` values through one ``np.bincount`` per
+    column; both accumulate in input order from zero, so the sums are
+    bit-identical.  Measured on NumPy 2.4.6, 57,344 values into 8,192 bins:
+    1-D is on ``np.add.at``'s indexed fast path (0.06–0.11 ms, the same as
+    bincount); 2-D has no such path (1.7–2.6 ms for three columns against
+    0.25–0.55 ms column-wise).
 
-    Supports 1-D values or 2-D ``(n, k)`` values (summed per column).
+    Raises
+    ------
+    IndexError
+        if an id falls outside ``[0, n_segments)`` — ``np.add.at`` would
+        wrap a negative id onto the last bins and ``np.bincount`` grow its
+        output for a large one, crediting the wrong segment either way.
     """
     segment_ids = np.asarray(segment_ids)
     values = np.asarray(values)
@@ -127,15 +135,25 @@ def segment_sum(values: np.ndarray, segment_ids: np.ndarray, n_segments: int) ->
         raise ValueError(
             f"values first axis {values.shape[:1]} must match segment_ids {segment_ids.shape}"
         )
+    if values.ndim not in (1, 2):
+        raise ValueError("values must be 1-D or 2-D")
+    if len(segment_ids):
+        lo, hi = int(segment_ids.min()), int(segment_ids.max())
+        if lo < 0 or hi >= n_segments:
+            raise IndexError(
+                f"segment id {lo if lo < 0 else hi} is outside the valid "
+                f"range [0, {n_segments})"
+            )
     if values.ndim == 1:
         out = np.zeros(n_segments)
         np.add.at(out, segment_ids, values)
         return out
-    if values.ndim == 2:
-        out = np.zeros((n_segments, values.shape[1]))
-        np.add.at(out, segment_ids, values)
-        return out
-    raise ValueError("values must be 1-D or 2-D")
+    out = np.empty((n_segments, values.shape[1]))
+    for k in range(values.shape[1]):
+        out[:, k] = np.bincount(
+            segment_ids, weights=values[:, k], minlength=n_segments
+        )
+    return out
 
 
 def invert_permutation(perm: np.ndarray) -> np.ndarray:

@@ -1,0 +1,295 @@
+"""One pair-geometry pass per force evaluation, and what that pass returns.
+
+* the contract, by count: a serial evaluation and an SDC evaluation each
+  push every pair through ``pair_geometry`` exactly once (they used to
+  push ``2P`` and ``3P``);
+* the layout: the component-major ``pair_geometry`` is *exactly* the
+  row-major ``Box.minimum_image`` formulation it replaced — ties, far
+  images, dtypes, strides, empty slices;
+* the consequence: an overlap is found at the head of the evaluation,
+  before anything is scattered;
+* the trajectory: 60 serial steps are bit-identical to the parent
+  commit's kernels.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+import multiprocessing as mp
+
+import numpy as np
+import pytest
+
+from repro.core.strategies.sdc import SDCStrategy
+from repro.core.strategies.serial import SerialStrategy
+from repro.geometry.box import Box
+from repro.harness.cases import Case
+from repro.kernels.numpy_tier import NumpyKernelTier
+from repro.md import Atoms, build_neighbor_list
+from repro.md.calculator import EAMCalculator
+from repro.md.integrators import VelocityVerlet
+from repro.md.simulation import SerialCalculator, Simulation
+from repro.parallel.backends.base import BackendError
+from repro.parallel.backends.serial import SerialBackend
+from repro.parallel.backends.threads import ThreadBackend
+from repro.potentials import compute_eam_forces_serial, fe_potential
+from repro.potentials.johnson_fe import JohnsonFePotential
+
+
+class CountingTier(NumpyKernelTier):
+    """The NumPy tier, recording the size of every geometry pass."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.passes: list = []
+
+    def pair_geometry(self, positions, box, i_idx, j_idx):
+        self.passes.append(len(i_idx))
+        return super().pair_geometry(positions, box, i_idx, j_idx)
+
+
+class TestOnePassByCount:
+    def test_serial_evaluation_is_one_whole_list_pass(
+        self, potential, sdc_atoms, sdc_nlist
+    ):
+        tier = CountingTier()
+        strategy = SerialStrategy()
+        strategy.set_kernel_tier(tier)
+        strategy.compute(potential, sdc_atoms.copy(), sdc_nlist)
+        assert tier.passes == [sdc_nlist.n_pairs]
+
+    def test_standalone_phases_each_pay_their_own_pass(
+        self, potential, sdc_atoms, sdc_nlist
+    ):
+        """The probes and ``repro bench`` time the phases alone."""
+        tier = CountingTier()
+        positions, box = sdc_atoms.positions, sdc_atoms.box
+        rho, _ = tier.density_and_pair_energy_phase(
+            potential, positions, box, sdc_nlist
+        )
+        tier.force_phase(
+            potential, positions, box, sdc_nlist, potential.embed_deriv(rho)
+        )
+        assert tier.passes == [sdc_nlist.n_pairs] * 2
+
+    @pytest.mark.parametrize("dims", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "backend", [SerialBackend, lambda: ThreadBackend(2)], ids=["serial", "threads"]
+    )
+    def test_sdc_evaluation_geometry_totals_one_pass(
+        self, potential, sdc_atoms, sdc_nlist, reference_result, dims, backend
+    ):
+        tier = CountingTier()
+        with backend() as pool:
+            strategy = SDCStrategy(dims=dims, n_threads=2, backend=pool)
+            strategy.set_kernel_tier(tier)
+            result = strategy.compute(potential, sdc_atoms.copy(), sdc_nlist)
+        assert sum(tier.passes) == sdc_nlist.n_pairs
+        # the density tasks' partial sums replace the third, serial pass
+        assert result.pair_energy == pytest.approx(
+            reference_result.pair_energy, rel=1e-12
+        )
+
+
+def reference_geometry(positions, box, i_idx, j_idx):
+    """The row-major formulation ``pair_geometry`` replaced."""
+    delta = box.minimum_image(positions[i_idx] - positions[j_idx])
+    return delta, np.sqrt(np.sum(delta * delta, axis=1))
+
+
+class TestPairGeometryLayout:
+    LENGTHS = (10.0, 12.0, 9.0)
+
+    def assert_exact(self, positions, box, i_idx, j_idx):
+        delta, r = NumpyKernelTier().pair_geometry(positions, box, i_idx, j_idx)
+        want_delta, want_r = reference_geometry(positions, box, i_idx, j_idx)
+        assert delta.shape == want_delta.shape and r.shape == want_r.shape
+        assert delta.dtype == np.float64 and r.dtype == np.float64
+        assert np.array_equal(delta, want_delta)
+        assert np.array_equal(r, want_r)
+
+    @pytest.mark.parametrize(
+        "periodic", list(itertools.product([True, False], repeat=3))
+    )
+    def test_every_periodicity_mask_far_images_and_ties(self, periodic, rng):
+        box = Box(self.LENGTHS, periodic)
+        # unwrapped positions several boxes out on every side ...
+        positions = rng.uniform(-4.0, 5.0, size=(40, 3)) * box.lengths
+        # ... and, per axis, a pair whose displacement is exactly +-L/2
+        for axis in range(3):
+            positions[2 * axis] = 1.0
+            positions[2 * axis + 1] = 1.0
+            positions[2 * axis + 1, axis] += box.lengths[axis] / 2
+        i_idx, j_idx = (a.ravel() for a in np.indices((40, 40)))
+        self.assert_exact(positions, box, i_idx, j_idx)
+        delta, _ = NumpyKernelTier().pair_geometry(positions, box, i_idx, j_idx)
+        delta = delta.reshape(40, 40, 3)
+        for axis in np.flatnonzero(periodic):
+            # the floor rule folds +L/2 and -L/2 alike onto -L/2
+            a, b = 2 * axis, 2 * axis + 1
+            assert delta[a, b, axis] == delta[b, a, axis] == -box.lengths[axis] / 2
+
+    def test_float32_and_non_contiguous_positions(self, rng):
+        box = Box(self.LENGTHS)
+        wide = rng.uniform(0.0, 9.0, size=(30, 6))
+        i_idx = rng.integers(0, 30, size=200)
+        j_idx = rng.integers(0, 30, size=200)
+        self.assert_exact(wide.astype(np.float32)[:, :3], box, i_idx, j_idx)
+        self.assert_exact(wide[:, ::2], box, i_idx, j_idx)
+        self.assert_exact(np.asfortranarray(wide[:, :3]), box, i_idx, j_idx)
+
+    def test_empty_slice(self):
+        empty = np.empty(0, dtype=np.int64)
+        delta, r = NumpyKernelTier().pair_geometry(
+            np.ones((4, 3)), Box(self.LENGTHS), empty, empty
+        )
+        assert delta.shape == (0, 3) and r.shape == (0,)
+
+    def test_consumers_see_rows_of_three(self, sdc_atoms, sdc_nlist):
+        """Only the strides differ: ``(P, 3)``, components contiguous."""
+        i_idx, j_idx = sdc_nlist.pair_arrays()
+        delta, _ = NumpyKernelTier().pair_geometry(
+            sdc_atoms.positions, sdc_atoms.box, i_idx, j_idx
+        )
+        assert delta.shape == (len(i_idx), 3)
+        assert delta.T.flags.c_contiguous
+        assert (delta[:, None, 0] * delta).T.flags.c_contiguous
+
+
+@pytest.fixture()
+def overlapping(sdc_atoms, potential):
+    """The SDC-capable system with atom 1 moved 1e-9 Å from atom 0."""
+    positions = sdc_atoms.positions.copy()
+    positions[1] = positions[0] + (0.0, 0.0, 1e-9)
+    atoms = Atoms(box=sdc_atoms.box, positions=positions)
+    for array in (atoms.rho, atoms.fp, atoms.forces):
+        array[...] = 7.0
+    nlist = build_neighbor_list(
+        positions, atoms.box, cutoff=potential.cutoff, skin=0.3, half=True
+    )
+    return atoms, nlist
+
+
+class ScatterSpy(NumpyKernelTier):
+    """Fails the test if phase 1 goes on for a slice holding the overlap."""
+
+    def density_pair_values(self, potential, r):
+        assert r.min() > 1e-6, "density evaluated for an overlapping pair"
+        return super().density_pair_values(potential, r)
+
+
+class NoEmbedding(JohnsonFePotential):
+    """Fails the test if an evaluation gets as far as phase 2."""
+
+    def embed(self, rho):
+        raise AssertionError("embedding ran after an overlap")
+
+
+class TestOverlapStopsBeforeAnyScatter:
+    MESSAGE = r"overlapping atoms: atoms 0 and 1 are separated by 1\.000e-09"
+
+    @staticmethod
+    def assert_untouched(atoms):
+        for array in (atoms.rho, atoms.fp, atoms.forces):
+            assert np.all(array == 7.0)
+
+    def test_serial(self, potential, overlapping):
+        atoms, nlist = overlapping
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            compute_eam_forces_serial(potential, atoms, nlist, tier=ScatterSpy())
+        self.assert_untouched(atoms)
+
+    @pytest.mark.parametrize(
+        "backend", [SerialBackend, lambda: ThreadBackend(2)], ids=["serial", "threads"]
+    )
+    def test_sdc(self, potential, overlapping, backend):
+        atoms, nlist = overlapping
+        with backend() as pool:
+            strategy = SDCStrategy(dims=2, n_threads=2, backend=pool)
+            strategy.set_kernel_tier(ScatterSpy())
+            with pytest.raises(ValueError, match=self.MESSAGE):
+                strategy.compute(potential, atoms, nlist)
+        self.assert_untouched(atoms)
+
+    @pytest.mark.linux
+    def test_process_engine(self, overlapping):
+        if "fork" not in mp.get_all_start_methods():
+            pytest.skip("requires fork")
+        from repro.parallel.backends.processes import ProcessSDCCalculator
+
+        atoms, nlist = overlapping
+        with ProcessSDCCalculator(dims=2, n_workers=2) as calc:
+            with pytest.raises((ValueError, BackendError), match=self.MESSAGE):
+                calc.compute(NoEmbedding(), atoms, nlist)
+        self.assert_untouched(atoms)
+
+
+# --------------------------------------------------------------------------
+# bit-identity with the parent commit's kernels
+# --------------------------------------------------------------------------
+
+#: sha256 over float64 bytes, produced by this file's ``trajectory`` on the
+#: parent commit (row-major geometry twice per evaluation, ``np.add.at``
+#: force scatter) — x86-64, Python 3.11.7, NumPy 2.4.6, glibc 2.36
+PARENT_DIGESTS = {
+    "serial state": "11cb9c36c6e0aff2420546f1dbc97cc1a0a5f31048ddee3af71f1e31d4897a0e",
+    "serial energies": "e0cc0676c19bfe4ab2c0cac64d30e8399c4a549fa22016d74f44094a7626c423",
+    "sdc state": "10bd7d6c1575210ca79a7bfeec161d278ed55f1884d90aa95f3a04f90c139e0e",
+}
+#: the same hash over ``exp`` and the four potential functions on a fixed
+#: grid: the only host-dependent arithmetic in a step (NumPy's SIMD
+#: transcendentals differ in the last place between CPU families), so a
+#: mismatch here means "other host", not "other kernels"
+HOST_CANARY = "7463d19e59f68c285ec23a10276e570703302fe56ce0ff494afff6d41f7757f7"
+
+
+def digest(*arrays) -> str:
+    sha = hashlib.sha256()
+    for array in arrays:
+        sha.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
+    return sha.hexdigest()
+
+
+def trajectory(calculator):
+    """1,024-atom bcc Fe at 900 K, skin 0.1: 60 steps, 13 rebuilds."""
+    atoms = Case("bit-identity", "1,024-atom bcc Fe", 8).build(
+        perturbation=0.05, temperature=900.0, seed=7
+    )
+    sim = Simulation(
+        atoms, fe_potential(), calculator, VelocityVerlet(1.0e-3), skin=0.1
+    )
+    report = sim.run(60, sample_every=1)
+    assert report.n_neighbor_rebuilds == 13
+    energies = np.array([record.total_energy for record in report.records])
+    return digest(atoms.positions, atoms.forces, atoms.rho), energies
+
+
+class TestTrajectoryBitIdenticalToParent:
+    @pytest.fixture(autouse=True)
+    def same_host_arithmetic(self):
+        potential = fe_potential()
+        r = np.linspace(1.5, potential.cutoff, 4001)
+        canary = digest(
+            np.exp(-r),
+            potential.density(r),
+            potential.pair_energy(r),
+            potential.density_deriv(r),
+            potential.pair_energy_deriv(r),
+        )
+        if canary != HOST_CANARY:
+            pytest.skip("transcendentals differ from the digest host's")
+
+    def test_serial_state_and_every_step_energy(self):
+        state, energies = trajectory(SerialCalculator())
+        assert state == PARENT_DIGESTS["serial state"]
+        assert digest(energies) == PARENT_DIGESTS["serial energies"]
+
+    def test_sdc_state_and_energy_up_to_summation_order(self):
+        state, energies = trajectory(
+            EAMCalculator(SDCStrategy(dims=2, n_threads=2))
+        )
+        assert state == PARENT_DIGESTS["sdc state"]
+        # per-subdomain partials instead of one whole-list sum
+        _, serial_energies = trajectory(SerialCalculator())
+        assert np.max(np.abs(energies - serial_energies)) < 1e-10

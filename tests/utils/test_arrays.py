@@ -120,6 +120,37 @@ class TestSegmentSum:
         with pytest.raises(ValueError):
             segment_sum(np.ones((2, 2, 2)), np.zeros(2, dtype=int), 2)
 
+    @given(
+        n_segments=st.integers(1, 12),
+        n_values=st.integers(0, 60),
+        k=st.sampled_from([1, 3, 5]),
+        layout=st.sampled_from(["C", "F", "strided"]),
+        seed=st.integers(0, 2**31),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_2d_equals_add_at_exactly(self, n_segments, n_values, k, layout, seed):
+        """Column-wise bincount accumulates in the same order as
+        ``np.add.at``: equal to the last bit, whatever the memory layout."""
+        rng = np.random.default_rng(seed)
+        # few bins, many values: every id repeats
+        ids = rng.integers(0, n_segments, size=n_values)
+        if layout == "strided":
+            values = (rng.normal(size=(2 * n_values, 2 * k)) * 1e3)[::2, ::2]
+        else:
+            values = np.array(rng.normal(size=(n_values, k)) * 1e3, order=layout)
+        expected = np.zeros((n_segments, k))
+        np.add.at(expected, ids, values)
+        out = segment_sum(values, ids, n_segments)
+        assert out.shape == expected.shape
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("values", [np.ones(2), np.ones((2, 3))])
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_out_of_range_id_raises_naming_it(self, values, bad):
+        """-1 used to wrap onto the last bin without a trace."""
+        with pytest.raises(IndexError, match=rf"segment id {bad} "):
+            segment_sum(values, np.array([bad, 0]), 4)
+
 
 class TestInvertPermutation:
     def test_identity(self):
