@@ -1,9 +1,9 @@
 """Per-phase wall-clock profiles of the real kernels.
 
-Runs the :class:`repro.utils.profiler.PhaseProfiler` protocol (warmup +
-repeats + median/IQR) over serial and SDC executions and persists the
-rendered per-phase tables — the measured counterpart of the simulated
-phase breakdowns, and the data behind ``repro bench``.
+Runs the :func:`repro.utils.profiler.measure` protocol (warmup +
+repeats + median/IQR over tracer spans) on serial and SDC executions and
+persists the rendered per-phase tables — the measured counterpart of the
+simulated phase breakdowns, and the data behind ``repro bench``.
 """
 
 import numpy as np
@@ -14,9 +14,10 @@ from repro.harness.bench import bench_forces, render_bench_table
 from repro.harness.cases import Case
 from repro.harness.reordering import measure_reordering
 from repro.md.neighbor.verlet import build_neighbor_list
+from repro.obs.tracer import Tracer
 from repro.parallel.backends import ThreadBackend
 from repro.potentials import fe_potential
-from repro.utils.profiler import PhaseProfiler
+from repro.utils.profiler import measure, render_phase_table
 
 
 def _system(n_cells: int = 10):
@@ -28,32 +29,37 @@ def _system(n_cells: int = 10):
 
 def test_serial_phase_profile(results_dir):
     atoms, pot, nlist = _system()
-    profiler = PhaseProfiler()
+    tracer = Tracer()
     strategy = SerialStrategy()
-    strategy.attach_profiler(profiler)
-    stats = profiler.measure(
-        lambda: strategy.compute(pot, atoms, nlist), warmup=1, repeats=5
+    strategy.attach_tracer(tracer)
+    stats = measure(
+        tracer, lambda: strategy.compute(pot, atoms, nlist), warmup=1, repeats=5
     )
     assert {"density", "embedding", "force"} <= set(stats)
     # the three phases account for (almost) the whole evaluation
     phase_sum = sum(stats[p].median_s for p in ("density", "embedding", "force"))
     assert phase_sum <= stats["total"].median_s * 1.05
-    write_result(results_dir, "phase_profile_serial.txt", profiler.report())
+    write_result(
+        results_dir, "phase_profile_serial.txt", render_phase_table(stats)
+    )
 
 
 def test_sdc_threads_phase_profile(results_dir):
     atoms, pot, nlist = _system()
-    profiler = PhaseProfiler()
+    tracer = Tracer()
     with ThreadBackend(2) as backend:
         strategy = SDCStrategy(dims=2, n_threads=2, backend=backend)
-        strategy.attach_profiler(profiler)
-        stats = profiler.measure(
-            lambda: strategy.compute(pot, atoms, nlist), warmup=1, repeats=5
+        strategy.attach_tracer(tracer)
+        stats = measure(
+            tracer,
+            lambda: strategy.compute(pot, atoms, nlist),
+            warmup=1,
+            repeats=5,
         )
     assert "color-barrier" in stats
     assert stats["color-barrier"].median_s >= 0.0
     write_result(
-        results_dir, "phase_profile_sdc_threads.txt", profiler.report()
+        results_dir, "phase_profile_sdc_threads.txt", render_phase_table(stats)
     )
 
 

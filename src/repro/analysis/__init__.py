@@ -1,11 +1,10 @@
-"""Runtime analysis: execution events, dynamic race detection, differential
-strategy equivalence.
+"""Runtime analysis: dynamic race detection, differential strategy
+equivalence.
 
 The static conflict checker (:mod:`repro.core.conflict`) proves a planned
 schedule safe *before* execution; this package verifies the same claims on
 the executed program:
 
-* :mod:`repro.analysis.events` — ordered log of backend phase/task events.
 * :mod:`repro.analysis.shadow` — write-recording reduction arrays.
 * :mod:`repro.analysis.racecheck` — the dynamic race detector and the
   ``repro racecheck`` engine.
@@ -13,7 +12,6 @@ the executed program:
   equivalence harness.
 """
 
-from repro.analysis.events import EventLog, ExecutionEvent
 from repro.analysis.racecheck import (
     RaceCheckReport,
     RaceConflict,
@@ -25,8 +23,6 @@ from repro.analysis.racecheck import (
 from repro.analysis.shadow import ShadowArray, TaskWriteLog, wrap_array
 
 __all__ = [
-    "EventLog",
-    "ExecutionEvent",
     "RaceCheckReport",
     "RaceConflict",
     "WriteRecorder",

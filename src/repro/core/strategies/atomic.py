@@ -87,11 +87,10 @@ class AtomicStrategy(ReductionStrategy):
 
             return run
 
-        with self._phase("density"):
-            with self._span("density:atomic-scatter", n_chunks=len(chunks)):
-                self.backend.run_phase(
-                    [density_task(rows) for rows in chunks]
-                )
+        with self._span(
+            "density:atomic-scatter", phase="density", n_chunks=len(chunks)
+        ):
+            self.backend.run_phase([density_task(rows) for rows in chunks])
 
         fp = np.empty(n)
         emb_parts = np.zeros(len(chunks))
@@ -103,7 +102,7 @@ class AtomicStrategy(ReductionStrategy):
 
             return run
 
-        with self._phase("embedding"):
+        with self._span("embedding", phase="embedding"):
             self.backend.run_phase(
                 [embed_task(k, rows) for k, rows in enumerate(chunks)]
             )
@@ -126,11 +125,10 @@ class AtomicStrategy(ReductionStrategy):
 
             return run
 
-        with self._phase("force"):
-            with self._span("force:atomic-scatter", n_chunks=len(chunks)):
-                self.backend.run_phase(
-                    [force_task(rows) for rows in chunks]
-                )
+        with self._span(
+            "force:atomic-scatter", phase="force", n_chunks=len(chunks)
+        ):
+            self.backend.run_phase([force_task(rows) for rows in chunks])
 
         pair_energy = self._total_pair_energy(potential, atoms, nlist)
         return self._finalize(

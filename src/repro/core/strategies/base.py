@@ -20,12 +20,12 @@ import numpy as np
 
 from repro.md.atoms import Atoms
 from repro.md.neighbor.verlet import NeighborList
+from repro.obs.tracer import TracingObserver, span_of
 from repro.parallel.machine import MachineConfig
 from repro.parallel.plan import SimPlan
 from repro.parallel.workload import WorkloadStats
 from repro.potentials.base import EAMPotential
 from repro.potentials.eam import EAMComputation, pair_geometry
-from repro.utils.profiler import NULL_PHASE, PhaseProfiler
 
 
 class ReductionStrategy(ABC):
@@ -50,39 +50,10 @@ class ReductionStrategy(ABC):
     #: on different threads cannot clobber each other's tier).
     _kernel_tier = None
 
-    #: optional wall-clock profiler; when set, :meth:`_phase` times the
-    #: strategy's phase regions under their canonical names
-    _profiler: "PhaseProfiler | None" = None
-    _profiling_observer = None
-
     #: optional span tracer; when set, :meth:`_span` records the
-    #: strategy's merge/scatter/lock sections as timeline spans
+    #: strategy's phase regions and merge/scatter/lock sections as spans
     _tracer = None
     _tracing_observer = None
-
-    def attach_profiler(self, profiler: PhaseProfiler) -> None:
-        """Record per-phase wall-clock through ``profiler``.
-
-        Also adds a :class:`~repro.utils.profiler.ProfilingObserver` to
-        the strategy's backend (when it has one) so barrier slack is
-        charged to ``color-barrier``.  Added, not attached exclusively —
-        a tracer or event log may watch the same backend.
-        """
-        from repro.utils.profiler import ProfilingObserver
-
-        self._profiler = profiler
-        backend = getattr(self, "backend", None)
-        if backend is not None:
-            self._profiling_observer = ProfilingObserver(profiler)
-            backend.add_observer(self._profiling_observer)
-
-    def detach_profiler(self) -> None:
-        """Stop profiling (idempotent)."""
-        self._profiler = None
-        backend = getattr(self, "backend", None)
-        if backend is not None and self._profiling_observer is not None:
-            backend.remove_observer(self._profiling_observer)
-        self._profiling_observer = None
 
     def attach_tracer(self, tracer) -> None:
         """Record timeline spans through ``tracer``.
@@ -92,8 +63,6 @@ class ReductionStrategy(ABC):
         up on its worker's track, alongside the strategy-level region
         spans from :meth:`_span`.
         """
-        from repro.obs.tracer import TracingObserver
-
         self._tracer = tracer
         backend = getattr(self, "backend", None)
         if backend is not None:
@@ -108,17 +77,13 @@ class ReductionStrategy(ABC):
             backend.remove_observer(self._tracing_observer)
         self._tracing_observer = None
 
-    def _phase(self, name: str):
-        """Context manager timing a phase region (no-op when unprofiled)."""
-        if self._profiler is None:
-            return NULL_PHASE
-        return self._profiler.phase(name)
-
     def _span(self, name: str, **args):
-        """Context manager recording a span (no-op when untraced)."""
-        if self._tracer is None:
-            return NULL_PHASE
-        return self._tracer.span(name, **args)
+        """Context manager recording a span (no-op when untraced).
+
+        ``phase="density"`` (or another canonical phase name) tags the
+        span as counting toward that phase's wall-clock.
+        """
+        return span_of(self._tracer, name, **args)
 
     def set_kernel_tier(self, tier) -> None:
         """Pin this strategy's kernel tier (None reverts to the process

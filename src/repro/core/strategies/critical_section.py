@@ -91,11 +91,10 @@ class CriticalSectionStrategy(ReductionStrategy):
 
             return run
 
-        with self._phase("density"):
-            with self._span("density:critical-scatter", n_chunks=len(chunks)):
-                self.backend.run_phase(
-                    [density_task(rows) for rows in chunks]
-                )
+        with self._span(
+            "density:critical-scatter", phase="density", n_chunks=len(chunks)
+        ):
+            self.backend.run_phase([density_task(rows) for rows in chunks])
 
         fp = np.empty(n)
         emb_parts = np.zeros(len(chunks))
@@ -107,7 +106,7 @@ class CriticalSectionStrategy(ReductionStrategy):
 
             return run
 
-        with self._phase("embedding"):
+        with self._span("embedding", phase="embedding"):
             self.backend.run_phase(
                 [embed_task(k, rows) for k, rows in enumerate(chunks)]
             )
@@ -132,11 +131,10 @@ class CriticalSectionStrategy(ReductionStrategy):
 
             return run
 
-        with self._phase("force"):
-            with self._span("force:critical-scatter", n_chunks=len(chunks)):
-                self.backend.run_phase(
-                    [force_task(rows) for rows in chunks]
-                )
+        with self._span(
+            "force:critical-scatter", phase="force", n_chunks=len(chunks)
+        ):
+            self.backend.run_phase([force_task(rows) for rows in chunks])
 
         pair_energy = self._total_pair_energy(potential, atoms, nlist)
         return self._finalize(

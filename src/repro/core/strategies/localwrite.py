@@ -164,7 +164,7 @@ class LocalWriteStrategy(ReductionStrategy):
     ) -> EAMComputation:
         if not nlist.half:
             raise ValueError("LOCALWRITE consumes half neighbor lists")
-        with self._phase("neighbor-rebuild"):
+        with self._span("neighbor-rebuild", phase="neighbor-rebuild"):
             self._prepare(atoms, nlist)
         assert self._tables is not None and self._grid is not None
         tables = self._tables
@@ -196,13 +196,12 @@ class LocalWriteStrategy(ReductionStrategy):
 
         # single fully parallel phase: every subdomain writes only its
         # own atoms, so no colors and no intermediate barriers
-        with self._phase("density"):
-            with self._span("density:owned-scatter", n_subdomains=n_sub):
-                self.backend.run_phase(
-                    [density_task(s) for s in range(n_sub)]
-                )
+        with self._span(
+            "density:owned-scatter", phase="density", n_subdomains=n_sub
+        ):
+            self.backend.run_phase([density_task(s) for s in range(n_sub)])
 
-        with self._phase("embedding"):
+        with self._span("embedding", phase="embedding"):
             embedding_energy = float(np.sum(potential.embed(np.asarray(rho))))
             fp = potential.embed_deriv(np.asarray(rho))
 
@@ -236,11 +235,10 @@ class LocalWriteStrategy(ReductionStrategy):
 
             return run
 
-        with self._phase("force"):
-            with self._span("force:owned-scatter", n_subdomains=n_sub):
-                self.backend.run_phase(
-                    [force_task(s) for s in range(n_sub)]
-                )
+        with self._span(
+            "force:owned-scatter", phase="force", n_subdomains=n_sub
+        ):
+            self.backend.run_phase([force_task(s) for s in range(n_sub)])
 
         pair_energy = self._total_pair_energy(potential, atoms, nlist)
         return self._finalize(

@@ -84,15 +84,18 @@ class ArrayPrivatizationStrategy(ReductionStrategy):
 
             return run
 
-        with self._phase("density"):
-            with self._span("density:private-scatter", n_chunks=len(chunks)):
-                self.backend.run_phase(
-                    [density_task(k, rows) for k, rows in enumerate(chunks)]
-                )
-            # merge in thread order (the real code merges under a critical
-            # section; fixed order keeps results deterministic)
-            with self._span("density:merge", n_copies=self.n_threads):
-                rho = np.asarray(private_rho).sum(axis=0)
+        with self._span(
+            "density:private-scatter", phase="density", n_chunks=len(chunks)
+        ):
+            self.backend.run_phase(
+                [density_task(k, rows) for k, rows in enumerate(chunks)]
+            )
+        # merge in thread order (the real code merges under a critical
+        # section; fixed order keeps results deterministic)
+        with self._span(
+            "density:merge", phase="density", n_copies=self.n_threads
+        ):
+            rho = np.asarray(private_rho).sum(axis=0)
 
         fp = np.empty(n)
         emb_parts = np.zeros(len(chunks))
@@ -104,7 +107,7 @@ class ArrayPrivatizationStrategy(ReductionStrategy):
 
             return run
 
-        with self._phase("embedding"):
+        with self._span("embedding", phase="embedding"):
             self.backend.run_phase(
                 [embed_task(k, rows) for k, rows in enumerate(chunks)]
             )
@@ -130,13 +133,14 @@ class ArrayPrivatizationStrategy(ReductionStrategy):
 
             return run
 
-        with self._phase("force"):
-            with self._span("force:private-scatter", n_chunks=len(chunks)):
-                self.backend.run_phase(
-                    [force_task(k, rows) for k, rows in enumerate(chunks)]
-                )
-            with self._span("force:merge", n_copies=self.n_threads):
-                forces = np.asarray(private_forces).sum(axis=0)
+        with self._span(
+            "force:private-scatter", phase="force", n_chunks=len(chunks)
+        ):
+            self.backend.run_phase(
+                [force_task(k, rows) for k, rows in enumerate(chunks)]
+            )
+        with self._span("force:merge", phase="force", n_copies=self.n_threads):
+            forces = np.asarray(private_forces).sum(axis=0)
 
         pair_energy = self._total_pair_energy(potential, atoms, nlist)
         return self._finalize(

@@ -70,7 +70,7 @@ class RedundantComputationStrategy(ReductionStrategy):
         atoms: Atoms,
         nlist: NeighborList,
     ) -> EAMComputation:
-        with self._phase("neighbor-rebuild"):
+        with self._span("neighbor-rebuild", phase="neighbor-rebuild"):
             full = self._full_list(nlist)
         tier = self._tier()
         positions = atoms.positions
@@ -96,11 +96,12 @@ class RedundantComputationStrategy(ReductionStrategy):
 
             return run
 
-        with self._phase("density"):
-            with self._span("density:doubled-pairs", n_chunks=len(chunks)):
-                self.backend.run_phase(
-                    [density_task(rows) for rows in chunks if len(rows)]
-                )
+        with self._span(
+            "density:doubled-pairs", phase="density", n_chunks=len(chunks)
+        ):
+            self.backend.run_phase(
+                [density_task(rows) for rows in chunks if len(rows)]
+            )
 
         fp = np.empty(n)
         emb_parts = np.zeros(len(chunks))
@@ -112,7 +113,7 @@ class RedundantComputationStrategy(ReductionStrategy):
 
             return run
 
-        with self._phase("embedding"):
+        with self._span("embedding", phase="embedding"):
             self.backend.run_phase(
                 [embed_task(k, rows) for k, rows in enumerate(chunks)]
             )
@@ -139,11 +140,12 @@ class RedundantComputationStrategy(ReductionStrategy):
 
             return run
 
-        with self._phase("force"):
-            with self._span("force:doubled-pairs", n_chunks=len(chunks)):
-                self.backend.run_phase(
-                    [force_task(rows) for rows in chunks if len(rows)]
-                )
+        with self._span(
+            "force:doubled-pairs", phase="force", n_chunks=len(chunks)
+        ):
+            self.backend.run_phase(
+                [force_task(rows) for rows in chunks if len(rows)]
+            )
 
         pair_energy = self._total_pair_energy(potential, atoms, nlist)
         return self._finalize(

@@ -210,9 +210,8 @@ class SDCStrategy(ReductionStrategy):
     ) -> EAMComputation:
         if not nlist.half:
             raise ValueError("SDC consumes half neighbor lists")
-        with self._phase("neighbor-rebuild"):
-            with self._span("neighbor-rebuild"):
-                self._prepare(atoms, nlist)
+        with self._span("neighbor-rebuild", phase="neighbor-rebuild"):
+            self._prepare(atoms, nlist)
         assert self._pairs is not None and self._schedule is not None
         pairs = self._pairs
         schedule = self._schedule
@@ -262,22 +261,22 @@ class SDCStrategy(ReductionStrategy):
 
             return run
 
-        with self._phase("density"):
-            for color, members in enumerate(schedule.phases):
-                with self._span(
-                    f"density:color{color}",
-                    color=color,
-                    n_subdomains=len(members),
-                    fused=fused,
-                ):
-                    if fused:
-                        self.backend.run_phase(
-                            [fused_density_task(color, members)]
-                        )
-                    else:
-                        self.backend.run_phase(
-                            [density_task(int(s)) for s in members]
-                        )
+        for color, members in enumerate(schedule.phases):
+            with self._span(
+                f"density:color{color}",
+                phase="density",
+                color=color,
+                n_subdomains=len(members),
+                fused=fused,
+            ):
+                if fused:
+                    self.backend.run_phase(
+                        [fused_density_task(color, members)]
+                    )
+                else:
+                    self.backend.run_phase(
+                        [density_task(int(s)) for s in members]
+                    )
 
         # phase 2: embedding, plain parallel for
         fp = np.empty(n)
@@ -291,11 +290,10 @@ class SDCStrategy(ReductionStrategy):
             return run
 
         chunks = atom_chunks(n, self.n_threads)
-        with self._phase("embedding"):
-            with self._span("embedding", n_chunks=len(chunks)):
-                self.backend.run_phase(
-                    [embed_task(k, rows) for k, rows in enumerate(chunks)]
-                )
+        with self._span("embedding", phase="embedding", n_chunks=len(chunks)):
+            self.backend.run_phase(
+                [embed_task(k, rows) for k, rows in enumerate(chunks)]
+            )
         embedding_energy = float(np.sum(emb_parts))
 
         # phase 3: forces, color by color
@@ -336,20 +334,20 @@ class SDCStrategy(ReductionStrategy):
 
             return run
 
-        with self._phase("force"):
-            for color, members in enumerate(schedule.phases):
-                with self._span(
-                    f"force:color{color}",
-                    color=color,
-                    n_subdomains=len(members),
-                    fused=fused,
-                ):
-                    if fused:
-                        self.backend.run_phase([fused_force_task(members)])
-                    else:
-                        self.backend.run_phase(
-                            [force_task(int(s)) for s in members]
-                        )
+        for color, members in enumerate(schedule.phases):
+            with self._span(
+                f"force:color{color}",
+                phase="force",
+                color=color,
+                n_subdomains=len(members),
+                fused=fused,
+            ):
+                if fused:
+                    self.backend.run_phase([fused_force_task(members)])
+                else:
+                    self.backend.run_phase(
+                        [force_task(int(s)) for s in members]
+                    )
 
         return self._finalize(
             potential, atoms, nlist, rho, fp, forces, embedding_energy,

@@ -32,7 +32,7 @@ class SerialStrategy(ReductionStrategy):
         nlist: NeighborList,
     ) -> EAMComputation:
         return compute_eam_forces_serial(
-            potential, atoms, nlist, profiler=self._profiler,
+            potential, atoms, nlist, tracer=self._tracer,
             tier=self._kernel_tier,
         )
 

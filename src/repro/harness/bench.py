@@ -3,9 +3,10 @@
 The simulated machine (``repro.parallel.sim_exec``) reproduces the
 *paper's* numbers; this module measures what the Python realization
 actually costs on the current host.  Every cell of the sweep runs the
-warmup/repeat protocol of :class:`repro.utils.profiler.PhaseProfiler` and
-reports per-phase medians (density / embedding / force / neighbor-rebuild
-/ color-barrier) plus a ``total`` row with pair throughput.
+warmup/repeat protocol of :func:`repro.utils.profiler.measure` over a
+:class:`~repro.obs.tracer.Tracer` and reports per-phase medians (density
+/ embedding / force / neighbor-rebuild / color-barrier) plus a ``total``
+row with pair throughput.
 
 Outputs (``repro bench``):
 
@@ -26,7 +27,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro import kernels
 from repro.harness.cases import Case, case_by_key
 from repro.harness.reordering import MeasuredReorderingResult, measure_reordering
-from repro.utils.profiler import PhaseProfiler
+from repro.obs.tracer import Tracer
+from repro.utils.profiler import measure, phase_names
 
 #: sweep axes of the quick (CI smoke) configuration
 QUICK_CASES = ("tiny",)
@@ -79,15 +81,15 @@ class BenchSkip(RuntimeError):
 
 
 def _make_serial_on_backend(
-    backend, potential, atoms, nlist, profiler: PhaseProfiler, tier=None
+    backend, potential, atoms, nlist, tracer: Tracer, tier=None
 ) -> Callable[[], object]:
     """Serial kernels dispatched as single-task phases through ``backend``.
 
     This is what "serial strategy on the threads backend" means: the same
     three-phase structure, each phase one closure, so the backend's
-    dispatch/join overhead (and the observer's barrier accounting) is
-    measured against the pure in-process call.  ``tier`` pins the kernel
-    tier explicitly (None follows the process-global active tier).
+    dispatch/join overhead is measured against the pure in-process call.
+    ``tier`` pins the kernel tier explicitly (None follows the
+    process-global active tier).
     """
     from repro.potentials.eam import (
         eam_density_and_pair_energy_phase,
@@ -113,12 +115,11 @@ def _make_serial_on_backend(
         )
 
     def compute() -> object:
-        with profiler.phase("density"):
-            backend.run_phase([density])
-        with profiler.phase("embedding"):
-            backend.run_phase([embed])
-        with profiler.phase("force"):
-            backend.run_phase([force])
+        for name, task in (
+            ("density", density), ("embedding", embed), ("force", force)
+        ):
+            with tracer.span(name, phase=name):
+                backend.run_phase([task])
         return state["forces"]
 
     return compute
@@ -131,94 +132,47 @@ def _make_cell(
     potential,
     atoms,
     nlist,
-    profiler: PhaseProfiler,
+    tracer: Tracer,
     kernel_tier: Optional[str] = None,
-) -> Tuple[Callable[[], object], Callable[[], None]]:
-    """Build (compute closure, cleanup) for one sweep cell.
+) -> Tuple[Callable[[], object], Callable[[], None], str]:
+    """Build (compute closure, cleanup, resolved tier name) for one cell.
 
-    ``kernel_tier`` pins the cell on a kernel tier (None follows the
-    session's active tier); the resolved name lands on
-    ``profiler.kernel_tier`` so the bench records can carry it.
+    The cell's calculator records into ``tracer``; ``kernel_tier`` pins
+    it on a kernel tier (None follows the session's active tier).
     """
-    from repro.core.strategies import STRATEGY_REGISTRY
-    from repro.parallel.backends.serial import SerialBackend
-    from repro.parallel.backends.threads import ThreadBackend
-
-    if strategy_key not in KNOWN_STRATEGIES:
-        raise BenchSkip(f"unknown strategy {strategy_key!r}")
-    if backend_key not in KNOWN_BACKENDS:
-        raise BenchSkip(f"unknown backend {backend_key!r}")
-
-    if backend_key == "processes":
-        if not strategy_key.startswith("sdc"):
-            raise BenchSkip("processes backend only runs SDC")
-        from repro.parallel.backends.processes import ProcessSDCCalculator
-
-        dims = int(strategy_key[-2]) if strategy_key != "sdc" else 2
-        calc = ProcessSDCCalculator(
-            dims=dims, n_workers=n_workers, kernel_tier=kernel_tier
-        )
-        calc.attach_profiler(profiler)
-        profiler.kernel_tier = calc.kernel_tier
-
-        def cleanup() -> None:
-            calc.detach_profiler()
-            calc.close()
-
-        return lambda: calc.compute(potential, atoms, nlist), cleanup
-
-    if backend_key == "sharded":
-        if not strategy_key.startswith("sdc"):
-            raise BenchSkip("sharded backend only runs SDC")
-        from repro.parallel.backends.sharded import ShardedSDCCalculator
-
-        dims = int(strategy_key[-2]) if strategy_key != "sdc" else 2
-        calc = ShardedSDCCalculator(
-            n_shards=n_workers, dims=dims, kernel_tier=kernel_tier
-        )
-        calc.attach_profiler(profiler)
-        profiler.kernel_tier = calc.kernel_tier
-
-        def cleanup() -> None:
-            calc.detach_profiler()
-            calc.close()
-
-        return lambda: calc.compute(potential, atoms, nlist), cleanup
+    from repro.harness.tracing import _make_calculator
 
     tier = kernels.get(kernel_tier) if kernel_tier is not None else None
-    profiler.kernel_tier = (
-        tier if tier is not None else kernels.active_tier()
-    ).name
 
-    backend = (
-        SerialBackend() if backend_key == "serial" else ThreadBackend(n_workers)
-    )
+    if strategy_key == "serial" and backend_key in ("serial", "threads"):
+        from repro.analysis.racecheck import make_backend
 
-    if strategy_key == "serial":
         # the tier travels inside the phase closures — no global override
-        inner = _make_serial_on_backend(
-            backend, potential, atoms, nlist, profiler, tier=tier
+        backend = make_backend(backend_key, n_workers)
+        compute = _make_serial_on_backend(
+            backend, potential, atoms, nlist, tracer, tier=tier
         )
-        return inner, backend.close
+        tier_name = (tier if tier is not None else kernels.active_tier()).name
+        return compute, backend.close, tier_name
 
-    if strategy_key.startswith("sdc-"):
-        strategy = STRATEGY_REGISTRY["sdc"](
-            dims=int(strategy_key[-2]), n_threads=n_workers, backend=backend
-        )
-    else:
-        strategy = STRATEGY_REGISTRY[strategy_key](
-            n_threads=n_workers, backend=backend
-        )
+    calc, close = _make_calculator(
+        strategy_key, backend_key, n_workers, kernel_tier=kernel_tier
+    )
     # pin instead of use_tier(): concurrent sweep cells (or a user's own
     # driver on another thread) never race on the process-global slot
-    strategy.set_kernel_tier(tier)
-    strategy.attach_profiler(profiler)
+    if tier is not None:
+        calc.set_kernel_tier(tier)
+    calc.attach_tracer(tracer)
 
     def cleanup() -> None:
-        strategy.detach_profiler()
-        backend.close()
+        calc.detach_tracer()
+        close()
 
-    return lambda: strategy.compute(potential, atoms, nlist), cleanup
+    return (
+        lambda: calc.compute(potential, atoms, nlist),
+        cleanup,
+        calc.kernel_tier,
+    )
 
 
 def bench_forces(
@@ -247,16 +201,16 @@ def bench_forces(
         for strategy_key in strategies:
             for backend_key in backends:
                 workers = 1 if backend_key == "serial" else n_workers
-                profiler = PhaseProfiler()
+                tracer = Tracer()
                 try:
-                    compute, cleanup = _make_cell(
+                    compute, cleanup, tier_name = _make_cell(
                         strategy_key,
                         backend_key,
                         workers,
                         potential,
                         atoms,
                         nlist,
-                        profiler,
+                        tracer,
                         kernel_tier=kernel_tier,
                     )
                 except BenchSkip as skip:
@@ -266,15 +220,12 @@ def bench_forces(
                         )
                     continue
                 try:
-                    stats = profiler.measure(
-                        compute, warmup=warmup, repeats=repeats
+                    stats = measure(
+                        tracer, compute, warmup=warmup, repeats=repeats
                     )
                 finally:
                     cleanup()
-                names = profiler.phase_names()
-                if "total" not in names:
-                    names.append("total")
-                for phase in names:
+                for phase in phase_names(stats):
                     s = stats[phase]
                     records.append(
                         BenchRecord(
@@ -291,7 +242,7 @@ def bench_forces(
                                 if phase == "total" and s.median_s > 0
                                 else None
                             ),
-                            kernel_tier=profiler.kernel_tier or "numpy",
+                            kernel_tier=tier_name,
                         )
                     )
     return records
@@ -342,16 +293,15 @@ def bench_steps(
         for strategy_key in strategies:
             for backend_key in backends:
                 workers = 1 if backend_key == "serial" else n_workers
-                profiler = PhaseProfiler()
                 try:
-                    compute, cleanup = _make_cell(
+                    compute, cleanup, tier_name = _make_cell(
                         strategy_key,
                         backend_key,
                         workers,
                         potential,
                         atoms,
                         nlist,
-                        profiler,
+                        Tracer(),
                         kernel_tier=kernel_tier,
                     )
                 except BenchSkip as skip:
@@ -369,7 +319,6 @@ def bench_steps(
                 finally:
                     cleanup()
                 med, iqr = median_iqr(times[1:])
-                tier_name = profiler.kernel_tier or "numpy"
                 records.append(
                     BenchRecord(
                         case=case_key,

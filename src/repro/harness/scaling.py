@@ -288,9 +288,7 @@ def _measure_point(
                 )
                 sampler.start()
             window_start = time.perf_counter()
-            forces_before = sim.stopwatch.total("forces")
-            sim.run(steps, sample_every=max(1, steps))
-            total_s = sim.stopwatch.total("forces") - forces_before
+            total_s = sim.run(steps, sample_every=max(1, steps)).force_seconds
         if sampler is not None:
             sampler.stop()
         record_span_metrics(registry, tracer, run=label)

@@ -34,7 +34,7 @@ from typing import ClassVar, Optional, Tuple
 
 import numpy as np
 
-from repro.utils.profiler import NULL_PHASE
+from repro.obs.tracer import span_of
 
 #: pairs closer than this (Å) are treated as overlapping atoms — any
 #: spline/derivative evaluation there is extrapolated garbage and the
@@ -291,22 +291,22 @@ class KernelTier(ABC):
         """Phase 3: forces from the cached embedding derivatives."""
 
     def evaluate(
-        self, potential, positions, box, nlist, counter=None, profiler=None
+        self, potential, positions, box, nlist, counter=None, tracer=None
     ) -> Tuple[np.ndarray, float, float, np.ndarray, np.ndarray]:
         """One whole evaluation, density → embedding → force, each phase
-        timed under its canonical name when ``profiler`` is given:
+        a span tagged with its canonical name when ``tracer`` is given:
         ``(rho, pair_energy, embedding_energy, fp, forces)``.  A tier whose
         force pass can reuse the density pass's pair geometry overrides it.
         """
         from repro.potentials.eam import eam_embedding_phase  # imports us
 
-        with profiler.phase("density") if profiler else NULL_PHASE:
+        with span_of(tracer, "density", phase="density"):
             rho, pair_energy = self.density_and_pair_energy_phase(
                 potential, positions, box, nlist, counter
             )
-        with profiler.phase("embedding") if profiler else NULL_PHASE:
+        with span_of(tracer, "embedding", phase="embedding"):
             embedding_energy, fp = eam_embedding_phase(potential, rho, counter)
-        with profiler.phase("force") if profiler else NULL_PHASE:
+        with span_of(tracer, "force", phase="force"):
             forces = self.force_phase(
                 potential, positions, box, nlist, fp, counter
             )

@@ -6,33 +6,17 @@ string: ``"numba"``, ``"numba-parallel"``, ``"numba-fastmath"``,
 canonical name always orders ``parallel`` before ``fastmath``).  The
 registry resolves specs to :class:`KernelTierConfig` values and compiles
 one kernel set per distinct config, lazily.
-
-The legacy environment variables ``REPRO_KERNEL_FASTMATH`` /
-``REPRO_KERNEL_PARALLEL`` used to be snapshotted at module import — set
-after the first ``import repro.kernels`` they silently did nothing.
-They are now read *every time a bare base spec is resolved* (so setting
-them after import works) but emit a one-per-process deprecation-style
-:class:`~repro.kernels.base.KernelTierWarning` pointing at the variant
-spec, which is the supported surface.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-
-from repro.kernels.base import warn_tier_once
 
 #: base tier names a variant spec may start with
 BASE_NAMES = ("numpy", "numba", "auto")
 
 #: flag tokens accepted after the base name
 FLAG_NAMES = ("parallel", "fastmath")
-
-ENV_FASTMATH = "REPRO_KERNEL_FASTMATH"
-ENV_PARALLEL = "REPRO_KERNEL_PARALLEL"
-
-_TRUTHY = ("1", "true", "on", "yes")
 
 
 @dataclass(frozen=True)
@@ -74,44 +58,11 @@ class KernelTierConfig:
         return (self.parallel, self.fastmath)
 
 
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in _TRUTHY
-
-
-def _deprecated_env_flags() -> tuple:
-    """Read the legacy env flags (at resolution time) and warn once each.
-
-    Returns ``(parallel, fastmath)``.  These only apply to *bare* base
-    specs — an explicit variant spec states its flags and wins.
-    """
-    parallel = _env_flag(ENV_PARALLEL)
-    fastmath = _env_flag(ENV_FASTMATH)
-    if parallel:
-        warn_tier_once(
-            "env-parallel-deprecated",
-            f"{ENV_PARALLEL} is deprecated; request the "
-            '"numba-parallel" tier variant instead '
-            '(e.g. --kernel-tier numba-parallel or '
-            'EAMCalculator(kernel_tier="numba-parallel"))',
-        )
-    if fastmath:
-        warn_tier_once(
-            "env-fastmath-deprecated",
-            f"{ENV_FASTMATH} is deprecated; request the "
-            '"numba-fastmath" tier variant instead '
-            '(e.g. --kernel-tier numba-fastmath)',
-        )
-    return parallel, fastmath
-
-
 def parse_tier_spec(spec: str) -> KernelTierConfig:
     """Parse a variant spec string into a :class:`KernelTierConfig`.
 
     Raises ``ValueError`` on unknown bases, unknown or repeated flags,
-    and flags on the numpy base.  A bare ``"numba"``/``"auto"`` (no
-    flags in the spec) additionally honors the deprecated
-    ``REPRO_KERNEL_PARALLEL``/``REPRO_KERNEL_FASTMATH`` environment
-    variables, read here — at resolution time — not at import.
+    and flags on the numpy base.
     """
     tokens = spec.strip().lower().split("-")
     base = tokens[0]
@@ -131,10 +82,6 @@ def parse_tier_spec(spec: str) -> KernelTierConfig:
         if flags[token]:
             raise ValueError(f"duplicate flag {token!r} in spec {spec!r}")
         flags[token] = True
-    if len(tokens) == 1 and base != "numpy":
-        env_parallel, env_fastmath = _deprecated_env_flags()
-        flags["parallel"] = env_parallel
-        flags["fastmath"] = env_fastmath
     return KernelTierConfig(
         base=base, parallel=flags["parallel"], fastmath=flags["fastmath"]
     )

@@ -24,8 +24,8 @@ from repro.kernels.base import (
     check_pair_separation,
     check_scatter_indices,
 )
+from repro.obs.tracer import span_of
 from repro.utils.arrays import segment_sum
-from repro.utils.profiler import NULL_PHASE
 
 
 class NumpyKernelTier(KernelTier):
@@ -141,23 +141,23 @@ class NumpyKernelTier(KernelTier):
         )
 
     def evaluate(
-        self, potential, positions, box, nlist, counter=None, profiler=None
+        self, potential, positions, box, nlist, counter=None, tracer=None
     ):
         from repro.potentials.eam import eam_embedding_phase  # imports us
 
         n = len(positions)
         # one geometry pass serves both pair phases (charged to density, as
         # in the process engine); an overlap stops here, before any scatter
-        with profiler.phase("density") if profiler else NULL_PHASE:
+        with span_of(tracer, "density", phase="density"):
             i_idx, j_idx = nlist.pair_arrays()
             delta, r = self.pair_geometry(positions, box, i_idx, j_idx)
             check_pair_separation(r, (i_idx, j_idx))
             rho, pair_energy = self._density(
                 potential, n, nlist.half, i_idx, j_idx, r, counter, True
             )
-        with profiler.phase("embedding") if profiler else NULL_PHASE:
+        with span_of(tracer, "embedding", phase="embedding"):
             embedding_energy, fp = eam_embedding_phase(potential, rho, counter)
-        with profiler.phase("force") if profiler else NULL_PHASE:
+        with span_of(tracer, "force", phase="force"):
             forces = self._force(
                 potential, n, nlist.half, i_idx, j_idx, delta, r, fp, counter
             )

@@ -55,7 +55,7 @@ class EAMCalculator:
         self._tier: Optional[kernels.KernelTier] = (
             kernels.get(kernel_tier) if kernel_tier is not None else None
         )
-        self._profiler = None
+        self._tracer = None
         # pin the tier on the inner when it supports explicit selection —
         # the tier then rides along with every kernel call, so concurrent
         # calculators never race on the process-global active tier
@@ -86,7 +86,7 @@ class EAMCalculator:
         """Run the 3-phase evaluation under this calculator's tier."""
         if self._inner is None:
             return compute_eam_forces_serial(
-                potential, atoms, nlist, profiler=self._profiler, tier=self._tier
+                potential, atoms, nlist, tracer=self._tracer, tier=self._tier
             )
         if self._inner_pinned or self._tier is None:
             return self._inner.compute(potential, atoms, nlist)
@@ -114,26 +114,14 @@ class EAMCalculator:
             snapshot["inner"] = hook()
         return snapshot
 
-    def attach_profiler(self, profiler) -> None:
-        self._profiler = profiler
-        if profiler is not None:
-            profiler.kernel_tier = self.kernel_tier
-        hook = getattr(self._inner, "attach_profiler", None)
-        if hook is not None:
-            hook(profiler)
-
-    def detach_profiler(self) -> None:
-        self._profiler = None
-        hook = getattr(self._inner, "detach_profiler", None)
-        if hook is not None:
-            hook()
-
     def attach_tracer(self, tracer) -> None:
+        self._tracer = tracer
         hook = getattr(self._inner, "attach_tracer", None)
         if hook is not None:
             hook(tracer)
 
     def detach_tracer(self) -> None:
+        self._tracer = None
         hook = getattr(self._inner, "detach_tracer", None)
         if hook is not None:
             hook()

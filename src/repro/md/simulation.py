@@ -9,6 +9,7 @@ calculations of the electron densities and forces".
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Protocol
 
@@ -19,9 +20,9 @@ from repro.md.integrators import Integrator, VelocityVerlet
 from repro.md.neighbor.verlet import NeighborList, build_neighbor_list
 from repro.md.observables import kinetic_energy, temperature
 from repro.md.thermostats import Thermostat
+from repro.obs.tracer import CAT_MD, span_of
 from repro.potentials.base import EAMPotential
 from repro.potentials.eam import EAMComputation, compute_eam_forces_serial
-from repro.utils.timers import Stopwatch
 
 
 class ForceCalculator(Protocol):
@@ -142,17 +143,15 @@ class Simulation:
         if health is not None and health.calculator is None:
             health.attach_calculator(self.calculator)
         self.nlist: Optional[NeighborList] = None
-        self.stopwatch = Stopwatch()
+        #: lifetime totals; :meth:`run` reports its own share of each
+        self.n_neighbor_rebuilds = 0
+        self.force_seconds = 0.0
         self._last_computation: Optional[EAMComputation] = None
         self._steps_since_rebuild = 0
 
     def _span(self, name: str, **args):
         """A tracer span context, or a no-op when untraced."""
-        if self.tracer is None:
-            from repro.utils.profiler import NULL_PHASE
-
-            return NULL_PHASE
-        return self.tracer.span(name, category="md", **args)
+        return span_of(self.tracer, name, category=CAT_MD, **args)
 
     # --- lifecycle ------------------------------------------------------------
 
@@ -189,15 +188,15 @@ class Simulation:
         ):
             must_build = True
         if must_build:
-            with self.stopwatch.section("neighbor"):
-                with self._span("neighbor-rebuild"):
-                    self.nlist = build_neighbor_list(
-                        self.atoms.positions,
-                        self.atoms.box,
-                        cutoff=self.potential.cutoff,
-                        skin=self.skin,
-                        half=True,
-                    )
+            with self._span("neighbor-rebuild"):
+                self.nlist = build_neighbor_list(
+                    self.atoms.positions,
+                    self.atoms.box,
+                    cutoff=self.potential.cutoff,
+                    skin=self.skin,
+                    half=True,
+                )
+            self.n_neighbor_rebuilds += 1
             self._steps_since_rebuild = 0
             if self.run_log is not None:
                 self.run_log.log(
@@ -229,11 +228,10 @@ class Simulation:
     def compute_forces(self) -> EAMComputation:
         """One full 3-phase EAM evaluation through the configured strategy."""
         nlist = self.ensure_neighbor_list()
-        with self.stopwatch.section("forces"):
-            with self._span("forces"):
-                result = self.calculator.compute(
-                    self.potential, self.atoms, nlist
-                )
+        start = time.perf_counter()
+        with self._span("forces"):
+            result = self.calculator.compute(self.potential, self.atoms, nlist)
+        self.force_seconds += time.perf_counter() - start
         self._last_computation = result
         return result
 
@@ -259,7 +257,8 @@ class Simulation:
         if sample_every <= 0:
             raise ValueError("sample_every must be positive")
         report = SimulationReport()
-        rebuilds_before = self.stopwatch.count("neighbor")
+        rebuilds_before = self.n_neighbor_rebuilds
+        force_seconds_before = self.force_seconds
         if self._last_computation is None:
             self.compute_forces()
         assert self._last_computation is not None
@@ -308,10 +307,8 @@ class Simulation:
                         total_energy=record.total_energy,
                     )
         report.n_steps = n_steps
-        report.n_neighbor_rebuilds = (
-            self.stopwatch.count("neighbor") - rebuilds_before
-        )
-        report.force_seconds = self.stopwatch.total("forces")
+        report.n_neighbor_rebuilds = self.n_neighbor_rebuilds - rebuilds_before
+        report.force_seconds = self.force_seconds - force_seconds_before
         if self.run_log is not None:
             self.run_log.log(
                 "event",

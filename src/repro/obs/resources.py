@@ -22,9 +22,9 @@ new ``worker-<pid>`` tracks begin.
 
 The sampler implements the
 :class:`~repro.parallel.backends.base.PhaseObserver` hook surface
-structurally (like ``ProfilingObserver`` / ``TracingObserver``) so it can
+structurally (like ``TracingObserver``) so it can
 ride ``add_observer`` / :class:`~repro.parallel.backends.base.MultiObserver`
-next to the tracer and profiler: the hooks are interval-guarded
+next to the tracer: the hooks are interval-guarded
 opportunistic sample points, cheap enough to keep the established <2%
 observability overhead contract (one clock read per phase end; an actual
 /proc sample only when ``interval_s`` has elapsed).

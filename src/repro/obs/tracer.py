@@ -1,12 +1,18 @@
-"""Span-based runtime tracing — real timestamps for every execution unit.
+"""Span-based runtime tracing — the one timing primitive of the package.
 
-The profiling layer (:mod:`repro.utils.profiler`) answers *how much* time
-each phase costs in aggregate; this module answers *who ran what when*.  A
-:class:`Tracer` records :class:`Span` objects — named, real-timestamped
-intervals on a (pid, track) timeline — from four sources:
+A :class:`Tracer` records :class:`Span` objects — named, real-timestamped
+intervals on a (pid, track) timeline — and every other timing number is
+derived from that stream: the per-phase statistics of ``repro bench`` are
+a reduction over it (:mod:`repro.utils.profiler`), the load-balance
+metrics another (:func:`repro.obs.metrics.record_span_metrics`).  Spans
+come from four sources:
 
-* strategy regions (``ReductionStrategy._span``: color phases, merges,
-  lock sections);
+* strategy / engine / kernel regions (``_span``: color phases, merges,
+  lock sections).  A region that counts toward one of the canonical
+  phases (``density``, ``embedding``, ``force``, ``neighbor-rebuild``,
+  ``setup``, ``sync``) says so with a *string* ``phase`` arg — the
+  phase tag the reduction sums over; untagged regions (``lock-held``,
+  halo exchanges) are timeline detail only;
 * backend execution (:class:`TracingObserver` on the
   :class:`~repro.parallel.backends.base.PhaseObserver` hook surface:
   per-task spans on the worker that ran them, plus a synthesized
@@ -15,10 +21,11 @@ intervals on a (pid, track) timeline — from four sources:
 * forked process workers, whose spans ship back with their results and are
   clock-aligned to the parent by :func:`align_worker_spans`.
 
-All timestamps are ``time.perf_counter()`` — the same clock domain as the
-profiler and (since this PR) the execution-event log — so spans, events
-and phase totals can be laid on one timeline.  The Chrome trace-event /
-Perfetto exporter lives in :mod:`repro.obs.exporters`.
+All timestamps are ``time.perf_counter()``, read only here and where a
+worker stamps its chunk.  Backend spans (``task`` / ``phase`` /
+``barrier``) carry the *integer* backend phase index under the same
+``phase`` key.  The Chrome trace-event / Perfetto exporter lives in
+:mod:`repro.obs.exporters`.
 """
 
 from __future__ import annotations
@@ -35,6 +42,8 @@ __all__ = [
     "Tracer",
     "TracingObserver",
     "align_worker_spans",
+    "NULL_SPAN",
+    "span_of",
     "CAT_PHASE",
     "CAT_TASK",
     "CAT_BARRIER",
@@ -207,12 +216,35 @@ class Tracer:
         return sum(s.duration_s for s in self.by_category(category))
 
 
+class _NullSpan:
+    """Reusable no-op context (keeps untraced hot paths allocation-free)."""
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, *exc: object) -> None:
+        return None
+
+
+NULL_SPAN = _NullSpan()
+
+
+def span_of(tracer: Optional[Tracer], name: str, **args: object):
+    """``tracer.span(name, **args)``, or the no-op context when untraced.
+
+    What every instrumented site goes through, so an absent tracer costs
+    one ``None`` check and no allocation.
+    """
+    if tracer is None:
+        return NULL_SPAN
+    return tracer.span(name, **args)
+
+
 class TracingObserver:
     """Backend observer turning phase/task hooks into timeline spans.
 
     Implements the :class:`~repro.parallel.backends.base.PhaseObserver`
-    surface structurally (hooks only, no isinstance — mirrors
-    :class:`~repro.utils.profiler.ProfilingObserver`).  Per backend phase
+    surface structurally (hooks only, no isinstance).  Per backend phase
     it records:
 
     * one ``task p.t`` span per task, on the worker track that ran it;

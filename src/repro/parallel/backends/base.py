@@ -58,9 +58,9 @@ class PhaseObserver:
 class MultiObserver(PhaseObserver):
     """Fan-out observer: forwards every hook to each child in add order.
 
-    This is what lets a :class:`~repro.obs.tracer.TracingObserver`, a
-    :class:`~repro.utils.profiler.ProfilingObserver`, and an
-    :class:`~repro.analysis.events.EventLog` watch the same backend
+    This is what lets a :class:`~repro.obs.tracer.TracingObserver`, the
+    race detector's :class:`~repro.analysis.racecheck.WriteRecorder` and a
+    :class:`~repro.obs.resources.ResourceSampler` watch the same backend
     simultaneously.  Children need only implement the hook surface
     structurally (no subclass requirement — same contract as the backend
     itself).

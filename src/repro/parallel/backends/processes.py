@@ -26,7 +26,7 @@ configuration: ``n_workers`` workers over a single arena region, chunk
   steady-state step pays only kernel + barrier cost plus one positions
   memcpy and the zero fills (the ``sync`` phase);
 * the color loop (density color by color, embedding in the parent, force
-  color by color) with barrier-slack profiling and worker-chunk spans;
+  color by color) with worker-chunk, phase and barrier-wait spans;
 * optional write-set recording for the dynamic race detector.
 
 Robustness: a worker killed or hung mid-phase surfaces as
@@ -67,7 +67,6 @@ from repro.parallel.backends.workers import (
 from repro.potentials.base import EAMPotential
 from repro.potentials.eam import EAMComputation
 from repro.utils.identity import IdentityKey
-from repro.utils.profiler import PHASE_BARRIER, PHASE_NEIGHBOR, PHASE_SYNC
 
 
 def _same_box(a: Optional[Box], b: Box) -> bool:
@@ -305,12 +304,8 @@ class ProcessSDCCalculator(WorkerEngine):
         """
         start = time.perf_counter()
         results = self._live.group.run(kind, chunks)
-        wall = time.perf_counter() - start
-        if self._profiler is not None and results:
-            longest = max(elapsed for elapsed, _, _, _ in results)
-            self._profiler.add(PHASE_BARRIER, max(0.0, wall - longest))
         if self._tracer is not None and results:
-            self._trace_chunks(label, results, start, start + wall)
+            self._trace_chunks(label, results, start, time.perf_counter())
         writes = [chunk_writes for _, chunk_writes, _, _ in results]
         energy = sum(partial for _, _, _, partial in results)
         return writes, energy
@@ -329,47 +324,46 @@ class ProcessSDCCalculator(WorkerEngine):
         self.last_write_record = []
         pair_energy = 0.0
         # phase 1: densities, color by color
-        with self._phase("density"):
-            for color, members in enumerate(schedule.phases):
-                chunks = [
-                    members[c].tolist()
-                    for c in static_assignment(len(members), self.n_workers)
-                    if len(c)
-                ]
-                with self._span(
-                    f"density:color{color}",
-                    color=color,
-                    n_subdomains=len(members),
-                ):
-                    writes, partial = self._run_color_phase(
-                        "density", chunks, f"density:color{color}"
-                    )
-                    pair_energy += partial
-                if self.record_writes:
-                    self.last_write_record.append(("density", writes))
+        for color, members in enumerate(schedule.phases):
+            chunks = [
+                members[c].tolist()
+                for c in static_assignment(len(members), self.n_workers)
+                if len(c)
+            ]
+            with self._span(
+                f"density:color{color}",
+                phase="density",
+                color=color,
+                n_subdomains=len(members),
+            ):
+                writes, partial = self._run_color_phase(
+                    "density", chunks, f"density:color{color}"
+                )
+                pair_energy += partial
+            if self.record_writes:
+                self.last_write_record.append(("density", writes))
         # phase 2: embedding in the parent (no dependences)
-        with self._phase("embedding"):
-            with self._span("embedding"):
-                embedding_energy = float(np.sum(potential.embed(rho)))
-                fp[:] = potential.embed_deriv(rho)
+        with self._span("embedding", phase="embedding"):
+            embedding_energy = float(np.sum(potential.embed(rho)))
+            fp[:] = potential.embed_deriv(rho)
         # phase 3: forces, color by color
-        with self._phase("force"):
-            for color, members in enumerate(schedule.phases):
-                chunks = [
-                    members[c].tolist()
-                    for c in static_assignment(len(members), self.n_workers)
-                    if len(c)
-                ]
-                with self._span(
-                    f"force:color{color}",
-                    color=color,
-                    n_subdomains=len(members),
-                ):
-                    writes, _ = self._run_color_phase(
-                        "force", chunks, f"force:color{color}"
-                    )
-                if self.record_writes:
-                    self.last_write_record.append(("force", writes))
+        for color, members in enumerate(schedule.phases):
+            chunks = [
+                members[c].tolist()
+                for c in static_assignment(len(members), self.n_workers)
+                if len(c)
+            ]
+            with self._span(
+                f"force:color{color}",
+                phase="force",
+                color=color,
+                n_subdomains=len(members),
+            ):
+                writes, _ = self._run_color_phase(
+                    "force", chunks, f"force:color{color}"
+                )
+            if self.record_writes:
+                self.last_write_record.append(("force", writes))
         return embedding_energy, pair_energy
 
     # --- the ForceCalculator protocol -----------------------------------------
@@ -382,23 +376,19 @@ class ProcessSDCCalculator(WorkerEngine):
     ) -> EAMComputation:
         if not nlist.half:
             raise ValueError("SDC consumes half neighbor lists")
-        with self._phase(PHASE_NEIGHBOR):
-            with self._span("neighbor-rebuild"):
-                if self._prepare(atoms, nlist) or not _same_box(
-                    self._box, atoms.box
-                ):
-                    self._box = atoms.box
-                    self._new_epoch()
+        with self._span("neighbor-rebuild", phase="neighbor-rebuild"):
+            if self._prepare(atoms, nlist) or not _same_box(self._box, atoms.box):
+                self._box = atoms.box
+                self._new_epoch()
 
         def once() -> Tuple[float, float]:
             # sync: in-place state refresh — the whole per-step setup cost
             # of the persistent engine
-            with self._phase(PHASE_SYNC):
-                with self._span("sync"):
-                    self._arrays["positions"][:] = atoms.positions
-                    self._arrays["rho"][:] = 0.0
-                    self._arrays["fp"][:] = 0.0
-                    self._arrays["forces"][:] = 0.0
+            with self._span("sync", phase="sync"):
+                self._arrays["positions"][:] = atoms.positions
+                self._arrays["rho"][:] = 0.0
+                self._arrays["fp"][:] = 0.0
+                self._arrays["forces"][:] = 0.0
             return self._scatter_phases(potential)
 
         embedding_energy, pair_energy = self._evaluate(potential, once)

@@ -686,9 +686,8 @@ class ShardedSDCCalculator(WorkerEngine):
                 f"neighbor list covers {nlist.n_atoms} atoms, system has "
                 f"{atoms.n_atoms}"
             )
-        with self._phase("neighbor-rebuild"):
-            with self._span("neighbor-rebuild"):
-                self._prepare(atoms, nlist)
+        with self._span("neighbor-rebuild", phase="neighbor-rebuild"):
+            self._prepare(atoms, nlist)
         return self._evaluate(
             potential, lambda: self._compute_once(atoms, nlist)
         )
@@ -715,9 +714,8 @@ class ShardedSDCCalculator(WorkerEngine):
                 views["forces"][:] = 0.0
                 n_ghosts += plan.n_ghosts
 
-        with self._phase("density"):
-            with self._span("density", n_shards=len(self._plans)):
-                replies = group.run("density")
+        with self._span("density", phase="density", n_shards=len(self._plans)):
+            replies = group.run("density")
         pair_energy = float(sum(partial for _, _, _, partial in replies))
 
         rho = np.zeros(n)
@@ -731,9 +729,8 @@ class ShardedSDCCalculator(WorkerEngine):
             for plan, views in zip(self._plans, self._views):
                 views["rho"][: plan.n_owned] = rho[plan.owned]
 
-        with self._phase("embedding"):
-            with self._span("embedding"):
-                embedding_energy = float(sum(group.run("embedding")))
+        with self._span("embedding", phase="embedding"):
+            embedding_energy = float(sum(group.run("embedding")))
 
         fp = np.empty(n)
         with self._span("halo-exchange:fp", n_ghosts=n_ghosts):
@@ -742,9 +739,8 @@ class ShardedSDCCalculator(WorkerEngine):
             for plan, views in zip(self._plans, self._views):
                 views["fp"][plan.n_owned:] = fp[plan.halo.source_ids]
 
-        with self._phase("force"):
-            with self._span("force", n_shards=len(self._plans)):
-                group.run("force")
+        with self._span("force", phase="force", n_shards=len(self._plans)):
+            group.run("force")
 
         forces = np.zeros((n, 3))
         with self._span("halo-exchange:force", n_ghosts=n_ghosts):

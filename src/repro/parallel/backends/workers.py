@@ -25,7 +25,7 @@ module holds the only copy of each of its parts:
 * :class:`WorkerEngine` — the calculator-side lifecycle both
   :class:`~repro.parallel.backends.processes.ProcessSDCCalculator` and
   :class:`~repro.parallel.backends.sharded.ShardedSDCCalculator` inherit:
-  kernel-tier pinning, profiler/tracer attachment, and the spawn state
+  kernel-tier pinning, tracer attachment, and the spawn state
   machine.
 
 Spawn state machine (``WorkerEngine._evaluate``).  Workers and arena are
@@ -55,9 +55,9 @@ import numpy as np
 
 from repro import kernels
 from repro.kernels.base import check_pair_separation
+from repro.obs.tracer import span_of
 from repro.parallel.backends.base import BackendError
 from repro.potentials.base import EAMPotential
-from repro.utils.profiler import NULL_PHASE, PHASE_SETUP, PhaseProfiler
 
 #: generous per-command barrier timeout; a phase exceeding it is treated
 #: as a lost worker group (BackendError), not silently waited on forever
@@ -545,7 +545,6 @@ class WorkerEngine:
         self.timeout_s = timeout_s
         self.restart_on_failure = restart_on_failure
         self._inline = inline
-        self._profiler: Optional[PhaseProfiler] = None
         self._tracer = None
         self._live = _Live()
         self._finalizer = weakref.finalize(self, self._live.release)
@@ -658,13 +657,6 @@ class WorkerEngine:
 
     # --- observability ---------------------------------------------------------
 
-    def attach_profiler(self, profiler: PhaseProfiler) -> None:
-        """Record per-phase wall-clock (and barrier slack) into *profiler*."""
-        self._profiler = profiler
-
-    def detach_profiler(self) -> None:
-        self._profiler = None
-
     def attach_tracer(self, tracer) -> None:
         """Record timeline spans into *tracer*."""
         self._tracer = tracer
@@ -672,15 +664,8 @@ class WorkerEngine:
     def detach_tracer(self) -> None:
         self._tracer = None
 
-    def _phase(self, name: str):
-        if self._profiler is None:
-            return NULL_PHASE
-        return self._profiler.phase(name)
-
     def _span(self, name: str, **args):
-        if self._tracer is None:
-            return NULL_PHASE
-        return self._tracer.span(name, **args)
+        return span_of(self._tracer, name, **args)
 
     # --- spawn state machine ---------------------------------------------------
 
@@ -754,12 +739,11 @@ class WorkerEngine:
         attempts = 2 if self.restart_on_failure else 1
         for attempt in range(attempts):
             try:
-                with self._phase(PHASE_SETUP):
-                    with self._span("setup", epoch=self._epoch):
-                        self._ensure_workers(potential)
-                        if not self._epoch_published:
-                            self._publish_epoch()
-                            self._epoch_published = True
+                with self._span("setup", phase="setup", epoch=self._epoch):
+                    self._ensure_workers(potential)
+                    if not self._epoch_published:
+                        self._publish_epoch()
+                        self._epoch_published = True
                 return once()
             except BackendError as exc:
                 self._n_worker_deaths += 1

@@ -37,7 +37,6 @@ from repro.kernels.base import MIN_PAIR_SEPARATION
 from repro.md.atoms import Atoms
 from repro.md.neighbor.verlet import NeighborList
 from repro.potentials.base import EAMPotential
-from repro.utils.profiler import PhaseProfiler
 from repro.utils.timers import Counter
 
 __all__ = [
@@ -324,7 +323,7 @@ def compute_eam_forces_serial(
     atoms: Atoms,
     nlist: NeighborList,
     counter: Optional[Counter] = None,
-    profiler: Optional[PhaseProfiler] = None,
+    tracer=None,
     tier: "Optional[kernels.KernelTier]" = None,
 ) -> EAMComputation:
     """Full serial EAM evaluation; also updates ``atoms`` in place.
@@ -335,12 +334,12 @@ def compute_eam_forces_serial(
     (:meth:`~repro.kernels.KernelTier.evaluate`): the pair energy is
     evaluated inside phase 1, and the NumPy tier also hands phase 1's pair
     geometry to phase 3 instead of sweeping the pair list again.  When
-    ``profiler`` is given, each phase's wall-clock is recorded under its
-    canonical name.
+    ``tracer`` (a :class:`~repro.obs.tracer.Tracer`) is given, each phase
+    is recorded as a span tagged with its canonical name.
     """
     rho, pair_energy, emb_energy, fp, forces = _tier(
         tier, "evaluate"
-    ).evaluate(potential, atoms.positions, atoms.box, nlist, counter, profiler)
+    ).evaluate(potential, atoms.positions, atoms.box, nlist, counter, tracer)
     atoms.rho[:] = rho
     atoms.fp[:] = fp
     atoms.forces[:] = forces

@@ -1,4 +1,4 @@
-"""Shared low-level utilities: CSR arrays, validation, RNG, timing."""
+"""Shared low-level utilities: CSR arrays, validation, RNG, counting."""
 
 from repro.utils.arrays import (
     CSR,
@@ -8,7 +8,7 @@ from repro.utils.arrays import (
     segment_sum,
 )
 from repro.utils.rng import default_rng, spawn_rngs
-from repro.utils.timers import Counter, Stopwatch, median_iqr
+from repro.utils.timers import Counter, median_iqr
 from repro.utils.validation import (
     check_finite,
     check_positive,
@@ -25,7 +25,6 @@ __all__ = [
     "default_rng",
     "spawn_rngs",
     "Counter",
-    "Stopwatch",
     "median_iqr",
     "check_finite",
     "check_positive",

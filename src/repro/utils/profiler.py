@@ -1,61 +1,52 @@
-"""Per-phase wall-clock profiling with warmup/repeat/median-IQR protocol.
+"""Per-phase wall-clock statistics: a reduction over :class:`Tracer` spans.
 
 The simulated machine (:mod:`repro.parallel.sim_exec`) predicts runtimes;
-this module *measures* them.  A :class:`PhaseProfiler` accumulates
-wall-clock per named phase — the canonical EAM phases plus the two
-overheads the paper's discussion cares about:
+``repro bench`` *measures* them.  There is one clock and one record — the
+:class:`~repro.obs.tracer.Span` — and this module only reduces a span
+list to per-phase samples:
 
-* ``density`` / ``embedding`` / ``force`` — the three kernel phases
-  (Section II.C);
-* ``neighbor-rebuild`` — cell binning, Verlet list construction, and the
-  SDC decomposition/partition rebuild keyed to it;
-* ``color-barrier`` — time threads spend waiting at the implicit barrier
-  between SDC color phases (phase wall-clock minus the longest task).
+* a region span counts toward the canonical phase named by its string
+  ``phase`` arg: ``density`` / ``embedding`` / ``force`` (the three
+  kernel phases, Section II.C), ``neighbor-rebuild`` (decomposition and
+  partition rebuild keyed to the Verlet list), ``setup`` / ``sync`` (the
+  persistent engines' pool construction and per-step state refresh).
+  Untagged spans (``lock-held``, halo exchanges) are timeline detail and
+  never double-count;
+* ``color-barrier`` — time workers spend waiting at the implicit barrier
+  between color phases — is each backend ``phase`` span minus the longest
+  ``task`` span of that phase;
+* a span tagged ``total`` delimits one *repeat*: every phase contributes
+  one sample per repeat (the sum of its spans inside it), and a repeat
+  whose ``total`` span carries ``warmup=True`` is discarded (page faults,
+  allocator warm state, NumPy dispatch caches).  A span list without any
+  ``total`` span is one implicit repeat.
 
-Measurement follows the standard repeat protocol: a few *warmup*
-evaluations are discarded (page faults, allocator warm state, NumPy
-dispatch caches), then each of ``repeats`` evaluations contributes one
-sample per phase, summarized as median and interquartile range
+:func:`measure` is the warm-up/repeat driver that emits those ``total``
+spans; samples are summarized as median and interquartile range
 (:func:`repro.utils.timers.median_iqr`).
-
-The profiler threads through the stack in three ways:
-
-1. the serial kernels accept ``profiler=`` directly
-   (:func:`repro.potentials.eam.compute_eam_forces_serial`);
-2. every :class:`~repro.core.strategies.base.ReductionStrategy` exposes
-   ``attach_profiler`` and wraps its phase regions;
-3. :class:`ProfilingObserver` plugs into the backend
-   :class:`~repro.parallel.backends.base.PhaseObserver` hook surface and
-   charges barrier slack to ``color-barrier``.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
+from repro.obs.tracer import CAT_PHASE, CAT_TASK, Span, Tracer
 from repro.utils.timers import median_iqr
 
-#: canonical phase names, in reporting order
-PHASE_DENSITY = "density"
-PHASE_EMBEDDING = "embedding"
-PHASE_FORCE = "force"
-PHASE_NEIGHBOR = "neighbor-rebuild"
+#: derived, not timed: backend phase span minus its longest task span
 PHASE_BARRIER = "color-barrier"
-#: persistent-engine overheads: pool/arena (re)construction and the
-#: per-step in-place state refresh (positions memcpy + zero fills)
-PHASE_SETUP = "setup"
-PHASE_SYNC = "sync"
+#: one whole evaluation; also the repeat delimiter (see module docstring)
+PHASE_TOTAL = "total"
+#: canonical phase names, in reporting order (``setup`` / ``sync`` are the
+#: persistent engines' pool construction and per-step state refresh)
 CANONICAL_PHASES: Tuple[str, ...] = (
-    PHASE_DENSITY,
-    PHASE_EMBEDDING,
-    PHASE_FORCE,
-    PHASE_NEIGHBOR,
-    PHASE_SETUP,
-    PHASE_SYNC,
+    "density",
+    "embedding",
+    "force",
+    "neighbor-rebuild",
+    "setup",
+    "sync",
     PHASE_BARRIER,
 )
 
@@ -85,231 +76,101 @@ class PhaseStats:
         )
 
 
-class PhaseProfiler:
-    """Accumulates per-phase wall-clock, one sample set per repeat.
+def _repeat_totals(spans: Iterable[Span]) -> Dict[str, float]:
+    """Seconds per phase over the spans of one repeat."""
+    totals: Dict[str, float] = {}
+    phase_wall: Dict[object, float] = {}
+    longest_task: Dict[object, float] = {}
+    for span in spans:
+        tag = span.args.get("phase")
+        if span.category == CAT_PHASE:
+            phase_wall[tag] = phase_wall.get(tag, 0.0) + span.duration_s
+        elif span.category == CAT_TASK:
+            if span.duration_s > longest_task.get(tag, 0.0):
+                longest_task[tag] = span.duration_s
+        elif isinstance(tag, str):
+            totals[tag] = totals.get(tag, 0.0) + span.duration_s
+    if phase_wall:
+        # clock skew across workers can make a task outlast its phase
+        totals[PHASE_BARRIER] = sum(
+            max(0.0, wall - longest_task.get(index, 0.0))
+            for index, wall in phase_wall.items()
+        )
+    return totals
 
-    Within one *repeat*, every ``phase(name)`` section (and every
-    ``add``) accumulates into that repeat's running total for ``name``;
-    ``end_repeat`` flushes the totals as one sample each.  Warmup repeats
-    are timed but discarded.
 
-    >>> prof = PhaseProfiler()
-    >>> with prof.repeat():
-    ...     with prof.phase("density"):
-    ...         pass
-    >>> prof.stats()["density"].n_samples
-    1
-    """
-
-    def __init__(self) -> None:
-        self._samples: Dict[str, List[float]] = {}
-        self._current: Dict[str, float] = {}
-        self._in_repeat = False
-        self._discard = False
-        self._lock = threading.Lock()
-        #: resolved kernel tier the profiled kernels ran on ("numpy",
-        #: "numba"); set by whoever attaches this profiler to a
-        #: calculator so BENCH records can label their samples
-        self.kernel_tier: Optional[str] = None
-
-    # --- sample collection ----------------------------------------------------
-
-    def add(self, name: str, seconds: float) -> None:
-        """Charge ``seconds`` of wall-clock to phase ``name``.
-
-        Thread-safe: observer callbacks may charge from worker threads.
-        Outside an explicit repeat, each ``add`` lands in an implicit
-        always-open repeat (flushed lazily by :meth:`stats`).
-        """
-        if seconds < 0:
-            # clock skew across threads can produce tiny negatives; clamp
-            seconds = 0.0
-        with self._lock:
-            self._current[name] = self._current.get(name, 0.0) + seconds
-
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Context manager timing one section under phase ``name``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add(name, time.perf_counter() - start)
-
-    # --- repeat protocol --------------------------------------------------------
-
-    def begin_repeat(self, warmup: bool = False) -> None:
-        """Open a repeat; a warmup repeat's totals are discarded at the end."""
-        if self._in_repeat:
-            raise RuntimeError("previous repeat still open")
-        self._current = {}
-        self._in_repeat = True
-        self._discard = warmup
-
-    def end_repeat(self) -> None:
-        """Close the current repeat, flushing its totals as one sample each."""
-        if not self._in_repeat:
-            raise RuntimeError("no repeat open")
-        with self._lock:
-            if not self._discard:
-                for name, total in self._current.items():
-                    self._samples.setdefault(name, []).append(total)
-            self._current = {}
-        self._in_repeat = False
-        self._discard = False
-
-    @contextmanager
-    def repeat(self, warmup: bool = False) -> Iterator[None]:
-        """Context-manager form of ``begin_repeat``/``end_repeat``."""
-        self.begin_repeat(warmup=warmup)
-        try:
-            yield
-        finally:
-            self.end_repeat()
-
-    def measure(
-        self,
-        fn: Callable[[], object],
-        warmup: int = 1,
-        repeats: int = 5,
-    ) -> Dict[str, PhaseStats]:
-        """Run ``fn`` with the repeat protocol and return per-phase stats.
-
-        ``fn`` is expected to exercise code instrumented against this
-        profiler; each recorded call additionally contributes a ``total``
-        phase covering the whole evaluation.
-        """
-        if warmup < 0:
-            raise ValueError("warmup must be >= 0")
-        if repeats < 1:
-            raise ValueError("repeats must be >= 1")
-        for _ in range(warmup):
-            with self.repeat(warmup=True):
-                fn()
-        for _ in range(repeats):
-            with self.repeat():
-                with self.phase("total"):
-                    fn()
-        return self.stats()
-
-    # --- reporting ------------------------------------------------------------
-
-    def reset(self) -> None:
-        """Drop all samples and any open repeat."""
-        with self._lock:
-            self._samples = {}
-            self._current = {}
-        self._in_repeat = False
-        self._discard = False
-
-    def phase_names(self) -> List[str]:
-        """Recorded phase names: canonical order first, extras appended."""
-        with self._lock:
-            seen = set(self._samples)
-        ordered = [p for p in CANONICAL_PHASES if p in seen]
-        ordered += sorted(seen - set(ordered))
-        return ordered
-
-    def stats(self) -> Dict[str, PhaseStats]:
-        """Per-phase summaries of all flushed samples.
-
-        A pending implicit repeat (bare ``add``/``phase`` calls outside
-        ``repeat()``) is flushed as one sample first.
-        """
-        with self._lock:
-            if not self._in_repeat and self._current:
-                for name, total in self._current.items():
-                    self._samples.setdefault(name, []).append(total)
-                self._current = {}
-            samples = {k: list(v) for k, v in self._samples.items()}
-        return {
-            name: PhaseStats.from_samples(name, sample)
-            for name, sample in samples.items()
-        }
-
-    def report(self) -> str:
-        """Human-readable per-phase table (median / IQR / samples)."""
-        stats = self.stats()
-        if not stats:
-            return "(no phases profiled)"
-        names = self.phase_names()
-        if "total" in stats and "total" not in names:
-            names.append("total")
-        width = max(len(n) for n in names)
-        lines = [
-            f"{'phase':<{width}}  {'median':>12}  {'iqr':>12}  {'n':>3}"
+def phase_samples(spans: Sequence[Span]) -> Dict[str, List[float]]:
+    """Per-phase samples, one per measured repeat (see module docstring)."""
+    repeats = [s for s in spans if s.args.get("phase") == PHASE_TOTAL]
+    windows: List[Iterable[Span]] = [spans]
+    if repeats:
+        windows = [
+            [
+                s
+                for s in spans
+                if s is rep or rep.start_s <= s.start_s < rep.end_s
+            ]
+            for rep in repeats
+            if not rep.args.get("warmup")
         ]
-        for name in names:
-            s = stats[name]
-            lines.append(
-                f"{name:<{width}}  {s.median_s:>10.6f} s  {s.iqr_s:>10.6f} s"
-                f"  {s.n_samples:>3}"
-            )
-        return "\n".join(lines)
+    samples: Dict[str, List[float]] = {}
+    for window in windows:
+        for name, seconds in _repeat_totals(window).items():
+            samples.setdefault(name, []).append(seconds)
+    return samples
 
 
-class ProfilingObserver:
-    """Backend observer charging color-barrier slack to a profiler.
+def phase_stats(spans: Sequence[Span]) -> Dict[str, PhaseStats]:
+    """Median / IQR / n per phase of a span list."""
+    return {
+        name: PhaseStats.from_samples(name, sample)
+        for name, sample in phase_samples(spans).items()
+    }
 
-    Implements the
-    :class:`~repro.parallel.backends.base.PhaseObserver` hook surface
-    structurally (backends only call the four hooks, never isinstance) —
-    deliberately not a subclass, so this module stays import-light and
-    free of the ``utils`` ↔ ``parallel`` package cycle.
 
-    For every backend phase the observer measures the phase wall-clock
-    (``on_phase_begin`` to ``on_phase_end``) and each task's duration on
-    its worker; the difference between the phase wall-clock and the
-    longest task is the time the other workers spent blocked at the
-    implicit barrier — recorded under ``color-barrier``.  Single-task
-    phases (the serial backend's degenerate case) still contribute their
-    dispatch overhead, which is the honest cost of the barrier structure.
+def measure(
+    tracer: Tracer,
+    fn: Callable[[], object],
+    warmup: int = 1,
+    repeats: int = 5,
+) -> Dict[str, PhaseStats]:
+    """Run ``fn`` with the repeat protocol and return per-phase stats.
+
+    ``fn`` is expected to exercise code that records into ``tracer``;
+    each call is wrapped in a ``total`` span, the first ``warmup`` of
+    them marked to be discarded.
     """
-
-    def __init__(self, profiler: PhaseProfiler) -> None:
-        self.profiler = profiler
-        self._lock = threading.Lock()
-        self._phase_start: Dict[int, float] = {}
-        self._task_start: Dict[Tuple[int, int], float] = {}
-        self._task_elapsed: Dict[int, float] = {}
-
-    def on_phase_begin(self, phase: int, n_tasks: int) -> None:
-        with self._lock:
-            self._phase_start[phase] = time.perf_counter()
-            self._task_elapsed[phase] = 0.0
-
-    def on_task_begin(self, phase: int, task: int) -> None:
-        with self._lock:
-            self._task_start[(phase, task)] = time.perf_counter()
-
-    def on_task_end(self, phase: int, task: int) -> None:
-        now = time.perf_counter()
-        with self._lock:
-            start = self._task_start.pop((phase, task), None)
-            if start is None:
-                return
-            elapsed = now - start
-            if elapsed > self._task_elapsed.get(phase, 0.0):
-                self._task_elapsed[phase] = elapsed
-
-    def on_phase_end(self, phase: int) -> None:
-        now = time.perf_counter()
-        with self._lock:
-            start = self._phase_start.pop(phase, None)
-            longest = self._task_elapsed.pop(phase, 0.0)
-        if start is None:
-            return
-        self.profiler.add(PHASE_BARRIER, max(0.0, (now - start) - longest))
+    if warmup < 0:
+        raise ValueError("warmup must be >= 0")
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
+    for k in range(warmup + repeats):
+        with tracer.span(PHASE_TOTAL, phase=PHASE_TOTAL, warmup=k < warmup):
+            fn()
+    return phase_stats(tracer.spans)
 
 
-class _NullContext:
-    """Tiny ``nullcontext`` stand-in (keeps strategy hot paths allocation-free)."""
+def phase_names(stats: Mapping[str, object]) -> List[str]:
+    """Names in ``stats``: canonical order, extras sorted, ``total`` last."""
+    seen = set(stats)
+    ordered = [p for p in CANONICAL_PHASES if p in seen]
+    ordered += sorted(seen - set(ordered) - {PHASE_TOTAL})
+    if PHASE_TOTAL in seen:
+        ordered.append(PHASE_TOTAL)
+    return ordered
 
-    def __enter__(self) -> None:
-        return None
 
-    def __exit__(self, *exc: object) -> None:
-        return None
-
-
-NULL_PHASE = _NullContext()
+def render_phase_table(stats: Mapping[str, PhaseStats]) -> str:
+    """Human-readable per-phase table (median / IQR / samples)."""
+    if not stats:
+        return "(no phases profiled)"
+    names = phase_names(stats)
+    width = max(len(n) for n in names)
+    lines = [f"{'phase':<{width}}  {'median':>12}  {'iqr':>12}  {'n':>3}"]
+    for name in names:
+        s = stats[name]
+        lines.append(
+            f"{name:<{width}}  {s.median_s:>10.6f} s  {s.iqr_s:>10.6f} s"
+            f"  {s.n_samples:>3}"
+        )
+    return "\n".join(lines)

@@ -1,16 +1,17 @@
-"""Wall-clock timing and operation counting.
+"""Sample statistics and operation counting.
 
 The paper measures "the running times of the calculations of the electron
-densities and forces" with ``gettimeofday``.  :class:`Stopwatch` is the
-equivalent for the real backends; :class:`Counter` feeds the simulated
-machine's cost model with operation counts.
+densities and forces" with ``gettimeofday``; here the instrumented
+regions are timed by :class:`repro.obs.tracer.Tracer` spans, and
+:func:`median_iqr` summarizes the per-repeat samples reduced from them.
+:class:`Counter` feeds the simulated machine's cost model with operation
+counts.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -27,73 +28,6 @@ def median_iqr(samples: Sequence[float]) -> Tuple[float, float]:
     arr = np.asarray(samples, dtype=np.float64)
     q1, med, q3 = np.percentile(arr, [25.0, 50.0, 75.0])
     return float(med), float(q3 - q1)
-
-
-class Stopwatch:
-    """Accumulating wall-clock timer with named sections.
-
-    >>> sw = Stopwatch()
-    >>> with sw.section("forces"):
-    ...     pass
-    >>> sw.total("forces") >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self._totals: Dict[str, float] = {}
-        self._counts: Dict[str, int] = {}
-
-    def section(self, name: str) -> "_Section":
-        """Context manager accumulating elapsed time under ``name``."""
-        return _Section(self, name)
-
-    def add(self, name: str, seconds: float) -> None:
-        """Manually add ``seconds`` to section ``name``."""
-        self._totals[name] = self._totals.get(name, 0.0) + seconds
-        self._counts[name] = self._counts.get(name, 0) + 1
-
-    def total(self, name: str) -> float:
-        """Total seconds accumulated under ``name`` (0.0 if never timed)."""
-        return self._totals.get(name, 0.0)
-
-    def count(self, name: str) -> int:
-        """Number of times section ``name`` was entered."""
-        return self._counts.get(name, 0)
-
-    def names(self) -> list[str]:
-        """All section names, in insertion order."""
-        return list(self._totals)
-
-    def reset(self) -> None:
-        """Clear all sections."""
-        self._totals.clear()
-        self._counts.clear()
-
-    def report(self) -> str:
-        """Human-readable multi-line summary."""
-        if not self._totals:
-            return "(no sections timed)"
-        width = max(len(n) for n in self._totals)
-        lines = [
-            f"{name:<{width}}  {self._totals[name]:10.6f} s  x{self._counts[name]}"
-            for name in self._totals
-        ]
-        return "\n".join(lines)
-
-
-class _Section:
-    def __init__(self, watch: Stopwatch, name: str) -> None:
-        self._watch = watch
-        self._name = name
-        self._start: Optional[float] = None
-
-    def __enter__(self) -> "_Section":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        assert self._start is not None
-        self._watch.add(self._name, time.perf_counter() - self._start)
 
 
 @dataclass

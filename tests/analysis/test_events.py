@@ -1,4 +1,11 @@
-"""The execution-event layer: phase/task hooks on every backend."""
+"""The execution-event stream: backend phase/task hooks as tracer spans.
+
+The separate ``EventLog`` is gone — :class:`TracingObserver` is the one
+recorder of backend execution, so the questions the log answered (did
+every task end?  did phases bracket their tasks?  on which clock?) are
+asked of its ``task`` / ``phase`` spans here.  Hook-level ordering lives
+in ``tests/parallel/test_backend_contract.py``.
+"""
 
 from __future__ import annotations
 
@@ -7,8 +14,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.analysis.events import EventLog
 from repro.core.strategies import SDCStrategy
+from repro.obs.tracer import CAT_PHASE, CAT_TASK, Tracer, TracingObserver
 from repro.parallel.backends.serial import SerialBackend
 from repro.parallel.backends.threads import ThreadBackend
 
@@ -22,113 +29,125 @@ def _run_phases(backend, sizes):
     return sink
 
 
+def _observe(backend) -> Tracer:
+    tracer = Tracer()
+    backend.attach_observer(TracingObserver(tracer))
+    return tracer
+
+
+def _phase_sizes(tracer):
+    """``{phase index: n_tasks}`` of the recorded backend phase spans."""
+    return {
+        s.args["phase"]: s.args["n_tasks"] for s in tracer.by_category(CAT_PHASE)
+    }
+
+
+def _completed_tasks(tracer, phase):
+    return sorted(
+        s.args["task"]
+        for s in tracer.by_category(CAT_TASK)
+        if s.args["phase"] == phase
+    )
+
+
+def _well_formed(tracer) -> bool:
+    """Every phase span covers exactly the tasks counted at its barrier."""
+    return all(
+        _completed_tasks(tracer, phase) == list(range(n_tasks))
+        for phase, n_tasks in _phase_sizes(tracer).items()
+    )
+
+
 class TestEventLogOnSerialBackend:
     def test_records_every_phase_and_task(self):
         backend = SerialBackend()
-        log = EventLog()
-        backend.attach_observer(log)
+        tracer = _observe(backend)
         _run_phases(backend, [3, 1, 4])
-        assert log.n_phases == 3
-        assert log.phase_sizes == {0: 3, 1: 1, 2: 4}
-        assert log.completed_tasks(0) == [0, 1, 2]
-        assert log.completed_tasks(2) == [0, 1, 2, 3]
-        assert log.is_well_formed()
+        assert _phase_sizes(tracer) == {0: 3, 1: 1, 2: 4}
+        assert _completed_tasks(tracer, 0) == [0, 1, 2]
+        assert _completed_tasks(tracer, 2) == [0, 1, 2, 3]
+        assert _well_formed(tracer)
 
     def test_events_are_ordered_within_a_phase(self):
         backend = SerialBackend()
-        log = EventLog()
-        backend.attach_observer(log)
+        tracer = _observe(backend)
         _run_phases(backend, [2])
-        kinds = [e.kind for e in log.of_phase(0)]
-        # serial: task intervals never interleave
-        assert kinds == [
-            "phase-begin",
-            "task-begin",
-            "task-end",
-            "task-begin",
-            "task-end",
-            "phase-end",
-        ]
+        first, second = tracer.by_category(CAT_TASK)
+        (phase,) = tracer.by_category(CAT_PHASE)
+        # serial: task intervals never interleave, the phase brackets both
+        assert phase.start_s <= first.start_s
+        assert first.end_s <= second.start_s
+        assert second.end_s <= phase.end_s
 
     def test_detach_stops_recording(self):
         backend = SerialBackend()
-        log = EventLog()
-        backend.attach_observer(log)
+        tracer = _observe(backend)
         _run_phases(backend, [1])
         backend.detach_observer()
         _run_phases(backend, [1])
-        assert log.n_phases == 1
+        assert _phase_sizes(tracer) == {0: 1}
 
     def test_reattach_restarts_phase_numbering(self):
         backend = SerialBackend()
-        log = EventLog()
-        backend.attach_observer(log)
+        tracer = _observe(backend)
         _run_phases(backend, [1, 1])
-        log.clear()
-        backend.attach_observer(log)
+        tracer.clear()
+        backend.attach_observer(TracingObserver(tracer))
         _run_phases(backend, [2])
-        assert log.phase_sizes == {0: 2}
+        assert _phase_sizes(tracer) == {0: 2}
 
     def test_timestamps_share_the_perf_counter_clock_domain(self):
-        """Event timestamps must be comparable with profiler/tracer times.
-
-        The profiler, the backends and the tracer all read
-        ``time.perf_counter()``; events recorded between two readings of
-        that clock must fall inside the window (regression: events used
-        ``time.monotonic()``, a different clock domain on some platforms).
+        """One clock: spans recorded between two ``time.perf_counter()``
+        readings must fall inside the window (regression: events once
+        used ``time.monotonic()``, a different domain on some platforms).
         """
         backend = SerialBackend()
-        log = EventLog()
-        backend.attach_observer(log)
+        tracer = _observe(backend)
         before = time.perf_counter()
         _run_phases(backend, [2])
         after = time.perf_counter()
-        assert log.events
-        for event in log.events:
-            assert before <= event.timestamp <= after
+        assert len(tracer) > 0
+        for span in tracer.spans:
+            assert before <= span.start_s <= span.end_s <= after
 
     def test_task_end_fires_on_raise(self):
         backend = SerialBackend()
-        log = EventLog()
-        backend.attach_observer(log)
+        tracer = _observe(backend)
 
         def boom() -> None:
             raise RuntimeError("task failure")
 
         with pytest.raises(RuntimeError):
             backend.run_phase([boom])
-        kinds = [e.kind for e in log.events]
-        assert kinds == ["phase-begin", "task-begin", "task-end", "phase-end"]
+        assert [s.category for s in tracer.spans][:2] == [CAT_TASK, CAT_PHASE]
+        assert _well_formed(tracer)
 
 
 class TestEventLogOnThreadBackend:
     def test_all_tasks_complete_on_threads(self):
         backend = ThreadBackend(4)
-        log = EventLog()
-        backend.attach_observer(log)
+        tracer = _observe(backend)
         try:
             _run_phases(backend, [8, 5])
         finally:
             backend.close()
-        assert log.n_phases == 2
-        assert log.completed_tasks(0) == list(range(8))
-        assert log.completed_tasks(1) == list(range(5))
-        assert log.is_well_formed()
+        assert _phase_sizes(tracer) == {0: 8, 1: 5}
+        assert _completed_tasks(tracer, 0) == list(range(8))
+        assert _completed_tasks(tracer, 1) == list(range(5))
 
     def test_phase_boundaries_bracket_tasks(self):
-        """phase-begin precedes and phase-end follows every task event."""
+        """The phase span begins before and ends after every task span."""
         backend = ThreadBackend(3)
-        log = EventLog()
-        backend.attach_observer(log)
+        tracer = _observe(backend)
         try:
             _run_phases(backend, [6])
         finally:
             backend.close()
-        events = log.of_phase(0)
-        assert events[0].kind == "phase-begin"
-        assert events[-1].kind == "phase-end"
+        (phase,) = tracer.by_category(CAT_PHASE)
+        tasks = tracer.by_category(CAT_TASK)
+        assert len(tasks) == 6
         assert all(
-            e.kind in ("task-begin", "task-end") for e in events[1:-1]
+            phase.start_s <= t.start_s and t.end_s <= phase.end_s for t in tasks
         )
 
 
@@ -136,16 +155,14 @@ class TestEventLogThroughStrategy:
     def test_sdc_compute_emits_balanced_phases(
         self, potential, sdc_atoms, sdc_nlist
     ):
-        log = EventLog()
+        tracer = Tracer()
         strategy = SDCStrategy(dims=2, n_threads=2)
-        strategy.backend.attach_observer(log)
+        strategy.attach_tracer(tracer)
         try:
             result = strategy.compute(potential, sdc_atoms.copy(), sdc_nlist)
         finally:
-            strategy.backend.detach_observer()
+            strategy.detach_tracer()
         assert np.all(np.isfinite(result.forces))
-        assert log.is_well_formed()
+        assert _well_formed(tracer)
         # density colors + embedding + force colors
-        assert log.n_phases >= 3
-        for phase, size in log.phase_sizes.items():
-            assert log.completed_tasks(phase) == list(range(size))
+        assert len(_phase_sizes(tracer)) >= 3

@@ -110,6 +110,67 @@ class TestBenchForces:
         assert "processes" in skips[0]
 
 
+KERNEL_PHASES = {"density", "embedding", "force"}
+
+#: phase names the parent commit (``PhaseProfiler`` + ``ProfilingObserver``)
+#: emitted per cell, recorded by running its sweep: the cells of the
+#: committed ``BENCH_forces.json`` are checked against that file, the
+#: rest against this table
+PARENT_PHASES = {
+    ("sdc-2d", "processes"): KERNEL_PHASES
+    | {"neighbor-rebuild", "setup", "sync", "color-barrier", "total"},
+    ("sdc-2d", "sharded"): KERNEL_PHASES | {"neighbor-rebuild", "setup", "total"},
+    ("sdc-1d", "threads"): KERNEL_PHASES
+    | {"neighbor-rebuild", "color-barrier", "total"},
+    ("localwrite", "threads"): KERNEL_PHASES
+    | {"neighbor-rebuild", "color-barrier", "total"},
+    ("redundant-computation", "serial"): KERNEL_PHASES
+    | {"neighbor-rebuild", "color-barrier", "total"},
+    ("critical-section", "threads"): KERNEL_PHASES | {"color-barrier", "total"},
+    ("array-privatization", "threads"): KERNEL_PHASES | {"color-barrier", "total"},
+    ("atomic", "serial"): KERNEL_PHASES | {"color-barrier", "total"},
+}
+
+
+def _committed_phases():
+    """``{(strategy, backend): phases}`` of the repo's BENCH_forces.json."""
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[2] / "BENCH_forces.json"
+    cells = {}
+    for row in json.loads(path.read_text())["records"]:
+        cells.setdefault((row["strategy"], row["backend"]), set()).add(row["phase"])
+    return cells
+
+
+EXPECTED_PHASES = {**PARENT_PHASES, **_committed_phases()}
+
+
+class TestCellPhases:
+    """The span reduction reports the same rows the two clocks did."""
+
+    @pytest.mark.parametrize("strategy,backend", sorted(EXPECTED_PHASES))
+    def test_phase_names_match_parent(self, strategy, backend):
+        import multiprocessing as mp
+
+        if backend in ("processes", "sharded") and (
+            "fork" not in mp.get_all_start_methods()
+        ):
+            pytest.skip("requires fork")
+        records = bench_forces(
+            cases=("tiny",),
+            strategies=(strategy,),
+            backends=(backend,),
+            n_workers=2,
+            warmup=1,
+            repeats=2,
+        )
+        median = {r.phase: r.median_s for r in records}
+        assert set(median) == EXPECTED_PHASES[(strategy, backend)]
+        # two samples: the median is the mean, so the closure is exact
+        assert sum(median[p] for p in KERNEL_PHASES) <= 1.05 * median["total"]
+
+
 class TestBenchSteps:
     @pytest.fixture(scope="class")
     def step_records(self):

@@ -202,10 +202,18 @@ class TestEAMCalculator:
             result.forces, reference_result.forces, atol=1e-12
         )
 
-    def test_profiler_gets_tier_stamp(self):
-        from repro.utils.profiler import PhaseProfiler
+    def test_profiler_gets_tier_stamp(self, sdc_atoms, sdc_nlist, potential):
+        """A profiled cell labels its rows with the calculator's tier and
+        gets the serial kernels' phase spans through ``attach_tracer``."""
+        from repro.obs.tracer import Tracer
+        from repro.utils.profiler import phase_stats
 
         calc = EAMCalculator(kernel_tier="numpy")
-        profiler = PhaseProfiler()
-        calc.attach_profiler(profiler)
-        assert profiler.kernel_tier == "numpy"
+        tracer = Tracer()
+        calc.attach_tracer(tracer)
+        calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
+        calc.detach_tracer()
+        assert calc.kernel_tier == "numpy"
+        assert set(phase_stats(tracer.spans)) == {"density", "embedding", "force"}
+        calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
+        assert len(tracer) == 3

@@ -49,7 +49,7 @@ class TestNeighborManagement:
             atoms, fe_potential(), rebuild_every=2, skin=1.0
         )
         sim.run(5, sample_every=1)
-        assert sim.stopwatch.count("neighbor") >= 2
+        assert sim.n_neighbor_rebuilds >= 2
 
     def test_rejects_bad_cadence(self):
         case = Case(key="t", label="t", n_cells=4)
@@ -77,6 +77,23 @@ class TestRun:
         assert report.n_steps == 10
         assert len(report.records) >= 2
         assert report.force_seconds > 0.0
+
+    def test_force_seconds_is_per_run(self, sim):
+        """Each report carries its own run's force time, like its rebuilds.
+
+        On the parent commit the second report also held the first run's
+        seconds and a zero-step run reported the lifetime total.
+        """
+        first = sim.run(5)
+        second = sim.run(5)
+        empty = sim.run(0)
+        assert empty.force_seconds == 0.0
+        assert empty.n_neighbor_rebuilds == 0
+        # run 1 pays the t=0 evaluation on top of its five steps
+        assert 0.0 < second.force_seconds < first.force_seconds * 3
+        assert first.force_seconds + second.force_seconds == pytest.approx(
+            sim.force_seconds
+        )
 
     def test_energy_conservation_nve(self, sim):
         report = sim.run(40, sample_every=1)

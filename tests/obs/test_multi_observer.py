@@ -1,11 +1,10 @@
-"""Multi-observer fan-out: tracer + profiler + event log on one backend."""
+"""Multi-observer fan-out: several observers on one backend."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.analysis.events import EventLog
 from repro.core.strategies.sdc import SDCStrategy
 from repro.obs.recorder import FlightRecorder, set_recorder
 from repro.obs.tracer import CAT_TASK, Tracer, TracingObserver
@@ -206,7 +205,7 @@ class TestCoAttachedObservers:
     def test_tracer_and_eventlog_see_the_same_phases(self):
         backend = ThreadBackend(2)
         tracer = Tracer()
-        log = EventLog()
+        log = _Recorder()
         backend.add_observer(TracingObserver(tracer))
         backend.add_observer(log)
         try:
@@ -214,34 +213,34 @@ class TestCoAttachedObservers:
             backend.run_phase([(lambda: None) for _ in range(2)])
         finally:
             backend.close()
-        assert log.n_phases == 2
-        assert log.is_well_formed()
-        task_phases = {
-            s.args["phase"] for s in tracer.by_category(CAT_TASK)
-        }
-        assert task_phases == {0, 1}
-        assert len(tracer.by_category(CAT_TASK)) == 6
+        begun = [c for c in log.calls if c[0] == "phase-begin"]
+        assert begun == [("phase-begin", 0, 4), ("phase-begin", 1, 2)]
+        ended = sorted(c[1:] for c in log.calls if c[0] == "task-end")
+        assert ended == sorted(
+            (s.args["phase"], s.args["task"])
+            for s in tracer.by_category(CAT_TASK)
+        )
+        assert len(ended) == 6
 
     def test_profiler_and_tracer_co_attach_through_strategy(
         self, potential, sdc_atoms, sdc_nlist
     ):
-        from repro.utils.profiler import PhaseProfiler
+        """A bench-style reduction and a second tracer on one execution."""
+        from repro.utils.profiler import phase_stats
 
         strategy = SDCStrategy(dims=2, n_threads=2)
-        tracer = Tracer()
-        profiler = PhaseProfiler()
+        tracer, bystander = Tracer(), Tracer()
+        foreign = TracingObserver(bystander)
         strategy.attach_tracer(tracer)
-        strategy.attach_profiler(profiler)
+        strategy.backend.add_observer(foreign)
         try:
-            with profiler.repeat():
-                result = strategy.compute(
-                    potential, sdc_atoms.copy(), sdc_nlist
-                )
+            result = strategy.compute(potential, sdc_atoms.copy(), sdc_nlist)
         finally:
-            strategy.detach_profiler()
             strategy.detach_tracer()
         assert np.all(np.isfinite(result.forces))
         # both instruments observed the same execution
-        assert "density" in profiler.phase_names()
-        assert len(tracer.by_category(CAT_TASK)) > 0
-        assert strategy.backend.observer is None
+        assert {"density", "color-barrier"} <= set(phase_stats(tracer.spans))
+        assert len(bystander.by_category(CAT_TASK)) == len(
+            tracer.by_category(CAT_TASK)
+        )
+        assert strategy.backend.observer is foreign

@@ -274,16 +274,19 @@ class TestDisabledOverhead:
         no-op context manager, never a fresh object per call.
         """
         from repro.core.strategies.sdc import SDCStrategy
-        from repro.utils.profiler import NULL_PHASE
+        from repro.obs.tracer import NULL_SPAN
 
         strategy = SDCStrategy()
-        assert strategy._span("density:color0", color=0) is NULL_PHASE
-        assert strategy._span("force:color1") is NULL_PHASE
+        assert (
+            strategy._span("density:color0", phase="density", color=0)
+            is NULL_SPAN
+        )
+        assert strategy._span("force:color1") is NULL_SPAN
 
     def test_untraced_simulation_span_is_the_shared_noop(self, potential):
         from repro.harness.cases import case_by_key
         from repro.md.simulation import Simulation
-        from repro.utils.profiler import NULL_PHASE
+        from repro.obs.tracer import NULL_SPAN
 
         sim = Simulation(case_by_key("tiny").build(), potential)
-        assert sim._span("md-step", step=0) is NULL_PHASE
+        assert sim._span("md-step", step=0) is NULL_SPAN

@@ -13,6 +13,7 @@ future substrate earns the same coverage by adding one row to
 * task-exception propagation vs :class:`BackendError` for worker death,
 * observer hook ordering (``on_phase_begin`` strictly before the first
   ``on_task_begin``; ``on_phase_end`` after the last ``on_task_end``),
+  detach stops the hooks, re-attach restarts the phase numbering,
 * ``close()`` idempotence and rejection of phases after close,
 * no ``/dev/shm`` residue.
 
@@ -267,6 +268,32 @@ class TestBackendContract:
         assert kinds[-1] == "phase_end"
         assert "task_end" in kinds  # on_task_end fires also on raise
 
+    def test_detach_stops_recording(self, backend):
+        observer = RecordingObserver()
+        backend.attach_observer(observer)
+        backend.run_phase([lambda: None])
+        backend.detach_observer()
+        seen = list(observer.events)
+        backend.run_phase([lambda: None])
+        assert observer.events == seen
+        assert seen[0] == ("phase_begin", 0, 1)
+
+    def test_reattach_restarts_phase_numbering(self, backend):
+        observer = RecordingObserver()
+        backend.attach_observer(observer)
+        backend.run_phase([lambda: None])
+        backend.run_phase([lambda: None])
+        assert ("phase_begin", 1, 1) in observer.events
+        observer.events.clear()
+        backend.attach_observer(observer)
+        try:
+            backend.run_phase([lambda: None] * 2)
+        finally:
+            backend.detach_observer()
+        assert [e for e in observer.events if e[0] == "phase_begin"] == [
+            ("phase_begin", 0, 2)
+        ]
+
     def test_close_idempotent(self, backend):
         backend.close()
         backend.close()
@@ -290,6 +317,29 @@ class TestBackendContract:
         assert snapshot["backend"] == type(backend).__name__
         assert "phases_run" in snapshot
         assert "observed" in snapshot
+
+
+@pytest.mark.parametrize("key", ["serial", "threads"])
+def test_sdc_compute_emits_balanced_phases(key, potential, sdc_atoms, sdc_nlist):
+    """Through a real strategy: every begun phase ends, after exactly the
+    tasks it announced (density colors + embedding + force colors)."""
+    from repro.core.strategies import SDCStrategy
+
+    observer = RecordingObserver()
+    with SDCStrategy(
+        dims=2, n_threads=2, backend=BACKEND_FACTORIES[key]()
+    ) as strategy:
+        strategy.backend.attach_observer(observer)
+        result = strategy.compute(potential, sdc_atoms.copy(), sdc_nlist)
+    assert np.all(np.isfinite(result.forces))
+    sizes = {e[1]: e[2] for e in observer.events if e[0] == "phase_begin"}
+    assert len(sizes) >= 3
+    for phase, size in sizes.items():
+        ended = sorted(
+            e[2] for e in observer.events if e[:2] == ("task_end", phase)
+        )
+        assert ended == list(range(size))
+        assert ("phase_end", phase) in observer.events
 
 
 @pytest.mark.parametrize("key", [pytest.param(k, marks=needs_fork) for k in FORKED])

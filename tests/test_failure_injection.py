@@ -261,14 +261,19 @@ class TestMalformedStructures:
 
 class TestStopwatchExceptionSafety:
     def test_section_records_time_on_exception(self):
-        from repro.utils.timers import Stopwatch
+        """A span is still recorded, and still counted toward its phase,
+        when its body raises."""
+        from repro.obs.tracer import Tracer
+        from repro.utils.profiler import phase_samples
 
-        sw = Stopwatch()
+        tracer = Tracer()
         with pytest.raises(ValueError):
-            with sw.section("failing"):
+            with tracer.span("failing", phase="density"):
                 raise ValueError("boom")
-        assert sw.count("failing") == 1
-        assert sw.total("failing") >= 0.0
+        (span,) = tracer.spans
+        assert span.name == "failing"
+        assert phase_samples(tracer.spans) == {"density": [span.duration_s]}
+        assert tracer.current_region() is None
 
 
 class TestBackendPartialPhase:

@@ -1,47 +1,66 @@
-"""Stopwatch and Counter accounting."""
-
-import time
+"""Driver time accounting (what replaced ``Stopwatch``) and ``Counter``."""
 
 import pytest
 
-from repro.utils.timers import Counter, Stopwatch
+from repro.harness.cases import Case
+from repro.md.simulation import Simulation, SimulationReport
+from repro.obs.runlog import RunLog
+from repro.potentials import fe_potential
+from repro.utils.timers import Counter
+
+
+def _sim(**kwargs) -> Simulation:
+    atoms = Case(key="t", label="t", n_cells=4).build(temperature=50.0, seed=2)
+    return Simulation(atoms, fe_potential(), **kwargs)
 
 
 class TestStopwatch:
+    """The MD driver's two plain fields: force seconds and rebuild count."""
+
     def test_section_accumulates(self):
-        sw = Stopwatch()
-        with sw.section("x"):
-            time.sleep(0.001)
-        with sw.section("x"):
-            pass
-        assert sw.total("x") > 0.0
-        assert sw.count("x") == 2
+        sim = _sim()
+        sim.compute_forces()
+        once = sim.force_seconds
+        sim.compute_forces()
+        assert 0.0 < once < sim.force_seconds
+        assert sim.n_neighbor_rebuilds == 1
 
     def test_unknown_section_is_zero(self):
-        sw = Stopwatch()
-        assert sw.total("missing") == 0.0
-        assert sw.count("missing") == 0
+        sim = _sim()
+        assert sim.force_seconds == 0.0
+        assert sim.n_neighbor_rebuilds == 0
 
     def test_manual_add(self):
-        sw = Stopwatch()
-        sw.add("phase", 1.5)
-        sw.add("phase", 0.5)
-        assert sw.total("phase") == pytest.approx(2.0)
+        """An evaluation between runs counts for the lifetime, not a run."""
+        sim = _sim()
+        sim.run(1)
+        sim.compute_forces()
+        before = sim.force_seconds
+        report = sim.run(2)
+        assert report.force_seconds == pytest.approx(sim.force_seconds - before)
 
     def test_reset(self):
-        sw = Stopwatch()
-        sw.add("a", 1.0)
-        sw.reset()
-        assert sw.total("a") == 0.0
-        assert sw.names() == []
+        """Every run reports from zero, whatever ran before it."""
+        sim = _sim(rebuild_every=1)
+        assert sim.run(3).n_neighbor_rebuilds >= 3
+        report = sim.run(0)
+        assert report.force_seconds == 0.0
+        assert report.n_neighbor_rebuilds == 0
 
     def test_report_contains_sections(self):
-        sw = Stopwatch()
-        sw.add("forces", 0.25)
-        assert "forces" in sw.report()
+        log = RunLog()
+        sim = _sim(run_log=log)
+        sim.run(2)
+        report = sim.run(2)
+        end = [r for r in log.records if r.get("event") == "run-end"][-1]
+        assert end["force_seconds"] == report.force_seconds
+        assert end["n_neighbor_rebuilds"] == report.n_neighbor_rebuilds
 
     def test_report_empty(self):
-        assert "no sections" in Stopwatch().report()
+        report = SimulationReport()
+        assert report.force_seconds == 0.0
+        assert report.n_neighbor_rebuilds == 0
+        assert len(report.energies()) == 0
 
 
 class TestCounter:
