@@ -30,9 +30,9 @@ from repro.parallel.workload import WorkloadStats
 from repro.potentials.base import EAMPotential
 from repro.potentials.eam import (
     EAMComputation,
-    density_pair_values,
     force_pair_coefficients,
     pair_geometry,
+    pair_terms,
     scatter_force_half,
     scatter_rho_half,
 )
@@ -82,7 +82,7 @@ class AtomicStrategy(ReductionStrategy):
                 if len(i_idx) == 0:
                     return
                 _, r = pair_geometry(positions, box, i_idx, j_idx, tier=tier)
-                phi = density_pair_values(potential, r, tier=tier)
+                phi = pair_terms(potential, r, tier=tier)[0]
                 scatter_rho_half(rho, i_idx, j_idx, phi, tier=tier)
 
             return run

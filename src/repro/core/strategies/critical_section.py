@@ -30,9 +30,9 @@ from repro.parallel.workload import WorkloadStats
 from repro.potentials.base import EAMPotential
 from repro.potentials.eam import (
     EAMComputation,
-    density_pair_values,
     force_pair_coefficients,
     pair_geometry,
+    pair_terms,
     scatter_force_half,
     scatter_rho_half,
 )
@@ -84,7 +84,7 @@ class CriticalSectionStrategy(ReductionStrategy):
                 if len(i_idx) == 0:
                     return
                 _, r = pair_geometry(positions, box, i_idx, j_idx, tier=tier)
-                phi = density_pair_values(potential, r, tier=tier)
+                phi = pair_terms(potential, r, tier=tier)[0]
                 with self._lock:
                     with self._span("density:lock-held", n_pairs=len(i_idx)):
                         scatter_rho_half(rho, i_idx, j_idx, phi, tier=tier)

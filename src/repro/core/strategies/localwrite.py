@@ -39,9 +39,9 @@ from repro.parallel.workload import BYTES_PER_ATOM, WorkloadStats
 from repro.potentials.base import EAMPotential
 from repro.potentials.eam import (
     EAMComputation,
-    density_pair_values,
     force_pair_coefficients,
     pair_geometry,
+    pair_terms,
     scatter_force_half,
     scatter_rho_half,
 )
@@ -181,12 +181,12 @@ class LocalWriteStrategy(ReductionStrategy):
                 i_in, j_in = tables.interior_of(s)
                 if len(i_in):
                     _, r = pair_geometry(positions, box, i_in, j_in, tier=tier)
-                    phi = density_pair_values(potential, r, tier=tier)
+                    phi = pair_terms(potential, r, tier=tier)[0]
                     scatter_rho_half(rho, i_in, j_in, phi, tier=tier)
                 i_b, j_b, side = tables.boundary_of(s)
                 if len(i_b):
                     _, r = pair_geometry(positions, box, i_b, j_b, tier=tier)
-                    phi = density_pair_values(potential, r, tier=tier)
+                    phi = pair_terms(potential, r, tier=tier)[0]
                     # one-sided owned write: stays np.add.at so the task's
                     # write set is exactly its owned boundary rows
                     own = np.where(side == 0, i_b, j_b)

@@ -12,7 +12,7 @@ protocol, so the MD driver runs LJ dynamics through SDC unchanged.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from repro.core.coloring import lattice_coloring, validate_coloring
 from repro.core.domain import decompose, decompose_balanced
 from repro.core.partition import build_pair_partition, build_partition
 from repro.core.schedule import build_schedule
+from repro.kernels.base import check_pair_separation
 from repro.md.atoms import Atoms
 from repro.md.neighbor.verlet import NeighborList
 from repro.parallel.backends.base import ExecutionBackend
@@ -40,11 +41,14 @@ def _pair_forces(
     box,
     i_idx: np.ndarray,
     j_idx: np.ndarray,
-) -> np.ndarray:
-    """Per-pair force vectors ``-V'(r)/r * delta`` for a pair slice."""
+) -> Tuple[np.ndarray, float]:
+    """Per-pair force vectors ``-V'(r)/r * delta`` and the pair-energy sum
+    of a pair slice, from one geometry pass; overlapping atoms raise
+    (naming the pair) before the caller scatters anything."""
     delta, r = pair_geometry(positions, box, i_idx, j_idx)
-    coeff = -potential.pair_energy_deriv(r) / np.maximum(r, 1e-12)
-    return coeff[:, None] * delta
+    check_pair_separation(r, (i_idx, j_idx))
+    coeff = -potential.pair_energy_deriv(r) / r
+    return coeff[:, None] * delta, float(np.sum(potential.pair_energy(r)))
 
 
 class SerialPairCalculator:
@@ -64,14 +68,14 @@ class SerialPairCalculator:
         forces = np.zeros((n, 3))
         pair_energy = 0.0
         if len(i_idx):
-            pf = _pair_forces(potential, atoms.positions, atoms.box, i_idx, j_idx)
+            pf, pair_energy = _pair_forces(
+                potential, atoms.positions, atoms.box, i_idx, j_idx
+            )
             forces += segment_sum(pf, i_idx, n)
             if nlist.half:
                 forces -= segment_sum(pf, j_idx, n)
-            _, r = pair_geometry(atoms.positions, atoms.box, i_idx, j_idx)
-            pair_energy = float(np.sum(potential.pair_energy(r))) * (
-                1.0 if nlist.half else 0.5
-            )
+            else:
+                pair_energy *= 0.5
         atoms.forces[:] = forces
         atoms.rho[:] = 0.0
         atoms.fp[:] = 0.0
@@ -145,13 +149,17 @@ class SDCPairCalculator:
         box = atoms.box
         n = atoms.n_atoms
         forces = np.zeros((n, 3))
+        # each task keeps its subdomain's pair-energy partial in its own slot
+        energy = np.zeros(len(pairs.offsets) - 1)
 
         def task(subdomain: int):
             def run() -> None:
                 i_idx, j_idx = pairs.pairs_of(subdomain)
                 if len(i_idx) == 0:
                     return
-                pf = _pair_forces(potential, positions, box, i_idx, j_idx)
+                pf, energy[subdomain] = _pair_forces(
+                    potential, positions, box, i_idx, j_idx
+                )
                 scatter_force_half(forces, i_idx, j_idx, pf)
 
             return run
@@ -159,12 +167,7 @@ class SDCPairCalculator:
         for members in self._schedule.phases:
             self.backend.run_phase([task(int(s)) for s in members])
 
-        i_idx, j_idx = nlist.pair_arrays()
-        if len(i_idx):
-            _, r = pair_geometry(positions, box, i_idx, j_idx)
-            pair_energy = float(np.sum(potential.pair_energy(r)))
-        else:
-            pair_energy = 0.0
+        pair_energy = float(np.sum(energy))
         atoms.forces[:] = forces
         atoms.rho[:] = 0.0
         atoms.fp[:] = 0.0

@@ -30,9 +30,9 @@ from repro.parallel.workload import WorkloadStats
 from repro.potentials.base import EAMPotential
 from repro.potentials.eam import (
     EAMComputation,
-    density_pair_values,
     force_pair_coefficients,
     pair_geometry,
+    pair_terms,
     scatter_force_owned,
     scatter_rho_owned,
 )
@@ -86,7 +86,7 @@ class RedundantComputationStrategy(ReductionStrategy):
                 if len(i_idx) == 0:
                     return
                 _, r = pair_geometry(positions, box, i_idx, j_idx, tier=tier)
-                phi = density_pair_values(potential, r, tier=tier)
+                phi = pair_terms(potential, r, tier=tier)[0]
                 # owned rows only: offset into the chunk's contiguous range,
                 # accumulate into a chunk-local buffer so the task's write
                 # into the shared array stays a plain slice assignment

@@ -26,7 +26,7 @@ from repro.core.partition import (
 )
 from repro.core.schedule import ColorSchedule, build_schedule
 from repro.core.strategies.base import ReductionStrategy, atom_chunks
-from repro.kernels.base import check_pair_separation
+from repro.kernels.base import check_pair_separation, pair_force_coefficients
 from repro.md.atoms import Atoms
 from repro.md.neighbor.verlet import NeighborList
 from repro.parallel.backends.base import ExecutionBackend
@@ -37,9 +37,8 @@ from repro.parallel.workload import BYTES_PER_ATOM, WorkloadStats
 from repro.potentials.base import EAMPotential
 from repro.potentials.eam import (
     EAMComputation,
-    density_pair_values,
-    force_pair_coefficients,
     pair_geometry,
+    pair_terms,
     scatter_force_half,
     scatter_rho_half,
 )
@@ -223,10 +222,11 @@ class SDCStrategy(ReductionStrategy):
 
         # phase 1: densities, color by color
         rho = self._array("rho", n)
-        # one geometry pass per evaluation: each density task keeps its
-        # subdomain's (delta, r) and pair-energy partial in its own slot, and
-        # the same subdomain's force task reads them back after the density
-        # region's last barrier (fused drivers return one partial per color)
+        # one geometry pass and one potential call per evaluation: each
+        # density task keeps its subdomain's (delta, r, phi', V') and
+        # pair-energy partial in its own slot, and the same subdomain's force
+        # task reads them back after the density region's last barrier
+        # (fused drivers return one partial per color)
         n_subdomains = len(pairs.offsets) - 1
         geometry: list = [None] * n_subdomains
         energy = np.zeros(len(schedule.phases) if fused else n_subdomains)
@@ -238,9 +238,9 @@ class SDCStrategy(ReductionStrategy):
                     return
                 delta, r = pair_geometry(positions, box, i_idx, j_idx, tier=tier)
                 check_pair_separation(r, (i_idx, j_idx))
-                geometry[subdomain] = delta, r
-                energy[subdomain] = float(np.sum(potential.pair_energy(r)))
-                phi = density_pair_values(potential, r, tier=tier)
+                phi, dphi, v, dv = pair_terms(potential, r, tier=tier)
+                geometry[subdomain] = delta, r, dphi, dv
+                energy[subdomain] = float(np.sum(v))
                 scatter_rho_half(rho, i_idx, j_idx, phi, tier=tier)
 
             return run
@@ -304,14 +304,9 @@ class SDCStrategy(ReductionStrategy):
                 i_idx, j_idx = pairs.pairs_of(subdomain)
                 if len(i_idx) == 0:
                     return
-                delta, r = geometry[subdomain]
-                coeff = force_pair_coefficients(
-                    potential,
-                    r,
-                    fp[i_idx],
-                    fp[j_idx],
-                    pair_ids=(i_idx, j_idx),
-                    tier=tier,
+                delta, r, dphi, dv = geometry[subdomain]
+                coeff = pair_force_coefficients(
+                    r, dphi, dv, fp[i_idx], fp[j_idx], pair_ids=(i_idx, j_idx)
                 )
                 pair_forces = coeff[:, None] * delta
                 scatter_force_half(forces, i_idx, j_idx, pair_forces, tier=tier)

@@ -2,8 +2,8 @@
 
 A *kernel tier* is one implementation of the EAM hot-path primitives: the
 pair-slice building blocks (:meth:`KernelTier.pair_geometry`,
-:meth:`KernelTier.density_pair_values`, the four scatters,
-:meth:`KernelTier.force_pair_coefficients`) plus the two fused per-phase
+:meth:`KernelTier.pair_terms`, the four scatters,
+:func:`pair_force_coefficients`) plus the two fused per-phase
 drivers the bench harness calls and the whole-evaluation entry point
 (:meth:`KernelTier.evaluate`) of the serial path.  The NumPy tier is the
 reference; compiled tiers (Numba today) must reproduce it to floating-point
@@ -159,6 +159,23 @@ def check_pair_separation(
         raise overlap_error(r, int(np.argmin(r)), pair_ids, min_separation)
 
 
+def pair_force_coefficients(
+    r: np.ndarray,
+    dphi: np.ndarray,
+    dv: np.ndarray,
+    fp_i: np.ndarray,
+    fp_j: np.ndarray,
+    pair_ids: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    min_separation: float = MIN_PAIR_SEPARATION,
+) -> np.ndarray:
+    """Eq. 2's scalar coefficient ``-(V' + (F'_i + F'_j) phi') / r`` per
+    pair, from derivatives already evaluated (by this slice's density
+    pass, or by :meth:`KernelTier.force_pair_coefficients`); raises on an
+    overlapping pair before dividing."""
+    check_pair_separation(r, pair_ids, min_separation)
+    return -(dv + (fp_i + fp_j) * dphi) / r
+
+
 class KernelTier(ABC):
     """One implementation of the EAM hot-path kernels.
 
@@ -209,8 +226,12 @@ class KernelTier(ABC):
         """Minimum-image ``(delta, r)`` for a pair slice."""
 
     @abstractmethod
-    def density_pair_values(self, potential, r: np.ndarray) -> np.ndarray:
-        """phi(r) for a slice of pair distances."""
+    def pair_terms(
+        self, potential, r: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(phi, phi', V, V')`` for a slice of pair distances — the one
+        potential evaluation of a slice (see
+        :meth:`~repro.potentials.base.EAMPotential.pair_terms`)."""
 
     @abstractmethod
     def scatter_rho_half(
@@ -232,7 +253,6 @@ class KernelTier(ABC):
     ) -> None:
         """Full-list density accumulation writing only owned rows."""
 
-    @abstractmethod
     def force_pair_coefficients(
         self,
         potential,
@@ -242,7 +262,12 @@ class KernelTier(ABC):
         pair_ids: Optional[Tuple[np.ndarray, np.ndarray]] = None,
         min_separation: float = MIN_PAIR_SEPARATION,
     ) -> np.ndarray:
-        """Scalar force coefficient per pair (Eq. 2 of the paper)."""
+        """Scalar force coefficient per pair (Eq. 2 of the paper) for a
+        slice with no density pass to take the derivatives from."""
+        _, dphi, _, dv = self.pair_terms(potential, r)
+        return pair_force_coefficients(
+            r, dphi, dv, fp_i, fp_j, pair_ids, min_separation
+        )
 
     @abstractmethod
     def scatter_force_half(
@@ -296,7 +321,8 @@ class KernelTier(ABC):
         """One whole evaluation, density → embedding → force, each phase
         a span tagged with its canonical name when ``tracer`` is given:
         ``(rho, pair_energy, embedding_energy, fp, forces)``.  A tier whose
-        force pass can reuse the density pass's pair geometry overrides it.
+        force pass can reuse the density pass's pair geometry and potential
+        derivatives overrides it.
         """
         from repro.potentials.eam import eam_embedding_phase  # imports us
 
@@ -345,10 +371,10 @@ class KernelTier(ABC):
             ii = i_idx[lo:hi]
             jj = j_idx[lo:hi]
             _, r = self.pair_geometry(positions, box, ii, jj)
-            phi = self.density_pair_values(potential, r)
+            phi, _, v, _ = self.pair_terms(potential, r)
             self.scatter_rho_half(rho, ii, jj, phi)
             if want_pair_energy:
-                energy += float(np.sum(potential.pair_energy(r)))
+                energy += float(np.sum(v))
         return energy
 
     def sdc_force_color_phase(

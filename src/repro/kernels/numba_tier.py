@@ -254,14 +254,27 @@ def build_kernel_set(
         return delta, r
 
     @jit(par=parallel)
-    def density_values(r, kind, params, x0, h, dyv, dmv, pyv, pmv):
+    def pair_terms(r, kind, params, x0, h, dyv, dmv, pyv, pmv):
         n = r.shape[0]
         phi = np.empty(n)
+        dphi = np.empty(n)
+        v = np.empty(n)
+        dv = np.empty(n)
         for k in _pr(n):
+            rk = r[k]
             phi[k] = _density_scalar(
-                r[k], kind, params, x0, h, dyv, dmv, pyv, pmv
+                rk, kind, params, x0, h, dyv, dmv, pyv, pmv
             )
-        return phi
+            dphi[k] = _density_deriv_scalar(
+                rk, kind, params, x0, h, dyv, dmv, pyv, pmv
+            )
+            v[k] = _pair_energy_scalar(
+                rk, kind, params, x0, h, dyv, dmv, pyv, pmv
+            )
+            dv[k] = _pair_energy_deriv_scalar(
+                rk, kind, params, x0, h, dyv, dmv, pyv, pmv
+            )
+        return phi, dphi, v, dv
 
     @jit(par=parallel)
     def pair_coeff(r, fp_i, fp_j, kind, params, x0, h, dyv, dmv, pyv, pmv):
@@ -483,7 +496,7 @@ def build_kernel_set(
         parallel=bool(parallel),
         fastmath=bool(fastmath),
         pair_geometry=pair_geometry,
-        density_values=density_values,
+        pair_terms=pair_terms,
         pair_coeff=pair_coeff,
         scatter_rho_half=scatter_rho_half,
         scatter_rho_owned=scatter_rho_owned,
@@ -590,14 +603,14 @@ class NumbaKernelTier(KernelTier):
             lambda: self._numpy.pair_geometry(positions, box, i_idx, j_idx),
         )
 
-    def density_pair_values(self, potential, r):
+    def pair_terms(self, potential, r):
         lowered = lower_potential(potential)
         if lowered is None:
-            return self._numpy.density_pair_values(potential, r)
+            return self._numpy.pair_terms(potential, r)
         return self._run(
-            "density_pair_values",
-            lambda: self._kernels.density_values(_as_f64(r), *lowered.args),
-            lambda: self._numpy.density_pair_values(potential, r),
+            "pair_terms",
+            lambda: self._kernels.pair_terms(_as_f64(r), *lowered.args),
+            lambda: self._numpy.pair_terms(potential, r),
         )
 
     def scatter_rho_half(self, rho, i_idx, j_idx, phi):

@@ -13,16 +13,14 @@ is why compiled tiers route instrumented calls through this tier.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 import numpy as np
 
 from repro.kernels.base import (
-    MIN_PAIR_SEPARATION,
     KernelTier,
     check_owned_accumulator,
     check_pair_separation,
     check_scatter_indices,
+    pair_force_coefficients,
 )
 from repro.obs.tracer import span_of
 from repro.utils.arrays import segment_sum
@@ -68,8 +66,8 @@ class NumpyKernelTier(KernelTier):
             r += scratch
         return delta.T, np.sqrt(r, out=r)
 
-    def density_pair_values(self, potential, r):
-        return potential.density(r)
+    def pair_terms(self, potential, r):
+        return potential.pair_terms(r)
 
     def scatter_rho_half(self, rho, i_idx, j_idx, phi):
         check_scatter_indices(
@@ -83,20 +81,6 @@ class NumpyKernelTier(KernelTier):
         i_idx = np.asarray(i_idx)
         check_scatter_indices("owned-row density scatter", n_atoms, i_idx)
         rho += np.bincount(i_idx, weights=phi, minlength=n_atoms)
-
-    def force_pair_coefficients(
-        self,
-        potential,
-        r,
-        fp_i,
-        fp_j,
-        pair_ids: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-        min_separation: float = MIN_PAIR_SEPARATION,
-    ):
-        check_pair_separation(r, pair_ids, min_separation)
-        vp = potential.pair_energy_deriv(r)
-        dp = potential.density_deriv(r)
-        return -(vp + (fp_i + fp_j) * dp) / r
 
     def scatter_force_half(self, forces, i_idx, j_idx, pair_forces):
         check_scatter_indices(
@@ -125,18 +109,19 @@ class NumpyKernelTier(KernelTier):
     ):
         i_idx, j_idx = nlist.pair_arrays()
         _, r = self.pair_geometry(positions, box, i_idx, j_idx)
-        return self._density(
-            potential, len(positions), nlist.half, i_idx, j_idx, r,
-            counter, want_pair_energy,
+        rho, pair_energy, _, _ = self._density(
+            potential, len(positions), nlist.half, i_idx, j_idx, r, counter
         )
+        return rho, pair_energy if want_pair_energy else 0.0
 
     def force_phase(
         self, potential, positions, box, nlist, fp, counter=None
     ):
         i_idx, j_idx = nlist.pair_arrays()
         delta, r = self.pair_geometry(positions, box, i_idx, j_idx)
+        _, dphi, _, dv = self.pair_terms(potential, r)
         return self._force(
-            potential, len(positions), nlist.half, i_idx, j_idx, delta, r,
+            len(positions), nlist.half, i_idx, j_idx, delta, r, dphi, dv,
             fp, counter,
         )
 
@@ -146,52 +131,50 @@ class NumpyKernelTier(KernelTier):
         from repro.potentials.eam import eam_embedding_phase  # imports us
 
         n = len(positions)
-        # one geometry pass serves both pair phases (charged to density, as
-        # in the process engine); an overlap stops here, before any scatter
+        # one geometry pass and one potential call serve both pair phases
+        # (charged to density, as in the process engine): the force pass
+        # gets (delta, r, phi', V') handed over and evaluates nothing.  An
+        # overlap stops here, before any scatter
         with span_of(tracer, "density", phase="density"):
             i_idx, j_idx = nlist.pair_arrays()
             delta, r = self.pair_geometry(positions, box, i_idx, j_idx)
             check_pair_separation(r, (i_idx, j_idx))
-            rho, pair_energy = self._density(
-                potential, n, nlist.half, i_idx, j_idx, r, counter, True
+            rho, pair_energy, dphi, dv = self._density(
+                potential, n, nlist.half, i_idx, j_idx, r, counter
             )
         with span_of(tracer, "embedding", phase="embedding"):
             embedding_energy, fp = eam_embedding_phase(potential, rho, counter)
         with span_of(tracer, "force", phase="force"):
             forces = self._force(
-                potential, n, nlist.half, i_idx, j_idx, delta, r, fp, counter
+                n, nlist.half, i_idx, j_idx, delta, r, dphi, dv, fp, counter
             )
         return rho, pair_energy, embedding_energy, fp, forces
 
-    def _density(
-        self, potential, n, half, i_idx, j_idx, r, counter, want_pair_energy
-    ):
-        """Phase 1 over a whole pair list whose distances are ``r``."""
+    def _density(self, potential, n, half, i_idx, j_idx, r, counter):
+        """Phase 1 over a whole pair list whose distances are ``r``:
+        ``(rho, pair_energy, phi', V')`` from the slice's one potential
+        call."""
+        phi, dphi, v, dv = self.pair_terms(potential, r)
         rho = np.zeros(n)
-        if len(i_idx) == 0:
-            return rho, 0.0
-        phi = self.density_pair_values(potential, r)
         rho += np.bincount(i_idx, weights=phi, minlength=n)
         if half:
             rho += np.bincount(j_idx, weights=phi, minlength=n)
-        pair_energy = 0.0
-        if want_pair_energy:
-            v = potential.pair_energy(r)
-            pair_energy = float(np.sum(v)) * (1.0 if half else 0.5)
+        pair_energy = float(np.sum(v)) * (1.0 if half else 0.5)
         if counter is not None:
             counter.add("density_pairs", len(i_idx))
             counter.add("rho_updates", (2 if half else 1) * len(i_idx))
-        return rho, pair_energy
+        return rho, pair_energy, dphi, dv
 
     def _force(
-        self, potential, n, half, i_idx, j_idx, delta, r, fp, counter
+        self, n, half, i_idx, j_idx, delta, r, dphi, dv, fp, counter
     ):
-        """Phase 3 over a whole pair list with geometry ``(delta, r)``."""
+        """Phase 3 over a whole pair list with geometry ``(delta, r)`` and
+        potential derivatives ``(phi', V')``."""
         forces = np.zeros((n, 3))
         if len(i_idx) == 0:
             return forces
-        coeff = self.force_pair_coefficients(
-            potential, r, fp[i_idx], fp[j_idx], pair_ids=(i_idx, j_idx)
+        coeff = pair_force_coefficients(
+            r, dphi, dv, fp[i_idx], fp[j_idx], pair_ids=(i_idx, j_idx)
         )
         pair_forces = coeff[:, None] * delta
         # full list: both directions are present, each directed pair

@@ -5,13 +5,14 @@ arrays, lock-free inside a color phase, a barrier between colors.  This
 module holds the only copy of each of its parts:
 
 * :class:`SharedArena` — one anonymous shared ``mmap`` carved into
-  *regions* of nine named, 64-byte-aligned fields (positions, the three
-  reduction targets, the pair CSR, and the pair-geometry cache the
-  density pass publishes for the force pass).  Every field is allocated
-  with :data:`ARENA_HEADROOM` spare capacity; only the first ``n`` rows
-  are ever viewed, so the spare pages are never touched and never become
-  resident.  The mapping is inherited through ``fork`` — there is no
-  named ``/dev/shm`` entry that could outlive a crashed run.
+  *regions* of eleven named, 64-byte-aligned fields (positions, the three
+  reduction targets, the pair CSR, and the per-pair geometry and
+  potential derivatives the density pass publishes for the force pass).
+  Every field is allocated with :data:`ARENA_HEADROOM` spare capacity;
+  only the first ``n`` rows are ever viewed, so the spare pages are never
+  touched and never become resident.  The mapping is inherited through
+  ``fork`` — there is no named ``/dev/shm`` entry that could outlive a
+  crashed run.
 * :class:`WorkerGroup` — persistent forked workers on duplex pipes: a
   ready rendezvous, a ``(command, payload)`` loop, one reply per
   addressed worker per command.  All replies are collected before
@@ -21,7 +22,8 @@ module holds the only copy of each of its parts:
   protocol in the calling process (differential twin, no-fork fallback).
 * :class:`ChunkWorker` — the worker-side handler: re-slices its region
   per epoch and runs the single chunk body (density publishes
-  ``pair_delta``/``pair_r``, force reuses them).
+  ``pair_delta``/``pair_r``/``pair_dphi``/``pair_dv``, force reuses them
+  and calls no potential function).
 * :class:`WorkerEngine` — the calculator-side lifecycle both
   :class:`~repro.parallel.backends.processes.ProcessSDCCalculator` and
   :class:`~repro.parallel.backends.sharded.ShardedSDCCalculator` inherit:
@@ -54,7 +56,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import kernels
-from repro.kernels.base import check_pair_separation
+from repro.kernels.base import check_pair_separation, pair_force_coefficients
 from repro.obs.tracer import span_of
 from repro.parallel.backends.base import BackendError
 from repro.potentials.base import EAMPotential
@@ -124,10 +126,11 @@ def _region_fields(
 ) -> Dict[str, Tuple[Tuple[int, ...], np.dtype]]:
     """Shape and dtype of every field of one region.
 
-    ``pair_delta``/``pair_r`` cache the minimum-image geometry computed by
-    the density pass so the force pass (and the pair energy) reuse it
-    instead of recomputing — each pair slot belongs to exactly one
-    subdomain, so the writes are disjoint by construction.
+    ``pair_delta``/``pair_r`` cache the minimum-image geometry and
+    ``pair_dphi``/``pair_dv`` the potential derivatives ``phi'``/``V'``
+    computed by the density pass, so the force pass reuses them instead of
+    recomputing — each pair slot belongs to exactly one subdomain, so the
+    writes are disjoint by construction.
     """
     n_atoms, n_pairs, n_subdomains = size
     f8, i8 = np.dtype(np.float64), np.dtype(np.int64)
@@ -141,6 +144,8 @@ def _region_fields(
         "pair_offsets": ((n_subdomains + 1,), i8),
         "pair_delta": ((n_pairs, 3), f8),
         "pair_r": ((n_pairs,), f8),
+        "pair_dphi": ((n_pairs,), f8),
+        "pair_dv": ((n_pairs,), f8),
     }
 
 
@@ -443,10 +448,10 @@ class ChunkWorker:
 
         ``subdomains`` None walks the epoch's whole subdomain order (a
         shard worker owns its region alone, so color order is a formality
-        there).  The density pass publishes each pair's minimum-image
-        geometry into the region and returns the chunk's pair-energy
-        partial sum — the force pass and the parent then reuse the
-        geometry instead of recomputing it.
+        there).  The density pass makes the slice's one potential call,
+        publishes each pair's minimum-image geometry and ``phi'``/``V'``
+        into the region and returns the chunk's pair-energy partial sum —
+        the force pass reads them back instead of recomputing.
         """
         views, potential, tier = self.views, self.potential, self.tier
         if subdomains is None:
@@ -473,16 +478,19 @@ class ChunkWorker:
                     views["positions"], self.box, i_idx, j_idx
                 )
                 check_pair_separation(r, (i_idx, j_idx))
+                phi, dphi, v, dv = tier.pair_terms(potential, r)
                 views["pair_delta"][lo:hi] = delta
                 views["pair_r"][lo:hi] = r
-                pair_energy += float(np.sum(potential.pair_energy(r)))
-                phi = tier.density_pair_values(potential, r)
+                views["pair_dphi"][lo:hi] = dphi
+                views["pair_dv"][lo:hi] = dv
+                pair_energy += float(np.sum(v))
                 tier.scatter_rho_half(target, i_idx, j_idx, phi)
             else:
-                # geometry cached by the density pass for these positions
-                coeff = tier.force_pair_coefficients(
-                    potential,
+                # cached by the density pass for these positions
+                coeff = pair_force_coefficients(
                     views["pair_r"][lo:hi],
+                    views["pair_dphi"][lo:hi],
+                    views["pair_dv"][lo:hi],
                     fp[i_idx],
                     fp[j_idx],
                     pair_ids=(i_idx, j_idx),

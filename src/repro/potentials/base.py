@@ -15,6 +15,7 @@ so that neighbor lists built with a skin do not inject spurious forces.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Tuple
 
 import numpy as np
 
@@ -58,6 +59,26 @@ class EAMPotential(PairPotential):
     def density_deriv(self, r: np.ndarray) -> np.ndarray:
         """d(phi)/dr (zero at/beyond cutoff)."""
 
+    def pair_terms(
+        self, r: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(phi, phi', V, V')`` for a slice of pair distances.
+
+        Everything one force evaluation needs from the radial functions,
+        in one call: the kernels make it once per pair slice and hand the
+        derivatives from the density pass to the force pass.  This default
+        composes the four functions; a potential whose functions share
+        sub-expressions overrides it with one pass, within 1e-12
+        (relative to each function's scale) of this composition and with
+        the same exact zeros at and beyond the cutoff.
+        """
+        return (
+            self.density(r),
+            self.density_deriv(r),
+            self.pair_energy(r),
+            self.pair_energy_deriv(r),
+        )
+
     @abstractmethod
     def embed(self, rho: np.ndarray) -> np.ndarray:
         """Embedding energy F(rho) in eV."""
@@ -75,14 +96,15 @@ class EAMPotential(PairPotential):
         violates this produces forces that depend on the neighbor-list skin.
         """
         r = np.linspace(self.cutoff, self.cutoff * 1.5, n_samples)
-        for name, fn in (
-            ("pair_energy", self.pair_energy),
-            ("pair_energy_deriv", self.pair_energy_deriv),
-            ("density", self.density),
-            ("density_deriv", self.density_deriv),
+        fused = self.pair_terms(r)
+        for name, values in (
+            ("pair_energy", self.pair_energy(r)),
+            ("pair_energy_deriv", self.pair_energy_deriv(r)),
+            ("density", self.density(r)),
+            ("density_deriv", self.density_deriv(r)),
+            *((f"pair_terms()[{k}]", term) for k, term in enumerate(fused)),
         ):
-            values = np.asarray(fn(r))
-            if np.any(values != 0.0):
+            if np.any(np.asarray(values) != 0.0):
                 raise ValueError(
                     f"{type(self).__name__}.{name} is non-zero beyond cutoff"
                 )

@@ -44,13 +44,13 @@ __all__ = [
     "EAMComputation",
     "compute_eam_energy",
     "compute_eam_forces_serial",
-    "density_pair_values",
     "eam_density_and_pair_energy_phase",
     "eam_density_phase",
     "eam_embedding_phase",
     "eam_force_phase",
     "force_pair_coefficients",
     "pair_geometry",
+    "pair_terms",
     "scatter_force_half",
     "scatter_force_owned",
     "scatter_rho_half",
@@ -109,15 +109,16 @@ def pair_geometry(
 # pair-slice primitives (building blocks for the strategies)
 # --------------------------------------------------------------------------
 
-def density_pair_values(
+def pair_terms(
     potential: EAMPotential,
     r: np.ndarray,
     tier: "Optional[kernels.KernelTier]" = None,
-) -> np.ndarray:
-    """phi(r) for a slice of pair distances."""
-    return _tier(tier, "density_pair_values").density_pair_values(
-        potential, r
-    )
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(phi, phi', V, V')`` for a slice of pair distances: the one
+    potential evaluation of a slice.  The density pass scatters ``phi``,
+    sums ``V`` and hands the derivatives on to the same slice's force pass
+    (:func:`repro.kernels.base.pair_force_coefficients`)."""
+    return _tier(tier, "pair_terms").pair_terms(potential, r)
 
 
 def scatter_rho_half(
@@ -178,7 +179,8 @@ def force_pair_coefficients(
 
     ``coeff = -(V'(r) + (F'_i + F'_j) phi'(r)) / r`` so that the force
     contribution on atom i is ``coeff * delta_ij`` (and ``-coeff * delta_ij``
-    on atom j).
+    on atom j).  Evaluates the derivatives itself — for a slice with no
+    density pass to take them from (the comparison strategies, the virial).
 
     ``pair_ids`` is the optional ``(i_idx, j_idx)`` pair slice aligned with
     ``r``, used only to name atoms in the overlap diagnostic below.
@@ -333,7 +335,8 @@ def compute_eam_forces_serial(
     one core").  The three phases are composed by the tier
     (:meth:`~repro.kernels.KernelTier.evaluate`): the pair energy is
     evaluated inside phase 1, and the NumPy tier also hands phase 1's pair
-    geometry to phase 3 instead of sweeping the pair list again.  When
+    geometry and potential derivatives to phase 3 instead of sweeping the
+    pair list and calling the potential again.  When
     ``tracer`` (a :class:`~repro.obs.tracer.Tracer`) is given, each phase
     is recorded as a span tagged with its canonical name.
     """

@@ -122,6 +122,43 @@ class JohnsonFePotential(EAMPotential):
         total = raw_d * self._switch(r) + raw * self._switch_deriv(r)
         return np.where(self._inside(r), total, 0.0)
 
+    # --- all four in one pass ---------------------------------------------------
+
+    def pair_terms(self, r: np.ndarray):
+        """One pass sharing ``r - re``, two exponentials (``e1 = e2 * e2``)
+        and one switch + switch derivative between the four functions.
+
+        Within a few ulp (bound: 1e-12 of each function's scale) of the
+        composed default, not bit-identical to it.  The clipped quintic is
+        exactly ``s = 1, s' = 0`` up to ``r_switch`` and ``s = s' = 0`` from
+        ``r_cut`` on, so the zeros beyond the cutoff need no mask.
+        """
+        r = np.asarray(r, dtype=np.float64)
+        width = self.r_cut - self.r_switch
+        x = np.clip((r - self.r_switch) / width, 0.0, 1.0)
+        s = 1.0 - x * x * x * (10.0 + x * (6.0 * x - 15.0))
+        ds = x * (1.0 - x)
+        ds *= ds
+        ds *= -30.0 / width
+        dr = r - self.re
+        slope = -self.beta / self.re
+        raw = np.exp(slope * dr)
+        raw *= self.fe
+        phi = raw * s
+        dphi = slope * phi
+        raw *= ds
+        dphi += raw
+        e2 = np.exp(-self.a * dr)
+        e1 = e2 * e2
+        raw_v = self.D * (e1 - 2.0 * e2)
+        dv = e2 - e1
+        dv *= 2.0 * self.a * self.D
+        dv *= s
+        v = raw_v * s
+        raw_v *= ds
+        dv += raw_v
+        return phi, dphi, v, dv
+
     # --- embedding --------------------------------------------------------------
 
     def embed(self, rho: np.ndarray) -> np.ndarray:

@@ -64,7 +64,7 @@ class CubicSpline:
         m[1:-1] = inner
         return m
 
-    def _locate(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def locate(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Clip to table, return (interval index, t in [0,1], inside mask).
 
         The boundary test carries a few-ulp tolerance so the last knot —
@@ -80,31 +80,45 @@ class CubicSpline:
         t = u - k
         return k, t, inside
 
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        """Evaluate the spline (0 outside the table)."""
-        k, t, inside = self._locate(r)
+    def _interval(self, k: np.ndarray, t: np.ndarray):
+        """Cubic of interval ``k`` as ``(a, b, m0, m1 - m0, u)`` with ``u``
+        the offset into the interval: the gathers value and slope share."""
         h = self.h
         y0, y1 = self.y[k], self.y[k + 1]
         m0, m1 = self.m[k], self.m[k + 1]
-        a = y0
         b = (y1 - y0) / h - h * (2.0 * m0 + m1) / 6.0
-        value = (
-            a
-            + b * (t * h)
-            + 0.5 * m0 * (t * h) ** 2
-            + (m1 - m0) / (6.0 * h) * (t * h) ** 3
-        )
-        return np.where(inside, value, 0.0)
+        return y0, b, m0, m1 - m0, t * h
+
+    def _value(self, a, b, m0, dm, u) -> np.ndarray:
+        return a + b * u + 0.5 * m0 * u ** 2 + dm / (6.0 * self.h) * u ** 3
+
+    def _slope(self, _a, b, m0, dm, u) -> np.ndarray:
+        return b + m0 * u + dm / (2.0 * self.h) * u ** 2
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        """Evaluate the spline (0 outside the table)."""
+        k, t, inside = self.locate(r)
+        return np.where(inside, self._value(*self._interval(k, t)), 0.0)
 
     def derivative(self, r: np.ndarray) -> np.ndarray:
         """Evaluate the spline's first derivative (0 outside the table)."""
-        k, t, inside = self._locate(r)
-        h = self.h
-        y0, y1 = self.y[k], self.y[k + 1]
-        m0, m1 = self.m[k], self.m[k + 1]
-        b = (y1 - y0) / h - h * (2.0 * m0 + m1) / 6.0
-        deriv = b + m0 * (t * h) + (m1 - m0) / (2.0 * h) * (t * h) ** 2
-        return np.where(inside, deriv, 0.0)
+        k, t, inside = self.locate(r)
+        return np.where(inside, self._slope(*self._interval(k, t)), 0.0)
+
+    def value_and_derivative(
+        self, located: tuple[np.ndarray, np.ndarray, np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Value and first derivative at points :meth:`locate` already placed.
+
+        One location and one set of gathers serve both; splines on the
+        same grid (a potential's two radial tables) can share ``located``.
+        """
+        k, t, inside = located
+        terms = self._interval(k, t)
+        return (
+            np.where(inside, self._value(*terms), 0.0),
+            np.where(inside, self._slope(*terms), 0.0),
+        )
 
     def knots(self) -> np.ndarray:
         """The knot abscissae."""

@@ -68,6 +68,14 @@ class TabulatedEAM(EAMPotential):
     def pair_energy_deriv(self, r: np.ndarray) -> np.ndarray:
         return self._pair.derivative(r)
 
+    def pair_terms(self, r: np.ndarray):
+        # both radial tables sit on one grid: locate the slice once
+        located = self._density.locate(r)
+        return (
+            *self._density.value_and_derivative(located),
+            *self._pair.value_and_derivative(located),
+        )
+
     def embed(self, rho: np.ndarray) -> np.ndarray:
         return self._embed(np.clip(rho, 0.0, self._rho_max))
 

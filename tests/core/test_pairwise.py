@@ -108,6 +108,56 @@ class TestSDCPairCalculator:
         assert calc._pairs is pairs_first
 
 
+class TestOverlappingAtoms:
+    """Overlapping atoms used to be clamped to ``r = 1e-12`` and scattered
+    as ~1e150 forces; now they raise, naming the pair, before any scatter."""
+
+    MESSAGE = r"overlapping atoms: atoms 0 and 1 are separated by 1\.000e-09"
+
+    @pytest.fixture()
+    def overlapping(self, lj, lj_system):
+        atoms, _ = lj_system
+        positions = atoms.positions.copy()
+        positions[1] = positions[0] + (0.0, 0.0, 1e-9)
+        atoms = Atoms(box=atoms.box, positions=positions)
+        atoms.forces[...] = 7.0
+        return atoms, build_neighbor_list(positions, atoms.box, lj.cutoff, skin=0.3)
+
+    @pytest.mark.parametrize(
+        "calculator",
+        [SerialPairCalculator, lambda: SDCPairCalculator(dims=2, n_threads=2)],
+        ids=["serial", "sdc"],
+    )
+    def test_raises_before_any_scatter(self, lj, overlapping, calculator, monkeypatch):
+        from repro.core.strategies import pairwise
+
+        atoms, nlist = overlapping
+
+        def no_scatter(*args, **kwargs):
+            raise AssertionError("scattered a slice holding the overlap")
+
+        if calculator is SerialPairCalculator:
+            monkeypatch.setattr(pairwise, "segment_sum", no_scatter)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            calculator().compute(lj, atoms, nlist)
+        assert np.all(atoms.forces == 7.0)
+
+    def test_serial_evaluation_is_one_geometry_pass(self, lj, lj_system, monkeypatch):
+        from repro.core.strategies import pairwise
+
+        atoms, nlist = lj_system
+        passes = []
+        geometry = pairwise.pair_geometry
+
+        def counting(positions, box, i_idx, j_idx):
+            passes.append(len(i_idx))
+            return geometry(positions, box, i_idx, j_idx)
+
+        monkeypatch.setattr(pairwise, "pair_geometry", counting)
+        SerialPairCalculator().compute(lj, atoms.copy(), nlist)
+        assert passes == [nlist.n_pairs]
+
+
 class TestLJDynamicsThroughSDC:
     def test_nve_energy_conservation(self, lj):
         positions, box = bcc_lattice(2.8665, (8, 8, 8))

@@ -1,15 +1,19 @@
-"""One pair-geometry pass per force evaluation, and what that pass returns.
+"""One pair-geometry pass and one potential call per force evaluation, and
+what they return.
 
 * the contract, by count: a serial evaluation and an SDC evaluation each
   push every pair through ``pair_geometry`` exactly once (they used to
-  push ``2P`` and ``3P``);
+  push ``2P`` and ``3P``) and through ``pair_terms`` exactly once, in the
+  density pass — the force pass calls no potential function at all;
 * the layout: the component-major ``pair_geometry`` is *exactly* the
   row-major ``Box.minimum_image`` formulation it replaced — ties, far
   images, dtypes, strides, empty slices;
 * the consequence: an overlap is found at the head of the evaluation,
   before anything is scattered;
-* the trajectory: 60 serial steps are bit-identical to the parent
-  commit's kernels.
+* the trajectory: with the composed ``pair_terms`` default, 60 steps are
+  bit-identical to the kernels of two commits ago (so the hand-over
+  plumbing is bit-neutral); the one-pass Johnson override stays within a
+  stated tolerance of that.
 """
 
 from __future__ import annotations
@@ -25,6 +29,11 @@ from repro.core.strategies.sdc import SDCStrategy
 from repro.core.strategies.serial import SerialStrategy
 from repro.geometry.box import Box
 from repro.harness.cases import Case
+from repro.harness.workloads import (
+    crystal_slab,
+    crystal_with_void,
+    uniform_crystal,
+)
 from repro.kernels.numpy_tier import NumpyKernelTier
 from repro.md import Atoms, build_neighbor_list
 from repro.md.calculator import EAMCalculator
@@ -34,30 +43,50 @@ from repro.parallel.backends.base import BackendError
 from repro.parallel.backends.serial import SerialBackend
 from repro.parallel.backends.threads import ThreadBackend
 from repro.potentials import compute_eam_forces_serial, fe_potential
+from repro.potentials.base import EAMPotential
 from repro.potentials.johnson_fe import JohnsonFePotential
 
 
 class CountingTier(NumpyKernelTier):
-    """The NumPy tier, recording the size of every geometry pass."""
+    """The NumPy tier, recording the size of every geometry pass and of
+    every potential call."""
 
     def __init__(self) -> None:
         super().__init__()
         self.passes: list = []
+        self.terms: list = []
 
     def pair_geometry(self, positions, box, i_idx, j_idx):
         self.passes.append(len(i_idx))
         return super().pair_geometry(positions, box, i_idx, j_idx)
 
+    def pair_terms(self, potential, r):
+        self.terms.append(len(r))
+        return super().pair_terms(potential, r)
+
+
+def _separate_call(self, r):
+    raise AssertionError("a radial function was called outside pair_terms")
+
+
+class OnePassOnlyFe(JohnsonFePotential):
+    """Fe whose radial functions are reachable through ``pair_terms`` only:
+    a kernel that still calls one of the four on its own fails the test."""
+
+    density = density_deriv = _separate_call
+    pair_energy = pair_energy_deriv = _separate_call
+
 
 class TestOnePassByCount:
     def test_serial_evaluation_is_one_whole_list_pass(
-        self, potential, sdc_atoms, sdc_nlist
+        self, sdc_atoms, sdc_nlist
     ):
         tier = CountingTier()
         strategy = SerialStrategy()
         strategy.set_kernel_tier(tier)
-        strategy.compute(potential, sdc_atoms.copy(), sdc_nlist)
+        strategy.compute(OnePassOnlyFe(), sdc_atoms.copy(), sdc_nlist)
         assert tier.passes == [sdc_nlist.n_pairs]
+        assert tier.terms == [sdc_nlist.n_pairs]
 
     def test_standalone_phases_each_pay_their_own_pass(
         self, potential, sdc_atoms, sdc_nlist
@@ -72,24 +101,59 @@ class TestOnePassByCount:
             potential, positions, box, sdc_nlist, potential.embed_deriv(rho)
         )
         assert tier.passes == [sdc_nlist.n_pairs] * 2
+        # ... and, with nothing handed over, its own potential call
+        assert tier.terms == [sdc_nlist.n_pairs] * 2
 
     @pytest.mark.parametrize("dims", [1, 2, 3])
     @pytest.mark.parametrize(
         "backend", [SerialBackend, lambda: ThreadBackend(2)], ids=["serial", "threads"]
     )
     def test_sdc_evaluation_geometry_totals_one_pass(
-        self, potential, sdc_atoms, sdc_nlist, reference_result, dims, backend
+        self, sdc_atoms, sdc_nlist, reference_result, dims, backend
     ):
         tier = CountingTier()
         with backend() as pool:
             strategy = SDCStrategy(dims=dims, n_threads=2, backend=pool)
             strategy.set_kernel_tier(tier)
-            result = strategy.compute(potential, sdc_atoms.copy(), sdc_nlist)
+            result = strategy.compute(
+                OnePassOnlyFe(), sdc_atoms.copy(), sdc_nlist
+            )
         assert sum(tier.passes) == sdc_nlist.n_pairs
+        # one potential call per subdomain slice, all of them density tasks
+        assert sorted(tier.terms) == sorted(tier.passes)
         # the density tasks' partial sums replace the third, serial pass
         assert result.pair_energy == pytest.approx(
             reference_result.pair_energy, rel=1e-12
         )
+
+    def test_shard_workers_call_the_potential_in_the_density_command_only(
+        self, sdc_atoms, sdc_nlist, reference_result
+    ):
+        """``ChunkWorker`` — the chunk body of both process calculators —
+        counted through the sharded calculator's in-process engine."""
+        from repro.parallel.backends.sharded import ShardedSDCCalculator
+
+        tier = CountingTier()
+        with ShardedSDCCalculator(
+            n_shards=2, engine="inline", kernel_tier=tier
+        ) as calc:
+            result = calc.compute(OnePassOnlyFe(), sdc_atoms.copy(), sdc_nlist)
+        assert tier.terms == tier.passes and sum(tier.terms) >= sdc_nlist.n_pairs
+        scale = np.max(np.abs(reference_result.forces))
+        assert np.max(np.abs(result.forces - reference_result.forces)) < 1e-12 * scale
+
+    @pytest.mark.linux
+    def test_forked_workers_never_call_a_radial_function_on_its_own(
+        self, sdc_atoms, sdc_nlist, reference_result
+    ):
+        if "fork" not in mp.get_all_start_methods():
+            pytest.skip("requires fork")
+        from repro.parallel.backends.processes import ProcessSDCCalculator
+
+        with ProcessSDCCalculator(dims=2, n_workers=2) as calc:
+            result = calc.compute(OnePassOnlyFe(), sdc_atoms.copy(), sdc_nlist)
+        scale = np.max(np.abs(reference_result.forces))
+        assert np.max(np.abs(result.forces - reference_result.forces)) < 1e-12 * scale
 
 
 def reference_geometry(positions, box, i_idx, j_idx):
@@ -174,9 +238,9 @@ def overlapping(sdc_atoms, potential):
 class ScatterSpy(NumpyKernelTier):
     """Fails the test if phase 1 goes on for a slice holding the overlap."""
 
-    def density_pair_values(self, potential, r):
-        assert r.min() > 1e-6, "density evaluated for an overlapping pair"
-        return super().density_pair_values(potential, r)
+    def pair_terms(self, potential, r):
+        assert r.min() > 1e-6, "potential evaluated for an overlapping pair"
+        return super().pair_terms(potential, r)
 
 
 class NoEmbedding(JohnsonFePotential):
@@ -226,12 +290,13 @@ class TestOverlapStopsBeforeAnyScatter:
 
 
 # --------------------------------------------------------------------------
-# bit-identity with the parent commit's kernels
+# bit-identity of the plumbing, tolerance of the one-pass override
 # --------------------------------------------------------------------------
 
 #: sha256 over float64 bytes, produced by this file's ``trajectory`` on the
-#: parent commit (row-major geometry twice per evaluation, ``np.add.at``
-#: force scatter) — x86-64, Python 3.11.7, NumPy 2.4.6, glibc 2.36
+#: commit before the one-pass geometry (row-major geometry twice per
+#: evaluation, ``np.add.at`` force scatter, four potential calls) — x86-64,
+#: Python 3.11.7, NumPy 2.4.6, glibc 2.36
 PARENT_DIGESTS = {
     "serial state": "11cb9c36c6e0aff2420546f1dbc97cc1a0a5f31048ddee3af71f1e31d4897a0e",
     "serial energies": "e0cc0676c19bfe4ab2c0cac64d30e8399c4a549fa22016d74f44094a7626c423",
@@ -244,6 +309,13 @@ PARENT_DIGESTS = {
 HOST_CANARY = "7463d19e59f68c285ec23a10276e570703302fe56ce0ff494afff6d41f7757f7"
 
 
+class ComposedFe(JohnsonFePotential):
+    """Fe with the composed ``pair_terms`` default restored: the arithmetic
+    of the four separate calls, routed through the one-call plumbing."""
+
+    pair_terms = EAMPotential.pair_terms
+
+
 def digest(*arrays) -> str:
     sha = hashlib.sha256()
     for array in arrays:
@@ -251,18 +323,18 @@ def digest(*arrays) -> str:
     return sha.hexdigest()
 
 
-def trajectory(calculator):
+def trajectory(calculator, potential):
     """1,024-atom bcc Fe at 900 K, skin 0.1: 60 steps, 13 rebuilds."""
     atoms = Case("bit-identity", "1,024-atom bcc Fe", 8).build(
         perturbation=0.05, temperature=900.0, seed=7
     )
     sim = Simulation(
-        atoms, fe_potential(), calculator, VelocityVerlet(1.0e-3), skin=0.1
+        atoms, potential, calculator, VelocityVerlet(1.0e-3), skin=0.1
     )
     report = sim.run(60, sample_every=1)
     assert report.n_neighbor_rebuilds == 13
     energies = np.array([record.total_energy for record in report.records])
-    return digest(atoms.positions, atoms.forces, atoms.rho), energies
+    return (atoms.positions, atoms.forces, atoms.rho), energies
 
 
 class TestTrajectoryBitIdenticalToParent:
@@ -281,15 +353,59 @@ class TestTrajectoryBitIdenticalToParent:
             pytest.skip("transcendentals differ from the digest host's")
 
     def test_serial_state_and_every_step_energy(self):
-        state, energies = trajectory(SerialCalculator())
-        assert state == PARENT_DIGESTS["serial state"]
+        state, energies = trajectory(SerialCalculator(), ComposedFe())
+        assert digest(*state) == PARENT_DIGESTS["serial state"]
         assert digest(energies) == PARENT_DIGESTS["serial energies"]
 
     def test_sdc_state_and_energy_up_to_summation_order(self):
         state, energies = trajectory(
-            EAMCalculator(SDCStrategy(dims=2, n_threads=2))
+            EAMCalculator(SDCStrategy(dims=2, n_threads=2)), ComposedFe()
         )
-        assert state == PARENT_DIGESTS["sdc state"]
+        assert digest(*state) == PARENT_DIGESTS["sdc state"]
         # per-subdomain partials instead of one whole-list sum
-        _, serial_energies = trajectory(SerialCalculator())
+        _, serial_energies = trajectory(SerialCalculator(), ComposedFe())
         assert np.max(np.abs(energies - serial_energies)) < 1e-10
+
+
+class TestOnePassOverrideWithinTolerance:
+    """The Johnson override is a few ulp per function from the composition:
+    forces and energies of one evaluation within 1e-12 relative, the state
+    after 60 steps within 1e-9 absolute (Å, eV/Å, density units)."""
+
+    #: perturbed hard enough (0.3 Å) that second- and third-shell pairs
+    #: land between ``r_switch`` and ``r_cut`` — a cold crystal has none
+    GEOMETRIES = {
+        "uniform": lambda: uniform_crystal(8, perturbation=0.3, seed=3),
+        "void": lambda: crystal_with_void(8, 0.2, perturbation=0.3, seed=3),
+        "slab": lambda: crystal_slab(8, 4, perturbation=0.3, seed=3),
+    }
+
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+    def test_one_evaluation(self, geometry):
+        atoms = self.GEOMETRIES[geometry]()
+        fused, composed = fe_potential(), ComposedFe()
+        nlist = build_neighbor_list(
+            atoms.positions, atoms.box, cutoff=fused.cutoff, skin=0.3, half=True
+        )
+        # the switching region must be exercised, not only the two shells
+        i_idx, j_idx = nlist.pair_arrays()
+        _, r = NumpyKernelTier().pair_geometry(
+            atoms.positions, atoms.box, i_idx, j_idx
+        )
+        assert np.any((r > fused.r_switch) & (r < fused.r_cut))
+        got = compute_eam_forces_serial(fused, atoms.copy(), nlist)
+        want = compute_eam_forces_serial(composed, atoms.copy(), nlist)
+        for name in ("forces", "rho", "fp"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
+        for name in ("pair_energy", "embedding_energy"):
+            assert getattr(got, name) == pytest.approx(
+                getattr(want, name), rel=1e-12
+            )
+
+    def test_sixty_steps(self):
+        state, energies = trajectory(SerialCalculator(), fe_potential())
+        want_state, want_energies = trajectory(SerialCalculator(), ComposedFe())
+        for got, want in zip(state, want_state):
+            assert np.max(np.abs(got - want)) < 1e-9
+        assert np.max(np.abs(energies - want_energies)) < 1e-9

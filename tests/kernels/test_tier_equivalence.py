@@ -67,15 +67,18 @@ class TestEntryPoints:
         np.testing.assert_allclose(delta, pair_slice["delta"], atol=1e-12)
         np.testing.assert_allclose(r, pair_slice["r"], atol=1e-12)
 
-    def test_density_pair_values(self, tiers, potential, pair_slice):
+    def test_pair_terms(self, tiers, potential, pair_slice):
+        """The fused per-slice primitive: all four radial functions."""
         numpy_tier, numba_tier = tiers
-        expected = numpy_tier.density_pair_values(potential, pair_slice["r"])
-        got = numba_tier.density_pair_values(potential, pair_slice["r"])
-        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
+        expected = numpy_tier.pair_terms(potential, pair_slice["r"])
+        got = numba_tier.pair_terms(potential, pair_slice["r"])
+        assert len(got) == len(expected) == 4
+        for a, b in zip(got, expected):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
 
     def test_scatter_rho_half(self, tiers, small_atoms, pair_slice, potential):
         numpy_tier, numba_tier = tiers
-        phi = numpy_tier.density_pair_values(potential, pair_slice["r"])
+        phi = numpy_tier.pair_terms(potential, pair_slice["r"])[0]
         expected = np.zeros(small_atoms.n_atoms)
         got = np.zeros(small_atoms.n_atoms)
         numpy_tier.scatter_rho_half(
@@ -89,7 +92,7 @@ class TestEntryPoints:
     def test_scatter_rho_owned(self, tiers, small_atoms, pair_slice, potential):
         numpy_tier, numba_tier = tiers
         n = small_atoms.n_atoms
-        phi = numpy_tier.density_pair_values(potential, pair_slice["r"])
+        phi = numpy_tier.pair_terms(potential, pair_slice["r"])[0]
         expected = np.zeros(n)
         got = np.zeros(n)
         numpy_tier.scatter_rho_owned(expected, pair_slice["i_idx"], phi, n)
@@ -231,9 +234,7 @@ class TestShadowRouting:
     ):
         _, numba_tier = tiers
         n = small_atoms.n_atoms
-        phi = kernels.get("numpy").density_pair_values(
-            potential, pair_slice["r"]
-        )
+        phi = kernels.get("numpy").pair_terms(potential, pair_slice["r"])[0]
         plain = np.zeros(n)
         numba_tier.scatter_rho_half(
             plain, pair_slice["i_idx"], pair_slice["j_idx"], phi
@@ -354,6 +355,19 @@ class TestRealNumba:
             potential, small_atoms.positions, small_atoms.box, small_nlist, fp
         )
         np.testing.assert_allclose(f_nb, f_np, rtol=1e-9, atol=1e-10)
+
+    @pytest.mark.parametrize("variant", ["numba", "numba-parallel"])
+    def test_pair_terms_kernel_compiles_and_matches(
+        self, potential, small_atoms, small_nlist, variant
+    ):
+        i_idx, j_idx = small_nlist.pair_arrays()
+        numpy_tier = kernels.get("numpy")
+        _, r = numpy_tier.pair_geometry(
+            small_atoms.positions, small_atoms.box, i_idx, j_idx
+        )
+        got = kernels.get(variant).pair_terms(potential, r)
+        for a, b in zip(got, numpy_tier.pair_terms(potential, r)):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("variant", ["numba", "numba-parallel"])
     def test_compiled_trajectory_matches(self, potential, small_atoms, variant):

@@ -24,7 +24,8 @@ process-private arrays would be invisible to the parent.
 ``TestWorkerGroupLifecycle`` adds what only a persistent group has:
 workers surviving across commands, ``stop()`` idempotence and rejection
 of later commands, and a hung (not dead) worker surfacing as
-:class:`BackendError` within the group's timeout.
+:class:`BackendError` within the group's timeout.  ``TestArenaHandOver``
+pins the arena's density → force hand-over fields.
 """
 
 from __future__ import annotations
@@ -423,3 +424,59 @@ class TestWorkerGroupLifecycle:
         finally:
             group.stop()
         assert not [pid for pid in pids if os.path.exists(f"/proc/{pid}")]
+
+
+class TestArenaHandOver:
+    """The region's pair-sized fields are the density → force hand-over:
+    the density command publishes ``(delta, r, phi', V')`` per pair, the
+    force command of the same positions reads them and nothing else."""
+
+    @pytest.fixture()
+    def worker(self, potential, sdc_atoms, sdc_nlist):
+        from repro import kernels
+        from repro.parallel.backends.workers import ChunkWorker, SharedArena
+
+        i_idx, j_idx = sdc_nlist.pair_arrays()
+        size = (sdc_atoms.n_atoms, len(i_idx), 1)
+        arena = SharedArena([size])
+        views = arena.region(0, size)
+        views["positions"][:] = sdc_atoms.positions
+        views["pair_i"][:], views["pair_j"][:] = i_idx, j_idx
+        views["pair_offsets"][:] = 0, len(i_idx)
+        worker = ChunkWorker(arena, 0, potential, kernels.get("numpy"))
+        worker("epoch", {
+            "size": size, "box": sdc_atoms.box, "order": (0,),
+            "n_owned": sdc_atoms.n_atoms,
+        })
+        return worker, views
+
+    def test_region_carries_the_pair_sized_fields(self, worker, sdc_nlist):
+        _, views = worker
+        assert len(views) == 11
+        n_pairs = sdc_nlist.n_pairs
+        assert views["pair_delta"].shape == (n_pairs, 3)
+        for field in ("pair_r", "pair_dphi", "pair_dv"):
+            assert views[field].shape == (n_pairs,)
+            assert views[field].dtype == np.float64
+
+    def test_force_reads_what_density_wrote(
+        self, worker, potential, reference_result
+    ):
+        worker, views = worker
+        worker("density", None)
+        _, dphi, _, dv = potential.pair_terms(views["pair_r"])
+        assert np.array_equal(views["pair_dphi"], dphi)
+        assert np.array_equal(views["pair_dv"], dv)
+        worker("embedding", None)
+        worker("force", None)
+        scale = np.max(np.abs(reference_result.forces))
+        assert np.max(np.abs(views["forces"] - reference_result.forces)) < 1e-12 * scale
+        # ... and only that: a force command over doubled derivatives
+        # doubles the forces, whatever the positions say
+        views["pair_dphi"] *= 2.0
+        views["pair_dv"] *= 2.0
+        views["positions"][:] = 0.0
+        once = views["forces"].copy()
+        views["forces"][:] = 0.0
+        worker("force", None)
+        assert np.allclose(views["forces"], 2.0 * once, rtol=1e-12, atol=0.0)

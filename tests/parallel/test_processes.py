@@ -10,6 +10,8 @@ import pytest
 from repro.md.simulation import Simulation
 from repro.parallel.backends.processes import ProcessSDCCalculator
 from repro.potentials import compute_eam_forces_serial, fe_potential
+from repro.potentials.base import EAMPotential
+from repro.potentials.johnson_fe import JohnsonFePotential
 
 fork_available = "fork" in mp.get_all_start_methods()
 pytestmark = pytest.mark.skipif(
@@ -17,17 +19,11 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-class _ExplodingDensity:
-    """Duck-typed potential whose density phase raises inside the worker."""
+class _ExplodingDensity(JohnsonFePotential):
+    """Fe whose density function raises inside the worker (reached through
+    the composed ``pair_terms`` default)."""
 
-    def __init__(self) -> None:
-        self._inner = fe_potential()
-        self.cutoff = self._inner.cutoff
-        self.density_deriv = self._inner.density_deriv
-        self.pair_energy = self._inner.pair_energy
-        self.pair_energy_deriv = self._inner.pair_energy_deriv
-        self.embed = self._inner.embed
-        self.embed_deriv = self._inner.embed_deriv
+    pair_terms = EAMPotential.pair_terms
 
     def density(self, r):
         raise RuntimeError("density exploded")

@@ -94,17 +94,9 @@ class TestCrashingKernels:
         assert np.isfinite(result.potential_energy)
 
 
-class KamikazePotential:
-    """Duck-typed potential whose density phase SIGKILLs its own worker."""
-
-    def __init__(self) -> None:
-        self._inner = fe_potential()
-        self.cutoff = self._inner.cutoff
-        self.density_deriv = self._inner.density_deriv
-        self.pair_energy = self._inner.pair_energy
-        self.pair_energy_deriv = self._inner.pair_energy_deriv
-        self.embed = self._inner.embed
-        self.embed_deriv = self._inner.embed_deriv
+class KamikazePotential(ExplodingPotential):
+    """Potential whose density function (reached through the composed
+    ``pair_terms`` default) SIGKILLs its own worker."""
 
     def density(self, r):
         import os

@@ -63,6 +63,53 @@ class TestTrajectoryPhysics:
         assert sim.atoms.box.contains(sim.atoms.positions).all()
 
 
+@pytest.mark.slow
+class TestLongRunDrift:
+    """1000 NVE steps, 1,024 atoms at 300 K with natural Verlet rebuilds:
+    every conserved quantity stays under ``PhysicsMonitor``'s *warning*
+    thresholds (relative energy drift 1e-5, per-atom momentum and force-sum
+    residual 1e-8) at every step — the long-run guard for changes to how
+    the kernels produce the same numbers."""
+
+    @staticmethod
+    def run(calculator):
+        from repro.obs.health import HealthMonitor
+        from repro.obs.recorder import FlightRecorder
+
+        atoms = Case("drift", "1,024-atom bcc Fe", 8).build(
+            perturbation=0.02, temperature=300.0, seed=29
+        )
+        monitor = HealthMonitor(recorder=FlightRecorder())
+        sim = Simulation(
+            atoms, fe_potential(), calculator, VelocityVerlet(1.0e-3),
+            health=monitor,
+        )
+        try:
+            report = sim.run(1000, sample_every=100)
+        finally:
+            sim.close()
+        assert report.n_neighbor_rebuilds >= 1
+        physics = monitor.physics
+        assert physics.invariants["energy_drift"].n_checks >= 1000
+        for invariant in physics.invariants.values():
+            assert invariant.n_warnings == invariant.n_criticals == 0, (
+                physics.status()
+            )
+
+    def test_serial(self):
+        self.run(None)
+
+    @pytest.mark.linux
+    def test_process_engine(self):
+        import multiprocessing as mp
+
+        if "fork" not in mp.get_all_start_methods():
+            pytest.skip("requires fork")
+        from repro.parallel.backends.processes import ProcessSDCCalculator
+
+        self.run(ProcessSDCCalculator(dims=2, n_workers=2))
+
+
 class TestStrategyTrajectories:
     """Whole trajectories (not single evaluations) agree across strategies."""
 
