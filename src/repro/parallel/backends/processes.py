@@ -4,36 +4,42 @@ Python's GIL caps what :class:`~repro.parallel.backends.threads.ThreadBackend`
 can demonstrate; this module runs the SDC color phases across *processes*,
 the closest Python analog of the paper's OpenMP threads:
 
-* all exchanged arrays — positions, the pair partition's CSR, and the
-  reduction targets (rho, embedding derivatives, forces) — live in one
-  anonymous shared mapping, inherited by every worker;
+* all exchanged arrays — positions, the pair list, and the reduction
+  targets (rho, embedding derivatives, forces) — live in one anonymous
+  shared mapping, inherited by every worker;
 * within a color phase, workers scatter concurrently **without any
   locks** — legal for exactly the reason the paper gives: same-color
   subdomains have disjoint write sets (different array elements, no torn
   updates);
-* collecting the phase's replies is the implicit barrier between colors.
+* the barrier between colors — the paper's only synchronisation — is
+  between the workers themselves: they walk the color schedule on their
+  own and meet at an in-arena barrier
+  (:class:`~repro.parallel.backends.workers.ColorBarrier`); the parent
+  sends one ``evaluate`` command per force evaluation.
 
 The engine is *persistent*, honoring the paper's amortization argument
 ("steps 1 and 2 will be done when the neighbor list is created or
 updated", Section II.D) the same way the threaded path does.  Workers,
-arena, respawn and retry are the shared core in
+arena, barrier, respawn and retry are the shared core in
 :mod:`repro.parallel.backends.workers`; this calculator is its one-region
-configuration: ``n_workers`` workers over a single arena region, chunk
-``k`` of a color phase sent to worker ``k``.  What it adds on top:
+configuration: ``n_workers`` workers over a single arena region.  What it
+adds on top:
 
 * the decomposition (grid / pair partition / color schedule) cached on
-  neighbor-list identity, mirroring ``SDCStrategy._prepare`` — so a
-  steady-state step pays only kernel + barrier cost plus one positions
-  memcpy and the zero fills (the ``sync`` phase);
-* the color loop (density color by color, embedding in the parent, force
-  color by color) with worker-chunk, phase and barrier-wait spans;
+  neighbor-list identity, mirroring ``SDCStrategy._prepare``, and its
+  arena layout (:func:`color_task_layout`) — so a steady-state step pays
+  only kernels and barriers plus one positions memcpy and the zero fills
+  (the ``sync`` phase);
+* with a tracer attached, the worker-chunk, phase and barrier-wait spans
+  rebuilt from the clock marks in the workers' replies;
 * optional write-set recording for the dynamic race detector.
 
-Robustness: a worker killed or hung mid-phase surfaces as
+Robustness: a worker killed or hung mid-evaluation surfaces as
 :class:`~repro.parallel.backends.base.BackendError` (never a hang, never
 partial scatters — the whole evaluation restarts from the ``sync`` zero
 fill), and ``compute`` transparently respawns the workers and retries
-once.
+once.  A task that raises in one worker releases its waiting siblings;
+the parent re-raises that task's own exception and the workers stay.
 """
 
 from __future__ import annotations
@@ -52,16 +58,17 @@ from repro.core.partition import (
     build_pair_partition,
     build_partition,
 )
-from repro.core.schedule import ColorSchedule, build_schedule, static_assignment
+from repro.core.schedule import ColorSchedule, build_schedule
 from repro.geometry.box import Box
 from repro.md.atoms import Atoms
 from repro.md.neighbor.verlet import NeighborList
+from repro.obs.tracer import CAT_BARRIER, CAT_PHASE, CAT_REGION, CAT_TASK
+from repro.obs.tracer import Span, align_worker_spans
 from repro.parallel.backends.workers import (
     DEFAULT_PHASE_TIMEOUT_S,
     ChunkWorker,
     SharedArena,
     WorkerEngine,
-    WorkerTiming,
     count_health,
 )
 from repro.potentials.base import EAMPotential
@@ -73,6 +80,30 @@ def _same_box(a: Optional[Box], b: Box) -> bool:
     return a is not None and np.array_equal(
         a.lengths, b.lengths
     ) and np.array_equal(a.periodic, b.periodic)
+
+
+def color_task_layout(
+    pairs: PairPartition, schedule: ColorSchedule, n_workers: int
+) -> Tuple[np.ndarray, List[List[Tuple[int, int]]]]:
+    """The arena order of a pair partition: color-major, worker-major.
+
+    Returns ``(layout, tasks)``: the partition's pair slots in arena
+    order, and per worker ``k`` and color ``c`` the ``[lo, hi)`` arena
+    range of the subdomains the static schedule gives ``k`` in ``c`` —
+    one task, large enough to amortise its NumPy calls.  Same-color write
+    sets are disjoint, so a range is as race-free as its members, and an
+    unbuffered scatter over it accumulates in the per-subdomain order.
+    """
+    rows: List[np.ndarray] = []
+    tasks: List[List[Tuple[int, int]]] = [[] for _ in range(n_workers)]
+    counts, filled = pairs.pair_counts(), 0
+    for color in range(schedule.n_colors):
+        for k, members in enumerate(schedule.thread_assignment(color, n_workers)):
+            rows += [np.arange(*pairs.offsets[s : s + 2]) for s in members]
+            count = int(counts[members].sum())
+            tasks[k].append((filled, filled + count))
+            filled += count
+    return np.concatenate(rows), tasks
 
 
 class ProcessSDCCalculator(WorkerEngine):
@@ -117,11 +148,14 @@ class ProcessSDCCalculator(WorkerEngine):
         self.adaptive = adaptive
         #: when True, workers shadow their shared-array views and ship the
         #: flat write indices back; ``last_write_record`` then holds one
-        #: ``(kind, per_chunk_write_sets)`` entry per color phase for the
+        #: ``(kind, per_worker_write_sets)`` entry per color phase for the
         #: dynamic race detector (repro.analysis.racecheck)
         self.record_writes = record_writes
         self.last_write_record: List[Tuple[str, List[List[int]]]] = []
-        self._trace_phase = 0
+        #: first barrier generation of the next ``evaluate`` command; one
+        #: per phase (the reply ends the last), so ``generation - 1`` also
+        #: numbers the phases of a trace
+        self._generation = 1
         # decomposition cache, keyed on neighbor-list identity (mirrors
         # SDCStrategy._prepare)
         self._cached_nlist = IdentityKey()
@@ -137,25 +171,34 @@ class ProcessSDCCalculator(WorkerEngine):
 
     def _make_handlers(self, arena: SharedArena, potential, tier):
         return [
-            ChunkWorker(arena, 0, potential, tier, self.record_writes)
-            for _ in range(self.n_workers)
+            ChunkWorker(arena, 0, potential, tier, self.record_writes, index)
+            for index in range(self.n_workers)
         ]
 
     def _region_sizes(self) -> List[Tuple[int, int, int]]:
         pairs = self._pairs
-        return [
-            (pairs.partition.n_atoms, pairs.n_pairs, self._grid.n_subdomains)
-        ]
+        return [(pairs.partition.n_atoms, pairs.n_pairs, self.n_workers)]
 
     def _publish_epoch(self) -> None:
-        """Write the pair CSR into the arena; workers re-slice their views."""
+        """Write the pair list into the arena in task order and ship each
+        worker its ranges; workers re-slice their views."""
         (size,) = self._region_sizes()
         self._arrays = self._live.arena.region(0, size)
-        self._arrays["pair_i"][:] = self._pairs.i_idx
-        self._arrays["pair_j"][:] = self._pairs.j_idx
-        self._arrays["pair_offsets"][:] = self._pairs.offsets
-        payload = {"size": size, "box": self._box, "order": (), "n_owned": 0}
-        self._live.group.run("epoch", [payload] * self.n_workers)
+        n, (n_atoms, _, _) = self.n_workers, size
+        layout, tasks = color_task_layout(self._pairs, self._schedule, n)
+        self._arrays["pair_i"][:] = self._pairs.i_idx[layout]
+        self._arrays["pair_j"][:] = self._pairs.j_idx[layout]
+        payloads = [
+            {
+                "size": size,
+                "box": self._box,
+                "tasks": tasks[k],
+                # embedding: worker k's contiguous block of atom rows
+                "rows": (k * n_atoms // n, (k + 1) * n_atoms // n),
+            }
+            for k in range(n)
+        ]
+        self._live.group.run("epoch", payloads)
 
     def _forget(self) -> None:
         self._arrays = {}
@@ -176,71 +219,57 @@ class ProcessSDCCalculator(WorkerEngine):
 
     # --- observability ---------------------------------------------------------
 
-    def attach_tracer(self, tracer) -> None:
-        """Record timeline spans (incl. worker-side chunks) into *tracer*.
-
-        Worker chunks ship their ``perf_counter`` origin back with their
-        results; the parent aligns them into its own clock domain
-        (:func:`repro.obs.tracer.align_worker_spans`) and lays each worker
-        out on a ``worker-<pid>`` track.
-        """
-        super().attach_tracer(tracer)
-        self._trace_phase = 0
-
-    def _trace_chunks(
-        self,
-        label: str,
-        results: Sequence[Tuple[float, object, WorkerTiming, float]],
-        window_start: float,
-        window_end: float,
+    def _trace_evaluation(
+        self, replies, first: int, start: float, end: float
     ) -> None:
-        """Align worker chunk timings into the parent timeline as spans."""
-        from repro.obs.tracer import (
-            CAT_BARRIER,
-            CAT_PHASE,
-            CAT_TASK,
-            Span,
-            align_worker_spans,
-        )
+        """Rebuild one ``evaluate`` command's timeline from worker marks,
+        phases numbered from ``first``, a ``worker-<pid>`` track each.
 
-        phase = self._trace_phase
-        self._trace_phase += 1
-        for task, (elapsed, _, timing, _) in enumerate(results):
-            pid = int(timing["pid"])
-            raw = Span(
-                name=f"{label}:chunk",
-                category=CAT_TASK,
-                start_s=timing["origin"],
-                duration_s=elapsed,
-                pid=pid,
-                track=f"worker-{pid}",
-                args={"phase": phase, "task": task},
-            )
-            (span,) = align_worker_spans(
-                [raw], timing["origin"], window_start, window_end
-            )
-            self._tracer.record(span)
-            wait = window_end - span.end_s
-            if wait > 0.0:
-                self._tracer.record(
-                    Span(
-                        name="barrier-wait",
-                        category=CAT_BARRIER,
-                        start_s=span.end_s,
-                        duration_s=wait,
-                        pid=pid,
-                        track=span.track,
-                        args={"phase": phase},
-                    )
+        A worker's marks alternate barrier entry / exit, so its task ``j``
+        (a density color, the embedding, a force color) spans
+        ``marks[2j] .. marks[2j + 1]``.  Phase ``j`` runs from the first
+        exit of the barrier before it to the first exit of the one after
+        (dispatch and reply at the two ends); a worker waits from its
+        task's end to the end of the phase.
+        """
+        tracer = self._tracer
+        colors = [
+            {"color": c, "n_subdomains": len(members)}
+            for c, members in enumerate(self._schedule.phases)
+        ]
+        steps = [
+            *(("density", f"density:color{a['color']}", a) for a in colors),
+            ("embedding", "embedding", {}),
+            *(("force", f"force:color{a['color']}", a) for a in colors),
+        ]
+        tracks = []
+        for task, (_, _, marks, _, pid) in enumerate(replies):
+            raw = [
+                Span(
+                    f"{label}:chunk", CAT_TASK, marks[2 * j],
+                    marks[2 * j + 1] - marks[2 * j], pid, f"worker-{pid}",
+                    {"phase": first + j, "task": task},
                 )
-        self._tracer.add(
-            f"{label}/phase{phase}",
-            CAT_PHASE,
-            window_start,
-            window_end - window_start,
-            phase=phase,
-            n_tasks=len(results),
-        )
+                for j, (_, label, _) in enumerate(steps)
+            ]
+            tracks.append(align_worker_spans(raw, marks[0], start, end))
+        exits = (min(t[j].start_s for t in tracks) for j in range(1, len(steps)))
+        edges = [start, *exits, end]
+        for j, (kind, label, args) in enumerate(steps):
+            lo, hi, phase = edges[j], edges[j + 1], first + j
+            tracer.add(label, CAT_REGION, lo, hi - lo, phase=kind, **args)
+            tracer.add(
+                f"{label}/phase{phase}", CAT_PHASE, lo, hi - lo,
+                phase=phase, n_tasks=len(tracks),
+            )
+            for track in tracks:
+                span = track[j]
+                tracer.record(span)
+                if hi > span.end_s:
+                    tracer.add(
+                        "barrier-wait", CAT_BARRIER, span.end_s, hi - span.end_s,
+                        track=span.track, pid=span.pid, phase=phase,
+                    )
 
     # --- decomposition cache ---------------------------------------------------
 
@@ -286,87 +315,33 @@ class ProcessSDCCalculator(WorkerEngine):
         """The cached color schedule (None before the first compute)."""
         return self._schedule
 
-    # --- phase execution -------------------------------------------------------
-
-    def _run_color_phase(
-        self, kind: str, chunks: Sequence[Sequence[int]], label: str
-    ) -> Tuple[List[Optional[List[int]]], float]:
-        """One color phase: chunk ``k`` to worker ``k``, barrier on the replies.
-
-        Returns the per-chunk write records (for the race detector) and
-        the sum of the chunks' pair-energy partials (non-zero only for
-        density phases).
-
-        A worker dying or hanging mid-phase raises :class:`BackendError`
-        after every other reply was collected — the engine core then
-        restarts the whole evaluation (the zeroed arrays make that safe)
-        or propagates.
-        """
-        start = time.perf_counter()
-        results = self._live.group.run(kind, chunks)
-        if self._tracer is not None and results:
-            self._trace_chunks(label, results, start, time.perf_counter())
-        writes = [chunk_writes for _, chunk_writes, _, _ in results]
-        energy = sum(partial for _, _, _, partial in results)
-        return writes, energy
-
-    def _scatter_phases(self, potential: EAMPotential) -> Tuple[float, float]:
-        """Density → embedding → force; returns ``(E_embed, E_pair)``.
-
-        The pair energy is assembled from the density workers' partial
-        sums — they already hold each pair's distance, so the parent
-        never recomputes pair geometry serially.
-        """
-        assert self._schedule is not None
-        schedule = self._schedule
-        rho = self._arrays["rho"]
-        fp = self._arrays["fp"]
-        self.last_write_record = []
-        pair_energy = 0.0
-        # phase 1: densities, color by color
-        for color, members in enumerate(schedule.phases):
-            chunks = [
-                members[c].tolist()
-                for c in static_assignment(len(members), self.n_workers)
-                if len(c)
-            ]
-            with self._span(
-                f"density:color{color}",
-                phase="density",
-                color=color,
-                n_subdomains=len(members),
-            ):
-                writes, partial = self._run_color_phase(
-                    "density", chunks, f"density:color{color}"
-                )
-                pair_energy += partial
-            if self.record_writes:
-                self.last_write_record.append(("density", writes))
-        # phase 2: embedding in the parent (no dependences)
-        with self._span("embedding", phase="embedding"):
-            embedding_energy = float(np.sum(potential.embed(rho)))
-            fp[:] = potential.embed_deriv(rho)
-        # phase 3: forces, color by color
-        for color, members in enumerate(schedule.phases):
-            chunks = [
-                members[c].tolist()
-                for c in static_assignment(len(members), self.n_workers)
-                if len(c)
-            ]
-            with self._span(
-                f"force:color{color}",
-                phase="force",
-                color=color,
-                n_subdomains=len(members),
-            ):
-                writes, _ = self._run_color_phase(
-                    "force", chunks, f"force:color{color}"
-                )
-            if self.record_writes:
-                self.last_write_record.append(("force", writes))
-        return embedding_energy, pair_energy
-
     # --- the ForceCalculator protocol -----------------------------------------
+
+    def _evaluate_once(self, atoms: Atoms) -> Tuple[float, float]:
+        """Sync, one ``evaluate`` command, ``(E_pair, E_embed)`` from the
+        workers' partial sums — no potential call in the parent."""
+        arrays, n_colors = self._arrays, self._schedule.n_colors
+        # sync: in-place state refresh — the whole per-step setup cost of
+        # the persistent engine
+        with self._span("sync", phase="sync"):
+            arrays["positions"][:] = atoms.positions
+            arrays["rho"][:] = 0.0
+            arrays["fp"][:] = 0.0
+            arrays["forces"][:] = 0.0
+        base = self._generation
+        self._generation += 2 * n_colors + 1
+        start = time.perf_counter()
+        replies = self._live.group.run("evaluate", [base] * self.n_workers)
+        if self._tracer is not None:
+            self._trace_evaluation(replies, base - 1, start, time.perf_counter())
+        pair_energies, embedding_energies, _, writes, _ = zip(*replies)
+        if self.record_writes:
+            kinds = ["density"] * n_colors + ["force"] * n_colors
+            self.last_write_record = [
+                (kind, [per_task[phase] for per_task in writes])
+                for phase, kind in enumerate(kinds)
+            ]
+        return float(sum(pair_energies)), float(sum(embedding_energies))
 
     def compute(
         self,
@@ -374,32 +349,29 @@ class ProcessSDCCalculator(WorkerEngine):
         atoms: Atoms,
         nlist: NeighborList,
     ) -> EAMComputation:
+        """Full evaluation; ``atoms`` is updated in place and the result's
+        arrays *are* ``atoms.rho``/``fp``/``forces`` — copied out of the
+        arena once, which the next sync zero-fills."""
         if not nlist.half:
             raise ValueError("SDC consumes half neighbor lists")
+        if nlist.n_atoms != atoms.n_atoms:
+            raise ValueError(
+                f"neighbor list covers {nlist.n_atoms} atoms, system has "
+                f"{atoms.n_atoms}"
+            )
         with self._span("neighbor-rebuild", phase="neighbor-rebuild"):
             if self._prepare(atoms, nlist) or not _same_box(self._box, atoms.box):
                 self._box = atoms.box
                 self._new_epoch()
-
-        def once() -> Tuple[float, float]:
-            # sync: in-place state refresh — the whole per-step setup cost
-            # of the persistent engine
-            with self._span("sync", phase="sync"):
-                self._arrays["positions"][:] = atoms.positions
-                self._arrays["rho"][:] = 0.0
-                self._arrays["fp"][:] = 0.0
-                self._arrays["forces"][:] = 0.0
-            return self._scatter_phases(potential)
-
-        embedding_energy, pair_energy = self._evaluate(potential, once)
-        result = EAMComputation(
+        pair_energy, embedding_energy = self._evaluate(
+            potential, lambda: self._evaluate_once(atoms)
+        )
+        for name in ("rho", "fp", "forces"):
+            getattr(atoms, name)[:] = self._arrays[name]
+        return EAMComputation(
             pair_energy=pair_energy,
             embedding_energy=embedding_energy,
-            rho=self._arrays["rho"].copy(),
-            fp=self._arrays["fp"].copy(),
-            forces=self._arrays["forces"].copy(),
+            rho=atoms.rho,
+            fp=atoms.fp,
+            forces=atoms.forces,
         )
-        atoms.rho[:] = result.rho
-        atoms.fp[:] = result.fp
-        atoms.forces[:] = result.forces
-        return result

@@ -48,12 +48,13 @@ many-region configuration — one arena region and one worker per shard:
 
 * ``engine="processes"`` — one persistent forked worker per shard.  Each
   region holds the shard's dynamic state (positions, rho, fp, forces),
-  its local pair CSR and the pair-geometry cache, so parent-side exchange
+  its local pair list and the pair-geometry cache, so parent-side exchange
   reductions and worker-side scatters address the same pages.  At a
-  neighbor rebuild the parent writes the new local CSR into the regions
-  and ships schedule order / extended box / owned count as the epoch
-  payload: workers survive Verlet rebuilds and are re-forked only through
-  the core's single spawn path (first compute, worker death, potential or
+  neighbor rebuild the parent writes the new local pair list into the
+  regions and ships extended box / pair range / owned rows as the epoch
+  payload (a shard worker sweeps its region as one task, no barrier):
+  workers survive Verlet rebuilds and are re-forked only through the
+  core's single spawn path (first compute, worker death, potential or
   tier change, capacity overflow).
 * ``engine="inline"`` — the identical protocol executed in-process
   (deterministic reference for differential tests; the fallback on
@@ -493,13 +494,10 @@ class ShardedSDCCalculator(WorkerEngine):
         ]
 
     def _region_sizes(self) -> List[Tuple[int, int, int]]:
-        return [
-            (plan.n_local, plan.pairs.n_pairs, plan.grid.n_subdomains)
-            for plan in self._plans
-        ]
+        return [(plan.n_local, plan.pairs.n_pairs, 1) for plan in self._plans]
 
     def _publish_epoch(self) -> None:
-        """Write every shard's local CSR into its region and ship the
+        """Write every shard's local pair list into its region and ship the
         epoch payload; the workers re-slice their views from it."""
         arena = self._live.arena
         self._views = []
@@ -508,14 +506,15 @@ class ShardedSDCCalculator(WorkerEngine):
             views = arena.region(plan.shard, size)
             views["pair_i"][:] = plan.pairs.i_idx
             views["pair_j"][:] = plan.pairs.j_idx
-            views["pair_offsets"][:] = plan.pairs.offsets
             self._views.append(views)
+            # a shard worker owns its region alone: one task, no barrier,
+            # and it embeds its owned rows (energy counted once)
             payloads.append(
                 {
                     "size": size,
                     "box": plan.ext_box,
-                    "order": np.concatenate(plan.schedule.phases).tolist(),
-                    "n_owned": plan.n_owned,
+                    "tasks": [(0, plan.pairs.n_pairs)],
+                    "rows": (0, plan.n_owned),
                 }
             )
         self._live.group.run("epoch", payloads)
@@ -715,8 +714,7 @@ class ShardedSDCCalculator(WorkerEngine):
                 n_ghosts += plan.n_ghosts
 
         with self._span("density", phase="density", n_shards=len(self._plans)):
-            replies = group.run("density")
-        pair_energy = float(sum(partial for _, _, _, partial in replies))
+            pair_energy = float(sum(group.run("density")))
 
         rho = np.zeros(n)
         with self._span("halo-exchange:rho", n_ghosts=n_ghosts):

@@ -6,24 +6,30 @@ module holds the only copy of each of its parts:
 
 * :class:`SharedArena` — one anonymous shared ``mmap`` carved into
   *regions* of eleven named, 64-byte-aligned fields (positions, the three
-  reduction targets, the pair CSR, and the per-pair geometry and
-  potential derivatives the density pass publishes for the force pass).
-  Every field is allocated with :data:`ARENA_HEADROOM` spare capacity;
-  only the first ``n`` rows are ever viewed, so the spare pages are never
-  touched and never become resident.  The mapping is inherited through
-  ``fork`` — there is no named ``/dev/shm`` entry that could outlive a
-  crashed run.
+  reduction targets, the pair list in task order, the per-pair geometry
+  and potential derivatives the density pass publishes for the force
+  pass, and the ``barrier`` control block).  Every field is allocated
+  with :data:`ARENA_HEADROOM` spare capacity; only the first ``n`` rows
+  are ever viewed, so the spare pages are never touched and never become
+  resident.  The mapping is inherited through ``fork`` — there is no
+  named ``/dev/shm`` entry that could outlive a crashed run.
+* :class:`ColorBarrier` — the paper's one synchronisation, between the
+  workers themselves: arrival generations in the control block, and an
+  abort word that releases the waiters of a failed or dead sibling.
 * :class:`WorkerGroup` — persistent forked workers on duplex pipes: a
   ready rendezvous, a ``(command, payload)`` loop, one reply per
   addressed worker per command.  All replies are collected before
-  anything is raised (the phase barrier); a worker that died or missed
-  the per-command deadline raises :class:`BackendError`, a handler that
-  raised re-raises its own exception.  :class:`InlineGroup` is the same
-  protocol in the calling process (differential twin, no-fork fallback).
+  anything is raised; a worker that died or missed the per-command
+  deadline raises :class:`BackendError`, a handler that raised re-raises
+  its own exception.  :class:`InlineGroup` is the same protocol in the
+  calling process (differential twin, no-fork fallback; it never runs a
+  barriered command).
 * :class:`ChunkWorker` — the worker-side handler: re-slices its region
-  per epoch and runs the single chunk body (density publishes
-  ``pair_delta``/``pair_r``/``pair_dphi``/``pair_dv``, force reuses them
-  and calls no potential function).
+  per epoch and runs the single task body over contiguous pair ranges
+  (density publishes ``pair_delta``/``pair_r``/``pair_dphi``/``pair_dv``,
+  force reuses them and calls no potential function) — the whole color
+  schedule in one ``evaluate`` command, or as separate barrier-free
+  ``density``/``embedding``/``force`` commands for the shard engine.
 * :class:`WorkerEngine` — the calculator-side lifecycle both
   :class:`~repro.parallel.backends.processes.ProcessSDCCalculator` and
   :class:`~repro.parallel.backends.sharded.ShardedSDCCalculator` inherit:
@@ -36,10 +42,10 @@ Spawn state machine (``WorkerEngine._evaluate``).  Workers and arena are
 timeout), the potential or the resolved kernel tier differs from what the
 workers were forked with (both are fork-constant worker state), or the
 epoch no longer fits the arena's capacity.  Otherwise workers survive:
-a new decomposition epoch only rewrites the CSR in place and ships a
-small *epoch payload* (sizes, box, subdomain order, owned count).  A
-:class:`BackendError` during an evaluation respawns the group and retries
-once from the zero fill; a second failure propagates.
+a new decomposition epoch only rewrites the pair list in place and ships
+a small *epoch payload* (sizes, box, the worker's pair ranges and atom
+rows).  A :class:`BackendError` during an evaluation respawns the group
+and retries once from the zero fill; a second failure propagates.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ import mmap
 import multiprocessing as mp
 import os
 import pickle
+import threading
 import time
 import weakref
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -73,16 +80,16 @@ ARENA_HEADROOM = 1.25
 
 _ALIGN = 64
 
-#: ``(n_atoms, n_pairs, n_subdomains)`` of one arena region
+#: ``(n_atoms, n_pairs, n_workers)`` of one arena region: rows of its atom
+#: fields, rows of its pair fields, workers meeting at its barrier
 RegionSize = Tuple[int, int, int]
 
 #: handler of one worker: ``handler(command, payload) -> reply value``
 Handler = Callable[[str, object], object]
 
-#: timing element of every chunk reply: where and when the chunk ran, in
-#: the *worker's* clock domain — the parent aligns it with
-#: :func:`repro.obs.tracer.align_worker_spans`
-WorkerTiming = Dict[str, float]
+#: barrier iterations a waiter spins before it yields its CPU at every
+#: further one; both halves are measured necessities (DESIGN §7.1)
+BARRIER_SPINS = 64
 
 
 def record_health(
@@ -129,10 +136,11 @@ def _region_fields(
     ``pair_delta``/``pair_r`` cache the minimum-image geometry and
     ``pair_dphi``/``pair_dv`` the potential derivatives ``phi'``/``V'``
     computed by the density pass, so the force pass reuses them instead of
-    recomputing — each pair slot belongs to exactly one subdomain, so the
-    writes are disjoint by construction.
+    recomputing — each pair slot belongs to exactly one task, so the
+    writes are disjoint by construction.  ``barrier`` is the control block
+    of :class:`ColorBarrier`, one cache line per word.
     """
-    n_atoms, n_pairs, n_subdomains = size
+    n_atoms, n_pairs, n_workers = size
     f8, i8 = np.dtype(np.float64), np.dtype(np.int64)
     return {
         "positions": ((n_atoms, 3), f8),
@@ -141,11 +149,11 @@ def _region_fields(
         "forces": ((n_atoms, 3), f8),
         "pair_i": ((n_pairs,), i8),
         "pair_j": ((n_pairs,), i8),
-        "pair_offsets": ((n_subdomains + 1,), i8),
         "pair_delta": ((n_pairs, 3), f8),
         "pair_r": ((n_pairs,), f8),
         "pair_dphi": ((n_pairs,), f8),
         "pair_dv": ((n_pairs,), f8),
+        "barrier": ((n_workers + 1, _ALIGN // i8.itemsize), i8),
     }
 
 
@@ -196,6 +204,60 @@ class SharedArena:
             ).reshape(shape)
         return views
 
+    def abort(self) -> None:
+        """Release every barrier waiter of every region (a worker died):
+        an abort word no generation reaches."""
+        abort_all = np.iinfo(np.int64).max
+        for slots in self._slots:
+            offset, _ = slots["barrier"]
+            np.frombuffer(self._mm, np.int64, 1, offset)[0] = abort_all
+
+
+class PhaseAborted(RuntimeError):
+    """Raised in a barrier waiter whose sibling failed or died; the parent
+    re-raises the sibling's own error (or :class:`BackendError`) instead."""
+
+
+class ColorBarrier:
+    """Worker ``index``'s handle on the ``barrier`` field of its region.
+
+    Word 0 is the *abort word*; word ``1 + k`` is worker ``k``'s arrival
+    *generation* — each in its own cache line and written by that worker
+    alone, so no atomic is needed.  Generations are issued by the parent
+    with every command and only ever grow, so whatever a failed
+    evaluation left behind is below the next command's base.
+    """
+
+    def __init__(self, lines: np.ndarray, index: int) -> None:
+        self._words = lines[:, 0]
+        self._arrived = self._words[1:]
+        self._slot = 1 + index
+        self._fence = threading.Lock()
+        self._parent = os.getppid()
+
+    def abort(self, generation: int) -> None:
+        """This worker will not arrive: release its waiting siblings."""
+        self._words[0] = generation
+
+    def wait(self, generation: int, base: int) -> None:
+        """Arrive at barrier ``generation`` of the command whose first
+        generation is ``base``; return once every sibling arrived."""
+        with self._fence:  # a full fence, whatever the CPU's store order:
+            pass  # this worker's scatters land before its arrival
+        self._words[self._slot] = generation
+        spins = 0
+        while self._arrived.min() < generation:
+            if self._words[0] >= base:
+                raise PhaseAborted(f"a sibling left barrier {generation}")
+            spins += 1
+            if spins > BARRIER_SPINS:
+                os.sched_yield()
+                # a SIGKILLed driver must not leave a spinning orphan
+                if not spins % 1024 and os.getppid() != self._parent:
+                    os._exit(1)
+        with self._fence:
+            pass
+
 
 # ---------------------------------------------------------------------------
 # worker groups
@@ -211,10 +273,11 @@ def _call(handler: Handler, command: str, payload: object) -> Tuple[str, object]
 
 
 def _settle(replies: Sequence[Tuple[str, object]]) -> List[object]:
-    """Values of a fully collected phase; re-raise its first task error."""
-    for status, value in replies:
-        if status != "ok":
-            raise value
+    """Values of a fully collected phase; re-raise its first task error
+    (a :class:`PhaseAborted` only echoes a sibling's, so it comes last)."""
+    errors = [value for status, value in replies if status != "ok"]
+    if errors:
+        raise min(errors, key=lambda exc: isinstance(exc, PhaseAborted))
     return [value for _, value in replies]
 
 
@@ -234,13 +297,21 @@ def _addressed(
     return payloads
 
 
-def _worker_main(conn, handler: Handler) -> None:
+def _worker_main(conn, handler: Handler, index, n_workers, parent_ends) -> None:
     """Persistent worker: answer ``(command, payload)`` until told to exit.
 
     The handler was captured before the fork, so it addresses the arena
     pages directly; only the command, its small payload and the reply
-    cross the pipe.
+    cross the pipe.  Worker ``index`` takes the ``index``-th CPU of the
+    inherited affinity mask when the mask has one per worker: siblings
+    stacked on one CPU trade whole timeslices at every barrier.
     """
+    for inherited in parent_ends:  # or a killed driver's pipes never read EOF
+        inherited.close()
+    if hasattr(os, "sched_setaffinity"):
+        cpus = sorted(os.sched_getaffinity(0))
+        if len(cpus) >= n_workers:
+            os.sched_setaffinity(0, {cpus[index]})
     try:
         conn.send(("ok", os.getpid()))
         while True:
@@ -263,22 +334,33 @@ class WorkerGroup:
 
     The ready rendezvous (every worker answers before the group counts as
     live) means the first command never races worker startup.  Requires
-    the ``fork`` start method.
+    the ``fork`` start method.  ``on_death`` (:meth:`SharedArena.abort`)
+    runs the moment a worker is seen dead, while replies are still being
+    collected, so no sibling waits for it at a barrier.
     """
 
-    def __init__(self, handlers: Sequence[Handler], timeout_s: float) -> None:
+    def __init__(
+        self,
+        handlers: Sequence[Handler],
+        timeout_s: float,
+        on_death: Callable[[], None] = lambda: None,
+    ) -> None:
         if timeout_s <= 0:
             raise ValueError(f"timeout_s must be positive, got {timeout_s}")
         if "fork" not in mp.get_all_start_methods():
             raise RuntimeError("WorkerGroup requires fork support")
         self.timeout_s = timeout_s
         self.broken = False
+        self._on_death = on_death
         self._workers = []
         ctx = mp.get_context("fork")
-        for handler in handlers:
+        for index, handler in enumerate(handlers):
             parent_conn, child_conn = ctx.Pipe(duplex=True)
+            parent_ends = [conn for _, conn in self._workers] + [parent_conn]
             process = ctx.Process(
-                target=_worker_main, args=(child_conn, handler), daemon=True
+                target=_worker_main,
+                args=(child_conn, handler, index, len(handlers), parent_ends),
+                daemon=True,
             )
             process.start()
             # closed before the next fork, so no sibling inherits it and
@@ -312,24 +394,45 @@ class WorkerGroup:
         return self._collect(command, targets)
 
     def _collect(self, command: str, targets) -> List[object]:
-        """One reply per target, all collected before anything is raised."""
+        """One reply per target, all collected before anything is raised.
+
+        Waits on every pending pipe *and* process sentinel at once: the
+        workers polled before a dead one may be waiting for it at a
+        barrier, and only ``on_death`` releases them.
+        """
+        # not at module level: the serial path imports this module too
+        from multiprocessing.connection import wait
+
         deadline = time.monotonic() + self.timeout_s
-        replies = []
+        pending = {conn: index for index, (_, conn) in enumerate(targets)}
+        conn_of = {process.sentinel: conn for process, conn in targets}
+        replies: Dict[int, object] = {}
         lost: List[int] = []
-        for index, (_, conn) in enumerate(targets):
-            try:
-                if conn.poll(max(0.0, deadline - time.monotonic())):
-                    replies.append(conn.recv())
-                    continue
-            except (EOFError, OSError):
-                pass
-            lost.append(index)
+        while pending:
+            ready = wait(
+                [*pending, *(s for s, c in conn_of.items() if c in pending)],
+                max(0.0, deadline - time.monotonic()),
+            )
+            if not ready:  # the deadline passed: a hung worker
+                lost.extend(pending.values())
+                break
+            # a worker's pipe and sentinel may fire together: one entry
+            for conn in {conn_of.get(item, item) for item in ready}:
+                index = pending.pop(conn)
+                try:
+                    if conn.poll():  # EOF raises, a bare sentinel has nothing
+                        replies[index] = conn.recv()
+                        continue
+                except (EOFError, OSError):
+                    pass
+                lost.append(index)
+                self._on_death()
         if lost:
             self.broken = True
             raise BackendError(
-                f"worker(s) {lost} died or timed out during {command!r}"
+                f"worker(s) {sorted(lost)} died or timed out during {command!r}"
             )
-        return _settle(replies)
+        return _settle([replies[index] for index in range(len(targets))])
 
     def stop(self) -> None:
         """Tear the group down (idempotent); later commands are rejected.
@@ -383,14 +486,15 @@ class InlineGroup:
 
 
 # ---------------------------------------------------------------------------
-# the worker-side chunk body
+# the worker-side task body
 # ---------------------------------------------------------------------------
 
 
 class ChunkWorker:
     """Command handler of one worker, bound to one arena region.
 
-    Potential, kernel tier and the write-recording flag are fork-constant;
+    Potential, kernel tier, the write-recording flag and the worker's
+    ``index`` among the region's barrier participants are fork-constant;
     everything that changes with a decomposition epoch arrives in the
     ``epoch`` payload and the region's views are re-sliced from it.
     """
@@ -402,60 +506,100 @@ class ChunkWorker:
         potential: EAMPotential,
         tier: "kernels.KernelTier",
         record_writes: bool = False,
+        index: int = 0,
     ) -> None:
         self.arena = arena
         self.region = region
         self.potential = potential
         self.tier = tier
         self.record_writes = record_writes
+        self.index = index
         self.views: Dict[str, np.ndarray] = {}
         self.box = None
-        self.order: Sequence[int] = ()
-        self.n_owned = 0
+        self.tasks: Sequence[Tuple[int, int]] = ()
+        self.rows = (0, 0)
+        self.barrier: Optional[ColorBarrier] = None
+        #: flat write set per task of the current command (``record_writes``)
+        self.writes: List[List[int]] = []
 
     def __call__(self, command: str, payload: object) -> object:
         return getattr(self, "do_" + command)(payload)
 
     def do_epoch(self, payload: dict) -> None:
-        """Adopt a new decomposition epoch (the CSR is already in place)."""
+        """Adopt a new decomposition epoch (the pair list is already in
+        place): ``tasks`` are this worker's ``[lo, hi)`` pair ranges, one
+        per color in schedule order, ``rows`` the atom rows it embeds."""
         self.views = self.arena.region(self.region, payload["size"])
         self.box = payload["box"]
-        self.order = payload["order"]
-        self.n_owned = payload["n_owned"]
+        self.tasks = payload["tasks"]
+        self.rows = payload["rows"]
+        self.barrier = ColorBarrier(self.views["barrier"], self.index)
 
     def do_tier(self, _payload: object) -> Tuple[int, str]:
         return os.getpid(), self.tier.name
 
-    def do_density(self, subdomains: Optional[Sequence[int]]):
-        return self._scatter("density", subdomains)
+    def do_density(self, _payload: object) -> float:
+        """Every task in turn, no barrier (a shard worker owns its region
+        alone); returns the pair-energy partial."""
+        return sum(self._task("density", lo, hi) for lo, hi in self.tasks)
 
-    def do_force(self, subdomains: Optional[Sequence[int]]):
-        return self._scatter("force", subdomains)
+    def do_force(self, _payload: object) -> None:
+        for lo, hi in self.tasks:
+            self._task("force", lo, hi)
 
     def do_embedding(self, _payload: object) -> float:
-        """Embed the region's *owned* atoms (energy counted once)."""
-        n_owned = self.n_owned
-        if n_owned == 0:
+        """Embed this worker's atom rows (every energy counted once)."""
+        lo, hi = self.rows
+        if lo == hi:
             return 0.0
-        owned_rho = self.views["rho"][:n_owned]
-        self.views["fp"][:n_owned] = self.potential.embed_deriv(owned_rho)
-        return float(np.sum(self.potential.embed(owned_rho)))
+        rho = self.views["rho"][lo:hi]
+        self.views["fp"][lo:hi] = self.potential.embed_deriv(rho)
+        return float(np.sum(self.potential.embed(rho)))
 
-    def _scatter(
-        self, kind: str, subdomains: Optional[Sequence[int]]
-    ) -> Tuple[float, Optional[List[int]], WorkerTiming, float]:
-        """Execute one chunk of same-color subdomains (density or force).
+    def do_evaluate(self, base: int):
+        """One whole force evaluation, in step with the region's siblings.
 
-        ``subdomains`` None walks the epoch's whole subdomain order (a
-        shard worker owns its region alone, so color order is a formality
-        there).  The density pass makes the slice's one potential call,
-        publishes each pair's minimum-image geometry and ``phi'``/``V'``
-        into the region and returns the chunk's pair-energy partial sum —
-        the force pass reads them back instead of recomputing.
+        Density color by color with a barrier after each, embedding of
+        this worker's rows, then a barrier before each force color:
+        ``2 * n_colors`` barriers, generations ``base, base + 1, ...``.
+        Returns ``(pair-energy partial, embedding-energy partial, marks,
+        per-task write sets, pid)``; ``marks`` are ``perf_counter`` at the
+        start, at every barrier's entry and exit, and at the end.
         """
-        views, potential, tier = self.views, self.potential, self.tier
-        if subdomains is None:
-            subdomains = self.order
+        barrier, generation = self.barrier, base
+        marks, self.writes = [time.perf_counter()], []
+
+        def meet() -> None:
+            nonlocal generation
+            marks.append(time.perf_counter())
+            barrier.wait(generation, base)
+            generation += 1
+            marks.append(time.perf_counter())
+
+        try:
+            pair_energy = 0.0
+            for lo, hi in self.tasks:
+                pair_energy += self._task("density", lo, hi)
+                meet()
+            embedding_energy = self.do_embedding(None)
+            for lo, hi in self.tasks:
+                meet()
+                self._task("force", lo, hi)
+        except Exception:
+            barrier.abort(generation)
+            raise
+        marks.append(time.perf_counter())
+        return pair_energy, embedding_energy, marks, self.writes, os.getpid()
+
+    def _task(self, kind: str, lo: int, hi: int) -> float:
+        """One task: the pair range ``[lo, hi)`` through one pass.
+
+        The density pass makes the range's one potential call, publishes
+        each pair's minimum-image geometry and ``phi'``/``V'`` into the
+        region and returns the range's pair-energy partial sum — the
+        force pass reads them back instead of recomputing.
+        """
+        views, tier = self.views, self.tier
         name = "rho" if kind == "density" else "forces"
         target, log = views[name], None
         if self.record_writes:
@@ -465,44 +609,39 @@ class ChunkWorker:
 
             log = TaskWriteLog()
             target = wrap_array(target, name, log)
-        offsets, fp = views["pair_offsets"], views["fp"]
         pair_energy = 0.0
-        start = time.perf_counter()
-        for s in subdomains:
-            lo, hi = int(offsets[s]), int(offsets[s + 1])
-            if lo == hi:
-                continue
-            i_idx, j_idx = views["pair_i"][lo:hi], views["pair_j"][lo:hi]
-            if kind == "density":
-                delta, r = tier.pair_geometry(
-                    views["positions"], self.box, i_idx, j_idx
-                )
-                check_pair_separation(r, (i_idx, j_idx))
-                phi, dphi, v, dv = tier.pair_terms(potential, r)
-                views["pair_delta"][lo:hi] = delta
-                views["pair_r"][lo:hi] = r
-                views["pair_dphi"][lo:hi] = dphi
-                views["pair_dv"][lo:hi] = dv
-                pair_energy += float(np.sum(v))
-                tier.scatter_rho_half(target, i_idx, j_idx, phi)
-            else:
-                # cached by the density pass for these positions
-                coeff = pair_force_coefficients(
-                    views["pair_r"][lo:hi],
-                    views["pair_dphi"][lo:hi],
-                    views["pair_dv"][lo:hi],
-                    fp[i_idx],
-                    fp[j_idx],
-                    pair_ids=(i_idx, j_idx),
-                )
-                tier.scatter_force_half(
-                    target, i_idx, j_idx,
-                    coeff[:, None] * views["pair_delta"][lo:hi],
-                )
-        elapsed = time.perf_counter() - start
-        writes = log.flat(name).tolist() if log is not None else None
-        timing = {"pid": float(os.getpid()), "origin": start}
-        return elapsed, writes, timing, pair_energy
+        i_idx, j_idx = views["pair_i"][lo:hi], views["pair_j"][lo:hi]
+        if lo == hi:
+            pass  # a color with fewer subdomains than workers
+        elif kind == "density":
+            delta, r = tier.pair_geometry(
+                views["positions"], self.box, i_idx, j_idx
+            )
+            check_pair_separation(r, (i_idx, j_idx))
+            phi, dphi, v, dv = tier.pair_terms(self.potential, r)
+            views["pair_delta"][lo:hi] = delta
+            views["pair_r"][lo:hi] = r
+            views["pair_dphi"][lo:hi] = dphi
+            views["pair_dv"][lo:hi] = dv
+            pair_energy = float(np.sum(v))
+            tier.scatter_rho_half(target, i_idx, j_idx, phi)
+        else:
+            # cached by the density pass for these positions
+            coeff = pair_force_coefficients(
+                views["pair_r"][lo:hi],
+                views["pair_dphi"][lo:hi],
+                views["pair_dv"][lo:hi],
+                views["fp"][i_idx],
+                views["fp"][j_idx],
+                pair_ids=(i_idx, j_idx),
+            )
+            tier.scatter_force_half(
+                target, i_idx, j_idx,
+                coeff[:, None] * views["pair_delta"][lo:hi],
+            )
+        if log is not None:
+            self.writes.append(log.flat(name).tolist())
+        return pair_energy
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +847,7 @@ class WorkerEngine:
             live.group = (
                 InlineGroup(handlers)
                 if self._inline
-                else WorkerGroup(handlers, self.timeout_s)
+                else WorkerGroup(handlers, self.timeout_s, arena.abort)
             )
         except BackendError as exc:
             record_health(

@@ -442,17 +442,21 @@ class TestArenaHandOver:
         views = arena.region(0, size)
         views["positions"][:] = sdc_atoms.positions
         views["pair_i"][:], views["pair_j"][:] = i_idx, j_idx
-        views["pair_offsets"][:] = 0, len(i_idx)
         worker = ChunkWorker(arena, 0, potential, kernels.get("numpy"))
+        # two tasks: the commands sweep every range of the task list
+        half = len(i_idx) // 2
         worker("epoch", {
-            "size": size, "box": sdc_atoms.box, "order": (0,),
-            "n_owned": sdc_atoms.n_atoms,
+            "size": size, "box": sdc_atoms.box,
+            "tasks": [(0, half), (half, len(i_idx))],
+            "rows": (0, sdc_atoms.n_atoms),
         })
         return worker, views
 
     def test_region_carries_the_pair_sized_fields(self, worker, sdc_nlist):
         _, views = worker
         assert len(views) == 11
+        assert "pair_offsets" not in views  # tasks are ranges, not CSR rows
+        assert views["barrier"].shape == (2, 8)  # abort word + one worker
         n_pairs = sdc_nlist.n_pairs
         assert views["pair_delta"].shape == (n_pairs, 3)
         for field in ("pair_r", "pair_dphi", "pair_dv"):

@@ -7,8 +7,13 @@ import os
 import numpy as np
 import pytest
 
+from repro.md import Atoms, build_neighbor_list
 from repro.md.simulation import Simulation
-from repro.parallel.backends.processes import ProcessSDCCalculator
+from repro.obs.tracer import CAT_BARRIER, CAT_PHASE, CAT_TASK, Tracer
+from repro.parallel.backends.processes import (
+    ProcessSDCCalculator,
+    color_task_layout,
+)
 from repro.potentials import compute_eam_forces_serial, fe_potential
 from repro.potentials.base import EAMPotential
 from repro.potentials.johnson_fe import JohnsonFePotential
@@ -27,6 +32,39 @@ class _ExplodingDensity(JohnsonFePotential):
 
     def density(self, r):
         raise RuntimeError("density exploded")
+
+
+class _ParentCallsFe(JohnsonFePotential):
+    """Fe that logs every potential call made in *this* process (a forked
+    worker appends to its own copy of the list)."""
+
+    calls = []
+
+    def pair_terms(self, r):
+        self.calls.append("pair_terms")
+        return super().pair_terms(r)
+
+    def embed(self, rho):
+        self.calls.append("embed")
+        return super().embed(rho)
+
+    def embed_deriv(self, rho):
+        self.calls.append("embed_deriv")
+        return super().embed_deriv(rho)
+
+
+class _ExplodesInOneWorker(JohnsonFePotential):
+    """Fe whose ``pair_terms`` raises in the first process to create
+    ``trigger`` and nowhere else: a one-sided task failure."""
+
+    trigger = None
+
+    def pair_terms(self, r):
+        try:
+            os.close(os.open(self.trigger, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            return super().pair_terms(r)
+        raise RuntimeError("potential exploded")
 
 
 class TestCorrectness:
@@ -63,6 +101,268 @@ class TestCorrectness:
         a = calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
         b = calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
         assert np.array_equal(a.forces, b.forces)
+
+    @pytest.mark.parametrize("n_workers", [3, 4])
+    def test_more_workers_than_cpus_or_subdomains(
+        self, n_workers, potential, sdc_atoms, sdc_nlist, reference_result
+    ):
+        """2x2 subdomains, one per color: workers 1.. have only empty
+        tasks but attend every barrier — unbound, on the yield branch,
+        wherever the host has fewer CPUs than workers."""
+        with ProcessSDCCalculator(dims=2, n_workers=n_workers) as calc:
+            for _ in range(3):
+                result = calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
+            assert len(calc.worker_pids()) == n_workers
+        assert np.allclose(result.forces, reference_result.forces, atol=1e-12)
+        assert np.allclose(result.rho, reference_result.rho, atol=1e-12)
+        assert result.potential_energy == pytest.approx(
+            reference_result.potential_energy, rel=1e-12
+        )
+
+    def test_result_is_independent_of_the_arena(
+        self, potential, sdc_atoms, sdc_nlist
+    ):
+        """One copy out of the arena: the result's arrays are the atoms'
+        own, and survive the next evaluation's zero fill."""
+        with ProcessSDCCalculator(dims=2, n_workers=2) as calc:
+            atoms = sdc_atoms.copy()
+            result = calc.compute(potential, atoms, sdc_nlist)
+            assert result.forces is atoms.forces and result.rho is atoms.rho
+            kept = result.forces.copy()
+            moved = sdc_atoms.copy()
+            moved.positions += 0.01
+            calc.compute(potential, moved, sdc_nlist)
+            calc._arrays["forces"][:] = 0.0
+            assert np.array_equal(result.forces, kept)
+
+
+class TestOneCommandPerEvaluation:
+    """The protocol: one ``evaluate`` command, ``2 * n_colors`` in-arena
+    barriers, no potential call in the parent."""
+
+    @pytest.mark.parametrize("dims,n_workers", [(1, 2), (2, 2), (3, 3), (2, 1)])
+    def test_one_run_and_two_barriers_per_color(
+        self, dims, n_workers, sdc_atoms, sdc_nlist, reference_result
+    ):
+        potential = _ParentCallsFe()
+        with ProcessSDCCalculator(dims=dims, n_workers=n_workers) as calc:
+            calc.compute(potential, sdc_atoms.copy(), sdc_nlist)  # spawn, epoch
+            group, commands = calc._live.group, []
+            run = group.run
+
+            def counting_run(command, payloads=None):
+                commands.append(command)
+                return run(command, payloads)
+
+            group.run = counting_run
+            base = calc._generation
+            del potential.calls[:]
+            result = calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
+            assert commands == ["evaluate"]
+            assert potential.calls == []
+            n_barriers = 2 * calc.schedule.n_colors
+            assert calc._generation == base + n_barriers + 1  # + the reply
+            # every worker's arrival word: the command's last generation
+            arrived = calc._arrays["barrier"][1:, 0]
+            assert arrived.tolist() == [base + n_barriers - 1] * n_workers
+        assert np.allclose(result.forces, reference_result.forces, atol=1e-12)
+
+    def test_rejects_a_list_over_other_atoms(self, potential, sdc_atoms, small_nlist):
+        calc = ProcessSDCCalculator(dims=2, n_workers=2)
+        with pytest.raises(ValueError, match="neighbor list covers 250 atoms, system has 1024"):
+            calc.compute(potential, sdc_atoms.copy(), small_nlist)
+        assert calc.worker_pids() == []  # rejected before anything was forked
+
+
+def _edge_just_above_twice_the_reach(atoms, cutoff):
+    """The skin that leaves two subdomains per axis barely legal."""
+    edge = float(atoms.box.lengths.min()) / 2
+    return edge / 2.0 - cutoff - 1e-9
+
+
+class TestTaskLayout:
+    """ROADMAP aim 3, "checked, not assumed": the arena order is the pair
+    partition regrouped into one contiguous range per (color, worker), and
+    same-color ranges write disjoint atoms."""
+
+    @pytest.fixture(scope="class")
+    def systems(self, potential, sdc_atoms, sdc_nlist):
+        from repro.harness.cases import Case
+
+        tiny = Case(key="tiny", label="tiny", n_cells=6).build(seed=1)
+        assert tiny.n_atoms == 432
+        tight = _edge_just_above_twice_the_reach(tiny, potential.cutoff)
+
+        def listed(atoms, skin):
+            return atoms, build_neighbor_list(
+                atoms.positions, atoms.box, cutoff=potential.cutoff,
+                skin=skin, half=True,
+            )
+
+        return {
+            "tiny": listed(tiny, 0.3),
+            "tight-edge": listed(tiny, tight),
+            "sdc": (sdc_atoms, sdc_nlist),
+        }
+
+    @pytest.mark.parametrize("name", ["tiny", "tight-edge", "sdc"])
+    @pytest.mark.parametrize("dims", [1, 2, 3])
+    @pytest.mark.parametrize("n_workers", [1, 2, 3, 5])
+    def test_layout_is_the_partition_regrouped(self, systems, name, dims, n_workers):
+        atoms, nlist = systems[name]
+        calc = ProcessSDCCalculator(dims=dims, n_workers=n_workers)
+        calc._prepare(atoms, nlist)
+        pairs, schedule, grid = calc.pair_partition, calc.schedule, calc.grid
+        if name == "tight-edge":
+            edge = grid.edge_lengths()[list(grid.decomposed_axes)].min()
+            assert 0.0 < edge - 2.0 * grid.reach < 1e-8
+        layout, tasks = color_task_layout(pairs, schedule, n_workers)
+        assert np.array_equal(np.sort(layout), np.arange(pairs.n_pairs))
+        assert [len(ranges) for ranges in tasks] == [schedule.n_colors] * n_workers
+        filled = 0
+        for color in range(schedule.n_colors):
+            chunks = schedule.thread_assignment(color, n_workers)
+            written = []
+            for k, members in enumerate(chunks):
+                lo, hi = tasks[k][color]
+                assert lo == filled  # color-major, worker-major, no gaps
+                rows = [
+                    np.arange(pairs.offsets[s], pairs.offsets[s + 1])
+                    for s in members
+                ]
+                expected = np.concatenate(rows) if rows else np.empty(0, int)
+                assert np.array_equal(layout[lo:hi], expected)
+                filled = hi
+                sets = [pairs.write_set(s) for s in members]
+                written.append(np.unique(np.concatenate(sets)) if sets else sets)
+            for a in range(n_workers):
+                for b in range(a + 1, n_workers):
+                    assert not len(np.intersect1d(written[a], written[b]))
+        assert filled == pairs.n_pairs
+
+    def test_tiny_box_gives_later_workers_only_empty_tasks(self, systems):
+        atoms, nlist = systems["tiny"]
+        calc = ProcessSDCCalculator(dims=2, n_workers=2)
+        calc._prepare(atoms, nlist)
+        _, tasks = color_task_layout(calc.pair_partition, calc.schedule, 2)
+        assert all(hi > lo for lo, hi in tasks[0])
+        assert all(hi == lo for lo, hi in tasks[1])
+
+    @pytest.mark.parametrize("name", ["tiny", "tight-edge"])
+    def test_write_record_keeps_its_shape_and_is_race_free(
+        self, systems, name, potential
+    ):
+        """One ``(kind, per-worker write sets)`` entry per color phase,
+        density colors then force colors — what ``repro racecheck`` reads."""
+        from repro.potentials import compute_eam_forces_serial
+
+        atoms, nlist = systems[name]
+        with ProcessSDCCalculator(
+            dims=2, n_workers=2, record_writes=True
+        ) as calc:
+            result = calc.compute(potential, atoms.copy(), nlist)
+            record = calc.last_write_record
+            n_colors = calc.schedule.n_colors
+        assert [kind for kind, _ in record] == (
+            ["density"] * n_colors + ["force"] * n_colors
+        )
+        for kind, per_worker in record:
+            assert len(per_worker) == 2
+            flat = np.concatenate([np.asarray(w, int) for w in per_worker])
+            assert len(np.unique(flat)) == len(flat), kind
+        reference = compute_eam_forces_serial(potential, atoms.copy(), nlist)
+        assert np.allclose(result.forces, reference.forces, atol=1e-12)
+
+
+class TestOneSidedFailure:
+    """One worker's task raises while its sibling is at (or on its way
+    to) the barrier: the parent gets the task's own error, never
+    ``PhaseAborted``, and the same workers serve the next compute."""
+
+    @staticmethod
+    def assert_same_workers_still_right(calc, pids, potential, atoms, nlist, reference):
+        result = calc.compute(potential, atoms.copy(), nlist)
+        assert np.allclose(result.forces, reference.forces, atol=1e-12)
+        snapshot = calc.health_snapshot()
+        assert calc.worker_pids() == pids
+        assert snapshot["n_pool_spawns"] == 1
+        assert snapshot["n_restarts"] == 0
+        assert snapshot["n_worker_deaths"] == 0
+
+    def test_overlap_inside_one_subdomain(
+        self, potential, sdc_atoms, sdc_nlist, reference_result
+    ):
+        positions = sdc_atoms.positions.copy()
+        positions[1] = positions[0] + (0.0, 0.0, 1e-9)
+        overlapping = Atoms(box=sdc_atoms.box, positions=positions)
+        with ProcessSDCCalculator(dims=2, n_workers=2) as calc:
+            calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
+            pids = calc.worker_pids()
+            # both atoms, hence the pair, belong to one subdomain
+            owner = calc.pair_partition.partition.subdomain_of_atom
+            assert owner[0] == owner[1]
+            nlist = build_neighbor_list(
+                positions, overlapping.box, cutoff=potential.cutoff,
+                skin=0.3, half=True,
+            )
+            with pytest.raises(ValueError, match="overlapping atoms: atoms 0 and 1"):
+                calc.compute(potential, overlapping, nlist)
+            self.assert_same_workers_still_right(
+                calc, pids, potential, sdc_atoms, sdc_nlist, reference_result
+            )
+
+    def test_potential_raises_in_one_worker_only(
+        self, tmp_path, sdc_atoms, sdc_nlist, reference_result
+    ):
+        potential = _ExplodesInOneWorker()
+        type(potential).trigger = str(tmp_path / "first")
+        with ProcessSDCCalculator(dims=2, n_workers=2) as calc:
+            with pytest.raises(RuntimeError, match="potential exploded"):
+                calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
+            pids = calc.worker_pids()
+            assert len(pids) == 2
+            # the trigger exists now: nobody raises any more
+            self.assert_same_workers_still_right(
+                calc, pids, potential, sdc_atoms, sdc_nlist, reference_result
+            )
+
+
+class TestSpansFromMarks:
+    """With a tracer attached the parent rebuilds worker tracks, barrier
+    waits and phase rows from the clock marks in the replies."""
+
+    def test_worker_tracks_and_phase_rows(self, potential, sdc_atoms, sdc_nlist):
+        from repro.utils.profiler import phase_samples
+
+        tracer = Tracer()
+        with ProcessSDCCalculator(dims=2, n_workers=2) as calc:
+            calc.attach_tracer(tracer)
+            calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
+            pids, n_colors = calc.worker_pids(), calc.schedule.n_colors
+        n_phases = 2 * n_colors + 1
+        tasks = tracer.by_category(CAT_TASK)
+        assert len(tasks) == 2 * n_phases
+        assert {s.track for s in tasks} == {f"worker-{pid}" for pid in pids}
+        phases = {s.args["phase"]: s for s in tracer.by_category(CAT_PHASE)}
+        assert sorted(phases) == list(range(n_phases))
+        assert phases[0].name == "density:color0/phase0"
+        assert phases[n_colors].name == f"embedding/phase{n_colors}"
+        for task in tasks:
+            phase = phases[task.args["phase"]]
+            assert task.start_s >= phase.start_s - 1e-9
+            assert task.end_s <= phase.end_s + 1e-9
+        for wait in tracer.by_category(CAT_BARRIER):
+            assert wait.name == "barrier-wait"
+            assert wait.track.startswith("worker-")
+            assert wait.end_s == pytest.approx(phases[wait.args["phase"]].end_s)
+        # the phases tile the command: back to back, no overlap
+        ordered = [phases[p] for p in range(n_phases)]
+        for before, after in zip(ordered, ordered[1:]):
+            assert after.start_s == pytest.approx(before.end_s)
+        samples = phase_samples(tracer.spans)
+        assert {"density", "embedding", "force", "sync", "color-barrier"} <= set(samples)
+        kernels = sum(samples[p][0] for p in ("density", "embedding", "force"))
+        assert kernels == pytest.approx(ordered[-1].end_s - ordered[0].start_s)
 
 
 class TestValidation:

@@ -213,6 +213,202 @@ class TestWorkerHang:
             assert not os.path.exists(f"/proc/{victim}")
 
 
+class OrdersPotential(ExplodingPotential):
+    """Fe whose density function (reached through the composed
+    ``pair_terms`` default) obeys an orders file ``"<pid> <order>"``: the
+    named process SIGKILLs itself — after its driver, for ``orphan`` —
+    and every other process naps first, so it is still on its way to the
+    barrier when its sibling is already gone.  No file, no effect."""
+
+    def __init__(self, orders: str) -> None:
+        super().__init__(fuse=10**9)
+        self._orders = orders
+
+    def density(self, r):
+        import os
+        import signal
+        import time
+
+        try:
+            with open(self._orders, encoding="ascii") as handle:
+                victim, order = handle.read().split()
+        except FileNotFoundError:
+            return self._inner.density(r)
+        if int(victim) == os.getpid():
+            if order == "orphan":
+                os.kill(os.getppid(), signal.SIGKILL)
+            os.kill(os.getpid(), signal.SIGKILL)
+        time.sleep(0.05)
+        return self._inner.density(r)
+
+
+def _running(pid: int) -> bool:
+    """Alive and not a zombie waiting for some pid 1 to reap it."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] not in "ZX"
+    except OSError:
+        return False
+
+
+@pytest.mark.linux
+class TestDeathBehindTheBarrier:
+    """A worker that dies mid-evaluation leaves its sibling waiting at an
+    in-arena barrier no reply will ever release: the parent must see the
+    death at once (process sentinels, not reply order), set the abort
+    word and finish collecting — at the default 120 s timeout, in
+    seconds."""
+
+    @pytest.fixture(autouse=True)
+    def _needs_fork(self):
+        import multiprocessing as mp
+
+        if "fork" not in mp.get_all_start_methods():
+            pytest.skip("requires fork")
+
+    @pytest.fixture(scope="class")
+    def wide(self, potential):
+        """4 x 4 subdomains, so both workers have pairs in every color:
+        ``(atoms, nlist, serial forces)``."""
+        from repro.harness.cases import Case
+        from repro.potentials import compute_eam_forces_serial
+
+        atoms = Case(key="w", label="w", n_cells=12).build(seed=4)
+        nlist = build_neighbor_list(
+            atoms.positions, atoms.box, cutoff=potential.cutoff, skin=0.3
+        )
+        reference = compute_eam_forces_serial(potential, atoms.copy(), nlist)
+        return atoms, nlist, reference.forces
+
+    @staticmethod
+    def make(engine, **kwargs):
+        from repro.parallel.backends.processes import ProcessSDCCalculator
+        from repro.parallel.backends.sharded import ShardedSDCCalculator
+
+        if engine == "processes":
+            return ProcessSDCCalculator(dims=2, n_workers=2, **kwargs)
+        return ShardedSDCCalculator(n_shards=2, **kwargs)
+
+    # the shard victim has the higher index: its slow sibling is polled
+    # first by an in-order collection
+    @pytest.mark.parametrize(
+        "engine,victim", [("processes", 0), ("processes", 1), ("sharded", 1)]
+    )
+    def test_one_killed_worker_restarts_transparently(
+        self, engine, victim, tmp_path, wide
+    ):
+        import time
+
+        atoms, nlist, forces = wide
+        orders = tmp_path / "orders"
+        potential = OrdersPotential(str(orders))
+        with self.make(engine) as calc:
+            assert calc.timeout_s == 120.0
+            calc.compute(potential, atoms.copy(), nlist)
+            pids = calc.worker_pids()
+            orders.write_text(f"{pids[victim]} die")
+            started = time.monotonic()
+            result = calc.compute(potential, atoms.copy(), nlist)
+            assert time.monotonic() - started < 5.0
+            assert np.allclose(result.forces, forces, atol=1e-10)
+            snapshot = calc.health_snapshot()
+            assert snapshot["n_worker_deaths"] == 1
+            assert snapshot["n_restarts"] == 1
+            assert not set(pids) & set(calc.worker_pids())
+            assert not [pid for pid in pids if _running(pid)]
+
+    def test_one_killed_worker_is_a_backend_error_without_retry(
+        self, tmp_path, wide
+    ):
+        import time
+
+        from repro.parallel.backends import BackendError
+
+        atoms, nlist, forces = wide
+        orders = tmp_path / "orders"
+        potential = OrdersPotential(str(orders))
+        with self.make("processes", restart_on_failure=False) as calc:
+            calc.compute(potential, atoms.copy(), nlist)
+            orders.write_text(f"{calc.worker_pids()[1]} die")
+            started = time.monotonic()
+            with pytest.raises(BackendError, match=r"worker\(s\) \[1\] died"):
+                calc.compute(potential, atoms.copy(), nlist)
+            assert time.monotonic() - started < 5.0
+            orders.unlink()
+            result = calc.compute(potential, atoms.copy(), nlist)
+            assert np.allclose(result.forces, forces, atol=1e-10)
+
+    def test_stopped_worker_times_out_and_waiters_are_killed(
+        self, potential, sdc_atoms, sdc_nlist
+    ):
+        """A hung sibling is the ``timeout_s`` path: the waiter spins at
+        the barrier until ``stop()`` kills it with the rest."""
+        import os
+        import signal
+
+        from repro.parallel.backends import BackendError
+
+        with self.make("processes", restart_on_failure=False) as calc:
+            calc.timeout_s = 0.5
+            calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
+            pids = calc.worker_pids()
+            os.kill(pids[0], signal.SIGSTOP)
+            with pytest.raises(BackendError, match="timed out"):
+                calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
+        assert not [pid for pid in pids if _running(pid)]
+
+    def test_killed_driver_leaves_no_spinning_orphan(self, tmp_path):
+        """Worker 0 SIGKILLs the driver, then itself; worker 1 reaches a
+        barrier nobody will join or abort — it must notice the re-parenting
+        and exit."""
+        import os
+        import signal
+        import subprocess
+        import sys
+        import time
+
+        import repro
+
+        driver = (
+            "import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from test_failure_injection import OrdersPotential\n"
+            "from repro.harness.cases import Case\n"
+            "from repro.md import build_neighbor_list\n"
+            "from repro.parallel.backends.processes import ProcessSDCCalculator\n"
+            "potential = OrdersPotential(sys.argv[2])\n"
+            "atoms = Case(key='o', label='o', n_cells=8).build(seed=1)\n"
+            "nlist = build_neighbor_list(atoms.positions, atoms.box,\n"
+            "    cutoff=potential.cutoff, skin=0.3, half=True)\n"
+            "calc = ProcessSDCCalculator(dims=2, n_workers=2)\n"
+            "calc.compute(potential, atoms, nlist)\n"
+            "pids = calc.worker_pids()\n"
+            "open(sys.argv[2], 'w').write(f'{pids[0]} orphan')\n"
+            "print(*pids, flush=True)\n"
+            "calc.compute(potential, atoms, nlist)\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        process = subprocess.Popen(
+            [sys.executable, "-c", driver, os.path.dirname(__file__),
+             str(tmp_path / "orders")],
+            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE, text=True,
+        )
+        # not communicate(): an orphan would hold the pipe open
+        pids = [int(pid) for pid in process.stdout.readline().split()]
+        try:
+            assert len(pids) == 2
+            assert process.wait(timeout=60) == -signal.SIGKILL
+            deadline = time.monotonic() + 5.0
+            while any(map(_running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in pids if _running(pid)]
+        finally:
+            process.stdout.close()
+            for pid in pids:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+
 class TestMalformedStructures:
     def test_neighbor_list_with_corrupt_csr_rejected(self):
         with pytest.raises(ValueError):
