@@ -122,30 +122,6 @@ class Box:
         ]
         return min(limits) if limits else float("inf")
 
-    def lattice_image_shifts(self, radius: int = 1) -> np.ndarray:
-        """Lattice translation vectors ``n * L`` for ``|n_axis| <= radius``.
-
-        Non-periodic axes only contribute ``n = 0``.  The zero shift is the
-        first row; the rest follow in lexicographic ``n`` order, so callers
-        can treat row 0 as "the primary image" deterministically.  This is
-        the enumeration the sharded halo construction uses to find every
-        periodic ghost image of an atom near a shard face.
-        """
-        if radius < 0:
-            raise ValueError(f"radius must be >= 0, got {radius}")
-        per_axis = [
-            range(-radius, radius + 1) if self.periodic[axis] else (0,)
-            for axis in range(3)
-        ]
-        images = np.array(
-            [(nx, ny, nz) for nx in per_axis[0] for ny in per_axis[1] for nz in per_axis[2]],
-            dtype=np.float64,
-        )
-        # put the zero image first, keep the rest in enumeration order
-        zero = np.all(images == 0.0, axis=1)
-        images = np.concatenate([images[zero], images[~zero]], axis=0)
-        return images * self.lengths
-
     def scaled(self, factor: float) -> "Box":
         """Return a copy with all edges multiplied by ``factor`` (strain)."""
         if factor <= 0:

@@ -229,16 +229,23 @@ def _trace_one(
                 **health.summary_fields(),
             )
         nlist = sim.nlist
-        shard_items = getattr(calculator, "shard_schedule_items", None)
+        halo_stats = getattr(calculator, "halo_stats", None)
         pairs = getattr(calculator, "pair_partition", None)
         schedule = getattr(calculator, "schedule", None)
-        if shard_items is not None:
-            # one metric set per shard, labeled with the shard dimension
-            for shard, shard_pairs, shard_schedule in shard_items():
-                record_schedule_metrics(
-                    registry, shard_pairs, shard_schedule,
-                    shard=shard, run=label,
+        if halo_stats is not None:
+            # what each shard worker actually sweeps, labeled per shard
+            stats = halo_stats()
+            for shard in range(len(stats["n_pairs"])):
+                labels = {"shard": str(shard), "run": label}
+                registry.count(
+                    "pairs_processed", float(stats["n_pairs"][shard]), **labels
                 )
+                for gauge, key in (
+                    ("atoms_owned", "n_owned"),
+                    ("atoms_ghost", "n_ghosts"),
+                    ("halo_fraction", "halo_fraction"),
+                ):
+                    registry.gauge(gauge, float(stats[key][shard]), **labels)
         elif pairs is not None and schedule is not None:
             record_schedule_metrics(registry, pairs, schedule, run=label)
         elif nlist is not None:

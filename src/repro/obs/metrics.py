@@ -158,7 +158,6 @@ def record_schedule_metrics(
     registry: MetricsRegistry,
     pairs,
     schedule,
-    shard: "object | None" = None,
     **labels: object,
 ) -> None:
     """Static decomposition metrics from a pair partition + color schedule.
@@ -167,16 +166,10 @@ def record_schedule_metrics(
     :class:`~repro.core.partition.PairPartition`, ``schedule`` a
     :class:`~repro.core.schedule.ColorSchedule`.  Emits pairs processed,
     atoms/pairs per subdomain (min/mean/max), per-color static
-    load-imbalance ratios, and the halo fraction.
-
-    ``shard`` is the shard dimension for multi-shard engines: the sharded
-    backend emits one metric set per shard, each labeled ``shard=<id>``.
-    With the default ``None`` no ``shard`` label is added, so single-shard
-    callers keep the exact pre-shard record shape (regression-tested).
+    load-imbalance ratios, and the halo fraction (the cross-subdomain
+    share of the pairs).  Records carry no ``shard`` label: the sharded
+    engine's per-shard gauges come from its own ``halo_stats()``.
     """
-    if shard is not None:
-        labels = dict(labels)
-        labels["shard"] = str(shard)
     pair_counts = pairs.pair_counts().astype(float)
     atom_counts = pairs.partition.counts().astype(float)
     registry.count("pairs_processed", float(pair_counts.sum()), **labels)

@@ -5,7 +5,6 @@ from repro.parallel.backends.serial import SerialBackend
 from repro.parallel.backends.sharded import (
     ShardedSDCCalculator,
     ShardGrid,
-    build_halo,
     make_shard_grid,
 )
 from repro.parallel.backends.threads import ThreadBackend
@@ -17,6 +16,5 @@ __all__ = [
     "ShardGrid",
     "ShardedSDCCalculator",
     "ThreadBackend",
-    "build_halo",
     "make_shard_grid",
 ]

@@ -5,42 +5,58 @@ SDC composes with a distributed spatial decomposition; this module makes
 one actually execute.  The global box is split into a near-cubic grid of
 *shards* (:func:`repro.parallel.cluster.node_grid` picks the factor
 assignment, largest count on the longest axis).  Each shard owns the
-atoms whose wrapped position falls inside its region and runs a complete
-intra-shard SDC pipeline — decomposition, lattice coloring, pair
-partition, kernel-tier primitives — exactly the machinery the
-single-box strategies use.
+atoms whose wrapped position falls inside its region and sweeps its share
+of the pair list as one task on its own worker.
 
-Correctness across shard boundaries is explicit **halo exchange**,
-ordered like a distributed EAM step (cf. the hybrid MPI+OpenMP designs in
-PAPERS.md):
+**A shard's pair list is a slice of the list the engine was handed.**  The
+paper partitions the neighbor list it already has ("steps 1 and 2 will be
+done when the neighbor list is created or updated", Section II.D) and so
+does an epoch here (:func:`partition_pairs`, a handful of O(pairs) NumPy
+passes at every neighbor-list rebuild; no neighbor or cell list is ever
+built in this module):
 
-1. **ghost construction** (at every neighbor-list rebuild): every
-   ``(atom, periodic image)`` whose shifted position lies within
-   ``reach = cutoff + skin`` of a shard's region becomes a *ghost* of
-   that shard, carrying its lattice image shift
-   (:meth:`~repro.geometry.box.Box.lattice_image_shifts`).  Shards build
-   their local half pair list over owned+ghost coordinates in an *open*
-   extended box — ghost coordinates are image-shifted, so plain
-   (non-periodic) pair geometry is exact.  A global-id dedup rule keeps
-   every physical pair on exactly one shard: owned–owned pairs always,
-   owned–ghost pairs only when the owned atom's global id is smaller.
-2. **position refresh** (every force evaluation): shard-local coordinates
-   are rebuilt as ``R + minimum_image(wrap(p) - R)`` (``R`` = the
-   neighbor list's reference positions) — the same displacement formula
-   as the Verlet rebuild criterion, so coordinates stay in the image
-   branch the ghosts were constructed in even when an atom drifts across
-   a periodic face mid-epoch.
-3. **density reduction**: after the density pass, ghost ``rho``
+1. **ownership** from the list's reference positions
+   (:meth:`ShardGrid.shard_of_positions`);
+2. **pair partition**: every pair ``(i, j)`` of the global half list goes
+   to exactly one shard — the common shard when both endpoints share one,
+   else one endpoint's shard chosen by *parity*: ``j``'s shard when
+   ``i ^ j`` is odd, ``i``'s when it is even.  (A half list has
+   ``i < j``, so "the smaller global id owns the pair" would put every
+   pair across a face on the same side; parity splits them evenly.)  The
+   slice keeps the global CSR order;
+3. **ghost rows = remote endpoints**: a shard's local atom set is its
+   owned atoms followed by the non-owned endpoints of its own pairs, each
+   global id once, and the slice is renumbered into those rows.  An atom
+   no owned pair touches is never a ghost, and one remote atom is one row
+   however many faces it is near.
+
+The shard worker receives the *global periodic box*, so its pair geometry
+takes the same minimum image the serial path takes — per-pair ``r``,
+``phi``, ``V`` are the serial values bit for bit, ghosts carry no image
+shift, and only the summation order differs.  Correctness across shard
+boundaries is explicit **halo exchange**, ordered like a distributed EAM
+step (cf. the hybrid MPI+OpenMP designs in PAPERS.md):
+
+1. **position refresh** (every force evaluation): each region's rows are
+   gathered from the current global positions and its accumulators
+   zeroed.
+2. **density reduction**: after the density pass, ghost ``rho``
    contributions are accumulated onto their owners and the completed
    owned densities written back.
-4. **embedding + ghost-fp refresh**: each shard embeds its *owned* atoms
+3. **embedding + ghost-fp refresh**: each shard embeds its *owned* atoms
    (energy counted once); ``F'(rho)`` for ghosts is then refreshed from
    the owners before the force pass needs ``fp_i + fp_j``.
-5. **force reduction**: ghost force contributions are accumulated back
+4. **force reduction**: ghost force contributions are accumulated back
    onto their owners (Newton's third law globally).
-6. **atom migration** (at every rebuild): ownership is recomputed from
+5. **atom migration** (at every rebuild): ownership is recomputed from
    the new reference positions; atoms are re-homed and the migration
    count lands in the flight recorder.
+
+A shard's rows are distinct global ids, so the three reductions are plain
+fancy-index gathers and ``+=``.  Ownership only decides balance and
+traffic, never correctness: shard edges may be arbitrarily small, atoms
+may sit exactly on a face, and with ``n_shards=1`` there are no ghosts at
+all (one region, no exchange).
 
 Execution engines.  Workers, arena, respawn and retry are the shared core
 in :mod:`repro.parallel.backends.workers`; this calculator is its
@@ -51,19 +67,14 @@ many-region configuration — one arena region and one worker per shard:
   its local pair list and the pair-geometry cache, so parent-side exchange
   reductions and worker-side scatters address the same pages.  At a
   neighbor rebuild the parent writes the new local pair list into the
-  regions and ships extended box / pair range / owned rows as the epoch
-  payload (a shard worker sweeps its region as one task, no barrier):
-  workers survive Verlet rebuilds and are re-forked only through the
-  core's single spawn path (first compute, worker death, potential or
-  tier change, capacity overflow).
+  regions and ships box / pair range / owned rows as the epoch payload (a
+  shard worker sweeps its region as one task, no barrier): workers
+  survive Verlet rebuilds and are re-forked only through the core's
+  single spawn path (first compute, worker death, potential or tier
+  change, capacity overflow).
 * ``engine="inline"`` — the identical protocol executed in-process
   (deterministic reference for differential tests; the fallback on
   platforms without ``fork``).
-
-Intra-shard SDC coloring keeps its ``edge > 2*reach`` constraint; a shard
-too small to decompose degrades to a single-subdomain schedule.  Shard
-edges themselves may be arbitrarily small: ghost selection enumerates
-periodic images globally rather than assuming a 26-neighbor stencil.
 
 Steady-state health-plane cost follows the DESIGN §7.3 overhead
 contract: per-compute work only bumps counters; flight-recorder *events*
@@ -80,21 +91,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import kernels
-from repro.core.coloring import lattice_coloring
-from repro.core.domain import (
-    DecompositionError,
-    SubdomainGrid,
-    decompose_balanced,
-)
-from repro.core.partition import (
-    PairPartition,
-    Partition,
-    build_partition,
-)
-from repro.core.schedule import ColorSchedule, build_schedule
 from repro.geometry.box import Box
 from repro.md.atoms import Atoms
-from repro.md.neighbor.verlet import NeighborList, build_neighbor_list
+from repro.md.neighbor.verlet import NeighborList
 from repro.parallel.backends.workers import (
     DEFAULT_PHASE_TIMEOUT_S,
     ChunkWorker,
@@ -109,11 +108,11 @@ from repro.potentials.eam import EAMComputation
 from repro.utils.identity import IdentityKey
 
 __all__ = [
-    "HaloSpec",
     "ShardGrid",
+    "ShardPlan",
     "ShardedSDCCalculator",
-    "build_halo",
     "make_shard_grid",
+    "partition_pairs",
 ]
 
 #: per-ghost exchange traffic per force evaluation, in bytes: position
@@ -129,11 +128,11 @@ GHOST_BYTES_PER_STEP = 64
 class ShardGrid:
     """A near-cubic grid of spatial shards over the global box.
 
-    Unlike :class:`~repro.core.domain.SubdomainGrid` (the intra-shard SDC
+    Unlike :class:`~repro.core.domain.SubdomainGrid` (the SDC
     decomposition, whose color-safety argument needs edges longer than
-    ``2 * reach``), a shard edge may be arbitrarily small: the halo
-    construction enumerates periodic images globally, so correctness
-    never rests on a 26-stencil assumption.
+    ``2 * reach``), a shard edge may be arbitrarily small: a shard's
+    ghosts are the remote endpoints of its pairs, wherever they are, so
+    correctness never rests on a 26-stencil assumption.
     """
 
     box: Box
@@ -160,17 +159,6 @@ class ShardGrid:
         _, ny, nz = self.counts
         return (coords[..., 0] * ny + coords[..., 1]) * nz + coords[..., 2]
 
-    def bounds_of(self, shard: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``(lo, hi)`` corner coordinates of one shard's region."""
-        _, ny, nz = self.counts
-        coords = np.array(
-            [shard // (ny * nz), (shard // nz) % ny, shard % nz],
-            dtype=np.float64,
-        )
-        edges = self.edge_lengths()
-        lo = coords * edges
-        return lo, lo + edges
-
 
 def make_shard_grid(box: Box, n_shards: int) -> ShardGrid:
     """Near-cubic shard grid: largest factor on the longest axis.
@@ -191,104 +179,30 @@ def make_shard_grid(box: Box, n_shards: int) -> ShardGrid:
 
 
 # ---------------------------------------------------------------------------
-# halo construction
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HaloSpec:
-    """The ghost set of one shard.
-
-    ``source_ids[k]`` is the global index of the atom whose periodic
-    image ``positions[source_ids[k]] + shifts[k]`` lies within ``reach``
-    of the shard's region.  The same atom may appear several times with
-    different shifts (distinct periodic images are distinct ghosts).
-    """
-
-    source_ids: np.ndarray
-    shifts: np.ndarray
-
-    @property
-    def n_ghosts(self) -> int:
-        """Number of ghost entries."""
-        return len(self.source_ids)
-
-
-def build_halo(
-    positions: np.ndarray, grid: ShardGrid, reach: float
-) -> List[HaloSpec]:
-    """Ghost selection for every shard.
-
-    For shard ``s`` with region ``[lo, hi]``, the ghost set is exactly
-    the ``(atom, image shift)`` pairs whose shifted wrapped position lies
-    inside the rectangular halo shell ``[lo - reach, hi + reach]`` (per
-    axis, inclusive), excluding the shard's own atoms at the identity
-    shift.  Periodic images come from
-    :meth:`~repro.geometry.box.Box.lattice_image_shifts`; on non-periodic
-    axes only the primary image exists.  This is the property the
-    hypothesis suite checks against an independent scalar oracle.
-    """
-    if reach <= 0:
-        raise ValueError(f"reach must be positive, got {reach}")
-    box = grid.box
-    wrapped = box.wrap(np.asarray(positions, dtype=np.float64))
-    shard_of = grid.shard_of_positions(wrapped)
-    image_shifts = box.lattice_image_shifts()
-    specs: List[HaloSpec] = []
-    for shard in range(grid.n_shards):
-        lo, hi = grid.bounds_of(shard)
-        ids_parts: List[np.ndarray] = []
-        shift_parts: List[np.ndarray] = []
-        for shift in image_shifts:
-            shifted = wrapped + shift
-            inside = np.all(
-                (shifted >= lo - reach) & (shifted <= hi + reach), axis=1
-            )
-            if not shift.any():
-                # the identity image of a shard's own atoms is the owned
-                # set, not a ghost
-                inside &= shard_of != shard
-            idx = np.flatnonzero(inside)
-            if len(idx):
-                ids_parts.append(idx.astype(np.int64))
-                shift_parts.append(np.broadcast_to(shift, (len(idx), 3)))
-        if ids_parts:
-            specs.append(
-                HaloSpec(
-                    source_ids=np.concatenate(ids_parts),
-                    shifts=np.ascontiguousarray(np.concatenate(shift_parts)),
-                )
-            )
-        else:
-            specs.append(
-                HaloSpec(
-                    source_ids=np.empty(0, dtype=np.int64),
-                    shifts=np.empty((0, 3), dtype=np.float64),
-                )
-            )
-    return specs
-
-
-# ---------------------------------------------------------------------------
-# per-shard plan (local frame, pair partition, intra-shard SDC)
+# per-shard plan: a slice of the global pair list in local rows
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _ShardPlan:
+class ShardPlan:
     """Everything static about one shard within a decomposition epoch."""
 
     shard: int
-    owned: np.ndarray  # global indices of owned atoms
-    halo: HaloSpec
-    src: np.ndarray  # concat(owned, halo.source_ids)
-    shift: np.ndarray  # (n_local, 3) lattice shifts; zero on owned rows
-    ext_box: Box  # open box bounding owned + ghost coordinates
-    grid: SubdomainGrid  # intra-shard SDC grid (possibly 1x1x1)
-    pairs: PairPartition  # deduplicated local pairs, subdomain-grouped
-    schedule: ColorSchedule
+    #: global index of every local row: owned atoms, then ghosts; distinct
+    src: np.ndarray
+    n_owned: int
+    #: the shard's pairs as local rows, in global CSR order
+    pair_i: np.ndarray
+    pair_j: np.ndarray
 
     @property
-    def n_owned(self) -> int:
-        return len(self.owned)
+    def owned(self) -> np.ndarray:
+        """Global indices of the owned atoms."""
+        return self.src[: self.n_owned]
+
+    @property
+    def ghosts(self) -> np.ndarray:
+        """Global indices of the ghost rows."""
+        return self.src[self.n_owned:]
 
     @property
     def n_local(self) -> int:
@@ -296,7 +210,11 @@ class _ShardPlan:
 
     @property
     def n_ghosts(self) -> int:
-        return self.halo.n_ghosts
+        return len(self.src) - self.n_owned
+
+    @property
+    def n_pairs(self) -> int:
+        return len(self.pair_i)
 
     @property
     def halo_fraction(self) -> float:
@@ -304,105 +222,41 @@ class _ShardPlan:
         return self.n_ghosts / self.n_local if self.n_local else 0.0
 
 
-def _local_pair_partition(
-    i_idx: np.ndarray,
-    j_idx: np.ndarray,
-    partition: Partition,
-) -> PairPartition:
-    """Group an explicit local pair list by owning subdomain.
+def partition_pairs(
+    shard_of: np.ndarray, n_shards: int, i_idx: np.ndarray, j_idx: np.ndarray
+) -> List[ShardPlan]:
+    """Partition a global half pair list over the shards owning its atoms.
 
-    :func:`~repro.core.partition.build_pair_partition` consumes a
-    :class:`NeighborList`; the shard path owns a *filtered* pair list
-    (cross-shard duplicates removed), so the CSR grouping is rebuilt here
-    with the same owner-of-row-atom rule.
+    Every pair lands on exactly one shard, which owns at least one of its
+    endpoints (module docstring, steps 2–3): same-shard pairs stay there,
+    cross-shard pairs go to ``j``'s shard when ``i ^ j`` is odd and to
+    ``i``'s otherwise.  Each plan's ghost rows are exactly the non-owned
+    endpoints of its pairs, and its pairs keep the order of the input.
     """
-    pair_sub = partition.subdomain_of_atom[i_idx]
-    pair_perm = np.argsort(pair_sub, kind="stable")
-    counts = np.bincount(pair_sub, minlength=partition.grid.n_subdomains)
-    offsets = np.zeros(partition.grid.n_subdomains + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return PairPartition(
-        partition=partition,
-        i_idx=np.ascontiguousarray(i_idx[pair_perm]),
-        j_idx=np.ascontiguousarray(j_idx[pair_perm]),
-        offsets=offsets,
-        pair_perm=pair_perm,
-    )
-
-
-def _build_shard_plan(
-    shard: int,
-    grid: ShardGrid,
-    shard_of: np.ndarray,
-    halo: HaloSpec,
-    reference: np.ndarray,
-    cutoff: float,
-    skin: float,
-    dims: int,
-) -> _ShardPlan:
-    """Local frame, deduplicated pair list, and intra-shard SDC for one shard."""
-    reach = cutoff + skin
-    lo, hi = grid.bounds_of(shard)
-    owned = np.flatnonzero(shard_of == shard).astype(np.int64)
-    src = np.concatenate([owned, halo.source_ids])
-    shift = np.concatenate(
-        [np.zeros((len(owned), 3)), halo.shifts], axis=0
-    )
-    n_owned = len(owned)
-    n_local = len(src)
-    # open extended box: the halo shell plus a pad so inclusive-boundary
-    # ghosts land strictly inside [0, L_ext)
-    pad = 1e-9 * (1.0 + float(np.max(grid.box.lengths)))
-    origin = lo - reach - pad
-    ext_box = Box(
-        (hi - lo) + 2.0 * (reach + pad), periodic=(False, False, False)
-    )
-    local_reference = reference[src] + shift
-    build_pos = local_reference - origin
-
-    if n_local:
-        local_nlist = build_neighbor_list(
-            build_pos, ext_box, cutoff=cutoff, skin=skin, half=True
+    pair_shard = np.where((i_idx ^ j_idx) & 1, shard_of[j_idx], shard_of[i_idx])
+    # scratch: read only at the entries this shard's ``src`` just wrote
+    local_of = np.empty(len(shard_of), dtype=np.int64)
+    plans: List[ShardPlan] = []
+    for shard in range(n_shards):
+        mine = pair_shard == shard
+        gi, gj = i_idx[mine], j_idx[mine]
+        owned = np.flatnonzero(shard_of == shard)
+        remote = np.zeros(len(shard_of), dtype=bool)
+        remote[gi] = True
+        remote[gj] = True
+        remote[owned] = False
+        src = np.concatenate([owned, np.flatnonzero(remote)])
+        local_of[src] = np.arange(len(src))
+        plans.append(
+            ShardPlan(
+                shard=shard,
+                src=src,
+                n_owned=len(owned),
+                pair_i=local_of[gi],
+                pair_j=local_of[gj],
+            )
         )
-        i_idx, j_idx = local_nlist.pair_arrays()
-    else:
-        i_idx = j_idx = np.empty(0, dtype=np.int64)
-
-    # exactly-once pair ownership: owned-owned pairs belong here; an
-    # owned-ghost pair belongs to the shard whose *owned* endpoint has
-    # the smaller global id (its mirror on the ghost's owner shard is
-    # dropped there); ghost-ghost pairs always belong elsewhere
-    owned_i = i_idx < n_owned
-    owned_j = j_idx < n_owned
-    gid_i = src[i_idx] if len(i_idx) else i_idx
-    gid_j = src[j_idx] if len(j_idx) else j_idx
-    keep = (owned_i & owned_j) | (
-        owned_i & ~owned_j & (gid_i < gid_j)
-    ) | (~owned_i & owned_j & (gid_j < gid_i))
-    i_idx = np.ascontiguousarray(i_idx[keep])
-    j_idx = np.ascontiguousarray(j_idx[keep])
-
-    # intra-shard SDC, reused unchanged; shards too small for the
-    # > 2*reach constraint degrade to a single-subdomain schedule
-    try:
-        sub_grid = decompose_balanced(ext_box, reach, dims, 1)
-    except DecompositionError:
-        sub_grid = SubdomainGrid(box=ext_box, counts=(1, 1, 1), reach=reach)
-    coloring = lattice_coloring(sub_grid)
-    partition = build_partition(build_pos, sub_grid)
-    pairs = _local_pair_partition(i_idx, j_idx, partition)
-    schedule = build_schedule(coloring)
-    return _ShardPlan(
-        shard=shard,
-        owned=owned,
-        halo=halo,
-        src=src,
-        shift=shift,
-        ext_box=ext_box,
-        grid=sub_grid,
-        pairs=pairs,
-        schedule=schedule,
-    )
+    return plans
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +270,8 @@ class ShardedSDCCalculator(WorkerEngine):
     See the module docstring for the exchange protocol; per-evaluation
     ordering is *sync → density → rho reduction → embedding → fp refresh
     → force → force reduction*, with atom migration re-homing ownership
-    at every neighbor-list rebuild (a new decomposition epoch: the shard
-    plans are rebuilt and republished to the surviving workers).
+    at every neighbor-list rebuild (a new decomposition epoch: the handed
+    pair list is re-partitioned and republished to the surviving workers).
 
     Parameters
     ----------
@@ -425,8 +279,8 @@ class ShardedSDCCalculator(WorkerEngine):
         number of spatial shards; :func:`make_shard_grid` picks the
         near-cubic grid.
     dims:
-        intra-shard SDC decomposition dimensionality (shards too small
-        for the SDC constraints degrade to one subdomain).
+        accepted and validated for call-shape compatibility, otherwise
+        inert: a shard sweeps its region as one task (no intra-shard grid).
     engine:
         ``"processes"`` (persistent forked worker group, the default) or
         ``"inline"`` (same protocol in-process — the deterministic
@@ -476,7 +330,7 @@ class ShardedSDCCalculator(WorkerEngine):
         # parent's views of each shard's arena region
         self._cached_nlist = IdentityKey()
         self._shard_grid: Optional[ShardGrid] = None
-        self._plans: List[_ShardPlan] = []
+        self._plans: List[ShardPlan] = []
         self._views: List[Dict[str, np.ndarray]] = []
         # ownership cache + migration accounting (keyed on nlist identity)
         self._ownership_key = IdentityKey()
@@ -494,7 +348,7 @@ class ShardedSDCCalculator(WorkerEngine):
         ]
 
     def _region_sizes(self) -> List[Tuple[int, int, int]]:
-        return [(plan.n_local, plan.pairs.n_pairs, 1) for plan in self._plans]
+        return [(plan.n_local, plan.n_pairs, 1) for plan in self._plans]
 
     def _publish_epoch(self) -> None:
         """Write every shard's local pair list into its region and ship the
@@ -504,16 +358,17 @@ class ShardedSDCCalculator(WorkerEngine):
         payloads = []
         for plan, size in zip(self._plans, self._region_sizes()):
             views = arena.region(plan.shard, size)
-            views["pair_i"][:] = plan.pairs.i_idx
-            views["pair_j"][:] = plan.pairs.j_idx
+            views["pair_i"][:] = plan.pair_i
+            views["pair_j"][:] = plan.pair_j
             self._views.append(views)
             # a shard worker owns its region alone: one task, no barrier,
-            # and it embeds its owned rows (energy counted once)
+            # and it embeds its owned rows (energy counted once); the box
+            # is the global one, so its minimum image is the serial path's
             payloads.append(
                 {
                     "size": size,
-                    "box": plan.ext_box,
-                    "tasks": [(0, plan.pairs.n_pairs)],
+                    "box": self._shard_grid.box,
+                    "tasks": [(0, plan.n_pairs)],
                     "rows": (0, plan.n_owned),
                 }
             )
@@ -528,22 +383,16 @@ class ShardedSDCCalculator(WorkerEngine):
 
     # --- observability ---------------------------------------------------------
 
-    def shard_schedule_items(
-        self,
-    ) -> List[Tuple[int, PairPartition, ColorSchedule]]:
-        """Per-shard ``(shard, pair partition, schedule)`` for metrics."""
-        return [
-            (plan.shard, plan.pairs, plan.schedule) for plan in self._plans
-        ]
-
     @property
     def shard_grid(self) -> Optional[ShardGrid]:
         """The current shard grid (None before the first compute)."""
         return self._shard_grid
 
     def halo_stats(self) -> Dict[str, object]:
-        """Per-shard halo occupancy of the current epoch."""
+        """Per-shard occupancy of the current epoch: pairs swept, atoms
+        owned, ghost rows and their share of the shard's local rows."""
         return {
+            "n_pairs": [plan.n_pairs for plan in self._plans],
             "n_owned": [plan.n_owned for plan in self._plans],
             "n_ghosts": [plan.n_ghosts for plan in self._plans],
             "halo_fraction": [plan.halo_fraction for plan in self._plans],
@@ -620,29 +469,14 @@ class ShardedSDCCalculator(WorkerEngine):
     # --- epoch build -------------------------------------------------------------
 
     def _prepare(self, atoms: Atoms, nlist: NeighborList) -> None:
-        """(Re)build shards, halo and per-shard plans when the neighbor
-        list changed — a new decomposition epoch."""
+        """Re-partition the handed pair list over the shards when the
+        neighbor list changed — a new decomposition epoch."""
         if self._cached_nlist.matches(nlist) and self._plans:
             count_health("sharded_epoch_cache_hit")
             return
         count_health("sharded_epoch_cache_miss")
         grid, shard_of = self._assign_ownership(atoms, nlist)
-        halos = build_halo(
-            nlist.reference_positions, grid, nlist.cutoff + nlist.skin
-        )
-        plans = [
-            _build_shard_plan(
-                shard,
-                grid,
-                shard_of,
-                halos[shard],
-                nlist.reference_positions,
-                nlist.cutoff,
-                nlist.skin,
-                self.dims,
-            )
-            for shard in range(grid.n_shards)
-        ]
+        plans = partition_pairs(shard_of, grid.n_shards, *nlist.pair_arrays())
         self._shard_grid = grid
         self._plans = plans
         self._cached_nlist.set(nlist)
@@ -657,7 +491,7 @@ class ShardedSDCCalculator(WorkerEngine):
             grid=list(grid.counts),
             n_atoms=nlist.n_atoms,
             n_ghosts=n_ghosts,
-            n_local_pairs=int(sum(plan.pairs.n_pairs for plan in plans)),
+            n_local_pairs=int(sum(plan.n_pairs for plan in plans)),
             mean_halo_fraction=float(
                 np.mean([plan.halo_fraction for plan in plans])
             ),
@@ -687,27 +521,15 @@ class ShardedSDCCalculator(WorkerEngine):
             )
         with self._span("neighbor-rebuild", phase="neighbor-rebuild"):
             self._prepare(atoms, nlist)
-        return self._evaluate(
-            potential, lambda: self._compute_once(atoms, nlist)
-        )
+        return self._evaluate(potential, lambda: self._compute_once(atoms))
 
-    def _compute_once(
-        self, atoms: Atoms, nlist: NeighborList
-    ) -> EAMComputation:
+    def _compute_once(self, atoms: Atoms) -> EAMComputation:
         group = self._live.group
-        box = atoms.box
         n = atoms.n_atoms
-        reference = nlist.reference_positions
-        # image-consistent coordinates: the Verlet criterion bounds the
-        # displacement by skin/2, so the minimum image recovers the true
-        # drift and every atom stays in its epoch's image branch
-        current = reference + box.minimum_image(
-            box.wrap(atoms.positions) - reference
-        )
         n_ghosts = 0
         with self._span("halo-refresh"):
             for plan, views in zip(self._plans, self._views):
-                views["positions"][:] = current[plan.src] + plan.shift
+                views["positions"][:] = atoms.positions[plan.src]
                 views["rho"][:] = 0.0
                 views["fp"][:] = 0.0
                 views["forces"][:] = 0.0
@@ -719,11 +541,7 @@ class ShardedSDCCalculator(WorkerEngine):
         rho = np.zeros(n)
         with self._span("halo-exchange:rho", n_ghosts=n_ghosts):
             for plan, views in zip(self._plans, self._views):
-                local_rho = views["rho"]
-                rho[plan.owned] += local_rho[: plan.n_owned]
-                np.add.at(
-                    rho, plan.halo.source_ids, local_rho[plan.n_owned:]
-                )
+                rho[plan.src] += views["rho"]
             for plan, views in zip(self._plans, self._views):
                 views["rho"][: plan.n_owned] = rho[plan.owned]
 
@@ -735,7 +553,7 @@ class ShardedSDCCalculator(WorkerEngine):
             for plan, views in zip(self._plans, self._views):
                 fp[plan.owned] = views["fp"][: plan.n_owned]
             for plan, views in zip(self._plans, self._views):
-                views["fp"][plan.n_owned:] = fp[plan.halo.source_ids]
+                views["fp"][plan.n_owned:] = fp[plan.ghosts]
 
         with self._span("force", phase="force", n_shards=len(self._plans)):
             group.run("force")
@@ -743,13 +561,7 @@ class ShardedSDCCalculator(WorkerEngine):
         forces = np.zeros((n, 3))
         with self._span("halo-exchange:force", n_ghosts=n_ghosts):
             for plan, views in zip(self._plans, self._views):
-                local_forces = views["forces"]
-                forces[plan.owned] += local_forces[: plan.n_owned]
-                np.add.at(
-                    forces,
-                    plan.halo.source_ids,
-                    local_forces[plan.n_owned:],
-                )
+                forces[plan.src] += views["forces"]
 
         self._halo_bytes_total += GHOST_BYTES_PER_STEP * n_ghosts
         count_health("sharded_halo_refresh")

@@ -96,6 +96,36 @@ class TestRunTrace:
         assert report.runs[0].spans
 
 
+class TestShardedRun:
+    def test_per_shard_gauges_describe_what_each_worker_sweeps(self):
+        """One labeled metric set per shard, from the engine's own plans:
+        the shards' pairs sum to the list, their owned atoms to the system,
+        and ``halo_fraction`` is the ghost share of a shard's rows."""
+        report = run_trace(
+            cases=("tiny",), strategies=("sdc-2d",), backends=("sharded",),
+            n_workers=2, steps=1,
+        )
+        run = "tiny/sdc-2d/sharded"
+        value = report.registry.value
+        per_shard = {
+            name: [value(name, shard=str(k), run=run) for k in (0, 1)]
+            for name in (
+                "pairs_processed", "atoms_owned", "atoms_ghost", "halo_fraction"
+            )
+        }
+        assert sum(per_shard["atoms_owned"]) == 432
+        assert sum(per_shard["pairs_processed"]) == 432 * 7
+        for owned, ghost, fraction in zip(
+            per_shard["atoms_owned"],
+            per_shard["atoms_ghost"],
+            per_shard["halo_fraction"],
+        ):
+            assert ghost > 0
+            assert fraction == pytest.approx(ghost / (owned + ghost))
+        # no unlabeled twin that a shardless query could mistake for a run
+        assert value("halo_fraction", run=run) is None
+
+
 class TestSkips:
     def test_unsupported_combo_is_skipped(self):
         skips = []

@@ -2,8 +2,8 @@
 
 One property suite over everything the half-stencil generator has to get
 right — periodicity masks, grids straddling the 1/2/3/4-cell thresholds,
-atoms on cell and box faces, empty cells, reused coarser grids, the open
-extended boxes the sharded engine builds — plus the input validation
+atoms on cell and box faces, empty cells, reused coarser grids, open
+boxes with atoms on their faces — plus the input validation
 (``cells=`` consistency, non-finite positions) and a memory guard.
 """
 
@@ -101,15 +101,14 @@ def test_empty_cells_and_free_surfaces(atoms):
     assert fast.csr == slow.csr
 
 
-def test_shard_plan_box_with_ghosts_on_the_boundary():
-    """The frame ``_build_shard_plan`` builds: open, padded, ghosts on faces."""
+def test_open_box_with_atoms_on_the_faces():
+    """An open box with atoms exactly ``pad`` inside its faces."""
     reach = 3.9
-    inner = np.array([11.0, 9.0, 23.0])  # the shard's own extent
+    inner = np.array([11.0, 9.0, 23.0])
     pad = 1e-9 * (1.0 + 23.0)
     box = Box(inner + 2.0 * (reach + pad), periodic=(False, False, False))
     rng = default_rng(12)
     positions = pad + rng.uniform(0.0, 1.0, size=(500, 3)) * (box.lengths - 2 * pad)
-    # ghosts picked by the inclusive slab test land exactly `pad` inside a face
     face = np.where(rng.uniform(size=(500, 3)) < 0.5, pad, box.lengths - pad)
     positions = np.where(rng.uniform(size=(500, 3)) < 0.1, face, positions)
     fast = build_neighbor_list(positions, box, cutoff=3.6, skin=0.3)

@@ -1,11 +1,12 @@
-"""The shard dimension on schedule metrics — and its absence.
+"""The shard dimension's absence on schedule metrics.
 
-``record_schedule_metrics`` grew a ``shard`` parameter for the sharded
-engine.  The regression half of this suite pins the compatibility
-contract: with the default ``shard=None`` the emitted records are
-*byte-identical* to the pre-shard shape (same JSONL serialization), so
-history rows written before the shard dimension existed keep parsing and
-comparing cleanly.
+The sharded engine's per-shard gauges (``shard=<id>``) come from its own
+``halo_stats()`` in ``harness/tracing.py``; ``record_schedule_metrics``
+describes one unsharded decomposition.  This pins the compatibility
+contract: its records carry exactly the pre-shard keys in the JSONL
+serialization, so history rows written before the shard dimension
+existed keep parsing and comparing cleanly, and ``repro report`` keys
+them by the bare run.
 """
 
 from __future__ import annotations
@@ -35,44 +36,15 @@ def pairs_and_schedule(potential, sdc_atoms, sdc_nlist):
 
 class TestShardDimension:
     def test_default_shape_is_byte_identical(self, pairs_and_schedule):
-        """shard=None emits the exact pre-shard record stream."""
-        pairs, schedule = pairs_and_schedule
-        legacy = MetricsRegistry()
-        record_schedule_metrics(legacy, pairs, schedule, run="cell")
-        current = MetricsRegistry()
-        record_schedule_metrics(
-            current, pairs, schedule, shard=None, run="cell"
-        )
-        assert current.to_jsonl() == legacy.to_jsonl()
-        for line in legacy.to_jsonl().splitlines():
-            assert "shard" not in json.loads(line)
-
-    def test_shard_label_lands_on_every_record(self, pairs_and_schedule):
+        """Unsharded records serialize with the pre-shard key set only."""
         pairs, schedule = pairs_and_schedule
         registry = MetricsRegistry()
-        record_schedule_metrics(registry, pairs, schedule, shard=3, run="cell")
-        records = registry.records()
-        assert records, "schedule metrics must emit records"
-        for record in records:
-            assert record.labels["shard"] == "3"
-            assert record.labels["run"] == "cell"
-
-    def test_shard_zero_is_labeled(self, pairs_and_schedule):
-        """shard=0 is a real shard id, not a falsy omission."""
-        pairs, schedule = pairs_and_schedule
-        registry = MetricsRegistry()
-        record_schedule_metrics(registry, pairs, schedule, shard=0)
-        for record in registry.records():
-            assert record.labels["shard"] == "0"
-
-    def test_per_shard_streams_stay_distinguishable(self, pairs_and_schedule):
-        """Two shards' metric sets coexist under distinct label keys."""
-        pairs, schedule = pairs_and_schedule
-        registry = MetricsRegistry()
-        record_schedule_metrics(registry, pairs, schedule, shard=0, run="r")
-        record_schedule_metrics(registry, pairs, schedule, shard=1, run="r")
-        v0 = registry.value("n_subdomains", shard="0", run="r")
-        v1 = registry.value("n_subdomains", shard="1", run="r")
-        assert v0 is not None and v0 == v1
-        # the unlabeled query does not accidentally match shard streams
-        assert registry.value("n_subdomains", run="r") is None
+        record_schedule_metrics(registry, pairs, schedule, run="cell")
+        lines = registry.to_jsonl().splitlines()
+        assert lines, "schedule metrics must emit records"
+        base = {"metric", "kind", "value", "run"}
+        for line in lines:
+            record = json.loads(line)
+            assert "shard" not in record
+            extra = {"color", "n_subdomains"}
+            assert base <= set(record) <= base | extra
