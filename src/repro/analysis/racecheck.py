@@ -16,6 +16,18 @@ every phase barrier it checks:
   write set must be bit-identical to their phase-begin snapshot, and each
   array's checksum is logged per phase.
 
+**Granularity.**  The detector sees *executed tasks*.  An SDC task is one
+worker's share of a color — the contiguous range of its static chunk's
+subdomains (:mod:`repro.core.sdc_plan`), on threads as on processes — so
+what is verified here is the executed schedule: no two *workers* touch the
+same element between two barriers.  Two conflicting subdomains inside one
+worker's chunk run in sequence; that is not a race and is not reported.
+The paper's own guarantee, same-color *subdomains* write disjoint atoms,
+is the static checker's job at subdomain granularity
+(:func:`~repro.core.conflict.check_schedule_conflicts`,
+``SDCStrategy(validate_conflicts=True)``), whatever the worker count.  A
+schedule one task wide (``n_threads=1``) has nothing to race with.
+
 :func:`run_racecheck` drives a strategy × workload combination end to end
 (including the fork-based shared-memory process path), compares the result
 against the serial reference kernels, and returns a JSON-serializable
@@ -570,6 +582,11 @@ def make_strategy(
     if inject not in (None, "none"):
         if name != "sdc":
             raise ValueError("fault injection is only wired into sdc")
+        if n_threads < 2:
+            raise ValueError(
+                "fault injection needs n_threads >= 2: a phase of one task "
+                "has nothing to race with (see the module docstring)"
+            )
         kwargs.update(injection_kwargs(inject, dims))
     return cls(**kwargs)
 

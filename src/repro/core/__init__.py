@@ -10,6 +10,9 @@ Subpackages/modules:
   ``pstart``/``partindex`` layout.
 * :mod:`repro.core.schedule` — color-phase schedules and OpenMP-style
   static thread assignment (step 3).
+* :mod:`repro.core.sdc_plan` — steps 1-3 run once per neighbor list: the
+  plan (pair list color-major, worker-major; one range per color and
+  worker) that the thread, process and pair-potential executors share.
 * :mod:`repro.core.strategies` — SDC plus the competing reduction
   strategies (CS, SAP, RC, atomic) the paper evaluates against.
 * :mod:`repro.core.reorder` — the Section II.D data-reordering

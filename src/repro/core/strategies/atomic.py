@@ -66,6 +66,7 @@ class AtomicStrategy(ReductionStrategy):
         atoms: Atoms,
         nlist: NeighborList,
     ) -> EAMComputation:
+        nlist.check_covers(atoms.n_atoms)
         if not nlist.half:
             raise ValueError("atomic strategy consumes half neighbor lists")
         tier = self._tier()

@@ -68,6 +68,7 @@ class CriticalSectionStrategy(ReductionStrategy):
         atoms: Atoms,
         nlist: NeighborList,
     ) -> EAMComputation:
+        nlist.check_covers(atoms.n_atoms)
         if not nlist.half:
             raise ValueError("CS consumes half neighbor lists")
         positions = atoms.positions

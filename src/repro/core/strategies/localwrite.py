@@ -162,6 +162,7 @@ class LocalWriteStrategy(ReductionStrategy):
         atoms: Atoms,
         nlist: NeighborList,
     ) -> EAMComputation:
+        nlist.check_covers(atoms.n_atoms)
         if not nlist.half:
             raise ValueError("LOCALWRITE consumes half neighbor lists")
         with self._span("neighbor-rebuild", phase="neighbor-rebuild"):

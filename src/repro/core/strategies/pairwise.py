@@ -16,10 +16,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.coloring import lattice_coloring, validate_coloring
-from repro.core.domain import decompose, decompose_balanced
-from repro.core.partition import build_pair_partition, build_partition
-from repro.core.schedule import build_schedule
+from repro.core.sdc_plan import SDCPlan, build_sdc_plan
 from repro.kernels.base import check_pair_separation
 from repro.md.atoms import Atoms
 from repro.md.neighbor.verlet import NeighborList
@@ -51,18 +48,33 @@ def _pair_forces(
     return coeff[:, None] * delta, float(np.sum(potential.pair_energy(r)))
 
 
-class SerialPairCalculator:
-    """Single-phase serial force computation for a pair potential.
+def _finish(
+    atoms: Atoms, forces: np.ndarray, pair_energy: float
+) -> EAMComputation:
+    """Store ``forces`` into ``atoms`` and wrap the result up with zero
+    density/embedding fields, so the MD driver's bookkeeping stays uniform."""
+    atoms.forces[:] = forces
+    atoms.rho[:] = 0.0
+    atoms.fp[:] = 0.0
+    n = atoms.n_atoms
+    return EAMComputation(
+        pair_energy=pair_energy,
+        embedding_energy=0.0,
+        rho=np.zeros(n),
+        fp=np.zeros(n),
+        forces=forces,
+    )
 
-    Returns an :class:`EAMComputation` with zero density/embedding fields
-    so the MD driver's bookkeeping stays uniform.
-    """
+
+class SerialPairCalculator:
+    """Single-phase serial force computation for a pair potential."""
 
     name = "pair-serial"
 
     def compute(
         self, potential: PairPotential, atoms: Atoms, nlist: NeighborList
     ) -> EAMComputation:
+        nlist.check_covers(atoms.n_atoms)
         n = atoms.n_atoms
         i_idx, j_idx = nlist.pair_arrays()
         forces = np.zeros((n, 3))
@@ -76,25 +88,16 @@ class SerialPairCalculator:
                 forces -= segment_sum(pf, j_idx, n)
             else:
                 pair_energy *= 0.5
-        atoms.forces[:] = forces
-        atoms.rho[:] = 0.0
-        atoms.fp[:] = 0.0
-        return EAMComputation(
-            pair_energy=pair_energy,
-            embedding_energy=0.0,
-            rho=np.zeros(n),
-            fp=np.zeros(n),
-            forces=forces,
-        )
+        return _finish(atoms, forces, pair_energy)
 
 
 class SDCPairCalculator:
     """SDC-parallelized single-phase pair-potential forces.
 
-    One color loop instead of EAM's two: for each color, all subdomains of
-    that color scatter their pairs' forces into the shared array without
-    locks (same disjoint-write argument as the EAM case, verified by the
-    same conflict checker).
+    One color loop instead of EAM's two: for each color, every worker
+    scatters its pair range's forces into the shared array without locks
+    (same plan, same disjoint-write argument as the EAM case, verified by
+    the same conflict checker).
     """
 
     name = "pair-sdc"
@@ -117,64 +120,46 @@ class SDCPairCalculator:
         self.axes = list(axes) if axes is not None else None
         self.adaptive = adaptive
         self._cached_nlist = IdentityKey()
-        self._pairs = None
-        self._schedule = None
+        self._plan: Optional[SDCPlan] = None
 
-    def _prepare(self, atoms: Atoms, nlist: NeighborList) -> None:
-        if self._cached_nlist.matches(nlist) and self._pairs is not None:
-            return
-        reach = nlist.cutoff + nlist.skin
-        if self.adaptive:
-            grid = decompose_balanced(
-                atoms.box, reach, self.dims, self.n_threads, axes=self.axes
+    def _prepare(self, atoms: Atoms, nlist: NeighborList) -> SDCPlan:
+        if not (self._cached_nlist.matches(nlist) and self._plan is not None):
+            self._plan = build_sdc_plan(
+                atoms.box, nlist, self.dims, self.n_threads,
+                axes=self.axes, adaptive=self.adaptive,
             )
-        else:
-            grid = decompose(atoms.box, reach, self.dims, axes=self.axes)
-        coloring = lattice_coloring(grid)
-        validate_coloring(grid, coloring)
-        partition = build_partition(nlist.reference_positions, grid)
-        self._pairs = build_pair_partition(partition, nlist)
-        self._schedule = build_schedule(coloring)
-        self._cached_nlist.set(nlist)
+            self._cached_nlist.set(nlist)
+        return self._plan
 
     def compute(
         self, potential: PairPotential, atoms: Atoms, nlist: NeighborList
     ) -> EAMComputation:
-        if not nlist.half:
-            raise ValueError("SDC pair calculator consumes half lists")
-        self._prepare(atoms, nlist)
-        assert self._pairs is not None and self._schedule is not None
-        pairs = self._pairs
+        nlist.check_covers(atoms.n_atoms)
+        plan = self._prepare(atoms, nlist)
         positions = atoms.positions
         box = atoms.box
         n = atoms.n_atoms
         forces = np.zeros((n, 3))
-        # each task keeps its subdomain's pair-energy partial in its own slot
-        energy = np.zeros(len(pairs.offsets) - 1)
+        # each task keeps its range's pair-energy partial in its own slot
+        energy = np.zeros((self.n_threads, plan.schedule.n_colors))
 
-        def task(subdomain: int):
+        def task(k: int, color: int):
+            lo, hi = plan.tasks[k][color]
+
             def run() -> None:
-                i_idx, j_idx = pairs.pairs_of(subdomain)
-                if len(i_idx) == 0:
+                if lo == hi:
                     return
-                pf, energy[subdomain] = _pair_forces(
+                i_idx, j_idx = plan.pair_i[lo:hi], plan.pair_j[lo:hi]
+                pf, energy[k, color] = _pair_forces(
                     potential, positions, box, i_idx, j_idx
                 )
                 scatter_force_half(forces, i_idx, j_idx, pf)
 
             return run
 
-        for members in self._schedule.phases:
-            self.backend.run_phase([task(int(s)) for s in members])
+        for color in range(plan.schedule.n_colors):
+            self.backend.run_phase(
+                [task(k, color) for k in range(self.n_threads)]
+            )
 
-        pair_energy = float(np.sum(energy))
-        atoms.forces[:] = forces
-        atoms.rho[:] = 0.0
-        atoms.fp[:] = 0.0
-        return EAMComputation(
-            pair_energy=pair_energy,
-            embedding_energy=0.0,
-            rho=np.zeros(n),
-            fp=np.zeros(n),
-            forces=forces,
-        )
+        return _finish(atoms, forces, float(np.sum(energy)))

@@ -60,6 +60,7 @@ class ArrayPrivatizationStrategy(ReductionStrategy):
         atoms: Atoms,
         nlist: NeighborList,
     ) -> EAMComputation:
+        nlist.check_covers(atoms.n_atoms)
         if not nlist.half:
             raise ValueError("SAP consumes half neighbor lists")
         tier = self._tier()

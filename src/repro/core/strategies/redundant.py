@@ -70,6 +70,7 @@ class RedundantComputationStrategy(ReductionStrategy):
         atoms: Atoms,
         nlist: NeighborList,
     ) -> EAMComputation:
+        nlist.check_covers(atoms.n_atoms)
         with self._span("neighbor-rebuild", phase="neighbor-rebuild"):
             full = self._full_list(nlist)
         tier = self._tier()

@@ -2,10 +2,12 @@
 
 Execution structure per force evaluation (paper Figs. 7-8):
 
-* **density region**: for each color, all subdomains of that color run in
-  parallel; each subdomain task evaluates phi over its owned half-list
-  pairs and scatters into both endpoints.  No locks — same-color write
-  sets are disjoint by construction.  Implicit barrier between colors.
+* **density region**: for each color, every worker runs its static chunk of
+  the color's subdomains — one contiguous pair range of the plan
+  (:mod:`repro.core.sdc_plan`) — through the tier's density slice: phi over
+  the range's half-list pairs, scattered into both endpoints.  No locks —
+  same-color write sets are disjoint by construction.  Implicit barrier
+  between colors.
 * **embedding region**: a plain parallel-for over atoms (no dependences).
 * **force region**: same color structure with the Eq. 2 scatter.
 """
@@ -16,43 +18,22 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.coloring import lattice_coloring, validate_coloring
-from repro.core.conflict import check_schedule_conflicts
-from repro.core.domain import SubdomainGrid, decompose, decompose_balanced
-from repro.core.partition import (
-    PairPartition,
-    build_pair_partition,
-    build_partition,
-)
-from repro.core.schedule import ColorSchedule, build_schedule
-from repro.core.strategies.base import ReductionStrategy, atom_chunks
-from repro.kernels.base import check_pair_separation, pair_force_coefficients
+from repro.core.domain import SubdomainGrid
+from repro.core.partition import PairPartition
+from repro.core.schedule import ColorSchedule
+from repro.core.sdc_plan import SDCPlan, build_sdc_plan
+from repro.core.strategies.base import ReductionStrategy
 from repro.md.atoms import Atoms
 from repro.md.neighbor.verlet import NeighborList
+from repro.obs.recorder import count as count_health
 from repro.parallel.backends.base import ExecutionBackend
 from repro.parallel.backends.serial import SerialBackend
 from repro.parallel.machine import MachineConfig
 from repro.parallel.plan import SimPhase, SimPlan, uniform_phase
 from repro.parallel.workload import BYTES_PER_ATOM, WorkloadStats
 from repro.potentials.base import EAMPotential
-from repro.potentials.eam import (
-    EAMComputation,
-    pair_geometry,
-    pair_terms,
-    scatter_force_half,
-    scatter_rho_half,
-)
+from repro.potentials.eam import EAMComputation
 from repro.utils.identity import IdentityKey
-
-
-def _count_health(name: str) -> None:
-    """Bump a named health counter (never raises)."""
-    try:
-        from repro.obs.recorder import count
-
-        count(name)
-    except Exception:  # pragma: no cover - telemetry stays optional
-        pass
 
 
 class SDCStrategy(ReductionStrategy):
@@ -64,8 +45,11 @@ class SDCStrategy(ReductionStrategy):
         1, 2 or 3 — the decomposition dimensionality (2 is the paper's
         best performer).
     n_threads:
-        thread count used for the embedding chunking, for balanced
-        decomposition selection, and as the default plan width.
+        the width of the static schedule: every color phase and the
+        embedding run as ``n_threads`` tasks, task ``k`` owning worker
+        ``k``'s contiguous pair range (what ``n_workers`` is for the
+        process engine).  Also steers the balanced decomposition and is
+        the default plan width.  Pass a backend of the same width.
     backend:
         how task closures execute (:class:`SerialBackend` by default;
         :class:`~repro.parallel.backends.threads.ThreadBackend` for real
@@ -87,18 +71,6 @@ class SDCStrategy(ReductionStrategy):
         optional ``(box, reach) -> SubdomainGrid`` override of the
         decomposition, the second fault-injection hook (e.g. subdomain
         edges below ``2 * reach``).
-    fused:
-        color-phase fusion control.  ``None`` (default) fuses each color
-        into one kernel-tier call whenever the active tier advertises
-        :meth:`~repro.kernels.KernelTier.fused_color_phases` for the
-        potential (the numba variants with a lowerable potential) — the
-        cell-blocked pair traversal then runs entirely inside compiled
-        code, with ``numba-parallel`` ``prange``-ing over the color's
-        subdomains.  ``False`` always uses per-subdomain tasks;
-        ``True`` forces fusion even on tiers whose generic driver just
-        re-composes the primitives (a differential-testing hook).
-        Instrumented (racecheck) runs never fuse, so write sets keep
-        their per-subdomain attribution.
     """
 
     name = "sdc"
@@ -116,7 +88,6 @@ class SDCStrategy(ReductionStrategy):
             Callable[[ColorSchedule], ColorSchedule]
         ] = None,
         grid_factory: Optional[Callable[..., SubdomainGrid]] = None,
-        fused: Optional[bool] = None,
     ) -> None:
         if dims not in (1, 2, 3):
             raise ValueError(f"dims must be 1, 2 or 3, got {dims}")
@@ -131,73 +102,50 @@ class SDCStrategy(ReductionStrategy):
         self.max_per_axis = max_per_axis
         self.schedule_transform = schedule_transform
         self.grid_factory = grid_factory
-        self.fused = fused
         self._cached_nlist = IdentityKey()
-        self._grid: Optional[SubdomainGrid] = None
-        self._pairs: Optional[PairPartition] = None
-        self._schedule: Optional[ColorSchedule] = None
-        self._last_fused: Optional[bool] = None
+        self._plan: Optional[SDCPlan] = None
 
     # --- decomposition ---------------------------------------------------------
 
-    def _prepare(self, atoms: Atoms, nlist: NeighborList) -> None:
-        """(Re)build grid/partition/coloring when the neighbor list changed.
+    def _prepare(self, atoms: Atoms, nlist: NeighborList) -> SDCPlan:
+        """The plan for ``nlist``, rebuilt only when the list changed.
 
         Matches the paper: "steps 1 and 2 will be done when the neighbor
         list is created or updated".
         """
-        if self._cached_nlist.matches(nlist) and self._pairs is not None:
-            _count_health("sdc_decomp_cache_hit")
-            return
-        _count_health("sdc_decomp_cache_miss")
-        reach = nlist.cutoff + nlist.skin
-        if self.grid_factory is not None:
-            grid = self.grid_factory(atoms.box, reach)
-        elif self.adaptive:
-            grid = decompose_balanced(
-                atoms.box, reach, self.dims, self.n_threads, axes=self.axes
-            )
-        else:
-            grid = decompose(
-                atoms.box,
-                reach,
-                self.dims,
-                axes=self.axes,
-                max_per_axis=self.max_per_axis,
-            )
-        coloring = lattice_coloring(grid)
-        validate_coloring(grid, coloring)
-        partition = build_partition(nlist.reference_positions, grid)
-        pairs = build_pair_partition(partition, nlist)
-        schedule = build_schedule(coloring)
-        if self.schedule_transform is not None:
-            schedule = self.schedule_transform(schedule)
-        if self.validate_conflicts:
-            report = check_schedule_conflicts(pairs, schedule)
-            if not report.ok:
-                raise RuntimeError(
-                    f"SDC schedule has {report.n_conflicting_atoms} write "
-                    f"conflicts; first: {report.conflicts[:3]}"
-                )
-        self._grid = grid
-        self._pairs = pairs
-        self._schedule = schedule
+        if self._cached_nlist.matches(nlist) and self._plan is not None:
+            count_health("sdc_decomp_cache_hit")
+            return self._plan
+        count_health("sdc_decomp_cache_miss")
+        self._plan = build_sdc_plan(
+            atoms.box,
+            nlist,
+            self.dims,
+            self.n_threads,
+            axes=self.axes,
+            adaptive=self.adaptive,
+            max_per_axis=self.max_per_axis,
+            grid_factory=self.grid_factory,
+            schedule_transform=self.schedule_transform,
+            validate_conflicts=self.validate_conflicts,
+        )
         self._cached_nlist.set(nlist)
+        return self._plan
 
     @property
     def grid(self) -> Optional[SubdomainGrid]:
         """The current decomposition (None before the first compute)."""
-        return self._grid
+        return self._plan and self._plan.grid
 
     @property
     def pair_partition(self) -> Optional[PairPartition]:
         """The current pair partition (None before the first compute)."""
-        return self._pairs
+        return self._plan and self._plan.pairs
 
     @property
     def schedule(self) -> Optional[ColorSchedule]:
         """The current color schedule (None before the first compute)."""
-        return self._schedule
+        return self._plan and self._plan.schedule
 
     # --- physics -----------------------------------------------------------------
 
@@ -207,177 +155,85 @@ class SDCStrategy(ReductionStrategy):
         atoms: Atoms,
         nlist: NeighborList,
     ) -> EAMComputation:
-        if not nlist.half:
-            raise ValueError("SDC consumes half neighbor lists")
+        nlist.check_covers(atoms.n_atoms)
         with self._span("neighbor-rebuild", phase="neighbor-rebuild"):
-            self._prepare(atoms, nlist)
-        assert self._pairs is not None and self._schedule is not None
-        pairs = self._pairs
-        schedule = self._schedule
+            plan = self._prepare(atoms, nlist)
         tier = self._tier()
-        fused = self._use_fused(tier, potential)
-        positions = atoms.positions
-        box = atoms.box
-        n = atoms.n_atoms
+        positions, box, n = atoms.positions, atoms.box, atoms.n_atoms
+        pair_i, pair_j = plan.pair_i, plan.pair_j
+        workers = range(self.n_threads)
+        phases = plan.schedule.phases
 
-        # phase 1: densities, color by color
+        def color_region(kind: str, task) -> None:
+            for color, members in enumerate(phases):
+                with self._span(
+                    f"{kind}:color{color}",
+                    phase=kind,
+                    color=color,
+                    n_subdomains=len(members),
+                ):
+                    self.backend.run_phase([task(k, color) for k in workers])
+
+        # phase 1: densities, color by color.  One geometry pass and one
+        # potential call per evaluation: a range's density task leaves its
+        # (delta, r, phi', V') in the hand-over arrays, and the same range's
+        # force task reads them back after the density region's last barrier
         rho = self._array("rho", n)
-        # one geometry pass and one potential call per evaluation: each
-        # density task keeps its subdomain's (delta, r, phi', V') and
-        # pair-energy partial in its own slot, and the same subdomain's force
-        # task reads them back after the density region's last barrier
-        # (fused drivers return one partial per color)
-        n_subdomains = len(pairs.offsets) - 1
-        geometry: list = [None] * n_subdomains
-        energy = np.zeros(len(schedule.phases) if fused else n_subdomains)
+        handover = [np.empty((len(pair_i), 3))] + [
+            np.empty(len(pair_i)) for _ in range(3)
+        ]
+        pair_parts = np.zeros((self.n_threads, len(phases)))
 
-        def density_task(subdomain: int):
+        def task_views(k: int, color: int):
+            """Worker ``k``'s range of ``color``: its pairs, its hand-over."""
+            lo, hi = plan.tasks[k][color]
+            return pair_i[lo:hi], pair_j[lo:hi], [a[lo:hi] for a in handover]
+
+        def density_task(k: int, color: int):
+            i_idx, j_idx, handed = task_views(k, color)
+
             def run() -> None:
-                i_idx, j_idx = pairs.pairs_of(subdomain)
-                if len(i_idx) == 0:
-                    return
-                delta, r = pair_geometry(positions, box, i_idx, j_idx, tier=tier)
-                check_pair_separation(r, (i_idx, j_idx))
-                phi, dphi, v, dv = pair_terms(potential, r, tier=tier)
-                geometry[subdomain] = delta, r, dphi, dv
-                energy[subdomain] = float(np.sum(v))
-                scatter_rho_half(rho, i_idx, j_idx, phi, tier=tier)
-
-            return run
-
-        def fused_density_task(color: int, members: np.ndarray):
-            def run() -> None:
-                energy[color] = tier.sdc_density_color_phase(
-                    potential,
-                    positions,
-                    box,
-                    pairs.i_idx,
-                    pairs.j_idx,
-                    pairs.offsets,
-                    np.asarray(members, dtype=np.int64),
-                    rho,
-                    want_pair_energy=True,
+                pair_parts[k, color] = tier.density_slice(
+                    potential, positions, box, i_idx, j_idx, rho, handed
                 )
 
             return run
 
-        for color, members in enumerate(schedule.phases):
-            with self._span(
-                f"density:color{color}",
-                phase="density",
-                color=color,
-                n_subdomains=len(members),
-                fused=fused,
-            ):
-                if fused:
-                    self.backend.run_phase(
-                        [fused_density_task(color, members)]
-                    )
-                else:
-                    self.backend.run_phase(
-                        [density_task(int(s)) for s in members]
-                    )
+        color_region("density", density_task)
 
-        # phase 2: embedding, plain parallel for
+        # phase 2: embedding, plain parallel for over contiguous atom rows
         fp = np.empty(n)
         emb_parts = np.zeros(self.n_threads)
 
-        def embed_task(k: int, rows: np.ndarray):
+        def embed_task(k: int):
+            lo, hi = plan.rows[k]
+
             def run() -> None:
-                emb_parts[k] = float(np.sum(potential.embed(rho[rows])))
-                fp[rows] = potential.embed_deriv(rho[rows])
+                emb_parts[k] = float(np.sum(potential.embed(rho[lo:hi])))
+                fp[lo:hi] = potential.embed_deriv(rho[lo:hi])
 
             return run
 
-        chunks = atom_chunks(n, self.n_threads)
-        with self._span("embedding", phase="embedding", n_chunks=len(chunks)):
-            self.backend.run_phase(
-                [embed_task(k, rows) for k, rows in enumerate(chunks)]
-            )
-        embedding_energy = float(np.sum(emb_parts))
+        with self._span("embedding", phase="embedding", n_chunks=len(workers)):
+            self.backend.run_phase([embed_task(k) for k in workers])
 
         # phase 3: forces, color by color
         forces = self._array("forces", (n, 3))
 
-        def force_task(subdomain: int):
+        def force_task(k: int, color: int):
+            i_idx, j_idx, handed = task_views(k, color)
+
             def run() -> None:
-                i_idx, j_idx = pairs.pairs_of(subdomain)
-                if len(i_idx) == 0:
-                    return
-                delta, r, dphi, dv = geometry[subdomain]
-                coeff = pair_force_coefficients(
-                    r, dphi, dv, fp[i_idx], fp[j_idx], pair_ids=(i_idx, j_idx)
-                )
-                pair_forces = coeff[:, None] * delta
-                scatter_force_half(forces, i_idx, j_idx, pair_forces, tier=tier)
+                tier.force_slice(i_idx, j_idx, fp, handed, forces)
 
             return run
 
-        def fused_force_task(members: np.ndarray):
-            def run() -> None:
-                tier.sdc_force_color_phase(
-                    potential,
-                    positions,
-                    box,
-                    pairs.i_idx,
-                    pairs.j_idx,
-                    pairs.offsets,
-                    np.asarray(members, dtype=np.int64),
-                    fp,
-                    forces,
-                )
-
-            return run
-
-        for color, members in enumerate(schedule.phases):
-            with self._span(
-                f"force:color{color}",
-                phase="force",
-                color=color,
-                n_subdomains=len(members),
-                fused=fused,
-            ):
-                if fused:
-                    self.backend.run_phase([fused_force_task(members)])
-                else:
-                    self.backend.run_phase(
-                        [force_task(int(s)) for s in members]
-                    )
+        color_region("force", force_task)
 
         return self._finalize(
-            potential, atoms, nlist, rho, fp, forces, embedding_energy,
-            float(np.sum(energy)),
+            potential, atoms, nlist, rho, fp, forces,
+            float(np.sum(emb_parts)), float(np.sum(pair_parts)),
         )
-
-    def _use_fused(self, tier, potential: EAMPotential) -> bool:
-        """Decide color-phase fusion for this compute (see class docstring).
-
-        The decision lands in the health plane: a counter per compute,
-        plus a ``scheduler``-category event whenever it *changes* (first
-        compute, or a tier/potential swap flipping fusion mid-run).
-        """
-        if self.fused is False or self._instrument is not None:
-            fused = False
-        elif self.fused is True:
-            fused = True
-        else:
-            fused = tier.fused_color_phases(potential)
-        _count_health("sdc_fused_compute" if fused else "sdc_unfused_compute")
-        if fused != self._last_fused:
-            self._last_fused = fused
-            try:
-                from repro.obs.recorder import record
-
-                record(
-                    "scheduler",
-                    "fusion-change",
-                    fused=fused,
-                    tier=tier.name,
-                    forced=self.fused,
-                )
-            except Exception:  # pragma: no cover - telemetry stays optional
-                pass
-        return fused
 
     # --- timing plan ----------------------------------------------------------------
 

@@ -2,14 +2,14 @@
 
 A *tier* implements the kernel entry points behind
 :mod:`repro.potentials.eam` (pair geometry, the density/force scatters,
-and the fused phase drivers).  Two bases ship today:
+the fused phase drivers and the SDC slice entry points).  Two bases ship today:
 
 * ``"numpy"`` — the vectorized reference implementation (always present).
 * ``"numba"`` — ``@njit``-compiled CSR traversal; requires Numba.
 
 The numba base has first-class *variants* that select its compilation
 flags per spec: ``"numba-parallel"`` (``prange`` over the elementwise
-kernels and the fused SDC color-phase drivers), ``"numba-fastmath"``,
+kernels), ``"numba-fastmath"``,
 and ``"numba-parallel-fastmath"``.  Each variant compiles its own kernel
 set lazily on first request and is cached by its
 :class:`~repro.kernels.config.KernelTierConfig`.

@@ -4,8 +4,10 @@ A *kernel tier* is one implementation of the EAM hot-path primitives: the
 pair-slice building blocks (:meth:`KernelTier.pair_geometry`,
 :meth:`KernelTier.pair_terms`, the four scatters,
 :func:`pair_force_coefficients`) plus the two fused per-phase
-drivers the bench harness calls and the whole-evaluation entry point
-(:meth:`KernelTier.evaluate`) of the serial path.  The NumPy tier is the
+drivers the bench harness calls, the whole-evaluation entry point
+(:meth:`KernelTier.evaluate`) of the serial path and the two slice entry
+points (:meth:`KernelTier.density_slice`, :meth:`KernelTier.force_slice`)
+every SDC task runs through.  The NumPy tier is the
 reference; compiled tiers (Numba today) must reproduce it to floating-point
 noise on every entry point — asserted by ``tests/kernels/``.
 
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import warnings
 from abc import ABC, abstractmethod
-from typing import ClassVar, Optional, Tuple
+from typing import ClassVar, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -199,20 +201,6 @@ class KernelTier(ABC):
         """
         return True
 
-    def fused_color_phases(self, potential) -> bool:
-        """True when the SDC color-phase drivers below run as single
-        compiled calls for ``potential``.
-
-        The generic implementations work on every tier but merely
-        re-compose the pair-slice primitives, so they are not worth
-        replacing a backend's per-subdomain task dispatch for (that
-        dispatch is what gives the threads backend its concurrency).  A
-        compiled tier overrides this to advertise that one call covers
-        the whole color — the SDC strategy then collapses each color
-        into a single fused task.
-        """
-        return False
-
     # --- pair-slice primitives ------------------------------------------------
 
     @abstractmethod
@@ -338,67 +326,56 @@ class KernelTier(ABC):
             )
         return rho, pair_energy, embedding_energy, fp, forces
 
-    # --- fused SDC color-phase drivers ----------------------------------------
+    # --- SDC slice entry points -------------------------------------------------
 
-    def sdc_density_color_phase(
+    def density_slice(
         self,
         potential,
         positions: np.ndarray,
         box,
         i_idx: np.ndarray,
         j_idx: np.ndarray,
-        offsets: np.ndarray,
-        members: np.ndarray,
         rho: np.ndarray,
-        want_pair_energy: bool = True,
+        handover: Sequence[np.ndarray],
     ) -> float:
-        """One SDC density color phase: scatter phi over every member
-        subdomain's pairs, returning the color's pair-energy partial.
+        """The density pass of one contiguous pair slice — an SDC color
+        task, a shard's pair list: scatters ``phi`` into ``rho``, writes
+        the slice's ``(delta, r, phi', V')`` into the four slice-sized
+        ``handover`` arrays for :meth:`force_slice` and returns its
+        pair-energy partial sum.
 
-        ``i_idx``/``j_idx`` are the pair partition's permuted
-        (subdomain-contiguous, cell-blocked) pair arrays, ``offsets`` its
-        per-subdomain CSR offsets, ``members`` the subdomain ids of this
-        color.  Same-color write sets are disjoint by construction, which
-        is what makes a ``parallel=True`` override race-free.  The
-        generic implementation composes the pair-slice primitives
-        subdomain by subdomain.
+        The slice's one geometry pass and one potential call happen here.
+        ``rho`` is shared with sibling slices whose write sets are
+        disjoint, so the scatter is the unbuffered in-place one.  A bad
+        index or an overlapping pair raises before anything is written.
         """
-        energy = 0.0
-        for s in members:
-            lo, hi = int(offsets[s]), int(offsets[s + 1])
-            if hi == lo:
-                continue
-            ii = i_idx[lo:hi]
-            jj = j_idx[lo:hi]
-            _, r = self.pair_geometry(positions, box, ii, jj)
-            phi, _, v, _ = self.pair_terms(potential, r)
-            self.scatter_rho_half(rho, ii, jj, phi)
-            if want_pair_energy:
-                energy += float(np.sum(v))
-        return energy
+        if len(i_idx) == 0:
+            return 0.0
+        check_scatter_indices("density slice", len(rho), i_idx, j_idx)
+        delta, r = self.pair_geometry(positions, box, i_idx, j_idx)
+        check_pair_separation(r, (i_idx, j_idx))
+        phi, dphi, v, dv = self.pair_terms(potential, r)
+        for out, values in zip(handover, (delta, r, dphi, dv)):
+            out[:] = values
+        pair_energy = float(np.sum(v))
+        self.scatter_rho_half(rho, i_idx, j_idx, phi)
+        return pair_energy
 
-    def sdc_force_color_phase(
+    def force_slice(
         self,
-        potential,
-        positions: np.ndarray,
-        box,
         i_idx: np.ndarray,
         j_idx: np.ndarray,
-        offsets: np.ndarray,
-        members: np.ndarray,
         fp: np.ndarray,
+        handover: Sequence[np.ndarray],
         forces: np.ndarray,
     ) -> None:
-        """One SDC force color phase: Eq. 2 scatter over every member
-        subdomain's pairs (layout as in :meth:`sdc_density_color_phase`)."""
-        for s in members:
-            lo, hi = int(offsets[s]), int(offsets[s + 1])
-            if hi == lo:
-                continue
-            ii = i_idx[lo:hi]
-            jj = j_idx[lo:hi]
-            delta, r = self.pair_geometry(positions, box, ii, jj)
-            coeff = self.force_pair_coefficients(
-                potential, r, fp[ii], fp[jj], pair_ids=(ii, jj)
-            )
-            self.scatter_force_half(forces, ii, jj, coeff[:, None] * delta)
+        """The force pass of the slice :meth:`density_slice` handed over:
+        Eq. 2 from the stored geometry and derivatives, scattered into
+        ``forces`` — no geometry pass, no potential call."""
+        if len(i_idx) == 0:
+            return
+        delta, r, dphi, dv = handover
+        coeff = pair_force_coefficients(
+            r, dphi, dv, fp[i_idx], fp[j_idx], pair_ids=(i_idx, j_idx)
+        )
+        self.scatter_force_half(forces, i_idx, j_idx, coeff[:, None] * delta)

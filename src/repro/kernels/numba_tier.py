@@ -25,10 +25,9 @@ Determinism and safety decisions:
 
 * ``fastmath`` and ``parallel`` default **off** (the plain ``"numba"``
   variant) so the compiled tier is a drop-in for the deterministic
-  NumPy tier.  Under ``parallel=True`` the elementwise kernels and the
-  fused SDC color-phase drivers ``prange``; the latter are race-free by
-  construction because same-color subdomain write sets are disjoint —
-  the half-list scatter loops *within one subdomain* stay sequential.
+  NumPy tier.  Under ``parallel=True`` only the elementwise kernels
+  ``prange``; the scatter loops stay sequential — parallelism across an
+  SDC color's slices is the execution engines' job.
 * Bounds are asserted at dispatch time (``check_scatter_indices``): a
   compiled loop has no ``np.add.at`` safety net and would silently
   corrupt memory on a bad index.
@@ -410,88 +409,6 @@ def build_kernel_set(
                     forces[j, 2] -= f2
         return forces, rmin, imin, jmin
 
-    # --- fused SDC color-phase kernels ------------------------------------
-    #
-    # One call executes one color of the SDC schedule over the pair
-    # partition's subdomain-contiguous (cell-blocked) pair arrays.  The
-    # outer loop is over member subdomains — their write sets are
-    # disjoint within a color, so ``prange`` here is race-free by
-    # construction; the scatter loop inside one subdomain stays
-    # sequential.  Scalar sum/min reductions (energy, rmin) are the
-    # prange reduction forms Numba supports.
-
-    @jit(par=parallel)
-    def sdc_density_color_phase(
-        positions, lengths, pflags, pi, pj, offsets, members, rho,
-        want_energy, kind, params, x0, h, dyv, dmv, pyv, pmv,
-    ):
-        energy = 0.0
-        for m in _pr(members.shape[0]):
-            s = members[m]
-            for k in range(offsets[s], offsets[s + 1]):
-                i = pi[k]
-                j = pj[k]
-                d0 = positions[i, 0] - positions[j, 0]
-                d1 = positions[i, 1] - positions[j, 1]
-                d2 = positions[i, 2] - positions[j, 2]
-                if pflags[0]:
-                    d0 -= lengths[0] * np.floor(d0 / lengths[0] + 0.5)
-                if pflags[1]:
-                    d1 -= lengths[1] * np.floor(d1 / lengths[1] + 0.5)
-                if pflags[2]:
-                    d2 -= lengths[2] * np.floor(d2 / lengths[2] + 0.5)
-                rr = np.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
-                phi = _density_scalar(
-                    rr, kind, params, x0, h, dyv, dmv, pyv, pmv
-                )
-                rho[i] += phi
-                rho[j] += phi
-                if want_energy:
-                    energy += _pair_energy_scalar(
-                        rr, kind, params, x0, h, dyv, dmv, pyv, pmv
-                    )
-        return energy
-
-    @jit(par=parallel)
-    def sdc_force_color_phase(
-        positions, lengths, pflags, pi, pj, offsets, members, fp, forces,
-        kind, params, x0, h, dyv, dmv, pyv, pmv,
-    ):
-        rmin = np.inf
-        for m in _pr(members.shape[0]):
-            s = members[m]
-            for k in range(offsets[s], offsets[s + 1]):
-                i = pi[k]
-                j = pj[k]
-                d0 = positions[i, 0] - positions[j, 0]
-                d1 = positions[i, 1] - positions[j, 1]
-                d2 = positions[i, 2] - positions[j, 2]
-                if pflags[0]:
-                    d0 -= lengths[0] * np.floor(d0 / lengths[0] + 0.5)
-                if pflags[1]:
-                    d1 -= lengths[1] * np.floor(d1 / lengths[1] + 0.5)
-                if pflags[2]:
-                    d2 -= lengths[2] * np.floor(d2 / lengths[2] + 0.5)
-                rr = np.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
-                rmin = min(rmin, rr)
-                vp = _pair_energy_deriv_scalar(
-                    rr, kind, params, x0, h, dyv, dmv, pyv, pmv
-                )
-                dp = _density_deriv_scalar(
-                    rr, kind, params, x0, h, dyv, dmv, pyv, pmv
-                )
-                c = -(vp + (fp[i] + fp[j]) * dp) / rr
-                f0 = c * d0
-                f1 = c * d1
-                f2 = c * d2
-                forces[i, 0] += f0
-                forces[i, 1] += f1
-                forces[i, 2] += f2
-                forces[j, 0] -= f0
-                forces[j, 1] -= f1
-                forces[j, 2] -= f2
-        return rmin
-
     kernel_set = SimpleNamespace(
         parallel=bool(parallel),
         fastmath=bool(fastmath),
@@ -504,8 +421,6 @@ def build_kernel_set(
         scatter_force_owned=scatter_force_owned,
         density_energy_phase=density_energy_phase,
         force_phase=force_phase,
-        sdc_density_color_phase=sdc_density_color_phase,
-        sdc_force_color_phase=sdc_force_color_phase,
     )
     _KERNEL_SETS[key] = kernel_set
     return kernel_set
@@ -555,12 +470,6 @@ class NumbaKernelTier(KernelTier):
 
     def supports(self, potential) -> bool:
         return lower_potential(potential) is not None
-
-    def fused_color_phases(self, potential) -> bool:
-        """The SDC color-phase drivers run as one compiled call per color
-        (worth collapsing the per-subdomain task dispatch) whenever the
-        potential lowers and the JIT has not degraded."""
-        return not self._broken and lower_potential(potential) is not None
 
     def _run(self, name: str, compiled_call, fallback_call):
         """Run a compiled path, degrading permanently on unexpected errors.
@@ -804,138 +713,3 @@ class NumbaKernelTier(KernelTier):
             counter.add("force_pairs", n_pairs)
             counter.add("force_updates", (2 if half else 1) * n_pairs * 3)
         return forces
-
-    # --- fused SDC color-phase drivers --------------------------------------
-
-    def _check_color_phase(
-        self, what, n_atoms, i_idx, j_idx, offsets, members
-    ):
-        """Dispatch-time validation for one color's member slices."""
-        n_sub = len(offsets) - 1
-        if len(members) and (
-            int(members.min()) < 0 or int(members.max()) >= n_sub
-        ):
-            raise IndexError(
-                f"{what} got subdomain id outside [0, {n_sub})"
-            )
-        for s in members:
-            lo, hi = int(offsets[s]), int(offsets[s + 1])
-            check_scatter_indices(
-                what, n_atoms, i_idx[lo:hi], j_idx[lo:hi]
-            )
-
-    def _color_phase_pairs(self, i_idx, j_idx, offsets, members):
-        """Concatenated (i, j) pair slices of a color (error paths only)."""
-        parts_i = [
-            i_idx[int(offsets[s]): int(offsets[s + 1])] for s in members
-        ]
-        parts_j = [
-            j_idx[int(offsets[s]): int(offsets[s + 1])] for s in members
-        ]
-        return np.concatenate(parts_i), np.concatenate(parts_j)
-
-    def sdc_density_color_phase(
-        self,
-        potential,
-        positions,
-        box,
-        i_idx,
-        j_idx,
-        offsets,
-        members,
-        rho,
-        want_pair_energy: bool = True,
-    ):
-        lowered = lower_potential(potential)
-        if lowered is None or not is_plain_ndarray(rho):
-            return super().sdc_density_color_phase(
-                potential, positions, box, i_idx, j_idx, offsets, members,
-                rho, want_pair_energy,
-            )
-        members = _as_i64(np.asarray(members))
-        i_idx = _as_i64(i_idx)
-        j_idx = _as_i64(j_idx)
-        offsets = _as_i64(offsets)
-        self._check_color_phase(
-            "density color phase", len(rho), i_idx, j_idx, offsets, members
-        )
-        return self._run(
-            "sdc_density_color_phase",
-            lambda: float(
-                self._kernels.sdc_density_color_phase(
-                    _as_f64(positions),
-                    box.lengths,
-                    box.periodic,
-                    i_idx,
-                    j_idx,
-                    offsets,
-                    members,
-                    rho,
-                    want_pair_energy,
-                    *lowered.args,
-                )
-            ),
-            lambda: super(NumbaKernelTier, self).sdc_density_color_phase(
-                potential, positions, box, i_idx, j_idx, offsets, members,
-                rho, want_pair_energy,
-            ),
-        )
-
-    def sdc_force_color_phase(
-        self,
-        potential,
-        positions,
-        box,
-        i_idx,
-        j_idx,
-        offsets,
-        members,
-        fp,
-        forces,
-    ):
-        lowered = lower_potential(potential)
-        if lowered is None or not is_plain_ndarray(forces):
-            return super().sdc_force_color_phase(
-                potential, positions, box, i_idx, j_idx, offsets, members,
-                fp, forces,
-            )
-        members = _as_i64(np.asarray(members))
-        i_idx = _as_i64(i_idx)
-        j_idx = _as_i64(j_idx)
-        offsets = _as_i64(offsets)
-        self._check_color_phase(
-            "force color phase", len(forces), i_idx, j_idx, offsets, members
-        )
-
-        def compiled():
-            rmin = self._kernels.sdc_force_color_phase(
-                _as_f64(positions),
-                box.lengths,
-                box.periodic,
-                i_idx,
-                j_idx,
-                offsets,
-                members,
-                _as_f64(fp),
-                forces,
-                *lowered.args,
-            )
-            if rmin < MIN_PAIR_SEPARATION:
-                # locate the offending pair for the canonical diagnostic
-                # (error path only — worth a vectorized geometry pass)
-                ii, jj = self._color_phase_pairs(
-                    i_idx, j_idx, offsets, members
-                )
-                _, r = self._numpy.pair_geometry(positions, box, ii, jj)
-                k = int(np.argmin(r))
-                raise overlap_error(r, k, (ii, jj), MIN_PAIR_SEPARATION)
-            return None
-
-        return self._run(
-            "sdc_force_color_phase",
-            compiled,
-            lambda: super(NumbaKernelTier, self).sdc_force_color_phase(
-                potential, positions, box, i_idx, j_idx, offsets, members,
-                fp, forces,
-            ),
-        )

@@ -62,6 +62,19 @@ class NeighborList:
         """Number of stored (directed) entries."""
         return self.csr.n_values
 
+    def check_covers(self, n_atoms: int) -> None:
+        """Raise unless the list was built over exactly ``n_atoms`` atoms.
+
+        Every force calculator calls this once per ``compute``: a shorter
+        list would leave the uncovered rows silently at zero, a longer one
+        die in a gather with a bare ``IndexError``.
+        """
+        if self.n_atoms != n_atoms:
+            raise ValueError(
+                f"neighbor list covers {self.n_atoms} atoms, system has "
+                f"{n_atoms}"
+            )
+
     def pair_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Flat ``(i_idx, j_idx)`` arrays aligned with the CSR payload.
 

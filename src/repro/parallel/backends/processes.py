@@ -25,11 +25,11 @@ arena, barrier, respawn and retry are the shared core in
 configuration: ``n_workers`` workers over a single arena region.  What it
 adds on top:
 
-* the decomposition (grid / pair partition / color schedule) cached on
-  neighbor-list identity, mirroring ``SDCStrategy._prepare``, and its
-  arena layout (:func:`color_task_layout`) — so a steady-state step pays
-  only kernels and barriers plus one positions memcpy and the zero fills
-  (the ``sync`` phase);
+* the :class:`~repro.core.sdc_plan.SDCPlan` — the same plan
+  ``SDCStrategy`` runs on threads — cached on neighbor-list identity and
+  written into the arena in its execution order, so a steady-state step
+  pays only kernels and barriers plus one positions memcpy and the zero
+  fills (the ``sync`` phase);
 * with a tracer attached, the worker-chunk, phase and barrier-wait spans
   rebuilt from the clock marks in the workers' replies;
 * optional write-set recording for the dynamic race detector.
@@ -51,14 +51,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import kernels
-from repro.core.coloring import lattice_coloring, validate_coloring
-from repro.core.domain import SubdomainGrid, decompose, decompose_balanced
-from repro.core.partition import (
-    PairPartition,
-    build_pair_partition,
-    build_partition,
-)
-from repro.core.schedule import ColorSchedule, build_schedule
+from repro.core.domain import SubdomainGrid
+from repro.core.partition import PairPartition
+from repro.core.schedule import ColorSchedule
+from repro.core.sdc_plan import SDCPlan, build_sdc_plan
 from repro.geometry.box import Box
 from repro.md.atoms import Atoms
 from repro.md.neighbor.verlet import NeighborList
@@ -80,30 +76,6 @@ def _same_box(a: Optional[Box], b: Box) -> bool:
     return a is not None and np.array_equal(
         a.lengths, b.lengths
     ) and np.array_equal(a.periodic, b.periodic)
-
-
-def color_task_layout(
-    pairs: PairPartition, schedule: ColorSchedule, n_workers: int
-) -> Tuple[np.ndarray, List[List[Tuple[int, int]]]]:
-    """The arena order of a pair partition: color-major, worker-major.
-
-    Returns ``(layout, tasks)``: the partition's pair slots in arena
-    order, and per worker ``k`` and color ``c`` the ``[lo, hi)`` arena
-    range of the subdomains the static schedule gives ``k`` in ``c`` —
-    one task, large enough to amortise its NumPy calls.  Same-color write
-    sets are disjoint, so a range is as race-free as its members, and an
-    unbuffered scatter over it accumulates in the per-subdomain order.
-    """
-    rows: List[np.ndarray] = []
-    tasks: List[List[Tuple[int, int]]] = [[] for _ in range(n_workers)]
-    counts, filled = pairs.pair_counts(), 0
-    for color in range(schedule.n_colors):
-        for k, members in enumerate(schedule.thread_assignment(color, n_workers)):
-            rows += [np.arange(*pairs.offsets[s : s + 2]) for s in members]
-            count = int(counts[members].sum())
-            tasks[k].append((filled, filled + count))
-            filled += count
-    return np.concatenate(rows), tasks
 
 
 class ProcessSDCCalculator(WorkerEngine):
@@ -156,12 +128,9 @@ class ProcessSDCCalculator(WorkerEngine):
         #: per phase (the reply ends the last), so ``generation - 1`` also
         #: numbers the phases of a trace
         self._generation = 1
-        # decomposition cache, keyed on neighbor-list identity (mirrors
-        # SDCStrategy._prepare)
+        # the plan, keyed on neighbor-list identity
         self._cached_nlist = IdentityKey()
-        self._grid: Optional[SubdomainGrid] = None
-        self._pairs: Optional[PairPartition] = None
-        self._schedule: Optional[ColorSchedule] = None
+        self._plan: Optional[SDCPlan] = None
         # the box the current epoch was published with, and the parent's
         # views of the arena region sliced to that epoch
         self._box: Optional[Box] = None
@@ -176,7 +145,7 @@ class ProcessSDCCalculator(WorkerEngine):
         ]
 
     def _region_sizes(self) -> List[Tuple[int, int, int]]:
-        pairs = self._pairs
+        pairs = self._plan.pairs
         return [(pairs.partition.n_atoms, pairs.n_pairs, self.n_workers)]
 
     def _publish_epoch(self) -> None:
@@ -184,19 +153,12 @@ class ProcessSDCCalculator(WorkerEngine):
         worker its ranges; workers re-slice their views."""
         (size,) = self._region_sizes()
         self._arrays = self._live.arena.region(0, size)
-        n, (n_atoms, _, _) = self.n_workers, size
-        layout, tasks = color_task_layout(self._pairs, self._schedule, n)
-        self._arrays["pair_i"][:] = self._pairs.i_idx[layout]
-        self._arrays["pair_j"][:] = self._pairs.j_idx[layout]
+        plan = self._plan
+        self._arrays["pair_i"][:] = plan.pair_i
+        self._arrays["pair_j"][:] = plan.pair_j
         payloads = [
-            {
-                "size": size,
-                "box": self._box,
-                "tasks": tasks[k],
-                # embedding: worker k's contiguous block of atom rows
-                "rows": (k * n_atoms // n, (k + 1) * n_atoms // n),
-            }
-            for k in range(n)
+            {"size": size, "box": self._box, "tasks": tasks, "rows": rows}
+            for tasks, rows in zip(plan.tasks, plan.rows)
         ]
         self._live.group.run("epoch", payloads)
 
@@ -204,9 +166,7 @@ class ProcessSDCCalculator(WorkerEngine):
         self._arrays = {}
         self._box = None
         self._cached_nlist.clear()
-        self._pairs = None
-        self._schedule = None
-        self._grid = None
+        self._plan = None
 
     def health_snapshot(self) -> Dict[str, object]:
         """Engine lifecycle state for :meth:`HealthMonitor.snapshot`."""
@@ -214,7 +174,7 @@ class ProcessSDCCalculator(WorkerEngine):
             **self._lifecycle_snapshot(),
             "pool_live": self._live.group is not None,
             "n_workers": self.n_workers,
-            "decomposition_cached": self._pairs is not None,
+            "decomposition_cached": self._plan is not None,
         }
 
     # --- observability ---------------------------------------------------------
@@ -235,7 +195,7 @@ class ProcessSDCCalculator(WorkerEngine):
         tracer = self._tracer
         colors = [
             {"color": c, "n_subdomains": len(members)}
-            for c, members in enumerate(self._schedule.phases)
+            for c, members in enumerate(self._plan.schedule.phases)
         ]
         steps = [
             *(("density", f"density:color{a['color']}", a) for a in colors),
@@ -274,53 +234,44 @@ class ProcessSDCCalculator(WorkerEngine):
     # --- decomposition cache ---------------------------------------------------
 
     def _prepare(self, atoms: Atoms, nlist: NeighborList) -> bool:
-        """(Re)build grid/partition/coloring when the neighbor list changed.
+        """(Re)build the plan when the neighbor list changed.
 
         Matches the paper: "steps 1 and 2 will be done when the neighbor
         list is created or updated".  Returns True when a rebuild happened
-        (the pair CSR must then be republished to the arena).
+        (the pair list must then be republished to the arena).
         """
-        if self._cached_nlist.matches(nlist) and self._pairs is not None:
+        if self._cached_nlist.matches(nlist) and self._plan is not None:
             count_health("sdc_decomp_cache_hit")
             return False
         count_health("sdc_decomp_cache_miss")
-        reach = nlist.cutoff + nlist.skin
-        if self.adaptive:
-            grid = decompose_balanced(
-                atoms.box, reach, self.dims, self.n_workers, axes=self.axes
-            )
-        else:
-            grid = decompose(atoms.box, reach, self.dims, axes=self.axes)
-        coloring = lattice_coloring(grid)
-        validate_coloring(grid, coloring)
-        partition = build_partition(nlist.reference_positions, grid)
-        self._pairs = build_pair_partition(partition, nlist)
-        self._schedule = build_schedule(coloring)
-        self._grid = grid
+        self._plan = build_sdc_plan(
+            atoms.box, nlist, self.dims, self.n_workers,
+            axes=self.axes, adaptive=self.adaptive,
+        )
         self._cached_nlist.set(nlist)
         return True
 
     @property
     def grid(self) -> Optional[SubdomainGrid]:
         """The cached decomposition (None before the first compute)."""
-        return self._grid
+        return self._plan and self._plan.grid
 
     @property
     def pair_partition(self) -> Optional[PairPartition]:
         """The cached pair partition (None before the first compute)."""
-        return self._pairs
+        return self._plan and self._plan.pairs
 
     @property
     def schedule(self) -> Optional[ColorSchedule]:
         """The cached color schedule (None before the first compute)."""
-        return self._schedule
+        return self._plan and self._plan.schedule
 
     # --- the ForceCalculator protocol -----------------------------------------
 
     def _evaluate_once(self, atoms: Atoms) -> Tuple[float, float]:
         """Sync, one ``evaluate`` command, ``(E_pair, E_embed)`` from the
         workers' partial sums — no potential call in the parent."""
-        arrays, n_colors = self._arrays, self._schedule.n_colors
+        arrays, n_colors = self._arrays, self._plan.schedule.n_colors
         # sync: in-place state refresh — the whole per-step setup cost of
         # the persistent engine
         with self._span("sync", phase="sync"):
@@ -352,13 +303,7 @@ class ProcessSDCCalculator(WorkerEngine):
         """Full evaluation; ``atoms`` is updated in place and the result's
         arrays *are* ``atoms.rho``/``fp``/``forces`` — copied out of the
         arena once, which the next sync zero-fills."""
-        if not nlist.half:
-            raise ValueError("SDC consumes half neighbor lists")
-        if nlist.n_atoms != atoms.n_atoms:
-            raise ValueError(
-                f"neighbor list covers {nlist.n_atoms} atoms, system has "
-                f"{atoms.n_atoms}"
-            )
+        nlist.check_covers(atoms.n_atoms)
         with self._span("neighbor-rebuild", phase="neighbor-rebuild"):
             if self._prepare(atoms, nlist) or not _same_box(self._box, atoms.box):
                 self._box = atoms.box

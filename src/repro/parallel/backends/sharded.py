@@ -514,11 +514,7 @@ class ShardedSDCCalculator(WorkerEngine):
         """Full sharded EAM evaluation; also updates ``atoms`` in place."""
         if not nlist.half:
             raise ValueError("the sharded engine consumes half neighbor lists")
-        if nlist.n_atoms != atoms.n_atoms:
-            raise ValueError(
-                f"neighbor list covers {nlist.n_atoms} atoms, system has "
-                f"{atoms.n_atoms}"
-            )
+        nlist.check_covers(atoms.n_atoms)
         with self._span("neighbor-rebuild", phase="neighbor-rebuild"):
             self._prepare(atoms, nlist)
         return self._evaluate(potential, lambda: self._compute_once(atoms))

@@ -2,10 +2,14 @@
 
 Python's GIL serializes interpreter bytecode, but the NumPy kernels the
 closures call release the GIL for large array operations, so this backend
-does exercise real core-level parallelism for the vectorized per-subdomain
-work — enough to demonstrate the SDC schedule is race-free on real
-hardware.  Wall-clock scaling claims, however, are the simulator's job
-(DESIGN.md, substitutions).
+does exercise real core-level parallelism for the vectorized work — enough
+to demonstrate the SDC schedule is race-free on real hardware.  An SDC
+phase arrives as one closure per worker of the static schedule (worker
+``k``'s contiguous pair range of the color, see
+:mod:`repro.core.sdc_plan`), so a pool of the schedule's width runs each
+closure on its own thread and ``wait`` is the color barrier; the ~10 NumPy
+calls inside a closure still trade the GIL.  Wall-clock scaling claims are
+the simulator's job (DESIGN.md, substitutions).
 """
 
 from __future__ import annotations

@@ -63,7 +63,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import kernels
-from repro.kernels.base import check_pair_separation, pair_force_coefficients
 from repro.obs.tracer import span_of
 from repro.parallel.backends.base import BackendError
 from repro.potentials.base import EAMPotential
@@ -609,36 +608,19 @@ class ChunkWorker:
 
             log = TaskWriteLog()
             target = wrap_array(target, name, log)
-        pair_energy = 0.0
         i_idx, j_idx = views["pair_i"][lo:hi], views["pair_j"][lo:hi]
-        if lo == hi:
-            pass  # a color with fewer subdomains than workers
-        elif kind == "density":
-            delta, r = tier.pair_geometry(
-                views["positions"], self.box, i_idx, j_idx
+        handover = [
+            views[key][lo:hi]
+            for key in ("pair_delta", "pair_r", "pair_dphi", "pair_dv")
+        ]
+        pair_energy = 0.0
+        if kind == "density":
+            pair_energy = tier.density_slice(
+                self.potential, views["positions"], self.box, i_idx, j_idx,
+                target, handover,
             )
-            check_pair_separation(r, (i_idx, j_idx))
-            phi, dphi, v, dv = tier.pair_terms(self.potential, r)
-            views["pair_delta"][lo:hi] = delta
-            views["pair_r"][lo:hi] = r
-            views["pair_dphi"][lo:hi] = dphi
-            views["pair_dv"][lo:hi] = dv
-            pair_energy = float(np.sum(v))
-            tier.scatter_rho_half(target, i_idx, j_idx, phi)
         else:
-            # cached by the density pass for these positions
-            coeff = pair_force_coefficients(
-                views["pair_r"][lo:hi],
-                views["pair_dphi"][lo:hi],
-                views["pair_dv"][lo:hi],
-                views["fp"][i_idx],
-                views["fp"][j_idx],
-                pair_ids=(i_idx, j_idx),
-            )
-            tier.scatter_force_half(
-                target, i_idx, j_idx,
-                coeff[:, None] * views["pair_delta"][lo:hi],
-            )
+            tier.force_slice(i_idx, j_idx, views["fp"], handover, target)
         if log is not None:
             self.writes.append(log.flat(name).tolist())
         return pair_energy

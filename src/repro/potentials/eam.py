@@ -340,6 +340,7 @@ def compute_eam_forces_serial(
     ``tracer`` (a :class:`~repro.obs.tracer.Tracer`) is given, each phase
     is recorded as a span tagged with its canonical name.
     """
+    nlist.check_covers(atoms.n_atoms)
     rho, pair_energy, emb_energy, fp, forces = _tier(
         tier, "evaluate"
     ).evaluate(potential, atoms.positions, atoms.box, nlist, counter, tracer)

@@ -11,21 +11,29 @@ The acceptance pair for the detector:
 
 from __future__ import annotations
 
+import functools
 import json
+import multiprocessing as mp
 
 import numpy as np
 import pytest
 
 from repro.analysis.racecheck import (
+    INJECTION_NAMES,
     RaceCheckReport,
     WriteRecorder,
+    injection_kwargs,
     merge_color_phases,
     run_instrumented,
     run_racecheck,
     undersized_grid_factory,
 )
 from repro.cli import main
+from repro.core.conflict import check_schedule_conflicts
+from repro.core.schedule import ColorSchedule
+from repro.core.sdc_plan import build_sdc_plan
 from repro.core.strategies import SDCStrategy
+from repro.potentials import compute_eam_forces_serial
 from repro.core.strategies.base import ReductionStrategy
 from repro.parallel.backends.serial import SerialBackend
 
@@ -202,6 +210,48 @@ class TestInjectedFaultsAreCaught:
         # the detector
         assert report.equivalent
 
+    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    @pytest.mark.parametrize("n_threads", [2, 4])
+    @pytest.mark.parametrize("inject", INJECTION_NAMES)
+    def test_caught_at_every_schedule_width(self, inject, n_threads, backend):
+        """Tasks are (color, worker) ranges: the fault must still put two
+        conflicting subdomains on *different* workers at 2 and 4 wide."""
+        report = run_racecheck(
+            strategy="sdc", cells=6, inject=inject,
+            backend=backend, n_threads=n_threads,
+        )
+        assert not report.ok and not report.race_free
+        assert all(c.task_a != c.task_b for c in report.conflicts)
+
+    @pytest.mark.linux
+    @pytest.mark.parametrize("n_workers", [2, 4])
+    @pytest.mark.parametrize("inject", INJECTION_NAMES)
+    def test_caught_inside_forked_workers(self, monkeypatch, inject, n_workers):
+        """The process engine takes no fault hooks; hand its plan builder
+        the corruption and read the workers' own write records."""
+        if "fork" not in mp.get_all_start_methods():
+            pytest.skip("requires fork")
+        from repro.parallel.backends import processes
+
+        monkeypatch.setattr(
+            processes,
+            "build_sdc_plan",
+            functools.partial(build_sdc_plan, **injection_kwargs(inject, 2)),
+        )
+        report = run_racecheck(
+            strategy="sdc", cells=6, backend="processes", n_threads=n_workers
+        )
+        assert not report.ok and not report.race_free
+        assert report.conflicts
+
+    def test_one_task_wide_schedule_is_refused_not_passed(self, capsys):
+        """One task per phase cannot race: say so instead of "clean"."""
+        with pytest.raises(ValueError, match="n_threads >= 2"):
+            run_racecheck(strategy="sdc", cells=6, inject="merge-colors", n_threads=1)
+        argv = ["racecheck", "--strategy", "sdc", "--inject", "drop-barrier"]
+        assert main(argv + ["--threads", "1"]) == 2
+        assert "n_threads >= 2" in capsys.readouterr().err
+
     def test_merge_color_phases_shrinks_schedule(self):
         from repro.core.coloring import lattice_coloring
         from repro.core.domain import decompose
@@ -230,6 +280,81 @@ class TestInjectedFaultsAreCaught:
             if grid.counts[a] > 1
         ]
         assert min(edges) <= 2 * reach
+
+
+# --------------------------------------------------------------------------
+# what is checked at which granularity
+# --------------------------------------------------------------------------
+
+
+class TestSubdomainVersusTaskGranularity:
+    """The dynamic detector sees executed tasks — one (color, worker) range
+    each — so two conflicting subdomains in the *same* worker's chunk run in
+    sequence and are no race; the paper's guarantee (same-color subdomains
+    write disjoint atoms) stays checked per subdomain by the static
+    checker."""
+
+    @pytest.fixture(scope="class")
+    def chain(self, potential):
+        """Eight subdomains along x, and a schedule transform that moves
+        subdomain 1 (color 1) between its neighbors 0 and 2 in color 0:
+        at two workers, color 0 is chunked [0, 1, 2] | [4, 6]."""
+        from repro.geometry.lattice import bcc_lattice, perturb_positions
+        from repro.md import Atoms, build_neighbor_list
+        from repro.utils.rng import default_rng
+
+        sites, box = bcc_lattice(2.8665, (24, 6, 6))
+        atoms = Atoms(
+            box=box, positions=perturb_positions(sites, box, 0.05, default_rng(2))
+        )
+        nlist = build_neighbor_list(
+            atoms.positions, box, cutoff=potential.cutoff, skin=0.3, half=True
+        )
+
+        def transform(schedule):
+            assert [p.tolist() for p in schedule.phases] == [
+                [0, 2, 4, 6], [1, 3, 5, 7]
+            ]
+            phases = [np.array([0, 1, 2, 4, 6]), np.array([3, 5, 7])]
+            return ColorSchedule(coloring=schedule.coloring, phases=phases)
+
+        return atoms, nlist, transform
+
+    def test_static_checker_flags_a_conflict_inside_one_chunk(self, chain):
+        atoms, nlist, transform = chain
+        plan = build_sdc_plan(
+            atoms.box, nlist, 1, 2, adaptive=False, schedule_transform=transform
+        )
+        chunks = plan.schedule.thread_assignment(0, 2)
+        assert [c.tolist() for c in chunks] == [[0, 1, 2], [4, 6]]
+        report = check_schedule_conflicts(plan.pairs, plan.schedule)
+        assert not report.ok
+        # every conflict is subdomain 1 against a chunk-mate, in color 0
+        assert {(color, a, b) for color, a, b, _ in report.conflicts} <= {
+            (0, 0, 1), (0, 1, 2)
+        }
+        with pytest.raises(RuntimeError, match="write conflicts"):
+            build_sdc_plan(
+                atoms.box, nlist, 1, 2, adaptive=False,
+                schedule_transform=transform, validate_conflicts=True,
+            )
+
+    def test_dynamic_detector_sees_one_task_and_no_race(self, chain, potential):
+        atoms, nlist, transform = chain
+        strategy = SDCStrategy(
+            dims=1, n_threads=2, adaptive=False, schedule_transform=transform
+        )
+        result, recorder = run_instrumented(strategy, potential, atoms.copy(), nlist)
+        assert recorder.report(strategy="sdc", lock_free=True).race_free
+        # ... and rightly so: in sequence, the numbers are the serial ones
+        reference = compute_eam_forces_serial(potential, atoms.copy(), nlist)
+        assert np.max(np.abs(result.forces - reference.forces)) < 1e-9
+        # the same schedule one worker wider splits the chunk: a real race
+        wider = SDCStrategy(
+            dims=1, n_threads=3, adaptive=False, schedule_transform=transform
+        )
+        _, recorder = run_instrumented(wider, potential, atoms.copy(), nlist)
+        assert not recorder.report(strategy="sdc", lock_free=True).race_free
 
 
 # --------------------------------------------------------------------------

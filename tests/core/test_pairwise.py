@@ -103,9 +103,9 @@ class TestSDCPairCalculator:
         atoms, nlist = lj_system
         calc = SDCPairCalculator(dims=2, n_threads=2)
         calc.compute(lj, atoms.copy(), nlist)
-        pairs_first = calc._pairs
+        plan_first = calc._plan
         calc.compute(lj, atoms.copy(), nlist)
-        assert calc._pairs is pairs_first
+        assert calc._plan is plan_first
 
 
 class TestOverlappingAtoms:

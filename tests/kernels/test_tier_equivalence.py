@@ -166,6 +166,31 @@ class TestEntryPoints:
         got = numba_tier.force_phase(*args)
         np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-12)
 
+    def test_density_and_force_slice(
+        self, tiers, potential, small_atoms, pair_slice
+    ):
+        """The two entry points every SDC task runs through: each output —
+        ``rho``, the four hand-over arrays, the pair-energy partial, the
+        forces — within 1e-12 of the NumPy tier."""
+        i_idx, j_idx = pair_slice["i_idx"], pair_slice["j_idx"]
+        n, n_pairs = small_atoms.n_atoms, len(i_idx)
+        outputs = []
+        for tier in tiers:
+            rho, forces = np.zeros(n), np.zeros((n, 3))
+            handover = [np.empty((n_pairs, 3))] + [
+                np.empty(n_pairs) for _ in range(3)
+            ]
+            energy = tier.density_slice(
+                potential, small_atoms.positions, small_atoms.box,
+                i_idx, j_idx, rho, handover,
+            )
+            tier.force_slice(i_idx, j_idx, pair_slice["fp"], handover, forces)
+            outputs.append([rho, *handover, np.array(energy), forces])
+        np.testing.assert_array_equal(outputs[0][1], pair_slice["delta"])
+        for expected, got in zip(*outputs):
+            scale = np.max(np.abs(expected))
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * scale)
+
 
 class TestDiagnosticsMatch:
     """Bad input must produce the *same* error text on every tier."""
@@ -189,6 +214,25 @@ class TestDiagnosticsMatch:
         }
         assert len(messages) == 1
         assert "outside the valid range [0, 4)" in messages.pop()
+
+    def test_slice_bounds_error_identical_and_before_any_write(
+        self, tiers, potential, small_atoms
+    ):
+        rho = np.zeros(small_atoms.n_atoms)
+        i_idx = np.array([0, small_atoms.n_atoms + 5], dtype=np.int64)
+        j_idx = np.array([1, 2], dtype=np.int64)
+        handover = [np.full((2, 3), 7.0)] + [np.full(2, 7.0) for _ in range(3)]
+        messages = {
+            self._message(
+                IndexError, tier.density_slice, potential,
+                small_atoms.positions, small_atoms.box, i_idx, j_idx,
+                rho, handover,
+            )
+            for tier in tiers
+        }
+        assert len(messages) == 1
+        assert f"outside the valid range [0, {small_atoms.n_atoms})" in messages.pop()
+        assert not rho.any() and all(np.all(a == 7.0) for a in handover)
 
     def test_owned_accumulator_error_identical(self, tiers):
         rho = np.zeros(3)

@@ -1,4 +1,4 @@
-"""Tier variants: spec parsing, concurrency, fusion.
+"""Tier variants: spec parsing, concurrency.
 
 The regression targets here are the bugs the variant work fixes:
 
@@ -241,139 +241,3 @@ class TestProcessWorkerVariant:
             assert resolved == {"numba-parallel"}
         finally:
             calc.close()
-
-
-class TestFusedColorPhases:
-    """The tentpole optimization: one kernel call per SDC color phase."""
-
-    def _strategy(self, tier_spec, fused=None, n_threads=2):
-        from repro.core.strategies import STRATEGY_REGISTRY
-
-        strategy = STRATEGY_REGISTRY["sdc"](
-            dims=2, n_threads=n_threads, fused=fused
-        )
-        strategy.set_kernel_tier(tier_spec)
-        return strategy
-
-    def test_numba_tier_advertises_fusion(self, stub_numba, potential):
-        assert kernels.get("numba-parallel").fused_color_phases(potential)
-        assert not kernels.get("numpy").fused_color_phases(potential)
-
-    def test_fused_matches_reference(
-        self, stub_numba, sdc_atoms, sdc_nlist, potential, reference_result
-    ):
-        strategy = self._strategy("numba-parallel")
-        tier = strategy._tier()
-        assert strategy._use_fused(tier, potential)
-        result = strategy.compute(potential, sdc_atoms.copy(), sdc_nlist)
-        np.testing.assert_allclose(
-            result.forces, reference_result.forces, rtol=1e-10, atol=1e-10
-        )
-        np.testing.assert_allclose(
-            result.rho, reference_result.rho, rtol=1e-10, atol=1e-12
-        )
-        assert result.pair_energy == pytest.approx(
-            reference_result.pair_energy, rel=1e-10
-        )
-        assert result.embedding_energy == pytest.approx(
-            reference_result.embedding_energy, rel=1e-10
-        )
-
-    def test_forced_fusion_on_numpy_generic_driver_matches(
-        self, sdc_atoms, sdc_nlist, potential, reference_result
-    ):
-        strategy = self._strategy("numpy", fused=True)
-        result = strategy.compute(potential, sdc_atoms.copy(), sdc_nlist)
-        np.testing.assert_allclose(
-            result.forces, reference_result.forces, rtol=1e-10, atol=1e-10
-        )
-        assert result.pair_energy == pytest.approx(
-            reference_result.pair_energy, rel=1e-10
-        )
-
-    def test_fused_false_disables(self, stub_numba, potential):
-        strategy = self._strategy("numba-parallel", fused=False)
-        assert not strategy._use_fused(strategy._tier(), potential)
-
-    def test_instrumented_runs_never_fuse(self, stub_numba, potential):
-        strategy = self._strategy("numba-parallel")
-
-        class Recorder:
-            def wrap(self, name, array):  # pragma: no cover - unused
-                return array
-
-        strategy.attach_instrument(Recorder())
-        assert not strategy._use_fused(strategy._tier(), potential)
-
-    def test_fused_color_phase_is_deterministic(
-        self, stub_numba, sdc_atoms, sdc_nlist, potential
-    ):
-        """Two runs of the parallel fused phase are bitwise identical.
-
-        Within a color phase the write sets are disjoint, so the
-        accumulation order per atom row is fixed regardless of the
-        (p)range scheduling — the result must not drift run to run.
-        """
-        strategy = self._strategy("numba-parallel", fused=True)
-        tier = strategy._tier()
-        atoms = sdc_atoms.copy()
-        strategy.compute(potential, atoms, sdc_nlist)
-        pairs = strategy.pair_partition
-        schedule = strategy.schedule
-        assert pairs is not None and schedule is not None
-        fp = atoms.fp.copy()
-
-        def one_run():
-            rho = np.zeros(atoms.n_atoms)
-            forces = np.zeros((atoms.n_atoms, 3))
-            energies = []
-            for members in schedule.phases:
-                energies.append(
-                    tier.sdc_density_color_phase(
-                        potential,
-                        atoms.positions,
-                        atoms.box,
-                        pairs.i_idx,
-                        pairs.j_idx,
-                        pairs.offsets,
-                        np.asarray(members, dtype=np.int64),
-                        rho,
-                    )
-                )
-                tier.sdc_force_color_phase(
-                    potential,
-                    atoms.positions,
-                    atoms.box,
-                    pairs.i_idx,
-                    pairs.j_idx,
-                    pairs.offsets,
-                    np.asarray(members, dtype=np.int64),
-                    fp,
-                    forces,
-                )
-            return rho, forces, energies
-
-        rho_a, forces_a, e_a = one_run()
-        rho_b, forces_b, e_b = one_run()
-        assert np.array_equal(rho_a, rho_b)
-        assert np.array_equal(forces_a, forces_b)
-        assert e_a == e_b
-
-    def test_fused_bounds_error_matches_generic(self, stub_numba, potential):
-        tier = kernels.get("numba-parallel")
-        rho = np.zeros(4)
-        i_idx = np.array([0, 9], dtype=np.int64)
-        j_idx = np.array([1, 2], dtype=np.int64)
-        offsets = np.array([0, 2], dtype=np.int64)
-        members = np.array([0], dtype=np.int64)
-        with pytest.raises(IndexError, match="outside the valid range"):
-            tier.sdc_density_color_phase(
-                potential,
-                np.zeros((4, 3)),
-                None,
-                i_idx,
-                j_idx,
-                offsets,
-                members,
-                rho,
-            )

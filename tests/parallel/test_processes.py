@@ -10,10 +10,8 @@ import pytest
 from repro.md import Atoms, build_neighbor_list
 from repro.md.simulation import Simulation
 from repro.obs.tracer import CAT_BARRIER, CAT_PHASE, CAT_TASK, Tracer
-from repro.parallel.backends.processes import (
-    ProcessSDCCalculator,
-    color_task_layout,
-)
+from repro.core.sdc_plan import color_task_layout
+from repro.parallel.backends.processes import ProcessSDCCalculator
 from repro.potentials import compute_eam_forces_serial, fe_potential
 from repro.potentials.base import EAMPotential
 from repro.potentials.johnson_fe import JohnsonFePotential
@@ -183,7 +181,9 @@ def _edge_just_above_twice_the_reach(atoms, cutoff):
 class TestTaskLayout:
     """ROADMAP aim 3, "checked, not assumed": the arena order is the pair
     partition regrouped into one contiguous range per (color, worker), and
-    same-color ranges write disjoint atoms."""
+    same-color ranges write disjoint atoms — on the plan the process
+    calculator holds (the plan's own property suite, Hypothesis cases
+    included, is ``tests/core/test_sdc_plan.py``)."""
 
     @pytest.fixture(scope="class")
     def systems(self, potential, sdc_atoms, sdc_nlist):
@@ -217,6 +217,10 @@ class TestTaskLayout:
             edge = grid.edge_lengths()[list(grid.decomposed_axes)].min()
             assert 0.0 < edge - 2.0 * grid.reach < 1e-8
         layout, tasks = color_task_layout(pairs, schedule, n_workers)
+        # what the workers are sent and what the arena is filled with
+        assert tasks == calc._plan.tasks
+        assert np.array_equal(pairs.i_idx[layout], calc._plan.pair_i)
+        assert np.array_equal(pairs.j_idx[layout], calc._plan.pair_j)
         assert np.array_equal(np.sort(layout), np.arange(pairs.n_pairs))
         assert [len(ranges) for ranges in tasks] == [schedule.n_colors] * n_workers
         filled = 0

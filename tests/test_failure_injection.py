@@ -447,6 +447,64 @@ class TestMalformedStructures:
         assert second is not first
 
 
+def _calculators():
+    """Every force calculator by name (built lazily: two of them fork)."""
+    from repro.core import strategies
+    from repro.core.strategies.pairwise import SDCPairCalculator, SerialPairCalculator
+    from repro.md.simulation import SerialCalculator
+    from repro.parallel.backends.processes import ProcessSDCCalculator
+    from repro.parallel.backends.sharded import ShardedSDCCalculator
+
+    made = {
+        "serial-kernels": SerialCalculator,
+        "sdc-processes": lambda: ProcessSDCCalculator(dims=2, n_workers=2),
+        "sdc-sharded": lambda: ShardedSDCCalculator(n_shards=2, engine="inline"),
+        "pair-serial": SerialPairCalculator,
+        "pair-sdc": lambda: SDCPairCalculator(dims=2, n_threads=2),
+    }
+    for name, cls in strategies.STRATEGY_REGISTRY.items():
+        made[name] = cls if name == "serial" else (
+            lambda cls=cls: cls(n_threads=2)
+        )
+    return made
+
+
+class TestListOverTheWrongAtomCount:
+    """A neighbour list built over another system is named, by every
+    calculator, before anything is computed: a shorter list used to leave
+    the uncovered rows at zero without a word (serial, SDC, LOCALWRITE), a
+    longer one to die in a gather with a bare ``IndexError``."""
+
+    @pytest.fixture(scope="class")
+    def larger(self, potential):
+        from repro.harness.workloads import uniform_crystal
+
+        atoms = uniform_crystal(9, seed=3)
+        assert atoms.n_atoms == 1458
+        return atoms, build_neighbor_list(
+            atoms.positions, atoms.box, cutoff=potential.cutoff, skin=0.3
+        )
+
+    @pytest.mark.parametrize("name", sorted(_calculators()))
+    def test_named_by_every_calculator(
+        self, name, potential, sdc_atoms, sdc_nlist, larger
+    ):
+        big_atoms, big_nlist = larger
+        calculator = _calculators()[name]()
+        try:
+            for atoms, nlist, text in (
+                (big_atoms, sdc_nlist, "covers 1024 atoms, system has 1458"),
+                (sdc_atoms, big_nlist, "covers 1458 atoms, system has 1024"),
+            ):
+                atoms = atoms.copy()
+                atoms.forces[:] = 7.0
+                with pytest.raises(ValueError, match="neighbor list " + text):
+                    calculator.compute(potential, atoms, nlist)
+                assert np.all(atoms.forces == 7.0)
+        finally:
+            getattr(calculator, "close", lambda: None)()
+
+
 class TestStopwatchExceptionSafety:
     def test_section_records_time_on_exception(self):
         """A span is still recorded, and still counted toward its phase,

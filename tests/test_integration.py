@@ -95,9 +95,25 @@ class TestLongRunDrift:
             assert invariant.n_warnings == invariant.n_criticals == 0, (
                 physics.status()
             )
+        return report.records[-1].total_energy
 
     def test_serial(self):
         self.run(None)
+
+    def test_thread_engine(self):
+        """Same plan, same tasks as the process engine, on a thread pool —
+        and the same trajectory as the serial kernels, to summation order."""
+        from repro.parallel.backends.threads import ThreadBackend
+
+        energy = self.run(
+            SDCStrategy(dims=2, n_threads=2, backend=ThreadBackend(2))
+        )
+        assert energy == pytest.approx(self.run(None), rel=1e-9)
+
+    def test_sharded_engine(self):
+        from repro.parallel.backends.sharded import ShardedSDCCalculator
+
+        self.run(ShardedSDCCalculator(n_shards=2))
 
     @pytest.mark.linux
     def test_process_engine(self):
