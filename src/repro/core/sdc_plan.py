@@ -9,6 +9,10 @@ color-major, worker-major, so a worker's share of a color is one contiguous
 workers, the pair-potential calculator) holds one :class:`SDCPlan` cached on
 neighbor-list identity and walks the same ``tasks[k][c]``; they differ only
 in who waits on what at the color barrier.
+
+Beside it, the layout of the comparison strategies, which partition the
+loop over atoms instead of space: :class:`RowBlockLayout`, the same shape
+with a single phase.
 """
 
 from __future__ import annotations
@@ -58,6 +62,46 @@ class SDCPlan:
     pair_j: np.ndarray
     tasks: List[List[Tuple[int, int]]]
     rows: List[Tuple[int, int]]
+
+
+def row_blocks(n_atoms: int, n_workers: int) -> List[Tuple[int, int]]:
+    """``n_workers`` contiguous near-equal ``[lo, hi)`` blocks of atom rows
+    (OpenMP static over atoms)."""
+    return [
+        (k * n_atoms // n_workers, (k + 1) * n_atoms // n_workers)
+        for k in range(n_workers)
+    ]
+
+
+@dataclass(frozen=True)
+class RowBlockLayout:
+    """A neighbor list as it is, split by atom rows over ``len(tasks)``
+    workers — the layout of the comparison strategies, which partition
+    the loop over atoms and differ in how they guard the writes.
+
+    Same shape as :class:`SDCPlan` with one phase: ``tasks[k][0]`` is the
+    ``[lo, hi)`` range of ``pair_i``/``pair_j`` holding exactly the CSR
+    rows of the block ``rows[k]``.
+    """
+
+    pair_i: np.ndarray
+    pair_j: np.ndarray
+    tasks: List[List[Tuple[int, int]]]
+    rows: List[Tuple[int, int]]
+
+
+def row_block_layout(nlist: NeighborList, n_workers: int) -> RowBlockLayout:
+    """Split ``nlist`` (half or full) by row blocks: a contiguous block of
+    atom rows is a contiguous range of the CSR payload."""
+    pair_i, pair_j = nlist.pair_arrays()
+    offsets = nlist.csr.offsets
+    rows = row_blocks(nlist.n_atoms, n_workers)
+    return RowBlockLayout(
+        pair_i=pair_i,
+        pair_j=pair_j,
+        tasks=[[(int(offsets[lo]), int(offsets[hi]))] for lo, hi in rows],
+        rows=rows,
+    )
 
 
 def color_task_layout(
@@ -133,7 +177,6 @@ def build_sdc_plan(
                 f"conflicts; first: {report.conflicts[:3]}"
             )
     layout, tasks = color_task_layout(pairs, schedule, n_workers)
-    n_atoms = partition.n_atoms
     return SDCPlan(
         grid=grid,
         pairs=pairs,
@@ -141,8 +184,5 @@ def build_sdc_plan(
         pair_i=pairs.i_idx[layout],
         pair_j=pairs.j_idx[layout],
         tasks=tasks,
-        rows=[
-            (k * n_atoms // n_workers, (k + 1) * n_atoms // n_workers)
-            for k in range(n_workers)
-        ],
+        rows=row_blocks(partition.n_atoms, n_workers),
     )

@@ -17,7 +17,9 @@ Section III's measured methods):
 
 Every strategy computes *identical physics* (asserted by the test suite)
 and exposes a :meth:`~ReductionStrategy.plan` describing its execution to
-the simulated machine.
+the simulated machine.  The three-region evaluation itself is written once
+(:meth:`ReductionStrategy.compute`); SDC, CS, SAP, RC and atomic are each a
+layout plus a write mode on it.
 """
 
 from repro.core.strategies.atomic import AtomicStrategy

@@ -3,9 +3,11 @@
 A :class:`ReductionStrategy` does two things:
 
 * :meth:`compute` — actually evaluate the 3-phase EAM computation on a
-  real system, organizing the irregular reductions the way the strategy
-  prescribes (this is what the equivalence tests compare against the
-  serial kernels);
+  real system (this is what the equivalence tests compare against the
+  serial kernels).  The three-region body of the paper's Figs. 7-8 is
+  written once, here; a strategy supplies what the paper says
+  distinguishes it — its *layout* (which worker runs which contiguous pair
+  range in which phase) and its *write mode* (where a task may write);
 * :meth:`plan` — describe that organization as a
   :class:`~repro.parallel.plan.SimPlan` so the simulated machine can time
   it at any core count (this is what regenerates the paper's tables).
@@ -14,10 +16,11 @@ A :class:`ReductionStrategy` does two things:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import ClassVar, Optional
+from typing import TYPE_CHECKING, ClassVar, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.sdc_plan import RowBlockLayout, row_block_layout
 from repro.md.atoms import Atoms
 from repro.md.neighbor.verlet import NeighborList
 from repro.obs.tracer import TracingObserver, span_of
@@ -25,7 +28,17 @@ from repro.parallel.machine import MachineConfig
 from repro.parallel.plan import SimPlan
 from repro.parallel.workload import WorkloadStats
 from repro.potentials.base import EAMPotential
-from repro.potentials.eam import EAMComputation, pair_geometry
+from repro.potentials.eam import EAMComputation
+from repro.utils.identity import IdentityKey
+
+if TYPE_CHECKING:
+    from repro.parallel.backends.base import ExecutionBackend
+
+
+def handover_arrays(n_pairs: int) -> List[np.ndarray]:
+    """The four pair-sized arrays a density pass leaves ``(delta, r, phi',
+    V')`` in for the force pass of the same pairs."""
+    return [np.empty((n_pairs, 3))] + [np.empty(n_pairs) for _ in range(3)]
 
 
 class ReductionStrategy(ABC):
@@ -39,6 +52,14 @@ class ReductionStrategy(ABC):
     #: dynamic race detector treats same-phase overlaps as failures only
     #: for lock-free strategies.
     lock_free: ClassVar[bool] = True
+
+    #: the write mode, as it names the strategy's pair-region spans
+    #: (``density:<write_mode>`` / ``force:<write_mode>``)
+    write_mode: ClassVar[str] = "scatter"
+
+    #: weight of one stored pair in the pair energy (a doubled list holds
+    #: every pair twice)
+    pair_energy_scale: ClassVar[float] = 1.0
 
     #: optional write instrument (e.g. the racecheck recorder); when set,
     #: :meth:`_array` hands out shadow-wrapped reduction arrays.
@@ -54,6 +75,23 @@ class ReductionStrategy(ABC):
     #: strategy's phase regions and merge/scatter/lock sections as spans
     _tracer = None
     _tracing_observer = None
+
+    def __init__(
+        self,
+        n_threads: int = 1,
+        backend: Optional[ExecutionBackend] = None,
+    ) -> None:
+        # the backends package imports the SDC strategy, hence this module
+        from repro.parallel.backends.serial import SerialBackend
+
+        if n_threads < 1:
+            raise ValueError("n_threads must be >= 1")
+        #: width of the static schedule: every phase runs ``n_threads``
+        #: tasks, task ``k`` owning worker ``k``'s contiguous pair range
+        self.n_threads = n_threads
+        self.backend = backend or SerialBackend()
+        self._layout_source = IdentityKey()
+        self._row_block_layout: Optional[RowBlockLayout] = None
 
     def attach_tracer(self, tracer) -> None:
         """Record timeline spans through ``tracer``.
@@ -125,8 +163,8 @@ class ReductionStrategy(ABC):
         self._instrument = None
 
     def _array(self, name: str, shape) -> np.ndarray:
-        """Allocate a zeroed reduction array, shadow-wrapped when
-        an instrument is attached."""
+        """Allocate a zeroed reduction array — what a region's tasks write
+        into — shadow-wrapped when an instrument is attached."""
         array = np.zeros(shape)
         if self._instrument is None:
             return array
@@ -148,14 +186,149 @@ class ReductionStrategy(ABC):
     def __exit__(self, *exc: object) -> None:
         self.close()
 
-    @abstractmethod
+    # --- the three-region body (paper Figs. 7-8) ---------------------------------
+
     def compute(
         self,
         potential: EAMPotential,
         atoms: Atoms,
         nlist: NeighborList,
     ) -> EAMComputation:
-        """Evaluate densities, embedding and forces; update ``atoms``."""
+        """Evaluate densities, embedding and forces; update ``atoms``.
+
+        Density region, embedding, force region — each pair region one
+        ``run_phase`` per layout phase, one task per worker over its
+        contiguous pair range.  One geometry pass and one potential call
+        per pair: a range's density task leaves its ``(delta, r, phi',
+        V')`` in the hand-over arrays and the same range's force task
+        reads them back after the density region's last barrier.
+        """
+        nlist.check_covers(atoms.n_atoms)
+        layout = self._layout(atoms, nlist)
+        tier = self._tier()
+        positions, box, n = atoms.positions, atoms.box, atoms.n_atoms
+        pair_i, pair_j = layout.pair_i, layout.pair_j
+        workers = range(self.n_threads)
+        n_phases = len(layout.tasks[0])
+        handover = handover_arrays(len(pair_i))
+        pair_parts = np.zeros((self.n_threads, n_phases))
+
+        def pair_region(kind: str, task) -> None:
+            for phase in range(n_phases):
+                with self._phase_span(kind, phase, layout):
+                    self.backend.run_phase([task(k, phase) for k in workers])
+
+        def task_views(k: int, phase: int):
+            """Worker ``k``'s range of ``phase``: its pairs, its hand-over."""
+            lo, hi = layout.tasks[k][phase]
+            return pair_i[lo:hi], pair_j[lo:hi], [a[lo:hi] for a in handover]
+
+        rho_target = self._array("rho", (n,))
+
+        def density_task(k: int, phase: int):
+            i_idx, j_idx, handed = task_views(k, phase)
+
+            def run() -> None:
+                if len(i_idx):
+                    pair_parts[k, phase] = self._density_slice(
+                        tier, potential, positions, box, i_idx, j_idx,
+                        rho_target, handed, k, layout.rows[k],
+                    )
+
+            return run
+
+        pair_region("density", density_task)
+        rho = self._merge("density", rho_target)
+
+        # embedding: plain parallel for over contiguous atom rows
+        fp = np.empty(n)
+        emb_parts = np.zeros(self.n_threads)
+
+        def embed_task(k: int):
+            lo, hi = layout.rows[k]
+
+            def run() -> None:
+                emb_parts[k] = float(np.sum(potential.embed(rho[lo:hi])))
+                fp[lo:hi] = potential.embed_deriv(rho[lo:hi])
+
+            return run
+
+        with self._span("embedding", phase="embedding", n_chunks=self.n_threads):
+            self.backend.run_phase([embed_task(k) for k in workers])
+
+        force_target = self._array("forces", (n, 3))
+
+        def force_task(k: int, phase: int):
+            i_idx, j_idx, handed = task_views(k, phase)
+
+            def run() -> None:
+                if len(i_idx):
+                    self._force_slice(
+                        tier, i_idx, j_idx, fp, handed,
+                        force_target, k, layout.rows[k],
+                    )
+
+            return run
+
+        pair_region("force", force_task)
+        forces = self._merge("force", force_target)
+
+        return self._finalize(
+            potential, atoms, nlist, rho, fp, forces,
+            float(np.sum(emb_parts)),
+            float(np.sum(pair_parts)) * self.pair_energy_scale,
+        )
+
+    # --- what a strategy supplies: its layout ... -------------------------------
+
+    def _layout(self, atoms: Atoms, nlist: NeighborList):
+        """Who runs which pairs when: any object with ``pair_i``,
+        ``pair_j``, ``tasks[k][phase] = (lo, hi)`` and ``rows[k] = (lo,
+        hi)``.  Default: the half list as it is, split by atom rows."""
+        if not nlist.half:
+            raise ValueError(f"{self.name} consumes half neighbor lists")
+        return self._row_blocks(nlist)
+
+    def _row_blocks(self, nlist: NeighborList, expand=None) -> RowBlockLayout:
+        """``nlist`` — or the list ``expand`` makes of it — split by atom
+        rows over ``n_threads`` workers, rebuilt only when ``nlist`` changed."""
+        if not self._layout_source.matches(nlist):
+            self._row_block_layout = row_block_layout(
+                expand(nlist) if expand else nlist, self.n_threads
+            )
+            self._layout_source.set(nlist)
+        return self._row_block_layout
+
+    def _phase_span(self, kind: str, phase: int, layout):
+        """The span around one phase of the ``kind`` pair region."""
+        return self._span(
+            f"{kind}:{self.write_mode}", phase=kind, n_chunks=self.n_threads
+        )
+
+    # --- ... and its write mode ---------------------------------------------------
+
+    def _merge(self, kind: str, accumulator: np.ndarray) -> np.ndarray:
+        """The reduced array, once the ``kind`` region's last task is done."""
+        return accumulator
+
+    def _density_slice(
+        self, tier, potential, positions, box, i_idx, j_idx, rho, handover,
+        k: int, rows: Tuple[int, int],
+    ) -> float:
+        """Worker ``k``'s density task over one pair range (``rows`` its
+        block of atom rows): the pair pass, ``phi`` written the strategy's
+        way, the range's pair-energy partial sum returned.  Default: both
+        endpoints, in place."""
+        return tier.density_slice(
+            potential, positions, box, i_idx, j_idx, rho, handover
+        )
+
+    def _force_slice(
+        self, tier, i_idx, j_idx, fp, handover, forces,
+        k: int, rows: Tuple[int, int],
+    ) -> None:
+        """The force task of the range :meth:`_density_slice` handed over."""
+        tier.force_slice(i_idx, j_idx, fp, handover, forces)
 
     @abstractmethod
     def plan(
@@ -167,22 +340,6 @@ class ReductionStrategy(ABC):
         """Build the execution plan the simulator times."""
 
     # --- shared helpers -------------------------------------------------------
-
-    def _total_pair_energy(
-        self,
-        potential: EAMPotential,
-        atoms: Atoms,
-        nlist: NeighborList,
-    ) -> float:
-        """Pair-energy sum (not part of the timed kernels; shared by all)."""
-        i_idx, j_idx = nlist.pair_arrays()
-        if len(i_idx) == 0:
-            return 0.0
-        _, r = pair_geometry(
-            atoms.positions, atoms.box, i_idx, j_idx, tier=self._tier()
-        )
-        v = potential.pair_energy(r)
-        return float(np.sum(v)) * (1.0 if nlist.half else 0.5)
 
     @staticmethod
     def _finalize(
@@ -210,31 +367,3 @@ class ReductionStrategy(ABC):
             fp=fp,
             forces=forces,
         )
-
-
-def atom_chunks(n_atoms: int, n_chunks: int) -> list[np.ndarray]:
-    """Contiguous near-equal atom-row chunks (OpenMP static over atoms)."""
-    if n_chunks < 1:
-        raise ValueError("n_chunks must be >= 1")
-    base = n_atoms // n_chunks
-    extra = n_atoms % n_chunks
-    out = []
-    start = 0
-    for k in range(n_chunks):
-        size = base + (1 if k < extra else 0)
-        out.append(np.arange(start, start + size, dtype=np.int64))
-        start += size
-    return out
-
-
-def rows_pair_slice(
-    nlist: NeighborList, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flat ``(i, j)`` pair arrays for the rows of a chunk of atoms."""
-    offsets = nlist.csr.offsets
-    lengths = nlist.csr.row_lengths()
-    from repro.md.neighbor.cells import concat_ranges
-
-    slots = concat_ranges(offsets[rows], lengths[rows])
-    i_idx = np.repeat(rows, lengths[rows])
-    return i_idx, nlist.csr.values[slots]

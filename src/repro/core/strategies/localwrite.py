@@ -28,23 +28,15 @@ import numpy as np
 
 from repro.core.domain import SubdomainGrid, decompose, decompose_balanced
 from repro.core.partition import build_partition
-from repro.core.strategies.base import ReductionStrategy
+from repro.core.strategies.base import ReductionStrategy, handover_arrays
 from repro.md.atoms import Atoms
 from repro.md.neighbor.verlet import NeighborList
 from repro.parallel.backends.base import ExecutionBackend
-from repro.parallel.backends.serial import SerialBackend
 from repro.parallel.machine import MachineConfig
-from repro.parallel.plan import SimPhase, SimPlan, uniform_phase
+from repro.parallel.plan import SimPhase, SimPlan, embedding_phase
 from repro.parallel.workload import BYTES_PER_ATOM, WorkloadStats
 from repro.potentials.base import EAMPotential
-from repro.potentials.eam import (
-    EAMComputation,
-    force_pair_coefficients,
-    pair_geometry,
-    pair_terms,
-    scatter_force_half,
-    scatter_rho_half,
-)
+from repro.potentials.eam import EAMComputation
 from repro.utils.identity import IdentityKey
 
 
@@ -115,13 +107,10 @@ class LocalWriteStrategy(ReductionStrategy):
         axes: Optional[Sequence[int]] = None,
         adaptive: bool = True,
     ) -> None:
+        super().__init__(n_threads, backend)
         if dims not in (1, 2, 3):
             raise ValueError(f"dims must be 1, 2 or 3, got {dims}")
-        if n_threads < 1:
-            raise ValueError("n_threads must be >= 1")
         self.dims = dims
-        self.n_threads = n_threads
-        self.backend = backend or SerialBackend()
         self.axes = list(axes) if axes is not None else None
         self.adaptive = adaptive
         self._cached_nlist = IdentityKey()
@@ -162,6 +151,10 @@ class LocalWriteStrategy(ReductionStrategy):
         atoms: Atoms,
         nlist: NeighborList,
     ) -> EAMComputation:
+        """Not the shared body: one barrier-free phase whose task has two
+        write modes — interior pairs both endpoints, boundary pairs the
+        owned one — each segment on the tier's pair halves with its own
+        hand-over."""
         nlist.check_covers(atoms.n_atoms)
         if not nlist.half:
             raise ValueError("LOCALWRITE consumes half neighbor lists")
@@ -174,24 +167,37 @@ class LocalWriteStrategy(ReductionStrategy):
         box = atoms.box
         n = atoms.n_atoms
         n_sub = self._grid.n_subdomains
+        int_handover = handover_arrays(len(tables.int_i))
+        bnd_handover = handover_arrays(len(tables.bnd_i))
+
+        def handed(handover, offsets, s: int):
+            return [a[offsets[s] : offsets[s + 1]] for a in handover]
 
         rho = self._array("rho", n)
+        pair_parts = np.zeros(n_sub)
 
         def density_task(s: int):
             def run() -> None:
                 i_in, j_in = tables.interior_of(s)
                 if len(i_in):
-                    _, r = pair_geometry(positions, box, i_in, j_in, tier=tier)
-                    phi = pair_terms(potential, r, tier=tier)[0]
-                    scatter_rho_half(rho, i_in, j_in, phi, tier=tier)
+                    phi, interior_energy = tier.pair_pass(
+                        potential, positions, box, i_in, j_in,
+                        handed(int_handover, tables.int_offsets, s),
+                    )
+                    tier.scatter_rho_half(rho, i_in, j_in, phi)
+                    pair_parts[s] = interior_energy
                 i_b, j_b, side = tables.boundary_of(s)
                 if len(i_b):
-                    _, r = pair_geometry(positions, box, i_b, j_b, tier=tier)
-                    phi = pair_terms(potential, r, tier=tier)[0]
+                    phi, boundary_energy = tier.pair_pass(
+                        potential, positions, box, i_b, j_b,
+                        handed(bnd_handover, tables.bnd_offsets, s),
+                    )
                     # one-sided owned write: stays np.add.at so the task's
                     # write set is exactly its owned boundary rows
                     own = np.where(side == 0, i_b, j_b)
                     np.add.at(rho, own, phi)
+                    # a boundary pair is listed under both its owners
+                    pair_parts[s] += 0.5 * boundary_energy
 
             return run
 
@@ -212,21 +218,17 @@ class LocalWriteStrategy(ReductionStrategy):
             def run() -> None:
                 i_in, j_in = tables.interior_of(s)
                 if len(i_in):
-                    delta, r = pair_geometry(positions, box, i_in, j_in, tier=tier)
-                    coeff = force_pair_coefficients(
-                        potential, r, fp[i_in], fp[j_in],
-                        pair_ids=(i_in, j_in), tier=tier,
+                    pf = tier.pair_forces(
+                        i_in, j_in, fp,
+                        handed(int_handover, tables.int_offsets, s),
                     )
-                    pf = coeff[:, None] * delta
-                    scatter_force_half(forces, i_in, j_in, pf, tier=tier)
+                    tier.scatter_force_half(forces, i_in, j_in, pf)
                 i_b, j_b, side = tables.boundary_of(s)
                 if len(i_b):
-                    delta, r = pair_geometry(positions, box, i_b, j_b, tier=tier)
-                    coeff = force_pair_coefficients(
-                        potential, r, fp[i_b], fp[j_b],
-                        pair_ids=(i_b, j_b), tier=tier,
+                    pf = tier.pair_forces(
+                        i_b, j_b, fp,
+                        handed(bnd_handover, tables.bnd_offsets, s),
                     )
-                    pf = coeff[:, None] * delta
                     own = np.where(side == 0, i_b, j_b)
                     sign = np.where(side == 0, 1.0, -1.0)
                     for axis in range(3):
@@ -241,9 +243,9 @@ class LocalWriteStrategy(ReductionStrategy):
         ):
             self.backend.run_phase([force_task(s) for s in range(n_sub)])
 
-        pair_energy = self._total_pair_energy(potential, atoms, nlist)
         return self._finalize(
-            potential, atoms, nlist, rho, fp, forces, embedding_energy, pair_energy
+            potential, atoms, nlist, rho, fp, forces,
+            embedding_energy, float(np.sum(pair_parts)),
         )
 
     def plan(
@@ -293,15 +295,5 @@ class LocalWriteStrategy(ReductionStrategy):
                     locality=stats.locality,
                 )
             )
-        per_chunk = stats.n_atoms / max(n_threads, 1)
-        phases.insert(
-            1,
-            uniform_phase(
-                "embedding",
-                n_tasks=n_threads,
-                compute_per_task=per_chunk * machine.cycles_atom_embed_compute,
-                memory_per_task=per_chunk * machine.cycles_atom_embed_memory,
-                locality=stats.locality,
-            ),
-        )
+        phases.insert(1, embedding_phase(stats, machine, n_threads))
         return SimPlan(name=self.name, phases=phases, n_parallel_regions=3)

@@ -9,144 +9,52 @@ section dominates beyond 8 cores, "not a scalable method").
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from repro.core.strategies.base import (
-    ReductionStrategy,
-    atom_chunks,
-    rows_pair_slice,
-)
-from repro.md.atoms import Atoms
-from repro.md.neighbor.verlet import NeighborList
-from repro.parallel.backends.base import ExecutionBackend
-from repro.parallel.backends.serial import SerialBackend
+from repro.core.strategies.base import ReductionStrategy
 from repro.parallel.machine import MachineConfig
-from repro.parallel.plan import SimPhase, SimPlan, uniform_phase
+from repro.parallel.plan import SimPhase, SimPlan, embedding_phase, uniform_phase
 from repro.parallel.workload import WorkloadStats
-from repro.potentials.base import EAMPotential
-from repro.potentials.eam import (
-    EAMComputation,
-    force_pair_coefficients,
-    pair_geometry,
-    pair_terms,
-    scatter_force_half,
-    scatter_rho_half,
-)
 
 #: entries merged per critical-section entry in the merge loop
 MERGE_CHUNK_ENTRIES = 4096
 
 
 class ArrayPrivatizationStrategy(ReductionStrategy):
-    """Per-thread private reduction arrays, merged under a critical section."""
+    """Per-thread private reduction arrays, merged under a critical section.
+
+    Layout: the half list split by atom rows.  Write mode: both endpoints,
+    into worker ``k``'s private copy; the copies are summed once the
+    region's last task is done.
+    """
 
     name = "array-privatization"
+    write_mode = "private-scatter"
 
-    def __init__(
-        self,
-        n_threads: int = 1,
-        backend: Optional[ExecutionBackend] = None,
-    ) -> None:
-        if n_threads < 1:
-            raise ValueError("n_threads must be >= 1")
-        self.n_threads = n_threads
-        self.backend = backend or SerialBackend()
+    def _array(self, name, shape):
+        # one copy per worker, instrumented as one shadow: each task may only
+        # write its own copy, so the detector sees disjoint flat ranges when
+        # SAP is correct
+        return super()._array(f"{name}_private", (self.n_threads, *shape))
 
-    def compute(
-        self,
-        potential: EAMPotential,
-        atoms: Atoms,
-        nlist: NeighborList,
-    ) -> EAMComputation:
-        nlist.check_covers(atoms.n_atoms)
-        if not nlist.half:
-            raise ValueError("SAP consumes half neighbor lists")
-        tier = self._tier()
-        positions = atoms.positions
-        box = atoms.box
-        n = atoms.n_atoms
-        chunks = atom_chunks(n, self.n_threads)
+    def _merge(self, kind, accumulator):
+        # in thread order (the real code merges under a critical section;
+        # fixed order keeps results deterministic)
+        with self._span(f"{kind}:merge", phase=kind, n_copies=self.n_threads):
+            return np.asarray(accumulator).sum(axis=0)
 
-        # --- density: private rho copies, then ordered merge -----------------
-        # instrumented as one shadow: each task may only write its own row,
-        # so the detector sees disjoint flat ranges when SAP is correct
-        private_rho = self._array("rho_private", (self.n_threads, n))
-
-        def density_task(k: int, rows: np.ndarray):
-            def run() -> None:
-                i_idx, j_idx = rows_pair_slice(nlist, rows)
-                if len(i_idx) == 0:
-                    return
-                _, r = pair_geometry(positions, box, i_idx, j_idx, tier=tier)
-                phi = pair_terms(potential, r, tier=tier)[0]
-                scatter_rho_half(private_rho[k], i_idx, j_idx, phi, tier=tier)
-
-            return run
-
-        with self._span(
-            "density:private-scatter", phase="density", n_chunks=len(chunks)
-        ):
-            self.backend.run_phase(
-                [density_task(k, rows) for k, rows in enumerate(chunks)]
-            )
-        # merge in thread order (the real code merges under a critical
-        # section; fixed order keeps results deterministic)
-        with self._span(
-            "density:merge", phase="density", n_copies=self.n_threads
-        ):
-            rho = np.asarray(private_rho).sum(axis=0)
-
-        fp = np.empty(n)
-        emb_parts = np.zeros(len(chunks))
-
-        def embed_task(k: int, rows: np.ndarray):
-            def run() -> None:
-                emb_parts[k] = float(np.sum(potential.embed(rho[rows])))
-                fp[rows] = potential.embed_deriv(rho[rows])
-
-            return run
-
-        with self._span("embedding", phase="embedding"):
-            self.backend.run_phase(
-                [embed_task(k, rows) for k, rows in enumerate(chunks)]
-            )
-        embedding_energy = float(np.sum(emb_parts))
-
-        # --- forces: private force copies, then ordered merge --------------------
-        private_forces = self._array("forces_private", (self.n_threads, n, 3))
-
-        def force_task(k: int, rows: np.ndarray):
-            def run() -> None:
-                i_idx, j_idx = rows_pair_slice(nlist, rows)
-                if len(i_idx) == 0:
-                    return
-                delta, r = pair_geometry(positions, box, i_idx, j_idx, tier=tier)
-                coeff = force_pair_coefficients(
-                    potential, r, fp[i_idx], fp[j_idx],
-                    pair_ids=(i_idx, j_idx), tier=tier,
-                )
-                pair_forces = coeff[:, None] * delta
-                scatter_force_half(
-                    private_forces[k], i_idx, j_idx, pair_forces, tier=tier
-                )
-
-            return run
-
-        with self._span(
-            "force:private-scatter", phase="force", n_chunks=len(chunks)
-        ):
-            self.backend.run_phase(
-                [force_task(k, rows) for k, rows in enumerate(chunks)]
-            )
-        with self._span("force:merge", phase="force", n_copies=self.n_threads):
-            forces = np.asarray(private_forces).sum(axis=0)
-
-        pair_energy = self._total_pair_energy(potential, atoms, nlist)
-        return self._finalize(
-            potential, atoms, nlist, rho, fp, forces, embedding_energy, pair_energy
+    def _density_slice(
+        self, tier, potential, positions, box, i_idx, j_idx, rho, handover,
+        k, rows,
+    ) -> float:
+        return tier.density_slice(
+            potential, positions, box, i_idx, j_idx, rho[k], handover
         )
+
+    def _force_slice(
+        self, tier, i_idx, j_idx, fp, handover, forces, k, rows
+    ) -> None:
+        tier.force_slice(i_idx, j_idx, fp, handover, forces[k])
 
     def plan(
         self,
@@ -155,7 +63,6 @@ class ArrayPrivatizationStrategy(ReductionStrategy):
         n_threads: int,
     ) -> SimPlan:
         pairs_per_thread = stats.n_half_pairs / max(n_threads, 1)
-        per_chunk = stats.n_atoms / max(n_threads, 1)
         phases: list[SimPhase] = []
 
         def privatized_region(
@@ -207,15 +114,7 @@ class ArrayPrivatizationStrategy(ReductionStrategy):
             machine.cycles_pair_density_memory,
             entries_per_copy=stats.n_atoms,
         )
-        phases.append(
-            uniform_phase(
-                "embedding",
-                n_tasks=n_threads,
-                compute_per_task=per_chunk * machine.cycles_atom_embed_compute,
-                memory_per_task=per_chunk * machine.cycles_atom_embed_memory,
-                locality=stats.locality,
-            )
-        )
+        phases.append(embedding_phase(stats, machine, n_threads))
         privatized_region(
             "force",
             machine.cycles_pair_force_compute,

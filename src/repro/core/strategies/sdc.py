@@ -1,6 +1,7 @@
 """Spatial Decomposition Coloring — the paper's method (Section II.B-C).
 
-Execution structure per force evaluation (paper Figs. 7-8):
+Execution structure per force evaluation (paper Figs. 7-8), run by the
+shared three-region body (:meth:`ReductionStrategy.compute`):
 
 * **density region**: for each color, every worker runs its static chunk of
   the color's subdomains — one contiguous pair range of the plan
@@ -10,13 +11,14 @@ Execution structure per force evaluation (paper Figs. 7-8):
   between colors.
 * **embedding region**: a plain parallel-for over atoms (no dependences).
 * **force region**: same color structure with the Eq. 2 scatter.
+
+What SDC supplies is the layout: its plan, the colors as phases.  The write
+mode is the default — both endpoints, in place.
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence
-
-import numpy as np
 
 from repro.core.domain import SubdomainGrid
 from repro.core.partition import PairPartition
@@ -27,12 +29,9 @@ from repro.md.atoms import Atoms
 from repro.md.neighbor.verlet import NeighborList
 from repro.obs.recorder import count as count_health
 from repro.parallel.backends.base import ExecutionBackend
-from repro.parallel.backends.serial import SerialBackend
 from repro.parallel.machine import MachineConfig
-from repro.parallel.plan import SimPhase, SimPlan, uniform_phase
+from repro.parallel.plan import SimPhase, SimPlan, embedding_phase
 from repro.parallel.workload import BYTES_PER_ATOM, WorkloadStats
-from repro.potentials.base import EAMPotential
-from repro.potentials.eam import EAMComputation
 from repro.utils.identity import IdentityKey
 
 
@@ -89,13 +88,10 @@ class SDCStrategy(ReductionStrategy):
         ] = None,
         grid_factory: Optional[Callable[..., SubdomainGrid]] = None,
     ) -> None:
+        super().__init__(n_threads, backend)
         if dims not in (1, 2, 3):
             raise ValueError(f"dims must be 1, 2 or 3, got {dims}")
-        if n_threads < 1:
-            raise ValueError("n_threads must be >= 1")
         self.dims = dims
-        self.n_threads = n_threads
-        self.backend = backend or SerialBackend()
         self.axes = list(axes) if axes is not None else None
         self.adaptive = adaptive
         self.validate_conflicts = validate_conflicts
@@ -147,92 +143,18 @@ class SDCStrategy(ReductionStrategy):
         """The current color schedule (None before the first compute)."""
         return self._plan and self._plan.schedule
 
-    # --- physics -----------------------------------------------------------------
+    # --- layout: the plan, colors as phases; write mode: the default -------------
 
-    def compute(
-        self,
-        potential: EAMPotential,
-        atoms: Atoms,
-        nlist: NeighborList,
-    ) -> EAMComputation:
-        nlist.check_covers(atoms.n_atoms)
+    def _layout(self, atoms: Atoms, nlist: NeighborList) -> SDCPlan:
         with self._span("neighbor-rebuild", phase="neighbor-rebuild"):
-            plan = self._prepare(atoms, nlist)
-        tier = self._tier()
-        positions, box, n = atoms.positions, atoms.box, atoms.n_atoms
-        pair_i, pair_j = plan.pair_i, plan.pair_j
-        workers = range(self.n_threads)
-        phases = plan.schedule.phases
+            return self._prepare(atoms, nlist)
 
-        def color_region(kind: str, task) -> None:
-            for color, members in enumerate(phases):
-                with self._span(
-                    f"{kind}:color{color}",
-                    phase=kind,
-                    color=color,
-                    n_subdomains=len(members),
-                ):
-                    self.backend.run_phase([task(k, color) for k in workers])
-
-        # phase 1: densities, color by color.  One geometry pass and one
-        # potential call per evaluation: a range's density task leaves its
-        # (delta, r, phi', V') in the hand-over arrays, and the same range's
-        # force task reads them back after the density region's last barrier
-        rho = self._array("rho", n)
-        handover = [np.empty((len(pair_i), 3))] + [
-            np.empty(len(pair_i)) for _ in range(3)
-        ]
-        pair_parts = np.zeros((self.n_threads, len(phases)))
-
-        def task_views(k: int, color: int):
-            """Worker ``k``'s range of ``color``: its pairs, its hand-over."""
-            lo, hi = plan.tasks[k][color]
-            return pair_i[lo:hi], pair_j[lo:hi], [a[lo:hi] for a in handover]
-
-        def density_task(k: int, color: int):
-            i_idx, j_idx, handed = task_views(k, color)
-
-            def run() -> None:
-                pair_parts[k, color] = tier.density_slice(
-                    potential, positions, box, i_idx, j_idx, rho, handed
-                )
-
-            return run
-
-        color_region("density", density_task)
-
-        # phase 2: embedding, plain parallel for over contiguous atom rows
-        fp = np.empty(n)
-        emb_parts = np.zeros(self.n_threads)
-
-        def embed_task(k: int):
-            lo, hi = plan.rows[k]
-
-            def run() -> None:
-                emb_parts[k] = float(np.sum(potential.embed(rho[lo:hi])))
-                fp[lo:hi] = potential.embed_deriv(rho[lo:hi])
-
-            return run
-
-        with self._span("embedding", phase="embedding", n_chunks=len(workers)):
-            self.backend.run_phase([embed_task(k) for k in workers])
-
-        # phase 3: forces, color by color
-        forces = self._array("forces", (n, 3))
-
-        def force_task(k: int, color: int):
-            i_idx, j_idx, handed = task_views(k, color)
-
-            def run() -> None:
-                tier.force_slice(i_idx, j_idx, fp, handed, forces)
-
-            return run
-
-        color_region("force", force_task)
-
-        return self._finalize(
-            potential, atoms, nlist, rho, fp, forces,
-            float(np.sum(emb_parts)), float(np.sum(pair_parts)),
+    def _phase_span(self, kind: str, color: int, plan: SDCPlan):
+        return self._span(
+            f"{kind}:color{color}",
+            phase=kind,
+            color=color,
+            n_subdomains=len(plan.schedule.phases[color]),
         )
 
     # --- timing plan ----------------------------------------------------------------
@@ -274,16 +196,7 @@ class SDCStrategy(ReductionStrategy):
             machine.cycles_pair_density_compute,
             machine.cycles_pair_density_memory,
         )
-        per_chunk = stats.n_atoms / max(n_threads, 1)
-        phases.append(
-            uniform_phase(
-                "embedding",
-                n_tasks=n_threads,
-                compute_per_task=per_chunk * machine.cycles_atom_embed_compute,
-                memory_per_task=per_chunk * machine.cycles_atom_embed_memory,
-                locality=stats.locality,
-            )
-        )
+        phases.append(embedding_phase(stats, machine, n_threads))
         scatter_phases(
             "force",
             machine.cycles_pair_force_compute,

@@ -14,7 +14,7 @@ from repro.core.strategies.base import ReductionStrategy
 from repro.md.atoms import Atoms
 from repro.md.neighbor.verlet import NeighborList
 from repro.parallel.machine import MachineConfig
-from repro.parallel.plan import SimPlan, uniform_phase
+from repro.parallel.plan import SimPlan, embedding_phase, uniform_phase
 from repro.parallel.workload import WorkloadStats
 from repro.potentials.base import EAMPotential
 from repro.potentials.eam import EAMComputation, compute_eam_forces_serial
@@ -25,12 +25,17 @@ class SerialStrategy(ReductionStrategy):
 
     name = "serial"
 
+    def __init__(self) -> None:
+        """No schedule width, no backend: nothing is ever dispatched."""
+
     def compute(
         self,
         potential: EAMPotential,
         atoms: Atoms,
         nlist: NeighborList,
     ) -> EAMComputation:
+        """Not the shared body: the evaluation owns its output arrays, so
+        ``tier.evaluate`` scatters with ``bincount`` instead of in place."""
         return compute_eam_forces_serial(
             potential, atoms, nlist, tracer=self._tracer,
             tier=self._kernel_tier,
@@ -51,13 +56,7 @@ class SerialStrategy(ReductionStrategy):
                 memory_per_task=pairs * machine.cycles_pair_density_memory,
                 locality=stats.locality,
             ),
-            uniform_phase(
-                "embedding",
-                n_tasks=1,
-                compute_per_task=stats.n_atoms * machine.cycles_atom_embed_compute,
-                memory_per_task=stats.n_atoms * machine.cycles_atom_embed_memory,
-                locality=stats.locality,
-            ),
+            embedding_phase(stats, machine, 1),
             uniform_phase(
                 "force",
                 n_tasks=1,

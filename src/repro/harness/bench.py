@@ -80,51 +80,6 @@ class BenchSkip(RuntimeError):
     """A sweep cell that cannot run (unsupported combination)."""
 
 
-def _make_serial_on_backend(
-    backend, potential, atoms, nlist, tracer: Tracer, tier=None
-) -> Callable[[], object]:
-    """Serial kernels dispatched as single-task phases through ``backend``.
-
-    This is what "serial strategy on the threads backend" means: the same
-    three-phase structure, each phase one closure, so the backend's
-    dispatch/join overhead is measured against the pure in-process call.
-    ``tier`` pins the kernel tier explicitly (None follows the
-    process-global active tier).
-    """
-    from repro.potentials.eam import (
-        eam_density_and_pair_energy_phase,
-        eam_embedding_phase,
-        eam_force_phase,
-    )
-
-    state: Dict[str, object] = {}
-
-    def density() -> None:
-        state["rho"], state["pair_energy"] = eam_density_and_pair_energy_phase(
-            potential, atoms.positions, atoms.box, nlist, tier=tier
-        )
-
-    def embed() -> None:
-        state["emb"], state["fp"] = eam_embedding_phase(
-            potential, state["rho"]
-        )
-
-    def force() -> None:
-        state["forces"] = eam_force_phase(
-            potential, atoms.positions, atoms.box, nlist, state["fp"], tier=tier
-        )
-
-    def compute() -> object:
-        for name, task in (
-            ("density", density), ("embedding", embed), ("force", force)
-        ):
-            with tracer.span(name, phase=name):
-                backend.run_phase([task])
-        return state["forces"]
-
-    return compute
-
-
 def _make_cell(
     strategy_key: str,
     backend_key: str,
@@ -143,20 +98,12 @@ def _make_cell(
     from repro.harness.tracing import _make_calculator
 
     tier = kernels.get(kernel_tier) if kernel_tier is not None else None
-
-    if strategy_key == "serial" and backend_key in ("serial", "threads"):
-        from repro.analysis.racecheck import make_backend
-
-        # the tier travels inside the phase closures — no global override
-        backend = make_backend(backend_key, n_workers)
-        compute = _make_serial_on_backend(
-            backend, potential, atoms, nlist, tracer, tier=tier
-        )
-        tier_name = (tier if tier is not None else kernels.active_tier()).name
-        return compute, backend.close, tier_name
-
+    serial_on_threads = strategy_key == "serial" and backend_key == "threads"
     calc, close = _make_calculator(
-        strategy_key, backend_key, n_workers, kernel_tier=kernel_tier
+        strategy_key,
+        "serial" if serial_on_threads else backend_key,
+        n_workers,
+        kernel_tier=kernel_tier,
     )
     # pin instead of use_tier(): concurrent sweep cells (or a user's own
     # driver on another thread) never race on the process-global slot
@@ -164,15 +111,24 @@ def _make_cell(
         calc.set_kernel_tier(tier)
     calc.attach_tracer(tracer)
 
+    def evaluate() -> object:
+        return calc.compute(potential, atoms, nlist)
+
+    compute: Callable[[], object] = evaluate
+    if serial_on_threads:
+        from repro.analysis.racecheck import make_backend
+
+        # the serial evaluation submitted as one task, so what the cell
+        # adds to serial x serial is the backend's dispatch/join cost
+        backend = make_backend(backend_key, n_workers)
+        close = backend.close
+        compute = lambda: backend.run_phase([evaluate])  # noqa: E731
+
     def cleanup() -> None:
         calc.detach_tracer()
         close()
 
-    return (
-        lambda: calc.compute(potential, atoms, nlist),
-        cleanup,
-        calc.kernel_tier,
-    )
+    return compute, cleanup, calc.kernel_tier
 
 
 def bench_forces(

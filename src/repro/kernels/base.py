@@ -7,7 +7,10 @@ pair-slice building blocks (:meth:`KernelTier.pair_geometry`,
 drivers the bench harness calls, the whole-evaluation entry point
 (:meth:`KernelTier.evaluate`) of the serial path and the two slice entry
 points (:meth:`KernelTier.density_slice`, :meth:`KernelTier.force_slice`)
-every SDC task runs through.  The NumPy tier is the
+every strategy task runs through — each a pair half
+(:meth:`KernelTier.pair_pass`, :meth:`KernelTier.pair_forces`) plus the
+both-endpoints scatter, the halves also serving the strategies that scatter
+differently.  The NumPy tier is the
 reference; compiled tiers (Numba today) must reproduce it to floating-point
 noise on every entry point — asserted by ``tests/kernels/``.
 
@@ -326,7 +329,45 @@ class KernelTier(ABC):
             )
         return rho, pair_energy, embedding_energy, fp, forces
 
-    # --- SDC slice entry points -------------------------------------------------
+    # --- pair-slice entry points ------------------------------------------------
+
+    def pair_pass(
+        self,
+        potential,
+        positions: np.ndarray,
+        box,
+        i_idx: np.ndarray,
+        j_idx: np.ndarray,
+        handover: Sequence[np.ndarray],
+    ) -> Tuple[np.ndarray, float]:
+        """The one geometry pass and one potential call of a pair slice:
+        writes the slice's ``(delta, r, phi', V')`` into the four
+        slice-sized ``handover`` arrays for :meth:`pair_forces` and
+        returns ``(phi, pair-energy sum)``.  A bad index or an
+        overlapping pair raises before anything is written."""
+        check_scatter_indices("density slice", len(positions), i_idx, j_idx)
+        delta, r = self.pair_geometry(positions, box, i_idx, j_idx)
+        check_pair_separation(r, (i_idx, j_idx))
+        phi, dphi, v, dv = self.pair_terms(potential, r)
+        for out, values in zip(handover, (delta, r, dphi, dv)):
+            out[:] = values
+        return phi, float(np.sum(v))
+
+    def pair_forces(
+        self,
+        i_idx: np.ndarray,
+        j_idx: np.ndarray,
+        fp: np.ndarray,
+        handover: Sequence[np.ndarray],
+    ) -> np.ndarray:
+        """Eq. 2 for the slice :meth:`pair_pass` handed over, from the
+        stored geometry and derivatives — no geometry pass, no potential
+        call."""
+        delta, r, dphi, dv = handover
+        coeff = pair_force_coefficients(
+            r, dphi, dv, fp[i_idx], fp[j_idx], pair_ids=(i_idx, j_idx)
+        )
+        return coeff[:, None] * delta
 
     def density_slice(
         self,
@@ -338,26 +379,20 @@ class KernelTier(ABC):
         rho: np.ndarray,
         handover: Sequence[np.ndarray],
     ) -> float:
-        """The density pass of one contiguous pair slice — an SDC color
-        task, a shard's pair list: scatters ``phi`` into ``rho``, writes
-        the slice's ``(delta, r, phi', V')`` into the four slice-sized
-        ``handover`` arrays for :meth:`force_slice` and returns its
-        pair-energy partial sum.
+        """The density pass of one contiguous half-list pair slice — a
+        strategy's task, a shard's pair list: :meth:`pair_pass`, then
+        ``phi`` scattered into both endpoints of ``rho``; returns the
+        slice's pair-energy partial sum.
 
-        The slice's one geometry pass and one potential call happen here.
-        ``rho`` is shared with sibling slices whose write sets are
-        disjoint, so the scatter is the unbuffered in-place one.  A bad
-        index or an overlapping pair raises before anything is written.
+        ``rho`` is shared with sibling slices (their write sets disjoint,
+        or the writes atomic), so the scatter is the unbuffered in-place
+        one.
         """
         if len(i_idx) == 0:
             return 0.0
-        check_scatter_indices("density slice", len(rho), i_idx, j_idx)
-        delta, r = self.pair_geometry(positions, box, i_idx, j_idx)
-        check_pair_separation(r, (i_idx, j_idx))
-        phi, dphi, v, dv = self.pair_terms(potential, r)
-        for out, values in zip(handover, (delta, r, dphi, dv)):
-            out[:] = values
-        pair_energy = float(np.sum(v))
+        phi, pair_energy = self.pair_pass(
+            potential, positions, box, i_idx, j_idx, handover
+        )
         self.scatter_rho_half(rho, i_idx, j_idx, phi)
         return pair_energy
 
@@ -370,12 +405,9 @@ class KernelTier(ABC):
         forces: np.ndarray,
     ) -> None:
         """The force pass of the slice :meth:`density_slice` handed over:
-        Eq. 2 from the stored geometry and derivatives, scattered into
-        ``forces`` — no geometry pass, no potential call."""
+        :meth:`pair_forces` scattered into both endpoints of ``forces``."""
         if len(i_idx) == 0:
             return
-        delta, r, dphi, dv = handover
-        coeff = pair_force_coefficients(
-            r, dphi, dv, fp[i_idx], fp[j_idx], pair_ids=(i_idx, j_idx)
+        self.scatter_force_half(
+            forces, i_idx, j_idx, self.pair_forces(i_idx, j_idx, fp, handover)
         )
-        self.scatter_force_half(forces, i_idx, j_idx, coeff[:, None] * delta)

@@ -195,3 +195,17 @@ def uniform_phase(
         locality=locality,
         footprint_bytes=footprint_bytes,
     )
+
+
+def embedding_phase(stats, machine, n_threads: int) -> SimPhase:
+    """The embedding region of every parallel strategy: a plain parallel
+    for over ``n_threads`` equal chunks of ``stats.n_atoms`` atoms, costed
+    by ``machine``'s per-atom embedding cycles."""
+    per_chunk = stats.n_atoms / max(n_threads, 1)
+    return uniform_phase(
+        "embedding",
+        n_tasks=n_threads,
+        compute_per_task=per_chunk * machine.cycles_atom_embed_compute,
+        memory_per_task=per_chunk * machine.cycles_atom_embed_memory,
+        locality=stats.locality,
+    )

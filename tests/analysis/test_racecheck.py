@@ -32,10 +32,11 @@ from repro.cli import main
 from repro.core.conflict import check_schedule_conflicts
 from repro.core.schedule import ColorSchedule
 from repro.core.sdc_plan import build_sdc_plan
-from repro.core.strategies import SDCStrategy
+from repro.core.strategies import ArrayPrivatizationStrategy, SDCStrategy
 from repro.potentials import compute_eam_forces_serial
 from repro.core.strategies.base import ReductionStrategy
 from repro.parallel.backends.serial import SerialBackend
+from repro.parallel.backends.threads import ThreadBackend
 
 pytestmark = pytest.mark.racecheck
 
@@ -147,7 +148,32 @@ class _CanaryStub(ReductionStrategy):
         raise NotImplementedError
 
 
+class _WrongCopySAP(ArrayPrivatizationStrategy):
+    """Worker 0 scatters its densities into the next worker's private copy."""
+
+    def _density_slice(self, *args):
+        *task, k, rows = args
+        if k == 0:
+            k = (k + 1) % self.n_threads
+        return super()._density_slice(*task, k, rows)
+
+
 class TestRacyStrategyIsFlagged:
+    def test_wrong_private_copy_is_flagged(
+        self, potential, sdc_atoms, sdc_nlist, reference_result
+    ):
+        """The write-mode hook is what the detector instruments."""
+        with ThreadBackend(2) as backend:
+            result, recorder = run_instrumented(
+                _WrongCopySAP(n_threads=2, backend=backend),
+                potential, sdc_atoms.copy(), sdc_nlist,
+            )
+        report = recorder.report(strategy="wrong-copy-sap", lock_free=True)
+        assert not report.race_free and not report.ok
+        assert {c.array for c in report.conflicts} == {"rho_private"}
+        # the copies are summed, so the physics cannot show the fault
+        assert np.allclose(result.forces, reference_result.forces, atol=1e-12)
+
     def test_same_phase_overlap_reported(self, potential, small_atoms, small_nlist):
         _, recorder = run_instrumented(
             _RacyStub(), potential, small_atoms.copy(), small_nlist

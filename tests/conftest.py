@@ -9,6 +9,7 @@ import pytest
 
 from repro.geometry import bcc_lattice
 from repro.geometry.lattice import perturb_positions
+from repro.kernels.numpy_tier import NumpyKernelTier
 from repro.md import Atoms, build_neighbor_list
 from repro.potentials import compute_eam_forces_serial, fe_potential
 from repro.utils.rng import default_rng
@@ -86,3 +87,27 @@ def reference_result(sdc_atoms, sdc_nlist, potential):
 def rng():
     """Fresh deterministic generator per test."""
     return default_rng(1234)
+
+
+class CountingTier(NumpyKernelTier):
+    """The NumPy tier, recording the size of every geometry pass and of
+    every potential call."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.passes: list = []
+        self.terms: list = []
+
+    def pair_geometry(self, positions, box, i_idx, j_idx):
+        self.passes.append(len(i_idx))
+        return super().pair_geometry(positions, box, i_idx, j_idx)
+
+    def pair_terms(self, potential, r):
+        self.terms.append(len(r))
+        return super().pair_terms(potential, r)
+
+
+@pytest.fixture()
+def counting_tier():
+    """A fresh :class:`CountingTier` per test."""
+    return CountingTier()

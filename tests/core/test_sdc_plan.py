@@ -14,6 +14,11 @@ over box edges on both sides of every count change (subdomain edge at
 workers than a colour has subdomains (empty ranges) and atoms exactly on
 subdomain faces.  Then the consequence: every executor of the plan agrees
 with the serial reference on a configuration with atoms on the faces.
+
+Beside it, the row-block layout of the comparison strategies
+(``row_block_layout``): ranges tile ``[0, n_pairs)`` in order, a range is
+exactly its block's CSR rows, the blocks tile ``[0, n_atoms)`` — empty and
+ragged rows, empty blocks, half and full lists.
 """
 
 from __future__ import annotations
@@ -26,16 +31,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.domain import DecompositionError
-from repro.core.sdc_plan import build_sdc_plan, color_task_layout
+from repro.core.sdc_plan import (
+    build_sdc_plan,
+    color_task_layout,
+    row_block_layout,
+)
 from repro.core.strategies.pairwise import SDCPairCalculator, SerialPairCalculator
 from repro.core.strategies.sdc import SDCStrategy
 from repro.geometry.box import Box
 from repro.geometry.lattice import bcc_lattice, perturb_positions
 from repro.md import Atoms, build_neighbor_list
+from repro.md.neighbor.verlet import NeighborList, full_from_half
 from repro.parallel.backends.serial import SerialBackend
 from repro.parallel.backends.threads import ThreadBackend
 from repro.potentials import compute_eam_forces_serial
 from repro.potentials.lj import LennardJones
+from repro.utils.arrays import CSR
 from repro.utils.rng import default_rng
 
 REACH = 1.2
@@ -163,6 +174,66 @@ class TestPlanProperties:
         )
         with pytest.raises(ValueError, match="half"):
             build_sdc_plan(sdc_atoms.box, full, 2, 2)
+
+
+def random_list(n_atoms: int, density: float, seed: int) -> NeighborList:
+    """A half list over ``n_atoms`` atoms with each ``i < j`` pair present
+    with probability ``density`` — ragged rows, empty ones at both ends."""
+    rng = default_rng(seed)
+    i_idx, j_idx = np.nonzero(
+        np.triu(rng.uniform(size=(n_atoms, n_atoms)) < density, 1)
+    )
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(i_idx, minlength=n_atoms))])
+    return NeighborList(
+        csr=CSR(offsets=offsets, values=j_idx),
+        cutoff=1.0,
+        skin=0.2,
+        half=True,
+        reference_positions=np.zeros((n_atoms, 3)),
+        box=Box([10.0, 10.0, 10.0]),
+    )
+
+
+class TestRowBlockLayout:
+    """The comparison strategies' layout: the list as it is, split by rows."""
+
+    @given(
+        n_atoms=st.integers(0, 200),
+        density=st.sampled_from([0.0, 0.01, 0.1, 0.5]),
+        seed=st.integers(0, 10**6),
+        workers=st.sampled_from([1, 2, 3, 5, None]),
+        half=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_ranges_are_the_blocks_csr_rows(
+        self, n_atoms, density, seed, workers, half
+    ):
+        n_workers = n_atoms + 1 if workers is None else workers
+        nlist = random_list(n_atoms, density, seed)
+        if not half:
+            nlist = full_from_half(nlist)
+        layout = row_block_layout(nlist, n_workers)
+        assert len(layout.tasks) == len(layout.rows) == n_workers
+        assert len(layout.pair_i) == len(layout.pair_j) == nlist.n_pairs
+        next_pair = next_row = 0
+        for ranges, (row_lo, row_hi) in zip(layout.tasks, layout.rows):
+            ((lo, hi),) = ranges  # one phase
+            # ranges tile [0, n_pairs) and rows tile [0, n_atoms), in order
+            assert lo == next_pair and lo <= hi
+            assert row_lo == next_row and row_lo <= row_hi
+            next_pair, next_row = hi, row_hi
+            # a range is exactly its block's CSR rows
+            empty = np.empty(0, dtype=np.int64)
+            rows = range(row_lo, row_hi)
+            want_j = [nlist.neighbors_of(i) for i in rows]
+            want_i = [np.full(len(nlist.neighbors_of(i)), i) for i in rows]
+            assert np.array_equal(
+                layout.pair_j[lo:hi], np.concatenate([empty, *want_j])
+            )
+            assert np.array_equal(
+                layout.pair_i[lo:hi], np.concatenate([empty, *want_i])
+            )
+        assert next_pair == nlist.n_pairs and next_row == n_atoms
 
 
 @pytest.fixture(scope="module")

@@ -17,8 +17,11 @@ from repro.core.strategies import (
     SDCStrategy,
     SerialStrategy,
 )
-from repro.md.neighbor.verlet import full_from_half
+from repro.geometry.box import Box
+from repro.md import Atoms
+from repro.md.neighbor.verlet import build_neighbor_list, full_from_half
 from repro.parallel.backends import SerialBackend, ThreadBackend
+from repro.potentials import compute_eam_forces_serial
 
 FORCE_TOL = 1e-12
 RHO_TOL = 1e-12
@@ -88,6 +91,43 @@ def test_other_strategies_with_thread_backend(
     assert_matches_reference(result, reference_result)
 
 
+@pytest.mark.parametrize("n_threads", [1, 2, 3, 5])
+@pytest.mark.parametrize("system", ["crystal", "dimer"])
+@pytest.mark.parametrize(
+    "cls",
+    [
+        CriticalSectionStrategy,
+        ArrayPrivatizationStrategy,
+        RedundantComputationStrategy,
+        AtomicStrategy,
+    ],
+    ids=["cs", "sap", "rc", "atomic"],
+)
+def test_other_strategies_at_any_width(
+    cls, system, n_threads, potential, sdc_atoms, sdc_nlist
+):
+    """Row blocks that do not divide the atoms, and — on the dimer — more
+    workers than atoms: empty blocks, empty pair ranges."""
+    atoms, nlist = sdc_atoms, sdc_nlist
+    if system == "dimer":
+        atoms = Atoms(
+            box=Box([20.0, 20.0, 20.0]),
+            positions=np.array([[5.0, 5.0, 5.0], [7.5, 5.0, 5.0]]),
+        )
+        nlist = build_neighbor_list(
+            atoms.positions, atoms.box, potential.cutoff, skin=0.3
+        )
+        assert nlist.n_pairs == 1
+    reference = compute_eam_forces_serial(potential, atoms.copy(), nlist)
+    with ThreadBackend(n_threads) as backend:
+        result = cls(n_threads=n_threads, backend=backend).compute(
+            potential, atoms.copy(), nlist
+        )
+    assert np.max(np.abs(result.forces - reference.forces)) <= 1e-9
+    assert abs(result.pair_energy - reference.pair_energy) <= 1e-9
+    assert abs(result.embedding_energy - reference.embedding_energy) <= 1e-9
+
+
 class TestSDCSpecifics:
     def test_grid_cached_per_neighbor_list(self, potential, sdc_atoms, sdc_nlist):
         strategy = SDCStrategy(dims=2, n_threads=2)
@@ -97,8 +137,6 @@ class TestSDCSpecifics:
         assert strategy.grid is grid_first
 
     def test_grid_rebuilt_on_new_list(self, potential, sdc_atoms, sdc_nlist):
-        from repro.md.neighbor.verlet import build_neighbor_list
-
         strategy = SDCStrategy(dims=2, n_threads=2)
         strategy.compute(potential, sdc_atoms.copy(), sdc_nlist)
         grid_first = strategy.grid
@@ -138,9 +176,10 @@ class TestRCSpecifics:
     def test_full_list_cached(self, potential, sdc_atoms, sdc_nlist):
         strategy = RedundantComputationStrategy(n_threads=2)
         strategy.compute(potential, sdc_atoms.copy(), sdc_nlist)
-        first = strategy._full
+        first = strategy._layout(sdc_atoms, sdc_nlist)
+        assert len(first.pair_i) == 2 * sdc_nlist.n_pairs
         strategy.compute(potential, sdc_atoms.copy(), sdc_nlist)
-        assert strategy._full is first
+        assert strategy._layout(sdc_atoms, sdc_nlist) is first
 
     def test_accepts_full_list_directly(
         self, potential, sdc_atoms, sdc_nlist, reference_result

@@ -110,6 +110,33 @@ class TestBenchForces:
         assert "processes" in skips[0]
 
 
+class TestSerialCellIsTheSerialKernel:
+    """The row every "speedup vs serial" divides by runs what ``Simulation``
+    runs — ``SerialStrategy`` → ``tier.evaluate`` — not the stand-alone
+    phases with their own geometry pass and potential call each."""
+
+    @pytest.mark.parametrize("backend,workers", [("serial", 1), ("threads", 2)])
+    def test_one_geometry_pass_one_potential_call(
+        self, counting_tier, potential, sdc_atoms, sdc_nlist, backend, workers
+    ):
+        from repro.harness.bench import _make_cell
+        from repro.obs.tracer import Tracer
+
+        tracer = Tracer()
+        compute, cleanup, tier_name = _make_cell(
+            "serial", backend, workers, potential, sdc_atoms.copy(), sdc_nlist,
+            tracer, kernel_tier=counting_tier,
+        )
+        try:
+            compute()
+        finally:
+            cleanup()
+        assert tier_name == counting_tier.name
+        assert counting_tier.passes == [sdc_nlist.n_pairs]
+        assert counting_tier.terms == [sdc_nlist.n_pairs]
+        assert {s.args.get("phase") for s in tracer.spans} == KERNEL_PHASES
+
+
 KERNEL_PHASES = {"density", "embedding", "force"}
 
 #: phase names the parent commit (``PhaseProfiler`` + ``ProfilingObserver``)

@@ -1,10 +1,11 @@
 """One pair-geometry pass and one potential call per force evaluation, and
 what they return.
 
-* the contract, by count: a serial evaluation and an SDC evaluation each
-  push every pair through ``pair_geometry`` exactly once (they used to
-  push ``2P`` and ``3P``) and through ``pair_terms`` exactly once, in the
-  density pass — the force pass calls no potential function at all;
+* the contract, by count: a serial evaluation, an SDC evaluation and an
+  evaluation by each comparison strategy push every stored pair through
+  ``pair_geometry`` exactly once (they used to push ``2P`` and ``3P``) and
+  through ``pair_terms`` exactly once, in the density pass — the force
+  pass calls no potential function at all;
 * the layout: the component-major ``pair_geometry`` is *exactly* the
   row-major ``Box.minimum_image`` formulation it replaced — ties, far
   images, dtypes, strides, empty slices;
@@ -25,6 +26,7 @@ import multiprocessing as mp
 import numpy as np
 import pytest
 
+from repro.analysis.racecheck import make_strategy
 from repro.core.strategies.sdc import SDCStrategy
 from repro.core.strategies.serial import SerialStrategy
 from repro.geometry.box import Box
@@ -47,24 +49,6 @@ from repro.potentials.base import EAMPotential
 from repro.potentials.johnson_fe import JohnsonFePotential
 
 
-class CountingTier(NumpyKernelTier):
-    """The NumPy tier, recording the size of every geometry pass and of
-    every potential call."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.passes: list = []
-        self.terms: list = []
-
-    def pair_geometry(self, positions, box, i_idx, j_idx):
-        self.passes.append(len(i_idx))
-        return super().pair_geometry(positions, box, i_idx, j_idx)
-
-    def pair_terms(self, potential, r):
-        self.terms.append(len(r))
-        return super().pair_terms(potential, r)
-
-
 def _separate_call(self, r):
     raise AssertionError("a radial function was called outside pair_terms")
 
@@ -77,11 +61,22 @@ class OnePassOnlyFe(JohnsonFePotential):
     pair_energy = pair_energy_deriv = _separate_call
 
 
+#: the Fig. 9 rivals of SDC, on the shared three-region body (LOCALWRITE on
+#: the tier's pair halves)
+COMPARISON_STRATEGIES = [
+    "atomic",
+    "critical-section",
+    "array-privatization",
+    "redundant-computation",
+    "localwrite",
+]
+
+
 class TestOnePassByCount:
     def test_serial_evaluation_is_one_whole_list_pass(
-        self, sdc_atoms, sdc_nlist
+        self, counting_tier, sdc_atoms, sdc_nlist
     ):
-        tier = CountingTier()
+        tier = counting_tier
         strategy = SerialStrategy()
         strategy.set_kernel_tier(tier)
         strategy.compute(OnePassOnlyFe(), sdc_atoms.copy(), sdc_nlist)
@@ -89,10 +84,10 @@ class TestOnePassByCount:
         assert tier.terms == [sdc_nlist.n_pairs]
 
     def test_standalone_phases_each_pay_their_own_pass(
-        self, potential, sdc_atoms, sdc_nlist
+        self, counting_tier, potential, sdc_atoms, sdc_nlist
     ):
-        """The probes and ``repro bench`` time the phases alone."""
-        tier = CountingTier()
+        """The probes time the phases alone."""
+        tier = counting_tier
         positions, box = sdc_atoms.positions, sdc_atoms.box
         rho, _ = tier.density_and_pair_energy_phase(
             potential, positions, box, sdc_nlist
@@ -109,9 +104,9 @@ class TestOnePassByCount:
         "backend", [SerialBackend, lambda: ThreadBackend(2)], ids=["serial", "threads"]
     )
     def test_sdc_evaluation_geometry_totals_one_pass(
-        self, sdc_atoms, sdc_nlist, reference_result, dims, backend
+        self, counting_tier, sdc_atoms, sdc_nlist, reference_result, dims, backend
     ):
-        tier = CountingTier()
+        tier = counting_tier
         with backend() as pool:
             strategy = SDCStrategy(dims=dims, n_threads=2, backend=pool)
             strategy.set_kernel_tier(tier)
@@ -126,14 +121,41 @@ class TestOnePassByCount:
             reference_result.pair_energy, rel=1e-12
         )
 
+    @pytest.mark.parametrize("name", COMPARISON_STRATEGIES)
+    @pytest.mark.parametrize(
+        "backend", [SerialBackend, lambda: ThreadBackend(2)], ids=["serial", "threads"]
+    )
+    def test_comparison_strategy_is_one_pass_per_stored_pair(
+        self, counting_tier, sdc_atoms, sdc_nlist, reference_result, name, backend
+    ):
+        tier = counting_tier
+        with backend() as pool:
+            strategy = make_strategy(name, n_threads=2, backend=pool, dims=2)
+            strategy.set_kernel_tier(tier)
+            result = strategy.compute(
+                OnePassOnlyFe(), sdc_atoms.copy(), sdc_nlist
+            )
+        stored = sdc_nlist.n_pairs
+        if name == "redundant-computation":  # the doubled list
+            stored *= 2
+        if name == "localwrite":  # a boundary pair is listed under both owners
+            stored += strategy._tables.n_boundary_pairs
+            assert strategy._tables.n_boundary_pairs > 0
+        assert sum(tier.passes) == stored
+        # one potential call per geometry pass: none in the force region
+        assert sorted(tier.terms) == sorted(tier.passes)
+        assert result.pair_energy == pytest.approx(
+            reference_result.pair_energy, rel=1e-12
+        )
+
     def test_shard_workers_call_the_potential_in_the_density_command_only(
-        self, sdc_atoms, sdc_nlist, reference_result
+        self, counting_tier, sdc_atoms, sdc_nlist, reference_result
     ):
         """``ChunkWorker`` — the chunk body of both process calculators —
         counted through the sharded calculator's in-process engine."""
         from repro.parallel.backends.sharded import ShardedSDCCalculator
 
-        tier = CountingTier()
+        tier = counting_tier
         with ShardedSDCCalculator(
             n_shards=2, engine="inline", kernel_tier=tier
         ) as calc:
@@ -271,6 +293,19 @@ class TestOverlapStopsBeforeAnyScatter:
         atoms, nlist = overlapping
         with backend() as pool:
             strategy = SDCStrategy(dims=2, n_threads=2, backend=pool)
+            strategy.set_kernel_tier(ScatterSpy())
+            with pytest.raises(ValueError, match=self.MESSAGE):
+                strategy.compute(potential, atoms, nlist)
+        self.assert_untouched(atoms)
+
+    @pytest.mark.parametrize("name", COMPARISON_STRATEGIES)
+    @pytest.mark.parametrize(
+        "backend", [SerialBackend, lambda: ThreadBackend(2)], ids=["serial", "threads"]
+    )
+    def test_comparison_strategies(self, potential, overlapping, name, backend):
+        atoms, nlist = overlapping
+        with backend() as pool:
+            strategy = make_strategy(name, n_threads=2, backend=pool, dims=2)
             strategy.set_kernel_tier(ScatterSpy())
             with pytest.raises(ValueError, match=self.MESSAGE):
                 strategy.compute(potential, atoms, nlist)
