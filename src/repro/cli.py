@@ -213,6 +213,7 @@ def _cmd_racecheck(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     import os
+    from functools import partial
 
     from repro.harness.bench import (
         QUICK_BACKENDS,
@@ -226,10 +227,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         render_tier_speedup_table,
         reordering_records,
         tier_speedup_records,
-        write_bench_json,
     )
     from repro.harness.cases import case_by_key
     from repro.harness.reordering import measure_reordering
+    from repro.obs.history import RunStore
+    from repro.obs.rundir import artifact_path, write_payload
+    from repro.obs.runlog import collect_run_meta
 
     if args.quick:
         cases = list(args.case or QUICK_CASES)
@@ -252,50 +255,31 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         repeats = args.repeats
         reorder_case = "demo"
 
-    if args.steps > 1:
-        records = bench_steps(
+    def sweep(kernel_tier):
+        """The same sweep on one tier (the run, then its reference)."""
+        mode = (
+            partial(bench_steps, steps=args.steps)
+            if args.steps > 1
+            else partial(bench_forces, warmup=warmup, repeats=repeats)
+        )
+        return mode(
             cases=cases,
             strategies=strategies,
             backends=backends,
             n_workers=args.threads,
-            steps=args.steps,
             on_skip=lambda msg: print(f"skip: {msg}", file=sys.stderr),
-            kernel_tier=args.kernel_tier,
+            kernel_tier=kernel_tier,
         )
-        print(render_bench_table(records))
+
+    records = sweep(args.kernel_tier)
+    print(render_bench_table(records))
+    if args.steps > 1:
         print()
         print(render_amortization_table(records))
-    else:
-        records = bench_forces(
-            cases=cases,
-            strategies=strategies,
-            backends=backends,
-            n_workers=args.threads,
-            warmup=warmup,
-            repeats=repeats,
-            on_skip=lambda msg: print(f"skip: {msg}", file=sys.stderr),
-            kernel_tier=args.kernel_tier,
-        )
-        print(render_bench_table(records))
 
     speedup_rows = None
     if args.speedup_vs:
-        run = bench_steps if args.steps > 1 else bench_forces
-        kwargs = (
-            dict(steps=args.steps)
-            if args.steps > 1
-            else dict(warmup=warmup, repeats=repeats)
-        )
-        reference = run(
-            cases=cases,
-            strategies=strategies,
-            backends=backends,
-            n_workers=args.threads,
-            on_skip=lambda msg: print(f"skip: {msg}", file=sys.stderr),
-            kernel_tier=args.speedup_vs,
-            **kwargs,
-        )
-        speedup_rows = tier_speedup_records(records, reference)
+        speedup_rows = tier_speedup_records(records, sweep(args.speedup_vs))
         print()
         print(render_tier_speedup_table(speedup_rows))
 
@@ -310,65 +294,35 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print()
         print(reorder.render())
 
-    os.makedirs(args.output_dir, exist_ok=True)
-    forces_path = os.path.join(args.output_dir, "BENCH_forces.json")
-    write_bench_json(
-        forces_path, [r.to_dict() for r in records], n_threads=args.threads
-    )
-    print(f"\nwrote {forces_path}")
+    outputs = [("bench", [r.to_dict() for r in records])]
     if speedup_rows:
-        speedup_path = os.path.join(args.output_dir, "BENCH_tier_speedup.json")
-        write_bench_json(speedup_path, speedup_rows, n_threads=args.threads)
-        print(f"wrote {speedup_path}")
+        outputs.append(("tier-speedup", speedup_rows))
     if reorder is not None:
-        reorder_path = os.path.join(args.output_dir, "BENCH_reordering.json")
-        write_bench_json(
-            reorder_path, reordering_records(reorder), n_threads=args.threads
-        )
-        print(f"wrote {reorder_path}")
-    if args.store:
-        from repro.obs.history import RunStore
-
-        store = RunStore(args.store)
-        store.append_bench(
-            bench_payload(
-                [r.to_dict() for r in records], n_threads=args.threads
-            )
-        )
-        if speedup_rows:
-            store.append_bench(
-                bench_payload(speedup_rows, n_threads=args.threads),
-                source="BENCH_tier_speedup.json",
-                kind="tier-speedup",
-            )
-        if reorder is not None:
-            store.append_bench(
-                bench_payload(
-                    reordering_records(reorder), n_threads=args.threads
-                ),
-                source="BENCH_reordering.json",
-                kind="reordering",
-            )
+        outputs.append(("reordering", reordering_records(reorder)))
+    os.makedirs(args.output_dir, exist_ok=True)
+    meta = collect_run_meta(args.threads)
+    store = RunStore(args.store) if args.store else None
+    print()
+    for kind, rows in outputs:
+        body = bench_payload(rows, meta=meta)
+        path = artifact_path(args.output_dir, kind)
+        write_payload(path, body)
+        print(f"wrote {path}")
+        if store is not None:
+            store.append_bench(body, kind=kind)
+    if store is not None:
         print(f"appended to history store {store.path}")
     return 0
 
 
-def _load_bench_payload(ref: str):
-    """Read a ``repro-bench`` payload from a file or artifact directory."""
-    import json
-    import os
+def _load_bench(ref: str):
+    """``(payload, path)`` of the bench artifact ``ref`` names (a file or
+    a run directory); ``FileNotFoundError`` / ``ValueError`` otherwise."""
+    from repro.obs.rundir import read_artifact, resolve
 
-    path = ref
-    if os.path.isdir(path):
-        path = os.path.join(path, "BENCH_forces.json")
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    schema = str(payload.get("schema", ""))
-    if not schema.startswith("repro-bench"):
-        raise ValueError(f"{path}: not a repro-bench payload ({schema!r})")
-    return payload, path
+    path = resolve(ref, "bench")
+    meta, records = read_artifact(path, "bench")
+    return {"meta": meta, "records": records}, path
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -378,9 +332,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.obs.atomicio import atomic_write_text
     from repro.obs.history import RunStore
     from repro.obs.regress import compare_payloads
+    from repro.obs.rundir import ARTIFACTS
 
     try:
-        candidate, candidate_path = _load_bench_payload(args.candidate)
+        candidate, candidate_path = _load_bench(args.candidate)
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: candidate: {exc}", file=sys.stderr)
         return 2
@@ -390,29 +345,25 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     )
     store = RunStore(args.store) if args.store else None
     baseline, baseline_path = None, None
-    if args.baseline:
-        try:
-            baseline, baseline_path = _load_bench_payload(args.baseline)
-        except (FileNotFoundError, ValueError) as exc:
-            print(f"error: baseline: {exc}", file=sys.stderr)
-            return 2
-    else:
-        committed = "BENCH_forces.json"
-        if (
-            os.path.exists(committed)
-            and os.path.abspath(committed)
-            != os.path.abspath(candidate_path)
-        ):
-            baseline, baseline_path = _load_bench_payload(committed)
-        elif store is not None:
-            entry = store.baseline_bench()
-            if entry is not None:
-                baseline = {
-                    "schema": "repro-bench-v2",
-                    "meta": entry.meta,
-                    "records": entry.records,
-                }
-                baseline_path = f"{store.path}#seq{entry.seq}"
+    try:
+        if args.baseline:
+            baseline, baseline_path = _load_bench(args.baseline)
+        else:
+            committed = ARTIFACTS["bench"].filename
+            if (
+                os.path.exists(committed)
+                and os.path.abspath(committed)
+                != os.path.abspath(candidate_path)
+            ):
+                baseline, baseline_path = _load_bench(committed)
+            elif store is not None:
+                entry = store.baseline_bench()
+                if entry is not None:
+                    baseline = {"meta": entry.meta, "records": entry.records}
+                    baseline_path = f"{store.path}#seq{entry.seq}"
+    except (FileNotFoundError, ValueError) as exc:
+        print(f"error: baseline: {exc}", file=sys.stderr)
+        return 2
     if baseline is None:
         print(
             "no baseline found (no --baseline, no committed "
@@ -437,7 +388,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         )
         print(f"wrote {args.json}")
     if store is not None:
-        store.append_bench(candidate, source=candidate_path)
+        store.append_records(
+            "bench",
+            candidate["records"],
+            meta=candidate["meta"],
+            source=candidate_path,
+        )
         print(f"appended candidate to history store {store.path}")
     if report.exit_code and args.warn_only:
         print(
@@ -472,7 +428,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if not os.path.exists(args.source):
         print(f"error: no such source {args.source!r}", file=sys.stderr)
         return 2
-    data = load_report_source(args.source, store_path=args.store)
+    try:
+        data = load_report_source(args.source, store_path=args.store)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(render_text_summary(data, top=args.top))
     write_report(args.output, data)
     print(f"\nwrote {args.output}")
@@ -582,49 +542,33 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
 
 
 def _cmd_health(args: argparse.Namespace) -> int:
-    import os
+    from repro.obs.recorder import health_digest
+    from repro.obs.rundir import read_artifact, resolve
 
-    from repro.obs.recorder import read_health_jsonl, severity_rank
-
-    path = args.source
-    if os.path.isdir(path):
-        path = os.path.join(path, "health.jsonl")
-    if not os.path.exists(path):
+    path = resolve(args.source, "health")
+    try:
+        _, records = read_artifact(path, "health")
+    except FileNotFoundError:
         print(f"error: no health.jsonl at {path!r}", file=sys.stderr)
         return 2
-    try:
-        meta, events = read_health_jsonl(path)
     except (ValueError, OSError) as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    counts = meta.get("counts") or {}
+    digest = health_digest(records)
     print(
-        f"{path}: {len(events)} events in ring "
-        f"({meta.get('n_recorded')} recorded, "
-        f"{meta.get('n_dropped')} evicted)"
+        f"{path}: {digest['n_events']} events in ring "
+        f"({digest['n_recorded']} recorded, "
+        f"{digest['n_dropped']} evicted)"
     )
-    by_key = {
-        k: v for k, v in sorted(counts.items()) if isinstance(v, int)
-    }
-    for key, n in by_key.items():
+    for key, n in digest["counts"].items():
         print(f"  {key:<32} {n}")
-    notable = [
-        e
-        for e in events
-        if severity_rank(str(e.get("severity", "info")))
-        >= severity_rank("warning")
-    ]
+    notable = digest["notable"]
     if notable:
         print(f"\n{len(notable)} warning+ events:")
         for e in notable[-args.top:]:
-            extras = {
-                k: v
-                for k, v in e.items()
-                if k not in ("kind", "t", "category", "event", "severity")
-            }
             print(
-                f"  [{e.get('severity')}] {e.get('category')}/"
-                f"{e.get('event')} {extras}"
+                f"  [{e['severity']}] {e['category']}/{e['event']} "
+                f"{e['detail']}"
             )
     else:
         print("\nno warning-or-worse events recorded")
@@ -881,8 +825,8 @@ def build_parser() -> argparse.ArgumentParser:
     scale.add_argument(
         "--output-dir",
         default="scale-out",
-        help="directory for trace.json / metrics.jsonl / scaling.json / "
-        "health.jsonl",
+        help="directory for trace.json / metrics.jsonl / scaling.json "
+        "/ health.jsonl",
     )
     scale.add_argument(
         "--store",

@@ -19,14 +19,17 @@ Outputs (``repro bench``):
 
 from __future__ import annotations
 
-import json
 import platform
+from contextlib import closing
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+)
 
 from repro import kernels
 from repro.harness.cases import Case, case_by_key
 from repro.harness.reordering import MeasuredReorderingResult, measure_reordering
+from repro.obs.rundir import payload, write_payload
 from repro.obs.tracer import Tracer
 from repro.utils.profiler import measure, phase_names
 
@@ -131,29 +134,68 @@ def _make_cell(
     return compute, cleanup, calc.kernel_tier
 
 
-def bench_forces(
-    cases: Sequence[str] = DEFAULT_CASES,
-    strategies: Sequence[str] = DEFAULT_STRATEGIES,
-    backends: Sequence[str] = DEFAULT_BACKENDS,
-    n_workers: int = 2,
-    warmup: int = 1,
-    repeats: int = 5,
-    on_skip: Optional[Callable[[str], None]] = None,
-    kernel_tier: Optional[str] = None,
-) -> List[BenchRecord]:
-    """Run the sweep; returns one record per (cell, phase)."""
+@dataclass
+class _SweepCell:
+    """One runnable cell of the sweep, alive while the consumer holds it."""
+
+    case: str
+    strategy: str
+    backend: str
+    n_workers: int
+    n_pairs: int
+    tracer: Tracer
+    compute: Callable[[], object]
+    kernel_tier: str
+
+    def record(
+        self,
+        phase: str,
+        median_s: float,
+        iqr_s: float,
+        n_samples: int,
+        throughput: bool = False,
+    ) -> BenchRecord:
+        """This cell's record for ``phase`` (``throughput`` adds pairs/s)."""
+        return BenchRecord(
+            case=self.case,
+            strategy=self.strategy,
+            backend=self.backend,
+            n_workers=self.n_workers,
+            phase=phase,
+            median_s=median_s,
+            iqr_s=iqr_s,
+            n_samples=n_samples,
+            pairs_per_s=(
+                self.n_pairs / median_s if throughput and median_s > 0 else None
+            ),
+            kernel_tier=self.kernel_tier,
+        )
+
+
+def _sweep_cells(
+    cases: Sequence[str],
+    strategies: Sequence[str],
+    backends: Sequence[str],
+    n_workers: int,
+    on_skip: Optional[Callable[[str], None]],
+    kernel_tier: Optional[str],
+) -> Iterator[_SweepCell]:
+    """Every runnable case x strategy x backend cell, one at a time.
+
+    A cell that cannot run (:class:`BenchSkip`) is reported to
+    ``on_skip`` and passed over; a yielded cell's calculator is torn
+    down when the consumer asks for the next one or closes the
+    generator.
+    """
     from repro.md.neighbor.verlet import build_neighbor_list
     from repro.potentials import fe_potential
 
     potential = fe_potential()
-    records: List[BenchRecord] = []
     for case_key in cases:
-        case = case_by_key(case_key)
-        atoms = case.build()
+        atoms = case_by_key(case_key).build()
         nlist = build_neighbor_list(
             atoms.positions, atoms.box, potential.cutoff
         )
-        n_pairs = nlist.n_pairs
         for strategy_key in strategies:
             for backend_key in backends:
                 workers = 1 if backend_key == "serial" else n_workers
@@ -176,31 +218,50 @@ def bench_forces(
                         )
                     continue
                 try:
-                    stats = measure(
-                        tracer, compute, warmup=warmup, repeats=repeats
+                    yield _SweepCell(
+                        case_key,
+                        strategy_key,
+                        backend_key,
+                        workers,
+                        nlist.n_pairs,
+                        tracer,
+                        compute,
+                        tier_name,
                     )
                 finally:
                     cleanup()
-                for phase in phase_names(stats):
-                    s = stats[phase]
-                    records.append(
-                        BenchRecord(
-                            case=case_key,
-                            strategy=strategy_key,
-                            backend=backend_key,
-                            n_workers=workers,
-                            phase=phase,
-                            median_s=s.median_s,
-                            iqr_s=s.iqr_s,
-                            n_samples=s.n_samples,
-                            pairs_per_s=(
-                                n_pairs / s.median_s
-                                if phase == "total" and s.median_s > 0
-                                else None
-                            ),
-                            kernel_tier=tier_name,
-                        )
+
+
+def bench_forces(
+    cases: Sequence[str] = DEFAULT_CASES,
+    strategies: Sequence[str] = DEFAULT_STRATEGIES,
+    backends: Sequence[str] = DEFAULT_BACKENDS,
+    n_workers: int = 2,
+    warmup: int = 1,
+    repeats: int = 5,
+    on_skip: Optional[Callable[[str], None]] = None,
+    kernel_tier: Optional[str] = None,
+) -> List[BenchRecord]:
+    """Run the sweep; returns one record per (cell, phase)."""
+    records: List[BenchRecord] = []
+    with closing(
+        _sweep_cells(cases, strategies, backends, n_workers, on_skip, kernel_tier)
+    ) as cells:
+        for cell in cells:
+            stats = measure(
+                cell.tracer, cell.compute, warmup=warmup, repeats=repeats
+            )
+            for phase in phase_names(stats):
+                s = stats[phase]
+                records.append(
+                    cell.record(
+                        phase,
+                        s.median_s,
+                        s.iqr_s,
+                        s.n_samples,
+                        throughput=phase == "total",
                     )
+                )
     return records
 
 
@@ -231,96 +292,36 @@ def bench_steps(
     """
     import time
 
-    from repro.md.neighbor.verlet import build_neighbor_list
-    from repro.potentials import fe_potential
     from repro.utils.timers import median_iqr
 
     if steps < 2:
         raise ValueError("steps mode needs at least 2 steps")
-    potential = fe_potential()
     records: List[BenchRecord] = []
-    for case_key in cases:
-        case = case_by_key(case_key)
-        atoms = case.build()
-        nlist = build_neighbor_list(
-            atoms.positions, atoms.box, potential.cutoff
-        )
-        n_pairs = nlist.n_pairs
-        for strategy_key in strategies:
-            for backend_key in backends:
-                workers = 1 if backend_key == "serial" else n_workers
-                try:
-                    compute, cleanup, tier_name = _make_cell(
-                        strategy_key,
-                        backend_key,
-                        workers,
-                        potential,
-                        atoms,
-                        nlist,
-                        Tracer(),
-                        kernel_tier=kernel_tier,
-                    )
-                except BenchSkip as skip:
-                    if on_skip is not None:
-                        on_skip(
-                            f"{case_key}/{strategy_key}/{backend_key}: {skip}"
-                        )
-                    continue
-                times: List[float] = []
-                try:
-                    for _ in range(steps):
-                        start = time.perf_counter()
-                        compute()
-                        times.append(time.perf_counter() - start)
-                finally:
-                    cleanup()
-                med, iqr = median_iqr(times[1:])
-                records.append(
-                    BenchRecord(
-                        case=case_key,
-                        strategy=strategy_key,
-                        backend=backend_key,
-                        n_workers=workers,
-                        phase=PHASE_FIRST_STEP,
-                        median_s=times[0],
-                        iqr_s=0.0,
-                        n_samples=1,
-                        kernel_tier=tier_name,
-                    )
+    with closing(
+        _sweep_cells(cases, strategies, backends, n_workers, on_skip, kernel_tier)
+    ) as cells:
+        for cell in cells:
+            times: List[float] = []
+            for _ in range(steps):
+                start = time.perf_counter()
+                cell.compute()
+                times.append(time.perf_counter() - start)
+            med, iqr = median_iqr(times[1:])
+            records.append(cell.record(PHASE_FIRST_STEP, times[0], 0.0, 1))
+            records.append(
+                cell.record(
+                    PHASE_AMORTIZED, med, iqr, len(times) - 1, throughput=True
                 )
-                records.append(
-                    BenchRecord(
-                        case=case_key,
-                        strategy=strategy_key,
-                        backend=backend_key,
-                        n_workers=workers,
-                        phase=PHASE_AMORTIZED,
-                        median_s=med,
-                        iqr_s=iqr,
-                        n_samples=len(times) - 1,
-                        pairs_per_s=(n_pairs / med if med > 0 else None),
-                        kernel_tier=tier_name,
-                    )
-                )
+            )
     return records
 
 
 def render_amortization_table(records: Sequence[BenchRecord]) -> str:
-    """Per-cell first-step vs amortized summary with the setup speedup."""
-    cells: Dict[Tuple[str, str, str, int], Dict[str, BenchRecord]] = {}
-    for r in records:
-        if r.phase in (PHASE_FIRST_STEP, PHASE_AMORTIZED):
-            key = (r.case, r.strategy, r.backend, r.n_workers)
-            cells.setdefault(key, {})[r.phase] = r
-    rows = []
-    for key in sorted(cells):
-        pair = cells[key]
-        if PHASE_FIRST_STEP not in pair or PHASE_AMORTIZED not in pair:
-            continue
-        first = pair[PHASE_FIRST_STEP].median_s
-        amortized = pair[PHASE_AMORTIZED].median_s
-        speedup = first / amortized if amortized > 0 else float("inf")
-        rows.append((key, first, amortized, speedup))
+    """Per-cell first-step vs amortized summary with the setup speedup
+    (the rows are :func:`repro.obs.report.amortization_rows`)."""
+    from repro.obs.report import amortization_rows
+
+    rows = amortization_rows([r.to_dict() for r in records])
     if not rows:
         return "(no repeated-compute records)"
     header = (
@@ -328,10 +329,11 @@ def render_amortization_table(records: Sequence[BenchRecord]) -> str:
         f"{'first step':>12} {'amortized':>12} {'speedup':>8}"
     )
     lines = [header, "-" * len(header)]
-    for (case, strategy, backend, workers), first, amortized, speedup in rows:
+    for row in rows:
         lines.append(
-            f"{case:<6} {strategy:<22} {backend:<9} {workers:>2} "
-            f"{first:>10.6f} s {amortized:>10.6f} s {speedup:>7.1f}x"
+            f"{row['case']:<6} {row['strategy']:<22} {row['backend']:<9} "
+            f"{row['n_workers']:>2} {row['first_step_s']:>10.6f} s "
+            f"{row['amortized_s']:>10.6f} s {row['speedup']:>7.1f}x"
         )
     return "\n".join(lines)
 
@@ -456,33 +458,29 @@ def write_bench_json(
     records: Sequence[Dict[str, object]],
     n_threads: Optional[int] = None,
 ) -> None:
-    """Write records with a host/environment header (schema v2).
-
-    The ``meta`` block (hostname, CPU count, thread count, Python/NumPy
-    versions, git SHA) makes bench artifacts from different machines and
-    commits comparable; the legacy ``host`` block is kept for v1 readers.
-    The write is atomic (tmp + ``os.replace``) so a committed baseline is
-    never clobbered by a half-written file.
-    """
-    from repro.obs.atomicio import atomic_write
-
-    payload = bench_payload(records, n_threads=n_threads)
-    with atomic_write(path) as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    """Atomically write :func:`bench_payload` of ``records`` to ``path``
+    (tmp + ``os.replace``: a committed baseline is never clobbered by a
+    half-written file)."""
+    write_payload(path, bench_payload(records, n_threads=n_threads))
 
 
 def bench_payload(
     records: Sequence[Dict[str, object]],
     n_threads: Optional[int] = None,
     kernel_tier: Optional[str] = None,
+    meta: Optional[Mapping[str, object]] = None,
 ) -> Dict[str, object]:
     """The ``repro-bench-v2`` payload for ``records`` (also what the
     history store ingests without a file round-trip).
 
-    The meta block stamps the *resolved* tier variant the records ran
-    on: the explicit ``kernel_tier`` when given, else the single tier
-    the records agree on, else the process's active tier.
+    The ``meta`` block (hostname, CPU count, thread count, Python/NumPy
+    versions, git SHA) makes bench artifacts from different machines and
+    commits comparable; a driver that writes several payloads collects
+    it once and hands it in, otherwise it is collected here.  Either way
+    it stamps the *resolved* tier variant the records ran on: the
+    explicit ``kernel_tier`` when given, else the single tier the
+    records agree on, else the process's active tier.  The legacy
+    ``host`` block is kept for v1 readers.
     """
     from repro.obs.runlog import collect_run_meta
 
@@ -494,15 +492,17 @@ def bench_payload(
         }
         if len(tiers) == 1:
             kernel_tier = tiers.pop()
+    if meta is None:
+        meta = collect_run_meta(n_threads, kernel_tier=kernel_tier)
+    elif kernel_tier is not None:
+        meta = {**meta, "kernel_tier": kernel_tier}
     return {
-        "schema": "repro-bench-v2",
+        **payload("bench", records, meta),
         "host": {
             "platform": platform.platform(),
             "python": platform.python_version(),
             "machine": platform.machine(),
         },
-        "meta": collect_run_meta(n_threads, kernel_tier=kernel_tier),
-        "records": list(records),
     }
 
 

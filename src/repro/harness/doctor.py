@@ -36,11 +36,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.obs.health import HealthMonitor, InvariantThresholds
-from repro.obs.recorder import (
-    FlightRecorder,
-    read_health_jsonl,
-    set_recorder,
-)
+from repro.obs.recorder import FlightRecorder, set_recorder
+from repro.obs.rundir import artifact_path, read_artifact
 
 __all__ = [
     "FAULTS",
@@ -347,7 +344,7 @@ def _check_recorder(
         )
     try:
         recorder.dump(health_path)
-        meta, events = read_health_jsonl(health_path)
+        _, (meta, *events) = read_artifact(health_path, "health")
     except (OSError, ValueError) as exc:
         return Finding(
             "recorder",
@@ -391,7 +388,7 @@ def run_doctor(
     health_path = None
     if output_dir is not None:
         os.makedirs(output_dir, exist_ok=True)
-        health_path = os.path.join(output_dir, "health.jsonl")
+        health_path = artifact_path(output_dir, "health")
 
     recorder = FlightRecorder()
     previous = set_recorder(recorder)

@@ -35,29 +35,32 @@ Each fraction is expressed relative to the core-second budget
 ``p * T(p)``, so ``efficiency + losses`` accounts for the whole budget.
 Every sweep point becomes one record; ``repro scale`` appends them as a
 ``kind:"scaling"`` entry to the history store (pre-existing readers
-filter by kind and are unaffected) and writes the usual artifact set —
-``trace.json`` with resource counter tracks merged in, ``metrics.jsonl``,
-``scaling.json``, ``health.jsonl`` — which ``repro report`` renders as an
-efficiency-curve + loss-attribution panel.
+filter by kind and are unaffected) and writes a run directory
+(:mod:`repro.obs.rundir`) — ``trace.json`` with resource counter tracks
+merged in plus the ``metrics``, ``scaling`` and ``health`` artifacts —
+which ``repro report`` renders as an efficiency-curve +
+loss-attribution panel.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import kernels
 from repro.harness.bench import BenchSkip
-from repro.harness.cases import case_by_key
-from repro.harness.tracing import _make_calculator
-from repro.obs.exporters import render_trace_summary, write_trace_json
-from repro.obs.metrics import MetricsRegistry, record_span_metrics
-from repro.obs.recorder import get_recorder
-from repro.obs.resources import ResourceSampler
+from repro.harness.tracing import traced_cell, write_run_artifacts
+from repro.obs.exporters import render_trace_summary
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.rundir import (
+    SCALING_SCHEMA,
+    artifact_path,
+    payload,
+    write_payload,
+)
 from repro.obs.runlog import collect_run_meta
-from repro.obs.tracer import CAT_BARRIER, CAT_TASK, Span, Tracer
+from repro.obs.tracer import CAT_BARRIER, CAT_TASK, Span
 
 __all__ = [
     "SCALING_SCHEMA",
@@ -66,8 +69,6 @@ __all__ = [
     "karp_flatt",
     "run_scale",
 ]
-
-SCALING_SCHEMA = "repro-scaling-v1"
 
 #: loss mechanisms, in reporting order
 LOSS_COMPONENTS = (
@@ -259,56 +260,28 @@ def _measure_point(
     sample_interval_s: float,
 ) -> Tuple[float, float, List[Span], Dict[str, object], Optional[float], str]:
     """Run one sweep point; returns its timing, spans, and resource digest."""
-    from repro.md.simulation import Simulation
-    from repro.potentials import fe_potential
-
-    label = f"{case_key}/{strategy_key}/{backend_key}/w{n_workers}"
-    calculator, cleanup = _make_calculator(
-        strategy_key, backend_key, n_workers, kernel_tier=kernel_tier
-    )
-    tier = kernels.get(kernel_tier) if kernel_tier is not None else None
-    tier_name = (tier if tier is not None else kernels.active_tier()).name
-    tracer = Tracer()
-    sampler: Optional[ResourceSampler] = None
-    try:
-        attach = getattr(calculator, "attach_tracer", None)
-        if attach is not None:
-            attach(tracer)
-        atoms = case_by_key(case_key).build(temperature=50.0)
-        sim = Simulation(
-            atoms, fe_potential(), calculator=calculator, tracer=tracer
-        )
-        with kernels.use_tier(tier):
-            # warmup evaluation: worker fork, arena mapping, decomposition,
-            # neighbor build, JIT — excluded from the measured window
-            sim.compute_forces()
-            if sample_resources:
-                sampler = ResourceSampler(
-                    interval_s=sample_interval_s, calculator=calculator
-                )
-                sampler.start()
-            window_start = time.perf_counter()
-            total_s = sim.run(steps, sample_every=max(1, steps)).force_seconds
-        if sampler is not None:
-            sampler.stop()
-        record_span_metrics(registry, tracer, run=label)
-        spans = tracer.spans
-        resources: Dict[str, object] = {}
-        worker_cpu: Optional[float] = None
-        if sampler is not None:
-            spans = spans + sampler.counter_spans()
-            resources = sampler.summary()
-            worker_cpu = sampler.worker_mean_cpu_percent()
-            sampler.record_metrics(registry, run=label)
-            sampler.record_health_summary(run=label)
-    finally:
-        if sampler is not None:
-            sampler.stop()
-        detach = getattr(calculator, "detach_tracer", None)
-        if detach is not None:
-            detach()
-        cleanup()
-    return total_s, window_start, spans, resources, worker_cpu, tier_name
+    with traced_cell(
+        f"{case_key}/{strategy_key}/{backend_key}/w{n_workers}",
+        case_key,
+        strategy_key,
+        backend_key,
+        n_workers,
+        kernel_tier,
+    ) as cell:
+        # warmup evaluation: worker fork, arena mapping, decomposition,
+        # neighbor build, JIT — excluded from the measured window
+        cell.sim.compute_forces()
+        if sample_resources:
+            cell.start_sampler(sample_interval_s)
+        window_start = time.perf_counter()
+        total_s = cell.sim.run(steps, sample_every=max(1, steps)).force_seconds
+        spans = cell.finish(registry)
+    resources: Dict[str, object] = {}
+    worker_cpu: Optional[float] = None
+    if cell.sampler is not None:
+        resources = cell.sampler.summary()
+        worker_cpu = cell.sampler.worker_mean_cpu_percent()
+    return total_s, window_start, spans, resources, worker_cpu, cell.kernel_tier
 
 
 def run_scale(
@@ -349,7 +322,7 @@ def run_scale(
         backend=backend,
         kernel_tier=tier_name,
     )
-    measured: List[Tuple[int, float, float, List[Span], Dict[str, object], Optional[float], str]] = []
+    t1_s: Optional[float] = None
     for p in worker_list:
         try:
             total_s, window_start, spans, resources, worker_cpu, tier_ran = (
@@ -371,76 +344,53 @@ def run_scale(
             if on_skip is not None:
                 on_skip(message)
             continue
-        measured.append(
-            (p, total_s, window_start, spans, resources, worker_cpu, tier_ran)
+        if t1_s is None:
+            # counts ascend, so the first point that ran is the reference
+            t1_s = total_s if p == 1 else p * total_s
+            report.kernel_tier = tier_ran
+        speedup = t1_s / total_s if total_s > 0 else 0.0
+        loss = _attribute_losses(
+            spans, window_start, total_s, t1_s, p, worker_cpu
         )
-    if measured:
-        report.kernel_tier = measured[0][6]
-        p_ref, t_ref = measured[0][0], measured[0][1]
-        t1_s = t_ref if p_ref == 1 else p_ref * t_ref
-        for p, total_s, window_start, spans, resources, worker_cpu, tier_ran in measured:
-            speedup = t1_s / total_s if total_s > 0 else 0.0
-            efficiency = speedup / p
-            loss = _attribute_losses(
-                spans, window_start, total_s, t1_s, p, worker_cpu
+        dominant = None
+        if p > 1:
+            worst = max(loss.items(), key=lambda kv: kv[1])
+            if worst[1] > 0.0:
+                dominant = worst[0]
+        report.points.append(
+            ScalePoint(
+                case=case,
+                strategy=strategy,
+                backend=backend,
+                kernel_tier=tier_ran,
+                n_workers=p,
+                n_steps=steps,
+                total_s=total_s,
+                t1_s=t1_s,
+                speedup=speedup,
+                efficiency=speedup / p,
+                karp_flatt=karp_flatt(speedup, p),
+                loss=loss,
+                dominant_loss=dominant,
+                resources=resources,
+                spans=spans,
             )
-            dominant = None
-            if p > 1:
-                worst = max(loss.items(), key=lambda kv: kv[1])
-                if worst[1] > 0.0:
-                    dominant = worst[0]
-            report.points.append(
-                ScalePoint(
-                    case=case,
-                    strategy=strategy,
-                    backend=backend,
-                    kernel_tier=tier_ran,
-                    n_workers=p,
-                    n_steps=steps,
-                    total_s=total_s,
-                    t1_s=t1_s,
-                    speedup=speedup,
-                    efficiency=efficiency,
-                    karp_flatt=karp_flatt(speedup, p),
-                    loss=loss,
-                    dominant_loss=dominant,
-                    resources=resources,
-                    spans=spans,
-                )
-            )
+        )
     meta = collect_run_meta(kernel_tier=report.kernel_tier)
     if output_dir is not None:
-        import json
-
-        from repro.obs.atomicio import atomic_write_text
-
-        os.makedirs(output_dir, exist_ok=True)
-        report.trace_path = os.path.join(output_dir, "trace.json")
-        report.metrics_path = os.path.join(output_dir, "metrics.jsonl")
-        report.scaling_path = os.path.join(output_dir, "scaling.json")
-        report.health_path = os.path.join(output_dir, "health.jsonl")
-        write_trace_json(report.trace_path, report.span_groups(), meta=meta)
-        registry.write_jsonl(report.metrics_path)
-        atomic_write_text(
-            report.scaling_path,
-            json.dumps(
-                {
-                    "schema": SCALING_SCHEMA,
-                    "meta": meta,
-                    "records": report.records(),
-                },
-                indent=2,
-                sort_keys=True,
+        report.trace_path, report.metrics_path, report.health_path = (
+            write_run_artifacts(
+                output_dir, report.span_groups(), registry, meta
             )
-            + "\n",
         )
-        get_recorder().dump(report.health_path)
+        report.scaling_path = artifact_path(output_dir, "scaling")
+        write_payload(
+            report.scaling_path, payload("scaling", report.records(), meta)
+        )
     if store_path is not None and report.points:
         from repro.obs.history import RunStore
 
         store = RunStore(store_path)
-        store.append_records(
-            "scaling", report.records(), meta=meta, source="scaling.json"
-        )
+        store.append_records("scaling", report.records(), meta=meta)
         report.store_path = store.path
     return report

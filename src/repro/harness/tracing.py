@@ -3,18 +3,22 @@
 For every sweep cell it runs a short real MD trajectory with a
 :class:`~repro.obs.tracer.Tracer` attached to the force calculator and
 the MD driver, derives the load-balance metrics from the decomposition
-and the recorded spans, and emits three artifacts:
+and the recorded spans, and leaves a run directory
+(:mod:`repro.obs.rundir`, DESIGN.md "Run directory"):
 
 * ``trace.json`` — Chrome trace-event / Perfetto timeline, one trace
   process per sweep cell, one track per thread/worker;
-* ``metrics.jsonl`` — the :class:`~repro.obs.metrics.MetricsRegistry`
+* ``metrics`` — the :class:`~repro.obs.metrics.MetricsRegistry`
   stream (pairs processed, per-subdomain sizes, per-color static and
   measured load-imbalance ratios, halo fraction, barrier slack);
-* ``run.jsonl`` — the structured run log (environment meta, per-sample
+* ``runlog`` — the structured run log (environment meta, per-sample
   observables, neighbor rebuilds);
-* ``health.jsonl`` — the flight-recorder dump for the whole sweep
+* ``health`` — the flight-recorder dump for the whole sweep
   (engine/kernel/scheduler lifecycle events plus any physics invariant
   breaches from the per-cell :class:`~repro.obs.health.HealthMonitor`).
+
+:func:`traced_cell` and :func:`write_run_artifacts` are the cell body
+and the writer ``repro scale`` shares.
 
 The text summary ranks the worst-balanced color phases across all cells.
 """
@@ -22,8 +26,11 @@ The text summary ranks the worst-balanced color phases across all cells.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Iterator, List, Mapping, Optional, Sequence, Tuple
+)
 
 from repro import kernels
 from repro.harness.bench import KNOWN_BACKENDS, KNOWN_STRATEGIES, BenchSkip
@@ -36,6 +43,8 @@ from repro.obs.metrics import (
 )
 from repro.obs.health import HealthMonitor
 from repro.obs.recorder import get_recorder
+from repro.obs.resources import ResourceSampler
+from repro.obs.rundir import artifact_path
 from repro.obs.runlog import RunLog, collect_run_meta
 from repro.obs.tracer import Span, Tracer
 
@@ -170,6 +179,95 @@ def _make_calculator(
     return strategy, backend.close
 
 
+@dataclass
+class TracedCell:
+    """What :func:`traced_cell` yields: one live simulation under a tracer."""
+
+    label: str
+    #: carries the cell's ``calculator`` and ``tracer``
+    sim: "Simulation"  # noqa: F821 - imported lazily with the MD stack
+    #: resolved kernel tier the cell's force kernels run on
+    kernel_tier: str
+    sampler: Optional[ResourceSampler] = None
+
+    def start_sampler(self, interval_s: float) -> None:
+        """Co-run the /proc resource sampler from here to :meth:`finish`."""
+        self.sampler = ResourceSampler(
+            interval_s=interval_s, calculator=self.sim.calculator
+        )
+        self.sampler.start()
+
+    def finish(self, registry: MetricsRegistry) -> List[Span]:
+        """Stop the sampler and fold what the cell recorded into
+        ``registry`` (span metrics, sampler digests); returns the cell's
+        spans with the sampler's counter tracks appended."""
+        if self.sampler is not None:
+            self.sampler.stop()
+        record_span_metrics(registry, self.sim.tracer, run=self.label)
+        spans = self.sim.tracer.spans
+        if self.sampler is not None:
+            spans = spans + self.sampler.counter_spans()
+            self.sampler.record_metrics(registry, run=self.label)
+            self.sampler.record_health_summary(run=self.label)
+        return spans
+
+
+@contextmanager
+def traced_cell(
+    label: str,
+    case_key: str,
+    strategy_key: str,
+    backend_key: str,
+    n_workers: int,
+    kernel_tier: Optional[str] = None,
+    **sim_kwargs: object,
+) -> Iterator[TracedCell]:
+    """One sweep cell, ready to run: the one traced-run body under
+    ``repro trace`` and ``repro scale``.
+
+    Builds the calculator (:class:`BenchSkip` when the combination
+    cannot run), attaches a fresh tracer to it and to a
+    :class:`~repro.md.simulation.Simulation` of the case at 50 K
+    (``sim_kwargs`` go to its constructor), and pins the kernel tier for
+    the body.  However the body exits, the sampler is stopped, the
+    tracer detached and the calculator closed.
+    """
+    from repro.md.simulation import Simulation
+    from repro.potentials import fe_potential
+
+    calculator, cleanup = _make_calculator(
+        strategy_key, backend_key, n_workers, kernel_tier=kernel_tier
+    )
+    tier = kernels.get(kernel_tier) if kernel_tier is not None else None
+    tracer = Tracer()
+    cell: Optional[TracedCell] = None
+    try:
+        attach = getattr(calculator, "attach_tracer", None)
+        if attach is not None:
+            attach(tracer)
+        sim = Simulation(
+            case_by_key(case_key).build(temperature=50.0),
+            fe_potential(),
+            calculator=calculator,
+            tracer=tracer,
+            **sim_kwargs,
+        )
+        cell = TracedCell(
+            label=label,
+            sim=sim,
+            kernel_tier=(tier if tier is not None else kernels.active_tier()).name,
+        )
+        with kernels.use_tier(tier):
+            yield cell
+    finally:
+        if cell is not None and cell.sampler is not None:
+            cell.sampler.stop()
+        detach = getattr(calculator, "detach_tracer", None)
+        if detach is not None:
+            detach()
+        cleanup()
+
+
 def _trace_one(
     case_key: str,
     strategy_key: str,
@@ -177,58 +275,37 @@ def _trace_one(
     n_workers: int,
     steps: int,
     registry: MetricsRegistry,
-    run_log: Optional[RunLog],
+    run_log: RunLog,
     kernel_tier: Optional[str] = None,
     sample_resources: bool = False,
     sample_interval_s: float = 0.05,
 ) -> TracedRun:
     """Run one sweep cell under the tracer and record its metrics."""
-    from repro.md.simulation import Simulation
-    from repro.potentials import fe_potential
-
     label = f"{case_key}/{strategy_key}/{backend_key}"
-    calculator, cleanup = _make_calculator(
-        strategy_key, backend_key, n_workers, kernel_tier=kernel_tier
-    )
-    tier = kernels.get(kernel_tier) if kernel_tier is not None else None
-    tier_name = (tier if tier is not None else kernels.active_tier()).name
-    tracer = Tracer()
-    sampler = None
-    try:
-        attach = getattr(calculator, "attach_tracer", None)
-        if attach is not None:
-            attach(tracer)
+    health = HealthMonitor()
+    with traced_cell(
+        label,
+        case_key,
+        strategy_key,
+        backend_key,
+        n_workers,
+        kernel_tier,
+        run_log=run_log,
+        health=health,
+    ) as cell:
         if sample_resources:
-            from repro.obs.resources import ResourceSampler
-
-            sampler = ResourceSampler(
-                interval_s=sample_interval_s, calculator=calculator
-            )
-            sampler.start()
-        atoms = case_by_key(case_key).build(temperature=50.0)
-        health = HealthMonitor(calculator=calculator)
-        sim = Simulation(
-            atoms,
-            fe_potential(),
-            calculator=calculator,
-            tracer=tracer,
-            run_log=run_log,
-            health=health,
+            cell.start_sampler(sample_interval_s)
+        run_log.log(
+            "event", event="trace-run", run=label, kernel_tier=cell.kernel_tier
         )
-        if run_log is not None:
-            run_log.log(
-                "event", event="trace-run", run=label, kernel_tier=tier_name
-            )
-        with kernels.use_tier(tier):
-            sim.run(steps, sample_every=1)
-        if run_log is not None:
-            run_log.log(
-                "health",
-                event="run-health-summary",
-                run=label,
-                **health.summary_fields(),
-            )
-        nlist = sim.nlist
+        cell.sim.run(steps, sample_every=1)
+        run_log.log(
+            "health",
+            event="run-health-summary",
+            run=label,
+            **health.summary_fields(),
+        )
+        calculator = cell.sim.calculator
         halo_stats = getattr(calculator, "halo_stats", None)
         pairs = getattr(calculator, "pair_partition", None)
         schedule = getattr(calculator, "schedule", None)
@@ -248,22 +325,11 @@ def _trace_one(
                     registry.gauge(gauge, float(stats[key][shard]), **labels)
         elif pairs is not None and schedule is not None:
             record_schedule_metrics(registry, pairs, schedule, run=label)
-        elif nlist is not None:
-            registry.count("pairs_processed", float(nlist.n_pairs), run=label)
-        record_span_metrics(registry, tracer, run=label)
-        spans = tracer.spans
-        if sampler is not None:
-            sampler.stop()
-            spans = spans + sampler.counter_spans()
-            sampler.record_metrics(registry, run=label)
-            sampler.record_health_summary(run=label)
-    finally:
-        if sampler is not None:
-            sampler.stop()
-        detach = getattr(calculator, "detach_tracer", None)
-        if detach is not None:
-            detach()
-        cleanup()
+        elif cell.sim.nlist is not None:
+            registry.count(
+                "pairs_processed", float(cell.sim.nlist.n_pairs), run=label
+            )
+        spans = cell.finish(registry)
     return TracedRun(
         label=label,
         case=case_key,
@@ -272,8 +338,30 @@ def _trace_one(
         n_workers=n_workers,
         n_steps=steps,
         spans=spans,
-        kernel_tier=tier_name,
+        kernel_tier=cell.kernel_tier,
     )
+
+
+def write_run_artifacts(
+    output_dir: str,
+    span_groups: Sequence[Tuple[str, Sequence[Span]]],
+    registry: MetricsRegistry,
+    meta: Mapping[str, object],
+) -> Tuple[str, str, str]:
+    """Write what every traced driver leaves in its run directory.
+
+    ``trace.json`` (the Perfetto timeline of ``span_groups``, stamped
+    with ``meta``), the metrics stream of ``registry`` and the dump of
+    the process's flight recorder; returns the three paths.
+    """
+    os.makedirs(output_dir, exist_ok=True)
+    trace_path = os.path.join(output_dir, "trace.json")
+    metrics_path = artifact_path(output_dir, "metrics")
+    health_path = artifact_path(output_dir, "health")
+    write_trace_json(trace_path, span_groups, meta=meta)
+    registry.write_jsonl(metrics_path)
+    get_recorder().dump(health_path)
+    return trace_path, metrics_path, health_path
 
 
 def run_trace(
@@ -289,12 +377,13 @@ def run_trace(
     sample_resources: bool = False,
     sample_interval_s: float = 0.05,
 ) -> TraceReport:
-    """Trace the sweep; optionally write the three artifacts.
+    """Trace the sweep; optionally write the run directory.
 
-    With ``output_dir`` set, writes ``trace.json``, ``metrics.jsonl`` and
-    ``run.jsonl`` there (creating the directory) and records the paths on
-    the returned report.  With ``store_path`` set, the metrics and run-log
-    streams are also appended to that performance-history store
+    With ``output_dir`` set, writes ``trace.json`` and the ``metrics``,
+    ``runlog`` and ``health`` artifacts (:mod:`repro.obs.rundir`) there,
+    creating the directory, and records the paths on the returned
+    report.  With ``store_path`` set, the same three streams are also
+    appended to that performance-history store
     (:class:`~repro.obs.history.RunStore`).  With ``sample_resources``,
     a :class:`~repro.obs.resources.ResourceSampler` co-runs with every
     cell and its CPU/RSS/context-switch/shm counter tracks merge into
@@ -303,14 +392,12 @@ def run_trace(
     if steps < 1:
         raise ValueError("steps must be >= 1")
     registry = MetricsRegistry()
-    run_log: Optional[RunLog] = None
+    meta = collect_run_meta(n_workers)
     runlog_path: Optional[str] = None
     if output_dir is not None:
         os.makedirs(output_dir, exist_ok=True)
-        runlog_path = os.path.join(output_dir, "run.jsonl")
-        run_log = RunLog(runlog_path, meta=collect_run_meta(n_workers))
-    else:
-        run_log = RunLog(meta=collect_run_meta(n_workers))
+        runlog_path = artifact_path(output_dir, "runlog")
+    run_log = RunLog(runlog_path, meta=meta)
     report = TraceReport(runs=[], registry=registry, runlog_path=runlog_path)
     try:
         for case_key in cases:
@@ -342,35 +429,20 @@ def run_trace(
     finally:
         run_log.close()
     if output_dir is not None:
-        report.trace_path = os.path.join(output_dir, "trace.json")
-        report.metrics_path = os.path.join(output_dir, "metrics.jsonl")
-        report.health_path = os.path.join(output_dir, "health.jsonl")
-        write_trace_json(
-            report.trace_path,
-            report.span_groups(),
-            meta=collect_run_meta(n_workers),
+        report.trace_path, report.metrics_path, report.health_path = (
+            write_run_artifacts(
+                output_dir, report.span_groups(), registry, meta
+            )
         )
-        registry.write_jsonl(report.metrics_path)
-        get_recorder().dump(report.health_path)
     if store_path is not None:
         from repro.obs.history import RunStore
 
         store = RunStore(store_path)
-        meta = collect_run_meta(n_workers)
-        store.append_records(
-            "metrics",
-            [r.to_dict() for r in registry.records()],
-            meta=meta,
-            source="metrics.jsonl",
-        )
-        store.append_records(
-            "runlog", run_log.records, meta=meta, source="run.jsonl"
-        )
-        store.append_records(
-            "health",
-            get_recorder().records(),
-            meta=meta,
-            source="health.jsonl",
-        )
+        for kind, records in (
+            ("metrics", [r.to_dict() for r in registry.records()]),
+            ("runlog", run_log.records),
+            ("health", get_recorder().records()),
+        ):
+            store.append_records(kind, records, meta=meta)
         report.store_path = store.path
     return report

@@ -25,6 +25,8 @@ surface the analysis and profiling layers already use.  Four pieces:
 On top of the per-run artifacts, the performance-history layer compares
 runs over time:
 
+* :mod:`repro.obs.rundir` — the run directory: the one table of artifact
+  kinds, file names and schema tags, with its writer and its reader;
 * :mod:`repro.obs.history` — :class:`RunStore`, the append-only
   ``history.jsonl`` trajectory of ingested artifacts;
 * :mod:`repro.obs.regress` — median/IQR regression verdicts

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, imbalance_rows
 from repro.obs.tracer import CAT_COUNTER, Span
 
 __all__ = [
@@ -129,35 +129,13 @@ def write_trace_json(
 def render_trace_summary(registry: MetricsRegistry, top: int = 10) -> str:
     """Rank the worst-balanced color phases from recorded metrics.
 
-    Reads the ``phase_load_imbalance_measured`` / ``phase_barrier_slack_s``
-    gauges (:func:`repro.obs.metrics.record_span_metrics`) and, when
-    present, the static ``color_load_imbalance_static`` gauges; sorts by
-    measured ratio, worst first.
+    The rows are :func:`repro.obs.metrics.imbalance_rows` — the measured
+    ``max/mean`` ratio per phase joined with its barrier slack, worst
+    first — which the report's imbalance panel draws too.
     """
-    rows: List[Tuple[float, Dict[str, object]]] = []
-    slack: Dict[Tuple, float] = {}
-    for record in registry.records():
-        if record.name == "phase_barrier_slack_s":
-            key = (record.labels.get("run"), record.labels.get("phase"))
-            slack[key] = record.value
-    for record in registry.records():
-        if record.name != "phase_load_imbalance_measured":
-            continue
-        key = (record.labels.get("run"), record.labels.get("phase"))
-        rows.append(
-            (
-                record.value,
-                {
-                    "run": record.labels.get("run", "?"),
-                    "phase": record.labels.get("phase_name", "?"),
-                    "n_tasks": record.labels.get("n_tasks", "?"),
-                    "slack": slack.get(key, 0.0),
-                },
-            )
-        )
+    rows = imbalance_rows(r.to_dict() for r in registry.records())
     if not rows:
         return "(no measured phase metrics)"
-    rows.sort(key=lambda r: r[0], reverse=True)
     header = (
         f"{'run':<28} {'phase':<28} {'tasks':>5} "
         f"{'max/mean':>9} {'barrier slack':>14}"
@@ -167,11 +145,11 @@ def render_trace_summary(registry: MetricsRegistry, top: int = 10) -> str:
         header,
         "-" * len(header),
     ]
-    for ratio, info in rows[:top]:
+    for row in rows[:top]:
         lines.append(
-            f"{str(info['run']):<28} {str(info['phase']):<28} "
-            f"{str(info['n_tasks']):>5} {ratio:>9.2f} "
-            f"{info['slack'] * 1e3:>11.3f} ms"
+            f"{str(row['run']):<28} {str(row['phase']):<28} "
+            f"{str(row['n_tasks']):>5} {row['ratio']:>9.2f} "
+            f"{row['slack_s'] * 1e3:>11.3f} ms"
         )
     if len(rows) > top:
         lines.append(f"... {len(rows) - top} more phases omitted")

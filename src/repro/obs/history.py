@@ -1,14 +1,14 @@
 """Performance history: an append-only store of run artifacts over time.
 
-The per-run artifacts (``BENCH_*.json`` from ``repro bench``,
-``metrics.jsonl`` / ``run.jsonl`` from ``repro trace``) each describe one
-invocation; the :class:`RunStore` strings them into a trajectory.  Every
-ingested artifact becomes one JSONL line (a :class:`HistoryEntry`) in the
-store file (default ``.repro/history.jsonl``), carrying:
+The artifacts of a run directory (:mod:`repro.obs.rundir`) each describe
+one invocation; the :class:`RunStore` strings them into a trajectory.
+Every ingested artifact becomes one JSONL line (a :class:`HistoryEntry`)
+in the store file (default ``.repro/history.jsonl``), carrying:
 
 * a monotonically increasing ``seq`` number (append order);
-* the ``kind`` discriminator (``bench`` / ``reordering`` / ``metrics`` /
-  ``runlog`` / ``health``);
+* the ``kind`` discriminator — the artifact's kind in the run-directory
+  table (``bench`` / ``tier-speedup`` / ``reordering`` / ``scaling`` /
+  ``metrics`` / ``runlog`` / ``health``);
 * the run's ``meta`` environment block (hostname, git SHA, thread count,
   Python/NumPy versions) preserved verbatim;
 * the artifact's records.
@@ -30,6 +30,13 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.atomicio import atomic_append_text
+from repro.obs.rundir import (
+    ARTIFACTS,
+    check_schema,
+    read_jsonl,
+    read_run_dir,
+    runlog_meta,
+)
 
 __all__ = [
     "HISTORY_SCHEMA",
@@ -38,6 +45,7 @@ __all__ = [
     "RunKey",
     "RunStore",
     "bench_cells",
+    "bench_series",
 ]
 
 HISTORY_SCHEMA = "repro-history-v1"
@@ -145,6 +153,27 @@ def bench_cells(
     return cells
 
 
+def bench_series(
+    entries: Sequence[HistoryEntry],
+) -> Dict[
+    Tuple[str, str, str, int, str], List[Tuple[int, Dict[str, object]]]
+]:
+    """Per-cell ``total``-phase trajectory across ``entries``.
+
+    Maps (case, strategy, backend, n_workers, kernel_tier) to the
+    time-ordered ``(seq, record)`` list — the data behind the trend
+    sparklines.
+    """
+    out: Dict[
+        Tuple[str, str, str, int, str], List[Tuple[int, Dict[str, object]]]
+    ] = {}
+    for entry in entries:
+        for (key, phase), record in bench_cells(entry).items():
+            if phase == "total":
+                out.setdefault(key.series(), []).append((entry.seq, record))
+    return out
+
+
 class RunStore:
     """Append-only JSONL history of ingested run artifacts.
 
@@ -163,18 +192,13 @@ class RunStore:
 
     def entries(self, kind: Optional[str] = None) -> List[HistoryEntry]:
         """All stored entries in append order, optionally one kind only."""
-        out: List[HistoryEntry] = []
         if not os.path.exists(self._path):
-            return out
-        with open(self._path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                out.append(HistoryEntry.from_dict(json.loads(line)))
-        if kind is not None:
-            out = [e for e in out if e.kind == kind]
-        return out
+            return []
+        return [
+            entry
+            for entry in map(HistoryEntry.from_dict, read_jsonl(self._path))
+            if kind is None or entry.kind == kind
+        ]
 
     def __len__(self) -> int:
         return len(self.entries())
@@ -203,22 +227,8 @@ class RunStore:
     ) -> Dict[
         Tuple[str, str, str, int, str], List[Tuple[int, Dict[str, object]]]
     ]:
-        """Per-cell ``total``-phase trajectory across the whole store.
-
-        Maps (case, strategy, backend, n_workers, kernel_tier) to the
-        time-ordered ``(seq, record)`` list — the data behind the trend
-        sparklines.
-        """
-        out: Dict[
-            Tuple[str, str, str, int, str],
-            List[Tuple[int, Dict[str, object]]],
-        ] = {}
-        for entry in self.entries(kind):
-            for (key, phase), record in bench_cells(entry).items():
-                if phase != "total":
-                    continue
-                out.setdefault(key.series(), []).append((entry.seq, record))
-        return out
+        """:func:`bench_series` over the whole store."""
+        return bench_series(self.entries(kind))
 
     # --- appending -------------------------------------------------------------
 
@@ -236,45 +246,25 @@ class RunStore:
         )
         return entry
 
-    def append_bench(
-        self,
-        payload: Mapping[str, object],
-        source: str = "BENCH_forces.json",
-        kind: str = "bench",
-    ) -> HistoryEntry:
-        """Ingest one ``repro-bench-v2`` payload (meta block preserved)."""
-        schema = str(payload.get("schema", ""))
-        if not schema.startswith("repro-bench"):
-            raise ValueError(f"not a repro-bench payload (schema {schema!r})")
-        return self._append(
-            HistoryEntry(
-                seq=self._next_seq(),
-                kind=kind,
-                source=source,
-                meta=dict(payload.get("meta", {})),  # type: ignore[arg-type]
-                records=list(payload.get("records", [])),  # type: ignore[arg-type]
-            )
-        )
-
     def append_records(
         self,
         kind: str,
         records: Sequence[Mapping[str, object]],
         meta: Optional[Mapping[str, object]] = None,
-        source: str = "",
+        source: Optional[str] = None,
     ) -> HistoryEntry:
-        """Ingest a generic JSONL record stream (metrics, run log)."""
-        meta_block = dict(meta) if meta is not None else {}
+        """Ingest one artifact's records under ``kind``.
+
+        ``source`` defaults to the run-directory file name of ``kind``;
+        a run log without an explicit ``meta`` contributes its own
+        ``meta`` record.
+        """
         stored = [dict(r) for r in records]
+        meta_block = dict(meta) if meta is not None else {}
         if kind == "runlog" and not meta_block:
-            for record in stored:
-                if record.get("kind") == "meta":
-                    meta_block = {
-                        k: v
-                        for k, v in record.items()
-                        if k not in ("kind", "t")
-                    }
-                    break
+            meta_block = runlog_meta(stored)
+        if source is None:
+            source = ARTIFACTS[kind].filename if kind in ARTIFACTS else ""
         return self._append(
             HistoryEntry(
                 seq=self._next_seq(),
@@ -285,58 +275,26 @@ class RunStore:
             )
         )
 
-    # --- artifact-directory ingest ---------------------------------------------
+    def append_bench(
+        self,
+        payload: Mapping[str, object],
+        source: Optional[str] = None,
+        kind: str = "bench",
+    ) -> HistoryEntry:
+        """Ingest one ``repro-bench`` payload (meta block preserved)."""
+        check_schema(payload, kind)
+        return self.append_records(
+            kind,
+            payload.get("records", []),  # type: ignore[arg-type]
+            meta=payload.get("meta", {}),  # type: ignore[arg-type]
+            source=source,
+        )
 
     def ingest_dir(self, directory) -> List[HistoryEntry]:
-        """Ingest every known artifact found in ``directory``.
-
-        Recognized filenames: ``BENCH_forces.json``,
-        ``BENCH_reordering.json``, ``metrics.jsonl``, ``run.jsonl``,
-        ``health.jsonl`` (validated against the health schema before
-        ingest).  Returns the appended entries (possibly empty).
-        """
-        directory = os.fspath(directory)
-        appended: List[HistoryEntry] = []
-        for name, kind in (
-            ("BENCH_forces.json", "bench"),
-            ("BENCH_reordering.json", "reordering"),
-        ):
-            path = os.path.join(directory, name)
-            if os.path.exists(path):
-                with open(path, "r", encoding="utf-8") as handle:
-                    payload = json.load(handle)
-                appended.append(
-                    self.append_bench(payload, source=name, kind=kind)
-                )
-        for name, kind in (
-            ("metrics.jsonl", "metrics"),
-            ("run.jsonl", "runlog"),
-        ):
-            path = os.path.join(directory, name)
-            if os.path.exists(path):
-                appended.append(
-                    self.append_records(
-                        kind, _read_jsonl(path), source=name
-                    )
-                )
-        path = os.path.join(directory, "health.jsonl")
-        if os.path.exists(path):
-            from repro.obs.recorder import read_health_jsonl
-
-            meta, events = read_health_jsonl(path)
-            appended.append(
-                self.append_records(
-                    "health", [meta] + events, source="health.jsonl"
-                )
-            )
-        return appended
-
-
-def _read_jsonl(path) -> List[Dict[str, object]]:
-    records: List[Dict[str, object]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
+        """Ingest every artifact :func:`~repro.obs.rundir.read_run_dir`
+        finds in ``directory``, in table order; returns the appended
+        entries (possibly empty)."""
+        return [
+            self.append_records(kind, records, meta=meta)
+            for kind, (meta, records) in read_run_dir(directory).items()
+        ]

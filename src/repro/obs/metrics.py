@@ -31,6 +31,7 @@ from repro.obs.tracer import CAT_BARRIER, CAT_PHASE, CAT_TASK, Span, Tracer
 __all__ = [
     "MetricRecord",
     "MetricsRegistry",
+    "imbalance_rows",
     "load_imbalance",
     "record_racecheck_metrics",
     "record_schedule_metrics",
@@ -278,3 +279,33 @@ def record_span_metrics(
             phase_name=name,
             **labels,
         )
+
+
+def imbalance_rows(
+    metrics: Iterable[Mapping[str, object]],
+) -> List[Dict[str, object]]:
+    """Measured per-phase imbalance joined with its barrier slack.
+
+    Reads :func:`record_span_metrics`' two gauges from a metrics stream
+    (``MetricRecord.to_dict`` records or ``metrics.jsonl`` lines) and
+    joins them on (run, phase); worst-balanced phase first.
+    """
+    metrics = list(metrics)
+    slack = {
+        (m.get("run"), m.get("phase")): float(m["value"])
+        for m in metrics
+        if m.get("metric") == "phase_barrier_slack_s"
+    }
+    rows = [
+        {
+            "run": m.get("run", "?"),
+            "phase": m.get("phase_name", m.get("phase", "?")),
+            "n_tasks": m.get("n_tasks", "?"),
+            "ratio": float(m["value"]),
+            "slack_s": slack.get((m.get("run"), m.get("phase")), 0.0),
+        }
+        for m in metrics
+        if m.get("metric") == "phase_load_imbalance_measured"
+    ]
+    rows.sort(key=lambda r: r["ratio"], reverse=True)
+    return rows

@@ -38,7 +38,9 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import (
+    Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+)
 
 from repro.obs.atomicio import atomic_write_text
 
@@ -51,6 +53,7 @@ __all__ = [
     "HealthEvent",
     "count",
     "get_recorder",
+    "health_digest",
     "install_excepthook",
     "read_health_jsonl",
     "record",
@@ -432,13 +435,9 @@ def read_health_jsonl(
     Validates the stream (:func:`validate_health_records`) so a reader
     fails loudly on an incompatible or truncated artifact.
     """
-    records: List[Dict[str, object]] = []
-    with open(os.fspath(path), "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return validate_health_records(records)
+    from repro.obs.rundir import read_jsonl
+
+    return validate_health_records(read_jsonl(path))
 
 
 def validate_health_records(
@@ -473,3 +472,43 @@ def validate_health_records(
             )
         events.append(record_)
     return meta, events
+
+
+def health_digest(
+    records: Sequence[Mapping[str, object]],
+) -> Dict[str, object]:
+    """What a reader says about a health stream (header + events).
+
+    The one join behind ``repro health`` and the report's health panel:
+    the header's bounds and integer counters, the worst severity among
+    the events still in the ring, and the warning-or-worse events with
+    their extra fields folded into a ``detail`` string.
+    """
+    meta = next((r for r in records if r.get("kind") == "health-meta"), {})
+    events = [r for r in records if r.get("kind") == "health"]
+    severities = [str(e.get("severity", "info")) for e in events]
+    counts = meta.get("counts")
+    if not isinstance(counts, Mapping):
+        counts = {}
+    notable = [
+        {
+            **e,
+            "detail": ", ".join(
+                f"{k}={v}"
+                for k, v in sorted(e.items())
+                if k not in ("kind", "t", "category", "event", "severity")
+            ),
+        }
+        for e, severity in zip(events, severities)
+        if severity_rank(severity) >= _SEVERITY_RANK["warning"]
+    ]
+    return {
+        "n_events": len(events),
+        "n_recorded": meta.get("n_recorded", 0),
+        "n_dropped": meta.get("n_dropped", 0),
+        "counts": {
+            k: v for k, v in sorted(counts.items()) if isinstance(v, int)
+        },
+        "worst": max(severities, key=severity_rank, default="info"),
+        "notable": notable,
+    }

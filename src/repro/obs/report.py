@@ -21,27 +21,37 @@ history store:
   fallbacks, physics invariant breaches);
 * **meta panel** — the environment block of the newest artifact.
 
-The output is strict XHTML (every tag closed, all dynamic text escaped)
+Each panel is defined once — a builder returning a :class:`Panel` (id,
+title, note, status line, figure fragments, ``headers``, ``rows``) —
+and drawn twice: :func:`render_html` is the page, and
+:func:`render_text_summary` the terminal/markdown counterpart for report
+consumers without a browser, both over :func:`build_panels`.
+
+The page is strict XHTML (every tag closed, all dynamic text escaped)
 so it parses with any XML parser — that well-formedness is part of the
 test contract.  Every chart keeps a table view beside it, series colors
 come from a fixed-order validated palette, and dark mode swaps the same
-roles via ``prefers-color-scheme``.  :func:`render_text_summary` is the
-terminal/markdown counterpart for report consumers without a browser.
+roles via ``prefers-color-scheme``.
 """
 
 from __future__ import annotations
 
 import html
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.atomicio import atomic_write_text
-from repro.obs.history import RunStore
+from repro.obs.history import HistoryEntry, RunStore, bench_series
+from repro.obs.metrics import imbalance_rows
+from repro.obs.recorder import health_digest
+from repro.obs.rundir import read_run_dir
 
 __all__ = [
+    "Panel",
     "ReportData",
+    "amortization_rows",
+    "build_panels",
     "load_report_source",
     "render_html",
     "render_text_summary",
@@ -132,68 +142,12 @@ class ReportData:
         return out
 
     def amortization_rows(self) -> List[Dict[str, object]]:
-        """First-step vs amortized per-step cost per repeated-compute cell.
-
-        Joins the ``first_step`` and ``amortized`` phase rows emitted by
-        ``repro bench --steps`` on (case, strategy, backend, n_workers);
-        cells missing either half are dropped.  Speedup is first-step
-        cost over amortized per-step cost — how much the persistent
-        engine's reused pool/arena/schedule buys after step one.
-        """
-        cells: Dict[
-            Tuple[str, str, str, int], Dict[str, float]
-        ] = {}
-        for r in self.bench_records:
-            phase = r.get("phase")
-            if phase not in ("first_step", "amortized"):
-                continue
-            if "median_s" not in r:
-                continue
-            key = (
-                str(r.get("case", "?")),
-                str(r.get("strategy", "?")),
-                str(r.get("backend", "?")),
-                int(r.get("n_workers", 0)),
-            )
-            cells.setdefault(key, {})[str(phase)] = float(r["median_s"])
-        rows = []
-        for key in sorted(cells):
-            pair = cells[key]
-            if "first_step" not in pair or "amortized" not in pair:
-                continue
-            first, amortized = pair["first_step"], pair["amortized"]
-            rows.append(
-                {
-                    "case": key[0],
-                    "strategy": key[1],
-                    "backend": key[2],
-                    "n_workers": key[3],
-                    "first_step_s": first,
-                    "amortized_s": amortized,
-                    "speedup": first / amortized if amortized > 0 else 0.0,
-                }
-            )
-        return rows
+        """:func:`amortization_rows` of the bench records."""
+        return amortization_rows(self.bench_records)
 
     def imbalance_rows(self) -> List[Dict[str, object]]:
-        """Measured per-phase imbalance joined with its barrier slack."""
-        slack: Dict[Tuple[object, object], float] = {}
-        for m in self.metrics_records:
-            if m.get("metric") == "phase_barrier_slack_s":
-                slack[(m.get("run"), m.get("phase"))] = float(m["value"])
-        rows = [
-            {
-                "run": m.get("run", "?"),
-                "phase": m.get("phase_name", m.get("phase", "?")),
-                "n_tasks": m.get("n_tasks", "?"),
-                "ratio": float(m["value"]),
-                "slack_s": slack.get((m.get("run"), m.get("phase")), 0.0),
-            }
-            for m in self.metrics_records
-            if m.get("metric") == "phase_load_imbalance_measured"
-        ]
-        rows.sort(key=lambda r: r["ratio"], reverse=True)
-        return rows
+        """:func:`~repro.obs.metrics.imbalance_rows` of the metrics stream."""
+        return imbalance_rows(self.metrics_records)
 
     def halo_fractions(self) -> Dict[str, float]:
         """Halo fraction per run — per shard when the records carry the
@@ -229,26 +183,57 @@ class ReportData:
             records.sort(key=lambda r: int(r["n_workers"]))
         return out
 
-    def health_meta(self) -> Dict[str, object]:
-        """The ``health-meta`` header of the ingested health stream."""
-        for r in self.health_records:
-            if r.get("kind") == "health-meta":
-                return r
-        return {}
 
-    def health_events(
-        self, min_severity: str = "debug"
-    ) -> List[Dict[str, object]]:
-        """The health event records at or above ``min_severity``."""
-        from repro.obs.recorder import severity_rank
+def amortization_rows(
+    records: Sequence[Mapping[str, object]],
+) -> List[Dict[str, object]]:
+    """First-step vs amortized per-step cost per repeated-compute cell.
 
-        floor = severity_rank(min_severity)
-        return [
-            r
-            for r in self.health_records
-            if r.get("kind") == "health"
-            and severity_rank(str(r.get("severity", "info"))) >= floor
-        ]
+    Joins the ``first_step`` and ``amortized`` phase rows emitted by
+    ``repro bench --steps`` on (case, strategy, backend, n_workers);
+    cells missing either half are dropped.  Speedup is first-step
+    cost over amortized per-step cost — how much the persistent
+    engine's reused pool/arena/schedule buys after step one.
+    """
+    cells: Dict[Tuple[str, str, str, int], Dict[str, float]] = {}
+    for r in records:
+        if r.get("phase") in ("first_step", "amortized") and "median_s" in r:
+            key = (
+                str(r.get("case", "?")),
+                str(r.get("strategy", "?")),
+                str(r.get("backend", "?")),
+                int(r.get("n_workers", 0)),
+            )
+            cells.setdefault(key, {})[str(r["phase"])] = float(r["median_s"])
+    return [
+        {
+            "case": key[0],
+            "strategy": key[1],
+            "backend": key[2],
+            "n_workers": key[3],
+            "first_step_s": pair["first_step"],
+            "amortized_s": pair["amortized"],
+            "speedup": (
+                pair["first_step"] / pair["amortized"]
+                if pair["amortized"] > 0
+                else 0.0
+            ),
+        }
+        for key, pair in sorted(cells.items())
+        if len(pair) == 2
+    ]
+
+
+#: run-directory kind -> the ReportData field its records land in
+_RECORD_FIELDS = {
+    "bench": "bench_records",
+    "tier-speedup": "tier_speedup_records",
+    "reordering": "reordering_records",
+    "scaling": "scaling_records",
+    "metrics": "metrics_records",
+    "runlog": "runlog_records",
+    "health": "health_records",
+}
 
 
 def load_report_source(
@@ -258,109 +243,42 @@ def load_report_source(
 ) -> ReportData:
     """Assemble :class:`ReportData` from a directory or a history store.
 
-    A directory source reads the per-run artifacts it contains
-    (``BENCH_forces.json``, ``BENCH_reordering.json``, ``metrics.jsonl``,
-    ``run.jsonl``, ``health.jsonl``) plus ``history.jsonl`` /
-    ``.repro/history.jsonl`` for
-    the trend panel; a ``.jsonl`` file source is treated as a history
-    store and the newest entry of each kind becomes the "current" run.
+    A directory source reads the run directory
+    (:func:`~repro.obs.rundir.read_run_dir`) plus ``history.jsonl`` /
+    ``.repro/history.jsonl`` for the trend panel; a ``.jsonl`` file
+    source is treated as a history store and the newest entry of each
+    kind becomes the "current" run.  Either way the environment block
+    is the first one found in table order.
     """
     source = os.fspath(source)
     data = ReportData(source=source, regression=regression)
-    store: Optional[RunStore] = None
+    entries: List[HistoryEntry] = []
     if os.path.isdir(source):
-        bench_path = os.path.join(source, "BENCH_forces.json")
-        if os.path.exists(bench_path):
-            with open(bench_path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            data.meta = dict(payload.get("meta", {}))
-            data.bench_records = list(payload.get("records", []))
-        reorder_path = os.path.join(source, "BENCH_reordering.json")
-        if os.path.exists(reorder_path):
-            with open(reorder_path, "r", encoding="utf-8") as handle:
-                data.reordering_records = list(
-                    json.load(handle).get("records", [])
-                )
-        tier_path = os.path.join(source, "BENCH_tier_speedup.json")
-        if os.path.exists(tier_path):
-            with open(tier_path, "r", encoding="utf-8") as handle:
-                data.tier_speedup_records = list(
-                    json.load(handle).get("records", [])
-                )
-        scaling_path = os.path.join(source, "scaling.json")
-        if os.path.exists(scaling_path):
-            with open(scaling_path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            data.scaling_records = list(payload.get("records", []))
-            if not data.meta:
-                data.meta = dict(payload.get("meta", {}))
-        for name, attr in (
-            ("metrics.jsonl", "metrics_records"),
-            ("run.jsonl", "runlog_records"),
-            ("health.jsonl", "health_records"),
-        ):
-            path = os.path.join(source, name)
-            if os.path.exists(path):
-                setattr(data, attr, _read_jsonl(path))
+        found = read_run_dir(source)
         for candidate in (
             store_path,
             os.path.join(source, "history.jsonl"),
             os.path.join(source, ".repro", "history.jsonl"),
         ):
             if candidate is not None and os.path.exists(candidate):
-                store = RunStore(candidate)
+                entries = RunStore(candidate).entries()
                 break
     else:
-        store = RunStore(store_path if store_path is not None else source)
-        latest_bench = store.latest("bench")
-        if latest_bench is not None:
-            data.meta = latest_bench.meta
-            data.bench_records = latest_bench.records
-        latest_metrics = store.latest("metrics")
-        if latest_metrics is not None:
-            data.metrics_records = latest_metrics.records
-        latest_runlog = store.latest("runlog")
-        if latest_runlog is not None:
-            data.runlog_records = latest_runlog.records
-        latest_reorder = store.latest("reordering")
-        if latest_reorder is not None:
-            data.reordering_records = latest_reorder.records
-        latest_tier = store.latest("tier-speedup")
-        if latest_tier is not None:
-            data.tier_speedup_records = latest_tier.records
-        latest_scaling = store.latest("scaling")
-        if latest_scaling is not None:
-            data.scaling_records = latest_scaling.records
-            if not data.meta:
-                data.meta = latest_scaling.meta
-        latest_health = store.latest("health")
-        if latest_health is not None:
-            data.health_records = latest_health.records
-    if store is not None:
-        for key, points in store.series("bench").items():
-            data.trend[key] = [
-                (seq, float(r["median_s"]))
-                for seq, r in points
-                if "median_s" in r
-            ]
-    if not data.meta and data.runlog_records:
-        for record in data.runlog_records:
-            if record.get("kind") == "meta":
-                data.meta = {
-                    k: v for k, v in record.items() if k not in ("kind", "t")
-                }
-                break
+        entries = RunStore(
+            store_path if store_path is not None else source
+        ).entries()
+        found = {e.kind: (e.meta, e.records) for e in entries}
+    for kind, attr in _RECORD_FIELDS.items():
+        meta, records = found.get(kind, ({}, []))
+        setattr(data, attr, records)
+        if not data.meta:
+            data.meta = dict(meta)
+    bench = [e for e in entries if e.kind == "bench"]
+    for key, points in bench_series(bench).items():
+        data.trend[key] = [
+            (seq, float(r["median_s"])) for seq, r in points if "median_s" in r
+        ]
     return data
-
-
-def _read_jsonl(path) -> List[Dict[str, object]]:
-    records: List[Dict[str, object]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
 
 
 # --- SVG building blocks -------------------------------------------------------
@@ -565,12 +483,22 @@ def _legend(labels: Sequence[str]) -> str:
     return f'<div class="legend">{items}</div>'
 
 
+class _Markup(str):
+    """A table cell that is already XHTML (a sparkline): the page embeds
+    it unescaped, the text summary leaves its column out."""
+
+
 def _table(
     headers: Sequence[str], rows: Sequence[Sequence[object]]
 ) -> str:
     head = "".join(f"<th>{_esc(h)}</th>" for h in headers)
     body = "".join(
-        "<tr>" + "".join(f"<td>{_esc(c)}</td>" for c in row) + "</tr>"
+        "<tr>"
+        + "".join(
+            f"<td>{c if isinstance(c, _Markup) else _esc(c)}</td>"
+            for c in row
+        )
+        + "</tr>"
         for row in rows
     )
     return (
@@ -579,83 +507,142 @@ def _table(
     )
 
 
+def _figure(caption: str, *body: str) -> str:
+    return (
+        f"<figure><figcaption>{_esc(caption)}</figcaption>"
+        + "".join(body)
+        + "</figure>"
+    )
+
+
 # --- panels --------------------------------------------------------------------
 
 
-def _panel(panel_id: str, title: str, body: str, note: str = "") -> str:
-    note_html = f'<p class="muted">{_esc(note)}</p>' if note else ""
-    return (
-        f'<section class="panel" id="{panel_id}">'
-        f"<h2>{_esc(title)}</h2>{note_html}{body}</section>"
+@dataclass
+class Panel:
+    """One report section: what the page and the text summary both draw.
+
+    The page shows the note, the status line, the figures and the table;
+    the summary shows the title, the status line and one line per row.
+    """
+
+    id: str
+    title: str
+    note: str = ""
+    #: (``good`` | ``bad``, sentence): the panel's one-line verdict
+    status: Optional[Tuple[str, str]] = None
+    #: XHTML fragments only the page shows (charts, secondary tables)
+    figures: List[str] = field(default_factory=list)
+    headers: Sequence[str] = ()
+    rows: List[Sequence[object]] = field(default_factory=list)
+    #: what the page says when there is nothing to draw
+    empty: str = ""
+
+
+def _cell_label(
+    r: Mapping[str, object], tier: bool = True, workers: bool = True
+) -> str:
+    """``case/strategy/backend[/tier][/wN]`` of a sweep-cell record
+    (the tier is named only when it is not the NumPy reference)."""
+    label = f"{r.get('case', '?')}/{r.get('strategy', '?')}/{r.get('backend', '?')}"
+    if tier and str(r.get("kernel_tier", "numpy")) != "numpy":
+        label += f"/{r['kernel_tier']}"
+    return f"{label}/w{r.get('n_workers', '?')}" if workers else label
+
+
+def _ms(seconds: object) -> str:
+    return f"{float(seconds) * 1e3:.3f} ms"  # type: ignore[arg-type]
+
+
+def _regression_panel(data: ReportData) -> Optional[Panel]:
+    report = data.regression
+    if report is None:
+        return None
+    counts = report.counts()
+    summary = ", ".join(f"{counts[k]} {k}" for k in sorted(counts))
+    n_hard = len(report.hard_regressions)
+    verdict = f"{n_hard} hard regression(s)" if n_hard else "no hard regressions"
+    return Panel(
+        "panel-regressions",
+        "Regression verdicts",
+        status=(
+            "bad" if n_hard else "good",
+            f"{verdict} — {summary} (threshold "
+            f"{report.threshold * 100:.0f}% on gated total-phase cells)",
+        ),
+        headers=("cell", "phase", "baseline", "candidate", "change", "verdict"),
+        rows=[
+            (
+                v.label,
+                v.phase,
+                _ms(v.baseline_median_s)
+                if v.baseline_median_s is not None
+                else "-",
+                _ms(v.candidate_median_s),
+                f"{v.rel_change * 100:+.1f}%"
+                if v.rel_change is not None
+                else "-",
+                v.verdict,
+            )
+            for v in report.verdicts
+            if v.gated
+        ],
     )
 
 
-def _speedup_panel(data: ReportData) -> str:
-    per_case = data.speedup_series()
-    if not per_case:
-        return _panel(
-            "panel-speedup",
-            "Speedup vs threads",
-            '<p class="muted">(no bench records with a serial reference)</p>',
-        )
-    charts = []
-    for case, series_map in sorted(per_case.items()):
-        labels = sorted(series_map)
-        series = [(label, series_map[label]) for label in labels]
-        table_rows = [
-            (label, _fmt(float(x)), f"{y:.2f}x")
-            for label, pts in series
-            for x, y in pts
-        ]
-        charts.append(
-            f'<figure><figcaption>case {_esc(case)}</figcaption>'
-            + _svg_line_chart(
-                series, x_label="threads", y_label="speedup vs serial"
-            )
-            + _legend(labels)
-            + f'<details><summary>data</summary>'
-            + _table(("series", "threads", "speedup"), table_rows)
-            + "</details></figure>"
-        )
-    return _panel(
+def _speedup_panel(data: ReportData) -> Panel:
+    panel = Panel(
         "panel-speedup",
-        "Speedup vs threads",
-        "".join(charts),
+        "Speedup vs serial (total-phase medians)",
         note="Total-phase median of each strategy x backend cell, "
         "normalized to the serial/serial cell of the same case "
         "(the paper's Fig. 5-9 presentation).",
+        headers=("series", "speedup"),
+        empty="(no bench records with a serial reference)",
     )
-
-
-def _tier_speedup_panel(data: ReportData) -> str:
-    rows = [
-        r for r in data.tier_speedup_records if "speedup" in r
-    ]
-    if not rows:
-        return ""
-    table_rows = [
-        (
-            r.get("case", ""),
-            f"{r.get('strategy', '')}/{r.get('backend', '')}"
-            f"/w{r.get('n_workers', '')}",
-            r.get("kernel_tier", ""),
-            r.get("reference_tier", ""),
-            f"{float(r['median_s']) * 1e3:.3f} ms",
-            f"{float(r['reference_median_s']) * 1e3:.3f} ms",
-            f"{float(r['speedup']):.2f}x",
+    for case, series_map in sorted(data.speedup_series().items()):
+        series = sorted(series_map.items())
+        panel.figures.append(
+            _figure(
+                f"case {case}",
+                _svg_line_chart(
+                    series, x_label="threads", y_label="speedup vs serial"
+                ),
+                _legend([label for label, _ in series]),
+            )
         )
-        for r in rows
-    ]
-    return _panel(
+        panel.rows += [
+            (
+                f"{case}/{label}",
+                ", ".join(f"w{int(x)}: {y:.2f}x" for x, y in pts),
+            )
+            for label, pts in series
+        ]
+    return panel
+
+
+def _tier_speedup_panel(data: ReportData) -> Optional[Panel]:
+    rows = [r for r in data.tier_speedup_records if "speedup" in r]
+    if not rows:
+        return None
+    return Panel(
         "panel-tier-speedup",
         "Kernel-tier speedup",
-        _table(
-            ("case", "cell", "tier", "vs", "median", "ref median", "speedup"),
-            table_rows,
-        ),
         note="End-to-end phase medians of the same sweep cell on two "
         "kernel tiers (repro bench --kernel-tier X --speedup-vs Y); "
         "speedup > 1 means the candidate tier is faster.",
+        headers=("cell", "tier", "vs", "median", "ref median", "speedup"),
+        rows=[
+            (
+                _cell_label(r, tier=False),
+                r.get("kernel_tier", ""),
+                r.get("reference_tier", ""),
+                _ms(r["median_s"]),
+                _ms(r["reference_median_s"]),
+                f"{float(r['speedup']):.2f}x",
+            )
+            for r in rows
+        ],
     )
 
 
@@ -669,391 +656,292 @@ _LOSS_LABELS = (
 )
 
 
-def _scaling_panel(data: ReportData) -> str:
+def _scaling_panel(data: ReportData) -> Optional[Panel]:
     groups = data.scaling_groups()
     if not groups:
-        return ""
-    charts = []
-    for key, records in sorted(groups.items()):
-        case, strategy, backend, tier = key
-        label = f"{case}/{strategy}/{backend}"
-        if tier != "numpy":
-            label += f"/{tier}"
-        measured = [
-            (float(int(r["n_workers"])), float(r["speedup"]))
-            for r in records
-        ]
-        ideal = [(x, x) for x, _ in measured]
-        chart = _svg_line_chart(
-            [("measured", measured), ("ideal", ideal)],
-            x_label="workers",
-            y_label="speedup",
-        )
-        table_rows = []
-        for r in records:
-            kf = r.get("karp_flatt")
-            table_rows.append(
-                (
-                    r.get("n_workers", "?"),
-                    f"{float(r.get('median_s', 0.0)):.4f} s",
-                    f"{float(r['speedup']):.2f}x",
-                    f"{float(r.get('efficiency', 0.0)):.1%}",
-                    f"{float(kf):.3f}" if kf is not None else "-",
-                    r.get("dominant_loss") or "-",
-                )
-            )
-        bar_rows: List[Tuple[str, float]] = []
-        color_idx: List[int] = []
-        for r in records:
-            p = r.get("n_workers", "?")
-            for ci, (loss_key, loss_label) in enumerate(_LOSS_LABELS):
-                value = float(r.get(f"loss_{loss_key}", 0.0) or 0.0)
-                if value > 0.005:
-                    bar_rows.append((f"w{p} {loss_label}", value * 100.0))
-                    color_idx.append(ci)
-        bars = (
-            _svg_hbar_chart(bar_rows, unit="%", color_indices=color_idx)
-            if bar_rows
-            else '<p class="muted">(no attributable losses)</p>'
-        )
-        charts.append(
-            f"<figure><figcaption>{_esc(label)}</figcaption>"
-            + chart
-            + _legend(["measured", "ideal"])
-            + "</figure>"
-            + f"<figure><figcaption>{_esc(label)}: lost core-seconds "
-            f"(% of p x T(p))</figcaption>" + bars + "</figure>"
-            + _table(
-                (
-                    "workers",
-                    "T(p)",
-                    "speedup",
-                    "efficiency",
-                    "Karp-Flatt",
-                    "dominant loss",
-                ),
-                table_rows,
-            )
-        )
-    return _panel(
+        return None
+    panel = Panel(
         "panel-scaling",
         "Scaling efficiency and loss attribution",
-        "".join(charts),
         note="From repro scale: speedup S(p)=T(1)/T(p), efficiency "
         "E(p)=S(p)/p, and the Karp-Flatt experimentally-determined "
         "serial fraction e(p)=(1/S-1/p)/(1-1/p). Lost core-seconds are "
         "attributed to serial sections, task load imbalance, residual "
         "barrier slack, resource pressure (sampled sub-100% worker "
         "CPU), and excess work vs the 1-worker baseline.",
+        headers=(
+            "cell", "T(p)", "speedup", "efficiency", "Karp-Flatt",
+            "dominant loss",
+        ),
     )
+    for _, records in sorted(groups.items()):
+        label = _cell_label(records[0], workers=False)
+        measured = [
+            (float(int(r["n_workers"])), float(r["speedup"])) for r in records
+        ]
+        bars: List[Tuple[str, float, int]] = []
+        for r in records:
+            for color, (key, loss_label) in enumerate(_LOSS_LABELS):
+                value = float(r.get(f"loss_{key}", 0.0) or 0.0)
+                if value > 0.005:
+                    bars.append(
+                        (f"w{r['n_workers']} {loss_label}", value * 100.0, color)
+                    )
+        panel.figures += [
+            _figure(
+                label,
+                _svg_line_chart(
+                    [("measured", measured), ("ideal", [(x, x) for x, _ in measured])],
+                    x_label="workers",
+                    y_label="speedup",
+                ),
+                _legend(["measured", "ideal"]),
+            ),
+            _figure(
+                f"{label}: lost core-seconds (% of p x T(p))",
+                _svg_hbar_chart(
+                    [(name, value) for name, value, _ in bars],
+                    unit="%",
+                    color_indices=[color for _, _, color in bars],
+                )
+                if bars
+                else '<p class="muted">(no attributable losses)</p>',
+            ),
+        ]
+        for r in records:
+            kf = r.get("karp_flatt")
+            dominant = r.get("dominant_loss")
+            share = float(r.get(f"loss_{dominant}", 0.0) or 0.0)
+            panel.rows.append(
+                (
+                    _cell_label(r),
+                    f"{float(r.get('median_s', 0.0)):.4f} s",
+                    f"{float(r['speedup']):.2f}x",
+                    f"{float(r.get('efficiency', 0.0)):.1%}",
+                    f"{float(kf):.3f}" if kf is not None else "-",
+                    f"{dominant} ({share:.0%} of core-seconds)"
+                    if dominant
+                    else "-",
+                )
+            )
+    return panel
 
 
-def _strategy_panel(data: ReportData) -> str:
+def _strategy_panel(data: ReportData) -> Panel:
+    panel = Panel(
+        "panel-strategies", "Strategy comparison", empty="(no bench records)"
+    )
     cells = data.total_cells()
-    if not cells:
-        return _panel(
-            "panel-strategies",
-            "Strategy comparison",
-            '<p class="muted">(no bench records)</p>',
+    color_of = {
+        label: i
+        for i, label in enumerate(
+            sorted({f"{r['strategy']}/{r['backend']}" for r in cells})
         )
-    charts = []
-    by_case: Dict[str, List[Dict[str, object]]] = {}
-    for r in cells:
-        by_case.setdefault(str(r["case"]), []).append(r)
-    label_order = sorted(
-        {
-            f"{r['strategy']}/{r['backend']}"
-            for r in cells
-        }
-    )
-    color_of = {label: i for i, label in enumerate(label_order)}
-    for case, rows in sorted(by_case.items()):
-        bar_rows = sorted(
+    }
+    for case in sorted({str(r["case"]) for r in cells}):
+        bars = sorted(
             (
                 (
-                    f"{r['strategy']}/{r['backend']} "
-                    f"(w{r['n_workers']})",
                     float(r["median_s"]) * 1e3,
+                    f"{r['strategy']}/{r['backend']} (w{r['n_workers']})",
                     color_of[f"{r['strategy']}/{r['backend']}"],
                 )
-                for r in rows
-            ),
-            key=lambda row: row[1],
-        )
-        charts.append(
-            f'<figure><figcaption>case {_esc(case)} '
-            f"(total median, ms)</figcaption>"
-            + _svg_hbar_chart(
-                [(label, v) for label, v, _ in bar_rows],
-                unit=" ms",
-                color_indices=[c for _, _, c in bar_rows],
+                for r in cells
+                if str(r["case"]) == case
             )
-            + "</figure>"
         )
-    return _panel(
-        "panel-strategies", "Strategy comparison", "".join(charts)
-    )
+        panel.figures.append(
+            _figure(
+                f"case {case} (total median, ms)",
+                _svg_hbar_chart(
+                    [(label, value) for value, label, _ in bars],
+                    unit=" ms",
+                    color_indices=[color for _, _, color in bars],
+                ),
+            )
+        )
+    return panel
 
 
-def _amortization_panel(data: ReportData) -> str:
+def _amortization_panel(data: ReportData) -> Optional[Panel]:
     rows = data.amortization_rows()
     if not rows:
-        return ""
-    bar_rows = [
-        (
-            f"{r['case']}/{r['strategy']}/{r['backend']} "
-            f"(w{r['n_workers']})",
-            float(r["speedup"]),
-        )
-        for r in rows
-    ]
-    body = (
-        _svg_hbar_chart(
-            bar_rows, unit="x", color_indices=[2] * len(bar_rows)
-        )
-        + _table(
-            ("cell", "first step", "amortized/step", "speedup"),
-            [
-                (
-                    f"{r['case']}/{r['strategy']}/{r['backend']}"
-                    f"/w{r['n_workers']}",
-                    f"{float(r['first_step_s']) * 1e3:.3f} ms",
-                    f"{float(r['amortized_s']) * 1e3:.3f} ms",
-                    f"{float(r['speedup']):.1f}x",
-                )
-                for r in rows
-            ],
-        )
-    )
-    return _panel(
+        return None
+    return Panel(
         "panel-amortization",
         "Setup amortization (first step vs steady state)",
-        body,
         note="From repro bench --steps: the first compute pays pool "
         "fork, arena allocation, and decomposition; later steps reuse "
         "them and only sync positions. Speedup = first-step cost / "
         "amortized per-step cost.",
+        figures=[
+            _svg_hbar_chart(
+                [(_cell_label(r), float(r["speedup"])) for r in rows],
+                unit="x",
+                color_indices=[2] * len(rows),
+            )
+        ],
+        headers=("cell", "first step", "amortized/step", "speedup"),
+        rows=[
+            (
+                _cell_label(r),
+                _ms(r["first_step_s"]),
+                _ms(r["amortized_s"]),
+                f"{float(r['speedup']):.1f}x",
+            )
+            for r in rows
+        ],
     )
 
 
-def _imbalance_panel(data: ReportData) -> str:
-    rows = data.imbalance_rows()
-    halo = data.halo_fractions()
-    if not rows and not halo:
-        return _panel(
-            "panel-imbalance",
-            "Load imbalance and barrier slack",
-            '<p class="muted">(no metrics records — run repro trace '
-            "and ingest metrics.jsonl)</p>",
-        )
-    body = []
-    if rows:
-        top = rows[:12]
-        body.append(
-            _svg_hbar_chart(
-                [
-                    (f"{r['run']} {r['phase']}", float(r["ratio"]))
-                    for r in top
-                ],
-                unit="x",
-                color_indices=[0] * len(top),
-            )
-        )
-        body.append(
-            _table(
-                ("run", "phase", "tasks", "max/mean", "barrier slack"),
-                [
-                    (
-                        r["run"],
-                        r["phase"],
-                        r["n_tasks"],
-                        f"{r['ratio']:.2f}",
-                        f"{float(r['slack_s']) * 1e3:.3f} ms",
-                    )
-                    for r in top
-                ],
-            )
-        )
-    if halo:
-        body.append(
-            _table(
-                ("run", "halo fraction"),
-                [
-                    (run, f"{value:.1%}")
-                    for run, value in sorted(halo.items())
-                ],
-            )
-        )
-    return _panel(
+def _imbalance_panel(data: ReportData, top: int) -> Panel:
+    panel = Panel(
         "panel-imbalance",
-        "Load imbalance and barrier slack",
-        "".join(body),
+        "Worst-balanced phases (max/mean) and barrier slack",
         note="Measured task-duration max/mean per color phase (1.0 = "
         "perfectly balanced) with the summed barrier-wait slack; halo "
         "fraction is the share of pairs crossing subdomain boundaries.",
+        headers=("phase", "tasks", "max/mean", "barrier slack"),
+        empty="(no metrics records — run repro trace and ingest "
+        "metrics.jsonl)",
     )
-
-
-def _trend_panel(data: ReportData) -> str:
-    if not data.trend:
-        return _panel(
-            "panel-trend",
-            "Run-over-run trend",
-            '<p class="muted">(history store empty — append runs with '
-            "repro bench --store)</p>",
-        )
-    rows = []
-    for key, points in sorted(data.trend.items()):
-        case, strategy, backend, workers, tier = key
-        if not points:
-            continue
-        tier_tag = f"/{_esc(tier)}" if tier != "numpy" else ""
-        first, last = points[0][1], points[-1][1]
-        delta = (last - first) / first * 100 if first > 0 else 0.0
-        rows.append(
-            "<tr>"
-            f"<td>{_esc(case)}/{_esc(strategy)}/{_esc(backend)}"
-            f"/w{_esc(workers)}{tier_tag}</td>"
-            f"<td>{_svg_sparkline(points)}</td>"
-            f"<td>{len(points)}</td>"
-            f"<td>{last * 1e3:.3f} ms</td>"
-            f"<td>{delta:+.1f}%</td>"
-            "</tr>"
-        )
-    body = (
-        "<table><thead><tr><th>cell</th><th>trend</th><th>runs</th>"
-        "<th>latest total</th><th>vs first</th></tr></thead>"
-        f"<tbody>{''.join(rows)}</tbody></table>"
-    )
-    return _panel(
-        "panel-trend",
-        "Run-over-run trend",
-        body,
-        note="Total-phase median per sweep cell across the history store, "
-        "oldest to newest.",
-    )
-
-
-def _regression_panel(data: ReportData) -> str:
-    report = data.regression
-    if report is None:
-        return ""
-    rows = [
-        (
-            v.label,
-            v.phase,
-            (
-                f"{v.baseline_median_s * 1e3:.3f} ms"
-                if v.baseline_median_s is not None
-                else "-"
-            ),
-            f"{v.candidate_median_s * 1e3:.3f} ms",
-            (
-                f"{v.rel_change * 100:+.1f}%"
-                if v.rel_change is not None
-                else "-"
-            ),
-            v.verdict,
-        )
-        for v in report.verdicts
-        if v.gated
-    ]
-    counts = report.counts()
-    summary = ", ".join(f"{counts[k]} {k}" for k in sorted(counts))
-    verdict_cls = "bad" if report.hard_regressions else "good"
-    status = (
-        f"{len(report.hard_regressions)} hard regression(s)"
-        if report.hard_regressions
-        else "no hard regressions"
-    )
-    body = (
-        f'<p><span class="status {verdict_cls}">{_esc(status)}</span> '
-        f"— {_esc(summary)} (threshold "
-        f"{report.threshold * 100:.0f}% on gated total-phase cells)</p>"
-        + _table(
-            ("cell", "phase", "baseline", "candidate", "change", "verdict"),
-            rows,
-        )
-    )
-    return _panel("panel-regressions", "Regression verdicts", body)
-
-
-def _health_panel(data: ReportData) -> str:
-    if not data.health_records:
-        return ""
-    meta = data.health_meta()
-    counts = meta.get("counts")
-    if not isinstance(counts, Mapping):
-        counts = {}
-    worst = "info"
-    from repro.obs.recorder import severity_rank
-
-    for r in data.health_events():
-        sev = str(r.get("severity", "info"))
-        if severity_rank(sev) > severity_rank(worst):
-            worst = sev
-    status_cls = (
-        "bad" if severity_rank(worst) >= severity_rank("warning") else "good"
-    )
-    header = (
-        f'<p><span class="status {status_cls}">worst severity: '
-        f"{_esc(worst)}</span> — {_esc(meta.get('n_recorded', 0))} events "
-        f"recorded, {_esc(meta.get('n_dropped', 0))} evicted from the "
-        f"ring</p>"
-    )
-    count_rows = [
-        (key, value)
-        for key, value in sorted(counts.items())
-        if isinstance(value, int)
-    ]
-    body = [header]
-    if count_rows:
-        body.append(_table(("counter", "count"), count_rows))
-    notable = data.health_events(min_severity="warning")
-    if notable:
-        body.append(
-            _table(
-                ("severity", "category", "event", "detail"),
-                [
-                    (
-                        r.get("severity", ""),
-                        r.get("category", ""),
-                        r.get("event", ""),
-                        ", ".join(
-                            f"{k}={v}"
-                            for k, v in sorted(r.items())
-                            if k
-                            not in (
-                                "kind",
-                                "t",
-                                "category",
-                                "event",
-                                "severity",
-                            )
-                        ),
-                    )
-                    for r in notable[-12:]
-                ],
+    rows = data.imbalance_rows()[:top]
+    if rows:
+        panel.figures.append(
+            _svg_hbar_chart(
+                [(f"{r['run']} {r['phase']}", float(r["ratio"])) for r in rows],
+                unit="x",
+                color_indices=[0] * len(rows),
             )
         )
-    return _panel(
+    panel.rows = [
+        (
+            f"{r['run']} {r['phase']}",
+            r["n_tasks"],
+            f"{r['ratio']:.2f}x",
+            _ms(r["slack_s"]),
+        )
+        for r in rows
+    ]
+    halo = data.halo_fractions()
+    if halo:
+        panel.figures.append(
+            _table(
+                ("run", "halo fraction"),
+                [(run, f"{value:.1%}") for run, value in sorted(halo.items())],
+            )
+        )
+    return panel
+
+
+def _health_panel(data: ReportData, top: int) -> Optional[Panel]:
+    if not data.health_records:
+        return None
+    digest = health_digest(data.health_records)
+    worst = str(digest["worst"])
+    counts = digest["counts"]
+    return Panel(
         "panel-health",
         "Runtime health",
-        "".join(body),
         note="Flight-recorder digest from health.jsonl: engine/pool "
         "lifecycle, kernel-tier fallbacks, scheduler cache activity, and "
         "physics invariant breaches (see repro doctor / repro health).",
+        status=(
+            "bad" if worst in ("warning", "critical") else "good",
+            f"worst severity: {worst} — {digest['n_recorded']} events "
+            f"recorded, {digest['n_dropped']} evicted from the ring",
+        ),
+        figures=(
+            [_table(("counter", "count"), list(counts.items()))]  # type: ignore[union-attr]
+            if counts
+            else []
+        ),
+        headers=("severity", "category", "event", "detail"),
+        rows=[
+            (e["severity"], e["category"], e["event"], e["detail"])
+            for e in digest["notable"][-top:]  # type: ignore[index]
+        ],
     )
 
 
-def _meta_panel(data: ReportData) -> str:
+#: the fields of a trend key (:meth:`~repro.obs.history.RunKey.series`)
+_SERIES_FIELDS = ("case", "strategy", "backend", "n_workers", "kernel_tier")
+
+
+def _trend_panel(data: ReportData) -> Panel:
+    panel = Panel(
+        "panel-trend",
+        "History trend (total medians)",
+        note="Total-phase median per sweep cell across the history store, "
+        "oldest to newest.",
+        headers=("cell", "trend", "runs", "latest total", "vs first"),
+        empty="(history store empty — append runs with repro bench --store)",
+    )
+    for key, points in sorted(data.trend.items()):
+        if not points:
+            continue
+        first, last = points[0][1], points[-1][1]
+        delta = (last - first) / first * 100 if first > 0 else 0.0
+        panel.rows.append(
+            (
+                _cell_label(dict(zip(_SERIES_FIELDS, key))),
+                _Markup(_svg_sparkline(points)),
+                len(points),
+                _ms(last),
+                f"{delta:+.1f}%",
+            )
+        )
+    return panel
+
+
+def _meta_panel(data: ReportData) -> Optional[Panel]:
     if not data.meta:
-        return ""
+        return None
     items = "".join(
         f"<dt>{_esc(k)}</dt><dd>{_esc(v)}</dd>"
         for k, v in sorted(data.meta.items())
     )
-    return _panel("panel-meta", "Environment", f"<dl>{items}</dl>")
+    return Panel("panel-meta", "Environment", figures=[f"<dl>{items}</dl>"])
+
+
+def build_panels(data: ReportData, top: int) -> List[Panel]:
+    """Every panel ``data`` has something for, in page order.
+
+    ``top`` bounds the two ranked tables (worst-balanced phases, latest
+    warning-or-worse health events).
+    """
+    panels = (
+        _regression_panel(data),
+        _speedup_panel(data),
+        _tier_speedup_panel(data),
+        _scaling_panel(data),
+        _strategy_panel(data),
+        _amortization_panel(data),
+        _imbalance_panel(data, top),
+        _health_panel(data, top),
+        _trend_panel(data),
+        _meta_panel(data),
+    )
+    return [panel for panel in panels if panel is not None]
+
+
+def _panel_html(panel: Panel) -> str:
+    body = list(panel.figures)
+    if panel.status is not None:
+        cls, sentence = panel.status
+        body.insert(
+            0, f'<p><span class="status {cls}">{_esc(sentence)}</span></p>'
+        )
+    if panel.rows:
+        body.append(_table(panel.headers, panel.rows))
+    if body and panel.note:
+        body.insert(0, f'<p class="muted">{_esc(panel.note)}</p>')
+    if not body:
+        body.append(f'<p class="muted">{_esc(panel.empty)}</p>')
+    return (
+        f'<section class="panel" id="{panel.id}">'
+        f"<h2>{_esc(panel.title)}</h2>{''.join(body)}</section>"
+    )
 
 
 _CSS = """
@@ -1130,26 +1018,17 @@ def _palette_css() -> str:
     return light + dark + _CSS + "\n" + _series_css()
 
 
+#: rows of the page's two ranked tables (the summary takes ``top``)
+_PAGE_TOP = 12
+
+
 def render_html(data: ReportData, title: str = "repro performance report") -> str:
     """The full self-contained dashboard page (strict XHTML)."""
     sha = data.meta.get("git_sha")
     subtitle = f"source: {data.source or '(in-memory)'}"
     if isinstance(sha, str):
         subtitle += f" — commit {sha[:12]}"
-    panels = "".join(
-        [
-            _regression_panel(data),
-            _speedup_panel(data),
-            _tier_speedup_panel(data),
-            _scaling_panel(data),
-            _strategy_panel(data),
-            _amortization_panel(data),
-            _imbalance_panel(data),
-            _health_panel(data),
-            _trend_panel(data),
-            _meta_panel(data),
-        ]
-    )
+    panels = "".join(map(_panel_html, build_panels(data, _PAGE_TOP)))
     return (
         '<?xml version="1.0" encoding="utf-8"?>\n'
         '<html xmlns="http://www.w3.org/1999/xhtml"><head>'
@@ -1166,108 +1045,24 @@ def render_html(data: ReportData, title: str = "repro performance report") -> st
 
 
 def render_text_summary(data: ReportData, top: int = 8) -> str:
-    """Terminal/markdown digest of the same panels."""
+    """Terminal/markdown digest of the same panels: one ``## title``
+    section per panel with a verdict or rows, one line per row."""
     lines: List[str] = []
-    if data.regression is not None:
-        lines.append("## Regression verdicts")
-        lines.append(data.regression.render(gated_only=True))
-        lines.append("")
-    per_case = data.speedup_series()
-    if per_case:
-        lines.append("## Speedup vs serial (total-phase medians)")
-        for case, series_map in sorted(per_case.items()):
-            for label, pts in sorted(series_map.items()):
-                curve = ", ".join(
-                    f"w{int(x)}: {y:.2f}x" for x, y in pts
-                )
-                lines.append(f"- {case}/{label}: {curve}")
-        lines.append("")
-    tier_rows = [r for r in data.tier_speedup_records if "speedup" in r]
-    if tier_rows:
-        lines.append("## Kernel-tier speedup")
-        for r in tier_rows:
-            lines.append(
-                f"- {r.get('case')}/{r.get('strategy')}/{r.get('backend')}"
-                f"/w{r.get('n_workers')}: {r.get('kernel_tier')} vs "
-                f"{r.get('reference_tier')} = {float(r['speedup']):.2f}x"
+    for panel in build_panels(data, top):
+        if panel.status is None and not panel.rows:
+            continue
+        lines.append(f"## {panel.title}")
+        if panel.status is not None:
+            lines.append(f"- {panel.status[1]}")
+        for row in panel.rows:
+            first, *rest = (
+                (header, cell)
+                for header, cell in zip(panel.headers, row)
+                if not isinstance(cell, _Markup)
             )
-        lines.append("")
-    scaling = data.scaling_groups()
-    if scaling:
-        lines.append("## Scaling efficiency (repro scale)")
-        for key, records in sorted(scaling.items()):
-            case, strategy, backend, tier = key
-            tier_tag = f"/{tier}" if tier != "numpy" else ""
-            for r in records:
-                kf = r.get("karp_flatt")
-                kf_txt = f"{float(kf):.3f}" if kf is not None else "-"
-                dominant = r.get("dominant_loss")
-                loss_txt = ""
-                if dominant:
-                    frac = float(r.get(f"loss_{dominant}", 0.0) or 0.0)
-                    loss_txt = (
-                        f", dominant loss: {dominant} "
-                        f"({frac:.0%} of core-seconds)"
-                    )
-                lines.append(
-                    f"- {case}/{strategy}/{backend}{tier_tag}"
-                    f"/w{r.get('n_workers')}: speedup "
-                    f"{float(r['speedup']):.2f}x, efficiency "
-                    f"{float(r.get('efficiency', 0.0)):.1%}, "
-                    f"Karp-Flatt {kf_txt}{loss_txt}"
-                )
-        lines.append("")
-    amort = data.amortization_rows()
-    if amort:
-        lines.append("## Setup amortization (first step vs steady state)")
-        for r in amort:
             lines.append(
-                f"- {r['case']}/{r['strategy']}/{r['backend']}"
-                f"/w{r['n_workers']}: first "
-                f"{float(r['first_step_s']) * 1e3:.3f} ms, amortized "
-                f"{float(r['amortized_s']) * 1e3:.3f} ms/step "
-                f"({float(r['speedup']):.1f}x)"
-            )
-        lines.append("")
-    rows = data.imbalance_rows()
-    if rows:
-        lines.append("## Worst-balanced phases (max/mean)")
-        for r in rows[:top]:
-            lines.append(
-                f"- {r['run']} {r['phase']}: {r['ratio']:.2f}x, "
-                f"slack {float(r['slack_s']) * 1e3:.3f} ms"
-            )
-        lines.append("")
-    if data.health_records:
-        from repro.obs.recorder import severity_rank
-
-        meta = data.health_meta()
-        notable = data.health_events(min_severity="warning")
-        worst = "info"
-        for r in data.health_events():
-            sev = str(r.get("severity", "info"))
-            if severity_rank(sev) > severity_rank(worst):
-                worst = sev
-        lines.append("## Runtime health")
-        lines.append(
-            f"- worst severity {worst}; {meta.get('n_recorded', 0)} events "
-            f"recorded ({meta.get('n_dropped', 0)} evicted)"
-        )
-        for r in notable[-top:]:
-            lines.append(
-                f"- [{r.get('severity')}] {r.get('category')}/"
-                f"{r.get('event')}"
-            )
-        lines.append("")
-    if data.trend:
-        lines.append("## History trend (total medians)")
-        for key, points in sorted(data.trend.items()):
-            case, strategy, backend, workers, tier = key
-            tier_tag = f"/{tier}" if tier != "numpy" else ""
-            values = ", ".join(f"{y * 1e3:.3f}" for _, y in points[-top:])
-            lines.append(
-                f"- {case}/{strategy}/{backend}/w{workers}{tier_tag}: "
-                f"[{values}] ms over {len(points)} run(s)"
+                f"- {first[1]}: "
+                + ", ".join(f"{header} {cell}" for header, cell in rest)
             )
         lines.append("")
     if not lines:

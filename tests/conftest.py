@@ -111,3 +111,63 @@ class CountingTier(NumpyKernelTier):
 def counting_tier():
     """A fresh :class:`CountingTier` per test."""
     return CountingTier()
+
+
+@pytest.fixture()
+def git_spawns(monkeypatch):
+    """Count ``git`` subprocesses: ``collect_run_meta`` forks one per call
+    (5 s timeout), so a driver collects its meta once per invocation."""
+    import subprocess
+    import types
+
+    calls: list = []
+    real_run = subprocess.run
+
+    def fake_run(cmd, *args, **kwargs):
+        if list(cmd)[:1] != ["git"]:  # platform.* shells out to uname
+            return real_run(cmd, *args, **kwargs)
+        calls.append(list(cmd))
+        return types.SimpleNamespace(returncode=0, stdout="f" * 40 + "\n")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    return calls
+
+
+@pytest.fixture()
+def check_run_dir(tmp_path):
+    """The writer/reader round trip every driver's run directory obeys.
+
+    ``check(directory, kinds, store_path)``: the reader finds exactly
+    ``kinds``, every payload carries its table schema tag, and
+    re-ingesting the directory reproduces the rows the driver's own
+    ``--store`` appended (``kind``, ``source``, records equal).
+    """
+    import json
+
+    from repro.obs.history import RunStore
+    from repro.obs.rundir import ARTIFACTS, artifact_path, read_run_dir
+
+    def rows(entries):
+        out = []
+        for e in entries:
+            records = [dict(r) for r in e.records]
+            if e.kind == "health":
+                records[0].pop("t")  # each dump stamps its own header time
+            out.append((e.kind, e.source, records))
+        return out
+
+    def check(directory, kinds, store_path=None):
+        assert set(read_run_dir(directory)) == set(kinds)
+        for kind in kinds:
+            if ARTIFACTS[kind].schema is not None:
+                with open(artifact_path(directory, kind)) as handle:
+                    assert json.load(handle)["schema"] == ARTIFACTS[kind].schema
+        ingested = RunStore(tmp_path / "reingest.jsonl").ingest_dir(directory)
+        assert [e.kind for e in ingested] == [k for k in ARTIFACTS if k in kinds]
+        if store_path is not None:
+            appended = RunStore(store_path).entries()
+            assert rows(appended) == [
+                row for row in rows(ingested) if row[0] in {e.kind for e in appended}
+            ]
+
+    return check

@@ -43,8 +43,11 @@ class TestHealthyDoctor:
         for finding in report.findings:
             assert finding.status in ("ok", "skip"), finding
 
-    def test_health_artifact_validates_and_brackets_the_run(self, tmp_path):
+    def test_health_artifact_validates_and_brackets_the_run(
+        self, tmp_path, check_run_dir
+    ):
         report = run_doctor(case="tiny", steps=2, output_dir=str(tmp_path))
+        check_run_dir(tmp_path, {"health"})
         assert report.health_path == os.path.join(
             str(tmp_path), "health.jsonl"
         )

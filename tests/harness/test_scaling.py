@@ -160,6 +160,15 @@ class TestRunScaleRoundTrip:
             for name in LOSS_COMPONENTS:
                 assert f"loss_{name}" in record
 
+    def test_run_directory_round_trips(self, scale_report, check_run_dir):
+        import os
+
+        check_run_dir(
+            os.path.dirname(scale_report.scaling_path),
+            {"scaling", "metrics", "health"},
+            store_path=scale_report.store_path,
+        )
+
     def test_history_store_gets_scaling_kind(self, scale_report):
         from repro.obs.history import RunStore
 

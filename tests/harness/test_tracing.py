@@ -22,6 +22,7 @@ def report(tmp_path_factory) -> TraceReport:
         n_workers=2,
         steps=2,
         output_dir=str(out),
+        store_path=str(out / "history.jsonl"),
     )
 
 
@@ -89,6 +90,23 @@ class TestRunTrace:
         text = report.render_summary()
         assert "tiny/sdc/threads" in text
         assert "worst-balanced phases" in text
+
+    def test_run_directory_round_trips(self, report, check_run_dir):
+        import os
+
+        check_run_dir(
+            os.path.dirname(report.trace_path),
+            {"metrics", "runlog", "health"},
+            store_path=report.store_path,
+        )
+
+    def test_meta_collected_once_per_invocation(self, tmp_path, git_spawns):
+        run_trace(
+            steps=1,
+            output_dir=str(tmp_path),
+            store_path=str(tmp_path / "history.jsonl"),
+        )
+        assert len(git_spawns) == 1
 
     def test_in_memory_mode_writes_nothing(self):
         report = run_trace(steps=1)

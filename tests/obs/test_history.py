@@ -130,6 +130,26 @@ class TestRunStore:
         appended = store.ingest_dir(tmp_path)
         assert [e.kind for e in appended] == ["bench", "metrics", "runlog"]
 
+    def test_ingest_dir_takes_every_kind_in_the_table(self, tmp_path):
+        from repro.obs.recorder import FlightRecorder
+        from repro.obs.rundir import ARTIFACTS, artifact_path
+
+        for kind, artifact in ARTIFACTS.items():
+            path = artifact_path(tmp_path, kind)
+            if artifact.schema is not None:
+                payload = dict(bench_payload(), schema=artifact.schema)
+                with open(path, "w") as handle:
+                    json.dump(payload, handle)
+            elif kind == "health":
+                FlightRecorder().dump(path)
+            else:
+                with open(path, "w") as handle:
+                    handle.write('{"kind": "meta", "t": 0.0, "value": 1}\n')
+        appended = RunStore(tmp_path / "history.jsonl").ingest_dir(tmp_path)
+        assert [(e.kind, e.source) for e in appended] == [
+            (kind, artifact.filename) for kind, artifact in ARTIFACTS.items()
+        ]
+
     def test_append_creates_parent_directory(self, tmp_path):
         store = RunStore(tmp_path / ".repro" / "history.jsonl")
         store.append_bench(bench_payload())

@@ -274,6 +274,45 @@ class TestLoadReportSource:
         assert data.trend
 
 
+    def test_directory_and_its_ingested_store_load_the_same_records(
+        self, tmp_path
+    ):
+        from repro.obs.recorder import FlightRecorder
+        from repro.obs.rundir import (
+            ARTIFACTS,
+            artifact_path,
+            payload,
+            write_payload,
+        )
+
+        self._write_artifacts(tmp_path)
+        (tmp_path / "run.jsonl").write_text(
+            '{"kind": "meta", "t": 0.0, "git_sha": "abc"}\n'
+        )
+        FlightRecorder().dump(tmp_path / "health.jsonl")
+        for kind in ("tier-speedup", "reordering", "scaling"):
+            write_payload(
+                artifact_path(tmp_path, kind),
+                payload(kind, [{"case": "tiny", "speedup": 2.0}], {}),
+            )
+        store = RunStore(tmp_path / "store" / "history.jsonl")
+        assert len(store.ingest_dir(tmp_path)) == len(ARTIFACTS)
+        from_dir = load_report_source(tmp_path)
+        from_store = load_report_source(store.path)
+        for attr in (
+            "bench_records",
+            "tier_speedup_records",
+            "reordering_records",
+            "scaling_records",
+            "metrics_records",
+            "runlog_records",
+            "health_records",
+        ):
+            assert getattr(from_dir, attr), attr
+            assert getattr(from_dir, attr) == getattr(from_store, attr), attr
+        assert from_dir.meta == from_store.meta == {"git_sha": "abc"}
+
+
 class TestWriteReport:
     def test_writes_parseable_file(self, tmp_path):
         path = tmp_path / "report.html"

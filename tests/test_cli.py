@@ -68,7 +68,8 @@ class TestCommands:
         assert "speedup" in out
         assert "efficiency" in out
 
-    def test_bench_quick(self, capsys, tmp_path):
+    def test_bench_quick(self, capsys, tmp_path, check_run_dir, git_spawns):
+        store = tmp_path / "store" / "history.jsonl"
         assert (
             main(
                 [
@@ -78,6 +79,8 @@ class TestCommands:
                     "2",
                     "--output-dir",
                     str(tmp_path),
+                    "--store",
+                    str(store),
                 ]
             )
             == 0
@@ -86,6 +89,8 @@ class TestCommands:
         assert "pairs/s" in out
         assert (tmp_path / "BENCH_forces.json").exists()
         assert (tmp_path / "BENCH_reordering.json").exists()
+        check_run_dir(tmp_path, {"bench", "reordering"}, store_path=store)
+        assert len(git_spawns) == 1
 
         import json
 
@@ -376,6 +381,43 @@ class TestComparePipeline:
         html_path = tmp_path / "report.html"
         assert main(["report", str(store), "-o", str(html_path)]) == 0
         ET.fromstring(html_path.read_text())
+
+    @pytest.mark.parametrize(
+        "name", ["metrics.jsonl", "run.jsonl", "health.jsonl"]
+    )
+    def test_truncated_stream_is_named_exit_2(self, capsys, tmp_path, name):
+        (tmp_path / name).write_text('{"kind": "meta", "t": 0.0}\n{"kind": ')
+        argv = ["health", str(tmp_path)] if "health" in name else [
+            "report", str(tmp_path), "-o", str(tmp_path / "report.html")
+        ]
+        assert main(argv) == 2
+        assert f"{name}:2: " in capsys.readouterr().err
+
+    def test_unclosed_run_log_is_named_exit_2(self, capsys, tmp_path):
+        (tmp_path / "run.jsonl.tmp").write_text('{"kind": "meta", "t": 0.0}\n')
+        html = tmp_path / "report.html"
+        assert main(["report", str(tmp_path), "-o", str(html)]) == 2
+        assert "run did not close its log" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"schema": "repro-bench-v2", "records": [', "BENCH_forces.json:1: "),
+            ('{"schema": "repro-scaling-v1", "records": []}', "not a repro-bench"),
+        ],
+    )
+    def test_unreadable_bench_payload_exit_2(
+        self, capsys, tmp_path, text, message
+    ):
+        good = self._bench(tmp_path, "run1")
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "BENCH_forces.json").write_text(text)
+        capsys.readouterr()
+        assert main(["compare", str(bad), "--baseline", str(good)]) == 2
+        assert message in capsys.readouterr().err
+        assert main(["compare", str(good), "--baseline", str(bad)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_report_missing_source_exit_2(self, tmp_path):
         assert (
