@@ -1,48 +1,5 @@
-"""Command-line interface: ``python -m repro <command>``.
-
-Commands mirror the reproduced artifacts so a user can regenerate any of
-them without writing code:
-
-* ``table1``     — Table I (SDC speedups by dimensionality).
-* ``fig9``       — the four strategy-comparison panels.
-* ``reordering`` — the Section II.D data-reordering gains.
-* ``census``     — the Section II.B subdomain census.
-* ``quickstart`` — a short real MD run through SDC.
-* ``hybrid``     — the future-work MPI+OpenMP scaling model.
-* ``racecheck``  — dynamic write-set race detection + differential
-  strategy equivalence (exit 1 on any conflict/divergence).
-* ``bench``      — real wall-clock strategy × backend sweep with
-  per-phase profiling (writes ``BENCH_forces.json`` /
-  ``BENCH_reordering.json``).
-* ``trace``      — traced case × strategy × backend MD runs (writes
-  Perfetto ``trace.json``, ``metrics.jsonl`` and ``run.jsonl``, and
-  prints the load-imbalance summary).  ``--sample-resources`` co-runs
-  the /proc resource sampler and merges CPU/RSS/context-switch/shm
-  counter tracks into the trace.
-* ``scale``      — worker-count sweep of one (case, strategy, backend,
-  kernel-tier) cell: speedup / efficiency / Karp–Flatt per point plus
-  the loss attribution (serial, imbalance, barrier, resource pressure,
-  excess work), written as ``scaling.json`` + ``kind:"scaling"``
-  history records that ``repro report`` renders.
-* ``compare``    — regression-gate a candidate bench run against a
-  baseline (median/IQR overlap + relative threshold; exit 1 on a hard
-  regression).
-* ``report``     — render the self-contained HTML performance dashboard
-  (speedup curves, strategy bars, imbalance metrics, history trends)
-  plus a terminal summary.
-* ``doctor``     — self-check workload through every layer (environment,
-  kernel tier, physics invariants, process engine, recorder round-trip);
-  prints the diagnosis table, dumps ``health.jsonl``, exits 1 on any
-  critical finding.  ``--inject`` deliberately breaks one layer so the
-  failure visibility itself can be tested.
-* ``health``     — summarize a run directory's ``health.jsonl`` (event
-  counts by category/severity, notable warnings); exit 2 when the
-  artifact is missing/invalid, and with ``--strict`` exit 1 when any
-  warning-or-worse event was recorded.
-
-``bench`` and ``trace`` accept ``--store`` to append their artifacts to
-the performance-history store (default ``.repro/history.jsonl``) that
-``compare`` and ``report`` read.
+"""Command-line interface: ``python -m repro <command>``, see ``--help``.
+Exit codes: 0 ok; 1 failed check, gated regression or empty sweep; 2 bad input.
 """
 
 from __future__ import annotations
@@ -224,9 +181,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         bench_steps,
         render_amortization_table,
         render_bench_table,
-        render_tier_speedup_table,
         reordering_records,
-        tier_speedup_records,
     )
     from repro.harness.cases import case_by_key
     from repro.harness.reordering import measure_reordering
@@ -255,33 +210,22 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         repeats = args.repeats
         reorder_case = "demo"
 
-    def sweep(kernel_tier):
-        """The same sweep on one tier (the run, then its reference)."""
-        mode = (
-            partial(bench_steps, steps=args.steps)
-            if args.steps > 1
-            else partial(bench_forces, warmup=warmup, repeats=repeats)
-        )
-        return mode(
-            cases=cases,
-            strategies=strategies,
-            backends=backends,
-            n_workers=args.threads,
-            on_skip=lambda msg: print(f"skip: {msg}", file=sys.stderr),
-            kernel_tier=kernel_tier,
-        )
-
-    records = sweep(args.kernel_tier)
+    mode = (
+        partial(bench_steps, steps=args.steps)
+        if args.steps > 1
+        else partial(bench_forces, warmup=warmup, repeats=repeats)
+    )
+    records = mode(
+        cases=cases,
+        strategies=strategies,
+        backends=backends,
+        n_workers=args.threads,
+        on_skip=lambda msg: print(f"skip: {msg}", file=sys.stderr),
+    )
     print(render_bench_table(records))
     if args.steps > 1:
         print()
         print(render_amortization_table(records))
-
-    speedup_rows = None
-    if args.speedup_vs:
-        speedup_rows = tier_speedup_records(records, sweep(args.speedup_vs))
-        print()
-        print(render_tier_speedup_table(speedup_rows))
 
     reorder = None
     if args.steps <= 1 and not args.skip_reordering:
@@ -295,8 +239,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(reorder.render())
 
     outputs = [("bench", [r.to_dict() for r in records])]
-    if speedup_rows:
-        outputs.append(("tier-speedup", speedup_rows))
     if reorder is not None:
         outputs.append(("reordering", reordering_records(reorder)))
     os.makedirs(args.output_dir, exist_ok=True)
@@ -456,7 +398,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         output_dir=args.output_dir,
         on_skip=lambda msg: print(f"skip: {msg}", file=sys.stderr),
         store_path=args.store,
-        kernel_tier=args.kernel_tier,
         sample_resources=args.sample_resources,
     )
     print(report.render_summary(top=args.top))
@@ -501,7 +442,6 @@ def _cmd_scale(args: argparse.Namespace) -> int:
         backend=args.backend,
         workers=args.workers,
         steps=args.steps,
-        kernel_tier=args.kernel_tier,
         output_dir=args.output_dir,
         store_path=store or None,
         sample_resources=args.sample_resources,
@@ -531,7 +471,6 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
         case=args.case,
         steps=args.steps,
         n_workers=args.workers,
-        kernel_tier=args.kernel_tier,
         inject=args.inject,
         output_dir=args.output_dir,
     )
@@ -579,8 +518,6 @@ def _cmd_health(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests)."""
-    from repro.kernels import TIER_NAMES
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="SDC-EAM paper reproduction toolkit",
@@ -714,22 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="append the bench payloads to this performance-history "
         "store (e.g. .repro/history.jsonl)",
     )
-    bench.add_argument(
-        "--kernel-tier",
-        choices=list(TIER_NAMES),
-        default=None,
-        help="kernel tier variant for the swept cells (default: the "
-        "session's active tier; numba variants fall back to numpy with "
-        "a warning when unavailable)",
-    )
-    bench.add_argument(
-        "--speedup-vs",
-        metavar="TIER",
-        default=None,
-        help="also sweep the same cells on this reference tier and "
-        "append per-cell total-phase tier-speedup records to --store "
-        "(e.g. --kernel-tier numba-parallel --speedup-vs numpy)",
-    )
     bench.set_defaults(func=_cmd_bench)
 
     trace = sub.add_parser(
@@ -771,13 +692,6 @@ def build_parser() -> argparse.ArgumentParser:
         "performance-history store",
     )
     trace.add_argument(
-        "--kernel-tier",
-        choices=list(TIER_NAMES),
-        default=None,
-        help="kernel tier variant for the traced cells (default: the "
-        "session's active tier)",
-    )
-    trace.add_argument(
         "--sample-resources",
         action="store_true",
         help="co-run the /proc resource sampler: CPU/RSS/context-switch/"
@@ -815,13 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
         "include 1 so T(1) is measured rather than estimated)",
     )
     scale.add_argument("--steps", type=int, default=3)
-    scale.add_argument(
-        "--kernel-tier",
-        choices=list(TIER_NAMES),
-        default=None,
-        help="kernel tier variant for the swept cell (default: the "
-        "session's active tier)",
-    )
     scale.add_argument(
         "--output-dir",
         default="scale-out",
@@ -930,15 +837,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="process-pool size for the engine check",
     )
     doctor.add_argument(
-        "--kernel-tier",
-        choices=list(TIER_NAMES),
-        default=None,
-        help="tier to resolve in the kernel-tier check (an explicit "
-        "numba variant that degrades is a critical finding)",
-    )
-    doctor.add_argument(
         "--inject",
-        choices=["none", "tier-degradation", "worker-kill"],
+        choices=["none", "worker-kill"],
         default="none",
         help="deliberately break one layer to prove the failure is "
         "visible (doctor must then exit 1)",

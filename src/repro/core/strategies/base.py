@@ -127,9 +127,8 @@ class ReductionStrategy(ABC):
         """Pin this strategy's kernel tier (None reverts to the process
         default).
 
-        Accepts anything :func:`repro.kernels.get` accepts — a variant
-        spec string, a :class:`~repro.kernels.KernelTierConfig`, or a
-        live tier.  Resolution is eager so unknown specs raise here.
+        Accepts anything :func:`repro.kernels.get` accepts — a tier name
+        or a live tier.  Resolution is eager so unknown names raise here.
         """
         from repro import kernels
 

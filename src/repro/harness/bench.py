@@ -72,7 +72,7 @@ class BenchRecord:
     n_samples: int
     #: half-list pair throughput; only the ``total`` phase carries it
     pairs_per_s: Optional[float] = None
-    #: resolved kernel tier the cell ran on ("numpy", "numba")
+    #: resolved kernel tier the cell ran on
     kernel_tier: str = "numpy"
 
     def to_dict(self) -> Dict[str, object]:
@@ -338,72 +338,6 @@ def render_amortization_table(records: Sequence[BenchRecord]) -> str:
     return "\n".join(lines)
 
 
-def tier_speedup_records(
-    candidate: Sequence[BenchRecord],
-    reference: Sequence[BenchRecord],
-) -> List[Dict[str, object]]:
-    """Per-cell kernel-tier speedups: reference median / candidate median.
-
-    Pairs candidate and reference records cell-by-cell on
-    ``(case, strategy, backend, n_workers)`` using each sweep's
-    end-to-end phase (``total`` for the forces sweep, ``amortized`` for
-    the repeated-compute mode) and emits one history-store record per
-    matched cell.  A speedup > 1 means the candidate tier is faster.
-    """
-    end_phases = ("total", PHASE_AMORTIZED)
-
-    def index(records: Sequence[BenchRecord]):
-        out: Dict[Tuple[str, str, str, int], BenchRecord] = {}
-        for r in records:
-            if r.phase in end_phases:
-                out[(r.case, r.strategy, r.backend, r.n_workers)] = r
-        return out
-
-    cand, ref = index(candidate), index(reference)
-    rows: List[Dict[str, object]] = []
-    for key in sorted(cand):
-        if key not in ref:
-            continue
-        c, r = cand[key], ref[key]
-        if c.median_s <= 0:
-            continue
-        case, strategy, backend, workers = key
-        rows.append(
-            {
-                "kind": "tier-speedup",
-                "case": case,
-                "strategy": strategy,
-                "backend": backend,
-                "n_workers": workers,
-                "phase": c.phase,
-                "kernel_tier": c.kernel_tier,
-                "reference_tier": r.kernel_tier,
-                "median_s": c.median_s,
-                "reference_median_s": r.median_s,
-                "speedup": r.median_s / c.median_s,
-            }
-        )
-    return rows
-
-
-def render_tier_speedup_table(rows: Sequence[Dict[str, object]]) -> str:
-    """Human-readable tier-speedup table (one row per matched cell)."""
-    if not rows:
-        return "(no tier-speedup records)"
-    header = (
-        f"{'case':<6} {'strategy':<22} {'backend':<9} {'w':>2} "
-        f"{'tier':<22} {'vs':<8} {'speedup':>8}"
-    )
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        lines.append(
-            f"{row['case']:<6} {row['strategy']:<22} {row['backend']:<9} "
-            f"{row['n_workers']:>2} {row['kernel_tier']:<22} "
-            f"{row['reference_tier']:<8} {row['speedup']:>7.2f}x"
-        )
-    return "\n".join(lines)
-
-
 def reordering_records(
     result: MeasuredReorderingResult,
 ) -> List[Dict[str, object]]:
@@ -477,7 +411,7 @@ def bench_payload(
     versions, git SHA) makes bench artifacts from different machines and
     commits comparable; a driver that writes several payloads collects
     it once and hands it in, otherwise it is collected here.  Either way
-    it stamps the *resolved* tier variant the records ran on: the
+    it stamps the *resolved* tier the records ran on: the
     explicit ``kernel_tier`` when given, else the single tier the
     records agree on, else the process's active tier.  The legacy
     ``host`` block is kept for v1 readers.

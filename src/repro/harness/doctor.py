@@ -5,10 +5,8 @@ case and folds what the health plane observed into a diagnosis table:
 
 * **environment** — host/interpreter/dependency identification
   (:func:`~repro.obs.runlog.collect_run_meta`);
-* **kernel-tier** — resolve the requested tier and flag degradation
-  (an explicitly requested numba variant silently running on numpy is
-  a *critical* finding — that is the scenario the tier-fallback events
-  exist for);
+* **kernel-tier** — resolve the requested tier (an unknown name raises
+  before any check runs) and report the registry state;
 * **physics** — a short serial NVE run through the invariant monitors
   (energy drift, momentum, force-sum residual) plus one gated virial
   pressure sample;
@@ -21,11 +19,10 @@ case and folds what the health plane observed into a diagnosis table:
   through the reader (the artifact round-trip CI asserts).
 
 Fault injection (``inject=``) deliberately breaks one layer so CI can
-assert the failure is *visible*: ``tier-degradation`` poisons the numba
-registry before resolving an explicit numba tier; ``worker-kill``
-SIGKILLs a live pool worker between two computations (Linux/POSIX
-only).  Either must turn the doctor's exit code to 1 and leave the
-triggering events in the dumped ``health.jsonl``.
+assert the failure is *visible*: ``worker-kill`` SIGKILLs a live pool
+worker between two computations (Linux/POSIX only).  It must turn the
+doctor's exit code to 1 and leave the triggering events in the dumped
+``health.jsonl``.
 """
 
 from __future__ import annotations
@@ -47,7 +44,7 @@ __all__ = [
 ]
 
 #: fault-injection modes ``repro doctor --inject`` accepts
-FAULTS = ("none", "tier-degradation", "worker-kill")
+FAULTS = ("none", "worker-kill")
 
 _STATUS_ORDER = ("skip", "ok", "warning", "critical")
 
@@ -110,7 +107,6 @@ def _check_environment(meta: Dict[str, object]) -> Finding:
     status = "critical" if "numpy" in missing else "ok"
     detail = (
         f"python {meta.get('python')} numpy {meta.get('numpy')} "
-        f"numba {meta.get('numba') or 'not-imported'} "
         f"cpus {meta.get('cpu_count')}"
     )
     if missing:
@@ -118,43 +114,17 @@ def _check_environment(meta: Dict[str, object]) -> Finding:
     return Finding("environment", status, detail, fields=dict(meta))
 
 
-def _check_kernel_tier(
-    kernel_tier: Optional[str], inject: str
-) -> Finding:
+def _check_kernel_tier(kernel_tier: Optional[str]) -> Finding:
     from repro import kernels
 
-    poisoned = inject == "tier-degradation"
-    requested = kernel_tier
-    if poisoned:
-        kernels.poison_numba("doctor fault injection")
-        # an explicit numba request is the path that must degrade loudly
-        requested = requested or "numba"
     resolved = (
-        kernels.get(requested) if requested else kernels.active_tier()
+        kernels.get(kernel_tier) if kernel_tier else kernels.active_tier()
     )
-    status_dict = kernels.tier_status()
-    degraded = (
-        requested is not None
-        and requested not in ("numpy", "auto")
-        and resolved.name == "numpy"
-    )
-    if degraded:
-        status = "critical"
-        detail = (
-            f"requested tier {requested!r} degraded to numpy "
-            f"({status_dict.get('numba_error') or 'numba unavailable'})"
-        )
-    else:
-        status = "ok"
-        detail = (
-            f"resolved {resolved.name!r} "
-            f"(numba {status_dict.get('numba_version') or 'unavailable'})"
-        )
     return Finding(
         "kernel-tier",
-        status,
-        detail,
-        fields={"requested": requested, **status_dict},
+        "ok",
+        f"resolved {resolved.name!r}",
+        fields={"requested": kernel_tier, **kernels.tier_status()},
     )
 
 
@@ -372,17 +342,14 @@ def run_doctor(
 
     The doctor runs against a *fresh* flight recorder (swapped in for
     the duration, restored afterwards) so its health.jsonl contains
-    exactly what the self-check workload produced.  When ``inject`` is
-    ``"tier-degradation"`` the numba registry is poisoned first (and
-    reset afterwards); ``"worker-kill"`` SIGKILLs a pool worker
-    mid-check.  Any critical finding drives :attr:`DoctorReport.exit_code`
-    to 1.
+    exactly what the self-check workload produced.  ``inject="worker-kill"``
+    SIGKILLs a pool worker mid-check.  Any critical finding drives
+    :attr:`DoctorReport.exit_code` to 1.
     """
     if inject not in FAULTS:
         raise ValueError(f"unknown inject {inject!r} (choose from {FAULTS})")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    from repro import kernels
     from repro.obs.runlog import collect_run_meta
 
     health_path = None
@@ -392,16 +359,14 @@ def run_doctor(
 
     recorder = FlightRecorder()
     previous = set_recorder(recorder)
-    poisoned = inject == "tier-degradation"
     try:
         recorder.record(
             "doctor", "doctor-start", case=case, steps=steps, inject=inject
         )
         findings: List[Finding] = []
-        tier_finding = _check_kernel_tier(kernel_tier, inject)
         meta = collect_run_meta(n_workers, kernel_tier=kernel_tier)
         findings.append(_check_environment(meta))
-        findings.append(tier_finding)
+        findings.append(_check_kernel_tier(kernel_tier))
         monitor = HealthMonitor(
             recorder=recorder, thresholds=thresholds
         )
@@ -441,6 +406,4 @@ def run_doctor(
             recorder.dump(health_path)
         return report
     finally:
-        if poisoned:
-            kernels.reset()
         set_recorder(previous)

@@ -11,10 +11,9 @@ every strategy task runs through — each a pair half
 (:meth:`KernelTier.pair_pass`, :meth:`KernelTier.pair_forces`) plus the
 both-endpoints scatter, the halves also serving the strategies that scatter
 differently.  The NumPy tier is the
-reference; compiled tiers (Numba today) must reproduce it to floating-point
-noise on every entry point — asserted by ``tests/kernels/``.
+reference, and the only tier today.
 
-Two contracts every tier implementation must honor:
+Two contracts any further (compiled) tier must honor:
 
 * **Bounds are asserted at dispatch time, not inside the kernel.**  The
   NumPy scatters get index validation for free from ``np.add.at`` /
@@ -25,15 +24,13 @@ Two contracts every tier implementation must honor:
 * **Instrumented arrays bypass compiled code.**  The dynamic race detector
   hands strategies :class:`~repro.analysis.shadow.ShadowArray` reduction
   targets whose ``__setitem__``/ufunc hooks record write sets.  A compiled
-  kernel writing through the raw buffer would make those writes invisible.
-  :func:`is_plain_ndarray` is the dispatch test: anything that is not a
-  base ``ndarray`` must be routed through the NumPy tier so racecheck sees
-  identical write sets regardless of the active tier.
+  kernel writing through the raw buffer would make those writes invisible,
+  so any target whose type is not exactly ``ndarray`` must run the NumPy
+  code, and racecheck sees identical write sets whatever the tier.
 """
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
 from typing import ClassVar, Optional, Sequence, Tuple
 
@@ -45,59 +42,6 @@ from repro.obs.tracer import span_of
 #: spline/derivative evaluation there is extrapolated garbage and the
 #: ``1/r`` force scaling amplifies it into astronomically large forces
 MIN_PAIR_SEPARATION = 1e-6
-
-
-class KernelTierWarning(RuntimeWarning):
-    """A requested kernel tier was unavailable or broke; work continues
-    on the NumPy reference tier.  Emitted at most once per distinct cause
-    per process (see :func:`warn_tier_once`)."""
-
-
-_WARNED: set = set()
-
-
-def warn_tier_once(key: str, message: str) -> None:
-    """Emit ``message`` as a :class:`KernelTierWarning`, once per ``key``.
-
-    Fallback is allowed to happen on a hot path (every step of a long
-    run), so the diagnostic must not repeat — one warning per cause per
-    process, tracked by ``key``.  The same once-per-cause rule feeds the
-    flight recorder: every warned fallback/degradation also lands as a
-    structured ``kernel``-category health event carrying the reason, so
-    a run that never printed its warnings (filtered, redirected) still
-    shows the degradation in ``health.jsonl``.
-    """
-    if key in _WARNED:
-        return
-    _WARNED.add(key)
-    try:
-        from repro.obs.recorder import record
-
-        record(
-            "kernel",
-            "tier-fallback",
-            severity="warning",
-            key=key,
-            reason=message,
-        )
-    except Exception:  # pragma: no cover - health plane must stay optional
-        pass
-    warnings.warn(message, KernelTierWarning, stacklevel=3)
-
-
-def reset_tier_warnings() -> None:
-    """Forget which fallback warnings fired (test isolation hook)."""
-    _WARNED.clear()
-
-
-def is_plain_ndarray(array: np.ndarray) -> bool:
-    """True when ``array`` is a base ndarray (no shadow instrumentation).
-
-    Subclasses (notably :class:`~repro.analysis.shadow.ShadowArray`)
-    carry write-recording hooks that compiled kernels would bypass; the
-    dispatch layer sends those through the NumPy tier instead.
-    """
-    return type(array) is np.ndarray
 
 
 def check_scatter_indices(
@@ -189,20 +133,8 @@ class KernelTier(ABC):
     strategy written against either surface is tier-agnostic.
     """
 
-    #: registry key ("numpy", "numba", ...)
+    #: registry key (``"numpy"``)
     name: ClassVar[str] = "abstract"
-
-    #: True when this tier runs compiled code (reporting/metadata only)
-    compiled: ClassVar[bool] = False
-
-    def supports(self, potential) -> bool:
-        """Can this tier evaluate ``potential`` natively?
-
-        Tiers that cannot must still *accept* it on every entry point by
-        delegating to the NumPy tier — ``supports`` exists so callers can
-        ask ahead of time (e.g. to warn once per run).
-        """
-        return True
 
     # --- pair-slice primitives ------------------------------------------------
 

@@ -2,13 +2,13 @@
 
 These are the original vectorized implementations that used to live as
 module-level functions in :mod:`repro.potentials.eam` (which now delegates
-here through the active tier).  They are the semantic ground truth: every
-other tier is tested against this one, and every fallback path lands here.
+here through the active tier).  They are the semantic ground truth a
+compiled tier would be tested against.
 
 The scatters use unbuffered ``np.add.at`` / ``np.bincount`` so repeated
 indices inside one slice accumulate correctly, and they operate happily on
 :class:`~repro.analysis.shadow.ShadowArray` instrumented targets — which
-is why compiled tiers route instrumented calls through this tier.
+is why a compiled tier must route instrumented calls through this code.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ class NumpyKernelTier(KernelTier):
     """Pure-NumPy reference implementation of every kernel entry point."""
 
     name = "numpy"
-    compiled = False
 
     def __init__(self) -> None:
         # Each force evaluation allocates and frees ~10 MB of pair-sized

@@ -12,9 +12,7 @@ since the tier then travels with every kernel call instead of through
 the process-global active slot.  Inners without the hook still get the
 scoped :func:`repro.kernels.use_tier` override, which is correct for
 single-driver processes but documented as unsafe for concurrent
-drivers.  Tier specs accept the variant grammar
-(``"numba-parallel"``, ``"numba-fastmath"``, ...) or a
-:class:`~repro.kernels.KernelTierConfig`.
+drivers.
 """
 
 from __future__ import annotations
@@ -37,13 +35,10 @@ class EAMCalculator:
         the inner :class:`~repro.md.simulation.ForceCalculator` (a
         strategy, a process engine, ...); None means the serial kernels.
     kernel_tier:
-        a tier variant spec (``"numpy"``, ``"numba"``,
-        ``"numba-parallel"``, ``"numba-fastmath"``, ``"auto"``, ...), a
-        :class:`~repro.kernels.KernelTierConfig`, a live
+        a tier name (``"numpy"``), a live
         :class:`~repro.kernels.KernelTier`, or None for the process
         default (``REPRO_KERNEL_TIER``, else numpy).  Resolved eagerly,
-        so an unknown spec raises here and an unavailable numba tier
-        emits its single fallback warning at construction, not mid-run.
+        so an unknown name raises here, not mid-run.
     """
 
     def __init__(

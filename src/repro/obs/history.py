@@ -7,8 +7,8 @@ in the store file (default ``.repro/history.jsonl``), carrying:
 
 * a monotonically increasing ``seq`` number (append order);
 * the ``kind`` discriminator — the artifact's kind in the run-directory
-  table (``bench`` / ``tier-speedup`` / ``reordering`` / ``scaling`` /
-  ``metrics`` / ``runlog`` / ``health``);
+  table (``bench`` / ``reordering`` / ``scaling`` / ``metrics`` /
+  ``runlog`` / ``health``);
 * the run's ``meta`` environment block (hostname, git SHA, thread count,
   Python/NumPy versions) preserved verbatim;
 * the artifact's records.

@@ -17,8 +17,8 @@ history store:
 * **regressions panel** — the verdict table of ``repro compare`` when a
   comparison was run;
 * **health panel** — the flight-recorder digest from ``health.jsonl``
-  (event counts per category/severity, engine restarts, kernel-tier
-  fallbacks, physics invariant breaches);
+  (event counts per category/severity, engine restarts, physics
+  invariant breaches);
 * **meta panel** — the environment block of the newest artifact.
 
 Each panel is defined once — a builder returning a :class:`Panel` (id,
@@ -83,8 +83,6 @@ class ReportData:
     meta: Dict[str, object] = field(default_factory=dict)
     bench_records: List[Dict[str, object]] = field(default_factory=list)
     reordering_records: List[Dict[str, object]] = field(default_factory=list)
-    #: per-cell kernel-tier speedups (``repro bench --speedup-vs``)
-    tier_speedup_records: List[Dict[str, object]] = field(default_factory=list)
     #: worker-sweep efficiency records (``repro scale``)
     scaling_records: List[Dict[str, object]] = field(default_factory=list)
     metrics_records: List[Dict[str, object]] = field(default_factory=list)
@@ -227,7 +225,6 @@ def amortization_rows(
 #: run-directory kind -> the ReportData field its records land in
 _RECORD_FIELDS = {
     "bench": "bench_records",
-    "tier-speedup": "tier_speedup_records",
     "reordering": "reordering_records",
     "scaling": "scaling_records",
     "metrics": "metrics_records",
@@ -539,13 +536,11 @@ class Panel:
     empty: str = ""
 
 
-def _cell_label(
-    r: Mapping[str, object], tier: bool = True, workers: bool = True
-) -> str:
+def _cell_label(r: Mapping[str, object], workers: bool = True) -> str:
     """``case/strategy/backend[/tier][/wN]`` of a sweep-cell record
     (the tier is named only when it is not the NumPy reference)."""
     label = f"{r.get('case', '?')}/{r.get('strategy', '?')}/{r.get('backend', '?')}"
-    if tier and str(r.get("kernel_tier", "numpy")) != "numpy":
+    if str(r.get("kernel_tier", "numpy")) != "numpy":
         label += f"/{r['kernel_tier']}"
     return f"{label}/w{r.get('n_workers', '?')}" if workers else label
 
@@ -619,31 +614,6 @@ def _speedup_panel(data: ReportData) -> Panel:
             for label, pts in series
         ]
     return panel
-
-
-def _tier_speedup_panel(data: ReportData) -> Optional[Panel]:
-    rows = [r for r in data.tier_speedup_records if "speedup" in r]
-    if not rows:
-        return None
-    return Panel(
-        "panel-tier-speedup",
-        "Kernel-tier speedup",
-        note="End-to-end phase medians of the same sweep cell on two "
-        "kernel tiers (repro bench --kernel-tier X --speedup-vs Y); "
-        "speedup > 1 means the candidate tier is faster.",
-        headers=("cell", "tier", "vs", "median", "ref median", "speedup"),
-        rows=[
-            (
-                _cell_label(r, tier=False),
-                r.get("kernel_tier", ""),
-                r.get("reference_tier", ""),
-                _ms(r["median_s"]),
-                _ms(r["reference_median_s"]),
-                f"{float(r['speedup']):.2f}x",
-            )
-            for r in rows
-        ],
-    )
 
 
 #: loss mechanisms of the scaling records, display order = palette order
@@ -844,8 +814,8 @@ def _health_panel(data: ReportData, top: int) -> Optional[Panel]:
         "panel-health",
         "Runtime health",
         note="Flight-recorder digest from health.jsonl: engine/pool "
-        "lifecycle, kernel-tier fallbacks, scheduler cache activity, and "
-        "physics invariant breaches (see repro doctor / repro health).",
+        "lifecycle, scheduler cache activity, and physics invariant "
+        "breaches (see repro doctor / repro health).",
         status=(
             "bad" if worst in ("warning", "critical") else "good",
             f"worst severity: {worst} — {digest['n_recorded']} events "
@@ -913,7 +883,6 @@ def build_panels(data: ReportData, top: int) -> List[Panel]:
     panels = (
         _regression_panel(data),
         _speedup_panel(data),
-        _tier_speedup_panel(data),
         _scaling_panel(data),
         _strategy_panel(data),
         _amortization_panel(data),

@@ -63,7 +63,6 @@ ARTIFACTS: Dict[str, Artifact] = {
     a.kind: a
     for a in (
         Artifact("bench", "BENCH_forces.json", BENCH_SCHEMA),
-        Artifact("tier-speedup", "BENCH_tier_speedup.json", BENCH_SCHEMA),
         Artifact("reordering", "BENCH_reordering.json", BENCH_SCHEMA),
         Artifact("scaling", "scaling.json", SCALING_SCHEMA),
         Artifact("metrics", "metrics.jsonl"),

@@ -38,7 +38,6 @@ import os
 import platform
 import socket
 import subprocess
-import sys
 import threading
 import time
 from typing import Dict, List, Optional
@@ -75,13 +74,10 @@ def collect_run_meta(
 ) -> Dict[str, object]:
     """Host/environment block identifying where a run happened.
 
-    ``kernel_tier`` names the *resolved* tier variant the run computed
-    with (e.g. ``"numba-parallel-fastmath"``) — callers that pinned a
-    tier pass it explicitly; otherwise the process's active tier is
-    stamped.  ``kernel_tiers`` still lists the buildable tier *bases*
-    (capability), and ``numba`` records the version actually imported
-    into this process (None when numba never loaded) — together these
-    attribute any health event or timing to the exact code that ran.
+    ``kernel_tier`` names the *resolved* tier the run computed with —
+    callers that pinned a tier pass it explicitly; otherwise the
+    process's active tier is stamped.  ``kernel_tiers`` lists the tiers
+    that run on this host (capability).
     """
     try:
         import numpy
@@ -93,7 +89,6 @@ def collect_run_meta(
 
     if kernel_tier is None:
         kernel_tier = kernels.active_tier().name
-    numba_module = sys.modules.get("numba")
 
     # CPU affinity: constrained runners (CI containers, cgroup limits,
     # taskset) expose fewer schedulable CPUs than os.cpu_count() — the
@@ -112,7 +107,6 @@ def collect_run_meta(
         "cpu_affinity": affinity,
         "python": platform.python_version(),
         "numpy": numpy_version,
-        "numba": getattr(numba_module, "__version__", None),
         "git_sha": git_sha(),
         "kernel_tier": kernel_tier,
         "kernel_tiers": list(kernels.available_tiers()),

@@ -534,9 +534,6 @@ class ChunkWorker:
         self.rows = payload["rows"]
         self.barrier = ColorBarrier(self.views["barrier"], self.index)
 
-    def do_tier(self, _payload: object) -> Tuple[int, str]:
-        return os.getpid(), self.tier.name
-
     def do_density(self, _payload: object) -> float:
         """Every task in turn, no barrier (a shard worker owns its region
         alone); returns the pair-energy partial."""
@@ -669,7 +666,7 @@ class WorkerEngine:
     ) -> None:
         #: pinned kernel tier for the worker chunks; None follows the
         #: parent's active tier at each compute (resolved eagerly so an
-        #: unknown spec or an unavailable-tier fallback surfaces here)
+        #: unknown name raises here)
         self._tier = kernels.get(kernel_tier) if kernel_tier is not None else None
         self.timeout_s = timeout_s
         self.restart_on_failure = restart_on_failure
@@ -741,13 +738,6 @@ class WorkerEngine:
         arena = self._live.arena
         return arena.nbytes if arena is not None else 0
 
-    def worker_kernel_tiers(self) -> Dict[int, str]:
-        """Resolved tier name per live worker pid (diagnostic)."""
-        group = self._live.group
-        if group is None:
-            raise RuntimeError("no live workers; call compute() first")
-        return dict(group.run("tier"))
-
     def _lifecycle_snapshot(self) -> Dict[str, object]:
         """The engine-level part of ``health_snapshot()``."""
         return {
@@ -775,12 +765,9 @@ class WorkerEngine:
         """Pin the worker chunks' kernel tier (None reverts to the
         parent's active tier at each compute).
 
-        Accepts anything :func:`repro.kernels.get` accepts — a variant
-        spec string such as ``"numba-parallel"``, a
-        :class:`~repro.kernels.KernelTierConfig`, or a live tier.  The
-        tier is fork-constant worker state: the next compute re-forks the
-        workers with exactly this variant instead of whatever import-time
-        flags the parent process had.
+        Accepts anything :func:`repro.kernels.get` accepts — a tier name
+        or a live tier.  The tier is fork-constant worker state: the next
+        compute re-forks the workers with exactly this tier.
         """
         self._tier = kernels.get(tier) if tier is not None else None
 

@@ -4,10 +4,9 @@ This module holds the serial drivers plus the pair-slice primitives the
 parallel strategies in :mod:`repro.core.strategies` are assembled from.
 Since the kernel-tier refactor the module-level primitives are thin
 dispatchers: each call is routed to the process's *active kernel tier*
-(:func:`repro.kernels.active_tier` — the NumPy reference tier by default,
-the Numba-compiled tier when selected and available), so every strategy
-and backend built on these names gets compiled kernels for free.  Phase
-structure, following Section II.C of the paper:
+(:func:`repro.kernels.active_tier`, the NumPy reference tier), so every
+strategy and backend built on these names follows the tier selection.
+Phase structure, following Section II.C of the paper:
 
 1. **Electron densities** (Eq. 1) — for every half-list pair, evaluate
    ``phi(r_ij)`` once and scatter it into both ``rho[i]`` and ``rho[j]``

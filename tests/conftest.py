@@ -134,6 +134,37 @@ def git_spawns(monkeypatch):
 
 
 @pytest.fixture()
+def paired_overhead():
+    """The wall-clock overhead contract's one measurement.
+
+    ``measure(enabled, disabled, pairs)``: each arm runs the same work and
+    returns its own seconds, or None when that work was not the steady
+    state (a Verlet rebuild landed in it), which voids the pair.  Every
+    pair runs both arms back to back, the first arm alternating between
+    pairs, so host drift (steal, clock frequency) cancels inside a pair
+    instead of across the measurement.  Returns ``(median of the per-pair
+    enabled/disabled ratios, ratios)`` over ``pairs`` valid pairs.
+    """
+
+    def measure(enabled, disabled, pairs):
+        ratios = []
+        for k in range(2 * pairs):
+            if k % 2:
+                off = disabled()
+                on = enabled()
+            else:
+                on = enabled()
+                off = disabled()
+            if on is not None and off is not None:
+                ratios.append(on / off)
+            if len(ratios) == pairs:
+                return float(np.median(ratios)), ratios
+        raise AssertionError(f"only {len(ratios)} of {pairs} pairs were valid")
+
+    return measure
+
+
+@pytest.fixture()
 def check_run_dir(tmp_path):
     """The writer/reader round trip every driver's run directory obeys.
 

@@ -4,24 +4,12 @@ from __future__ import annotations
 
 import json
 import os
-import warnings
 
 import pytest
 
 from repro.cli import build_parser, main
 from repro.harness.doctor import FAULTS, DoctorReport, Finding, run_doctor
-from repro.kernels import KernelTierWarning
 from repro.obs.recorder import read_health_jsonl
-
-
-@pytest.fixture(autouse=True)
-def _clean_tier_registry():
-    """Doctor fault injection poisons the global tier registry."""
-    from repro import kernels
-
-    kernels.reset()
-    yield
-    kernels.reset()
 
 
 class TestHealthyDoctor:
@@ -67,45 +55,7 @@ class TestHealthyDoctor:
             run_doctor(inject="meteor-strike")
         with pytest.raises(ValueError, match="steps"):
             run_doctor(steps=0)
-        assert FAULTS == ("none", "tier-degradation", "worker-kill")
-
-
-class TestTierDegradationInjection:
-    def test_exit_one_with_fallback_event_in_artifact(self, tmp_path):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", KernelTierWarning)
-            report = run_doctor(
-                case="tiny",
-                steps=2,
-                inject="tier-degradation",
-                output_dir=str(tmp_path),
-            )
-        assert report.exit_code == 1
-        by_name = {f.check: f for f in report.findings}
-        assert by_name["kernel-tier"].status == "critical"
-        assert "degraded to numpy" in by_name["kernel-tier"].detail
-        _, events = read_health_jsonl(report.health_path)
-        names = {e["event"] for e in events}
-        assert "numba-poisoned" in names
-        assert "tier-fallback" in names
-        critical_findings = [
-            e for e in events
-            if e["event"] == "finding" and e["severity"] == "critical"
-        ]
-        assert any(
-            f["check"] == "kernel-tier" for f in critical_findings
-        )
-
-    def test_poison_is_undone_after_the_doctor_returns(self, tmp_path):
-        from repro import kernels
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", KernelTierWarning)
-            run_doctor(
-                case="tiny", steps=2, inject="tier-degradation",
-                output_dir=str(tmp_path),
-            )
-        assert kernels.tier_status()["numba_error"] is None
+        assert FAULTS == ("none", "worker-kill")
 
 
 @pytest.mark.linux
@@ -132,16 +82,16 @@ class TestReportRendering:
         report = DoctorReport(
             findings=[
                 Finding("environment", "ok", "python 3"),
-                Finding("kernel-tier", "critical", "degraded"),
+                Finding("process-engine", "critical", "pool restarted"),
             ],
             snapshot={},
-            inject="tier-degradation",
+            inject="worker-kill",
         )
         text = report.render()
         lines = text.splitlines()
         assert lines[0].split() == ["check", "status", "detail"]
-        assert any("kernel-tier" in line for line in lines)
-        assert lines[-1] == "verdict: critical (inject=tier-degradation)"
+        assert any("process-engine" in line for line in lines)
+        assert lines[-1] == "verdict: critical (inject=worker-kill)"
 
     def test_worst_status_orders_skip_below_ok(self):
         report = DoctorReport(
@@ -177,26 +127,25 @@ class TestCliWiring:
         assert "verdict: ok" in out
         assert "health.jsonl" in out
 
+    @pytest.mark.linux
     def test_health_verb_reads_doctor_artifact(self, tmp_path, capsys):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", KernelTierWarning)
-            assert (
-                main(
-                    [
-                        "doctor",
-                        "--case", "tiny",
-                        "--steps", "2",
-                        "--inject", "tier-degradation",
-                        "--output-dir", str(tmp_path),
-                    ]
-                )
-                == 1
+        assert (
+            main(
+                [
+                    "doctor",
+                    "--case", "tiny",
+                    "--steps", "2",
+                    "--inject", "worker-kill",
+                    "--output-dir", str(tmp_path),
+                ]
             )
+            == 1
+        )
         capsys.readouterr()
         code = main(["health", str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 0
-        assert "tier-fallback" in out
+        assert "worker-death" in out
         # --strict turns any warning+ event into exit 1
         assert main(["health", str(tmp_path), "--strict"]) == 1
 

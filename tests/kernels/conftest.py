@@ -1,78 +1,20 @@
-"""Fixtures for the kernel-tier suite.
-
-The container running tier-1 CI does not ship Numba, yet the numba
-tier's Python source is exactly what ``@njit`` would compile.  The
-``stub_numba`` fixture therefore installs a fake ``numba`` module whose
-``njit`` is a passthrough decorator and whose ``prange`` is ``range``,
-so ``repro.kernels.numba_tier`` imports cleanly and its kernels run as
-pure Python — full differential coverage of the compiled tier's logic
-with zero dependencies.  When real Numba is installed (the CI
-kernel-tier matrix cell), ``real_numba`` sessions exercise the actual
-JIT through the same tests.
-"""
+"""Fixtures for the kernel-tier suite."""
 
 from __future__ import annotations
-
-import sys
-import types
 
 import pytest
 
 from repro import kernels
 
 
-def make_fake_numba() -> types.ModuleType:
-    """A minimal ``numba`` stand-in: decorators become passthroughs."""
-    fake = types.ModuleType("numba")
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]) and not kwargs:
-            return args[0]
-
-        def decorate(func):
-            return func
-
-        return decorate
-
-    fake.njit = njit
-    fake.prange = range
-    return fake
-
-
 @pytest.fixture(autouse=True)
 def clean_registry():
     """Every test starts and ends with a pristine tier registry.
 
-    The registry is process-global state (cached tiers, the active tier,
-    the warn-once set); leaking it between tests makes warning and
-    fallback assertions order-dependent.
+    The registry is process-global state (the cached tier and the active
+    slot); leaking it between tests makes selection assertions
+    order-dependent.
     """
     kernels.reset()
     yield
     kernels.reset()
-
-
-@pytest.fixture()
-def stub_numba(monkeypatch):
-    """Run the numba tier's Python source without Numba installed.
-
-    Yields the fake module.  ``kernels.reset()`` in ``clean_registry``
-    already dropped any cached ``repro.kernels.numba_tier`` import, so
-    the next ``kernels.get("numba")`` re-imports it against the stub.
-    """
-    fake = make_fake_numba()
-    monkeypatch.setitem(sys.modules, "numba", fake)
-    kernels.reset()
-    yield fake
-
-
-@pytest.fixture()
-def no_numba(monkeypatch):
-    """Force ``import numba`` to fail even when Numba is installed.
-
-    A ``None`` entry in ``sys.modules`` makes the import machinery raise
-    ``ImportError`` — the exact path a Numba-less host takes.
-    """
-    monkeypatch.setitem(sys.modules, "numba", None)
-    kernels.reset()
-    yield

@@ -1,4 +1,4 @@
-"""Property-based kernel invariants (hypothesis), checked on both tiers.
+"""Property-based kernel invariants (hypothesis), checked on every tier.
 
 Physics the kernels must preserve regardless of implementation:
 
@@ -9,22 +9,16 @@ Physics the kernels must preserve regardless of implementation:
 * half-list / owned-list duality — one undirected pair scattered to both
   endpoints equals two directed pairs scattered to their owners.
 
-Each property runs against the NumPy tier and the stub-compiled numba
-tier (the same source ``@njit`` would compile), so a regression in either
-implementation — or a divergence between them — fails here.
+Each property is parametrized over :data:`TIERS`, so a tier added to the
+registry is held to the same physics.
 """
 
 from __future__ import annotations
-
-import sys
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-
-from conftest import make_fake_numba
 
 from repro import kernels
 from repro.geometry import bcc_lattice
@@ -35,36 +29,14 @@ from repro.utils.rng import default_rng
 
 POTENTIAL = fe_potential()
 
-TIERS = ("numpy", "numba")
+TIERS = kernels.available_tiers()
 
-#: hypothesis drives many examples through one test invocation; the
-#: per-test registry fixtures can't reset between examples, so the tier
-#: is set up inside each example via ``tier_under_test`` instead
+#: hypothesis drives many examples through one test invocation, past the
+#: per-test registry fixture
 PROPERTY_SETTINGS = dict(
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-
-
-@contextmanager
-def tier_under_test(name: str):
-    """Yield a live tier, stubbing Numba in for the ``"numba"`` case."""
-    if name == "numpy":
-        yield kernels.get("numpy")
-        return
-    saved = sys.modules.get("numba")
-    sys.modules["numba"] = make_fake_numba()
-    kernels.reset()
-    try:
-        tier = kernels.get("numba")
-        assert tier.name == "numba"
-        yield tier
-    finally:
-        if saved is None:
-            sys.modules.pop("numba", None)
-        else:
-            sys.modules["numba"] = saved
-        kernels.reset()
 
 
 def perturbed_system(amplitude: float, seed: int):
@@ -92,8 +64,8 @@ class TestNewtonThirdLaw:
         nlist = build_neighbor_list(
             positions, box, cutoff=POTENTIAL.cutoff, skin=0.3, half=True
         )
-        with tier_under_test(tier_name) as tier:
-            forces = full_forces(tier, positions, box, nlist)
+        tier = kernels.get(tier_name)
+        forces = full_forces(tier, positions, box, nlist)
         np.testing.assert_allclose(
             forces.sum(axis=0), np.zeros(3), atol=1e-9
         )
@@ -110,8 +82,8 @@ class TestNewtonThirdLaw:
         j_idx = rng.integers(0, n, n_pairs)
         pair_forces = rng.normal(size=(n_pairs, 3))
         forces = np.zeros((n, 3))
-        with tier_under_test(tier_name) as tier:
-            tier.scatter_force_half(forces, i_idx, j_idx, pair_forces)
+        tier = kernels.get(tier_name)
+        tier.scatter_force_half(forces, i_idx, j_idx, pair_forces)
         np.testing.assert_allclose(
             forces.sum(axis=0), np.zeros(3), atol=1e-10
         )
@@ -134,9 +106,9 @@ class TestTranslationInvariance:
             positions, box, cutoff=POTENTIAL.cutoff, skin=0.3, half=True
         )
         shift = np.array([sx, sy, sz])
-        with tier_under_test(tier_name) as tier:
-            reference = full_forces(tier, positions, box, nlist)
-            shifted = full_forces(tier, positions + shift, box, nlist)
+        tier = kernels.get(tier_name)
+        reference = full_forces(tier, positions, box, nlist)
+        shifted = full_forces(tier, positions + shift, box, nlist)
         np.testing.assert_allclose(shifted, reference, rtol=1e-12, atol=1e-12)
 
 
@@ -157,14 +129,14 @@ class TestHalfOwnedDuality:
         phi = rng.uniform(0.1, 2.0, n_pairs)
         half = np.zeros(n_atoms)
         owned = np.zeros(n_atoms)
-        with tier_under_test(tier_name) as tier:
-            tier.scatter_rho_half(half, i_idx, j_idx, phi)
-            tier.scatter_rho_owned(
-                owned,
-                np.concatenate([i_idx, j_idx]),
-                np.concatenate([phi, phi]),
-                n_atoms,
-            )
+        tier = kernels.get(tier_name)
+        tier.scatter_rho_half(half, i_idx, j_idx, phi)
+        tier.scatter_rho_owned(
+            owned,
+            np.concatenate([i_idx, j_idx]),
+            np.concatenate([phi, phi]),
+            n_atoms,
+        )
         np.testing.assert_allclose(owned, half, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("tier_name", TIERS)
@@ -183,12 +155,12 @@ class TestHalfOwnedDuality:
         pair_forces = rng.normal(size=(n_pairs, 3))
         half = np.zeros((n_atoms, 3))
         owned = np.zeros((n_atoms, 3))
-        with tier_under_test(tier_name) as tier:
-            tier.scatter_force_half(half, i_idx, j_idx, pair_forces)
-            tier.scatter_force_owned(
-                owned,
-                np.concatenate([i_idx, j_idx]),
-                np.concatenate([pair_forces, -pair_forces]),
-                n_atoms,
-            )
+        tier = kernels.get(tier_name)
+        tier.scatter_force_half(half, i_idx, j_idx, pair_forces)
+        tier.scatter_force_owned(
+            owned,
+            np.concatenate([i_idx, j_idx]),
+            np.concatenate([pair_forces, -pair_forces]),
+            n_atoms,
+        )
         np.testing.assert_allclose(owned, half, rtol=1e-12, atol=1e-12)

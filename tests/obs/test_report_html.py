@@ -290,7 +290,7 @@ class TestLoadReportSource:
             '{"kind": "meta", "t": 0.0, "git_sha": "abc"}\n'
         )
         FlightRecorder().dump(tmp_path / "health.jsonl")
-        for kind in ("tier-speedup", "reordering", "scaling"):
+        for kind in ("reordering", "scaling"):
             write_payload(
                 artifact_path(tmp_path, kind),
                 payload(kind, [{"case": "tiny", "speedup": 2.0}], {}),
@@ -301,7 +301,6 @@ class TestLoadReportSource:
         from_store = load_report_source(store.path)
         for attr in (
             "bench_records",
-            "tier_speedup_records",
             "reordering_records",
             "scaling_records",
             "metrics_records",

@@ -42,9 +42,9 @@ def write_stream(directory, kind):
 
 
 class TestTable:
-    def test_seven_kinds_with_distinct_files(self):
-        assert len(ARTIFACTS) == 7
-        assert len({a.filename for a in ARTIFACTS.values()}) == 7
+    def test_six_kinds_with_distinct_files(self):
+        assert len(ARTIFACTS) == 6
+        assert len({a.filename for a in ARTIFACTS.values()}) == 6
         assert all(a.kind == kind for kind, a in ARTIFACTS.items())
 
     def test_payload_kinds_share_a_versioned_family(self):

@@ -189,6 +189,29 @@ class TestScatterRhoOwnedValidation:
         with pytest.raises(IndexError, match=r"accumulator"):
             scatter_rho_owned(np.zeros(3), np.array([0]), np.array([1.0]), 4)
 
+    @pytest.mark.parametrize("entry", ["scatter_rho_half", "density_slice"])
+    def test_half_list_index_raises_before_any_write(self, potential, entry):
+        """The half-list entry points name the bad index and write
+        nothing — neither ``rho`` nor a slice's hand-over arrays."""
+        from repro import kernels
+        from repro.geometry.box import Box
+
+        tier = kernels.active_tier()
+        rho = np.zeros(4)
+        i_idx, j_idx = np.array([0, 7]), np.array([1, 2])
+        handover = [np.full((2, 3), 7.0)] + [np.full(2, 7.0) for _ in range(3)]
+        with pytest.raises(
+            IndexError, match=r"atom index 7, outside the valid range \[0, 4\)"
+        ):
+            if entry == "scatter_rho_half":
+                tier.scatter_rho_half(rho, i_idx, j_idx, np.ones(2))
+            else:
+                tier.density_slice(
+                    potential, np.zeros((4, 3)), Box((10.0, 10.0, 10.0)),
+                    i_idx, j_idx, rho, handover,
+                )
+        assert not rho.any() and all(np.all(a == 7.0) for a in handover)
+
 
 class TestOverlappingAtomsDiagnostic:
     """Regression: r used to be clamped to 1e-12, yielding garbage forces."""
