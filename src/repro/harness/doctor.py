@@ -253,8 +253,8 @@ def _check_sharded_engine(
 ) -> Finding:
     """A sharded force evaluation checked against the serial reference.
 
-    Exercises the full exchange protocol — ghost construction, the three
-    halo reductions, per-shard SDC — on the doctor workload, and reports
+    Exercises the full halo exchange — ghost construction, the workers'
+    rho/fp/force pulls at their barriers — on the doctor workload, and reports
     the engine's health snapshot (ghost counts, exchange bytes, worker
     state) as the finding's fields.
     """

@@ -4,15 +4,15 @@ The paper's substrate is a single thing — persistent workers over shared
 arrays, lock-free inside a color phase, a barrier between colors.  This
 module holds the only copy of each of its parts:
 
-* :class:`SharedArena` — one anonymous shared ``mmap`` carved into
-  *regions* of eleven named, 64-byte-aligned fields (positions, the three
-  reduction targets, the pair list in task order, the per-pair geometry
-  and potential derivatives the density pass publishes for the force
-  pass, and the ``barrier`` control block).  Every field is allocated
-  with :data:`ARENA_HEADROOM` spare capacity; only the first ``n`` rows
-  are ever viewed, so the spare pages are never touched and never become
-  resident.  The mapping is inherited through ``fork`` — there is no
-  named ``/dev/shm`` entry that could outlive a crashed run.
+* :class:`SharedArena` — one anonymous shared ``mmap``: the ``barrier``
+  control block of every worker, then *regions* of ten named,
+  64-byte-aligned fields (positions, the three reduction targets, the
+  pair list in task order, and the per-pair geometry and potential
+  derivatives the density pass publishes for the force pass).  Every
+  field is allocated with :data:`ARENA_HEADROOM` spare capacity; only the
+  first ``n`` rows are ever viewed, so the spare pages are never touched
+  and never become resident.  The mapping is inherited through ``fork``
+  — there is no named ``/dev/shm`` entry that could outlive a crashed run.
 * :class:`ColorBarrier` — the paper's one synchronisation, between the
   workers themselves: arrival generations in the control block, and an
   abort word that releases the waiters of a failed or dead sibling.
@@ -22,19 +22,17 @@ module holds the only copy of each of its parts:
   anything is raised; a worker that died or missed the per-command
   deadline raises :class:`BackendError`, a handler that raised re-raises
   its own exception.  :class:`InlineGroup` is the same protocol in the
-  calling process (differential twin, no-fork fallback; it never runs a
-  barriered command).
-* :class:`ChunkWorker` — the worker-side handler: re-slices its region
-  per epoch and runs the single task body over contiguous pair ranges
+  calling process, one thread per handler (differential twin, no-fork
+  fallback), so barriered commands run there unchanged.
+* :class:`ChunkWorker` — the worker-side handler and the one evaluation
+  body, ``evaluate``: the colour schedule over contiguous pair ranges
   (density publishes ``pair_delta``/``pair_r``/``pair_dphi``/``pair_dv``,
-  force reuses them and calls no potential function) — the whole color
-  schedule in one ``evaluate`` command, or as separate barrier-free
-  ``density``/``embedding``/``force`` commands for the shard engine.
-* :class:`WorkerEngine` — the calculator-side lifecycle both
-  :class:`~repro.parallel.backends.processes.ProcessSDCCalculator` and
-  :class:`~repro.parallel.backends.sharded.ShardedSDCCalculator` inherit:
-  kernel-tier pinning, tracer attachment, and the spawn state
-  machine.
+  force reuses them and calls no potential function), with the halo
+  exchange between regions pulled by the workers at its barriers.
+* :class:`WorkerEngine` — the calculator-side lifecycle under
+  :class:`~repro.parallel.backends.sharded.ShardEngine`, the evaluation
+  both calculators share: kernel-tier pinning, tracer attachment, and the
+  spawn state machine.
 
 Spawn state machine (``WorkerEngine._evaluate``).  Workers and arena are
 (re)created through exactly one path, taken when there is no live group
@@ -43,8 +41,8 @@ timeout), the potential or the resolved kernel tier differs from what the
 workers were forked with (both are fork-constant worker state), or the
 epoch no longer fits the arena's capacity.  Otherwise workers survive:
 a new decomposition epoch only rewrites the pair list in place and ships
-a small *epoch payload* (sizes, box, the worker's pair ranges and atom
-rows).  A :class:`BackendError` during an evaluation respawns the group
+a small *epoch payload* (sizes, box, the worker's pair ranges, atom rows
+and ghost maps).  A :class:`BackendError` during an evaluation respawns the group
 and retries once from the zero fill; a second failure propagates.
 """
 
@@ -79,9 +77,9 @@ ARENA_HEADROOM = 1.25
 
 _ALIGN = 64
 
-#: ``(n_atoms, n_pairs, n_workers)`` of one arena region: rows of its atom
-#: fields, rows of its pair fields, workers meeting at its barrier
-RegionSize = Tuple[int, int, int]
+#: ``(n_atoms, n_pairs)`` of one arena region: rows of its atom fields and
+#: rows of its pair fields
+RegionSize = Tuple[int, int]
 
 #: handler of one worker: ``handler(command, payload) -> reply value``
 Handler = Callable[[str, object], object]
@@ -136,10 +134,9 @@ def _region_fields(
     ``pair_dphi``/``pair_dv`` the potential derivatives ``phi'``/``V'``
     computed by the density pass, so the force pass reuses them instead of
     recomputing — each pair slot belongs to exactly one task, so the
-    writes are disjoint by construction.  ``barrier`` is the control block
-    of :class:`ColorBarrier`, one cache line per word.
+    writes are disjoint by construction.
     """
-    n_atoms, n_pairs, n_workers = size
+    n_atoms, n_pairs = size
     f8, i8 = np.dtype(np.float64), np.dtype(np.int64)
     return {
         "positions": ((n_atoms, 3), f8),
@@ -152,23 +149,24 @@ def _region_fields(
         "pair_r": ((n_pairs,), f8),
         "pair_dphi": ((n_pairs,), f8),
         "pair_dv": ((n_pairs,), f8),
-        "barrier": ((n_workers + 1, _ALIGN // i8.itemsize), i8),
     }
 
 
 class SharedArena:
-    """One anonymous shared mapping holding a region per entry of ``sizes``.
+    """One anonymous shared mapping: the barrier block of ``n_workers``
+    workers, then a region per entry of ``sizes``.
 
     Created before the fork and inherited by every worker, so parent-side
-    sync/exchange and worker-side scatters address the same pages.  The
-    mapping is released when its last view is dropped; it cannot outlive
-    its processes.
+    sync and worker-side scatters address the same pages.  The mapping is
+    released when its last view is dropped; it cannot outlive its
+    processes.
     """
 
-    def __init__(self, sizes: Sequence[RegionSize]) -> None:
+    def __init__(self, sizes: Sequence[RegionSize], n_workers: int) -> None:
         #: per region: field -> (byte offset, capacity in items)
         self._slots: List[Dict[str, Tuple[int, int]]] = []
-        total = 0
+        lines = n_workers + 1
+        total = lines * _ALIGN
         for size in sizes:
             slots: Dict[str, Tuple[int, int]] = {}
             for field, (shape, dtype) in _region_fields(size).items():
@@ -178,6 +176,10 @@ class SharedArena:
             self._slots.append(slots)
         self.nbytes = max(total, mmap.PAGESIZE)
         self._mm = mmap.mmap(-1, self.nbytes)
+        #: the control block of :class:`ColorBarrier`, one cache line per word
+        self.barrier = np.frombuffer(
+            self._mm, np.int64, lines * _ALIGN // 8
+        ).reshape(lines, _ALIGN // 8)
 
     def fits(self, sizes: Sequence[RegionSize]) -> bool:
         """Whether every region of ``sizes`` is within allocated capacity."""
@@ -204,12 +206,9 @@ class SharedArena:
         return views
 
     def abort(self) -> None:
-        """Release every barrier waiter of every region (a worker died):
-        an abort word no generation reaches."""
-        abort_all = np.iinfo(np.int64).max
-        for slots in self._slots:
-            offset, _ = slots["barrier"]
-            np.frombuffer(self._mm, np.int64, 1, offset)[0] = abort_all
+        """Release every barrier waiter (a worker died): an abort word no
+        generation reaches."""
+        self.barrier[0, 0] = np.iinfo(np.int64).max
 
 
 class PhaseAborted(RuntimeError):
@@ -218,21 +217,22 @@ class PhaseAborted(RuntimeError):
 
 
 class ColorBarrier:
-    """Worker ``index``'s handle on the ``barrier`` field of its region.
+    """Worker ``index``'s handle on the arena's ``barrier`` block.
 
     Word 0 is the *abort word*; word ``1 + k`` is worker ``k``'s arrival
     *generation* — each in its own cache line and written by that worker
     alone, so no atomic is needed.  Generations are issued by the parent
     with every command and only ever grow, so whatever a failed
-    evaluation left behind is below the next command's base.
+    evaluation left behind is below the next command's base.  A forked
+    waiter watches its driver: a SIGKILLed one leaves no spinning orphan.
     """
 
-    def __init__(self, lines: np.ndarray, index: int) -> None:
+    def __init__(self, lines: np.ndarray, index: int, forked: bool) -> None:
         self._words = lines[:, 0]
         self._arrived = self._words[1:]
         self._slot = 1 + index
         self._fence = threading.Lock()
-        self._parent = os.getppid()
+        self._parent = os.getppid() if forked else None
 
     def abort(self, generation: int) -> None:
         """This worker will not arrive: release its waiting siblings."""
@@ -251,8 +251,7 @@ class ColorBarrier:
             spins += 1
             if spins > BARRIER_SPINS:
                 os.sched_yield()
-                # a SIGKILLed driver must not leave a spinning orphan
-                if not spins % 1024 and os.getppid() != self._parent:
+                if not spins % 1024 and self._parent not in (None, os.getppid()):
                     os._exit(1)
         with self._fence:
             pass
@@ -458,7 +457,9 @@ class WorkerGroup:
 
 
 class InlineGroup:
-    """The same command protocol executed in the calling process."""
+    """The same command protocol executed in the calling process, each
+    addressed handler on its own thread, so siblings can meet at a
+    :class:`ColorBarrier` exactly as forked workers do."""
 
     pids: Sequence[int] = ()
 
@@ -472,12 +473,19 @@ class InlineGroup:
         if self.broken:
             raise BackendError("worker group is stopped or broken")
         payloads = _addressed(payloads, len(self._handlers))
-        return _settle(
-            [
-                _call(handler, command, payload)
-                for handler, payload in zip(self._handlers, payloads)
-            ]
-        )
+        replies: List[Tuple[str, object]] = [("ok", None)] * len(payloads)
+
+        def serve(k: int) -> None:
+            replies[k] = _call(self._handlers[k], command, payloads[k])
+
+        threads = [
+            threading.Thread(target=serve, args=(k,)) for k in range(len(payloads))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        return _settle(replies)
 
     def stop(self) -> None:
         self._handlers = []
@@ -493,9 +501,9 @@ class ChunkWorker:
     """Command handler of one worker, bound to one arena region.
 
     Potential, kernel tier, the write-recording flag and the worker's
-    ``index`` among the region's barrier participants are fork-constant;
-    everything that changes with a decomposition epoch arrives in the
-    ``epoch`` payload and the region's views are re-sliced from it.
+    ``index`` among all the arena's barrier participants are
+    fork-constant; everything that changes with a decomposition epoch
+    arrives in the ``epoch`` payload and the views are re-sliced from it.
     """
 
     def __init__(
@@ -513,10 +521,17 @@ class ChunkWorker:
         self.tier = tier
         self.record_writes = record_writes
         self.index = index
+        self._driver = os.getpid()
+        #: views of every region, and of this worker's own
+        self.regions: List[Dict[str, np.ndarray]] = []
         self.views: Dict[str, np.ndarray] = {}
         self.box = None
         self.tasks: Sequence[Tuple[int, int]] = ()
         self.rows = (0, 0)
+        #: ghost maps, entries ``(other region, rows there, rows here)``:
+        #: ghost copies of my owned rows, and owners of my ghost rows
+        self.copies: Sequence[Tuple[int, np.ndarray, np.ndarray]] = ()
+        self.owners: Sequence[Tuple[int, np.ndarray, np.ndarray]] = ()
         self.barrier: Optional[ColorBarrier] = None
         #: flat write set per task of the current command (``record_writes``)
         self.writes: List[List[int]] = []
@@ -525,45 +540,40 @@ class ChunkWorker:
         return getattr(self, "do_" + command)(payload)
 
     def do_epoch(self, payload: dict) -> None:
-        """Adopt a new decomposition epoch (the pair list is already in
+        """Adopt a new decomposition epoch (the pair lists are already in
         place): ``tasks`` are this worker's ``[lo, hi)`` pair ranges, one
-        per color in schedule order, ``rows`` the atom rows it embeds."""
-        self.views = self.arena.region(self.region, payload["size"])
-        self.box = payload["box"]
-        self.tasks = payload["tasks"]
-        self.rows = payload["rows"]
-        self.barrier = ColorBarrier(self.views["barrier"], self.index)
-
-    def do_density(self, _payload: object) -> float:
-        """Every task in turn, no barrier (a shard worker owns its region
-        alone); returns the pair-energy partial."""
-        return sum(self._task("density", lo, hi) for lo, hi in self.tasks)
-
-    def do_force(self, _payload: object) -> None:
-        for lo, hi in self.tasks:
-            self._task("force", lo, hi)
-
-    def do_embedding(self, _payload: object) -> float:
-        """Embed this worker's atom rows (every energy counted once)."""
-        lo, hi = self.rows
-        if lo == hi:
-            return 0.0
-        rho = self.views["rho"][lo:hi]
-        self.views["fp"][lo:hi] = self.potential.embed_deriv(rho)
-        return float(np.sum(self.potential.embed(rho)))
+        per color in schedule order, ``rows`` the atom rows it embeds,
+        ``copies``/``owners`` its ghost maps."""
+        self.regions = [
+            self.arena.region(r, size) for r, size in enumerate(payload["sizes"])
+        ]
+        self.views = self.regions[self.region]
+        self.box, self.tasks = payload["box"], payload["tasks"]
+        self.rows, self.copies, self.owners = (
+            payload["rows"], payload["copies"], payload["owners"]
+        )
+        self.barrier = ColorBarrier(
+            self.arena.barrier, self.index, forked=os.getpid() != self._driver
+        )
 
     def do_evaluate(self, base: int):
-        """One whole force evaluation, in step with the region's siblings.
+        """One whole force evaluation, in step with every sibling.
 
-        Density color by color with a barrier after each, embedding of
-        this worker's rows, then a barrier before each force color:
-        ``2 * n_colors`` barriers, generations ``base, base + 1, ...``.
+        Density color by color with a barrier after each; *pull rho* (add
+        each ghost copy's density into my owned rows), embed my rows,
+        barrier; *pull fp* (my ghost rows from their owners), then each
+        force color followed by a barrier; *pull forces* through the
+        owned-copy map.  Each pull reads only what the barrier before it
+        completed, and writes rows no sibling touches until the next one.
+        ``2 * n_colors + 1`` barriers, generations ``base, base + 1, ...``.
         Returns ``(pair-energy partial, embedding-energy partial, marks,
-        per-task write sets, pid)``; ``marks`` are ``perf_counter`` at the
-        start, at every barrier's entry and exit, and at the end.
+        per-task write sets, tid)``; ``marks`` are ``perf_counter`` at the
+        start, at every barrier's entry and exit, and at the end; the tid
+        of a forked worker is its pid.
         """
         barrier, generation = self.barrier, base
         marks, self.writes = [time.perf_counter()], []
+        views, regions = self.views, self.regions
 
         def meet() -> None:
             nonlocal generation
@@ -573,19 +583,33 @@ class ChunkWorker:
             marks.append(time.perf_counter())
 
         try:
-            pair_energy = 0.0
+            pair_energy = embedding_energy = 0.0
             for lo, hi in self.tasks:
                 pair_energy += self._task("density", lo, hi)
                 meet()
-            embedding_energy = self.do_embedding(None)
+            for other, there, here in self.copies:
+                views["rho"][here] += regions[other]["rho"][there]
+            lo, hi = self.rows
+            if hi > lo:  # every energy counted once, by the row's owner
+                rho = views["rho"][lo:hi]
+                views["fp"][lo:hi] = self.potential.embed_deriv(rho)
+                embedding_energy = float(np.sum(self.potential.embed(rho)))
+            meet()
+            for other, there, here in self.owners:
+                views["fp"][here] = regions[other]["fp"][there]
             for lo, hi in self.tasks:
-                meet()
                 self._task("force", lo, hi)
+                meet()
+            for other, there, here in self.copies:
+                views["forces"][here] += regions[other]["forces"][there]
         except Exception:
             barrier.abort(generation)
             raise
         marks.append(time.perf_counter())
-        return pair_energy, embedding_energy, marks, self.writes, os.getpid()
+        return (
+            pair_energy, embedding_energy, marks, self.writes,
+            threading.get_native_id(),
+        )
 
     def _task(self, kind: str, lo: int, hi: int) -> float:
         """One task: the pair range ``[lo, hi)`` through one pass.
@@ -635,10 +659,12 @@ class _Live:
     def __init__(self) -> None:
         self.group = None
         self.arena: Optional[SharedArena] = None
+        #: the parent's views of each arena region, sliced to the epoch
+        self.views: List[Dict[str, np.ndarray]] = []
 
     def release(self) -> None:
         """Stop the workers first, then drop the mapping (idempotent)."""
-        group, self.group, self.arena = self.group, None, None
+        group, self.group, self.arena, self.views = self.group, None, None, []
         if group is not None:
             group.stop()
 
@@ -646,16 +672,17 @@ class _Live:
 class WorkerEngine:
     """Lifecycle shared by the process calculators (see module docstring).
 
-    Subclasses supply :meth:`_region_sizes` (the arena regions the
-    current epoch needs), :meth:`_make_handlers` (one handler per worker,
-    bound to the fresh arena), :meth:`_publish_epoch` (write the epoch's
-    static state into the arena and send the ``epoch`` command) and
-    :meth:`_forget` (drop caches on ``close``); they call
-    :meth:`_new_epoch` when their decomposition changed and run every
+    The subclass supplies ``_region_sizes()`` (the arena regions the
+    current epoch needs), ``_worker_regions()`` (the region of each
+    worker) and ``_publish_epoch()`` (write the epoch's static state into
+    the arena and send the ``epoch`` command); it calls
+    :meth:`_new_epoch` when its decomposition changed and runs every
     evaluation through :meth:`_evaluate`.
     """
 
     name = "engine"
+    #: workers ship per-task write sets back (the race detector's input)
+    record_writes = False
 
     def __init__(
         self,
@@ -684,29 +711,13 @@ class WorkerEngine:
         self._n_restarts = 0
         self._n_worker_deaths = 0
 
-    # --- subclass hooks --------------------------------------------------------
-
-    def _region_sizes(self) -> List[RegionSize]:
-        raise NotImplementedError
-
-    def _make_handlers(
-        self, arena: SharedArena, potential: EAMPotential, tier
-    ) -> List[Handler]:
-        raise NotImplementedError
-
-    def _publish_epoch(self) -> None:
-        raise NotImplementedError
-
-    def _forget(self) -> None:
-        raise NotImplementedError
-
     # --- lifecycle -------------------------------------------------------------
 
     def close(self) -> None:
         """Stop the workers and drop the arena (idempotent).
 
         The calculator stays usable: the next ``compute`` re-creates both
-        from scratch.
+        and republishes the cached decomposition.
         """
         if self._live.group is not None:
             record_health(
@@ -719,7 +730,6 @@ class WorkerEngine:
         self._live.release()
         self._potential = None
         self._epoch_published = False
-        self._forget()
 
     def __enter__(self):
         return self
@@ -810,8 +820,12 @@ class WorkerEngine:
         live.release()
         self._epoch_published = False
         started = time.perf_counter()
-        arena = SharedArena(sizes)
-        handlers = self._make_handlers(arena, potential, tier)
+        regions = self._worker_regions()
+        arena = SharedArena(sizes, len(regions))
+        handlers = [
+            ChunkWorker(arena, region, potential, tier, self.record_writes, index)
+            for index, region in enumerate(regions)
+        ]
         try:
             live.group = (
                 InlineGroup(handlers)

@@ -151,8 +151,9 @@ class TestOnePassByCount:
     def test_shard_workers_call_the_potential_in_the_density_command_only(
         self, counting_tier, sdc_atoms, sdc_nlist, reference_result
     ):
-        """``ChunkWorker`` — the chunk body of both process calculators —
-        counted through the sharded calculator's in-process engine."""
+        """``ChunkWorker`` — the evaluation body of both process
+        calculators — counted through the sharded calculator's in-process
+        engine (one thread per shard, so the two logs interleave)."""
         from repro.parallel.backends.sharded import ShardedSDCCalculator
 
         tier = counting_tier
@@ -160,7 +161,8 @@ class TestOnePassByCount:
             n_shards=2, engine="inline", kernel_tier=tier
         ) as calc:
             result = calc.compute(OnePassOnlyFe(), sdc_atoms.copy(), sdc_nlist)
-        assert tier.terms == tier.passes and sum(tier.terms) >= sdc_nlist.n_pairs
+        assert sorted(tier.terms) == sorted(tier.passes)
+        assert sum(tier.terms) >= sdc_nlist.n_pairs
         scale = np.max(np.abs(reference_result.forces))
         assert np.max(np.abs(result.forces - reference_result.forces)) < 1e-12 * scale
 

@@ -428,8 +428,8 @@ class TestWorkerGroupLifecycle:
 
 class TestArenaHandOver:
     """The region's pair-sized fields are the density → force hand-over:
-    the density command publishes ``(delta, r, phi', V')`` per pair, the
-    force command of the same positions reads them and nothing else."""
+    the density tasks publish ``(delta, r, phi', V')`` per pair, the force
+    tasks of the same positions read them and nothing else."""
 
     @pytest.fixture()
     def worker(self, potential, sdc_atoms, sdc_nlist):
@@ -437,26 +437,26 @@ class TestArenaHandOver:
         from repro.parallel.backends.workers import ChunkWorker, SharedArena
 
         i_idx, j_idx = sdc_nlist.pair_arrays()
-        size = (sdc_atoms.n_atoms, len(i_idx), 1)
-        arena = SharedArena([size])
+        size = (sdc_atoms.n_atoms, len(i_idx))
+        arena = SharedArena([size], n_workers=1)
         views = arena.region(0, size)
         views["positions"][:] = sdc_atoms.positions
         views["pair_i"][:], views["pair_j"][:] = i_idx, j_idx
         worker = ChunkWorker(arena, 0, potential, kernels.get("numpy"))
-        # two tasks: the commands sweep every range of the task list
+        # two tasks: the evaluation sweeps every range of the task list
         half = len(i_idx) // 2
         worker("epoch", {
-            "size": size, "box": sdc_atoms.box,
+            "sizes": [size], "box": sdc_atoms.box,
             "tasks": [(0, half), (half, len(i_idx))],
-            "rows": (0, sdc_atoms.n_atoms),
+            "rows": (0, sdc_atoms.n_atoms), "copies": [], "owners": [],
         })
         return worker, views
 
     def test_region_carries_the_pair_sized_fields(self, worker, sdc_nlist):
-        _, views = worker
-        assert len(views) == 11
+        worker, views = worker
+        assert len(views) == 10
         assert "pair_offsets" not in views  # tasks are ranges, not CSR rows
-        assert views["barrier"].shape == (2, 8)  # abort word + one worker
+        assert worker.arena.barrier.shape == (2, 8)  # abort word + one worker
         n_pairs = sdc_nlist.n_pairs
         assert views["pair_delta"].shape == (n_pairs, 3)
         for field in ("pair_r", "pair_dphi", "pair_dv"):
@@ -467,20 +467,19 @@ class TestArenaHandOver:
         self, worker, potential, reference_result
     ):
         worker, views = worker
-        worker("density", None)
+        worker("evaluate", 1)
         _, dphi, _, dv = potential.pair_terms(views["pair_r"])
         assert np.array_equal(views["pair_dphi"], dphi)
         assert np.array_equal(views["pair_dv"], dv)
-        worker("embedding", None)
-        worker("force", None)
         scale = np.max(np.abs(reference_result.forces))
         assert np.max(np.abs(views["forces"] - reference_result.forces)) < 1e-12 * scale
-        # ... and only that: a force command over doubled derivatives
-        # doubles the forces, whatever the positions say
+        # ... and only that: force tasks over doubled derivatives double
+        # the forces, whatever the positions say
         views["pair_dphi"] *= 2.0
         views["pair_dv"] *= 2.0
         views["positions"][:] = 0.0
         once = views["forces"].copy()
         views["forces"][:] = 0.0
-        worker("force", None)
+        for lo, hi in worker.tasks:
+            worker._task("force", lo, hi)
         assert np.allclose(views["forces"], 2.0 * once, rtol=1e-12, atol=0.0)

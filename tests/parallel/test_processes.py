@@ -11,7 +11,9 @@ from repro.md import Atoms, build_neighbor_list
 from repro.md.simulation import Simulation
 from repro.obs.tracer import CAT_BARRIER, CAT_PHASE, CAT_TASK, Tracer
 from repro.core.sdc_plan import color_task_layout
+from repro.geometry.box import Box
 from repro.parallel.backends.processes import ProcessSDCCalculator
+from repro.parallel.backends.sharded import ShardedSDCCalculator
 from repro.potentials import compute_eam_forces_serial, fe_potential
 from repro.potentials.base import EAMPotential
 from repro.potentials.johnson_fe import JohnsonFePotential
@@ -130,13 +132,36 @@ class TestCorrectness:
             moved = sdc_atoms.copy()
             moved.positions += 0.01
             calc.compute(potential, moved, sdc_nlist)
-            calc._arrays["forces"][:] = 0.0
+            calc._live.views[0]["forces"][:] = 0.0
             assert np.array_equal(result.forces, kept)
 
 
+#: both calculators, the sharded one on both of its engines
+ENGINES = {
+    "processes": lambda: ProcessSDCCalculator(dims=2, n_workers=2),
+    "sharded-inline": lambda: ShardedSDCCalculator(n_shards=2, engine="inline"),
+    "sharded-processes": lambda: ShardedSDCCalculator(
+        n_shards=2, engine="processes"
+    ),
+}
+
+
+def _count_commands(calc):
+    """Wrap the live group's ``run``: the list of commands it is sent."""
+    group, commands = calc._live.group, []
+    run = group.run
+
+    def counting_run(command, payloads=None):
+        commands.append(command)
+        return run(command, payloads)
+
+    group.run = counting_run
+    return commands
+
+
 class TestOneCommandPerEvaluation:
-    """The protocol: one ``evaluate`` command, ``2 * n_colors`` in-arena
-    barriers, no potential call in the parent."""
+    """The protocol: one ``evaluate`` command, ``2 * n_colors + 1``
+    in-arena barriers, no potential call in the parent."""
 
     @pytest.mark.parametrize("dims,n_workers", [(1, 2), (2, 2), (3, 3), (2, 1)])
     def test_one_run_and_two_barriers_per_color(
@@ -145,25 +170,66 @@ class TestOneCommandPerEvaluation:
         potential = _ParentCallsFe()
         with ProcessSDCCalculator(dims=dims, n_workers=n_workers) as calc:
             calc.compute(potential, sdc_atoms.copy(), sdc_nlist)  # spawn, epoch
-            group, commands = calc._live.group, []
-            run = group.run
-
-            def counting_run(command, payloads=None):
-                commands.append(command)
-                return run(command, payloads)
-
-            group.run = counting_run
+            commands = _count_commands(calc)
             base = calc._generation
             del potential.calls[:]
             result = calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
             assert commands == ["evaluate"]
             assert potential.calls == []
-            n_barriers = 2 * calc.schedule.n_colors
+            # two per color, and the final one before the force pull
+            n_barriers = 2 * calc.schedule.n_colors + 1
             assert calc._generation == base + n_barriers + 1  # + the reply
             # every worker's arrival word: the command's last generation
-            arrived = calc._arrays["barrier"][1:, 0]
+            arrived = calc._live.arena.barrier[1:, 0]
             assert arrived.tolist() == [base + n_barriers - 1] * n_workers
         assert np.allclose(result.forces, reference_result.forces, atol=1e-12)
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_steady_computes_send_one_command_each(
+        self, engine, potential, sdc_atoms, sdc_nlist, reference_result
+    ):
+        """No list change: N computes are N ``evaluate`` commands — the
+        halo exchange happens inside them, at the workers' barriers."""
+        n_computes = 4
+        with ENGINES[engine]() as calc:
+            calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
+            commands = _count_commands(calc)
+            for _ in range(n_computes):
+                result = calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
+        assert commands == ["evaluate"] * n_computes
+        scale = np.max(np.abs(reference_result.forces))
+        assert np.max(np.abs(result.forces - reference_result.forces)) < 1e-12 * scale
+
+    def test_inline_threads_under_a_tiny_switch_interval(
+        self, potential, sdc_atoms, sdc_nlist, reference_result
+    ):
+        """Eight shard threads on fewer cores, switching every microsecond:
+        a pull racing its barrier would lose or double a ghost row."""
+        import sys
+        import threading
+
+        results = []
+
+        def run():
+            with ShardedSDCCalculator(n_shards=8, engine="inline") as calc:
+                for _ in range(3):
+                    atoms = sdc_atoms.copy()
+                    results.append(calc.compute(potential, atoms, sdc_nlist))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            driver = threading.Thread(target=run, daemon=True)
+            driver.start()
+            driver.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not driver.is_alive() and len(results) == 3
+        for name in ("rho", "forces"):
+            want = getattr(reference_result, name)
+            for result in results:
+                got = getattr(result, name)
+                assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
     def test_rejects_a_list_over_other_atoms(self, potential, sdc_atoms, small_nlist):
         calc = ProcessSDCCalculator(dims=2, n_workers=2)
@@ -343,7 +409,8 @@ class TestSpansFromMarks:
             calc.attach_tracer(tracer)
             calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
             pids, n_colors = calc.worker_pids(), calc.schedule.n_colors
-        n_phases = 2 * n_colors + 1
+        # density colors, the embedding, force colors, the force pull
+        n_phases = 2 * n_colors + 2
         tasks = tracer.by_category(CAT_TASK)
         assert len(tasks) == 2 * n_phases
         assert {s.track for s in tasks} == {f"worker-{pid}" for pid in pids}
@@ -464,13 +531,14 @@ class TestPersistence:
         from repro.md import build_neighbor_list
         from repro.parallel.backends.workers import ARENA_HEADROOM, SharedArena
 
-        arena = SharedArena([(100, 700, 4)])
-        assert arena.fits([(100, 700, 4)])
-        assert arena.fits([(int(100 * ARENA_HEADROOM), 700, 4)])
-        assert not arena.fits([(100, int(700 * ARENA_HEADROOM) + 1, 4)])
-        assert arena.region(0, (90, 650, 4))["positions"].shape == (90, 3)
+        arena = SharedArena([(100, 700)], n_workers=4)
+        assert arena.barrier.shape == (5, 8)  # abort word + one per worker
+        assert arena.fits([(100, 700)])
+        assert arena.fits([(int(100 * ARENA_HEADROOM), 700)])
+        assert not arena.fits([(100, int(700 * ARENA_HEADROOM) + 1)])
+        assert arena.region(0, (90, 650))["positions"].shape == (90, 3)
         with pytest.raises(ValueError, match="capacity"):
-            arena.region(0, (200, 700, 4))
+            arena.region(0, (200, 700))
 
         small = Case(key="ov", label="ov", n_cells=6).build(seed=5)
         small_nlist = build_neighbor_list(
@@ -555,6 +623,25 @@ class TestPersistence:
 
 
 class TestDecompositionCache:
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_box_change_under_the_same_list_is_a_new_epoch(
+        self, engine, potential, sdc_atoms, sdc_nlist
+    ):
+        """Box and positions scaled by 1.01 on the same list: the workers
+        must take the new box's minimum image, not the epoch's old one."""
+        atoms = sdc_atoms.copy()
+        with ENGINES[engine]() as calc:
+            calc.compute(potential, atoms, sdc_nlist)
+            epoch = calc.health_snapshot()["epoch"]
+            atoms.box = Box(tuple(atoms.box.lengths * 1.01), atoms.box.periodic)
+            atoms.positions = atoms.positions * 1.01
+            result = calc.compute(potential, atoms, sdc_nlist)
+            republished = calc.health_snapshot()["epoch"] == epoch + 1
+        reference = compute_eam_forces_serial(potential, atoms.copy(), sdc_nlist)
+        scale = np.max(np.abs(reference.forces))
+        assert np.max(np.abs(result.forces - reference.forces)) < 1e-12 * scale
+        assert republished
+
     def test_schedule_reused_while_nlist_stable_and_rebuilt_after(
         self, potential, sdc_atoms
     ):

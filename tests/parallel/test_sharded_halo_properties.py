@@ -305,11 +305,11 @@ class TestBoundaryCases:
 
 
 class TestEpochIsAPartition:
-    def test_no_neighbor_or_cell_build_and_three_commands(
+    def test_no_neighbor_or_cell_build_and_one_command(
         self, potential, monkeypatch
     ):
         """After the driver's own builds an epoch never builds a neighbor
-        or cell list, and an evaluation is density, embedding, force."""
+        or cell list, and an evaluation is one ``evaluate`` command."""
         atoms = uniform_crystal(6, perturbation=0.05, seed=9)
         first = half_list(potential, atoms)
         moved = atoms.copy()
@@ -333,8 +333,8 @@ class TestEpochIsAPartition:
                 or run(command, *rest),
             )
             calc.compute(potential, atoms, first)
-            assert commands == ["density", "embedding", "force"]
+            assert commands == ["evaluate"]
             calc.on_neighbor_rebuild(moved, second)
             calc.compute(potential, moved, second)  # a second epoch
-            assert commands[3:] == ["epoch", "density", "embedding", "force"]
+            assert commands[1:] == ["epoch", "evaluate"]
             assert calc.health_snapshot()["n_epochs"] == 2

@@ -289,10 +289,12 @@ class TestDeathBehindTheBarrier:
             return ProcessSDCCalculator(dims=2, n_workers=2, **kwargs)
         return ShardedSDCCalculator(n_shards=2, **kwargs)
 
-    # the shard victim has the higher index: its slow sibling is polled
-    # first by an in-order collection
+    # both engines run one barriered body, so either victim leaves its
+    # sibling waiting at the first barrier after density (for the shards,
+    # the one the rho pull waits behind)
     @pytest.mark.parametrize(
-        "engine,victim", [("processes", 0), ("processes", 1), ("sharded", 1)]
+        "engine,victim",
+        [("processes", 0), ("processes", 1), ("sharded", 0), ("sharded", 1)],
     )
     def test_one_killed_worker_restarts_transparently(
         self, engine, victim, tmp_path, wide
