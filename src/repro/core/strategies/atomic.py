@@ -23,13 +23,32 @@ class AtomicStrategy(ReductionStrategy):
     Layout: the half list split by atom rows.  Write mode: both endpoints,
     in place — in the Python realization ``np.add.at`` under the GIL *is*
     atomic with respect to other closures, so the physics is exact; the
-    cost model is where the per-update atomic price appears.
+    cost model is where the per-update atomic price appears.  So the
+    scatter is always the tier's ``scatter_*_half``, never a slice body: a
+    compiled slice body drops the GIL and would lose updates.
     """
 
     name = "atomic"
     # overlapping writes are expected — each update is its own atomic RMW
     lock_free = False
     write_mode = "atomic-scatter"
+
+    def _density_slice(
+        self, tier, potential, positions, box, i_idx, j_idx, rho, handover,
+        k, rows,
+    ) -> float:
+        phi, pair_energy = tier.pair_pass(
+            potential, positions, box, i_idx, j_idx, handover
+        )
+        tier.scatter_rho_half(rho, i_idx, j_idx, phi)
+        return pair_energy
+
+    def _force_slice(
+        self, tier, i_idx, j_idx, fp, handover, forces, k, rows
+    ) -> None:
+        tier.scatter_force_half(
+            forces, i_idx, j_idx, tier.pair_forces(i_idx, j_idx, fp, handover)
+        )
 
     def plan(
         self,

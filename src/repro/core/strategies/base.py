@@ -16,11 +16,12 @@ A :class:`ReductionStrategy` does two things:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, ClassVar, List, Optional, Tuple
+from typing import TYPE_CHECKING, ClassVar, Optional, Tuple
 
 import numpy as np
 
 from repro.core.sdc_plan import RowBlockLayout, row_block_layout
+from repro.kernels.base import handover_arrays
 from repro.md.atoms import Atoms
 from repro.md.neighbor.verlet import NeighborList
 from repro.obs.tracer import TracingObserver, span_of
@@ -33,12 +34,6 @@ from repro.utils.identity import IdentityKey
 
 if TYPE_CHECKING:
     from repro.parallel.backends.base import ExecutionBackend
-
-
-def handover_arrays(n_pairs: int) -> List[np.ndarray]:
-    """The four pair-sized arrays a density pass leaves ``(delta, r, phi',
-    V')`` in for the force pass of the same pairs."""
-    return [np.empty((n_pairs, 3))] + [np.empty(n_pairs) for _ in range(3)]
 
 
 class ReductionStrategy(ABC):

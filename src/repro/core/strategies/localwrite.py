@@ -28,7 +28,8 @@ import numpy as np
 
 from repro.core.domain import SubdomainGrid, decompose, decompose_balanced
 from repro.core.partition import build_partition
-from repro.core.strategies.base import ReductionStrategy, handover_arrays
+from repro.core.strategies.base import ReductionStrategy
+from repro.kernels.base import handover_arrays
 from repro.md.atoms import Atoms
 from repro.md.neighbor.verlet import NeighborList
 from repro.parallel.backends.base import ExecutionBackend

@@ -6,7 +6,9 @@ case and folds what the health plane observed into a diagnosis table:
 * **environment** — host/interpreter/dependency identification
   (:func:`~repro.obs.runlog.collect_run_meta`);
 * **kernel-tier** — resolve the requested tier (an unknown name raises
-  before any check runs) and report the registry state;
+  before any check runs) and report the registry state, with the C
+  tier's build (``warning`` when it is unavailable, naming why;
+  ``not-loaded`` when ``numpy`` was selected, so nothing was built);
 * **physics** — a short serial NVE run through the invariant monitors
   (energy drift, momentum, force-sum residual) plus one gated virial
   pressure sample;
@@ -120,11 +122,20 @@ def _check_kernel_tier(kernel_tier: Optional[str]) -> Finding:
     resolved = (
         kernels.get(kernel_tier) if kernel_tier else kernels.active_tier()
     )
+    status = kernels.tier_status()
+    c = status["c"]
+    detail = f"resolved {resolved.name!r}; c tier {c['state']}"
+    if c["state"] != "not-loaded":  # numpy selected: nothing was built
+        detail += ": " + (
+            c["reason"] if c["state"] == "unavailable" else c["so_path"]
+        )
+    if c["build_s"] is not None:
+        detail += f" (built in {c['build_s']:.2f} s)"
     return Finding(
         "kernel-tier",
-        "ok",
-        f"resolved {resolved.name!r}",
-        fields={"requested": kernel_tier, **kernels.tier_status()},
+        "warning" if c["state"] == "unavailable" else "ok",
+        detail,
+        fields={"requested": kernel_tier, **status},
     )
 
 

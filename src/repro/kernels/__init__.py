@@ -3,9 +3,10 @@
 A *tier* implements the kernel entry points behind
 :mod:`repro.potentials.eam` (pair geometry, the density/force scatters,
 the fused phase drivers and the SDC slice entry points) — the
-:class:`KernelTier` interface of :mod:`repro.kernels.base`.  One tier
-ships: ``"numpy"``, the vectorized reference implementation.  A compiled
-tier plugs in behind the same interface and the same registry.
+:class:`KernelTier` interface of :mod:`repro.kernels.base`.  Two tiers
+ship: ``"numpy"``, the vectorized reference, and ``"c"``
+(:mod:`repro.kernels.c_tier`), its hot entry points compiled by the host's
+``cc`` on first use.
 
 Selection surfaces, outermost wins:
 
@@ -13,7 +14,12 @@ Selection surfaces, outermost wins:
 * ``strategy.set_kernel_tier(...)`` on any reduction strategy
 * the ``REPRO_KERNEL_TIER`` environment variable (process-wide default)
 
-An unknown name raises ``ValueError`` naming the accepted ones, whether it
+With none of them set, the default is ``"c"`` when it builds, else
+``"numpy"`` — a fallback announced once per process by a
+``RuntimeWarning`` and a ``kernel``/``tier-fallback`` health event naming
+the cause (:func:`tier_status` keeps it).  Asking for ``"c"`` by name
+where it cannot build raises ``RuntimeError`` with the cause instead.  An
+unknown name raises ``ValueError`` naming the accepted ones, whether it
 came from an argument or from ``REPRO_KERNEL_TIER``.
 
 Dispatch happens through a process-global *active tier*
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 import os
 import threading
+import warnings
 from contextlib import contextmanager
 from typing import Dict, Iterator, Optional, Union
 
@@ -52,11 +59,19 @@ __all__ = [
 
 ENV_VAR = "REPRO_KERNEL_TIER"
 
+#: every tier name the registry knows, runnable here or not
+TIER_NAMES = ("numpy", "c")
+
 TierSpec = Union[str, KernelTier, None]
 
 _numpy_tier: Optional[NumpyKernelTier] = None
+_c_tier: Optional[KernelTier] = None
+#: the C tier's build status, once loaded (``c_tier.BuildStatus.as_dict``)
+_c_status: Optional[Dict[str, object]] = None
+_fallback_reported = False
 _active: Optional[KernelTier] = None
-#: guards the active-tier slot swaps (not held across user code)
+#: guards the active-tier slot swaps and the one C load (not held across
+#: user code)
 _active_lock = threading.RLock()
 
 
@@ -65,6 +80,35 @@ def _get_numpy() -> NumpyKernelTier:
     if _numpy_tier is None:
         _numpy_tier = NumpyKernelTier()
     return _numpy_tier
+
+
+def _get_c() -> Optional[KernelTier]:
+    """The C tier, built or loaded once per process; None if it cannot be."""
+    global _c_tier, _c_status
+    with _active_lock:
+        if _c_status is None:
+            from repro.kernels.c_tier import load
+
+            _c_tier, status = load()
+            _c_status = status.as_dict()
+    return _c_tier
+
+
+def _report_fallback() -> None:
+    """The default wanted C and gets NumPy: say so, once per process."""
+    global _fallback_reported
+    if _fallback_reported:
+        return
+    _fallback_reported = True
+    reason = _c_status["reason"]
+    warnings.warn(
+        f"C kernel tier unavailable ({reason}); falling back to the numpy tier",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+    _record_health(
+        "tier-fallback", "warning", requested="c", tier="numpy", reason=reason
+    )
 
 
 def _record_health(event: str, severity: str = "info", **fields: object) -> None:
@@ -87,30 +131,46 @@ def _count_health(name: str) -> None:
         pass
 
 
-def available_tiers() -> tuple:
-    """Names of the tiers that run here."""
-    return ("numpy",)
+def available_tiers(load: bool = True) -> tuple:
+    """Names of the tiers that run here (``"c"`` only where it builds).
+
+    Finding out loads the C tier — on a cold cache that runs the compiler.
+    ``load=False`` never does: ``"c"`` is then listed only if this process
+    has already loaded it."""
+    if load:
+        _get_c()
+    return TIER_NAMES if _c_tier is not None else ("numpy",)
 
 
 def get(spec: TierSpec = None) -> KernelTier:
     """Resolve a tier spec to a live tier instance.
 
-    Accepts a tier name (any of :func:`available_tiers`, case-insensitive),
-    an existing :class:`KernelTier` (returned as-is), or None/"" meaning
-    the ``REPRO_KERNEL_TIER`` environment default (itself defaulting to
-    numpy).  Any other name raises ``ValueError``.
+    Accepts a tier name (any of :data:`TIER_NAMES`, case-insensitive), an
+    existing :class:`KernelTier` (returned as-is), or None/"" meaning the
+    ``REPRO_KERNEL_TIER`` environment default, itself defaulting to ``"c"``
+    when it builds and to ``"numpy"`` otherwise (see the module
+    docstring).  Any other name raises ``ValueError``; ``"c"`` by name
+    where it cannot build raises ``RuntimeError``.
     """
     if isinstance(spec, KernelTier):
         return spec
     source = "kernel tier"
     if spec is None or spec == "":
-        spec = os.environ.get(ENV_VAR, "").strip() or "numpy"
+        spec = os.environ.get(ENV_VAR, "").strip() or None
         source = f"kernel tier from {ENV_VAR}"
-    if spec.strip().lower() not in available_tiers():
+    name = spec.strip().lower() if spec is not None else None
+    if name is not None and name not in TIER_NAMES:
         raise ValueError(
-            f"unknown {source} {spec!r}; expected one of {available_tiers()}"
+            f"unknown {source} {spec!r}; expected one of {TIER_NAMES}"
         )
-    resolved = _get_numpy()
+    resolved = _get_numpy() if name == "numpy" else _get_c()
+    if resolved is None:
+        if name == "c":
+            raise RuntimeError(
+                f"{source} 'c' is unavailable: {_c_status['reason']}"
+            )
+        _report_fallback()
+        resolved = _get_numpy()
     _count_health(f"kernel_resolve/{resolved.name}")
     return resolved
 
@@ -170,17 +230,26 @@ def use_tier(spec: TierSpec) -> Iterator[KernelTier]:
 
 def tier_status() -> Dict[str, object]:
     """Registry state for the health snapshot: the active tier (None
-    before first resolution) and the ``REPRO_KERNEL_TIER`` default."""
+    before first resolution), the ``REPRO_KERNEL_TIER`` default and the C
+    tier's build (``state`` built / cached / unavailable, ``reason``,
+    ``so_path``, ``build_s``).  Reading it loads nothing: before anything
+    resolved the C tier — a process that selected ``numpy`` — its state is
+    ``not-loaded``."""
     with _active_lock:
-        active = _active
+        active, c = _active, _c_status
     return {
         "active": active.name if active is not None else None,
         "env_default": os.environ.get(ENV_VAR, "").strip() or None,
+        "c": dict(c) if c is not None else {
+            "state": "not-loaded", "reason": None, "so_path": None,
+            "build_s": None,
+        },
     }
 
 
 def reset() -> None:
-    """Forget the cached tier and the active slot (test isolation)."""
-    global _numpy_tier, _active
-    _numpy_tier = None
-    _active = None
+    """Forget the cached tiers, the C load, the fallback notice and the
+    active slot (test isolation)."""
+    global _numpy_tier, _c_tier, _c_status, _fallback_reported, _active
+    _numpy_tier = _c_tier = _c_status = _active = None
+    _fallback_reported = False

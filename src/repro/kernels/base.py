@@ -10,17 +10,17 @@ points (:meth:`KernelTier.density_slice`, :meth:`KernelTier.force_slice`)
 every strategy task runs through — each a pair half
 (:meth:`KernelTier.pair_pass`, :meth:`KernelTier.pair_forces`) plus the
 both-endpoints scatter, the halves also serving the strategies that scatter
-differently.  The NumPy tier is the
-reference, and the only tier today.
+differently.  The NumPy tier is the reference; the C tier
+(:mod:`repro.kernels.c_tier`) compiles the hot entry points.
 
-Two contracts any further (compiled) tier must honor:
+Two contracts a compiled tier must honor:
 
 * **Bounds are asserted at dispatch time, not inside the kernel.**  The
   NumPy scatters get index validation for free from ``np.add.at`` /
   ``np.bincount``; a compiled loop would silently corrupt memory instead.
-  Tiers therefore call :func:`check_scatter_indices` (or the owned-row
-  variants) *before* entering compiled code, so every tier raises the same
-  ``IndexError`` for the same bad input.
+  Tiers therefore check every index *before* entering compiled code and
+  hand anything out of range to the NumPy code, so every tier raises the
+  same ``IndexError`` for the same bad input.
 * **Instrumented arrays bypass compiled code.**  The dynamic race detector
   hands strategies :class:`~repro.analysis.shadow.ShadowArray` reduction
   targets whose ``__setitem__``/ufunc hooks record write sets.  A compiled
@@ -32,7 +32,7 @@ Two contracts any further (compiled) tier must honor:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import ClassVar, Optional, Sequence, Tuple
+from typing import ClassVar, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +42,12 @@ from repro.obs.tracer import span_of
 #: spline/derivative evaluation there is extrapolated garbage and the
 #: ``1/r`` force scaling amplifies it into astronomically large forces
 MIN_PAIR_SEPARATION = 1e-6
+
+
+def handover_arrays(n_pairs: int) -> List[np.ndarray]:
+    """The four pair-sized arrays a density pass leaves ``(delta, r, phi',
+    V')`` in for the force pass of the same pairs."""
+    return [np.empty((n_pairs, 3))] + [np.empty(n_pairs) for _ in range(3)]
 
 
 def check_scatter_indices(
@@ -275,8 +281,11 @@ class KernelTier(ABC):
         """The one geometry pass and one potential call of a pair slice:
         writes the slice's ``(delta, r, phi', V')`` into the four
         slice-sized ``handover`` arrays for :meth:`pair_forces` and
-        returns ``(phi, pair-energy sum)``.  A bad index or an
-        overlapping pair raises before anything is written."""
+        returns ``(phi, pair-energy sum)``.  A bad index raises before
+        anything is written; an overlapping pair raises before any
+        accumulator is, with the slice's ``delta`` and ``r`` possibly
+        already in ``handover`` (a compiled tier's geometry writes them
+        there)."""
         check_scatter_indices("density slice", len(positions), i_idx, j_idx)
         delta, r = self.pair_geometry(positions, box, i_idx, j_idx)
         check_pair_separation(r, (i_idx, j_idx))

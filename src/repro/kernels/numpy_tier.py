@@ -2,8 +2,8 @@
 
 These are the original vectorized implementations that used to live as
 module-level functions in :mod:`repro.potentials.eam` (which now delegates
-here through the active tier).  They are the semantic ground truth a
-compiled tier would be tested against.
+here through the active tier).  They are the semantic ground truth the C
+tier is tested against, and what it runs whenever its own code may not.
 
 The scatters use unbuffered ``np.add.at`` / ``np.bincount`` so repeated
 indices inside one slice accumulate correctly, and they operate happily on

@@ -35,9 +35,10 @@ class EAMCalculator:
         the inner :class:`~repro.md.simulation.ForceCalculator` (a
         strategy, a process engine, ...); None means the serial kernels.
     kernel_tier:
-        a tier name (``"numpy"``), a live
+        a tier name (``"numpy"``, ``"c"``), a live
         :class:`~repro.kernels.KernelTier`, or None for the process
-        default (``REPRO_KERNEL_TIER``, else numpy).  Resolved eagerly,
+        default (``REPRO_KERNEL_TIER``, else C where it builds, else
+        numpy).  Resolved eagerly,
         so an unknown name raises here, not mid-run.
     """
 

@@ -77,7 +77,8 @@ def collect_run_meta(
     ``kernel_tier`` names the *resolved* tier the run computed with —
     callers that pinned a tier pass it explicitly; otherwise the
     process's active tier is stamped.  ``kernel_tiers`` lists the tiers
-    that run on this host (capability).
+    known to run on this host without building anything: ``"c"`` appears
+    once this process has loaded it.
     """
     try:
         import numpy
@@ -109,7 +110,7 @@ def collect_run_meta(
         "numpy": numpy_version,
         "git_sha": git_sha(),
         "kernel_tier": kernel_tier,
-        "kernel_tiers": list(kernels.available_tiers()),
+        "kernel_tiers": list(kernels.available_tiers(load=False)),
     }
     if n_threads is not None:
         meta["n_threads"] = n_threads

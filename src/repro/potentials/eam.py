@@ -4,7 +4,8 @@ This module holds the serial drivers plus the pair-slice primitives the
 parallel strategies in :mod:`repro.core.strategies` are assembled from.
 Since the kernel-tier refactor the module-level primitives are thin
 dispatchers: each call is routed to the process's *active kernel tier*
-(:func:`repro.kernels.active_tier`, the NumPy reference tier), so every
+(:func:`repro.kernels.active_tier`: the C tier where it builds, else the
+NumPy reference), so every
 strategy and backend built on these names follows the tier selection.
 Phase structure, following Section II.C of the paper:
 

@@ -7,7 +7,11 @@ Physics the kernels must preserve regardless of implementation:
 * translation invariance — forces depend on minimum-image separations
   only, never on absolute coordinates;
 * half-list / owned-list duality — one undirected pair scattered to both
-  endpoints equals two directed pairs scattered to their owners.
+  endpoints equals two directed pairs scattered to their owners;
+* agreement with the reference — every hot entry point a tier may
+  override matches the NumPy tier to 1e-12 of each output's scale, for a
+  potential the C tier lowers analytically, one it lowers to splines and
+  one it cannot lower.
 
 Each property is parametrized over :data:`TIERS`, so a tier added to the
 registry is held to the same physics.
@@ -23,8 +27,12 @@ from hypothesis import strategies as st
 from repro import kernels
 from repro.geometry import bcc_lattice
 from repro.geometry.lattice import perturb_positions
+from repro.kernels.base import handover_arrays
+from repro.kernels.numpy_tier import NumpyKernelTier
 from repro.md.neighbor.verlet import build_neighbor_list
 from repro.potentials import fe_potential
+from repro.potentials.johnson_fe import JohnsonFePotential
+from repro.potentials.tables import tabulate
 from repro.utils.rng import default_rng
 
 POTENTIAL = fe_potential()
@@ -164,3 +172,82 @@ class TestHalfOwnedDuality:
             n_atoms,
         )
         np.testing.assert_allclose(owned, half, rtol=1e-12, atol=1e-12)
+
+
+class UnloweredFe(JohnsonFePotential):
+    """Fe under another class: no lowering matches it, so a compiled tier
+    evaluates its terms through NumPy between its own passes."""
+
+
+REFERENCE_POTENTIALS = {
+    "johnson": fe_potential,
+    "tabulated": lambda: tabulate(fe_potential()),
+    "unlowered": UnloweredFe,
+}
+
+
+def assert_close(got, want, what):
+    """``got`` within 1e-12 of ``want``'s scale."""
+    got, want = np.asarray(got), np.asarray(want)
+    scale = max(float(np.max(np.abs(want))), 1e-300) if want.size else 1.0
+    assert got.shape == want.shape, what
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale, what
+
+
+class TestEntryPointsMatchNumpy:
+    """``evaluate``, ``density_slice``, ``force_slice``, ``pair_pass`` and
+    ``pair_forces`` on a 128-atom crystal perturbed into the switching
+    region, on a slice from the middle of its pair list."""
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        positions, box = perturbed_system(0.3, seed=5)
+        nlist = build_neighbor_list(
+            positions, box, cutoff=POTENTIAL.cutoff, skin=0.3, half=True
+        )
+        i_idx, j_idx = nlist.pair_arrays()
+        third = len(i_idx) // 3
+        pairs = slice(third, 2 * third)
+        rng = default_rng(9)
+        seed = {
+            "rho": rng.uniform(0.5, 2.0, len(positions)),
+            "forces": rng.normal(size=(len(positions), 3)),
+            "fp": rng.uniform(-1.0, -0.1, len(positions)),
+        }
+        return positions, box, nlist, i_idx[pairs], j_idx[pairs], seed
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_POTENTIALS))
+    @pytest.mark.parametrize("tier_name", TIERS)
+    def test_every_entry_point(self, system, tier_name, name):
+        positions, box, nlist, i_idx, j_idx, seed = system
+        potential = REFERENCE_POTENTIALS[name]()
+        tier, numpy = kernels.get(tier_name), NumpyKernelTier()
+        n_pairs = len(i_idx)
+
+        got = tier.evaluate(potential, positions, box, nlist)
+        want = numpy.evaluate(potential, positions, box, nlist)
+        for label, a, b in zip(("rho", "pair", "embedding", "fp", "forces"), got, want):
+            assert_close(a, b, f"evaluate {label}")
+
+        outputs = {}
+        for impl in (tier, numpy):
+            rho, forces = seed["rho"].copy(), seed["forces"].copy()
+            passed, sliced = handover_arrays(n_pairs), handover_arrays(n_pairs)
+            phi, energy = impl.pair_pass(
+                potential, positions, box, i_idx, j_idx, passed
+            )
+            slice_energy = impl.density_slice(
+                potential, positions, box, i_idx, j_idx, rho, sliced
+            )
+            pair_forces = impl.pair_forces(i_idx, j_idx, seed["fp"], passed)
+            impl.force_slice(i_idx, j_idx, seed["fp"], sliced, forces)
+            outputs[impl] = [
+                phi, energy, *passed, slice_energy, rho, *sliced,
+                pair_forces, forces,
+            ]
+        for k, (a, b) in enumerate(zip(outputs[tier], outputs[numpy])):
+            assert_close(a, b, f"slice output {k}")
+        # delta and r: the same arithmetic in the same order, no fused
+        # multiply-add, so bit for bit
+        for k in (2, 3):
+            np.testing.assert_array_equal(outputs[tier][k], outputs[numpy][k])

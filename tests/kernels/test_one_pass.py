@@ -333,7 +333,8 @@ class TestOverlapStopsBeforeAnyScatter:
 #: sha256 over float64 bytes, produced by this file's ``trajectory`` on the
 #: commit before the one-pass geometry (row-major geometry twice per
 #: evaluation, ``np.add.at`` force scatter, four potential calls) — x86-64,
-#: Python 3.11.7, NumPy 2.4.6, glibc 2.36
+#: Python 3.11.7, NumPy 2.4.6, glibc 2.36.  They pin the NumPy tier's
+#: plumbing, so those runs name the NumPy tier explicitly
 PARENT_DIGESTS = {
     "serial state": "11cb9c36c6e0aff2420546f1dbc97cc1a0a5f31048ddee3af71f1e31d4897a0e",
     "serial energies": "e0cc0676c19bfe4ab2c0cac64d30e8399c4a549fa22016d74f44094a7626c423",
@@ -344,6 +345,11 @@ PARENT_DIGESTS = {
 #: transcendentals differ in the last place between CPU families), so a
 #: mismatch here means "other host", not "other kernels"
 HOST_CANARY = "7463d19e59f68c285ec23a10276e570703302fe56ce0ff494afff6d41f7757f7"
+
+
+def numpy_serial():
+    """The serial kernels on the NumPy tier, whatever the default tier."""
+    return EAMCalculator(kernel_tier="numpy")
 
 
 class ComposedFe(JohnsonFePotential):
@@ -390,17 +396,18 @@ class TestTrajectoryBitIdenticalToParent:
             pytest.skip("transcendentals differ from the digest host's")
 
     def test_serial_state_and_every_step_energy(self):
-        state, energies = trajectory(SerialCalculator(), ComposedFe())
+        state, energies = trajectory(numpy_serial(), ComposedFe())
         assert digest(*state) == PARENT_DIGESTS["serial state"]
         assert digest(energies) == PARENT_DIGESTS["serial energies"]
 
     def test_sdc_state_and_energy_up_to_summation_order(self):
         state, energies = trajectory(
-            EAMCalculator(SDCStrategy(dims=2, n_threads=2)), ComposedFe()
+            EAMCalculator(SDCStrategy(dims=2, n_threads=2), kernel_tier="numpy"),
+            ComposedFe(),
         )
         assert digest(*state) == PARENT_DIGESTS["sdc state"]
         # per-subdomain partials instead of one whole-list sum
-        _, serial_energies = trajectory(SerialCalculator(), ComposedFe())
+        _, serial_energies = trajectory(numpy_serial(), ComposedFe())
         assert np.max(np.abs(energies - serial_energies)) < 1e-10
 
 

@@ -37,7 +37,7 @@ class TestGet:
         for spec in ("fortran", *RETIRED_SPECS):
             with pytest.raises(
                 ValueError,
-                match=rf"unknown kernel tier '{spec}'; expected one of \('numpy',\)",
+                match=rf"unknown kernel tier '{spec}'; expected one of \('numpy', 'c'\)",
             ):
                 kernels.get(spec)
         monkeypatch.setenv(kernels.ENV_VAR, RETIRED_SPECS[0])
@@ -47,9 +47,9 @@ class TestGet:
         ):
             kernels.active_tier()
 
-    def test_none_defaults_to_numpy(self, monkeypatch):
+    def test_none_defaults_to_c_where_it_builds(self, monkeypatch):
         monkeypatch.delenv(kernels.ENV_VAR, raising=False)
-        assert kernels.get(None).name == "numpy"
+        assert kernels.get(None).name == kernels.available_tiers()[-1]
 
     def test_none_reads_env_var(self, monkeypatch):
         monkeypatch.setenv(kernels.ENV_VAR, "numpy")
@@ -57,15 +57,15 @@ class TestGet:
 
 
 class TestActiveTier:
-    def test_default_active_tier_is_numpy(self, monkeypatch):
+    def test_default_active_tier_is_the_none_default(self, monkeypatch):
         monkeypatch.delenv(kernels.ENV_VAR, raising=False)
-        assert kernels.active_tier().name == "numpy"
+        assert kernels.active_tier() is kernels.get(None)
 
     def test_set_active_tier(self):
         pinned = NumpyKernelTier()
         assert kernels.set_active_tier(pinned) is pinned
         assert kernels.active_tier() is pinned
-        assert kernels.set_active_tier(None) is kernels.get("numpy")
+        assert kernels.set_active_tier(None) is kernels.get(None)
 
     def test_use_tier_restores_previous(self):
         before = kernels.set_active_tier("numpy")
@@ -196,3 +196,66 @@ class TestConcurrentDrivers:
         n_pairs = len(sdc_nlist.pair_arrays()[0])
         assert [sum(tier.terms) for tier in tiers] == [4 * n_pairs] * 2
         assert kernels.active_tier() is sentinel
+
+
+TIERS = kernels.available_tiers()
+
+
+def _engine(engine: str, tier: str):
+    from repro.core.strategies.sdc import SDCStrategy
+    from repro.parallel.backends.processes import ProcessSDCCalculator
+    from repro.parallel.backends.sharded import ShardedSDCCalculator
+    from repro.parallel.backends.threads import ThreadBackend
+
+    if engine == "serial":
+        return EAMCalculator(kernel_tier=tier)
+    if engine == "threads":
+        strategy = SDCStrategy(dims=2, n_threads=2, backend=ThreadBackend(2))
+        return EAMCalculator(strategy, kernel_tier=tier)
+    if engine == "processes":
+        return ProcessSDCCalculator(dims=2, n_workers=2, kernel_tier=tier)
+    return ShardedSDCCalculator(n_shards=2, kernel_tier=tier)
+
+
+def _trajectory(calculator):
+    """432-atom bcc Fe at 300 K, skin 0.1: 100 steps through rebuilds."""
+    from repro.harness.cases import Case
+    from repro.md.integrators import VelocityVerlet
+    from repro.md.simulation import Simulation
+    from repro.potentials import fe_potential
+
+    atoms = Case("traj", "432-atom bcc Fe", 6).build(
+        perturbation=0.03, temperature=300.0, seed=4
+    )
+    with Simulation(
+        atoms, fe_potential(), calculator, VelocityVerlet(1.0e-3), skin=0.1
+    ) as sim:
+        report = sim.run(100, sample_every=10)
+    assert report.n_neighbor_rebuilds >= 2
+    energies = np.array([record.total_energy for record in report.records])
+    return atoms, energies
+
+
+class TestTrajectoryMatchesNumpy:
+    """Every tier on every engine follows the NumPy tier's serial
+    trajectory to 1e-9 over 100 steps — the forked and sharded workers
+    inherit the resolved tier, so their kernels are the same."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return _trajectory(EAMCalculator(kernel_tier="numpy"))
+
+    @pytest.mark.parametrize("engine", ["serial", "threads", "processes", "sharded"])
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_hundred_steps(self, reference, tier, engine):
+        if engine in ("processes", "sharded"):
+            import multiprocessing as mp
+
+            if "fork" not in mp.get_all_start_methods():
+                pytest.skip("requires fork")
+        want_atoms, want_energies = reference
+        atoms, energies = _trajectory(_engine(engine, tier))
+        for name in ("positions", "velocities", "forces", "rho"):
+            got, want = getattr(atoms, name), getattr(want_atoms, name)
+            assert np.max(np.abs(got - want)) <= 1e-9, name
+        assert np.max(np.abs(energies - want_energies)) <= 1e-9
