@@ -10,8 +10,10 @@ points (:meth:`KernelTier.density_slice`, :meth:`KernelTier.force_slice`)
 every strategy task runs through — each a pair half
 (:meth:`KernelTier.pair_pass`, :meth:`KernelTier.pair_forces`) plus the
 both-endpoints scatter, the halves also serving the strategies that scatter
-differently.  The NumPy tier is the reference; the C tier
-(:mod:`repro.kernels.c_tier`) compiles the hot entry points.
+differently — and the neighbour build those pair lists come from
+(:meth:`KernelTier.neighbor_csr`, with its packer
+:meth:`KernelTier.pairs_to_csr`).  The NumPy tier is the reference; the C
+tier (:mod:`repro.kernels.c_tier`) compiles the hot entry points.
 
 Two contracts a compiled tier must honor:
 
@@ -217,6 +219,24 @@ class KernelTier(ABC):
         n_atoms: int,
     ) -> None:
         """Full-list force accumulation into owned rows only."""
+
+    # --- the neighbour build --------------------------------------------------
+
+    @abstractmethod
+    def neighbor_csr(self, positions: np.ndarray, cells, reach: float, half: bool):
+        """The Verlet list's :class:`~repro.utils.arrays.CSR`: every pair of
+        the wrapped ``positions`` within ``reach``, found through the
+        :class:`~repro.md.neighbor.cells.CellList` ``cells`` that bins
+        them, rows ascending, each row's ``j`` ascending — ``i < j`` only
+        when ``half``, both directions otherwise."""
+
+    @abstractmethod
+    def pairs_to_csr(
+        self, i_idx: np.ndarray, j_idx: np.ndarray, n_atoms: int, mirror: bool = False
+    ):
+        """Directed pairs ``(i_idx[k], j_idx[k])`` — and ``(j_idx[k],
+        i_idx[k])`` too when ``mirror`` — packed into ``n_atoms`` CSR rows
+        in ``(i, j)`` order, duplicates kept."""
 
     # --- fused phase drivers --------------------------------------------------
 

@@ -9,14 +9,17 @@ a warm process pays one ``dlopen``.  The build writes a temporary file and
 ``os.replace``-s it into place, so processes racing the first build each
 load a complete library.  A cached file whose ELF section table runs past
 its end (a truncated copy) is rebuilt, not loaded.  A 2-pair smoke call
-against the NumPy tier then decides whether the library is used at all.
+and a 200-atom neighbour build against the NumPy tier then decide whether
+the library is used at all.
 
 :class:`CKernelTier` is the NumPy tier with the hot entry points replaced
 by single foreign calls, each of which drops the GIL: ``evaluate`` (three
 calls: density, embedding, force), the slice bodies ``density_slice`` /
 ``force_slice`` every colour task runs, and the pair halves ``pair_pass``
-/ ``pair_forces`` the comparison strategies scatter their own way.  Every
-other primitive is the NumPy tier's.  The contract of
+/ ``pair_forces`` the comparison strategies scatter their own way, and the
+neighbour build ``neighbor_csr`` (the forward-stencil walk and the CSR
+packing in one call) with its packer ``pairs_to_csr``.  Every other
+primitive is the NumPy tier's.  The contract of
 :mod:`repro.kernels.base` is kept on the Python side of each call:
 
 * arguments are checked before the call — anything that is not a
@@ -56,6 +59,7 @@ from repro.kernels.base import (
 from repro.kernels.lowering import LoweredPotential, lower_potential
 from repro.kernels.numpy_tier import NumpyKernelTier
 from repro.obs.tracer import span_of
+from repro.utils.arrays import CSR
 
 COMPILER = "cc"
 #: ``-ffp-contract=off``: no fused multiply-add where the target has one,
@@ -194,11 +198,14 @@ def _library() -> Tuple[ctypes.CDLL, BuildStatus]:
 
 
 def _smoke(tier: "CKernelTier") -> None:
-    """A 2-pair density slice, C against NumPy, to 1e-12."""
+    """A 2-pair density slice, C against NumPy, to 1e-12; then a 200-atom
+    neighbour build, half and full, CSR for CSR."""
     from repro.geometry.box import Box
+    from repro.md.neighbor.cells import build_cell_list
     from repro.potentials.johnson_fe import JohnsonFePotential
 
     potential, box = JohnsonFePotential(), Box((10.0, 10.0, 10.0))
+    reference = NumpyKernelTier()
     # both pairs inside the cutoff, the first one across two box faces
     positions = np.array([[1.8, 0.1, 9.9], [9.6, 0.3, 0.1], [9.4, 2.6, 0.8]])
     i_idx, j_idx = np.array([0, 1]), np.array([1, 2])
@@ -207,7 +214,7 @@ def _smoke(tier: "CKernelTier") -> None:
         impl.density_slice(
             potential, positions, box, i_idx, j_idx, rho, handover_arrays(2)
         )
-        for impl, rho in ((tier, got), (NumpyKernelTier(), want))
+        for impl, rho in ((tier, got), (reference, want))
     ]
     if not (
         np.allclose(got, want, rtol=1e-12, atol=0.0)
@@ -218,6 +225,20 @@ def _smoke(tier: "CKernelTier") -> None:
             f"smoke call disagrees with NumPy: rho {got} vs {want}, "
             f"pair energy {energies[0]} vs {energies[1]}"
         )
+    # 2,231 pairs on a 3x3x3 grid, 686 across a box face: enough that a
+    # walk missing any one stencil offset misses pairs
+    gas = np.random.default_rng(0).uniform(0.0, 10.0, size=(200, 3))
+    cells = build_cell_list(gas, box, 3.0)
+    half = reference.neighbor_csr(gas, cells, 3.0, True)
+    # the full list from NumPy's packer: one NumPy walk is most of the cost
+    full = reference.pairs_to_csr(half.row_of_value(), half.values, 200, mirror=True)
+    for expected in (half, full):
+        csr = tier.neighbor_csr(gas, cells, 3.0, expected is half)
+        if csr != expected or expected.n_values == 0:
+            raise BuildError(
+                f"smoke neighbour build (half={expected is half}) disagrees "
+                f"with NumPy: {csr.n_values} vs {expected.n_values} entries"
+            )
 
 
 def load() -> Tuple[Optional["CKernelTier"], BuildStatus]:
@@ -289,6 +310,37 @@ def _pairs(i_idx, j_idx, handover, n_atoms: int) -> bool:
     )
 
 
+def _binned(cells, n_atoms: int) -> bool:
+    """A cell list C may walk: plain int64 ``order`` holding atom indices
+    inside ``[0, n_atoms)``, ``starts`` rising from 0 to ``n_atoms`` over
+    every cell of the grid."""
+    order, starts = cells.order, cells.starts
+    if not (
+        _plain(_I64, order, starts)
+        and order.shape == (n_atoms,)
+        and starts.shape == (cells.n_total_cells + 1,)
+    ):
+        return False
+    return bool(
+        starts[0] == 0
+        and starts[-1] == n_atoms
+        and np.all(starts[1:] >= starts[:-1])
+        and (n_atoms == 0 or (order.min() >= 0 and order.max() < n_atoms))
+    )
+
+
+def _pair_capacity(cells, reach: float) -> int:
+    """A first guess at a build's pair count: every cell's atoms at the
+    cell's own density, ``(2/3) pi reach^3 n_c^2 / V_c`` summed, plus 10 %
+    (1.5x the 7 pairs per atom of a bcc crystal at 3.9 Å).  A clump across
+    cell faces beats it; the build then runs once more."""
+    counts = np.diff(cells.starts).astype(np.float64)
+    guess = 2.0 / 3.0 * np.pi * reach**3 * float(counts @ counts)
+    guess /= float(np.prod(cells.cell_size))
+    n = cells.n_atoms
+    return min(int(1.1 * guess) + 16, n * (n - 1) // 2)
+
+
 class CKernelTier(NumpyKernelTier):
     """The NumPy tier with its hot entry points compiled (module docstring)."""
 
@@ -312,6 +364,14 @@ class CKernelTier(NumpyKernelTier):
         self._c_embedding = lib.eam_embedding
         self._c_embedding.argtypes = [pot, vp, i64, vp]
         self._c_embedding.restype = f64
+        self._c_build = lib.nbr_build
+        self._c_build.argtypes = [
+            vp, vp, i64, vp, vp, vp, vp, f64, i64, i64, vp, vp, vp, vp
+        ]
+        self._c_build.restype = i64
+        self._c_pack = lib.nbr_pack
+        self._c_pack.argtypes = [vp, vp, i64, i64, i64, vp, vp]
+        self._c_pack.restype = None
 
     # --- the passes ---------------------------------------------------------
 
@@ -453,3 +513,49 @@ class CKernelTier(NumpyKernelTier):
             super().force_slice(i_idx, j_idx, fp, handover, forces)
             return
         self._forces(i_idx, j_idx, fp, handover, forces, None, True)
+
+    # --- the neighbour build ------------------------------------------------
+
+    def neighbor_csr(self, positions, cells, reach, half):
+        n = len(positions)
+        if not (_rows(positions, 3) and _binned(cells, n)):
+            return super().neighbor_csr(positions, cells, reach, half)
+        xs = np.take(positions, cells.order, axis=0)  # cell order
+        grid = [
+            np.array(cells.n_cells, dtype=np.int64),
+            np.array(cells.box.periodic, dtype=np.int64),
+            np.array(cells.box.lengths, dtype=np.float64),
+        ]
+        width = 1 if half else 2  # CSR entries per pair
+        offsets = np.empty(n + 1, dtype=np.int64)
+
+        def build(cap):
+            # the list before the scratch, so the freed scratch is not left
+            # as a hole under a live list
+            values = np.empty(width * cap, dtype=np.int64)
+            pairs = np.empty((2, cap), dtype=np.int64)
+            need = self._c_build(
+                _ptr(xs), _ptr(cells.order), n, _ptr(cells.starts),
+                *(_ptr(a) for a in grid), reach * reach, width - 1, cap,
+                _ptr(pairs[0]), _ptr(pairs[1]), _ptr(offsets),
+                values.ctypes.data,  # no buffer export: resized below
+            )
+            return need, values
+
+        cap = _pair_capacity(cells, reach)
+        need, values = build(cap)
+        if need > cap:  # nothing past cap was written: once more, with room
+            need, values = build(need)
+        values.resize(width * need, refcheck=False)
+        return CSR(offsets=offsets, values=values)
+
+    def pairs_to_csr(self, i_idx, j_idx, n_atoms, mirror=False):
+        if not _indices(i_idx, j_idx, n_atoms):
+            return super().pairs_to_csr(i_idx, j_idx, n_atoms, mirror)
+        offsets = np.empty(n_atoms + 1, dtype=np.int64)
+        values = np.empty((2 if mirror else 1) * len(i_idx), dtype=np.int64)
+        self._c_pack(
+            _ptr(i_idx), _ptr(j_idx), len(i_idx), n_atoms, int(mirror),
+            _ptr(offsets), _ptr(values),
+        )
+        return CSR(offsets=offsets, values=values)

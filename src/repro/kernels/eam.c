@@ -1,6 +1,7 @@
 /*
  * The C kernel tier: the paper's density and force loops (Figs. 1-2) over
- * one contiguous pair slice, each entry point one GIL-free call.
+ * one contiguous pair slice, and the CSR Verlet list they run over, each
+ * entry point one GIL-free call.
  *
  * Built on first use by repro.kernels.c_tier with `cc -O3 -ffp-contract=off
  * -shared -fPIC -lm` (no -ffast-math, no -march, no OpenMP; no fused
@@ -20,6 +21,7 @@
 
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 
 /* keep in step with repro.kernels.lowering */
 #define KIND_JOHNSON 0
@@ -272,4 +274,149 @@ double eam_embedding(const eam_potential *p, const double *rho, int64_t n,
         }
     }
     return energy;
+}
+
+/* ------------------------------------------------------------------------
+ * The neighbour build: repro.md.neighbor.verlet's CSR Verlet list.
+ * ------------------------------------------------------------------------ */
+
+/* CellList.forward_stencil's 13 offsets, (dx, dy, dz) > (0, 0, 0) */
+static const int64_t FORWARD[13][3] = {
+    {0, 0, 1},  {0, 1, -1},  {0, 1, 0},  {0, 1, 1},  {1, -1, -1},
+    {1, -1, 0}, {1, -1, 1},  {1, 0, -1}, {1, 0, 0},  {1, 0, 1},
+    {1, 1, -1}, {1, 1, 0},   {1, 1, 1},
+};
+
+/* Slot a against slots [b0, b1), whose atoms are seen at xs[b] + shift:
+ * NumPy's arithmetic, d = x_j - (x_i - shift) and r^2 = ((0 + dx^2) + dy^2)
+ * + dz^2 (adding to an exact 0 is exact).  Each survivor is counted, and
+ * stored as atom indices (min, max) while count < cap. */
+static int64_t scan(const double *xs, const int64_t *order, int64_t a,
+                    const double *shift, int64_t b0, int64_t b1,
+                    double reach2, int64_t count, int64_t cap,
+                    int64_t *first, int64_t *second)
+{
+    const double x = xs[3 * a] - shift[0], y = xs[3 * a + 1] - shift[1],
+                 z = xs[3 * a + 2] - shift[2];
+    for (int64_t b = b0; b < b1; b++) {
+        const double dx = xs[3 * b] - x, dy = xs[3 * b + 1] - y,
+                     dz = xs[3 * b + 2] - z;
+        if (dx * dx + dy * dy + dz * dz <= reach2) {
+            if (count < cap) {
+                const int64_t i = order[a], j = order[b];
+                first[count] = i < j ? i : j;
+                second[count] = i < j ? j : i;
+            }
+            count++;
+        }
+    }
+    return count;
+}
+
+/* One row of a CSR payload into ascending order: rows are short, so
+ * insertion sort, with qsort for the long rows of a dense clump. */
+static int compare_i64(const void *a, const void *b)
+{
+    const int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
+    return (x > y) - (x < y);
+}
+
+static void sort_row(int64_t *v, int64_t len)
+{
+    if (len > 64) {
+        qsort(v, (size_t)len, sizeof *v, compare_i64);
+        return;
+    }
+    for (int64_t k = 1; k < len; k++) {
+        const int64_t x = v[k];
+        int64_t p = k;
+        for (; p > 0 && v[p - 1] > x; p--)
+            v[p] = v[p - 1];
+        v[p] = x;
+    }
+}
+
+/*
+ * Pairs (first[k], second[k]) packed into n CSR rows, with (second[k],
+ * first[k]) too when mirror is set: a counting sort on the row, then each
+ * row sorted.  offsets holds n + 1 entries, values m (2m mirrored).  The
+ * same rows as NumPy's sort on the key i*n + j, duplicates included.
+ */
+void nbr_pack(const int64_t *first, const int64_t *second, int64_t m,
+              int64_t n, int64_t mirror, int64_t *offsets, int64_t *values)
+{
+    for (int64_t k = 0; k <= n; k++)
+        offsets[k] = 0;
+    for (int64_t k = 0; k < m; k++) {
+        offsets[first[k] + 1]++;
+        if (mirror)
+            offsets[second[k] + 1]++;
+    }
+    for (int64_t k = 0; k < n; k++)
+        offsets[k + 1] += offsets[k];
+    /* offsets[i] is the write cursor of row i; each stops at the next
+     * row's start, so shifting them up one restores the starts */
+    for (int64_t k = 0; k < m; k++) {
+        values[offsets[first[k]]++] = second[k];
+        if (mirror)
+            values[offsets[second[k]]++] = first[k];
+    }
+    for (int64_t k = n; k > 0; k--)
+        offsets[k] = offsets[k - 1];
+    offsets[0] = 0;
+    for (int64_t k = 0; k < n; k++)
+        sort_row(values + offsets[k], offsets[k + 1] - offsets[k]);
+}
+
+/*
+ * The Verlet list of n atoms whose positions xs (n x 3) are in cell order
+ * (slot s holds atom order[s]; cell c holds slots [starts[c], starts[c+1])
+ * of an n_cells grid): every pair within sqrt(reach2) once, found by
+ * CellList.forward_stencil's walk - each cell's interior, then each of its
+ * 13 forward neighbours, wrapped with a +-L shift on a periodic axis and
+ * dropped off an open one.  Returns the number of pairs m.  With m <= cap
+ * the pairs are in first/second and packed by nbr_pack into offsets and
+ * values (room for cap, 2 cap mirrored); with m > cap nothing past cap
+ * was written and the caller retries with cap >= m.
+ */
+int64_t nbr_build(const double *xs, const int64_t *order, int64_t n,
+                  const int64_t *starts, const int64_t *n_cells,
+                  const int64_t *periodic, const double *lengths,
+                  double reach2, int64_t mirror, int64_t cap,
+                  int64_t *first, int64_t *second, int64_t *offsets,
+                  int64_t *values)
+{
+    static const double zero[3] = {0.0, 0.0, 0.0};
+    int64_t count = 0, cell[3];
+    for (cell[0] = 0; cell[0] < n_cells[0]; cell[0]++)
+    for (cell[1] = 0; cell[1] < n_cells[1]; cell[1]++)
+    for (cell[2] = 0; cell[2] < n_cells[2]; cell[2]++) {
+        const int64_t c = (cell[0] * n_cells[1] + cell[1]) * n_cells[2] + cell[2];
+        const int64_t a0 = starts[c], a1 = starts[c + 1];
+        for (int64_t a = a0; a < a1; a++)
+            count = scan(xs, order, a, zero, a + 1, a1, reach2, count, cap,
+                         first, second);
+        for (int o = 0; a0 < a1 && o < 13; o++) {
+            int64_t target[3];
+            double shift[3];
+            int open_step = 0;
+            for (int axis = 0; axis < 3; axis++) {
+                const int64_t t = cell[axis] + FORWARD[o][axis];
+                const int64_t image = t < 0 ? -1 : (t >= n_cells[axis] ? 1 : 0);
+                open_step |= image != 0 && !periodic[axis];
+                target[axis] = t - image * n_cells[axis];
+                shift[axis] = (double)image * lengths[axis];
+            }
+            if (open_step)
+                continue;
+            const int64_t d =
+                (target[0] * n_cells[1] + target[1]) * n_cells[2] + target[2];
+            for (int64_t a = a0; a < a1; a++)
+                count = scan(xs, order, a, shift, starts[d], starts[d + 1],
+                             reach2, count, cap, first, second);
+        }
+    }
+    if (count <= cap)
+        nbr_pack(first, second, count, n, mirror, offsets, values);
+    return count;
 }

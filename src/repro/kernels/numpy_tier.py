@@ -1,9 +1,10 @@
 """The NumPy reference kernel tier.
 
 These are the original vectorized implementations that used to live as
-module-level functions in :mod:`repro.potentials.eam` (which now delegates
-here through the active tier).  They are the semantic ground truth the C
-tier is tested against, and what it runs whenever its own code may not.
+module-level functions in :mod:`repro.potentials.eam` and
+:mod:`repro.md.neighbor.verlet` (which now delegate here through the
+active tier).  They are the semantic ground truth the C tier is tested
+against, and what it runs whenever its own code may not.
 
 The scatters use unbuffered ``np.add.at`` / ``np.bincount`` so repeated
 indices inside one slice accumulate correctly, and they operate happily on
@@ -23,7 +24,7 @@ from repro.kernels.base import (
     pair_force_coefficients,
 )
 from repro.obs.tracer import span_of
-from repro.utils.arrays import segment_sum
+from repro.utils.arrays import CSR, segment_sum
 
 
 class NumpyKernelTier(KernelTier):
@@ -94,6 +95,69 @@ class NumpyKernelTier(KernelTier):
         i_idx = np.asarray(i_idx)
         check_scatter_indices("owned-row force scatter", n_atoms, i_idx)
         forces += segment_sum(pair_forces, i_idx, n_atoms)
+
+    # --- the neighbour build ------------------------------------------------
+
+    def neighbor_csr(self, positions, cells, reach, half):
+        i_idx, j_idx = self._half_pairs(positions, cells, reach)
+        return self.pairs_to_csr(i_idx, j_idx, len(positions), mirror=not half)
+
+    def _half_pairs(self, positions, cells, reach):
+        """Every pair within ``reach`` once, oriented ``i < j``, unsorted.
+
+        One candidate block per forward stencil offset plus one for the cell
+        interiors, so temporaries stay at ~1/14 of the candidate set.  Each
+        block tests a single explicit image of the neighbour cell; because
+        ``reach < L/2`` admits at most one image per pair, no geometric pair
+        is kept twice and nothing is deduplicated or masked afterwards.
+        """
+        from repro.md.neighbor.cells import concat_ranges  # imports us
+
+        order, starts, counts = cells.order, cells.starts, cells.counts()
+        soa = np.ascontiguousarray(positions[order].T)  # (3, n) in cell order
+        firsts, seconds = [], []
+
+        def scan(i_slots, j_starts, reps, shifts):
+            """``i_slots[k]`` against the ``reps[k]`` slots from ``j_starts[k]``
+            on, whose atoms are seen at ``soa[:, j] + shifts[k]``."""
+            j_slots = concat_ranges(j_starts, reps)
+            r2 = np.zeros(len(j_slots))
+            for axis in range(3):
+                # the image shift goes on the short i side, before the repeat
+                delta = soa[axis][j_slots]
+                delta -= np.repeat(soa[axis][i_slots] - shifts[:, axis], reps)
+                delta *= delta
+                r2 += delta
+            keep = r2 <= reach * reach
+            firsts.append(np.repeat(i_slots, reps)[keep])
+            seconds.append(j_slots[keep])
+
+        # cell interiors: each slot against the later slots of its own cell
+        slots = np.arange(len(order), dtype=np.int64)
+        ends = np.repeat(starts[1:], counts)
+        scan(slots, slots + 1, ends - slots - 1, np.zeros((len(slots), 3)))
+        for src, dst, shift in cells.forward_stencil():
+            scan(
+                concat_ranges(starts[src], counts[src]),
+                np.repeat(starts[dst], counts[src]),
+                np.repeat(counts[dst], counts[src]),
+                np.repeat(shift, counts[src], axis=0),
+            )
+        first = order[np.concatenate(firsts)]
+        second = order[np.concatenate(seconds)]
+        return np.minimum(first, second), np.maximum(first, second)
+
+    def pairs_to_csr(self, i_idx, j_idx, n_atoms, mirror=False):
+        if mirror:
+            i_idx, j_idx = np.concatenate([i_idx, j_idx]), np.concatenate([j_idx, i_idx])
+        stride = max(n_atoms, 1)
+        key = i_idx * stride + j_idx  # one int64 key orders by (i, j)
+        key.sort()
+        i_idx, j_idx = np.divmod(key, stride)
+        lengths = np.bincount(i_idx, minlength=n_atoms)
+        offsets = np.zeros(n_atoms + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        return CSR(offsets=offsets, values=j_idx)
 
     # --- fused phase drivers ------------------------------------------------
 

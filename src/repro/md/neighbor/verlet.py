@@ -16,8 +16,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro import kernels
 from repro.geometry.box import Box
-from repro.md.neighbor.cells import CellList, build_cell_list, concat_ranges
+from repro.md.neighbor.cells import CellList, build_cell_list
 from repro.utils.arrays import CSR, invert_permutation
 from repro.utils.validation import check_finite
 
@@ -102,65 +103,6 @@ class NeighborList:
         return not self.max_displacement(positions) <= self.skin / 2.0
 
 
-def _half_pairs(
-    positions: np.ndarray, cells: CellList, reach: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Every pair within ``reach`` once, oriented ``i < j``, unsorted.
-
-    One candidate block per forward stencil offset plus one for the cell
-    interiors, so temporaries stay at ~1/14 of the candidate set.  Each
-    block tests a single explicit image of the neighbour cell; because
-    ``reach < L/2`` admits at most one image per pair, no geometric pair
-    is kept twice and nothing is deduplicated or masked afterwards.
-    """
-    order, starts, counts = cells.order, cells.starts, cells.counts()
-    soa = np.ascontiguousarray(positions[order].T)  # (3, n) in cell order
-    firsts, seconds = [], []
-
-    def scan(i_slots, j_starts, reps, shifts):
-        """``i_slots[k]`` against the ``reps[k]`` slots from ``j_starts[k]``
-        on, whose atoms are seen at ``soa[:, j] + shifts[k]``."""
-        j_slots = concat_ranges(j_starts, reps)
-        r2 = np.zeros(len(j_slots))
-        for axis in range(3):
-            # the image shift goes on the short i side, before the repeat
-            delta = soa[axis][j_slots]
-            delta -= np.repeat(soa[axis][i_slots] - shifts[:, axis], reps)
-            delta *= delta
-            r2 += delta
-        keep = r2 <= reach * reach
-        firsts.append(np.repeat(i_slots, reps)[keep])
-        seconds.append(j_slots[keep])
-
-    # cell interiors: each slot against the later slots of its own cell
-    slots = np.arange(len(order), dtype=np.int64)
-    ends = np.repeat(starts[1:], counts)
-    scan(slots, slots + 1, ends - slots - 1, np.zeros((len(slots), 3)))
-    for src, dst, shift in cells.forward_stencil():
-        scan(
-            concat_ranges(starts[src], counts[src]),
-            np.repeat(starts[dst], counts[src]),
-            np.repeat(counts[dst], counts[src]),
-            np.repeat(shift, counts[src], axis=0),
-        )
-    first, second = order[np.concatenate(firsts)], order[np.concatenate(seconds)]
-    return np.minimum(first, second), np.maximum(first, second)
-
-
-def _pairs_to_csr(
-    i_idx: np.ndarray, j_idx: np.ndarray, n_atoms: int
-) -> CSR:
-    """Sort directed pairs by (i, j) and pack them into CSR rows."""
-    stride = max(n_atoms, 1)
-    key = i_idx * stride + j_idx  # one int64 key orders by (i, j)
-    key.sort()
-    i_idx, j_idx = np.divmod(key, stride)
-    lengths = np.bincount(i_idx, minlength=n_atoms)
-    offsets = np.zeros(n_atoms + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    return CSR(offsets=offsets, values=j_idx)
-
-
 def build_neighbor_list(
     positions: np.ndarray,
     box: Box,
@@ -170,6 +112,11 @@ def build_neighbor_list(
     cells: Optional[CellList] = None,
 ) -> NeighborList:
     """Build a Verlet neighbor list with link cells.
+
+    The checks, the wrap and the binning run here; the forward-stencil
+    walk and the CSR packing are the active kernel tier's
+    :meth:`~repro.kernels.base.KernelTier.neighbor_csr`, which gives the
+    same CSR, byte for byte, on every tier.
 
     Parameters
     ----------
@@ -204,11 +151,8 @@ def build_neighbor_list(
         cells = build_cell_list(positions, box, reach)
     else:
         cells.check_bins(positions, box, reach)
-    i_idx, j_idx = _half_pairs(positions, cells, reach)
-    if not half:
-        i_idx, j_idx = np.concatenate([i_idx, j_idx]), np.concatenate([j_idx, i_idx])
     return NeighborList(
-        csr=_pairs_to_csr(i_idx, j_idx, len(positions)),
+        csr=kernels.active_tier().neighbor_csr(positions, cells, reach, half),
         cutoff=cutoff,
         skin=skin,
         half=half,
@@ -275,7 +219,10 @@ def brute_force_neighbor_list(
     if half:
         mask = np.triu(mask, k=1)
     i_idx, j_idx = np.nonzero(mask)
-    csr = _pairs_to_csr(i_idx.astype(np.int64), j_idx.astype(np.int64), n)
+    # the oracle packs with the reference tier, whichever tier is under test
+    csr = kernels.get("numpy").pairs_to_csr(
+        i_idx.astype(np.int64), j_idx.astype(np.int64), n
+    )
     return NeighborList(
         csr=csr,
         cutoff=cutoff,
@@ -296,9 +243,7 @@ def full_from_half(nlist: NeighborList) -> NeighborList:
     if not nlist.half:
         return nlist
     i_idx, j_idx = nlist.pair_arrays()
-    all_i = np.concatenate([i_idx, j_idx])
-    all_j = np.concatenate([j_idx, i_idx])
-    csr = _pairs_to_csr(all_i, all_j, nlist.n_atoms)
+    csr = kernels.active_tier().pairs_to_csr(i_idx, j_idx, nlist.n_atoms, mirror=True)
     return NeighborList(
         csr=csr,
         cutoff=nlist.cutoff,
@@ -315,7 +260,7 @@ def half_from_full(nlist: NeighborList) -> NeighborList:
         return nlist
     i_idx, j_idx = nlist.pair_arrays()
     keep = i_idx < j_idx
-    csr = _pairs_to_csr(i_idx[keep], j_idx[keep], nlist.n_atoms)
+    csr = kernels.active_tier().pairs_to_csr(i_idx[keep], j_idx[keep], nlist.n_atoms)
     return NeighborList(
         csr=csr,
         cutoff=nlist.cutoff,

@@ -7,9 +7,16 @@ import os
 
 import pytest
 
+from repro import kernels
 from repro.cli import build_parser, main
 from repro.harness.doctor import FAULTS, DoctorReport, Finding, run_doctor
 from repro.obs.recorder import read_health_jsonl
+
+
+def c_tier_fell_back() -> bool:
+    """The default tier wanted C and got NumPy (no compiler on ``PATH``):
+    the one warning a healthy doctor run reports on such a host."""
+    return kernels.tier_status()["c"]["state"] == "unavailable"
 
 
 class TestHealthyDoctor:
@@ -18,7 +25,8 @@ class TestHealthyDoctor:
             case="tiny", steps=2, n_workers=2, output_dir=str(tmp_path)
         )
         assert report.exit_code == 0
-        assert report.worst_status == "ok"
+        fallback = c_tier_fell_back()
+        assert report.worst_status == ("warning" if fallback else "ok")
         by_name = {f.check: f for f in report.findings}
         assert set(by_name) == {
             "environment",
@@ -29,7 +37,8 @@ class TestHealthyDoctor:
             "sharded-engine",
         }
         for finding in report.findings:
-            assert finding.status in ("ok", "skip"), finding
+            if not (fallback and finding.check == "kernel-tier"):
+                assert finding.status in ("ok", "skip"), finding
 
     def test_health_artifact_validates_and_brackets_the_run(
         self, tmp_path, check_run_dir
@@ -124,7 +133,7 @@ class TestCliWiring:
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "verdict: ok" in out
+        assert f"verdict: {'warning' if c_tier_fell_back() else 'ok'}" in out
         assert "health.jsonl" in out
 
     @pytest.mark.linux

@@ -1,14 +1,16 @@
 """The C tier on a real ``.so``: hostile inputs, build states, fallback.
 
-* an index outside the arrays it addresses never reaches C: the call runs
-  the NumPy code, so it raises (or, for NumPy's wrap-around, computes)
-  exactly what the NumPy tier does, and leaves the targets as NumPy does;
+* an index outside the arrays it addresses (a cell list's ``order`` and
+  ``starts`` included) never reaches C: the call runs the NumPy code, so
+  it raises (or, for NumPy's wrap-around, computes) exactly what the NumPy
+  tier does, and leaves the targets as NumPy does;
 * overlapping atoms raise the NumPy tier's ``ValueError``, naming the same
   pair, before anything is accumulated;
 * ``ShadowArray``, non-contiguous and float32 targets run the NumPy code,
   and so does an unlowered potential's ``F'`` that C may not address;
-* the cache: a truncated ``.so`` is rebuilt, two processes racing the first
-  build load one library, a broken compiler's stderr reaches the error;
+* the cache: a truncated ``.so`` is rebuilt, so is one built for another
+  architecture, two processes racing the first build load one library, a
+  broken compiler's stderr reaches the error;
 * no compiler on ``PATH``: the default is NumPy, announced once.
 """
 
@@ -17,9 +19,11 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
@@ -30,15 +34,36 @@ import pytest
 import repro
 from repro import kernels
 from repro.analysis.shadow import TaskWriteLog, wrap_array
+from repro.geometry.box import Box
 from repro.kernels import c_tier as c_module
 from repro.kernels.base import handover_arrays
 from repro.kernels.numpy_tier import NumpyKernelTier
 from repro.md import Atoms, build_neighbor_list
+from repro.md.neighbor.cells import build_cell_list
 from repro.obs.recorder import FlightRecorder, get_recorder, set_recorder
 from repro.potentials import compute_eam_forces_serial
 from repro.potentials.johnson_fe import JohnsonFePotential
 
 FOREIGN = ("_c_density", "_c_force", "_c_scatter", "_c_embedding")
+
+#: one ``c_tier.load()`` in a child process: its status as JSON, or a
+#: failed assertion when the tier is unavailable
+LOAD_SCRIPT = (
+    "import json; from repro.kernels import c_tier; "
+    "tier, status = c_tier.load(); "
+    "assert tier is not None, status; "
+    "print(json.dumps(status.as_dict()))"
+)
+
+
+def child_env():
+    """This environment, with this package first on ``PYTHONPATH``."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return env
 
 
 @pytest.fixture()
@@ -211,6 +236,46 @@ class TestOutOfRangeIndices:
         assert got[1:] == want[1:]
 
 
+def test_neighbor_build_inputs_c_may_not_walk_run_numpy(c_tier, monkeypatch):
+    """A cell list C could read past, and pair indices outside the rows,
+    never reach C: the NumPy code runs and does whatever it does."""
+
+    def forbidden(*args):
+        raise AssertionError("a foreign call was made")
+
+    monkeypatch.setattr(c_tier, "_c_build", forbidden)
+    monkeypatch.setattr(c_tier, "_c_pack", forbidden)
+    gas = np.random.default_rng(5).uniform(0.0, 20.0, size=(200, 3))
+    cells = build_cell_list(gas, Box((20.0, 20.0, 20.0)), 3.9)
+
+    def edited(field, slot, value):
+        array = getattr(cells, field).copy()
+        array[slot] = value
+        return replace(cells, **{field: array})
+
+    odd = {
+        "order past the end": edited("order", 7, 200),
+        "negative order": edited("order", 7, -1),
+        "int32 order": replace(cells, order=cells.order.astype(np.int32)),
+        "starts short of the atoms": edited("starts", -1, 199),
+        "falling starts": edited("starts", 3, 10**6),
+    }
+    numpy_tier = NumpyKernelTier()
+    for name, bad in odd.items():
+        got, want = (
+            outcome(lambda: tier.neighbor_csr(gas, bad, 3.9, True))
+            for tier in (c_tier, numpy_tier)
+        )
+        assert got == want, name
+    i_idx = np.array([0, 3, 3])
+    for j_idx in (np.array([5, 200, 4]), np.array([5, -1, 4]), np.array([5, 1.0, 4])):
+        got, want = (
+            outcome(lambda: tier.pairs_to_csr(i_idx, j_idx, 200, mirror=True))
+            for tier in (c_tier, numpy_tier)
+        )
+        assert got == want, j_idx
+
+
 @pytest.fixture()
 def overlapping(sdc_atoms, potential):
     """Atom 1 moved 1e-9 Å from atom 0; the rho/fp/forces rows set to 7."""
@@ -378,20 +443,9 @@ class TestBuildStates:
     ):
         if shutil.which("cc") is None:
             pytest.skip("no C compiler")
-        src = str(Path(repro.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
-        script = (
-            "import json; from repro.kernels import c_tier; "
-            "tier, status = c_tier.load(); "
-            "assert tier is not None, status; "
-            "print(json.dumps(status.as_dict()))"
-        )
         procs = [
             subprocess.Popen(
-                [sys.executable, "-c", script], env=env,
+                [sys.executable, "-c", LOAD_SCRIPT], env=child_env(),
                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             )
             for _ in range(2)
@@ -406,6 +460,37 @@ class TestBuildStates:
         path = Path(statuses[0]["so_path"])
         assert c_module._intact(path)
         assert sorted(p.name for p in fresh_cache.iterdir()) == [path.name]
+
+    def test_other_architecture_cached_library_is_rebuilt(self, fresh_cache):
+        """An intact ELF that ``dlopen`` rejects — ``e_machine`` patched to
+        another architecture — is rebuilt, and the rebuilt tier passes its
+        smoke call.  Each load runs in a fresh process: this one's
+        ``dlopen`` would hand back a library already mapped under that
+        name without reading the file."""
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler")
+
+        def load_elsewhere():
+            done = subprocess.run(
+                [sys.executable, "-c", LOAD_SCRIPT], env=child_env(),
+                capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            return json.loads(done.stdout.strip().splitlines()[-1])
+
+        path = Path(load_elsewhere()["so_path"])
+        data = bytearray(path.read_bytes())
+        e_machine = "<H" if data[5] == 1 else ">H"  # at 0x12, byte order
+        machine, = struct.unpack_from(e_machine, data, 0x12)
+        other = 183 if machine != 183 else 62  # aarch64, else x86-64
+        struct.pack_into(e_machine, data, 0x12, other)
+        path.unlink()  # a new file: never rewrite one a process has mapped
+        path.write_bytes(bytes(data))
+        assert c_module._intact(path)
+        status = load_elsewhere()  # LOAD_SCRIPT asserts the smoke call passed
+        assert status["state"] == "built" and status["so_path"] == str(path)
+        assert struct.unpack_from(e_machine, path.read_bytes(), 0x12) == (machine,)
+        assert load_elsewhere()["state"] == "cached"
 
     def test_broken_compiler_stderr_reaches_the_error(
         self, fresh_cache, tmp_path, monkeypatch
