@@ -34,7 +34,7 @@ from repro.core.strategies import (
     SerialStrategy,
 )
 from repro.geometry import Box, bcc_lattice, fcc_lattice
-from repro.md import Atoms, EAMCalculator, Simulation, build_neighbor_list
+from repro.md import Atoms, Simulation, build_neighbor_list
 from repro.parallel import MachineConfig, paper_machine, simulate
 from repro.potentials import JohnsonFePotential, LennardJones, fe_potential
 
@@ -51,7 +51,6 @@ __all__ = [
     "bcc_lattice",
     "fcc_lattice",
     "Atoms",
-    "EAMCalculator",
     "Simulation",
     "build_neighbor_list",
     "MachineConfig",

@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, ClassVar, Optional, Tuple
 
 import numpy as np
 
+from repro import kernels
 from repro.core.sdc_plan import RowBlockLayout, row_block_layout
 from repro.kernels.base import handover_arrays
 from repro.md.atoms import Atoms
@@ -59,12 +60,6 @@ class ReductionStrategy(ABC):
     #: optional write instrument (e.g. the racecheck recorder); when set,
     #: :meth:`_array` hands out shadow-wrapped reduction arrays.
     _instrument = None
-
-    #: optional pinned kernel tier; when set, every kernel call this
-    #: strategy makes goes to it explicitly instead of the process-global
-    #: active tier — the concurrency-safe selection path (two strategies
-    #: on different threads cannot clobber each other's tier).
-    _kernel_tier = None
 
     #: optional span tracer; when set, :meth:`_span` records the
     #: strategy's phase regions and merge/scatter/lock sections as spans
@@ -117,32 +112,6 @@ class ReductionStrategy(ABC):
         span as counting toward that phase's wall-clock.
         """
         return span_of(self._tracer, name, **args)
-
-    def set_kernel_tier(self, tier) -> None:
-        """Pin this strategy's kernel tier (None reverts to the process
-        default).
-
-        Accepts anything :func:`repro.kernels.get` accepts — a tier name
-        or a live tier.  Resolution is eager so unknown names raise here.
-        """
-        from repro import kernels
-
-        self._kernel_tier = kernels.get(tier) if tier is not None else None
-
-    def _tier(self):
-        """The tier this strategy's kernel calls dispatch to."""
-        from repro import kernels
-
-        return (
-            self._kernel_tier
-            if self._kernel_tier is not None
-            else kernels.active_tier()
-        )
-
-    @property
-    def kernel_tier(self) -> str:
-        """Resolved tier name this strategy computes with."""
-        return self._tier().name
 
     def attach_instrument(self, recorder) -> None:
         """Record reduction-array writes through ``recorder``.
@@ -199,7 +168,7 @@ class ReductionStrategy(ABC):
         """
         nlist.check_covers(atoms.n_atoms)
         layout = self._layout(atoms, nlist)
-        tier = self._tier()
+        tier = kernels.active_tier()
         positions, box, n = atoms.positions, atoms.box, atoms.n_atoms
         pair_i, pair_j = layout.pair_i, layout.pair_j
         workers = range(self.n_threads)

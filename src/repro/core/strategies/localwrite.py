@@ -26,6 +26,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro import kernels
 from repro.core.domain import SubdomainGrid, decompose, decompose_balanced
 from repro.core.partition import build_partition
 from repro.core.strategies.base import ReductionStrategy
@@ -163,7 +164,7 @@ class LocalWriteStrategy(ReductionStrategy):
             self._prepare(atoms, nlist)
         assert self._tables is not None and self._grid is not None
         tables = self._tables
-        tier = self._tier()
+        tier = kernels.active_tier()
         positions = atoms.positions
         box = atoms.box
         n = atoms.n_atoms

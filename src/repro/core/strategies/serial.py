@@ -37,8 +37,7 @@ class SerialStrategy(ReductionStrategy):
         """Not the shared body: the evaluation owns its output arrays, so
         ``tier.evaluate`` scatters with ``bincount`` instead of in place."""
         return compute_eam_forces_serial(
-            potential, atoms, nlist, tracer=self._tracer,
-            tier=self._kernel_tier,
+            potential, atoms, nlist, tracer=self._tracer
         )
 
     def plan(

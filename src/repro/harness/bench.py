@@ -91,27 +91,15 @@ def _make_cell(
     atoms,
     nlist,
     tracer: Tracer,
-    kernel_tier: Optional[str] = None,
 ) -> Tuple[Callable[[], object], Callable[[], None], str]:
-    """Build (compute closure, cleanup, resolved tier name) for one cell.
-
-    The cell's calculator records into ``tracer``; ``kernel_tier`` pins
-    it on a kernel tier (None follows the session's active tier).
-    """
+    """Build (compute closure, cleanup, the process's tier name) for one
+    cell, whose calculator records into ``tracer``."""
     from repro.harness.tracing import _make_calculator
 
-    tier = kernels.get(kernel_tier) if kernel_tier is not None else None
     serial_on_threads = strategy_key == "serial" and backend_key == "threads"
     calc, close = _make_calculator(
-        strategy_key,
-        "serial" if serial_on_threads else backend_key,
-        n_workers,
-        kernel_tier=kernel_tier,
+        strategy_key, "serial" if serial_on_threads else backend_key, n_workers
     )
-    # pin instead of use_tier(): concurrent sweep cells (or a user's own
-    # driver on another thread) never race on the process-global slot
-    if tier is not None:
-        calc.set_kernel_tier(tier)
     calc.attach_tracer(tracer)
 
     def evaluate() -> object:
@@ -131,7 +119,7 @@ def _make_cell(
         calc.detach_tracer()
         close()
 
-    return compute, cleanup, calc.kernel_tier
+    return compute, cleanup, kernels.active_tier().name
 
 
 @dataclass
@@ -178,7 +166,6 @@ def _sweep_cells(
     backends: Sequence[str],
     n_workers: int,
     on_skip: Optional[Callable[[str], None]],
-    kernel_tier: Optional[str],
 ) -> Iterator[_SweepCell]:
     """Every runnable case x strategy x backend cell, one at a time.
 
@@ -209,7 +196,6 @@ def _sweep_cells(
                         atoms,
                         nlist,
                         tracer,
-                        kernel_tier=kernel_tier,
                     )
                 except BenchSkip as skip:
                     if on_skip is not None:
@@ -240,12 +226,11 @@ def bench_forces(
     warmup: int = 1,
     repeats: int = 5,
     on_skip: Optional[Callable[[str], None]] = None,
-    kernel_tier: Optional[str] = None,
 ) -> List[BenchRecord]:
     """Run the sweep; returns one record per (cell, phase)."""
     records: List[BenchRecord] = []
     with closing(
-        _sweep_cells(cases, strategies, backends, n_workers, on_skip, kernel_tier)
+        _sweep_cells(cases, strategies, backends, n_workers, on_skip)
     ) as cells:
         for cell in cells:
             stats = measure(
@@ -277,7 +262,6 @@ def bench_steps(
     n_workers: int = 2,
     steps: int = 10,
     on_skip: Optional[Callable[[str], None]] = None,
-    kernel_tier: Optional[str] = None,
 ) -> List[BenchRecord]:
     """Repeated-compute mode: first-step vs amortized per-step cost.
 
@@ -298,7 +282,7 @@ def bench_steps(
         raise ValueError("steps mode needs at least 2 steps")
     records: List[BenchRecord] = []
     with closing(
-        _sweep_cells(cases, strategies, backends, n_workers, on_skip, kernel_tier)
+        _sweep_cells(cases, strategies, backends, n_workers, on_skip)
     ) as cells:
         for cell in cells:
             times: List[float] = []
@@ -401,35 +385,21 @@ def write_bench_json(
 def bench_payload(
     records: Sequence[Dict[str, object]],
     n_threads: Optional[int] = None,
-    kernel_tier: Optional[str] = None,
     meta: Optional[Mapping[str, object]] = None,
 ) -> Dict[str, object]:
     """The ``repro-bench-v2`` payload for ``records`` (also what the
     history store ingests without a file round-trip).
 
     The ``meta`` block (hostname, CPU count, thread count, Python/NumPy
-    versions, git SHA) makes bench artifacts from different machines and
-    commits comparable; a driver that writes several payloads collects
-    it once and hands it in, otherwise it is collected here.  Either way
-    it stamps the *resolved* tier the records ran on: the
-    explicit ``kernel_tier`` when given, else the single tier the
-    records agree on, else the process's active tier.  The legacy
-    ``host`` block is kept for v1 readers.
+    versions, git SHA, the process's kernel tier) makes bench artifacts
+    from different machines and commits comparable; a driver that writes
+    several payloads collects it once and hands it in, otherwise it is
+    collected here.  The legacy ``host`` block is kept for v1 readers.
     """
     from repro.obs.runlog import collect_run_meta
 
-    if kernel_tier is None:
-        tiers = {
-            str(r.get("kernel_tier"))
-            for r in records
-            if isinstance(r, dict) and r.get("kernel_tier")
-        }
-        if len(tiers) == 1:
-            kernel_tier = tiers.pop()
     if meta is None:
-        meta = collect_run_meta(n_threads, kernel_tier=kernel_tier)
-    elif kernel_tier is not None:
-        meta = {**meta, "kernel_tier": kernel_tier}
+        meta = collect_run_meta(n_threads)
     return {
         **payload("bench", records, meta),
         "host": {

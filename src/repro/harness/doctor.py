@@ -5,10 +5,11 @@ case and folds what the health plane observed into a diagnosis table:
 
 * **environment** — host/interpreter/dependency identification
   (:func:`~repro.obs.runlog.collect_run_meta`);
-* **kernel-tier** — resolve the requested tier (an unknown name raises
-  before any check runs) and report the registry state, with the C
-  tier's build (``warning`` when it is unavailable, naming why;
-  ``not-loaded`` when ``numpy`` was selected, so nothing was built);
+* **kernel-tier** — resolve the process's tier (an unknown
+  ``REPRO_KERNEL_TIER`` raises before any check runs) and report the
+  registry state, with the C tier's build (``warning`` when it is
+  unavailable, naming why; ``not-loaded`` when ``numpy`` was selected, so
+  nothing was built);
 * **physics** — a short serial NVE run through the invariant monitors
   (energy drift, momentum, force-sum residual) plus one gated virial
   pressure sample;
@@ -116,12 +117,10 @@ def _check_environment(meta: Dict[str, object]) -> Finding:
     return Finding("environment", status, detail, fields=dict(meta))
 
 
-def _check_kernel_tier(kernel_tier: Optional[str]) -> Finding:
+def _check_kernel_tier() -> Finding:
     from repro import kernels
 
-    resolved = (
-        kernels.get(kernel_tier) if kernel_tier else kernels.active_tier()
-    )
+    resolved = kernels.active_tier()
     status = kernels.tier_status()
     c = status["c"]
     detail = f"resolved {resolved.name!r}; c tier {c['state']}"
@@ -135,7 +134,7 @@ def _check_kernel_tier(kernel_tier: Optional[str]) -> Finding:
         "kernel-tier",
         "warning" if c["state"] == "unavailable" else "ok",
         detail,
-        fields={"requested": kernel_tier, **status},
+        fields=status,
     )
 
 
@@ -168,7 +167,6 @@ def _check_physics(
 def _check_process_engine(
     case: str,
     n_workers: int,
-    kernel_tier: Optional[str],
     inject: str,
 ) -> Finding:
     if os.name != "posix":
@@ -196,9 +194,7 @@ def _check_process_engine(
     reference = STRATEGY_REGISTRY["serial"]().compute(
         potential, atoms, nlist
     )
-    calc = ProcessSDCCalculator(
-        dims=2, n_workers=n_workers, kernel_tier=kernel_tier
-    )
+    calc = ProcessSDCCalculator(dims=2, n_workers=n_workers)
     killed = False
     try:
         calc.compute(potential, atoms, nlist)
@@ -257,11 +253,7 @@ def _check_process_engine(
     return Finding("process-engine", status, detail, fields=snapshot)
 
 
-def _check_sharded_engine(
-    case: str,
-    n_workers: int,
-    kernel_tier: Optional[str],
-) -> Finding:
+def _check_sharded_engine(case: str, n_workers: int) -> Finding:
     """A sharded force evaluation checked against the serial reference.
 
     Exercises the full halo exchange — ghost construction, the workers'
@@ -287,7 +279,7 @@ def _check_sharded_engine(
         potential, atoms, nlist
     )
     n_shards = max(2, n_workers)
-    calc = ShardedSDCCalculator(n_shards=n_shards, kernel_tier=kernel_tier)
+    calc = ShardedSDCCalculator(n_shards=n_shards)
     try:
         result = calc.compute(potential, atoms.copy(), nlist)
         snapshot = calc.health_snapshot()
@@ -344,7 +336,6 @@ def run_doctor(
     case: str = "tiny",
     steps: int = 3,
     n_workers: int = 2,
-    kernel_tier: Optional[str] = None,
     inject: str = "none",
     output_dir: Optional[str] = None,
     thresholds: Optional[InvariantThresholds] = None,
@@ -375,19 +366,15 @@ def run_doctor(
             "doctor", "doctor-start", case=case, steps=steps, inject=inject
         )
         findings: List[Finding] = []
-        meta = collect_run_meta(n_workers, kernel_tier=kernel_tier)
+        meta = collect_run_meta(n_workers)
         findings.append(_check_environment(meta))
-        findings.append(_check_kernel_tier(kernel_tier))
+        findings.append(_check_kernel_tier())
         monitor = HealthMonitor(
             recorder=recorder, thresholds=thresholds
         )
         findings.append(_check_physics(case, steps, monitor))
-        findings.append(
-            _check_process_engine(case, n_workers, kernel_tier, inject)
-        )
-        findings.append(
-            _check_sharded_engine(case, n_workers, kernel_tier)
-        )
+        findings.append(_check_process_engine(case, n_workers, inject))
+        findings.append(_check_sharded_engine(case, n_workers))
         for finding in findings:
             if finding.status in ("warning", "critical"):
                 recorder.record(

@@ -255,10 +255,9 @@ def _measure_point(
     n_workers: int,
     steps: int,
     registry: MetricsRegistry,
-    kernel_tier: Optional[str],
     sample_resources: bool,
     sample_interval_s: float,
-) -> Tuple[float, float, List[Span], Dict[str, object], Optional[float], str]:
+) -> Tuple[float, float, List[Span], Dict[str, object], Optional[float]]:
     """Run one sweep point; returns its timing, spans, and resource digest."""
     with traced_cell(
         f"{case_key}/{strategy_key}/{backend_key}/w{n_workers}",
@@ -266,7 +265,6 @@ def _measure_point(
         strategy_key,
         backend_key,
         n_workers,
-        kernel_tier,
     ) as cell:
         # warmup evaluation: worker fork, arena mapping, decomposition,
         # neighbor build, JIT — excluded from the measured window
@@ -281,7 +279,7 @@ def _measure_point(
     if cell.sampler is not None:
         resources = cell.sampler.summary()
         worker_cpu = cell.sampler.worker_mean_cpu_percent()
-    return total_s, window_start, spans, resources, worker_cpu, cell.kernel_tier
+    return total_s, window_start, spans, resources, worker_cpu
 
 
 def run_scale(
@@ -290,7 +288,6 @@ def run_scale(
     backend: str = "processes",
     workers: Sequence[int] = DEFAULT_WORKERS,
     steps: int = 3,
-    kernel_tier: Optional[str] = None,
     output_dir: Optional[str] = None,
     store_path: Optional[str] = None,
     sample_resources: bool = True,
@@ -310,33 +307,26 @@ def run_scale(
     if not worker_list or worker_list[0] < 1:
         raise ValueError("workers must be a non-empty list of counts >= 1")
     registry = MetricsRegistry()
-    tier_name = (
-        kernels.get(kernel_tier) if kernel_tier is not None
-        else kernels.active_tier()
-    ).name
     report = ScaleReport(
         points=[],
         registry=registry,
         case=case,
         strategy=strategy,
         backend=backend,
-        kernel_tier=tier_name,
+        kernel_tier=kernels.active_tier().name,
     )
     t1_s: Optional[float] = None
     for p in worker_list:
         try:
-            total_s, window_start, spans, resources, worker_cpu, tier_ran = (
-                _measure_point(
-                    case,
-                    strategy,
-                    backend,
-                    p,
-                    steps,
-                    registry,
-                    kernel_tier,
-                    sample_resources,
-                    sample_interval_s,
-                )
+            total_s, window_start, spans, resources, worker_cpu = _measure_point(
+                case,
+                strategy,
+                backend,
+                p,
+                steps,
+                registry,
+                sample_resources,
+                sample_interval_s,
             )
         except BenchSkip as skip:
             message = f"{case}/{strategy}/{backend}/w{p}: {skip}"
@@ -347,7 +337,6 @@ def run_scale(
         if t1_s is None:
             # counts ascend, so the first point that ran is the reference
             t1_s = total_s if p == 1 else p * total_s
-            report.kernel_tier = tier_ran
         speedup = t1_s / total_s if total_s > 0 else 0.0
         loss = _attribute_losses(
             spans, window_start, total_s, t1_s, p, worker_cpu
@@ -362,7 +351,7 @@ def run_scale(
                 case=case,
                 strategy=strategy,
                 backend=backend,
-                kernel_tier=tier_ran,
+                kernel_tier=report.kernel_tier,
                 n_workers=p,
                 n_steps=steps,
                 total_s=total_s,
@@ -376,7 +365,7 @@ def run_scale(
                 spans=spans,
             )
         )
-    meta = collect_run_meta(kernel_tier=report.kernel_tier)
+    meta = collect_run_meta()
     if output_dir is not None:
         report.trace_path, report.metrics_path, report.health_path = (
             write_run_artifacts(

@@ -125,7 +125,6 @@ def _make_calculator(
     strategy_key: str,
     backend_key: str,
     n_workers: int,
-    kernel_tier: Optional[str] = None,
 ) -> Tuple[object, Callable[[], None]]:
     """Build (force calculator, cleanup) for one traced sweep cell."""
     base = _base_strategy(strategy_key)
@@ -149,9 +148,7 @@ def _make_calculator(
         from repro.parallel.backends.processes import ProcessSDCCalculator
 
         calc = ProcessSDCCalculator(
-            dims=_strategy_dims(strategy_key),
-            n_workers=n_workers,
-            kernel_tier=kernel_tier,
+            dims=_strategy_dims(strategy_key), n_workers=n_workers
         )
         return calc, calc.close
 
@@ -161,9 +158,7 @@ def _make_calculator(
         from repro.parallel.backends.sharded import ShardedSDCCalculator
 
         calc = ShardedSDCCalculator(
-            n_shards=n_workers,
-            dims=_strategy_dims(strategy_key),
-            kernel_tier=kernel_tier,
+            n_shards=n_workers, dims=_strategy_dims(strategy_key)
         )
         return calc, calc.close
 
@@ -186,7 +181,7 @@ class TracedCell:
     label: str
     #: carries the cell's ``calculator`` and ``tracer``
     sim: "Simulation"  # noqa: F821 - imported lazily with the MD stack
-    #: resolved kernel tier the cell's force kernels run on
+    #: the process's kernel tier, which the cell's kernels run on
     kernel_tier: str
     sampler: Optional[ResourceSampler] = None
 
@@ -219,7 +214,6 @@ def traced_cell(
     strategy_key: str,
     backend_key: str,
     n_workers: int,
-    kernel_tier: Optional[str] = None,
     **sim_kwargs: object,
 ) -> Iterator[TracedCell]:
     """One sweep cell, ready to run: the one traced-run body under
@@ -228,17 +222,13 @@ def traced_cell(
     Builds the calculator (:class:`BenchSkip` when the combination
     cannot run), attaches a fresh tracer to it and to a
     :class:`~repro.md.simulation.Simulation` of the case at 50 K
-    (``sim_kwargs`` go to its constructor), and pins the kernel tier for
-    the body.  However the body exits, the sampler is stopped, the
-    tracer detached and the calculator closed.
+    (``sim_kwargs`` go to its constructor).  However the body exits, the
+    sampler is stopped, the tracer detached and the calculator closed.
     """
     from repro.md.simulation import Simulation
     from repro.potentials import fe_potential
 
-    calculator, cleanup = _make_calculator(
-        strategy_key, backend_key, n_workers, kernel_tier=kernel_tier
-    )
-    tier = kernels.get(kernel_tier) if kernel_tier is not None else None
+    calculator, cleanup = _make_calculator(strategy_key, backend_key, n_workers)
     tracer = Tracer()
     cell: Optional[TracedCell] = None
     try:
@@ -253,12 +243,9 @@ def traced_cell(
             **sim_kwargs,
         )
         cell = TracedCell(
-            label=label,
-            sim=sim,
-            kernel_tier=(tier if tier is not None else kernels.active_tier()).name,
+            label=label, sim=sim, kernel_tier=kernels.active_tier().name
         )
-        with kernels.use_tier(tier):
-            yield cell
+        yield cell
     finally:
         if cell is not None and cell.sampler is not None:
             cell.sampler.stop()
@@ -276,7 +263,6 @@ def _trace_one(
     steps: int,
     registry: MetricsRegistry,
     run_log: RunLog,
-    kernel_tier: Optional[str] = None,
     sample_resources: bool = False,
     sample_interval_s: float = 0.05,
 ) -> TracedRun:
@@ -289,7 +275,6 @@ def _trace_one(
         strategy_key,
         backend_key,
         n_workers,
-        kernel_tier,
         run_log=run_log,
         health=health,
     ) as cell:
@@ -373,7 +358,6 @@ def run_trace(
     output_dir: Optional[str] = None,
     on_skip: Optional[Callable[[str], None]] = None,
     store_path: Optional[str] = None,
-    kernel_tier: Optional[str] = None,
     sample_resources: bool = False,
     sample_interval_s: float = 0.05,
 ) -> TraceReport:
@@ -414,7 +398,6 @@ def run_trace(
                                 steps,
                                 registry,
                                 run_log,
-                                kernel_tier=kernel_tier,
                                 sample_resources=sample_resources,
                                 sample_interval_s=sample_interval_s,
                             )

@@ -1,37 +1,25 @@
-"""The kernel-tier registry for the EAM hot path.
+"""The kernel-tier registry for the EAM hot path: one tier per process.
 
 A *tier* implements the kernel entry points behind
-:mod:`repro.potentials.eam` (pair geometry, the density/force scatters,
-the fused phase drivers and the SDC slice entry points) — the
-:class:`KernelTier` interface of :mod:`repro.kernels.base`.  Two tiers
-ship: ``"numpy"``, the vectorized reference, and ``"c"``
-(:mod:`repro.kernels.c_tier`), its hot entry points compiled by the host's
-``cc`` on first use.
+:mod:`repro.potentials.eam` and the neighbour build (pair geometry, the
+density/force scatters, the fused phase drivers, the SDC slice entry
+points, the CSR walk).  Two tiers ship: ``"numpy"``
+(:class:`~repro.kernels.numpy_tier.NumpyKernelTier`), the vectorized
+reference, and ``"c"`` (:mod:`repro.kernels.c_tier`), its subclass with
+the hot entry points compiled by the host's ``cc`` on first use.
 
-Selection surfaces, outermost wins:
-
-* ``EAMCalculator(kernel_tier=...)`` / ``ProcessSDCCalculator(kernel_tier=...)``
-* ``strategy.set_kernel_tier(...)`` on any reduction strategy
-* the ``REPRO_KERNEL_TIER`` environment variable (process-wide default)
-
-With none of them set, the default is ``"c"`` when it builds, else
-``"numpy"`` — a fallback announced once per process by a
-``RuntimeWarning`` and a ``kernel``/``tier-fallback`` health event naming
-the cause (:func:`tier_status` keeps it).  Asking for ``"c"`` by name
-where it cannot build raises ``RuntimeError`` with the cause instead.  An
-unknown name raises ``ValueError`` naming the accepted ones, whether it
-came from an argument or from ``REPRO_KERNEL_TIER``.
-
-Dispatch happens through a process-global *active tier*
-(:func:`active_tier`), temporarily overridden with :func:`use_tier`.
-The global is deliberately not thread-local: strategy worker threads
-must see the tier their driver selected.  **Concurrent drivers must not
-rely on** :func:`use_tier` — it swaps one process-wide slot, so two
-calculators overriding it from different threads clobber each other
-mid-evaluation.  Drivers that may run concurrently pass their resolved
-tier explicitly instead (``strategy.set_kernel_tier`` /
-``compute_eam_forces_serial(tier=...)``), which is what
-:class:`~repro.md.calculator.EAMCalculator` does.
+The tier is a property of the process, chosen in one place:
+:func:`active_tier` resolves the ``REPRO_KERNEL_TIER`` environment
+variable, else ``"c"`` where it builds, else ``"numpy"`` — a fallback
+announced once per process by a ``RuntimeWarning`` and a
+``kernel``/``tier-fallback`` health event naming the cause
+(:func:`tier_status` keeps it).  Every kernel call of a run, the Verlet
+build included, goes to that tier; strategy threads see it, and forked
+workers inherit it.  :func:`use_tier` is the one scoped override, for
+tests and single-driver scripts.  Asking for ``"c"`` by name where it
+cannot build raises ``RuntimeError`` with the cause instead.  An unknown
+name raises ``ValueError`` naming the accepted ones, whether it came from
+an argument or from ``REPRO_KERNEL_TIER``.
 """
 
 from __future__ import annotations
@@ -42,17 +30,16 @@ import warnings
 from contextlib import contextmanager
 from typing import Dict, Iterator, Optional, Union
 
-from repro.kernels.base import MIN_PAIR_SEPARATION, KernelTier
+from repro.kernels.base import MIN_PAIR_SEPARATION
 from repro.kernels.numpy_tier import NumpyKernelTier
 
 __all__ = [
     "MIN_PAIR_SEPARATION",
-    "KernelTier",
+    "NumpyKernelTier",
     "active_tier",
     "available_tiers",
     "get",
     "reset",
-    "set_active_tier",
     "tier_status",
     "use_tier",
 ]
@@ -62,14 +49,14 @@ ENV_VAR = "REPRO_KERNEL_TIER"
 #: every tier name the registry knows, runnable here or not
 TIER_NAMES = ("numpy", "c")
 
-TierSpec = Union[str, KernelTier, None]
+TierSpec = Union[str, NumpyKernelTier, None]
 
 _numpy_tier: Optional[NumpyKernelTier] = None
-_c_tier: Optional[KernelTier] = None
+_c_tier: Optional[NumpyKernelTier] = None
 #: the C tier's build status, once loaded (``c_tier.BuildStatus.as_dict``)
 _c_status: Optional[Dict[str, object]] = None
 _fallback_reported = False
-_active: Optional[KernelTier] = None
+_active: Optional[NumpyKernelTier] = None
 #: guards the active-tier slot swaps and the one C load (not held across
 #: user code)
 _active_lock = threading.RLock()
@@ -82,7 +69,7 @@ def _get_numpy() -> NumpyKernelTier:
     return _numpy_tier
 
 
-def _get_c() -> Optional[KernelTier]:
+def _get_c() -> Optional[NumpyKernelTier]:
     """The C tier, built or loaded once per process; None if it cannot be."""
     global _c_tier, _c_status
     with _active_lock:
@@ -121,16 +108,6 @@ def _record_health(event: str, severity: str = "info", **fields: object) -> None
         pass
 
 
-def _count_health(name: str) -> None:
-    """Bump a named health counter (never raises)."""
-    try:
-        from repro.obs.recorder import count
-
-        count(name)
-    except Exception:  # pragma: no cover - health plane must stay optional
-        pass
-
-
 def available_tiers(load: bool = True) -> tuple:
     """Names of the tiers that run here (``"c"`` only where it builds).
 
@@ -142,17 +119,17 @@ def available_tiers(load: bool = True) -> tuple:
     return TIER_NAMES if _c_tier is not None else ("numpy",)
 
 
-def get(spec: TierSpec = None) -> KernelTier:
-    """Resolve a tier spec to a live tier instance.
+def get(spec: TierSpec = None) -> NumpyKernelTier:
+    """Resolve a tier spec to a live tier instance (selects nothing).
 
-    Accepts a tier name (any of :data:`TIER_NAMES`, case-insensitive), an
-    existing :class:`KernelTier` (returned as-is), or None/"" meaning the
+    Accepts a tier name (any of :data:`TIER_NAMES`, case-insensitive), a
+    tier instance (returned as-is), or None/"" meaning the
     ``REPRO_KERNEL_TIER`` environment default, itself defaulting to ``"c"``
     when it builds and to ``"numpy"`` otherwise (see the module
     docstring).  Any other name raises ``ValueError``; ``"c"`` by name
     where it cannot build raises ``RuntimeError``.
     """
-    if isinstance(spec, KernelTier):
+    if isinstance(spec, NumpyKernelTier):
         return spec
     source = "kernel tier"
     if spec is None or spec == "":
@@ -171,12 +148,11 @@ def get(spec: TierSpec = None) -> KernelTier:
             )
         _report_fallback()
         resolved = _get_numpy()
-    _count_health(f"kernel_resolve/{resolved.name}")
     return resolved
 
 
-def active_tier() -> KernelTier:
-    """The tier :mod:`repro.potentials.eam` currently dispatches to."""
+def active_tier() -> NumpyKernelTier:
+    """The tier every kernel call of this process dispatches to."""
     global _active
     if _active is None:
         with _active_lock:
@@ -185,33 +161,15 @@ def active_tier() -> KernelTier:
     return _active
 
 
-def set_active_tier(spec: TierSpec) -> KernelTier:
-    """Set the process-wide active tier; None re-resolves the env default."""
-    global _active
-    tier = get(spec)
-    with _active_lock:
-        previous, _active = _active, tier
-    if previous is not tier:
-        _record_health(
-            "active-tier-set",
-            "info",
-            tier=tier.name,
-            previous=previous.name if previous is not None else None,
-        )
-    return tier
-
-
 @contextmanager
-def use_tier(spec: TierSpec) -> Iterator[KernelTier]:
-    """Scoped override of the *process-wide* tier; ``None`` keeps the
-    current one.
+def use_tier(spec: TierSpec) -> Iterator[NumpyKernelTier]:
+    """Run the ``with`` body on another tier; ``None`` keeps the current one.
 
-    The swap itself is locked, but the override is global for the whole
-    ``with`` body — two threads nesting different ``use_tier`` blocks
-    still see each other's tier.  Concurrent drivers must pass their
-    tier explicitly (``strategy.set_kernel_tier`` /
-    ``compute_eam_forces_serial(tier=...)``) instead of relying on this;
-    ``use_tier`` remains for single-threaded scoping and tests.
+    A scope for tests and single-driver scripts: it swaps the one
+    process-wide slot, so the override covers everything the body runs —
+    the neighbour build, strategy threads, workers an engine forks — and
+    is restored on exit.  The lock guards only the swap: two threads
+    nesting different ``use_tier`` blocks see each other's tier.
     """
     if spec is None:
         yield active_tier()

@@ -1,9 +1,22 @@
-"""The NumPy reference kernel tier.
+"""The NumPy kernel tier: the reference implementation of every entry
+point.
 
-These are the original vectorized implementations that used to live as
-module-level functions in :mod:`repro.potentials.eam` and
-:mod:`repro.md.neighbor.verlet` (which now delegate here through the
-active tier).  They are the semantic ground truth the C tier is tested
+A tier is one implementation of the EAM hot-path primitives: the
+pair-slice building blocks (:meth:`~NumpyKernelTier.pair_geometry`,
+:meth:`~NumpyKernelTier.pair_terms`, the four scatters), the two fused
+per-phase drivers the step benchmark's probes call, the whole-evaluation
+entry point (:meth:`~NumpyKernelTier.evaluate`) of the serial path, the
+two slice entry points (:meth:`~NumpyKernelTier.density_slice`,
+:meth:`~NumpyKernelTier.force_slice`) every strategy task runs through —
+each a pair half (:meth:`~NumpyKernelTier.pair_pass`,
+:meth:`~NumpyKernelTier.pair_forces`) plus the both-endpoints scatter, the
+halves also serving the strategies that scatter differently — and the
+neighbour build those pair lists come from
+(:meth:`~NumpyKernelTier.neighbor_csr`, with its packer
+:meth:`~NumpyKernelTier.pairs_to_csr`).  :mod:`repro.potentials.eam` and
+:mod:`repro.md.neighbor.verlet` dispatch to the process's active tier
+(:func:`repro.kernels.active_tier`).  This class is the semantic ground
+truth the C tier (:mod:`repro.kernels.c_tier`, a subclass) is tested
 against, and what it runs whenever its own code may not.
 
 The scatters use unbuffered ``np.add.at`` / ``np.bincount`` so repeated
@@ -14,10 +27,12 @@ is why a compiled tier must route instrumented calls through this code.
 
 from __future__ import annotations
 
+from typing import ClassVar, Optional, Sequence, Tuple
+
 import numpy as np
 
 from repro.kernels.base import (
-    KernelTier,
+    MIN_PAIR_SEPARATION,
     check_owned_accumulator,
     check_pair_separation,
     check_scatter_indices,
@@ -27,10 +42,11 @@ from repro.obs.tracer import span_of
 from repro.utils.arrays import CSR, segment_sum
 
 
-class NumpyKernelTier(KernelTier):
+class NumpyKernelTier:
     """Pure-NumPy reference implementation of every kernel entry point."""
 
-    name = "numpy"
+    #: registry key
+    name: ClassVar[str] = "numpy"
 
     def __init__(self) -> None:
         # Each force evaluation allocates and frees ~10 MB of pair-sized
@@ -44,6 +60,7 @@ class NumpyKernelTier(KernelTier):
     # --- pair-slice primitives ----------------------------------------------
 
     def pair_geometry(self, positions, box, i_idx, j_idx):
+        """Minimum-image ``(delta, r)`` for a pair slice."""
         # component-major: after the row gathers (cost follows the slice, not
         # the atom count) every axis is one contiguous row through
         # ``Box.minimum_image``'s floor-based fold and the x, y, z
@@ -67,9 +84,29 @@ class NumpyKernelTier(KernelTier):
         return delta.T, np.sqrt(r, out=r)
 
     def pair_terms(self, potential, r):
+        """``(phi, phi', V, V')`` for a slice of pair distances — the one
+        potential evaluation of a slice (see
+        :meth:`~repro.potentials.base.EAMPotential.pair_terms`)."""
         return potential.pair_terms(r)
 
+    def force_pair_coefficients(
+        self,
+        potential,
+        r: np.ndarray,
+        fp_i: np.ndarray,
+        fp_j: np.ndarray,
+        pair_ids: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+        min_separation: float = MIN_PAIR_SEPARATION,
+    ) -> np.ndarray:
+        """Scalar force coefficient per pair (Eq. 2 of the paper) for a
+        slice with no density pass to take the derivatives from."""
+        _, dphi, _, dv = self.pair_terms(potential, r)
+        return pair_force_coefficients(
+            r, dphi, dv, fp_i, fp_j, pair_ids, min_separation
+        )
+
     def scatter_rho_half(self, rho, i_idx, j_idx, phi):
+        """In-place half-list density scatter: both endpoints accumulate."""
         check_scatter_indices(
             "half-list density scatter", len(rho), i_idx, j_idx
         )
@@ -77,12 +114,14 @@ class NumpyKernelTier(KernelTier):
         np.add.at(rho, j_idx, phi)
 
     def scatter_rho_owned(self, rho, i_idx, phi, n_atoms):
+        """Full-list density accumulation writing only owned rows."""
         check_owned_accumulator("owned-row density scatter", rho, n_atoms)
         i_idx = np.asarray(i_idx)
         check_scatter_indices("owned-row density scatter", n_atoms, i_idx)
         rho += np.bincount(i_idx, weights=phi, minlength=n_atoms)
 
     def scatter_force_half(self, forces, i_idx, j_idx, pair_forces):
+        """In-place half-list force scatter (Newton's third law)."""
         check_scatter_indices(
             "half-list force scatter", len(forces), i_idx, j_idx
         )
@@ -91,6 +130,7 @@ class NumpyKernelTier(KernelTier):
             np.subtract.at(forces[:, axis], j_idx, pair_forces[:, axis])
 
     def scatter_force_owned(self, forces, i_idx, pair_forces, n_atoms):
+        """Full-list force accumulation into owned rows only."""
         check_owned_accumulator("owned-row force scatter", forces, n_atoms)
         i_idx = np.asarray(i_idx)
         check_scatter_indices("owned-row force scatter", n_atoms, i_idx)
@@ -99,6 +139,11 @@ class NumpyKernelTier(KernelTier):
     # --- the neighbour build ------------------------------------------------
 
     def neighbor_csr(self, positions, cells, reach, half):
+        """The Verlet list's :class:`~repro.utils.arrays.CSR`: every pair of
+        the wrapped ``positions`` within ``reach``, found through the
+        :class:`~repro.md.neighbor.cells.CellList` ``cells`` that bins
+        them, rows ascending, each row's ``j`` ascending — ``i < j`` only
+        when ``half``, both directions otherwise."""
         i_idx, j_idx = self._half_pairs(positions, cells, reach)
         return self.pairs_to_csr(i_idx, j_idx, len(positions), mirror=not half)
 
@@ -148,6 +193,9 @@ class NumpyKernelTier(KernelTier):
         return np.minimum(first, second), np.maximum(first, second)
 
     def pairs_to_csr(self, i_idx, j_idx, n_atoms, mirror=False):
+        """Directed pairs ``(i_idx[k], j_idx[k])`` — and ``(j_idx[k],
+        i_idx[k])`` too when ``mirror`` — packed into ``n_atoms`` CSR rows
+        in ``(i, j)`` order, duplicates kept."""
         if mirror:
             i_idx, j_idx = np.concatenate([i_idx, j_idx]), np.concatenate([j_idx, i_idx])
         stride = max(n_atoms, 1)
@@ -162,24 +210,20 @@ class NumpyKernelTier(KernelTier):
     # --- fused phase drivers ------------------------------------------------
 
     def density_and_pair_energy_phase(
-        self,
-        potential,
-        positions,
-        box,
-        nlist,
-        counter=None,
-        want_pair_energy: bool = True,
+        self, potential, positions, box, nlist, counter=None
     ):
+        """Phase 1 (densities) with the pair-energy sum fused in."""
         i_idx, j_idx = nlist.pair_arrays()
         _, r = self.pair_geometry(positions, box, i_idx, j_idx)
         rho, pair_energy, _, _ = self._density(
             potential, len(positions), nlist.half, i_idx, j_idx, r, counter
         )
-        return rho, pair_energy if want_pair_energy else 0.0
+        return rho, pair_energy
 
     def force_phase(
         self, potential, positions, box, nlist, fp, counter=None
     ):
+        """Phase 3: forces from the cached embedding derivatives."""
         i_idx, j_idx = nlist.pair_arrays()
         delta, r = self.pair_geometry(positions, box, i_idx, j_idx)
         _, dphi, _, dv = self.pair_terms(potential, r)
@@ -191,6 +235,9 @@ class NumpyKernelTier(KernelTier):
     def evaluate(
         self, potential, positions, box, nlist, counter=None, tracer=None
     ):
+        """One whole evaluation, density → embedding → force, each phase
+        a span tagged with its canonical name when ``tracer`` is given:
+        ``(rho, pair_energy, embedding_energy, fp, forces)``."""
         from repro.potentials.eam import eam_embedding_phase  # imports us
 
         n = len(positions)
@@ -251,3 +298,89 @@ class NumpyKernelTier(KernelTier):
                 "force_updates", (2 if half else 1) * len(i_idx) * 3
             )
         return forces
+
+    # --- pair-slice entry points ----------------------------------------------
+
+    def pair_pass(
+        self,
+        potential,
+        positions: np.ndarray,
+        box,
+        i_idx: np.ndarray,
+        j_idx: np.ndarray,
+        handover: Sequence[np.ndarray],
+    ) -> Tuple[np.ndarray, float]:
+        """The one geometry pass and one potential call of a pair slice:
+        writes the slice's ``(delta, r, phi', V')`` into the four
+        slice-sized ``handover`` arrays for :meth:`pair_forces` and
+        returns ``(phi, pair-energy sum)``.  A bad index raises before
+        anything is written; an overlapping pair raises before any
+        accumulator is, with the slice's ``delta`` and ``r`` possibly
+        already in ``handover`` (a compiled tier's geometry writes them
+        there)."""
+        check_scatter_indices("density slice", len(positions), i_idx, j_idx)
+        delta, r = self.pair_geometry(positions, box, i_idx, j_idx)
+        check_pair_separation(r, (i_idx, j_idx))
+        phi, dphi, v, dv = self.pair_terms(potential, r)
+        for out, values in zip(handover, (delta, r, dphi, dv)):
+            out[:] = values
+        return phi, float(np.sum(v))
+
+    def pair_forces(
+        self,
+        i_idx: np.ndarray,
+        j_idx: np.ndarray,
+        fp: np.ndarray,
+        handover: Sequence[np.ndarray],
+    ) -> np.ndarray:
+        """Eq. 2 for the slice :meth:`pair_pass` handed over, from the
+        stored geometry and derivatives — no geometry pass, no potential
+        call."""
+        delta, r, dphi, dv = handover
+        coeff = pair_force_coefficients(
+            r, dphi, dv, fp[i_idx], fp[j_idx], pair_ids=(i_idx, j_idx)
+        )
+        return coeff[:, None] * delta
+
+    def density_slice(
+        self,
+        potential,
+        positions: np.ndarray,
+        box,
+        i_idx: np.ndarray,
+        j_idx: np.ndarray,
+        rho: np.ndarray,
+        handover: Sequence[np.ndarray],
+    ) -> float:
+        """The density pass of one contiguous half-list pair slice — a
+        strategy's task, a shard's pair list: :meth:`pair_pass`, then
+        ``phi`` scattered into both endpoints of ``rho``; returns the
+        slice's pair-energy partial sum.
+
+        ``rho`` is shared with sibling slices (their write sets disjoint,
+        or the writes atomic), so the scatter is the unbuffered in-place
+        one.
+        """
+        if len(i_idx) == 0:
+            return 0.0
+        phi, pair_energy = self.pair_pass(
+            potential, positions, box, i_idx, j_idx, handover
+        )
+        self.scatter_rho_half(rho, i_idx, j_idx, phi)
+        return pair_energy
+
+    def force_slice(
+        self,
+        i_idx: np.ndarray,
+        j_idx: np.ndarray,
+        fp: np.ndarray,
+        handover: Sequence[np.ndarray],
+        forces: np.ndarray,
+    ) -> None:
+        """The force pass of the slice :meth:`density_slice` handed over:
+        :meth:`pair_forces` scattered into both endpoints of ``forces``."""
+        if len(i_idx) == 0:
+            return
+        self.scatter_force_half(
+            forces, i_idx, j_idx, self.pair_forces(i_idx, j_idx, fp, handover)
+        )

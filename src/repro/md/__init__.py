@@ -5,7 +5,6 @@ from repro.md.analysis import (
     radial_distribution,
 )
 from repro.md.atoms import Atoms
-from repro.md.calculator import EAMCalculator
 from repro.md.neighbor import CellList, NeighborList, build_neighbor_list
 from repro.md.integrators import VelocityVerlet
 from repro.md.minimize import fire, steepest_descent
@@ -20,7 +19,6 @@ from repro.md.thermostats import BerendsenThermostat, VelocityRescaleThermostat
 
 __all__ = [
     "Atoms",
-    "EAMCalculator",
     "radial_distribution",
     "mean_squared_displacement",
     "fire",

@@ -114,8 +114,8 @@ def build_neighbor_list(
     """Build a Verlet neighbor list with link cells.
 
     The checks, the wrap and the binning run here; the forward-stencil
-    walk and the CSR packing are the active kernel tier's
-    :meth:`~repro.kernels.base.KernelTier.neighbor_csr`, which gives the
+    walk and the CSR packing are the process's kernel tier's
+    :meth:`~repro.kernels.numpy_tier.NumpyKernelTier.neighbor_csr`, which gives the
     same CSR, byte for byte, on every tier.
 
     Parameters

@@ -18,7 +18,7 @@ is *always on* and deliberately tiny:
 
 The *overhead contract* (DESIGN.md §7.3): with the recorder enabled, a
 steady-state MD step records no events at all — subsystems emit only on
-state *changes* (pool restarts, arena resizes, active-tier changes,
+state *changes* (pool restarts, arena resizes, a kernel-tier fallback,
 invariant threshold crossings, neighbor rebuilds), so the hot path pays
 nothing beyond the checks it already performs.  The ``slow`` suite
 asserts the end-to-end cost on the medium case stays within 2% of a
@@ -80,7 +80,7 @@ SEVERITIES = ("debug", "info", "warning", "critical")
 #: wired in today; see DESIGN.md §7.3 for the taxonomy)
 CATEGORIES = (
     "engine",  # process-backend lifecycle: pool, workers, arena
-    "kernel",  # kernel-tier resolution and active-tier changes
+    "kernel",  # kernel-tier resolution: the C tier's fallback
     "scheduler",  # decomposition cache, neighbor rebuilds, fusion
     "physics",  # invariant monitors: drift, momentum, force sum, pressure
     "observer",  # observer fan-out failures

@@ -69,16 +69,13 @@ def git_sha(cwd: Optional[str] = None) -> Optional[str]:
     return sha if out.returncode == 0 and sha else None
 
 
-def collect_run_meta(
-    n_threads: Optional[int] = None, kernel_tier: Optional[str] = None
-) -> Dict[str, object]:
+def collect_run_meta(n_threads: Optional[int] = None) -> Dict[str, object]:
     """Host/environment block identifying where a run happened.
 
-    ``kernel_tier`` names the *resolved* tier the run computed with —
-    callers that pinned a tier pass it explicitly; otherwise the
-    process's active tier is stamped.  ``kernel_tiers`` lists the tiers
-    known to run on this host without building anything: ``"c"`` appears
-    once this process has loaded it.
+    ``kernel_tier`` names the process's tier, the one the run computed
+    with.  ``kernel_tiers`` lists the tiers known to run on this host
+    without building anything: ``"c"`` appears once this process has
+    loaded it.
     """
     try:
         import numpy
@@ -87,9 +84,6 @@ def collect_run_meta(
     except Exception:  # pragma: no cover - numpy is a hard dep in practice
         numpy_version = None
     from repro import kernels
-
-    if kernel_tier is None:
-        kernel_tier = kernels.active_tier().name
 
     # CPU affinity: constrained runners (CI containers, cgroup limits,
     # taskset) expose fewer schedulable CPUs than os.cpu_count() — the
@@ -109,7 +103,7 @@ def collect_run_meta(
         "python": platform.python_version(),
         "numpy": numpy_version,
         "git_sha": git_sha(),
-        "kernel_tier": kernel_tier,
+        "kernel_tier": kernels.active_tier().name,
         "kernel_tiers": list(kernels.available_tiers(load=False)),
     }
     if n_threads is not None:

@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro import kernels
 from repro.core.domain import SubdomainGrid
 from repro.core.partition import PairPartition
 from repro.core.schedule import ColorSchedule
@@ -61,7 +60,6 @@ class ProcessSDCCalculator(ShardEngine):
         adaptive: bool = True,
         record_writes: bool = False,
         restart_on_failure: bool = True,
-        kernel_tier: "kernels.TierSpec" = None,
     ) -> None:
         if dims not in (1, 2, 3):
             raise ValueError(f"dims must be 1, 2 or 3, got {dims}")
@@ -69,9 +67,7 @@ class ProcessSDCCalculator(ShardEngine):
             raise ValueError("n_workers must be >= 1")
         if "fork" not in mp.get_all_start_methods():
             raise RuntimeError("ProcessSDCCalculator requires fork support")
-        super().__init__(
-            kernel_tier, DEFAULT_PHASE_TIMEOUT_S, restart_on_failure, inline=False
-        )
+        super().__init__(DEFAULT_PHASE_TIMEOUT_S, restart_on_failure, inline=False)
         self.dims = dims
         self.n_workers = n_workers
         self.axes = list(axes) if axes is not None else None

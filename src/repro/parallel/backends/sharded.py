@@ -223,10 +223,9 @@ class ShardEngine(WorkerEngine):
     _cache_counter = "engine"
 
     def __init__(
-        self, kernel_tier: "kernels.TierSpec", timeout_s: float,
-        restart_on_failure: bool, inline: bool,
+        self, timeout_s: float, restart_on_failure: bool, inline: bool
     ) -> None:
-        super().__init__(kernel_tier, timeout_s, restart_on_failure, inline)
+        super().__init__(timeout_s, restart_on_failure, inline)
         #: the epoch: regions cached on neighbor-list identity, and its box
         self._cached_nlist = IdentityKey()
         self._plans: List[ShardPlan] = []
@@ -392,7 +391,7 @@ class ShardedSDCCalculator(ShardEngine):
     validated and otherwise inert; ``engine`` is ``"processes"``
     (persistent forked workers) or ``"inline"`` (the same body on threads
     in-process: the differential reference, and the fallback without
-    ``fork``); ``kernel_tier`` pins the workers' tier; ``timeout_s``
+    ``fork``); ``timeout_s``
     bounds a command before a worker is declared lost.
     """
 
@@ -404,7 +403,6 @@ class ShardedSDCCalculator(ShardEngine):
         n_shards: int = 2,
         dims: int = 2,
         engine: str = "processes",
-        kernel_tier: "kernels.TierSpec" = None,
         timeout_s: float = DEFAULT_PHASE_TIMEOUT_S,
         restart_on_failure: bool = True,
     ) -> None:
@@ -420,9 +418,7 @@ class ShardedSDCCalculator(ShardEngine):
                 wanted="processes", used="inline", reason="no fork support",
             )
             engine = "inline"
-        super().__init__(
-            kernel_tier, timeout_s, restart_on_failure, inline=engine == "inline"
-        )
+        super().__init__(timeout_s, restart_on_failure, inline=engine == "inline")
         self.n_shards, self.dims, self.engine = n_shards, dims, engine
         self._shard_grid: Optional[ShardGrid] = None
         # ownership cache + migration accounting (keyed on nlist identity)
@@ -514,7 +510,7 @@ class ShardedSDCCalculator(ShardEngine):
             n_atoms=nlist.n_atoms, n_ghosts=n_ghosts,
             n_local_pairs=int(sum(plan.n_pairs for plan in plans)),
             mean_halo_fraction=float(np.mean([p.halo_fraction for p in plans])),
-            kernel_tier=self.kernel_tier,
+            kernel_tier=kernels.active_tier().name,
         )
         record_health(
             "sharded", "halo-refresh", epoch=epoch, n_ghosts=n_ghosts,

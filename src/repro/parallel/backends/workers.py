@@ -31,14 +31,13 @@ module holds the only copy of each of its parts:
   exchange between regions pulled by the workers at its barriers.
 * :class:`WorkerEngine` — the calculator-side lifecycle under
   :class:`~repro.parallel.backends.sharded.ShardEngine`, the evaluation
-  both calculators share: kernel-tier pinning, tracer attachment, and the
-  spawn state machine.
+  both calculators share: tracer attachment and the spawn state machine.
 
 Spawn state machine (``WorkerEngine._evaluate``).  Workers and arena are
 (re)created through exactly one path, taken when there is no live group
 (first compute, after ``close()``), the group is broken (worker death or
-timeout), the potential or the resolved kernel tier differs from what the
-workers were forked with (both are fork-constant worker state), or the
+timeout), the potential or the process's active kernel tier is not the
+object the workers were forked with (both are fork-constant worker state), or the
 epoch no longer fits the arena's capacity.  Otherwise workers survive:
 a new decomposition epoch only rewrites the pair list in place and ships
 a small *epoch payload* (sizes, box, the worker's pair ranges, atom rows
@@ -511,7 +510,7 @@ class ChunkWorker:
         arena: SharedArena,
         region: int,
         potential: EAMPotential,
-        tier: "kernels.KernelTier",
+        tier: "kernels.NumpyKernelTier",
         record_writes: bool = False,
         index: int = 0,
     ) -> None:
@@ -685,16 +684,8 @@ class WorkerEngine:
     record_writes = False
 
     def __init__(
-        self,
-        kernel_tier: "kernels.TierSpec",
-        timeout_s: float,
-        restart_on_failure: bool,
-        inline: bool,
+        self, timeout_s: float, restart_on_failure: bool, inline: bool
     ) -> None:
-        #: pinned kernel tier for the worker chunks; None follows the
-        #: parent's active tier at each compute (resolved eagerly so an
-        #: unknown name raises here)
-        self._tier = kernels.get(kernel_tier) if kernel_tier is not None else None
         self.timeout_s = timeout_s
         self.restart_on_failure = restart_on_failure
         self._inline = inline
@@ -703,7 +694,7 @@ class WorkerEngine:
         self._finalizer = weakref.finalize(self, self._live.release)
         # fork-constant worker state of the live group
         self._potential: Optional[EAMPotential] = None
-        self._spawned_tier: Optional[str] = None
+        self._spawned_tier: Optional[kernels.NumpyKernelTier] = None
         self._epoch = 0
         self._epoch_published = False
         # lifecycle counters surfaced by health_snapshot()
@@ -758,28 +749,8 @@ class WorkerEngine:
             "n_pool_spawns": self._n_pool_spawns,
             "n_restarts": self._n_restarts,
             "n_worker_deaths": self._n_worker_deaths,
-            "kernel_tier": self.kernel_tier,
+            "kernel_tier": kernels.active_tier().name,
         }
-
-    # --- kernel tier -----------------------------------------------------------
-
-    def _resolved_tier(self):
-        return self._tier if self._tier is not None else kernels.active_tier()
-
-    @property
-    def kernel_tier(self) -> str:
-        """Resolved tier name the worker chunks run on this compute."""
-        return self._resolved_tier().name
-
-    def set_kernel_tier(self, tier) -> None:
-        """Pin the worker chunks' kernel tier (None reverts to the
-        parent's active tier at each compute).
-
-        Accepts anything :func:`repro.kernels.get` accepts — a tier name
-        or a live tier.  The tier is fork-constant worker state: the next
-        compute re-forks the workers with exactly this tier.
-        """
-        self._tier = kernels.get(tier) if tier is not None else None
 
     # --- observability ---------------------------------------------------------
 
@@ -802,13 +773,16 @@ class WorkerEngine:
 
     def _ensure_workers(self, potential: EAMPotential) -> None:
         """The one spawn path: fork workers over a fresh arena when the
-        live ones cannot serve this evaluation, else keep them."""
-        live, tier = self._live, self._resolved_tier()
+        live ones cannot serve this evaluation, else keep them.  The
+        kernel tier is fork-constant worker state: any other tier object
+        than the one the workers run, same-named or not, re-forks them
+        with exactly the active one."""
+        live, tier = self._live, kernels.active_tier()
         if (
             live.group is not None
             and not live.group.broken
             and potential is self._potential
-            and tier.name == self._spawned_tier
+            and tier is self._spawned_tier
             # region sizes only change with the epoch
             and (
                 self._epoch_published
@@ -843,7 +817,7 @@ class WorkerEngine:
             raise
         live.arena = arena
         self._potential = potential
-        self._spawned_tier = tier.name
+        self._spawned_tier = tier
         self._n_pool_spawns += 1
         record_health(
             "engine",

@@ -2,11 +2,10 @@
 
 This module holds the serial drivers plus the pair-slice primitives the
 parallel strategies in :mod:`repro.core.strategies` are assembled from.
-Since the kernel-tier refactor the module-level primitives are thin
-dispatchers: each call is routed to the process's *active kernel tier*
-(:func:`repro.kernels.active_tier`: the C tier where it builds, else the
-NumPy reference), so every
-strategy and backend built on these names follows the tier selection.
+The module-level primitives are thin dispatchers: each call is routed to
+the process's kernel tier (:func:`repro.kernels.active_tier`: the C tier
+where it builds, else the NumPy reference), so every strategy and backend
+built on these names runs on the one tier of the process.
 Phase structure, following Section II.C of the paper:
 
 1. **Electron densities** (Eq. 1) — for every half-list pair, evaluate
@@ -62,47 +61,18 @@ __all__ = [
 # pair geometry
 # --------------------------------------------------------------------------
 
-def _tier(
-    tier: "Optional[kernels.KernelTier]", entry: Optional[str] = None
-) -> "kernels.KernelTier":
-    """The dispatch target: an explicitly passed tier, else the process
-    default.  Concurrent drivers pass tiers explicitly (see
-    :mod:`repro.kernels`); the module-level names keep working for
-    single-tier processes and interactive use.
-
-    ``entry`` names the kernel entry point for the health plane's
-    per-entry-point dispatch counters (``eam_dispatch/<entry>``) — a
-    plain counter bump, no event objects, so the hot path stays cheap.
-    """
-    if entry is not None:
-        _health_count(f"eam_dispatch/{entry}")
-    return tier if tier is not None else kernels.active_tier()
-
-
-def _health_count(name: str) -> None:
-    try:
-        from repro.obs.recorder import count
-
-        count(name)
-    except Exception:  # pragma: no cover - telemetry must never break forces
-        pass
-
-
 def pair_geometry(
     positions: np.ndarray,
     box: Box,
     i_idx: np.ndarray,
     j_idx: np.ndarray,
-    tier: "Optional[kernels.KernelTier]" = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Minimum-image separation vectors and distances for a pair slice.
 
     Returns ``(delta, r)`` with ``delta[k] = pos[i_k] - pos[j_k]`` folded by
     minimum image and ``r[k] = |delta[k]|``.
     """
-    return _tier(tier, "pair_geometry").pair_geometry(
-        positions, box, i_idx, j_idx
-    )
+    return kernels.active_tier().pair_geometry(positions, box, i_idx, j_idx)
 
 
 # --------------------------------------------------------------------------
@@ -110,15 +80,13 @@ def pair_geometry(
 # --------------------------------------------------------------------------
 
 def pair_terms(
-    potential: EAMPotential,
-    r: np.ndarray,
-    tier: "Optional[kernels.KernelTier]" = None,
+    potential: EAMPotential, r: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``(phi, phi', V, V')`` for a slice of pair distances: the one
     potential evaluation of a slice.  The density pass scatters ``phi``,
     sums ``V`` and hands the derivatives on to the same slice's force pass
     (:func:`repro.kernels.base.pair_force_coefficients`)."""
-    return _tier(tier, "pair_terms").pair_terms(potential, r)
+    return kernels.active_tier().pair_terms(potential, r)
 
 
 def scatter_rho_half(
@@ -126,17 +94,15 @@ def scatter_rho_half(
     i_idx: np.ndarray,
     j_idx: np.ndarray,
     phi: np.ndarray,
-    tier: "Optional[kernels.KernelTier]" = None,
 ) -> None:
     """In-place half-list density scatter: ``rho[i] += phi; rho[j] += phi``.
 
     This is the exact irregular reduction of paper Fig. 1.  Unbuffered
-    accumulation (``np.add.at`` on the NumPy tier, a scalar loop on
-    compiled tiers) is used so repeated indices inside the slice
-    accumulate correctly — the slice may contain many pairs sharing an
-    atom.
+    accumulation (``np.add.at``, on either tier) is used so repeated
+    indices inside the slice accumulate correctly — the slice may contain
+    many pairs sharing an atom.
     """
-    _tier(tier, "scatter_rho_half").scatter_rho_half(rho, i_idx, j_idx, phi)
+    kernels.active_tier().scatter_rho_half(rho, i_idx, j_idx, phi)
 
 
 def scatter_rho_owned(
@@ -144,7 +110,6 @@ def scatter_rho_owned(
     i_idx: np.ndarray,
     phi: np.ndarray,
     n_atoms: int,
-    tier: "Optional[kernels.KernelTier]" = None,
 ) -> None:
     """Full-list density accumulation writing only owned rows.
 
@@ -161,9 +126,7 @@ def scatter_rho_owned(
         contributions without a trace.  Every tier validates at dispatch
         time, before any compiled code runs.
     """
-    _tier(tier, "scatter_rho_owned").scatter_rho_owned(
-        rho, i_idx, phi, n_atoms
-    )
+    kernels.active_tier().scatter_rho_owned(rho, i_idx, phi, n_atoms)
 
 
 def force_pair_coefficients(
@@ -173,7 +136,6 @@ def force_pair_coefficients(
     fp_j: np.ndarray,
     pair_ids: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     min_separation: float = MIN_PAIR_SEPARATION,
-    tier: "Optional[kernels.KernelTier]" = None,
 ) -> np.ndarray:
     """Scalar force coefficient per pair (Eq. 2 of the paper).
 
@@ -193,7 +155,7 @@ def force_pair_coefficients(
         turning the ``1/r`` scaling into astronomically large garbage
         forces with no diagnostic.
     """
-    return _tier(tier, "force_pair_coefficients").force_pair_coefficients(
+    return kernels.active_tier().force_pair_coefficients(
         potential, r, fp_i, fp_j, pair_ids, min_separation
     )
 
@@ -203,15 +165,12 @@ def scatter_force_half(
     i_idx: np.ndarray,
     j_idx: np.ndarray,
     pair_forces: np.ndarray,
-    tier: "Optional[kernels.KernelTier]" = None,
 ) -> None:
     """In-place half-list force scatter (paper Fig. 2).
 
     ``forces[i] += f_pair; forces[j] -= f_pair`` per component.
     """
-    _tier(tier, "scatter_force_half").scatter_force_half(
-        forces, i_idx, j_idx, pair_forces
-    )
+    kernels.active_tier().scatter_force_half(forces, i_idx, j_idx, pair_forces)
 
 
 def scatter_force_owned(
@@ -219,12 +178,9 @@ def scatter_force_owned(
     i_idx: np.ndarray,
     pair_forces: np.ndarray,
     n_atoms: int,
-    tier: "Optional[kernels.KernelTier]" = None,
 ) -> None:
     """Full-list force accumulation into owned rows only (RC strategy)."""
-    _tier(tier, "scatter_force_owned").scatter_force_owned(
-        forces, i_idx, pair_forces, n_atoms
-    )
+    kernels.active_tier().scatter_force_owned(forces, i_idx, pair_forces, n_atoms)
 
 
 # --------------------------------------------------------------------------
@@ -237,12 +193,10 @@ def eam_density_phase(
     box: Box,
     nlist: NeighborList,
     counter: Optional[Counter] = None,
-    tier: "Optional[kernels.KernelTier]" = None,
 ) -> np.ndarray:
     """Phase 1: electron densities from a half (or full) neighbor list."""
     rho, _ = eam_density_and_pair_energy_phase(
-        potential, positions, box, nlist, counter,
-        want_pair_energy=False, tier=tier,
+        potential, positions, box, nlist, counter
     )
     return rho
 
@@ -253,18 +207,16 @@ def eam_density_and_pair_energy_phase(
     box: Box,
     nlist: NeighborList,
     counter: Optional[Counter] = None,
-    want_pair_energy: bool = True,
-    tier: "Optional[kernels.KernelTier]" = None,
 ) -> Tuple[np.ndarray, float]:
     """Phase 1 with the pair-energy sum fused in.
 
     The pair energy ``sum V(r)`` needs exactly the pair distances phase 1
     already computed, so evaluating it here (reusing the cached ``r``)
     saves a third ``pair_arrays``/``pair_geometry`` pass over every pair.
-    Returns ``(rho, pair_energy)``; the energy is 0.0 when not requested.
+    Returns ``(rho, pair_energy)``.
     """
-    return _tier(tier, "density_phase").density_and_pair_energy_phase(
-        potential, positions, box, nlist, counter, want_pair_energy
+    return kernels.active_tier().density_and_pair_energy_phase(
+        potential, positions, box, nlist, counter
     )
 
 
@@ -292,10 +244,9 @@ def eam_force_phase(
     nlist: NeighborList,
     fp: np.ndarray,
     counter: Optional[Counter] = None,
-    tier: "Optional[kernels.KernelTier]" = None,
 ) -> np.ndarray:
     """Phase 3: forces from the cached embedding derivatives."""
-    return _tier(tier, "force_phase").force_phase(
+    return kernels.active_tier().force_phase(
         potential, positions, box, nlist, fp, counter
     )
 
@@ -326,24 +277,23 @@ def compute_eam_forces_serial(
     nlist: NeighborList,
     counter: Optional[Counter] = None,
     tracer=None,
-    tier: "Optional[kernels.KernelTier]" = None,
 ) -> EAMComputation:
     """Full serial EAM evaluation; also updates ``atoms`` in place.
 
     This is the reference every parallel strategy must reproduce; it is
     also the timing baseline of the paper ("runtimes of serial programs on
     one core").  The three phases are composed by the tier
-    (:meth:`~repro.kernels.KernelTier.evaluate`): the pair energy is
-    evaluated inside phase 1, and the NumPy tier also hands phase 1's pair
-    geometry and potential derivatives to phase 3 instead of sweeping the
+    (:meth:`~repro.kernels.numpy_tier.NumpyKernelTier.evaluate`): the pair
+    energy is evaluated inside phase 1, and phase 1's pair geometry and
+    potential derivatives are handed to phase 3 instead of sweeping the
     pair list and calling the potential again.  When
     ``tracer`` (a :class:`~repro.obs.tracer.Tracer`) is given, each phase
     is recorded as a span tagged with its canonical name.
     """
     nlist.check_covers(atoms.n_atoms)
-    rho, pair_energy, emb_energy, fp, forces = _tier(
-        tier, "evaluate"
-    ).evaluate(potential, atoms.positions, atoms.box, nlist, counter, tracer)
+    rho, pair_energy, emb_energy, fp, forces = kernels.active_tier().evaluate(
+        potential, atoms.positions, atoms.box, nlist, counter, tracer
+    )
     atoms.rho[:] = rho
     atoms.fp[:] = fp
     atoms.forces[:] = forces

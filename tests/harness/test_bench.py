@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.harness.bench import (
     BenchRecord,
     bench_forces,
@@ -123,14 +124,15 @@ class TestSerialCellIsTheSerialKernel:
         from repro.obs.tracer import Tracer
 
         tracer = Tracer()
-        compute, cleanup, tier_name = _make_cell(
-            "serial", backend, workers, potential, sdc_atoms.copy(), sdc_nlist,
-            tracer, kernel_tier=counting_tier,
-        )
-        try:
-            compute()
-        finally:
-            cleanup()
+        with kernels.use_tier(counting_tier):
+            compute, cleanup, tier_name = _make_cell(
+                "serial", backend, workers, potential, sdc_atoms.copy(),
+                sdc_nlist, tracer,
+            )
+            try:
+                compute()
+            finally:
+                cleanup()
         assert tier_name == counting_tier.name
         assert counting_tier.passes == [sdc_nlist.n_pairs]
         assert counting_tier.terms == [sdc_nlist.n_pairs]

@@ -297,8 +297,9 @@ class TestOverlap:
         self, c_tier, potential, overlapping
     ):
         atoms, nlist = overlapping
-        with pytest.raises(ValueError, match=self.MESSAGE):
-            compute_eam_forces_serial(potential, atoms, nlist, tier=c_tier)
+        with kernels.use_tier(c_tier):
+            with pytest.raises(ValueError, match=self.MESSAGE):
+                compute_eam_forces_serial(potential, atoms, nlist)
         for array in (atoms.rho, atoms.fp, atoms.forces):
             assert np.all(array == 7.0)
 
@@ -401,14 +402,14 @@ def test_atomic_strategy_scatters_with_the_gil_held(
     from repro.parallel.backends.threads import ThreadBackend
 
     c_tier, writes = accumulator_writes
-    with ThreadBackend(2) as backend:
+    with ThreadBackend(2) as backend, kernels.use_tier(c_tier):
         strategy = AtomicStrategy(n_threads=2, backend=backend)
-        strategy.set_kernel_tier(c_tier)
         result = strategy.compute(potential, small_atoms.copy(), small_nlist)
     assert writes == []
-    reference = compute_eam_forces_serial(
-        potential, small_atoms.copy(), small_nlist, tier=NumpyKernelTier()
-    )
+    with kernels.use_tier(NumpyKernelTier()):
+        reference = compute_eam_forces_serial(
+            potential, small_atoms.copy(), small_nlist
+        )
     np.testing.assert_allclose(result.forces, reference.forces, rtol=0, atol=1e-9)
 
 
@@ -553,7 +554,7 @@ class TestNoCompilerFallback:
 
         monkeypatch.setenv("PATH", str(tmp_path))
         with pytest.warns(RuntimeWarning, match="no C compiler"):
-            finding = _check_kernel_tier(None)
+            finding = _check_kernel_tier()
         assert finding.status == "warning"
         assert "resolved 'numpy'; c tier unavailable: no C compiler" in finding.detail
 
@@ -572,7 +573,7 @@ def test_numpy_selection_never_loads_the_c_tier(fresh_cache, monkeypatch):
     monkeypatch.setenv(kernels.ENV_VAR, "numpy")
     assert collect_run_meta()["kernel_tiers"] == ["numpy"]
     assert HealthMonitor().snapshot()["tier"]["c"]["state"] == "not-loaded"
-    finding = _check_kernel_tier(None)
+    finding = _check_kernel_tier()
     assert finding.status == "ok"
     assert finding.detail == "resolved 'numpy'; c tier not-loaded"
     assert not fresh_cache.exists()

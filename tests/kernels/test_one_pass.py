@@ -26,6 +26,7 @@ import multiprocessing as mp
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.analysis.racecheck import make_strategy
 from repro.core.strategies.sdc import SDCStrategy
 from repro.core.strategies.serial import SerialStrategy
@@ -38,7 +39,6 @@ from repro.harness.workloads import (
 )
 from repro.kernels.numpy_tier import NumpyKernelTier
 from repro.md import Atoms, build_neighbor_list
-from repro.md.calculator import EAMCalculator
 from repro.md.integrators import VelocityVerlet
 from repro.md.simulation import SerialCalculator, Simulation
 from repro.parallel.backends.base import BackendError
@@ -77,9 +77,8 @@ class TestOnePassByCount:
         self, counting_tier, sdc_atoms, sdc_nlist
     ):
         tier = counting_tier
-        strategy = SerialStrategy()
-        strategy.set_kernel_tier(tier)
-        strategy.compute(OnePassOnlyFe(), sdc_atoms.copy(), sdc_nlist)
+        with kernels.use_tier(tier):
+            SerialStrategy().compute(OnePassOnlyFe(), sdc_atoms.copy(), sdc_nlist)
         assert tier.passes == [sdc_nlist.n_pairs]
         assert tier.terms == [sdc_nlist.n_pairs]
 
@@ -107,9 +106,8 @@ class TestOnePassByCount:
         self, counting_tier, sdc_atoms, sdc_nlist, reference_result, dims, backend
     ):
         tier = counting_tier
-        with backend() as pool:
+        with backend() as pool, kernels.use_tier(tier):
             strategy = SDCStrategy(dims=dims, n_threads=2, backend=pool)
-            strategy.set_kernel_tier(tier)
             result = strategy.compute(
                 OnePassOnlyFe(), sdc_atoms.copy(), sdc_nlist
             )
@@ -129,9 +127,8 @@ class TestOnePassByCount:
         self, counting_tier, sdc_atoms, sdc_nlist, reference_result, name, backend
     ):
         tier = counting_tier
-        with backend() as pool:
+        with backend() as pool, kernels.use_tier(tier):
             strategy = make_strategy(name, n_threads=2, backend=pool, dims=2)
-            strategy.set_kernel_tier(tier)
             result = strategy.compute(
                 OnePassOnlyFe(), sdc_atoms.copy(), sdc_nlist
             )
@@ -157,8 +154,8 @@ class TestOnePassByCount:
         from repro.parallel.backends.sharded import ShardedSDCCalculator
 
         tier = counting_tier
-        with ShardedSDCCalculator(
-            n_shards=2, engine="inline", kernel_tier=tier
+        with kernels.use_tier(tier), ShardedSDCCalculator(
+            n_shards=2, engine="inline"
         ) as calc:
             result = calc.compute(OnePassOnlyFe(), sdc_atoms.copy(), sdc_nlist)
         assert sorted(tier.terms) == sorted(tier.passes)
@@ -284,8 +281,9 @@ class TestOverlapStopsBeforeAnyScatter:
 
     def test_serial(self, potential, overlapping):
         atoms, nlist = overlapping
-        with pytest.raises(ValueError, match=self.MESSAGE):
-            compute_eam_forces_serial(potential, atoms, nlist, tier=ScatterSpy())
+        with kernels.use_tier(ScatterSpy()):
+            with pytest.raises(ValueError, match=self.MESSAGE):
+                compute_eam_forces_serial(potential, atoms, nlist)
         self.assert_untouched(atoms)
 
     @pytest.mark.parametrize(
@@ -293,9 +291,8 @@ class TestOverlapStopsBeforeAnyScatter:
     )
     def test_sdc(self, potential, overlapping, backend):
         atoms, nlist = overlapping
-        with backend() as pool:
+        with backend() as pool, kernels.use_tier(ScatterSpy()):
             strategy = SDCStrategy(dims=2, n_threads=2, backend=pool)
-            strategy.set_kernel_tier(ScatterSpy())
             with pytest.raises(ValueError, match=self.MESSAGE):
                 strategy.compute(potential, atoms, nlist)
         self.assert_untouched(atoms)
@@ -306,9 +303,8 @@ class TestOverlapStopsBeforeAnyScatter:
     )
     def test_comparison_strategies(self, potential, overlapping, name, backend):
         atoms, nlist = overlapping
-        with backend() as pool:
+        with backend() as pool, kernels.use_tier(ScatterSpy()):
             strategy = make_strategy(name, n_threads=2, backend=pool, dims=2)
-            strategy.set_kernel_tier(ScatterSpy())
             with pytest.raises(ValueError, match=self.MESSAGE):
                 strategy.compute(potential, atoms, nlist)
         self.assert_untouched(atoms)
@@ -334,7 +330,7 @@ class TestOverlapStopsBeforeAnyScatter:
 #: commit before the one-pass geometry (row-major geometry twice per
 #: evaluation, ``np.add.at`` force scatter, four potential calls) — x86-64,
 #: Python 3.11.7, NumPy 2.4.6, glibc 2.36.  They pin the NumPy tier's
-#: plumbing, so those runs name the NumPy tier explicitly
+#: plumbing, so those runs are wholly on the NumPy tier, builds included
 PARENT_DIGESTS = {
     "serial state": "11cb9c36c6e0aff2420546f1dbc97cc1a0a5f31048ddee3af71f1e31d4897a0e",
     "serial energies": "e0cc0676c19bfe4ab2c0cac64d30e8399c4a549fa22016d74f44094a7626c423",
@@ -345,11 +341,6 @@ PARENT_DIGESTS = {
 #: transcendentals differ in the last place between CPU families), so a
 #: mismatch here means "other host", not "other kernels"
 HOST_CANARY = "7463d19e59f68c285ec23a10276e570703302fe56ce0ff494afff6d41f7757f7"
-
-
-def numpy_serial():
-    """The serial kernels on the NumPy tier, whatever the default tier."""
-    return EAMCalculator(kernel_tier="numpy")
 
 
 class ComposedFe(JohnsonFePotential):
@@ -395,19 +386,23 @@ class TestTrajectoryBitIdenticalToParent:
         if canary != HOST_CANARY:
             pytest.skip("transcendentals differ from the digest host's")
 
+    @pytest.fixture(autouse=True)
+    def numpy_tier(self):
+        with kernels.use_tier("numpy"):
+            yield
+
     def test_serial_state_and_every_step_energy(self):
-        state, energies = trajectory(numpy_serial(), ComposedFe())
+        state, energies = trajectory(SerialCalculator(), ComposedFe())
         assert digest(*state) == PARENT_DIGESTS["serial state"]
         assert digest(energies) == PARENT_DIGESTS["serial energies"]
 
     def test_sdc_state_and_energy_up_to_summation_order(self):
         state, energies = trajectory(
-            EAMCalculator(SDCStrategy(dims=2, n_threads=2), kernel_tier="numpy"),
-            ComposedFe(),
+            SDCStrategy(dims=2, n_threads=2), ComposedFe()
         )
         assert digest(*state) == PARENT_DIGESTS["sdc state"]
         # per-subdomain partials instead of one whole-list sum
-        _, serial_energies = trajectory(numpy_serial(), ComposedFe())
+        _, serial_energies = trajectory(SerialCalculator(), ComposedFe())
         assert np.max(np.abs(energies - serial_energies)) < 1e-10
 
 

@@ -1,13 +1,15 @@
-"""The tier registry: resolution, selection surfaces, hostile names."""
+"""The tier registry: resolution, the one scoped override, hostile names,
+and one tier per process — a tier choice covers the whole run."""
 
 from __future__ import annotations
+
+import multiprocessing as mp
 
 import numpy as np
 import pytest
 
 from repro import kernels
 from repro.kernels.numpy_tier import NumpyKernelTier
-from repro.md import EAMCalculator
 
 #: names of the retired JIT tier, its variants and its ``auto`` selector —
 #: split so the CI grep that keeps the retired tier out of src/ and tests/
@@ -61,14 +63,8 @@ class TestActiveTier:
         monkeypatch.delenv(kernels.ENV_VAR, raising=False)
         assert kernels.active_tier() is kernels.get(None)
 
-    def test_set_active_tier(self):
-        pinned = NumpyKernelTier()
-        assert kernels.set_active_tier(pinned) is pinned
-        assert kernels.active_tier() is pinned
-        assert kernels.set_active_tier(None) is kernels.get(None)
-
     def test_use_tier_restores_previous(self):
-        before = kernels.set_active_tier("numpy")
+        before = kernels.active_tier()
         scoped = NumpyKernelTier()
         with kernels.use_tier(scoped) as tier:
             assert tier is scoped
@@ -89,136 +85,36 @@ class TestActiveTier:
         assert kernels.active_tier() is before
 
 
-class TestEAMCalculator:
-    def test_unknown_tier_raises_at_construction(self):
-        with pytest.raises(ValueError, match="unknown kernel tier"):
-            EAMCalculator(kernel_tier="fortran")
-
-    def test_name_and_tier_properties(self):
-        calc = EAMCalculator(kernel_tier="numpy")
-        assert calc.kernel_tier == "numpy"
-        assert calc.name == "serial[numpy]"
-
-    def test_compute_matches_reference(
-        self, sdc_atoms, sdc_nlist, potential, reference_result
-    ):
-        calc = EAMCalculator(kernel_tier="numpy")
-        result = calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
-        np.testing.assert_allclose(
-            result.forces, reference_result.forces, atol=1e-12
-        )
-
-    def test_profiler_gets_tier_stamp(self, sdc_atoms, sdc_nlist, potential):
-        """A profiled cell labels its rows with the calculator's tier and
-        gets the serial kernels' phase spans through ``attach_tracer``."""
-        from repro.obs.tracer import Tracer
-        from repro.utils.profiler import phase_stats
-
-        calc = EAMCalculator(kernel_tier="numpy")
-        tracer = Tracer()
-        calc.attach_tracer(tracer)
-        calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
-        calc.detach_tracer()
-        assert calc.kernel_tier == "numpy"
-        assert set(phase_stats(tracer.spans)) == {"density", "embedding", "force"}
-        calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
-        assert len(tracer) == 3
-
-
-class TestConcurrentDrivers:
-    """Pinned tiers travel with the kernel calls, never through the
-    process-global slot that ``use_tier`` swaps."""
-
-    def test_pinned_compute_never_consults_global(
-        self, sdc_atoms, sdc_nlist, potential, reference_result, monkeypatch
-    ):
-        from repro.core.strategies import STRATEGY_REGISTRY
-
-        strategy = STRATEGY_REGISTRY["sdc"](dims=2, n_threads=2)
-        strategy.set_kernel_tier("numpy")
-
-        def boom():  # pragma: no cover - asserting it is never hit
-            raise AssertionError(
-                "pinned strategy consulted the process-global tier"
-            )
-
-        monkeypatch.setattr(kernels, "active_tier", boom)
-        result = strategy.compute(potential, sdc_atoms.copy(), sdc_nlist)
-        np.testing.assert_allclose(
-            result.forces, reference_result.forces, rtol=1e-10, atol=1e-10
-        )
-
-    def test_threaded_calculators_keep_their_tiers(
-        self, sdc_atoms, sdc_nlist, potential, reference_result, counting_tier
-    ):
-        """Two calculators pinned to two tier instances interleave on two
-        threads: each tier makes exactly its own calculator's potential
-        calls, and the global slot is never written."""
-        import threading
-
-        from repro.core.strategies import STRATEGY_REGISTRY
-
-        kernels.set_active_tier("numpy")
-        sentinel = kernels.active_tier()
-        tiers = (counting_tier, type(counting_tier)())
-        calcs = [
-            EAMCalculator(
-                STRATEGY_REGISTRY["sdc"](dims=2, n_threads=1), kernel_tier=tier
-            )
-            for tier in tiers
-        ]
-        barrier = threading.Barrier(len(calcs))
-        failures = []
-
-        def drive(calc):
-            try:
-                for _ in range(4):
-                    barrier.wait(timeout=30)
-                    result = calc.compute(
-                        potential, sdc_atoms.copy(), sdc_nlist
-                    )
-                    np.testing.assert_allclose(
-                        result.forces,
-                        reference_result.forces,
-                        rtol=1e-10,
-                        atol=1e-10,
-                    )
-            except Exception as exc:  # noqa: BLE001 - surfaced below
-                failures.append(exc)
-
-        threads = [threading.Thread(target=drive, args=(c,)) for c in calcs]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-        assert not any(t.is_alive() for t in threads)
-        assert not failures, failures
-        n_pairs = len(sdc_nlist.pair_arrays()[0])
-        assert [sum(tier.terms) for tier in tiers] == [4 * n_pairs] * 2
-        assert kernels.active_tier() is sentinel
-
-
 TIERS = kernels.available_tiers()
+ENGINES = ["serial", "threads", "processes", "sharded"]
 
 
-def _engine(engine: str, tier: str):
+def _needs_fork(engine: str) -> None:
+    if engine in ("processes", "sharded") and "fork" not in mp.get_all_start_methods():
+        pytest.skip("requires fork")
+
+
+def _engine(engine: str):
+    """The engine's calculator; ``sharded-inline`` is the sharded engine's
+    in-process twin."""
     from repro.core.strategies.sdc import SDCStrategy
     from repro.parallel.backends.processes import ProcessSDCCalculator
     from repro.parallel.backends.sharded import ShardedSDCCalculator
     from repro.parallel.backends.threads import ThreadBackend
 
     if engine == "serial":
-        return EAMCalculator(kernel_tier=tier)
+        return None
     if engine == "threads":
-        strategy = SDCStrategy(dims=2, n_threads=2, backend=ThreadBackend(2))
-        return EAMCalculator(strategy, kernel_tier=tier)
+        return SDCStrategy(dims=2, n_threads=2, backend=ThreadBackend(2))
     if engine == "processes":
-        return ProcessSDCCalculator(dims=2, n_workers=2, kernel_tier=tier)
-    return ShardedSDCCalculator(n_shards=2, kernel_tier=tier)
+        return ProcessSDCCalculator(dims=2, n_workers=2)
+    if engine == "sharded-inline":
+        return ShardedSDCCalculator(n_shards=2, engine="inline")
+    return ShardedSDCCalculator(n_shards=2)
 
 
-def _trajectory(calculator):
-    """432-atom bcc Fe at 300 K, skin 0.1: 100 steps through rebuilds."""
+def _trajectory(calculator, steps: int = 100):
+    """432-atom bcc Fe at 300 K, skin 0.1: ``steps`` steps through rebuilds."""
     from repro.harness.cases import Case
     from repro.md.integrators import VelocityVerlet
     from repro.md.simulation import Simulation
@@ -230,7 +126,7 @@ def _trajectory(calculator):
     with Simulation(
         atoms, fe_potential(), calculator, VelocityVerlet(1.0e-3), skin=0.1
     ) as sim:
-        report = sim.run(100, sample_every=10)
+        report = sim.run(steps, sample_every=10)
     assert report.n_neighbor_rebuilds >= 2
     energies = np.array([record.total_energy for record in report.records])
     return atoms, energies
@@ -239,23 +135,84 @@ def _trajectory(calculator):
 class TestTrajectoryMatchesNumpy:
     """Every tier on every engine follows the NumPy tier's serial
     trajectory to 1e-9 over 100 steps — the forked and sharded workers
-    inherit the resolved tier, so their kernels are the same."""
+    inherit the process's tier, so their kernels are the same."""
 
     @pytest.fixture(scope="class")
     def reference(self):
-        return _trajectory(EAMCalculator(kernel_tier="numpy"))
+        with kernels.use_tier("numpy"):
+            return _trajectory(None)
 
-    @pytest.mark.parametrize("engine", ["serial", "threads", "processes", "sharded"])
+    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("tier", TIERS)
     def test_hundred_steps(self, reference, tier, engine):
-        if engine in ("processes", "sharded"):
-            import multiprocessing as mp
-
-            if "fork" not in mp.get_all_start_methods():
-                pytest.skip("requires fork")
+        _needs_fork(engine)
         want_atoms, want_energies = reference
-        atoms, energies = _trajectory(_engine(engine, tier))
+        with kernels.use_tier(tier):
+            atoms, energies = _trajectory(_engine(engine))
         for name in ("positions", "velocities", "forces", "rho"):
             got, want = getattr(atoms, name), getattr(want_atoms, name)
             assert np.max(np.abs(got - want)) <= 1e-9, name
         assert np.max(np.abs(energies - want_energies)) <= 1e-9
+
+
+#: every entry point the C tier overrides
+C_ENTRY_POINTS = (
+    "neighbor_csr", "pairs_to_csr", "evaluate", "density_slice",
+    "force_slice", "pair_pass", "pair_forces",
+)
+
+
+@pytest.fixture()
+def c_calls(monkeypatch):
+    """Every call into a :class:`CKernelTier` entry point, by name."""
+    if "c" not in kernels.available_tiers():
+        pytest.skip(f"C tier unavailable: {kernels.tier_status()['c']['reason']}")
+    from repro.kernels.c_tier import CKernelTier
+
+    calls = []
+    for name in C_ENTRY_POINTS:
+        real = getattr(CKernelTier, name)
+
+        def spy(self, *args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(CKernelTier, name, spy)
+    return calls
+
+
+class TestOneTierPerProcess:
+    @pytest.mark.parametrize("engine", ["serial", "threads", "sharded-inline"])
+    def test_numpy_choice_covers_the_rebuilds(self, c_calls, engine):
+        """Under ``use_tier("numpy")`` nothing of a rebuild-heavy run —
+        not the Verlet builds, not the evaluations — reaches C."""
+        with kernels.use_tier("numpy"):
+            _trajectory(_engine(engine), steps=30)
+        assert c_calls == []
+
+    def test_the_spy_sees_a_c_run(self, c_calls):
+        with kernels.use_tier("c"):
+            _trajectory(None, steps=30)
+        assert {"neighbor_csr", "evaluate"} <= set(c_calls)
+
+    def test_engine_reforks_for_another_tier_of_the_same_name(
+        self, counting_tier, sdc_atoms, sdc_nlist, potential, reference_result
+    ):
+        """The workers' tier is fork-constant state compared by identity:
+        a same-named tier object between two computes re-forks them, and
+        the next compute runs on it."""
+        from repro.parallel.backends.sharded import ShardedSDCCalculator
+
+        with ShardedSDCCalculator(n_shards=2, engine="inline") as calc:
+            with kernels.use_tier("numpy"):
+                calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
+            assert calc.health_snapshot()["n_pool_spawns"] == 1
+            assert counting_tier.name == "numpy"
+            with kernels.use_tier(counting_tier):
+                result = calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
+            assert calc.health_snapshot()["n_pool_spawns"] == 2
+        assert sum(counting_tier.passes) >= sdc_nlist.n_pairs
+        assert sorted(counting_tier.terms) == sorted(counting_tier.passes)
+        np.testing.assert_allclose(
+            result.forces, reference_result.forces, rtol=0, atol=1e-10
+        )

@@ -62,9 +62,9 @@ class TestRing:
 
     def test_named_counters_are_cheap_and_cumulative(self):
         r = FlightRecorder()
-        r.count("eam_dispatch/density_phase")
-        r.count("eam_dispatch/density_phase", 2)
-        assert r.counts()["eam_dispatch/density_phase"] == 3
+        r.count("sharded_halo_refresh")
+        r.count("sharded_halo_refresh", 2)
+        assert r.counts()["sharded_halo_refresh"] == 3
         assert r.events() == []  # counters record no events
 
     def test_invalid_severity_rejected_categories_open(self):

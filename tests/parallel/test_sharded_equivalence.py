@@ -7,9 +7,9 @@ serial kernels, to floating-point noise, across neighbor-list rebuilds
 (which exercise atom migration and halo reconstruction), for every shard
 grid and kernel tier.
 
-The serial reference runs under ``kernels.use_tier`` pinned to the same
-tier as the sharded workers, so the comparison isolates the sharding —
-tier-vs-tier differences are covered by the cross-tier suite.
+The serial reference and the sharded run both run wholly under
+``kernels.use_tier`` on the same tier, so the comparison isolates the
+sharding — tier-vs-tier differences are covered by the cross-tier suite.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def _run_trajectory(potential, calculator, tier=None, recorder=None):
         perturbation=0.03, temperature=60.0, seed=2
     )
     health = HealthMonitor(recorder=recorder, calculator=calculator)
-    with kernels.use_tier(kernels.get(tier) if tier is not None else None):
+    with kernels.use_tier(tier):
         with Simulation(
             atoms, potential, calculator=calculator, skin=0.05, health=health
         ) as sim:
@@ -77,9 +77,7 @@ class TestShardedTrajectoryEquivalence:
         """Every shard grid x tier reproduces the serial trajectory
         across >= 2 neighbor rebuilds (so migration actually fired)."""
         ref_atoms, ref_report = serial_runs[tier]
-        calc = ShardedSDCCalculator(
-            n_shards=n_shards, engine="inline", kernel_tier=tier
-        )
+        calc = ShardedSDCCalculator(n_shards=n_shards, engine="inline")
         try:
             atoms, report, health = _run_trajectory(
                 potential, calc, tier=tier, recorder=recorder
@@ -107,9 +105,7 @@ class TestShardedTrajectoryEquivalence:
         trajectory as the inline protocol and the serial kernels."""
         tier = TIERS[0]
         ref_atoms, _ = serial_runs[tier]
-        calc = ShardedSDCCalculator(
-            n_shards=n_shards, engine="processes", kernel_tier=tier
-        )
+        calc = ShardedSDCCalculator(n_shards=n_shards, engine="processes")
         try:
             atoms, report, health = _run_trajectory(
                 potential, calc, tier=tier, recorder=recorder
