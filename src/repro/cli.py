@@ -185,7 +185,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
     from repro.harness.cases import case_by_key
     from repro.harness.reordering import measure_reordering
-    from repro.obs.history import RunStore
     from repro.obs.rundir import artifact_path, write_payload
     from repro.obs.runlog import collect_run_meta
 
@@ -243,85 +242,34 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         outputs.append(("reordering", reordering_records(reorder)))
     os.makedirs(args.output_dir, exist_ok=True)
     meta = collect_run_meta(args.threads)
-    store = RunStore(args.store) if args.store else None
     print()
     for kind, rows in outputs:
-        body = bench_payload(rows, meta=meta)
         path = artifact_path(args.output_dir, kind)
-        write_payload(path, body)
+        write_payload(path, bench_payload(rows, meta=meta))
         print(f"wrote {path}")
-        if store is not None:
-            store.append_bench(body, kind=kind)
-    if store is not None:
-        print(f"appended to history store {store.path}")
     return 0
-
-
-def _load_bench(ref: str):
-    """``(payload, path)`` of the bench artifact ``ref`` names (a file or
-    a run directory); ``FileNotFoundError`` / ``ValueError`` otherwise."""
-    from repro.obs.rundir import read_artifact, resolve
-
-    path = resolve(ref, "bench")
-    meta, records = read_artifact(path, "bench")
-    return {"meta": meta, "records": records}, path
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     import json
-    import os
 
     from repro.obs.atomicio import atomic_write_text
-    from repro.obs.history import RunStore
     from repro.obs.regress import compare_payloads
-    from repro.obs.rundir import ARTIFACTS
+    from repro.obs.rundir import read_artifact, resolve
 
+    paths = [resolve(ref, "bench") for ref in (args.baseline, args.candidate)]
     try:
-        candidate, candidate_path = _load_bench(args.candidate)
+        baseline, candidate = [
+            dict(zip(("meta", "records"), read_artifact(path, "bench")))
+            for path in paths
+        ]
+        report = compare_payloads(baseline, candidate, *paths)
+    # missing, unreadable, or a record without samples_s
     except (FileNotFoundError, ValueError) as exc:
-        print(f"error: candidate: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    gate_phases = (
-        _all_phases(candidate) if args.all_phases else ("total",)
-    )
-    store = RunStore(args.store) if args.store else None
-    baseline, baseline_path = None, None
-    try:
-        if args.baseline:
-            baseline, baseline_path = _load_bench(args.baseline)
-        else:
-            committed = ARTIFACTS["bench"].filename
-            if (
-                os.path.exists(committed)
-                and os.path.abspath(committed)
-                != os.path.abspath(candidate_path)
-            ):
-                baseline, baseline_path = _load_bench(committed)
-            elif store is not None:
-                entry = store.baseline_bench()
-                if entry is not None:
-                    baseline = {"meta": entry.meta, "records": entry.records}
-                    baseline_path = f"{store.path}#seq{entry.seq}"
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"error: baseline: {exc}", file=sys.stderr)
-        return 2
-    if baseline is None:
-        print(
-            "no baseline found (no --baseline, no committed "
-            "BENCH_forces.json, empty history store) — nothing to "
-            "compare against",
-            file=sys.stderr,
-        )
-        return 0
-    report = compare_payloads(
-        baseline,
-        candidate,
-        threshold=args.threshold,
-        gate_phases=gate_phases,
-    )
-    print(f"candidate: {candidate_path}")
-    print(f"baseline:  {baseline_path}")
+    print(f"baseline:  {paths[0]}")
+    print(f"candidate: {paths[1]}")
     print()
     print(report.render())
     if args.json:
@@ -329,33 +277,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             args.json, json.dumps(report.to_dict(), indent=2) + "\n"
         )
         print(f"wrote {args.json}")
-    if store is not None:
-        store.append_records(
-            "bench",
-            candidate["records"],
-            meta=candidate["meta"],
-            source=candidate_path,
-        )
-        print(f"appended candidate to history store {store.path}")
-    if report.exit_code and args.warn_only:
-        print(
-            "warning: hard regression detected (soft-fail mode, exiting 0)",
-            file=sys.stderr,
-        )
-        return 0
     return report.exit_code
-
-
-def _all_phases(payload) -> tuple:
-    return tuple(
-        sorted(
-            {
-                str(r["phase"])
-                for r in payload.get("records", [])
-                if isinstance(r, dict) and "phase" in r
-            }
-        )
-    )
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -371,7 +293,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(f"error: no such source {args.source!r}", file=sys.stderr)
         return 2
     try:
-        data = load_report_source(args.source, store_path=args.store)
+        data = load_report_source(args.source)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -397,7 +319,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         steps=args.steps,
         output_dir=args.output_dir,
         on_skip=lambda msg: print(f"skip: {msg}", file=sys.stderr),
-        store_path=args.store,
         sample_resources=args.sample_resources,
     )
     print(report.render_summary(top=args.top))
@@ -411,8 +332,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(
             "open the trace at https://ui.perfetto.dev or chrome://tracing"
         )
-    if report.store_path is not None:
-        print(f"appended to history store {report.store_path}")
     return 0 if report.runs else 1
 
 
@@ -433,9 +352,7 @@ def _parse_workers(text: str) -> list:
 
 def _cmd_scale(args: argparse.Namespace) -> int:
     from repro.harness.scaling import run_scale
-    from repro.obs.history import DEFAULT_STORE_PATH
 
-    store = args.store if args.store is not None else DEFAULT_STORE_PATH
     report = run_scale(
         case=args.case,
         strategy=args.strategy,
@@ -443,7 +360,6 @@ def _cmd_scale(args: argparse.Namespace) -> int:
         workers=args.workers,
         steps=args.steps,
         output_dir=args.output_dir,
-        store_path=store or None,
         sample_resources=args.sample_resources,
         sample_interval_s=args.sample_interval,
         on_skip=lambda msg: print(f"skip: {msg}", file=sys.stderr),
@@ -459,8 +375,6 @@ def _cmd_scale(args: argparse.Namespace) -> int:
         print(
             "open the trace at https://ui.perfetto.dev or chrome://tracing"
         )
-    if report.store_path is not None:
-        print(f"appended scaling records to history store {report.store_path}")
     return 0 if report.points else 1
 
 
@@ -646,11 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the Section II.D reordering measurement (faster "
         "perf-gate smoke)",
     )
-    bench.add_argument(
-        "--store",
-        help="append the bench payloads to this performance-history "
-        "store (e.g. .repro/history.jsonl)",
-    )
     bench.set_defaults(func=_cmd_bench)
 
     trace = sub.add_parser(
@@ -687,11 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory for trace.json / metrics.jsonl / run.jsonl",
     )
     trace.add_argument(
-        "--store",
-        help="append the metrics and run-log streams to this "
-        "performance-history store",
-    )
-    trace.add_argument(
         "--sample-resources",
         action="store_true",
         help="co-run the /proc resource sampler: CPU/RSS/context-switch/"
@@ -703,8 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     scale = sub.add_parser(
         "scale",
         help="worker-count sweep: speedup/efficiency/Karp-Flatt + loss "
-        "attribution (writes scaling.json and kind:scaling history "
-        "records)",
+        "attribution (writes scaling.json)",
     )
     scale.add_argument(
         "--case", default="small", help="case key to sweep (default small)"
@@ -736,12 +639,6 @@ def build_parser() -> argparse.ArgumentParser:
         "/ health.jsonl",
     )
     scale.add_argument(
-        "--store",
-        default=None,
-        help="history store for the kind:scaling records (default "
-        ".repro/history.jsonl; pass an empty string to skip)",
-    )
-    scale.add_argument(
         "--no-sample-resources",
         dest="sample_resources",
         action="store_false",
@@ -761,41 +658,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     comp = sub.add_parser(
         "compare",
-        help="regression-gate a candidate bench run against a baseline "
-        "(exit 1 on hard regression)",
+        help="judge a candidate bench run against a baseline, cell by "
+        "cell (exit 1 on a total-phase regression, 2 on unreadable input)",
+    )
+    comp.add_argument(
+        "baseline",
+        help="baseline BENCH_forces.json or a directory containing it",
     )
     comp.add_argument(
         "candidate",
         help="candidate BENCH_forces.json or a directory containing it",
     )
     comp.add_argument(
-        "--baseline",
-        help="baseline bench JSON or directory (default: the committed "
-        "./BENCH_forces.json, else the latest history-store entry)",
-    )
-    comp.add_argument(
-        "--store",
-        help="history store to fall back on for the baseline and to "
-        "append the candidate to",
-    )
-    comp.add_argument(
-        "--threshold",
-        type=float,
-        default=0.10,
-        help="relative median-slowdown gate (default 0.10 = 10%%)",
-    )
-    comp.add_argument(
-        "--all-phases",
-        action="store_true",
-        help="gate every phase row, not just the total phase",
-    )
-    comp.add_argument(
         "--json", help="write the verdict report as JSON here"
-    )
-    comp.add_argument(
-        "--warn-only",
-        action="store_true",
-        help="report regressions but always exit 0 (CI soft-fail)",
     )
     comp.set_defaults(func=_cmd_compare)
 
@@ -805,16 +680,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     rep.add_argument(
         "source",
-        help="artifact directory (BENCH_*.json / metrics.jsonl / "
-        "run.jsonl) or a history store .jsonl file",
+        help="run directory (BENCH_*.json / scaling.json / "
+        "metrics.jsonl / run.jsonl / health.jsonl)",
     )
     rep.add_argument(
         "-o", "--output", default="report.html", help="HTML output path"
-    )
-    rep.add_argument(
-        "--store",
-        help="explicit history store for the trend panel (default: "
-        "history.jsonl or .repro/history.jsonl inside the source dir)",
     )
     rep.add_argument(
         "--top", type=int, default=8, help="rows per terminal summary section"

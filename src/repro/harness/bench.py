@@ -31,7 +31,8 @@ from repro.harness.cases import Case, case_by_key
 from repro.harness.reordering import MeasuredReorderingResult, measure_reordering
 from repro.obs.rundir import payload, write_payload
 from repro.obs.tracer import Tracer
-from repro.utils.profiler import measure, phase_names
+from repro.utils.profiler import measure, phase_names, phase_samples
+from repro.utils.timers import median_iqr
 
 #: sweep axes of the quick (CI smoke) configuration
 QUICK_CASES = ("tiny",)
@@ -70,6 +71,9 @@ class BenchRecord:
     median_s: float
     iqr_s: float
     n_samples: int
+    #: the per-repeat seconds the median and IQR summarize (what
+    #: ``repro compare`` judges)
+    samples_s: Tuple[float, ...]
     #: half-list pair throughput; only the ``total`` phase carries it
     pairs_per_s: Optional[float] = None
     #: resolved kernel tier the cell ran on
@@ -138,12 +142,12 @@ class _SweepCell:
     def record(
         self,
         phase: str,
-        median_s: float,
-        iqr_s: float,
-        n_samples: int,
+        samples_s: Sequence[float],
         throughput: bool = False,
     ) -> BenchRecord:
-        """This cell's record for ``phase`` (``throughput`` adds pairs/s)."""
+        """This cell's record for ``phase`` from its per-repeat seconds
+        (``throughput`` adds pairs/s)."""
+        median_s, iqr_s = median_iqr(samples_s)
         return BenchRecord(
             case=self.case,
             strategy=self.strategy,
@@ -152,7 +156,8 @@ class _SweepCell:
             phase=phase,
             median_s=median_s,
             iqr_s=iqr_s,
-            n_samples=n_samples,
+            n_samples=len(samples_s),
+            samples_s=tuple(samples_s),
             pairs_per_s=(
                 self.n_pairs / median_s if throughput and median_s > 0 else None
             ),
@@ -233,18 +238,12 @@ def bench_forces(
         _sweep_cells(cases, strategies, backends, n_workers, on_skip)
     ) as cells:
         for cell in cells:
-            stats = measure(
-                cell.tracer, cell.compute, warmup=warmup, repeats=repeats
-            )
-            for phase in phase_names(stats):
-                s = stats[phase]
+            measure(cell.tracer, cell.compute, warmup=warmup, repeats=repeats)
+            samples = phase_samples(cell.tracer.spans)
+            for phase in phase_names(samples):
                 records.append(
                     cell.record(
-                        phase,
-                        s.median_s,
-                        s.iqr_s,
-                        s.n_samples,
-                        throughput=phase == "total",
+                        phase, samples[phase], throughput=phase == "total"
                     )
                 )
     return records
@@ -276,8 +275,6 @@ def bench_steps(
     """
     import time
 
-    from repro.utils.timers import median_iqr
-
     if steps < 2:
         raise ValueError("steps mode needs at least 2 steps")
     records: List[BenchRecord] = []
@@ -290,12 +287,9 @@ def bench_steps(
                 start = time.perf_counter()
                 cell.compute()
                 times.append(time.perf_counter() - start)
-            med, iqr = median_iqr(times[1:])
-            records.append(cell.record(PHASE_FIRST_STEP, times[0], 0.0, 1))
+            records.append(cell.record(PHASE_FIRST_STEP, times[:1]))
             records.append(
-                cell.record(
-                    PHASE_AMORTIZED, med, iqr, len(times) - 1, throughput=True
-                )
+                cell.record(PHASE_AMORTIZED, times[1:], throughput=True)
             )
     return records
 
@@ -387,8 +381,7 @@ def bench_payload(
     n_threads: Optional[int] = None,
     meta: Optional[Mapping[str, object]] = None,
 ) -> Dict[str, object]:
-    """The ``repro-bench-v2`` payload for ``records`` (also what the
-    history store ingests without a file round-trip).
+    """The ``repro-bench-v2`` payload for ``records``.
 
     The ``meta`` block (hostname, CPU count, thread count, Python/NumPy
     versions, git SHA, the process's kernel tier) makes bench artifacts

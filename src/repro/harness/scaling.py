@@ -33,13 +33,11 @@ per-worker CPU tracks of the :class:`~repro.obs.resources.ResourceSampler`:
 
 Each fraction is expressed relative to the core-second budget
 ``p * T(p)``, so ``efficiency + losses`` accounts for the whole budget.
-Every sweep point becomes one record; ``repro scale`` appends them as a
-``kind:"scaling"`` entry to the history store (pre-existing readers
-filter by kind and are unaffected) and writes a run directory
-(:mod:`repro.obs.rundir`) — ``trace.json`` with resource counter tracks
-merged in plus the ``metrics``, ``scaling`` and ``health`` artifacts —
-which ``repro report`` renders as an efficiency-curve +
-loss-attribution panel.
+Every sweep point becomes one record; ``repro scale`` writes them, and
+nothing else, into its run directory (:mod:`repro.obs.rundir`) —
+``trace.json`` with resource counter tracks merged in plus the
+``metrics``, ``scaling`` and ``health`` artifacts — which ``repro
+report`` renders as an efficiency-curve + loss-attribution panel.
 """
 
 from __future__ import annotations
@@ -120,7 +118,7 @@ class ScalePoint:
         )
 
     def to_record(self) -> Dict[str, object]:
-        """Flat history/scaling.json record (spans stay in trace.json)."""
+        """Flat scaling.json record (spans stay in trace.json)."""
         record: Dict[str, object] = {
             "case": self.case,
             "strategy": self.strategy,
@@ -157,7 +155,6 @@ class ScaleReport:
     metrics_path: Optional[str] = None
     scaling_path: Optional[str] = None
     health_path: Optional[str] = None
-    store_path: Optional[str] = None
 
     def records(self) -> List[Dict[str, object]]:
         return [p.to_record() for p in self.points]
@@ -289,7 +286,6 @@ def run_scale(
     workers: Sequence[int] = DEFAULT_WORKERS,
     steps: int = 3,
     output_dir: Optional[str] = None,
-    store_path: Optional[str] = None,
     sample_resources: bool = True,
     sample_interval_s: float = 0.05,
     on_skip: Optional[Callable[[str], None]] = None,
@@ -365,8 +361,8 @@ def run_scale(
                 spans=spans,
             )
         )
-    meta = collect_run_meta()
     if output_dir is not None:
+        meta = collect_run_meta()
         report.trace_path, report.metrics_path, report.health_path = (
             write_run_artifacts(
                 output_dir, report.span_groups(), registry, meta
@@ -376,10 +372,4 @@ def run_scale(
         write_payload(
             report.scaling_path, payload("scaling", report.records(), meta)
         )
-    if store_path is not None and report.points:
-        from repro.obs.history import RunStore
-
-        store = RunStore(store_path)
-        store.append_records("scaling", report.records(), meta=meta)
-        report.store_path = store.path
     return report

@@ -84,7 +84,6 @@ class TraceReport:
     metrics_path: Optional[str] = None
     runlog_path: Optional[str] = None
     health_path: Optional[str] = None
-    store_path: Optional[str] = None
 
     def span_groups(self) -> List[Tuple[str, Sequence[Span]]]:
         return [(run.label, run.spans) for run in self.runs]
@@ -357,7 +356,6 @@ def run_trace(
     steps: int = 2,
     output_dir: Optional[str] = None,
     on_skip: Optional[Callable[[str], None]] = None,
-    store_path: Optional[str] = None,
     sample_resources: bool = False,
     sample_interval_s: float = 0.05,
 ) -> TraceReport:
@@ -366,11 +364,9 @@ def run_trace(
     With ``output_dir`` set, writes ``trace.json`` and the ``metrics``,
     ``runlog`` and ``health`` artifacts (:mod:`repro.obs.rundir`) there,
     creating the directory, and records the paths on the returned
-    report.  With ``store_path`` set, the same three streams are also
-    appended to that performance-history store
-    (:class:`~repro.obs.history.RunStore`).  With ``sample_resources``,
-    a :class:`~repro.obs.resources.ResourceSampler` co-runs with every
-    cell and its CPU/RSS/context-switch/shm counter tracks merge into
+    report.  With ``sample_resources``, a
+    :class:`~repro.obs.resources.ResourceSampler` co-runs with every cell
+    and its CPU/RSS/context-switch/shm counter tracks merge into
     ``trace.json`` (summaries into the metrics and health streams).
     """
     if steps < 1:
@@ -417,15 +413,4 @@ def run_trace(
                 output_dir, report.span_groups(), registry, meta
             )
         )
-    if store_path is not None:
-        from repro.obs.history import RunStore
-
-        store = RunStore(store_path)
-        for kind, records in (
-            ("metrics", [r.to_dict() for r in registry.records()]),
-            ("runlog", run_log.records),
-            ("health", get_recorder().records()),
-        ):
-            store.append_records(kind, records, meta=meta)
-        report.store_path = store.path
     return report

@@ -22,30 +22,23 @@ surface the analysis and profiling layers already use.  Four pieces:
   :meth:`~repro.obs.health.HealthMonitor.snapshot` API behind
   ``repro doctor`` / ``repro health``.
 
-On top of the per-run artifacts, the performance-history layer compares
-runs over time:
+On top of the per-run artifacts, the comparison layer reads runs back:
 
 * :mod:`repro.obs.rundir` — the run directory: the one table of artifact
   kinds, file names and schema tags, with its writer and its reader;
-* :mod:`repro.obs.history` — :class:`RunStore`, the append-only
-  ``history.jsonl`` trajectory of ingested artifacts;
-* :mod:`repro.obs.regress` — median/IQR regression verdicts
-  (``repro compare``);
+* :mod:`repro.obs.regress` — the one verdict rule over per-repeat
+  samples that judges run B against run A (``repro compare A B``);
 * :mod:`repro.obs.report` — the self-contained HTML dashboard + terminal
   summary (``repro report``);
 * :mod:`repro.obs.atomicio` — tmp-file + ``os.replace`` write helpers
   every exporter funnels through.
 
 ``repro trace`` (:mod:`repro.harness.tracing`) drives the per-run
-artifacts; ``repro bench --store`` / ``repro trace --store`` feed the
-history.
+artifacts; "how does this run compare to the last one" is a comparison
+of two run directories, not a store.
 """
 
-from repro.obs.atomicio import (
-    atomic_append_text,
-    atomic_write,
-    atomic_write_text,
-)
+from repro.obs.atomicio import atomic_write, atomic_write_text
 from repro.obs.health import (
     HealthMonitor,
     InvariantThresholds,
@@ -67,7 +60,6 @@ from repro.obs.exporters import (
     to_chrome_trace,
     write_trace_json,
 )
-from repro.obs.history import HistoryEntry, RunKey, RunStore
 from repro.obs.metrics import (
     MetricRecord,
     MetricsRegistry,
@@ -79,8 +71,8 @@ from repro.obs.metrics import (
 from repro.obs.regress import (
     CellVerdict,
     RegressionReport,
-    compare_entries,
     compare_payloads,
+    verdict,
 )
 from repro.obs.report import (
     ReportData,
@@ -110,7 +102,6 @@ from repro.obs.tracer import (
 )
 
 __all__ = [
-    "atomic_append_text",
     "atomic_write",
     "atomic_write_text",
     "HEALTH_SCHEMA_VERSION",
@@ -125,13 +116,10 @@ __all__ = [
     "set_recorder",
     "uninstall_excepthook",
     "validate_health_records",
-    "HistoryEntry",
-    "RunKey",
-    "RunStore",
     "CellVerdict",
     "RegressionReport",
-    "compare_entries",
     "compare_payloads",
+    "verdict",
     "ReportData",
     "load_report_source",
     "render_html",

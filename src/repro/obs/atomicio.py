@@ -1,8 +1,8 @@
 """Atomic file writes: tmp file in the target directory + ``os.replace``.
 
 Every exporter in the observability layer (``trace.json``,
-``metrics.jsonl``, ``run.jsonl``, ``BENCH_*.json``, the history store and
-``report.html``) funnels through these helpers so an interrupted run can
+``metrics.jsonl``, ``run.jsonl``, ``BENCH_*.json`` and ``report.html``)
+funnels through these helpers so an interrupted run can
 never leave a truncated artifact at the final path: readers either see
 the previous complete file or the new complete file, never a partial
 write.  The tmp file lives next to the target (same filesystem) so the
@@ -12,12 +12,11 @@ final ``os.replace`` is a single atomic rename.
 from __future__ import annotations
 
 import os
-import shutil
 import tempfile
 from contextlib import contextmanager
 from typing import Iterator, TextIO
 
-__all__ = ["atomic_write", "atomic_write_text", "atomic_append_text"]
+__all__ = ["atomic_write", "atomic_write_text"]
 
 
 @contextmanager
@@ -52,34 +51,3 @@ def atomic_write_text(path, text: str, encoding: str = "utf-8") -> None:
     """Atomically replace ``path`` with ``text``."""
     with atomic_write(path, encoding=encoding) as handle:
         handle.write(text)
-
-
-def atomic_append_text(path, text: str, encoding: str = "utf-8") -> None:
-    """Atomically append ``text`` to ``path`` (copy + append + replace).
-
-    Append-only artifacts (the history store) cannot stream through a bare
-    ``open(..., "a")`` without risking a torn tail on interruption, so the
-    existing content is copied to a tmp file, the new text appended there,
-    and the tmp renamed over the original.  O(file size) per append — the
-    history store is small (one line per ingested artifact).
-    """
-    target = os.fspath(path)
-    directory = os.path.dirname(target) or "."
-    fd, tmp = tempfile.mkstemp(
-        prefix=os.path.basename(target) + ".", suffix=".tmp", dir=directory
-    )
-    os.close(fd)
-    try:
-        if os.path.exists(target):
-            shutil.copyfile(target, tmp)
-        with open(tmp, "a", encoding=encoding) as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, target)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise

@@ -344,7 +344,7 @@ class HealthMonitor:
         }
 
     def summary_fields(self) -> Dict[str, object]:
-        """Compact summary for run-log meta / history records."""
+        """Compact summary for run-log meta records."""
         counts = self.recorder.counts()
 
         def total(category: str, min_severity: str = "debug") -> int:

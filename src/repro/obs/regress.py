@@ -1,108 +1,163 @@
-"""Statistical regression detection over bench medians and IQRs.
+"""One verdict rule for "is run B worse than run A?" over bench repeats.
 
-``repro bench`` reports per-cell medians with interquartile ranges; this
-module turns a (baseline, candidate) pair of such payloads into
-per-(case, strategy, backend, workers) verdicts:
+``repro compare BASELINE CANDIDATE`` joins the two ``repro-bench``
+payloads cell by cell — (case, strategy, backend, n_workers, kernel
+tier, phase) — and judges each pair of per-repeat sample lists
+(``samples_s``) with :func:`verdict`, the rule of the step benchmark's
+``compare.py``, term for term:
 
-* ``regressed`` — the candidate median is slower than the baseline by
-  more than the relative threshold *and* the two half-IQR bands do not
-  overlap (the slowdown is outside run-to-run noise);
-* ``improved`` — the mirror image (faster, outside noise);
-* ``unchanged`` — inside the threshold or inside the noise bands;
-* ``no-baseline`` — the candidate measured a cell the baseline lacks.
+* ``regression`` — B's median is worse than A's by more than ``bound``;
+* ``unresolved`` — either side's quartile spread (q3 - q1 over the
+  median) is wider than ``bound``, so "no change" cannot be told from a
+  change of the bound's size — unless every B repeat beats every A
+  repeat;
+* ``improved`` — every B repeat beats every A repeat;
+* ``unchanged`` — otherwise.
 
-The overlap test brackets each median by half its IQR
-(``[median - iqr/2, median + iqr/2]`` — the quartile band): two runs
-whose quartile bands overlap cannot be distinguished by the median alone,
-so the gate never fails on them regardless of the relative change.  A
-cell with zero IQR on both sides degenerates to the pure threshold test.
-
-Only ``total``-phase rows gate by default (``gate_phases``); per-phase
-rows still get verdicts for the report, they just cannot fail the build.
+A candidate cell the baseline lacks is ``no-baseline``.  Only
+``total``-phase regressions fail the comparison (exit 1); the per-phase
+rows are reported beside them.  The bound is :data:`BOUND`.
 """
 
 from __future__ import annotations
 
+import math
+import statistics
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.obs.history import HistoryEntry, RunKey, bench_cells
-
 __all__ = [
-    "DEFAULT_THRESHOLD",
+    "BOUND",
     "CellVerdict",
     "RegressionReport",
-    "compare_entries",
     "compare_payloads",
-    "iqr_bands_overlap",
+    "quartiles",
+    "verdict",
 ]
 
-#: default relative median-slowdown gate (10%)
-DEFAULT_THRESHOLD = 0.10
+#: relative worsening of the median (and quartile spread) that decides
+BOUND = 0.10
 
+REGRESSION = "regression"
+UNRESOLVED = "unresolved"
 IMPROVED = "improved"
-REGRESSED = "regressed"
 UNCHANGED = "unchanged"
 NO_BASELINE = "no-baseline"
 
+#: the record fields one compared cell is keyed by, in label order
+KEY_FIELDS = (
+    "case", "strategy", "backend", "n_workers", "kernel_tier", "phase"
+)
 
-def iqr_bands_overlap(
-    median_a: float, iqr_a: float, median_b: float, iqr_b: float
-) -> bool:
-    """True when the half-IQR bands around the two medians intersect."""
-    lo_a, hi_a = median_a - iqr_a / 2.0, median_a + iqr_a / 2.0
-    lo_b, hi_b = median_b - iqr_b / 2.0, median_b + iqr_b / 2.0
-    return lo_a <= hi_b and lo_b <= hi_a
+Key = Tuple[object, ...]
+Quartiles = Tuple[float, float, float]
+
+
+def quartiles(values: Sequence[float]) -> Quartiles:
+    """(q1, median, q3); a single repeat is its own quartiles."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return q1, q2, q3
+
+
+def _spread(q: Quartiles) -> float:
+    """Quartile distance over the median (unbounded for a zero median
+    with any spread at all)."""
+    if q[1] == 0.0:
+        return 0.0 if q[2] == q[0] else math.inf
+    return (q[2] - q[0]) / q[1]
+
+
+def verdict(
+    a: Sequence[float], b: Sequence[float], better: str, bound: float
+) -> str:
+    """Judge repeats ``b`` against baseline repeats ``a``.
+
+    ``better`` is ``"lower"`` or ``"higher"``.  A zero baseline median
+    (a ``color-barrier`` row clamped at zero) has no relative change:
+    both medians zero is ``unchanged``, otherwise the direction decides.
+    """
+    qa, qb = quartiles(a), quartiles(b)
+    sign = 1.0 if better == "lower" else -1.0
+    change = sign * (qb[1] - qa[1])
+    if qa[1] == 0.0:
+        if change == 0.0:
+            return UNCHANGED
+        return REGRESSION if change > 0.0 else IMPROVED
+    if change / qa[1] > bound:
+        return REGRESSION
+    all_better = all(sign * (y - x) < 0 for x in a for y in b)
+    if max(_spread(qa), _spread(qb)) > bound and not all_better:
+        return UNRESOLVED
+    return IMPROVED if all_better else UNCHANGED
+
+
+def _index_samples(
+    records: Sequence[Mapping[str, object]], source: str
+) -> Dict[Key, List[float]]:
+    """Per-repeat seconds of each bench record, by cell key.
+
+    A record without the key fields or without ``samples_s`` raises
+    ``ValueError`` naming ``source``.
+    """
+    cells: Dict[Key, List[float]] = {}
+    for index, record in enumerate(records):
+        missing = [
+            name for name in (*KEY_FIELDS, "samples_s") if name not in record
+        ]
+        if missing or not record["samples_s"]:
+            raise ValueError(
+                f"{source}: record {index} has no "
+                f"{', '.join(missing) or 'samples in samples_s'} "
+                "(re-run repro bench: compare judges per-repeat samples)"
+            )
+        key = tuple(record[name] for name in KEY_FIELDS)
+        cells[key] = [float(s) for s in record["samples_s"]]  # type: ignore[union-attr]
+    return cells
 
 
 @dataclass(frozen=True)
 class CellVerdict:
     """The comparison outcome of one (sweep cell, phase)."""
 
-    case: str
-    strategy: str
-    backend: str
-    n_workers: int
-    phase: str
+    key: Key
     verdict: str
-    candidate_median_s: float
-    candidate_iqr_s: float
-    baseline_median_s: Optional[float] = None
-    baseline_iqr_s: Optional[float] = None
-    #: (candidate - baseline) / baseline; None without a baseline
-    rel_change: Optional[float] = None
-    #: True when this verdict participates in the exit-code gate
-    gated: bool = False
-    #: resolved kernel tier of the measurement series
-    kernel_tier: str = "numpy"
+    candidate: Quartiles
+    baseline: Optional[Quartiles] = None
+
+    @property
+    def phase(self) -> str:
+        return str(self.key[-1])
+
+    @property
+    def gated(self) -> bool:
+        """Whether a regression here fails the comparison."""
+        return self.phase == "total"
 
     @property
     def label(self) -> str:
-        base = (
-            f"{self.case}/{self.strategy}/{self.backend}"
-            f"/w{self.n_workers}"
-        )
-        # the numpy tier is the historical default; only non-default
-        # tiers are called out so pre-tier baselines keep their labels
-        if self.kernel_tier != "numpy":
-            return f"{base}/{self.kernel_tier}"
-        return base
+        """``case/strategy/backend/wN/tier`` of the cell."""
+        case, strategy, backend, workers, tier = self.key[:5]
+        return f"{case}/{strategy}/{backend}/w{workers}/{tier}"
+
+    @property
+    def ratio(self) -> Optional[float]:
+        """Candidate median over baseline median (None without one)."""
+        if self.baseline is None or self.baseline[1] == 0.0:
+            return None
+        return self.candidate[1] / self.baseline[1]
 
     def to_dict(self) -> Dict[str, object]:
         return {
-            "case": self.case,
-            "strategy": self.strategy,
-            "backend": self.backend,
-            "n_workers": self.n_workers,
-            "kernel_tier": self.kernel_tier,
-            "phase": self.phase,
+            **dict(zip(KEY_FIELDS, self.key)),
             "verdict": self.verdict,
-            "candidate_median_s": self.candidate_median_s,
-            "candidate_iqr_s": self.candidate_iqr_s,
-            "baseline_median_s": self.baseline_median_s,
-            "baseline_iqr_s": self.baseline_iqr_s,
-            "rel_change": self.rel_change,
             "gated": self.gated,
+            "candidate_quartiles_s": list(self.candidate),
+            "baseline_quartiles_s": (
+                list(self.baseline) if self.baseline is not None else None
+            ),
+            "ratio": self.ratio,
         }
 
 
@@ -111,23 +166,19 @@ class RegressionReport:
     """All cell verdicts of one candidate-vs-baseline comparison."""
 
     verdicts: List[CellVerdict] = field(default_factory=list)
-    threshold: float = DEFAULT_THRESHOLD
     baseline_sha: Optional[str] = None
     candidate_sha: Optional[str] = None
 
-    def of_verdict(self, verdict: str) -> List[CellVerdict]:
-        return [v for v in self.verdicts if v.verdict == verdict]
-
     @property
-    def hard_regressions(self) -> List[CellVerdict]:
-        """Gated cells that regressed — these fail the build (exit 1)."""
+    def regressions(self) -> List[CellVerdict]:
+        """Gated cells that regressed — these fail the comparison."""
         return [
-            v for v in self.verdicts if v.gated and v.verdict == REGRESSED
+            v for v in self.verdicts if v.gated and v.verdict == REGRESSION
         ]
 
     @property
     def exit_code(self) -> int:
-        return 1 if self.hard_regressions else 0
+        return 1 if self.regressions else 0
 
     def counts(self) -> Dict[str, int]:
         out: Dict[str, int] = {}
@@ -137,42 +188,39 @@ class RegressionReport:
 
     def to_dict(self) -> Dict[str, object]:
         return {
-            "schema": "repro-compare-v1",
-            "threshold": self.threshold,
+            "schema": "repro-compare-v2",
+            "bound": BOUND,
             "baseline_sha": self.baseline_sha,
             "candidate_sha": self.candidate_sha,
             "counts": self.counts(),
-            "hard_regressions": len(self.hard_regressions),
+            "regressions": len(self.regressions),
             "verdicts": [v.to_dict() for v in self.verdicts],
         }
 
-    def render(self, gated_only: bool = False) -> str:
+    def render(self) -> str:
         """Terminal comparison table, gated (``total``) rows first."""
-        rows = [v for v in self.verdicts if v.gated or not gated_only]
-        if not rows:
+        if not self.verdicts:
             return "(no comparable cells)"
-        rows.sort(key=lambda v: (not v.gated, v.label, v.phase))
+        rows = sorted(
+            self.verdicts, key=lambda v: (not v.gated, v.label, v.phase)
+        )
+
+        def band(q: Optional[Quartiles]) -> str:
+            if q is None:
+                return "-"
+            return f"{q[1] * 1e3:.4f} [{q[0] * 1e3:.4f},{q[2] * 1e3:.4f}]"
+
         header = (
-            f"{'cell':<34} {'phase':<16} {'baseline':>12} "
-            f"{'candidate':>12} {'change':>8}  verdict"
+            f"{'cell':<38} {'phase':<16} {'A ms median [q1,q3]':>30} "
+            f"{'B ms median [q1,q3]':>30} {'B/A':>7}  verdict"
         )
         lines = [header, "-" * len(header)]
         for v in rows:
-            base = (
-                f"{v.baseline_median_s:.6f} s"
-                if v.baseline_median_s is not None
-                else "-"
-            )
-            change = (
-                f"{v.rel_change * 100:+.1f}%"
-                if v.rel_change is not None
-                else "-"
-            )
-            mark = " <-- FAIL" if v.gated and v.verdict == REGRESSED else ""
+            ratio = f"{v.ratio:.3f}" if v.ratio is not None else "-"
+            mark = " <-- FAIL" if v.gated and v.verdict == REGRESSION else ""
             lines.append(
-                f"{v.label:<34} {v.phase:<16} {base:>12} "
-                f"{v.candidate_median_s:>10.6f} s {change:>8}  "
-                f"{v.verdict}{mark}"
+                f"{v.label:<38} {v.phase:<16} {band(v.baseline):>30} "
+                f"{band(v.candidate):>30} {ratio:>7}  {v.verdict}{mark}"
             )
         counts = self.counts()
         summary = ", ".join(f"{counts[k]} {k}" for k in sorted(counts))
@@ -180,117 +228,44 @@ class RegressionReport:
         lines.append("")
         lines.append(
             f"baseline {sha(self.baseline_sha)} vs candidate "
-            f"{sha(self.candidate_sha)} (threshold "
-            f"{self.threshold * 100:.0f}%): {summary}"
+            f"{sha(self.candidate_sha)} (bound {BOUND * 100:.0f}%): "
+            f"{summary}"
         )
-        if self.hard_regressions:
+        if self.regressions:
             lines.append(
-                f"{len(self.hard_regressions)} hard regression(s) on gated "
-                f"total-phase cells"
+                f"{len(self.regressions)} regression(s) on total-phase cells"
             )
         return "\n".join(lines)
 
 
-def _classify(
-    baseline: Mapping[str, object],
-    candidate: Mapping[str, object],
-    threshold: float,
-) -> Tuple[str, float]:
-    base_m = float(baseline["median_s"])  # type: ignore[arg-type]
-    base_iqr = float(baseline.get("iqr_s", 0.0))  # type: ignore[arg-type]
-    cand_m = float(candidate["median_s"])  # type: ignore[arg-type]
-    cand_iqr = float(candidate.get("iqr_s", 0.0))  # type: ignore[arg-type]
-    if base_m <= 0.0:
-        return UNCHANGED, 0.0
-    rel = (cand_m - base_m) / base_m
-    if abs(rel) <= threshold + 1e-12:
-        return UNCHANGED, rel
-    if iqr_bands_overlap(base_m, base_iqr, cand_m, cand_iqr):
-        return UNCHANGED, rel
-    return (REGRESSED if rel > 0 else IMPROVED), rel
-
-
-def compare_entries(
-    baseline: HistoryEntry,
-    candidate: HistoryEntry,
-    threshold: float = DEFAULT_THRESHOLD,
-    gate_phases: Sequence[str] = ("total",),
-) -> RegressionReport:
-    """Compare two bench history entries cell by cell."""
-    base_cells = {
-        (key.series(), phase): record
-        for (key, phase), record in bench_cells(baseline).items()
-    }
-    report = RegressionReport(
-        threshold=threshold,
-        baseline_sha=baseline.git_sha,
-        candidate_sha=candidate.git_sha,
-    )
-    for (key, phase), record in sorted(
-        bench_cells(candidate).items(),
-        key=lambda kv: (kv[0][0].series(), kv[0][1]),
-    ):
-        gated = phase in gate_phases
-        base = base_cells.get((key.series(), phase))
-        cand_m = float(record["median_s"])  # type: ignore[arg-type]
-        cand_iqr = float(record.get("iqr_s", 0.0))  # type: ignore[arg-type]
-        if base is None:
-            report.verdicts.append(
-                CellVerdict(
-                    case=key.case,
-                    strategy=key.strategy,
-                    backend=key.backend,
-                    n_workers=key.n_workers,
-                    phase=phase,
-                    verdict=NO_BASELINE,
-                    candidate_median_s=cand_m,
-                    candidate_iqr_s=cand_iqr,
-                    gated=gated,
-                    kernel_tier=key.kernel_tier,
-                )
-            )
-            continue
-        verdict, rel = _classify(base, record, threshold)
-        report.verdicts.append(
-            CellVerdict(
-                case=key.case,
-                strategy=key.strategy,
-                backend=key.backend,
-                n_workers=key.n_workers,
-                phase=phase,
-                verdict=verdict,
-                candidate_median_s=cand_m,
-                candidate_iqr_s=cand_iqr,
-                kernel_tier=key.kernel_tier,
-                baseline_median_s=float(base["median_s"]),  # type: ignore[arg-type]
-                baseline_iqr_s=float(base.get("iqr_s", 0.0)),  # type: ignore[arg-type]
-                rel_change=rel,
-                gated=gated,
-            )
-        )
-    return report
+def _sha(payload: Mapping[str, object]) -> Optional[str]:
+    sha = dict(payload.get("meta", {})).get("git_sha")  # type: ignore[arg-type]
+    return sha if isinstance(sha, str) else None
 
 
 def compare_payloads(
     baseline: Mapping[str, object],
     candidate: Mapping[str, object],
-    threshold: float = DEFAULT_THRESHOLD,
-    gate_phases: Sequence[str] = ("total",),
+    baseline_source: str = "baseline",
+    candidate_source: str = "candidate",
 ) -> RegressionReport:
-    """Compare two raw ``repro-bench-v2`` payloads (file contents)."""
+    """Judge every candidate cell of two ``repro-bench`` payloads.
 
-    def entry(payload: Mapping[str, object], seq: int) -> HistoryEntry:
-        return HistoryEntry(
-            seq=seq,
-            kind="bench",
-            source="",
-            meta=dict(payload.get("meta", {})),  # type: ignore[arg-type]
-            records=list(payload.get("records", [])),  # type: ignore[arg-type]
-        )
-
-    return compare_entries(
-        entry(baseline, 0),
-        entry(candidate, 1),
-        threshold=threshold,
-        gate_phases=gate_phases,
+    Bench rows are seconds, so lower is better; the bound is
+    :data:`BOUND`.  The ``*_source`` names label ``ValueError`` messages.
+    """
+    base = _index_samples(baseline["records"], baseline_source)  # type: ignore[arg-type]
+    cand = _index_samples(candidate["records"], candidate_source)  # type: ignore[arg-type]
+    report = RegressionReport(
+        baseline_sha=_sha(baseline), candidate_sha=_sha(candidate)
     )
+    for key, b in cand.items():
+        a = base.get(key)
+        if a is None:
+            cell = CellVerdict(key, NO_BASELINE, quartiles(b))
+        else:
+            cell = CellVerdict(
+                key, verdict(a, b, "lower", BOUND), quartiles(b), quartiles(a)
+            )
+        report.verdicts.append(cell)
+    return report

@@ -1,7 +1,7 @@
 """Self-contained HTML performance dashboard (inline SVG, no deps).
 
-``repro report`` renders one static page from the run artifacts and the
-history store:
+``repro report`` renders one static page from the artifacts of one run
+directory:
 
 * **speedup panel** — speedup-vs-threads curves per strategy × backend,
   normalized to the serial/serial cell of the same case (the Fig. 5–9
@@ -12,10 +12,6 @@ history store:
 * **imbalance panel** — the measured load-imbalance ratios, barrier
   slack, and halo fraction already computed by
   :class:`~repro.obs.metrics.MetricsRegistry`;
-* **trend panel** — run-over-run total-median sparklines from the
-  :class:`~repro.obs.history.RunStore`;
-* **regressions panel** — the verdict table of ``repro compare`` when a
-  comparison was run;
 * **health panel** — the flight-recorder digest from ``health.jsonl``
   (event counts per category/severity, engine restarts, physics
   invariant breaches);
@@ -42,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.atomicio import atomic_write_text
-from repro.obs.history import HistoryEntry, RunStore, bench_series
 from repro.obs.metrics import imbalance_rows
 from repro.obs.recorder import health_digest
 from repro.obs.rundir import read_run_dir
@@ -89,12 +84,6 @@ class ReportData:
     runlog_records: List[Dict[str, object]] = field(default_factory=list)
     #: health.jsonl stream: the ``health-meta`` header + event records
     health_records: List[Dict[str, object]] = field(default_factory=list)
-    #: (case, strategy, backend, n_workers, kernel_tier) ->
-    #: [(seq, total median_s)]
-    trend: Dict[
-        Tuple[str, str, str, int, str], List[Tuple[int, float]]
-    ] = field(default_factory=dict)
-    regression: Optional[object] = None  # RegressionReport, kept duck-typed
     source: str = ""
 
     # --- derived views ---------------------------------------------------------
@@ -233,48 +222,22 @@ _RECORD_FIELDS = {
 }
 
 
-def load_report_source(
-    source,
-    store_path: Optional[str] = None,
-    regression: Optional[object] = None,
-) -> ReportData:
-    """Assemble :class:`ReportData` from a directory or a history store.
-
-    A directory source reads the run directory
-    (:func:`~repro.obs.rundir.read_run_dir`) plus ``history.jsonl`` /
-    ``.repro/history.jsonl`` for the trend panel; a ``.jsonl`` file
-    source is treated as a history store and the newest entry of each
-    kind becomes the "current" run.  Either way the environment block
-    is the first one found in table order.
+def load_report_source(source) -> ReportData:
+    """Assemble :class:`ReportData` from one run directory
+    (:func:`~repro.obs.rundir.read_run_dir`); the environment block is
+    the first one found in table order.  Anything but a directory
+    raises ``ValueError``.
     """
     source = os.fspath(source)
-    data = ReportData(source=source, regression=regression)
-    entries: List[HistoryEntry] = []
-    if os.path.isdir(source):
-        found = read_run_dir(source)
-        for candidate in (
-            store_path,
-            os.path.join(source, "history.jsonl"),
-            os.path.join(source, ".repro", "history.jsonl"),
-        ):
-            if candidate is not None and os.path.exists(candidate):
-                entries = RunStore(candidate).entries()
-                break
-    else:
-        entries = RunStore(
-            store_path if store_path is not None else source
-        ).entries()
-        found = {e.kind: (e.meta, e.records) for e in entries}
+    if not os.path.isdir(source):
+        raise ValueError(f"{source}: not a run directory")
+    data = ReportData(source=source)
+    found = read_run_dir(source)
     for kind, attr in _RECORD_FIELDS.items():
         meta, records = found.get(kind, ({}, []))
         setattr(data, attr, records)
         if not data.meta:
             data.meta = dict(meta)
-    bench = [e for e in entries if e.kind == "bench"]
-    for key, points in bench_series(bench).items():
-        data.trend[key] = [
-            (seq, float(r["median_s"])) for seq, r in points if "median_s" in r
-        ]
     return data
 
 
@@ -434,41 +397,6 @@ def _svg_hbar_chart(
     return "".join(parts)
 
 
-def _svg_sparkline(
-    points: Sequence[Tuple[int, float]], width: int = 150, height: int = 34
-) -> str:
-    """One trend sparkline; last point marked."""
-    if not points:
-        return '<span class="muted">-</span>'
-    xs = [float(x) for x, _ in points]
-    ys = [y for _, y in points]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    pad = 5
-
-    def sx(x: float) -> float:
-        span = (x_hi - x_lo) or 1.0
-        return pad + (x - x_lo) / span * (width - 2 * pad)
-
-    def sy(y: float) -> float:
-        span = (y_hi - y_lo) or 1.0
-        return pad + (height - 2 * pad) * (1.0 - (y - y_lo) / span)
-
-    coords = " ".join(
-        f"{sx(x):.1f},{sy(y):.1f}" for x, y in zip(xs, ys)
-    )
-    return (
-        f'<svg class="spark" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" '
-        f'xmlns="http://www.w3.org/2000/svg" role="img">'
-        f'<polyline class="line s0" points="{coords}" fill="none" />'
-        f'<circle class="dot s0" cx="{sx(xs[-1]):.1f}" '
-        f'cy="{sy(ys[-1]):.1f}" r="3">'
-        f"<title>latest: {_fmt(ys[-1])} s</title></circle>"
-        f"</svg>"
-    )
-
-
 def _legend(labels: Sequence[str]) -> str:
     if len(labels) < 2:
         return ""
@@ -480,21 +408,13 @@ def _legend(labels: Sequence[str]) -> str:
     return f'<div class="legend">{items}</div>'
 
 
-class _Markup(str):
-    """A table cell that is already XHTML (a sparkline): the page embeds
-    it unescaped, the text summary leaves its column out."""
-
-
 def _table(
     headers: Sequence[str], rows: Sequence[Sequence[object]]
 ) -> str:
     head = "".join(f"<th>{_esc(h)}</th>" for h in headers)
     body = "".join(
         "<tr>"
-        + "".join(
-            f"<td>{c if isinstance(c, _Markup) else _esc(c)}</td>"
-            for c in row
-        )
+        + "".join(f"<td>{_esc(c)}</td>" for c in row)
         + "</tr>"
         for row in rows
     )
@@ -547,42 +467,6 @@ def _cell_label(r: Mapping[str, object], workers: bool = True) -> str:
 
 def _ms(seconds: object) -> str:
     return f"{float(seconds) * 1e3:.3f} ms"  # type: ignore[arg-type]
-
-
-def _regression_panel(data: ReportData) -> Optional[Panel]:
-    report = data.regression
-    if report is None:
-        return None
-    counts = report.counts()
-    summary = ", ".join(f"{counts[k]} {k}" for k in sorted(counts))
-    n_hard = len(report.hard_regressions)
-    verdict = f"{n_hard} hard regression(s)" if n_hard else "no hard regressions"
-    return Panel(
-        "panel-regressions",
-        "Regression verdicts",
-        status=(
-            "bad" if n_hard else "good",
-            f"{verdict} — {summary} (threshold "
-            f"{report.threshold * 100:.0f}% on gated total-phase cells)",
-        ),
-        headers=("cell", "phase", "baseline", "candidate", "change", "verdict"),
-        rows=[
-            (
-                v.label,
-                v.phase,
-                _ms(v.baseline_median_s)
-                if v.baseline_median_s is not None
-                else "-",
-                _ms(v.candidate_median_s),
-                f"{v.rel_change * 100:+.1f}%"
-                if v.rel_change is not None
-                else "-",
-                v.verdict,
-            )
-            for v in report.verdicts
-            if v.gated
-        ],
-    )
 
 
 def _speedup_panel(data: ReportData) -> Panel:
@@ -834,36 +718,6 @@ def _health_panel(data: ReportData, top: int) -> Optional[Panel]:
     )
 
 
-#: the fields of a trend key (:meth:`~repro.obs.history.RunKey.series`)
-_SERIES_FIELDS = ("case", "strategy", "backend", "n_workers", "kernel_tier")
-
-
-def _trend_panel(data: ReportData) -> Panel:
-    panel = Panel(
-        "panel-trend",
-        "History trend (total medians)",
-        note="Total-phase median per sweep cell across the history store, "
-        "oldest to newest.",
-        headers=("cell", "trend", "runs", "latest total", "vs first"),
-        empty="(history store empty — append runs with repro bench --store)",
-    )
-    for key, points in sorted(data.trend.items()):
-        if not points:
-            continue
-        first, last = points[0][1], points[-1][1]
-        delta = (last - first) / first * 100 if first > 0 else 0.0
-        panel.rows.append(
-            (
-                _cell_label(dict(zip(_SERIES_FIELDS, key))),
-                _Markup(_svg_sparkline(points)),
-                len(points),
-                _ms(last),
-                f"{delta:+.1f}%",
-            )
-        )
-    return panel
-
-
 def _meta_panel(data: ReportData) -> Optional[Panel]:
     if not data.meta:
         return None
@@ -881,14 +735,12 @@ def build_panels(data: ReportData, top: int) -> List[Panel]:
     warning-or-worse health events).
     """
     panels = (
-        _regression_panel(data),
         _speedup_panel(data),
         _scaling_panel(data),
         _strategy_panel(data),
         _amortization_panel(data),
         _imbalance_panel(data, top),
         _health_panel(data, top),
-        _trend_panel(data),
         _meta_panel(data),
     )
     return [panel for panel in panels if panel is not None]
@@ -935,7 +787,7 @@ dt { color: var(--muted); } dd { margin: 0; color: var(--text-2); }
 .chart .axisline { stroke: var(--text-2); stroke-width: 1; }
 .chart .axis, .chart .value { fill: var(--text-2); font-size: 11px; }
 .chart .serieslabel { font-size: 11px; }
-.line { stroke-width: 2; } .spark .line { stroke-width: 1.5; }
+.line { stroke-width: 2; }
 .legend { font-size: 12px; color: var(--text-2); margin-top: 4px; }
 .legenditem { margin-right: 14px; white-space: nowrap; }
 .swatch { display: inline-block; width: 10px; height: 10px;
@@ -949,7 +801,7 @@ def _series_css() -> str:
     rules = []
     for i in range(len(_PALETTE_LIGHT)):
         rules.append(
-            f".line.s{i}, .spark .line.s{i} {{ stroke: var(--c{i}); }}\n"
+            f".line.s{i} {{ stroke: var(--c{i}); }}\n"
             f".dot.s{i}, .bar.s{i}, .swatch.s{i}, text.serieslabel.s{i} "
             f"{{ fill: var(--c{i}); }}"
         )
@@ -1024,18 +876,14 @@ def render_text_summary(data: ReportData, top: int = 8) -> str:
         if panel.status is not None:
             lines.append(f"- {panel.status[1]}")
         for row in panel.rows:
-            first, *rest = (
-                (header, cell)
-                for header, cell in zip(panel.headers, row)
-                if not isinstance(cell, _Markup)
-            )
+            first, *rest = zip(panel.headers, row)
             lines.append(
                 f"- {first[1]}: "
                 + ", ".join(f"{header} {cell}" for header, cell in rest)
             )
         lines.append("")
     if not lines:
-        return "(nothing to report — no bench, metrics, or history data)"
+        return "(nothing to report — no bench or metrics data)"
     return "\n".join(lines).rstrip()
 
 

@@ -2,12 +2,11 @@
 
 Every driver (``repro bench`` / ``trace`` / ``scale`` / ``doctor``) leaves
 its evidence in a directory, and every consumer (``repro report`` /
-``compare`` / ``health``, the history store's ingest) reads one back.
-This module is the only place that knows which files such a directory
-holds: :data:`ARTIFACTS` maps each artifact *kind* — also the history
-store's ``kind`` discriminator — to its file name and its form, either
-a JSON payload ``{"schema", "meta", "records"}`` under a schema tag or a
-JSONL stream of one record per line.
+``compare`` / ``health``) reads one back.  This module is the only place
+that knows which files such a directory holds: :data:`ARTIFACTS` maps
+each artifact *kind* to its file name and its form, either a JSON
+payload ``{"schema", "meta", "records"}`` under a schema tag or a JSONL
+stream of one record per line.
 
 ``trace.json`` is not in the table on purpose: it is a write-only
 Perfetto export nothing in the repo reads back.
@@ -58,7 +57,7 @@ class Artifact:
         return self.schema.rsplit("-v", 1)[0] if self.schema else None
 
 
-#: kind -> artifact, in the order drivers write and the store ingests them
+#: kind -> artifact, in the order drivers write and readers report them
 ARTIFACTS: Dict[str, Artifact] = {
     a.kind: a
     for a in (

@@ -18,7 +18,7 @@ Canonical kinds:
 
 The ``meta`` record carries ``schema_version``
 (:data:`RUNLOG_SCHEMA_VERSION`) so downstream readers (the CI smoke
-checks, the history store) can reject streams written by an incompatible
+checks, ``repro report``) can reject streams written by an incompatible
 layout instead of mis-parsing them.
 
 :func:`collect_run_meta` is also what stamps ``BENCH_*.json``

@@ -164,10 +164,11 @@ PARENT_PHASES = {
 
 
 def _committed_phases():
-    """``{(strategy, backend): phases}`` of the repo's BENCH_forces.json."""
+    """``{(strategy, backend): phases}`` of the BENCH_forces.json fixture
+    beside this file."""
     from pathlib import Path
 
-    path = Path(__file__).resolve().parents[2] / "BENCH_forces.json"
+    path = Path(__file__).resolve().parent / "BENCH_forces.json"
     cells = {}
     for row in json.loads(path.read_text())["records"]:
         cells.setdefault((row["strategy"], row["backend"]), set()).add(row["phase"])

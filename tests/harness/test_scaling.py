@@ -111,7 +111,7 @@ class TestRunScaleValidation:
 
 @pytest.fixture(scope="module")
 def scale_report(tmp_path_factory):
-    """One tiny 1->2-worker sweep, artifacts + history store written."""
+    """One tiny 1->2-worker sweep, its run directory written."""
     out = tmp_path_factory.mktemp("scale")
     report = run_scale(
         case="tiny",
@@ -120,7 +120,6 @@ def scale_report(tmp_path_factory):
         workers=(1, 2),
         steps=2,
         output_dir=str(out / "artifacts"),
-        store_path=str(out / "history.jsonl"),
         sample_interval_s=0.01,
     )
     if not report.points:
@@ -166,17 +165,7 @@ class TestRunScaleRoundTrip:
         check_run_dir(
             os.path.dirname(scale_report.scaling_path),
             {"scaling", "metrics", "health"},
-            store_path=scale_report.store_path,
         )
-
-    def test_history_store_gets_scaling_kind(self, scale_report):
-        from repro.obs.history import RunStore
-
-        store = RunStore(scale_report.store_path)
-        entry = store.latest("scaling")
-        assert entry is not None
-        assert [r["n_workers"] for r in entry.records] == [1, 2]
-        assert all("speedup" in r for r in entry.records)
 
     @pytest.mark.skipif(
         not resources_supported(), reason="no /proc filesystem"
@@ -208,10 +197,7 @@ class TestRunScaleRoundTrip:
             render_text_summary,
         )
 
-        data = load_report_source(
-            os.path.dirname(scale_report.scaling_path),
-            store_path=scale_report.store_path,
-        )
+        data = load_report_source(os.path.dirname(scale_report.scaling_path))
         assert len(data.scaling_records) == 2
         html = render_html(data)
         ET.fromstring(html)  # strict XHTML: must parse as XML

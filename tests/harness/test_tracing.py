@@ -22,7 +22,6 @@ def report(tmp_path_factory) -> TraceReport:
         n_workers=2,
         steps=2,
         output_dir=str(out),
-        store_path=str(out / "history.jsonl"),
     )
 
 
@@ -97,15 +96,10 @@ class TestRunTrace:
         check_run_dir(
             os.path.dirname(report.trace_path),
             {"metrics", "runlog", "health"},
-            store_path=report.store_path,
         )
 
     def test_meta_collected_once_per_invocation(self, tmp_path, git_spawns):
-        run_trace(
-            steps=1,
-            output_dir=str(tmp_path),
-            store_path=str(tmp_path / "history.jsonl"),
-        )
+        run_trace(steps=1, output_dir=str(tmp_path))
         assert len(git_spawns) == 1
 
     def test_in_memory_mode_writes_nothing(self):

@@ -6,11 +6,7 @@ import os
 
 import pytest
 
-from repro.obs.atomicio import (
-    atomic_append_text,
-    atomic_write,
-    atomic_write_text,
-)
+from repro.obs.atomicio import atomic_write, atomic_write_text
 
 
 class TestAtomicWrite:
@@ -49,22 +45,3 @@ class TestAtomicWrite:
         path.write_text("old")
         atomic_write_text(path, "new")
         assert path.read_text() == "new"
-
-
-class TestAtomicAppend:
-    def test_creates_missing_file(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        atomic_append_text(path, "a\n")
-        assert path.read_text() == "a\n"
-
-    def test_appends_to_existing(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        atomic_append_text(path, "a\n")
-        atomic_append_text(path, "b\n")
-        assert path.read_text() == "a\nb\n"
-
-    def test_no_tmp_file_left_behind(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        atomic_append_text(path, "a\n")
-        atomic_append_text(path, "b\n")
-        assert os.listdir(tmp_path) == ["log.jsonl"]

@@ -5,8 +5,8 @@ from __future__ import annotations
 import json
 import xml.etree.ElementTree as ET
 
-from repro.obs.history import RunStore
-from repro.obs.regress import compare_payloads
+import pytest
+
 from repro.obs.report import (
     ReportData,
     load_report_source,
@@ -71,7 +71,6 @@ def full_data():
         meta={"git_sha": "abc123def", "hostname": "h"},
         bench_records=bench_records(),
         metrics_records=metrics_records(),
-        trend={("tiny", "sdc-2d", "threads", 2, "numpy"): [(0, 2.0), (1, 1.9)]},
     )
 
 
@@ -160,7 +159,6 @@ class TestRenderHtml:
             "panel-speedup",
             "panel-strategies",
             "panel-imbalance",
-            "panel-trend",
             "panel-meta",
         } <= panel_ids(html)
 
@@ -168,31 +166,7 @@ class TestRenderHtml:
         html = render_html(ReportData())
         ids = panel_ids(html)
         assert "panel-speedup" in ids
-        assert "panel-regressions" not in ids
-
-    def test_regression_panel_present_when_comparison_given(self):
-        def payload(median):
-            return {
-                "schema": "repro-bench-v2",
-                "meta": {"git_sha": "s"},
-                "records": [
-                    {
-                        "case": "tiny",
-                        "strategy": "sdc-2d",
-                        "backend": "threads",
-                        "n_workers": 2,
-                        "phase": "total",
-                        "median_s": median,
-                        "iqr_s": 0.0,
-                    }
-                ],
-            }
-
-        data = full_data()
-        data.regression = compare_payloads(payload(1.0), payload(2.0))
-        html = render_html(data)
-        assert "panel-regressions" in panel_ids(html)
-        assert "hard regression" in html
+        assert "panel-scaling" not in ids
 
     def test_labels_are_escaped(self):
         data = ReportData(
@@ -218,7 +192,6 @@ class TestTextSummary:
         text = render_text_summary(full_data())
         assert "Speedup vs serial" in text
         assert "Worst-balanced phases" in text
-        assert "History trend" in text
 
     def test_empty_data_message(self):
         assert "nothing to report" in render_text_summary(ReportData())
@@ -246,44 +219,14 @@ class TestLoadReportSource:
         assert len(data.bench_records) == 3
         assert data.imbalance_rows()
 
-    def test_directory_source_picks_up_history(self, tmp_path):
+    def test_file_source_is_rejected(self, tmp_path):
         self._write_artifacts(tmp_path)
-        store = RunStore(tmp_path / "history.jsonl")
-        store.append_bench(
-            {
-                "schema": "repro-bench-v2",
-                "meta": {"git_sha": "abc"},
-                "records": bench_records(),
-            }
-        )
-        data = load_report_source(tmp_path)
-        assert ("tiny", "sdc-2d", "threads", 2, "numpy") in data.trend
+        with pytest.raises(ValueError, match="not a run directory"):
+            load_report_source(tmp_path / "BENCH_forces.json")
 
-    def test_store_source(self, tmp_path):
-        store = RunStore(tmp_path / "history.jsonl")
-        store.append_bench(
-            {
-                "schema": "repro-bench-v2",
-                "meta": {"git_sha": "abc"},
-                "records": bench_records(),
-            }
-        )
-        data = load_report_source(tmp_path / "history.jsonl")
-        assert data.meta["git_sha"] == "abc"
-        assert data.bench_records
-        assert data.trend
-
-
-    def test_directory_and_its_ingested_store_load_the_same_records(
-        self, tmp_path
-    ):
+    def test_directory_source_loads_every_kind(self, tmp_path):
         from repro.obs.recorder import FlightRecorder
-        from repro.obs.rundir import (
-            ARTIFACTS,
-            artifact_path,
-            payload,
-            write_payload,
-        )
+        from repro.obs.rundir import artifact_path, payload, write_payload
 
         self._write_artifacts(tmp_path)
         (tmp_path / "run.jsonl").write_text(
@@ -295,10 +238,7 @@ class TestLoadReportSource:
                 artifact_path(tmp_path, kind),
                 payload(kind, [{"case": "tiny", "speedup": 2.0}], {}),
             )
-        store = RunStore(tmp_path / "store" / "history.jsonl")
-        assert len(store.ingest_dir(tmp_path)) == len(ARTIFACTS)
-        from_dir = load_report_source(tmp_path)
-        from_store = load_report_source(store.path)
+        data = load_report_source(tmp_path)
         for attr in (
             "bench_records",
             "reordering_records",
@@ -307,9 +247,8 @@ class TestLoadReportSource:
             "runlog_records",
             "health_records",
         ):
-            assert getattr(from_dir, attr), attr
-            assert getattr(from_dir, attr) == getattr(from_store, attr), attr
-        assert from_dir.meta == from_store.meta == {"git_sha": "abc"}
+            assert getattr(data, attr), attr
+        assert data.meta == {"git_sha": "abc"}
 
 
 class TestWriteReport:

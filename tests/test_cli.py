@@ -1,5 +1,8 @@
 """Command-line interface."""
 
+import json
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -69,7 +72,6 @@ class TestCommands:
         assert "efficiency" in out
 
     def test_bench_quick(self, capsys, tmp_path, check_run_dir, git_spawns):
-        store = tmp_path / "store" / "history.jsonl"
         assert (
             main(
                 [
@@ -79,8 +81,6 @@ class TestCommands:
                     "2",
                     "--output-dir",
                     str(tmp_path),
-                    "--store",
-                    str(store),
                 ]
             )
             == 0
@@ -89,10 +89,8 @@ class TestCommands:
         assert "pairs/s" in out
         assert (tmp_path / "BENCH_forces.json").exists()
         assert (tmp_path / "BENCH_reordering.json").exists()
-        check_run_dir(tmp_path, {"bench", "reordering"}, store_path=store)
+        check_run_dir(tmp_path, {"bench", "reordering"})
         assert len(git_spawns) == 1
-
-        import json
 
         payload = json.loads((tmp_path / "BENCH_forces.json").read_text())
         assert payload["schema"] == "repro-bench-v2"
@@ -103,6 +101,8 @@ class TestCommands:
             if r["phase"] == "density"
         }
         assert {("serial", "serial"), ("sdc-2d", "threads")} <= combos
+        for r in payload["records"]:
+            assert len(r["samples_s"]) == r["n_samples"] == 2
 
     def test_trace(self, capsys, tmp_path):
         assert (
@@ -126,8 +126,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "worst-balanced phases" in out
         assert "perfetto" in out
-
-        import json
 
         payload = json.loads((tmp_path / "trace.json").read_text())
         for ev in payload["traceEvents"]:
@@ -157,9 +155,9 @@ class TestCommands:
             == 1
         )
 
-    def test_scale(self, capsys, tmp_path):
+    def test_scale(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         out_dir = tmp_path / "scale-out"
-        store = tmp_path / "history.jsonl"
         assert (
             main(
                 [
@@ -173,9 +171,7 @@ class TestCommands:
                     "--steps",
                     "1",
                     "--output-dir",
-                    str(out_dir),
-                    "--store",
-                    str(store),
+                    "scale-out",
                 ]
             )
             == 0
@@ -184,16 +180,11 @@ class TestCommands:
         assert "scaling sweep tiny/sdc/threads" in out
         assert "Karp-Flatt" in out
 
-        import json
-
         payload = json.loads((out_dir / "scaling.json").read_text())
         assert payload["schema"] == "repro-scaling-v1"
         assert [r["n_workers"] for r in payload["records"]] == [1, 2]
-
-        from repro.obs.history import RunStore
-
-        entry = RunStore(str(store)).latest("scaling")
-        assert entry is not None and len(entry.records) == 2
+        # the run directory is all a scale run leaves behind
+        assert os.listdir(tmp_path) == ["scale-out"]
 
     def test_scale_rejects_bad_worker_list(self):
         with pytest.raises(SystemExit):
@@ -217,8 +208,6 @@ class TestCommands:
             )
             == 0
         )
-        import json
-
         records = [json.loads(l) for l in path.read_text().splitlines()]
         by_name = {r["metric"]: r for r in records}
         assert by_name["racecheck_conflicting_elements"]["value"] == 0.0
@@ -229,106 +218,122 @@ class TestCommands:
 class TestComparePipeline:
     """bench → compare → report, end-to-end through the real CLI."""
 
-    def _bench(self, tmp_path, name, store=None):
+    def _bench(self, tmp_path, name):
         out_dir = tmp_path / name
         argv = [
             "bench",
             "--quick",
             "--repeats",
-            "1",
+            "2",
             "--warmup",
             "0",
             "--skip-reordering",
             "--output-dir",
             str(out_dir),
         ]
-        if store is not None:
-            argv += ["--store", str(store)]
         assert main(argv) == 0
+        return out_dir
+
+    def _edited(self, tmp_path, run, name, edit):
+        """A copy of ``run``'s bench payload with ``edit`` applied to
+        every record."""
+        out_dir = tmp_path / name
+        out_dir.mkdir()
+        payload = json.loads((run / "BENCH_forces.json").read_text())
+        for record in payload["records"]:
+            edit(record)
+        (out_dir / "BENCH_forces.json").write_text(json.dumps(payload))
         return out_dir
 
     def test_identical_run_is_unchanged_exit_0(self, capsys, tmp_path):
         run = self._bench(tmp_path, "run1")
-        assert (
-            main(
-                ["compare", str(run), "--baseline", str(run)]
-            )
-            == 0
-        )
+        verdict_json = tmp_path / "verdicts.json"
+        argv = ["compare", str(run), str(run), "--json", str(verdict_json)]
+        assert main(argv) == 0
+        # a noisy measured cell may be unresolved, never anything else
+        verdicts = json.loads(verdict_json.read_text())["verdicts"]
+        assert {v["verdict"] for v in verdicts} <= {"unchanged", "unresolved"}
+
+        def steady(record):
+            record["samples_s"] = [1.0, 1.0]
+
+        quiet = self._edited(tmp_path, run, "quiet", steady)
+        capsys.readouterr()
+        assert main(["compare", str(quiet), str(quiet)]) == 0
         out = capsys.readouterr().out
         assert "unchanged" in out
-        assert "regressed" not in out
+        assert "unresolved" not in out
+        assert "regression" not in out
 
     def test_slowed_candidate_is_regressed_exit_1(self, capsys, tmp_path):
-        import json
-
         run = self._bench(tmp_path, "run1")
-        slow_dir = tmp_path / "slow"
-        slow_dir.mkdir()
-        payload = json.loads((run / "BENCH_forces.json").read_text())
-        for record in payload["records"]:
-            record["median_s"] *= 2.0
-        (slow_dir / "BENCH_forces.json").write_text(json.dumps(payload))
-        verdict_json = tmp_path / "verdicts.json"
-        assert (
-            main(
-                [
-                    "compare",
-                    str(slow_dir),
-                    "--baseline",
-                    str(run),
-                    "--json",
-                    str(verdict_json),
-                ]
-            )
-            == 1
-        )
-        out = capsys.readouterr().out
-        assert "hard regression" in out
-        parsed = json.loads(verdict_json.read_text())
-        assert parsed["hard_regressions"] >= 1
-        # soft-fail mode reports but exits 0
-        assert (
-            main(
-                [
-                    "compare",
-                    str(slow_dir),
-                    "--baseline",
-                    str(run),
-                    "--warn-only",
-                ]
-            )
-            == 0
-        )
 
-    def test_store_baseline_fallback(self, capsys, tmp_path, monkeypatch):
-        store = tmp_path / "history.jsonl"
-        run = self._bench(tmp_path, "run1", store=store)
-        # no --baseline and no committed BENCH_forces.json in cwd:
-        # the store's latest entry becomes the baseline
-        monkeypatch.chdir(tmp_path)
-        assert (
-            main(["compare", str(run), "--store", str(store)]) == 0
-        )
+        def double(record):
+            record["samples_s"] = [2.0 * s for s in record["samples_s"]]
+
+        slow = self._edited(tmp_path, run, "slow", double)
+        verdict_json = tmp_path / "verdicts.json"
+        argv = ["compare", str(run), str(slow), "--json", str(verdict_json)]
+        assert main(argv) == 1
         out = capsys.readouterr().out
-        assert "#seq0" in out
-        assert "appended candidate" in out
+        assert "regression(s) on total-phase cells" in out
+        parsed = json.loads(verdict_json.read_text())
+        totals = [v for v in parsed["verdicts"] if v["phase"] == "total"]
+        assert {v["verdict"] for v in totals} == {"regression"}
+        assert parsed["regressions"] == len(totals)
+
+    def test_wide_baseline_spread_is_unresolved_exit_0(self, capsys, tmp_path):
+        run = self._bench(tmp_path, "run1")
+
+        def steady(record):
+            record["samples_s"] = [1.0, 1.0]
+
+        def spread(record):
+            record["samples_s"] = [0.8, 1.2]
+
+        base = self._edited(tmp_path, run, "noisy", spread)
+        cand = self._edited(tmp_path, run, "steady", steady)
+        assert main(["compare", str(base), str(cand)]) == 0
+        out = capsys.readouterr().out
+        assert "unresolved" in out
+        assert "regression" not in out
+
+    def test_payload_without_samples_exit_2(self, capsys, tmp_path):
+        run = self._bench(tmp_path, "run1")
+        old = self._edited(
+            tmp_path, run, "old", lambda record: record.pop("samples_s")
+        )
+        capsys.readouterr()
+        assert main(["compare", str(old), str(run)]) == 2
+        err = capsys.readouterr().err
+        assert str(old / "BENCH_forces.json") in err
+        assert "samples_s" in err
 
     def test_missing_candidate_exit_2(self, capsys, tmp_path):
-        assert main(["compare", str(tmp_path / "nope")]) == 2
-
-    def test_no_baseline_found_exit_0(self, capsys, tmp_path, monkeypatch):
         run = self._bench(tmp_path, "run1")
-        monkeypatch.chdir(tmp_path)
-        assert main(["compare", str(run)]) == 0
-        assert "no baseline found" in capsys.readouterr().err
+        assert main(["compare", str(run), str(tmp_path / "nope")]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "a"],
+            ["compare", "a", "b", "--threshold", "0.2"],
+            ["compare", "a", "b", "--warn-only"],
+            ["compare", "a", "b", "--all-phases"],
+            ["compare", "a", "--baseline", "b"],
+        ]
+        + [[verb, "--store", "x"] for verb in ("bench", "trace", "scale")]
+        + [["compare", "a", "b", "--store", "x"], ["report", "a", "--store", "x"]],
+    )
+    def test_removed_options_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
 
     def test_report_renders_dashboard(self, capsys, tmp_path):
         import xml.etree.ElementTree as ET
 
-        store = tmp_path / "history.jsonl"
-        run = self._bench(tmp_path, "run1", store=store)
-        self._bench(tmp_path, "run2", store=store)
+        run = self._bench(tmp_path, "run1")
         assert (
             main(
                 [
@@ -343,44 +348,27 @@ class TestComparePipeline:
                     "1",
                     "--output-dir",
                     str(run),
-                    "--store",
-                    str(store),
                 ]
             )
             == 0
         )
         capsys.readouterr()
         html_path = tmp_path / "report.html"
-        assert (
-            main(
-                [
-                    "report",
-                    str(run),
-                    "--store",
-                    str(store),
-                    "-o",
-                    str(html_path),
-                ]
-            )
-            == 0
-        )
+        assert main(["report", str(run), "-o", str(html_path)]) == 0
         out = capsys.readouterr().out
         assert "Speedup vs serial" in out
-        assert "History trend" in out
         root = ET.fromstring(html_path.read_text())
         ids = {e.get("id") for e in root.iter() if e.get("id")}
         assert "panel-speedup" in ids
         assert "panel-imbalance" in ids
-        assert "panel-trend" in ids
 
-    def test_report_from_store_file(self, capsys, tmp_path):
-        import xml.etree.ElementTree as ET
-
-        store = tmp_path / "history.jsonl"
-        self._bench(tmp_path, "run1", store=store)
+    def test_report_of_a_file_exit_2(self, capsys, tmp_path):
+        run = self._bench(tmp_path, "run1")
         html_path = tmp_path / "report.html"
-        assert main(["report", str(store), "-o", str(html_path)]) == 0
-        ET.fromstring(html_path.read_text())
+        source = run / "BENCH_forces.json"
+        assert main(["report", str(source), "-o", str(html_path)]) == 2
+        assert "not a run directory" in capsys.readouterr().err
+        assert not html_path.exists()
 
     @pytest.mark.parametrize(
         "name", ["metrics.jsonl", "run.jsonl", "health.jsonl"]
@@ -414,9 +402,9 @@ class TestComparePipeline:
         bad.mkdir()
         (bad / "BENCH_forces.json").write_text(text)
         capsys.readouterr()
-        assert main(["compare", str(bad), "--baseline", str(good)]) == 2
+        assert main(["compare", str(good), str(bad)]) == 2
         assert message in capsys.readouterr().err
-        assert main(["compare", str(good), "--baseline", str(bad)]) == 2
+        assert main(["compare", str(bad), str(good)]) == 2
         assert message in capsys.readouterr().err
 
     def test_report_missing_source_exit_2(self, tmp_path):
