@@ -319,7 +319,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         steps=args.steps,
         output_dir=args.output_dir,
         on_skip=lambda msg: print(f"skip: {msg}", file=sys.stderr),
-        sample_resources=args.sample_resources,
     )
     print(report.render_summary(top=args.top))
     if report.trace_path is not None:
@@ -360,8 +359,6 @@ def _cmd_scale(args: argparse.Namespace) -> int:
         workers=args.workers,
         steps=args.steps,
         output_dir=args.output_dir,
-        sample_resources=args.sample_resources,
-        sample_interval_s=args.sample_interval,
         on_skip=lambda msg: print(f"skip: {msg}", file=sys.stderr),
     )
     print(report.render_summary(top=args.top))
@@ -595,13 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="trace-out",
         help="directory for trace.json / metrics.jsonl / run.jsonl",
     )
-    trace.add_argument(
-        "--sample-resources",
-        action="store_true",
-        help="co-run the /proc resource sampler: CPU/RSS/context-switch/"
-        "shm counter tracks for the parent and every pool worker merge "
-        "into trace.json",
-    )
     trace.set_defaults(func=_cmd_trace)
 
     scale = sub.add_parser(
@@ -621,8 +611,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=["serial", "threads", "processes", "sharded"],
         default="processes",
-        help="backend to sweep (default processes, so per-worker "
-        "resource tracks appear in the trace)",
+        help="backend to sweep (default processes, whose workers' "
+        "run-queue wait is the resource-pressure loss)",
     )
     scale.add_argument(
         "--workers",
@@ -639,22 +629,9 @@ def build_parser() -> argparse.ArgumentParser:
         "/ health.jsonl",
     )
     scale.add_argument(
-        "--no-sample-resources",
-        dest="sample_resources",
-        action="store_false",
-        help="disable the /proc resource sampler (loss attribution then "
-        "has no resource-pressure component)",
-    )
-    scale.add_argument(
-        "--sample-interval",
-        type=float,
-        default=0.05,
-        help="resource-sampler period in seconds (default 0.05)",
-    )
-    scale.add_argument(
         "--top", type=int, default=10, help="summary rows to print"
     )
-    scale.set_defaults(func=_cmd_scale, sample_resources=True)
+    scale.set_defaults(func=_cmd_scale)
 
     comp = sub.add_parser(
         "compare",

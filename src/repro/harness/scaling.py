@@ -16,7 +16,7 @@ the paper times), and derives
 
 and attributes the lost core-seconds ``p*T(p) - T(1)`` into disjoint
 mechanisms using the task/barrier spans recorded by the tracer and the
-per-worker CPU tracks of the :class:`~repro.obs.resources.ResourceSampler`:
+pool workers' scheduler time over the window (:mod:`repro.obs.resources`):
 
 * ``imbalance`` — cores idle because tasks within a phase were uneven
   (per phase: ``(max_task - mean_task) * n_tasks``);
@@ -25,9 +25,9 @@ per-worker CPU tracks of the :class:`~repro.obs.resources.ResourceSampler`:
 * ``serial``    — core-seconds with nothing scheduled at all: the
   embedding phase, position sync, dispatch (budget minus task work minus
   barrier waits);
-* ``resource_pressure`` — task time during which workers were not
-  actually on a CPU (sub-100% sampled utilization: descheduling, memory
-  stall pressure);
+* ``resource_pressure`` — worker time runnable but waiting for a CPU
+  (summed ``/proc/<pid>/schedstat`` run-queue wait over the window, at
+  most the window's task work);
 * ``excess_work`` — task core-seconds beyond the baseline ``T(1)``
   (redundant computation, per-worker overheads).
 
@@ -35,9 +35,9 @@ Each fraction is expressed relative to the core-second budget
 ``p * T(p)``, so ``efficiency + losses`` accounts for the whole budget.
 Every sweep point becomes one record; ``repro scale`` writes them, and
 nothing else, into its run directory (:mod:`repro.obs.rundir`) —
-``trace.json`` with resource counter tracks merged in plus the
-``metrics``, ``scaling`` and ``health`` artifacts — which ``repro
-report`` renders as an efficiency-curve + loss-attribution panel.
+``trace.json`` plus the ``metrics``, ``scaling`` and ``health``
+artifacts — which ``repro report`` renders as an efficiency-curve +
+loss-attribution panel.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from repro.harness.bench import BenchSkip
 from repro.harness.tracing import traced_cell, write_run_artifacts
 from repro.obs.exporters import render_trace_summary
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.resources import read_window, window_digest
 from repro.obs.rundir import (
     SCALING_SCHEMA,
     artifact_path,
@@ -107,8 +108,10 @@ class ScalePoint:
     #: loss fractions of the core-second budget ``p * total_s``
     loss: Dict[str, float] = field(default_factory=dict)
     dominant_loss: Optional[str] = None
-    #: the resource sampler's digest (empty when sampling was off)
-    resources: Dict[str, object] = field(default_factory=dict)
+    #: per-worker ``worker_cpu_s`` / ``worker_run_delay_s`` over the
+    #: window (:func:`~repro.obs.resources.window_digest`); empty without
+    #: worker processes or a readable ``/proc``
+    resources: Dict[str, List[float]] = field(default_factory=dict)
     spans: List[Span] = field(default_factory=list)
 
     @property
@@ -199,12 +202,13 @@ def _attribute_losses(
     total_s: float,
     t1_s: float,
     n_workers: int,
-    worker_cpu_percent: Optional[float],
+    run_delay_s: float,
 ) -> Dict[str, float]:
     """Split the core-second budget ``p * T`` into loss fractions.
 
     Only spans inside the measured window count (the warmup evaluation
     pays pool fork / arena setup / JIT and is excluded from ``total_s``).
+    ``run_delay_s`` is the workers' summed run-queue wait in the window.
     """
     budget = n_workers * total_s
     if budget <= 0:
@@ -232,9 +236,7 @@ def _attribute_losses(
     imbalance = min(imbalance, barrier_total) if barrier_total else imbalance
     barrier_rest = max(0.0, barrier_total - imbalance)
     serial = max(0.0, budget - work - barrier_total)
-    pressure = 0.0
-    if worker_cpu_percent is not None and worker_cpu_percent < 100.0:
-        pressure = (1.0 - worker_cpu_percent / 100.0) * work
+    pressure = min(run_delay_s, work)
     excess = max(0.0, work - t1_s)
     return {
         "serial": serial / budget,
@@ -252,10 +254,9 @@ def _measure_point(
     n_workers: int,
     steps: int,
     registry: MetricsRegistry,
-    sample_resources: bool,
-    sample_interval_s: float,
-) -> Tuple[float, float, List[Span], Dict[str, object], Optional[float]]:
-    """Run one sweep point; returns its timing, spans, and resource digest."""
+) -> Tuple[float, float, List[Span], Dict[str, List[float]]]:
+    """Run one sweep point; returns its timing, spans, and the workers'
+    scheduler-time digest over the window."""
     with traced_cell(
         f"{case_key}/{strategy_key}/{backend_key}/w{n_workers}",
         case_key,
@@ -266,17 +267,14 @@ def _measure_point(
         # warmup evaluation: worker fork, arena mapping, decomposition,
         # neighbor build, JIT — excluded from the measured window
         cell.sim.compute_forces()
-        if sample_resources:
-            cell.start_sampler(sample_interval_s)
+        # in-process calculators have no worker_pids(): nothing to read
+        worker_pids = getattr(cell.sim.calculator, "worker_pids", list)()
+        before = read_window(worker_pids)
         window_start = time.perf_counter()
         total_s = cell.sim.run(steps, sample_every=max(1, steps)).force_seconds
+        resources = window_digest(before, read_window(worker_pids))
         spans = cell.finish(registry)
-    resources: Dict[str, object] = {}
-    worker_cpu: Optional[float] = None
-    if cell.sampler is not None:
-        resources = cell.sampler.summary()
-        worker_cpu = cell.sampler.worker_mean_cpu_percent()
-    return total_s, window_start, spans, resources, worker_cpu
+    return total_s, window_start, spans, resources
 
 
 def run_scale(
@@ -286,8 +284,6 @@ def run_scale(
     workers: Sequence[int] = DEFAULT_WORKERS,
     steps: int = 3,
     output_dir: Optional[str] = None,
-    sample_resources: bool = True,
-    sample_interval_s: float = 0.05,
     on_skip: Optional[Callable[[str], None]] = None,
 ) -> ScaleReport:
     """Sweep worker counts for one cell and attribute the efficiency.
@@ -314,15 +310,8 @@ def run_scale(
     t1_s: Optional[float] = None
     for p in worker_list:
         try:
-            total_s, window_start, spans, resources, worker_cpu = _measure_point(
-                case,
-                strategy,
-                backend,
-                p,
-                steps,
-                registry,
-                sample_resources,
-                sample_interval_s,
+            total_s, window_start, spans, resources = _measure_point(
+                case, strategy, backend, p, steps, registry
             )
         except BenchSkip as skip:
             message = f"{case}/{strategy}/{backend}/w{p}: {skip}"
@@ -335,7 +324,12 @@ def run_scale(
             t1_s = total_s if p == 1 else p * total_s
         speedup = t1_s / total_s if total_s > 0 else 0.0
         loss = _attribute_losses(
-            spans, window_start, total_s, t1_s, p, worker_cpu
+            spans,
+            window_start,
+            total_s,
+            t1_s,
+            p,
+            sum(resources.get("worker_run_delay_s", ())),
         )
         dominant = None
         if p > 1:

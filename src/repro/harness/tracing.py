@@ -43,7 +43,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.health import HealthMonitor
 from repro.obs.recorder import get_recorder
-from repro.obs.resources import ResourceSampler
 from repro.obs.rundir import artifact_path
 from repro.obs.runlog import RunLog, collect_run_meta
 from repro.obs.tracer import Span, Tracer
@@ -182,28 +181,12 @@ class TracedCell:
     sim: "Simulation"  # noqa: F821 - imported lazily with the MD stack
     #: the process's kernel tier, which the cell's kernels run on
     kernel_tier: str
-    sampler: Optional[ResourceSampler] = None
-
-    def start_sampler(self, interval_s: float) -> None:
-        """Co-run the /proc resource sampler from here to :meth:`finish`."""
-        self.sampler = ResourceSampler(
-            interval_s=interval_s, calculator=self.sim.calculator
-        )
-        self.sampler.start()
 
     def finish(self, registry: MetricsRegistry) -> List[Span]:
-        """Stop the sampler and fold what the cell recorded into
-        ``registry`` (span metrics, sampler digests); returns the cell's
-        spans with the sampler's counter tracks appended."""
-        if self.sampler is not None:
-            self.sampler.stop()
+        """Fold the cell's span metrics into ``registry``; returns the
+        cell's spans."""
         record_span_metrics(registry, self.sim.tracer, run=self.label)
-        spans = self.sim.tracer.spans
-        if self.sampler is not None:
-            spans = spans + self.sampler.counter_spans()
-            self.sampler.record_metrics(registry, run=self.label)
-            self.sampler.record_health_summary(run=self.label)
-        return spans
+        return self.sim.tracer.spans
 
 
 @contextmanager
@@ -222,14 +205,13 @@ def traced_cell(
     cannot run), attaches a fresh tracer to it and to a
     :class:`~repro.md.simulation.Simulation` of the case at 50 K
     (``sim_kwargs`` go to its constructor).  However the body exits, the
-    sampler is stopped, the tracer detached and the calculator closed.
+    tracer is detached and the calculator closed.
     """
     from repro.md.simulation import Simulation
     from repro.potentials import fe_potential
 
     calculator, cleanup = _make_calculator(strategy_key, backend_key, n_workers)
     tracer = Tracer()
-    cell: Optional[TracedCell] = None
     try:
         attach = getattr(calculator, "attach_tracer", None)
         if attach is not None:
@@ -241,13 +223,10 @@ def traced_cell(
             tracer=tracer,
             **sim_kwargs,
         )
-        cell = TracedCell(
+        yield TracedCell(
             label=label, sim=sim, kernel_tier=kernels.active_tier().name
         )
-        yield cell
     finally:
-        if cell is not None and cell.sampler is not None:
-            cell.sampler.stop()
         detach = getattr(calculator, "detach_tracer", None)
         if detach is not None:
             detach()
@@ -262,8 +241,6 @@ def _trace_one(
     steps: int,
     registry: MetricsRegistry,
     run_log: RunLog,
-    sample_resources: bool = False,
-    sample_interval_s: float = 0.05,
 ) -> TracedRun:
     """Run one sweep cell under the tracer and record its metrics."""
     label = f"{case_key}/{strategy_key}/{backend_key}"
@@ -277,8 +254,6 @@ def _trace_one(
         run_log=run_log,
         health=health,
     ) as cell:
-        if sample_resources:
-            cell.start_sampler(sample_interval_s)
         run_log.log(
             "event", event="trace-run", run=label, kernel_tier=cell.kernel_tier
         )
@@ -356,18 +331,13 @@ def run_trace(
     steps: int = 2,
     output_dir: Optional[str] = None,
     on_skip: Optional[Callable[[str], None]] = None,
-    sample_resources: bool = False,
-    sample_interval_s: float = 0.05,
 ) -> TraceReport:
     """Trace the sweep; optionally write the run directory.
 
     With ``output_dir`` set, writes ``trace.json`` and the ``metrics``,
     ``runlog`` and ``health`` artifacts (:mod:`repro.obs.rundir`) there,
     creating the directory, and records the paths on the returned
-    report.  With ``sample_resources``, a
-    :class:`~repro.obs.resources.ResourceSampler` co-runs with every cell
-    and its CPU/RSS/context-switch/shm counter tracks merge into
-    ``trace.json`` (summaries into the metrics and health streams).
+    report.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -394,8 +364,6 @@ def run_trace(
                                 steps,
                                 registry,
                                 run_log,
-                                sample_resources=sample_resources,
-                                sample_interval_s=sample_interval_s,
                             )
                         )
                     except BenchSkip as skip:

@@ -12,10 +12,9 @@ surface the analysis and profiling layers already use.  Four pieces:
   the worst-balanced-phase text summary;
 * :mod:`repro.obs.runlog` — JSONL structured run logs + the environment
   meta block;
-* :mod:`repro.obs.resources` — the /proc resource sampler: CPU/RSS/
-  context-switch/shm counter tracks for the parent and every pool
-  worker, merged into the trace timeline (``repro scale``,
-  ``--sample-resources``);
+* :mod:`repro.obs.resources` — per-worker on-CPU and run-queue seconds
+  over a window, read from ``/proc/<pid>/schedstat`` at its two ends
+  (``repro scale``'s resource pressure);
 * :mod:`repro.obs.recorder` / :mod:`repro.obs.health` — the runtime
   health plane: the always-on flight recorder every subsystem feeds,
   the physics invariant monitors, and the
@@ -81,12 +80,6 @@ from repro.obs.report import (
     render_text_summary,
     write_report,
 )
-from repro.obs.resources import (
-    ProcSample,
-    ResourceSampler,
-    read_proc_sample,
-    resources_supported,
-)
 from repro.obs.runlog import (
     RUNLOG_SCHEMA_VERSION,
     RunLog,
@@ -94,7 +87,6 @@ from repro.obs.runlog import (
     git_sha,
 )
 from repro.obs.tracer import (
-    CAT_COUNTER,
     Span,
     Tracer,
     TracingObserver,
@@ -126,11 +118,6 @@ __all__ = [
     "render_text_summary",
     "write_report",
     "RUNLOG_SCHEMA_VERSION",
-    "CAT_COUNTER",
-    "ProcSample",
-    "ResourceSampler",
-    "read_proc_sample",
-    "resources_supported",
     "Span",
     "Tracer",
     "TracingObserver",

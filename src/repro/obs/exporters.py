@@ -7,9 +7,6 @@ Two consumers, two formats:
   Perfetto (https://ui.perfetto.dev) and ``chrome://tracing``.  Every span
   becomes one complete event (``"ph": "X"``) with microsecond ``ts`` /
   ``dur``; tracks become integer ``tid`` rows named by metadata events.
-  Zero-duration ``CAT_COUNTER`` spans (the resource sampler's CPU/RSS/
-  context-switch/shm samples) become *counter* events (``"ph": "C"``)
-  whose ``args.value`` draws as a numeric track on the same timeline.
 * :func:`render_trace_summary` — a terminal table ranking the
   worst-balanced color phases (measured ``max/mean`` task-duration ratio,
   barrier slack) so the diagnosis works without a browser.
@@ -21,7 +18,7 @@ import json
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.metrics import MetricsRegistry, imbalance_rows
-from repro.obs.tracer import CAT_COUNTER, Span
+from repro.obs.tracer import Span
 
 __all__ = [
     "to_chrome_trace",
@@ -73,25 +70,6 @@ def to_chrome_trace(
                 }
             )
         for span in spans:
-            if span.category == CAT_COUNTER:
-                # counter events carry the sampled value in args; the
-                # viewer keys counter tracks by (pid, name), so sampler
-                # span names already embed their track ("cpu% worker-7")
-                args = dict(span.args)
-                value = args.pop("value", 0.0)
-                events.append(
-                    {
-                        "name": span.name,
-                        "cat": span.category,
-                        "ph": "C",
-                        "ts": span.start_s * 1e6,
-                        "dur": 0,
-                        "pid": gid,
-                        "tid": track_ids[(span.pid, span.track)],
-                        "args": {"value": value},
-                    }
-                )
-                continue
             events.append(
                 {
                     "name": span.name,

@@ -86,7 +86,6 @@ CATEGORIES = (
     "observer",  # observer fan-out failures
     "doctor",  # self-check findings
     "process",  # interpreter-level events (uncaught exceptions)
-    "resources",  # /proc sampler digests: RSS, CPU%, ctx switches, shm
 )
 
 _SEVERITY_RANK = {name: rank for rank, name in enumerate(SEVERITIES)}

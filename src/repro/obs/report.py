@@ -521,8 +521,8 @@ def _scaling_panel(data: ReportData) -> Optional[Panel]:
         "E(p)=S(p)/p, and the Karp-Flatt experimentally-determined "
         "serial fraction e(p)=(1/S-1/p)/(1-1/p). Lost core-seconds are "
         "attributed to serial sections, task load imbalance, residual "
-        "barrier slack, resource pressure (sampled sub-100% worker "
-        "CPU), and excess work vs the 1-worker baseline.",
+        "barrier slack, resource pressure (worker run-queue wait), "
+        "and excess work vs the 1-worker baseline.",
         headers=(
             "cell", "T(p)", "speedup", "efficiency", "Karp-Flatt",
             "dominant loss",

@@ -49,7 +49,6 @@ __all__ = [
     "CAT_BARRIER",
     "CAT_REGION",
     "CAT_MD",
-    "CAT_COUNTER",
 ]
 
 #: span categories (the ``cat`` field of the exported trace events)
@@ -58,9 +57,6 @@ CAT_TASK = "task"
 CAT_BARRIER = "barrier"
 CAT_REGION = "region"
 CAT_MD = "md"
-#: zero-duration counter samples (exported as Chrome ``ph:"C"`` events);
-#: ``args["value"]`` carries the sampled value, ``name`` the counter track
-CAT_COUNTER = "counter"
 
 
 @dataclass(frozen=True)

@@ -58,10 +58,9 @@ class PhaseObserver:
 class MultiObserver(PhaseObserver):
     """Fan-out observer: forwards every hook to each child in add order.
 
-    This is what lets a :class:`~repro.obs.tracer.TracingObserver`, the
-    race detector's :class:`~repro.analysis.racecheck.WriteRecorder` and a
-    :class:`~repro.obs.resources.ResourceSampler` watch the same backend
-    simultaneously.  Children need only implement the hook surface
+    This is what lets a :class:`~repro.obs.tracer.TracingObserver` and the
+    race detector's :class:`~repro.analysis.racecheck.WriteRecorder` watch
+    the same backend simultaneously.  Children need only implement the hook surface
     structurally (no subclass requirement — same contract as the backend
     itself).
 
@@ -232,11 +231,8 @@ class ExecutionBackend(ABC):
         """OS pids of worker *processes* this backend currently owns.
 
         Serial and thread backends run everything inside the calling
-        process, so the base implementation returns an empty list — the
-        resource sampler already follows the parent pid and would double
-        count it.  The process engine overrides this with its live pool
-        pids (re-polled by the sampler each tick, so a pool restart swaps
-        counter tracks automatically).
+        process, so the base implementation returns an empty list.  The
+        process engine overrides this with its live pool pids.
         """
         return []
 

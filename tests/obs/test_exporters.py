@@ -11,15 +11,8 @@ from repro.obs.exporters import (
     to_chrome_trace,
     write_trace_json,
 )
-from repro.obs.metrics import MetricsRegistry, record_span_metrics
-from repro.obs.tracer import (
-    CAT_COUNTER,
-    CAT_PHASE,
-    CAT_TASK,
-    Span,
-    Tracer,
-    align_worker_spans,
-)
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import CAT_PHASE, CAT_TASK, Span
 
 REQUIRED_KEYS = {"ph", "ts", "dur", "pid", "tid", "name"}
 
@@ -93,79 +86,6 @@ class TestToChromeTrace:
         payload = json.loads(path.read_text())
         assert payload["otherData"] == {"k": "v"}
         assert len(payload["traceEvents"]) == 3 + 1 + 3  # X + process + threads
-
-
-def _counter_spans():
-    return [
-        Span(
-            "cpu% main", CAT_COUNTER, 1.0, 0.0, 42, "main",
-            {"value": 87.5, "unit": "%"},
-        ),
-        Span(
-            "rss-mb worker-99", CAT_COUNTER, 1.2, 0.0, 99, "worker-99",
-            {"value": 64.0, "unit": "MB"},
-        ),
-    ]
-
-
-class TestCounterEvents:
-    def test_counters_export_as_ph_c(self):
-        trace = to_chrome_trace([("run", _spans() + _counter_spans())])
-        cs = [e for e in trace["traceEvents"] if e["ph"] == "C"]
-        assert len(cs) == 2
-        by_name = {e["name"]: e for e in cs}
-        assert by_name["cpu% main"]["args"] == {"value": 87.5}
-        assert by_name["rss-mb worker-99"]["args"] == {"value": 64.0}
-
-    def test_counter_events_satisfy_trace_schema(self):
-        trace = to_chrome_trace([("run", _counter_spans())])
-        for ev in trace["traceEvents"]:
-            assert REQUIRED_KEYS <= set(ev), ev
-        cs = [e for e in trace["traceEvents"] if e["ph"] == "C"]
-        assert all(e["dur"] == 0 for e in cs)
-        assert cs[0]["ts"] == pytest.approx(1.0e6)
-
-    def test_counters_do_not_perturb_complete_events(self):
-        # the pre-counter contract: 3 X events + process + 3 thread metas
-        base = to_chrome_trace([("run", _spans())])
-        mixed = to_chrome_trace([("run", _spans() + _counter_spans())])
-        xs = lambda t: [e for e in t["traceEvents"] if e["ph"] == "X"]
-        assert len(xs(base)) == len(xs(mixed)) == 3
-
-    def test_counter_tracks_get_thread_rows(self):
-        trace = to_chrome_trace([("run", _counter_spans())])
-        thread_names = {
-            e["args"]["name"]
-            for e in trace["traceEvents"]
-            if e["ph"] == "M" and e["name"] == "thread_name"
-        }
-        assert thread_names == {
-            "main (os pid 42)", "worker-99 (os pid 99)"
-        }
-
-    def test_counters_survive_align_worker_spans(self):
-        aligned = align_worker_spans(
-            _counter_spans(),
-            worker_origin_s=0.0,
-            window_start_s=0.5,
-            window_end_s=2.0,
-        )
-        assert [s.category for s in aligned] == [CAT_COUNTER, CAT_COUNTER]
-        assert all(s.duration_s == 0.0 for s in aligned)
-        assert aligned[0].args["value"] == 87.5
-        trace = to_chrome_trace([("run", aligned)])
-        assert [e for e in trace["traceEvents"] if e["ph"] == "C"]
-
-    def test_summary_pipeline_tolerates_counter_only_tracks(self):
-        # counter-only spans must neither crash the span-metrics
-        # derivation nor the worst-balanced-phase summary
-        tracer = Tracer()
-        for span in _counter_spans():
-            tracer.record(span)
-        registry = MetricsRegistry()
-        record_span_metrics(registry, tracer, run="counters-only")
-        text = render_trace_summary(registry)
-        assert "(no measured phase metrics)" in text
 
 
 class TestRenderTraceSummary:

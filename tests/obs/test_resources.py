@@ -1,172 +1,96 @@
-"""The /proc resource sampler: parsing, counter spans, summaries."""
+"""The /proc/<pid>/schedstat window reader behind ``repro scale``."""
 
 from __future__ import annotations
 
 import os
+import time
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.resources import (
-    ProcSample,
-    ResourceSampler,
-    read_proc_sample,
-    resources_supported,
-)
-from repro.obs.tracer import CAT_COUNTER
-from repro.parallel.backends.base import MultiObserver
+from repro.obs import resources
+from repro.obs.resources import read_window, schedstat, window_digest
 
-needs_proc = pytest.mark.skipif(
-    not resources_supported(), reason="no /proc filesystem"
-)
+pytestmark = [
+    pytest.mark.linux,
+    pytest.mark.skipif(
+        schedstat(os.getpid()) is None, reason="no /proc/<pid>/schedstat"
+    ),
+]
 
 
-class TestReadProcSample:
-    @needs_proc
-    @pytest.mark.linux
-    def test_reads_own_process(self):
-        sample = read_proc_sample(os.getpid())
-        assert isinstance(sample, ProcSample)
-        assert sample.pid == os.getpid()
-        assert sample.cpu_seconds >= 0.0
-        # a running python interpreter resides in at least a few MB
-        assert sample.rss_bytes > 1024 * 1024
-        assert sample.voluntary_ctxt_switches >= 0
-        assert sample.nonvoluntary_ctxt_switches >= 0
-
-    def test_missing_pid_returns_none(self):
-        # kernel pid_max is < 2**22; this pid can never exist
-        assert read_proc_sample(2**22 + 17) is None
+def _spin_cpu(seconds: float) -> None:
+    # CPU time, not wall time: a contended host still yields the full spin
+    end = time.process_time() + seconds
+    while time.process_time() < end:
+        pass
 
 
-class TestResourceSampler:
-    def test_rejects_nonpositive_interval(self):
-        with pytest.raises(ValueError):
-            ResourceSampler(interval_s=0.0)
+def _window_of(body):
+    """Digest of a forked child that runs ``body`` between two reads.
 
-    @needs_proc
-    def test_sample_once_emits_parent_counters(self):
-        sampler = ResourceSampler(interval_s=10.0)
-        sampler.sample_once()
-        spans = sampler.counter_spans()
-        assert spans and all(s.category == CAT_COUNTER for s in spans)
-        assert all(s.duration_s == 0.0 for s in spans)
-        names = {s.name for s in spans}
-        assert "rss-mb main" in names
-        assert "ctx-switches main" in names
-        # the value rides in args on every counter span
-        assert all("value" in s.args for s in spans)
+    The child reports ready, runs ``body`` on the parent's signal, then
+    stays alive until the parent has taken its second read.
+    """
+    go_r, go_w = os.pipe()
+    done_r, done_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.write(done_w, b"r")
+            os.read(go_r, 1)
+            body()
+            os.write(done_w, b"d")
+            os.read(go_r, 1)
+        finally:
+            os._exit(0)
+    try:
+        os.read(done_r, 1)
+        before = read_window([pid])
+        os.write(go_w, b"g")
+        os.read(done_r, 1)
+        after = read_window([pid])
+    finally:
+        os.write(go_w, b"x")
+        os.waitpid(pid, 0)
+        for fd in (go_r, go_w, done_r, done_w):
+            os.close(fd)
+    return window_digest(before, after)
 
-    @needs_proc
-    def test_cpu_counter_needs_two_samples(self):
-        sampler = ResourceSampler(interval_s=10.0)
-        sampler.sample_once()
-        assert not [
-            s for s in sampler.counter_spans() if s.name.startswith("cpu%")
-        ]
-        sampler.sample_once()
-        cpu = [
-            s for s in sampler.counter_spans() if s.name.startswith("cpu%")
-        ]
-        assert cpu and cpu[0].args["value"] >= 0.0
 
-    @needs_proc
-    def test_follows_provided_worker_pids(self):
-        # the test runner's parent is a live process we can observe
-        other = os.getppid()
-        sampler = ResourceSampler(
-            interval_s=10.0, pid_provider=lambda: [other]
-        )
-        sampler.sample_once()
-        tracks = {s.track for s in sampler.counter_spans()}
-        assert tracks == {"main", f"worker-{other}"}
+class TestWindowRead:
+    def test_spinning_child_reads_its_cpu_time(self):
+        digest = _window_of(lambda: _spin_cpu(0.05))
+        assert digest["worker_cpu_s"][0] >= 0.03
+        assert digest["worker_run_delay_s"][0] >= 0.0
 
-    @needs_proc
-    def test_vanished_pid_state_is_pruned(self):
-        pids = [os.getppid()]
-        sampler = ResourceSampler(
-            interval_s=10.0, pid_provider=lambda: list(pids)
-        )
-        sampler.sample_once()
-        assert os.getppid() in sampler._prev_cpu
-        pids.clear()  # pool "restart": the worker vanished
-        sampler.sample_once()
-        assert os.getppid() not in sampler._prev_cpu
+    def test_sleeping_child_reads_almost_none(self):
+        digest = _window_of(lambda: time.sleep(0.05))
+        assert digest["worker_cpu_s"][0] < 0.005
 
-    @needs_proc
-    def test_shm_provider_feeds_arena_track(self):
-        sampler = ResourceSampler(
-            interval_s=10.0, shm_provider=lambda: 8 * 1024 * 1024
-        )
-        sampler.sample_once()
-        shm = [s for s in sampler.counter_spans() if s.track == "arena"]
-        assert shm and shm[0].args["value"] == pytest.approx(8.0)
-        assert sampler.summary()["peak_shm_bytes"] == 8 * 1024 * 1024
+    def test_pid_that_exits_between_reads_is_skipped(self):
+        go_r, go_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os.read(go_r, 1)
+            finally:
+                os._exit(0)
+        before = read_window([pid, os.getpid()])
+        os.write(go_w, b"g")
+        os.waitpid(pid, 0)
+        os.close(go_r)
+        os.close(go_w)
+        after = read_window([pid, os.getpid()])
+        assert pid in before and pid not in after
+        digest = window_digest(before, after)
+        assert len(digest["worker_cpu_s"]) == 1
+        assert len(digest["worker_run_delay_s"]) == 1
 
-    @needs_proc
-    def test_summary_digest_shape(self):
-        sampler = ResourceSampler(interval_s=10.0)
-        sampler.sample_once()
-        sampler.sample_once()
-        summary = sampler.summary()
-        assert summary["supported"] is True
-        assert summary["n_tracks"] == 1
-        main = summary["tracks"]["main"]
-        assert main["pid"] == os.getpid()
-        assert main["n_samples"] == 2
-        assert main["peak_rss_bytes"] > 0
-        assert main["mean_cpu_percent"] is not None
-        assert main["ctx_switches_voluntary"] >= 0
+    def test_unreadable_proc_yields_empty_digest(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise OSError("permission denied")
 
-    @needs_proc
-    def test_worker_mean_cpu_excludes_parent(self):
-        sampler = ResourceSampler(interval_s=10.0)
-        sampler.sample_once()
-        sampler.sample_once()
-        # only the "main" track has samples -> no worker mean
-        assert sampler.worker_mean_cpu_percent() is None
-
-    @needs_proc
-    def test_start_stop_background_thread(self):
-        with ResourceSampler(interval_s=0.005) as sampler:
-            deadline = 200
-            while len(sampler) == 0 and deadline:
-                deadline -= 1
-                import time
-
-                time.sleep(0.005)
-        # stop() takes a final sample even if the thread never fired
-        assert len(sampler) > 0
-        sampler.stop()  # idempotent
-
-    @needs_proc
-    def test_record_metrics_gauges(self):
-        sampler = ResourceSampler(
-            interval_s=10.0, shm_provider=lambda: 1024
-        )
-        sampler.sample_once()
-        registry = MetricsRegistry()
-        sampler.record_metrics(registry, run="r")
-        names = {r.name for r in registry.records()}
-        assert "resource_peak_rss_bytes" in names
-        assert "resource_ctx_switches_voluntary" in names
-        assert "resource_peak_shm_bytes" in names
-
-    @needs_proc
-    def test_rides_multi_observer_hooks(self):
-        sampler = ResourceSampler(interval_s=1e-6)
-        observer = MultiObserver(sampler)
-        observer.on_phase_begin(0, 2)
-        observer.on_task_begin(0, 0)
-        observer.on_task_end(0, 0)
-        observer.on_phase_end(0)
-        assert len(sampler) > 0  # the phase barrier triggered a sample
-
-    @needs_proc
-    def test_hooks_are_interval_guarded(self):
-        sampler = ResourceSampler(interval_s=3600.0)
-        sampler.sample_once()
-        before = len(sampler)
-        for phase in range(50):
-            sampler.on_phase_end(phase)
-        assert len(sampler) == before  # interval far away: no new samples
+        monkeypatch.setattr(resources, "open", refuse, raising=False)
+        assert schedstat(os.getpid()) is None
+        assert read_window([os.getpid()]) == {}
+        assert window_digest({}, {}) == {}

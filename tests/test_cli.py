@@ -323,7 +323,12 @@ class TestComparePipeline:
             ["compare", "a", "--baseline", "b"],
         ]
         + [[verb, "--store", "x"] for verb in ("bench", "trace", "scale")]
-        + [["compare", "a", "b", "--store", "x"], ["report", "a", "--store", "x"]],
+        + [["compare", "a", "b", "--store", "x"], ["report", "a", "--store", "x"]]
+        + [
+            ["trace", "--sample-resources"],
+            ["scale", "--no-sample-resources"],
+            ["scale", "--sample-interval", "0.1"],
+        ],
     )
     def test_removed_options_are_usage_errors(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
