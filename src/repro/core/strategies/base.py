@@ -167,7 +167,16 @@ class ReductionStrategy(ABC):
         reads them back after the density region's last barrier.
         """
         nlist.check_covers(atoms.n_atoms)
-        layout = self._layout(atoms, nlist)
+        return self._regions(potential, atoms, nlist, self._layout(atoms, nlist))
+
+    def _regions(
+        self,
+        potential: EAMPotential,
+        atoms: Atoms,
+        nlist: NeighborList,
+        layout,
+    ) -> EAMComputation:
+        """The body of :meth:`compute` over a layout already made."""
         tier = kernels.active_tier()
         positions, box, n = atoms.positions, atoms.box, atoms.n_atoms
         pair_i, pair_j = layout.pair_i, layout.pair_j

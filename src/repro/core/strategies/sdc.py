@@ -1,7 +1,6 @@
 """Spatial Decomposition Coloring — the paper's method (Section II.B-C).
 
-Execution structure per force evaluation (paper Figs. 7-8), run by the
-shared three-region body (:meth:`ReductionStrategy.compute`):
+Execution structure per force evaluation (paper Figs. 7-8):
 
 * **density region**: for each color, every worker runs its static chunk of
   the color's subdomains — one contiguous pair range of the plan
@@ -14,12 +13,26 @@ shared three-region body (:meth:`ReductionStrategy.compute`):
 
 What SDC supplies is the layout: its plan, the colors as phases.  The write
 mode is the default — both endpoints, in place.
+
+Two executions of that structure, one result.  Where the tier has a walker
+(the C tier's :class:`~repro.kernels.c_tier.SDCWalk`) and the backend runs
+one thread per worker, an evaluation is one phase: each worker walks every
+color, its embedding rows and the ``2C + 1`` barriers between them in one
+GIL-free call — the paper's one parallel region.  Everywhere else — the
+NumPy tier, an attached instrument, tracer or backend observer, a backend
+that runs closures one after another — the shared three-region body
+(:meth:`ReductionStrategy.compute`) runs one phase per color, which is what
+racecheck and the conformance suites watch.  Same ranges in the same
+order: ``rho`` and the forces are bit-identical either way.
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence
 
+import numpy as np
+
+from repro import kernels
 from repro.core.domain import SubdomainGrid
 from repro.core.partition import PairPartition
 from repro.core.schedule import ColorSchedule
@@ -29,9 +42,12 @@ from repro.md.atoms import Atoms
 from repro.md.neighbor.verlet import NeighborList
 from repro.obs.recorder import count as count_health
 from repro.parallel.backends.base import ExecutionBackend
+from repro.parallel.backends.workers import barrier_lines
 from repro.parallel.machine import MachineConfig
 from repro.parallel.plan import SimPhase, SimPlan, embedding_phase
 from repro.parallel.workload import BYTES_PER_ATOM, WorkloadStats
+from repro.potentials.base import EAMPotential
+from repro.potentials.eam import EAMComputation
 from repro.utils.identity import IdentityKey
 
 
@@ -100,6 +116,75 @@ class SDCStrategy(ReductionStrategy):
         self.grid_factory = grid_factory
         self._cached_nlist = IdentityKey()
         self._plan: Optional[SDCPlan] = None
+        #: the walker of ``(plan, tier)``, None where none runs
+        self._walk_key: tuple = ()
+        self._walk = None
+        self._barrier = barrier_lines(n_threads)
+        #: first barrier generation of the next walked evaluation
+        self._generation = 1
+
+    # --- the walked evaluation ------------------------------------------------
+
+    def compute(
+        self, potential: EAMPotential, atoms: Atoms, nlist: NeighborList
+    ) -> EAMComputation:
+        """One evaluation: one walker phase where it may run (module
+        docstring), else the per-color three-region body."""
+        nlist.check_covers(atoms.n_atoms)
+        plan = self._layout(atoms, nlist)
+        n = atoms.n_atoms
+        walk = self._walker(plan, n)
+        if walk is not None:
+            rho, fp, forces = np.zeros(n), np.empty(n), np.zeros((n, 3))
+            if walk.bind(potential, atoms.positions, atoms.box, rho, fp, forces):
+                return self._walked(potential, atoms, nlist, walk, rho, fp, forces)
+        return self._regions(potential, atoms, nlist, plan)
+
+    def _walked(self, potential, atoms, nlist, walk, rho, fp, forces):
+        """One phase of one ``walk.run`` per worker into the bound arrays."""
+        base, n_colors = self._generation, walk.n_colors
+        self._generation += 2 * n_colors + 1
+        status = [walk.DONE] * self.n_threads
+
+        def worker(k: int):
+            def run() -> None:
+                status[k] = walk.run(k, k, base)
+
+            return run
+
+        self.backend.run_phase([worker(k) for k in range(self.n_threads)])
+        for slot in status:
+            if slot >= 0:  # this worker found an overlap; its siblings aborted
+                raise walk.overlap(slot)
+        pair_parts = np.ascontiguousarray(walk.energies[:, :n_colors])
+        return self._finalize(
+            potential, atoms, nlist, rho, fp, forces,
+            float(np.sum(walk.energies[:, n_colors])),
+            float(np.sum(pair_parts)) * self.pair_energy_scale,
+        )
+
+    def _walker(self, plan: SDCPlan, n_atoms: int):
+        """The walker of ``plan``, or None: an instrument, a tracer or a
+        backend observer watches tasks; the backend cannot run every
+        worker at once; or the tier has no walker for it."""
+        backend = self.backend
+        if (
+            self._instrument is not None
+            or self._tracer is not None
+            or backend.observer is not None
+            or backend.concurrent_tasks < self.n_threads
+        ):
+            return None
+        tier = kernels.active_tier()
+        key = self._walk_key
+        if not (key and key[0] is plan and key[1] is tier):
+            # the plan's indices are checked here, once per epoch
+            self._walk = tier.sdc_walker(
+                plan.pair_i, plan.pair_j, plan.tasks, plan.rows, n_atoms,
+                self._barrier,
+            )
+            self._walk_key = (plan, tier)
+        return self._walk
 
     # --- decomposition ---------------------------------------------------------
 

@@ -15,12 +15,15 @@ the library is used at all.
 :class:`CKernelTier` is the NumPy tier with the hot entry points replaced
 by single foreign calls, each of which drops the GIL: ``evaluate`` (three
 calls: density, embedding, force), the slice bodies ``density_slice`` /
-``force_slice`` every colour task runs, and the pair halves ``pair_pass``
-/ ``pair_forces`` the comparison strategies scatter their own way, and the
-neighbour build ``neighbor_csr`` (the forward-stencil walk and the CSR
-packing in one call) with its packer ``pairs_to_csr``.  Every other
-primitive is the NumPy tier's.  The contract of
-:mod:`repro.kernels.base` is kept on the Python side of each call:
+``force_slice`` every colour task runs, the pair halves ``pair_pass`` /
+``pair_forces`` the comparison strategies scatter their own way, the SDC
+walker ``sdc_walker`` (:class:`SDCWalk`: one call per worker per
+evaluation runs its every colour, its embedding rows and every barrier
+between them), and the neighbour build ``neighbor_csr`` (the
+forward-stencil walk and the CSR packing in one call) with its packer
+``pairs_to_csr``.  Every other primitive is the NumPy tier's.  The
+contract of :mod:`repro.kernels.base` is kept on the Python side of each
+call:
 
 * arguments are checked before the call — anything that is not a
   C-contiguous float64 (int64 for indices) ``ndarray`` of the expected
@@ -31,7 +34,8 @@ primitive is the NumPy tier's.  The contract of
   :func:`~repro.kernels.base.overlap_error`, before any accumulator is
   written;
 * a potential :mod:`~repro.kernels.lowering` cannot lower gets C geometry,
-  NumPy ``pair_terms`` on the returned ``r``, then the C scatters.
+  NumPy ``pair_terms`` on the returned ``r``, then the C scatters (and no
+  walker: its caller runs the slices).
 """
 
 from __future__ import annotations
@@ -341,6 +345,116 @@ def _pair_capacity(cells, reach: float) -> int:
     return min(int(1.1 * guess) + 16, n * (n - 1) // 2)
 
 
+class SDCShared(ctypes.Structure):
+    """What every worker of one walked evaluation shares (``sdc_shared``)."""
+
+    _fields_ = [
+        ("pot", ctypes.c_void_p),
+        ("pos", ctypes.c_void_p),
+        ("pair_i", ctypes.c_void_p),
+        ("pair_j", ctypes.c_void_p),
+        ("lengths", ctypes.c_double * 3),
+        ("min_sep", ctypes.c_double),
+        ("n_colors", ctypes.c_int64),
+        ("rho", ctypes.c_void_p),
+        ("fp", ctypes.c_void_p),
+        ("forces", ctypes.c_void_p),
+        ("delta", ctypes.c_void_p),
+        ("r", ctypes.c_void_p),
+        ("phi", ctypes.c_void_p),
+        ("dphi", ctypes.c_void_p),
+        ("dv", ctypes.c_void_p),
+        ("barrier", ctypes.c_void_p),
+        ("n_waiters", ctypes.c_int64),
+        ("parent", ctypes.c_int64),
+    ]
+
+
+class SDCWalk:
+    """``sdc_walk`` bound to one plan, whose indices were checked once.
+
+    :meth:`bind` points it at one evaluation's potential and arrays (False
+    when C may not run them); :meth:`run` then walks worker ``k``'s share —
+    ``tasks[k]``, a ``[lo, hi)`` pair range per colour, and ``rows[k]`` —
+    meeting its siblings at the ``barrier`` block (the layout of
+    :class:`~repro.parallel.backends.workers.ColorBarrier`).  Its partials
+    land in ``energies[k]``: one pair energy per colour, then the
+    embedding energy.
+    """
+
+    #: :meth:`run`'s statuses besides an overlapping pair's slot
+    DONE, ABORTED = -1, -2
+
+    def __init__(
+        self, fn, pair_i, pair_j, tasks, rows, n_atoms, barrier, parent,
+        handover,
+    ) -> None:
+        n_pairs = len(pair_i)
+        self._fn, self.n_atoms = fn, n_atoms
+        self.pair_i, self.pair_j = pair_i, pair_j
+        self._ranges = [np.array(t, dtype=np.int64).reshape(-1) for t in tasks]
+        self._rows = [(int(lo), int(hi)) for lo, hi in rows]
+        self.n_colors = len(tasks[0])
+        self.energies = np.zeros((len(tasks), self.n_colors + 1))
+        delta, self.r, dphi, dv = (
+            handover if handover is not None else handover_arrays(n_pairs)
+        )
+        phi = np.empty(n_pairs)
+        self._barrier = barrier
+        self._shared = SDCShared(
+            pair_i=pair_i.ctypes.data, pair_j=pair_j.ctypes.data,
+            min_sep=MIN_PAIR_SEPARATION, n_colors=self.n_colors,
+            delta=delta.ctypes.data, r=self.r.ctypes.data, phi=phi.ctypes.data,
+            dphi=dphi.ctypes.data, dv=dv.ctypes.data,
+            barrier=barrier.ctypes.data, n_waiters=len(barrier) - 1,
+            parent=parent,
+        )
+        #: what the struct addresses lives as long as it does
+        self._arrays = (delta, dphi, dv, phi)
+        self._lowered = None
+
+    def bind(self, potential, positions, box, rho, fp, forces) -> bool:
+        """Aim the walk at one evaluation: False (nothing bound) unless the
+        potential lowers and every array is plain, of the plan's atoms."""
+        lowered = lower_potential(potential)
+        n = self.n_atoms
+        if lowered is None or not (
+            _rows(positions, 3) and _rows(forces, 3) and _rows(rho) and _rows(fp)
+            and len(positions) == len(forces) == len(rho) == len(fp) == n
+        ):
+            return False
+        shared, self._lowered = self._shared, lowered
+        shared.pot = ctypes.addressof(lowered)
+        shared.lengths[:] = (box.lengths * box.periodic).tolist()
+        for name, array in (
+            ("pos", positions), ("rho", rho), ("fp", fp), ("forces", forces)
+        ):
+            setattr(shared, name, array.ctypes.data)
+        return True
+
+    def run(self, k: int, waiter: int, base: int, marks=None) -> int:
+        """Worker ``k``'s walk as barrier waiter ``waiter``, generations
+        ``base`` to ``base + 2C``: :attr:`DONE`, :attr:`ABORTED` (a sibling
+        left), or the slot of an overlapping pair it found.
+        Never leaves a sibling waiting: a raise aborts the barrier."""
+        lo, hi = self._rows[k]
+        try:
+            return self._fn(
+                ctypes.byref(self._shared), _ptr(self._ranges[k]), lo, hi,
+                waiter, base, _ptr(self.energies[k]),
+                None if marks is None else _ptr(marks),
+            )
+        except BaseException:
+            self._barrier[0, 0] = base
+            raise
+
+    def overlap(self, slot: int) -> ValueError:
+        """The tier's error for the overlapping pair at ``slot``."""
+        return overlap_error(
+            self.r, slot, (self.pair_i, self.pair_j), MIN_PAIR_SEPARATION
+        )
+
+
 class CKernelTier(NumpyKernelTier):
     """The NumPy tier with its hot entry points compiled (module docstring)."""
 
@@ -364,6 +478,9 @@ class CKernelTier(NumpyKernelTier):
         self._c_embedding = lib.eam_embedding
         self._c_embedding.argtypes = [pot, vp, i64, vp]
         self._c_embedding.restype = f64
+        self._c_walk = lib.sdc_walk
+        self._c_walk.argtypes = [vp, vp, i64, i64, i64, i64, vp, vp]
+        self._c_walk.restype = i64
         self._c_build = lib.nbr_build
         self._c_build.argtypes = [
             vp, vp, i64, vp, vp, vp, vp, f64, i64, i64, vp, vp, vp, vp
@@ -513,6 +630,30 @@ class CKernelTier(NumpyKernelTier):
             super().force_slice(i_idx, j_idx, fp, handover, forces)
             return
         self._forces(i_idx, j_idx, fp, handover, forces, None, True)
+
+    def sdc_walker(
+        self, pair_i, pair_j, tasks, rows, n_atoms, barrier, parent=0,
+        handover=None,
+    ):
+        n_pairs = len(pair_i)
+        spans = np.array(tasks, dtype=np.int64).reshape(-1, 2)
+        blocks = np.array(rows, dtype=np.int64).reshape(-1, 2)
+        if not (
+            _indices(pair_i, pair_j, n_atoms)
+            and len(tasks) == len(rows) and len(tasks[0]) > 0
+            and np.all(spans[:, 0] >= 0) and np.all(spans[:, 0] <= spans[:, 1])
+            and np.all(spans[:, 1] <= n_pairs)
+            and np.all(blocks[:, 0] >= 0) and np.all(blocks[:, 0] <= blocks[:, 1])
+            and np.all(blocks[:, 1] <= n_atoms)
+            and _plain(_I64, barrier) and barrier.ndim == 2
+            and barrier.shape[1] == 8 and barrier.flags.writeable
+            and (handover is None or _pairs(pair_i, pair_j, handover, n_atoms))
+        ):
+            return None
+        return SDCWalk(
+            self._c_walk, pair_i, pair_j, tasks, rows, n_atoms, barrier,
+            parent, handover,
+        )
 
     # --- the neighbour build ------------------------------------------------
 

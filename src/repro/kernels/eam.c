@@ -1,7 +1,8 @@
 /*
  * The C kernel tier: the paper's density and force loops (Figs. 1-2) over
- * one contiguous pair slice, and the CSR Verlet list they run over, each
- * entry point one GIL-free call.
+ * one contiguous pair slice, the whole SDC parallel region of one worker
+ * (Figs. 7-8: every colour, the embedding and every barrier), and the CSR
+ * Verlet list they run over, each entry point one GIL-free call.
  *
  * Built on first use by repro.kernels.c_tier with `cc -O3 -ffp-contract=off
  * -shared -fPIC -lm` (no -ffast-math, no -march, no OpenMP; no fused
@@ -19,9 +20,13 @@
  * may use its own.
  */
 
+#define _GNU_SOURCE
 #include <math.h>
+#include <sched.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <time.h>
+#include <unistd.h>
 
 /* keep in step with repro.kernels.lowering */
 #define KIND_JOHNSON 0
@@ -274,6 +279,129 @@ double eam_embedding(const eam_potential *p, const double *rho, int64_t n,
         }
     }
     return energy;
+}
+
+/* ------------------------------------------------------------------------
+ * The SDC walker: one worker's share of a whole evaluation, barriers
+ * included - the per-colour Python path of repro.core.strategies (and of
+ * the process workers) in one call.
+ * ------------------------------------------------------------------------ */
+
+/* keep in step with repro.parallel.backends.workers.BARRIER_SPINS */
+#define BARRIER_SPINS 64
+/* int64 words per barrier line: one cache line each */
+#define LINE 8
+
+/* What every worker of one evaluation shares.  The barrier block is
+ * ColorBarrier's, word for word: word 0 the abort word, word LINE*(1+k)
+ * waiter k's arrival generation. */
+typedef struct {
+    const eam_potential *pot;
+    const double *pos;
+    const int64_t *pair_i, *pair_j;
+    double lengths[3];
+    double min_sep;
+    int64_t n_colors;
+    double *rho, *fp, *forces;
+    double *delta, *r, *phi, *dphi, *dv; /* slot-aligned with pair_i */
+    int64_t *barrier;
+    int64_t n_waiters;
+    int64_t parent; /* > 0: a waiter exits once this pid is not its parent */
+} sdc_shared;
+
+static double clock_s(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (double)((int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec) / 1e9;
+}
+
+/* ColorBarrier.wait: arrive at `generation`, return 1 once every waiter
+ * has, 0 when the abort word reaches `base` (a sibling left). */
+static int barrier_wait(const sdc_shared *s, int64_t waiter,
+                        int64_t generation, int64_t base)
+{
+    int64_t *words = s->barrier;
+    __atomic_thread_fence(__ATOMIC_SEQ_CST); /* my scatters before my arrival */
+    __atomic_store_n(&words[LINE * (1 + waiter)], generation, __ATOMIC_RELEASE);
+    for (int64_t spins = 0;; spins++) {
+        int64_t k = 0;
+        while (k < s->n_waiters &&
+               __atomic_load_n(&words[LINE * (1 + k)], __ATOMIC_ACQUIRE) >=
+                   generation)
+            k++;
+        if (k == s->n_waiters)
+            break;
+        if (__atomic_load_n(&words[0], __ATOMIC_ACQUIRE) >= base)
+            return 0;
+        if (spins > BARRIER_SPINS) {
+            sched_yield();
+            if (s->parent > 0 && !(spins % 1024) && getppid() != s->parent)
+                _exit(1);
+        }
+    }
+    __atomic_thread_fence(__ATOMIC_SEQ_CST);
+    return 1;
+}
+
+#define SDC_DONE (-1)
+#define SDC_ABORTED (-2)
+
+/*
+ * Worker `waiter`'s share of one SDC evaluation: its pair range of each
+ * colour through eam_density (ranges[2c], ranges[2c + 1]), a barrier
+ * after each; eam_embedding over its rows [row_lo, row_hi), a barrier;
+ * its ranges again through eam_force, a barrier after each - 2C + 1
+ * barriers, generations base, base + 1, ...  energies[c] is colour c's
+ * pair-energy partial and energies[C] the embedding energy; marks (when
+ * given) gets CLOCK_MONOTONIC seconds at the start, at every barrier's
+ * entry and exit, and at the end.  Returns SDC_DONE; SDC_ABORTED when a
+ * sibling left; or the pair slot of an overlap this worker found, after
+ * setting the abort word (nothing past the pair's geometry written).
+ */
+int64_t sdc_walk(const sdc_shared *s, const int64_t *ranges, int64_t row_lo,
+                 int64_t row_hi, int64_t waiter, int64_t base,
+                 double *energies, double *marks)
+{
+    const int64_t n_colors = s->n_colors;
+    int64_t generation = base, m = 0;
+    if (marks)
+        marks[m++] = clock_s();
+#define MEET()                                                               \
+    do {                                                                     \
+        if (marks)                                                           \
+            marks[m++] = clock_s();                                          \
+        if (!barrier_wait(s, waiter, generation++, base))                    \
+            return SDC_ABORTED;                                              \
+        if (marks)                                                           \
+            marks[m++] = clock_s();                                          \
+    } while (0)
+    for (int64_t c = 0; c < n_colors; c++) {
+        const int64_t lo = ranges[2 * c], n = ranges[2 * c + 1] - lo;
+        const int64_t closest = eam_density(
+            s->pos, s->pair_i + lo, s->pair_j + lo, n, s->lengths, s->min_sep,
+            s->pot, 1, s->rho, s->delta + 3 * lo, s->r + lo, s->phi + lo,
+            s->dphi + lo, s->dv + lo, &energies[c]);
+        if (closest >= 0) {
+            __atomic_store_n(&s->barrier[0], generation, __ATOMIC_RELEASE);
+            return lo + closest;
+        }
+        MEET();
+    }
+    energies[n_colors] = eam_embedding(s->pot, s->rho + row_lo,
+                                       row_hi - row_lo, s->fp + row_lo);
+    MEET();
+    for (int64_t c = 0; c < n_colors; c++) {
+        const int64_t lo = ranges[2 * c], n = ranges[2 * c + 1] - lo;
+        /* the density pass checked these distances */
+        eam_force(s->pair_i + lo, s->pair_j + lo, n, s->fp, s->delta + 3 * lo,
+                  s->r + lo, s->dphi + lo, s->dv + lo, 0.0, 1, s->forces, 0);
+        MEET();
+    }
+#undef MEET
+    if (marks)
+        marks[m] = clock_s();
+    return SDC_DONE;
 }
 
 /* ------------------------------------------------------------------------

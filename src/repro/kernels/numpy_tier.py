@@ -10,8 +10,10 @@ two slice entry points (:meth:`~NumpyKernelTier.density_slice`,
 :meth:`~NumpyKernelTier.force_slice`) every strategy task runs through —
 each a pair half (:meth:`~NumpyKernelTier.pair_pass`,
 :meth:`~NumpyKernelTier.pair_forces`) plus the both-endpoints scatter, the
-halves also serving the strategies that scatter differently — and the
-neighbour build those pair lists come from
+halves also serving the strategies that scatter differently — the SDC
+walker (:meth:`~NumpyKernelTier.sdc_walker`, which this tier does not
+have: its callers run the slices colour by colour) and the neighbour
+build those pair lists come from
 (:meth:`~NumpyKernelTier.neighbor_csr`, with its packer
 :meth:`~NumpyKernelTier.pairs_to_csr`).  :mod:`repro.potentials.eam` and
 :mod:`repro.md.neighbor.verlet` dispatch to the process's active tier
@@ -384,3 +386,13 @@ class NumpyKernelTier:
         self.scatter_force_half(
             forces, i_idx, j_idx, self.pair_forces(i_idx, j_idx, fp, handover)
         )
+
+    def sdc_walker(
+        self, pair_i, pair_j, tasks, rows, n_atoms, barrier, parent=0,
+        handover=None,
+    ):
+        """A whole SDC evaluation per worker in one call, barriers included
+        (:class:`repro.kernels.c_tier.SDCWalk`), or None where the tier has
+        none or may not run this plan: the caller then runs
+        :meth:`density_slice` / :meth:`force_slice` colour by colour."""
+        return None

@@ -137,6 +137,11 @@ class ExecutionBackend(ABC):
     _observer: Optional[PhaseObserver] = None
     _phase_counter: int = 0
 
+    #: closures of one phase that run side by side, each on a thread of
+    #: its own (0: the caller's thread runs them one after another).  Only
+    #: a phase at most this wide may hold closures that wait for each other
+    concurrent_tasks: int = 0
+
     @abstractmethod
     def run_phase(self, closures: Sequence[TaskClosure]) -> None:
         """Run all closures; return after the last one completes.

@@ -1,8 +1,11 @@
 """Persistent process-parallel SDC: forked workers over a shared arena.
 
-Python's GIL caps what :class:`~repro.parallel.backends.threads.ThreadBackend`
-can demonstrate; this calculator runs the SDC color phases across
-*processes*, the closest Python analog of the paper's OpenMP threads.
+This calculator runs the SDC color phases across *processes*, the
+closest Python analog of the paper's OpenMP threads, on any tier: on the
+NumPy tier the GIL caps what
+:class:`~repro.parallel.backends.threads.ThreadBackend` can demonstrate.
+On the C tier each worker walks its whole evaluation in one ``sdc_walk``
+call (:mod:`repro.parallel.backends.workers`), as the thread pool does.
 Within a color, workers scatter into one anonymous shared mapping
 **without any locks** — legal for the reason the paper gives: same-color
 subdomains write disjoint atoms — and between colors they meet at an

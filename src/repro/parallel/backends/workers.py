@@ -84,8 +84,12 @@ RegionSize = Tuple[int, int]
 Handler = Callable[[str, object], object]
 
 #: barrier iterations a waiter spins before it yields its CPU at every
-#: further one; both halves are measured necessities (DESIGN §7.1)
+#: further one; both halves are measured necessities (DESIGN §7.1).
+#: ``eam.c``'s walker has the same constant
 BARRIER_SPINS = 64
+
+#: the region fields a density pass hands over to the force pass
+HANDOVER = ("pair_delta", "pair_r", "pair_dphi", "pair_dv")
 
 
 def record_health(
@@ -208,6 +212,15 @@ class SharedArena:
         """Release every barrier waiter (a worker died): an abort word no
         generation reaches."""
         self.barrier[0, 0] = np.iinfo(np.int64).max
+
+
+def barrier_lines(n_workers: int) -> np.ndarray:
+    """A zeroed, cache-line-aligned barrier block for ``n_workers`` threads
+    of one process: the :class:`SharedArena` ``barrier`` layout."""
+    words = _ALIGN // 8
+    raw = np.zeros((n_workers + 2) * words, dtype=np.int64)
+    skip = -raw.ctypes.data % _ALIGN // 8
+    return raw[skip : skip + (n_workers + 1) * words].reshape(-1, words)
 
 
 class PhaseAborted(RuntimeError):
@@ -532,6 +545,9 @@ class ChunkWorker:
         self.copies: Sequence[Tuple[int, np.ndarray, np.ndarray]] = ()
         self.owners: Sequence[Tuple[int, np.ndarray, np.ndarray]] = ()
         self.barrier: Optional[ColorBarrier] = None
+        #: the tier's walker of this epoch, bound to the arena (None: the
+        #: per-colour body runs)
+        self.walk = None
         #: flat write set per task of the current command (``record_writes``)
         self.writes: List[List[int]] = []
 
@@ -551,9 +567,22 @@ class ChunkWorker:
         self.rows, self.copies, self.owners = (
             payload["rows"], payload["copies"], payload["owners"]
         )
-        self.barrier = ColorBarrier(
-            self.arena.barrier, self.index, forked=os.getpid() != self._driver
-        )
+        forked = os.getpid() != self._driver
+        self.barrier = ColorBarrier(self.arena.barrier, self.index, forked)
+        self.walk = None
+        if not (self.copies or self.owners or self.record_writes):
+            views = self.views
+            walk = self.tier.sdc_walker(
+                views["pair_i"], views["pair_j"], [self.tasks], [self.rows],
+                len(views["rho"]), self.arena.barrier,
+                parent=os.getppid() if forked else 0,
+                handover=[views[key] for key in HANDOVER],
+            )
+            if walk is not None and walk.bind(
+                self.potential, views["positions"], self.box,
+                views["rho"], views["fp"], views["forces"],
+            ):
+                self.walk = walk
 
     def do_evaluate(self, base: int):
         """One whole force evaluation, in step with every sibling.
@@ -568,8 +597,12 @@ class ChunkWorker:
         Returns ``(pair-energy partial, embedding-energy partial, marks,
         per-task write sets, tid)``; ``marks`` are ``perf_counter`` at the
         start, at every barrier's entry and exit, and at the end; the tid
-        of a forked worker is its pid.
+        of a forked worker is its pid.  A worker without ghost maps walks
+        it all in one foreign call where its tier has a walker
+        (:meth:`_evaluate_walked`).
         """
+        if self.walk is not None:
+            return self._evaluate_walked(base)
         barrier, generation = self.barrier, base
         marks, self.writes = [time.perf_counter()], []
         views, regions = self.views, self.regions
@@ -610,6 +643,24 @@ class ChunkWorker:
             threading.get_native_id(),
         )
 
+    def _evaluate_walked(self, base: int):
+        """:meth:`do_evaluate` as one ``sdc_walk`` call: the same ranges,
+        rows and barriers, the same marks on ``perf_counter``'s clock."""
+        walk, n_colors = self.walk, len(self.tasks)
+        marks = np.empty(2 * (2 * n_colors + 1) + 2)
+        status = walk.run(0, self.index, base, marks)
+        if status >= 0:
+            raise walk.overlap(status)
+        if status != walk.DONE:
+            raise PhaseAborted(f"a sibling left a barrier of {base}")
+        pair_energy = 0.0  # summed in the per-colour body's order
+        for partial in walk.energies[0, :n_colors].tolist():
+            pair_energy += partial
+        return (
+            pair_energy, float(walk.energies[0, n_colors]), marks.tolist(),
+            [], threading.get_native_id(),
+        )
+
     def _task(self, kind: str, lo: int, hi: int) -> float:
         """One task: the pair range ``[lo, hi)`` through one pass.
 
@@ -629,10 +680,7 @@ class ChunkWorker:
             log = TaskWriteLog()
             target = wrap_array(target, name, log)
         i_idx, j_idx = views["pair_i"][lo:hi], views["pair_j"][lo:hi]
-        handover = [
-            views[key][lo:hi]
-            for key in ("pair_delta", "pair_r", "pair_dphi", "pair_dv")
-        ]
+        handover = [views[key][lo:hi] for key in HANDOVER]
         pair_energy = 0.0
         if kind == "density":
             pair_energy = tier.density_slice(

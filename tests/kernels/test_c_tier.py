@@ -588,3 +588,108 @@ def test_source_ships_as_package_data():
     pyproject = Path(repro.__file__).resolve().parents[2] / "pyproject.toml"
     if pyproject.is_file():
         assert '"kernels/*.c"' in pyproject.read_text()
+
+
+class TestSDCWalker:
+    """``sdc_walk`` driven by hand, one worker at a time."""
+
+    @pytest.fixture()
+    def plan(self, potential):
+        from repro.core.sdc_plan import build_sdc_plan
+        from repro.harness.cases import Case
+
+        # 4 x 4 subdomains: both workers have pairs in every colour
+        atoms = Case(key="w", label="w", n_cells=12).build(seed=4)
+        nlist = build_neighbor_list(
+            atoms.positions, atoms.box, cutoff=potential.cutoff, skin=0.3
+        )
+        return atoms, build_sdc_plan(atoms.box, nlist, 2, 2)
+
+    def walker(self, c_tier, plan):
+        from repro.parallel.backends.workers import barrier_lines
+
+        atoms, sdc = plan
+        barrier = barrier_lines(2)
+        walk = c_tier.sdc_walker(
+            sdc.pair_i, sdc.pair_j, sdc.tasks, sdc.rows, atoms.n_atoms, barrier
+        )
+        assert walk is not None
+        return walk, barrier
+
+    def test_removed_barrier_gives_wrong_forces(self, c_tier, potential, plan):
+        """Worker 0 walks alone, its sibling's arrival word pre-set past
+        every generation: every barrier passes at once, and the force pass
+        reads the ``fp`` rows the sibling never embedded."""
+        from repro.parallel.backends.threads import ThreadBackend
+
+        atoms, sdc = plan
+        n = atoms.n_atoms
+
+        def arrays():
+            return np.zeros(n), np.full(n, np.nan), np.zeros((n, 3))
+
+        walk, barrier = self.walker(c_tier, plan)
+        rho, fp, forces = arrays()
+        assert walk.bind(potential, atoms.positions, atoms.box, rho, fp, forces)
+        with ThreadBackend(2) as backend:  # both workers, barriers kept
+            backend.run_phase([lambda k=k: walk.run(k, k, 1) for k in range(2)])
+        want = compute_eam_forces_serial(
+            potential, atoms.copy(),
+            build_neighbor_list(
+                atoms.positions, atoms.box, cutoff=potential.cutoff, skin=0.3
+            ),
+        )
+        np.testing.assert_allclose(forces, want.forces, atol=1e-10)
+
+        walk, barrier = self.walker(c_tier, plan)
+        barrier[2, 0] = np.iinfo(np.int64).max - 1  # worker 1 "arrived"
+        rho, fp, forces = arrays()
+        assert walk.bind(potential, atoms.positions, atoms.box, rho, fp, forces)
+        assert walk.run(0, 0, 1) == walk.DONE  # no wait, no hang
+        lo, hi = sdc.rows[1]
+        assert np.isnan(fp[lo:hi]).all() and np.isfinite(fp[:lo]).all()
+        assert np.isnan(forces).any()
+
+    def test_plan_indices_are_checked_once(self, c_tier, plan):
+        from repro.parallel.backends.workers import barrier_lines
+
+        atoms, sdc = plan
+        n, barrier = atoms.n_atoms, barrier_lines(2)
+        bad_j = sdc.pair_j.copy()
+        bad_j[-1] = n
+        past_end = [list(t) for t in sdc.tasks]
+        past_end[1][-1] = (past_end[1][-1][0], len(sdc.pair_i) + 1)
+        for pair_j, tasks, rows in (
+            (bad_j, sdc.tasks, sdc.rows),
+            (sdc.pair_j, past_end, sdc.rows),
+            (sdc.pair_j, sdc.tasks, [(0, n // 2), (n // 2, n + 1)]),
+        ):
+            assert c_tier.sdc_walker(
+                sdc.pair_i, pair_j, tasks, rows, n, barrier
+            ) is None
+        assert NumpyKernelTier().sdc_walker(
+            sdc.pair_i, sdc.pair_j, sdc.tasks, sdc.rows, n, barrier
+        ) is None
+
+    def test_odd_arrays_are_not_bound(self, c_tier, potential, plan):
+        atoms, _ = plan
+        walk, _ = self.walker(c_tier, plan)
+        n = atoms.n_atoms
+        rho, fp, forces = np.zeros(n), np.zeros(n), np.zeros((n, 3))
+        box, positions = atoms.box, atoms.positions
+        for args in (
+            (Float32Embedding(), positions, box, rho, fp, forces),
+            (potential, positions[:-1], box, rho, fp, forces),
+            (potential, positions, box, rho.astype(np.float32), fp, forces),
+            (potential, positions, box, rho, fp, np.asfortranarray(forces)[:, :2]),
+            (potential, positions, box, wrap_array(rho, "rho", TaskWriteLog()),
+             fp, forces),
+        ):
+            assert not walk.bind(*args)
+        assert walk.bind(potential, positions, box, rho, fp, forces)
+
+    def test_spin_count_is_the_python_barriers(self):
+        from repro.parallel.backends.workers import BARRIER_SPINS
+
+        source = resources.files("repro.kernels").joinpath("eam.c").read_text()
+        assert f"#define BARRIER_SPINS {BARRIER_SPINS}\n" in source

@@ -561,3 +561,21 @@ class TestBackendPartialPhase:
             with pytest.raises(RuntimeError):
                 backend.run_phase([ok, boom, ok, ok])
         assert count["n"] == 3  # barrier waits for everything first
+
+    def test_thread_backend_reraises_the_first_task_in_submission_order(self):
+        """Two tasks raise: the first submitted one's error surfaces, every
+        time — not whichever the completed-futures set iterates first."""
+        import threading
+
+        def boom(k, started):
+            def run():
+                started.wait()
+                raise RuntimeError(f"task {k} died")
+
+            return run
+
+        with ThreadBackend(2) as backend:
+            for _ in range(50):
+                started = threading.Barrier(2)  # both raise, side by side
+                with pytest.raises(RuntimeError, match="task 0 died"):
+                    backend.run_phase([boom(0, started), boom(1, started)])
