@@ -65,17 +65,21 @@ class Box:
 
         Non-periodic axes are left untouched.  Returns a new array.
         """
-        positions = np.asarray(positions, dtype=np.float64)
-        wrapped = positions.copy()
+        wrapped = np.asarray(positions, dtype=np.float64).copy()
+        self.wrap_in_place(wrapped)
+        return wrapped
+
+    def wrap_in_place(self, positions: np.ndarray) -> None:
+        """:meth:`wrap` writing into ``positions`` (a float64 array)."""
         for axis in range(3):
             if self.periodic[axis]:
                 length = self.lengths[axis]
-                component = wrapped[..., axis] % length
+                component = positions[..., axis]
+                np.remainder(component, length, out=component)
                 # float modulo of a tiny negative value rounds to exactly
                 # `length`; fold that onto 0 so wrap stays idempotent and
                 # wrapped points satisfy 0 <= x < length
-                wrapped[..., axis] = np.where(component >= length, 0.0, component)
-        return wrapped
+                component[component >= length] = 0.0
 
     def minimum_image(self, displacement: np.ndarray) -> np.ndarray:
         """Apply the minimum-image convention to displacement vectors.
@@ -95,6 +99,21 @@ class Box:
                     out[..., axis] / length + 0.5
                 )
         return out
+
+    def max_displacement(self, positions: np.ndarray, reference: np.ndarray) -> float:
+        """Largest minimum-image distance between matching rows of two
+        ``(n, 3)`` arrays; NaN when any coordinate is NaN or inf."""
+        # the fold maps every lattice image of a difference to the same
+        # value, so wrapping ``positions`` first would change nothing
+        delta = self.minimum_image(positions - reference)
+        if len(delta) == 0:
+            return 0.0
+        # x^2 + y^2, then + z^2: the order a compiled twin can match on
+        # every NumPy (einsum's is its own and changes between versions)
+        squared = delta[:, 0] * delta[:, 0]
+        for axis in (1, 2):
+            squared += delta[:, axis] * delta[:, axis]
+        return float(np.sqrt(np.max(squared)))
 
     def distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Minimum-image distances between position arrays ``a`` and ``b``."""

@@ -19,9 +19,12 @@ calls: density, embedding, force), the slice bodies ``density_slice`` /
 ``pair_forces`` the comparison strategies scatter their own way, the SDC
 walker ``sdc_walker`` (:class:`SDCWalk`: one call per worker per
 evaluation runs its every colour, its embedding rows and every barrier
-between them), and the neighbour build ``neighbor_csr`` (the
+between them), the neighbour build ``neighbor_csr`` (the
 forward-stencil walk and the CSR packing in one call) with its packer
-``pairs_to_csr``.  Every other primitive is the NumPy tier's.  The
+``pairs_to_csr``, and the two halves of a velocity-Verlet step,
+``kick_drift`` (half-kick, drift, wrap and the Verlet displacement in one
+pass) and ``kick`` (the closing half-kick and ``sum m v^2``).  Every other
+primitive is the NumPy tier's.  The
 contract of :mod:`repro.kernels.base` is kept on the Python side of each
 call:
 
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import shutil
 import struct
@@ -73,6 +77,7 @@ SOURCE = "eam.c"
 
 _F64 = np.dtype(np.float64)
 _I64 = np.dtype(np.int64)
+_I32 = np.dtype(np.int32)
 #: a zero-length ctypes view passes an array's address for 0.4 µs,
 #: against 2 µs for ``ndarray.ctypes.data``
 _VIEW = ctypes.c_char * 0
@@ -314,6 +319,28 @@ def _pairs(i_idx, j_idx, handover, n_atoms: int) -> bool:
     )
 
 
+def _vectors(n_atoms: int, *arrays) -> bool:
+    """Plain C-contiguous float64 ``(n_atoms, 3)`` arrays (one loop: this
+    runs twice a step)."""
+    for a in arrays:
+        if not (
+            type(a) is np.ndarray and a.dtype == _F64
+            and a.shape == (n_atoms, 3) and a.flags.c_contiguous
+        ):
+            return False
+    return True
+
+
+def _kick_args(n_atoms: int, types, scale, velocities, forces) -> bool:
+    """A kick C may run: plain ``(n, 3)`` velocities (writeable) and
+    forces, ``n`` int32 types and a float64 scale per type (C checks the
+    types against it)."""
+    return (
+        _vectors(n_atoms, velocities, forces) and velocities.flags.writeable
+        and _rows(scale) and _plain(_I32, types) and types.shape == (n_atoms,)
+    )
+
+
 def _binned(cells, n_atoms: int) -> bool:
     """A cell list C may walk: plain int64 ``order`` holding atom indices
     inside ``[0, n_atoms)``, ``starts`` rising from 0 to ``n_atoms`` over
@@ -489,6 +516,14 @@ class CKernelTier(NumpyKernelTier):
         self._c_pack = lib.nbr_pack
         self._c_pack.argtypes = [vp, vp, i64, i64, i64, vp, vp]
         self._c_pack.restype = None
+        self._c_kick_drift = lib.md_kick_drift
+        self._c_kick_drift.argtypes = [
+            vp, vp, vp, vp, vp, i64, i64, f64, f64, vp, vp, vp
+        ]
+        self._c_kick_drift.restype = i64
+        self._c_kick = lib.md_kick
+        self._c_kick.argtypes = [vp, vp, vp, vp, vp, i64, i64, f64, vp]
+        self._c_kick.restype = i64
 
     # --- the passes ---------------------------------------------------------
 
@@ -654,6 +689,48 @@ class CKernelTier(NumpyKernelTier):
             self._c_walk, pair_i, pair_j, tasks, rows, n_atoms, barrier,
             parent, handover,
         )
+
+    # --- velocity Verlet ----------------------------------------------------
+
+    def kick_drift(
+        self, positions, velocities, forces, types, scale, half_dt, dt, box,
+        reference=None,
+    ):
+        n = len(positions)
+        moved2 = ctypes.c_double(0.0)
+        # C answers -1 for a type with no scale, having written nothing:
+        # NumPy then raises its IndexError
+        if (
+            _kick_args(n, types, scale, velocities, forces)
+            and _vectors(n, positions) and positions.flags.writeable
+            and (reference is None or _vectors(n, reference))
+            and self._c_kick_drift(
+                _ptr(positions), _ptr(velocities), _ptr(forces), _ptr(types),
+                _ptr(scale), len(scale), n, half_dt, dt,
+                _ptr(box.lengths * box.periodic),
+                None if reference is None else _ptr(reference),
+                ctypes.byref(moved2),
+            ) == 0
+        ):
+            return None if reference is None else math.sqrt(moved2.value)
+        return super().kick_drift(
+            positions, velocities, forces, types, scale, half_dt, dt, box,
+            reference,
+        )
+
+    def kick(self, velocities, forces, types, scale, masses, half_dt):
+        mv2 = ctypes.c_double(0.0)
+        if (
+            _kick_args(len(velocities), types, scale, velocities, forces)
+            and _rows(masses) and len(masses) == len(scale)
+            and self._c_kick(
+                _ptr(velocities), _ptr(forces), _ptr(types), _ptr(scale),
+                _ptr(masses), len(scale), len(velocities), half_dt,
+                ctypes.byref(mv2),
+            ) == 0
+        ):
+            return mv2.value
+        return super().kick(velocities, forces, types, scale, masses, half_dt)
 
     # --- the neighbour build ------------------------------------------------
 

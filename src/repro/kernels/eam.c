@@ -1,16 +1,18 @@
 /*
  * The C kernel tier: the paper's density and force loops (Figs. 1-2) over
  * one contiguous pair slice, the whole SDC parallel region of one worker
- * (Figs. 7-8: every colour, the embedding and every barrier), and the CSR
- * Verlet list they run over, each entry point one GIL-free call.
+ * (Figs. 7-8: every colour, the embedding and every barrier), the two
+ * halves of a velocity-Verlet step, and the CSR Verlet list they run over,
+ * each entry point one GIL-free call.
  *
  * Built on first use by repro.kernels.c_tier with `cc -O3 -ffp-contract=off
  * -shared -fPIC -lm` (no -ffast-math, no -march, no OpenMP; no fused
  * multiply-add, so every product rounds as NumPy's does) and called
  * through ctypes.
- * Nothing here validates input: the caller checks every index against the
- * arrays it addresses before the call, and routes anything that is not a
- * C-contiguous float64 / int64 ndarray to the NumPy tier.
+ * Nothing here validates input but the Verlet passes' species indices:
+ * the caller checks every other index against the arrays it addresses
+ * before the call, and routes anything that is not a C-contiguous
+ * float64 / int64 (int32 types) ndarray to the NumPy tier.
  *
  * Each pass is three loops: the geometry (the minimum-image fold without a
  * libm call), the potential terms over r, then the scatters.  The
@@ -402,6 +404,120 @@ int64_t sdc_walk(const sdc_shared *s, const int64_t *ranges, int64_t row_lo,
     if (marks)
         marks[m] = clock_s();
     return SDC_DONE;
+}
+
+/* ------------------------------------------------------------------------
+ * Velocity Verlet: repro.md.integrators.VelocityVerlet's two halves, each
+ * one pass over the atom rows, bit for bit the NumPy tier's arithmetic.
+ * ------------------------------------------------------------------------ */
+
+/* Box.wrap of one coordinate on an edge L > 0: NumPy's floor-mod (fmod,
+ * then + L where the signs differ, +0 for a zero remainder), folded onto
+ * 0 where it rounds up to L.  Inside (0, L) - almost every atom - fmod is
+ * the identity and is skipped.  NaN stays NaN; +-inf becomes NaN. */
+static inline double wrap_coord(double x, double L)
+{
+    if (x > 0.0 && x < L)
+        return x;
+    double m = fmod(x, L);
+    if (m == 0.0)
+        return 0.0;
+    if (m < 0.0)
+        m += L;
+    return m >= L ? 0.0 : m;
+}
+
+/* 1 when every type indexes a scale, [0, n_types): a negative type is a
+ * huge unsigned one, and the loop has no branch */
+static int types_ok(const int32_t *types, int64_t n, int64_t n_types)
+{
+    int bad = 0;
+    for (int64_t k = 0; k < n; k++)
+        bad |= (uint64_t)(int64_t)types[k] >= (uint64_t)n_types;
+    return !bad;
+}
+
+/*
+ * The first half of a step, in place, one pass over the rows: the
+ * half-kick v += half_dt * (f * scale[type]), the drift x += dt * v and
+ * the periodic wrap (lengths[a] == 0 for an open axis); then into *moved2
+ * the largest squared minimum-image displacement of the new x from ref
+ * (NeighborList.reference_positions; 0 without one).  The maximum is NaN
+ * when any displacement is - a plain `>` would skip it, and a poisoned atom
+ * must reach the Verlet check.  Returns 0, or -1 for a type outside [0,
+ * n_types), with nothing written.
+ */
+int64_t md_kick_drift(double *restrict pos, double *restrict vel,
+                      const double *restrict forces,
+                      const int32_t *restrict types,
+                      const double *restrict scale, int64_t n_types,
+                      int64_t n, double half_dt, double dt,
+                      const double *lengths, const double *restrict ref,
+                      double *moved2)
+{
+    if (!types_ok(types, n, n_types))
+        return -1;
+    /* |d| < L/4 puts d / L + 0.5 inside [0, 1): fold returns d unchanged,
+     * so the division is only paid near a half-box displacement */
+    double quarter[3];
+    for (int axis = 0; axis < 3; axis++)
+        quarter[axis] = 0.25 * lengths[axis];
+    double best = 0.0;
+    int nan = 0;
+    for (int64_t k = 0; k < n; k++) {
+        const double s = scale[types[k]];
+        double d2 = 0.0;
+        for (int axis = 0; axis < 3; axis++) {
+            const int64_t c = 3 * k + axis;
+            const double L = lengths[axis];
+            const double v = vel[c] + half_dt * (forces[c] * s);
+            double x = pos[c] + dt * v;
+            if (L > 0.0)
+                x = wrap_coord(x, L);
+            vel[c] = v;
+            pos[c] = x;
+            if (ref) {
+                double d = x - ref[c];
+                if (L > 0.0 && !(fabs(d) < quarter[axis]))
+                    d = fold(d, L);
+                d2 += d * d;
+            }
+        }
+        if (d2 > best)
+            best = d2;
+        nan |= d2 != d2;
+    }
+    *moved2 = nan ? NAN : best;
+    return 0;
+}
+
+/*
+ * The closing half-kick, in place; then into *mv2 the sum of m v^2 over
+ * the rows, m = mass[type] (the kinetic energy before its 0.5 *
+ * MVV_TO_EV).  Returns 0, or -1 for a type outside [0, n_types), with
+ * nothing written.
+ */
+int64_t md_kick(double *restrict vel, const double *restrict forces,
+                const int32_t *restrict types, const double *restrict scale,
+                const double *restrict mass, int64_t n_types, int64_t n,
+                double half_dt, double *mv2)
+{
+    if (!types_ok(types, n, n_types))
+        return -1;
+    double sum = 0.0;
+    for (int64_t k = 0; k < n; k++) {
+        const double s = scale[types[k]];
+        double v2 = 0.0;
+        for (int axis = 0; axis < 3; axis++) {
+            const int64_t c = 3 * k + axis;
+            const double v = vel[c] + half_dt * (forces[c] * s);
+            vel[c] = v;
+            v2 += v * v;
+        }
+        sum += mass[types[k]] * v2;
+    }
+    *mv2 = sum;
+    return 0;
 }
 
 /* ------------------------------------------------------------------------

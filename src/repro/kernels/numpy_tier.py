@@ -15,7 +15,9 @@ walker (:meth:`~NumpyKernelTier.sdc_walker`, which this tier does not
 have: its callers run the slices colour by colour) and the neighbour
 build those pair lists come from
 (:meth:`~NumpyKernelTier.neighbor_csr`, with its packer
-:meth:`~NumpyKernelTier.pairs_to_csr`).  :mod:`repro.potentials.eam` and
+:meth:`~NumpyKernelTier.pairs_to_csr`) and the two halves of a
+velocity-Verlet step (:meth:`~NumpyKernelTier.kick_drift`,
+:meth:`~NumpyKernelTier.kick`).  :mod:`repro.potentials.eam` and
 :mod:`repro.md.neighbor.verlet` dispatch to the process's active tier
 (:func:`repro.kernels.active_tier`).  This class is the semantic ground
 truth the C tier (:mod:`repro.kernels.c_tier`, a subclass) is tested
@@ -137,6 +139,34 @@ class NumpyKernelTier:
         i_idx = np.asarray(i_idx)
         check_scatter_indices("owned-row force scatter", n_atoms, i_idx)
         forces += segment_sum(pair_forces, i_idx, n_atoms)
+
+    # --- velocity Verlet ----------------------------------------------------
+
+    def kick_drift(
+        self, positions, velocities, forces, types, scale, half_dt, dt, box,
+        reference=None,
+    ):
+        """The first half of a velocity-Verlet step, in place: ``v +=
+        half_dt * (F * scale[type])``, ``x += dt * v``, ``x`` wrapped as
+        :meth:`~repro.geometry.box.Box.wrap` does.  Returns the largest
+        minimum-image displacement of the new ``x`` from ``reference``
+        (NaN when any is), or None without one."""
+        self._half_kick(velocities, forces, types, scale, half_dt)
+        positions += dt * velocities
+        box.wrap_in_place(positions)
+        if reference is None:
+            return None
+        return box.max_displacement(positions, reference)
+
+    def kick(self, velocities, forces, types, scale, masses, half_dt):
+        """The closing half-kick, in place; returns ``sum m v^2`` over the
+        atoms, ``m = masses[type]``."""
+        self._half_kick(velocities, forces, types, scale, half_dt)
+        return float(np.sum(masses[types] * np.sum(velocities * velocities, axis=1)))
+
+    @staticmethod
+    def _half_kick(velocities, forces, types, scale, half_dt):
+        velocities += half_dt * (forces * scale[types][:, None])
 
     # --- the neighbour build ------------------------------------------------
 

@@ -120,8 +120,8 @@ class Atoms:
     # --- mutation helpers -------------------------------------------------------
 
     def wrap(self) -> None:
-        """Re-wrap positions into the primary cell (after integration)."""
-        self.positions = self.box.wrap(self.positions)
+        """Re-wrap positions into the primary cell, in place."""
+        self.box.wrap_in_place(self.positions)
 
     def zero_forces(self) -> None:
         """Reset the force accumulator (start of a force evaluation)."""

@@ -10,10 +10,11 @@ force strategy.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Optional
 
 import numpy as np
 
-from repro import units
+from repro import kernels, units
 from repro.md.atoms import Atoms
 
 
@@ -22,6 +23,9 @@ class Integrator(ABC):
 
     A step is ``first_half`` (uses current forces, advances positions) ->
     force evaluation -> ``second_half`` (finishes the velocity update).
+    Either half may return a by-product the driver would otherwise compute
+    again — the displacement from ``reference`` and the kinetic energy —
+    or None, and the driver computes it itself.
     """
 
     def __init__(self, timestep: float) -> None:
@@ -30,12 +34,17 @@ class Integrator(ABC):
         self.timestep = timestep
 
     @abstractmethod
-    def first_half(self, atoms: Atoms) -> None:
-        """Advance velocities half a step and positions a full step."""
+    def first_half(
+        self, atoms: Atoms, reference: Optional[np.ndarray] = None
+    ) -> Optional[float]:
+        """Advance velocities half a step and positions a full step; may
+        return the largest minimum-image displacement of the new positions
+        from ``reference`` (the neighbour list's build positions)."""
 
     @abstractmethod
-    def second_half(self, atoms: Atoms) -> None:
-        """Finish the velocity update with the new forces."""
+    def second_half(self, atoms: Atoms) -> Optional[float]:
+        """Finish the velocity update with the new forces; may return the
+        kinetic energy (eV) it leaves."""
 
 
 class VelocityVerlet(Integrator):
@@ -44,27 +53,43 @@ class VelocityVerlet(Integrator):
     ``v(t+dt/2) = v(t) + (dt/2) F(t)/m``;
     ``x(t+dt)   = x(t) + dt v(t+dt/2)``;
     ``v(t+dt)   = v(t+dt/2) + (dt/2) F(t+dt)/m``.
+
+    Each half is one kernel-tier call over the atom rows
+    (:meth:`~repro.kernels.numpy_tier.NumpyKernelTier.kick_drift`,
+    :meth:`~repro.kernels.numpy_tier.NumpyKernelTier.kick`), which updates
+    ``positions`` and ``velocities`` in place: the arrays stay the same
+    objects from step to step.
     """
 
-    def _half_kick(self, atoms: Atoms) -> None:
-        inv_mass = 1.0 / atoms.mass_per_atom()
-        accel = atoms.forces * (inv_mass[:, None] * units.EVA_TO_AMU_APS2)
-        atoms.velocities += 0.5 * self.timestep * accel
+    @staticmethod
+    def _scale(atoms: Atoms) -> np.ndarray:
+        """``F -> a`` per species: ``(1/m) * EVA_TO_AMU_APS2``."""
+        return (1.0 / atoms.masses) * units.EVA_TO_AMU_APS2
 
-    def first_half(self, atoms: Atoms) -> None:
-        self._half_kick(atoms)
-        atoms.positions += self.timestep * atoms.velocities
-        atoms.wrap()
+    def first_half(
+        self, atoms: Atoms, reference: Optional[np.ndarray] = None
+    ) -> Optional[float]:
+        return kernels.active_tier().kick_drift(
+            atoms.positions, atoms.velocities, atoms.forces, atoms.types,
+            self._scale(atoms), 0.5 * self.timestep, self.timestep, atoms.box,
+            reference,
+        )
 
-    def second_half(self, atoms: Atoms) -> None:
-        self._half_kick(atoms)
+    def second_half(self, atoms: Atoms) -> float:
+        mv2 = kernels.active_tier().kick(
+            atoms.velocities, atoms.forces, atoms.types, self._scale(atoms),
+            atoms.masses, 0.5 * self.timestep,
+        )
+        return 0.5 * units.MVV_TO_EV * mv2
 
 
 class Euler(Integrator):
     """Forward Euler — intentionally crude, used in tests to show the
     driver is integrator-agnostic and in docs to contrast energy drift."""
 
-    def first_half(self, atoms: Atoms) -> None:
+    def first_half(
+        self, atoms: Atoms, reference: Optional[np.ndarray] = None
+    ) -> None:
         inv_mass = 1.0 / atoms.mass_per_atom()
         accel = atoms.forces * (inv_mass[:, None] * units.EVA_TO_AMU_APS2)
         atoms.positions += self.timestep * atoms.velocities

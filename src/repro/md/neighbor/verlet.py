@@ -90,12 +90,7 @@ class NeighborList:
 
     def max_displacement(self, positions: np.ndarray) -> float:
         """Largest minimum-image displacement since the list was built."""
-        # the fold maps every lattice image of a difference to the same
-        # value, so wrapping ``positions`` first would change nothing
-        delta = self.box.minimum_image(positions - self.reference_positions)
-        if len(delta) == 0:
-            return 0.0
-        return float(np.sqrt(np.max(np.einsum("ij,ij->i", delta, delta))))
+        return self.box.max_displacement(positions, self.reference_positions)
 
     def needs_rebuild(self, positions: np.ndarray) -> bool:
         """Standard Verlet criterion: any atom moved more than ``skin/2`` —

@@ -15,10 +15,11 @@ from typing import List, Optional, Protocol
 
 import numpy as np
 
+from repro import units
 from repro.md.atoms import Atoms
 from repro.md.integrators import Integrator, VelocityVerlet
 from repro.md.neighbor.verlet import NeighborList, build_neighbor_list
-from repro.md.observables import kinetic_energy, temperature
+from repro.md.observables import kinetic_energy
 from repro.md.thermostats import Thermostat
 from repro.obs.tracer import CAT_MD, span_of
 from repro.potentials.base import EAMPotential
@@ -93,6 +94,9 @@ class Simulation:
     skin:
         Verlet skin; the list is rebuilt when any atom has moved more
         than ``skin / 2`` since the last build (and on the first step).
+        Inside :meth:`run` the integrator's ``first_half`` measures that
+        displacement in the same pass that moves the atoms, when it can
+        (:class:`~repro.md.integrators.VelocityVerlet` does).
     rebuild_every:
         optional hard cadence; when set, the list is also rebuilt every
         that many steps regardless of displacement (the paper notes "the
@@ -148,6 +152,9 @@ class Simulation:
         self.force_seconds = 0.0
         self._last_computation: Optional[EAMComputation] = None
         self._steps_since_rebuild = 0
+        #: the displacement :meth:`run`'s ``first_half`` measured from the
+        #: list's reference, for the next :meth:`ensure_neighbor_list` only
+        self._moved: Optional[float] = None
 
     def _span(self, name: str, **args):
         """A tracer span context, or a no-op when untraced."""
@@ -178,9 +185,14 @@ class Simulation:
 
     def ensure_neighbor_list(self) -> NeighborList:
         """Build or refresh the neighbor list when the Verlet criterion fires."""
-        must_build = self.nlist is None or self.nlist.needs_rebuild(
-            self.atoms.positions
-        )
+        moved, self._moved = self._moved, None
+        if self.nlist is None:
+            must_build = True
+        elif moved is not None:
+            # the step's first half measured it: NaN fails the test too
+            must_build = not moved <= self.nlist.skin / 2.0
+        else:
+            must_build = self.nlist.needs_rebuild(self.atoms.positions)
         if (
             not must_build
             and self.rebuild_every is not None
@@ -274,14 +286,18 @@ class Simulation:
             )
         for step in range(n_steps):
             with self._span("md-step", step=step):
-                self.integrator.first_half(self.atoms)
+                self._moved = self.integrator.first_half(
+                    self.atoms,
+                    None if self.nlist is None else self.nlist.reference_positions,
+                )
                 self._steps_since_rebuild += 1
                 result = self.compute_forces()
-                self.integrator.second_half(self.atoms)
+                kinetic = self.integrator.second_half(self.atoms)
                 if self.thermostat is not None:
                     self.thermostat.apply(
                         self.atoms, self.integrator.timestep
                     )
+                    kinetic = None  # rescaled after the kick
                 if self.health is not None:
                     self.health.observe_step(
                         step,
@@ -290,11 +306,18 @@ class Simulation:
                         run_log=self.run_log,
                     )
             if step % sample_every == 0 or step == n_steps - 1:
+                if kinetic is None:
+                    kinetic = kinetic_energy(self.atoms)
+                n_atoms = self.atoms.n_atoms
                 record = StepRecord(
                     step=step,
                     potential_energy=result.potential_energy,
-                    kinetic_energy=kinetic_energy(self.atoms),
-                    temperature=temperature(self.atoms),
+                    kinetic_energy=kinetic,
+                    temperature=(
+                        units.kinetic_energy_to_temperature(kinetic, n_atoms)
+                        if n_atoms
+                        else 0.0
+                    ),
                 )
                 report.records.append(record)
                 if self.run_log is not None:

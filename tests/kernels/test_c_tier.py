@@ -8,6 +8,10 @@
   pair, before anything is accumulated;
 * ``ShadowArray``, non-contiguous and float32 targets run the NumPy code,
   and so does an unlowered potential's ``F'`` that C may not address;
+* the Verlet passes: positions and velocities bit-identical to the NumPy
+  twin across box faces, a NaN displacement for a poisoned atom, strided
+  or read-only positions and an unknown or negative species through
+  NumPy;
 * the cache: a truncated ``.so`` is rebuilt, so is one built for another
   architecture, two processes racing the first build load one library, a
   broken compiler's stderr reaches the error;
@@ -693,3 +697,130 @@ class TestSDCWalker:
 
         source = resources.files("repro.kernels").joinpath("eam.c").read_text()
         assert f"#define BARRIER_SPINS {BARRIER_SPINS}\n" in source
+
+
+class TestVerletPasses:
+    """``kick_drift`` / ``kick``: the NumPy twin's arithmetic bit for bit,
+    NaN carried to the Verlet check, odd arrays and bad types to NumPy."""
+
+    BOX = Box((10.0, 12.0, 9.0), periodic=(True, True, False))
+
+    def state(self, n=300, n_types=2, seed=5):
+        """Atoms near and across every face, tiny negatives and exact edges
+        among them, two species, one open axis."""
+        rng = np.random.default_rng(seed)
+        lengths = self.BOX.lengths
+        positions = rng.uniform(-0.3, 1.3, size=(n, 3)) * lengths
+        positions[:6] = [
+            [-1e-17, 0.0, 0.0], [10.0, 12.0, 9.0], [-0.0, 11.999999999999998, 4.0],
+            [9.999999999999998, -12.0, -3.0], [20.0, 24.000000000000004, 18.0],
+            [-5e-324, 1e-300, 0.5],
+        ]
+        velocities = rng.normal(0.0, 40.0, size=(n, 3))
+        forces = rng.normal(0.0, 2.0, size=(n, 3))
+        types = rng.integers(0, n_types, size=n).astype(np.int32)
+        masses = np.array([55.845, 12.011][:n_types])
+        scale = (1.0 / masses) * 9648.533212331
+        reference = self.BOX.wrap(positions + rng.normal(0.0, 0.4, size=(n, 3)))
+        return positions, velocities, forces, types, scale, masses, reference
+
+    def both(self, c_tier, entry, *arrays, **kwargs):
+        """``entry`` on each tier over its own copies: (result, arrays)."""
+        out = []
+        for tier in (c_tier, NumpyKernelTier()):
+            mine = [a.copy() if isinstance(a, np.ndarray) else a for a in arrays]
+            out.append((getattr(tier, entry)(*mine, **kwargs), mine))
+        return out
+
+    def test_kick_drift_is_the_numpy_twin(self, c_tier):
+        positions, velocities, forces, types, scale, _, reference = self.state()
+        for ref in (reference, None):
+            (got, c_arrays), (want, np_arrays) = self.both(
+                c_tier, "kick_drift", positions, velocities, forces, types,
+                scale, 0.05, 0.1, self.BOX, ref,
+            )
+            for a, b in zip(c_arrays[:2], np_arrays[:2]):
+                assert np.array_equal(a, b)  # positions, velocities: bitwise
+            assert got == want if ref is not None else got is want is None
+        wrapped = c_arrays[0]
+        periodic = wrapped[:, :2]
+        assert np.all((periodic >= 0.0) & (periodic < self.BOX.lengths[:2]))
+
+    def test_kick_is_the_numpy_twin(self, c_tier):
+        _, velocities, forces, types, scale, masses, _ = self.state()
+        (got, c_arrays), (want, np_arrays) = self.both(
+            c_tier, "kick", velocities, forces, types, scale, masses, 0.05
+        )
+        assert np.array_equal(c_arrays[0], np_arrays[0])
+        # sequential sum against NumPy's pairwise one
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_poisoned_atom_makes_the_displacement_nan(self, c_tier, bad):
+        """A plain ``>`` maximum would skip the NaN and keep a stale list."""
+        positions, velocities, forces, types, scale, _, reference = self.state()
+        velocities[7, 1] = bad  # early: every later atom is finite
+        for result, arrays in self.both(
+            c_tier, "kick_drift", positions, velocities, forces, types, scale,
+            0.05, 0.1, self.BOX, reference,
+        ):
+            assert np.isnan(result)
+            assert np.isnan(arrays[0][7, 1])
+
+    @pytest.mark.parametrize("odd", ["strided", "read-only"])
+    def test_odd_positions_run_the_numpy_twin(self, c_tier, monkeypatch, odd):
+        positions, velocities, forces, types, scale, _, reference = self.state()
+
+        def target():
+            wide = np.zeros((len(positions), 6))
+            wide[:, :3] = positions
+            out = wide[:, :3] if odd == "strided" else positions.copy()
+            out.flags.writeable = odd != "read-only"
+            return out
+
+        def forbidden(*args):
+            raise AssertionError("a foreign call was made")
+
+        monkeypatch.setattr(c_tier, "_c_kick_drift", forbidden)
+
+        def call(tier, pos):
+            v = velocities.copy()
+            return outcome(lambda: tier.kick_drift(
+                pos, v, forces, types, scale, 0.05, 0.1, self.BOX, reference
+            )), pos, v
+
+        got, got_x, got_v = call(c_tier, target())
+        want, want_x, want_v = call(NumpyKernelTier(), target())
+        if odd == "read-only":
+            assert got[0] == "raised" and got[1] is ValueError
+        assert got == want
+        assert np.array_equal(got_x, want_x)
+        assert np.array_equal(got_v, want_v)
+
+    def test_a_type_without_a_scale_raises_numpys_error(self, c_tier):
+        positions, velocities, forces, types, scale, masses, reference = self.state()
+        types[-1] = 2  # two species given
+        before = velocities.copy()
+        for entry, args in (
+            ("kick_drift", (positions, velocities, forces, types, scale, 0.05,
+                            0.1, self.BOX, reference)),
+            ("kick", (velocities, forces, types, scale, masses, 0.05)),
+        ):
+            got, want = (
+                outcome(lambda: getattr(tier, entry)(*args))
+                for tier in (c_tier, NumpyKernelTier())
+            )
+            assert got[0] == "raised" and got[:2] == want[:2] == ("raised", IndexError)
+        assert np.array_equal(velocities, before)  # nothing written
+
+    def test_a_negative_type_computes_numpys_wrap_around(self, c_tier):
+        positions, velocities, forces, types, scale, masses, reference = self.state()
+        types[-1] = -1  # NumPy reads scale[-1]; C may not address it
+        (got, c_arrays), (want, np_arrays) = self.both(
+            c_tier, "kick_drift", positions, velocities, forces, types, scale,
+            0.05, 0.1, self.BOX, reference,
+        )
+        assert got == want
+        for a, b in zip(c_arrays[:2], np_arrays[:2]):
+            assert np.array_equal(a, b)

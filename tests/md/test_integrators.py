@@ -1,12 +1,25 @@
-"""Integrators: kinematics, drift removal, interface contracts."""
+"""Integrators: kinematics, drift removal, interface contracts.
+
+The driver calls an integrator by name only: ``first_half(atoms,
+reference)`` may return the displacement from ``reference`` and
+``second_half(atoms)`` the kinetic energy, and an integrator returning
+None for either gets the driver's own Verlet check and kinetic energy.
+"""
 
 import numpy as np
 import pytest
 
-from repro import units
+from repro import kernels, units
 from repro.geometry.box import Box
+from repro.harness.cases import Case
 from repro.md.atoms import Atoms
 from repro.md.integrators import Euler, VelocityVerlet, remove_drift
+from repro.md.neighbor.verlet import NeighborList
+from repro.md.observables import kinetic_energy
+from repro.md.simulation import Simulation
+from repro.potentials import fe_potential
+
+TIERS = kernels.available_tiers()
 
 
 @pytest.fixture()
@@ -115,3 +128,108 @@ class TestRemoveDrift:
     def test_empty_system_noop(self):
         atoms = Atoms(box=Box((5, 5, 5)), positions=np.zeros((0, 3)))
         remove_drift(atoms)
+
+
+@pytest.fixture()
+def hot_atoms(small_atoms):
+    """The small system with thermal velocities and non-zero forces."""
+    atoms = small_atoms.copy()
+    rng = np.random.default_rng(2)
+    atoms.velocities[:] = rng.normal(0.0, 8.0, size=atoms.velocities.shape)
+    atoms.forces[:] = rng.normal(0.0, 1.0, size=atoms.forces.shape)
+    return atoms
+
+
+@pytest.mark.parametrize("tier", TIERS)
+class TestVerletHalvesReturnTheirByProducts:
+    def test_first_half_returns_the_lists_displacement(
+        self, tier, hot_atoms, small_nlist
+    ):
+        vv = VelocityVerlet(2e-3)
+        with kernels.use_tier(tier):
+            moved = vv.first_half(hot_atoms, small_nlist.reference_positions)
+            assert moved == small_nlist.max_displacement(hot_atoms.positions)
+            assert moved > 0.0
+            assert vv.first_half(hot_atoms) is None  # nothing to measure from
+
+    def test_second_half_returns_the_kinetic_energy(self, tier, hot_atoms):
+        with kernels.use_tier(tier):
+            energy = VelocityVerlet(2e-3).second_half(hot_atoms)
+        # the C tier sums atom by atom, NumPy pairwise
+        assert energy == pytest.approx(kinetic_energy(hot_atoms), rel=1e-12)
+
+    def test_state_arrays_stay_the_same_objects(self, tier, hot_atoms):
+        positions, velocities = hot_atoms.positions, hot_atoms.velocities
+        vv = VelocityVerlet(1e-3)
+        with kernels.use_tier(tier):
+            for _ in range(3):
+                vv.first_half(hot_atoms)
+                vv.second_half(hot_atoms)
+            Euler(1e-3).first_half(hot_atoms)
+        assert hot_atoms.positions is positions
+        assert hot_atoms.velocities is velocities
+
+
+class Forwarding:
+    """Forwards both halves to a :class:`VelocityVerlet` and returns None
+    from each, as an integrator written before the by-products would."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.timestep = inner.timestep
+
+    def first_half(self, atoms, reference=None):
+        self.inner.first_half(atoms)
+
+    def second_half(self, atoms):
+        self.inner.second_half(atoms)
+
+
+@pytest.mark.parametrize("tier", TIERS)
+class TestDuckTypedIntegrators:
+    """Integrators that return None keep the full Verlet check and the
+    driver's own kinetic energy; VelocityVerlet hands both over."""
+
+    @pytest.fixture()
+    def checks(self, monkeypatch):
+        calls = []
+        real = NeighborList.needs_rebuild
+
+        def counting(nlist, positions):
+            calls.append(1)
+            return real(nlist, positions)
+
+        monkeypatch.setattr(NeighborList, "needs_rebuild", counting)
+        return calls
+
+    def run(self, tier, integrator, n_steps=12):
+        atoms = Case(key="t", label="t", n_cells=4).build(
+            perturbation=0.03, temperature=900.0, seed=2
+        )
+        positions = atoms.positions
+        with kernels.use_tier(tier):
+            sim = Simulation(atoms, fe_potential(), integrator=integrator, skin=0.1)
+            report = sim.run(n_steps, sample_every=1)
+        assert atoms.positions is positions
+        return atoms, report
+
+    def test_a_forwarding_proxy_is_the_same_trajectory(self, tier, checks):
+        direct, direct_report = self.run(tier, VelocityVerlet(1e-3))
+        assert checks == []  # every check handed over by first_half
+        proxied, proxied_report = self.run(tier, Forwarding(VelocityVerlet(1e-3)))
+        assert len(checks) == 12  # one full check per step
+        assert np.array_equal(direct.positions, proxied.positions)
+        assert np.array_equal(direct.velocities, proxied.velocities)
+        assert direct_report.n_neighbor_rebuilds == proxied_report.n_neighbor_rebuilds > 1
+        assert proxied_report.records[-1].kinetic_energy == kinetic_energy(proxied)
+        assert direct_report.records[-1].kinetic_energy == pytest.approx(
+            kinetic_energy(direct), rel=1e-12
+        )
+
+    def test_euler_integrates_through_the_full_check(self, tier, checks):
+        atoms, report = self.run(tier, Euler(1e-4), n_steps=5)
+        assert len(checks) == 5
+        assert report.records[-1].kinetic_energy == kinetic_energy(atoms)
+        energies = report.energies()
+        assert np.all(np.isfinite(energies))
+        assert abs(energies[-1] - energies[0]) < 1e-3 * abs(energies[0])

@@ -1,15 +1,22 @@
 """The MD driver: stepping, neighbor management, reports."""
 
+import multiprocessing as mp
+
 import numpy as np
 import pytest
 
-from repro import units
+from repro import kernels, units
 from repro.core.strategies import SDCStrategy
 from repro.harness.cases import Case
+from repro.md import build_neighbor_list
 from repro.md.integrators import VelocityVerlet
+from repro.md.observables import kinetic_energy
 from repro.md.simulation import SerialCalculator, Simulation
-from repro.md.thermostats import VelocityRescaleThermostat
-from repro.potentials import fe_potential
+from repro.md.thermostats import BerendsenThermostat, VelocityRescaleThermostat
+from repro.parallel.backends import ThreadBackend
+from repro.potentials import compute_eam_forces_serial, fe_potential
+
+TIERS = kernels.available_tiers()
 
 
 @pytest.fixture()
@@ -69,6 +76,136 @@ class TestNeighborManagement:
         sim.atoms.positions[17, 2] = bad
         with pytest.raises(ValueError, match=r"first at index \(17, 2\)"):
             sim.run(3)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("tier", TIERS)
+    @pytest.mark.parametrize(
+        "array, bad",
+        [("forces", np.nan), ("forces", np.inf), ("velocities", np.nan),
+         ("velocities", -np.inf)],
+    )
+    def test_non_finite_input_inside_a_step_stops_the_run(
+        self, sim, tier, array, bad
+    ):
+        """The step's own pass writes the NaN/inf position: its displacement
+        must fail the handed-over check, so the rebuild names the atom."""
+        with kernels.use_tier(tier):
+            sim.run(1)
+            getattr(sim.atoms, array)[23, 1] = bad
+            with pytest.raises(ValueError, match=r"first at index \(23, 1\)"):
+                sim.run(3)
+
+    def test_handed_over_displacement_is_consumed_once(self, sim):
+        """A direct ensure_neighbor_list() after a run runs the full check."""
+        sim.run(2)
+        first = sim.nlist
+        sim.atoms.positions[0, 0] += 0.5
+        assert sim.ensure_neighbor_list() is not first
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in mp.get_all_start_methods(), reason="requires fork"
+)
+
+
+def _serial():
+    return SerialCalculator(), None
+
+
+def _thread_walker():
+    backend = ThreadBackend(2)
+    return SDCStrategy(dims=2, n_threads=2, backend=backend), backend
+
+
+def _process_engine():
+    from repro.parallel.backends.processes import ProcessSDCCalculator
+
+    calculator = ProcessSDCCalculator(dims=2, n_workers=2)
+    return calculator, calculator
+
+
+class TestSkinViolationWithinOneStep:
+    """An atom kicked more than ``skin/2`` in a single step must force a
+    rebuild through the displacement ``first_half`` hands over, on every
+    engine, and leave forces a fresh serial evaluation agrees with."""
+
+    SKIN = 0.3
+    DT = 1e-3
+
+    def kick(self, sim, atom=40):
+        # 0.2 Å in one step against a 0.15 Å half-skin
+        sim.atoms.velocities[atom] = [0.2 / self.DT, 0.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "engine",
+        [_serial, _thread_walker, pytest.param(_process_engine, marks=needs_fork)],
+    )
+    def test_kick_forces_a_rebuild(self, engine):
+        calculator, owner = engine()
+        try:
+            atoms = Case(key="t", label="t", n_cells=6).build(
+                perturbation=0.03, temperature=50.0, seed=2
+            )
+            sim = Simulation(
+                atoms, fe_potential(), calculator,
+                VelocityVerlet(self.DT), skin=self.SKIN,
+            )
+            sim.run(2)
+            assert sim.run(1).n_neighbor_rebuilds == 0  # cold: no rebuild
+            self.kick(sim)
+            assert sim.run(1).n_neighbor_rebuilds == 1
+        finally:
+            if owner is not None:
+                owner.close()
+        reference = atoms.copy()
+        compute_eam_forces_serial(
+            sim.potential, reference,
+            build_neighbor_list(
+                reference.positions, reference.box,
+                cutoff=sim.potential.cutoff, skin=self.SKIN,
+            ),
+        )
+        scale = float(np.max(np.abs(reference.forces)))
+        assert np.max(np.abs(atoms.forces - reference.forces)) <= 1e-9 * scale
+
+    def test_rebuild_every_composes_with_the_handover(self):
+        atoms = Case(key="t", label="t", n_cells=6).build(
+            perturbation=0.03, temperature=50.0, seed=2
+        )
+        sim = Simulation(
+            atoms, fe_potential(), integrator=VelocityVerlet(self.DT),
+            skin=self.SKIN, rebuild_every=4,
+        )
+        assert sim.run(2).n_neighbor_rebuilds == 1  # the t = 0 build
+        self.kick(sim)
+        assert sim.run(1).n_neighbor_rebuilds == 1  # displacement, count reset
+        sim.atoms.velocities[40] = 0.0  # no second skin violation
+        assert sim.run(3).n_neighbor_rebuilds == 0  # 3 < 4 steps since
+        assert sim.run(1).n_neighbor_rebuilds == 1  # the cadence
+
+
+class TestSampledObservables:
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_kinetic_energy_comes_from_the_closing_kick(self, sim, tier):
+        with kernels.use_tier(tier):
+            record = sim.run(3, sample_every=1).records[-1]
+        # the C tier sums atom by atom, NumPy pairwise
+        assert record.kinetic_energy == pytest.approx(
+            kinetic_energy(sim.atoms), rel=1e-12
+        )
+        assert record.temperature == units.kinetic_energy_to_temperature(
+            record.kinetic_energy, sim.atoms.n_atoms
+        )
+
+    def test_a_thermostat_makes_the_sample_recompute_it(self):
+        atoms = Case(key="t", label="t", n_cells=4).build(
+            perturbation=0.03, temperature=500.0, seed=2
+        )
+        sim = Simulation(
+            atoms, fe_potential(), thermostat=BerendsenThermostat(100.0, tau=0.01)
+        )
+        record = sim.run(2, sample_every=1).records[-1]
+        assert record.kinetic_energy == kinetic_energy(sim.atoms)
 
 
 class TestRun:
