@@ -23,7 +23,8 @@ between them), the neighbour build ``neighbor_csr`` (the
 forward-stencil walk and the CSR packing in one call) with its packer
 ``pairs_to_csr``, and the two halves of a velocity-Verlet step,
 ``kick_drift`` (half-kick, drift, wrap and the Verlet displacement in one
-pass) and ``kick`` (the closing half-kick and ``sum m v^2``).  Every other
+pass) and ``kick`` (the closing half-kick and the step's moments ``sum m
+v^2``, ``sum m v`` and ``sum f``).  Every other
 primitive is the NumPy tier's.  The
 contract of :mod:`repro.kernels.base` is kept on the Python side of each
 call:
@@ -719,17 +720,17 @@ class CKernelTier(NumpyKernelTier):
         )
 
     def kick(self, velocities, forces, types, scale, masses, half_dt):
-        mv2 = ctypes.c_double(0.0)
+        out = (ctypes.c_double * 7)()
         if (
             _kick_args(len(velocities), types, scale, velocities, forces)
             and _rows(masses) and len(masses) == len(scale)
             and self._c_kick(
                 _ptr(velocities), _ptr(forces), _ptr(types), _ptr(scale),
-                _ptr(masses), len(scale), len(velocities), half_dt,
-                ctypes.byref(mv2),
+                _ptr(masses), len(scale), len(velocities), half_dt, out,
             ) == 0
         ):
-            return mv2.value
+            mv2, px, py, pz, fx, fy, fz = out
+            return mv2, (px, py, pz), (fx, fy, fz)
         return super().kick(velocities, forces, types, scale, masses, half_dt)
 
     # --- the neighbour build ------------------------------------------------

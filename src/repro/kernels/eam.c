@@ -492,31 +492,38 @@ int64_t md_kick_drift(double *restrict pos, double *restrict vel,
 }
 
 /*
- * The closing half-kick, in place; then into *mv2 the sum of m v^2 over
- * the rows, m = mass[type] (the kinetic energy before its 0.5 *
- * MVV_TO_EV).  Returns 0, or -1 for a type outside [0, n_types), with
- * nothing written.
+ * The closing half-kick, in place; then the step's moments from the same
+ * pass into out[7]: sum m v^2 (the kinetic energy before its 0.5 *
+ * MVV_TO_EV), sum m v (3) and sum f (3), m = mass[type], each summed atom
+ * by atom.  Returns 0, or -1 for a type outside [0, n_types), with nothing
+ * written.
  */
 int64_t md_kick(double *restrict vel, const double *restrict forces,
                 const int32_t *restrict types, const double *restrict scale,
                 const double *restrict mass, int64_t n_types, int64_t n,
-                double half_dt, double *mv2)
+                double half_dt, double *out)
 {
     if (!types_ok(types, n, n_types))
         return -1;
-    double sum = 0.0;
+    double sum = 0.0, p[3] = {0.0, 0.0, 0.0}, f[3] = {0.0, 0.0, 0.0};
     for (int64_t k = 0; k < n; k++) {
-        const double s = scale[types[k]];
+        const double s = scale[types[k]], m = mass[types[k]];
         double v2 = 0.0;
         for (int axis = 0; axis < 3; axis++) {
             const int64_t c = 3 * k + axis;
             const double v = vel[c] + half_dt * (forces[c] * s);
             vel[c] = v;
             v2 += v * v;
+            p[axis] += m * v;
+            f[axis] += forces[c];
         }
-        sum += mass[types[k]] * v2;
+        sum += m * v2;
     }
-    *mv2 = sum;
+    out[0] = sum;
+    for (int axis = 0; axis < 3; axis++) {
+        out[1 + axis] = p[axis];
+        out[4 + axis] = f[axis];
+    }
     return 0;
 }
 

@@ -159,10 +159,17 @@ class NumpyKernelTier:
         return box.max_displacement(positions, reference)
 
     def kick(self, velocities, forces, types, scale, masses, half_dt):
-        """The closing half-kick, in place; returns ``sum m v^2`` over the
-        atoms, ``m = masses[type]``."""
+        """The closing half-kick, in place; returns the step's moments
+        ``(sum m v^2, sum m v, sum f)`` over the atoms, ``m =
+        masses[type]``: a float and two 3-tuples of floats."""
         self._half_kick(velocities, forces, types, scale, half_dt)
-        return float(np.sum(masses[types] * np.sum(velocities * velocities, axis=1)))
+        m = masses[types]
+        # matrix-vector products: an axis-0 sum of (n, 3) rows is strided
+        return (
+            float(np.sum(m * np.sum(velocities * velocities, axis=1))),
+            tuple((m @ velocities).tolist()),
+            tuple((np.ones(len(forces)) @ forces).tolist()),
+        )
 
     @staticmethod
     def _half_kick(velocities, forces, types, scale, half_dt):

@@ -10,12 +10,41 @@ force strategy.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro import kernels, units
 from repro.md.atoms import Atoms
+
+
+class Moments(NamedTuple):
+    """What the closing kick learns about the step from the pass it makes.
+
+    The thermostat, the health monitor and the driver's sample read these
+    instead of reducing over the atoms again.
+    """
+
+    #: kinetic energy (eV)
+    kinetic: float
+    #: total momentum ``sum m v`` (amu Å/ps), per axis
+    momentum: Tuple[float, float, float]
+    #: ``sum f`` (eV/Å), per axis: ~0 by Newton's third law
+    force_sum: Tuple[float, float, float]
+    #: kinetic energy a thermostat moved in or out this step (eV); 0 from
+    #: an integrator
+    exchanged: float = 0.0
+
+    def rescaled(self, factor: float) -> "Moments":
+        """The moments once every velocity is multiplied by ``factor``; the
+        kinetic energy that moved joins ``exchanged``."""
+        px, py, pz = self.momentum
+        return Moments(
+            self.kinetic * factor * factor,
+            (px * factor, py * factor, pz * factor),
+            self.force_sum,
+            self.exchanged + self.kinetic * (factor * factor - 1.0),
+        )
 
 
 class Integrator(ABC):
@@ -24,8 +53,8 @@ class Integrator(ABC):
     A step is ``first_half`` (uses current forces, advances positions) ->
     force evaluation -> ``second_half`` (finishes the velocity update).
     Either half may return a by-product the driver would otherwise compute
-    again — the displacement from ``reference`` and the kinetic energy —
-    or None, and the driver computes it itself.
+    again — the displacement from ``reference`` and the step's
+    :class:`Moments` — or None, and the driver computes it itself.
     """
 
     def __init__(self, timestep: float) -> None:
@@ -42,9 +71,9 @@ class Integrator(ABC):
         from ``reference`` (the neighbour list's build positions)."""
 
     @abstractmethod
-    def second_half(self, atoms: Atoms) -> Optional[float]:
+    def second_half(self, atoms: Atoms) -> Optional[Moments]:
         """Finish the velocity update with the new forces; may return the
-        kinetic energy (eV) it leaves."""
+        :class:`Moments` it leaves."""
 
 
 class VelocityVerlet(Integrator):
@@ -75,12 +104,12 @@ class VelocityVerlet(Integrator):
             reference,
         )
 
-    def second_half(self, atoms: Atoms) -> float:
-        mv2 = kernels.active_tier().kick(
+    def second_half(self, atoms: Atoms) -> Moments:
+        mv2, momentum, force_sum = kernels.active_tier().kick(
             atoms.velocities, atoms.forces, atoms.types, self._scale(atoms),
             atoms.masses, 0.5 * self.timestep,
         )
-        return 0.5 * units.MVV_TO_EV * mv2
+        return Moments(0.5 * units.MVV_TO_EV * mv2, momentum, force_sum)
 
 
 class Euler(Integrator):

@@ -113,8 +113,9 @@ class Simulation:
         optional :class:`~repro.obs.health.HealthMonitor`; when set, the
         driver runs the physics invariant checks (energy drift, momentum,
         force-sum residual) after every force evaluation of the stepping
-        loop, and threshold crossings land in the flight recorder and the
-        run log.  The monitor is bound to this driver's calculator so
+        loop, on the step's :class:`~repro.md.integrators.Moments` when
+        the integrator and the thermostat hand them over, and threshold
+        crossings land in the flight recorder and the run log.  The monitor is bound to this driver's calculator so
         :meth:`~repro.obs.health.HealthMonitor.snapshot` covers the
         engine too.
     """
@@ -292,22 +293,30 @@ class Simulation:
                 )
                 self._steps_since_rebuild += 1
                 result = self.compute_forces()
-                kinetic = self.integrator.second_half(self.atoms)
+                moments = self.integrator.second_half(self.atoms)
                 if self.thermostat is not None:
-                    self.thermostat.apply(
-                        self.atoms, self.integrator.timestep
+                    factor = self.thermostat.apply(
+                        self.atoms,
+                        self.integrator.timestep,
+                        kinetic=None if moments is None else moments.kinetic,
                     )
-                    kinetic = None  # rescaled after the kick
+                    moments = (
+                        None if moments is None or factor is None
+                        else moments.rescaled(factor)
+                    )
                 if self.health is not None:
                     self.health.observe_step(
                         step,
                         self.atoms,
                         result.potential_energy,
                         run_log=self.run_log,
+                        moments=moments,
                     )
             if step % sample_every == 0 or step == n_steps - 1:
-                if kinetic is None:
-                    kinetic = kinetic_energy(self.atoms)
+                kinetic = (
+                    kinetic_energy(self.atoms) if moments is None
+                    else moments.kinetic
+                )
                 n_atoms = self.atoms.n_atoms
                 record = StepRecord(
                     step=step,

@@ -7,17 +7,23 @@ equilibrate before measurement.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
-
-import numpy as np
+from typing import Optional
 
 from repro import units
 from repro.md.atoms import Atoms
-from repro.md.observables import kinetic_energy, temperature
+from repro.md.observables import temperature
 
 
 class Thermostat(ABC):
-    """Velocity-modifying temperature controller, applied once per step."""
+    """Velocity-modifying temperature controller, applied once per step.
+
+    :meth:`apply` may be handed the kinetic energy the closing kick already
+    summed, and returns the factor it multiplied every velocity by, so the
+    driver carries the step's moments across it by scalar algebra; None
+    when it did anything else, and the driver sums them again.
+    """
 
     def __init__(self, target_temperature: float) -> None:
         if target_temperature < 0:
@@ -25,8 +31,17 @@ class Thermostat(ABC):
         self.target_temperature = target_temperature
 
     @abstractmethod
-    def apply(self, atoms: Atoms, timestep: float) -> None:
-        """Rescale/adjust velocities toward the target temperature."""
+    def apply(
+        self, atoms: Atoms, timestep: float, kinetic: Optional[float] = None
+    ) -> Optional[float]:
+        """Rescale/adjust velocities toward the target temperature;
+        ``kinetic`` is the atoms' kinetic energy (eV) when known."""
+
+    @staticmethod
+    def _temperature(atoms: Atoms, kinetic: Optional[float]) -> float:
+        if kinetic is None or len(atoms) == 0:
+            return temperature(atoms)
+        return units.kinetic_energy_to_temperature(kinetic, len(atoms))
 
 
 class VelocityRescaleThermostat(Thermostat):
@@ -35,12 +50,15 @@ class VelocityRescaleThermostat(Thermostat):
     Simple and aggressive; fine for initial equilibration.
     """
 
-    def apply(self, atoms: Atoms, timestep: float) -> None:
-        current = temperature(atoms)
+    def apply(
+        self, atoms: Atoms, timestep: float, kinetic: Optional[float] = None
+    ) -> float:
+        current = self._temperature(atoms, kinetic)
         if current <= 0.0:
-            return
-        factor = np.sqrt(self.target_temperature / current)
+            return 1.0
+        factor = math.sqrt(self.target_temperature / current)
         atoms.velocities *= factor
+        return factor
 
 
 class BerendsenThermostat(Thermostat):
@@ -56,11 +74,15 @@ class BerendsenThermostat(Thermostat):
             raise ValueError("tau must be positive")
         self.tau = tau
 
-    def apply(self, atoms: Atoms, timestep: float) -> None:
-        current = temperature(atoms)
+    def apply(
+        self, atoms: Atoms, timestep: float, kinetic: Optional[float] = None
+    ) -> float:
+        current = self._temperature(atoms, kinetic)
         if current <= 0.0:
-            return
+            return 1.0
         arg = 1.0 + (timestep / self.tau) * (
             self.target_temperature / current - 1.0
         )
-        atoms.velocities *= np.sqrt(max(arg, 0.0))
+        factor = math.sqrt(max(arg, 0.0))
+        atoms.velocities *= factor
+        return factor

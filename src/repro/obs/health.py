@@ -2,11 +2,13 @@
 
 Two layers on top of the flight recorder (:mod:`repro.obs.recorder`):
 
-* :class:`PhysicsMonitor` — per-step checks of the quantities an NVE MD
-  run must conserve: total-energy drift against the first sampled value,
-  total momentum, and the Newton's-third-law force-sum residual (forces
-  over a periodic box with a symmetric pair list must sum to ~0 — a
-  broken scatter or race shows up here before it shows up in energies).
+* :class:`PhysicsMonitor` — per-step checks of the quantities an MD run
+  must conserve: total-energy drift against the first sampled value (less
+  the energy a thermostat exchanged, when the driver hands the step's
+  moments over), total momentum, and the Newton's-third-law force-sum
+  residual (forces over a periodic box with a symmetric pair list must
+  sum to ~0 — a broken scatter or race shows up here before it shows up
+  in energies).
   Each invariant carries warning/critical thresholds
   (:class:`InvariantThresholds`); crossings emit health events and
   mirror into the run log, but only on *status transitions*, so a
@@ -28,6 +30,7 @@ it can be imported from anywhere in the stack without cycles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -112,6 +115,24 @@ class InvariantStatus:
         }
 
 
+def _moments_of(atoms):
+    """(kinetic energy, total momentum, force sum) summed over the atoms."""
+    masses = atoms.mass_per_atom()
+    velocities = atoms.velocities
+    kinetic = 0.5 * units.MVV_TO_EV * float(
+        np.sum(masses * np.sum(velocities * velocities, axis=1))
+    )
+    momentum = (masses[:, None] * velocities).sum(axis=0)
+    return kinetic, momentum.tolist(), atoms.forces.sum(axis=0).tolist()
+
+
+def _largest(vector) -> float:
+    """The largest component magnitude of a 3-vector; NaN when any
+    component is NaN, as ``np.max`` has it."""
+    x, y, z = abs(vector[0]), abs(vector[1]), abs(vector[2])
+    return math.nan if math.isnan(x + y + z) else max(x, y, z)
+
+
 def _classify(value: float, warning: float, critical: float) -> str:
     if value >= critical:
         return "critical"
@@ -123,8 +144,9 @@ def _classify(value: float, warning: float, critical: float) -> str:
 class PhysicsMonitor:
     """Per-step conserved-quantity checks with threshold events.
 
-    The energy reference ``E0`` is the total energy at the first
-    observed step; drift is measured relative to it.  Events are
+    The energy reference ``E0`` is the total energy, less the
+    thermostat exchange handed over so far, at the first observed step;
+    drift is measured relative to it.  Events are
     emitted only when an invariant's status *changes* (ok → warning,
     warning → critical, and the recovery edges at debug severity), so a
     healthy run records one event total: nothing.
@@ -141,7 +163,10 @@ class PhysicsMonitor:
         self.thresholds = thresholds or DEFAULT_THRESHOLDS
         self._recorder = recorder
         self.check_every = check_every
+        #: the conserved energy, ``E - exchanged``, at the first check
         self.reference_energy: Optional[float] = None
+        #: kinetic energy the handed-over steps' thermostat moved (eV)
+        self.exchanged = 0.0
         self.invariants: Dict[str, InvariantStatus] = {
             name: InvariantStatus(name)
             for name in ("energy_drift", "momentum", "force_sum", "pressure")
@@ -153,31 +178,37 @@ class PhysicsMonitor:
 
     # --- checks ----------------------------------------------------------------
 
-    def observe_step(self, step: int, atoms, potential_energy: float, run_log=None) -> None:
-        """Run the cheap invariant checks for one integration step."""
+    def observe_step(
+        self, step: int, atoms, potential_energy: float, run_log=None,
+        moments=None,
+    ) -> None:
+        """Run the cheap invariant checks for one integration step.
+
+        ``moments`` are the step's kinetic energy, total momentum, force
+        sum and thermostat exchange
+        (:class:`~repro.md.integrators.Moments`) when the driver hands
+        them over; without them the first three are summed over the atoms
+        here and the exchange counts as 0.  The energy checked is ``E -
+        sum exchanged`` over every handed-over step, which velocity
+        Verlet conserves under a rescaling thermostat too.
+        """
+        if moments is not None:
+            self.exchanged += moments.exchanged
         if step % self.check_every != 0:
             return
-        t = self.thresholds
-        masses = atoms.mass_per_atom()
-        velocities = atoms.velocities
-        kinetic = 0.5 * units.MVV_TO_EV * float(
-            np.sum(masses * np.sum(velocities * velocities, axis=1))
-        )
-        total = potential_energy + kinetic
+        if moments is None:
+            kinetic, momentum, force_sum = _moments_of(atoms)
+        else:
+            kinetic, momentum, force_sum, _ = moments
+        total = potential_energy + kinetic - self.exchanged
         if self.reference_energy is None:
             self.reference_energy = total
+        reference = self.reference_energy
         n_atoms = max(len(atoms), 1)
-        drift = abs(total - self.reference_energy) / max(
-            abs(self.reference_energy), 1.0
-        )
-        momentum = (masses[:, None] * velocities).sum(axis=0)
-        momentum_per_atom = float(np.max(np.abs(momentum))) / n_atoms
-        force_sum = atoms.forces.sum(axis=0)
-        force_per_atom = float(np.max(np.abs(force_sum))) / n_atoms
-
+        t = self.thresholds
         self._update(
             "energy_drift",
-            drift,
+            abs(total - reference) / max(abs(reference), 1.0),
             t.energy_drift_warning,
             t.energy_drift_critical,
             step,
@@ -185,7 +216,7 @@ class PhysicsMonitor:
         )
         self._update(
             "momentum",
-            momentum_per_atom,
+            _largest(momentum) / n_atoms,
             t.momentum_warning,
             t.momentum_critical,
             step,
@@ -193,7 +224,7 @@ class PhysicsMonitor:
         )
         self._update(
             "force_sum",
-            force_per_atom,
+            _largest(force_sum) / n_atoms,
             t.force_sum_warning,
             t.force_sum_critical,
             step,
@@ -231,6 +262,8 @@ class PhysicsMonitor:
         inv.n_checks += 1
         inv.value = value
         inv.worst = max(inv.worst, value)
+        if inv.status == "ok" and not (value >= warning or value >= critical):
+            return  # the healthy steady state: ok, and still ok
         status = _classify(value, warning, critical)
         if status == "warning":
             inv.n_warnings += 1
@@ -318,8 +351,13 @@ class HealthMonitor:
         """Bind the calculator whose engine state snapshots should cover."""
         self.calculator = calculator
 
-    def observe_step(self, step: int, atoms, potential_energy: float, run_log=None) -> None:
-        self.physics.observe_step(step, atoms, potential_energy, run_log=run_log)
+    def observe_step(
+        self, step: int, atoms, potential_energy: float, run_log=None,
+        moments=None,
+    ) -> None:
+        self.physics.observe_step(
+            step, atoms, potential_energy, run_log=run_log, moments=moments
+        )
 
     def snapshot(self) -> Dict[str, object]:
         """The typed health snapshot: engine / tier / invariants / counters."""

@@ -155,13 +155,18 @@ class RunLog:
         record: Dict[str, object] = {
             "t": time.perf_counter(),
             "kind": kind,
+            **fields,
         }
-        record.update(fields)
-        line = json.dumps(record, sort_keys=True, default=str)
+        if self._handle is None:
+            # nothing to keep in order with the list: an append is atomic
+            self._records.append(record)
+            return record
         with self._lock:
             self._records.append(record)
             if self._handle is not None:
-                self._handle.write(line + "\n")
+                self._handle.write(
+                    json.dumps(record, sort_keys=True, default=str) + "\n"
+                )
                 self._handle.flush()
         return record
 

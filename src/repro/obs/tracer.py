@@ -33,9 +33,8 @@ from __future__ import annotations
 import os
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "Span",
@@ -50,6 +49,19 @@ __all__ = [
     "CAT_REGION",
     "CAT_MD",
 ]
+
+#: this process's id, renewed in a forked child: ``os.getpid()`` is a
+#: system call, and :meth:`Tracer.span` records it twice a step
+_pid = os.getpid()
+
+
+def _renew_pid() -> None:
+    global _pid
+    _pid = os.getpid()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX: where a child can be forked
+    os.register_at_fork(after_in_child=_renew_pid)
 
 #: span categories (the ``cat`` field of the exported trace events)
 CAT_PHASE = "phase"
@@ -123,7 +135,9 @@ class Tracer:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._spans: List[Span] = []
+        #: recorded spans; :meth:`span` appends its fields as a tuple, made
+        #: a :class:`Span` when first read
+        self._spans: List[Union[Span, tuple]] = []
         self._tls = threading.local()
 
     # --- recording ------------------------------------------------------------
@@ -149,7 +163,7 @@ class Tracer:
             category=category,
             start_s=start_s,
             duration_s=max(0.0, duration_s),
-            pid=os.getpid() if pid is None else pid,
+            pid=_pid if pid is None else pid,
             track=(
                 threading.current_thread().name if track is None else track
             ),
@@ -158,29 +172,22 @@ class Tracer:
         self.record(span)
         return span
 
-    @contextmanager
     def span(
         self, name: str, category: str = CAT_REGION, **args: object
-    ) -> Iterator[None]:
+    ) -> "_OpenSpan":
         """Context manager recording one span around its body."""
-        stack = self._region_stack()
-        stack.append(name)
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            end = time.perf_counter()
-            stack.pop()
-            self.add(name, category, start, end - start, **args)
+        return _OpenSpan(self, name, category, args)
 
     # --- region labels ----------------------------------------------------------
 
-    def _region_stack(self) -> List[str]:
-        stack = getattr(self._tls, "stack", None)
-        if stack is None:
-            stack = []
-            self._tls.stack = stack
-        return stack
+    def _thread(self) -> threading.local:
+        """This thread's region ``stack`` and ``track`` (its name when it
+        first opened a span here)."""
+        local = self._tls
+        if not hasattr(local, "stack"):
+            local.stack = []
+            local.track = threading.current_thread().name
+        return local
 
     def current_region(self) -> Optional[str]:
         """Innermost open ``span()`` name on this thread (None outside)."""
@@ -193,7 +200,11 @@ class Tracer:
     def spans(self) -> List[Span]:
         """Snapshot of everything recorded so far."""
         with self._lock:
-            return list(self._spans)
+            spans = self._spans
+            for k, span in enumerate(spans):
+                if type(span) is tuple:
+                    spans[k] = Span(*span)
+            return list(spans)
 
     def __len__(self) -> int:
         with self._lock:
@@ -210,6 +221,35 @@ class Tracer:
     def total(self, category: str) -> float:
         """Summed duration of one category's spans."""
         return sum(s.duration_s for s in self.by_category(category))
+
+
+class _OpenSpan:
+    """:meth:`Tracer.span`'s context: two clock reads, a region-stack push
+    and pop, and one append of the span's fields (the driver opens two a
+    step, so this stays a plain object, not a generator)."""
+
+    __slots__ = ("_tracer", "_name", "_category", "_args", "_thread", "_start")
+
+    def __init__(self, tracer: Tracer, name: str, category: str, args) -> None:
+        self._tracer = tracer
+        self._name = name
+        self._category = category
+        self._args = args
+
+    def __enter__(self) -> None:
+        self._thread = self._tracer._thread()
+        self._thread.stack.append(self._name)
+        self._start = time.perf_counter()
+
+    def __exit__(self, *exc: object) -> None:
+        end = time.perf_counter()
+        thread = self._thread
+        thread.stack.pop()
+        # a lone list append is atomic: no lock
+        self._tracer._spans.append((
+            self._name, self._category, self._start,
+            max(0.0, end - self._start), _pid, thread.track, self._args,
+        ))
 
 
 class _NullSpan:
@@ -278,7 +318,7 @@ class TracingObserver:
     def on_task_end(self, phase: int, task: int) -> None:
         end = time.perf_counter()
         track = threading.current_thread().name
-        pid = os.getpid()
+        pid = _pid
         with self._lock:
             start = self._task_start.pop((phase, task), None)
             if start is None:

@@ -747,13 +747,60 @@ class TestVerletPasses:
         assert np.all((periodic >= 0.0) & (periodic < self.BOX.lengths[:2]))
 
     def test_kick_is_the_numpy_twin(self, c_tier):
+        """Velocities bit for bit; the moments ``(sum m v^2, sum m v, sum
+        f)`` as sums in another order (C atom by atom, NumPy pairwise and
+        as matrix-vector products): the first within 1e-12 relative, the
+        two vectors, which cancel to ~0, within 1e-12 of the summed
+        magnitudes."""
         _, velocities, forces, types, scale, masses, _ = self.state()
+        kicked = velocities + 0.05 * (forces * scale[types][:, None])
         (got, c_arrays), (want, np_arrays) = self.both(
             c_tier, "kick", velocities, forces, types, scale, masses, 0.05
         )
-        assert np.array_equal(c_arrays[0], np_arrays[0])
-        # sequential sum against NumPy's pairwise one
-        assert got == pytest.approx(want, rel=1e-12)
+        assert np.array_equal(c_arrays[0], kicked)
+        assert np.array_equal(np_arrays[0], kicked)
+        mv = masses[types][:, None] * kicked
+        exact = (
+            float(np.sum(masses[types] * np.sum(kicked * kicked, axis=1))),
+            mv.sum(axis=0),
+            forces.sum(axis=0),
+        )
+        assert want[0] == exact[0]  # the twin's sum is the old one
+        assert got[0] == pytest.approx(want[0], rel=1e-12)
+        for k, magnitude in ((1, np.abs(mv).sum()), (2, np.abs(forces).sum())):
+            for moments in (got, want):
+                assert type(moments[k]) is tuple and len(moments[k]) == 3
+                assert np.all(np.abs(np.subtract(moments[k], exact[k])) <= 1e-12 * magnitude)
+
+    @pytest.mark.parametrize("odd", ["strided", "read-only"])
+    def test_odd_velocities_kick_on_the_numpy_twin(self, c_tier, monkeypatch, odd):
+        _, velocities, forces, types, scale, masses, _ = self.state()
+
+        def target():
+            wide = np.zeros((len(velocities), 6))
+            wide[:, :3] = velocities
+            out = wide[:, :3] if odd == "strided" else velocities.copy()
+            out.flags.writeable = odd != "read-only"
+            return out
+
+        def forbidden(*args):
+            raise AssertionError("a foreign call was made")
+
+        monkeypatch.setattr(c_tier, "_c_kick", forbidden)
+
+        def call(tier, v):
+            return outcome(lambda: tier.kick(v, forces, types, scale, masses, 0.05)), v
+
+        got, got_v = call(c_tier, target())
+        want, want_v = call(NumpyKernelTier(), target())
+        if odd == "read-only":
+            assert got[0] == "raised" and got[1] is ValueError
+            assert got == want
+        else:
+            assert got[0] == want[0] == "returned"
+            for a, b in zip(got[1], want[1]):
+                assert np.array_equal(a, b)
+        assert np.array_equal(got_v, want_v)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -2,8 +2,8 @@
 
 The driver calls an integrator by name only: ``first_half(atoms,
 reference)`` may return the displacement from ``reference`` and
-``second_half(atoms)`` the kinetic energy, and an integrator returning
-None for either gets the driver's own Verlet check and kinetic energy.
+``second_half(atoms)`` the step's moments, and an integrator returning
+None for either gets the driver's own Verlet check and moments.
 """
 
 import numpy as np
@@ -154,7 +154,7 @@ class TestVerletHalvesReturnTheirByProducts:
 
     def test_second_half_returns_the_kinetic_energy(self, tier, hot_atoms):
         with kernels.use_tier(tier):
-            energy = VelocityVerlet(2e-3).second_half(hot_atoms)
+            energy = VelocityVerlet(2e-3).second_half(hot_atoms).kinetic
         # the C tier sums atom by atom, NumPy pairwise
         assert energy == pytest.approx(kinetic_energy(hot_atoms), rel=1e-12)
 
@@ -233,3 +233,37 @@ class TestDuckTypedIntegrators:
         energies = report.energies()
         assert np.all(np.isfinite(energies))
         assert abs(energies[-1] - energies[0]) < 1e-3 * abs(energies[0])
+
+    def test_the_monitor_sums_its_own_moments_behind_a_proxy(self, tier, monkeypatch):
+        import repro.obs.health as health
+        from repro.obs.health import HealthMonitor
+        from repro.obs.recorder import FlightRecorder
+
+        summed = []
+        real = health._moments_of
+
+        def counting(atoms):
+            summed.append(1)
+            return real(atoms)
+
+        monkeypatch.setattr(health, "_moments_of", counting)
+        monitors = []
+        for integrator in (VelocityVerlet(1e-3), Forwarding(VelocityVerlet(1e-3))):
+            atoms = Case(key="t", label="t", n_cells=4).build(
+                perturbation=0.03, temperature=900.0, seed=2
+            )
+            monitor = HealthMonitor(recorder=FlightRecorder())
+            with kernels.use_tier(tier):
+                Simulation(
+                    atoms, fe_potential(), integrator=integrator, health=monitor
+                ).run(6, sample_every=3)
+            monitors.append(monitor.physics)
+            assert len(summed) == (0 if len(monitors) == 1 else 6)
+        handed, own = (m.invariants for m in monitors)
+        for name in ("energy_drift", "momentum", "force_sum"):
+            assert handed[name].n_checks == own[name].n_checks == 6
+            assert handed[name].status == own[name].status == "ok"
+        # the same sums in another order
+        assert handed["energy_drift"].value == pytest.approx(
+            own["energy_drift"].value, rel=1e-6, abs=1e-12
+        )

@@ -205,7 +205,13 @@ class TestSampledObservables:
             atoms, fe_potential(), thermostat=BerendsenThermostat(100.0, tau=0.01)
         )
         record = sim.run(2, sample_every=1).records[-1]
-        assert record.kinetic_energy == kinetic_energy(sim.atoms)
+        # the driver carries the kick's kinetic energy across the rescale
+        # as lambda^2 K, one rounding away from a sum over the rescaled
+        # velocities; a thermostat returning None makes it recompute
+        # (tests/md/test_thermostats.py)
+        assert record.kinetic_energy == pytest.approx(
+            kinetic_energy(sim.atoms), rel=1e-12
+        )
 
 
 class TestRun:

@@ -289,6 +289,93 @@ class TestSimulationIntegration:
             for r in run_log.of_kind("health")
         )
 
+    def test_handed_over_moments_are_read_not_summed(self, recorder, monkeypatch):
+        import repro.obs.health as health
+        from repro.md.integrators import Moments
+
+        def forbidden(atoms):
+            raise AssertionError("summed over the atoms")
+
+        monkeypatch.setattr(health, "_moments_of", forbidden)
+        monitor = PhysicsMonitor(recorder=recorder)
+        moments = Moments(5.0, (0.0, 4e-6, 0.0), (0.0, 0.0, 0.0))
+        monitor.observe_step(0, _FakeAtoms(), potential_energy=-10.0, moments=moments)
+        assert monitor.reference_energy == -5.0
+        assert monitor.invariants["momentum"].value == 1e-6  # per atom
+        assert monitor.invariants["momentum"].status == "warning"
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_a_nan_component_reads_nan_on_both_paths(self, recorder, axis):
+        from repro.md.integrators import Moments
+
+        atoms = _FakeAtoms()
+        atoms.forces[0, axis] = np.nan
+        force_sum = [0.0, 1.0, 0.0]
+        force_sum[axis] = np.nan
+        for moments in (None, Moments(0.0, (0.0, 0.0, 0.0), tuple(force_sum))):
+            monitor = PhysicsMonitor(recorder=recorder)
+            monitor.observe_step(0, atoms, potential_energy=-10.0, moments=moments)
+            assert np.isnan(monitor.invariants["force_sum"].value)
+
+    def test_thermostat_exchange_counts_on_skipped_steps(self, recorder):
+        from repro.md.integrators import Moments
+
+        monitor = PhysicsMonitor(recorder=recorder, check_every=2)
+        zero = (0.0, 0.0, 0.0)
+        # the thermostat takes 1 eV out at every step; E falls with it
+        for step in range(5):
+            monitor.observe_step(
+                step, _FakeAtoms(), potential_energy=-10.0 - step,
+                moments=Moments(0.0, zero, zero, exchanged=-1.0),
+            )
+        assert monitor.exchanged == -5.0
+        assert monitor.reference_energy == -9.0  # -10 - (-1), at step 0
+        assert monitor.invariants["energy_drift"].n_checks == 3
+        assert monitor.invariants["energy_drift"].worst == 0.0
+
+
+class TestThermostattedDrift:
+    """Under a rescaling thermostat velocity Verlet conserves E minus the
+    energy the thermostat exchanged, and that is what the monitor checks
+    when the driver hands the step's moments over; the raw E moves by as
+    much as the thermostat pumps."""
+
+    class Withheld(HealthMonitor):
+        """Drops the driver's hand-over: every step sums its own moments."""
+
+        def observe_step(self, *args, moments=None, **kwargs):
+            super().observe_step(*args, **kwargs)
+
+    def run(self, monitor):
+        from repro.harness.cases import Case
+        from repro.md.simulation import Simulation
+        from repro.md.thermostats import BerendsenThermostat
+        from repro.potentials import fe_potential
+
+        atoms = Case(key="t", label="t", n_cells=4).build(
+            perturbation=0.03, temperature=500.0, seed=2
+        )
+        sim = Simulation(
+            atoms, fe_potential(),
+            thermostat=BerendsenThermostat(100.0, tau=0.02), health=monitor,
+        )
+        report = sim.run(20, sample_every=1)
+        # the thermostat did take the run from ~480 K to ~130 K
+        assert report.records[-1].temperature < 0.3 * report.records[0].temperature
+        return monitor.physics
+
+    def test_a_healthy_nvt_run_stays_ok(self, recorder):
+        physics = self.run(HealthMonitor(recorder=recorder))
+        assert physics.exchanged < 0.0
+        assert physics.invariants["energy_drift"].status == "ok"
+        assert physics.worst_status() == "ok"
+        assert recorder.events(category="physics") == []
+
+    def test_without_the_hand_over_the_raw_energy_alarms(self, recorder):
+        physics = self.run(self.Withheld(recorder=recorder))
+        assert physics.exchanged == 0.0
+        assert physics.invariants["energy_drift"].status in ("warning", "critical")
+
 
 @pytest.mark.slow
 class TestOverheadContract:

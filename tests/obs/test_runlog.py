@@ -106,3 +106,20 @@ class TestRunLog:
             log.log("event", value=complex(1, 2))
         lines = path.read_text().splitlines()
         assert json.loads(lines[1])["value"] == "(1+2j)"
+
+    def test_file_backed_lines_are_the_sorted_json_of_each_record(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        with RunLog(path, meta={"hostname": "h"}) as log:
+            log.log("observables", step=0, potential_energy=-1.5, z=None)
+            log.log("event", event="x", value=complex(1, 2), nested={"b": 1, "a": [2]})
+            records = log.records
+        assert path.read_text() == "".join(
+            json.dumps(r, sort_keys=True, default=str) + "\n" for r in records
+        )
+
+    def test_in_memory_records_keep_values_as_given(self):
+        log = RunLog(meta={})
+        value, opaque = complex(1, 2), object()
+        record = log.log("event", value=value, opaque=opaque)
+        assert record["value"] is value and record["opaque"] is opaque
+        assert log.records[-1] is record

@@ -120,6 +120,41 @@ class TestTracer:
             t.join()
         assert len(tracer) == 200
 
+    def test_context_and_added_spans_read_back_in_record_order(self):
+        tracer = Tracer()
+        with tracer.span("first", category=CAT_MD):
+            pass
+        tracer.add("second", CAT_TASK, 0.0, 1.0)
+
+        def worker():
+            with tracer.span("third"):
+                pass
+
+        t = threading.Thread(target=worker, name="side")
+        t.start()
+        t.join()
+        spans = tracer.spans
+        assert [s.name for s in spans] == ["first", "second", "third"]
+        assert all(type(s) is Span for s in spans)
+        assert spans[0].track == threading.current_thread().name
+        assert spans[2].track == "side"
+        assert tracer.spans == spans  # reading again reads the same spans
+
+    def test_concurrent_context_spans_lose_nothing(self):
+        tracer = Tracer()
+
+        def worker():
+            for _ in range(200):
+                with tracer.span("x"):
+                    pass
+
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert len(tracer) == len(tracer.spans) == 800
+
 
 class TestTracingObserver:
     def _run(self, backend, tracer, sizes):
@@ -290,3 +325,25 @@ class TestDisabledOverhead:
 
         sim = Simulation(case_by_key("tiny").build(), potential)
         assert sim._span("md-step", step=0) is NULL_SPAN
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_forked_child_records_its_own_pid():
+    tracer = Tracer()
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: one span, its pid down the pipe
+        try:
+            with tracer.span("child"):
+                pass
+            os.write(write, str(tracer.spans[-1].pid).encode())
+        finally:
+            os._exit(0)
+    os.close(write)
+    recorded = int(os.read(read, 64))
+    os.close(read)
+    os.waitpid(pid, 0)
+    assert recorded == pid != os.getpid()
+    with tracer.span("parent"):
+        pass
+    assert tracer.spans[-1].pid == os.getpid()
