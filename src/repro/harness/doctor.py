@@ -130,6 +130,8 @@ def _check_kernel_tier() -> Finding:
         )
     if c["build_s"] is not None:
         detail += f" (built in {c['build_s']:.2f} s)"
+    if c["simd"] is not None:
+        detail += f"; simd {c['simd']}"
     return Finding(
         "kernel-tier",
         "warning" if c["state"] == "unavailable" else "ok",

@@ -190,7 +190,8 @@ def tier_status() -> Dict[str, object]:
     """Registry state for the health snapshot: the active tier (None
     before first resolution), the ``REPRO_KERNEL_TIER`` default and the C
     tier's build (``state`` built / cached / unavailable, ``reason``,
-    ``so_path``, ``build_s``).  Reading it loads nothing: before anything
+    ``so_path``, ``build_s``, and ``simd``, the pair-term clone the
+    loader picked).  Reading it loads nothing: before anything
     resolved the C tier — a process that selected ``numpy`` — its state is
     ``not-loaded``."""
     with _active_lock:
@@ -200,7 +201,7 @@ def tier_status() -> Dict[str, object]:
         "env_default": os.environ.get(ENV_VAR, "").strip() or None,
         "c": dict(c) if c is not None else {
             "state": "not-loaded", "reason": None, "so_path": None,
-            "build_s": None,
+            "build_s": None, "simd": None,
         },
     }
 

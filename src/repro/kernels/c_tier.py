@@ -8,9 +8,12 @@ ctypes.
 a warm process pays one ``dlopen``.  The build writes a temporary file and
 ``os.replace``-s it into place, so processes racing the first build each
 load a complete library.  A cached file whose ELF section table runs past
-its end (a truncated copy) is rebuilt, not loaded.  A 2-pair smoke call
-and a 200-atom neighbour build against the NumPy tier then decide whether
-the library is used at all.
+its end (a truncated copy) is rebuilt, not loaded.  The library's one
+SIMD function carries a clone per vector width, and the dynamic loader
+picks the widest the CPU runs (:attr:`BuildStatus.simd` names it), so
+neither the flags nor the key name a CPU.  A 96-pair density slice
+through every branch of the pair terms and a 200-atom neighbour build
+against the NumPy tier then decide whether the library is used at all.
 
 :class:`CKernelTier` is the NumPy tier with the hot entry points replaced
 by single foreign calls, each of which drops the GIL: ``evaluate`` (three
@@ -53,7 +56,7 @@ import struct
 import subprocess
 import tempfile
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Tuple
@@ -92,12 +95,14 @@ class BuildError(RuntimeError):
 class BuildStatus:
     """What :func:`load` found: ``state`` is ``"built"`` (compiled in this
     process, ``build_s`` seconds), ``"cached"`` (loaded from the cache) or
-    ``"unavailable"`` (``reason`` says why)."""
+    ``"unavailable"`` (``reason`` says why); ``simd`` is the pair-term
+    clone the loader picked, ``"avx512f"``, ``"avx2"`` or ``"default"``."""
 
     state: str
     reason: Optional[str] = None
     so_path: Optional[str] = None
     build_s: Optional[float] = None
+    simd: Optional[str] = None
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -208,7 +213,7 @@ def _library() -> Tuple[ctypes.CDLL, BuildStatus]:
 
 
 def _smoke(tier: "CKernelTier") -> None:
-    """A 2-pair density slice, C against NumPy, to 1e-12; then a 200-atom
+    """A 96-pair density slice, C against NumPy, to 1e-12; then a 200-atom
     neighbour build, half and full, CSR for CSR."""
     from repro.geometry.box import Box
     from repro.md.neighbor.cells import build_cell_list
@@ -216,20 +221,29 @@ def _smoke(tier: "CKernelTier") -> None:
 
     potential, box = JohnsonFePotential(), Box((10.0, 10.0, 10.0))
     reference = NumpyKernelTier()
-    # both pairs inside the cutoff, the first one across two box faces
-    positions = np.array([[1.8, 0.1, 9.9], [9.6, 0.3, 0.1], [9.4, 2.6, 0.8]])
-    i_idx, j_idx = np.array([0, 1]), np.array([1, 2])
-    got, want = np.zeros(3), np.zeros(3)
+    # atom 0 and 96 partners at r from 2.0 Å to the cutoff + 0.4, through
+    # the three regions of the switch (s = 1, the quintic, exact zeros) and
+    # enough slots for the vector body of every SIMD width; the partners
+    # lie across the box faces from atom 0
+    n_pairs = 96
+    r = np.linspace(2.0, potential.r_cut + 0.4, n_pairs)
+    direction = np.array([-0.48, 0.6, -0.64])
+    positions = np.vstack(
+        [[0.5, 9.7, 0.6], box.wrap([0.5, 9.7, 0.6] + r[:, None] * direction)]
+    )
+    i_idx = np.zeros(n_pairs, dtype=np.int64)
+    j_idx = np.arange(1, n_pairs + 1, dtype=np.int64)
+    got, want = np.zeros(n_pairs + 1), np.zeros(n_pairs + 1)
     energies = [
         impl.density_slice(
-            potential, positions, box, i_idx, j_idx, rho, handover_arrays(2)
+            potential, positions, box, i_idx, j_idx, rho, handover_arrays(n_pairs)
         )
         for impl, rho in ((tier, got), (reference, want))
     ]
     if not (
         np.allclose(got, want, rtol=1e-12, atol=0.0)
         and np.isclose(*energies, rtol=1e-12, atol=0.0)
-        and np.all(want > 0.0)
+        and want[0] > 0.0 and np.any(want[1:] == 0.0)
     ):
         raise BuildError(
             f"smoke call disagrees with NumPy: rho {got} vs {want}, "
@@ -261,7 +275,7 @@ def load() -> Tuple[Optional["CKernelTier"], BuildStatus]:
         so_path = status.so_path
         tier = CKernelTier(lib)
         _smoke(tier)
-        return tier, status
+        return tier, replace(status, simd=tier.simd)
     except Exception as exc:  # noqa: BLE001 - every cause becomes the reason
         reason = str(exc) if isinstance(exc, BuildError) else repr(exc)
         return None, BuildStatus("unavailable", reason=reason, so_path=so_path)
@@ -525,6 +539,10 @@ class CKernelTier(NumpyKernelTier):
         self._c_kick = lib.md_kick
         self._c_kick.argtypes = [vp, vp, vp, vp, vp, i64, i64, f64, vp]
         self._c_kick.restype = i64
+        simd = lib.eam_simd
+        simd.restype = ctypes.c_char_p
+        #: the pair-term clone the loader picked for this CPU
+        self.simd = simd().decode()
 
     # --- the passes ---------------------------------------------------------
 

@@ -6,9 +6,10 @@
  * each entry point one GIL-free call.
  *
  * Built on first use by repro.kernels.c_tier with `cc -O3 -ffp-contract=off
- * -shared -fPIC -lm` (no -ffast-math, no -march, no OpenMP; no fused
- * multiply-add, so every product rounds as NumPy's does) and called
- * through ctypes.
+ * -shared -fPIC -lm` (no fast-math, no CPU-specific target flags, no
+ * OpenMP; no fused multiply-add, so every product rounds as NumPy's does)
+ * and called through ctypes.  One function, johnson_block, is compiled once
+ * per SIMD width and the dynamic loader picks the widest the CPU runs.
  * Nothing here validates input but the Verlet passes' species indices:
  * the caller checks every other index against the arrays it addresses
  * before the call, and routes anything that is not a C-contiguous
@@ -18,8 +19,8 @@
  * libm call), the potential terms over r, then the scatters.  The
  * arithmetic of the geometry and of the force coefficient is the NumPy
  * tier's, operation for operation; the potential terms follow the NumPy
- * expressions in the same order, with the platform libm's exp where NumPy
- * may use its own.
+ * expressions in the same order, with an exp of this file's own where
+ * NumPy may use its own.
  */
 
 #define _GNU_SOURCE
@@ -27,8 +28,37 @@
 #include <sched.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 #include <time.h>
 #include <unistd.h>
+
+/* One function compiled per SIMD width: the loader's ifunc resolver picks
+ * the clone once, at load, from what the CPU reports - so the flags, and
+ * the library's cache key, name no CPU.  x86-64 glibc only (ifunc);
+ * anywhere else LANES is empty and the function is plain. */
+#if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define EAM_CLONES 1
+#define LANES __attribute__((target_clones("avx512f", "avx2", "default")))
+#endif
+#endif
+#ifndef LANES
+#define LANES
+#endif
+
+/* The clone of johnson_block the loader picked, by the resolver's own
+ * test: "avx512f", "avx2", or "default" (also wherever there are none) */
+const char *eam_simd(void)
+{
+#ifdef EAM_CLONES
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f"))
+        return "avx512f";
+    if (__builtin_cpu_supports("avx2"))
+        return "avx2";
+#endif
+    return "default";
+}
 
 /* keep in step with repro.kernels.lowering */
 #define KIND_JOHNSON 0
@@ -47,6 +77,23 @@ typedef struct {
     spline density, pair, embed; /* tabulated; density and pair share a grid */
     double rho_max;
 } eam_potential;
+
+/* A double's bits, and back: integer operations on these are the
+ * branch-free tests and selects below (a comparison's 0/1, or a
+ * conditional, may not vectorize at all) */
+static inline uint64_t bits_of(double d)
+{
+    uint64_t bits;
+    memcpy(&bits, &d, sizeof bits);
+    return bits;
+}
+
+static inline double double_of(uint64_t bits)
+{
+    double d;
+    memcpy(&d, &bits, sizeof d);
+    return d;
+}
 
 /* Box.minimum_image's fold of one component, d - floor(d / L + 0.5) * L,
  * without libm's floor (a call at baseline x86-64).  Most pairs sit in
@@ -69,23 +116,37 @@ static inline double fold(double d, double L)
 
 /* delta[k] = pos[i] - pos[j] folded by minimum image (lengths[a] == 0 for
  * an open axis), r[k] = |delta[k]|: the NumPy tier's arithmetic, so both
- * are bit-identical to it. */
-static void geometry(const double *pos, const int64_t *ii, const int64_t *jj,
-                     int64_t n, const double *lengths, double *delta,
-                     double *r)
+ * are bit-identical to it.  |d| < L/4 puts d / L + 0.5 inside [0, 1), where
+ * fold returns d unchanged, so only a component near half a box pays the
+ * division (md_kick_drift's rule).  Returns 0 when every r is at least
+ * min_sep: for r >= 0 that is bits(r) >= bits(min_sep), and a word whose
+ * top bit collects bits(r) - bits(min_sep) keeps the common case out of
+ * closest_pair's second pass.  A NaN r may or may not set it: either way
+ * the answer is closest_pair's, -1. */
+static int geometry(const double *pos, const int64_t *ii, const int64_t *jj,
+                    int64_t n, const double *lengths, double min_sep,
+                    double *delta, double *r)
 {
+    const uint64_t sep = bits_of(min_sep);
+    uint64_t below = 0;
+    double quarter[3];
+    for (int axis = 0; axis < 3; axis++)
+        quarter[axis] = 0.25 * lengths[axis];
     for (int64_t k = 0; k < n; k++) {
         const double *a = pos + 3 * ii[k], *b = pos + 3 * jj[k];
         double r2 = 0.0;
         for (int axis = 0; axis < 3; axis++) {
             double d = a[axis] - b[axis];
-            if (lengths[axis] > 0.0)
+            if (lengths[axis] > 0.0 && !(fabs(d) < quarter[axis]))
                 d = fold(d, lengths[axis]);
             delta[3 * k + axis] = d;
             r2 += d * d;
         }
-        r[k] = sqrt(r2);
+        const double rk = sqrt(r2);
+        r[k] = rk;
+        below |= bits_of(rk) - sep;
     }
+    return (int)(below >> 63);
 }
 
 /* The NumPy tier's check_pair_separation: the slot of the first minimum
@@ -137,39 +198,147 @@ static inline void spline_eval(const spline *s, int64_t k, double w,
     *slope = b + m0 * w + dm / (2.0 * h) * (w * w);
 }
 
-/* (phi, phi', V') per pair into the three arrays; returns sum V */
+/* Pairs per Johnson block: the V buffer's length */
+#define BLOCK 256
+
+/* exp(x) for |x| < 700, within 2 ulp of the exact value (1.44 ulp the
+ * largest error against long-double expl over 2e7 arguments, half of them
+ * uniform on |x| < 700, half on |x| < 12): Cody-Waite
+ * reduction x = k ln2 + t (|t| <= ln2 / 2; ln2's high part has its low
+ * bits zero, so k * LN2_HI is exact), the Taylor series of e^t to t^13
+ * by Estrin's scheme, and 2^k from the bits of the rounding shift - a
+ * normal double for every |k| <= 1010.  Branch-free scalar IEEE
+ * arithmetic, so every lane of every SIMD width rounds alike. */
+static inline double poly_exp(double x)
+{
+    const double LOG2E = 1.4426950408889634, SHIFT = 6755399441055744.0;
+    const double LN2_HI = 6.93147180369123816490e-01,
+                 LN2_LO = 1.90821492927058770002e-10;
+    const double shifted = x * LOG2E + SHIFT; /* k rounded, in the low bits */
+    const double k = shifted - SHIFT;
+    const double t = (x - k * LN2_HI) - k * LN2_LO;
+    const double t2 = t * t, t4 = t2 * t2, t8 = t4 * t4;
+    const double p23 = 1.0 / 2 + t * (1.0 / 6),
+                 p45 = 1.0 / 24 + t * (1.0 / 120),
+                 p67 = 1.0 / 720 + t * (1.0 / 5040),
+                 p89 = 1.0 / 40320 + t * (1.0 / 362880),
+                 p1011 = 1.0 / 3628800 + t * (1.0 / 39916800),
+                 p1213 = 1.0 / 479001600 + t * (1.0 / 6227020800);
+    const double p13 = t + t2 * p23, p47 = p45 + t2 * p67,
+                 p811 = p89 + t2 * p1011;
+    const double p17 = p13 + t4 * p47, p813 = p811 + t4 * p1213;
+    /* the leading 1 added last, to a sum of at most 0.42 */
+    const double poly = 1.0 + (p17 + t8 * p813);
+    /* shifted and SHIFT share an exponent: their bits differ by k */
+    return poly * double_of((bits_of(shifted) - bits_of(SHIFT) + 1023) << 52);
+}
+
+/* all ones where d's sign bit is set, else 0 */
+static inline uint64_t sign_mask(double d)
+{
+    return -(bits_of(d) >> 63);
+}
+
+/*
+ * JohnsonFePotential.pair_terms over n <= BLOCK pairs, with no branch:
+ * (phi, phi', V') into the three arrays and V into v.  x is the NumPy
+ * clip's, (r - r_switch) / width above r_switch and 0 below, and from
+ * r_cut on (x >= 1) every output is masked to an exact zero.  Returns
+ * nonzero when any exponent's argument is NaN or outside |x| < 700, where
+ * poly_exp does not hold: the caller redoes such a block with libm.
+ */
+LANES static int johnson_block(const eam_potential *p,
+                               const double *restrict r, int64_t n,
+                               double *restrict phi, double *restrict dphi,
+                               double *restrict dv, double *restrict v)
+{
+    const double r_switch = p->r_switch, re = p->re, fe = p->fe, D = p->D;
+    const double width = p->r_cut - r_switch;
+    const double ds_scale = -30.0 / width;
+    const double slope = -p->beta / re;
+    const double minus_a = -p->a;
+    const double dv_scale = 2.0 * p->a * D;
+    /* below 700.0's bits, as an integer, lie exactly the non-negative
+     * doubles < 700: NaN and everything from 700 on sit above */
+    const uint64_t limit = bits_of(700.0) - 1;
+    uint64_t outside = 0;
+    for (int64_t k = 0; k < n; k++) {
+        const double rk = r[k];
+        const double above = (rk - r_switch) / width;
+        /* NumPy's clip at 0: a negative quotient becomes +0 */
+        const double x = double_of(bits_of(above) & ~sign_mask(above));
+        /* all ones below r_cut, where x - 1 < 0 */
+        const uint64_t near = sign_mask(x - 1.0);
+        const double s = 1.0 - x * x * x * (10.0 + x * (6.0 * x - 15.0));
+        double ds = x * (1.0 - x);
+        ds *= ds;
+        ds *= ds_scale;
+        const double dr = rk - re;
+        const double arg_phi = slope * dr, arg_v = minus_a * dr;
+        /* the top bit set where |arg| >= 700 or NaN */
+        outside |= (limit - bits_of(fabs(arg_phi))) |
+                   (limit - bits_of(fabs(arg_v)));
+        const double raw = poly_exp(arg_phi) * fe;
+        const double ph = raw * s;
+        const double e2 = poly_exp(arg_v);
+        const double e1 = e2 * e2;
+        const double raw_v = D * (e1 - 2.0 * e2);
+        phi[k] = double_of(bits_of(ph) & near);
+        dphi[k] = double_of(bits_of(slope * ph + raw * ds) & near);
+        dv[k] = double_of(bits_of((e2 - e1) * dv_scale * s + raw_v * ds) & near);
+        v[k] = double_of(bits_of(raw_v * s) & near);
+    }
+    return (int)(outside >> 63);
+}
+
+/* The same terms pair by pair with libm's exp: the block's fallback */
+static void johnson_libm(const eam_potential *p, const double *r, int64_t n,
+                         double *phi, double *dphi, double *dv, double *v)
+{
+    const double width = p->r_cut - p->r_switch;
+    const double ds_scale = -30.0 / width;
+    const double slope = -p->beta / p->re;
+    const double dv_scale = 2.0 * p->a * p->D;
+    for (int64_t k = 0; k < n; k++) {
+        double x = (r[k] - p->r_switch) / width;
+        if (x >= 1.0) { /* s = s' = 0: exact zeros from r_cut on */
+            phi[k] = dphi[k] = dv[k] = v[k] = 0.0;
+            continue;
+        }
+        if (x < 0.0)
+            x = 0.0;
+        double s = 1.0 - x * x * x * (10.0 + x * (6.0 * x - 15.0));
+        double ds = x * (1.0 - x);
+        ds *= ds;
+        ds *= ds_scale;
+        double dr = r[k] - p->re;
+        double raw = exp(slope * dr) * p->fe;
+        double ph = raw * s;
+        phi[k] = ph;
+        dphi[k] = slope * ph + raw * ds;
+        double e2 = exp(-p->a * dr);
+        double e1 = e2 * e2;
+        double raw_v = p->D * (e1 - 2.0 * e2);
+        dv[k] = (e2 - e1) * dv_scale * s + raw_v * ds;
+        v[k] = raw_v * s;
+    }
+}
+
+/* (phi, phi', V') per pair into the three arrays; returns sum V, added
+ * pair by pair in slot order */
 static double pair_terms(const eam_potential *p, const double *r, int64_t n,
                          double *phi, double *dphi, double *dv)
 {
     double energy = 0.0;
     if (p->kind == KIND_JOHNSON) {
-        /* JohnsonFePotential.pair_terms */
-        const double width = p->r_cut - p->r_switch;
-        const double ds_scale = -30.0 / width;
-        const double slope = -p->beta / p->re;
-        const double dv_scale = 2.0 * p->a * p->D;
-        for (int64_t k = 0; k < n; k++) {
-            double x = (r[k] - p->r_switch) / width;
-            if (x >= 1.0) { /* s = s' = 0: exact zeros from r_cut on */
-                phi[k] = dphi[k] = dv[k] = 0.0;
-                continue;
-            }
-            if (x < 0.0)
-                x = 0.0;
-            double s = 1.0 - x * x * x * (10.0 + x * (6.0 * x - 15.0));
-            double ds = x * (1.0 - x);
-            ds *= ds;
-            ds *= ds_scale;
-            double dr = r[k] - p->re;
-            double raw = exp(slope * dr) * p->fe;
-            double ph = raw * s;
-            phi[k] = ph;
-            dphi[k] = slope * ph + raw * ds;
-            double e2 = exp(-p->a * dr);
-            double e1 = e2 * e2;
-            double raw_v = p->D * (e1 - 2.0 * e2);
-            dv[k] = (e2 - e1) * dv_scale * s + raw_v * ds;
-            energy += raw_v * s;
+        /* JohnsonFePotential.pair_terms, a block at a time */
+        double v[BLOCK];
+        for (int64_t lo = 0; lo < n; lo += BLOCK) {
+            const int64_t m = n - lo < BLOCK ? n - lo : BLOCK;
+            if (johnson_block(p, r + lo, m, phi + lo, dphi + lo, dv + lo, v))
+                johnson_libm(p, r + lo, m, phi + lo, dphi + lo, dv + lo, v);
+            for (int64_t k = 0; k < m; k++)
+                energy += v[k];
         }
     } else {
         /* TabulatedEAM.pair_terms: one locate serves both tables */
@@ -213,8 +382,9 @@ int64_t eam_density(const double *pos, const int64_t *ii, const int64_t *jj,
                     double *delta, double *r, double *phi, double *dphi,
                     double *dv, double *energy)
 {
-    geometry(pos, ii, jj, n, lengths, delta, r);
-    const int64_t closest = closest_pair(r, n, min_sep);
+    const int64_t closest = geometry(pos, ii, jj, n, lengths, min_sep, delta, r)
+                                ? closest_pair(r, n, min_sep)
+                                : -1;
     if (closest >= 0 || pot == 0)
         return closest;
     *energy = pair_terms(pot, r, n, phi, dphi, dv);

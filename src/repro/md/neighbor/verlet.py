@@ -12,6 +12,7 @@ Computation (RC) baseline strategy consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -76,13 +77,21 @@ class NeighborList:
                 f"{n_atoms}"
             )
 
+    @cached_property
+    def _row_index(self) -> np.ndarray:
+        rows = self.csr.row_of_value()
+        rows.flags.writeable = False
+        return rows
+
     def pair_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Flat ``(i_idx, j_idx)`` arrays aligned with the CSR payload.
 
         ``i_idx[k]`` is the row owning slot ``k``; this is the layout the
-        vectorized kernels iterate over.
+        vectorized kernels iterate over.  ``i_idx`` is built once per list
+        and shared by every call, so it is read-only; ``j_idx`` is the
+        payload itself.
         """
-        return self.csr.row_of_value(), self.csr.values
+        return self._row_index, self.csr.values
 
     def neighbors_of(self, i: int) -> np.ndarray:
         """Neighbor indices of atom ``i`` (view)."""

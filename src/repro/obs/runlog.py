@@ -75,7 +75,8 @@ def collect_run_meta(n_threads: Optional[int] = None) -> Dict[str, object]:
     ``kernel_tier`` names the process's tier, the one the run computed
     with.  ``kernel_tiers`` lists the tiers known to run on this host
     without building anything: ``"c"`` appears once this process has
-    loaded it.
+    loaded it.  ``kernel_simd`` names the C tier's pair-term clone
+    (``"avx512f"``, ``"avx2"`` or ``"default"``), None until it is loaded.
     """
     try:
         import numpy
@@ -105,6 +106,7 @@ def collect_run_meta(n_threads: Optional[int] = None) -> Dict[str, object]:
         "git_sha": git_sha(),
         "kernel_tier": kernels.active_tier().name,
         "kernel_tiers": list(kernels.available_tiers(load=False)),
+        "kernel_simd": kernels.tier_status()["c"]["simd"],
     }
     if n_threads is not None:
         meta["n_threads"] = n_threads

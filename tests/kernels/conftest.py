@@ -18,3 +18,11 @@ def clean_registry():
     kernels.reset()
     yield
     kernels.reset()
+
+
+@pytest.fixture()
+def c_tier():
+    """The C tier; the test is skipped where it cannot be built."""
+    if "c" not in kernels.available_tiers():
+        pytest.skip(f"C tier unavailable: {kernels.tier_status()['c']['reason']}")
+    return kernels.get("c")

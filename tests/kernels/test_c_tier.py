@@ -71,13 +71,6 @@ def child_env():
 
 
 @pytest.fixture()
-def c_tier():
-    if "c" not in kernels.available_tiers():
-        pytest.skip(f"C tier unavailable: {kernels.tier_status()['c']['reason']}")
-    return kernels.get("c")
-
-
-@pytest.fixture()
 def no_foreign_calls(c_tier, monkeypatch):
     """The C tier with every foreign function replaced by a failure."""
 
@@ -420,9 +413,37 @@ def test_atomic_strategy_scatters_with_the_gil_held(
 class TestBuildStates:
     def test_status_reports_the_build(self, c_tier):
         status = kernels.tier_status()["c"]
-        assert set(status) == {"state", "reason", "so_path", "build_s"}
+        assert set(status) == {"state", "reason", "so_path", "build_s", "simd"}
         assert status["state"] in ("built", "cached")
+        assert status["simd"] == c_tier.simd in ("avx512f", "avx2", "default")
         assert c_module._intact(Path(status["so_path"]))
+
+    def test_doctor_and_run_meta_name_the_clone(self, c_tier):
+        from repro.harness.doctor import _check_kernel_tier
+        from repro.obs.runlog import collect_run_meta
+
+        with kernels.use_tier(c_tier):
+            assert _check_kernel_tier().detail.endswith(f"; simd {c_tier.simd}")
+            assert collect_run_meta()["kernel_simd"] == c_tier.simd
+
+    def test_smoke_slice_is_long_enough_for_the_vector_body(
+        self, c_tier, monkeypatch
+    ):
+        """The load-time smoke call runs >= 64 pairs, so a block's SIMD
+        body runs, and a row off by 1e-9 of the largest fails it."""
+        real = c_tier.density_slice
+        lengths = []
+
+        def skewed(potential, positions, box, i_idx, j_idx, rho, handover):
+            energy = real(potential, positions, box, i_idx, j_idx, rho, handover)
+            lengths.append(len(i_idx))
+            rho[j_idx[-1]] += 1e-9 * np.max(np.abs(rho))
+            return energy
+
+        monkeypatch.setattr(c_tier, "density_slice", skewed)
+        with pytest.raises(c_module.BuildError, match="smoke call disagrees"):
+            c_module._smoke(c_tier)
+        assert lengths[0] >= 64
 
     def test_first_build_then_cached_then_truncated_rebuilt(self, fresh_cache):
         if shutil.which("cc") is None:

@@ -91,6 +91,33 @@ class TestSemantics:
             build_neighbor_list(positions, box, cutoff=3.0, skin=-0.1)
 
 
+class TestRowIndex:
+    """``pair_arrays()`` builds its row index once per list."""
+
+    @pytest.fixture()
+    def nlist(self, perfect_system):
+        positions, box = perfect_system
+        return build_neighbor_list(positions, box, cutoff=3.6, skin=0.3)
+
+    def test_repeated_calls_share_one_read_only_index(self, nlist):
+        i_idx, j_idx = nlist.pair_arrays()
+        again, _ = nlist.pair_arrays()
+        assert again is i_idx
+        np.testing.assert_array_equal(i_idx, nlist.csr.row_of_value())
+        assert j_idx is nlist.csr.values
+        with pytest.raises(ValueError, match="read-only"):
+            i_idx[0] = 1
+
+    def test_a_rebuilt_list_gets_its_own_index(self, nlist, perfect_system):
+        positions, box = perfect_system
+        rebuilt = build_neighbor_list(positions, box, cutoff=3.6, skin=0.3)
+        old, new = nlist.pair_arrays()[0], rebuilt.pair_arrays()[0]
+        assert new is not old
+        np.testing.assert_array_equal(new, old)
+        full = full_from_half(nlist)
+        assert len(full.pair_arrays()[0]) == 2 * len(old)
+
+
 class TestHalfFullConversion:
     @pytest.fixture()
     def half(self, perfect_system):
