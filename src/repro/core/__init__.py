@@ -21,7 +21,7 @@ Subpackages/modules:
   refuting) conflict-freedom of a schedule.
 """
 
-from repro.core.coloring import Coloring, greedy_coloring, lattice_coloring
+from repro.core.coloring import Coloring, lattice_coloring
 from repro.core.conflict import ConflictReport, check_schedule_conflicts
 from repro.core.domain import DecompositionError, SubdomainGrid, decompose
 from repro.core.partition import PairPartition, Partition, build_partition
@@ -35,7 +35,6 @@ from repro.core.schedule import ColorSchedule, static_assignment
 
 __all__ = [
     "Coloring",
-    "greedy_coloring",
     "lattice_coloring",
     "ConflictReport",
     "check_schedule_conflicts",

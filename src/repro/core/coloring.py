@@ -6,18 +6,14 @@ different colors. And the number of subdomains with each color is equal."*
 
 For the regular grids SDC builds, the parity (red-black style) coloring
 needs exactly ``2^d`` colors for a ``d``-dimensional decomposition — the
-paper's 2 (1-D), 4 (2-D) and 8 (3-D).  A general greedy graph coloring is
-also provided for irregular decompositions (an extension beyond the paper,
-useful for non-uniform densities) and for cross-validating the lattice
-coloring against the adjacency structure.
+paper's 2 (1-D), 4 (2-D) and 8 (3-D).  :func:`validate_coloring` checks
+an assignment against the grid's adjacency structure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.core.domain import SubdomainGrid
@@ -82,22 +78,6 @@ def lattice_coloring(grid: SubdomainGrid) -> Coloring:
         color |= (coords[:, axis] % 2) << bit
         bit += 1
     return Coloring(color_of=color, n_colors=grid.n_colors)
-
-
-def greedy_coloring(adjacency: Sequence[tuple[int, int]], n_nodes: int) -> Coloring:
-    """Greedy graph coloring of an arbitrary subdomain adjacency.
-
-    Uses networkx's largest-first greedy heuristic.  Not guaranteed
-    balanced (the lattice coloring is preferred on grids); exposed for
-    irregular decompositions and as an oracle in tests.
-    """
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n_nodes))
-    graph.add_edges_from(adjacency)
-    result = nx.coloring.greedy_color(graph, strategy="largest_first")
-    color_of = np.array([result[node] for node in range(n_nodes)], dtype=np.int64)
-    n_colors = int(color_of.max()) + 1 if n_nodes else 1
-    return Coloring(color_of=color_of, n_colors=n_colors)
 
 
 def validate_coloring(grid: SubdomainGrid, coloring: Coloring) -> None:

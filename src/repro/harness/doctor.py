@@ -152,11 +152,11 @@ def _check_physics(
     atoms = case_by_key(case).build(temperature=50.0)
     sim = Simulation(atoms, fe_potential(), health=monitor)
     sim.run(steps, sample_every=max(1, steps))
-    pressure = monitor.physics.check_pressure(
+    pressure = monitor.check_pressure(
         sim.potential, sim.atoms, sim.nlist, step=steps
     )
-    status = monitor.physics.worst_status()
-    invariants = monitor.physics.status()
+    status = monitor.worst_status()
+    invariants = monitor.status()
     drift = invariants["energy_drift"]["worst"]
     momentum = invariants["momentum"]["worst"]
     detail = (

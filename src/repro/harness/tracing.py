@@ -12,10 +12,12 @@ and the recorded spans, and leaves a run directory
   stream (pairs processed, per-subdomain sizes, per-color static and
   measured load-imbalance ratios, halo fraction, barrier slack);
 * ``runlog`` — the structured run log (environment meta, per-sample
-  observables, neighbor rebuilds);
+  observables, run begin/end and sweep-cell events);
 * ``health`` — the flight-recorder dump for the whole sweep
-  (engine/kernel/scheduler lifecycle events plus any physics invariant
-  breaches from the per-cell :class:`~repro.obs.health.HealthMonitor`).
+  (engine/kernel/scheduler lifecycle events, neighbor rebuilds, and any
+  physics invariant breaches from the per-cell
+  :class:`~repro.obs.health.HealthMonitor`), the one place each of
+  those is written.
 
 :func:`traced_cell` and :func:`write_run_artifacts` are the cell body
 and the writer ``repro scale`` shares.
@@ -244,7 +246,6 @@ def _trace_one(
 ) -> TracedRun:
     """Run one sweep cell under the tracer and record its metrics."""
     label = f"{case_key}/{strategy_key}/{backend_key}"
-    health = HealthMonitor()
     with traced_cell(
         label,
         case_key,
@@ -252,18 +253,12 @@ def _trace_one(
         backend_key,
         n_workers,
         run_log=run_log,
-        health=health,
+        health=HealthMonitor(),
     ) as cell:
         run_log.log(
             "event", event="trace-run", run=label, kernel_tier=cell.kernel_tier
         )
         cell.sim.run(steps, sample_every=1)
-        run_log.log(
-            "health",
-            event="run-health-summary",
-            run=label,
-            **health.summary_fields(),
-        )
         calculator = cell.sim.calculator
         halo_stats = getattr(calculator, "halo_stats", None)
         pairs = getattr(calculator, "pair_partition", None)

@@ -21,6 +21,7 @@ from repro.md.integrators import Integrator, VelocityVerlet
 from repro.md.neighbor.verlet import NeighborList, build_neighbor_list
 from repro.md.observables import kinetic_energy
 from repro.md.thermostats import Thermostat
+from repro.obs.recorder import record as record_health
 from repro.obs.tracer import CAT_MD, span_of
 from repro.potentials.base import EAMPotential
 from repro.potentials.eam import EAMComputation, compute_eam_forces_serial
@@ -108,14 +109,16 @@ class Simulation:
     run_log:
         optional :class:`~repro.obs.runlog.RunLog`; when set, the driver
         appends ``observables`` records at every sample and an ``event``
-        record per neighbor rebuild.
+        record at the begin and end of each :meth:`run`.  Neighbor
+        rebuilds are recorded once, in the flight recorder.
     health:
         optional :class:`~repro.obs.health.HealthMonitor`; when set, the
         driver runs the physics invariant checks (energy drift, momentum,
         force-sum residual) after every force evaluation of the stepping
         loop, on the step's :class:`~repro.md.integrators.Moments` when
         the integrator and the thermostat hand them over, and threshold
-        crossings land in the flight recorder and the run log.  The monitor is bound to this driver's calculator so
+        crossings land in the flight recorder.  The monitor is bound to
+        this driver's calculator so
         :meth:`~repro.obs.health.HealthMonitor.snapshot` covers the
         engine too.
     """
@@ -211,23 +214,12 @@ class Simulation:
                 )
             self.n_neighbor_rebuilds += 1
             self._steps_since_rebuild = 0
-            if self.run_log is not None:
-                self.run_log.log(
-                    "event",
-                    event="neighbor-rebuild",
-                    n_pairs=self.nlist.n_pairs,
-                )
-            try:
-                from repro.obs.recorder import record
-
-                record(
-                    "scheduler",
-                    "neighbor-rebuild",
-                    n_pairs=self.nlist.n_pairs,
-                    n_atoms=self.atoms.n_atoms,
-                )
-            except Exception:  # pragma: no cover - telemetry stays optional
-                pass
+            record_health(
+                "scheduler",
+                "neighbor-rebuild",
+                n_pairs=self.nlist.n_pairs,
+                n_atoms=self.atoms.n_atoms,
+            )
             # distributed engines re-home atoms at every rebuild (atom
             # migration); plain strategies simply don't expose the hook
             rebuild_hook = getattr(self.calculator, "on_neighbor_rebuild", None)
@@ -309,7 +301,6 @@ class Simulation:
                         step,
                         self.atoms,
                         result.potential_energy,
-                        run_log=self.run_log,
                         moments=moments,
                     )
             if step % sample_every == 0 or step == n_steps - 1:

@@ -16,9 +16,11 @@ surface the analysis and profiling layers already use.  Four pieces:
   over a window, read from ``/proc/<pid>/schedstat`` at its two ends
   (``repro scale``'s resource pressure);
 * :mod:`repro.obs.recorder` / :mod:`repro.obs.health` — the runtime
-  health plane: the always-on flight recorder every subsystem feeds,
-  the physics invariant monitors, and the
-  :meth:`~repro.obs.health.HealthMonitor.snapshot` API behind
+  health plane: the always-on flight recorder every subsystem feeds
+  (the one writer of each health event: breaches, rebuilds, engine
+  lifecycle), and the :class:`~repro.obs.health.HealthMonitor` whose
+  physics invariant checks and
+  :meth:`~repro.obs.health.HealthMonitor.snapshot` API sit behind
   ``repro doctor`` / ``repro health``.
 
 On top of the per-run artifacts, the comparison layer reads runs back:
@@ -38,20 +40,14 @@ of two run directories, not a store.
 """
 
 from repro.obs.atomicio import atomic_write, atomic_write_text
-from repro.obs.health import (
-    HealthMonitor,
-    InvariantThresholds,
-    PhysicsMonitor,
-)
+from repro.obs.health import HealthMonitor, InvariantThresholds
 from repro.obs.recorder import (
     HEALTH_SCHEMA_VERSION,
     FlightRecorder,
     HealthEvent,
     get_recorder,
-    install_excepthook,
     read_health_jsonl,
     set_recorder,
-    uninstall_excepthook,
     validate_health_records,
 )
 from repro.obs.exporters import (
@@ -101,12 +97,9 @@ __all__ = [
     "HealthEvent",
     "HealthMonitor",
     "InvariantThresholds",
-    "PhysicsMonitor",
     "get_recorder",
-    "install_excepthook",
     "read_health_jsonl",
     "set_recorder",
-    "uninstall_excepthook",
     "validate_health_records",
     "CellVerdict",
     "RegressionReport",

@@ -1,28 +1,27 @@
-"""Physics invariant monitors and the health snapshot API.
+"""The health monitor: physics invariant checks and the health snapshot API.
 
-Two layers on top of the flight recorder (:mod:`repro.obs.recorder`):
+One layer on top of the flight recorder (:mod:`repro.obs.recorder`),
+:class:`HealthMonitor`, the aggregation point the driver carries:
 
-* :class:`PhysicsMonitor` — per-step checks of the quantities an MD run
-  must conserve: total-energy drift against the first sampled value (less
-  the energy a thermostat exchanged, when the driver hands the step's
-  moments over), total momentum, and the Newton's-third-law force-sum
-  residual (forces over a periodic box with a symmetric pair list must
-  sum to ~0 — a broken scatter or race shows up here before it shows up
-  in energies).
+* per-step checks of the quantities an MD run must conserve: total-energy
+  drift against the first observed value (less the energy a thermostat
+  exchanged, when the driver hands the step's moments over), total
+  momentum, and the Newton's-third-law force-sum residual (forces over a
+  periodic box with a symmetric pair list must sum to ~0 — a broken
+  scatter or race shows up here before it shows up in energies).
   Each invariant carries warning/critical thresholds
-  (:class:`InvariantThresholds`); crossings emit health events and
-  mirror into the run log, but only on *status transitions*, so a
-  healthy steady-state step records nothing (the overhead contract).
+  (:class:`InvariantThresholds`); a NaN reading is critical.  Crossings
+  are recorded in the flight recorder, their one writer, and only on
+  *status transitions*, so a healthy steady-state step records nothing
+  (the overhead contract).
   Virial-pressure sanity is the one expensive check (it needs a full
   extra density+force pass), so it runs only when explicitly invoked
-  (:meth:`PhysicsMonitor.check_pressure` — the doctor harness samples
+  (:meth:`HealthMonitor.check_pressure` — the doctor harness samples
   it once, long runs can call it at rebuild cadence).
 
-* :class:`HealthMonitor` — the aggregation point the driver carries:
-  owns a :class:`PhysicsMonitor`, knows the active calculator, and
-  serves :meth:`HealthMonitor.snapshot` — the typed dict
-  (``engine`` / ``tier`` / ``invariants`` / ``recorder`` / counters)
-  that `repro doctor`, the serving layer, and tests all read.
+* :meth:`HealthMonitor.snapshot` — the typed dict (``engine`` / ``tier``
+  / ``invariants`` / ``recorder`` / counters) that `repro doctor` and
+  tests read, folding in the active calculator's engine state.
 
 The module depends only on numpy + :mod:`repro.units` + the recorder, so
 it can be imported from anywhere in the stack without cycles.
@@ -31,8 +30,8 @@ it can be imported from anywhere in the stack without cycles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -44,7 +43,6 @@ __all__ = [
     "HealthMonitor",
     "InvariantStatus",
     "InvariantThresholds",
-    "PhysicsMonitor",
 ]
 
 _STATUS_ORDER = ("ok", "warning", "critical")
@@ -134,35 +132,41 @@ def _largest(vector) -> float:
 
 
 def _classify(value: float, warning: float, critical: float) -> str:
-    if value >= critical:
-        return "critical"
-    if value >= warning:
+    """The status of one reading; NaN fails every ``<`` and is critical."""
+    if value < warning and value < critical:
+        return "ok"
+    if value < critical:
         return "warning"
-    return "ok"
+    return "critical"
 
 
-class PhysicsMonitor:
-    """Per-step conserved-quantity checks with threshold events.
+class HealthMonitor:
+    """The run-level health aggregation point.
 
-    The energy reference ``E0`` is the total energy, less the
-    thermostat exchange handed over so far, at the first observed step;
-    drift is measured relative to it.  Events are
-    emitted only when an invariant's status *changes* (ok → warning,
+    Attach one to a :class:`~repro.md.simulation.Simulation` (the
+    ``health=`` parameter); the driver calls :meth:`observe_step` after
+    every force evaluation.  The energy reference ``E0`` is the total
+    energy, less the thermostat exchange handed over so far, at the
+    first observed step; drift is measured relative to it.  Events are
+    recorded only when an invariant's status *changes* (ok → warning,
     warning → critical, and the recovery edges at debug severity), so a
-    healthy run records one event total: nothing.
+    healthy run records nothing.
+
+    :meth:`snapshot` folds together everything the health plane knows:
+    the engine's lifecycle state (any calculator exposing
+    ``health_snapshot()``), the kernel-tier registry state, the
+    invariant statuses, and the recorder counters.
     """
 
     def __init__(
         self,
-        thresholds: Optional[InvariantThresholds] = None,
         recorder: Optional[FlightRecorder] = None,
-        check_every: int = 1,
+        thresholds: Optional[InvariantThresholds] = None,
+        calculator=None,
     ) -> None:
-        if check_every < 1:
-            raise ValueError("check_every must be >= 1")
-        self.thresholds = thresholds or DEFAULT_THRESHOLDS
         self._recorder = recorder
-        self.check_every = check_every
+        self.thresholds = thresholds or DEFAULT_THRESHOLDS
+        self.calculator = calculator
         #: the conserved energy, ``E - exchanged``, at the first check
         self.reference_energy: Optional[float] = None
         #: kinetic energy the handed-over steps' thermostat moved (eV)
@@ -176,11 +180,14 @@ class PhysicsMonitor:
     def recorder(self) -> FlightRecorder:
         return self._recorder if self._recorder is not None else get_recorder()
 
+    def attach_calculator(self, calculator) -> None:
+        """Bind the calculator whose engine state snapshots should cover."""
+        self.calculator = calculator
+
     # --- checks ----------------------------------------------------------------
 
     def observe_step(
-        self, step: int, atoms, potential_energy: float, run_log=None,
-        moments=None,
+        self, step: int, atoms, potential_energy: float, moments=None,
     ) -> None:
         """Run the cheap invariant checks for one integration step.
 
@@ -192,13 +199,10 @@ class PhysicsMonitor:
         sum exchanged`` over every handed-over step, which velocity
         Verlet conserves under a rescaling thermostat too.
         """
-        if moments is not None:
-            self.exchanged += moments.exchanged
-        if step % self.check_every != 0:
-            return
         if moments is None:
             kinetic, momentum, force_sum = _moments_of(atoms)
         else:
+            self.exchanged += moments.exchanged
             kinetic, momentum, force_sum, _ = moments
         total = potential_energy + kinetic - self.exchanged
         if self.reference_energy is None:
@@ -212,7 +216,6 @@ class PhysicsMonitor:
             t.energy_drift_warning,
             t.energy_drift_critical,
             step,
-            run_log,
         )
         self._update(
             "momentum",
@@ -220,7 +223,6 @@ class PhysicsMonitor:
             t.momentum_warning,
             t.momentum_critical,
             step,
-            run_log,
         )
         self._update(
             "force_sum",
@@ -228,10 +230,9 @@ class PhysicsMonitor:
             t.force_sum_warning,
             t.force_sum_critical,
             step,
-            run_log,
         )
 
-    def check_pressure(self, potential, atoms, nlist, step: int = -1, run_log=None) -> float:
+    def check_pressure(self, potential, atoms, nlist, step: int = -1) -> float:
         """Virial-pressure sanity check (one full extra force pass).
 
         Deliberately not part of :meth:`observe_step` — call it at the
@@ -243,7 +244,7 @@ class PhysicsMonitor:
         pressure = pressure_bar(potential, atoms, nlist)
         bound = self.thresholds.pressure_bound_bar
         self._update(
-            "pressure", abs(pressure), bound, float("inf"), step, run_log,
+            "pressure", abs(pressure), bound, float("inf"), step,
             pressure_bar=pressure,
         )
         return pressure
@@ -255,14 +256,13 @@ class PhysicsMonitor:
         warning: float,
         critical: float,
         step: int,
-        run_log,
         **extra: object,
     ) -> None:
         inv = self.invariants[name]
         inv.n_checks += 1
         inv.value = value
         inv.worst = max(inv.worst, value)
-        if inv.status == "ok" and not (value >= warning or value >= critical):
+        if inv.status == "ok" and value < warning and value < critical:
             return  # the healthy steady state: ok, and still ok
         status = _classify(value, warning, critical)
         if status == "warning":
@@ -273,12 +273,10 @@ class PhysicsMonitor:
             return
         rising = _STATUS_ORDER.index(status) > _STATUS_ORDER.index(inv.status)
         inv.status = status
-        severity = status if rising else "debug"
-        event = "invariant-breach" if rising else "invariant-recovered"
         self.recorder.record(
             "physics",
-            event,
-            severity=severity,
+            "invariant-breach" if rising else "invariant-recovered",
+            severity=status if rising else "debug",
             invariant=name,
             status=status,
             value=value,
@@ -287,19 +285,6 @@ class PhysicsMonitor:
             step=step,
             **extra,
         )
-        if run_log is not None and severity_rank(severity) >= severity_rank("warning"):
-            try:
-                run_log.log(
-                    "health",
-                    event=event,
-                    severity=severity,
-                    invariant=name,
-                    status=status,
-                    value=value,
-                    step=step,
-                )
-            except Exception:  # pragma: no cover - logging must not kill the run
-                pass
 
     # --- reading ---------------------------------------------------------------
 
@@ -310,53 +295,6 @@ class PhysicsMonitor:
         return max(
             (inv.status for inv in self.invariants.values()),
             key=_STATUS_ORDER.index,
-        )
-
-
-class HealthMonitor:
-    """The run-level health aggregation point.
-
-    Attach one to a :class:`~repro.md.simulation.Simulation` (the
-    ``health=`` parameter); the driver calls :meth:`observe_step` after
-    every force evaluation.  :meth:`snapshot` folds together everything
-    the health plane knows: the engine's lifecycle state (any
-    calculator exposing ``health_snapshot()``), the kernel-tier registry
-    state, the invariant statuses, and the recorder counters.
-    """
-
-    def __init__(
-        self,
-        recorder: Optional[FlightRecorder] = None,
-        thresholds: Optional[InvariantThresholds] = None,
-        calculator=None,
-        check_every: int = 1,
-    ) -> None:
-        self._recorder = recorder
-        self.physics = PhysicsMonitor(
-            thresholds=thresholds,
-            recorder=recorder,
-            check_every=check_every,
-        )
-        self.calculator = calculator
-
-    @property
-    def recorder(self) -> FlightRecorder:
-        return self._recorder if self._recorder is not None else get_recorder()
-
-    @property
-    def thresholds(self) -> InvariantThresholds:
-        return self.physics.thresholds
-
-    def attach_calculator(self, calculator) -> None:
-        """Bind the calculator whose engine state snapshots should cover."""
-        self.calculator = calculator
-
-    def observe_step(
-        self, step: int, atoms, potential_energy: float, run_log=None,
-        moments=None,
-    ) -> None:
-        self.physics.observe_step(
-            step, atoms, potential_energy, run_log=run_log, moments=moments
         )
 
     def snapshot(self) -> Dict[str, object]:
@@ -374,15 +312,15 @@ class HealthMonitor:
         return {
             "engine": engine,
             "tier": kernels.tier_status(),
-            "invariants": self.physics.status(),
-            "worst_invariant_status": self.physics.worst_status(),
+            "invariants": self.status(),
+            "worst_invariant_status": self.worst_status(),
             "thresholds": self.thresholds.to_dict(),
             "recorder": recorder.snapshot(),
             "counters": recorder.counts(),
         }
 
     def summary_fields(self) -> Dict[str, object]:
-        """Compact summary for run-log meta records."""
+        """Compact summary of the recorder counts and invariant status."""
         counts = self.recorder.counts()
 
         def total(category: str, min_severity: str = "debug") -> int:
@@ -397,7 +335,7 @@ class HealthMonitor:
 
         return {
             "worst_severity": self.recorder.worst_severity(),
-            "worst_invariant_status": self.physics.worst_status(),
+            "worst_invariant_status": self.worst_status(),
             "n_events": self.recorder.n_recorded,
             "n_engine_events": total("engine"),
             "n_kernel_events": total("kernel"),

@@ -10,11 +10,9 @@ is *always on* and deliberately tiny:
   lock, old events fall off the back, and total/evicted counts survive
   eviction so a summary never under-reports;
 * nothing is written to disk until someone asks: :meth:`FlightRecorder.dump`
-  emits the ring as an atomic JSONL artifact (``health.jsonl``), and
-  :func:`install_excepthook` arranges the same dump on an uncaught
-  exception so a crashed run still leaves its last events behind;
+  emits the ring as an atomic JSONL artifact (``health.jsonl``);
 * severities are ordered (:data:`SEVERITIES`); categories are an open
-  set, with the canonical producers listed in :data:`CATEGORIES`.
+  set (DESIGN.md §7.3 lists the producers wired in today).
 
 The *overhead contract* (DESIGN.md §7.3): with the recorder enabled, a
 steady-state MD step records no events at all — subsystems emit only on
@@ -33,19 +31,15 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import (
-    Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
-)
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.atomicio import atomic_write_text
 
 __all__ = [
-    "CATEGORIES",
     "DEFAULT_CAPACITY",
     "HEALTH_SCHEMA_VERSION",
     "SEVERITIES",
@@ -54,39 +48,21 @@ __all__ = [
     "count",
     "get_recorder",
     "health_digest",
-    "install_excepthook",
     "read_health_jsonl",
     "record",
-    "recording_disabled",
     "set_recorder",
     "severity_rank",
-    "uninstall_excepthook",
     "validate_health_records",
 ]
 
 #: bump when the health.jsonl record layout changes incompatibly
 HEALTH_SCHEMA_VERSION = 1
 
-#: ring slots of the default process-global recorder (overridable via
-#: the ``REPRO_HEALTH_CAPACITY`` environment variable)
+#: ring slots of the default process-global recorder
 DEFAULT_CAPACITY = 4096
-
-ENV_CAPACITY = "REPRO_HEALTH_CAPACITY"
 
 #: ordered severities, least to most urgent
 SEVERITIES = ("debug", "info", "warning", "critical")
-
-#: canonical event categories (an open set — these are the producers
-#: wired in today; see DESIGN.md §7.3 for the taxonomy)
-CATEGORIES = (
-    "engine",  # process-backend lifecycle: pool, workers, arena
-    "kernel",  # kernel-tier resolution: the C tier's fallback
-    "scheduler",  # decomposition cache, neighbor rebuilds, fusion
-    "physics",  # invariant monitors: drift, momentum, force sum, pressure
-    "observer",  # observer fan-out failures
-    "doctor",  # self-check findings
-    "process",  # interpreter-level events (uncaught exceptions)
-)
 
 _SEVERITY_RANK = {name: rank for rank, name in enumerate(SEVERITIES)}
 
@@ -136,16 +112,11 @@ class FlightRecorder:
     the overhead contract.
     """
 
-    def __init__(
-        self,
-        capacity: int = DEFAULT_CAPACITY,
-        clock: Callable[[], float] = time.perf_counter,
-    ) -> None:
+    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.enabled = True
-        self._clock = clock
         self._lock = threading.Lock()
         self._ring: deque = deque(maxlen=capacity)
         self._totals: Dict[Tuple[str, str], int] = {}
@@ -173,7 +144,7 @@ class FlightRecorder:
                 f"unknown severity {severity!r} (choose from {SEVERITIES})"
             )
         item = HealthEvent(
-            t=self._clock(),
+            t=time.perf_counter(),
             category=category,
             event=event,
             severity=severity,
@@ -299,16 +270,12 @@ class FlightRecorder:
         return {
             "kind": "health-meta",
             "schema_version": HEALTH_SCHEMA_VERSION,
-            "t": self._clock(),
+            "t": time.perf_counter(),
             "capacity": self.capacity,
             "n_recorded": self.n_recorded,
             "n_dropped": self.n_dropped,
             "counts": self.counts(),
         }
-
-    def records(self) -> List[Dict[str, object]]:
-        """Header + event dicts, the in-memory equivalent of a dump."""
-        return [self.meta_record()] + [e.to_dict() for e in self.events()]
 
 
 # --- the process-global recorder ------------------------------------------------
@@ -323,13 +290,7 @@ def get_recorder() -> FlightRecorder:
     if _GLOBAL is None:
         with _GLOBAL_LOCK:
             if _GLOBAL is None:
-                try:
-                    capacity = int(
-                        os.environ.get(ENV_CAPACITY, "") or DEFAULT_CAPACITY
-                    )
-                except ValueError:
-                    capacity = DEFAULT_CAPACITY
-                _GLOBAL = FlightRecorder(capacity=max(1, capacity))
+                _GLOBAL = FlightRecorder()
     return _GLOBAL
 
 
@@ -360,67 +321,6 @@ def count(name: str, n: int = 1) -> None:
         get_recorder().count(name, n)
     except Exception:  # pragma: no cover - recording must never crash a run
         pass
-
-
-class recording_disabled:
-    """Context manager: temporarily disable the global recorder.
-
-    The comparison arm of the overhead measurement, and a way for tests
-    to silence instrumented code paths.
-    """
-
-    def __enter__(self) -> "recording_disabled":
-        self._recorder = get_recorder()
-        self._previous = self._recorder.enabled
-        self._recorder.enabled = False
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self._recorder.enabled = self._previous
-
-
-# --- crash dump hook ------------------------------------------------------------
-
-_HOOK_STATE: Dict[str, object] = {}
-
-
-def install_excepthook(
-    path, recorder: Optional[FlightRecorder] = None
-) -> None:
-    """Dump ``path`` (health.jsonl) when an uncaught exception escapes.
-
-    Chains to the previously installed ``sys.excepthook`` so tracebacks
-    still print.  Idempotent: re-installing replaces the dump target.
-    """
-    uninstall_excepthook()
-    previous = sys.excepthook
-
-    def hook(exc_type, exc, tb):
-        target = recorder if recorder is not None else get_recorder()
-        try:
-            target.record(
-                "process",
-                "uncaught-exception",
-                severity="critical",
-                exc_type=getattr(exc_type, "__name__", str(exc_type)),
-                message=str(exc),
-            )
-            target.dump(path)
-        except Exception:  # pragma: no cover - the dump must not mask the crash
-            pass
-        previous(exc_type, exc, tb)
-
-    _HOOK_STATE["previous"] = previous
-    _HOOK_STATE["hook"] = hook
-    sys.excepthook = hook
-
-
-def uninstall_excepthook() -> None:
-    """Restore the pre-install ``sys.excepthook`` (idempotent)."""
-    hook = _HOOK_STATE.pop("hook", None)
-    previous = _HOOK_STATE.pop("previous", None)
-    if hook is not None and sys.excepthook is hook and previous is not None:
-        sys.excepthook = previous
 
 
 # --- reading dumps back ---------------------------------------------------------

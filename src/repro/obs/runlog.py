@@ -7,14 +7,12 @@ Canonical kinds:
 
 * ``meta`` — the environment block (:func:`collect_run_meta`), written
   once at open;
-* ``span`` — mirrored trace spans (optional; traces usually go to
-  ``trace.json`` instead);
-* ``metric`` — mirrored metric samples;
 * ``observables`` — per-sample MD observables from the simulation loop;
-* ``health`` — mirrored health-plane records: invariant threshold
-  crossings from :class:`~repro.obs.health.PhysicsMonitor` and the
-  end-of-run health summary (see :mod:`repro.obs.recorder`);
-* ``event`` — anything else worth grepping for.
+* ``event`` — run begin/end and the sweep cell a driver starts.
+
+Health events (invariant breaches, neighbour rebuilds, engine
+lifecycle) are not copied here: their one writer is the flight recorder
+(:mod:`repro.obs.recorder`), dumped beside this log as ``health.jsonl``.
 
 The ``meta`` record carries ``schema_version``
 (:data:`RUNLOG_SCHEMA_VERSION`) so downstream readers (the CI smoke
@@ -147,11 +145,6 @@ class RunLog:
         """Final artifact path (complete only after :meth:`close`)."""
         return self._path
 
-    @property
-    def tmp_path(self) -> Optional[str]:
-        """The in-progress stream path (tail this while the run lives)."""
-        return self._tmp_path
-
     def log(self, kind: str, **fields: object) -> Dict[str, object]:
         """Append one record; returns the record as written."""
         record: Dict[str, object] = {
@@ -177,9 +170,6 @@ class RunLog:
         """Snapshot of everything logged (also available file-backed)."""
         with self._lock:
             return list(self._records)
-
-    def of_kind(self, kind: str) -> List[Dict[str, object]]:
-        return [r for r in self.records if r["kind"] == kind]
 
     def close(self) -> None:
         """Flush and atomically move the stream to its final path."""

@@ -1,11 +1,10 @@
-"""Subdomain coloring: propriety, balance, general graph fallback."""
+"""Subdomain coloring: propriety and balance."""
 
 import numpy as np
 import pytest
 
 from repro.core.coloring import (
     Coloring,
-    greedy_coloring,
     lattice_coloring,
     validate_coloring,
 )
@@ -73,22 +72,3 @@ class TestColoringContainer:
         coloring = Coloring(color_of=np.array([0, 1, 0, 1, 0]), n_colors=2)
         assert coloring.class_sizes().tolist() == [3, 2]
         assert not coloring.is_balanced()
-
-
-class TestGreedyColoring:
-    def test_proper_on_grid_adjacency(self, grid):
-        coloring = greedy_coloring(grid.adjacency_pairs(), grid.n_subdomains)
-        validate_coloring(grid, coloring)
-
-    def test_no_more_colors_than_lattice_needs_plus_slack(self, grid):
-        coloring = greedy_coloring(grid.adjacency_pairs(), grid.n_subdomains)
-        # greedy (largest-first) on a grid graph should not explode
-        assert coloring.n_colors <= 2 ** grid.dimensionality * 2
-
-    def test_path_graph_two_colors(self):
-        coloring = greedy_coloring([(0, 1), (1, 2), (2, 3)], 4)
-        assert coloring.n_colors == 2
-
-    def test_empty_graph(self):
-        coloring = greedy_coloring([], 3)
-        assert coloring.n_colors == 1

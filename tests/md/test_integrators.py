@@ -257,7 +257,7 @@ class TestDuckTypedIntegrators:
                 Simulation(
                     atoms, fe_potential(), integrator=integrator, health=monitor
                 ).run(6, sample_every=3)
-            monitors.append(monitor.physics)
+            monitors.append(monitor)
             assert len(summed) == (0 if len(monitors) == 1 else 6)
         handed, own = (m.invariants for m in monitors)
         for name in ("energy_drift", "momentum", "force_sum"):

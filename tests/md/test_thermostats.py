@@ -164,7 +164,7 @@ class TestTheDriverHandOff:
         assert report.records[-1].kinetic_energy == pytest.approx(
             kinetic_energy(sim.atoms), rel=1e-12
         )
-        assert sim.health.physics.exchanged != 0.0
+        assert sim.health.exchanged != 0.0
 
     def test_a_none_factor_makes_the_sample_and_the_monitor_recompute(
         self, monkeypatch
@@ -172,7 +172,7 @@ class TestTheDriverHandOff:
         sim, report, summed = self.run(_Recounting(100.0, tau=0.01), monkeypatch)
         assert summed == 4
         assert report.records[-1].kinetic_energy == kinetic_energy(sim.atoms)
-        assert sim.health.physics.exchanged == 0.0
+        assert sim.health.exchanged == 0.0
 
     def test_a_none_factor_is_the_same_trajectory(self, monkeypatch):
         handed, _, _ = self.run(BerendsenThermostat(100.0, tau=0.01), monkeypatch)

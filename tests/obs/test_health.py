@@ -1,4 +1,4 @@
-"""Physics invariant monitors + the HealthMonitor snapshot surface."""
+"""The HealthMonitor: physics invariant checks and the snapshot surface."""
 
 from __future__ import annotations
 
@@ -9,9 +9,8 @@ from repro.obs.health import (
     DEFAULT_THRESHOLDS,
     HealthMonitor,
     InvariantThresholds,
-    PhysicsMonitor,
 )
-from repro.obs.recorder import FlightRecorder
+from repro.obs.recorder import FlightRecorder, set_recorder
 from repro.obs.runlog import RunLog
 
 
@@ -54,15 +53,17 @@ class TestThresholds:
 
 
 class TestPhysicsMonitor:
+    """The per-step conserved-quantity checks of :class:`HealthMonitor`."""
+
     def test_first_step_sets_energy_reference(self, recorder):
-        monitor = PhysicsMonitor(recorder=recorder)
+        monitor = HealthMonitor(recorder=recorder)
         monitor.observe_step(0, _FakeAtoms(), potential_energy=-10.0)
         assert monitor.reference_energy == -10.0
         assert monitor.worst_status() == "ok"
         assert recorder.events() == []  # healthy step records nothing
 
     def test_drift_breach_emits_event_on_transition_only(self, recorder):
-        monitor = PhysicsMonitor(recorder=recorder)
+        monitor = HealthMonitor(recorder=recorder)
         monitor.observe_step(0, _FakeAtoms(), potential_energy=-10.0)
         # |(-10.05) - (-10)| / 10 = 5e-3 >= 1e-3 -> critical
         for step in (1, 2, 3):
@@ -81,7 +82,7 @@ class TestPhysicsMonitor:
         assert monitor.invariants["energy_drift"].n_criticals == 3
 
     def test_recovery_emits_debug_event(self, recorder):
-        monitor = PhysicsMonitor(recorder=recorder)
+        monitor = HealthMonitor(recorder=recorder)
         monitor.observe_step(0, _FakeAtoms(), potential_energy=-10.0)
         monitor.observe_step(1, _FakeAtoms(), potential_energy=-10.05)
         monitor.observe_step(2, _FakeAtoms(), potential_energy=-10.0)
@@ -92,7 +93,7 @@ class TestPhysicsMonitor:
         assert monitor.worst_status() == "ok"
 
     def test_momentum_and_force_sum_breaches(self, recorder):
-        monitor = PhysicsMonitor(recorder=recorder)
+        monitor = HealthMonitor(recorder=recorder)
         atoms = _FakeAtoms(n=2)
         atoms.velocities[:, 0] = 1.0  # gross net momentum
         atoms.forces[:, 1] = 0.5  # gross force-sum residual
@@ -105,44 +106,21 @@ class TestPhysicsMonitor:
         assert monitor.worst_status() == "critical"
 
     def test_breach_mirrors_into_run_log(self, recorder):
-        run_log = RunLog()
-        monitor = PhysicsMonitor(recorder=recorder)
-        monitor.observe_step(
-            0, _FakeAtoms(), potential_energy=-10.0, run_log=run_log
-        )
-        monitor.observe_step(
-            1, _FakeAtoms(), potential_energy=-10.05, run_log=run_log
-        )
-        health_records = run_log.of_kind("health")
-        assert len(health_records) == 1
-        assert health_records[0]["invariant"] == "energy_drift"
-        assert health_records[0]["severity"] == "critical"
-
-    def test_recovery_not_mirrored_into_run_log(self, recorder):
-        run_log = RunLog()
-        monitor = PhysicsMonitor(recorder=recorder)
-        monitor.observe_step(
-            0, _FakeAtoms(), potential_energy=-10.0, run_log=run_log
-        )
-        monitor.observe_step(
-            1, _FakeAtoms(), potential_energy=-10.05, run_log=run_log
-        )
-        monitor.observe_step(
-            2, _FakeAtoms(), potential_energy=-10.0, run_log=run_log
-        )
-        assert len(run_log.of_kind("health")) == 1  # breach only
-
-    def test_check_every_skips_steps(self, recorder):
-        monitor = PhysicsMonitor(recorder=recorder, check_every=5)
+        """A breach reaches the recorder once and the run log not at all:
+        the recorder is its one writer."""
+        run_log = RunLog(meta={})
+        monitor = HealthMonitor(recorder=recorder)
+        with pytest.raises(TypeError):
+            monitor.observe_step(
+                0, _FakeAtoms(), potential_energy=-10.0, run_log=run_log
+            )
         monitor.observe_step(0, _FakeAtoms(), potential_energy=-10.0)
-        monitor.observe_step(3, _FakeAtoms(), potential_energy=-99.0)
-        assert monitor.invariants["energy_drift"].n_checks == 1
-        monitor.observe_step(5, _FakeAtoms(), potential_energy=-99.0)
-        assert monitor.invariants["energy_drift"].n_checks == 2
-
-    def test_check_every_validation(self):
-        with pytest.raises(ValueError):
-            PhysicsMonitor(check_every=0)
+        monitor.observe_step(1, _FakeAtoms(), potential_energy=-10.05)
+        breaches = recorder.events(category="physics")
+        assert [(e.event, e.fields["invariant"], e.severity) for e in breaches] == [
+            ("invariant-breach", "energy_drift", "critical")
+        ]
+        assert [r["kind"] for r in run_log.records] == ["meta"]
 
     def test_check_pressure_within_bound(
         self, recorder, potential, small_atoms, small_nlist
@@ -151,7 +129,7 @@ class TestPhysicsMonitor:
 
         atoms = small_atoms.copy()
         compute_eam_forces_serial(potential, atoms, small_nlist)
-        monitor = PhysicsMonitor(recorder=recorder)
+        monitor = HealthMonitor(recorder=recorder)
         pressure = monitor.check_pressure(
             potential, atoms, small_nlist, step=0
         )
@@ -163,7 +141,7 @@ class TestPhysicsMonitor:
     def test_check_pressure_breach_with_tight_bound(
         self, recorder, potential, small_atoms, small_nlist
     ):
-        monitor = PhysicsMonitor(
+        monitor = HealthMonitor(
             thresholds=InvariantThresholds(pressure_bound_bar=1e-12),
             recorder=recorder,
         )
@@ -249,8 +227,8 @@ class TestSimulationIntegration:
         )
         sim.run(5, sample_every=5)
         assert recorder.events(category="physics") == []
-        assert monitor.physics.invariants["energy_drift"].n_checks >= 5
-        assert monitor.physics.worst_status() == "ok"
+        assert monitor.invariants["energy_drift"].n_checks >= 5
+        assert monitor.worst_status() == "ok"
 
     def test_simulation_attaches_calculator_to_monitor(
         self, recorder, small_atoms, potential
@@ -283,11 +261,18 @@ class TestSimulationIntegration:
         )
         sim.run(2, sample_every=2)
         # drift >= -1 on the very first check -> warning immediately
-        assert monitor.physics.invariants["energy_drift"].status == "warning"
-        assert any(
-            r.get("invariant") == "energy_drift"
-            for r in run_log.of_kind("health")
-        )
+        assert monitor.invariants["energy_drift"].status == "warning"
+        breaches = [
+            e for e in recorder.events(category="physics")
+            if e.fields["invariant"] == "energy_drift"
+        ]
+        assert [(e.event, e.severity) for e in breaches] == [
+            ("invariant-breach", "warning")
+        ]
+        assert not [
+            r for r in run_log.records
+            if r["kind"] == "health" or "invariant" in r
+        ]
 
     def test_handed_over_moments_are_read_not_summed(self, recorder, monkeypatch):
         import repro.obs.health as health
@@ -297,7 +282,7 @@ class TestSimulationIntegration:
             raise AssertionError("summed over the atoms")
 
         monkeypatch.setattr(health, "_moments_of", forbidden)
-        monitor = PhysicsMonitor(recorder=recorder)
+        monitor = HealthMonitor(recorder=recorder)
         moments = Moments(5.0, (0.0, 4e-6, 0.0), (0.0, 0.0, 0.0))
         monitor.observe_step(0, _FakeAtoms(), potential_energy=-10.0, moments=moments)
         assert monitor.reference_energy == -5.0
@@ -313,25 +298,94 @@ class TestSimulationIntegration:
         force_sum = [0.0, 1.0, 0.0]
         force_sum[axis] = np.nan
         for moments in (None, Moments(0.0, (0.0, 0.0, 0.0), tuple(force_sum))):
-            monitor = PhysicsMonitor(recorder=recorder)
+            monitor = HealthMonitor(recorder=recorder)
             monitor.observe_step(0, atoms, potential_energy=-10.0, moments=moments)
             assert np.isnan(monitor.invariants["force_sum"].value)
 
-    def test_thermostat_exchange_counts_on_skipped_steps(self, recorder):
+
+class TestNaNIsCritical:
+    """A NaN reading fails every ``<`` comparison: it is a critical
+    breach, never a healthy ``ok``."""
+
+    @pytest.mark.parametrize("handed_over", [False, True], ids=["summed", "moments"])
+    @pytest.mark.parametrize("invariant", ["energy_drift", "momentum", "force_sum"])
+    def test_a_nan_reading_is_a_critical_breach(
+        self, recorder, invariant, handed_over
+    ):
         from repro.md.integrators import Moments
 
-        monitor = PhysicsMonitor(recorder=recorder, check_every=2)
-        zero = (0.0, 0.0, 0.0)
-        # the thermostat takes 1 eV out at every step; E falls with it
-        for step in range(5):
-            monitor.observe_step(
-                step, _FakeAtoms(), potential_energy=-10.0 - step,
-                moments=Moments(0.0, zero, zero, exchanged=-1.0),
+        atoms = _FakeAtoms()
+        potential_energy = -10.0
+        momentum, force_sum = [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]
+        if invariant == "energy_drift":
+            potential_energy = np.nan
+        elif invariant == "momentum":
+            atoms.velocities[0, 1] = np.nan
+            momentum[1] = np.nan
+        else:
+            atoms.forces[0, 1] = np.nan
+            force_sum[1] = np.nan
+        moments = (
+            Moments(0.0, tuple(momentum), tuple(force_sum)) if handed_over
+            else None
+        )
+        monitor = HealthMonitor(recorder=recorder)
+        monitor.observe_step(0, atoms, potential_energy, moments=moments)
+        status = monitor.snapshot()["invariants"][invariant]
+        assert status["status"] == "critical"
+        breaches = [
+            (e.event, e.severity) for e in recorder.events(category="physics")
+            if e.fields["invariant"] == invariant
+        ]
+        assert breaches == [("invariant-breach", "critical")]
+
+
+class TestOneWriterPerFact:
+    def test_rebuilds_and_breaches_are_written_once(self, tmp_path, monkeypatch):
+        """Across ``run.jsonl`` and ``health.jsonl`` of a traced run, each
+        neighbour rebuild and each invariant breach appears exactly once:
+        in the flight recorder's dump."""
+        import json
+
+        import repro.harness.tracing as tracing
+        from repro.obs.recorder import read_health_jsonl
+
+        tight = InvariantThresholds(
+            energy_drift_warning=-1.0, force_sum_warning=-1.0
+        )
+        monkeypatch.setattr(
+            tracing, "HealthMonitor", lambda: HealthMonitor(thresholds=tight)
+        )
+        previous = set_recorder(FlightRecorder())
+        try:
+            report = tracing.run_trace(
+                cases=("tiny",), strategies=("sdc",), backends=("threads",),
+                n_workers=2, steps=3, output_dir=str(tmp_path),
             )
-        assert monitor.exchanged == -5.0
-        assert monitor.reference_energy == -9.0  # -10 - (-1), at step 0
-        assert monitor.invariants["energy_drift"].n_checks == 3
-        assert monitor.invariants["energy_drift"].worst == 0.0
+        finally:
+            set_recorder(previous)
+        runlog = [json.loads(line) for line in open(report.runlog_path)]
+        _, health = read_health_jsonl(report.health_path)
+
+        rebuilds = sum(
+            r["n_neighbor_rebuilds"] for r in runlog
+            if r.get("event") == "run-end"
+        )
+        assert rebuilds >= 1
+        assert sum(
+            e["event"] == "neighbor-rebuild" for e in health
+        ) == rebuilds
+        breaches = sorted(
+            e["invariant"] for e in health if e["event"] == "invariant-breach"
+        )
+        assert breaches == ["energy_drift", "force_sum"]
+        # the run log carries none of them, in any kind
+        assert not [
+            r for r in runlog
+            if r["kind"] == "health"
+            or r.get("event") in ("neighbor-rebuild", "invariant-breach")
+            or "invariant" in r
+        ]
 
 
 class TestThermostattedDrift:
@@ -362,19 +416,19 @@ class TestThermostattedDrift:
         report = sim.run(20, sample_every=1)
         # the thermostat did take the run from ~480 K to ~130 K
         assert report.records[-1].temperature < 0.3 * report.records[0].temperature
-        return monitor.physics
+        return monitor
 
     def test_a_healthy_nvt_run_stays_ok(self, recorder):
-        physics = self.run(HealthMonitor(recorder=recorder))
-        assert physics.exchanged < 0.0
-        assert physics.invariants["energy_drift"].status == "ok"
-        assert physics.worst_status() == "ok"
+        monitor = self.run(HealthMonitor(recorder=recorder))
+        assert monitor.exchanged < 0.0
+        assert monitor.invariants["energy_drift"].status == "ok"
+        assert monitor.worst_status() == "ok"
         assert recorder.events(category="physics") == []
 
     def test_without_the_hand_over_the_raw_energy_alarms(self, recorder):
-        physics = self.run(self.Withheld(recorder=recorder))
-        assert physics.exchanged == 0.0
-        assert physics.invariants["energy_drift"].status in ("warning", "critical")
+        monitor = self.run(self.Withheld(recorder=recorder))
+        assert monitor.exchanged == 0.0
+        assert monitor.invariants["energy_drift"].status in ("warning", "critical")
 
 
 @pytest.mark.slow

@@ -1,9 +1,8 @@
-"""Flight recorder: ring bounds, counters, dump round-trip, excepthook."""
+"""Flight recorder: ring bounds, counters, dump round-trip."""
 
 from __future__ import annotations
 
 import json
-import sys
 
 import pytest
 
@@ -11,13 +10,10 @@ from repro.obs.recorder import (
     HEALTH_SCHEMA_VERSION,
     FlightRecorder,
     get_recorder,
-    install_excepthook,
     read_health_jsonl,
     record,
-    recording_disabled,
     set_recorder,
     severity_rank,
-    uninstall_excepthook,
     validate_health_records,
 )
 
@@ -120,12 +116,6 @@ class TestGlobalRecorder:
         # invalid severity on the module helper is swallowed, not raised
         assert record("engine", "e", severity="not-a-severity") is None
 
-    def test_recording_disabled_context(self, isolated):
-        with recording_disabled():
-            record("engine", "e")
-        record("engine", "after")
-        assert [e.event for e in isolated.events()] == ["after"]
-
 
 class TestDumpRoundTrip:
     def test_dump_and_read_back(self, tmp_path):
@@ -189,34 +179,6 @@ class TestDumpRoundTrip:
         )
         with pytest.raises(ValueError):
             validate_health_records([meta, bad_severity])
-
-
-class TestExcepthook:
-    def test_uncaught_exception_dumps_ring(self, tmp_path, isolated):
-        path = tmp_path / "health.jsonl"
-        isolated.record("engine", "before-crash")
-        install_excepthook(path, recorder=isolated)
-        try:
-            try:
-                raise RuntimeError("boom")
-            except RuntimeError:
-                sys.excepthook(*sys.exc_info())
-        finally:
-            uninstall_excepthook()
-        meta, events = read_health_jsonl(path)
-        names = [e["event"] for e in events]
-        assert names == ["before-crash", "uncaught-exception"]
-        crash = events[-1]
-        assert crash["severity"] == "critical"
-        assert crash["exc_type"] == "RuntimeError"
-
-    def test_uninstall_restores_previous_hook(self, tmp_path):
-        previous = sys.excepthook
-        install_excepthook(tmp_path / "health.jsonl")
-        assert sys.excepthook is not previous
-        uninstall_excepthook()
-        assert sys.excepthook is previous
-        uninstall_excepthook()  # idempotent
 
 
 def test_severity_rank_orders_and_tolerates_unknown():

@@ -90,8 +90,8 @@ class TestShardedTrajectoryEquivalence:
                 atoms.velocities, ref_atoms.velocities, atol=ATOL
             )
             # energy/momentum conservation through the existing
-            # PhysicsMonitor thresholds: nothing may go critical
-            assert health.physics.worst_status() != "critical"
+            # HealthMonitor thresholds: nothing may go critical
+            assert health.worst_status() != "critical"
             snapshot = calc.health_snapshot()
             assert snapshot["n_epochs"] >= 2  # rebuilt per Verlet rebuild
         finally:
@@ -113,7 +113,7 @@ class TestShardedTrajectoryEquivalence:
             assert report.n_neighbor_rebuilds >= 2
             assert np.allclose(atoms.positions, ref_atoms.positions, atol=ATOL)
             assert np.allclose(atoms.forces, ref_atoms.forces, atol=ATOL)
-            assert health.physics.worst_status() != "critical"
+            assert health.worst_status() != "critical"
         finally:
             calc.close()
 

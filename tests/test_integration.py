@@ -66,7 +66,7 @@ class TestTrajectoryPhysics:
 @pytest.mark.slow
 class TestLongRunDrift:
     """1000 NVE steps, 1,024 atoms at 300 K with natural Verlet rebuilds:
-    every conserved quantity stays under ``PhysicsMonitor``'s *warning*
+    every conserved quantity stays under ``HealthMonitor``'s *warning*
     thresholds (relative energy drift 1e-5, per-atom momentum and force-sum
     residual 1e-8) at every step — the long-run guard for changes to how
     the kernels produce the same numbers."""
@@ -89,11 +89,10 @@ class TestLongRunDrift:
         finally:
             sim.close()
         assert report.n_neighbor_rebuilds >= 1
-        physics = monitor.physics
-        assert physics.invariants["energy_drift"].n_checks >= 1000
-        for invariant in physics.invariants.values():
+        assert monitor.invariants["energy_drift"].n_checks >= 1000
+        for invariant in monitor.invariants.values():
             assert invariant.n_warnings == invariant.n_criticals == 0, (
-                physics.status()
+                monitor.status()
             )
         return report.records[-1].total_energy
 
