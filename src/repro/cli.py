@@ -5,6 +5,7 @@ Exit codes: 0 ok; 1 failed check, gated regression or empty sweep; 2 bad input.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -721,7 +722,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout first (``repro trace ... | head -1``):
+        # write nothing more, and point stdout at the null device so the
+        # interpreter's last flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

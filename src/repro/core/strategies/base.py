@@ -15,8 +15,11 @@ A :class:`ReductionStrategy` does two things:
 
 from __future__ import annotations
 
+import os
+import threading
+import time
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, ClassVar, Optional, Tuple
+from typing import TYPE_CHECKING, ClassVar, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +28,7 @@ from repro.core.sdc_plan import RowBlockLayout, row_block_layout
 from repro.kernels.base import handover_arrays
 from repro.md.atoms import Atoms
 from repro.md.neighbor.verlet import NeighborList
-from repro.obs.tracer import TracingObserver, span_of
+from repro.obs.tracer import span_of, trace_region
 from repro.parallel.machine import MachineConfig
 from repro.parallel.plan import SimPlan
 from repro.parallel.workload import WorkloadStats
@@ -34,7 +37,42 @@ from repro.potentials.eam import EAMComputation
 from repro.utils.identity import IdentityKey
 
 if TYPE_CHECKING:
-    from repro.parallel.backends.base import ExecutionBackend
+    from repro.parallel.backends.base import ExecutionBackend, TaskClosure
+
+
+def run_phase(
+    backend: "ExecutionBackend", tracer, closures: Sequence["TaskClosure"],
+    label: str, **args: object,
+) -> None:
+    """``backend.run_phase(closures)``: the one dispatch of a per-colour
+    region.  With a ``tracer``, each closure stamps its start and end and
+    the phase goes on the timeline as ``label``, its region span tagged
+    with ``args`` (:func:`~repro.obs.tracer.trace_region`)."""
+    if tracer is None:
+        backend.run_phase(closures)
+        return
+    tasks: List[Optional[tuple]] = [None] * len(closures)
+    pid = os.getpid()
+
+    def stamped(k: int, closure: "TaskClosure") -> "TaskClosure":
+        def run() -> None:
+            start = time.perf_counter()
+            try:
+                closure()
+            finally:
+                tasks[k] = (
+                    (start, time.perf_counter()),
+                    threading.current_thread().name, pid,
+                )
+
+        return run
+
+    start = time.perf_counter()
+    try:
+        backend.run_phase([stamped(k, c) for k, c in enumerate(closures)])
+    finally:
+        window = (start, time.perf_counter())
+        trace_region(tracer, window, [(label, args)], tasks)
 
 
 class ReductionStrategy(ABC):
@@ -62,9 +100,9 @@ class ReductionStrategy(ABC):
     _instrument = None
 
     #: optional span tracer; when set, :meth:`_span` records the
-    #: strategy's phase regions and merge/scatter/lock sections as spans
+    #: strategy's merge/scatter/lock sections and :func:`run_phase` its
+    #: parallel regions as spans
     _tracer = None
-    _tracing_observer = None
 
     def __init__(
         self,
@@ -84,26 +122,14 @@ class ReductionStrategy(ABC):
         self._row_block_layout: Optional[RowBlockLayout] = None
 
     def attach_tracer(self, tracer) -> None:
-        """Record timeline spans through ``tracer``.
-
-        Adds a :class:`~repro.obs.tracer.TracingObserver` to the
-        strategy's backend (when it has one) so every backend task shows
-        up on its worker's track, alongside the strategy-level region
-        spans from :meth:`_span`.
-        """
+        """Record timeline spans through ``tracer``: every parallel region
+        with its tasks on their workers' tracks, and the strategy-level
+        regions of :meth:`_span`."""
         self._tracer = tracer
-        backend = getattr(self, "backend", None)
-        if backend is not None:
-            self._tracing_observer = TracingObserver(tracer)
-            backend.add_observer(self._tracing_observer)
 
     def detach_tracer(self) -> None:
         """Stop tracing (idempotent)."""
         self._tracer = None
-        backend = getattr(self, "backend", None)
-        if backend is not None and self._tracing_observer is not None:
-            backend.remove_observer(self._tracing_observer)
-        self._tracing_observer = None
 
     def _span(self, name: str, **args):
         """Context manager recording a span (no-op when untraced).
@@ -187,8 +213,11 @@ class ReductionStrategy(ABC):
 
         def pair_region(kind: str, task) -> None:
             for phase in range(n_phases):
-                with self._phase_span(kind, phase, layout):
-                    self.backend.run_phase([task(k, phase) for k in workers])
+                label, args = self._phase_label(kind, phase, layout)
+                run_phase(
+                    self.backend, self._tracer,
+                    [task(k, phase) for k in workers], label, **args,
+                )
 
         def task_views(k: int, phase: int):
             """Worker ``k``'s range of ``phase``: its pairs, its hand-over."""
@@ -225,8 +254,10 @@ class ReductionStrategy(ABC):
 
             return run
 
-        with self._span("embedding", phase="embedding", n_chunks=self.n_threads):
-            self.backend.run_phase([embed_task(k) for k in workers])
+        run_phase(
+            self.backend, self._tracer, [embed_task(k) for k in workers],
+            "embedding", phase="embedding", n_chunks=self.n_threads,
+        )
 
         force_target = self._array("forces", (n, 3))
 
@@ -271,11 +302,11 @@ class ReductionStrategy(ABC):
             self._layout_source.set(nlist)
         return self._row_block_layout
 
-    def _phase_span(self, kind: str, phase: int, layout):
-        """The span around one phase of the ``kind`` pair region."""
-        return self._span(
-            f"{kind}:{self.write_mode}", phase=kind, n_chunks=self.n_threads
-        )
+    def _phase_label(self, kind: str, phase: int, layout):
+        """``(label, region args)`` of one phase of the ``kind`` pair region."""
+        return f"{kind}:{self.write_mode}", {
+            "phase": kind, "n_chunks": self.n_threads,
+        }
 
     # --- ... and its write mode ---------------------------------------------------
 

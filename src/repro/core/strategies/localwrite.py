@@ -29,7 +29,7 @@ import numpy as np
 from repro import kernels
 from repro.core.domain import SubdomainGrid, decompose, decompose_balanced
 from repro.core.partition import build_partition
-from repro.core.strategies.base import ReductionStrategy
+from repro.core.strategies.base import ReductionStrategy, run_phase
 from repro.kernels.base import handover_arrays
 from repro.md.atoms import Atoms
 from repro.md.neighbor.verlet import NeighborList
@@ -205,10 +205,10 @@ class LocalWriteStrategy(ReductionStrategy):
 
         # single fully parallel phase: every subdomain writes only its
         # own atoms, so no colors and no intermediate barriers
-        with self._span(
-            "density:owned-scatter", phase="density", n_subdomains=n_sub
-        ):
-            self.backend.run_phase([density_task(s) for s in range(n_sub)])
+        run_phase(
+            self.backend, self._tracer, [density_task(s) for s in range(n_sub)],
+            "density:owned-scatter", phase="density", n_subdomains=n_sub,
+        )
 
         with self._span("embedding", phase="embedding"):
             embedding_energy = float(np.sum(potential.embed(np.asarray(rho))))
@@ -240,10 +240,10 @@ class LocalWriteStrategy(ReductionStrategy):
 
             return run
 
-        with self._span(
-            "force:owned-scatter", phase="force", n_subdomains=n_sub
-        ):
-            self.backend.run_phase([force_task(s) for s in range(n_sub)])
+        run_phase(
+            self.backend, self._tracer, [force_task(s) for s in range(n_sub)],
+            "force:owned-scatter", phase="force", n_subdomains=n_sub,
+        )
 
         return self._finalize(
             potential, atoms, nlist, rho, fp, forces,

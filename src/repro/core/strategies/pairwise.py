@@ -17,6 +17,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.sdc_plan import SDCPlan, build_sdc_plan
+from repro.core.strategies.base import run_phase
 from repro.kernels.base import check_pair_separation
 from repro.md.atoms import Atoms
 from repro.md.neighbor.verlet import NeighborList
@@ -102,6 +103,9 @@ class SDCPairCalculator:
 
     name = "pair-sdc"
 
+    #: optional span tracer of the color phases
+    _tracer = None
+
     def __init__(
         self,
         dims: int = 2,
@@ -121,6 +125,13 @@ class SDCPairCalculator:
         self.adaptive = adaptive
         self._cached_nlist = IdentityKey()
         self._plan: Optional[SDCPlan] = None
+
+    def attach_tracer(self, tracer) -> None:
+        """Record each color phase and its tasks through ``tracer``."""
+        self._tracer = tracer
+
+    def detach_tracer(self) -> None:
+        self._tracer = None
 
     def _prepare(self, atoms: Atoms, nlist: NeighborList) -> SDCPlan:
         if not (self._cached_nlist.matches(nlist) and self._plan is not None):
@@ -158,8 +169,10 @@ class SDCPairCalculator:
             return run
 
         for color in range(plan.schedule.n_colors):
-            self.backend.run_phase(
-                [task(k, color) for k in range(self.n_threads)]
+            run_phase(
+                self.backend, self._tracer,
+                [task(k, color) for k in range(self.n_threads)],
+                f"force:color{color}", phase="force", color=color,
             )
 
         return _finish(atoms, forces, float(np.sum(energy)))

@@ -18,16 +18,22 @@ Two executions of that structure, one result.  Where the tier has a walker
 (the C tier's :class:`~repro.kernels.c_tier.SDCWalk`) and the backend runs
 one thread per worker, an evaluation is one phase: each worker walks every
 color, its embedding rows and the ``2C + 1`` barriers between them in one
-GIL-free call — the paper's one parallel region.  Everywhere else — the
-NumPy tier, an attached instrument, tracer or backend observer, a backend
-that runs closures one after another — the shared three-region body
-(:meth:`ReductionStrategy.compute`) runs one phase per color, which is what
-racecheck and the conformance suites watch.  Same ranges in the same
-order: ``rho`` and the forces are bit-identical either way.
+GIL-free call — the paper's one parallel region.  A tracer watches that
+walk from the clock marks each worker stamps at every barrier
+(:func:`~repro.obs.tracer.trace_region`), so a traced evaluation is the
+one that runs untraced.  Everywhere else — the NumPy tier, an attached
+instrument or backend observer, a backend that runs closures one after
+another — the shared three-region body (:meth:`ReductionStrategy.compute`)
+runs one phase per color, which is what racecheck and the conformance
+suites watch.  Same ranges in the same order: ``rho`` and the forces are
+bit-identical either way.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+import time
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -41,6 +47,7 @@ from repro.core.strategies.base import ReductionStrategy
 from repro.md.atoms import Atoms
 from repro.md.neighbor.verlet import NeighborList
 from repro.obs.recorder import count as count_health
+from repro.obs.tracer import trace_region
 from repro.parallel.backends.base import ExecutionBackend
 from repro.parallel.backends.workers import barrier_lines
 from repro.parallel.machine import MachineConfig
@@ -141,7 +148,8 @@ class SDCStrategy(ReductionStrategy):
         return self._regions(potential, atoms, nlist, plan)
 
     def _walked(self, potential, atoms, nlist, walk, rho, fp, forces):
-        """One phase of one ``walk.run`` per worker into the bound arrays."""
+        """One phase of one ``walk.run`` per worker into the bound arrays;
+        traced, each worker stamps its barriers into a row of marks."""
         base, n_colors = self._generation, walk.n_colors
         self._generation += 2 * n_colors + 1
         status = [walk.DONE] * self.n_threads
@@ -152,10 +160,34 @@ class SDCStrategy(ReductionStrategy):
 
             return run
 
-        self.backend.run_phase([worker(k) for k in range(self.n_threads)])
+        tracer = self._tracer
+        if tracer is None:
+            self.backend.run_phase([worker(k) for k in range(self.n_threads)])
+        else:
+            marks = np.empty((self.n_threads, 4 * n_colors + 4))
+            tasks: list = [None] * self.n_threads
+            pid = os.getpid()
+
+            def traced(k: int):
+                def run() -> None:
+                    tasks[k] = (marks[k], threading.current_thread().name, pid)
+                    status[k] = walk.run(k, k, base, marks[k])
+
+                return run
+
+            start = time.perf_counter()
+            self.backend.run_phase([traced(k) for k in range(self.n_threads)])
+            window = (start, time.perf_counter())
         for slot in status:
             if slot >= 0:  # this worker found an overlap; its siblings aborted
                 raise walk.overlap(slot)
+        if tracer is not None:  # the per-color route's labels, one walk
+            plan, colors = self._plan, range(n_colors)
+            trace_region(tracer, window, [
+                *(self._phase_label("density", c, plan) for c in colors),
+                ("embedding", {"phase": "embedding", "n_chunks": self.n_threads}),
+                *(self._phase_label("force", c, plan) for c in colors),
+            ], tasks)
         pair_parts = np.ascontiguousarray(walk.energies[:, :n_colors])
         return self._finalize(
             potential, atoms, nlist, rho, fp, forces,
@@ -164,13 +196,12 @@ class SDCStrategy(ReductionStrategy):
         )
 
     def _walker(self, plan: SDCPlan, n_atoms: int):
-        """The walker of ``plan``, or None: an instrument, a tracer or a
-        backend observer watches tasks; the backend cannot run every
-        worker at once; or the tier has no walker for it."""
+        """The walker of ``plan``, or None: an instrument or a backend
+        observer watches tasks; the backend cannot run every worker at
+        once; or the tier has no walker for it."""
         backend = self.backend
         if (
             self._instrument is not None
-            or self._tracer is not None
             or backend.observer is not None
             or backend.concurrent_tasks < self.n_threads
         ):
@@ -234,13 +265,12 @@ class SDCStrategy(ReductionStrategy):
         with self._span("neighbor-rebuild", phase="neighbor-rebuild"):
             return self._prepare(atoms, nlist)
 
-    def _phase_span(self, kind: str, color: int, plan: SDCPlan):
-        return self._span(
-            f"{kind}:color{color}",
-            phase=kind,
-            color=color,
-            n_subdomains=len(plan.schedule.phases[color]),
-        )
+    def _phase_label(self, kind: str, color: int, plan: SDCPlan):
+        return f"{kind}:color{color}", {
+            "phase": kind,
+            "color": color,
+            "n_subdomains": len(plan.schedule.phases[color]),
+        }
 
     # --- timing plan ----------------------------------------------------------------
 

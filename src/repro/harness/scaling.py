@@ -51,6 +51,7 @@ from repro.harness.bench import BenchSkip
 from repro.harness.tracing import traced_cell, write_run_artifacts
 from repro.obs.exporters import render_trace_summary
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.recorder import run_recorder
 from repro.obs.resources import read_window, window_digest
 from repro.obs.rundir import (
     SCALING_SCHEMA,
@@ -277,6 +278,7 @@ def _measure_point(
     return total_s, window_start, spans, resources
 
 
+@run_recorder()
 def run_scale(
     case: str = "small",
     strategy: str = "sdc",

@@ -44,7 +44,7 @@ from repro.obs.metrics import (
     record_span_metrics,
 )
 from repro.obs.health import HealthMonitor
-from repro.obs.recorder import get_recorder
+from repro.obs.recorder import get_recorder, run_recorder
 from repro.obs.rundir import artifact_path
 from repro.obs.runlog import RunLog, collect_run_meta
 from repro.obs.tracer import Span, Tracer
@@ -215,9 +215,7 @@ def traced_cell(
     calculator, cleanup = _make_calculator(strategy_key, backend_key, n_workers)
     tracer = Tracer()
     try:
-        attach = getattr(calculator, "attach_tracer", None)
-        if attach is not None:
-            attach(tracer)
+        calculator.attach_tracer(tracer)
         sim = Simulation(
             case_by_key(case_key).build(temperature=50.0),
             fe_potential(),
@@ -229,9 +227,7 @@ def traced_cell(
             label=label, sim=sim, kernel_tier=kernels.active_tier().name
         )
     finally:
-        detach = getattr(calculator, "detach_tracer", None)
-        if detach is not None:
-            detach()
+        calculator.detach_tracer()
         cleanup()
 
 
@@ -306,7 +302,8 @@ def write_run_artifacts(
 
     ``trace.json`` (the Perfetto timeline of ``span_groups``, stamped
     with ``meta``), the metrics stream of ``registry`` and the dump of
-    the process's flight recorder; returns the three paths.
+    the flight recorder — the run's own, as :func:`run_trace` and
+    ``run_scale`` each run under a fresh one; returns the three paths.
     """
     os.makedirs(output_dir, exist_ok=True)
     trace_path = os.path.join(output_dir, "trace.json")
@@ -318,6 +315,7 @@ def write_run_artifacts(
     return trace_path, metrics_path, health_path
 
 
+@run_recorder()
 def run_trace(
     cases: Sequence[str] = DEFAULT_CASES,
     strategies: Sequence[str] = DEFAULT_STRATEGIES,

@@ -1,10 +1,10 @@
 """Runtime observability: span tracing, metrics, structured run logs.
 
-Built on the :class:`~repro.parallel.backends.base.PhaseObserver` hook
-surface the analysis and profiling layers already use.  Four pieces:
+The pieces:
 
-* :mod:`repro.obs.tracer` — :class:`Tracer` / :class:`Span` /
-  :class:`TracingObserver`: real-timestamped spans across serial, thread,
+* :mod:`repro.obs.tracer` — :class:`Tracer` / :class:`Span` and
+  :func:`~repro.obs.tracer.trace_region`, the one source of a parallel
+  region's spans: real-timestamped spans across serial, thread, walked
   and forked-process execution;
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` counters/gauges and
   the derived load-imbalance / halo / barrier-slack metrics;
@@ -85,8 +85,7 @@ from repro.obs.runlog import (
 from repro.obs.tracer import (
     Span,
     Tracer,
-    TracingObserver,
-    align_worker_spans,
+    trace_region,
 )
 
 __all__ = [
@@ -113,8 +112,7 @@ __all__ = [
     "RUNLOG_SCHEMA_VERSION",
     "Span",
     "Tracer",
-    "TracingObserver",
-    "align_worker_spans",
+    "trace_region",
     "MetricRecord",
     "MetricsRegistry",
     "load_imbalance",

@@ -261,7 +261,8 @@ class HealthMonitor:
         inv = self.invariants[name]
         inv.n_checks += 1
         inv.value = value
-        inv.worst = max(inv.worst, value)
+        if math.isnan(value) or value > inv.worst:  # a NaN reading sticks
+            inv.worst = value
         if inv.status == "ok" and value < warning and value < critical:
             return  # the healthy steady state: ok, and still ok
         status = _classify(value, warning, critical)
@@ -340,7 +341,6 @@ class HealthMonitor:
             "n_engine_events": total("engine"),
             "n_kernel_events": total("kernel"),
             "n_physics_warnings": total("physics", "warning"),
-            "n_observer_failures": total("observer"),
         }
 
     def dump(self, path) -> str:

@@ -1,9 +1,9 @@
 """The flight recorder: a bounded in-memory ring of structured health events.
 
 Every runtime subsystem (the persistent process engine, the kernel-tier
-registry, the SDC scheduler, the physics invariant monitors, the observer
-fan-out) feeds one process-global :class:`FlightRecorder`.  The recorder
-is *always on* and deliberately tiny:
+registry, the SDC scheduler, the physics invariant monitors) feeds one
+process-global :class:`FlightRecorder`.  The recorder is *always on* and
+deliberately tiny:
 
 * events land in a ``collections.deque`` ring (default
   :data:`DEFAULT_CAPACITY` slots) — recording is an O(1) append under a
@@ -34,8 +34,11 @@ import os
 import threading
 import time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from repro.obs.atomicio import atomic_write_text
 
@@ -50,6 +53,7 @@ __all__ = [
     "health_digest",
     "read_health_jsonl",
     "record",
+    "run_recorder",
     "set_recorder",
     "severity_rank",
     "validate_health_records",
@@ -303,6 +307,18 @@ def set_recorder(recorder: Optional[FlightRecorder]) -> Optional[FlightRecorder]
     with _GLOBAL_LOCK:
         previous, _GLOBAL = _GLOBAL, recorder
     return previous
+
+
+@contextmanager
+def run_recorder() -> Iterator[FlightRecorder]:
+    """A fresh process-global recorder for one run, the previous one put
+    back after: what the run dumps holds that run's events only."""
+    recorder = FlightRecorder()
+    previous = set_recorder(recorder)
+    try:
+        yield recorder
+    finally:
+        set_recorder(previous)
 
 
 def record(

@@ -5,42 +5,44 @@ intervals on a (pid, track) timeline — and every other timing number is
 derived from that stream: the per-phase statistics of ``repro bench`` are
 a reduction over it (:mod:`repro.utils.profiler`), the load-balance
 metrics another (:func:`repro.obs.metrics.record_span_metrics`).  Spans
-come from four sources:
+come from two sources:
 
-* strategy / engine / kernel regions (``_span``: color phases, merges,
-  lock sections).  A region that counts toward one of the canonical
-  phases (``density``, ``embedding``, ``force``, ``neighbor-rebuild``,
-  ``setup``, ``sync``) says so with a *string* ``phase`` arg — the
-  phase tag the reduction sums over; untagged regions (``lock-held``,
-  halo exchanges) are timeline detail only;
-* backend execution (:class:`TracingObserver` on the
-  :class:`~repro.parallel.backends.base.PhaseObserver` hook surface:
-  per-task spans on the worker that ran them, plus a synthesized
-  barrier-wait span per task from its end to the phase barrier);
-* the MD driver (per-step spans, neighbor rebuilds);
-* forked process workers, whose spans ship back with their results and are
-  clock-aligned to the parent by :func:`align_worker_spans`.
+* strategy / engine / driver regions (:meth:`Tracer.span`: neighbour
+  rebuilds, merges, lock sections, MD steps).  A region that counts
+  toward one of the canonical phases (``density``, ``embedding``,
+  ``force``, ``neighbor-rebuild``, ``setup``, ``sync``) says so with a
+  *string* ``phase`` arg — the phase tag the reduction sums over;
+  untagged regions (``lock-held``) are timeline detail only;
+* parallel regions, from their tasks' own clock marks: one function,
+  :func:`trace_region`, turns a region's window, its phases' labels and
+  each task's marks into the region, ``phase``, ``task`` and
+  ``barrier-wait`` spans.  A strategy's per-colour dispatch stamps each
+  closure's start and end (:func:`repro.core.strategies.base.run_phase`);
+  the C walker and the process workers stamp ``CLOCK_MONOTONIC`` at
+  every barrier.
 
-All timestamps are ``time.perf_counter()``, read only here and where a
-worker stamps its chunk.  Backend spans (``task`` / ``phase`` /
-``barrier``) carry the *integer* backend phase index under the same
-``phase`` key.  The Chrome trace-event / Perfetto exporter lives in
+All timestamps are ``time.perf_counter()`` (``CLOCK_MONOTONIC`` on Linux,
+which the marks read too).  Backend spans (``task`` / ``phase`` /
+``barrier``) carry the *integer* phase index under the same ``phase``
+key.  The Chrome trace-event / Perfetto exporter lives in
 :mod:`repro.obs.exporters`.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 __all__ = [
     "Span",
     "Tracer",
-    "TracingObserver",
-    "align_worker_spans",
+    "trace_region",
     "NULL_SPAN",
     "span_of",
     "CAT_PHASE",
@@ -127,10 +129,7 @@ class Tracer:
     The hot-path contract is: *absent* tracer means zero overhead (the
     instrumented code keeps a ``None`` check and a no-op context manager),
     a *present* tracer means two clock reads and one list append per span.
-
-    A thread-local region stack tracks the innermost open ``span()`` so
-    observers can label backend phases after the strategy region they run
-    under (``density:color2/phase7`` instead of a bare index).
+    Parallel phases are numbered per tracer, from 0 (:func:`trace_region`).
     """
 
     def __init__(self) -> None:
@@ -139,6 +138,8 @@ class Tracer:
         #: a :class:`Span` when first read
         self._spans: List[Union[Span, tuple]] = []
         self._tls = threading.local()
+        #: the index of the next parallel phase
+        self._phases = itertools.count()
 
     # --- recording ------------------------------------------------------------
 
@@ -178,29 +179,34 @@ class Tracer:
         """Context manager recording one span around its body."""
         return _OpenSpan(self, name, category, args)
 
-    # --- region labels ----------------------------------------------------------
-
-    def _thread(self) -> threading.local:
-        """This thread's region ``stack`` and ``track`` (its name when it
-        first opened a span here)."""
+    def _track(self) -> str:
+        """This thread's track: its name when it first opened a span here."""
         local = self._tls
-        if not hasattr(local, "stack"):
-            local.stack = []
+        try:
+            return local.track
+        except AttributeError:
             local.track = threading.current_thread().name
-        return local
-
-    def current_region(self) -> Optional[str]:
-        """Innermost open ``span()`` name on this thread (None outside)."""
-        stack = getattr(self._tls, "stack", None)
-        return stack[-1] if stack else None
+            return local.track
 
     # --- access -----------------------------------------------------------------
+
+    def _settled(self) -> List[Union[Span, tuple]]:
+        """The record, every region in it made spans (hold the lock)."""
+        spans, k = self._spans, 0
+        while k < len(spans):  # a thread may append meanwhile
+            if type(spans[k]) is _Region:
+                made = spans[k].spans(self)
+                spans[k : k + 1] = made
+                k += len(made)
+            else:
+                k += 1
+        return spans
 
     @property
     def spans(self) -> List[Span]:
         """Snapshot of everything recorded so far."""
         with self._lock:
-            spans = self._spans
+            spans = self._settled()
             for k, span in enumerate(spans):
                 if type(span) is tuple:
                     spans[k] = Span(*span)
@@ -208,11 +214,13 @@ class Tracer:
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._spans)
+            return len(self._settled())
 
     def clear(self) -> None:
+        """Forget every span and number phases from 0 again."""
         with self._lock:
             self._spans.clear()
+            self._phases = itertools.count()
 
     def by_category(self, category: str) -> List[Span]:
         """All recorded spans of one category, in record order."""
@@ -224,11 +232,11 @@ class Tracer:
 
 
 class _OpenSpan:
-    """:meth:`Tracer.span`'s context: two clock reads, a region-stack push
-    and pop, and one append of the span's fields (the driver opens two a
-    step, so this stays a plain object, not a generator)."""
+    """:meth:`Tracer.span`'s context: two clock reads and one append of the
+    span's fields (the driver opens two a step, so this stays a plain
+    object, not a generator)."""
 
-    __slots__ = ("_tracer", "_name", "_category", "_args", "_thread", "_start")
+    __slots__ = ("_tracer", "_name", "_category", "_args", "_start")
 
     def __init__(self, tracer: Tracer, name: str, category: str, args) -> None:
         self._tracer = tracer
@@ -237,18 +245,15 @@ class _OpenSpan:
         self._args = args
 
     def __enter__(self) -> None:
-        self._thread = self._tracer._thread()
-        self._thread.stack.append(self._name)
         self._start = time.perf_counter()
 
     def __exit__(self, *exc: object) -> None:
         end = time.perf_counter()
-        thread = self._thread
-        thread.stack.pop()
+        tracer = self._tracer
         # a lone list append is atomic: no lock
-        self._tracer._spans.append((
+        tracer._spans.append((
             self._name, self._category, self._start,
-            max(0.0, end - self._start), _pid, thread.track, self._args,
+            max(0.0, end - self._start), _pid, tracer._track(), self._args,
         ))
 
 
@@ -276,122 +281,86 @@ def span_of(tracer: Optional[Tracer], name: str, **args: object):
     return tracer.span(name, **args)
 
 
-class TracingObserver:
-    """Backend observer turning phase/task hooks into timeline spans.
+def trace_region(
+    tracer: Tracer,
+    window: Tuple[float, float],
+    steps: Sequence[Tuple[str, Mapping[str, object]]],
+    tasks: Sequence[Optional[Tuple[Sequence[float], str, int]]],
+) -> None:
+    """Put one parallel region on the timeline: the one source of the
+    ``task``, ``phase`` and ``barrier-wait`` spans.
 
-    Implements the :class:`~repro.parallel.backends.base.PhaseObserver`
-    surface structurally (hooks only, no isinstance).  Per backend phase
-    it records:
+    The region ran over ``window`` on the calling thread as the phases
+    ``steps[j] = (label, region args)``, e.g. ``("density:color2",
+    {"phase": "density", "color": 2})``.  Task ``k`` ran on track
+    ``tasks[k] = (marks, track, pid)`` (None: it never started) and
+    stamped ``marks``: its start, each barrier's entry and exit, its end,
+    so its share of phase ``j`` is ``marks[2j] .. marks[2j + 1]``.  Phase
+    ``j`` runs between the first exits of the barriers around it, the
+    window's ends outside.  Marks on another clock than the window's
+    (a worker whose start falls outside it) are pinned to its start; on
+    Linux ``perf_counter`` is ``CLOCK_MONOTONIC``, which the C marks read
+    and which survives ``fork``, so nothing moves.
 
-    * one ``task p.t`` span per task, on the worker track that ran it;
-    * one ``phase`` span on the dispatching track, labeled after the
-      strategy region open at phase begin when there is one;
-    * one ``barrier-wait`` span per worker track, covering the interval
-      between that worker's *last* task end and the phase barrier — the
-      per-worker slack the load-imbalance metrics aggregate.  (Per track,
-      not per task: a worker that ran several tasks back-to-back only
-      waited once, and per-task spans would overlap its later slices.)
+    Each phase gives the region span ``label`` tagged with its args, a
+    ``phase`` span ``<label>/phase<n>`` numbered by the tracer, a
+    ``<label>:chunk`` task span per task on its track, and one
+    ``barrier-wait`` per track from its last task end to the phase end
+    (a worker that ran several tasks back to back waited once).  The
+    region is kept as given, one append, and made spans when the tracer
+    is first read: the evaluation it times builds none.
     """
+    tracer._spans.append(_Region(window, steps, tasks, tracer._track()))
 
-    def __init__(self, tracer: Tracer) -> None:
-        self.tracer = tracer
-        self._lock = threading.Lock()
-        #: phase -> (start_s, region label at begin)
-        self._phase_start: Dict[int, Tuple[float, Optional[str]]] = {}
-        #: (phase, task) -> start_s
-        self._task_start: Dict[Tuple[int, int], float] = {}
-        #: phase -> [(task, start_s, end_s, track, pid)]
-        self._task_done: Dict[int, List[Tuple[int, float, float, str, int]]] = {}
 
-    def on_phase_begin(self, phase: int, n_tasks: int) -> None:
-        with self._lock:
-            self._phase_start[phase] = (
-                time.perf_counter(),
-                self.tracer.current_region(),
-            )
-            self._task_done[phase] = []
+class _Region(NamedTuple):
+    """What :func:`trace_region` was given, until the tracer is read."""
 
-    def on_task_begin(self, phase: int, task: int) -> None:
-        with self._lock:
-            self._task_start[(phase, task)] = time.perf_counter()
+    window: Tuple[float, float]
+    steps: Sequence[Tuple[str, Mapping[str, object]]]
+    tasks: Sequence[Optional[Tuple[Sequence[float], str, int]]]
+    here: str
 
-    def on_task_end(self, phase: int, task: int) -> None:
-        end = time.perf_counter()
-        track = threading.current_thread().name
-        pid = _pid
-        with self._lock:
-            start = self._task_start.pop((phase, task), None)
-            if start is None:
-                return
-            done = self._task_done.get(phase)
-            if done is not None:
-                done.append((task, start, end, track, pid))
-        self.tracer.add(
-            f"task {phase}.{task}",
-            CAT_TASK,
-            start,
-            end - start,
-            track=track,
-            pid=pid,
-            phase=phase,
-            task=task,
+    def spans(self, tracer: Tracer) -> List[tuple]:
+        """The region's span fields, as :class:`Tracer` keeps them."""
+        start, end = self.window
+        ran = []
+        for k, task in enumerate(self.tasks):
+            if task is not None:
+                marks, track, pid = task
+                # marks on a clock the window's start and end do not bracket
+                offset = 0.0 if start <= marks[0] <= end else start - marks[0]
+                ran.append((k, [float(t) + offset for t in marks], track, pid))
+        exits = (
+            min((m[2 * j] for _, m, _, _ in ran), default=end)
+            for j in range(1, len(self.steps))
         )
-
-    def on_phase_end(self, phase: int) -> None:
-        end = time.perf_counter()
-        with self._lock:
-            start, region = self._phase_start.pop(phase, (None, None))
-            done = self._task_done.pop(phase, [])
-        if start is None:
-            return
-        label = f"{region}/phase{phase}" if region else f"phase{phase}"
-        self.tracer.add(
-            label,
-            CAT_PHASE,
-            start,
-            end - start,
-            phase=phase,
-            n_tasks=len(done),
-        )
-        last_on_track: Dict[str, Tuple[float, int]] = {}
-        for _, _, task_end, track, pid in done:
-            prev = last_on_track.get(track)
-            if prev is None or task_end > prev[0]:
-                last_on_track[track] = (task_end, pid)
-        for track, (task_end, pid) in last_on_track.items():
-            wait = end - task_end
-            if wait <= 0.0:
-                continue
-            self.tracer.add(
-                "barrier-wait",
-                CAT_BARRIER,
-                task_end,
-                wait,
-                track=track,
-                pid=pid,
-                phase=phase,
-            )
-
-
-def align_worker_spans(
-    spans: Sequence[Span],
-    worker_origin_s: float,
-    window_start_s: float,
-    window_end_s: float,
-) -> List[Span]:
-    """Translate worker-recorded spans into the parent's clock domain.
-
-    ``worker_origin_s`` is the worker's ``perf_counter()`` sampled when it
-    picked up the work; ``window_start_s``/``window_end_s`` bracket the
-    parent's dispatch of that work.  On Linux ``perf_counter`` is
-    ``CLOCK_MONOTONIC``, which survives ``fork`` — the origin then falls
-    inside the dispatch window and no shift is applied.  When the clock
-    domains differ (spawned workers, exotic platforms) the origin lands
-    outside the window and the worker timeline is pinned to the dispatch
-    start instead.
-    """
-    if window_start_s <= worker_origin_s <= window_end_s:
-        offset = 0.0
-    else:
-        offset = window_start_s - worker_origin_s
-    return [span.shifted(offset) for span in spans]
+        edges, here, spans = [start, *exits, end], self.here, []
+        for j, (label, args) in enumerate(self.steps):
+            lo, hi = edges[j], edges[j + 1]
+            wall, phase = (hi - lo if hi > lo else 0.0), next(tracer._phases)
+            spans += [
+                (label, CAT_REGION, lo, wall, _pid, here, args),
+                (
+                    f"{label}/phase{phase}", CAT_PHASE, lo, wall, _pid, here,
+                    {"phase": phase, "n_tasks": len(self.tasks)},
+                ),
+            ]
+            last: Dict[str, Tuple[float, int]] = {}
+            for k, marks, track, pid in ran:
+                begin, done = marks[2 * j], marks[2 * j + 1]
+                spans.append((
+                    f"{label}:chunk", CAT_TASK, begin, max(0.0, done - begin),
+                    pid, track, {"phase": phase, "task": k},
+                ))
+                if track not in last or done > last[track][0]:
+                    last[track] = (done, pid)
+            spans += [
+                (
+                    "barrier-wait", CAT_BARRIER, done, hi - done, pid, track,
+                    {"phase": phase},
+                )
+                for track, (done, pid) in last.items()
+                if hi > done
+            ]
+        return spans

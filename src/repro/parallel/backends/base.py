@@ -5,12 +5,12 @@ be disjoint (SDC color phases) or internally synchronized (CS locks, SAP
 private arrays).  ``run_phase`` returns only when every closure has
 finished — the OpenMP implicit barrier.
 
-Backends also carry an optional :class:`PhaseObserver` — the seed of the
-observability layer.  When attached, the backend surrounds every phase and
-every task with ``on_phase_begin`` / ``on_task_begin`` / ``on_task_end`` /
-``on_phase_end`` callbacks, which is what the dynamic race detector
-(:mod:`repro.analysis.racecheck`) and the event log
-(:mod:`repro.analysis.events`) hook into.
+Backends also carry an optional :class:`PhaseObserver`.  When attached,
+the backend surrounds every phase and every task with ``on_phase_begin`` /
+``on_task_begin`` / ``on_task_end`` / ``on_phase_end`` callbacks, which is
+what the dynamic race detector's write recorder
+(:mod:`repro.analysis.racecheck`) hooks into.  Timelines do not: a traced
+region stamps its own tasks (:func:`repro.obs.tracer.trace_region`).
 """
 
 from __future__ import annotations
@@ -55,78 +55,6 @@ class PhaseObserver:
         """All tasks of ``phase`` have settled (the barrier)."""
 
 
-class MultiObserver(PhaseObserver):
-    """Fan-out observer: forwards every hook to each child in add order.
-
-    This is what lets a :class:`~repro.obs.tracer.TracingObserver` and the
-    race detector's :class:`~repro.analysis.racecheck.WriteRecorder` watch
-    the same backend simultaneously.  Children need only implement the hook surface
-    structurally (no subclass requirement — same contract as the backend
-    itself).
-
-    The fan-out is *exception-isolated*: observers are passengers, so one
-    child raising must neither abort the phase nor starve its siblings —
-    the exception is swallowed, recorded as an ``observer``-category
-    health event (once per (child, hook); repeats only bump a counter),
-    and the remaining children still run.  ``KeyboardInterrupt`` and
-    friends still propagate: only ``Exception`` is contained.
-    """
-
-    def __init__(self, *observers: PhaseObserver) -> None:
-        self.observers: List[PhaseObserver] = list(observers)
-        self._reported: set = set()
-
-    def add(self, observer: PhaseObserver) -> None:
-        self.observers.append(observer)
-
-    def remove(self, observer: PhaseObserver) -> None:
-        """Drop ``observer`` (identity match; no-op when absent)."""
-        self.observers = [o for o in self.observers if o is not observer]
-
-    def __len__(self) -> int:
-        return len(self.observers)
-
-    def _dispatch(self, hook: str, *args) -> None:
-        for observer in self.observers:
-            try:
-                getattr(observer, hook)(*args)
-            except Exception as exc:
-                self._record_failure(observer, hook, exc)
-
-    def _record_failure(
-        self, observer: PhaseObserver, hook: str, exc: Exception
-    ) -> None:
-        try:
-            from repro.obs.recorder import count, record
-
-            key = (id(observer), hook)
-            count("observer_failures")
-            if key not in self._reported:
-                self._reported.add(key)
-                record(
-                    "observer",
-                    "observer-failed",
-                    severity="warning",
-                    observer=type(observer).__name__,
-                    hook=hook,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-        except Exception:  # pragma: no cover - isolation must hold regardless
-            pass
-
-    def on_phase_begin(self, phase: int, n_tasks: int) -> None:
-        self._dispatch("on_phase_begin", phase, n_tasks)
-
-    def on_task_begin(self, phase: int, task: int) -> None:
-        self._dispatch("on_task_begin", phase, task)
-
-    def on_task_end(self, phase: int, task: int) -> None:
-        self._dispatch("on_task_end", phase, task)
-
-    def on_phase_end(self, phase: int) -> None:
-        self._dispatch("on_phase_end", phase)
-
-
 def _noop() -> None:
     return None
 
@@ -165,38 +93,6 @@ class ExecutionBackend(ABC):
     def detach_observer(self) -> None:
         """Remove the observer (idempotent)."""
         self._observer = None
-
-    def add_observer(self, observer: PhaseObserver) -> None:
-        """Attach ``observer`` *alongside* any already-attached observer.
-
-        The first add behaves like :meth:`attach_observer` (phase
-        numbering restarts at 0); later adds wrap the existing observer
-        and the new one in a :class:`MultiObserver` without resetting the
-        numbering, so all children agree on phase indices from the moment
-        they join.
-        """
-        if self._observer is None:
-            self.attach_observer(observer)
-        elif isinstance(self._observer, MultiObserver):
-            self._observer.add(observer)
-        else:
-            self._observer = MultiObserver(self._observer, observer)
-
-    def remove_observer(self, observer: PhaseObserver) -> None:
-        """Detach exactly ``observer``, keeping any co-attached observers.
-
-        Identity match; unwraps a :class:`MultiObserver` left with one
-        child and is a no-op when ``observer`` is not attached.
-        """
-        current = self._observer
-        if current is observer:
-            self._observer = None
-        elif isinstance(current, MultiObserver):
-            current.remove(observer)
-            if len(current) == 1:
-                self._observer = current.observers[0]
-            elif len(current) == 0:
-                self._observer = None
 
     def _begin_phase(
         self, closures: Sequence[TaskClosure]

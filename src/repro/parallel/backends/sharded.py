@@ -44,8 +44,7 @@ from repro import kernels
 from repro.geometry.box import Box
 from repro.md.atoms import Atoms
 from repro.md.neighbor.verlet import NeighborList
-from repro.obs.tracer import CAT_BARRIER, CAT_PHASE, CAT_REGION, CAT_TASK
-from repro.obs.tracer import Span, align_worker_spans
+from repro.obs.tracer import trace_region
 from repro.parallel.backends.workers import (
     DEFAULT_PHASE_TIMEOUT_S, WorkerEngine, count_health, record_health,
 )
@@ -230,8 +229,7 @@ class ShardEngine(WorkerEngine):
         self._cached_nlist = IdentityKey()
         self._plans: List[ShardPlan] = []
         self._box: Optional[Box] = None
-        #: first barrier generation of the next ``evaluate`` command; one
-        #: per phase, so ``generation - 1`` also numbers a trace's phases
+        #: first barrier generation of the next ``evaluate`` command
         self._generation = 1
         #: with ``record_writes``: one ``(kind, per-worker write sets)``
         #: entry per color phase, for the dynamic race detector
@@ -322,7 +320,7 @@ class ShardEngine(WorkerEngine):
             "evaluate", [base] * len(self._worker_regions())
         )
         if self._tracer is not None:
-            self._trace_evaluation(replies, base - 1, start, time.perf_counter())
+            self._trace_evaluation(replies, start, time.perf_counter())
         pair_energies, embedding_energies, _, writes, _ = zip(*replies)
         if self.record_writes:
             kinds = ["density"] * n_colors + ["force"] * n_colors
@@ -335,52 +333,22 @@ class ShardEngine(WorkerEngine):
                 getattr(atoms, name)[owned] = views[name][: plan.n_owned]
         return float(sum(pair_energies)), float(sum(embedding_energies))
 
-    def _trace_evaluation(
-        self, replies, first: int, start: float, end: float
-    ) -> None:
-        """Rebuild one ``evaluate`` command's timeline from worker marks,
-        phases numbered from ``first``, a ``worker-<pid>`` track each.
-
-        Task ``j`` (a density color, the embedding, a force color, the
-        force pull) spans ``marks[2j] .. marks[2j + 1]``; phase ``j`` runs
-        between the first exits of the barriers around it, and a worker
-        waits from its task's end to the phase's end.
-        """
-        tracer, colors = self._tracer, range(len(self._plans[0].tasks[0]))
+    def _trace_evaluation(self, replies, start: float, end: float) -> None:
+        """One ``evaluate`` command's timeline from the workers' marks, a
+        ``worker-<pid>`` track each: the density colors, the embedding,
+        the force colors, the force pull (:func:`trace_region`)."""
+        colors = range(len(self._plans[0].tasks[0]))
         steps = [
-            *(("density", f"density:color{c}", {"color": c}) for c in colors),
-            ("embedding", "embedding", {}),
-            *(("force", f"force:color{c}", {"color": c}) for c in colors),
-            ("force", "force:halo", {}),
+            *((f"density:color{c}", {"phase": "density", "color": c})
+              for c in colors),
+            ("embedding", {"phase": "embedding"}),
+            *((f"force:color{c}", {"phase": "force", "color": c})
+              for c in colors),
+            ("force:halo", {"phase": "force"}),
         ]
-        tracks = []
-        for task, (_, _, marks, _, pid) in enumerate(replies):
-            raw = [
-                Span(
-                    f"{label}:chunk", CAT_TASK, marks[2 * j],
-                    marks[2 * j + 1] - marks[2 * j], pid, f"worker-{pid}",
-                    {"phase": first + j, "task": task},
-                )
-                for j, (_, label, _) in enumerate(steps)
-            ]
-            tracks.append(align_worker_spans(raw, marks[0], start, end))
-        exits = (min(t[j].start_s for t in tracks) for j in range(1, len(steps)))
-        edges = [start, *exits, end]
-        for j, (kind, label, args) in enumerate(steps):
-            lo, hi, phase = edges[j], edges[j + 1], first + j
-            tracer.add(label, CAT_REGION, lo, hi - lo, phase=kind, **args)
-            tracer.add(
-                f"{label}/phase{phase}", CAT_PHASE, lo, hi - lo,
-                phase=phase, n_tasks=len(tracks),
-            )
-            for track in tracks:
-                span = track[j]
-                tracer.record(span)
-                if hi > span.end_s:
-                    tracer.add(
-                        "barrier-wait", CAT_BARRIER, span.end_s, hi - span.end_s,
-                        track=span.track, pid=span.pid, phase=phase,
-                    )
+        trace_region(self._tracer, (start, end), steps, [
+            (marks, f"worker-{pid}", pid) for _, _, marks, _, pid in replies
+        ])
 
 
 class ShardedSDCCalculator(ShardEngine):

@@ -5,11 +5,11 @@ per thread, and ``wait`` is the phase's barrier.  An SDC evaluation on the
 C tier is one such phase: each closure is one worker's ``sdc_walk`` call
 (:class:`~repro.kernels.c_tier.SDCWalk`), which drops the GIL for every
 colour, the embedding and the barriers between them, so the two halves of
-an evaluation run on two cores at once.  Elsewhere — the NumPy tier, a
-traced or instrumented strategy, the comparison strategies — a phase is
-one colour, its closures worker ``k``'s contiguous pair range of it (see
-:mod:`repro.core.sdc_plan`), and the NumPy calls and argument checks
-inside them trade the GIL.
+an evaluation run on two cores at once, traced or not.  Elsewhere — the
+NumPy tier, an instrumented or observed strategy, the comparison
+strategies — a phase is one colour, its closures worker ``k``'s
+contiguous pair range of it (see :mod:`repro.core.sdc_plan`), and the
+NumPy calls and argument checks inside them trade the GIL.
 """
 
 from __future__ import annotations

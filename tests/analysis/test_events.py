@@ -1,10 +1,12 @@
-"""The execution-event stream: backend phase/task hooks as tracer spans.
+"""The execution-event stream: backend phases and tasks as tracer spans.
 
-The separate ``EventLog`` is gone — :class:`TracingObserver` is the one
-recorder of backend execution, so the questions the log answered (did
-every task end?  did phases bracket their tasks?  on which clock?) are
-asked of its ``task`` / ``phase`` spans here.  Hook-level ordering lives
-in ``tests/parallel/test_backend_contract.py``.
+A traced phase goes through the strategies' one dispatch
+(:func:`~repro.core.strategies.base.run_phase`): each task stamps its own
+start and end, and :func:`~repro.obs.tracer.trace_region` builds the
+spans.  The questions an event log answers (did every task end?  did
+phases bracket their tasks?  on which clock?) are asked of those ``task``
+/ ``phase`` spans here.  Observer hook ordering lives in
+``tests/parallel/test_backend_contract.py``.
 """
 
 from __future__ import annotations
@@ -15,24 +17,20 @@ import numpy as np
 import pytest
 
 from repro.core.strategies import SDCStrategy
-from repro.obs.tracer import CAT_PHASE, CAT_TASK, Tracer, TracingObserver
+from repro.core.strategies.base import run_phase
+from repro.obs.tracer import CAT_PHASE, CAT_TASK, Tracer
 from repro.parallel.backends.serial import SerialBackend
 from repro.parallel.backends.threads import ThreadBackend
 
 
-def _run_phases(backend, sizes):
+def _run_phases(backend, sizes, tracer=None):
     sink = []
     for size in sizes:
-        backend.run_phase(
-            [(lambda k=k: sink.append(k)) for k in range(size)]
+        run_phase(
+            backend, tracer,
+            [(lambda k=k: sink.append(k)) for k in range(size)], "phase",
         )
     return sink
-
-
-def _observe(backend) -> Tracer:
-    tracer = Tracer()
-    backend.attach_observer(TracingObserver(tracer))
-    return tracer
 
 
 def _phase_sizes(tracer):
@@ -60,18 +58,16 @@ def _well_formed(tracer) -> bool:
 
 class TestEventLogOnSerialBackend:
     def test_records_every_phase_and_task(self):
-        backend = SerialBackend()
-        tracer = _observe(backend)
-        _run_phases(backend, [3, 1, 4])
+        backend, tracer = SerialBackend(), Tracer()
+        _run_phases(backend, [3, 1, 4], tracer)
         assert _phase_sizes(tracer) == {0: 3, 1: 1, 2: 4}
         assert _completed_tasks(tracer, 0) == [0, 1, 2]
         assert _completed_tasks(tracer, 2) == [0, 1, 2, 3]
         assert _well_formed(tracer)
 
     def test_events_are_ordered_within_a_phase(self):
-        backend = SerialBackend()
-        tracer = _observe(backend)
-        _run_phases(backend, [2])
+        backend, tracer = SerialBackend(), Tracer()
+        _run_phases(backend, [2], tracer)
         first, second = tracer.by_category(CAT_TASK)
         (phase,) = tracer.by_category(CAT_PHASE)
         # serial: task intervals never interleave, the phase brackets both
@@ -80,20 +76,18 @@ class TestEventLogOnSerialBackend:
         assert second.end_s <= phase.end_s
 
     def test_detach_stops_recording(self):
-        backend = SerialBackend()
-        tracer = _observe(backend)
-        _run_phases(backend, [1])
-        backend.detach_observer()
+        """An untraced dispatch records nothing."""
+        backend, tracer = SerialBackend(), Tracer()
+        _run_phases(backend, [1], tracer)
         _run_phases(backend, [1])
         assert _phase_sizes(tracer) == {0: 1}
 
     def test_reattach_restarts_phase_numbering(self):
-        backend = SerialBackend()
-        tracer = _observe(backend)
-        _run_phases(backend, [1, 1])
+        """A cleared tracer numbers its phases from 0 again."""
+        backend, tracer = SerialBackend(), Tracer()
+        _run_phases(backend, [1, 1], tracer)
         tracer.clear()
-        backend.attach_observer(TracingObserver(tracer))
-        _run_phases(backend, [2])
+        _run_phases(backend, [2], tracer)
         assert _phase_sizes(tracer) == {0: 2}
 
     def test_timestamps_share_the_perf_counter_clock_domain(self):
@@ -101,34 +95,31 @@ class TestEventLogOnSerialBackend:
         readings must fall inside the window (regression: events once
         used ``time.monotonic()``, a different domain on some platforms).
         """
-        backend = SerialBackend()
-        tracer = _observe(backend)
+        backend, tracer = SerialBackend(), Tracer()
         before = time.perf_counter()
-        _run_phases(backend, [2])
+        _run_phases(backend, [2], tracer)
         after = time.perf_counter()
         assert len(tracer) > 0
         for span in tracer.spans:
             assert before <= span.start_s <= span.end_s <= after
 
     def test_task_end_fires_on_raise(self):
-        backend = SerialBackend()
-        tracer = _observe(backend)
+        backend, tracer = SerialBackend(), Tracer()
 
         def boom() -> None:
             raise RuntimeError("task failure")
 
         with pytest.raises(RuntimeError):
-            backend.run_phase([boom])
-        assert [s.category for s in tracer.spans][:2] == [CAT_TASK, CAT_PHASE]
+            run_phase(backend, tracer, [boom], "phase")
+        assert [s.category for s in tracer.spans][1:3] == [CAT_PHASE, CAT_TASK]
         assert _well_formed(tracer)
 
 
 class TestEventLogOnThreadBackend:
     def test_all_tasks_complete_on_threads(self):
-        backend = ThreadBackend(4)
-        tracer = _observe(backend)
+        backend, tracer = ThreadBackend(4), Tracer()
         try:
-            _run_phases(backend, [8, 5])
+            _run_phases(backend, [8, 5], tracer)
         finally:
             backend.close()
         assert _phase_sizes(tracer) == {0: 8, 1: 5}
@@ -137,10 +128,9 @@ class TestEventLogOnThreadBackend:
 
     def test_phase_boundaries_bracket_tasks(self):
         """The phase span begins before and ends after every task span."""
-        backend = ThreadBackend(3)
-        tracer = _observe(backend)
+        backend, tracer = ThreadBackend(3), Tracer()
         try:
-            _run_phases(backend, [6])
+            _run_phases(backend, [6], tracer)
         finally:
             backend.close()
         (phase,) = tracer.by_category(CAT_PHASE)

@@ -196,3 +196,20 @@ class TestProcessBackendTrace:
             phase = phases[task.args["phase"]]
             assert task.start_s >= phase.start_s - 1e-6
             assert task.end_s <= phase.end_s + 1e-6
+
+
+def test_each_run_dumps_its_own_health_events(tmp_path):
+    """Two traced runs in one interpreter: each ``health.jsonl`` holds its
+    own run's events only, and the process's recorder is put back."""
+    from repro.obs.recorder import get_recorder, read_health_jsonl
+
+    before = get_recorder()
+    for run in ("first", "second"):
+        report = run_trace(
+            cases=("tiny",), strategies=("sdc",), backends=("serial",),
+            steps=1, output_dir=str(tmp_path / run),
+        )
+        _, events = read_health_jsonl(report.health_path)
+        assert [e["event"] for e in events].count("neighbor-rebuild") == 1
+    assert get_recorder() is before
+

@@ -203,7 +203,7 @@ class TestHealthMonitor:
         assert summary["n_engine_events"] == 1
         assert summary["n_kernel_events"] == 1
         assert summary["n_physics_warnings"] == 1
-        assert summary["n_observer_failures"] == 0
+        assert "n_observer_failures" not in summary
 
     def test_dump_writes_health_jsonl(self, recorder, tmp_path):
         from repro.obs.recorder import read_health_jsonl
@@ -338,6 +338,20 @@ class TestNaNIsCritical:
             if e.fields["invariant"] == invariant
         ]
         assert breaches == [("invariant-breach", "critical")]
+
+
+    def test_a_nan_reading_reaches_worst(self, recorder):
+        """``worst`` keeps the NaN, so no report prints a finite worst
+        beside a critical status; a later finite reading leaves it."""
+        monitor = HealthMonitor(recorder=recorder)
+        atoms = _FakeAtoms()
+        monitor.observe_step(0, atoms, potential_energy=-10.0)
+        monitor.observe_step(1, atoms, potential_energy=np.nan)
+        drift = monitor.status()["energy_drift"]
+        assert drift["status"] == "critical"
+        assert np.isnan(drift["value"]) and np.isnan(drift["worst"])
+        monitor.observe_step(2, atoms, potential_energy=-10.0)
+        assert np.isnan(monitor.status()["energy_drift"]["worst"])
 
 
 class TestOneWriterPerFact:

@@ -1,4 +1,5 @@
-"""Span tracer: recording, region labels, backend observer, alignment."""
+"""Span tracer: recording, the one builder of a parallel region's spans,
+alignment."""
 
 from __future__ import annotations
 
@@ -15,9 +16,9 @@ from repro.obs.tracer import (
     CAT_TASK,
     Span,
     Tracer,
-    TracingObserver,
-    align_worker_spans,
+    trace_region,
 )
+from repro.core.strategies.base import run_phase
 from repro.parallel.backends.serial import SerialBackend
 from repro.parallel.backends.threads import ThreadBackend
 
@@ -63,36 +64,40 @@ class TestTracer:
         assert tracer.add("x", CAT_TASK, 5.0, -1.0).duration_s == 0.0
 
     def test_region_stack_nests_and_unwinds(self):
+        """Nested regions close inner first, the outer one around it."""
         tracer = Tracer()
-        assert tracer.current_region() is None
         with tracer.span("outer"):
-            assert tracer.current_region() == "outer"
             with tracer.span("inner"):
-                assert tracer.current_region() == "inner"
-            assert tracer.current_region() == "outer"
-        assert tracer.current_region() is None
+                pass
+        inner, outer = tracer.spans
+        assert (inner.name, outer.name) == ("inner", "outer")
+        assert outer.start_s <= inner.start_s <= inner.end_s <= outer.end_s
 
     def test_region_stack_unwinds_on_exception(self):
         tracer = Tracer()
         with pytest.raises(RuntimeError):
             with tracer.span("outer"):
                 raise RuntimeError("boom")
-        assert tracer.current_region() is None
         # the span is still recorded (finally path)
         assert [s.name for s in tracer.spans] == ["outer"]
 
     def test_region_stack_is_thread_local(self):
+        """A region opened on another thread lands on that thread's track."""
         tracer = Tracer()
-        seen = []
 
         def worker():
-            seen.append(tracer.current_region())
+            with tracer.span("side-only"):
+                pass
 
         with tracer.span("main-only"):
-            t = threading.Thread(target=worker)
+            t = threading.Thread(target=worker, name="side")
             t.start()
             t.join()
-        assert seen == [None]
+        tracks = {s.name: s.track for s in tracer.spans}
+        assert tracks == {
+            "side-only": "side",
+            "main-only": threading.current_thread().name,
+        }
 
     def test_by_category_and_total(self):
         tracer = Tracer()
@@ -157,14 +162,12 @@ class TestTracer:
 
 
 class TestTracingObserver:
+    """A backend's phases through the strategies' one dispatch, each task
+    stamping itself: the spans :func:`trace_region` builds."""
+
     def _run(self, backend, tracer, sizes):
-        observer = TracingObserver(tracer)
-        backend.attach_observer(observer)
-        try:
-            for size in sizes:
-                backend.run_phase([(lambda: None) for _ in range(size)])
-        finally:
-            backend.detach_observer()
+        for size in sizes:
+            run_phase(backend, tracer, [(lambda: None)] * size, "region")
 
     def test_serial_backend_emits_task_and_phase_spans(self):
         tracer = Tracer()
@@ -185,17 +188,20 @@ class TestTracingObserver:
             assert task.end_s <= phase.end_s + 1e-9
 
     def test_phase_label_uses_enclosing_region(self):
+        """The caller's label names the region span and its phase span."""
         tracer = Tracer()
-        backend = SerialBackend()
-        observer = TracingObserver(tracer)
-        backend.attach_observer(observer)
-        try:
-            with tracer.span("density:color0"):
-                backend.run_phase([lambda: None])
-        finally:
-            backend.detach_observer()
-        phase = tracer.by_category(CAT_PHASE)[0]
+        run_phase(
+            SerialBackend(), tracer, [lambda: None], "density:color0",
+            phase="density", color=0,
+        )
+        (region,) = tracer.by_category(CAT_REGION)
+        (phase,) = tracer.by_category(CAT_PHASE)
+        assert region.name == "density:color0"
+        assert region.args == {"phase": "density", "color": 0}
         assert phase.name == "density:color0/phase0"
+        assert (phase.start_s, phase.duration_s) == (
+            region.start_s, region.duration_s
+        )
 
     def test_barrier_wait_one_span_per_track(self):
         tracer = Tracer()
@@ -223,75 +229,154 @@ class TestTracingObserver:
         assert sorted(s.args["task"] for s in tasks) == list(range(8))
 
 
+def _one_phase(tracer, label, window, stamps, **args):
+    """A region of one phase; ``stamps[k] = (start, end, track, pid)``."""
+    trace_region(tracer, window, [(label, args)], [
+        None if s is None else ((s[0], s[1]), s[2], s[3]) for s in stamps
+    ])
+
+
+class TestTraceRegion:
+    """Clock-free: the spans of hand-made marks."""
+
+    def test_one_barrier_wait_per_track_from_its_last_task(self):
+        tracer = Tracer()
+        _one_phase(
+            tracer, "force:color1", (0.0, 4.0),
+            [(0.0, 1.0, "w0", 7), (1.0, 3.0, "w0", 7), (0.0, 2.0, "w1", 8)],
+            phase="force",
+        )
+        tasks = tracer.by_category(CAT_TASK)
+        assert [(s.name, s.track, s.args) for s in tasks] == [
+            ("force:color1:chunk", "w0", {"phase": 0, "task": 0}),
+            ("force:color1:chunk", "w0", {"phase": 0, "task": 1}),
+            ("force:color1:chunk", "w1", {"phase": 0, "task": 2}),
+        ]
+        waits = {
+            s.track: (s.start_s, s.duration_s, s.pid)
+            for s in tracer.by_category(CAT_BARRIER)
+        }
+        assert waits == {"w0": (3.0, 1.0, 7), "w1": (2.0, 2.0, 8)}
+        (region,) = tracer.by_category(CAT_REGION)
+        assert (region.name, region.args) == ("force:color1", {"phase": "force"})
+
+    def test_a_task_at_the_barrier_waits_not_and_a_missing_one_is_skipped(self):
+        tracer = Tracer()
+        _one_phase(tracer, "x", (0.0, 1.0), [(0.0, 1.0, "w0", 1), None])
+        assert [s.args["task"] for s in tracer.by_category(CAT_TASK)] == [0]
+        assert tracer.by_category(CAT_BARRIER) == []
+        assert tracer.by_category(CAT_PHASE)[0].args["n_tasks"] == 2
+
+    def test_phases_are_numbered_per_tracer_from_zero(self):
+        tracer = Tracer()
+        for _ in range(3):
+            _one_phase(tracer, "x", (0.0, 1.0), [])
+        assert [s.args["phase"] for s in tracer.by_category(CAT_PHASE)] == [
+            0, 1, 2
+        ]
+        tracer.clear()
+        _one_phase(tracer, "x", (0.0, 1.0), [])
+        assert tracer.by_category(CAT_PHASE)[0].args["phase"] == 0
+
+    def test_marks_split_at_the_first_barrier_exits(self):
+        """Worker marks: start, each barrier's entry and exit, end."""
+        tracer = Tracer()
+        trace_region(
+            tracer, (1.0, 6.0),
+            [("a", {"phase": "density"}), ("b", {"phase": "force"})],
+            [
+                ([1.0, 2.0, 3.0, 4.0, 5.0, 5.5], "w0", 1),
+                ([1.0, 2.5, 2.75, 4.5, 5.0, 5.25], "w1", 1),
+            ],
+        )
+        regions = [
+            (s.name, s.start_s, s.end_s) for s in tracer.by_category(CAT_REGION)
+        ]
+        assert regions == [("a", 1.0, 2.75), ("b", 2.75, 6.0)]
+        tasks = [(s.start_s, s.end_s) for s in tracer.by_category(CAT_TASK)]
+        assert tasks == [(1.0, 2.0), (1.0, 2.5), (3.0, 4.0), (2.75, 4.5)]
+
+    def test_a_region_becomes_spans_when_read(self):
+        """Recording is one append; reading (or counting) makes the spans."""
+        tracer = Tracer()
+        _one_phase(tracer, "x", (0.0, 1.0), [(0.0, 0.5, "w0", 1)])
+        assert len(tracer._spans) == 1
+        assert len(tracer) == 4  # region, phase, task, barrier-wait
+        assert all(type(s) is Span for s in tracer.spans)
+
+
+def _aligned(origin, window, *marks):
+    """Task marks ``[origin, *marks]`` of a one-phase region over
+    ``window``, as the parent's timeline reads them."""
+    tracer = Tracer()
+    trace_region(
+        tracer, window, [("x", {})], [([origin, *marks], "worker-9", 9)]
+    )
+    (task,) = tracer.by_category(CAT_TASK)
+    return task
+
+
 class TestAlignWorkerSpans:
+    """A worker's marks on its own clock, moved onto the parent's."""
+
     def test_origin_inside_window_keeps_timestamps(self):
-        spans = [Span("a", CAT_TASK, 10.5, 0.1, 99, "worker-99")]
-        aligned = align_worker_spans(spans, 10.4, 10.0, 11.0)
-        assert aligned[0].start_s == pytest.approx(10.5)
+        task = _aligned(10.4, (10.0, 11.0), 10.6)
+        assert (task.start_s, task.end_s) == (10.4, 10.6)
 
     def test_origin_outside_window_pins_to_window_start(self):
         # worker clock started at 1000.0, parent window is [10, 11]
-        spans = [Span("a", CAT_TASK, 1000.2, 0.1, 99, "worker-99")]
-        aligned = align_worker_spans(spans, 1000.0, 10.0, 11.0)
-        assert aligned[0].start_s == pytest.approx(10.2)
-        assert aligned[0].duration_s == pytest.approx(0.1)
+        task = _aligned(1000.0, (10.0, 11.0), 1000.1)
+        assert task.start_s == 10.0
+        assert task.duration_s == pytest.approx(0.1)
 
     def test_empty_input(self):
-        assert align_worker_spans([], 0.0, 0.0, 1.0) == []
+        tracer = Tracer()
+        trace_region(tracer, (0.0, 1.0), [("x", {})], [])
+        assert tracer.by_category(CAT_TASK) == []
 
     def test_empty_worker_track_with_skewed_clock(self):
-        # a worker that recorded nothing must not crash alignment even
-        # when its clock origin is far outside the dispatch window
-        assert align_worker_spans([], 1e9, 10.0, 11.0) == []
+        # a worker that never started must not crash alignment even when
+        # another one's clock origin is far outside the dispatch window
+        tracer = Tracer()
+        trace_region(
+            tracer, (10.0, 11.0), [("x", {})],
+            [None, ([1e9, 1e9 + 0.5], "worker-1", 1)],
+        )
+        (task,) = tracer.by_category(CAT_TASK)
+        assert (task.start_s, task.args["task"]) == (10.0, 1)
 
     def test_out_of_order_spans_keep_their_order_and_offsets(self):
-        # workers may ship spans in completion order, not start order;
-        # alignment must translate each span independently and preserve
-        # the sequence it was given
-        spans = [
-            Span("late", CAT_TASK, 1000.7, 0.1, 99, "worker-99"),
-            Span("early", CAT_TASK, 1000.1, 0.2, 99, "worker-99"),
-            Span("mid", CAT_TASK, 1000.4, 0.05, 99, "worker-99"),
-        ]
-        aligned = align_worker_spans(spans, 1000.0, 10.0, 11.0)
-        assert [s.name for s in aligned] == ["late", "early", "mid"]
-        assert aligned[0].start_s == pytest.approx(10.7)
-        assert aligned[1].start_s == pytest.approx(10.1)
-        assert aligned[2].start_s == pytest.approx(10.4)
-        # relative gaps between spans survive the shift exactly
-        assert aligned[0].start_s - aligned[1].start_s == pytest.approx(0.6)
+        # one worker's steps translate by one offset: gaps survive exactly
+        tracer = Tracer()
+        trace_region(
+            tracer, (10.0, 11.0), [("a", {}), ("b", {})],
+            [([1000.0, 1000.2, 1000.5, 1000.7], "worker-9", 9)],
+        )
+        a, b = tracer.by_category(CAT_TASK)
+        assert (a.start_s, b.start_s) == (10.0, pytest.approx(10.5))
+        assert b.end_s - a.start_s == pytest.approx(0.7)
 
     def test_two_workers_with_different_skews_land_in_same_window(self):
-        # forked workers can carry *different* clock origins (spawned
-        # workers, CLOCK_MONOTONIC resets); aligning each track against
-        # the same dispatch window must bring both into parent time
-        worker_a = [Span("a", CAT_TASK, 500.2, 0.1, 11, "worker-11")]
-        worker_b = [Span("b", CAT_TASK, 9000.5, 0.1, 22, "worker-22")]
+        # forked workers can carry *different* clock origins; aligning each
+        # against the same dispatch window brings both into parent time
+        tracer = Tracer()
         window = (10.0, 11.0)
-        aligned_a = align_worker_spans(worker_a, 500.0, *window)
-        aligned_b = align_worker_spans(worker_b, 9000.0, *window)
-        for span in aligned_a + aligned_b:
-            assert window[0] <= span.start_s <= window[1]
-        assert aligned_a[0].start_s == pytest.approx(10.2)
-        assert aligned_b[0].start_s == pytest.approx(10.5)
+        trace_region(tracer, window, [("x", {})], [
+            ([500.0, 500.1], "worker-11", 11),
+            ([9000.0, 9000.2], "worker-22", 22),
+        ])
+        for task in tracer.by_category(CAT_TASK):
+            assert window[0] <= task.start_s <= task.end_s <= window[1]
 
     def test_negative_skew_worker_clock_behind_parent(self):
         # worker origin *before* the parent window (clock behind parent):
-        # still pinned to the dispatch start, shifting spans forward
-        spans = [Span("a", CAT_TASK, 1.5, 0.1, 99, "worker-99")]
-        aligned = align_worker_spans(spans, 1.0, 10.0, 11.0)
-        assert aligned[0].start_s == pytest.approx(10.5)
+        # still pinned to the dispatch start, shifting marks forward
+        task = _aligned(1.0, (10.0, 11.0), 1.5)
+        assert (task.start_s, task.end_s) == (10.0, 10.5)
 
     def test_origin_exactly_on_window_edges_is_not_shifted(self):
-        spans = [Span("a", CAT_TASK, 10.0, 0.1, 99, "worker-99")]
-        assert (
-            align_worker_spans(spans, 10.0, 10.0, 11.0)[0].start_s
-            == pytest.approx(10.0)
-        )
-        assert (
-            align_worker_spans(spans, 11.0, 10.0, 11.0)[0].start_s
-            == pytest.approx(10.0)
-        )
+        assert _aligned(10.0, (10.0, 11.0), 10.1).start_s == 10.0
+        assert _aligned(11.0, (10.0, 11.0), 11.0).start_s == 11.0
 
 
 class TestCategories:

@@ -4,8 +4,9 @@
   today's thread SDC): ``rho`` and forces bit-identical, energies to
   1e-12, for dims 1/2/3 x workers 1/2/3, on threads and on forked
   processes, over a bcc crystal, a crystal with a void and a slab;
-* routing: the walker runs only where nothing watches the tasks, the
-  backend runs every worker at once and the potential lowers;
+* routing: the walker runs only where no instrument or observer watches
+  the tasks, the backend runs every worker at once and the potential
+  lowers; a tracer watches the walk from its clock marks;
 * failures surface and never hang: an overlap in worker 1's range raises
   the tier's error naming the pair and releases the sibling; a process
   worker SIGKILLed while its sibling waits inside the walk is a
@@ -179,6 +180,34 @@ class TestRouting:
             SDCStrategy(2, 2, backend).compute(potential, sdc_atoms.copy(), sdc_nlist)
         assert walks[:2].tolist() == [1, 1]
 
+    def test_a_traced_evaluation_walks(self, potential, sdc_atoms, sdc_nlist, walks):
+        """Bit-identical to the untraced walk, and its spans give the
+        kernel phases and the barrier rows."""
+        from repro.obs.tracer import CAT_BARRIER, CAT_TASK, Tracer
+        from repro.utils.profiler import phase_stats
+
+        tracer = Tracer()
+        with ThreadBackend(2) as backend:
+            strategy = SDCStrategy(2, 2, backend)
+            want = strategy.compute(potential, sdc_atoms.copy(), sdc_nlist)
+            strategy.attach_tracer(tracer)
+            got = strategy.compute(potential, sdc_atoms.copy(), sdc_nlist)
+        assert walks[:2].tolist() == [2, 2]
+        np.testing.assert_array_equal(got.rho, want.rho)
+        np.testing.assert_array_equal(got.forces, want.forces)
+        assert (got.pair_energy, got.embedding_energy) == (
+            want.pair_energy, want.embedding_energy
+        )
+        n_steps = 2 * strategy.schedule.n_colors + 1
+        tasks = tracer.by_category(CAT_TASK)
+        assert len(tasks) == 2 * n_steps
+        assert len({s.track for s in tasks}) == 2
+        assert {s.track for s in tracer.by_category(CAT_BARRIER)} <= {
+            s.track for s in tasks
+        }
+        stats = phase_stats(tracer.spans)
+        assert {"density", "embedding", "force", "color-barrier"} <= set(stats)
+
     @pytest.mark.parametrize(
         "setup",
         ["serial-backend", "narrow-pool", "observer", "instrument", "numpy-tier",
@@ -322,17 +351,27 @@ class TestFailuresSurface:
 def test_threads_walk_on_one_cpu(wide, walks, workers):
     """More walkers than CPUs, all on one, with a short switch interval: a
     waiter that only spun would hold the CPU its siblings need; the yield
-    after ``BARRIER_SPINS`` lets them run, and no update is lost."""
+    after ``BARRIER_SPINS`` lets them run, and no update is lost.  The
+    last evaluation is traced: each walker stamps its own row of marks."""
+    from repro.obs.tracer import CAT_TASK, Tracer
+
     potential, atoms, nlist, forces = wide
+    tracer = Tracer()
 
     def pinned():
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})  # this thread
         # its pool threads inherit the one CPU
         with ThreadBackend(workers) as backend:
             strategy = SDCStrategy(2, workers, backend)
-            return [
-                strategy.compute(potential, atoms.copy(), nlist) for _ in range(3)
+            results = [
+                strategy.compute(potential, atoms.copy(), nlist) for _ in range(2)
             ]
+            strategy.attach_tracer(tracer)
+            results.append(strategy.compute(potential, atoms.copy(), nlist))
+            assert len(tracer.by_category(CAT_TASK)) == workers * (
+                2 * strategy.schedule.n_colors + 1
+            )
+            return results
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)

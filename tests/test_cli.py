@@ -430,3 +430,21 @@ def test_module_invocation():
     )
     assert proc.returncode == 0
     assert "small" in proc.stdout
+
+
+def test_a_closed_stdout_ends_the_verb_without_a_traceback():
+    """``repro census | head -1``: the reader is gone before the verb
+    writes; the verb stops writing and exits 1, without a traceback."""
+    import subprocess
+    import sys
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "census"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err, err
+

@@ -7,11 +7,12 @@ import pytest
 
 from repro.obs.tracer import (
     CAT_PHASE,
+    CAT_REGION,
     CAT_TASK,
     NULL_SPAN,
     Span,
     Tracer,
-    TracingObserver,
+    trace_region,
 )
 from repro.utils.profiler import (
     CANONICAL_PHASES,
@@ -285,53 +286,55 @@ class TestNullPhase:
 
 
 class TestProfilingObserver:
-    """``color-barrier`` out of the spans :class:`TracingObserver` emits."""
+    """``color-barrier`` out of the spans :func:`trace_region` builds."""
 
     def test_charges_barrier_slack(self):
         tracer = Tracer()
-        obs = TracingObserver(tracer)
-        obs.on_phase_begin(0, 2)
-        obs.on_task_begin(0, 0)
-        obs.on_task_end(0, 0)
-        obs.on_task_begin(0, 1)
-        time.sleep(0.002)
-        obs.on_task_end(0, 1)
-        obs.on_phase_end(0)
+        trace_region(
+            tracer, (0.0, 2.0), [("density:color0", {"phase": "density"})],
+            [([0.0, 1.0], "w0", 1), ([0.0, 1.5], "w1", 1)],
+        )
         stats = phase_stats(tracer.spans)
-        assert "color-barrier" in stats
-        # slack = wall - longest task; both cover the sleep, so slack small
-        assert stats["color-barrier"].median_s < 0.002
+        # slack = phase wall - longest task
+        assert stats["color-barrier"].median_s == 0.5
+        assert stats["density"].median_s == 2.0
 
     def test_unmatched_end_ignored(self):
+        """A task that never started adds neither a task nor a wait."""
         tracer = Tracer()
-        obs = TracingObserver(tracer)
-        obs.on_task_end(0, 0)
-        obs.on_phase_end(0)
-        assert phase_stats(tracer.spans) == {}
+        trace_region(tracer, (0.0, 1.0), [("x", {})], [None])
+        assert [s.category for s in tracer.spans] == [CAT_REGION, CAT_PHASE]
+        # no task ran, so the whole phase wall is barrier slack
+        assert set(phase_stats(tracer.spans)) == {"color-barrier"}
+        assert phase_stats(tracer.spans)["color-barrier"].median_s == 1.0
 
     def test_on_thread_backend(self):
+        from repro.core.strategies.base import run_phase
         from repro.parallel.backends.threads import ThreadBackend
 
         tracer = Tracer()
         with ThreadBackend(2) as backend:
-            backend.attach_observer(TracingObserver(tracer))
-            backend.run_phase([lambda: time.sleep(0.001), lambda: None])
-            backend.detach_observer()
+            run_phase(
+                backend, tracer, [lambda: time.sleep(0.001), lambda: None],
+                "density:color0", phase="density",
+            )
         stats = phase_stats(tracer.spans)
         assert stats["color-barrier"].median_s >= 0.0
+        assert stats["density"].median_s >= 0.001
 
 
 class TestStrategyAttachment:
     def test_attach_and_detach(self):
+        """A tracer is the strategy's own; the backend stays unobserved."""
         from repro.core.strategies import SDCStrategy
         from repro.parallel.backends.serial import SerialBackend
 
-        backend = SerialBackend()
+        backend, tracer = SerialBackend(), Tracer()
         strategy = SDCStrategy(dims=2, n_threads=2, backend=backend)
-        strategy.attach_tracer(Tracer())
-        assert isinstance(backend.observer, TracingObserver)
+        strategy.attach_tracer(tracer)
+        assert strategy._tracer is tracer and backend.observer is None
         strategy.detach_tracer()
-        assert backend.observer is None
+        assert strategy._tracer is None
 
     def test_detach_preserves_foreign_observer(self):
         from repro.core.strategies import SDCStrategy
@@ -340,9 +343,9 @@ class TestStrategyAttachment:
 
         backend = SerialBackend()
         strategy = SDCStrategy(dims=2, n_threads=2, backend=backend)
-        strategy.attach_tracer(Tracer())
         foreign = PhaseObserver()
         backend.attach_observer(foreign)
+        strategy.attach_tracer(Tracer())
         strategy.detach_tracer()
         assert backend.observer is foreign
 
