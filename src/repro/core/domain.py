@@ -16,6 +16,7 @@ cannot overlap — which is exactly what the coloring exploits.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
@@ -111,11 +112,9 @@ class SubdomainGrid:
         _, ny, nz = self.counts
         return (coords[..., 0] * ny + coords[..., 1]) * nz + coords[..., 2]
 
-    def subdomain_of_positions(self, positions: np.ndarray) -> np.ndarray:
-        """Flat subdomain id containing each (wrapped) position."""
-        positions = self.box.wrap(np.asarray(positions, dtype=np.float64))
-        edges = self.edge_lengths()
-        coords = np.floor(positions / edges).astype(np.int64)
+    def subdomain_of_positions(self, wrapped: np.ndarray) -> np.ndarray:
+        """Flat subdomain id containing each position, wrapped already."""
+        coords = np.floor(wrapped / self.edge_lengths()).astype(np.int64)
         coords = np.clip(coords, 0, np.asarray(self.counts) - 1)
         return self.flat_of(coords)
 
@@ -128,6 +127,19 @@ class SubdomainGrid:
 
     # --- adjacency ----------------------------------------------------------
 
+    def _steps(self, flat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(source, target)`` of each 27-stencil step from ``flat`` to
+        another subdomain, wrapped on periodic axes, dropped off open ones."""
+        counts = np.asarray(self.counts, dtype=np.int64)
+        coords = self.coords_of(flat)[:, None, :] + _STENCIL
+        inside = np.all(
+            ((coords >= 0) & (coords < counts)) | self.box.periodic, axis=-1
+        )
+        target = self.flat_of(coords % counts)
+        source = np.broadcast_to(np.asarray(flat)[:, None], target.shape)
+        keep = inside & (target != source)
+        return source[keep], target[keep]
+
     def neighbor_subdomains(self, flat: int) -> np.ndarray:
         """Flat ids of the grid neighbors of a subdomain (27-stencil, wrapped).
 
@@ -135,35 +147,20 @@ class SubdomainGrid:
         subdomain itself is excluded; duplicates from small counts are
         removed.
         """
-        coords = self.coords_of(np.asarray([flat]))[0]
-        counts = np.asarray(self.counts, dtype=np.int64)
-        found = set()
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    if dx == dy == dz == 0:
-                        continue
-                    target = coords + np.array([dx, dy, dz])
-                    ok = True
-                    for axis in range(3):
-                        if self.box.periodic[axis]:
-                            target[axis] %= counts[axis]
-                        elif not 0 <= target[axis] < counts[axis]:
-                            ok = False
-                            break
-                    if ok:
-                        fid = int(self.flat_of(target))
-                        if fid != flat:
-                            found.add(fid)
-        return np.array(sorted(found), dtype=np.int64)
+        return np.unique(self._steps(np.array([flat], dtype=np.int64))[1])
 
     def adjacency_pairs(self) -> list[tuple[int, int]]:
         """All undirected adjacent subdomain pairs (for coloring validation)."""
-        pairs = set()
-        for s in range(self.n_subdomains):
-            for t in self.neighbor_subdomains(s):
-                pairs.add((min(s, int(t)), max(s, int(t))))
-        return sorted(pairs)
+        s, t = self._steps(np.arange(self.n_subdomains, dtype=np.int64))
+        key = np.unique(np.minimum(s, t) * self.n_subdomains + np.maximum(s, t))
+        return list(zip(*(a.tolist() for a in np.divmod(key, self.n_subdomains))))
+
+
+#: the 26 steps of the 27-stencil
+_STENCIL = np.array(
+    [o for o in itertools.product((-1, 0, 1), repeat=3) if o != (0, 0, 0)],
+    dtype=np.int64,
+)
 
 
 def max_even_count(length: float, reach: float) -> int:
@@ -276,8 +273,6 @@ def decompose_balanced(
         return range(2, max_counts[axis] + 1, 2)
 
     best: Optional[Tuple[float, int, Tuple[int, int, int]]] = None
-    import itertools
-
     for combo in itertools.product(*(candidates(a) for a in axes)):
         counts = [1, 1, 1]
         for axis, c in zip(axes, combo):

@@ -11,10 +11,12 @@ contiguous slice — the unit of parallel work.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
 from repro.core.domain import SubdomainGrid
+from repro.md.neighbor.cells import concat_ranges
 from repro.md.neighbor.verlet import NeighborList
 from repro.utils.arrays import CSR
 
@@ -45,16 +47,18 @@ class Partition:
         return self.csr.row_lengths()
 
 
-def build_partition(positions: np.ndarray, grid: SubdomainGrid) -> Partition:
-    """Assign each atom to the subdomain containing its wrapped position."""
-    subdomain_of_atom = grid.subdomain_of_positions(positions)
-    order = np.argsort(subdomain_of_atom, kind="stable")
+def build_partition(wrapped: np.ndarray, grid: SubdomainGrid) -> Partition:
+    """Assign each atom to the subdomain containing its position, the
+    positions wrapped already (a neighbor list's ``reference_positions``)."""
+    subdomain_of_atom = grid.subdomain_of_positions(wrapped)
+    # a stable sort of small integers is NumPy's radix sort: O(n)
+    key = subdomain_of_atom.astype(np.min_scalar_type(grid.n_subdomains))
     counts = np.bincount(subdomain_of_atom, minlength=grid.n_subdomains)
     offsets = np.zeros(grid.n_subdomains + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     return Partition(
         grid=grid,
-        csr=CSR(offsets=offsets, values=order.astype(np.int64)),
+        csr=CSR(offsets=offsets, values=np.argsort(key, kind="stable")),
         subdomain_of_atom=subdomain_of_atom,
     )
 
@@ -71,16 +75,12 @@ class PairPartition:
         ``i_idx[offsets[s]:offsets[s+1]]`` (ditto ``j_idx``).
     offsets:
         CSR offsets over subdomains.
-    pair_perm:
-        the permutation from the neighbor list's flat slot order into the
-        grouped order (kept for instrumentation/round-trips).
     """
 
     partition: Partition
     i_idx: np.ndarray
     j_idx: np.ndarray
     offsets: np.ndarray
-    pair_perm: np.ndarray
 
     @property
     def n_pairs(self) -> int:
@@ -121,16 +121,24 @@ def build_pair_partition(
             f"partition covers {partition.n_atoms} atoms, list has "
             f"{nlist.n_atoms}"
         )
-    i_idx, j_idx = nlist.pair_arrays()
-    pair_sub = partition.subdomain_of_atom[i_idx]
-    pair_perm = np.argsort(pair_sub, kind="stable")
-    counts = np.bincount(pair_sub, minlength=partition.grid.n_subdomains)
-    offsets = np.zeros(partition.grid.n_subdomains + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
+    # the CSR is row-sorted: a subdomain's pairs are its atoms' rows
+    i_idx, j_idx, ends = rows_in_order(nlist, partition.csr.values)
     return PairPartition(
         partition=partition,
-        i_idx=np.ascontiguousarray(i_idx[pair_perm]),
-        j_idx=np.ascontiguousarray(j_idx[pair_perm]),
-        offsets=offsets,
-        pair_perm=pair_perm,
+        i_idx=i_idx,
+        j_idx=j_idx,
+        offsets=ends[partition.csr.offsets],
     )
+
+
+def rows_in_order(
+    nlist: NeighborList, atoms: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR rows of ``atoms``, in that order: ``(i_idx, j_idx, ends)``,
+    ``ends[k]`` the pairs in the rows of ``atoms[:k]``."""
+    offsets = nlist.csr.offsets
+    lengths = offsets[atoms + 1] - offsets[atoms]
+    ends = np.zeros(len(atoms) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=ends[1:])
+    j_idx = nlist.csr.values[concat_ranges(offsets[atoms], lengths)]
+    return np.repeat(atoms, lengths), j_idx, ends

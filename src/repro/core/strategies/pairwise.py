@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.sdc_plan import SDCPlan, build_sdc_plan
+from repro.core.sdc_plan import SDCPlan, SDCPlanner
 from repro.core.strategies.base import run_phase
 from repro.kernels.base import check_pair_separation
 from repro.md.atoms import Atoms
@@ -125,6 +125,7 @@ class SDCPairCalculator:
         self.adaptive = adaptive
         self._cached_nlist = IdentityKey()
         self._plan: Optional[SDCPlan] = None
+        self._planner = SDCPlanner()
 
     def attach_tracer(self, tracer) -> None:
         """Record each color phase and its tasks through ``tracer``."""
@@ -135,7 +136,7 @@ class SDCPairCalculator:
 
     def _prepare(self, atoms: Atoms, nlist: NeighborList) -> SDCPlan:
         if not (self._cached_nlist.matches(nlist) and self._plan is not None):
-            self._plan = build_sdc_plan(
+            self._plan = self._planner(
                 atoms.box, nlist, self.dims, self.n_threads,
                 axes=self.axes, adaptive=self.adaptive,
             )

@@ -42,7 +42,7 @@ from repro import kernels
 from repro.core.domain import SubdomainGrid
 from repro.core.partition import PairPartition
 from repro.core.schedule import ColorSchedule
-from repro.core.sdc_plan import SDCPlan, build_sdc_plan
+from repro.core.sdc_plan import SDCPlan, SDCPlanner
 from repro.core.strategies.base import ReductionStrategy
 from repro.md.atoms import Atoms
 from repro.md.neighbor.verlet import NeighborList
@@ -123,6 +123,7 @@ class SDCStrategy(ReductionStrategy):
         self.grid_factory = grid_factory
         self._cached_nlist = IdentityKey()
         self._plan: Optional[SDCPlan] = None
+        self._planner = SDCPlanner()
         #: the walker of ``(plan, tier)``, None where none runs
         self._walk_key: tuple = ()
         self._walk = None
@@ -220,7 +221,8 @@ class SDCStrategy(ReductionStrategy):
     # --- decomposition ---------------------------------------------------------
 
     def _prepare(self, atoms: Atoms, nlist: NeighborList) -> SDCPlan:
-        """The plan for ``nlist``, rebuilt only when the list changed.
+        """The plan for ``nlist``, rebuilt only when the list changed (its
+        grid work only when the grid did).
 
         Matches the paper: "steps 1 and 2 will be done when the neighbor
         list is created or updated".
@@ -229,7 +231,7 @@ class SDCStrategy(ReductionStrategy):
             count_health("sdc_decomp_cache_hit")
             return self._plan
         count_health("sdc_decomp_cache_miss")
-        self._plan = build_sdc_plan(
+        self._plan = self._planner(
             atoms.box,
             nlist,
             self.dims,

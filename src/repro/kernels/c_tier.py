@@ -22,9 +22,10 @@ calls: density, embedding, force), the slice bodies ``density_slice`` /
 ``pair_forces`` the comparison strategies scatter their own way, the SDC
 walker ``sdc_walker`` (:class:`SDCWalk`: one call per worker per
 evaluation runs its every colour, its embedding rows and every barrier
-between them), the neighbour build ``neighbor_csr`` (the
-forward-stencil walk and the CSR packing in one call) with its packer
-``pairs_to_csr``, and the two halves of a velocity-Verlet step,
+between them), the neighbour build (``bin_cells``, the finite check, the
+wrap and a counting sort into cells in one pass; ``neighbor_csr``, the
+forward-stencil walk and the CSR packing in one call; and its packer
+``pairs_to_csr``), and the two halves of a velocity-Verlet step,
 ``kick_drift`` (half-kick, drift, wrap and the Verlet displacement in one
 pass) and ``kick`` (the closing half-kick and the step's moments ``sum m
 v^2``, ``sum m v`` and ``sum f``).  Every other
@@ -72,6 +73,7 @@ from repro.kernels.lowering import LoweredPotential, lower_potential
 from repro.kernels.numpy_tier import NumpyKernelTier
 from repro.obs.tracer import span_of
 from repro.utils.arrays import CSR
+from repro.utils.validation import check_finite
 
 COMPILER = "cc"
 #: ``-ffp-contract=off``: no fused multiply-add where the target has one,
@@ -214,9 +216,10 @@ def _library() -> Tuple[ctypes.CDLL, BuildStatus]:
 
 def _smoke(tier: "CKernelTier") -> None:
     """A 96-pair density slice, C against NumPy, to 1e-12; then a 200-atom
-    neighbour build, half and full, CSR for CSR."""
+    binning, array for array, and neighbour build, half and full, CSR for
+    CSR."""
     from repro.geometry.box import Box
-    from repro.md.neighbor.cells import build_cell_list
+    from repro.md.neighbor.cells import CellList
     from repro.potentials.johnson_fe import JohnsonFePotential
 
     potential, box = JohnsonFePotential(), Box((10.0, 10.0, 10.0))
@@ -250,9 +253,13 @@ def _smoke(tier: "CKernelTier") -> None:
             f"pair energy {energies[0]} vs {energies[1]}"
         )
     # 2,231 pairs on a 3x3x3 grid, 686 across a box face: enough that a
-    # walk missing any one stencil offset misses pairs
+    # walk missing any one stencil offset misses pairs; binned by each tier
     gas = np.random.default_rng(0).uniform(0.0, 10.0, size=(200, 3))
-    cells = build_cell_list(gas, box, 3.0)
+    grid = ((3, 3, 3), box.lengths / 3)
+    binned = [impl.bin_cells(gas, box, *grid) for impl in (tier, reference)]
+    if not all(np.array_equal(*arrays) for arrays in zip(*binned)):
+        raise BuildError("smoke binning disagrees with NumPy")
+    cells = CellList(box, *grid, *binned[1][1:])
     half = reference.neighbor_csr(gas, cells, 3.0, True)
     # the full list from NumPy's packer: one NumPy walk is most of the cost
     full = reference.pairs_to_csr(half.row_of_value(), half.values, 200, mirror=True)
@@ -530,7 +537,10 @@ class CKernelTier(NumpyKernelTier):
         self._c_build.restype = i64
         self._c_pack = lib.nbr_pack
         self._c_pack.argtypes = [vp, vp, i64, i64, i64, vp, vp]
-        self._c_pack.restype = None
+        self._c_pack.restype = i64
+        self._c_bin = lib.nbr_bin
+        self._c_bin.argtypes = [vp, i64, vp, vp, vp, vp, vp, vp, vp]
+        self._c_bin.restype = i64
         self._c_kick_drift = lib.md_kick_drift
         self._c_kick_drift.argtypes = [
             vp, vp, vp, vp, vp, i64, i64, f64, f64, vp, vp, vp
@@ -753,11 +763,30 @@ class CKernelTier(NumpyKernelTier):
 
     # --- the neighbour build ------------------------------------------------
 
+    def bin_cells(self, positions, box, n_cells, cell_size):
+        if not _rows(positions, 3):
+            return super().bin_cells(positions, box, n_cells, cell_size)
+        n = len(positions)
+        wrapped = np.empty((n, 3))
+        cell_of_atom = np.empty(n, dtype=np.int64)
+        order = np.empty(n, dtype=np.int64)
+        starts = np.empty(int(np.prod(n_cells)) + 1, dtype=np.int64)
+        grid = [
+            np.asarray(box.lengths * box.periodic, dtype=np.float64),
+            np.asarray(cell_size, dtype=np.float64),
+            np.array(n_cells, dtype=np.int64),
+        ]
+        if self._c_bin(
+            _ptr(positions), n, *(_ptr(a) for a in grid), _ptr(wrapped),
+            _ptr(cell_of_atom), _ptr(order), _ptr(starts),
+        ) < 0:  # a NaN or inf: NumPy's check names the first
+            check_finite(positions, "positions")
+        return wrapped, cell_of_atom, order, starts
+
     def neighbor_csr(self, positions, cells, reach, half):
         n = len(positions)
         if not (_rows(positions, 3) and _binned(cells, n)):
             return super().neighbor_csr(positions, cells, reach, half)
-        xs = np.take(positions, cells.order, axis=0)  # cell order
         grid = [
             np.array(cells.n_cells, dtype=np.int64),
             np.array(cells.box.periodic, dtype=np.int64),
@@ -772,7 +801,7 @@ class CKernelTier(NumpyKernelTier):
             values = np.empty(width * cap, dtype=np.int64)
             pairs = np.empty((2, cap), dtype=np.int64)
             need = self._c_build(
-                _ptr(xs), _ptr(cells.order), n, _ptr(cells.starts),
+                _ptr(positions), _ptr(cells.order), n, _ptr(cells.starts),
                 *(_ptr(a) for a in grid), reach * reach, width - 1, cap,
                 _ptr(pairs[0]), _ptr(pairs[1]), _ptr(offsets),
                 values.ctypes.data,  # no buffer export: resized below
@@ -783,6 +812,8 @@ class CKernelTier(NumpyKernelTier):
         need, values = build(cap)
         if need > cap:  # nothing past cap was written: once more, with room
             need, values = build(need)
+        if need < 0:
+            raise MemoryError("no room for the neighbour build's scratch")
         values.resize(width * need, refcheck=False)
         return CSR(offsets=offsets, values=values)
 
@@ -791,8 +822,9 @@ class CKernelTier(NumpyKernelTier):
             return super().pairs_to_csr(i_idx, j_idx, n_atoms, mirror)
         offsets = np.empty(n_atoms + 1, dtype=np.int64)
         values = np.empty((2 if mirror else 1) * len(i_idx), dtype=np.int64)
-        self._c_pack(
+        if self._c_pack(
             _ptr(i_idx), _ptr(j_idx), len(i_idx), n_atoms, int(mirror),
             _ptr(offsets), _ptr(values),
-        )
+        ) < 0:
+            raise MemoryError("no room for the CSR packer's scratch")
         return CSR(offsets=offsets, values=values)

@@ -2,18 +2,20 @@
  * The C kernel tier: the paper's density and force loops (Figs. 1-2) over
  * one contiguous pair slice, the whole SDC parallel region of one worker
  * (Figs. 7-8: every colour, the embedding and every barrier), the two
- * halves of a velocity-Verlet step, and the CSR Verlet list they run over,
- * each entry point one GIL-free call.
+ * halves of a velocity-Verlet step, and the CSR Verlet list they run over
+ * (its bin pass, its scan and its pack), each entry point one GIL-free
+ * call.
  *
  * Built on first use by repro.kernels.c_tier with `cc -O3 -ffp-contract=off
  * -shared -fPIC -lm` (no fast-math, no CPU-specific target flags, no
  * OpenMP; no fused multiply-add, so every product rounds as NumPy's does)
  * and called through ctypes.  One function, johnson_block, is compiled once
  * per SIMD width and the dynamic loader picks the widest the CPU runs.
- * Nothing here validates input but the Verlet passes' species indices:
- * the caller checks every other index against the arrays it addresses
- * before the call, and routes anything that is not a C-contiguous
- * float64 / int64 (int32 types) ndarray to the NumPy tier.
+ * Nothing here validates input but the Verlet passes' species indices and
+ * the bin pass's finite coordinates: the caller checks every other index
+ * against the arrays it addresses before the call, and routes anything
+ * that is not a C-contiguous float64 / int64 (int32 types) ndarray to the
+ * NumPy tier.
  *
  * Each pass is three loops: the geometry (the minimum-image fold without a
  * libm call), the potential terms over r, then the scatters.  The
@@ -701,143 +703,301 @@ int64_t md_kick(double *restrict vel, const double *restrict forces,
  * The neighbour build: repro.md.neighbor.verlet's CSR Verlet list.
  * ------------------------------------------------------------------------ */
 
-/* CellList.forward_stencil's 13 offsets, (dx, dy, dz) > (0, 0, 0) */
-static const int64_t FORWARD[13][3] = {
-    {0, 0, 1},  {0, 1, -1},  {0, 1, 0},  {0, 1, 1},  {1, -1, -1},
-    {1, -1, 0}, {1, -1, 1},  {1, 0, -1}, {1, 0, 0},  {1, 0, 1},
-    {1, 1, -1}, {1, 1, 0},   {1, 1, 1},
+/*
+ * The bin pass: Box.wrap, the finite check and CellList's binning of n
+ * atoms (pos, n x 3) in one pass.  lengths[a] is a periodic axis's edge, 0
+ * on an open one; cell_size and n_cells are the grid's.  Writes the wrapped
+ * positions, each atom's flat cell id (floor(x / h), clipped to the grid
+ * before it is made an integer), and a counting sort of the ids: order, the
+ * atoms cell by cell in index order (NumPy's stable argsort), and starts,
+ * n_total + 1 offsets into it.  Returns 0, or -1 when a coordinate is NaN
+ * or +-inf, and what was written is then meaningless.
+ */
+int64_t nbr_bin(const double *pos, int64_t n, const double *lengths,
+                const double *cell_size, const int64_t *n_cells,
+                double *wrapped, int64_t *cell_of_atom, int64_t *order,
+                int64_t *starts)
+{
+    const int64_t total = n_cells[0] * n_cells[1] * n_cells[2];
+    for (int64_t c = 0; c <= total; c++)
+        starts[c] = 0;
+    for (int64_t k = 0; k < n; k++) {
+        int64_t id = 0;
+        for (int axis = 0; axis < 3; axis++) {
+            double x = pos[3 * k + axis];
+            if (!isfinite(x))
+                return -1;
+            if (lengths[axis] > 0.0)
+                x = wrap_coord(x, lengths[axis]);
+            wrapped[3 * k + axis] = x;
+            const double top = (double)(n_cells[axis] - 1),
+                         q = floor(x / cell_size[axis]);
+            id = id * n_cells[axis] + (int64_t)(q < 0.0 ? 0.0 : (q > top ? top : q));
+        }
+        cell_of_atom[k] = id;
+        starts[id + 1]++;
+    }
+    for (int64_t c = 0; c < total; c++)
+        starts[c + 1] += starts[c];
+    /* starts[c] is cell c's write cursor and stops at cell c + 1's start,
+     * so shifting the cursors up one restores the starts (as nbr_pack) */
+    for (int64_t k = 0; k < n; k++)
+        order[starts[cell_of_atom[k]]++] = k;
+    for (int64_t c = total; c > 0; c--)
+        starts[c] = starts[c - 1];
+    starts[0] = 0;
+    return 0;
+}
+
+/* CellList.forward_stencil's 13 offsets, (dx, dy, dz) > (0, 0, 0), as
+ * five columns (dx, dy) with dz from the third entry up to +1 */
+static const int64_t COLUMNS[5][3] = {
+    {0, 0, 1}, {0, 1, -1}, {1, -1, -1}, {1, 0, -1}, {1, 1, -1},
 };
 
-/* Slot a against slots [b0, b1), whose atoms are seen at xs[b] + shift:
- * NumPy's arithmetic, d = x_j - (x_i - shift) and r^2 = ((0 + dx^2) + dy^2)
- * + dz^2 (adding to an exact 0 is exact).  Each survivor is counted, and
- * stored as atom indices (min, max) while count < cap. */
-static int64_t scan(const double *xs, const int64_t *order, int64_t a,
-                    const double *shift, int64_t b0, int64_t b1,
-                    double reach2, int64_t count, int64_t cap,
-                    int64_t *first, int64_t *second)
+/* Cell coordinate v stepped by delta on an axis of count cells: 1 with the
+ * wrapped coordinate in *t and the lattice image (-1, 0 or +1) in *image,
+ * or 0 when the step leaves an open axis */
+static inline int step(int64_t v, int64_t delta, int64_t count,
+                       int64_t periodic, int64_t *t, int64_t *image)
 {
-    const double x = xs[3 * a] - shift[0], y = xs[3 * a + 1] - shift[1],
-                 z = xs[3 * a + 2] - shift[2];
-    for (int64_t b = b0; b < b1; b++) {
-        const double dx = xs[3 * b] - x, dy = xs[3 * b + 1] - y,
-                     dz = xs[3 * b + 2] - z;
-        if (dx * dx + dy * dy + dz * dz <= reach2) {
-            if (count < cap) {
-                const int64_t i = order[a], j = order[b];
-                first[count] = i < j ? i : j;
-                second[count] = i < j ? j : i;
-            }
-            count++;
-        }
-    }
-    return count;
-}
-
-/* One row of a CSR payload into ascending order: rows are short, so
- * insertion sort, with qsort for the long rows of a dense clump. */
-static int compare_i64(const void *a, const void *b)
-{
-    const int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
-    return (x > y) - (x < y);
-}
-
-static void sort_row(int64_t *v, int64_t len)
-{
-    if (len > 64) {
-        qsort(v, (size_t)len, sizeof *v, compare_i64);
-        return;
-    }
-    for (int64_t k = 1; k < len; k++) {
-        const int64_t x = v[k];
-        int64_t p = k;
-        for (; p > 0 && v[p - 1] > x; p--)
-            v[p] = v[p - 1];
-        v[p] = x;
-    }
+    const int64_t to = v + delta;
+    *image = to < 0 ? -1 : (to >= count ? 1 : 0);
+    *t = to - *image * count;
+    return *image == 0 || periodic;
 }
 
 /*
  * Pairs (first[k], second[k]) packed into n CSR rows, with (second[k],
- * first[k]) too when mirror is set: a counting sort on the row, then each
- * row sorted.  offsets holds n + 1 entries, values m (2m mirrored).  The
- * same rows as NumPy's sort on the key i*n + j, duplicates included.
+ * first[k]) too when mirror is set: the same rows as NumPy's sort on the
+ * key i*n + j, duplicates included.  Two stable counting sorts, by column
+ * and then by row, so each row comes out ascending with no sort of its
+ * own.  offsets holds n + 1 entries, values m (2m mirrored).  Returns 0,
+ * or -1 when the scratch cannot be allocated.
  */
-void nbr_pack(const int64_t *first, const int64_t *second, int64_t m,
-              int64_t n, int64_t mirror, int64_t *offsets, int64_t *values)
+int64_t nbr_pack(const int64_t *first, const int64_t *second, int64_t m,
+                 int64_t n, int64_t mirror, int64_t *offsets, int64_t *values)
 {
+    const int64_t entries = mirror ? 2 * m : m;
+    int64_t *rows = malloc(((size_t)entries + (size_t)n + 1) * sizeof(int64_t));
+    if (!rows)
+        return -1;
+    /* by column: rows[] gets each entry's row in column order, and ends[c]
+     * the end of column c's entries */
+    int64_t *ends = rows + entries;
     for (int64_t k = 0; k <= n; k++)
-        offsets[k] = 0;
+        ends[k] = offsets[k] = 0;
     for (int64_t k = 0; k < m; k++) {
+        ends[second[k] + 1]++;
         offsets[first[k] + 1]++;
-        if (mirror)
+        if (mirror) {
+            ends[first[k] + 1]++;
             offsets[second[k] + 1]++;
+        }
     }
-    for (int64_t k = 0; k < n; k++)
+    for (int64_t k = 0; k < n; k++) {
+        ends[k + 1] += ends[k];
         offsets[k + 1] += offsets[k];
-    /* offsets[i] is the write cursor of row i; each stops at the next
-     * row's start, so shifting them up one restores the starts */
-    for (int64_t k = 0; k < m; k++) {
-        values[offsets[first[k]]++] = second[k];
-        if (mirror)
-            values[offsets[second[k]]++] = first[k];
     }
+    for (int64_t k = 0; k < m; k++) {
+        rows[ends[second[k]]++] = first[k];
+        if (mirror)
+            rows[ends[first[k]]++] = second[k];
+    }
+    /* by row, column by column: offsets[i] is row i's write cursor and
+     * stops at row i + 1's start, so shifting the cursors up one restores
+     * the starts */
+    for (int64_t c = 0, k = 0; c < n; c++)
+        for (; k < ends[c]; k++)
+            values[offsets[rows[k]]++] = c;
     for (int64_t k = n; k > 0; k--)
         offsets[k] = offsets[k - 1];
     offsets[0] = 0;
-    for (int64_t k = 0; k < n; k++)
-        sort_row(values + offsets[k], offsets[k + 1] - offsets[k]);
+    free(rows);
+    return 0;
+}
+
+/* r^2 of the slots [b0, b1) of the cell order (xs, ys, zs) seen from two
+ * atoms less their shift, u[] into du and v[] into dv, at b - b0: one load
+ * of each candidate for the two rows */
+static inline void distances(const double *restrict xs,
+                             const double *restrict ys,
+                             const double *restrict zs, int64_t b0,
+                             int64_t b1, const double *u, const double *v,
+                             double *restrict du, double *restrict dv)
+{
+    const double ux = u[0], uy = u[1], uz = u[2], vx = v[0], vy = v[1],
+                 vz = v[2];
+    for (int64_t b = b0; b < b1; b++) {
+        const double x = xs[b], y = ys[b], z = zs[b];
+        double dx = x - ux, dy = y - uy, dz = z - uz;
+        du[b - b0] = dx * dx + dy * dy + dz * dz;
+        dx = x - vx, dy = y - vy, dz = z - vz;
+        dv[b - b0] = dx * dx + dy * dy + dz * dz;
+    }
 }
 
 /*
- * The Verlet list of n atoms whose positions xs (n x 3) are in cell order
- * (slot s holds atom order[s]; cell c holds slots [starts[c], starts[c+1])
- * of an n_cells grid): every pair within sqrt(reach2) once, found by
- * CellList.forward_stencil's walk - each cell's interior, then each of its
- * 13 forward neighbours, wrapped with a +-L shift on a periodic axis and
- * dropped off an open one.  Returns the number of pairs m.  With m <= cap
- * the pairs are in first/second and packed by nbr_pack into offsets and
- * values (room for cap, 2 cap mirrored); with m > cap nothing past cap
- * was written and the caller retries with cap >= m.
+ * The Verlet list of n atoms at pos (n x 3, wrapped), binned by order and
+ * starts (cell c holds atoms order[starts[c] .. starts[c+1]) of an n_cells
+ * grid): every pair within sqrt(reach2) once, found by
+ * CellList.forward_stencil's walk.  The positions are copied into cell
+ * order, one array per axis, so a cell's own atoms and its 13 forward
+ * neighbours - wrapped with a +-L shift on a periodic axis, dropped off an
+ * open one - are a few runs of consecutive slots: cells next to each other
+ * along z are next to each other in the order, and a run is cut where the
+ * shift changes.  Each atom of the cell is tested against every later
+ * candidate with NumPy's arithmetic, d = x_j - (x_i - shift) and r^2 = ((0
+ * + dx^2) + dy^2) + dz^2 (adding to an exact 0 is exact): the distances of
+ * two rows at a time first, then per row a branch-free pass that stores
+ * every candidate's atom and advances by r^2 <= reach2.  A row whose
+ * candidates could pass cap stores only survivors while count < cap.
+ * Returns the number of pairs m, each stored as (min, max) atom indices:
+ * with m <= cap they are in first/second and packed by nbr_pack into
+ * offsets and values (room for cap, 2 cap mirrored); with m > cap nothing
+ * past cap was written and the caller retries with cap >= m.  -1 when the
+ * scratch cannot be allocated.
  */
-int64_t nbr_build(const double *xs, const int64_t *order, int64_t n,
+int64_t nbr_build(const double *pos, const int64_t *order, int64_t n,
                   const int64_t *starts, const int64_t *n_cells,
                   const int64_t *periodic, const double *lengths,
                   double reach2, int64_t mirror, int64_t cap,
                   int64_t *first, int64_t *second, int64_t *offsets,
                   int64_t *values)
 {
-    static const double zero[3] = {0.0, 0.0, 0.0};
-    int64_t count = 0, cell[3];
-    for (cell[0] = 0; cell[0] < n_cells[0]; cell[0]++)
-    for (cell[1] = 0; cell[1] < n_cells[1]; cell[1]++)
-    for (cell[2] = 0; cell[2] < n_cells[2]; cell[2]++) {
-        const int64_t c = (cell[0] * n_cells[1] + cell[1]) * n_cells[2] + cell[2];
-        const int64_t a0 = starts[c], a1 = starts[c + 1];
-        for (int64_t a = a0; a < a1; a++)
-            count = scan(xs, order, a, zero, a + 1, a1, reach2, count, cap,
-                         first, second);
-        for (int o = 0; a0 < a1 && o < 13; o++) {
-            int64_t target[3];
-            double shift[3];
-            int open_step = 0;
-            for (int axis = 0; axis < 3; axis++) {
-                const int64_t t = cell[axis] + FORWARD[o][axis];
-                const int64_t image = t < 0 ? -1 : (t >= n_cells[axis] ? 1 : 0);
-                open_step |= image != 0 && !periodic[axis];
-                target[axis] = t - image * n_cells[axis];
-                shift[axis] = (double)image * lengths[axis];
-            }
-            if (open_step)
+    const int64_t total = n_cells[0] * n_cells[1] * n_cells[2];
+    int64_t most = 0;
+    for (int64_t c = 0; c < total; c++)
+        if (starts[c + 1] - starts[c] > most)
+            most = starts[c + 1] - starts[c];
+    /* x, y, z in cell order; then, each <= 14 cells long, the distances
+     * of the two rows at hand, one cell's candidate atoms and the second
+     * row's survivors */
+    const size_t room = 14 * (size_t)most + 1;
+    double *xs = malloc((3 * (size_t)n + 4 * room) * sizeof(double));
+    if (!xs)
+        return -1;
+    double *ys = xs + n, *zs = xs + 2 * n, *d2[2] = {zs + n, zs + n + room};
+    int64_t *cand = (int64_t *)(d2[1] + room), *spare = cand + room;
+    for (int64_t b = 0; b < n; b++) {
+        const int64_t a = order[b];
+        xs[b] = pos[3 * a];
+        ys[b] = pos[3 * a + 1];
+        zs[b] = pos[3 * a + 2];
+    }
+    int64_t count = 0;
+    for (int64_t cx = 0; cx < n_cells[0]; cx++)
+    for (int64_t cy = 0; cy < n_cells[1]; cy++) {
+        /* the five forward columns: first cell's flat id, x and y shifts */
+        int64_t base[5];
+        double sx[5], sy[5];
+        int column[5];
+        for (int q = 0; q < 5; q++) {
+            int64_t tx, ix, ty = 0, iy = 0;
+            column[q] = step(cx, COLUMNS[q][0], n_cells[0], periodic[0], &tx, &ix)
+                        && step(cy, COLUMNS[q][1], n_cells[1], periodic[1], &ty, &iy);
+            base[q] = (tx * n_cells[1] + ty) * n_cells[2];
+            sx[q] = (double)ix * lengths[0];
+            sy[q] = (double)iy * lengths[1];
+        }
+        for (int64_t cz = 0; cz < n_cells[2]; cz++) {
+            const int64_t a0 = starts[base[0] + cz], a1 = starts[base[0] + cz + 1];
+            if (a0 == a1)
                 continue;
-            const int64_t d =
-                (target[0] * n_cells[1] + target[1]) * n_cells[2] + target[2];
-            for (int64_t a = a0; a < a1; a++)
-                count = scan(xs, order, a, shift, starts[d], starts[d + 1],
-                             reach2, count, cap, first, second);
+            /* run r: the slots [lo[r], hi[r]) seen through shift[r], from the
+             * cell's candidate place at[r]; run 0 starts with the cell itself */
+            int64_t lo[14] = {a0}, hi[14] = {a1}, at[15] = {0};
+            double shift[14][3] = {{0.0, 0.0, 0.0}};
+            int runs = 1;
+            for (int q = 0; q < 5; q++)
+                for (int64_t dz = COLUMNS[q][2], tz, iz; column[q] && dz <= 1; dz++) {
+                    if (!step(cz, dz, n_cells[2], periodic[2], &tz, &iz))
+                        continue;
+                    const int64_t d = base[q] + tz;
+                    const double sz = (double)iz * lengths[2];
+                    const int r = runs - 1;
+                    if (starts[d] == hi[r] && sx[q] == shift[r][0]
+                        && sy[q] == shift[r][1] && sz == shift[r][2]) {
+                        hi[r] = starts[d + 1];
+                        continue;
+                    }
+                    lo[runs] = starts[d];
+                    hi[runs] = starts[d + 1];
+                    shift[runs][0] = sx[q];
+                    shift[runs][1] = sy[q];
+                    shift[runs][2] = sz;
+                    runs++;
+                }
+            for (int r = 0; r < runs; r++) {
+                at[r + 1] = at[r] + hi[r] - lo[r];
+                for (int64_t b = lo[r]; b < hi[r]; b++)
+                    cand[at[r] + b - lo[r]] = order[b];
+            }
+            const int64_t width = at[runs];
+            for (int64_t a = a0; a < a1; a += 2) {
+                /* rows a and a + 1 (a again when the cell has no a + 1): row w
+                 * tests the cell's candidates p >= a + w + 1 - a0, whose r^2 is
+                 * d2[w][p]; all but the pair itself come off shared loads */
+                const int64_t rows = a + 1 < a1 ? 2 : 1, b = a + rows;
+                if (rows == 2) {
+                    const double dx = xs[a + 1] - xs[a], dy = ys[a + 1] - ys[a],
+                                 dz = zs[a + 1] - zs[a];
+                    d2[0][b - 1 - a0] = dx * dx + dy * dy + dz * dz;
+                }
+                for (int r = 0; r < runs; r++) {
+                    const int64_t b0 = r ? lo[r] : b, p0 = r ? at[r] : b - a0;
+                    const double u[3] = {xs[a] - shift[r][0], ys[a] - shift[r][1],
+                                         zs[a] - shift[r][2]},
+                                 v[3] = {xs[b - 1] - shift[r][0],
+                                         ys[b - 1] - shift[r][1],
+                                         zs[b - 1] - shift[r][2]};
+                    distances(xs, ys, zs, b0, hi[r], u, v, d2[0] + p0, d2[1] + p0);
+                }
+                const int64_t p1 = a + 1 - a0, i = order[a], i1 = order[b - 1];
+                if (p1 == width)  /* a last atom with no candidate */
+                    continue;
+                if (count + 2 * (width - p1) <= cap) {
+                    /* both rows in one branch-free pass: row a's candidates
+                     * stored at count, row a + 1's in spare, then moved behind */
+                    const int64_t row = count;
+                    int64_t more = 0;
+                    first[count] = cand[p1];
+                    count += d2[0][p1] <= reach2;
+                    for (int64_t p = p1 + 1; p < width; p++) {
+                        const int64_t c = cand[p];
+                        first[count] = c;
+                        count += d2[0][p] <= reach2;
+                        spare[more] = c;
+                        more += d2[1][p] <= reach2;
+                    }
+                    more *= rows == 2;
+                    for (int64_t k = 0; k < more; k++)
+                        first[count + k] = spare[k];
+                    for (int64_t k = row; k < count + more; k++) {
+                        const int64_t j = first[k], own = k < count ? i : i1;
+                        first[k] = own < j ? own : j;
+                        second[k] = own < j ? j : own;
+                    }
+                    count += more;
+                    continue;
+                }
+                /* near cap: survivors only, while count < cap */
+                for (int64_t w = 0; w < rows; w++)
+                    for (int64_t p = p1 + w; p < width; p++) {
+                        if (!(d2[w][p] <= reach2))
+                            continue;
+                        if (count < cap) {
+                            const int64_t j = cand[p], own = w ? i1 : i;
+                            first[count] = own < j ? own : j;
+                            second[count] = own < j ? j : own;
+                        }
+                        count++;
+                    }
+            }
         }
     }
-    if (count <= cap)
-        nbr_pack(first, second, count, n, mirror, offsets, values);
-    return count;
+    free(xs);
+    if (count > cap)
+        return count;
+    return nbr_pack(first, second, count, n, mirror, offsets, values) ? -1 : count;
 }

@@ -12,9 +12,10 @@ each a pair half (:meth:`~NumpyKernelTier.pair_pass`,
 :meth:`~NumpyKernelTier.pair_forces`) plus the both-endpoints scatter, the
 halves also serving the strategies that scatter differently — the SDC
 walker (:meth:`~NumpyKernelTier.sdc_walker`, which this tier does not
-have: its callers run the slices colour by colour) and the neighbour
-build those pair lists come from
-(:meth:`~NumpyKernelTier.neighbor_csr`, with its packer
+have: its callers run the slices colour by colour), the neighbour
+build those pair lists come from (the binning
+:meth:`~NumpyKernelTier.bin_cells`, the walk
+:meth:`~NumpyKernelTier.neighbor_csr` and its packer
 :meth:`~NumpyKernelTier.pairs_to_csr`) and the two halves of a
 velocity-Verlet step (:meth:`~NumpyKernelTier.kick_drift`,
 :meth:`~NumpyKernelTier.kick`).  :mod:`repro.potentials.eam` and
@@ -44,6 +45,7 @@ from repro.kernels.base import (
 )
 from repro.obs.tracer import span_of
 from repro.utils.arrays import CSR, segment_sum
+from repro.utils.validation import check_finite
 
 
 class NumpyKernelTier:
@@ -176,6 +178,19 @@ class NumpyKernelTier:
         velocities += half_dt * (forces * scale[types][:, None])
 
     # --- the neighbour build ------------------------------------------------
+
+    def bin_cells(self, positions, box, n_cells, cell_size):
+        """The finite check, the wrap and the binning of ``positions`` on a
+        grid: ``(wrapped, cell_of_atom, order, starts)`` of a
+        :class:`~repro.md.neighbor.cells.CellList`."""
+        from repro.md.neighbor.cells import flat_cell_ids  # imports us
+
+        wrapped = box.wrap(check_finite(positions, "positions"))
+        cell_of_atom = flat_cell_ids(wrapped, cell_size, n_cells)
+        starts = np.zeros(int(np.prod(n_cells)) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cell_of_atom, minlength=len(starts) - 1), out=starts[1:])
+        order = np.argsort(cell_of_atom, kind="stable")
+        return wrapped, cell_of_atom, order, starts
 
     def neighbor_csr(self, positions, cells, reach, half):
         """The Verlet list's :class:`~repro.utils.arrays.CSR`: every pair of

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import Tuple
 
 import numpy as np
 
+from repro import kernels
 from repro.geometry.box import Box
-from repro.utils.validation import check_finite
 
 #: relative tolerance for snapping ``box.length / min_cell_size`` to an
 #: integer before flooring (guards against losing a cell to FP noise)
@@ -158,17 +159,19 @@ def flat_cell_ids(
     wrapped: np.ndarray, cell_size: np.ndarray, n_cells: tuple[int, int, int]
 ) -> np.ndarray:
     """Flat cell id of each wrapped position on an ``n_cells`` grid."""
-    # clip guards against pos == L after rounding and bins atoms beyond an
-    # open face into the boundary cell
-    coords = np.floor(wrapped / cell_size).astype(np.int64)
+    # clipped before the integer cast: pos == L after rounding, and atoms
+    # however far beyond an open face, go to the boundary cell
+    coords = np.floor(wrapped / cell_size)
     np.clip(coords, 0, np.array(n_cells) - 1, out=coords)
-    return np.ravel_multi_index(tuple(coords.T), n_cells)
+    return np.ravel_multi_index(tuple(coords.astype(np.int64).T), n_cells)
 
 
-def build_cell_list(
+def bin_atoms(
     positions: np.ndarray, box: Box, min_cell_size: float
-) -> CellList:
-    """Bin wrapped ``positions`` into cells of edge >= ``min_cell_size``.
+) -> Tuple[np.ndarray, CellList]:
+    """``(wrapped, cells)``: ``positions`` wrapped into the box and binned
+    into cells of edge >= ``min_cell_size``, one pass of the kernel tier's
+    :meth:`~repro.kernels.numpy_tier.NumpyKernelTier.bin_cells`.
 
     Along any axis shorter than ``min_cell_size`` a single cell is used.
     A NaN/inf position raises ``ValueError`` naming its (atom, axis) index.
@@ -176,7 +179,6 @@ def build_cell_list(
     if min_cell_size <= 0:
         raise ValueError(f"min_cell_size must be positive, got {min_cell_size}")
     positions = np.asarray(positions, dtype=np.float64)
-    positions = box.wrap(check_finite(positions, "positions"))
     # snap the cells-per-axis ratio to the nearest integer when it lands
     # within a relative tolerance below it: a box of length 3*h - epsilon
     # must still get 3 cells, not lose one to FP noise in the division
@@ -190,16 +192,21 @@ def build_cell_list(
     )
     n_cells = tuple(int(v) for v in np.maximum(1, snapped))
     cell_size = box.lengths / n_cells
-    cell_of_atom = flat_cell_ids(positions, cell_size, n_cells)
-    order = np.argsort(cell_of_atom, kind="stable")
-    counts = np.bincount(cell_of_atom, minlength=int(np.prod(n_cells)))
-    starts = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
-    return CellList(
+    wrapped, cell_of_atom, order, starts = kernels.active_tier().bin_cells(
+        positions, box, n_cells, cell_size
+    )
+    return wrapped, CellList(
         box=box,
         n_cells=n_cells,
         cell_size=cell_size,
         cell_of_atom=cell_of_atom,
-        order=np.ascontiguousarray(order, dtype=np.int64),
+        order=order,
         starts=starts,
     )
+
+
+def build_cell_list(
+    positions: np.ndarray, box: Box, min_cell_size: float
+) -> CellList:
+    """:func:`bin_atoms` without the wrapped copy."""
+    return bin_atoms(positions, box, min_cell_size)[1]

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro import kernels
 from repro.geometry.box import Box
-from repro.md.neighbor.cells import CellList, build_cell_list
+from repro.md.neighbor.cells import CellList, bin_atoms, build_cell_list
 from repro.utils.arrays import CSR, invert_permutation
 from repro.utils.validation import check_finite
 
@@ -117,9 +117,11 @@ def build_neighbor_list(
 ) -> NeighborList:
     """Build a Verlet neighbor list with link cells.
 
-    The checks, the wrap and the binning run here; the forward-stencil
-    walk and the CSR packing are the process's kernel tier's
-    :meth:`~repro.kernels.numpy_tier.NumpyKernelTier.neighbor_csr`, which gives the
+    The checks, the wrap and the binning are one kernel-tier pass
+    (:func:`~repro.md.neighbor.cells.bin_atoms`; ``cells=`` is checked
+    against the positions instead), the forward-stencil walk and the CSR
+    packing another
+    (:meth:`~repro.kernels.numpy_tier.NumpyKernelTier.neighbor_csr`): the
     same CSR, byte for byte, on every tier.
 
     Parameters
@@ -150,10 +152,10 @@ def build_neighbor_list(
             f"{box.max_cutoff():.3f} for this box"
         )
     positions = np.asarray(positions, dtype=np.float64)
-    positions = box.wrap(check_finite(positions, "positions"))
     if cells is None:
-        cells = build_cell_list(positions, box, reach)
+        positions, cells = bin_atoms(positions, box, reach)
     else:
+        positions = box.wrap(check_finite(positions, "positions"))
         cells.check_bins(positions, box, reach)
     return NeighborList(
         csr=kernels.active_tier().neighbor_csr(positions, cells, reach, half),

@@ -108,20 +108,6 @@ class Span:
     def end_s(self) -> float:
         return self.start_s + self.duration_s
 
-    def shifted(self, offset_s: float) -> "Span":
-        """The same span translated by ``offset_s`` (clock alignment)."""
-        if offset_s == 0.0:
-            return self
-        return Span(
-            name=self.name,
-            category=self.category,
-            start_s=self.start_s + offset_s,
-            duration_s=self.duration_s,
-            pid=self.pid,
-            track=self.track,
-            args=self.args,
-        )
-
 
 class Tracer:
     """Thread-safe append-only span recorder.
@@ -142,36 +128,6 @@ class Tracer:
         self._phases = itertools.count()
 
     # --- recording ------------------------------------------------------------
-
-    def record(self, span: Span) -> None:
-        """Append one finished span."""
-        with self._lock:
-            self._spans.append(span)
-
-    def add(
-        self,
-        name: str,
-        category: str,
-        start_s: float,
-        duration_s: float,
-        track: Optional[str] = None,
-        pid: Optional[int] = None,
-        **args: object,
-    ) -> Span:
-        """Build and record a span; defaults to the current thread/process."""
-        span = Span(
-            name=name,
-            category=category,
-            start_s=start_s,
-            duration_s=max(0.0, duration_s),
-            pid=_pid if pid is None else pid,
-            track=(
-                threading.current_thread().name if track is None else track
-            ),
-            args=dict(args),
-        )
-        self.record(span)
-        return span
 
     def span(
         self, name: str, category: str = CAT_REGION, **args: object
@@ -225,10 +181,6 @@ class Tracer:
     def by_category(self, category: str) -> List[Span]:
         """All recorded spans of one category, in record order."""
         return [s for s in self.spans if s.category == category]
-
-    def total(self, category: str) -> float:
-        """Summed duration of one category's spans."""
-        return sum(s.duration_s for s in self.by_category(category))
 
 
 class _OpenSpan:

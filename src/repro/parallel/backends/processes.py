@@ -35,7 +35,7 @@ import numpy as np
 from repro.core.domain import SubdomainGrid
 from repro.core.partition import PairPartition
 from repro.core.schedule import ColorSchedule
-from repro.core.sdc_plan import SDCPlan, build_sdc_plan
+from repro.core.sdc_plan import SDCPlan, SDCPlanner
 from repro.md.atoms import Atoms
 from repro.md.neighbor.verlet import NeighborList
 from repro.parallel.backends.sharded import ShardEngine, ShardPlan
@@ -79,10 +79,11 @@ class ProcessSDCCalculator(ShardEngine):
         #: ``last_write_record`` (for repro.analysis.racecheck)
         self.record_writes = record_writes
         self._plan: Optional[SDCPlan] = None
+        self._planner = SDCPlanner()
 
     def _plan_epoch(self, atoms: Atoms, nlist: NeighborList) -> List[ShardPlan]:
         """The SDC plan as one region: the atoms' own rows, no ghosts."""
-        self._plan = plan = build_sdc_plan(
+        self._plan = plan = self._planner(
             atoms.box, nlist, self.dims, self.n_workers,
             axes=self.axes, adaptive=self.adaptive,
         )

@@ -31,7 +31,7 @@ from repro.analysis.racecheck import (
 from repro.cli import main
 from repro.core.conflict import check_schedule_conflicts
 from repro.core.schedule import ColorSchedule
-from repro.core.sdc_plan import build_sdc_plan
+from repro.core.sdc_plan import SDCPlanner, build_sdc_plan
 from repro.core.strategies import ArrayPrivatizationStrategy, SDCStrategy
 from repro.potentials import compute_eam_forces_serial
 from repro.core.strategies.base import ReductionStrategy
@@ -253,16 +253,16 @@ class TestInjectedFaultsAreCaught:
     @pytest.mark.parametrize("n_workers", [2, 4])
     @pytest.mark.parametrize("inject", INJECTION_NAMES)
     def test_caught_inside_forked_workers(self, monkeypatch, inject, n_workers):
-        """The process engine takes no fault hooks; hand its plan builder
-        the corruption and read the workers' own write records."""
+        """The process engine takes no fault hooks; hand its planner the
+        corruption and read the workers' own write records."""
         if "fork" not in mp.get_all_start_methods():
             pytest.skip("requires fork")
         from repro.parallel.backends import processes
 
         monkeypatch.setattr(
             processes,
-            "build_sdc_plan",
-            functools.partial(build_sdc_plan, **injection_kwargs(inject, 2)),
+            "SDCPlanner",
+            lambda: functools.partial(SDCPlanner(), **injection_kwargs(inject, 2)),
         )
         report = run_racecheck(
             strategy="sdc", cells=6, backend="processes", n_threads=n_workers

@@ -89,6 +89,28 @@ def rng():
     return default_rng(1234)
 
 
+def _color_task_layout(pairs, schedule, n_workers):
+    """An SDC plan's execution order re-derived by a loop over the pair
+    partition: ``(layout, tasks)``, the partition's pair slots colour-major
+    and worker-major, each worker's static chunk of a colour in CSR order,
+    and per worker ``k`` and colour ``c`` the ``[lo, hi)`` range of its
+    chunk."""
+    rows, tasks, filled = [], [[] for _ in range(n_workers)], 0
+    for color in range(schedule.n_colors):
+        for k, members in enumerate(schedule.thread_assignment(color, n_workers)):
+            rows += [np.arange(*pairs.offsets[s : s + 2]) for s in members]
+            count = int(pairs.pair_counts()[members].sum())
+            tasks[k].append((filled, filled + count))
+            filled += count
+    return np.concatenate([np.empty(0, dtype=np.int64), *rows]), tasks
+
+
+@pytest.fixture(scope="session")
+def color_task_layout():
+    """The loop reference of an SDC plan's layout (``_color_task_layout``)."""
+    return _color_task_layout
+
+
 class CountingTier(NumpyKernelTier):
     """The NumPy tier, recording the size of every geometry pass and of
     every potential call."""

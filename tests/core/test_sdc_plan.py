@@ -31,11 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.domain import DecompositionError
-from repro.core.sdc_plan import (
-    build_sdc_plan,
-    color_task_layout,
-    row_block_layout,
-)
+from repro.core.sdc_plan import SDCPlanner, build_sdc_plan, row_block_layout
 from repro.core.strategies.pairwise import SDCPairCalculator, SerialPairCalculator
 from repro.core.strategies.sdc import SDCStrategy
 from repro.geometry.box import Box
@@ -125,7 +121,7 @@ class TestPlanProperties:
     )
     @settings(max_examples=60, deadline=None)
     def test_every_plan_is_the_partition_regrouped(
-        self, seed, factors, dims, n_workers, adaptive
+        self, color_task_layout, seed, factors, dims, n_workers, adaptive
     ):
         lengths = [2.0 * REACH * f for f in factors]
         positions, box = gas_on_faces(lengths, 150, seed)
@@ -309,3 +305,115 @@ class TestExecutorsAgreeOnFaceAtoms:
                 lj, face_atoms.copy(), nlist
             )
         _assert_matches(result, reference)
+
+
+# --------------------------------------------------------------------------
+# the planner: grid work once per grid, the layout once per list
+# --------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def checks(monkeypatch):
+    """Every ``validate_coloring`` call a planner makes, by grid counts."""
+    import repro.core.sdc_plan as sdc_plan
+
+    calls = []
+    real = sdc_plan.validate_coloring
+
+    def counting(grid, coloring):
+        calls.append(grid.counts)
+        return real(grid, coloring)
+
+    monkeypatch.setattr(sdc_plan, "validate_coloring", counting)
+    return calls
+
+
+def gas_list(lengths, n_atoms=300, seed=0, skin=0.2):
+    positions, box = gas_on_faces(lengths, n_atoms, seed)
+    return box, build_neighbor_list(positions, box, cutoff=1.0, skin=skin, half=True)
+
+
+def assert_same_plan(got, want):
+    for name in ("pair_i", "pair_j"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype == np.int64 and a.tobytes() == b.tobytes()
+    assert got.tasks == want.tasks and got.rows == want.rows
+    assert got.grid.counts == want.grid.counts
+
+
+class TestPlanner:
+    def test_one_grid_is_checked_once(self, checks):
+        planner = SDCPlanner()
+        box, first = gas_list([12.0, 12.0, 12.0], seed=1)
+        for seed in (1, 2, 3):
+            _, nlist = gas_list([12.0, 12.0, 12.0], seed=seed)
+            assert_same_plan(planner(box, nlist, 2, 2), build_sdc_plan(box, nlist, 2, 2))
+        # one check by the planner, one per fresh plan
+        assert len(checks) == 1 + 3
+
+    @pytest.mark.parametrize("change", ["box", "reach", "workers"])
+    def test_a_new_grid_is_checked_again(self, checks, change):
+        planner = SDCPlanner()
+        box, nlist = gas_list([12.0, 12.0, 12.0])
+        planner(box, nlist, 2, 2)
+        planner(box, nlist, 2, 2)
+        assert len(checks) == 1
+        if change == "box":
+            box, nlist = gas_list([13.0, 12.0, 12.0])
+        elif change == "reach":
+            box, nlist = gas_list([12.0, 12.0, 12.0], skin=0.3)
+        workers = 3 if change == "workers" else 2
+        plan = planner(box, nlist, 2, workers)
+        assert len(checks) == 2
+        planner(box, nlist, 2, workers)  # and the new grid is kept
+        assert len(checks) == 2
+        assert_same_plan(plan, build_sdc_plan(box, nlist, 2, workers))
+
+    def test_hooks_run_on_every_plan(self, checks):
+        """A fault-injection hook is never skipped by the cache: the
+        merged-colour schedule fails the conflict check every time, and
+        the grid factory is called for every plan."""
+        from repro.analysis.racecheck import merge_color_phases
+        from repro.core.domain import decompose
+
+        planner, made = SDCPlanner(), []
+
+        def factory(box, reach):
+            made.append(reach)
+            return decompose(box, reach, 2)
+
+        box, nlist = gas_list([12.0, 12.0, 12.0])
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="write conflicts"):
+                planner(
+                    box, nlist, 2, 2, schedule_transform=merge_color_phases,
+                    validate_conflicts=True,
+                )
+            planner(box, nlist, 2, 2, grid_factory=factory)
+        assert len(made) == 2 and len(checks) == 4
+
+    @pytest.mark.parametrize("dims", [1, 2, 3])
+    def test_a_running_simulation_gets_the_fresh_plan(self, potential, dims):
+        """Three rebuilds of a hot 432-atom crystal: each cached plan is,
+        array for array, the plan a new planner builds, and its pair
+        partition the stable-sort grouping of the list."""
+        from repro.harness.cases import Case
+        from repro.md.integrators import VelocityVerlet
+        from repro.md.simulation import Simulation
+
+        atoms = Case("t", "t", 6).build(temperature=1500.0, seed=dims)
+        strategy = SDCStrategy(dims=dims, n_threads=2)
+        sim = Simulation(atoms, potential, strategy, VelocityVerlet(0.002), skin=0.1)
+        plans = []
+        while len(plans) < 4:
+            sim.run(1)
+            if not plans or strategy._plan is not plans[-1]:
+                plans.append(strategy._plan)
+                plan, nlist = strategy._plan, sim.nlist
+                assert plan.nlist is nlist
+                assert_same_plan(plan, build_sdc_plan(atoms.box, nlist, dims, 2))
+                i_idx, j_idx = nlist.pair_arrays()
+                order = np.argsort(plan.partition.subdomain_of_atom[i_idx], kind="stable")
+                assert plan.pairs.i_idx.tobytes() == i_idx[order].tobytes()
+                assert plan.pairs.j_idx.tobytes() == j_idx[order].tobytes()
+        assert len({id(p.grid) for p in plans}) == 1

@@ -136,15 +136,20 @@ class TestSDCSpecifics:
         strategy.compute(potential, sdc_atoms.copy(), sdc_nlist)
         assert strategy.grid is grid_first
 
-    def test_grid_rebuilt_on_new_list(self, potential, sdc_atoms, sdc_nlist):
+    def test_new_list_on_the_same_grid_keeps_the_grid(
+        self, potential, sdc_atoms, sdc_nlist
+    ):
+        """A new list gets a new plan; the grid work of an unchanged box,
+        reach and worker count is kept."""
         strategy = SDCStrategy(dims=2, n_threads=2)
         strategy.compute(potential, sdc_atoms.copy(), sdc_nlist)
-        grid_first = strategy.grid
+        plan_first, grid_first = strategy._plan, strategy.grid
         fresh = build_neighbor_list(
             sdc_atoms.positions, sdc_atoms.box, potential.cutoff, skin=0.3
         )
         strategy.compute(potential, sdc_atoms.copy(), fresh)
-        assert strategy.grid is not grid_first
+        assert strategy._plan is not plan_first and strategy._plan.nlist is fresh
+        assert strategy.grid is grid_first
 
     def test_rejects_full_list(self, potential, sdc_atoms, sdc_nlist):
         strategy = SDCStrategy(dims=2)

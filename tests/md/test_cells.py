@@ -5,13 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
 from repro.geometry.box import Box
+from repro.harness.workloads import (
+    crystal_slab,
+    crystal_with_void,
+    density_gradient_gas,
+    nanoparticle,
+)
 from repro.md.neighbor.cells import (
     FORWARD_OFFSETS,
     CellList,
+    bin_atoms,
     build_cell_list,
     concat_ranges,
 )
+from repro.md.neighbor.verlet import brute_force_neighbor_list, build_neighbor_list
+from repro.utils.rng import default_rng
 
 
 class TestConcatRanges:
@@ -215,3 +225,142 @@ class TestNonFinitePositions:
         positions[3, 1] = bad
         with pytest.raises(ValueError, match=r"first at index \(3, 1\)"):
             build_cell_list(positions, Box((9.0, 9.0, 9.0)), min_cell_size=3.0)
+
+
+# --------------------------------------------------------------------------
+# the bin pass: one kernel-tier call for the check, the wrap and the bins
+# --------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def tiers():
+    """The NumPy tier, and the C tier wherever it builds."""
+    return [kernels.get(name) for name in kernels.available_tiers()]
+
+
+def on_each_tier(tiers, positions, box, reach):
+    """Bins and half list of ``positions`` on every tier, checked byte for
+    byte against each other and the bins against their definition: the
+    wrap is :meth:`Box.wrap`, ``order`` NumPy's stable argsort of the ids.
+    Returns the NumPy tier's ``(cells, nlist)``."""
+    results = []
+    for tier in tiers:
+        with kernels.use_tier(tier):
+            wrapped, cells = bin_atoms(positions, box, reach)
+            nlist = build_neighbor_list(positions, box, cutoff=reach, skin=0.0)
+        results.append((wrapped, cells, nlist))
+    wrapped, cells, nlist = results[0]
+    assert wrapped.tobytes() == box.wrap(positions).tobytes()
+    assert cells.order.tobytes() == np.argsort(
+        cells.cell_of_atom, kind="stable"
+    ).tobytes()
+    counts = np.bincount(cells.cell_of_atom, minlength=cells.n_total_cells)
+    assert np.array_equal(np.diff(cells.starts), counts)
+    for other_wrapped, other, other_nlist in results[1:]:
+        assert other_wrapped.tobytes() == wrapped.tobytes()
+        for name in ("cell_of_atom", "order", "starts"):
+            a, b = getattr(other, name), getattr(cells, name)
+            assert a.dtype == b.dtype == np.int64 and a.tobytes() == b.tobytes()
+        for a, b in ((other_nlist.csr.offsets, nlist.csr.offsets),
+                     (other_nlist.csr.values, nlist.csr.values)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    return cells, nlist
+
+
+GEOMETRIES = {
+    "void": lambda: crystal_with_void(6, 0.2, seed=1),
+    "slab": lambda: crystal_slab(5, 3, seed=2),
+    "gradient": lambda: density_gradient_gas(600, (24.0, 18.0, 18.0), 4.0, seed=3),
+    "nanoparticle": lambda: nanoparticle(2.0, seed=4),
+}
+
+
+class TestBinPass:
+    @pytest.mark.parametrize("name", sorted(GEOMETRIES))
+    def test_workload_geometries(self, tiers, name):
+        atoms = GEOMETRIES[name]()
+        _, nlist = on_each_tier(tiers, atoms.positions, atoms.box, 3.9)
+        brute = brute_force_neighbor_list(atoms.positions, atoms.box, 3.9)
+        assert nlist.csr == brute.csr
+
+    def test_atoms_on_the_box_faces(self, tiers):
+        """0 and L bin into the first cell, and so does -1e-300, whose
+        floor-mod rounds to L and folds to 0."""
+        box = Box((10.0, 10.0, 10.0))
+        positions = np.array([
+            [0.0, 0.0, 0.0], [10.0, 10.0, 10.0], [-1e-300, 5.0, 5.0],
+            [5.0, -0.0, 9.999999999999998], [3.3, 6.7, 1e-300],
+        ])
+        cells, nlist = on_each_tier(tiers, positions, box, 3.0)
+        assert cells.cell_of_atom[:3].tolist() == [0, 0, 3 + 1]
+        assert nlist.n_pairs == brute_force_neighbor_list(positions, box, 3.0).n_pairs
+
+    @pytest.mark.parametrize("far", [3.0, 1e6, 1e20])
+    def test_open_axes_bin_atoms_beyond_the_faces_at_the_edges(self, tiers, far):
+        box = Box((12.0, 9.0, 12.0), periodic=(True, False, False))
+        rng = default_rng(7)
+        positions = rng.uniform(0.0, 9.0, size=(60, 3))
+        positions[:5, 1] = -far
+        positions[5:10, 2] = 12.0 + far
+        cells, _ = on_each_tier(tiers, positions, box, 3.0)
+        coords = cells.cell_coords(cells.cell_of_atom)
+        assert np.all(coords[:5, 1] == 0)
+        assert np.all(coords[5:10, 2] == cells.n_cells[2] - 1)
+
+    @pytest.mark.parametrize("lengths", [(6.0 + 1e-6, 9.0, 9.0), (9.0, 7.0, 6.5)])
+    def test_periodic_axes_with_two_cells(self, tiers, lengths):
+        box = Box(lengths)
+        positions = default_rng(8).uniform(0.0, 1.0, size=(80, 3)) * box.lengths
+        cells, nlist = on_each_tier(tiers, positions, box, 3.0)
+        assert 2 in cells.n_cells
+        assert nlist.csr == brute_force_neighbor_list(positions, box, 3.0).csr
+
+    def test_periodic_axis_with_one_cell(self, tiers):
+        """A grid coarser than the box (min_cell_size > L) bins every atom
+        of that axis into its one cell."""
+        box = Box((4.0, 12.0, 12.0))
+        positions = default_rng(9).uniform(-4.0, 16.0, size=(50, 3))
+        binned = []
+        for tier in tiers:
+            with kernels.use_tier(tier):
+                binned.append(bin_atoms(positions, box, 5.0))
+        for wrapped, cells in binned[1:]:
+            assert wrapped.tobytes() == binned[0][0].tobytes()
+            for name in ("cell_of_atom", "order", "starts"):
+                assert getattr(cells, name).tobytes() == getattr(binned[0][1], name).tobytes()
+        assert binned[0][1].n_cells == (1, 2, 2)
+
+    def test_clump_that_outgrows_the_first_capacity(self, tiers):
+        rng = default_rng(3)
+        box = Box((20.0, 20.0, 20.0))
+        direction = rng.normal(size=(200, 3))
+        direction /= np.linalg.norm(direction, axis=1)[:, None]
+        clump = 8.0 + direction * 1.5 * rng.uniform(size=(200, 1)) ** (1 / 3)
+        positions = np.vstack([clump, rng.uniform(0.0, 20.0, size=(300, 3))])
+        _, nlist = on_each_tier(tiers, positions, box, 3.9)
+        assert nlist.csr == brute_force_neighbor_list(positions, box, 3.9).csr
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        periodic=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+        n=st.integers(0, 120),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_boxes(self, tiers, seed, periodic, n):
+        rng = default_rng(seed)
+        box = Box(rng.uniform(6.5, 14.0, size=3), periodic=periodic)
+        positions = rng.uniform(-1.0, 2.0, size=(n, 3)) * box.lengths
+        on_each_tier(tiers, positions, box, 3.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_message_is_the_same_on_every_tier(self, tiers, bad):
+        positions = default_rng(4).uniform(0.0, 9.0, size=(40, 3))
+        positions[17, 2] = bad
+        positions[30, 0] = bad
+        messages = []
+        for tier in tiers:
+            with kernels.use_tier(tier), pytest.raises(ValueError) as caught:
+                bin_atoms(positions, Box((9.0, 9.0, 9.0)), 3.0)
+            messages.append(str(caught.value))
+        assert len(set(messages)) == 1
+        assert "2 non-finite element(s), first at index (17, 2)" in messages[0]

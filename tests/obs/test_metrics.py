@@ -18,7 +18,7 @@ from repro.obs.metrics import (
     record_schedule_metrics,
     record_span_metrics,
 )
-from repro.obs.tracer import CAT_BARRIER, CAT_PHASE, CAT_TASK, Span, Tracer
+from repro.obs.tracer import Tracer, trace_region
 
 
 class TestLoadImbalance:
@@ -139,23 +139,11 @@ class TestRecordScheduleMetrics:
 class TestRecordSpanMetrics:
     def _tracer_with_phase(self):
         tracer = Tracer()
-        # phase 0 named after a color region: tasks 0.10s and 0.30s
-        tracer.record(
-            Span("density:color1/phase0", CAT_PHASE, 0.0, 0.5, 1, "main",
-                 {"phase": 0, "n_tasks": 2})
-        )
-        tracer.record(
-            Span("task 0.0", CAT_TASK, 0.0, 0.1, 1, "w0",
-                 {"phase": 0, "task": 0})
-        )
-        tracer.record(
-            Span("task 0.1", CAT_TASK, 0.0, 0.3, 1, "w1",
-                 {"phase": 0, "task": 1})
-        )
-        tracer.record(
-            Span("barrier-wait", CAT_BARRIER, 0.1, 0.4, 1, "w0",
-                 {"phase": 0})
-        )
+        # phase 0 named after a color region, 0.5 s: tasks 0.10 s on w0
+        # and 0.30 s on w1, each track waiting for the phase's end
+        trace_region(tracer, (0.0, 0.5), [("density:color1", {})], [
+            ([0.0, 0.1], "w0", 1), ([0.0, 0.3], "w1", 1),
+        ])
         return tracer
 
     def test_measured_ratio_and_slack(self):
@@ -176,7 +164,7 @@ class TestRecordSpanMetrics:
             phase=0,
             phase_name="density:color1/phase0",
         )
-        assert slack == pytest.approx(0.4)
+        assert slack == pytest.approx(0.4 + 0.2)
 
     def test_no_task_spans_records_nothing(self):
         reg = MetricsRegistry()

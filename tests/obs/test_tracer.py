@@ -28,17 +28,6 @@ class TestSpan:
         span = Span("a", CAT_TASK, 1.0, 0.25, 42, "t0")
         assert span.end_s == pytest.approx(1.25)
 
-    def test_shifted_translates_start_only(self):
-        span = Span("a", CAT_TASK, 1.0, 0.25, 42, "t0", {"k": 1})
-        moved = span.shifted(2.0)
-        assert moved.start_s == pytest.approx(3.0)
-        assert moved.duration_s == pytest.approx(0.25)
-        assert moved.name == "a" and moved.args == {"k": 1}
-
-    def test_zero_shift_returns_same_object(self):
-        span = Span("a", CAT_TASK, 1.0, 0.25, 42, "t0")
-        assert span.shifted(0.0) is span
-
 
 class TestTracer:
     def test_span_context_records_one_span(self):
@@ -52,16 +41,6 @@ class TestTracer:
         assert span.args == {"step": 3}
         assert span.duration_s >= 0.0
         assert span.pid == os.getpid()
-
-    def test_add_defaults_to_current_thread_and_process(self):
-        tracer = Tracer()
-        span = tracer.add("x", CAT_TASK, 0.0, 1.0)
-        assert span.track == threading.current_thread().name
-        assert span.pid == os.getpid()
-
-    def test_add_clamps_negative_duration(self):
-        tracer = Tracer()
-        assert tracer.add("x", CAT_TASK, 5.0, -1.0).duration_s == 0.0
 
     def test_region_stack_nests_and_unwinds(self):
         """Nested regions close inner first, the outer one around it."""
@@ -101,11 +80,16 @@ class TestTracer:
 
     def test_by_category_and_total(self):
         tracer = Tracer()
-        tracer.add("a", CAT_TASK, 0.0, 1.0)
-        tracer.add("b", CAT_TASK, 1.0, 2.0)
-        tracer.add("c", CAT_PHASE, 0.0, 5.0)
-        assert [s.name for s in tracer.by_category(CAT_TASK)] == ["a", "b"]
-        assert tracer.total(CAT_TASK) == pytest.approx(3.0)
+        # one phase of two tasks on two tracks: 1 s and 2 s of work
+        trace_region(tracer, (0.0, 5.0), [("a", {})], [
+            ([0.0, 1.0], "w0", 1), ([1.0, 3.0], "w1", 1),
+        ])
+        with tracer.span("c", category=CAT_MD):
+            pass
+        tasks = tracer.by_category(CAT_TASK)
+        assert [s.track for s in tasks] == ["w0", "w1"]
+        assert sum(s.duration_s for s in tasks) == pytest.approx(3.0)
+        assert [s.name for s in tracer.by_category(CAT_MD)] == ["c"]
         tracer.clear()
         assert len(tracer) == 0
 
@@ -114,7 +98,8 @@ class TestTracer:
 
         def worker(k):
             for i in range(50):
-                tracer.add(f"{k}.{i}", CAT_TASK, 0.0, 0.0)
+                with tracer.span(f"{k}.{i}", category=CAT_TASK):
+                    pass
 
         threads = [
             threading.Thread(target=worker, args=(k,)) for k in range(4)
@@ -129,7 +114,7 @@ class TestTracer:
         tracer = Tracer()
         with tracer.span("first", category=CAT_MD):
             pass
-        tracer.add("second", CAT_TASK, 0.0, 1.0)
+        trace_region(tracer, (0.0, 1.0), [("second", {})], [])
 
         def worker():
             with tracer.span("third"):
@@ -139,10 +124,11 @@ class TestTracer:
         t.start()
         t.join()
         spans = tracer.spans
-        assert [s.name for s in spans] == ["first", "second", "third"]
+        # the added region is two spans: the region and its phase
+        assert [s.name for s in spans] == ["first", "second", "second/phase0", "third"]
         assert all(type(s) is Span for s in spans)
         assert spans[0].track == threading.current_thread().name
-        assert spans[2].track == "side"
+        assert spans[3].track == "side"
         assert tracer.spans == spans  # reading again reads the same spans
 
     def test_concurrent_context_spans_lose_nothing(self):

@@ -10,7 +10,6 @@ import pytest
 from repro.md import Atoms, build_neighbor_list
 from repro.md.simulation import Simulation
 from repro.obs.tracer import CAT_BARRIER, CAT_PHASE, CAT_TASK, Tracer
-from repro.core.sdc_plan import color_task_layout
 from repro.geometry.box import Box
 from repro.parallel.backends.processes import ProcessSDCCalculator
 from repro.parallel.backends.sharded import ShardedSDCCalculator
@@ -274,7 +273,9 @@ class TestTaskLayout:
     @pytest.mark.parametrize("name", ["tiny", "tight-edge", "sdc"])
     @pytest.mark.parametrize("dims", [1, 2, 3])
     @pytest.mark.parametrize("n_workers", [1, 2, 3, 5])
-    def test_layout_is_the_partition_regrouped(self, systems, name, dims, n_workers):
+    def test_layout_is_the_partition_regrouped(
+        self, systems, color_task_layout, name, dims, n_workers
+    ):
         atoms, nlist = systems[name]
         calc = ProcessSDCCalculator(dims=dims, n_workers=n_workers)
         calc._prepare(atoms, nlist)
@@ -310,7 +311,9 @@ class TestTaskLayout:
                     assert not len(np.intersect1d(written[a], written[b]))
         assert filled == pairs.n_pairs
 
-    def test_tiny_box_gives_later_workers_only_empty_tasks(self, systems):
+    def test_tiny_box_gives_later_workers_only_empty_tasks(
+        self, systems, color_task_layout
+    ):
         atoms, nlist = systems["tiny"]
         calc = ProcessSDCCalculator(dims=2, n_workers=2)
         calc._prepare(atoms, nlist)
@@ -682,8 +685,8 @@ class TestDecompositionCache:
                 assert np.allclose(
                     result.forces, reference.forces, atol=1e-12
                 )
-            # a rebuilt list invalidates the cache: fresh schedule, still
-            # conflict-free
+            # a rebuilt list invalidates the plan: fresh pair partition,
+            # still conflict-free, on the kept grid and schedule
             atoms = sdc_atoms.copy()
             atoms.positions += rng.normal(size=atoms.positions.shape) * 0.2
             rebuilt = build_neighbor_list(
@@ -694,7 +697,8 @@ class TestDecompositionCache:
                 half=True,
             )
             calc.compute(potential, atoms, rebuilt)
-            assert calc.schedule is not schedule0
+            assert calc.pair_partition is not pairs0
+            assert calc.schedule is schedule0
             assert check_schedule_conflicts(
                 calc.pair_partition, calc.schedule
             ).ok
