@@ -15,24 +15,25 @@ What SDC supplies is the layout: its plan, the colors as phases.  The write
 mode is the default — both endpoints, in place.
 
 Two executions of that structure, one result.  Where the tier has a walker
-(the C tier's :class:`~repro.kernels.c_tier.SDCWalk`) and the backend runs
-one thread per worker, an evaluation is one phase: each worker walks every
-color, its embedding rows and the ``2C + 1`` barriers between them in one
-GIL-free call — the paper's one parallel region.  A tracer watches that
-walk from the clock marks each worker stamps at every barrier
+(the C tier's :class:`~repro.kernels.c_tier.SDCWalk`) and the backend has
+a team as wide as the schedule (``backend.team``), an evaluation is one
+walk — the paper's one parallel region: the calling thread is worker 0,
+the master thread, and the team's C helpers are the others, each walking
+every color, its embedding rows and the ``2C + 1`` barriers between them
+in one GIL-free call (:class:`~repro.kernels.c_tier.SDCTeam`).  Every
+worker stamps a clock mark at every barrier, and a tracer only reads them
 (:func:`~repro.obs.tracer.trace_region`), so a traced evaluation is the
 one that runs untraced.  Everywhere else — the NumPy tier, an attached
-instrument or backend observer, a backend that runs closures one after
-another — the shared three-region body (:meth:`ReductionStrategy.compute`)
-runs one phase per color, which is what racecheck and the conformance
-suites watch.  Same ranges in the same order: ``rho`` and the forces are
+instrument or backend observer, a backend with no team — the shared
+three-region body (:meth:`ReductionStrategy.compute`) runs one phase per
+color on the backend, which is what racecheck and the conformance suites
+watch.  Same ranges in the same order: ``rho`` and the forces are
 bit-identical either way.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 import time
 from typing import Callable, List, Optional, Sequence
 
@@ -136,8 +137,8 @@ class SDCStrategy(ReductionStrategy):
     def compute(
         self, potential: EAMPotential, atoms: Atoms, nlist: NeighborList
     ) -> EAMComputation:
-        """One evaluation: one walker phase where it may run (module
-        docstring), else the per-color three-region body."""
+        """One evaluation: one walk on the backend's team where it may run
+        (module docstring), else the per-color three-region body."""
         nlist.check_covers(atoms.n_atoms)
         plan = self._layout(atoms, nlist)
         n = atoms.n_atoms
@@ -149,46 +150,27 @@ class SDCStrategy(ReductionStrategy):
         return self._regions(potential, atoms, nlist, plan)
 
     def _walked(self, potential, atoms, nlist, walk, rho, fp, forces):
-        """One phase of one ``walk.run`` per worker into the bound arrays;
-        traced, each worker stamps its barriers into a row of marks."""
+        """One walk on the backend's team into the bound arrays, this
+        thread worker 0; a tracer reads the marks every worker stamped."""
         base, n_colors = self._generation, walk.n_colors
         self._generation += 2 * n_colors + 1
-        status = [walk.DONE] * self.n_threads
-
-        def worker(k: int):
-            def run() -> None:
-                status[k] = walk.run(k, k, base)
-
-            return run
-
-        tracer = self._tracer
-        if tracer is None:
-            self.backend.run_phase([worker(k) for k in range(self.n_threads)])
-        else:
-            marks = np.empty((self.n_threads, 4 * n_colors + 4))
-            tasks: list = [None] * self.n_threads
-            pid = os.getpid()
-
-            def traced(k: int):
-                def run() -> None:
-                    tasks[k] = (marks[k], threading.current_thread().name, pid)
-                    status[k] = walk.run(k, k, base, marks[k])
-
-                return run
-
-            start = time.perf_counter()
-            self.backend.run_phase([traced(k) for k in range(self.n_threads)])
-            window = (start, time.perf_counter())
+        start = time.perf_counter()
+        status = self.backend.team(self.n_threads).walk(walk, base)
+        window = (start, time.perf_counter())
         for slot in status:
             if slot >= 0:  # this worker found an overlap; its siblings aborted
                 raise walk.overlap(slot)
+        tracer = self._tracer
         if tracer is not None:  # the per-color route's labels, one walk
-            plan, colors = self._plan, range(n_colors)
+            plan, colors, pid = self._plan, range(n_colors), os.getpid()
             trace_region(tracer, window, [
                 *(self._phase_label("density", c, plan) for c in colors),
                 ("embedding", {"phase": "embedding", "n_chunks": self.n_threads}),
                 *(self._phase_label("force", c, plan) for c in colors),
-            ], tasks)
+            ], [
+                (marks, f"repro-team-{k}", pid)
+                for k, marks in enumerate(walk.marks.copy())
+            ])
         pair_parts = np.ascontiguousarray(walk.energies[:, :n_colors])
         return self._finalize(
             potential, atoms, nlist, rho, fp, forces,
@@ -198,13 +180,13 @@ class SDCStrategy(ReductionStrategy):
 
     def _walker(self, plan: SDCPlan, n_atoms: int):
         """The walker of ``plan``, or None: an instrument or a backend
-        observer watches tasks; the backend cannot run every worker at
-        once; or the tier has no walker for it."""
+        observer watches tasks; the backend has no team this wide; or the
+        tier has no walker for it."""
         backend = self.backend
         if (
             self._instrument is not None
             or backend.observer is not None
-            or backend.concurrent_tasks < self.n_threads
+            or backend.team(self.n_threads) is None
         ):
             return None
         tier = kernels.active_tier()

@@ -2,7 +2,7 @@
 ctypes.
 
 :func:`load` compiles the package's one C source on first use with ``cc
--O3 -ffp-contract=off -shared -fPIC -lm`` into ``$XDG_CACHE_HOME/repro``
+-O3 -ffp-contract=off -shared -fPIC -pthread -lm`` into ``$XDG_CACHE_HOME/repro``
 (default ``~/.cache/repro``), under a name hashed from the source, the compiler's
 ``--version`` and the flags: a new source or compiler gets a new file, and
 a warm process pays one ``dlopen``.  The build writes a temporary file and
@@ -22,8 +22,11 @@ calls: density, embedding, force), the slice bodies ``density_slice`` /
 ``pair_forces`` the comparison strategies scatter their own way, the SDC
 walker ``sdc_walker`` (:class:`SDCWalk`: one call per worker per
 evaluation runs its every colour, its embedding rows and every barrier
-between them), the neighbour build (``bin_cells``, the finite check, the
-wrap and a counting sort into cells in one pass; ``neighbor_csr``, the
+between them) and its team ``sdc_team`` (:class:`SDCTeam`: C helper
+threads that persist between walks, the caller walking as worker 0 — on
+threads a walk is not a ``run_phase``), the neighbour build
+(``bin_cells``, the finite check, the wrap and a counting sort into
+cells in one pass; ``neighbor_csr``, the
 forward-stencil walk and the CSR packing in one call; and its packer
 ``pairs_to_csr``), and the two halves of a velocity-Verlet step,
 ``kick_drift`` (half-kick, drift, wrap and the Verlet displacement in one
@@ -56,6 +59,7 @@ import shutil
 import struct
 import subprocess
 import tempfile
+import threading
 import time
 from dataclasses import asdict, dataclass, replace
 from importlib import resources
@@ -78,7 +82,7 @@ from repro.utils.validation import check_finite
 COMPILER = "cc"
 #: ``-ffp-contract=off``: no fused multiply-add where the target has one,
 #: so the geometry and force coefficient round as NumPy's do
-FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC", "-pthread")
 SOURCE = "eam.c"
 
 _F64 = np.dtype(np.float64)
@@ -428,7 +432,8 @@ class SDCWalk:
     meeting its siblings at the ``barrier`` block (the layout of
     :class:`~repro.parallel.backends.workers.ColorBarrier`).  Its partials
     land in ``energies[k]``: one pair energy per colour, then the
-    embedding energy.
+    embedding energy.  On an :class:`SDCTeam` every worker also stamps
+    ``marks[k]``: its start, each barrier's entry and exit, its end.
     """
 
     #: :meth:`run`'s statuses besides an overlapping pair's slot
@@ -442,7 +447,6 @@ class SDCWalk:
         self._fn, self.n_atoms = fn, n_atoms
         self.pair_i, self.pair_j = pair_i, pair_j
         self._ranges = [np.array(t, dtype=np.int64).reshape(-1) for t in tasks]
-        self._rows = [(int(lo), int(hi)) for lo, hi in rows]
         self.n_colors = len(tasks[0])
         self.energies = np.zeros((len(tasks), self.n_colors + 1))
         delta, self.r, dphi, dv = (
@@ -461,6 +465,14 @@ class SDCWalk:
         #: what the struct addresses lives as long as it does
         self._arrays = (delta, dphi, dv, phi)
         self._lowered = None
+        self._at = ctypes.addressof(self._shared)
+        self.marks = np.zeros((len(tasks), 4 * self.n_colors + 4))
+        #: worker k's ``sdc_job``: its ranges, rows, energies and marks
+        self._jobs = [
+            (r.ctypes.data, int(lo), int(hi), e.ctypes.data, m.ctypes.data)
+            for r, (lo, hi), e, m in zip(self._ranges, rows, self.energies, self.marks)
+        ]
+        self.jobs = np.array(self._jobs, dtype=np.int64)
 
     def bind(self, potential, positions, box, rho, fp, forces) -> bool:
         """Aim the walk at one evaluation: False (nothing bound) unless the
@@ -486,11 +498,10 @@ class SDCWalk:
         ``base`` to ``base + 2C``: :attr:`DONE`, :attr:`ABORTED` (a sibling
         left), or the slot of an overlapping pair it found.
         Never leaves a sibling waiting: a raise aborts the barrier."""
-        lo, hi = self._rows[k]
+        ranges, lo, hi, energies, _ = self._jobs[k]
         try:
             return self._fn(
-                ctypes.byref(self._shared), _ptr(self._ranges[k]), lo, hi,
-                waiter, base, _ptr(self.energies[k]),
+                self._at, ranges, lo, hi, waiter, base, energies,
                 None if marks is None else _ptr(marks),
             )
         except BaseException:
@@ -502,6 +513,71 @@ class SDCWalk:
         return overlap_error(
             self.r, slot, (self.pair_i, self.pair_j), MIN_PAIR_SEPARATION
         )
+
+
+#: the number of forks this process descends from: a team started at a
+#: smaller one has no threads here
+_forks = 0
+
+
+def _forked() -> None:
+    global _forks
+    _forks += 1
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forked)
+
+
+class SDCTeam:
+    """``sdc_team``: ``n_workers - 1`` C helper threads that persist
+    between walks, and the caller as worker 0 — the OpenMP team of the
+    paper's region and its master thread.
+
+    :meth:`walk` rings the doorbell, runs worker 0's :meth:`SDCWalk.run`
+    on the calling thread, then reads every helper's status from its own
+    cache line.  A helper never touches Python: it waits on the doorbell
+    (spins, yields, then a futex sleep), walks, and posts; helper ``k``
+    binds itself to ``cpus[k]`` when ``cpus`` is given.  A team made
+    before a fork is not :attr:`usable` in the child, where it has no
+    threads.  :meth:`close` joins the helpers (idempotent).
+    """
+
+    _team = None
+
+    def __init__(self, calls, n_workers: int, cpus) -> None:
+        start, self._ring, self._settle, self._close = calls
+        bind = np.array(cpus, dtype=np.int64) if len(cpus) else None
+        self._team = start(n_workers, None if bind is None else _ptr(bind))
+        if not self._team:
+            raise OSError(f"cannot start {n_workers - 1} helper threads")
+        self._status = (ctypes.c_int64 * n_workers)()
+        self._forks = _forks
+        self._lock = threading.Lock()
+
+    @property
+    def usable(self) -> bool:
+        return self._team is not None and self._forks == _forks
+
+    def walk(self, walk: SDCWalk, base: int) -> list:
+        """Every worker's :meth:`SDCWalk.run` status for one walk of
+        ``walk`` from generation ``base``; its helpers have settled even
+        when worker 0 raises."""
+        n, status = len(walk.jobs), self._status
+        with self._lock:
+            self._ring(self._team, walk._at, _ptr(walk.jobs), n, base)
+            try:
+                status[0] = walk.run(0, 0, base, walk.marks[0])
+            finally:
+                self._settle(self._team, status)
+            return status[:n]
+
+    def close(self) -> None:
+        if self.usable:
+            self._close(self._team)
+        self._team = None
+
+    __del__ = close
 
 
 class CKernelTier(NumpyKernelTier):
@@ -530,6 +606,15 @@ class CKernelTier(NumpyKernelTier):
         self._c_walk = lib.sdc_walk
         self._c_walk.argtypes = [vp, vp, i64, i64, i64, i64, vp, vp]
         self._c_walk.restype = i64
+        start, ring, settle, close = (
+            lib.sdc_team_start, lib.sdc_team_ring, lib.sdc_team_settle,
+            lib.sdc_team_close,
+        )
+        start.argtypes, start.restype = [i64, vp], vp
+        ring.argtypes, ring.restype = [vp, vp, vp, i64, i64], None
+        settle.argtypes, settle.restype = [vp, vp], None
+        close.argtypes, close.restype = [vp], None
+        self._c_team = (start, ring, settle, close)
         self._c_build = lib.nbr_build
         self._c_build.argtypes = [
             vp, vp, i64, vp, vp, vp, vp, f64, i64, i64, vp, vp, vp, vp
@@ -718,6 +803,9 @@ class CKernelTier(NumpyKernelTier):
             self._c_walk, pair_i, pair_j, tasks, rows, n_atoms, barrier,
             parent, handover,
         )
+
+    def sdc_team(self, n_workers, cpus):
+        return SDCTeam(self._c_team, n_workers, cpus)
 
     # --- velocity Verlet ----------------------------------------------------
 

@@ -1,14 +1,14 @@
 /*
  * The C kernel tier: the paper's density and force loops (Figs. 1-2) over
  * one contiguous pair slice, the whole SDC parallel region of one worker
- * (Figs. 7-8: every colour, the embedding and every barrier), the two
- * halves of a velocity-Verlet step, and the CSR Verlet list they run over
- * (its bin pass, its scan and its pack), each entry point one GIL-free
- * call.
+ * (Figs. 7-8: every colour, the embedding and every barrier) and the team
+ * of helper threads that walks it beside the caller, the two halves of a
+ * velocity-Verlet step, and the CSR Verlet list they run over (its bin
+ * pass, its scan and its pack), each entry point one GIL-free call.
  *
  * Built on first use by repro.kernels.c_tier with `cc -O3 -ffp-contract=off
- * -shared -fPIC -lm` (no fast-math, no CPU-specific target flags, no
- * OpenMP; no fused multiply-add, so every product rounds as NumPy's does)
+ * -shared -fPIC -pthread -lm` (no fast-math, no CPU-specific target flags,
+ * no OpenMP; no fused multiply-add, so every product rounds as NumPy's does)
  * and called through ctypes.  One function, johnson_block, is compiled once
  * per SIMD width and the dynamic loader picks the widest the CPU runs.
  * Nothing here validates input but the Verlet passes' species indices and
@@ -26,13 +26,20 @@
  */
 
 #define _GNU_SOURCE
+#include <limits.h>
 #include <math.h>
+#include <pthread.h>
 #include <sched.h>
+#include <signal.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 #include <time.h>
 #include <unistd.h>
+#ifdef __linux__
+#include <linux/futex.h>
+#include <sys/syscall.h>
+#endif
 
 /* One function compiled per SIMD width: the loader's ifunc resolver picks
  * the clone once, at load, from what the CPU reports - so the flags, and
@@ -576,6 +583,226 @@ int64_t sdc_walk(const sdc_shared *s, const int64_t *ranges, int64_t row_lo,
     if (marks)
         marks[m] = clock_s();
     return SDC_DONE;
+}
+
+/* ------------------------------------------------------------------------
+ * The team: the OpenMP team of the paper's region.  sdc_team_start makes
+ * p - 1 helper threads that persist between walks; the caller is worker 0,
+ * the master thread, and runs its own share through sdc_walk between
+ * sdc_team_ring and sdc_team_settle.  A helper waits on the doorbell -
+ * BARRIER_SPINS spins, sched_yield() for up to TEAM_SPIN_S, then a futex
+ * sleep (sched_yield elsewhere) - walks its job of the ring, and posts the
+ * walk's status and the ring's number to its own cache line.
+ * ------------------------------------------------------------------------ */
+
+/* After a walk a helper keeps yielding this long before it sleeps: the
+ * integrator's gap between two walks of an MD step is ~0.3 ms, and a
+ * futex wake costs ~15 us where a yielding helper answers in ~1 us */
+#define TEAM_SPIN_S 1e-3
+
+/* Worker k's share of one walk: sdc_walk's per-worker arguments */
+typedef struct {
+    const int64_t *ranges;
+    int64_t row_lo, row_hi;
+    double *energies, *marks;
+} sdc_job;
+
+/* A helper's line, written by that helper alone */
+typedef struct {
+    int64_t ring;   /* the last ring it answered */
+    int64_t status; /* that ring's walk: SDC_DONE, SDC_ABORTED or a slot */
+    int64_t pad[LINE - 2];
+} team_line;
+
+typedef struct sdc_team sdc_team;
+
+typedef struct {
+    sdc_team *team;
+    int64_t k, cpu; /* its worker index; the CPU it binds to, or -1 */
+    pthread_t thread;
+} team_helper;
+
+struct sdc_team {
+    /* written by the caller alone: the doorbell and the ring's walk */
+    uint32_t bell; /* the ring count: the futex word */
+    uint32_t stop; /* set before the last ring: the helpers exit */
+    int64_t n_workers, base;
+    const sdc_shared *shared;
+    const sdc_job *jobs; /* jobs[k] for 0 < k < n_workers */
+    int64_t n_helpers, home; /* home: cpus[0], or -1 */
+    team_helper *helpers;
+    _Alignas(64) int64_t sleepers; /* helpers in (or entering) a futex wait */
+    _Alignas(64) team_line lines[]; /* lines[k - 1]: helper k's */
+};
+
+/* Worker 0 walks on cpus[0].  The caller is not bound - it is the
+ * program's own thread - so where it stands on a helper's CPU, left
+ * there by whatever it ran before, it steps home and keeps its mask. */
+static void team_home(const sdc_team *t)
+{
+#ifdef __linux__
+    const int here = sched_getcpu();
+    cpu_set_t mask, home;
+    for (int64_t k = 0; k < t->n_helpers; k++)
+        if (t->helpers[k].cpu == here) {
+            if (sched_getaffinity(0, sizeof mask, &mask) ||
+                !CPU_ISSET((int)t->home, &mask))
+                return;
+            CPU_ZERO(&home);
+            CPU_SET((int)t->home, &home);
+            if (!sched_setaffinity(0, sizeof home, &home))
+                sched_setaffinity(0, sizeof mask, &mask);
+            return;
+        }
+#else
+    (void)t;
+#endif
+}
+
+static void team_ring(sdc_team *t)
+{
+    __atomic_add_fetch(&t->bell, 1, __ATOMIC_SEQ_CST);
+#ifdef __linux__
+    if (__atomic_load_n(&t->sleepers, __ATOMIC_SEQ_CST))
+        syscall(SYS_futex, &t->bell, FUTEX_WAKE_PRIVATE, INT_MAX, NULL, NULL,
+                0);
+#endif
+}
+
+/* The first ring past `seen`.  A sleeper counts itself in before it
+ * reads the bell and the ringer reads the count after it rings, so one
+ * of the two sees the other. */
+static uint32_t team_wait(sdc_team *t, uint32_t seen)
+{
+    const double until = clock_s() + TEAM_SPIN_S;
+    for (int64_t spins = 0;; spins++) {
+        const uint32_t bell = __atomic_load_n(&t->bell, __ATOMIC_ACQUIRE);
+        if (bell != seen)
+            return bell;
+        if (spins < BARRIER_SPINS)
+            continue;
+        if (clock_s() < until) {
+            sched_yield();
+            continue;
+        }
+#ifdef __linux__
+        __atomic_add_fetch(&t->sleepers, 1, __ATOMIC_SEQ_CST);
+        if (__atomic_load_n(&t->bell, __ATOMIC_SEQ_CST) == seen)
+            syscall(SYS_futex, &t->bell, FUTEX_WAIT_PRIVATE, seen, NULL, NULL,
+                    0);
+        __atomic_sub_fetch(&t->sleepers, 1, __ATOMIC_SEQ_CST);
+#else
+        sched_yield();
+#endif
+    }
+}
+
+static void *team_main(void *arg)
+{
+    const team_helper *h = arg;
+    sdc_team *t = h->team;
+    team_line *line = &t->lines[h->k - 1];
+#ifdef __linux__
+    if (h->cpu >= 0) {
+        cpu_set_t set;
+        CPU_ZERO(&set);
+        CPU_SET((int)h->cpu, &set);
+        sched_setaffinity(0, sizeof set, &set);
+    }
+#endif
+    for (uint32_t seen = 0;;) {
+        seen = team_wait(t, seen);
+        if (__atomic_load_n(&t->stop, __ATOMIC_ACQUIRE))
+            return NULL;
+        int64_t status = SDC_DONE;
+        if (h->k < t->n_workers) { /* a narrower walk leaves it out */
+            const sdc_job *job = &t->jobs[h->k];
+            status = sdc_walk(t->shared, job->ranges, job->row_lo, job->row_hi,
+                              h->k, t->base, job->energies, job->marks);
+        }
+        line->status = status;
+        __atomic_store_n(&line->ring, (int64_t)seen, __ATOMIC_RELEASE);
+    }
+}
+
+void sdc_team_close(sdc_team *t);
+
+/* A team of n_workers: helpers 1 .. n_workers - 1, helper k bound to
+ * cpus[k] when cpus is given.  The helpers block every signal.  NULL
+ * when a thread cannot be made (none is left running). */
+sdc_team *sdc_team_start(int64_t n_workers, const int64_t *cpus)
+{
+    const int64_t n = n_workers > 1 ? n_workers - 1 : 0;
+    const size_t size = sizeof(sdc_team) + (size_t)n * sizeof(team_line);
+    sdc_team *t = NULL;
+    if (posix_memalign((void **)&t, 64, size))
+        return NULL;
+    memset(t, 0, size);
+    t->home = cpus ? cpus[0] : -1;
+    t->helpers = calloc(n ? (size_t)n : 1, sizeof(team_helper));
+    if (!t->helpers) {
+        free(t);
+        return NULL;
+    }
+    sigset_t all, old;
+    sigfillset(&all);
+    pthread_sigmask(SIG_SETMASK, &all, &old);
+    for (int64_t k = 1; k <= n; k++) {
+        team_helper *h = &t->helpers[k - 1];
+        h->team = t;
+        h->k = k;
+        h->cpu = cpus ? cpus[k] : -1;
+        if (pthread_create(&h->thread, NULL, team_main, h))
+            break;
+        t->n_helpers = k;
+    }
+    pthread_sigmask(SIG_SETMASK, &old, NULL);
+    if (t->n_helpers < n) {
+        sdc_team_close(t);
+        return NULL;
+    }
+    return t;
+}
+
+/* Ring the doorbell for one walk: n_workers workers, generations from
+ * base, worker k's share jobs[k].  The caller then walks jobs[0] itself. */
+void sdc_team_ring(sdc_team *t, const sdc_shared *s, const sdc_job *jobs,
+                   int64_t n_workers, int64_t base)
+{
+    t->shared = s;
+    t->jobs = jobs;
+    t->n_workers = n_workers;
+    t->base = base;
+    if (t->home >= 0)
+        team_home(t);
+    team_ring(t);
+}
+
+/* Wait until every helper answered the last ring; status[k] gets helper
+ * k's walk status (status[0] is the caller's, not written). */
+void sdc_team_settle(sdc_team *t, int64_t *status)
+{
+    const uint32_t bell = t->bell;
+    for (int64_t k = 1; k <= t->n_helpers; k++) {
+        const team_line *line = &t->lines[k - 1];
+        for (int64_t spins = 0;
+             (uint32_t)__atomic_load_n(&line->ring, __ATOMIC_ACQUIRE) != bell;
+             spins++)
+            if (spins > BARRIER_SPINS)
+                sched_yield();
+        status[k] = line->status;
+    }
+}
+
+/* Stop and join the helpers, then free the team. */
+void sdc_team_close(sdc_team *t)
+{
+    __atomic_store_n(&t->stop, 1, __ATOMIC_SEQ_CST);
+    team_ring(t);
+    for (int64_t k = 0; k < t->n_helpers; k++)
+        pthread_join(t->helpers[k].thread, NULL);
+    free(t->helpers);
+    free(t);
 }
 
 /* ------------------------------------------------------------------------

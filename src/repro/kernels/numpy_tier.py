@@ -11,8 +11,9 @@ two slice entry points (:meth:`~NumpyKernelTier.density_slice`,
 each a pair half (:meth:`~NumpyKernelTier.pair_pass`,
 :meth:`~NumpyKernelTier.pair_forces`) plus the both-endpoints scatter, the
 halves also serving the strategies that scatter differently — the SDC
-walker (:meth:`~NumpyKernelTier.sdc_walker`, which this tier does not
-have: its callers run the slices colour by colour), the neighbour
+walker and its team of threads (:meth:`~NumpyKernelTier.sdc_walker`,
+:meth:`~NumpyKernelTier.sdc_team`, which this tier does not have: its
+callers run the slices colour by colour), the neighbour
 build those pair lists come from (the binning
 :meth:`~NumpyKernelTier.bin_cells`, the walk
 :meth:`~NumpyKernelTier.neighbor_csr` and its packer
@@ -447,4 +448,9 @@ class NumpyKernelTier:
         (:class:`repro.kernels.c_tier.SDCWalk`), or None where the tier has
         none or may not run this plan: the caller then runs
         :meth:`density_slice` / :meth:`force_slice` colour by colour."""
+        return None
+
+    def sdc_team(self, n_workers, cpus):
+        """The :class:`repro.kernels.c_tier.SDCTeam` a walk runs on, or
+        None where the tier has no walker."""
         return None

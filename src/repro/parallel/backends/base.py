@@ -65,11 +65,6 @@ class ExecutionBackend(ABC):
     _observer: Optional[PhaseObserver] = None
     _phase_counter: int = 0
 
-    #: closures of one phase that run side by side, each on a thread of
-    #: its own (0: the caller's thread runs them one after another).  Only
-    #: a phase at most this wide may hold closures that wait for each other
-    concurrent_tasks: int = 0
-
     @abstractmethod
     def run_phase(self, closures: Sequence[TaskClosure]) -> None:
         """Run all closures; return after the last one completes.
@@ -77,6 +72,11 @@ class ExecutionBackend(ABC):
         Exceptions raised by closures propagate to the caller (after all
         submitted work has settled).
         """
+
+    def team(self, n_workers: int):
+        """The threads that walk beside the caller, worker 0, in a walk of
+        ``n_workers`` (:class:`~repro.kernels.c_tier.SDCTeam`); None here."""
+        return None
 
     # --- observability --------------------------------------------------------
 

@@ -646,8 +646,7 @@ class ChunkWorker:
     def _evaluate_walked(self, base: int):
         """:meth:`do_evaluate` as one ``sdc_walk`` call: the same ranges,
         rows and barriers, the same marks on ``perf_counter``'s clock."""
-        walk, n_colors = self.walk, len(self.tasks)
-        marks = np.empty(2 * (2 * n_colors + 1) + 2)
+        walk, n_colors, marks = self.walk, len(self.tasks), self.walk.marks[0]
         status = walk.run(0, self.index, base, marks)
         if status >= 0:
             raise walk.overlap(status)

@@ -5,14 +5,17 @@
   1e-12, for dims 1/2/3 x workers 1/2/3, on threads and on forked
   processes, over a bcc crystal, a crystal with a void and a slab;
 * routing: the walker runs only where no instrument or observer watches
-  the tasks, the backend runs every worker at once and the potential
-  lowers; a tracer watches the walk from its clock marks;
+  the tasks, the backend has a team as wide as the schedule and the
+  potential lowers; a tracer watches the walk from its clock marks;
 * failures surface and never hang: an overlap in worker 1's range raises
-  the tier's error naming the pair and releases the sibling; a process
+  the tier's error naming the pair and releases the sibling, and so does
+  a raise in worker 0 (the calling thread) before its walk; a process
   worker SIGKILLed while its sibling waits inside the walk is a
   ``BackendError``, after one transparent respawn;
 * fewer CPUs than workers: pinned to one CPU, only the barrier's
-  ``sched_yield`` branch lets the sibling run.
+  ``sched_yield`` branch lets the sibling run;
+* the team: its helpers use no CPU between walks, ``close`` joins them,
+  and a forked child starts a team of its own.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from repro.analysis.racecheck import WriteRecorder
 from repro.core.sdc_plan import build_sdc_plan
 from repro.core.strategies.sdc import SDCStrategy
 from repro.harness.workloads import crystal_slab, crystal_with_void, uniform_crystal
-from repro.kernels.c_tier import SDCWalk
+from repro.kernels.c_tier import SDCTeam, SDCWalk
 from repro.md import build_neighbor_list
 from repro.parallel.backends import BackendError, SerialBackend, ThreadBackend
 from repro.parallel.backends.base import PhaseObserver
@@ -58,18 +61,26 @@ def c_tier():
 
 @pytest.fixture()
 def walks(monkeypatch):
-    """``walks[w]``: how many walks barrier waiter ``w`` started, forked
-    workers' included (an anonymous shared page; each waiter writes its
-    own slot)."""
+    """``walks[w]``: how many walks barrier waiter ``w`` started: those
+    through ``SDCWalk.run`` (a team's worker 0, forked workers), and a
+    team's C helpers ``1 .. p - 1``, which walk once for every ring they
+    answer (an anonymous shared page; each waiter writes its own slot)."""
     page = mmap.mmap(-1, mmap.PAGESIZE)
     hits = np.frombuffer(page, dtype=np.int64, count=8)
-    real = SDCWalk.run
+    real_run, real_walk = SDCWalk.run, SDCTeam.walk
 
     def run(self, k, waiter, base, marks=None):
         hits[waiter] += 1
-        return real(self, k, waiter, base, marks)
+        return real_run(self, k, waiter, base, marks)
+
+    def walk(self, sdc_walk, base):
+        try:
+            return real_walk(self, sdc_walk, base)
+        finally:  # the team settled: every helper answered the ring
+            hits[1 : len(sdc_walk.jobs)] += 1
 
     monkeypatch.setattr(SDCWalk, "run", run)
+    monkeypatch.setattr(SDCTeam, "walk", walk)
     return hits
 
 
@@ -273,24 +284,34 @@ class TestFailuresSurface:
     def test_raise_before_the_call_releases_the_sibling(
         self, wide, c_tier, monkeypatch
     ):
-        """Worker 1 raises in Python instead of entering ``sdc_walk``;
-        worker 0 is already waiting at barrier 0 and must be let go."""
-        potential, atoms, nlist, _ = wide
-        real = c_tier._c_walk
+        """Worker 0 — the calling thread, the one team worker that runs
+        Python — raises instead of entering ``sdc_walk``; helper 1 is
+        already waiting at barrier 0 and must be let go, and the team
+        walks the next evaluation."""
+        potential, atoms, nlist, forces = wide
+        real, raised = c_tier._c_walk, []
 
         def walk(shared, ranges, lo, hi, waiter, *rest):
-            if waiter == 1:
-                time.sleep(0.2)  # worker 0 reaches the barrier first
-                raise RuntimeError("worker 1 failed")
+            if not raised:
+                raised.append(waiter)
+                time.sleep(0.2)  # helper 1 reaches the barrier first
+                raise RuntimeError("worker 0 failed")
             return real(shared, ranges, lo, hi, waiter, *rest)
 
         monkeypatch.setattr(c_tier, "_c_walk", walk)
         with ThreadBackend(2) as backend:
             strategy = SDCStrategy(2, 2, backend)
-            with pytest.raises(RuntimeError, match="worker 1 failed"):
+            with pytest.raises(RuntimeError, match="worker 0 failed"):
                 within_deadline(
                     lambda: strategy.compute(potential, atoms.copy(), nlist)
                 )
+            assert raised == [0]
+            start, arrived, left = strategy._walk.marks[1, :3]
+            assert 0 < start < arrived and left == 0  # aborted at barrier 0
+            result = within_deadline(
+                lambda: strategy.compute(potential, atoms.copy(), nlist)
+            )
+        np.testing.assert_allclose(result.forces, forces, atol=1e-10)
 
     @needs_fork
     def test_overlap_in_worker_1_on_processes(self, wide, walks):
@@ -342,6 +363,93 @@ class TestFailuresSurface:
                     within_deadline(lambda: calc.compute(potential, atoms.copy(), nlist))
             killer.join()
             assert time.monotonic() - started < 30.0
+
+
+def tasks() -> set:
+    """This process's threads, as ``/proc/self/task`` lists them."""
+    return set(os.listdir("/proc/self/task"))
+
+
+def cpu_ticks(tids) -> int:
+    """utime + stime of threads ``tids``, in clock ticks."""
+    total = 0
+    for tid in tids:
+        with open(f"/proc/self/task/{tid}/stat", encoding="ascii") as handle:
+            fields = handle.read().rsplit(")", 1)[1].split()
+        total += int(fields[11]) + int(fields[12])
+    return total
+
+
+@pytest.mark.linux
+class TestTeam:
+    """The walk's team: ``p - 1`` C helpers, started at the first walk,
+    asleep between walks, joined at ``close``, not inherited by a fork."""
+
+    def test_idle_helpers_use_no_cpu(self, wide, walks):
+        potential, atoms, nlist, forces = wide
+        before = tasks()
+        with ThreadBackend(2) as backend:
+            strategy = SDCStrategy(2, 2, backend)
+            result = strategy.compute(potential, atoms.copy(), nlist)
+            helpers = tasks() - before
+            assert len(helpers) == 1 and walks[:2].tolist() == [1, 1]
+            time.sleep(0.05)  # past the helpers' spin after a walk
+            used = cpu_ticks(helpers)
+            time.sleep(0.5)
+            used = cpu_ticks(helpers) - used
+        assert used / os.sysconf("SC_CLK_TCK") < 0.01 * 0.5
+        np.testing.assert_allclose(result.forces, forces, atol=1e-10)
+
+    @pytest.mark.parametrize("owner", ["backend", "strategy", "simulation"])
+    def test_close_joins_the_helpers(self, owner, wide, walks):
+        from repro.md.integrators import VelocityVerlet
+        from repro.md.simulation import Simulation
+
+        potential, atoms, _, _ = wide
+        before = tasks()
+        backend = ThreadBackend(3)
+        strategy = SDCStrategy(2, 3, backend)
+        sim = Simulation(atoms.copy(), potential, strategy, VelocityVerlet(1e-3))
+        assert tasks() == before  # nothing starts before the first walk
+        sim.compute_forces()
+        assert walks[:3].tolist() == [1, 1, 1]
+        assert len(tasks() - before) == 2
+        closer = {"backend": backend, "strategy": strategy, "simulation": sim}
+        closer[owner].close()
+        assert not tasks() - before
+        closer[owner].close()  # a second close is a no-op
+        assert not tasks() - before
+
+    @needs_fork
+    def test_a_forked_child_starts_its_own_team(self, wide, walks):
+        """A team made before ``fork`` has no threads in the child: there
+        the next walk starts a fresh one instead of ringing dead helpers,
+        and the parent's team walks on."""
+        potential, atoms, nlist, forces = wide
+        with ThreadBackend(2) as backend:
+            strategy = SDCStrategy(2, 2, backend)
+            strategy.compute(potential, atoms.copy(), nlist)
+            team = backend.team(2)
+            pid = os.fork()
+            if pid == 0:  # the child's exit status says whether it walked right
+                code = 1
+                try:
+                    signal.alarm(int(DEADLINE_S))  # a hang kills the child
+                    result = strategy.compute(potential, atoms.copy(), nlist)
+                    fresh = backend.team(2)
+                    right = np.allclose(result.forces, forces, rtol=0, atol=1e-10)
+                    code = 0 if right and fresh.usable and not team.usable else 1
+                finally:
+                    os._exit(code)
+            _, status = os.waitpid(pid, 0)
+            assert os.waitstatus_to_exitcode(status) == 0
+            assert walks[:2].tolist() == [2, 2]  # the child walked on threads
+            assert team.usable and backend.team(2) is team
+            result = within_deadline(
+                lambda: strategy.compute(potential, atoms.copy(), nlist)
+            )
+        assert walks[:2].tolist() == [3, 3]
+        np.testing.assert_allclose(result.forces, forces, atol=1e-10)
 
 
 @pytest.mark.skipif(
