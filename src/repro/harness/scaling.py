@@ -16,7 +16,8 @@ the paper times), and derives
 
 and attributes the lost core-seconds ``p*T(p) - T(1)`` into disjoint
 mechanisms using the task/barrier spans recorded by the tracer and the
-pool workers' scheduler time over the window (:mod:`repro.obs.resources`):
+workers' scheduler time over the window's force evaluations
+(:mod:`repro.obs.resources`):
 
 * ``imbalance`` — cores idle because tasks within a phase were uneven
   (per phase: ``(max_task - mean_task) * n_tasks``);
@@ -26,8 +27,8 @@ pool workers' scheduler time over the window (:mod:`repro.obs.resources`):
   embedding phase, position sync, dispatch (budget minus task work minus
   barrier waits);
 * ``resource_pressure`` — worker time runnable but waiting for a CPU
-  (summed ``/proc/<pid>/schedstat`` run-queue wait over the window, at
-  most the window's task work);
+  (summed ``/proc/<pid>/schedstat`` run-queue wait over the evaluations,
+  at most the window's task work);
 * ``excess_work`` — task core-seconds beyond the baseline ``T(1)``
   (redundant computation, per-worker overheads).
 
@@ -43,6 +44,7 @@ loss-attribution panel.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -109,9 +111,10 @@ class ScalePoint:
     #: loss fractions of the core-second budget ``p * total_s``
     loss: Dict[str, float] = field(default_factory=dict)
     dominant_loss: Optional[str] = None
-    #: per-worker ``worker_cpu_s`` / ``worker_run_delay_s`` over the
-    #: window (:func:`~repro.obs.resources.window_digest`); empty without
-    #: worker processes or a readable ``/proc``
+    #: per-worker ``worker_cpu_s`` / ``worker_run_delay_s`` summed over
+    #: the window's force evaluations, worker 0 first
+    #: (:func:`~repro.obs.resources.window_digest`); empty without worker
+    #: processes or a readable ``/proc``
     resources: Dict[str, List[float]] = field(default_factory=dict)
     spans: List[Span] = field(default_factory=list)
 
@@ -248,6 +251,42 @@ def _attribute_losses(
     }
 
 
+@contextmanager
+def _evaluation_windows(calculator):
+    """Per worker, ``(on-CPU s, run-queue wait s)`` summed over the force
+    evaluations inside the block — the time ``p T(p)`` budgets: between
+    evaluations a team's helpers yield, and worker 0 integrates.  Each
+    evaluation's ends are read inside it, where this thread walks as worker
+    0 of a team too; in-process calculators have no ``worker_pids()``, and
+    nothing is read."""
+    spent: Dict[int, Tuple[float, float]] = {}
+    pids = getattr(calculator, "worker_pids", list)()
+    caller = getattr(calculator, "caller_walks", bool)()
+    if not pids and not caller:
+        yield spent
+        return
+    compute = calculator.compute
+
+    def windowed(*args, **kwargs):
+        before = read_window(pids, caller)
+        try:
+            return compute(*args, **kwargs)
+        finally:
+            after = read_window(pids, caller)
+            for pid in (pid for pid in before if pid in after):
+                cpu, delay = spent.get(pid, (0.0, 0.0))
+                spent[pid] = (
+                    cpu + after[pid][0] - before[pid][0],
+                    delay + after[pid][1] - before[pid][1],
+                )
+
+    calculator.compute = windowed
+    try:
+        yield spent
+    finally:
+        del calculator.compute
+
+
 def _measure_point(
     case_key: str,
     strategy_key: str,
@@ -268,12 +307,10 @@ def _measure_point(
         # warmup evaluation: worker fork, arena mapping, decomposition,
         # neighbor build, JIT — excluded from the measured window
         cell.sim.compute_forces()
-        # in-process calculators have no worker_pids(): nothing to read
-        worker_pids = getattr(cell.sim.calculator, "worker_pids", list)()
-        before = read_window(worker_pids)
-        window_start = time.perf_counter()
-        total_s = cell.sim.run(steps, sample_every=max(1, steps)).force_seconds
-        resources = window_digest(before, read_window(worker_pids))
+        with _evaluation_windows(cell.sim.calculator) as spent:
+            window_start = time.perf_counter()
+            total_s = cell.sim.run(steps, sample_every=max(1, steps)).force_seconds
+        resources = window_digest(dict.fromkeys(spent, (0.0, 0.0)), spent)
         spans = cell.finish(registry)
     return total_s, window_start, spans, resources
 

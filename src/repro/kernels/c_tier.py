@@ -22,9 +22,11 @@ calls: density, embedding, force), the slice bodies ``density_slice`` /
 ``pair_forces`` the comparison strategies scatter their own way, the SDC
 walker ``sdc_walker`` (:class:`SDCWalk`: one call per worker per
 evaluation runs its every colour, its embedding rows and every barrier
-between them) and its team ``sdc_team`` (:class:`SDCTeam`: C helper
-threads that persist between walks, the caller walking as worker 0 — on
-threads a walk is not a ``run_phase``), the neighbour build
+between them) and its team ``sdc_team`` (:class:`SDCTeam`: helpers that
+persist between walks, the caller walking as worker 0 — C threads, so on
+threads a walk is not a ``run_phase``, or processes the process engine
+forks over a team laid out in its arena, each in ``serve_team``), the
+neighbour build
 (``bin_cells``, the finite check, the wrap and a counting sort into
 cells in one pass; ``neighbor_csr``, the
 forward-stencil walk and the CSR packing in one call; and its packer
@@ -302,6 +304,12 @@ def _ptr(array: np.ndarray):
     return _VIEW.from_buffer(array) if array.flags.writeable else array.ctypes.data
 
 
+def _addr(array: np.ndarray) -> int:
+    """:func:`_ptr` as an int, for a struct field."""
+    ptr = _ptr(array)
+    return ptr if type(ptr) is int else ctypes.addressof(ptr)
+
+
 def _plain(dtype: np.dtype, *arrays) -> bool:
     """Exactly ``ndarray``, of ``dtype``, C-contiguous: what C may address."""
     return all(
@@ -332,17 +340,19 @@ def _indices(i_idx, j_idx, n_atoms: int) -> bool:
     )
 
 
-def _pairs(i_idx, j_idx, handover, n_atoms: int) -> bool:
-    """A pair slice C may run: :func:`_indices`, and the four hand-over
-    arrays shaped to the slice."""
-    if not _indices(i_idx, j_idx, n_atoms):
-        return False
+def _handover(handover, n_pairs: int) -> bool:
+    """The four hand-over arrays, shaped to ``n_pairs``."""
     delta, *scalars = handover
-    n_pairs = len(i_idx)
     return (
         _rows(delta, 3) and len(delta) == n_pairs
         and all(_rows(a) and len(a) == n_pairs for a in scalars)
     )
+
+
+def _pairs(i_idx, j_idx, handover, n_atoms: int) -> bool:
+    """A pair slice C may run: :func:`_indices`, and :func:`_handover`
+    shaped to the slice."""
+    return _indices(i_idx, j_idx, n_atoms) and _handover(handover, len(i_idx))
 
 
 def _vectors(n_atoms: int, *arrays) -> bool:
@@ -420,7 +430,31 @@ class SDCShared(ctypes.Structure):
         ("barrier", ctypes.c_void_p),
         ("n_waiters", ctypes.c_int64),
         ("parent", ctypes.c_int64),
+        ("watch", ctypes.c_void_p),
+        ("deadline", ctypes.c_double),
     ]
+
+
+class _Carve:
+    """Zeroed arrays carved one after another, 64-byte aligned, out of a
+    byte block (a forked helper reads only what lies in shared memory);
+    without a block, fresh ones."""
+
+    def __init__(self, block=None) -> None:
+        self._block, self._at = block, 0
+
+    def __call__(self, shape, dtype=np.float64) -> np.ndarray:
+        if self._block is None:
+            return np.zeros(shape, dtype)
+        dtype, block = np.dtype(dtype), self._block
+        base = _addr(block)
+        start = -(-(base + self._at) // 64) * 64 - base
+        self._at = start + math.prod(shape) * dtype.itemsize
+        if self._at > len(block):
+            raise ValueError(f"a walk needs {self._at} bytes, its block has {len(block)}")
+        out = block[start : self._at].view(dtype).reshape(shape)
+        out[...] = 0
+        return out
 
 
 class SDCWalk:
@@ -433,46 +467,85 @@ class SDCWalk:
     :class:`~repro.parallel.backends.workers.ColorBarrier`).  Its partials
     land in ``energies[k]``: one pair energy per colour, then the
     embedding energy.  On an :class:`SDCTeam` every worker also stamps
-    ``marks[k]``: its start, each barrier's entry and exit, its end.
+    ``marks[k]``: its start, each barrier's entry and exit, its end.  A
+    walk carved out of a shared ``block`` (its struct, job table, ranges,
+    energies and marks; ``phi`` given too) can be walked by helpers the
+    caller forks: :meth:`watch` then makes worker 0 give up on a lost one.
     """
 
-    #: :meth:`run`'s statuses besides an overlapping pair's slot
-    DONE, ABORTED = -1, -2
+    #: :meth:`run`'s statuses besides an overlapping pair's slot, and the
+    #: status of a forked helper worker 0 gave up on
+    DONE, ABORTED, LOST = -1, -2, -3
 
     def __init__(
         self, fn, pair_i, pair_j, tasks, rows, n_atoms, barrier, parent,
-        handover,
+        handover, phi=None, block=None,
     ) -> None:
-        n_pairs = len(pair_i)
+        n_pairs, n_workers = len(pair_i), len(tasks)
         self._fn, self.n_atoms = fn, n_atoms
         self.pair_i, self.pair_j = pair_i, pair_j
-        self._ranges = [np.array(t, dtype=np.int64).reshape(-1) for t in tasks]
         self.n_colors = len(tasks[0])
-        self.energies = np.zeros((len(tasks), self.n_colors + 1))
+        carve = _Carve(block)
+        self._shared = SDCShared.from_buffer(
+            carve((ctypes.sizeof(SDCShared),), np.uint8)
+        )
+        self._ranges = [carve((2 * self.n_colors,), np.int64) for _ in tasks]
+        for ranges, spans in zip(self._ranges, tasks):
+            ranges[:] = np.array(spans, dtype=np.int64).reshape(-1)
+        self.energies = carve((n_workers, self.n_colors + 1))
+        self.marks = carve((n_workers, 4 * self.n_colors + 4))
+        #: worker k's ``sdc_job``: its ranges, rows, energies and marks
+        self._jobs = [
+            (_addr(r), int(lo), int(hi), _addr(e), _addr(m))
+            for r, (lo, hi), e, m in zip(self._ranges, rows, self.energies, self.marks)
+        ]
+        self.jobs = carve((n_workers, 5), np.int64)
+        self.jobs[:] = self._jobs
         delta, self.r, dphi, dv = (
             handover if handover is not None else handover_arrays(n_pairs)
         )
-        phi = np.empty(n_pairs)
+        phi = np.empty(n_pairs) if phi is None else phi
         self._barrier = barrier
-        self._shared = SDCShared(
-            pair_i=pair_i.ctypes.data, pair_j=pair_j.ctypes.data,
-            min_sep=MIN_PAIR_SEPARATION, n_colors=self.n_colors,
-            delta=delta.ctypes.data, r=self.r.ctypes.data, phi=phi.ctypes.data,
-            dphi=dphi.ctypes.data, dv=dv.ctypes.data,
-            barrier=barrier.ctypes.data, n_waiters=len(barrier) - 1,
-            parent=parent,
-        )
+        shared = self._shared
+        for name, value in (
+            ("pair_i", pair_i), ("pair_j", pair_j), ("delta", delta),
+            ("r", self.r), ("phi", phi), ("dphi", dphi), ("dv", dv),
+            ("barrier", barrier),
+        ):
+            setattr(shared, name, _addr(value))
+        shared.min_sep, shared.n_colors = MIN_PAIR_SEPARATION, self.n_colors
+        shared.n_waiters, shared.parent = len(barrier) - 1, parent
         #: what the struct addresses lives as long as it does
         self._arrays = (delta, dphi, dv, phi)
-        self._lowered = None
+        self._lowered = self._watched = None
         self._at = ctypes.addressof(self._shared)
-        self.marks = np.zeros((len(tasks), 4 * self.n_colors + 4))
-        #: worker k's ``sdc_job``: its ranges, rows, energies and marks
-        self._jobs = [
-            (r.ctypes.data, int(lo), int(hi), e.ctypes.data, m.ctypes.data)
-            for r, (lo, hi), e, m in zip(self._ranges, rows, self.energies, self.marks)
+
+    @staticmethod
+    def block_bytes(n_workers: int, n_colors: int) -> int:
+        """Bytes of a ``block`` that holds a walk of ``n_workers`` over at
+        most ``n_colors`` colours (what ``__init__`` carves, aligned)."""
+        pieces = [
+            ctypes.sizeof(SDCShared), *[16 * n_colors] * n_workers,
+            8 * n_workers * (n_colors + 1), 8 * n_workers * (4 * n_colors + 4),
+            40 * n_workers,
         ]
-        self.jobs = np.array(self._jobs, dtype=np.int64)
+        return sum(pieces) + 64 * len(pieces)  # each piece starts aligned
+
+    def watch(self, fds) -> None:
+        """Worker 0 drives forked helpers: it gives up on helper ``k`` (its
+        status :attr:`LOST`) once the pipe end ``fds[k - 1]`` stirs or
+        :attr:`deadline` passes, and releases the others."""
+        self._watched = np.array(fds, dtype=np.int32)
+        self._shared.watch = _addr(self._watched)
+
+    @property
+    def deadline(self) -> float:
+        """``time.monotonic()`` seconds at which a watching worker 0 gives up."""
+        return self._shared.deadline
+
+    @deadline.setter
+    def deadline(self, value: float) -> None:
+        self._shared.deadline = value
 
     def bind(self, potential, positions, box, rho, fp, forces) -> bool:
         """Aim the walk at one evaluation: False (nothing bound) unless the
@@ -490,7 +563,7 @@ class SDCWalk:
         for name, array in (
             ("pos", positions), ("rho", rho), ("fp", fp), ("forces", forces)
         ):
-            setattr(shared, name, array.ctypes.data)
+            setattr(shared, name, _addr(array))
         return True
 
     def run(self, k: int, waiter: int, base: int, marks=None) -> int:
@@ -530,27 +603,36 @@ if hasattr(os, "register_at_fork"):
 
 
 class SDCTeam:
-    """``sdc_team``: ``n_workers - 1`` C helper threads that persist
-    between walks, and the caller as worker 0 — the OpenMP team of the
-    paper's region and its master thread.
+    """``sdc_team``: ``n_workers - 1`` helpers that persist between walks,
+    and the caller as worker 0 — the OpenMP team of the paper's region and
+    its master thread.
 
     :meth:`walk` rings the doorbell, runs worker 0's :meth:`SDCWalk.run`
     on the calling thread, then reads every helper's status from its own
     cache line.  A helper never touches Python: it waits on the doorbell
-    (spins, yields, then a futex sleep), walks, and posts; helper ``k``
-    binds itself to ``cpus[k]`` when ``cpus`` is given.  A team made
-    before a fork is not :attr:`usable` in the child, where it has no
-    threads.  :meth:`close` joins the helpers (idempotent).
+    (spins, yields, then a futex sleep), walks, and posts.  Without a
+    ``block`` the helpers are C threads, helper ``k`` bound to ``cpus[k]``
+    when ``cpus`` is given, joined by :meth:`close`.  With one — a shared
+    mapping's bytes, ``team_block_bytes`` of them — the team is laid out
+    there for helpers the caller forks, each of which then runs
+    :meth:`CKernelTier.serve_team` until :meth:`close` stops it; their
+    walks must be carved out of the same block.  A team made before a fork
+    is not :attr:`usable` in the child.  :meth:`close` is idempotent.
     """
 
     _team = None
 
-    def __init__(self, calls, n_workers: int, cpus) -> None:
-        start, self._ring, self._settle, self._close = calls
+    def __init__(self, calls, n_workers: int, cpus, block=None) -> None:
+        start, place, self._ring, self._settle, stop, close = calls
         bind = np.array(cpus, dtype=np.int64) if len(cpus) else None
-        self._team = start(n_workers, None if bind is None else _ptr(bind))
+        bind = None if bind is None else _ptr(bind)
+        if block is None:
+            self._team, self._close = start(n_workers, bind), close
+        else:
+            self._team, self._close = place(_ptr(block), n_workers, bind), stop
         if not self._team:
             raise OSError(f"cannot start {n_workers - 1} helper threads")
+        self._block = block
         self._status = (ctypes.c_int64 * n_workers)()
         self._forks = _forks
         self._lock = threading.Lock()
@@ -606,15 +688,21 @@ class CKernelTier(NumpyKernelTier):
         self._c_walk = lib.sdc_walk
         self._c_walk.argtypes = [vp, vp, i64, i64, i64, i64, vp, vp]
         self._c_walk.restype = i64
-        start, ring, settle, close = (
-            lib.sdc_team_start, lib.sdc_team_ring, lib.sdc_team_settle,
-            lib.sdc_team_close,
+        start, place, ring, settle, stop, close = (
+            lib.sdc_team_start, lib.sdc_team_place, lib.sdc_team_ring,
+            lib.sdc_team_settle, lib.sdc_team_stop, lib.sdc_team_close,
         )
         start.argtypes, start.restype = [i64, vp], vp
+        place.argtypes, place.restype = [vp, i64, vp], vp
         ring.argtypes, ring.restype = [vp, vp, vp, i64, i64], None
         settle.argtypes, settle.restype = [vp, vp], None
-        close.argtypes, close.restype = [vp], None
-        self._c_team = (start, ring, settle, close)
+        stop.argtypes = close.argtypes = [vp]
+        stop.restype = close.restype = None
+        self._c_team = (start, place, ring, settle, stop, close)
+        self._c_serve = lib.sdc_team_serve
+        self._c_serve.argtypes, self._c_serve.restype = [vp, i64, i64], i64
+        self._c_team_bytes = lib.sdc_team_bytes
+        self._c_team_bytes.argtypes, self._c_team_bytes.restype = [i64], i64
         self._c_build = lib.nbr_build
         self._c_build.argtypes = [
             vp, vp, i64, vp, vp, vp, vp, f64, i64, i64, vp, vp, vp, vp
@@ -782,7 +870,7 @@ class CKernelTier(NumpyKernelTier):
 
     def sdc_walker(
         self, pair_i, pair_j, tasks, rows, n_atoms, barrier, parent=0,
-        handover=None,
+        handover=None, phi=None, team_block=None,
     ):
         n_pairs = len(pair_i)
         spans = np.array(tasks, dtype=np.int64).reshape(-1, 2)
@@ -796,16 +884,34 @@ class CKernelTier(NumpyKernelTier):
             and np.all(blocks[:, 1] <= n_atoms)
             and _plain(_I64, barrier) and barrier.ndim == 2
             and barrier.shape[1] == 8 and barrier.flags.writeable
-            and (handover is None or _pairs(pair_i, pair_j, handover, n_atoms))
+            and (handover is None or _handover(handover, n_pairs))
+            and (phi is None or (_rows(phi) and len(phi) == n_pairs))
         ):
             return None
+        block = None
+        if team_block is not None:  # the walk goes behind its team
+            block = team_block[self._team_part(len(tasks)):]
         return SDCWalk(
             self._c_walk, pair_i, pair_j, tasks, rows, n_atoms, barrier,
-            parent, handover,
+            parent, handover, phi, block,
         )
 
-    def sdc_team(self, n_workers, cpus):
-        return SDCTeam(self._c_team, n_workers, cpus)
+    def sdc_team(self, n_workers, cpus, block=None):
+        if block is not None:
+            block = block[: self._team_part(n_workers)]
+        return SDCTeam(self._c_team, n_workers, cpus, block)
+
+    def _team_part(self, n_workers: int) -> int:
+        return -(-self._c_team_bytes(n_workers) // 64) * 64
+
+    def team_block_bytes(self, n_workers, n_colors):
+        return self._team_part(n_workers) + SDCWalk.block_bytes(n_workers, n_colors)
+
+    def serve_team(self, block, k, parent):
+        """Forked helper ``k``'s loop on the team laid out in ``block``
+        (:class:`SDCTeam`), until the team is stopped: it leaves with its
+        parent process ``parent`` too, by ``_exit``."""
+        self._c_serve(_ptr(block), k, parent)
 
     # --- velocity Verlet ----------------------------------------------------
 

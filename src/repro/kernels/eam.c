@@ -2,7 +2,8 @@
  * The C kernel tier: the paper's density and force loops (Figs. 1-2) over
  * one contiguous pair slice, the whole SDC parallel region of one worker
  * (Figs. 7-8: every colour, the embedding and every barrier) and the team
- * of helper threads that walks it beside the caller, the two halves of a
+ * of helpers - threads, or processes over a shared block - that walks it
+ * beside the caller, the two halves of a
  * velocity-Verlet step, and the CSR Verlet list they run over (its bin
  * pass, its scan and its pack), each entry point one GIL-free call.
  *
@@ -28,6 +29,7 @@
 #define _GNU_SOURCE
 #include <limits.h>
 #include <math.h>
+#include <poll.h>
 #include <pthread.h>
 #include <sched.h>
 #include <signal.h>
@@ -487,7 +489,11 @@ typedef struct {
     double *delta, *r, *phi, *dphi, *dv; /* slot-aligned with pair_i */
     int64_t *barrier;
     int64_t n_waiters;
-    int64_t parent; /* > 0: a waiter exits once this pid is not its parent */
+    int64_t parent; /* > 0: a forked waiter exits once this pid is not its parent */
+    /* Worker 0 of a forked team - their parent - watches helper k's pipe end
+     * watch[k - 1] and gives up at CLOCK_MONOTONIC `deadline`; NULL: no watch */
+    const int32_t *watch;
+    double deadline;
 } sdc_shared;
 
 static double clock_s(void)
@@ -497,8 +503,18 @@ static double clock_s(void)
     return (double)((int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec) / 1e9;
 }
 
+/* Whether the parent gives up on forked helper k: its pipe stirs (it died,
+ * or left the team and wrote) or the walk's deadline passed. */
+static int helper_lost(const sdc_shared *s, int64_t k)
+{
+    struct pollfd end = {.fd = s->watch[k - 1], .events = POLLIN};
+    return clock_s() > s->deadline || poll(&end, 1, 0) > 0;
+}
+
 /* ColorBarrier.wait: arrive at `generation`, return 1 once every waiter
- * has, 0 when the abort word reaches `base` (a sibling left). */
+ * has, 0 when the abort word reaches `base` (a sibling left).  Every 1024
+ * spins a forked waiter checks for its parent and the parent for its
+ * helpers; a lost helper sets the abort word. */
 static int barrier_wait(const sdc_shared *s, int64_t waiter,
                         int64_t generation, int64_t base)
 {
@@ -515,11 +531,18 @@ static int barrier_wait(const sdc_shared *s, int64_t waiter,
             break;
         if (__atomic_load_n(&words[0], __ATOMIC_ACQUIRE) >= base)
             return 0;
-        if (spins > BARRIER_SPINS) {
-            sched_yield();
-            if (s->parent > 0 && !(spins % 1024) && getppid() != s->parent)
-                _exit(1);
-        }
+        if (spins <= BARRIER_SPINS)
+            continue;
+        sched_yield();
+        if (spins % 1024)
+            continue;
+        if (s->parent > 0 && getppid() != s->parent && getpid() != s->parent)
+            _exit(1);
+        for (k = 1; s->watch && waiter == 0 && k < s->n_waiters; k++)
+            if (helper_lost(s, k)) {
+                __atomic_store_n(&words[0], generation, __ATOMIC_RELEASE);
+                return 0;
+            }
     }
     __atomic_thread_fence(__ATOMIC_SEQ_CST);
     return 1;
@@ -527,6 +550,7 @@ static int barrier_wait(const sdc_shared *s, int64_t waiter,
 
 #define SDC_DONE (-1)
 #define SDC_ABORTED (-2)
+#define SDC_LOST (-3) /* a forked helper its parent gave up on */
 
 /*
  * Worker `waiter`'s share of one SDC evaluation: its pair range of each
@@ -586,19 +610,25 @@ int64_t sdc_walk(const sdc_shared *s, const int64_t *ranges, int64_t row_lo,
 }
 
 /* ------------------------------------------------------------------------
- * The team: the OpenMP team of the paper's region.  sdc_team_start makes
- * p - 1 helper threads that persist between walks; the caller is worker 0,
+ * The team: the OpenMP team of the paper's region.  The caller is worker 0,
  * the master thread, and runs its own share through sdc_walk between
- * sdc_team_ring and sdc_team_settle.  A helper waits on the doorbell -
- * BARRIER_SPINS spins, sched_yield() for up to TEAM_SPIN_S, then a futex
- * sleep (sched_yield elsewhere) - walks its job of the ring, and posts the
- * walk's status and the ring's number to its own cache line.
+ * sdc_team_ring and sdc_team_settle; helpers 1 .. p - 1 persist between
+ * walks.  A helper waits on the doorbell - BARRIER_SPINS spins,
+ * sched_yield() for up to TEAM_SPIN_S, then a futex sleep (sched_yield
+ * elsewhere) - walks its job of the ring, and posts the walk's status and
+ * the ring's number to its own cache line.  One loop serves two kinds of
+ * team: sdc_team_start makes p - 1 threads around a malloc'd block (a
+ * private futex), and sdc_team_place lays a block out in a shared mapping
+ * for helpers the caller forks, each of which runs sdc_team_serve (a
+ * shared futex, its sleep bounded so that it sees its parent die).
  * ------------------------------------------------------------------------ */
 
 /* After a walk a helper keeps yielding this long before it sleeps: the
  * integrator's gap between two walks of an MD step is ~0.3 ms, and a
  * futex wake costs ~15 us where a yielding helper answers in ~1 us */
 #define TEAM_SPIN_S 1e-3
+/* A forked helper's longest futex sleep: how soon it sees its parent gone */
+#define ORPHAN_CHECK_NS 100000000L
 
 /* Worker k's share of one walk: sdc_walk's per-worker arguments */
 typedef struct {
@@ -607,18 +637,19 @@ typedef struct {
     double *energies, *marks;
 } sdc_job;
 
-/* A helper's line, written by that helper alone */
+/* A helper's line, written by that helper alone but for `cpu` */
 typedef struct {
     int64_t ring;   /* the last ring it answered */
     int64_t status; /* that ring's walk: SDC_DONE, SDC_ABORTED or a slot */
-    int64_t pad[LINE - 2];
+    int64_t cpu;    /* the CPU it is bound to, or -1 */
+    int64_t pad[LINE - 3];
 } team_line;
 
 typedef struct sdc_team sdc_team;
 
 typedef struct {
     sdc_team *team;
-    int64_t k, cpu; /* its worker index; the CPU it binds to, or -1 */
+    int64_t k; /* its worker index */
     pthread_t thread;
 } team_helper;
 
@@ -630,7 +661,8 @@ struct sdc_team {
     const sdc_shared *shared;
     const sdc_job *jobs; /* jobs[k] for 0 < k < n_workers */
     int64_t n_helpers, home; /* home: cpus[0], or -1 */
-    team_helper *helpers;
+    int64_t futex_flags;     /* FUTEX_PRIVATE_FLAG for a team of threads */
+    team_helper *helpers;    /* the threads of sdc_team_start */
     _Alignas(64) int64_t sleepers; /* helpers in (or entering) a futex wait */
     _Alignas(64) team_line lines[]; /* lines[k - 1]: helper k's */
 };
@@ -644,7 +676,7 @@ static void team_home(const sdc_team *t)
     const int here = sched_getcpu();
     cpu_set_t mask, home;
     for (int64_t k = 0; k < t->n_helpers; k++)
-        if (t->helpers[k].cpu == here) {
+        if (t->lines[k].cpu == here) {
             if (sched_getaffinity(0, sizeof mask, &mask) ||
                 !CPU_ISSET((int)t->home, &mask))
                 return;
@@ -664,15 +696,16 @@ static void team_ring(sdc_team *t)
     __atomic_add_fetch(&t->bell, 1, __ATOMIC_SEQ_CST);
 #ifdef __linux__
     if (__atomic_load_n(&t->sleepers, __ATOMIC_SEQ_CST))
-        syscall(SYS_futex, &t->bell, FUTEX_WAKE_PRIVATE, INT_MAX, NULL, NULL,
-                0);
+        syscall(SYS_futex, &t->bell, FUTEX_WAKE | (int)t->futex_flags, INT_MAX,
+                NULL, NULL, 0);
 #endif
 }
 
 /* The first ring past `seen`.  A sleeper counts itself in before it
  * reads the bell and the ringer reads the count after it rings, so one
- * of the two sees the other. */
-static uint32_t team_wait(sdc_team *t, uint32_t seen)
+ * of the two sees the other.  A forked helper (`parent` > 0) exits once
+ * its parent is gone. */
+static uint32_t team_wait(sdc_team *t, uint32_t seen, int64_t parent)
 {
     const double until = clock_s() + TEAM_SPIN_S;
     for (int64_t spins = 0;; spins++) {
@@ -686,59 +719,92 @@ static uint32_t team_wait(sdc_team *t, uint32_t seen)
             continue;
         }
 #ifdef __linux__
+        const struct timespec bound = {0, ORPHAN_CHECK_NS};
         __atomic_add_fetch(&t->sleepers, 1, __ATOMIC_SEQ_CST);
         if (__atomic_load_n(&t->bell, __ATOMIC_SEQ_CST) == seen)
-            syscall(SYS_futex, &t->bell, FUTEX_WAIT_PRIVATE, seen, NULL, NULL,
-                    0);
+            syscall(SYS_futex, &t->bell, FUTEX_WAIT | (int)t->futex_flags, seen,
+                    parent > 0 ? &bound : NULL, NULL, 0);
         __atomic_sub_fetch(&t->sleepers, 1, __ATOMIC_SEQ_CST);
 #else
         sched_yield();
 #endif
+        if (parent > 0 && getppid() != parent)
+            _exit(1);
     }
 }
 
-static void *team_main(void *arg)
+/* Helper k's loop, until the team is stopped: a thread of sdc_team_start,
+ * or a process the caller of sdc_team_place forked (`parent`: its pid). */
+int64_t sdc_team_serve(sdc_team *t, int64_t k, int64_t parent)
 {
-    const team_helper *h = arg;
-    sdc_team *t = h->team;
-    team_line *line = &t->lines[h->k - 1];
-#ifdef __linux__
-    if (h->cpu >= 0) {
-        cpu_set_t set;
-        CPU_ZERO(&set);
-        CPU_SET((int)h->cpu, &set);
-        sched_setaffinity(0, sizeof set, &set);
-    }
-#endif
-    for (uint32_t seen = 0;;) {
-        seen = team_wait(t, seen);
+    team_line *line = &t->lines[k - 1];
+    for (uint32_t seen = (uint32_t)line->ring;;) {
+        seen = team_wait(t, seen, parent);
         if (__atomic_load_n(&t->stop, __ATOMIC_ACQUIRE))
-            return NULL;
+            return 0;
         int64_t status = SDC_DONE;
-        if (h->k < t->n_workers) { /* a narrower walk leaves it out */
-            const sdc_job *job = &t->jobs[h->k];
+        if (k < t->n_workers) { /* a narrower walk leaves it out */
+            const sdc_job *job = &t->jobs[k];
             status = sdc_walk(t->shared, job->ranges, job->row_lo, job->row_hi,
-                              h->k, t->base, job->energies, job->marks);
+                              k, t->base, job->energies, job->marks);
         }
         line->status = status;
         __atomic_store_n(&line->ring, (int64_t)seen, __ATOMIC_RELEASE);
     }
 }
 
+static void *team_main(void *arg)
+{
+    const team_helper *h = arg;
+#ifdef __linux__
+    const int64_t cpu = h->team->lines[h->k - 1].cpu;
+    if (cpu >= 0) {
+        cpu_set_t set;
+        CPU_ZERO(&set);
+        CPU_SET((int)cpu, &set);
+        sched_setaffinity(0, sizeof set, &set);
+    }
+#endif
+    sdc_team_serve(h->team, h->k, 0);
+    return NULL;
+}
+
+/* Bytes of the block of a team of n_workers */
+int64_t sdc_team_bytes(int64_t n_workers)
+{
+    const int64_t n = n_workers > 1 ? n_workers - 1 : 0;
+    return (int64_t)(sizeof(sdc_team) + (size_t)n * sizeof(team_line));
+}
+
+/* Lay out a team of n_workers in `block` (sdc_team_bytes of it, 64-byte
+ * aligned), helper k's CPU cpus[k] when cpus is given; no helper runs. */
+sdc_team *sdc_team_place(void *block, int64_t n_workers, const int64_t *cpus)
+{
+    sdc_team *t = block;
+    memset(t, 0, (size_t)sdc_team_bytes(n_workers));
+    t->n_helpers = n_workers > 1 ? n_workers - 1 : 0;
+    t->home = cpus ? cpus[0] : -1;
+    for (int64_t k = 1; k <= t->n_helpers; k++)
+        t->lines[k - 1].cpu = cpus ? cpus[k] : -1;
+    return t;
+}
+
 void sdc_team_close(sdc_team *t);
 
-/* A team of n_workers: helpers 1 .. n_workers - 1, helper k bound to
- * cpus[k] when cpus is given.  The helpers block every signal.  NULL
+/* A team of n_workers: helper threads 1 .. n_workers - 1, helper k bound
+ * to cpus[k] when cpus is given.  The helpers block every signal.  NULL
  * when a thread cannot be made (none is left running). */
 sdc_team *sdc_team_start(int64_t n_workers, const int64_t *cpus)
 {
-    const int64_t n = n_workers > 1 ? n_workers - 1 : 0;
-    const size_t size = sizeof(sdc_team) + (size_t)n * sizeof(team_line);
     sdc_team *t = NULL;
-    if (posix_memalign((void **)&t, 64, size))
+    if (posix_memalign((void **)&t, 64, (size_t)sdc_team_bytes(n_workers)))
         return NULL;
-    memset(t, 0, size);
-    t->home = cpus ? cpus[0] : -1;
+    sdc_team_place(t, n_workers, cpus);
+    const int64_t n = t->n_helpers;
+#ifdef __linux__
+    t->futex_flags = FUTEX_PRIVATE_FLAG;
+#endif
+    t->n_helpers = 0; /* the threads started so far */
     t->helpers = calloc(n ? (size_t)n : 1, sizeof(team_helper));
     if (!t->helpers) {
         free(t);
@@ -751,7 +817,6 @@ sdc_team *sdc_team_start(int64_t n_workers, const int64_t *cpus)
         team_helper *h = &t->helpers[k - 1];
         h->team = t;
         h->k = k;
-        h->cpu = cpus ? cpus[k] : -1;
         if (pthread_create(&h->thread, NULL, team_main, h))
             break;
         t->n_helpers = k;
@@ -779,26 +844,40 @@ void sdc_team_ring(sdc_team *t, const sdc_shared *s, const sdc_job *jobs,
 }
 
 /* Wait until every helper answered the last ring; status[k] gets helper
- * k's walk status (status[0] is the caller's, not written). */
+ * k's walk status (status[0] is the caller's, not written), or SDC_LOST
+ * where the walk watches its forked helpers and gave up on k. */
 void sdc_team_settle(sdc_team *t, int64_t *status)
 {
     const uint32_t bell = t->bell;
+    const sdc_shared *s = t->shared;
     for (int64_t k = 1; k <= t->n_helpers; k++) {
         const team_line *line = &t->lines[k - 1];
-        for (int64_t spins = 0;
-             (uint32_t)__atomic_load_n(&line->ring, __ATOMIC_ACQUIRE) != bell;
-             spins++)
-            if (spins > BARRIER_SPINS)
-                sched_yield();
-        status[k] = line->status;
+        status[k] = SDC_LOST;
+        for (int64_t spins = 0;; spins++) {
+            if ((uint32_t)__atomic_load_n(&line->ring, __ATOMIC_ACQUIRE) == bell) {
+                status[k] = line->status;
+                break;
+            }
+            if (spins <= BARRIER_SPINS)
+                continue;
+            sched_yield();
+            if (s->watch && !(spins % 1024) && helper_lost(s, k))
+                break;
+        }
     }
 }
 
-/* Stop and join the helpers, then free the team. */
-void sdc_team_close(sdc_team *t)
+/* The last ring: every helper leaves its loop. */
+void sdc_team_stop(sdc_team *t)
 {
     __atomic_store_n(&t->stop, 1, __ATOMIC_SEQ_CST);
     team_ring(t);
+}
+
+/* Stop and join the helper threads, then free the team. */
+void sdc_team_close(sdc_team *t)
+{
+    sdc_team_stop(t);
     for (int64_t k = 0; k < t->n_helpers; k++)
         pthread_join(t->helpers[k].thread, NULL);
     free(t->helpers);

@@ -442,15 +442,23 @@ class NumpyKernelTier:
 
     def sdc_walker(
         self, pair_i, pair_j, tasks, rows, n_atoms, barrier, parent=0,
-        handover=None,
+        handover=None, phi=None, team_block=None,
     ):
         """A whole SDC evaluation per worker in one call, barriers included
         (:class:`repro.kernels.c_tier.SDCWalk`), or None where the tier has
         none or may not run this plan: the caller then runs
-        :meth:`density_slice` / :meth:`force_slice` colour by colour."""
+        :meth:`density_slice` / :meth:`force_slice` colour by colour.
+        ``phi`` is the pair-term scratch (else allocated); with
+        ``team_block`` the walk lives in that team's shared block."""
         return None
 
-    def sdc_team(self, n_workers, cpus):
+    def sdc_team(self, n_workers, cpus, block=None):
         """The :class:`repro.kernels.c_tier.SDCTeam` a walk runs on, or
-        None where the tier has no walker."""
+        None where the tier has no walker; with ``block`` (shared, of
+        :meth:`team_block_bytes`) one for helpers the caller forks."""
         return None
+
+    def team_block_bytes(self, n_workers, n_colors):
+        """Shared bytes a forked team of ``n_workers`` and its walks of up
+        to ``n_colors`` colours need; 0 where the tier has no team."""
+        return 0

@@ -15,10 +15,22 @@ region stamps its own tasks (:func:`repro.obs.tracer.trace_region`).
 
 from __future__ import annotations
 
+import os
 from abc import ABC, abstractmethod
 from typing import Callable, List, Optional, Sequence, Tuple
 
 TaskClosure = Callable[[], None]
+
+
+def team_cpus(n_workers: int) -> List[int]:
+    """``cpus[k]``, the CPU team worker ``k`` walks on: the affinity mask's
+    when it has one per worker, else none.  Two unbound walkers can settle
+    on one CPU and trade timeslices at every barrier of a walk."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = sorted(os.sched_getaffinity(0))
+        if len(cpus) >= n_workers:
+            return cpus[:n_workers]
+    return []
 
 
 class BackendError(RuntimeError):

@@ -4,13 +4,22 @@ This calculator runs the SDC color phases across *processes*, the
 closest Python analog of the paper's OpenMP threads, on any tier: on the
 NumPy tier the GIL caps what
 :class:`~repro.parallel.backends.threads.ThreadBackend` can demonstrate.
-On the C tier each worker walks its whole evaluation in one ``sdc_walk``
-call (:mod:`repro.parallel.backends.workers`), as the thread pool does.
 Within a color, workers scatter into one anonymous shared mapping
 **without any locks** — legal for the reason the paper gives: same-color
 subdomains write disjoint atoms — and between colors they meet at an
-in-arena barrier of their own; the parent sends one ``evaluate`` command
-per force evaluation.
+in-arena barrier of their own.
+
+Where the walk may run — the C tier, a potential that lowers, no write
+recording — the workers are one team, as on threads: this process walks
+as worker 0 and ``n_workers - 1`` forked helpers answer a doorbell in the
+arena (:class:`~repro.kernels.c_tier.SDCTeam` laid out there, a shared
+futex), each in one ``sdc_walk`` call per evaluation.  A new neighbor
+list is published in the arena too — pairs, tasks, rows and the walk's
+shared fields — so neither an evaluation nor an epoch sends anything down
+a pipe; the pipes carry startup, ``stop`` and a helper's death.
+Everywhere else ``n_workers`` forked workers run the per-colour body, the
+parent sending one ``evaluate`` command per force evaluation and one
+``epoch`` payload per list.
 
 It is the one-shard case of
 :class:`~repro.parallel.backends.sharded.ShardEngine`: one region whose
@@ -36,6 +45,7 @@ from repro.core.domain import SubdomainGrid
 from repro.core.partition import PairPartition
 from repro.core.schedule import ColorSchedule
 from repro.core.sdc_plan import SDCPlan, SDCPlanner
+from repro.kernels.lowering import lower_potential
 from repro.md.atoms import Atoms
 from repro.md.neighbor.verlet import NeighborList
 from repro.parallel.backends.sharded import ShardEngine, ShardPlan
@@ -91,6 +101,13 @@ class ProcessSDCCalculator(ShardEngine):
         return [ShardPlan(
             0, src, len(src), plan.pair_i, plan.pair_j, plan.tasks, plan.rows
         )]
+
+    def _team_colors(self, potential) -> int:
+        """A doorbell team wherever the walk may run: the potential lowers
+        and nobody records the workers' writes (the tier decides the rest)."""
+        if self.record_writes or lower_potential(potential) is None:
+            return 0
+        return 2 ** self.dims
 
     def health_snapshot(self) -> Dict[str, object]:
         """Engine lifecycle state for :meth:`HealthMonitor.snapshot`."""

@@ -15,7 +15,9 @@ out; it never sums.  The workers
 rho, fp and forces through the maps at the barriers the color schedule
 already has (DESIGN §7.1).  A region without ghosts has empty maps:
 :class:`~repro.parallel.backends.processes.ProcessSDCCalculator` is one
-such region shared by ``n_workers`` color-scheduled workers.
+such region shared by ``n_workers`` color-scheduled workers — where a
+doorbell team walks it, the command is a ring (:meth:`ShardEngine._ring`)
+and the epoch payload the team's walk laid out in the arena.
 
 **The sharded configuration** (:class:`ShardedSDCCalculator`, DESIGN
 §7.4).  A near-cubic grid of shards, each one region with one worker
@@ -34,6 +36,7 @@ serial, and ownership decides balance, never correctness.  The
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -45,8 +48,10 @@ from repro.geometry.box import Box
 from repro.md.atoms import Atoms
 from repro.md.neighbor.verlet import NeighborList
 from repro.obs.tracer import trace_region
+from repro.parallel.backends.base import BackendError
 from repro.parallel.backends.workers import (
-    DEFAULT_PHASE_TIMEOUT_S, WorkerEngine, count_health, record_health,
+    DEFAULT_PHASE_TIMEOUT_S, HANDOVER, WorkerEngine, count_health,
+    record_health,
 )
 from repro.parallel.cluster import node_grid
 from repro.potentials.base import EAMPotential
@@ -244,13 +249,17 @@ class ShardEngine(WorkerEngine):
         return [r for r, plan in enumerate(self._plans) for _ in plan.rows]
 
     def _publish_epoch(self) -> None:
-        """Write every region's pair list into the arena and ship each
-        worker its epoch payload; the workers re-slice their views."""
+        """Write every region's pair list into the arena; then lay the
+        team's walk out there too (tasks, rows, the shared fields), or ship
+        each worker its epoch payload, on which it re-slices its views."""
         live, sizes = self._live, self._region_sizes()
         live.views = [live.arena.region(r, size) for r, size in enumerate(sizes)]
         for plan, views in zip(self._plans, live.views):
             views["pair_i"][:] = plan.pair_i
             views["pair_j"][:] = plan.pair_j
+        if live.team is not None:
+            live.walk = self._team_walk(self._plans[0], live.views[0])
+            return
         copies, owners = ghost_maps(self._plans)
         # a region with ghosts is a shard, and its maps its one worker's
         live.group.run("epoch", [
@@ -259,6 +268,23 @@ class ShardEngine(WorkerEngine):
             for r, plan in enumerate(self._plans)
             for tasks, rows in zip(plan.tasks, plan.rows)
         ])
+
+    def _team_walk(self, plan: ShardPlan, views: Dict[str, np.ndarray]):
+        """The team's walk of the one ghost-free region, in the arena."""
+        live = self._live
+        walk = kernels.active_tier().sdc_walker(
+            views["pair_i"], views["pair_j"], plan.tasks, plan.rows,
+            plan.n_local, live.arena.barrier, parent=os.getpid(),
+            handover=[views[key] for key in HANDOVER], phi=views["pair_phi"],
+            team_block=live.arena.team,
+        )
+        if walk is None or not walk.bind(
+            self._potential, views["positions"], self._box,
+            views["rho"], views["fp"], views["forces"],
+        ):
+            raise RuntimeError(f"{self.name}: the team cannot walk this epoch")
+        walk.watch(live.group.fds)
+        return walk
 
     def _prepare(self, atoms: Atoms, nlist: NeighborList) -> bool:
         """Re-plan when the neighbor list changed ("steps 1 and 2 will be
@@ -296,8 +322,9 @@ class ShardEngine(WorkerEngine):
         return EAMComputation(*energies, atoms.rho, atoms.fp, atoms.forces)
 
     def _evaluate_once(self, atoms: Atoms) -> Tuple[float, float]:
-        """Sync, one ``evaluate`` command, copy out: ``(E_pair, E_embed)``
-        from the workers' partial sums — no potential call in the parent."""
+        """Sync, one ``evaluate`` command (or one ring of the team), copy
+        out: ``(E_pair, E_embed)`` from the workers' partial sums — no
+        potential call in the parent."""
         plans, n_colors = self._plans, len(self._plans[0].tasks[0])
         # a region owning every atom holds them in global order: it moves
         # its rows by memcpy, not by gather
@@ -316,9 +343,12 @@ class ShardEngine(WorkerEngine):
         base = self._generation
         self._generation += 2 * n_colors + 2
         start = time.perf_counter()
-        replies = self._live.group.run(
-            "evaluate", [base] * len(self._worker_regions())
-        )
+        if self._live.team is not None:
+            replies = self._ring(base)
+        else:
+            replies = self._live.group.run(
+                "evaluate", [base] * len(self._worker_regions())
+            )
         if self._tracer is not None:
             self._trace_evaluation(replies, start, time.perf_counter())
         pair_energies, embedding_energies, _, writes, _ = zip(*replies)
@@ -332,6 +362,37 @@ class ShardEngine(WorkerEngine):
             for name in ("rho", "fp", "forces"):
                 getattr(atoms, name)[owned] = views[name][: plan.n_owned]
         return float(sum(pair_energies)), float(sum(embedding_energies))
+
+    def _ring(self, base: int) -> list:
+        """One walk of the team, this process as worker 0: the replies an
+        ``evaluate`` command would have collected."""
+        live = self._live
+        walk = live.walk
+        walk.deadline = time.monotonic() + self.timeout_s
+        statuses = live.team.walk(walk, base)
+        lost = [k - 1 for k, status in enumerate(statuses) if status == walk.LOST]
+        overlaps = [status for status in statuses if status >= 0]
+        if not lost and not overlaps and statuses[0] != walk.DONE:
+            # worker 0 gave up at the deadline on a helper that answered
+            # the abort before the settle gave up on it too
+            lost = [k - 1 for k, status in enumerate(statuses) if k and status != walk.DONE]
+        if lost:
+            live.group.broken = True
+            raise BackendError(
+                f"worker(s) {lost} died or timed out during 'evaluate'"
+            )
+        if overlaps:
+            raise walk.overlap(overlaps[0])
+        n_colors, pids = walk.n_colors, [os.getpid(), *live.group.pids]
+        replies = []
+        for energies, marks, pid in zip(
+            walk.energies.tolist(), walk.marks.tolist(), pids
+        ):
+            pair_energy = 0.0  # summed in the per-colour body's order
+            for partial in energies[:n_colors]:
+                pair_energy += partial
+            replies.append((pair_energy, energies[n_colors], marks, [], pid))
+        return replies
 
     def _trace_evaluation(self, replies, start: float, end: float) -> None:
         """One ``evaluate`` command's timeline from the workers' marks, a

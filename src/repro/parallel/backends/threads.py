@@ -13,12 +13,11 @@ calling thread worker 0 beside ``n_threads - 1`` C helpers.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor, wait
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro import kernels
-from repro.parallel.backends.base import ExecutionBackend, TaskClosure
+from repro.parallel.backends.base import ExecutionBackend, TaskClosure, team_cpus
 
 
 class ThreadBackend(ExecutionBackend):
@@ -39,18 +38,6 @@ class ThreadBackend(ExecutionBackend):
         )
         self._team = None
 
-    def _cpus(self) -> List[int]:
-        """``cpus[k]``, the CPU team worker ``k`` walks on: the affinity
-        mask's when it has one per worker, else none — as the process
-        workers bind themselves.  Two unbound walkers can settle on one
-        CPU and trade timeslices at every barrier of a walk.  The pool's
-        threads, which wait at no barrier, are not bound."""
-        if hasattr(os, "sched_getaffinity"):
-            cpus = sorted(os.sched_getaffinity(0))
-            if len(cpus) >= self.n_threads:
-                return cpus[: self.n_threads]
-        return []
-
     def team(self, n_workers: int):
         """The team a walk of ``n_workers`` runs on, this thread as worker
         0; None when it is wider than the backend or the tier has no
@@ -61,8 +48,9 @@ class ThreadBackend(ExecutionBackend):
             return None
         team = self._team
         if team is None or not team.usable:
+            # the pool's threads, which wait at no barrier, are not bound
             team = self._team = kernels.active_tier().sdc_team(
-                self.n_threads, self._cpus()
+                self.n_threads, team_cpus(self.n_threads)
             )
         return team
 

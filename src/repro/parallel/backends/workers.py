@@ -5,10 +5,11 @@ arrays, lock-free inside a color phase, a barrier between colors.  This
 module holds the only copy of each of its parts:
 
 * :class:`SharedArena` — one anonymous shared ``mmap``: the ``barrier``
-  control block of every worker, then *regions* of ten named,
-  64-byte-aligned fields (positions, the three reduction targets, the
-  pair list in task order, and the per-pair geometry and potential
-  derivatives the density pass publishes for the force pass).  Every
+  control block of every worker, a doorbell team's block where one is
+  asked for, then *regions* of eleven named, 64-byte-aligned fields
+  (positions, the three reduction targets, the pair list in task order,
+  the per-pair geometry and potential derivatives the density pass
+  publishes for the force pass, and a walker's ``phi`` scratch).  Every
   field is allocated with :data:`ARENA_HEADROOM` spare capacity; only the
   first ``n`` rows are ever viewed, so the spare pages are never touched
   and never become resident.  The mapping is inherited through ``fork``
@@ -29,6 +30,8 @@ module holds the only copy of each of its parts:
   (density publishes ``pair_delta``/``pair_r``/``pair_dphi``/``pair_dv``,
   force reuses them and calls no potential function), with the halo
   exchange between regions pulled by the workers at its barriers.
+  :class:`TeamHelper` is the other handler: a doorbell team's forked
+  helper, whose one ``serve`` command stays in C until the team stops.
 * :class:`WorkerEngine` — the calculator-side lifecycle under
   :class:`~repro.parallel.backends.sharded.ShardEngine`, the evaluation
   both calculators share: tracer attachment and the spawn state machine.
@@ -38,11 +41,15 @@ Spawn state machine (``WorkerEngine._evaluate``).  Workers and arena are
 (first compute, after ``close()``), the group is broken (worker death or
 timeout), the potential or the process's active kernel tier is not the
 object the workers were forked with (both are fork-constant worker state), or the
-epoch no longer fits the arena's capacity.  Otherwise workers survive:
-a new decomposition epoch only rewrites the pair list in place and ships
-a small *epoch payload* (sizes, box, the worker's pair ranges, atom rows
-and ghost maps).  A :class:`BackendError` during an evaluation respawns the group
-and retries once from the zero fill; a second failure propagates.
+epoch no longer fits the arena's capacity.  A spawn forks ``p`` command
+workers, or — where the calculator asks for a doorbell team
+(``_team_colors``) and the tier has one — lays the team out in the arena
+and forks its ``p - 1`` helpers, the caller being worker 0.  Otherwise
+workers survive: a new decomposition epoch only rewrites the pair list in
+place and ships a small *epoch payload* (sizes, box, the worker's pair
+ranges, atom rows and ghost maps), or, for a team, lays its walk out in
+the arena.  A :class:`BackendError` during an evaluation respawns the
+group and retries once from the zero fill; a second failure propagates.
 """
 
 from __future__ import annotations
@@ -60,8 +67,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import kernels
+from repro.kernels.lowering import lower_potential
 from repro.obs.tracer import span_of
-from repro.parallel.backends.base import BackendError
+from repro.parallel.backends.base import BackendError, team_cpus
 from repro.potentials.base import EAMPotential
 
 #: generous per-command barrier timeout; a phase exceeding it is treated
@@ -137,7 +145,8 @@ def _region_fields(
     ``pair_dphi``/``pair_dv`` the potential derivatives ``phi'``/``V'``
     computed by the density pass, so the force pass reuses them instead of
     recomputing — each pair slot belongs to exactly one task, so the
-    writes are disjoint by construction.
+    writes are disjoint by construction.  ``pair_phi`` is a walker's
+    scratch for ``phi`` itself.
     """
     n_atoms, n_pairs = size
     f8, i8 = np.dtype(np.float64), np.dtype(np.int64)
@@ -152,12 +161,14 @@ def _region_fields(
         "pair_r": ((n_pairs,), f8),
         "pair_dphi": ((n_pairs,), f8),
         "pair_dv": ((n_pairs,), f8),
+        "pair_phi": ((n_pairs,), f8),
     }
 
 
 class SharedArena:
     """One anonymous shared mapping: the barrier block of ``n_workers``
-    workers, then a region per entry of ``sizes``.
+    workers, ``team_bytes`` for a forked team's control block and walk
+    (:attr:`team`), then a region per entry of ``sizes``.
 
     Created before the fork and inherited by every worker, so parent-side
     sync and worker-side scatters address the same pages.  The mapping is
@@ -165,11 +176,14 @@ class SharedArena:
     processes.
     """
 
-    def __init__(self, sizes: Sequence[RegionSize], n_workers: int) -> None:
+    def __init__(
+        self, sizes: Sequence[RegionSize], n_workers: int, team_bytes: int = 0
+    ) -> None:
         #: per region: field -> (byte offset, capacity in items)
         self._slots: List[Dict[str, Tuple[int, int]]] = []
         lines = n_workers + 1
-        total = lines * _ALIGN
+        team_at = lines * _ALIGN
+        total = team_at + -(-team_bytes // _ALIGN) * _ALIGN
         for size in sizes:
             slots: Dict[str, Tuple[int, int]] = {}
             for field, (shape, dtype) in _region_fields(size).items():
@@ -183,6 +197,8 @@ class SharedArena:
         self.barrier = np.frombuffer(
             self._mm, np.int64, lines * _ALIGN // 8
         ).reshape(lines, _ALIGN // 8)
+        #: the doorbell team's bytes (:meth:`~repro.kernels.c_tier.SDCTeam`)
+        self.team = np.frombuffer(self._mm, np.uint8, team_bytes, team_at)
 
     def fits(self, sizes: Sequence[RegionSize]) -> bool:
         """Whether every region of ``sizes`` is within allocated capacity."""
@@ -307,21 +323,18 @@ def _addressed(
     return payloads
 
 
-def _worker_main(conn, handler: Handler, index, n_workers, parent_ends) -> None:
+def _worker_main(conn, handler: Handler, cpu: Optional[int], parent_ends) -> None:
     """Persistent worker: answer ``(command, payload)`` until told to exit.
 
     The handler was captured before the fork, so it addresses the arena
     pages directly; only the command, its small payload and the reply
-    cross the pipe.  Worker ``index`` takes the ``index``-th CPU of the
-    inherited affinity mask when the mask has one per worker: siblings
-    stacked on one CPU trade whole timeslices at every barrier.
+    cross the pipe.  The worker binds itself to ``cpu`` when one is given:
+    siblings stacked on one CPU trade whole timeslices at every barrier.
     """
     for inherited in parent_ends:  # or a killed driver's pipes never read EOF
         inherited.close()
-    if hasattr(os, "sched_setaffinity"):
-        cpus = sorted(os.sched_getaffinity(0))
-        if len(cpus) >= n_workers:
-            os.sched_setaffinity(0, {cpus[index]})
+    if cpu is not None:
+        os.sched_setaffinity(0, {cpu})
     try:
         conn.send(("ok", os.getpid()))
         while True:
@@ -346,7 +359,9 @@ class WorkerGroup:
     live) means the first command never races worker startup.  Requires
     the ``fork`` start method.  ``on_death`` (:meth:`SharedArena.abort`)
     runs the moment a worker is seen dead, while replies are still being
-    collected, so no sibling waits for it at a barrier.
+    collected, so no sibling waits for it at a barrier.  Worker ``k`` binds
+    itself to ``cpus[k]`` when ``cpus`` is given
+    (:func:`~repro.parallel.backends.base.team_cpus`).
     """
 
     def __init__(
@@ -354,6 +369,7 @@ class WorkerGroup:
         handlers: Sequence[Handler],
         timeout_s: float,
         on_death: Callable[[], None] = lambda: None,
+        cpus: Sequence[int] = (),
     ) -> None:
         if timeout_s <= 0:
             raise ValueError(f"timeout_s must be positive, got {timeout_s}")
@@ -369,7 +385,10 @@ class WorkerGroup:
             parent_ends = [conn for _, conn in self._workers] + [parent_conn]
             process = ctx.Process(
                 target=_worker_main,
-                args=(child_conn, handler, index, len(handlers), parent_ends),
+                args=(
+                    child_conn, handler,
+                    cpus[index] if len(cpus) else None, parent_ends,
+                ),
                 daemon=True,
             )
             process.start()
@@ -386,6 +405,18 @@ class WorkerGroup:
     @property
     def pids(self) -> List[int]:
         return [process.pid for process, _ in self._workers]
+
+    @property
+    def fds(self) -> List[int]:
+        """This end of each worker's pipe: it stirs when the worker dies
+        or replies."""
+        return [conn.fileno() for _, conn in self._workers]
+
+    def post(self, command: str) -> None:
+        """Send every worker ``command`` without waiting: it answers when it
+        leaves the command, and the reply is never read (``serve``)."""
+        for _, conn in self._workers:
+            conn.send((command, None))
 
     def run(
         self, command: str, payloads: Optional[Sequence[object]] = None
@@ -576,7 +607,7 @@ class ChunkWorker:
                 views["pair_i"], views["pair_j"], [self.tasks], [self.rows],
                 len(views["rho"]), self.arena.barrier,
                 parent=os.getppid() if forked else 0,
-                handover=[views[key] for key in HANDOVER],
+                handover=[views[key] for key in HANDOVER], phi=views["pair_phi"],
             )
             if walk is not None and walk.bind(
                 self.potential, views["positions"], self.box,
@@ -693,6 +724,21 @@ class ChunkWorker:
         return pair_energy
 
 
+class TeamHelper:
+    """Forked helper ``k`` of a doorbell team laid out in the arena: its
+    one command, ``serve``, answers the team's rings in C
+    (:meth:`~repro.kernels.c_tier.CKernelTier.serve_team`) until the team
+    is stopped, walking whatever the parent published in the arena."""
+
+    def __init__(self, arena: SharedArena, tier, k: int) -> None:
+        self.arena, self.tier, self.k = arena, tier, k
+
+    def __call__(self, command: str, payload: object) -> None:
+        if command != "serve":
+            raise ValueError(f"a team helper only serves, not {command!r}")
+        self.tier.serve_team(self.arena.team, self.k, os.getppid())
+
+
 # ---------------------------------------------------------------------------
 # calculator-side lifecycle
 # ---------------------------------------------------------------------------
@@ -707,10 +753,18 @@ class _Live:
         self.arena: Optional[SharedArena] = None
         #: the parent's views of each arena region, sliced to the epoch
         self.views: List[Dict[str, np.ndarray]] = []
+        #: the doorbell team in the arena, and the epoch's walk (else None)
+        self.team = None
+        self.walk = None
 
     def release(self) -> None:
-        """Stop the workers first, then drop the mapping (idempotent)."""
-        group, self.group, self.arena, self.views = self.group, None, None, []
+        """Stop the team and the workers first, then drop the mapping
+        (idempotent)."""
+        group, team = self.group, self.team
+        self.group = self.arena = self.team = self.walk = None
+        self.views = []
+        if team is not None:
+            team.close()  # the last ring: the helpers leave ``serve``
         if group is not None:
             group.stop()
 
@@ -781,6 +835,11 @@ class WorkerEngine:
         group = self._live.group
         return list(group.pids) if group is not None else []
 
+    def caller_walks(self) -> bool:
+        """Whether the calling thread is worker 0 of the live workers (a
+        doorbell team: :meth:`worker_pids` are the other ``p - 1``)."""
+        return self._live.team is not None
+
     def arena_bytes(self) -> int:
         """Mapped bytes of the live arena, headroom included (0 without one)."""
         arena = self._live.arena
@@ -813,6 +872,13 @@ class WorkerEngine:
 
     # --- spawn state machine ---------------------------------------------------
 
+    def _team_colors(self, potential: EAMPotential) -> int:
+        """The most colours a walk of a doorbell team must hold, where the
+        workers are one: the caller as worker 0 and ``p - 1`` forked
+        helpers answering a team laid out in the arena.  0 — the default —
+        forks ``p`` workers driven by commands."""
+        return 0
+
     def _new_epoch(self) -> None:
         """The subclass rebuilt its decomposition: republish before use."""
         self._epoch += 1
@@ -842,16 +908,28 @@ class WorkerEngine:
         self._epoch_published = False
         started = time.perf_counter()
         regions = self._worker_regions()
-        arena = SharedArena(sizes, len(regions))
-        handlers = [
-            ChunkWorker(arena, region, potential, tier, self.record_writes, index)
-            for index, region in enumerate(regions)
-        ]
+        n_workers, colors = len(regions), self._team_colors(potential)
+        team_bytes = tier.team_block_bytes(n_workers, colors) if colors else 0
+        arena, team = SharedArena(sizes, n_workers, team_bytes), None
+        cpus = [] if self._inline else team_cpus(n_workers)
+        if team_bytes:
+            # a forked helper reads the lowered potential where it is now
+            lower_potential(potential)
+            team = tier.sdc_team(n_workers, cpus, block=arena.team)
+            handlers: List[Handler] = [
+                TeamHelper(arena, tier, k) for k in range(1, n_workers)
+            ]
+            cpus = cpus[1:]
+        else:
+            handlers = [
+                ChunkWorker(arena, region, potential, tier, self.record_writes, index)
+                for index, region in enumerate(regions)
+            ]
         try:
             live.group = (
                 InlineGroup(handlers)
                 if self._inline
-                else WorkerGroup(handlers, self.timeout_s, arena.abort)
+                else WorkerGroup(handlers, self.timeout_s, arena.abort, cpus)
             )
         except BackendError as exc:
             record_health(
@@ -862,7 +940,9 @@ class WorkerEngine:
                 error=str(exc),
             )
             raise
-        live.arena = arena
+        if team is not None:
+            live.group.post("serve")
+        live.arena, live.team = arena, team
         self._potential = potential
         self._spawned_tier = tier
         self._n_pool_spawns += 1

@@ -454,12 +454,12 @@ class TestArenaHandOver:
 
     def test_region_carries_the_pair_sized_fields(self, worker, sdc_nlist):
         worker, views = worker
-        assert len(views) == 10
+        assert len(views) == 11
         assert "pair_offsets" not in views  # tasks are ranges, not CSR rows
         assert worker.arena.barrier.shape == (2, 8)  # abort word + one worker
         n_pairs = sdc_nlist.n_pairs
         assert views["pair_delta"].shape == (n_pairs, 3)
-        for field in ("pair_r", "pair_dphi", "pair_dv"):
+        for field in ("pair_r", "pair_dphi", "pair_dv", "pair_phi"):
             assert views[field].shape == (n_pairs,)
             assert views[field].dtype == np.float64
 

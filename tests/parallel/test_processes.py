@@ -111,7 +111,7 @@ class TestCorrectness:
         with ProcessSDCCalculator(dims=2, n_workers=n_workers) as calc:
             for _ in range(3):
                 result = calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
-            assert len(calc.worker_pids()) == n_workers
+            assert len(calc.worker_pids()) == n_workers - _walks()
         assert np.allclose(result.forces, reference_result.forces, atol=1e-12)
         assert np.allclose(result.rho, reference_result.rho, atol=1e-12)
         assert result.potential_energy == pytest.approx(
@@ -143,6 +143,13 @@ ENGINES = {
         n_shards=2, engine="processes"
     ),
 }
+
+
+def _walks():
+    """Whether the active tier walks (its process engine rings a team)."""
+    from repro import kernels
+
+    return int(kernels.active_tier().team_block_bytes(2, 4) > 0)
 
 
 def _count_commands(calc):
@@ -188,14 +195,17 @@ class TestOneCommandPerEvaluation:
         self, engine, potential, sdc_atoms, sdc_nlist, reference_result
     ):
         """No list change: N computes are N ``evaluate`` commands — the
-        halo exchange happens inside them, at the workers' barriers."""
+        halo exchange happens inside them, at the workers' barriers — or,
+        where the process engine's team walks, N rings and no command."""
         n_computes = 4
         with ENGINES[engine]() as calc:
             calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
             commands = _count_commands(calc)
             for _ in range(n_computes):
                 result = calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
-        assert commands == ["evaluate"] * n_computes
+            rung = calc._live.team is not None
+        assert rung == (engine == "processes" and _walks() == 1)
+        assert commands == ([] if rung else ["evaluate"] * n_computes)
         scale = np.max(np.abs(reference_result.forces))
         assert np.max(np.abs(result.forces - reference_result.forces)) < 1e-12 * scale
 
@@ -235,6 +245,58 @@ class TestOneCommandPerEvaluation:
         with pytest.raises(ValueError, match="neighbor list covers 250 atoms, system has 1024"):
             calc.compute(potential, sdc_atoms.copy(), small_nlist)
         assert calc.worker_pids() == []  # rejected before anything was forked
+
+
+class TestEpochThroughTheArena:
+    """Where the process engine's team walks, a new neighbor list is
+    published in the arena — pairs, tasks, rows, the walk's shared fields —
+    and no command, pickle or payload crosses a pipe."""
+
+    def test_new_lists_send_nothing_down_a_pipe(
+        self, potential, sdc_atoms, sdc_nlist, monkeypatch
+    ):
+        from multiprocessing.connection import Connection
+
+        from repro.parallel.backends.workers import WorkerGroup
+
+        rng = np.random.default_rng(5)
+        systems = []
+        for _ in range(3):
+            atoms = sdc_atoms.copy()
+            atoms.positions += rng.normal(scale=0.05, size=atoms.positions.shape)
+            systems.append((atoms, build_neighbor_list(
+                atoms.positions, atoms.box, cutoff=potential.cutoff,
+                skin=0.3, half=True,
+            )))
+        # the walker behind commands: every worker forked, one ``evaluate``
+        # command per evaluation, one ``epoch`` payload per list
+        with ProcessSDCCalculator(dims=2, n_workers=2) as piped:
+            piped._team_colors = lambda potential: 0
+            want = [piped.compute(potential, a.copy(), n) for a, n in systems]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pipe was used")
+
+        with ProcessSDCCalculator(dims=2, n_workers=2) as calc:
+            calc.compute(potential, sdc_atoms.copy(), sdc_nlist)  # warm-up
+            if not calc.caller_walks():
+                pytest.skip("no doorbell team: the active tier has no walker")
+            epoch = calc.health_snapshot()["epoch"]
+            with monkeypatch.context() as patch:
+                patch.setattr(WorkerGroup, "run", refuse)
+                patch.setattr(Connection, "send", refuse)
+                got = [calc.compute(potential, a.copy(), n) for a, n in systems]
+            snapshot = calc.health_snapshot()
+        assert snapshot["epoch"] == epoch + 3
+        assert snapshot["n_pool_spawns"] == 1
+        for result, reference in zip(got, want):
+            for name in ("rho", "fp", "forces"):
+                np.testing.assert_array_equal(
+                    getattr(result, name), getattr(reference, name)
+                )
+            assert (result.pair_energy, result.embedding_energy) == (
+                reference.pair_energy, reference.embedding_energy
+            )
 
 
 def _edge_just_above_twice_the_reach(atoms, cutoff):
@@ -412,6 +474,8 @@ class TestSpansFromMarks:
             calc.attach_tracer(tracer)
             calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
             pids, n_colors = calc.worker_pids(), calc.schedule.n_colors
+            if calc._live.team is not None:  # this process walks as worker 0
+                pids = [os.getpid(), *pids]
         # density colors, the embedding, force colors, the force pull
         n_phases = 2 * n_colors + 2
         tasks = tracer.by_category(CAT_TASK)
@@ -479,7 +543,7 @@ class TestPersistence:
         with ProcessSDCCalculator(dims=2, n_workers=2) as calc:
             calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
             pids = calc.worker_pids()
-            assert len(pids) == 2
+            assert len(pids) == 2 - _walks()
             for _ in range(3):
                 calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
             assert calc.worker_pids() == pids
@@ -516,7 +580,7 @@ class TestPersistence:
         with Simulation(atoms, potential, calculator=calc, skin=0.05) as sim:
             sim.compute_forces()
             pids = calc.worker_pids()
-            assert len(pids) == 2
+            assert len(pids) == 2 - (engine == "processes" and _walks())
             report = sim.run(20)
             assert report.n_neighbor_rebuilds >= 2
             snapshot = calc.health_snapshot()
@@ -620,7 +684,7 @@ class TestPersistence:
         calc = ProcessSDCCalculator(dims=2, n_workers=2)
         with Simulation(atoms, potential, calculator=calc) as sim:
             sim.run(2)
-            assert len(calc.worker_pids()) == 2
+            assert len(calc.worker_pids()) == 2 - _walks()
         assert calc.worker_pids() == []
         assert calc.arena_bytes() == 0
 

@@ -9,13 +9,14 @@
   potential lowers; a tracer watches the walk from its clock marks;
 * failures surface and never hang: an overlap in worker 1's range raises
   the tier's error naming the pair and releases the sibling, and so does
-  a raise in worker 0 (the calling thread) before its walk; a process
-  worker SIGKILLed while its sibling waits inside the walk is a
+  a raise in worker 0 (the calling thread) before its walk; a forked
+  helper SIGKILLed while worker 0 waits for it inside the walk is a
   ``BackendError``, after one transparent respawn;
 * fewer CPUs than workers: pinned to one CPU, only the barrier's
   ``sched_yield`` branch lets the sibling run;
-* the team: its helpers use no CPU between walks, ``close`` joins them,
-  and a forked child starts a team of its own.
+* the team: its helpers — threads, or the process engine's forked
+  helper — use no CPU between walks, ``close`` joins them, and a forked
+  child starts a team of its own.
 """
 
 from __future__ import annotations
@@ -331,8 +332,9 @@ class TestFailuresSurface:
     @pytest.mark.linux
     @pytest.mark.parametrize("restart", [True, False])
     def test_worker_killed_mid_walk(self, restart, wide, walks):
-        """Worker 0 is stopped, so worker 1 walks into barrier 0 and waits
-        there inside ``sdc_walk``; then worker 0 is SIGKILLed."""
+        """Helper 1, the one forked worker, is stopped, so worker 0 — this
+        process — walks into barrier 0 and waits there inside ``sdc_walk``;
+        then helper 1 is SIGKILLed."""
         from repro.parallel.backends.processes import ProcessSDCCalculator
 
         potential, atoms, nlist, forces = wide
@@ -343,7 +345,7 @@ class TestFailuresSurface:
             started = time.monotonic()
 
             def kill_mid_walk():
-                while walks[1] < 2:  # worker 1 started its walk
+                while walks[0] < 2:  # worker 0 started its walk
                     time.sleep(0.01)
                 time.sleep(0.2)
                 os.kill(victim, signal.SIGKILL)
@@ -380,6 +382,13 @@ def cpu_ticks(tids) -> int:
     return total
 
 
+def process_ticks(pid: int) -> int:
+    """utime + stime of process ``pid``, in clock ticks."""
+    with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+        fields = handle.read().rsplit(")", 1)[1].split()
+    return int(fields[11]) + int(fields[12])
+
+
 @pytest.mark.linux
 class TestTeam:
     """The walk's team: ``p - 1`` C helpers, started at the first walk,
@@ -397,6 +406,24 @@ class TestTeam:
             used = cpu_ticks(helpers)
             time.sleep(0.5)
             used = cpu_ticks(helpers) - used
+        assert used / os.sysconf("SC_CLK_TCK") < 0.01 * 0.5
+        np.testing.assert_allclose(result.forces, forces, atol=1e-10)
+
+    @needs_fork
+    def test_idle_forked_helper_uses_no_cpu(self, wide, walks):
+        """The process engine's helper sleeps on a shared futex between
+        walks, as a thread helper does on a private one."""
+        from repro.parallel.backends.processes import ProcessSDCCalculator
+
+        potential, atoms, nlist, forces = wide
+        with ProcessSDCCalculator(2, 2) as calc:
+            result = calc.compute(potential, atoms.copy(), nlist)
+            (helper,) = calc.worker_pids()
+            assert walks[:2].tolist() == [1, 1]
+            time.sleep(0.05)  # past the helper's spin after a walk
+            used = process_ticks(helper)
+            time.sleep(0.5)
+            used = process_ticks(helper) - used
         assert used / os.sysconf("SC_CLK_TCK") < 0.01 * 0.5
         np.testing.assert_allclose(result.forces, forces, atol=1e-10)
 

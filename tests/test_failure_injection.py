@@ -1,6 +1,10 @@
 """Failure injection: broken inputs and crashing components must fail
 loudly and leave no corrupted state behind."""
 
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
@@ -405,6 +409,117 @@ class TestDeathBehindTheBarrier:
                 time.sleep(0.05)
             assert not [pid for pid in pids if _running(pid)]
         finally:
+            process.stdout.close()
+            for pid in pids:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+
+#: past the helpers' yielding after a walk: asleep on the doorbell
+ASLEEP_S = 0.1
+
+
+@pytest.mark.linux
+class TestHelperAsleepOnTheBell:
+    """The process engine's doorbell team (C tier, a potential that
+    lowers): the caller walks as worker 0 and ``p - 1`` forked helpers
+    sleep on a shared futex between walks.  A helper killed there, or its
+    parent killed under it, is never a hang."""
+
+    @pytest.fixture(autouse=True)
+    def _needs_fork(self):
+        import multiprocessing as mp
+
+        if "fork" not in mp.get_all_start_methods():
+            pytest.skip("requires fork")
+
+    @staticmethod
+    def asleep(calc, potential, atoms, nlist):
+        """One evaluation, then the helpers' pids once they sleep."""
+        calc.compute(potential, atoms.copy(), nlist)
+        if not calc.caller_walks():
+            pytest.skip("no doorbell team: the active tier has no walker")
+        time.sleep(ASLEEP_S)
+        return calc.worker_pids()
+
+    def test_killed_helper_restarts_transparently(
+        self, potential, sdc_atoms, sdc_nlist, reference_result
+    ):
+        from repro.parallel.backends.processes import ProcessSDCCalculator
+
+        with ProcessSDCCalculator(dims=2, n_workers=2) as calc:
+            pids = self.asleep(calc, potential, sdc_atoms, sdc_nlist)
+            os.kill(pids[0], signal.SIGKILL)
+            started = time.monotonic()
+            result = calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
+            assert time.monotonic() - started < 5.0
+            assert np.allclose(result.forces, reference_result.forces, atol=1e-12)
+            snapshot = calc.health_snapshot()
+            assert (snapshot["n_worker_deaths"], snapshot["n_restarts"]) == (1, 1)
+            assert pids[0] not in calc.worker_pids()
+
+    def test_killed_helper_is_a_backend_error_without_retry(
+        self, potential, sdc_atoms, sdc_nlist, reference_result
+    ):
+        from repro.parallel.backends import BackendError
+        from repro.parallel.backends.processes import ProcessSDCCalculator
+
+        with ProcessSDCCalculator(
+            dims=2, n_workers=3, restart_on_failure=False
+        ) as calc:
+            pids = self.asleep(calc, potential, sdc_atoms, sdc_nlist)
+            os.kill(pids[1], signal.SIGKILL)
+            started = time.monotonic()
+            with pytest.raises(BackendError, match=r"worker\(s\) \[1\] died"):
+                calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
+            assert time.monotonic() - started < 5.0
+            result = calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
+            assert np.allclose(result.forces, reference_result.forces, atol=1e-12)
+        assert not [pid for pid in pids if _running(pid)]
+
+    def test_killed_parent_leaves_no_sleeping_orphan(self, tmp_path):
+        """The parent walks once, then idles; SIGKILLed there, its helper
+        asleep on the bell must notice and exit."""
+        import subprocess
+        import sys
+
+        import repro
+
+        script = (
+            "import sys, time\n"
+            "from repro.harness.cases import Case\n"
+            "from repro.md import build_neighbor_list\n"
+            "from repro.parallel.backends.processes import ProcessSDCCalculator\n"
+            "from repro.potentials import fe_potential\n"
+            "potential = fe_potential()\n"
+            "atoms = Case(key='o', label='o', n_cells=8).build(seed=1)\n"
+            "nlist = build_neighbor_list(atoms.positions, atoms.box,\n"
+            "    cutoff=potential.cutoff, skin=0.3, half=True)\n"
+            "calc = ProcessSDCCalculator(dims=2, n_workers=2)\n"
+            "calc.compute(potential, atoms, nlist)\n"
+            "print(int(calc.caller_walks()), *calc.worker_pids(), flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        process = subprocess.Popen(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE, text=True,
+        )
+        walks, *pids = [int(word) for word in process.stdout.readline().split()]
+        try:
+            if not walks:
+                pytest.skip("no doorbell team: the active tier has no walker")
+            assert len(pids) == 1
+            time.sleep(ASLEEP_S)
+            process.kill()
+            assert process.wait(timeout=60) == -signal.SIGKILL
+            deadline = time.monotonic() + 5.0
+            while any(map(_running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in pids if _running(pid)]
+        finally:
+            process.kill()
+            process.wait()
             process.stdout.close()
             for pid in pids:
                 if _running(pid):
