@@ -146,7 +146,8 @@ ENGINES = {
 
 
 def _walks():
-    """Whether the active tier walks (its process engine rings a team)."""
+    """1 where the active tier walks (the process engine rings a team and
+    forks one worker fewer), else 0."""
     from repro import kernels
 
     return int(kernels.active_tier().team_block_bytes(2, 4) > 0)
@@ -203,7 +204,7 @@ class TestOneCommandPerEvaluation:
             commands = _count_commands(calc)
             for _ in range(n_computes):
                 result = calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
-            rung = calc._live.team is not None
+            rung = calc.caller_walks()
         assert rung == (engine == "processes" and _walks() == 1)
         assert commands == ([] if rung else ["evaluate"] * n_computes)
         scale = np.max(np.abs(reference_result.forces))
@@ -474,7 +475,7 @@ class TestSpansFromMarks:
             calc.attach_tracer(tracer)
             calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
             pids, n_colors = calc.worker_pids(), calc.schedule.n_colors
-            if calc._live.team is not None:  # this process walks as worker 0
+            if calc.caller_walks():  # this process walks as worker 0
                 pids = [os.getpid(), *pids]
         # density colors, the embedding, force colors, the force pull
         n_phases = 2 * n_colors + 2
