@@ -7,11 +7,16 @@ Three views of the same computation:
    materialized Fe crystal (max deviation printed).
 2. **Simulated scaling** — each strategy's plan run on the simulated
    16-core Xeon E7320 across core counts (a one-case Fig. 9).
-3. **Anatomy** — the per-phase timeline of SDC vs SAP at 16 cores,
-   showing where barriers, merges and criticals eat the speedup.
+3. **Anatomy** — the model's run of SDC vs SAP at 16 cores put on a
+   ``Tracer`` (``trace_result``), the spans a measured run leaves: its
+   costliest phases, the per-phase table ``repro bench`` prints, and each
+   thread's busy time and barrier waits — where barriers, merges and
+   criticals eat the speedup.
 
 Run:  python examples/strategy_comparison.py
 """
+
+from collections import defaultdict
 
 import numpy as np
 
@@ -28,9 +33,10 @@ from repro.harness.cases import Case, case_by_key
 from repro.harness.report import format_series
 from repro.harness.runner import PAPER_THREADS, ExperimentRunner
 from repro.md.neighbor.verlet import build_neighbor_list
-from repro.parallel.sim_exec import simulate
-from repro.parallel.trace import render_gantt, render_phase_summary
+from repro.obs.tracer import CAT_BARRIER, CAT_PHASE, CAT_REGION, CAT_TASK, Tracer
+from repro.parallel.sim_exec import simulate, trace_result
 from repro.potentials import compute_eam_forces_serial, fe_potential
+from repro.utils.profiler import phase_stats, render_phase_table
 
 
 def correctness_section() -> None:
@@ -86,7 +92,7 @@ def scaling_section(runner: ExperimentRunner) -> None:
 def anatomy_section(runner: ExperimentRunner) -> None:
     print()
     print("=" * 72)
-    print("3. anatomy: where the cycles go at 16 cores (large case)")
+    print("3. anatomy: where the time goes at 16 cores (large case)")
     print("=" * 72)
     case = case_by_key("large3")
     stats_sdc = runner.sdc_stats(case, dims=2, n_threads=16)
@@ -100,9 +106,40 @@ def anatomy_section(runner: ExperimentRunner) -> None:
         ),
     ):
         print(f"\n--- {label} ---")
-        result = simulate(plan, machine, 16)
-        print(render_phase_summary(result, top=6))
-        print(render_gantt(result, width=60, max_threads=4))
+        tracer = Tracer()
+        trace_result(tracer, simulate(plan, machine, 16))
+        print_anatomy(tracer.spans)
+
+
+def print_anatomy(spans, top: int = 6, threads: int = 4) -> None:
+    """The costliest phases, the per-phase table and per-thread busy and
+    barrier-wait time of one traced run."""
+    phases = sorted(
+        (s for s in spans if s.category == CAT_REGION),
+        key=lambda s: s.duration_s,
+        reverse=True,
+    )
+    for span in phases[:top]:
+        print(f"  {span.name:<24} {span.duration_s * 1e3:>10.3f} ms")
+    print(render_phase_table(phase_stats(spans)))
+    busy, wait = defaultdict(float), defaultdict(float)
+    for span in spans:
+        if span.category == CAT_TASK:
+            busy[span.track] += span.duration_s
+        elif span.category == CAT_BARRIER:
+            wait[span.track] += span.duration_s
+    wall = sum(s.duration_s for s in spans if s.category == CAT_PHASE)
+    fork = min(s.start_s for s in spans if s.category == CAT_TASK)
+    print(
+        f"{wall * 1e3:.3f} ms on {len(busy)} threads (the first phase holds "
+        f"the {fork * 1e3:.3f} ms fork-join prologue), utilization "
+        f"{sum(busy.values()) / (wall * len(busy)):.1%}"
+    )
+    for track in list(busy)[:threads]:
+        print(
+            f"  {track:<16} busy {busy[track] * 1e3:>9.3f} ms, "
+            f"barrier wait {wait[track] * 1e3:>9.3f} ms"
+        )
 
 
 def main() -> None:

@@ -54,7 +54,7 @@ from repro.harness.tracing import traced_cell, write_run_artifacts
 from repro.obs.exporters import render_trace_summary
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import run_recorder
-from repro.obs.resources import read_window, window_digest
+from repro.obs.resources import cpu_clocks, read_window, window_digest
 from repro.obs.rundir import (
     SCALING_SCHEMA,
     artifact_path,
@@ -255,34 +255,43 @@ def _attribute_losses(
 def _evaluation_windows(calculator):
     """Per worker, ``(on-CPU s, run-queue wait s)`` summed over the force
     evaluations inside the block — the time ``p T(p)`` budgets: between
-    evaluations a team's helpers yield, and worker 0 integrates.  Each
-    evaluation's ends are read inside it, where this thread walks as worker
-    0 of a team too; in-process calculators have no ``worker_pids()``, and
-    nothing is read."""
+    evaluations a team's helpers yield, and worker 0 integrates — and the
+    seconds the reads took, which ``T(p)`` leaves out.  Each evaluation is
+    read inside it, where this thread walks as worker 0 of a team too: the
+    ``/proc`` lines outermost, the CPU clocks within, so no on-CPU window
+    holds a line read.  In-process calculators have no ``worker_pids()``,
+    and nothing is read."""
     spent: Dict[int, Tuple[float, float]] = {}
+    read_s = [0.0]
     pids = getattr(calculator, "worker_pids", list)()
     caller = getattr(calculator, "caller_walks", bool)()
     if not pids and not caller:
-        yield spent
+        yield spent, read_s
         return
     compute = calculator.compute
 
     def windowed(*args, **kwargs):
+        start = time.perf_counter()
         before = read_window(pids, caller)
+        opened = time.perf_counter()
+        clock = cpu_clocks(pids, caller)
         try:
             return compute(*args, **kwargs)
         finally:
+            now = cpu_clocks(pids, caller)
+            closed = time.perf_counter()
             after = read_window(pids, caller)
-            for pid in (pid for pid in before if pid in after):
+            read_s[0] += opened - start + time.perf_counter() - closed
+            for pid in (p for p in before if p in after and p in clock and p in now):
                 cpu, delay = spent.get(pid, (0.0, 0.0))
                 spent[pid] = (
-                    cpu + after[pid][0] - before[pid][0],
+                    cpu + now[pid] - clock[pid],
                     delay + after[pid][1] - before[pid][1],
                 )
 
     calculator.compute = windowed
     try:
-        yield spent
+        yield spent, read_s
     finally:
         del calculator.compute
 
@@ -307,9 +316,10 @@ def _measure_point(
         # warmup evaluation: worker fork, arena mapping, decomposition,
         # neighbor build, JIT — excluded from the measured window
         cell.sim.compute_forces()
-        with _evaluation_windows(cell.sim.calculator) as spent:
+        with _evaluation_windows(cell.sim.calculator) as (spent, read_s):
             window_start = time.perf_counter()
-            total_s = cell.sim.run(steps, sample_every=max(1, steps)).force_seconds
+            run = cell.sim.run(steps, sample_every=max(1, steps))
+        total_s = run.force_seconds - read_s[0]
         resources = window_digest(dict.fromkeys(spent, (0.0, 0.0)), spent)
         spans = cell.finish(registry)
     return total_s, window_start, spans, resources

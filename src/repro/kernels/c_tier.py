@@ -461,16 +461,17 @@ class SDCWalk:
     """``sdc_walk`` bound to one plan, whose indices were checked once.
 
     :meth:`bind` points it at one evaluation's potential and arrays (False
-    when C may not run them); :meth:`run` then walks worker ``k``'s share —
-    ``tasks[k]``, a ``[lo, hi)`` pair range per colour, and ``rows[k]`` —
-    meeting its siblings at the ``barrier`` block (the layout of
-    :class:`~repro.parallel.backends.workers.ColorBarrier`).  Its partials
+    when C may not run them); an :class:`SDCTeam` then walks it, worker
+    ``k`` its share — ``tasks[k]``, a ``[lo, hi)`` pair range per colour,
+    and ``rows[k]`` — meeting its siblings at the ``barrier`` block (the
+    layout of :class:`~repro.parallel.backends.workers.ColorBarrier`), the
+    calling thread worker 0 through :meth:`run`.  Worker ``k``'s partials
     land in ``energies[k]``: one pair energy per colour, then the
-    embedding energy.  On an :class:`SDCTeam` every worker also stamps
-    ``marks[k]``: its start, each barrier's entry and exit, its end.  A
-    walk carved out of a shared ``block`` (its struct, job table, ranges,
-    energies and marks; ``phi`` given too) can be walked by helpers the
-    caller forks: :meth:`watch` then makes worker 0 give up on a lost one.
+    embedding energy; it also stamps ``marks[k]``: its start, each
+    barrier's entry and exit, its end.  A walk carved out of a shared
+    ``block`` (its struct, job table, ranges, energies and marks; ``phi``
+    given too) can be walked by helpers the caller forks: :meth:`watch`
+    then makes worker 0 give up on a lost one.
     """
 
     #: :meth:`run`'s statuses besides an overlapping pair's slot, and the
@@ -566,15 +567,15 @@ class SDCWalk:
             setattr(shared, name, _addr(array))
         return True
 
-    def run(self, k: int, waiter: int, base: int, marks=None) -> int:
-        """Worker ``k``'s walk as barrier waiter ``waiter``, generations
-        ``base`` to ``base + 2C``: :attr:`DONE`, :attr:`ABORTED` (a sibling
-        left), or the slot of an overlapping pair it found.
-        Never leaves a sibling waiting: a raise aborts the barrier."""
-        ranges, lo, hi, energies, _ = self._jobs[k]
+    def run(self, base: int, marks=None) -> int:
+        """Worker 0's walk, generations ``base`` to ``base + 2C``:
+        :attr:`DONE`, :attr:`ABORTED` (a sibling left), or the slot of an
+        overlapping pair it found.  Never leaves a sibling waiting: a raise
+        aborts the barrier."""
+        ranges, lo, hi, energies, _ = self._jobs[0]
         try:
             return self._fn(
-                self._at, ranges, lo, hi, waiter, base, energies,
+                self._at, ranges, lo, hi, 0, base, energies,
                 None if marks is None else _ptr(marks),
             )
         except BaseException:
@@ -649,7 +650,7 @@ class SDCTeam:
         with self._lock:
             self._ring(self._team, walk._at, _ptr(walk.jobs), n, base)
             try:
-                status[0] = walk.run(0, 0, base, walk.marks[0])
+                status[0] = walk.run(base, walk.marks[0])
             finally:
                 self._settle(self._team, status)
             return status[:n]

@@ -18,7 +18,7 @@ import threading
 import time
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-__all__ = ["read_window", "schedstat", "window_digest"]
+__all__ = ["cpu_clocks", "read_window", "schedstat", "window_digest"]
 
 Reading = Tuple[float, float]
 
@@ -46,6 +46,22 @@ def read_window(pids: Iterable[int], caller: bool = False) -> Dict[int, Reading]
         readings[tid] = own and (time.thread_time(), own[1])
     readings.update((pid, schedstat(pid)) for pid in pids)
     return {pid: r for pid, r in readings.items() if r is not None}
+
+
+def cpu_clocks(pids: Iterable[int], caller: bool = False) -> Dict[int, float]:
+    """On-CPU seconds now, keyed as by :func:`read_window`: one clock read
+    each (a pid's is the id ``clock_getcpuclockid`` gives), current even
+    while it runs, so two calls can bracket a window tighter than a
+    ``/proc`` read; a pid whose clock cannot be read is left out."""
+    now: Dict[int, float] = {}
+    if caller:
+        now[threading.get_native_id()] = time.thread_time()
+    for pid in pids:
+        try:
+            now[pid] = time.clock_gettime(~pid << 3 | 2)
+        except (OSError, OverflowError):
+            pass
+    return now
 
 
 def window_digest(

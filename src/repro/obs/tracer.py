@@ -19,7 +19,8 @@ come from two sources:
   ``barrier-wait`` spans.  A strategy's per-colour dispatch stamps each
   closure's start and end (:func:`repro.core.strategies.base.run_phase`);
   the C walker and the process workers stamp ``CLOCK_MONOTONIC`` at
-  every barrier.
+  every barrier; the cycle model's threads are marked in its own
+  seconds, from 0 (:func:`repro.parallel.sim_exec.trace_result`).
 
 All timestamps are ``time.perf_counter()`` (``CLOCK_MONOTONIC`` on Linux,
 which the marks read too).  Backend spans (``task`` / ``phase`` /

@@ -7,7 +7,8 @@ running OpenMP.  This package substitutes that testbed (see DESIGN.md):
 * :mod:`repro.parallel.plan` — strategy-built execution plans (phases of
   costed tasks with OpenMP-style synchronization semantics).
 * :mod:`repro.parallel.sim_exec` — the deterministic simulator that turns
-  a plan + thread count into per-thread timelines and a total runtime.
+  a plan + thread count into per-thread timings and a total runtime, and
+  puts that run on a tracer's timeline (``trace_result``).
 * :mod:`repro.parallel.workload` — workload statistics (measured from real
   systems or derived analytically for the paper's multi-million-atom
   cases).

@@ -45,7 +45,6 @@ from repro.core.domain import SubdomainGrid
 from repro.core.partition import PairPartition
 from repro.core.schedule import ColorSchedule
 from repro.core.sdc_plan import SDCPlan, SDCPlanner
-from repro.kernels.lowering import lower_potential
 from repro.md.atoms import Atoms
 from repro.md.neighbor.verlet import NeighborList
 from repro.parallel.backends.sharded import ShardEngine, ShardPlan
@@ -101,13 +100,6 @@ class ProcessSDCCalculator(ShardEngine):
         return [ShardPlan(
             0, src, len(src), plan.pair_i, plan.pair_j, plan.tasks, plan.rows
         )]
-
-    def _team_colors(self, potential) -> int:
-        """A doorbell team wherever the walk may run: the potential lowers
-        and nobody records the workers' writes (the tier decides the rest)."""
-        if self.record_writes or lower_potential(potential) is None:
-            return 0
-        return 2 ** self.dims
 
     def health_snapshot(self) -> Dict[str, object]:
         """Engine lifecycle state for :meth:`HealthMonitor.snapshot`."""

@@ -15,9 +15,11 @@ out; it never sums.  The workers
 rho, fp and forces through the maps at the barriers the color schedule
 already has (DESIGN §7.1).  A region without ghosts has empty maps:
 :class:`~repro.parallel.backends.processes.ProcessSDCCalculator` is one
-such region shared by ``n_workers`` color-scheduled workers — where a
-doorbell team walks it, the command is a ring (:meth:`ShardEngine._ring`)
-and the epoch payload the team's walk laid out in the arena.
+such region shared by ``n_workers`` color-scheduled workers, and one
+shard another.  Where a doorbell team walks it
+(:meth:`ShardEngine._team_colors`), the command is a ring
+(:meth:`ShardEngine._ring`) and the epoch payload the team's walk laid
+out in the arena.
 
 **The sharded configuration** (:class:`ShardedSDCCalculator`, DESIGN
 §7.4).  A near-cubic grid of shards, each one region with one worker
@@ -45,6 +47,7 @@ import numpy as np
 
 from repro import kernels
 from repro.geometry.box import Box
+from repro.kernels.lowering import lower_potential
 from repro.md.atoms import Atoms
 from repro.md.neighbor.verlet import NeighborList
 from repro.obs.tracer import trace_region
@@ -247,6 +250,16 @@ class ShardEngine(WorkerEngine):
 
     def _worker_regions(self) -> List[int]:
         return [r for r, plan in enumerate(self._plans) for _ in plan.rows]
+
+    def _team_colors(self, potential: EAMPotential) -> int:
+        """A doorbell team wherever the walk may run: one ghost-free region
+        whose potential lowers and whose writes nobody records (the tier
+        decides the rest), walking up to an SDC schedule's ``2 ** dims``
+        colours."""
+        plan, *more = self._plans
+        if more or plan.n_ghosts or self.record_writes:
+            return 0
+        return 2 ** self.dims if lower_potential(potential) is not None else 0
 
     def _publish_epoch(self) -> None:
         """Write every region's pair list into the arena; then lay the

@@ -505,6 +505,7 @@ class InlineGroup:
     :class:`ColorBarrier` exactly as forked workers do."""
 
     pids: Sequence[int] = ()
+    fds: Sequence[int] = ()
 
     def __init__(self, handlers: Sequence[Handler]) -> None:
         self._handlers = list(handlers)
@@ -576,9 +577,6 @@ class ChunkWorker:
         self.copies: Sequence[Tuple[int, np.ndarray, np.ndarray]] = ()
         self.owners: Sequence[Tuple[int, np.ndarray, np.ndarray]] = ()
         self.barrier: Optional[ColorBarrier] = None
-        #: the tier's walker of this epoch, bound to the arena (None: the
-        #: per-colour body runs)
-        self.walk = None
         #: flat write set per task of the current command (``record_writes``)
         self.writes: List[List[int]] = []
 
@@ -600,20 +598,6 @@ class ChunkWorker:
         )
         forked = os.getpid() != self._driver
         self.barrier = ColorBarrier(self.arena.barrier, self.index, forked)
-        self.walk = None
-        if not (self.copies or self.owners or self.record_writes):
-            views = self.views
-            walk = self.tier.sdc_walker(
-                views["pair_i"], views["pair_j"], [self.tasks], [self.rows],
-                len(views["rho"]), self.arena.barrier,
-                parent=os.getppid() if forked else 0,
-                handover=[views[key] for key in HANDOVER], phi=views["pair_phi"],
-            )
-            if walk is not None and walk.bind(
-                self.potential, views["positions"], self.box,
-                views["rho"], views["fp"], views["forces"],
-            ):
-                self.walk = walk
 
     def do_evaluate(self, base: int):
         """One whole force evaluation, in step with every sibling.
@@ -628,12 +612,8 @@ class ChunkWorker:
         Returns ``(pair-energy partial, embedding-energy partial, marks,
         per-task write sets, tid)``; ``marks`` are ``perf_counter`` at the
         start, at every barrier's entry and exit, and at the end; the tid
-        of a forked worker is its pid.  A worker without ghost maps walks
-        it all in one foreign call where its tier has a walker
-        (:meth:`_evaluate_walked`).
+        of a forked worker is its pid.
         """
-        if self.walk is not None:
-            return self._evaluate_walked(base)
         barrier, generation = self.barrier, base
         marks, self.writes = [time.perf_counter()], []
         views, regions = self.views, self.regions
@@ -672,23 +652,6 @@ class ChunkWorker:
         return (
             pair_energy, embedding_energy, marks, self.writes,
             threading.get_native_id(),
-        )
-
-    def _evaluate_walked(self, base: int):
-        """:meth:`do_evaluate` as one ``sdc_walk`` call: the same ranges,
-        rows and barriers, the same marks on ``perf_counter``'s clock."""
-        walk, n_colors, marks = self.walk, len(self.tasks), self.walk.marks[0]
-        status = walk.run(0, self.index, base, marks)
-        if status >= 0:
-            raise walk.overlap(status)
-        if status != walk.DONE:
-            raise PhaseAborted(f"a sibling left a barrier of {base}")
-        pair_energy = 0.0  # summed in the per-colour body's order
-        for partial in walk.energies[0, :n_colors].tolist():
-            pair_energy += partial
-        return (
-            pair_energy, float(walk.energies[0, n_colors]), marks.tolist(),
-            [], threading.get_native_id(),
         )
 
     def _task(self, kind: str, lo: int, hi: int) -> float:
@@ -774,8 +737,11 @@ class WorkerEngine:
 
     The subclass supplies ``_region_sizes()`` (the arena regions the
     current epoch needs), ``_worker_regions()`` (the region of each
-    worker) and ``_publish_epoch()`` (write the epoch's static state into
-    the arena and send the ``epoch`` command); it calls
+    worker), ``_team_colors(potential)`` (the most colours a walk of a
+    doorbell team — the caller as worker 0, ``p - 1`` forked helpers —
+    must hold; 0 forks ``p`` command workers) and ``_publish_epoch()``
+    (write the epoch's static state into the arena and send the
+    ``epoch`` command, or lay the team's walk out there); it calls
     :meth:`_new_epoch` when its decomposition changed and runs every
     evaluation through :meth:`_evaluate`.
     """
@@ -872,13 +838,6 @@ class WorkerEngine:
 
     # --- spawn state machine ---------------------------------------------------
 
-    def _team_colors(self, potential: EAMPotential) -> int:
-        """The most colours a walk of a doorbell team must hold, where the
-        workers are one: the caller as worker 0 and ``p - 1`` forked
-        helpers answering a team laid out in the arena.  0 — the default —
-        forks ``p`` workers driven by commands."""
-        return 0
-
     def _new_epoch(self) -> None:
         """The subclass rebuilt its decomposition: republish before use."""
         self._epoch += 1
@@ -940,7 +899,7 @@ class WorkerEngine:
                 error=str(exc),
             )
             raise
-        if team is not None:
+        if handlers and team is not None:  # an inline team has no helper
             live.group.post("serve")
         live.arena, live.team = arena, team
         self._potential = potential

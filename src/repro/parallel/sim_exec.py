@@ -20,16 +20,19 @@ per-thread timings.  The model, phase by phase:
 
 Everything is a pure function of its inputs — runs are exactly
 reproducible, which is the point of simulating the testbed instead of
-timing GIL-bound Python threads (see DESIGN.md).
+timing GIL-bound Python threads (see DESIGN.md).  :func:`trace_result`
+puts a run on the measured runs' span timeline (DESIGN §7.5).
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Dict, List
 
 import numpy as np
 
+from repro.obs.tracer import Tracer, trace_region
 from repro.parallel.machine import MachineConfig
 from repro.parallel.plan import SimPhase, SimPlan
 
@@ -192,6 +195,31 @@ def simulate(
         total_cycles=total,
         machine=machine,
     )
+
+
+def trace_result(tracer: Tracer, result: SimResult) -> None:
+    """Put ``result`` on ``tracer``'s timeline as one parallel region
+    (:func:`~repro.obs.tracer.trace_region`), in seconds of the machine's
+    clock from 0: a step per phase, labelled with its name and tagged with
+    the part before ``:`` as a measured evaluation's are, and model thread
+    ``k`` a task on the track ``model-thread-<k>`` that starts after the
+    fork-join prologue, enters each phase's barrier at the phase start
+    plus its busy cycles and leaves at the phase start plus its total."""
+    seconds = result.machine.cycles_to_seconds
+    phases = result.phase_results
+    n_threads = len(phases[0].busy_cycles_per_thread) if phases else 0
+    steps, marks = [], [[result.fork_join_cycles] for _ in range(n_threads)]
+    start = result.fork_join_cycles
+    for phase in phases:
+        steps.append((phase.name, {"phase": phase.name.split(":")[0]}))
+        end = start + phase.total_cycles
+        for row, busy in zip(marks, phase.busy_cycles_per_thread.tolist()):
+            row += [start + busy, end]
+        start = end
+    trace_region(tracer, (0.0, seconds(result.total_cycles)), steps, [
+        ([seconds(c) for c in row], f"model-thread-{k}", os.getpid())
+        for k, row in enumerate(marks)
+    ])
 
 
 def speedup(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -243,3 +244,27 @@ class TestProcessesPoint:
         point = report.points[0]
         assert point.resources == {}
         assert point.loss["resource_pressure"] == 0.0
+
+    def test_window_reads_stay_out_of_the_timed_force_window(self, monkeypatch):
+        """A ``/proc`` read that takes ``slow_s`` leaves ``T(p)`` as it
+        was: two of them bracket the evaluation, and ``total_s`` holds
+        neither."""
+        from repro.harness import scaling
+
+        slow_s, calls, real = 0.2, [], scaling.read_window
+
+        def slow_read(*args):
+            calls.append(args)
+            time.sleep(slow_s)
+            return real(*args)
+
+        monkeypatch.setattr(scaling, "read_window", slow_read)
+        report = run_scale(
+            case="tiny", backend="processes", workers=(2,), steps=1
+        )
+        if not report.points:
+            pytest.skip(f"processes backend unavailable: {report.skipped}")
+        point = report.points[0]
+        assert len(calls) == 2
+        assert point.total_s < slow_s
+        assert len(point.resources["worker_cpu_s"]) == 2

@@ -645,8 +645,6 @@ class TestSDCWalker:
         """Worker 0 walks alone, its sibling's arrival word pre-set past
         every generation: every barrier passes at once, and the force pass
         reads the ``fp`` rows the sibling never embedded."""
-        from repro.parallel.backends.threads import ThreadBackend
-
         atoms, sdc = plan
         n = atoms.n_atoms
 
@@ -656,8 +654,11 @@ class TestSDCWalker:
         walk, barrier = self.walker(c_tier, plan)
         rho, fp, forces = arrays()
         assert walk.bind(potential, atoms.positions, atoms.box, rho, fp, forces)
-        with ThreadBackend(2) as backend:  # both workers, barriers kept
-            backend.run_phase([lambda k=k: walk.run(k, k, 1) for k in range(2)])
+        team = c_tier.sdc_team(2, [])  # both workers, barriers kept
+        try:
+            assert team.walk(walk, 1) == [walk.DONE, walk.DONE]
+        finally:
+            team.close()
         want = compute_eam_forces_serial(
             potential, atoms.copy(),
             build_neighbor_list(
@@ -670,7 +671,7 @@ class TestSDCWalker:
         barrier[2, 0] = np.iinfo(np.int64).max - 1  # worker 1 "arrived"
         rho, fp, forces = arrays()
         assert walk.bind(potential, atoms.positions, atoms.box, rho, fp, forces)
-        assert walk.run(0, 0, 1) == walk.DONE  # no wait, no hang
+        assert walk.run(1) == walk.DONE  # no wait, no hang
         lo, hi = sdc.rows[1]
         assert np.isnan(fp[lo:hi]).all() and np.isfinite(fp[:lo]).all()
         assert np.isnan(forces).any()

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from repro.obs import resources
-from repro.obs.resources import read_window, schedstat, window_digest
+from repro.obs.resources import cpu_clocks, read_window, schedstat, window_digest
 
 pytestmark = [
     pytest.mark.linux,
@@ -94,3 +94,31 @@ class TestWindowRead:
         assert schedstat(os.getpid()) is None
         assert read_window([os.getpid()]) == {}
         assert window_digest({}, {}) == {}
+
+
+class TestCpuClocks:
+    def test_a_running_child_reads_current_cpu_time(self):
+        """A spinning child's clock advances with its spin, read while it
+        still runs; once reaped it is left out."""
+        pid = os.fork()
+        if pid == 0:
+            try:
+                _spin_cpu(0.3)
+            finally:
+                os._exit(0)
+        try:
+            first = cpu_clocks([pid])[pid]
+            time.sleep(0.1)
+            second = cpu_clocks([pid])[pid]
+        finally:
+            os.waitpid(pid, 0)
+        assert 0.0 <= first < second
+        assert cpu_clocks([pid]) == {}
+
+    def test_the_caller_reads_its_thread_clock(self):
+        import threading
+
+        tid = threading.get_native_id()
+        before = cpu_clocks([], caller=True)[tid]
+        _spin_cpu(0.02)
+        assert cpu_clocks([], caller=True)[tid] - before >= 0.015

@@ -62,17 +62,18 @@ def c_tier():
 
 @pytest.fixture()
 def walks(monkeypatch):
-    """``walks[w]``: how many walks barrier waiter ``w`` started: those
-    through ``SDCWalk.run`` (a team's worker 0, forked workers), and a
-    team's C helpers ``1 .. p - 1``, which walk once for every ring they
-    answer (an anonymous shared page; each waiter writes its own slot)."""
+    """``walks[w]``: how many walks barrier waiter ``w`` started: worker 0
+    through ``SDCWalk.run`` (the calling thread of a team, on threads or
+    processes), and a team's helpers ``1 .. p - 1``, which walk once for
+    every ring they answer (an anonymous shared page, so a forked child's
+    walks count too)."""
     page = mmap.mmap(-1, mmap.PAGESIZE)
     hits = np.frombuffer(page, dtype=np.int64, count=8)
     real_run, real_walk = SDCWalk.run, SDCTeam.walk
 
-    def run(self, k, waiter, base, marks=None):
-        hits[waiter] += 1
-        return real_run(self, k, waiter, base, marks)
+    def run(self, base, marks=None):
+        hits[0] += 1
+        return real_run(self, base, marks)
 
     def walk(self, sdc_walk, base):
         try:

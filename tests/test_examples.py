@@ -58,3 +58,12 @@ def test_potential_tables_runs(tmp_path, capsys):
     module.main(str(tmp_path / "fe.setfl"))
     out = capsys.readouterr().out
     assert "validated" in out
+
+
+def test_strategy_comparison_anatomy_reads_the_tracer(capsys):
+    from repro.harness.runner import ExperimentRunner
+
+    load_example("strategy_comparison").anatomy_section(ExperimentRunner())
+    out = capsys.readouterr().out
+    for text in ("force:merge", "color-barrier", "utilization", "barrier wait"):
+        assert text in out
