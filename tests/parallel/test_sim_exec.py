@@ -1,13 +1,11 @@
-"""Simulator semantics: scheduling, barriers, criticals, invariants, and
-the model's results on the measured timeline (``trace_result``)."""
+"""Simulator semantics: scheduling, barriers, criticals, invariants."""
 
 import numpy as np
 import pytest
 
-from repro.obs.tracer import CAT_BARRIER, CAT_PHASE, CAT_REGION, CAT_TASK, Tracer
-from repro.parallel.machine import MachineConfig, paper_machine
+from repro.parallel.machine import MachineConfig
 from repro.parallel.plan import SimPhase, SimPlan, uniform_phase
-from repro.parallel.sim_exec import simulate, speedup, trace_result
+from repro.parallel.sim_exec import simulate, speedup
 
 
 @pytest.fixture()
@@ -240,187 +238,3 @@ class TestDeterminism:
         assert result.seconds == pytest.approx(
             result.total_cycles / (machine.clock_ghz * 1e9)
         )
-
-
-# --- the model's results as spans ------------------------------------------------
-
-
-def model_spans(result):
-    tracer = Tracer()
-    trace_result(tracer, result)
-    return tracer.spans
-
-
-def of(spans, category):
-    return [s for s in spans if s.category == category]
-
-
-def busy_share(result):
-    """The reference: busy thread-cycles over ``n_threads`` times the run."""
-    busy = sum(float(np.sum(p.busy_cycles_per_thread)) for p in result.phase_results)
-    return busy / (result.total_cycles * result.n_threads)
-
-
-def span_utilization(spans):
-    """Task time over the region's wall times its tracks, from spans alone."""
-    tasks = of(spans, CAT_TASK)
-    wall = sum(s.duration_s for s in of(spans, CAT_PHASE))
-    return sum(s.duration_s for s in tasks) / (wall * len({s.track for s in tasks}))
-
-
-def two_phase_result(first, second):
-    """Two uniform phases, each ``(name, tasks, cycles per task)``, on 4
-    threads."""
-    plan = SimPlan(
-        name="demo",
-        phases=[
-            uniform_phase(first[0], first[1], compute_per_task=first[2]),
-            uniform_phase(second[0], second[1], compute_per_task=second[2]),
-        ],
-        n_parallel_regions=1,
-    )
-    return simulate(plan, MachineConfig(), 4)
-
-
-#: the plans the model's timeline is checked on: one short phase that
-#: idles half the threads after a long one, and the reverse
-PLANS = {
-    "short-tail": (("a", 6, 100.0), ("b", 2, 50.0)),
-    "long-tail": (("alpha", 8, 100.0), ("beta", 2, 400.0)),
-}
-
-
-@pytest.fixture(params=sorted(PLANS))
-def result(request):
-    return two_phase_result(*PLANS[request.param])
-
-
-class TestModelSpans:
-    def test_every_thread_runs_one_task_per_phase(self, result):
-        tasks = of(model_spans(result), CAT_TASK)
-        cells = {(s.track, s.args["phase"]) for s in tasks}
-        assert len(tasks) == len(cells) == 4 * 2
-        assert {track for track, _ in cells} == {
-            f"model-thread-{k}" for k in range(4)
-        }
-
-    def test_task_spans_are_the_simulated_busy_cycles(self, result):
-        spans = model_spans(result)
-        seconds = result.machine.cycles_to_seconds
-        for index, phase in enumerate(result.phase_results):
-            busy = {
-                s.track: s.duration_s
-                for s in of(spans, CAT_TASK)
-                if s.args["phase"] == index
-            }
-            for k, cycles in enumerate(phase.busy_cycles_per_thread):
-                assert busy[f"model-thread-{k}"] == pytest.approx(
-                    seconds(float(cycles)), rel=1e-12, abs=1e-18
-                )
-
-    def test_threads_enter_and_leave_each_phase_together(self, result):
-        spans = model_spans(result)
-        waits = of(spans, CAT_BARRIER)
-        for phase in of(spans, CAT_PHASE):
-            index = phase.args["phase"]
-            tasks = [s for s in of(spans, CAT_TASK) if s.args["phase"] == index]
-            assert len({round(s.start_s, 15) for s in tasks}) == 1
-            for task in tasks:
-                wait = [
-                    w for w in waits
-                    if w.track == task.track and w.args["phase"] == index
-                ]
-                end = wait[0].end_s if wait else task.end_s
-                assert end == pytest.approx(phase.end_s, rel=1e-12)
-
-    def test_phases_run_back_to_back_from_fork_join_to_total(self, result):
-        spans = model_spans(result)
-        phases = of(spans, CAT_PHASE)
-        assert [s.name.split("/")[0] for s in phases] == [
-            p.name for p in result.phase_results
-        ]
-        assert phases[0].start_s == 0.0
-        for prev, nxt in zip(phases, phases[1:]):
-            assert nxt.start_s == pytest.approx(prev.end_s, rel=1e-12)
-        assert phases[-1].end_s == pytest.approx(result.seconds, rel=1e-12)
-        # the threads start after the fork-join prologue, not at 0
-        assert result.fork_join_cycles > 0.0
-        first = min(s.start_s for s in of(spans, CAT_TASK))
-        assert first == pytest.approx(
-            result.machine.cycles_to_seconds(result.fork_join_cycles), rel=1e-12
-        )
-
-    def test_barrier_waits_are_the_idle_time_and_never_negative(self, result):
-        spans = model_spans(result)
-        seconds = result.machine.cycles_to_seconds
-        waits = of(spans, CAT_BARRIER)
-        assert waits and all(w.duration_s >= 0.0 for w in waits)
-        for index, phase in enumerate(result.phase_results):
-            idle = sorted(
-                seconds(phase.total_cycles - float(b))
-                for b in phase.busy_cycles_per_thread
-                if phase.total_cycles > b
-            )
-            got = sorted(w.duration_s for w in waits if w.args["phase"] == index)
-            assert got == pytest.approx(idle, rel=1e-9)
-        # the second phase has two tasks for four threads: two wait it out
-        last = len(result.phase_results) - 1
-        empty = [
-            s for s in of(spans, CAT_TASK)
-            if s.args["phase"] == last and s.duration_s == 0.0
-        ]
-        assert len(empty) == 2
-
-    def test_steps_are_labelled_and_tagged_by_phase(self):
-        plan = SimPlan(
-            name="sdc-like",
-            phases=[
-                uniform_phase("density:color0", 2, compute_per_task=10.0),
-                uniform_phase("embedding", 2, compute_per_task=5.0),
-                uniform_phase("force:color0", 2, compute_per_task=20.0),
-            ],
-        )
-        regions = of(model_spans(simulate(plan, MachineConfig(), 2)), CAT_REGION)
-        assert [(s.name, s.args["phase"]) for s in regions] == [
-            ("density:color0", "density"),
-            ("embedding", "embedding"),
-            ("force:color0", "force"),
-        ]
-
-    def test_utilization_is_the_busy_share(self, result):
-        got = span_utilization(model_spans(result))
-        assert 0.0 < got <= 1.0
-        assert got == pytest.approx(busy_share(result), rel=0.0, abs=1e-12)
-
-    def test_balanced_plan_is_fully_utilized(self, quiet_machine):
-        plan = SimPlan(name="s", phases=[uniform_phase("w", 4, compute_per_task=10.0)])
-        result = simulate(plan, quiet_machine, 4)
-        assert span_utilization(model_spans(result)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_empty_plan_records_nothing(self):
-        assert model_spans(simulate(SimPlan(name="empty"), MachineConfig(), 2)) == []
-
-
-def test_model_and_measured_spans_reduce_to_the_same_phases(
-    potential, sdc_atoms, sdc_nlist
-):
-    """``phase_stats`` reads the model's run of a 2-D SDC plan and one
-    traced evaluation of that plan on two threads into the same rows; the
-    measured one adds only the plan cache lookup (``neighbor-rebuild``),
-    which the model does not time."""
-    from repro.core.strategies.sdc import SDCStrategy
-    from repro.parallel.backends import ThreadBackend
-    from repro.parallel.workload import measure_workload
-    from repro.utils.profiler import phase_stats
-
-    measured = Tracer()
-    with ThreadBackend(2) as backend:
-        strategy = SDCStrategy(dims=2, n_threads=2, backend=backend)
-        strategy.attach_tracer(measured)
-        strategy.compute(potential, sdc_atoms.copy(), sdc_nlist)
-    stats = measure_workload(strategy.pair_partition, strategy.schedule, sdc_nlist)
-    machine = paper_machine()
-    predicted = model_spans(simulate(strategy.plan(stats, machine, 2), machine, 2))
-    kernel_phases = {"density", "embedding", "force", "color-barrier"}
-    assert set(phase_stats(predicted)) == kernel_phases
-    assert set(phase_stats(measured.spans)) - {"neighbor-rebuild"} == kernel_phases
