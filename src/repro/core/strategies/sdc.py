@@ -46,6 +46,7 @@ from repro.core.schedule import ColorSchedule
 from repro.core.sdc_plan import SDCPlan, SDCPlanner
 from repro.core.strategies.base import ReductionStrategy
 from repro.md.atoms import Atoms
+from repro.md.integrators import REBUILD
 from repro.md.neighbor.verlet import NeighborList
 from repro.obs.recorder import count as count_health
 from repro.obs.tracer import trace_region
@@ -131,6 +132,8 @@ class SDCStrategy(ReductionStrategy):
         self._barrier = barrier_lines(n_threads)
         #: first barrier generation of the next walked evaluation
         self._generation = 1
+        #: whether the last evaluation walked (a step ring may run)
+        self._walks = False
 
     # --- the walked evaluation ------------------------------------------------
 
@@ -138,51 +141,96 @@ class SDCStrategy(ReductionStrategy):
         self, potential: EAMPotential, atoms: Atoms, nlist: NeighborList
     ) -> EAMComputation:
         """One evaluation: one walk on the backend's team where it may run
-        (module docstring), else the per-color three-region body."""
+        (module docstring), into ``atoms``' own arrays, which the result
+        holds; else the per-color three-region body."""
         nlist.check_covers(atoms.n_atoms)
         plan = self._layout(atoms, nlist)
-        n = atoms.n_atoms
-        walk = self._walker(plan, n)
-        if walk is not None:
-            rho, fp, forces = np.zeros(n), np.empty(n), np.zeros((n, 3))
-            if walk.bind(potential, atoms.positions, atoms.box, rho, fp, forces):
-                return self._walked(potential, atoms, nlist, walk, rho, fp, forces)
-        return self._regions(potential, atoms, nlist, plan)
+        walk = self._walker(plan, potential, atoms)
+        if walk is None:
+            return self._regions(potential, atoms, nlist, plan)
+        return self._walked(walk, atoms)
 
-    def _walked(self, potential, atoms, nlist, walk, rho, fp, forces):
-        """One walk on the backend's team into the bound arrays, this
-        thread worker 0; a tracer reads the marks every worker stamped."""
+    def verlet_ring(self, potential, atoms, nlist, kicks, half_skin):
+        """One MD step as one ring of the team while :meth:`caller_walks`:
+        each worker kick-drifts its ``rows[k]`` (with ``half_skin``, the
+        list's Verlet limit; negative: rebuild whatever moved), all meet,
+        walk the evaluation and kick their rows again; ``kicks`` is
+        ``(scale, half_dt, dt)``.  None where it cannot ring, nothing
+        touched; :data:`REBUILD` once an atom moved past the limit; else
+        the evaluation and the closing kick's ``(sum m v^2, sum m v, sum
+        f)``, each summed in atom order within a block, then over the
+        blocks ``k = 0 .. p - 1``."""
+        if not self._walks:
+            return None
+        nlist.check_covers(atoms.n_atoms)
+        walk = self._walker(self._layout(atoms, nlist), potential, atoms)
+        if walk is None or not walk.ring(
+            atoms.velocities, atoms.types, atoms.masses,
+            nlist.reference_positions, kicks, half_skin,
+        ):
+            return None
+        result = self._walked(walk, atoms, drift=half_skin is not None, kick=True)
+        if result is REBUILD:
+            return REBUILD
+        sums = [0.0] * 7
+        for block in walk.slots[:, 1:].tolist():
+            sums = [total + part for total, part in zip(sums, block)]
+        return result, (sums[0], tuple(sums[1:4]), tuple(sums[4:]))
+
+    def caller_walks(self) -> bool:
+        """Whether the last evaluation walked on the backend's team, this
+        thread its worker 0 (a step may then ring)."""
+        return self._walks
+
+    def _walked(self, walk, atoms, drift=False, kick=False):
+        """One walk of the armed kind on the backend's team into ``atoms``
+        (zeroed here unless the kick-drift zeroes them), this thread worker
+        0; :data:`REBUILD` where a ring stopped at its Verlet check.  A
+        tracer reads the marks every worker stamped."""
+        if not drift:
+            atoms.rho.fill(0.0)
+            atoms.forces.fill(0.0)
         base, n_colors = self._generation, walk.n_colors
-        self._generation += 2 * n_colors + 1
+        self._generation += 2 * n_colors + 2
         start = time.perf_counter()
         status = self.backend.team(self.n_threads).walk(walk, base)
         window = (start, time.perf_counter())
         for slot in status:
             if slot >= 0:  # this worker found an overlap; its siblings aborted
                 raise walk.overlap(slot)
+        if walk.ABORTED in status:  # a type changed in place since the binding
+            raise IndexError("an atom type has no entry in the kick's tables")
+        rebuild = status[0] == walk.REBUILD
         tracer = self._tracer
         if tracer is not None:  # the per-color route's labels, one walk
             plan, colors, pid = self._plan, range(n_colors), os.getpid()
-            trace_region(tracer, window, [
+            integrate = {"phase": "integrate", "n_chunks": self.n_threads}
+            steps = [
+                *[("kick-drift", integrate)] * drift,
                 *(self._phase_label("density", c, plan) for c in colors),
                 ("embedding", {"phase": "embedding", "n_chunks": self.n_threads}),
                 *(self._phase_label("force", c, plan) for c in colors),
-            ], [
+                *[("kick", integrate)] * kick,
+            ]
+            trace_region(tracer, window, steps[:1] if rebuild else steps, [
                 (marks, f"repro-team-{k}", pid)
                 for k, marks in enumerate(walk.marks.copy())
             ])
+        if rebuild:
+            return REBUILD
         pair_parts = np.ascontiguousarray(walk.energies[:, :n_colors])
-        return self._finalize(
-            potential, atoms, nlist, rho, fp, forces,
-            float(np.sum(walk.energies[:, n_colors])),
+        return EAMComputation(
             float(np.sum(pair_parts)) * self.pair_energy_scale,
+            float(np.sum(walk.energies[:, n_colors])),
+            atoms.rho, atoms.fp, atoms.forces,
         )
 
-    def _walker(self, plan: SDCPlan, n_atoms: int):
-        """The walker of ``plan``, or None: an instrument or a backend
-        observer watches tasks; the backend has no team this wide; or the
-        tier has no walker for it."""
-        backend = self.backend
+    def _walker(self, plan: SDCPlan, potential, atoms: Atoms):
+        """The walker of ``plan`` bound to ``atoms``, or None: an instrument
+        or a backend observer watches tasks; the backend has no team this
+        wide; the tier has no walker for it; or C may not run the potential
+        or the arrays."""
+        backend, self._walks = self.backend, False
         if (
             self._instrument is not None
             or backend.observer is not None
@@ -194,11 +242,16 @@ class SDCStrategy(ReductionStrategy):
         if not (key and key[0] is plan and key[1] is tier):
             # the plan's indices are checked here, once per epoch
             self._walk = tier.sdc_walker(
-                plan.pair_i, plan.pair_j, plan.tasks, plan.rows, n_atoms,
-                self._barrier,
+                plan.pair_i, plan.pair_j, plan.tasks, plan.rows,
+                atoms.n_atoms, self._barrier,
             )
             self._walk_key = (plan, tier)
-        return self._walk
+        walk = self._walk
+        self._walks = walk is not None and walk.bind(
+            potential, atoms.positions, atoms.box, atoms.rho, atoms.fp,
+            atoms.forces,
+        )
+        return walk if self._walks else None
 
     # --- decomposition ---------------------------------------------------------
 

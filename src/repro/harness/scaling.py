@@ -101,7 +101,8 @@ class ScalePoint:
     kernel_tier: str
     n_workers: int
     n_steps: int
-    #: measured force/density wall-clock of the run window, seconds
+    #: measured force/density wall-clock of the run window (on a thread
+    #: team, whose steps are rings: both kicks too), seconds
     total_s: float
     #: the sweep's baseline time T(1) this point is normalized against
     t1_s: float
@@ -256,11 +257,13 @@ def _evaluation_windows(calculator):
     """Per worker, ``(on-CPU s, run-queue wait s)`` summed over the force
     evaluations inside the block — the time ``p T(p)`` budgets: between
     evaluations a team's helpers yield, and worker 0 integrates — and the
-    seconds the reads took, which ``T(p)`` leaves out.  Each evaluation is
-    read inside it, where this thread walks as worker 0 of a team too: the
-    ``/proc`` lines outermost, the CPU clocks within, so no on-CPU window
-    holds a line read.  In-process calculators have no ``worker_pids()``,
-    and nothing is read."""
+    seconds the reads took, which ``T(p)`` leaves out.  A calculator that
+    rings whole steps (``verlet_ring``) is read per ring, so ``T(p)`` then
+    holds both kicks of each step too.  Each evaluation is read inside it,
+    where this thread walks as worker 0 of a team too: the ``/proc`` lines
+    outermost, the CPU clocks within, so no on-CPU window holds a line
+    read.  In-process calculators that walk no team have no
+    ``worker_pids()``, and nothing is read."""
     spent: Dict[int, Tuple[float, float]] = {}
     read_s = [0.0]
     pids = getattr(calculator, "worker_pids", list)()
@@ -268,7 +271,8 @@ def _evaluation_windows(calculator):
     if not pids and not caller:
         yield spent, read_s
         return
-    compute = calculator.compute
+    name = "verlet_ring" if hasattr(calculator, "verlet_ring") else "compute"
+    compute = getattr(calculator, name)
 
     def windowed(*args, **kwargs):
         start = time.perf_counter()
@@ -289,11 +293,11 @@ def _evaluation_windows(calculator):
                     delay + after[pid][1] - before[pid][1],
                 )
 
-    calculator.compute = windowed
+    setattr(calculator, name, windowed)
     try:
         yield spent, read_s
     finally:
-        del calculator.compute
+        delattr(calculator, name)
 
 
 def _measure_point(

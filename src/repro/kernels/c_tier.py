@@ -432,6 +432,12 @@ class SDCShared(ctypes.Structure):
         ("parent", ctypes.c_int64),
         ("watch", ctypes.c_void_p),
         ("deadline", ctypes.c_double),
+        ("kick", ctypes.c_int64),
+        *((name, ctypes.c_void_p) for name in (
+            "vel", "slots", "ref", "scale", "mass", "types",
+        )),
+        ("n_types", ctypes.c_int64),
+        *((name, ctypes.c_double) for name in ("half_dt", "dt", "half_skin")),
     ]
 
 
@@ -469,14 +475,23 @@ class SDCWalk:
     land in ``energies[k]``: one pair energy per colour, then the
     embedding energy; it also stamps ``marks[k]``: its start, each
     barrier's entry and exit, its end.  A walk carved out of a shared
-    ``block`` (its struct, job table, ranges, energies and marks; ``phi``
-    given too) can be walked by helpers the caller forks: :meth:`watch`
-    then makes worker 0 give up on a lost one.
+    ``block`` (its struct, job table, ranges, energies, marks and slots;
+    ``phi`` given too) can be walked by helpers the caller forks:
+    :meth:`watch` then makes worker 0 give up on a lost one.
+
+    :meth:`ring` makes the next walk a step ring: velocity Verlet's
+    closing kick over ``rows[k]`` after the last barrier, its seven
+    moments into ``slots[k, 1:]``; optionally the kick-drift first, its
+    largest squared displacement into ``slots[k, 0]``, then one barrier
+    more, after which every worker answers :attr:`REBUILD` when some atom
+    moved past half the skin.  :meth:`bind` makes it a plain evaluation
+    again, and binds the same objects once.
     """
 
-    #: :meth:`run`'s statuses besides an overlapping pair's slot, and the
-    #: status of a forked helper worker 0 gave up on
-    DONE, ABORTED, LOST = -1, -2, -3
+    #: :meth:`run`'s statuses besides an overlapping pair's slot, the
+    #: status of a forked helper worker 0 gave up on, and a step ring's
+    #: stale neighbour list
+    DONE, ABORTED, LOST, REBUILD = -1, -2, -3, -4
 
     def __init__(
         self, fn, pair_i, pair_j, tasks, rows, n_atoms, barrier, parent,
@@ -494,7 +509,8 @@ class SDCWalk:
         for ranges, spans in zip(self._ranges, tasks):
             ranges[:] = np.array(spans, dtype=np.int64).reshape(-1)
         self.energies = carve((n_workers, self.n_colors + 1))
-        self.marks = carve((n_workers, 4 * self.n_colors + 4))
+        self.marks = carve((n_workers, 4 * self.n_colors + 6))
+        self.slots = carve((n_workers, 8))
         #: worker k's ``sdc_job``: its ranges, rows, energies and marks
         self._jobs = [
             (_addr(r), int(lo), int(hi), _addr(e), _addr(m))
@@ -511,14 +527,16 @@ class SDCWalk:
         for name, value in (
             ("pair_i", pair_i), ("pair_j", pair_j), ("delta", delta),
             ("r", self.r), ("phi", phi), ("dphi", dphi), ("dv", dv),
-            ("barrier", barrier),
+            ("barrier", barrier), ("slots", self.slots),
         ):
             setattr(shared, name, _addr(value))
         shared.min_sep, shared.n_colors = MIN_PAIR_SEPARATION, self.n_colors
         shared.n_waiters, shared.parent = len(barrier) - 1, parent
         #: what the struct addresses lives as long as it does
         self._arrays = (delta, dphi, dv, phi)
-        self._lowered = self._watched = None
+        self._lowered = self._watched = self._scale = None
+        #: the arrays :meth:`bind` and :meth:`ring` last aimed the struct at
+        self._bound, self._kicks = (None,) * 6, (None,) * 4
         self._at = ctypes.addressof(self._shared)
 
     @staticmethod
@@ -527,8 +545,8 @@ class SDCWalk:
         most ``n_colors`` colours (what ``__init__`` carves, aligned)."""
         pieces = [
             ctypes.sizeof(SDCShared), *[16 * n_colors] * n_workers,
-            8 * n_workers * (n_colors + 1), 8 * n_workers * (4 * n_colors + 4),
-            40 * n_workers,
+            8 * n_workers * (n_colors + 1), 8 * n_workers * (4 * n_colors + 6),
+            64 * n_workers, 40 * n_workers,
         ]
         return sum(pieces) + 64 * len(pieces)  # each piece starts aligned
 
@@ -551,6 +569,10 @@ class SDCWalk:
     def bind(self, potential, positions, box, rho, fp, forces) -> bool:
         """Aim the walk at one evaluation: False (nothing bound) unless the
         potential lowers and every array is plain, of the plan's atoms."""
+        bound = (potential, positions, box, rho, fp, forces)
+        self._shared.kick = 0
+        if all(a is b for a, b in zip(bound, self._bound)):
+            return True
         lowered = lower_potential(potential)
         n = self.n_atoms
         if lowered is None or not (
@@ -558,7 +580,7 @@ class SDCWalk:
             and len(positions) == len(forces) == len(rho) == len(fp) == n
         ):
             return False
-        shared, self._lowered = self._shared, lowered
+        shared, self._lowered, self._bound = self._shared, lowered, bound
         shared.pot = ctypes.addressof(lowered)
         shared.lengths[:] = (box.lengths * box.periodic).tolist()
         for name, array in (
@@ -567,11 +589,37 @@ class SDCWalk:
             setattr(shared, name, _addr(array))
         return True
 
+    def ring(self, velocities, types, masses, reference, kicks, half_skin) -> bool:
+        """Make the next walk a step ring of the bound evaluation: the
+        kicks over ``velocities`` with ``types``, the per-type ``masses``
+        and ``kicks = (scale, half_dt, dt)``; with ``half_skin`` (negative:
+        :attr:`REBUILD` whatever moved) the kick-drift and its check
+        against ``reference`` first.  False (nothing armed) unless C may
+        address them; C checks the types against the tables."""
+        (scale, half_dt, dt), shared, n = kicks, self._shared, self.n_atoms
+        arrays = (velocities, types, masses, reference)
+        if not all(a is b for a, b in zip(arrays, self._kicks)):
+            if not (
+                _kick_args(n, types, masses, velocities, self._bound[-1])
+                and _vectors(n, reference)
+            ):
+                return False
+            self._kicks = arrays
+            for name, array in zip(("vel", "types", "mass", "ref"), arrays):
+                setattr(shared, name, _addr(array))
+        if not (_rows(scale) and len(scale) == len(masses)):
+            return False
+        self._scale, shared.scale = scale, _addr(scale)
+        shared.n_types, shared.half_dt, shared.dt = len(scale), half_dt, dt
+        shared.kick = 2 if half_skin is None else 3  # eam.c's KICK, | KICK_DRIFT
+        shared.half_skin = -1.0 if half_skin is None else half_skin
+        return True
+
     def run(self, base: int, marks=None) -> int:
-        """Worker 0's walk, generations ``base`` to ``base + 2C``:
-        :attr:`DONE`, :attr:`ABORTED` (a sibling left), or the slot of an
-        overlapping pair it found.  Never leaves a sibling waiting: a raise
-        aborts the barrier."""
+        """Worker 0's walk, generations ``base`` to ``base + 2C`` (a ring's
+        to ``base + 2C + 1``): :attr:`DONE`, :attr:`ABORTED` (a sibling
+        left), :attr:`REBUILD`, or the slot of an overlapping pair it found.
+        Never leaves a sibling waiting: a raise aborts the barrier."""
         ranges, lo, hi, energies, _ = self._jobs[0]
         try:
             return self._fn(

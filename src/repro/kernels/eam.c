@@ -480,7 +480,7 @@ double eam_embedding(const eam_potential *p, const double *rho, int64_t n,
  * waiter k's arrival generation. */
 typedef struct {
     const eam_potential *pot;
-    const double *pos;
+    double *pos;
     const int64_t *pair_i, *pair_j;
     double lengths[3];
     double min_sep;
@@ -494,6 +494,18 @@ typedef struct {
      * watch[k - 1] and gives up at CLOCK_MONOTONIC `deadline`; NULL: no watch */
     const int32_t *watch;
     double deadline;
+    /* A step ring (kick != 0): velocity Verlet's halves around the walk,
+     * each over the worker's rows.  KICK_DRIFT: md_kick_drift from ref (its
+     * max squared displacement into slot word 0), the rows' rho and forces
+     * zeroed, one barrier, then SDC_REBUILD unless every worker moved at
+     * most half_skin; KICK: md_kick last, its 7 moments into words 1..7.
+     * slots: LINE doubles per waiter. */
+    int64_t kick;
+    double *vel, *slots;
+    const double *ref, *scale, *mass;
+    const int32_t *types;
+    int64_t n_types;
+    double half_dt, dt, half_skin;
 } sdc_shared;
 
 static double clock_s(void)
@@ -550,7 +562,22 @@ static int barrier_wait(const sdc_shared *s, int64_t waiter,
 
 #define SDC_DONE (-1)
 #define SDC_ABORTED (-2)
-#define SDC_LOST (-3) /* a forked helper its parent gave up on */
+#define SDC_LOST (-3)    /* a forked helper its parent gave up on */
+#define SDC_REBUILD (-4) /* a step ring's atoms moved past half the skin */
+#define KICK_DRIFT 1
+#define KICK 2
+
+int64_t md_kick_drift(double *restrict pos, double *restrict vel,
+                      const double *restrict forces,
+                      const int32_t *restrict types,
+                      const double *restrict scale, int64_t n_types,
+                      int64_t n, double half_dt, double dt,
+                      const double *lengths, const double *restrict ref,
+                      double *moved2);
+int64_t md_kick(double *restrict vel, const double *restrict forces,
+                const int32_t *restrict types, const double *restrict scale,
+                const double *restrict mass, int64_t n_types, int64_t n,
+                double half_dt, double *out);
 
 /*
  * Worker `waiter`'s share of one SDC evaluation: its pair range of each
@@ -562,13 +589,16 @@ static int barrier_wait(const sdc_shared *s, int64_t waiter,
  * given) gets CLOCK_MONOTONIC seconds at the start, at every barrier's
  * entry and exit, and at the end.  Returns SDC_DONE; SDC_ABORTED when a
  * sibling left; or the pair slot of an overlap this worker found, after
- * setting the abort word (nothing past the pair's geometry written).
+ * setting the abort word (nothing past the pair's geometry written).  A
+ * step ring (s->kick) runs the kick-drift and its barrier first - one
+ * barrier more, SDC_REBUILD after it when an atom moved too far - and the
+ * closing kick after the last barrier, before the end mark.
  */
 int64_t sdc_walk(const sdc_shared *s, const int64_t *ranges, int64_t row_lo,
                  int64_t row_hi, int64_t waiter, int64_t base,
                  double *energies, double *marks)
 {
-    const int64_t n_colors = s->n_colors;
+    const int64_t n_colors = s->n_colors, rows = row_hi - row_lo;
     int64_t generation = base, m = 0;
     if (marks)
         marks[m++] = clock_s();
@@ -581,6 +611,28 @@ int64_t sdc_walk(const sdc_shared *s, const int64_t *ranges, int64_t row_lo,
         if (marks)                                                           \
             marks[m++] = clock_s();                                          \
     } while (0)
+    if (s->kick & KICK_DRIFT) {
+        if (md_kick_drift(s->pos + 3 * row_lo, s->vel + 3 * row_lo,
+                          s->forces + 3 * row_lo, s->types + row_lo, s->scale,
+                          s->n_types, rows, s->half_dt, s->dt, s->lengths,
+                          s->ref + 3 * row_lo, s->slots + LINE * waiter)) {
+            __atomic_store_n(&s->barrier[0], generation, __ATOMIC_RELEASE);
+            return SDC_ABORTED;
+        }
+        memset(s->rho + row_lo, 0, (size_t)rows * sizeof(double));
+        memset(s->forces + 3 * row_lo, 0, 3 * (size_t)rows * sizeof(double));
+        MEET();
+        double most = 0.0;
+        int nan = 0;
+        for (int64_t k = 0; k < s->n_waiters; k++) {
+            const double moved2 = s->slots[LINE * k];
+            most = moved2 > most ? moved2 : most;
+            nan |= moved2 != moved2;
+        }
+        /* Simulation.ensure_neighbor_list's test; half_skin < 0 forces it */
+        if (nan || !(sqrt(most) <= s->half_skin))
+            return SDC_REBUILD;
+    }
     for (int64_t c = 0; c < n_colors; c++) {
         const int64_t lo = ranges[2 * c], n = ranges[2 * c + 1] - lo;
         const int64_t closest = eam_density(
@@ -604,6 +656,11 @@ int64_t sdc_walk(const sdc_shared *s, const int64_t *ranges, int64_t row_lo,
         MEET();
     }
 #undef MEET
+    if ((s->kick & KICK) &&
+        md_kick(s->vel + 3 * row_lo, s->forces + 3 * row_lo, s->types + row_lo,
+                s->scale, s->mass, s->n_types, rows, s->half_dt,
+                s->slots + LINE * waiter + 1))
+        return SDC_ABORTED;
     if (marks)
         marks[m] = clock_s();
     return SDC_DONE;
@@ -624,8 +681,10 @@ int64_t sdc_walk(const sdc_shared *s, const int64_t *ranges, int64_t row_lo,
  * ------------------------------------------------------------------------ */
 
 /* After a walk a helper keeps yielding this long before it sleeps: the
- * integrator's gap between two walks of an MD step is ~0.3 ms, and a
- * futex wake costs ~15 us where a yielding helper answers in ~1 us */
+ * caller's gap between the walks of two MD steps (8,192 atoms, p = 2) is
+ * 55-75 us (p50) of driver alone where a step is one ring, 0.25-0.45 ms
+ * where the integrator's halves run between walks (the process engine),
+ * and a futex wake costs ~15 us where a yielding helper answers in ~1 us */
 #define TEAM_SPIN_S 1e-3
 /* A forked helper's longest futex sleep: how soon it sees its parent gone */
 #define ORPHAN_CHECK_NS 100000000L

@@ -47,6 +47,11 @@ class Moments(NamedTuple):
         )
 
 
+#: a step ring's answer (``verlet_ring``) once its kick-drift moved an atom
+#: past half the skin: the driver rebuilds and rings without the kick-drift
+REBUILD = "rebuild"
+
+
 class Integrator(ABC):
     """Two-half-step integrator interface (velocity-Verlet style).
 
@@ -87,7 +92,8 @@ class VelocityVerlet(Integrator):
     (:meth:`~repro.kernels.numpy_tier.NumpyKernelTier.kick_drift`,
     :meth:`~repro.kernels.numpy_tier.NumpyKernelTier.kick`), which updates
     ``positions`` and ``velocities`` in place: the arrays stay the same
-    objects from step to step.
+    objects from step to step.  A calculator with a ``verlet_ring`` may run
+    both halves itself, with :meth:`kicks`, bit for bit.
     """
 
     @staticmethod
@@ -105,10 +111,22 @@ class VelocityVerlet(Integrator):
         )
 
     def second_half(self, atoms: Atoms) -> Moments:
-        mv2, momentum, force_sum = kernels.active_tier().kick(
+        return self.moments(*kernels.active_tier().kick(
             atoms.velocities, atoms.forces, atoms.types, self._scale(atoms),
             atoms.masses, 0.5 * self.timestep,
-        )
+        ))
+
+    def kicks(self, atoms: Atoms):
+        """``(scale, half_dt, dt)``, the two halves' terms for a calculator
+        that runs them itself; None where a subclass changed a half."""
+        halves = type(self).first_half, type(self).second_half
+        if halves != (VelocityVerlet.first_half, VelocityVerlet.second_half):
+            return None
+        return self._scale(atoms), 0.5 * self.timestep, self.timestep
+
+    @staticmethod
+    def moments(mv2: float, momentum, force_sum) -> Moments:
+        """The :class:`Moments` of the closing kick's sums."""
         return Moments(0.5 * units.MVV_TO_EV * mv2, momentum, force_sum)
 
 

@@ -9,6 +9,7 @@ calculations of the electron densities and forces".
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Protocol
@@ -17,7 +18,7 @@ import numpy as np
 
 from repro import units
 from repro.md.atoms import Atoms
-from repro.md.integrators import Integrator, VelocityVerlet
+from repro.md.integrators import REBUILD, Integrator, VelocityVerlet
 from repro.md.neighbor.verlet import NeighborList, build_neighbor_list
 from repro.md.observables import kinetic_energy
 from repro.md.thermostats import Thermostat
@@ -232,13 +233,65 @@ class Simulation:
 
     def compute_forces(self) -> EAMComputation:
         """One full 3-phase EAM evaluation through the configured strategy."""
-        nlist = self.ensure_neighbor_list()
+        self.ensure_neighbor_list()
+        self._last_computation = self._forces(self.calculator.compute)
+        return self._last_computation
+
+    def _forces(self, evaluate, *args):
+        """``evaluate`` on the driver's atoms and list, timed and spanned
+        as a force evaluation."""
         start = time.perf_counter()
         with self._span("forces"):
-            result = self.calculator.compute(self.potential, self.atoms, nlist)
+            out = evaluate(self.potential, self.atoms, self.nlist, *args)
         self.force_seconds += time.perf_counter() - start
-        self._last_computation = result
-        return result
+        return out
+
+    def _step(self):
+        """One step as the integrator's two halves around an evaluation:
+        ``(result, moments)``."""
+        self._moved = self.integrator.first_half(
+            self.atoms,
+            None if self.nlist is None else self.nlist.reference_positions,
+        )
+        self._steps_since_rebuild += 1
+        return self.compute_forces(), self.integrator.second_half(self.atoms)
+
+    def _ring_step(self):
+        """One step as one ring of the calculator's team (its
+        ``verlet_ring``: kick-drift, the Verlet check, the evaluation and
+        the closing kick, each worker over its rows), rung once more
+        without the kick-drift after a rebuild: ``(result, moments)``, or
+        None where it cannot ring, nothing touched."""
+        # offered while the calculator walks its team, so that a step on
+        # any other route spans and times one evaluation, as before; a
+        # subclass that hooks the evaluation or the list check sees them
+        ring = getattr(self.calculator, "verlet_ring", None)
+        kicks = getattr(self.integrator, "kicks", None)
+        hooks = type(self).compute_forces, type(self).ensure_neighbor_list
+        if (
+            ring is None or kicks is None or self.nlist is None
+            or hooks != (Simulation.compute_forces, Simulation.ensure_neighbor_list)
+        ):
+            return None
+        kicks = getattr(self.calculator, "caller_walks", bool)() and kicks(self.atoms)
+        if not kicks:
+            return None
+        due = (  # the cadence rebuilds whatever moved
+            self.rebuild_every is not None
+            and self._steps_since_rebuild + 1 >= self.rebuild_every
+        )
+        out = self._forces(ring, kicks, -1.0 if due else self.nlist.skin / 2.0)
+        if out is None:
+            return None
+        self._steps_since_rebuild += 1
+        if out is REBUILD:
+            self._moved = math.inf
+            self.ensure_neighbor_list()
+            out = self._forces(ring, kicks, None)
+            if out is None:  # the new list's layout cannot ring
+                return self.compute_forces(), self.integrator.second_half(self.atoms)
+        self._last_computation, sums = out
+        return out[0], self.integrator.moments(*sums)
 
     @property
     def last_computation(self) -> Optional[EAMComputation]:
@@ -279,13 +332,7 @@ class Simulation:
             )
         for step in range(n_steps):
             with self._span("md-step", step=step):
-                self._moved = self.integrator.first_half(
-                    self.atoms,
-                    None if self.nlist is None else self.nlist.reference_positions,
-                )
-                self._steps_since_rebuild += 1
-                result = self.compute_forces()
-                moments = self.integrator.second_half(self.atoms)
+                result, moments = self._ring_step() or self._step()
                 if self.thermostat is not None:
                     factor = self.thermostat.apply(
                         self.atoms,

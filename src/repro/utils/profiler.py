@@ -14,7 +14,8 @@ list to per-phase samples:
   never double-count;
 * ``color-barrier`` — time workers spend waiting at the implicit barrier
   between color phases — is each backend ``phase`` span minus the longest
-  ``task`` span of that phase;
+  ``task`` span of that phase: time inside the phases' own rows, which a
+  table prints as an indented "of which" line its rows' sum leaves out;
 * a span tagged ``total`` delimits one *repeat*: every phase contributes
   one sample per repeat (the sum of its spans inside it), and a repeat
   whose ``total`` span carries ``warmup=True`` is discarded (page faults,
@@ -38,16 +39,19 @@ from repro.utils.timers import median_iqr
 PHASE_BARRIER = "color-barrier"
 #: one whole evaluation; also the repeat delimiter (see module docstring)
 PHASE_TOTAL = "total"
-#: canonical phase names, in reporting order (``setup`` / ``sync`` are the
-#: persistent engines' pool construction and per-step state refresh)
+#: canonical phase names, in reporting order: the region's rows and the
+#: barrier time inside them first (``integrate``: a step ring's kicks;
+#: ``setup`` / ``sync``: the persistent engines' pool construction and
+#: per-step state refresh)
 CANONICAL_PHASES: Tuple[str, ...] = (
     "density",
     "embedding",
     "force",
+    "integrate",
+    PHASE_BARRIER,
     "neighbor-rebuild",
     "setup",
     "sync",
-    PHASE_BARRIER,
 )
 
 
@@ -161,16 +165,19 @@ def phase_names(stats: Mapping[str, object]) -> List[str]:
 
 
 def render_phase_table(stats: Mapping[str, PhaseStats]) -> str:
-    """Human-readable per-phase table (median / IQR / samples)."""
+    """Human-readable per-phase table (median / IQR / samples), whose rows
+    but ``total`` add up to the run: ``color-barrier``, time inside them,
+    is an indented "of which" line."""
     if not stats:
         return "(no phases profiled)"
+    labels = {PHASE_BARRIER: f"  of which {PHASE_BARRIER}"}
     names = phase_names(stats)
-    width = max(len(n) for n in names)
+    width = max(len(labels.get(n, n)) for n in names)
     lines = [f"{'phase':<{width}}  {'median':>12}  {'iqr':>12}  {'n':>3}"]
     for name in names:
         s = stats[name]
         lines.append(
-            f"{name:<{width}}  {s.median_s:>10.6f} s  {s.iqr_s:>10.6f} s"
-            f"  {s.n_samples:>3}"
+            f"{labels.get(name, name):<{width}}  {s.median_s:>10.6f} s"
+            f"  {s.iqr_s:>10.6f} s  {s.n_samples:>3}"
         )
     return "\n".join(lines)

@@ -203,6 +203,38 @@ class TestRunScaleRoundTrip:
 
 
 @pytest.mark.linux
+class TestThreadsRingPoint:
+    """One tiny point on a thread team, whose steps are rings: the window
+    is each ring, this thread its worker 0."""
+
+    def test_the_caller_window_covers_the_rings(self, monkeypatch):
+        from repro import kernels
+        from repro.core.strategies.sdc import SDCStrategy
+        from repro.md.integrators import REBUILD
+
+        if "c" not in kernels.available_tiers():
+            pytest.skip("the thread team needs the C tier")
+        rang, real = [], SDCStrategy.verlet_ring
+
+        def spy(self, *args):
+            out = real(self, *args)
+            rang.append(out is not None and out is not REBUILD)
+            return out
+
+        monkeypatch.setattr(SDCStrategy, "verlet_ring", spy)
+        with kernels.use_tier("c"):
+            report = run_scale(case="tiny", backend="threads", workers=(2,), steps=3)
+        if not report.points:
+            pytest.skip(f"threads point skipped: {report.skipped}")
+        point = report.points[0]
+        assert point.total_s > 0
+        assert sum(rang) == 3
+        cpu = point.resources["worker_cpu_s"]
+        assert len(cpu) == 1 and 0.0 < cpu[0] <= point.total_s  # the caller
+        assert len(point.resources["worker_run_delay_s"]) == 1
+
+
+@pytest.mark.linux
 class TestProcessesPoint:
     """One tiny point on forked workers: the window read of their pids."""
 

@@ -16,6 +16,8 @@ from repro.obs.tracer import (
 )
 from repro.utils.profiler import (
     CANONICAL_PHASES,
+    PHASE_BARRIER,
+    PHASE_TOTAL,
     PhaseStats,
     measure,
     phase_names,
@@ -266,6 +268,37 @@ class TestPhaseProfiler:
 
     def test_empty_report(self):
         assert "no phases" in render_phase_table({})
+
+    def test_barrier_time_is_an_of_which_line(self):
+        lines = render_phase_table(phase_stats(HAND_BUILT)).splitlines()
+        rows = [line.split()[0] for line in lines[1:]]
+        assert "color-barrier" not in rows
+        assert any(line.startswith("  of which color-barrier") for line in lines)
+
+    def test_rows_add_up_to_the_model_run(self):
+        """The cycle model's 2-D SDC run at p = 2 on 8,192 atoms: its rows
+        sum to the run, the color-barrier time inside them left out."""
+        from repro.core.strategies.sdc import SDCStrategy
+        from repro.harness.cases import Case
+        from repro.harness.runner import ExperimentRunner
+        from repro.parallel.sim_exec import simulate, trace_result
+
+        runner = ExperimentRunner()
+        case = Case("bench", "benchmark case", 16)
+        assert case.n_atoms == 8192
+        plan = SDCStrategy(2, 2).plan(runner.sdc_stats(case, 2, 2), runner.machine, 2)
+        result = simulate(plan, runner.machine, 2)
+        tracer = Tracer()
+        trace_result(tracer, result)
+        stats = phase_stats(tracer.spans)
+        assert stats["color-barrier"].median_s > 0
+        rows = sum(
+            stats[name].median_s for name in phase_names(stats)
+            if name not in (PHASE_BARRIER, PHASE_TOTAL)
+        )
+        assert rows == pytest.approx(
+            runner.machine.cycles_to_seconds(result.total_cycles), abs=1e-12
+        )
 
 
 class TestPhaseStats:
