@@ -37,8 +37,6 @@ import os
 import time
 from typing import Callable, List, Optional, Sequence
 
-import numpy as np
-
 from repro import kernels
 from repro.core.domain import SubdomainGrid
 from repro.core.partition import PairPartition
@@ -158,8 +156,7 @@ class SDCStrategy(ReductionStrategy):
         ``(scale, half_dt, dt)``.  None where it cannot ring, nothing
         touched; :data:`REBUILD` once an atom moved past the limit; else
         the evaluation and the closing kick's ``(sum m v^2, sum m v, sum
-        f)``, each summed in atom order within a block, then over the
-        blocks ``k = 0 .. p - 1``."""
+        f)`` (:meth:`~repro.kernels.c_tier.SDCWalk.sums`)."""
         if not self._walks:
             return None
         nlist.check_covers(atoms.n_atoms)
@@ -169,13 +166,7 @@ class SDCStrategy(ReductionStrategy):
             nlist.reference_positions, kicks, half_skin,
         ):
             return None
-        result = self._walked(walk, atoms, drift=half_skin is not None, kick=True)
-        if result is REBUILD:
-            return REBUILD
-        sums = [0.0] * 7
-        for block in walk.slots[:, 1:].tolist():
-            sums = [total + part for total, part in zip(sums, block)]
-        return result, (sums[0], tuple(sums[1:4]), tuple(sums[4:]))
+        return self._walked(walk, atoms, drift=half_skin is not None, kick=True)
 
     def caller_walks(self) -> bool:
         """Whether the last evaluation walked on the backend's team, this
@@ -185,8 +176,9 @@ class SDCStrategy(ReductionStrategy):
     def _walked(self, walk, atoms, drift=False, kick=False):
         """One walk of the armed kind on the backend's team into ``atoms``
         (zeroed here unless the kick-drift zeroes them), this thread worker
-        0; :data:`REBUILD` where a ring stopped at its Verlet check.  A
-        tracer reads the marks every worker stamped."""
+        0: the evaluation, with a ring's moments when ``kick``;
+        :data:`REBUILD` where a ring stopped at its Verlet check.  A tracer
+        reads the marks every worker stamped."""
         if not drift:
             atoms.rho.fill(0.0)
             atoms.forces.fill(0.0)
@@ -218,12 +210,12 @@ class SDCStrategy(ReductionStrategy):
             ])
         if rebuild:
             return REBUILD
-        pair_parts = np.ascontiguousarray(walk.energies[:, :n_colors])
-        return EAMComputation(
-            float(np.sum(pair_parts)) * self.pair_energy_scale,
-            float(np.sum(walk.energies[:, n_colors])),
+        pair, embedding, moments = walk.sums()
+        result = EAMComputation(
+            pair * self.pair_energy_scale, embedding,
             atoms.rho, atoms.fp, atoms.forces,
         )
+        return (result, moments) if kick else result
 
     def _walker(self, plan: SDCPlan, potential, atoms: Atoms):
         """The walker of ``plan`` bound to ``atoms``, or None: an instrument

@@ -257,12 +257,12 @@ def _evaluation_windows(calculator):
     """Per worker, ``(on-CPU s, run-queue wait s)`` summed over the force
     evaluations inside the block — the time ``p T(p)`` budgets: between
     evaluations a team's helpers yield, and worker 0 integrates — and the
-    seconds the reads took, which ``T(p)`` leaves out.  A calculator that
-    rings whole steps (``verlet_ring``) is read per ring, so ``T(p)`` then
-    holds both kicks of each step too.  Each evaluation is read inside it,
-    where this thread walks as worker 0 of a team too: the ``/proc`` lines
-    outermost, the CPU clocks within, so no on-CPU window holds a line
-    read.  In-process calculators that walk no team have no
+    seconds the reads took, which ``T(p)`` leaves out.  A calculator whose
+    caller walks a team rings whole steps (``verlet_ring``) and is read
+    per ring, so ``T(p)`` then holds both kicks of each step too.  Each
+    evaluation is read inside it, where this thread walks as worker 0 of a
+    team too: the ``/proc`` lines outermost, the CPU clocks within, so no
+    on-CPU window holds a line read.  In-process calculators that walk no team have no
     ``worker_pids()``, and nothing is read."""
     spent: Dict[int, Tuple[float, float]] = {}
     read_s = [0.0]
@@ -271,7 +271,8 @@ def _evaluation_windows(calculator):
     if not pids and not caller:
         yield spent, read_s
         return
-    name = "verlet_ring" if hasattr(calculator, "verlet_ring") else "compute"
+    ring = caller and hasattr(calculator, "verlet_ring")
+    name = "verlet_ring" if ring else "compute"
     compute = getattr(calculator, name)
 
     def windowed(*args, **kwargs):

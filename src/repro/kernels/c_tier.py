@@ -463,29 +463,38 @@ class _Carve:
         return out
 
 
-class SDCWalk:
-    """``sdc_walk`` bound to one plan, whose indices were checked once.
+#: species rows of a walk's kick tables, which :meth:`SDCWalk.ring` copies
+#: the per-type ``scale`` and ``masses`` into: a system of more species
+#: keeps the integrator's own halves
+KICK_TYPES = 64
 
-    :meth:`bind` points it at one evaluation's potential and arrays (False
-    when C may not run them); an :class:`SDCTeam` then walks it, worker
-    ``k`` its share — ``tasks[k]``, a ``[lo, hi)`` pair range per colour,
-    and ``rows[k]`` — meeting its siblings at the ``barrier`` block (the
+
+class SDCWalk:
+    """``sdc_walk`` laid out for ``n_workers`` over ``n_colors`` colours.
+
+    :meth:`replan` aims it at one plan, whose indices it checks once;
+    :meth:`bind` at one evaluation's potential and arrays (False when C may
+    not run them); an :class:`SDCTeam` then walks it, worker ``k`` its
+    share — ``tasks[k]``, a ``[lo, hi)`` pair range per colour, and
+    ``rows[k]`` — meeting its siblings at the ``barrier`` block (the
     layout of :class:`~repro.parallel.backends.workers.ColorBarrier`), the
     calling thread worker 0 through :meth:`run`.  Worker ``k``'s partials
     land in ``energies[k]``: one pair energy per colour, then the
     embedding energy; it also stamps ``marks[k]``: its start, each
-    barrier's entry and exit, its end.  A walk carved out of a shared
-    ``block`` (its struct, job table, ranges, energies, marks and slots;
-    ``phi`` given too) can be walked by helpers the caller forks:
-    :meth:`watch` then makes worker 0 give up on a lost one.
+    barrier's entry and exit, its end; :meth:`sums` reads them.  A walk
+    carved out of a shared ``block`` (the plan's arrays shared too) can be
+    walked by helpers the caller forks: :meth:`watch` then makes worker 0
+    give up on a lost one.
 
     :meth:`ring` makes the next walk a step ring: velocity Verlet's
     closing kick over ``rows[k]`` after the last barrier, its seven
     moments into ``slots[k, 1:]``; optionally the kick-drift first, its
     largest squared displacement into ``slots[k, 0]``, then one barrier
     more, after which every worker answers :attr:`REBUILD` when some atom
-    moved past half the skin.  :meth:`bind` makes it a plain evaluation
-    again, and binds the same objects once.
+    moved past half the skin.  On a watched team a ring first meets at a
+    barrier that worker 0 enters last, so no row moves unless every
+    helper joined: :meth:`joined` says whether it did.  :meth:`bind` makes
+    it a plain evaluation again, and binds the same objects once.
     """
 
     #: :meth:`run`'s statuses besides an overlapping pair's slot, the
@@ -494,61 +503,88 @@ class SDCWalk:
     DONE, ABORTED, LOST, REBUILD = -1, -2, -3, -4
 
     def __init__(
-        self, fn, pair_i, pair_j, tasks, rows, n_atoms, barrier, parent,
-        handover, phi=None, block=None,
+        self, fn, n_atoms, n_workers, n_colors, barrier, parent, block=None
     ) -> None:
-        n_pairs, n_workers = len(pair_i), len(tasks)
-        self._fn, self.n_atoms = fn, n_atoms
-        self.pair_i, self.pair_j = pair_i, pair_j
-        self.n_colors = len(tasks[0])
+        self._fn, self.n_atoms, self.n_colors = fn, n_atoms, n_colors
         carve = _Carve(block)
-        self._shared = SDCShared.from_buffer(
+        self._shared = shared = SDCShared.from_buffer(
             carve((ctypes.sizeof(SDCShared),), np.uint8)
         )
-        self._ranges = [carve((2 * self.n_colors,), np.int64) for _ in tasks]
-        for ranges, spans in zip(self._ranges, tasks):
-            ranges[:] = np.array(spans, dtype=np.int64).reshape(-1)
-        self.energies = carve((n_workers, self.n_colors + 1))
-        self.marks = carve((n_workers, 4 * self.n_colors + 6))
+        self._ranges = [carve((2 * n_colors,), np.int64) for _ in range(n_workers)]
+        self.energies = carve((n_workers, n_colors + 1))
+        self.marks = carve((n_workers, 4 * n_colors + 6))
         self.slots = carve((n_workers, 8))
-        #: worker k's ``sdc_job``: its ranges, rows, energies and marks
-        self._jobs = [
-            (_addr(r), int(lo), int(hi), _addr(e), _addr(m))
-            for r, (lo, hi), e, m in zip(self._ranges, rows, self.energies, self.marks)
-        ]
         self.jobs = carve((n_workers, 5), np.int64)
-        self.jobs[:] = self._jobs
+        self._tables = carve((2, KICK_TYPES))
+        self._barrier = barrier
+        for name, value in (
+            ("barrier", barrier), ("slots", self.slots),
+            ("scale", self._tables[0]), ("mass", self._tables[1]),
+        ):
+            setattr(shared, name, _addr(value))
+        shared.min_sep, shared.n_colors = MIN_PAIR_SEPARATION, n_colors
+        shared.n_waiters, shared.parent = len(barrier) - 1, parent
+        self._lowered = self._watched = None
+        #: the arrays :meth:`bind` and :meth:`ring` last aimed the struct at
+        self._bound, self._kicks = (None,) * 6, (None,) * 3
+        self._at = ctypes.addressof(shared)
+
+    @staticmethod
+    def block_bytes(n_workers: int, n_colors: int) -> int:
+        """Bytes of a ``block`` that holds a walk of ``n_workers`` over
+        ``n_colors`` colours (what ``__init__`` carves, aligned)."""
+        pieces = [
+            ctypes.sizeof(SDCShared), *[16 * n_colors] * n_workers,
+            8 * n_workers * (n_colors + 1), 8 * n_workers * (4 * n_colors + 6),
+            64 * n_workers, 40 * n_workers, 16 * KICK_TYPES,
+        ]
+        return sum(pieces) + 64 * len(pieces)  # each piece starts aligned
+
+    def replan(self, pair_i, pair_j, tasks, rows, handover=None, phi=None) -> bool:
+        """Aim the walk at a new list's plan: its pairs, their hand-over
+        arrays and ``phi`` scratch (else fresh ones), and each worker's
+        ``tasks`` and ``rows``; nothing else is laid out again.  False
+        (nothing changed) unless the plan has the walk's workers and
+        colours and every index lies inside the arrays."""
+        n_pairs, n_workers = len(pair_i), len(self.jobs)
+        spans, blocks = np.array(tasks, np.int64), np.array(rows, np.int64)
+        if not (
+            spans.shape == (n_workers, self.n_colors, 2)
+            and blocks.shape == (n_workers, 2)
+            and _indices(pair_i, pair_j, self.n_atoms)
+            and all(  # every [lo, hi) inside what it ranges over
+                np.all(0 <= a[..., 0]) and np.all(a[..., 0] <= a[..., 1])
+                and np.all(a[..., 1] <= top)
+                for a, top in ((spans, n_pairs), (blocks, self.n_atoms))
+            )
+            and (handover is None or _handover(handover, n_pairs))
+            and (phi is None or (_rows(phi) and len(phi) == n_pairs))
+        ):
+            return False
         delta, self.r, dphi, dv = (
             handover if handover is not None else handover_arrays(n_pairs)
         )
         phi = np.empty(n_pairs) if phi is None else phi
-        self._barrier = barrier
+        self.pair_i, self.pair_j = pair_i, pair_j
+        for ranges, span in zip(self._ranges, spans):
+            ranges[:] = span.reshape(-1)
+        #: worker k's ``sdc_job``: its ranges, rows, energies and marks
+        self._jobs = [
+            (_addr(r), lo, hi, _addr(e), _addr(m))
+            for r, (lo, hi), e, m in zip(
+                self._ranges, blocks.tolist(), self.energies, self.marks
+            )
+        ]
+        self.jobs[:] = self._jobs
         shared = self._shared
         for name, value in (
             ("pair_i", pair_i), ("pair_j", pair_j), ("delta", delta),
             ("r", self.r), ("phi", phi), ("dphi", dphi), ("dv", dv),
-            ("barrier", barrier), ("slots", self.slots),
         ):
             setattr(shared, name, _addr(value))
-        shared.min_sep, shared.n_colors = MIN_PAIR_SEPARATION, self.n_colors
-        shared.n_waiters, shared.parent = len(barrier) - 1, parent
         #: what the struct addresses lives as long as it does
         self._arrays = (delta, dphi, dv, phi)
-        self._lowered = self._watched = self._scale = None
-        #: the arrays :meth:`bind` and :meth:`ring` last aimed the struct at
-        self._bound, self._kicks = (None,) * 6, (None,) * 4
-        self._at = ctypes.addressof(self._shared)
-
-    @staticmethod
-    def block_bytes(n_workers: int, n_colors: int) -> int:
-        """Bytes of a ``block`` that holds a walk of ``n_workers`` over at
-        most ``n_colors`` colours (what ``__init__`` carves, aligned)."""
-        pieces = [
-            ctypes.sizeof(SDCShared), *[16 * n_colors] * n_workers,
-            8 * n_workers * (n_colors + 1), 8 * n_workers * (4 * n_colors + 6),
-            64 * n_workers, 40 * n_workers,
-        ]
-        return sum(pieces) + 64 * len(pieces)  # each piece starts aligned
+        return True
 
     def watch(self, fds) -> None:
         """Worker 0 drives forked helpers: it gives up on helper ``k`` (its
@@ -594,10 +630,12 @@ class SDCWalk:
         kicks over ``velocities`` with ``types``, the per-type ``masses``
         and ``kicks = (scale, half_dt, dt)``; with ``half_skin`` (negative:
         :attr:`REBUILD` whatever moved) the kick-drift and its check
-        against ``reference`` first.  False (nothing armed) unless C may
-        address them; C checks the types against the tables."""
+        against ``reference`` first.  ``scale`` and ``masses`` are copied
+        into the walk's tables, the per-atom arrays addressed where they
+        are.  False (nothing armed) unless C may address them; C checks
+        the types against the tables."""
         (scale, half_dt, dt), shared, n = kicks, self._shared, self.n_atoms
-        arrays = (velocities, types, masses, reference)
+        arrays = (velocities, types, reference)
         if not all(a is b for a, b in zip(arrays, self._kicks)):
             if not (
                 _kick_args(n, types, masses, velocities, self._bound[-1])
@@ -605,15 +643,37 @@ class SDCWalk:
             ):
                 return False
             self._kicks = arrays
-            for name, array in zip(("vel", "types", "mass", "ref"), arrays):
+            for name, array in zip(("vel", "types", "ref"), arrays):
                 setattr(shared, name, _addr(array))
-        if not (_rows(scale) and len(scale) == len(masses)):
+        n_types = len(scale)
+        if not (_rows(scale) and _rows(masses) and n_types == len(masses) <= KICK_TYPES):
             return False
-        self._scale, shared.scale = scale, _addr(scale)
-        shared.n_types, shared.half_dt, shared.dt = len(scale), half_dt, dt
+        self._tables[0, :n_types] = scale
+        self._tables[1, :n_types] = masses
+        shared.n_types, shared.half_dt, shared.dt = n_types, half_dt, dt
         shared.kick = 2 if half_skin is None else 3  # eam.c's KICK, | KICK_DRIFT
         shared.half_skin = -1.0 if half_skin is None else half_skin
         return True
+
+    def joined(self, base: int) -> bool:
+        """Whether every worker of the ring from generation ``base`` got
+        past its join: worker 0 arrived there, which only it can post."""
+        return self._barrier[1, 0] >= base
+
+    def sums(self):
+        """The last walk's totals from its workers' partials: ``(pair
+        energy, embedding energy, (sum m v^2, sum m v, sum f))``, each
+        worker's own first (its pair energies colour by colour; its rows'
+        moments in atom order, in C), then the workers ``k = 0 .. p - 1``.
+        The moments are a ring's closing kick's."""
+        pair, embedding, moments = 0.0, 0.0, [0.0] * 7
+        for energies, slot in zip(self.energies.tolist(), self.slots.tolist()):
+            worker = 0.0
+            for partial in energies[:-1]:
+                worker += partial
+            pair, embedding = pair + worker, embedding + energies[-1]
+            moments = [total + part for total, part in zip(moments, slot[1:])]
+        return pair, embedding, (moments[0], tuple(moments[1:4]), tuple(moments[4:]))
 
     def run(self, base: int, marks=None) -> int:
         """Worker 0's walk, generations ``base`` to ``base + 2C`` (a ring's
@@ -921,29 +981,20 @@ class CKernelTier(NumpyKernelTier):
         self, pair_i, pair_j, tasks, rows, n_atoms, barrier, parent=0,
         handover=None, phi=None, team_block=None,
     ):
-        n_pairs = len(pair_i)
-        spans = np.array(tasks, dtype=np.int64).reshape(-1, 2)
-        blocks = np.array(rows, dtype=np.int64).reshape(-1, 2)
         if not (
-            _indices(pair_i, pair_j, n_atoms)
-            and len(tasks) == len(rows) and len(tasks[0]) > 0
-            and np.all(spans[:, 0] >= 0) and np.all(spans[:, 0] <= spans[:, 1])
-            and np.all(spans[:, 1] <= n_pairs)
-            and np.all(blocks[:, 0] >= 0) and np.all(blocks[:, 0] <= blocks[:, 1])
-            and np.all(blocks[:, 1] <= n_atoms)
+            len(tasks) and len(tasks[0])
             and _plain(_I64, barrier) and barrier.ndim == 2
             and barrier.shape[1] == 8 and barrier.flags.writeable
-            and (handover is None or _handover(handover, n_pairs))
-            and (phi is None or (_rows(phi) and len(phi) == n_pairs))
         ):
             return None
         block = None
         if team_block is not None:  # the walk goes behind its team
             block = team_block[self._team_part(len(tasks)):]
-        return SDCWalk(
-            self._c_walk, pair_i, pair_j, tasks, rows, n_atoms, barrier,
-            parent, handover, phi, block,
+        walk = SDCWalk(
+            self._c_walk, n_atoms, len(tasks), len(tasks[0]), barrier, parent,
+            block,
         )
+        return walk if walk.replan(pair_i, pair_j, tasks, rows, handover, phi) else None
 
     def sdc_team(self, n_workers, cpus, block=None):
         if block is not None:

@@ -526,15 +526,18 @@ static int helper_lost(const sdc_shared *s, int64_t k)
 /* ColorBarrier.wait: arrive at `generation`, return 1 once every waiter
  * has, 0 when the abort word reaches `base` (a sibling left).  Every 1024
  * spins a forked waiter checks for its parent and the parent for its
- * helpers; a lost helper sets the abort word. */
+ * helpers; a lost helper sets the abort word.  Worker 0 `last` arrives
+ * only once every helper has: its arrival is the one word that lets
+ * them go, so none passes a barrier worker 0 gave up on. */
 static int barrier_wait(const sdc_shared *s, int64_t waiter,
-                        int64_t generation, int64_t base)
+                        int64_t generation, int64_t base, int last)
 {
     int64_t *words = s->barrier;
     __atomic_thread_fence(__ATOMIC_SEQ_CST); /* my scatters before my arrival */
-    __atomic_store_n(&words[LINE * (1 + waiter)], generation, __ATOMIC_RELEASE);
+    if (!last)
+        __atomic_store_n(&words[LINE * (1 + waiter)], generation, __ATOMIC_RELEASE);
     for (int64_t spins = 0;; spins++) {
-        int64_t k = 0;
+        int64_t k = last;
         while (k < s->n_waiters &&
                __atomic_load_n(&words[LINE * (1 + k)], __ATOMIC_ACQUIRE) >=
                    generation)
@@ -556,6 +559,8 @@ static int barrier_wait(const sdc_shared *s, int64_t waiter,
                 return 0;
             }
     }
+    if (last)
+        __atomic_store_n(&words[LINE], generation, __ATOMIC_RELEASE);
     __atomic_thread_fence(__ATOMIC_SEQ_CST);
     return 1;
 }
@@ -592,7 +597,9 @@ int64_t md_kick(double *restrict vel, const double *restrict forces,
  * setting the abort word (nothing past the pair's geometry written).  A
  * step ring (s->kick) runs the kick-drift and its barrier first - one
  * barrier more, SDC_REBUILD after it when an atom moved too far - and the
- * closing kick after the last barrier, before the end mark.
+ * closing kick after the last barrier, before the end mark.  On a forked
+ * team (s->watch) a ring first meets at an unmarked barrier generation
+ * base, which worker 0 enters last.
  */
 int64_t sdc_walk(const sdc_shared *s, const int64_t *ranges, int64_t row_lo,
                  int64_t row_hi, int64_t waiter, int64_t base,
@@ -606,11 +613,15 @@ int64_t sdc_walk(const sdc_shared *s, const int64_t *ranges, int64_t row_lo,
     do {                                                                     \
         if (marks)                                                           \
             marks[m++] = clock_s();                                          \
-        if (!barrier_wait(s, waiter, generation++, base))                    \
+        if (!barrier_wait(s, waiter, generation++, base, 0))                 \
             return SDC_ABORTED;                                              \
         if (marks)                                                           \
             marks[m++] = clock_s();                                          \
     } while (0)
+    /* a forked team's ring: no row moves before every helper joined */
+    if (s->kick && s->watch &&
+        !barrier_wait(s, waiter, generation++, base, waiter == 0))
+        return SDC_ABORTED;
     if (s->kick & KICK_DRIFT) {
         if (md_kick_drift(s->pos + 3 * row_lo, s->vel + 3 * row_lo,
                           s->forces + 3 * row_lo, s->types + row_lo, s->scale,

@@ -16,7 +16,11 @@ arena (:class:`~repro.kernels.c_tier.SDCTeam` laid out there, a shared
 futex), each in one ``sdc_walk`` call per evaluation.  A new neighbor
 list is published in the arena too — pairs, tasks, rows and the walk's
 shared fields — so neither an evaluation nor an epoch sends anything down
-a pipe; the pipes carry startup, ``stop`` and a helper's death.
+a pipe; the pipes carry startup, ``stop`` and a helper's death.  Under
+velocity Verlet the driver rings a whole step on that team
+(:meth:`~repro.parallel.backends.sharded.ShardEngine.verlet_ring`): the
+atoms' per-atom arrays are then the arena's rows, and a step copies
+nothing.
 Everywhere else ``n_workers`` forked workers run the per-colour body, the
 parent sending one ``evaluate`` command per force evaluation and one
 ``epoch`` payload per list.
@@ -27,7 +31,8 @@ rows are the atoms themselves (no ghosts, so the body's halo pulls are
 empty), shared by ``n_workers`` workers running the tasks and rows of the
 :class:`~repro.core.sdc_plan.SDCPlan` — the plan ``SDCStrategy`` runs on
 threads — cached on neighbor-list identity, so a steady step pays only
-kernels, barriers, one positions memcpy and the zero fills (``sync``).
+kernels, barriers, one positions memcpy and the zero fills (``sync``;
+a ringed step not even the memcpy).
 A worker killed or hung mid-evaluation is a
 :class:`~repro.parallel.backends.base.BackendError` — never a hang or a
 partial scatter — after one transparent respawn and retry; a task that

@@ -17,9 +17,11 @@ already has (DESIGN §7.1).  A region without ghosts has empty maps:
 :class:`~repro.parallel.backends.processes.ProcessSDCCalculator` is one
 such region shared by ``n_workers`` color-scheduled workers, and one
 shard another.  Where a doorbell team walks it
-(:meth:`ShardEngine._team_colors`), the command is a ring
-(:meth:`ShardEngine._ring`) and the epoch payload the team's walk laid
-out in the arena.
+(:meth:`ShardEngine._team_colors`), the command is a ring of the team
+(:meth:`ShardEngine._walk`), the epoch payload the team's walk laid out
+in the arena once and re-aimed at each plan, and a whole MD step can be
+one ring (:meth:`ShardEngine.verlet_ring`), the atoms' arrays then the
+arena's rows.
 
 **The sharded configuration** (:class:`ShardedSDCCalculator`, DESIGN
 §7.4).  A near-cubic grid of shards, each one region with one worker
@@ -49,11 +51,12 @@ from repro import kernels
 from repro.geometry.box import Box
 from repro.kernels.lowering import lower_potential
 from repro.md.atoms import Atoms
+from repro.md.integrators import REBUILD
 from repro.md.neighbor.verlet import NeighborList
 from repro.obs.tracer import trace_region
 from repro.parallel.backends.base import BackendError
 from repro.parallel.backends.workers import (
-    DEFAULT_PHASE_TIMEOUT_S, HANDOVER, WorkerEngine, count_health,
+    DEFAULT_PHASE_TIMEOUT_S, HANDOVER, HalfStep, WorkerEngine, count_health,
     record_health,
 )
 from repro.parallel.cluster import node_grid
@@ -262,11 +265,14 @@ class ShardEngine(WorkerEngine):
         return 2 ** self.dims if lower_potential(potential) is not None else 0
 
     def _publish_epoch(self) -> None:
-        """Write every region's pair list into the arena; then lay the
-        team's walk out there too (tasks, rows, the shared fields), or ship
-        each worker its epoch payload, on which it re-slices its views."""
+        """Write every region's pair list into the arena; then aim the
+        team's walk at it (laid out there once per arena), or ship each
+        worker its epoch payload, on which it re-slices its views."""
         live, sizes = self._live, self._region_sizes()
-        live.views = [live.arena.region(r, size) for r, size in enumerate(sizes)]
+        live.views = [
+            live.arena.region(r, size, *live.views[r : r + 1])
+            for r, size in enumerate(sizes)
+        ]
         for plan, views in zip(self._plans, live.views):
             views["pair_i"][:] = plan.pair_i
             views["pair_j"][:] = plan.pair_j
@@ -283,18 +289,19 @@ class ShardEngine(WorkerEngine):
         ])
 
     def _team_walk(self, plan: ShardPlan, views: Dict[str, np.ndarray]):
-        """The team's walk of the one ghost-free region, in the arena."""
+        """The team's walk of the one ghost-free region, in the arena: the
+        live one aimed at the new plan, else one laid out afresh."""
         live = self._live
+        handover = [views[key] for key in HANDOVER]
+        pairs = views["pair_i"], views["pair_j"], plan.tasks, plan.rows
+        walk = live.walk
+        if walk is not None and walk.replan(*pairs, handover, views["pair_phi"]):
+            return walk
         walk = kernels.active_tier().sdc_walker(
-            views["pair_i"], views["pair_j"], plan.tasks, plan.rows,
-            plan.n_local, live.arena.barrier, parent=os.getpid(),
-            handover=[views[key] for key in HANDOVER], phi=views["pair_phi"],
-            team_block=live.arena.team,
+            *pairs, plan.n_local, live.arena.barrier, parent=os.getpid(),
+            handover=handover, phi=views["pair_phi"], team_block=live.arena.team,
         )
-        if walk is None or not walk.bind(
-            self._potential, views["positions"], self._box,
-            views["rho"], views["fp"], views["forces"],
-        ):
+        if walk is None:
             raise RuntimeError(f"{self.name}: the team cannot walk this epoch")
         walk.watch(live.group.fds)
         return walk
@@ -311,33 +318,56 @@ class ShardEngine(WorkerEngine):
         self._cached_nlist.set(nlist)
         return True
 
+    def _check_epoch(self, atoms: Atoms, nlist: NeighborList) -> None:
+        """The one epoch check: a new list or a new box opens an epoch."""
+        if not nlist.half:
+            raise ValueError(f"{self.name} consumes half neighbor lists")
+        nlist.check_covers(atoms.n_atoms)
+        box = self._box
+        with self._span("neighbor-rebuild", phase="neighbor-rebuild"):
+            if self._prepare(atoms, nlist) or box is None or not (
+                box is atoms.box
+                or np.array_equal(box.lengths, atoms.box.lengths)
+                and np.array_equal(box.periodic, atoms.box.periodic)
+            ):
+                self._box = atoms.box
+                self._new_epoch()
+
     # --- the ForceCalculator protocol -----------------------------------------
 
     def compute(
         self, potential: EAMPotential, atoms: Atoms, nlist: NeighborList
     ) -> EAMComputation:
         """Full evaluation; ``atoms`` is updated in place and the result's
-        arrays *are* ``atoms.rho``/``fp``/``forces`` — copied out of the
-        arena once, which the next sync zero-fills."""
-        if not nlist.half:
-            raise ValueError(f"{self.name} consumes half neighbor lists")
-        nlist.check_covers(atoms.n_atoms)
-        box = self._box
-        with self._span("neighbor-rebuild", phase="neighbor-rebuild"):
-            # the one epoch check: a new list or a new box
-            if self._prepare(atoms, nlist) or box is None or not (
-                np.array_equal(box.lengths, atoms.box.lengths)
-                and np.array_equal(box.periodic, atoms.box.periodic)
-            ):
-                self._box = atoms.box
-                self._new_epoch()
-        energies = self._evaluate(potential, lambda: self._evaluate_once(atoms))
-        return EAMComputation(*energies, atoms.rho, atoms.fp, atoms.forces)
+        arrays *are* ``atoms.rho``/``fp``/``forces`` — on a doorbell team
+        the arena's own rows (:meth:`_walk`), else copied out of the arena
+        once, which the next sync zero-fills."""
+        self._check_epoch(atoms, nlist)
+        return self._evaluate(potential, lambda: self._evaluate_once(atoms))
 
-    def _evaluate_once(self, atoms: Atoms) -> Tuple[float, float]:
-        """Sync, one ``evaluate`` command (or one ring of the team), copy
-        out: ``(E_pair, E_embed)`` from the workers' partial sums — no
-        potential call in the parent."""
+    def verlet_ring(self, potential, atoms, nlist, kicks, half_skin):
+        """One MD step as one ring of the doorbell team, on
+        :meth:`~repro.core.strategies.sdc.SDCStrategy.verlet_ring`'s terms:
+        each worker kick-drifts its rows, all meet at the Verlet check,
+        walk the evaluation and kick their rows again.  None where the
+        engine has no team (several regions, the NumPy tier, an unlowered
+        potential, ``record_writes``) or the kick cannot ring, nothing
+        touched.  A helper lost before every worker joined the ring is
+        respawned and the ring rung again, as an evaluation is; one lost
+        after is a :class:`HalfStep`, never retried."""
+        if not self.caller_walks():
+            return None
+        self._check_epoch(atoms, nlist)
+        return self._evaluate(
+            potential, lambda: self._walk(atoms, nlist, kicks, half_skin)
+        )
+
+    def _evaluate_once(self, atoms: Atoms) -> EAMComputation:
+        """Sync, one ``evaluate`` command, copy out — or one walk of the
+        team: the energies from the workers' partial sums, no potential
+        call in the parent."""
+        if self._live.team is not None:
+            return self._walk(atoms)
         plans, n_colors = self._plans, len(self._plans[0].tasks[0])
         # a region owning every atom holds them in global order: it moves
         # its rows by memcpy, not by gather
@@ -356,15 +386,12 @@ class ShardEngine(WorkerEngine):
         base = self._generation
         self._generation += 2 * n_colors + 2
         start = time.perf_counter()
-        if self._live.team is not None:
-            replies = self._ring(base)
-        else:
-            replies = self._live.group.run(
-                "evaluate", [base] * len(self._worker_regions())
-            )
+        replies = self._live.group.run(
+            "evaluate", [base] * len(self._worker_regions())
+        )
+        pair_energies, embedding_energies, marks, writes, pids = zip(*replies)
         if self._tracer is not None:
-            self._trace_evaluation(replies, start, time.perf_counter())
-        pair_energies, embedding_energies, _, writes, _ = zip(*replies)
+            self._trace((start, time.perf_counter()), n_colors, marks, pids)
         if self.record_writes:
             kinds = ["density"] * n_colors + ["force"] * n_colors
             self.last_write_record = [
@@ -374,54 +401,102 @@ class ShardEngine(WorkerEngine):
         for plan, (_, owned), views in zip(plans, moves, self._live.views):
             for name in ("rho", "fp", "forces"):
                 getattr(atoms, name)[owned] = views[name][: plan.n_owned]
-        return float(sum(pair_energies)), float(sum(embedding_energies))
+        return EAMComputation(
+            float(sum(pair_energies)), float(sum(embedding_energies)),
+            atoms.rho, atoms.fp, atoms.forces,
+        )
 
-    def _ring(self, base: int) -> list:
-        """One walk of the team, this process as worker 0: the replies an
-        ``evaluate`` command would have collected."""
+    def _walk(self, atoms: Atoms, nlist=None, kicks=None, half_skin=None):
+        """One walk of the team, this process as worker 0, over the arena's
+        rows (a helper reads only memory mapped before its fork); with
+        ``kicks`` one step ring of it (:meth:`verlet_ring`).  A ring adopts
+        ``atoms``: their per-atom arrays become those rows
+        (:meth:`~repro.parallel.backends.workers._Live.adopt`), so no step
+        of theirs copies anything; other atoms are copied in and out."""
         live = self._live
-        walk = live.walk
+        if live.team is None:  # respawned onto the command route
+            return None
+        walk, views = live.walk, live.views[0]
+        rho, fp, forces = views["rho"], views["fp"], views["forces"]
+        with self._span("sync", phase="sync"):
+            if kicks is not None or live.atoms is atoms:
+                live.adopt(atoms)
+            else:
+                live.privatize()
+                views["positions"][...] = atoms.positions
+            if not walk.bind(
+                self._potential, views["positions"], self._box, rho, fp, forces
+            ):
+                raise RuntimeError(f"{self.name}: the team cannot walk this epoch")
+            if kicks is not None:
+                if not live.reference.matches(nlist):  # once per list
+                    views["reference"][...] = nlist.reference_positions
+                    live.reference.set(nlist)
+                if not walk.ring(
+                    atoms.velocities, atoms.types, atoms.masses,
+                    views["reference"], kicks, half_skin,
+                ):
+                    return None
+            drift = kicks is not None and half_skin is not None
+            if not drift:  # else each worker zeroes its rows
+                rho.fill(0.0)
+                forces.fill(0.0)
+        base = self._generation
+        self._generation += 2 * walk.n_colors + 3
         walk.deadline = time.monotonic() + self.timeout_s
+        start = time.perf_counter()
         statuses = live.team.walk(walk, base)
+        window = (start, time.perf_counter())
         lost = [k - 1 for k, status in enumerate(statuses) if status == walk.LOST]
         overlaps = [status for status in statuses if status >= 0]
-        if not lost and not overlaps and statuses[0] != walk.DONE:
+        if walk.ABORTED in statuses and not lost and not overlaps:
+            if time.monotonic() < walk.deadline:  # a kick's type check
+                raise IndexError("an atom type has no entry in the kick's tables")
             # worker 0 gave up at the deadline on a helper that answered
-            # the abort before the settle gave up on it too
-            lost = [k - 1 for k, status in enumerate(statuses) if k and status != walk.DONE]
+            lost = [k for k, status in enumerate(statuses[1:]) if status != walk.DONE]
         if lost:
             live.group.broken = True
-            raise BackendError(
+            moved = kicks is not None and walk.joined(base)
+            raise (HalfStep if moved else BackendError)(
                 f"worker(s) {lost} died or timed out during 'evaluate'"
             )
         if overlaps:
             raise walk.overlap(overlaps[0])
-        n_colors, pids = walk.n_colors, [os.getpid(), *live.group.pids]
-        replies = []
-        for energies, marks, pid in zip(
-            walk.energies.tolist(), walk.marks.tolist(), pids
-        ):
-            pair_energy = 0.0  # summed in the per-colour body's order
-            for partial in energies[:n_colors]:
-                pair_energy += partial
-            replies.append((pair_energy, energies[n_colors], marks, [], pid))
-        return replies
+        rebuild = statuses[0] == walk.REBUILD
+        if self._tracer is not None:
+            pids, marks = [os.getpid(), *live.group.pids], walk.marks.copy()
+            self._trace(window, walk.n_colors, marks, pids, drift, kicks, rebuild)
+        if rebuild:
+            return REBUILD
+        if live.atoms is not atoms:
+            atoms.rho[...], atoms.fp[...], atoms.forces[...] = rho, fp, forces
+        pair, embedding, moments = walk.sums()
+        result = EAMComputation(pair, embedding, atoms.rho, atoms.fp, atoms.forces)
+        return result if kicks is None else (result, moments)
 
-    def _trace_evaluation(self, replies, start: float, end: float) -> None:
-        """One ``evaluate`` command's timeline from the workers' marks, a
+    def _trace(
+        self, window, n_colors, marks, pids, drift=False, kicks=None,
+        rebuild=False,
+    ) -> None:
+        """One evaluation's timeline from the workers' marks, a
         ``worker-<pid>`` track each: the density colors, the embedding,
-        the force colors, the force pull (:func:`trace_region`)."""
-        colors = range(len(self._plans[0].tasks[0]))
+        the force colors, the force pull (:func:`trace_region`); a ring's
+        kick-drift first and its closing kick last instead of the pull,
+        only the kick-drift where it stopped for a rebuild."""
+        colors = range(n_colors)
+        integrate = {"phase": "integrate", "n_chunks": len(pids)}
         steps = [
+            *[("kick-drift", integrate)] * drift,
             *((f"density:color{c}", {"phase": "density", "color": c})
               for c in colors),
             ("embedding", {"phase": "embedding"}),
             *((f"force:color{c}", {"phase": "force", "color": c})
               for c in colors),
-            ("force:halo", {"phase": "force"}),
+            ("force:halo", {"phase": "force"}) if kicks is None
+            else ("kick", integrate),
         ]
-        trace_region(self._tracer, (start, end), steps, [
-            (marks, f"worker-{pid}", pid) for _, _, marks, _, pid in replies
+        trace_region(self._tracer, window, steps[:1] if rebuild else steps, [
+            (worker, f"worker-{pid}", pid) for worker, pid in zip(marks, pids)
         ])
 
 

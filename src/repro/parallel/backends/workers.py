@@ -6,10 +6,11 @@ module holds the only copy of each of its parts:
 
 * :class:`SharedArena` — one anonymous shared ``mmap``: the ``barrier``
   control block of every worker, a doorbell team's block where one is
-  asked for, then *regions* of eleven named, 64-byte-aligned fields
+  asked for, then *regions* of fourteen named, 64-byte-aligned fields
   (positions, the three reduction targets, the pair list in task order,
   the per-pair geometry and potential derivatives the density pass
-  publishes for the force pass, and a walker's ``phi`` scratch).  Every
+  publishes for the force pass, a walker's ``phi`` scratch, and a step
+  ring's velocities, types and reference positions).  Every
   field is allocated with :data:`ARENA_HEADROOM` spare capacity; only the
   first ``n`` rows are ever viewed, so the spare pages are never touched
   and never become resident.  The mapping is inherited through ``fork``
@@ -71,6 +72,7 @@ from repro.kernels.lowering import lower_potential
 from repro.obs.tracer import span_of
 from repro.parallel.backends.base import BackendError, team_cpus
 from repro.potentials.base import EAMPotential
+from repro.utils.identity import IdentityKey
 
 #: generous per-command barrier timeout; a phase exceeding it is treated
 #: as a lost worker group (BackendError), not silently waited on forever
@@ -98,6 +100,9 @@ BARRIER_SPINS = 64
 
 #: the region fields a density pass hands over to the force pass
 HANDOVER = ("pair_delta", "pair_r", "pair_dphi", "pair_dv")
+
+#: the ``Atoms`` arrays a doorbell team's atoms keep in the arena
+ATOM_FIELDS = ("positions", "velocities", "rho", "fp", "forces", "types")
 
 
 def record_health(
@@ -146,7 +151,8 @@ def _region_fields(
     computed by the density pass, so the force pass reuses them instead of
     recomputing — each pair slot belongs to exactly one task, so the
     writes are disjoint by construction.  ``pair_phi`` is a walker's
-    scratch for ``phi`` itself.
+    scratch for ``phi`` itself.  ``velocities``, ``types`` and the list's
+    ``reference`` positions are a step ring's (:data:`ATOM_FIELDS`).
     """
     n_atoms, n_pairs = size
     f8, i8 = np.dtype(np.float64), np.dtype(np.int64)
@@ -155,6 +161,9 @@ def _region_fields(
         "rho": ((n_atoms,), f8),
         "fp": ((n_atoms,), f8),
         "forces": ((n_atoms, 3), f8),
+        "velocities": ((n_atoms, 3), f8),
+        "types": ((n_atoms,), np.dtype(np.int32)),
+        "reference": ((n_atoms, 3), f8),
         "pair_i": ((n_pairs,), i8),
         "pair_j": ((n_pairs,), i8),
         "pair_delta": ((n_pairs, 3), f8),
@@ -208,10 +217,18 @@ class SharedArena:
             for field, (shape, _) in _region_fields(size).items()
         )
 
-    def region(self, index: int, size: RegionSize) -> Dict[str, np.ndarray]:
-        """Views of region ``index`` sliced to ``size`` (re-slice per epoch)."""
+    def region(
+        self, index: int, size: RegionSize,
+        keep: Optional[Dict[str, np.ndarray]] = None,
+    ) -> Dict[str, np.ndarray]:
+        """Views of region ``index`` sliced to ``size``; a field whose view
+        in ``keep`` (the region's of an earlier epoch) has that shape keeps
+        that very view."""
         views: Dict[str, np.ndarray] = {}
         for field, (shape, dtype) in _region_fields(size).items():
+            if keep is not None and keep[field].shape == shape:
+                views[field] = keep[field]
+                continue
             offset, capacity = self._slots[index][field]
             count = math.prod(shape)
             if count > capacity:
@@ -237,6 +254,11 @@ def barrier_lines(n_workers: int) -> np.ndarray:
     raw = np.zeros((n_workers + 2) * words, dtype=np.int64)
     skip = -raw.ctypes.data % _ALIGN // 8
     return raw[skip : skip + (n_workers + 1) * words].reshape(-1, words)
+
+
+class HalfStep(BackendError):
+    """A worker was lost after a step ring moved rows: the step cannot be
+    replayed, so the engine does not retry it."""
 
 
 class PhaseAborted(RuntimeError):
@@ -719,10 +741,41 @@ class _Live:
         #: the doorbell team in the arena, and the epoch's walk (else None)
         self.team = None
         self.walk = None
+        #: the atoms whose :data:`ATOM_FIELDS` are region 0's views, and
+        #: the list whose reference positions region 0 holds
+        self.atoms = None
+        self.reference = IdentityKey()
+
+    def adopt(self, atoms) -> None:
+        """Point ``atoms``' :data:`ATOM_FIELDS` at region 0's rows, copying
+        in each that is not there already; atoms adopted before get
+        private copies back."""
+        if self.atoms is not atoms:
+            self.privatize()
+            self.atoms = atoms
+        views = self.views[0]
+        for name in ATOM_FIELDS:
+            view = views[name]
+            if getattr(atoms, name) is not view:
+                view[...] = getattr(atoms, name)
+                setattr(atoms, name, view)
+
+    def privatize(self) -> None:
+        """Give the adopted atoms private copies of the arena rows they
+        still hold: nothing outlives the engine in its mapping."""
+        atoms, self.atoms = self.atoms, None
+        if atoms is None:
+            return
+        for name in ATOM_FIELDS:
+            view = getattr(atoms, name)
+            if view is self.views[0][name]:
+                setattr(atoms, name, view.copy())
 
     def release(self) -> None:
         """Stop the team and the workers first, then drop the mapping
         (idempotent)."""
+        self.privatize()
+        self.reference.clear()
         group, team = self.group, self.team
         self.group = self.arena = self.team = self.walk = None
         self.views = []
@@ -922,7 +975,7 @@ class WorkerEngine:
 
         A :class:`BackendError` (worker death or timeout — never partial
         results: ``once`` restarts from its zero fill) respawns the group
-        and retries once; a second one, or any with
+        and retries once; a second one, a :class:`HalfStep`, or any with
         ``restart_on_failure=False``, propagates and leaves the broken
         group to be replaced by the next compute.
         """
@@ -944,7 +997,7 @@ class WorkerEngine:
                     engine=self.name,
                     error=str(exc),
                 )
-                if attempt + 1 == attempts:
+                if attempt + 1 == attempts or isinstance(exc, HalfStep):
                     record_health(
                         "engine",
                         "engine-failed",

@@ -235,6 +235,40 @@ class TestThreadsRingPoint:
 
 
 @pytest.mark.linux
+class TestProcessesRingPoint:
+    """One tiny point on the process engine's doorbell team, whose steps
+    are rings: the window is each ring, this process its worker 0 and the
+    forked helper the other."""
+
+    def test_the_caller_window_covers_the_rings(self, monkeypatch):
+        from repro import kernels
+        from repro.md.integrators import REBUILD
+        from repro.parallel.backends.sharded import ShardEngine
+
+        if "c" not in kernels.available_tiers():
+            pytest.skip("the doorbell team needs the C tier")
+        rang, real = [], ShardEngine.verlet_ring
+
+        def spy(self, *args):
+            out = real(self, *args)
+            rang.append(out is not None and out is not REBUILD)
+            return out
+
+        monkeypatch.setattr(ShardEngine, "verlet_ring", spy)
+        with kernels.use_tier("c"):
+            report = run_scale(case="tiny", backend="processes", workers=(2,), steps=3)
+        if not report.points:
+            pytest.skip(f"processes point skipped: {report.skipped}")
+        point = report.points[0]
+        assert point.total_s > 0
+        assert sum(rang) == 3
+        cpu = point.resources["worker_cpu_s"]
+        assert len(cpu) == 2 and 0.0 < cpu[0] <= point.total_s  # the caller
+        assert 0.0 <= cpu[1] <= point.total_s
+        assert len(point.resources["worker_run_delay_s"]) == 2
+
+
+@pytest.mark.linux
 class TestProcessesPoint:
     """One tiny point on forked workers: the window read of their pids."""
 

@@ -454,7 +454,7 @@ class TestArenaHandOver:
 
     def test_region_carries_the_pair_sized_fields(self, worker, sdc_nlist):
         worker, views = worker
-        assert len(views) == 11
+        assert len(views) == 14
         assert "pair_offsets" not in views  # tasks are ranges, not CSR rows
         assert worker.arena.barrier.shape == (2, 8)  # abort word + one worker
         n_pairs = sdc_nlist.n_pairs

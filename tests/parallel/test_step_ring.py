@@ -1,26 +1,31 @@
-"""The step ring: one MD step of ``SDCStrategy`` on a thread team as one
-walk per worker — kick-drift of its rows, one more barrier and the Verlet
-check, the ``2C + 1`` phases of the evaluation, the closing kick.
+"""The step ring: one MD step on a team as one walk per worker —
+kick-drift of its rows, one more barrier and the Verlet check, the
+``2C + 1`` phases of the evaluation, the closing kick — on the thread team
+of ``SDCStrategy`` and, in :class:`TestOnProcesses`, on the doorbell team
+of ``ProcessSDCCalculator`` (forked helpers, the atoms in its arena).
 
 * trajectories: positions and velocities bit-identical to the three
   calls and to the strategy's serial pass over 200 steps with as many
   rebuilds (and to ``SerialCalculator`` within 1e-9 Å), on the skin check
   and on a forced ``rebuild_every=3``; the ring's forces bit-identical to
-  the plain walk's;
+  the plain walk's; per-type masses changed mid-run are the three calls'
+  too (a forked helper reads them from the walk's block);
 * moments: the ring sums each block's seven partials in atom order and
   then the blocks ``k = 0 .. p - 1``, within 1e-12 of the serial pass;
 * a NaN position fails the ring's Verlet check, and the rebuild names the
   atom and axis;
 * failures never hang: worker 0 raising mid-ring releases the helper
   waiting at the kick-drift's barrier, and a type outside the tables
-  stops the ring with the NumPy tier's ``IndexError`` (a thread helper
-  cannot be killed alone: a lost helper is the process engine's
-  ``BackendError``, whose walks never ring);
-* routing: the NumPy tier, an instrument, a backend observer, ``Euler``
-  and the process and sharded engines never ring (and a step off the ring
-  spans one evaluation), nor does a driver subclass that hooks
-  ``compute_forces`` or ``ensure_neighbor_list``; a wrapper that forwards
-  every lookup rings;
+  stops the ring with the NumPy tier's ``IndexError`` (a lost forked
+  helper is ``tests/test_failure_injection.py``'s);
+* routing: the NumPy tier, an instrument, a backend observer, ``Euler``,
+  ``record_writes``, a potential that does not lower and a multi-shard
+  engine never ring (and a step off the ring spans one evaluation), nor
+  does a driver subclass that hooks ``compute_forces`` or
+  ``ensure_neighbor_list``; a wrapper that forwards every lookup rings;
+* the process engine's atoms: on a ringed step they are the arena's rows,
+  a reorder or a reassigned array is copied in once, and ``close()``
+  hands them back as private arrays;
 * the ring's trace: its two kicks are ``integrate`` rows, and the rows of
   its phase table add up to the window the team walked;
 * fewer CPUs than workers: pinned to one CPU, rings finish.
@@ -28,6 +33,7 @@ check, the ``2C + 1`` phases of the evaluation, the closing kick.
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import os
 import sys
 import threading
@@ -46,7 +52,11 @@ from repro.md.simulation import SerialCalculator, Simulation
 from repro.obs.tracer import Tracer
 from repro.parallel.backends import ThreadBackend
 from repro.parallel.backends.base import PhaseObserver
+from repro.parallel.backends.processes import ProcessSDCCalculator
+from repro.parallel.backends.sharded import ShardedSDCCalculator, ShardEngine
+from repro.parallel.backends.workers import ATOM_FIELDS, _Live
 from repro.potentials import fe_potential
+from repro.potentials.johnson_fe import JohnsonFePotential
 
 #: a hung barrier fails the test instead of the run
 DEADLINE_S = 60.0
@@ -61,20 +71,38 @@ def c_tier():
         yield tier
 
 
+def threads(workers=2):
+    return SDCStrategy(2, workers, ThreadBackend(workers))
+
+
+def processes(workers=2):
+    return ProcessSDCCalculator(dims=2, n_workers=workers)
+
+
+@pytest.fixture()
+def engine():
+    """``engine(workers=2)``, the calculator whose steps ring: the thread
+    team's here, the process engine's in :class:`TestOnProcesses`."""
+    return threads
+
+
 @pytest.fixture()
 def rings(monkeypatch):
     """``rings``: every ``verlet_ring`` answer, REBUILD or the kind of
     ring that ran (``"kick-drift"``, ``"kick"``), None where none ran."""
     answers = []
-    real = SDCStrategy.verlet_ring
 
-    def spy(self, potential, atoms, nlist, kicks, half_skin):
-        out = real(self, potential, atoms, nlist, kicks, half_skin)
-        kind = "kick" if half_skin is None else "kick-drift"
-        answers.append(out if out is None or out is REBUILD else kind)
-        return out
+    def spying(real):
+        def spy(self, potential, atoms, nlist, kicks, half_skin):
+            out = real(self, potential, atoms, nlist, kicks, half_skin)
+            kind = "kick" if half_skin is None else "kick-drift"
+            answers.append(out if out is None or out is REBUILD else kind)
+            return out
 
-    monkeypatch.setattr(SDCStrategy, "verlet_ring", spy)
+        return spy
+
+    for engine in (SDCStrategy, ShardEngine):
+        monkeypatch.setattr(engine, "verlet_ring", spying(engine.verlet_ring))
     return answers
 
 
@@ -142,17 +170,16 @@ class Forwarding:
 
 class TestTrajectory:
     @pytest.mark.parametrize("cadence", [None, 3])
-    def test_bit_identical_to_the_three_calls(self, cadence, rings):
-        """Against the same strategy through ``first_half``, the walk and
-        ``second_half``, and against its serial pass (the per-colour route
-        on one thread): bit for bit, as many rebuilds; against
-        ``SerialCalculator``, whose pair order sums each atom's terms in
-        another order: as many rebuilds, positions to 1e-9 Å."""
-        strategy = lambda: SDCStrategy(2, 2, ThreadBackend(2))  # noqa: E731
-        want, want_report = simulate(ThreeCalls(strategy()), 200, rebuild_every=cadence)
+    def test_bit_identical_to_the_three_calls(self, engine, cadence, rings):
+        """Against the same engine through ``first_half``, the walk and
+        ``second_half``, and against the strategy's serial pass (the
+        per-colour route on one thread): bit for bit, as many rebuilds;
+        against ``SerialCalculator``, whose pair order sums each atom's
+        terms in another order: as many rebuilds, positions to 1e-9 Å."""
+        want, want_report = simulate(ThreeCalls(engine()), 200, rebuild_every=cadence)
         one, one_report = simulate(SDCStrategy(2, 2), 200, rebuild_every=cadence)
         assert not rings
-        got, got_report = simulate(strategy(), 200, rebuild_every=cadence)
+        got, got_report = simulate(engine(), 200, rebuild_every=cadence)
         serial, serial_report = simulate(SerialCalculator(), 200, rebuild_every=cadence)
         assert None not in rings  # every step rang, a rebuild's twice
         assert rings.count("kick-drift") + rings.count(REBUILD) == 200
@@ -174,39 +201,35 @@ class TestTrajectory:
                 want_record.kinetic_energy, rel=1e-12
             )
 
-    def test_forces_are_the_walks(self, rings):
+    def test_forces_are_the_walks(self, engine, rings):
         """The ring's last evaluation and a plain walk of its positions."""
         potential = fe_potential()
         atoms = build()
-        with ThreadBackend(2) as backend:
-            strategy = SDCStrategy(2, 2, backend)
-            with Simulation(atoms, potential, strategy) as sim:
-                sim.run(20)
-                walked = strategy.compute(potential, atoms.copy(), sim.nlist)
+        with Simulation(atoms, potential, engine()) as sim:
+            sim.run(20)
+            walked = sim.calculator.compute(potential, atoms.copy(), sim.nlist)
         assert "kick-drift" in rings
         np.testing.assert_array_equal(atoms.forces, walked.forces)
         np.testing.assert_array_equal(atoms.rho, walked.rho)
 
 
-def test_moments_match_the_serial_pass():
+def test_moments_match_the_serial_pass(engine):
     """One ring against the three calls on a copy (the same forces, kicked
     in one pass over every atom): the same atoms and evaluation, and the
     moments — each block's partials summed in atom order, then the blocks
     ``k = 0 .. p - 1`` — within 1e-12 of the sums of their terms' sizes."""
     potential, integrator = fe_potential(), VelocityVerlet(1e-3)
-    with ThreadBackend(3) as backend:
-        strategy = SDCStrategy(2, 3, backend)
-        atoms = build()
-        with Simulation(atoms, potential, strategy, integrator) as sim:
-            sim.run(3)
-            twin = atoms.copy()
-            out = strategy.verlet_ring(
-                potential, atoms, sim.nlist, integrator.kicks(atoms),
-                sim.nlist.skin / 2.0,
-            )
-            integrator.first_half(twin)
-            walked = strategy.compute(potential, twin, sim.nlist)
-            want = integrator.second_half(twin)
+    atoms = build()
+    with Simulation(atoms, potential, engine(3), integrator) as sim:
+        sim.run(3)
+        twin = atoms.copy()
+        out = sim.calculator.verlet_ring(
+            potential, atoms, sim.nlist, integrator.kicks(atoms),
+            sim.nlist.skin / 2.0,
+        )
+        integrator.first_half(twin)
+        walked = sim.calculator.compute(potential, twin, sim.nlist)
+        want = integrator.second_half(twin)
     assert out is not None and out is not REBUILD
     result, sums = out
     got = integrator.moments(*sums)
@@ -224,9 +247,9 @@ def test_moments_match_the_serial_pass():
         assert np.all(np.abs(np.subtract(have, expect)) <= 1e-12 * size)
 
 
-def test_a_nan_position_fails_the_check_and_the_rebuild_names_it(rings):
+def test_a_nan_position_fails_the_check_and_the_rebuild_names_it(engine, rings):
     atoms = build()
-    with Simulation(atoms, fe_potential(), SDCStrategy(2, 2, ThreadBackend(2))) as sim:
+    with Simulation(atoms, fe_potential(), engine()) as sim:
         sim.run(2)
         atoms.positions[17, 1] = np.nan
         with pytest.raises(ValueError, match=r"first at index \(17, 1\)"):
@@ -265,9 +288,9 @@ class TestFailures:
         assert raised == [0] and len(report.records) >= 1
         assert np.isfinite(atoms.positions).all()
 
-    def test_a_type_outside_the_tables_stops_the_ring(self, rings):
+    def test_a_type_outside_the_tables_stops_the_ring(self, engine, rings):
         atoms = build()
-        with Simulation(atoms, fe_potential(), SDCStrategy(2, 2, ThreadBackend(2))) as sim:
+        with Simulation(atoms, fe_potential(), engine()) as sim:
             sim.run(1)
             atoms.types[-1] = len(atoms.masses)  # the last block's worker
             with pytest.raises(IndexError, match="no entry in the kick's tables"):
@@ -318,20 +341,28 @@ class TestRouting:
             assert [s.name for s in tracer.spans].count("forces") == 6
         assert not armed
 
-    def test_the_engines_have_no_ring(self):
-        from repro.parallel.backends.processes import ProcessSDCCalculator
-        from repro.parallel.backends.sharded import ShardedSDCCalculator
+    def test_a_multi_shard_engine_never_rings(self, rings, monkeypatch):
+        """Two shards walk no team: the driver never offers the ring, the
+        steps are the three calls', and nothing arms a walk."""
+        if "fork" not in mp.get_all_start_methods():
+            pytest.skip("requires fork")
+        armed = []
+        real = SDCWalk.ring
+        monkeypatch.setattr(
+            SDCWalk, "ring", lambda self, *a: armed.append(1) or real(self, *a)
+        )
+        got, _ = simulate(ShardedSDCCalculator(n_shards=2), 5)
+        want, _ = simulate(SerialCalculator(), 5)
+        np.testing.assert_allclose(got.positions, want.positions, atol=1e-9)
+        assert not rings and not armed
 
-        for engine in (ProcessSDCCalculator, ShardedSDCCalculator):
-            assert not hasattr(engine, "verlet_ring")
-
-    def test_a_forwarding_wrapper_rings(self, rings):
-        simulate(Forwarding(SDCStrategy(2, 2, ThreadBackend(2))), 4)
+    def test_a_forwarding_wrapper_rings(self, engine, rings):
+        simulate(Forwarding(engine()), 4)
         assert rings == ["kick-drift"] * 4
 
     @pytest.mark.parametrize("hook", ["compute_forces", "ensure_neighbor_list"])
     def test_a_driver_subclass_that_hooks_a_step_keeps_the_three_calls(
-        self, hook, rings
+        self, engine, hook, rings
     ):
         """Every step goes through the subclass's override, as the step
         benchmark's traced driver needs."""
@@ -346,12 +377,12 @@ class TestRouting:
 
         setattr(Hooked, hook, override)
         atoms = build()
-        with Hooked(atoms, fe_potential(), SDCStrategy(2, 2, ThreadBackend(2))) as sim:
+        with Hooked(atoms, fe_potential(), engine()) as sim:
             sim.run(4)
         assert not rings and len(seen) >= 5
 
 
-def test_a_traced_ring_gives_integrate_rows_that_add_up(rings):
+def test_a_traced_ring_gives_integrate_rows_that_add_up(engine, rings):
     from repro.obs.tracer import CAT_REGION
     from repro.utils.profiler import (
         PHASE_BARRIER,
@@ -363,16 +394,18 @@ def test_a_traced_ring_gives_integrate_rows_that_add_up(rings):
 
     potential, tracer = fe_potential(), Tracer()
     atoms = build()
-    with ThreadBackend(2) as backend:
-        strategy = SDCStrategy(2, 2, backend)
-        with Simulation(atoms, potential, strategy) as sim:
-            sim.run(2)
-            strategy.attach_tracer(tracer)
-            sim.run(1)
-            strategy.detach_tracer()
+    with Simulation(atoms, potential, engine()) as sim:
+        sim.run(2)
+        sim.calculator.attach_tracer(tracer)
+        sim.run(1)
+        sim.calculator.detach_tracer()
     assert rings[-1] == "kick-drift"
     regions = tracer.by_category(CAT_REGION)
-    walked = [s for s in regions if s.args.get("phase") != "neighbor-rebuild"]
+    # the walk's phases; the process engine's sync and setup come before
+    walked = [
+        s for s in regions
+        if s.args.get("phase") not in ("neighbor-rebuild", "sync", "setup")
+    ]
     assert [s.name for s in walked if s.args["phase"] == "integrate"] == [
         "kick-drift", "kick",
     ]
@@ -388,15 +421,16 @@ def test_a_traced_ring_gives_integrate_rows_that_add_up(rings):
     not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity"
 )
 @pytest.mark.parametrize("workers", [2, 3])
-def test_rings_on_one_cpu(workers, rings):
+def test_rings_on_one_cpu(engine, workers, rings):
     """More ring workers than CPUs, all on one, with a short switch
     interval: only the barriers' and the doorbell's yields let the sibling
     run, and the trajectory is the three calls' one."""
-    want, _ = simulate(ThreeCalls(SDCStrategy(2, workers, ThreadBackend(workers))), 10)
+    want, _ = simulate(ThreeCalls(engine(workers)), 10)
 
     def pinned():
-        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})  # this thread
-        return simulate(SDCStrategy(2, workers, ThreadBackend(workers)), 10)[0]
+        # this thread, and so the helpers it forks
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+        return simulate(engine(workers), 10)[0]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -407,3 +441,165 @@ def test_rings_on_one_cpu(workers, rings):
     assert rings.count("kick-drift") == 10
     np.testing.assert_array_equal(got.positions, want.positions)
     np.testing.assert_array_equal(got.velocities, want.velocities)
+
+
+def test_masses_changed_mid_run_match_the_three_calls(engine, rings):
+    """New per-type masses, made after any helper forked: each ring copies
+    them and the step's ``scale`` into the walk's block, so no helper
+    reads a parent's private memory, and the steps stay the three calls'."""
+
+    def run(calculator):
+        atoms = build()
+        with Simulation(atoms, fe_potential(), calculator) as sim:
+            sim.run(5)
+            atoms.masses = atoms.masses * 1.5
+            sim.run(10)
+        return atoms
+
+    want = run(ThreeCalls(engine()))
+    got = run(engine())
+    assert rings.count("kick-drift") + rings.count(REBUILD) == 15
+    np.testing.assert_array_equal(got.positions, want.positions)
+    np.testing.assert_array_equal(got.velocities, want.velocities)
+
+
+class UnloweredFe(JohnsonFePotential):
+    """Fe under another class: the C tier cannot lower it."""
+
+
+@pytest.mark.skipif(
+    "fork" not in mp.get_all_start_methods(), reason="requires fork"
+)
+class TestOnProcesses:
+    """The ring tests above on ``ProcessSDCCalculator(n_workers=2)``: the
+    caller walks as worker 0 beside a forked helper, and the atoms it
+    rings are the arena's rows; then what only that engine has."""
+
+    @pytest.fixture()
+    def engine(self):
+        return processes
+
+    test_bit_identical_to_the_three_calls = (
+        TestTrajectory.test_bit_identical_to_the_three_calls
+    )
+    test_forces_are_the_walks = TestTrajectory.test_forces_are_the_walks
+    test_moments_match_the_serial_pass = staticmethod(
+        test_moments_match_the_serial_pass
+    )
+    test_a_nan_position_fails_the_check_and_the_rebuild_names_it = staticmethod(
+        test_a_nan_position_fails_the_check_and_the_rebuild_names_it
+    )
+    test_a_type_outside_the_tables_stops_the_ring = (
+        TestFailures.test_a_type_outside_the_tables_stops_the_ring
+    )
+    test_a_forwarding_wrapper_rings = TestRouting.test_a_forwarding_wrapper_rings
+    test_a_driver_subclass_that_hooks_a_step_keeps_the_three_calls = (
+        TestRouting.test_a_driver_subclass_that_hooks_a_step_keeps_the_three_calls
+    )
+    test_a_traced_ring_gives_integrate_rows_that_add_up = staticmethod(
+        test_a_traced_ring_gives_integrate_rows_that_add_up
+    )
+    test_rings_on_one_cpu = staticmethod(test_rings_on_one_cpu)
+    test_masses_changed_mid_run_match_the_three_calls = staticmethod(
+        test_masses_changed_mid_run_match_the_three_calls
+    )
+
+    @pytest.mark.parametrize(
+        "setup", ["numpy-tier", "record-writes", "python-potential"]
+    )
+    def test_the_command_route_never_rings(self, setup, rings, monkeypatch):
+        """Forked workers that run the per-colour body behind commands:
+        the driver never offers them a ring, nothing arms a walk, and the
+        steps match the serial ones."""
+        armed = []
+        real = SDCWalk.ring
+        monkeypatch.setattr(
+            SDCWalk, "ring", lambda self, *a: armed.append(1) or real(self, *a)
+        )
+        calc = ProcessSDCCalculator(
+            dims=2, n_workers=2, record_writes=setup == "record-writes"
+        )
+        potential = UnloweredFe() if setup == "python-potential" else fe_potential()
+        with kernels.use_tier("numpy" if setup == "numpy-tier" else "c"):
+            atoms = build()
+            with Simulation(atoms, potential, calc) as sim:
+                sim.run(3)
+                assert not calc.caller_walks()
+            want, _ = simulate(SerialCalculator(), 3)
+        np.testing.assert_allclose(atoms.positions, want.positions, atol=1e-9)
+        assert not rings and not armed
+
+    def test_a_ringed_step_walks_the_atoms_own_arrays(self, rings):
+        """On a steady ringed step every per-atom array of the atoms is
+        the arena's, where the forked helper walks it."""
+        atoms = build()
+        with Simulation(atoms, fe_potential(), processes()) as sim:
+            sim.run(3)
+            views = sim.calculator._live.views[0]
+            for name in ATOM_FIELDS:
+                assert getattr(atoms, name) is views[name]
+                assert np.shares_memory(getattr(atoms, name), views[name])
+        assert rings[-1] == "kick-drift"
+
+    def test_a_reorder_and_a_new_array_are_copied_in_once(self, rings, monkeypatch):
+        """``atoms.reorder`` (with the list remapped) and a reassigned
+        ``atoms.velocities`` between two runs: the next ring copies the
+        new arrays into the arena once, on the same helpers, and the
+        trajectory is the three calls' one."""
+        from repro.core.reorder import remap_neighbor_list
+
+        copied = []
+        real = _Live.adopt
+
+        def adopt(live, atoms):
+            views = live.views[0]
+            copied.append([n for n in ATOM_FIELDS if getattr(atoms, n) is not views[n]])
+            real(live, atoms)
+
+        monkeypatch.setattr(_Live, "adopt", adopt)
+        perm = np.random.default_rng(3).permutation(build().n_atoms)
+
+        def run(calculator):
+            atoms = build()
+            engine = getattr(calculator, "_inner", calculator)
+            with Simulation(atoms, fe_potential(), calculator) as sim:
+                sim.run(3)
+                spawns = engine.health_snapshot()["n_pool_spawns"]
+                del copied[:]
+                atoms.reorder(perm)
+                sim.nlist = remap_neighbor_list(sim.nlist, perm)
+                sim.run(3)
+                atoms.velocities = atoms.velocities * 0.5
+                sim.run(3)
+                assert engine.health_snapshot()["n_pool_spawns"] == spawns
+            return atoms
+
+        want = run(ThreeCalls(processes()))
+        assert not copied  # the three calls adopt nothing
+        got = run(processes())
+        assert [fields for fields in copied if fields] == [
+            list(ATOM_FIELDS), ["velocities"],
+        ]
+        assert len(copied) == 6 and rings.count(None) == 0
+        np.testing.assert_array_equal(got.positions, want.positions)
+        np.testing.assert_array_equal(got.velocities, want.velocities)
+
+    def test_close_hands_the_atoms_back_as_private_arrays(self, rings):
+        """After ``close()`` the atoms hold private copies of the last
+        state, and a ``SerialCalculator`` run continues from them."""
+        potential = fe_potential()
+        atoms = build()
+        sim = Simulation(atoms, potential, processes())
+        sim.run(5)
+        views = dict(sim.calculator._live.views[0])
+        last = atoms.copy()
+        sim.close()
+        for name in ATOM_FIELDS:
+            assert not np.shares_memory(getattr(atoms, name), views[name])
+            np.testing.assert_array_equal(getattr(atoms, name), getattr(last, name))
+        assert rings.count("kick-drift") == 5
+        for state in (atoms, last):
+            with Simulation(state, potential, SerialCalculator()) as serial:
+                serial.run(5)
+        np.testing.assert_array_equal(atoms.positions, last.positions)
+        np.testing.assert_array_equal(atoms.velocities, last.velocities)

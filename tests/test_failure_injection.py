@@ -526,6 +526,106 @@ class TestHelperAsleepOnTheBell:
                     os.kill(pid, signal.SIGKILL)
 
 
+@pytest.mark.linux
+class TestHelperLostInARing:
+    """The process engine's step ring (C tier, a lowering potential): the
+    driver runs each step as one ring of the doorbell team, and no row
+    moves before every helper joined it.  A helper killed asleep between
+    steps is replaced and the ring rung again; one killed after the join
+    leaves a half-moved step, which surfaces as ``BackendError`` and is
+    never replayed."""
+
+    @pytest.fixture(autouse=True)
+    def _needs_fork(self):
+        import multiprocessing as mp
+
+        if "fork" not in mp.get_all_start_methods():
+            pytest.skip("requires fork")
+
+    @staticmethod
+    def ringing(potential, calc):
+        """A driver on a fresh hot crystal that has rung its first steps."""
+        from repro.harness.cases import Case
+        from repro.md.simulation import Simulation
+
+        atoms = Case(key="r", label="r", n_cells=8).build(
+            perturbation=0.05, temperature=300.0, seed=7
+        )
+        sim = Simulation(atoms, potential, calc)
+        sim.run(3)
+        if not calc.caller_walks():
+            sim.close()
+            pytest.skip("no doorbell team: the active tier has no walker")
+        return sim
+
+    def test_helper_killed_between_steps_restarts_transparently(self, potential):
+        from repro.parallel.backends.processes import ProcessSDCCalculator
+
+        def run(kill: bool):
+            calc = ProcessSDCCalculator(dims=2, n_workers=2)
+            with self.ringing(potential, calc) as sim:
+                pid = calc.worker_pids()[0]
+                if kill:
+                    time.sleep(ASLEEP_S)
+                    os.kill(pid, signal.SIGKILL)
+                started = time.monotonic()
+                sim.run(1)
+                assert time.monotonic() - started < 5.0
+                sim.run(10)
+                return sim.atoms.copy(), calc.health_snapshot(), pid
+
+        want, calm, _ = run(kill=False)
+        got, snapshot, pid = run(kill=True)
+        assert (calm["n_worker_deaths"], calm["n_pool_spawns"]) == (0, 1)
+        assert (snapshot["n_worker_deaths"], snapshot["n_restarts"]) == (1, 1)
+        assert snapshot["n_pool_spawns"] == 2 and pid not in snapshot["worker_pids"]
+        np.testing.assert_array_equal(got.positions, want.positions)
+        np.testing.assert_array_equal(got.velocities, want.velocities)
+
+    def test_helper_killed_mid_ring_is_an_error_not_retried(
+        self, potential, monkeypatch
+    ):
+        """Worker 0 posts its join by hand, waits until the helper has
+        kick-drifted its rows, kills it, then walks: it meets the dead
+        helper at the next barrier."""
+        from repro import kernels
+        from repro.parallel.backends import BackendError
+        from repro.parallel.backends.processes import ProcessSDCCalculator
+
+        tier = kernels.active_tier()
+        if tier.name != "c":
+            pytest.skip("the doorbell team needs the C tier")
+        calc = ProcessSDCCalculator(dims=2, n_workers=2)
+        real, armed, walks = tier._c_walk, [], []
+
+        def walk(shared, ranges, lo, hi, waiter, base, *rest):
+            walks.append(base)
+            if armed:
+                armed.clear()
+                words = calc._live.arena.barrier[:, 0]
+                words[1] = base  # worker 0 at the join: the helper goes
+                deadline = time.monotonic() + 5.0
+                while words[2] < base + 1 and time.monotonic() < deadline:
+                    pass  # the helper kick-drifted and waits at the next
+                os.kill(calc.worker_pids()[0], signal.SIGKILL)
+            return real(shared, ranges, lo, hi, waiter, base, *rest)
+
+        monkeypatch.setattr(tier, "_c_walk", walk)
+        with self.ringing(potential, calc) as sim:
+            del walks[:]
+            armed.append(1)
+            started = time.monotonic()
+            with pytest.raises(BackendError, match=r"worker\(s\) \[0\] died"):
+                sim.run(1)
+            assert time.monotonic() - started < 5.0
+            assert len(walks) == 1  # not rung again
+            snapshot = calc.health_snapshot()
+            assert (snapshot["n_worker_deaths"], snapshot["n_restarts"]) == (1, 0)
+            sim.run(2)  # the next step respawns
+            assert calc.health_snapshot()["n_pool_spawns"] == 2
+            assert np.isfinite(sim.atoms.positions).all()
+
+
 class TestMalformedStructures:
     def test_neighbor_list_with_corrupt_csr_rejected(self):
         with pytest.raises(ValueError):
