@@ -187,12 +187,7 @@ class SDCStrategy(ReductionStrategy):
         start = time.perf_counter()
         status = self.backend.team(self.n_threads).walk(walk, base)
         window = (start, time.perf_counter())
-        for slot in status:
-            if slot >= 0:  # this worker found an overlap; its siblings aborted
-                raise walk.overlap(slot)
-        if walk.ABORTED in status:  # a type changed in place since the binding
-            raise IndexError("an atom type has no entry in the kick's tables")
-        rebuild = status[0] == walk.REBUILD
+        rebuild = walk.stopped(status)
         tracer = self._tracer
         if tracer is not None:  # the per-color route's labels, one walk
             plan, colors, pid = self._plan, range(n_colors), os.getpid()

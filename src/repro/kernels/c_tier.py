@@ -561,6 +561,7 @@ class SDCWalk:
             and (phi is None or (_rows(phi) and len(phi) == n_pairs))
         ):
             return False
+        self._arrays = self.r = None  # freed before the new ones are made
         delta, self.r, dphi, dv = (
             handover if handover is not None else handover_arrays(n_pairs)
         )
@@ -689,6 +690,17 @@ class SDCWalk:
         except BaseException:
             self._barrier[0, 0] = base
             raise
+
+    def stopped(self, statuses) -> bool:
+        """Whether the walk's workers (their :meth:`run` statuses) stopped
+        a ring for a rebuild; raises the overlap a worker found, or the
+        NumPy tier's error for a type the kick's tables do not hold."""
+        for slot in statuses:
+            if slot >= 0:  # this worker found an overlap; its siblings aborted
+                raise self.overlap(slot)
+        if self.ABORTED in statuses:  # a type changed in place since the binding
+            raise IndexError("an atom type has no entry in the kick's tables")
+        return statuses[0] == self.REBUILD
 
     def overlap(self, slot: int) -> ValueError:
         """The tier's error for the overlapping pair at ``slot``."""

@@ -16,7 +16,7 @@ from typing import List, Optional, Protocol
 
 import numpy as np
 
-from repro import units
+from repro import kernels, units
 from repro.md.atoms import Atoms
 from repro.md.integrators import REBUILD, Integrator, VelocityVerlet
 from repro.md.neighbor.verlet import NeighborList, build_neighbor_list
@@ -26,6 +26,7 @@ from repro.obs.recorder import record as record_health
 from repro.obs.tracer import CAT_MD, span_of
 from repro.potentials.base import EAMPotential
 from repro.potentials.eam import EAMComputation, compute_eam_forces_serial
+from repro.utils.identity import IdentityKey
 
 
 class ForceCalculator(Protocol):
@@ -42,17 +43,88 @@ class ForceCalculator(Protocol):
         ...
 
 
+#: the pairs of a walk aimed at no list
+_NO_PAIRS = np.zeros(0, dtype=np.int64)
+
+
 class SerialCalculator:
-    """Directly calls the serial reference kernels."""
+    """Directly calls the serial reference kernels; under velocity Verlet
+    on the C tier a whole step is one walk of one worker instead
+    (:meth:`verlet_ring`)."""
+
+    def __init__(self) -> None:
+        #: the walk of one worker over a list as one colour, laid out per
+        #: ``(tier, n_atoms)`` and aimed at ``_list``; the first barrier
+        #: generation of its next run; whether the last evaluation may ring
+        self._walk, self._key, self._list = None, (), IdentityKey()
+        self._generation, self._walks = 1, False
 
     def compute(
         self, potential: EAMPotential, atoms: Atoms, nlist: NeighborList
     ) -> EAMComputation:
-        return compute_eam_forces_serial(potential, atoms, nlist)
+        out = compute_eam_forces_serial(potential, atoms, nlist)
+        self._walks = nlist.half and self._walker(potential, atoms) is not None
+        return out
+
+    def verlet_ring(self, potential, atoms, nlist, kicks, half_skin):
+        """One MD step as one walk of one worker, this thread, on
+        :meth:`~repro.core.strategies.sdc.SDCStrategy.verlet_ring`'s terms,
+        into ``atoms``' own arrays, which the result holds.  None where C
+        cannot ring it, nothing touched."""
+        nlist.check_covers(atoms.n_atoms)
+        walk = self._walker(potential, atoms, nlist)
+        if walk is None or not walk.ring(
+            atoms.velocities, atoms.types, atoms.masses,
+            nlist.reference_positions, kicks, half_skin,
+        ):
+            return None
+        if half_skin is None:  # else the kick-drift zeroes them
+            atoms.rho.fill(0.0)
+            atoms.forces.fill(0.0)
+        self._generation += 4
+        if walk.stopped([walk.run(self._generation - 4)]):
+            # the list is stale: its pair arrays need not live through the build
+            self._list.clear()
+            walk.replan(*self._plan(None, atoms))
+            return REBUILD
+        pair, embedding, moments = walk.sums()
+        result = EAMComputation(pair, embedding, atoms.rho, atoms.fp, atoms.forces)
+        return result, moments
+
+    def caller_walks(self) -> bool:
+        """Whether the last evaluation's list and atoms may ring."""
+        return self._walks
+
+    def _walker(self, potential, atoms: Atoms, nlist=None):
+        """The walk bound to ``atoms`` and, given ``nlist``, aimed at it
+        (once per list), or None: a tier without a walker, a full list, or
+        a potential or arrays C may not run."""
+        key, self._walks = (kernels.active_tier(), atoms.n_atoms), False
+        if self._key != key:  # laid out aimed at no list, one waiter's barrier
+            barrier, plan = np.zeros((2, 8), dtype=np.int64), self._plan(None, atoms)
+            self._walk = key[0].sdc_walker(*plan, atoms.n_atoms, barrier)
+            self._key = key
+            self._list.clear()
+        walk = self._walk
+        if walk is None:
+            return None
+        if nlist is not None and not self._list.matches(nlist):
+            self._list.clear()
+            if not (nlist.half and walk.replan(*self._plan(nlist, atoms))):
+                return None
+            self._list.set(nlist)
+        self._walks = walk.bind(
+            potential, atoms.positions, atoms.box, atoms.rho, atoms.fp, atoms.forces
+        )
+        return walk if self._walks else None
+
+    @staticmethod
+    def _plan(nlist, atoms: Atoms):
+        """One worker's one colour over ``nlist``'s pairs (None: no pairs)."""
+        pairs = (_NO_PAIRS,) * 2 if nlist is None else nlist.pair_arrays()
+        return *pairs, [[(0, len(pairs[0]))]], [(0, atoms.n_atoms)]
 
     def health_snapshot(self) -> dict:
-        from repro import kernels
-
         return {
             "engine": "serial",
             "kernel_tier": kernels.active_tier().name,

@@ -357,9 +357,19 @@ class ShardEngine(WorkerEngine):
         after is a :class:`HalfStep`, never retried."""
         if not self.caller_walks():
             return None
-        self._check_epoch(atoms, nlist)
+        # untraced, with the list, box, potential and tier of the live
+        # epoch and workers, the epoch check and the spawn test are moot
+        ready = (
+            self._tracer is None and self._epoch_published
+            and self._cached_nlist.matches(nlist) and atoms.box is self._box
+            and potential is self._potential
+            and kernels.active_tier() is self._spawned_tier
+            and not self._live.group.broken and nlist.n_atoms == atoms.n_atoms
+        )
+        if not ready:
+            self._check_epoch(atoms, nlist)
         return self._evaluate(
-            potential, lambda: self._walk(atoms, nlist, kicks, half_skin)
+            potential, lambda: self._walk(atoms, nlist, kicks, half_skin), ready
         )
 
     def _evaluate_once(self, atoms: Atoms) -> EAMComputation:
@@ -448,11 +458,10 @@ class ShardEngine(WorkerEngine):
         statuses = live.team.walk(walk, base)
         window = (start, time.perf_counter())
         lost = [k - 1 for k, status in enumerate(statuses) if status == walk.LOST]
-        overlaps = [status for status in statuses if status >= 0]
-        if walk.ABORTED in statuses and not lost and not overlaps:
-            if time.monotonic() < walk.deadline:  # a kick's type check
-                raise IndexError("an atom type has no entry in the kick's tables")
-            # worker 0 gave up at the deadline on a helper that answered
+        if (
+            not lost and walk.ABORTED in statuses and max(statuses) < 0
+            and time.monotonic() >= walk.deadline  # else a kick's type check
+        ):  # worker 0 gave up at the deadline on a helper that answered
             lost = [k for k, status in enumerate(statuses[1:]) if status != walk.DONE]
         if lost:
             live.group.broken = True
@@ -460,9 +469,7 @@ class ShardEngine(WorkerEngine):
             raise (HalfStep if moved else BackendError)(
                 f"worker(s) {lost} died or timed out during 'evaluate'"
             )
-        if overlaps:
-            raise walk.overlap(overlaps[0])
-        rebuild = statuses[0] == walk.REBUILD
+        rebuild = walk.stopped(statuses)
         if self._tracer is not None:
             pids, marks = [os.getpid(), *live.group.pids], walk.marks.copy()
             self._trace(window, walk.n_colors, marks, pids, drift, kicks, rebuild)
@@ -635,11 +642,12 @@ class ShardedSDCCalculator(ShardEngine):
         )
         return plans
 
-    def compute(
-        self, potential: EAMPotential, atoms: Atoms, nlist: NeighborList
-    ) -> EAMComputation:
-        """Full sharded EAM evaluation; also updates ``atoms`` in place."""
-        result = super().compute(potential, atoms, nlist)
-        self._halo_bytes_total += GHOST_BYTES_PER_STEP * self._n_ghosts()
-        count_health("sharded_halo_refresh")
-        return result
+    def _evaluate(self, potential, once, ready=False):
+        """One evaluation on either route, a plain one or a step ring's,
+        and its halo refresh accounted (a ring that stopped for a rebuild
+        or could not ring evaluated nothing)."""
+        out = super()._evaluate(potential, once, ready)
+        if out is not None and out is not REBUILD:
+            self._halo_bytes_total += GHOST_BYTES_PER_STEP * self._n_ghosts()
+            count_health("sharded_halo_refresh")
+        return out

@@ -970,8 +970,11 @@ class WorkerEngine:
             kernel_tier=tier.name,
         )
 
-    def _evaluate(self, potential: EAMPotential, once: Callable[[], object]):
-        """Run ``once()`` on live, epoch-current workers.
+    def _evaluate(
+        self, potential: EAMPotential, once: Callable[[], object], ready=False
+    ):
+        """Run ``once()`` on live, epoch-current workers (``ready``: the
+        caller saw that they are, so a first attempt skips the setup).
 
         A :class:`BackendError` (worker death or timeout — never partial
         results: ``once`` restarts from its zero fill) respawns the group
@@ -982,11 +985,12 @@ class WorkerEngine:
         attempts = 2 if self.restart_on_failure else 1
         for attempt in range(attempts):
             try:
-                with self._span("setup", phase="setup", epoch=self._epoch):
-                    self._ensure_workers(potential)
-                    if not self._epoch_published:
-                        self._publish_epoch()
-                        self._epoch_published = True
+                if attempt or not ready:
+                    with self._span("setup", phase="setup", epoch=self._epoch):
+                        self._ensure_workers(potential)
+                        if not self._epoch_published:
+                            self._publish_epoch()
+                            self._epoch_published = True
                 return once()
             except BackendError as exc:
                 self._n_worker_deaths += 1

@@ -299,6 +299,34 @@ class TestCalculatorPlugin:
         sdc = run(SDCStrategy(dims=3, n_threads=2))
         assert np.allclose(serial, sdc, atol=1e-10)
 
+    def test_serial_steps_are_its_three_calls_on_either_tier(self):
+        """On the C tier a ``SerialCalculator`` step is one walk of one
+        worker (``verlet_ring``), on the NumPy tier the three calls; either
+        way the trajectory, the rebuilds and every sampled energy are the
+        three calls' bit for bit."""
+
+        class ThreeCalls:
+            def __init__(self):
+                self.compute = SerialCalculator().compute
+
+        def run(calculator):
+            case = Case(key="t", label="t", n_cells=6)
+            atoms = case.build(perturbation=0.03, temperature=600.0, seed=2)
+            sim = Simulation(
+                atoms, fe_potential(), calculator, VelocityVerlet(1e-3), skin=0.1
+            )
+            report = sim.run(30, sample_every=1)
+            return atoms, report
+
+        calculator = SerialCalculator()
+        got, got_report = run(calculator)
+        want, want_report = run(ThreeCalls())
+        assert calculator.caller_walks() == (kernels.active_tier().name == "c")
+        assert got_report.n_neighbor_rebuilds == want_report.n_neighbor_rebuilds > 1
+        for name in ("positions", "velocities", "forces", "rho"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        assert np.array_equal(got_report.energies(), want_report.energies())
+
     def test_last_computation_exposed(self, sim):
         assert sim.last_computation is None
         sim.compute_forces()

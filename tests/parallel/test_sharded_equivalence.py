@@ -145,6 +145,35 @@ class TestShardedTrajectoryEquivalence:
         finally:
             calc.close()
 
+    @pytest.mark.parametrize("tier", ["c", "numpy"])
+    def test_one_halo_refresh_per_evaluation_on_either_route(
+        self, potential, recorder, tier, monkeypatch
+    ):
+        """One shard on the C tier rings every step (``verlet_ring``,
+        which never calls ``compute``), on the NumPy tier it runs the
+        commands: either way the first evaluation and then each step count
+        one halo refresh, a rebuild step's stopped ring none."""
+        if tier not in TIERS:
+            pytest.skip(f"{tier} tier unavailable")
+        rings = []
+        real = ShardedSDCCalculator.verlet_ring
+
+        def spy(self, *args):
+            out = real(self, *args)
+            rings.append(out is not None)
+            return out
+
+        monkeypatch.setattr(ShardedSDCCalculator, "verlet_ring", spy)
+        calc = ShardedSDCCalculator(n_shards=1)
+        _, report, _ = _run_trajectory(potential, calc, tier=tier, recorder=recorder)
+        assert report.n_neighbor_rebuilds >= 2
+        # a ring on every step (twice on a rebuild's), or none at all
+        assert all(rings) and len(rings) == (
+            N_STEPS + report.n_neighbor_rebuilds - 1 if tier == "c" else 0
+        )
+        assert recorder.counts()["sharded_halo_refresh"] == N_STEPS + 1
+        assert calc.health_snapshot()["halo_bytes_total"] == 0  # no ghosts
+
     def test_single_compute_equivalence(
         self, potential, sdc_atoms, sdc_nlist, reference_result
     ):

@@ -1,8 +1,10 @@
 """The step ring: one MD step on a team as one walk per worker —
 kick-drift of its rows, one more barrier and the Verlet check, the
 ``2C + 1`` phases of the evaluation, the closing kick — on the thread team
-of ``SDCStrategy`` and, in :class:`TestOnProcesses`, on the doorbell team
-of ``ProcessSDCCalculator`` (forked helpers, the atoms in its arena).
+of ``SDCStrategy``, in :class:`TestOnProcesses` on the doorbell team of
+``ProcessSDCCalculator`` (forked helpers, the atoms in its arena), and in
+:class:`TestOnSerial` as ``SerialCalculator``'s one-worker walk over the
+whole list (bit-identical to its three calls, energies and moments too).
 
 * trajectories: positions and velocities bit-identical to the three
   calls and to the strategy's serial pass over 200 steps with as many
@@ -79,10 +81,16 @@ def processes(workers=2):
     return ProcessSDCCalculator(dims=2, n_workers=workers)
 
 
+def serial(workers=1):
+    """One worker whatever ``workers`` asks: the caller walks alone."""
+    return SerialCalculator()
+
+
 @pytest.fixture()
 def engine():
     """``engine(workers=2)``, the calculator whose steps ring: the thread
-    team's here, the process engine's in :class:`TestOnProcesses`."""
+    team's here, the process engine's in :class:`TestOnProcesses`, the
+    serial one's in :class:`TestOnSerial`."""
     return threads
 
 
@@ -101,7 +109,7 @@ def rings(monkeypatch):
 
         return spy
 
-    for engine in (SDCStrategy, ShardEngine):
+    for engine in (SDCStrategy, ShardEngine, SerialCalculator):
         monkeypatch.setattr(engine, "verlet_ring", spying(engine.verlet_ring))
     return answers
 
@@ -154,7 +162,7 @@ class ThreeCalls:
         return self._inner.compute(*args)
 
     def close(self):
-        self._inner.close()
+        getattr(self._inner, "close", lambda: None)()
 
 
 class Forwarding:
@@ -180,7 +188,9 @@ class TestTrajectory:
         one, one_report = simulate(SDCStrategy(2, 2), 200, rebuild_every=cadence)
         assert not rings
         got, got_report = simulate(engine(), 200, rebuild_every=cadence)
-        serial, serial_report = simulate(SerialCalculator(), 200, rebuild_every=cadence)
+        serial, serial_report = simulate(
+            ThreeCalls(SerialCalculator()), 200, rebuild_every=cadence
+        )
         assert None not in rings  # every step rang, a rebuild's twice
         assert rings.count("kick-drift") + rings.count(REBUILD) == 200
         assert rings.count(REBUILD) == rings.count("kick") > 0
@@ -335,7 +345,7 @@ class TestRouting:
             integrator, tracer = Euler(1e-3) if setup == "euler" else None, Tracer()
             with tier:
                 got, _ = simulate(strategy, 5, integrator, tracer=tracer)
-                want, _ = simulate(SerialCalculator(), 5, integrator)
+                want, _ = simulate(ThreeCalls(SerialCalculator()), 5, integrator)
             np.testing.assert_allclose(got.positions, want.positions, atol=1e-9)
             # the first evaluation, then one a step: no empty span of a ring
             assert [s.name for s in tracer.spans].count("forces") == 6
@@ -352,7 +362,7 @@ class TestRouting:
             SDCWalk, "ring", lambda self, *a: armed.append(1) or real(self, *a)
         )
         got, _ = simulate(ShardedSDCCalculator(n_shards=2), 5)
-        want, _ = simulate(SerialCalculator(), 5)
+        want, _ = simulate(ThreeCalls(SerialCalculator()), 5)
         np.testing.assert_allclose(got.positions, want.positions, atol=1e-9)
         assert not rings and not armed
 
@@ -525,7 +535,7 @@ class TestOnProcesses:
             with Simulation(atoms, potential, calc) as sim:
                 sim.run(3)
                 assert not calc.caller_walks()
-            want, _ = simulate(SerialCalculator(), 3)
+            want, _ = simulate(ThreeCalls(SerialCalculator()), 3)
         np.testing.assert_allclose(atoms.positions, want.positions, atol=1e-9)
         assert not rings and not armed
 
@@ -603,3 +613,214 @@ class TestOnProcesses:
                 serial.run(5)
         np.testing.assert_array_equal(atoms.positions, last.positions)
         np.testing.assert_array_equal(atoms.velocities, last.velocities)
+
+
+class Observed(list):
+    """A health monitor's hooks that keep each step's ``(potential
+    energy, moments)``."""
+
+    calculator = None
+
+    def attach_calculator(self, calculator):
+        self.calculator = calculator
+
+    def observe_step(self, step, atoms, potential_energy, moments=None):
+        self.append((potential_energy, moments))
+
+
+class HalfKick(VelocityVerlet):
+    """A subclass that changes a half: its ``kicks`` are None."""
+
+    def second_half(self, atoms):
+        return super().second_half(atoms)
+
+
+class TestOnSerial:
+    """The ring tests above on ``SerialCalculator``: one worker, this
+    thread, walks the whole list as one colour, with no team and no
+    barrier partner; then what only that engine has — bit-identity with its
+    own three calls, and the routes that keep them."""
+
+    @pytest.fixture()
+    def engine(self):
+        return serial
+
+    test_forces_are_the_walks = TestTrajectory.test_forces_are_the_walks
+    test_moments_match_the_serial_pass = staticmethod(
+        test_moments_match_the_serial_pass
+    )
+    test_a_nan_position_fails_the_check_and_the_rebuild_names_it = staticmethod(
+        test_a_nan_position_fails_the_check_and_the_rebuild_names_it
+    )
+    test_a_type_outside_the_tables_stops_the_ring = (
+        TestFailures.test_a_type_outside_the_tables_stops_the_ring
+    )
+    test_a_forwarding_wrapper_rings = TestRouting.test_a_forwarding_wrapper_rings
+    test_a_driver_subclass_that_hooks_a_step_keeps_the_three_calls = (
+        TestRouting.test_a_driver_subclass_that_hooks_a_step_keeps_the_three_calls
+    )
+    test_masses_changed_mid_run_match_the_three_calls = staticmethod(
+        test_masses_changed_mid_run_match_the_three_calls
+    )
+
+    @pytest.mark.parametrize("cadence", [None, 3])
+    @pytest.mark.parametrize(
+        "regime", [(50.0, 0.3), (900.0, 0.1)], ids=["steady", "hot"]
+    )
+    def test_bit_identical_to_the_three_calls(self, regime, cadence, rings):
+        """Positions, velocities, forces, rho, fp, every sampled energy
+        and every step's moments are the three calls', bit for bit, with
+        as many rebuilds: one walk over the pairs in list order is the
+        serial evaluation's arithmetic, and its kicks are the halves'."""
+        temperature, skin = regime
+
+        def run(calculator):
+            atoms, observed = build(temperature), Observed()
+            with Simulation(
+                atoms, fe_potential(), calculator, VelocityVerlet(1e-3),
+                skin=skin, rebuild_every=cadence, health=observed,
+            ) as sim:
+                report = sim.run(200, sample_every=1)
+            return atoms, report, observed
+
+        want, want_report, want_seen = run(ThreeCalls(SerialCalculator()))
+        assert not rings
+        got, got_report, got_seen = run(serial())
+        assert None not in rings  # every step rang, a rebuild's twice
+        assert rings.count("kick-drift") + rings.count(REBUILD) == 200
+        # the first build, for the first evaluation, then one per REBUILD
+        assert rings.count(REBUILD) == rings.count("kick")
+        assert got_report.n_neighbor_rebuilds == 1 + rings.count(REBUILD)
+        assert got_report.n_neighbor_rebuilds == want_report.n_neighbor_rebuilds
+        if cadence is not None:
+            assert got_report.n_neighbor_rebuilds >= 200 // cadence
+        for name in ("positions", "velocities", "forces", "rho", "fp"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        assert [
+            (r.potential_energy, r.kinetic_energy, r.total_energy)
+            for r in got_report.records
+        ] == [
+            (r.potential_energy, r.kinetic_energy, r.total_energy)
+            for r in want_report.records
+        ]
+        assert len(got_seen) == 200 and got_seen == want_seen
+
+    @pytest.mark.parametrize("after", ["a-step", "a-rebuild-answer"])
+    def test_a_kick_only_ring_is_the_evaluation_and_the_closing_kick(self, after):
+        """Asked without the kick-drift (what follows a rebuild), the ring
+        zeroes what it sums into, evaluates and kicks: a plain ``compute``
+        and ``second_half`` on a copy, bit for bit, moments too — also on
+        the very list a ``REBUILD`` answer let go of."""
+        potential, integrator = fe_potential(), VelocityVerlet(1e-3)
+        atoms = build()
+        with Simulation(atoms, potential, serial(), integrator) as sim:
+            sim.run(3)
+            kicks = integrator.kicks(atoms)
+            if after == "a-rebuild-answer":  # the cadence's: whatever moved
+                assert sim.calculator.verlet_ring(
+                    potential, atoms, sim.nlist, kicks, -1.0
+                ) is REBUILD
+            twin = atoms.copy()
+            result, sums = sim.calculator.verlet_ring(
+                potential, atoms, sim.nlist, kicks, None
+            )
+            walked = sim.calculator.compute(potential, twin, sim.nlist)
+            want = integrator.second_half(twin)
+        for name in ("positions", "velocities", "forces", "rho", "fp"):
+            np.testing.assert_array_equal(getattr(atoms, name), getattr(twin, name))
+        assert (result.pair_energy, result.embedding_energy) == (
+            walked.pair_energy, walked.embedding_energy
+        )
+        assert integrator.moments(*sums) == want
+
+    def test_a_new_list_re_aims_the_walk(self, rings, monkeypatch):
+        """``atoms.reorder`` with the list remapped between two runs: the
+        walk aimed at the first list is re-aimed at the new one, once,
+        and the trajectory is the three calls' one (a crystal's rebuilt
+        list holds the same pairs, so only a renumbering shows a stale
+        walk)."""
+        from repro.core.reorder import remap_neighbor_list
+
+        aimed = []
+        real = SDCWalk.replan
+        monkeypatch.setattr(
+            SDCWalk, "replan", lambda self, *a: aimed.append(self) or real(self, *a)
+        )
+        perm = np.random.default_rng(3).permutation(build().n_atoms)
+
+        def run(calculator):
+            atoms = build()
+            with Simulation(atoms, fe_potential(), calculator) as sim:
+                sim.run(3)
+                atoms.reorder(perm)
+                sim.nlist = remap_neighbor_list(sim.nlist, perm)
+                sim.run(3)
+            return atoms
+
+        want = run(ThreeCalls(SerialCalculator()))
+        del aimed[:]
+        got = run(serial())
+        assert rings == ["kick-drift"] * 6
+        # laid out aimed at no list, aimed at the first list, then re-aimed
+        # at the remapped one
+        assert len(aimed) == 3 and aimed[0] is aimed[1] is aimed[2]
+        for name in ("positions", "velocities", "forces"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+    def test_a_ringed_result_holds_the_atoms_arrays(self, rings):
+        atoms = build()
+        with Simulation(atoms, fe_potential(), serial()) as sim:
+            sim.run(3)
+            result = sim.last_computation
+        assert rings == ["kick-drift"] * 3
+        for name in ("rho", "fp", "forces"):
+            assert getattr(result, name) is getattr(atoms, name)
+
+    @pytest.mark.parametrize(
+        "setup", ["numpy-tier", "unlowered", "euler", "subclassed-integrator"]
+    )
+    def test_the_three_calls_stay(self, setup, rings, monkeypatch):
+        """On the NumPy tier, with a potential C cannot lower, under
+        ``Euler`` and under a ``VelocityVerlet`` subclass that changes a
+        half, the driver never offers the ring and nothing arms a walk:
+        the steps are the three calls', bit for bit, one spanned
+        evaluation each; where the ring is asked anyway it declines,
+        nothing touched."""
+        armed = []
+        real = SDCWalk.ring
+        monkeypatch.setattr(
+            SDCWalk, "ring", lambda self, *a: armed.append(1) or real(self, *a)
+        )
+        potential = UnloweredFe() if setup == "unlowered" else fe_potential()
+        integrator = {"euler": Euler, "subclassed-integrator": HalfKick}.get(
+            setup, VelocityVerlet
+        )
+
+        def run(calculator, tracer=None):
+            atoms = build()
+            with Simulation(
+                atoms, potential, calculator, integrator(1e-3), tracer=tracer
+            ) as sim:
+                sim.run(5)
+                if tracer is not None and setup in ("numpy-tier", "unlowered"):
+                    before = atoms.copy()
+                    kicks = VelocityVerlet(1e-3).kicks(atoms)
+                    assert not calculator.caller_walks()
+                    assert calculator.verlet_ring(
+                        potential, atoms, sim.nlist, kicks, 0.15
+                    ) is None
+                    for name in ("positions", "velocities", "forces", "rho"):
+                        np.testing.assert_array_equal(
+                            getattr(atoms, name), getattr(before, name)
+                        )
+            return atoms
+
+        tracer = Tracer()
+        with kernels.use_tier("numpy" if setup == "numpy-tier" else "c"):
+            got = run(serial(), tracer)
+            want = run(ThreeCalls(SerialCalculator()))
+        np.testing.assert_array_equal(got.positions, want.positions)
+        np.testing.assert_array_equal(got.velocities, want.velocities)
+        # the first evaluation, then one a step: no empty span of a ring
+        assert [s.name for s in tracer.spans].count("forces") == 6
+        assert not armed and not [answer for answer in rings if answer is not None]
